@@ -1,5 +1,6 @@
-//! Criterion microbenchmarks of the substrates: packet codec, ICRC,
-//! event-injector pipeline, and end-to-end simulation throughput.
+//! Criterion microbenchmarks of the substrates: packet codec, ICRC, the
+//! RNIC transmit tick, event-injector pipeline, and end-to-end simulation
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lumina_packet::builder::DataPacketBuilder;
@@ -33,16 +34,99 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("parse_headers_trimmed", |b| {
         b.iter(|| black_box(RoceFrame::parse_headers(&wire[..128]).unwrap()))
     });
+    // Headers only: the fixed cost every ACK, NAK and CNP pays.
+    let bare = sample_frame_bytes(0);
+    g.throughput(Throughput::Bytes(bare.len() as u64));
+    g.bench_function("icrc_check_0B", |b| b.iter(|| black_box(icrc_check(&bare))));
     g.finish();
 }
 
 fn bench_crc(c: &mut Criterion) {
     let data = vec![0xa5u8; 4096];
     let mut g = c.benchmark_group("crc32");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("crc32_4k", |b| {
-        b.iter(|| black_box(lumina_packet::icrc::crc32(&data)))
-    });
+    // 64 B is four wide steps and no tail; 1 KiB and 4 KiB are the MTUs.
+    for (name, len) in [("crc32_64B", 64), ("crc32_1k", 1024), ("crc32_4k", 4096)] {
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(lumina_packet::icrc::crc32(&data[..len])))
+        });
+    }
+    g.finish();
+}
+
+/// One transmit-wheel tick of a device whose every QP has data queued:
+/// build the candidate list, let ETS pick, emit one packet, re-arm. The
+/// candidate walk is O(QPs), which is what separates the two rows.
+fn bench_rnic_tx(c: &mut Criterion) {
+    use lumina_packet::MacAddr;
+    use lumina_rnic::device::token;
+    use lumina_rnic::ets::EtsConfig;
+    use lumina_rnic::profile::DeviceProfile;
+    use lumina_rnic::qp::{QpConfig, QpEndpoint};
+    use lumina_rnic::verbs::{Verb, WorkRequest};
+    use lumina_rnic::{Action, Rnic};
+    use lumina_sim::SimTime;
+    use std::net::Ipv4Addr;
+
+    let tx_wheel = token::pack(token::TX_WHEEL, 0, 0);
+    let mut g = c.benchmark_group("rnic");
+    for qps in [8u32, 256] {
+        let mut rnic = Rnic::new(
+            DeviceProfile::cx6_dx(),
+            EtsConfig::single_queue(),
+            MacAddr::local(1),
+        );
+        for qpn in 1..=qps {
+            rnic.create_qp(QpConfig {
+                local: QpEndpoint {
+                    ip: Ipv4Addr::new(10, 0, 0, 1),
+                    qpn,
+                    ipsn: 0,
+                },
+                remote: QpEndpoint {
+                    ip: Ipv4Addr::new(10, 0, 0, 2),
+                    qpn,
+                    ipsn: 0,
+                },
+                remote_mac: MacAddr::local(2),
+                mtu: 256,
+                timeout_code: 14,
+                retry_cnt: 7,
+                adaptive_retrans: false,
+                traffic_class: 0,
+                dcqcn_rp: false,
+                dcqcn_np: false,
+                min_time_between_cnps: SimTime::from_micros(4),
+                udp_src_port: 49152,
+            });
+            // 16 M packets per QP: the queue outlasts any sample count.
+            rnic.post_send(
+                qpn,
+                WorkRequest {
+                    wr_id: qpn as u64,
+                    verb: Verb::Write,
+                    len: u32::MAX,
+                },
+                SimTime::ZERO,
+            );
+        }
+        let mut now = SimTime::ZERO;
+        g.bench_function(format!("rnic_tx_tick_{qps}qp"), |b| {
+            b.iter(|| {
+                let actions = rnic.on_timer(tx_wheel, now);
+                let mut emitted = false;
+                for action in &actions {
+                    match action {
+                        Action::ArmTimer { at, token } if *token == tx_wheel => now = *at,
+                        Action::Emit(_) => emitted = true,
+                        _ => {}
+                    }
+                }
+                assert!(emitted, "every tick emits one data packet");
+                actions
+            })
+        });
+    }
     g.finish();
 }
 
@@ -111,5 +195,12 @@ traffic:
     g.finish();
 }
 
-criterion_group!(engine, bench_codec, bench_crc, bench_injector, bench_end_to_end);
+criterion_group!(
+    engine,
+    bench_codec,
+    bench_crc,
+    bench_rnic_tx,
+    bench_injector,
+    bench_end_to_end
+);
 criterion_main!(engine);

@@ -141,9 +141,20 @@ impl DataPacketBuilder {
     }
 
     /// Use a zero payload of `len` bytes — simulation does not care about
-    /// payload *content*, only its length on the wire.
+    /// payload *content*, only its length on the wire. Payloads up to the
+    /// largest IB MTU are views of one shared zero buffer; `emit` copies
+    /// them into the wire buffer either way.
     pub fn payload_len(mut self, len: usize) -> Self {
-        self.payload = Bytes::from(vec![0u8; len]);
+        thread_local! {
+            static ZEROS: Bytes = Bytes::from(vec![0u8; 4096]);
+        }
+        self.payload = ZEROS.with(|zeros| {
+            if len <= zeros.len() {
+                zeros.slice(..len)
+            } else {
+                Bytes::from(vec![0u8; len])
+            }
+        });
         self
     }
 

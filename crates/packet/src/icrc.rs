@@ -18,11 +18,7 @@
 
 /// CRC-32 (IEEE 802.3, reflected, init all-ones, final xor all-ones).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    crc ^ 0xffff_ffff
+    update(0xffff_ffff, data) ^ 0xffff_ffff
 }
 
 /// Streaming CRC-32 with the same parameters as [`crc32`].
@@ -45,9 +41,7 @@ impl Crc32 {
 
     /// Feed bytes.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state = (self.state >> 8) ^ CRC_TABLE[((self.state ^ b as u32) & 0xff) as usize];
-        }
+        self.state = update(self.state, data);
     }
 
     /// Finish and return the CRC value.
@@ -56,39 +50,89 @@ impl Crc32 {
     }
 }
 
+/// IPv4 (20 bytes, no options) followed by UDP: the only layout RoCEv2
+/// frames here carry below the BTH.
+const L3_L4_LEN: usize = 20 + 8;
+
+/// 0xff at the IPv4 + UDP bytes the ICRC reads as ones, zero elsewhere:
+/// IPv4 TOS (byte 1), TTL (byte 8), checksum (bytes 10-11); UDP checksum
+/// (bytes 6-7 of the UDP header at byte 20).
+const L3_L4_ONES: [u8; L3_L4_LEN] = {
+    let masked = [1, 8, 10, 11, 20 + 6, 20 + 7];
+    let mut ones = [0; L3_L4_LEN];
+    let mut i = 0;
+    while i < masked.len() {
+        ones[masked[i]] = 0xff;
+        i += 1;
+    }
+    ones
+};
+
 /// Compute the RoCEv2 ICRC over a frame laid out as
 /// `ip_header ++ udp_header ++ ib_headers_and_payload` (Ethernet header and
 /// trailing ICRC excluded). `bth_offset` is the offset of the BTH within
 /// that region (i.e. IP header length + UDP header length).
+///
+/// Total: a region too short to hold one of the masked fields has nothing
+/// to mask there, and the result is the CRC of what is present.
 pub fn icrc_over_masked(l3_and_up: &[u8], bth_offset: usize) -> u32 {
-    debug_assert!(bth_offset + 12 <= l3_and_up.len());
     // The region is scanned in place where this routine used to
     // materialize a masked scratch copy — credit the avoided copy.
     crate::buf::note_shared(l3_and_up.len());
-    let mut crc = Crc32::new();
-    // Pseudo-LRH: 8 bytes of ones.
-    crc.update(&[0xff; 8]);
-    // Stream the region, substituting 0xff at the mutable-field offsets —
-    // no scratch copy; this runs on every emit and every receive check.
-    // IPv4: TOS (byte 1), TTL (byte 8), checksum (bytes 10-11); UDP
-    // checksum (bytes 6-7 of the UDP header at byte 20); BTH resv8a.
-    let mut masked_offsets = [1, 8, 10, 11, 20 + 6, 20 + 7, bth_offset + 4];
-    masked_offsets.sort_unstable();
-    let mut pos = 0;
-    for off in masked_offsets {
-        crc.update(&l3_and_up[pos..off]);
-        crc.update(&[0xff]);
-        pos = off + 1;
+    let (l3_l4, mut ib) = l3_and_up.split_at(l3_and_up.len().min(L3_L4_LEN));
+    // Only the pseudo-LRH (8 bytes of ones) and the masked IPv4 + UDP
+    // headers are staged, 36 bytes; the rest is read where it lies. The
+    // mask is OR-ed in on the way so the stage is written in whole words
+    // (byte stores over it would stall the word loads that follow).
+    let mut head = [0xff; 8 + L3_L4_LEN];
+    for ((staged, &byte), &ones) in head[8..].iter_mut().zip(l3_l4).zip(&L3_L4_ONES) {
+        *staged = byte | ones;
     }
-    crc.update(&l3_and_up[pos..]);
-    crc.finish()
+    let mut crc = update(0xffff_ffff, &head[..8 + l3_l4.len()]);
+    // BTH resv8a (byte 4) reads as ones; everything after it — the
+    // payload — reaches the wide loop as one run.
+    let resv8a = bth_offset.saturating_add(4).checked_sub(L3_L4_LEN);
+    if let Some(resv8a) = resv8a.filter(|&at| at < ib.len()) {
+        crc = step(update(crc, &ib[..resv8a]), 0xff);
+        ib = &ib[resv8a + 1..];
+    }
+    update(crc, ib) ^ 0xffff_ffff
 }
 
-/// Precomputed table for the reflected IEEE polynomial 0xEDB88320.
-static CRC_TABLE: [u32; 256] = build_table();
+/// The one CRC kernel: advance the raw (un-inverted) state over `data`,
+/// slicing-by-16 — sixteen table lookups fold sixteen input bytes per
+/// step — with a bytewise tail.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        // The running state folds into the block's first four bytes; byte
+        // `i` then has `15 - i` bytes of the block still behind it.
+        let mut next = 0;
+        for (i, &byte) in block.iter().enumerate() {
+            let folded = if i < 4 {
+                byte ^ (crc >> (8 * i)) as u8
+            } else {
+                byte
+            };
+            next ^= CRC_TABLES[15 - i][folded as usize];
+        }
+        crc = next;
+    }
+    blocks.remainder().iter().fold(crc, |crc, &b| step(crc, b))
+}
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// One byte through the classic bytewise table.
+fn step(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xff) as usize]
+}
+
+/// Slicing tables for the reflected IEEE polynomial 0xEDB88320:
+/// `CRC_TABLES[0]` is the classic bytewise table, `CRC_TABLES[k][b]` the
+/// CRC of byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -101,10 +145,20 @@ const fn build_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 #[cfg(test)]

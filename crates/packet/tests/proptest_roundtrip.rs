@@ -1,11 +1,13 @@
-//! Property tests: every header and whole-frame emit/parse round-trips, and
-//! the ICRC detects single-byte payload corruption.
+//! Property tests: every header and whole-frame emit/parse round-trips, the
+//! CRC kernel agrees with a bit-at-a-time reference, and the ICRC detects
+//! single-byte payload corruption while ignoring the masked fields.
 
 use bytes::Bytes;
 use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
 use lumina_packet::bth::{psn_add, psn_distance, psn_mask, Bth, PSN_MODULUS};
 use lumina_packet::builder::DataPacketBuilder;
 use lumina_packet::frame::{icrc_check, RoceFrame, ICRC_LEN};
+use lumina_packet::icrc::{crc32, icrc_over_masked, Crc32};
 use lumina_packet::opcode::Opcode;
 use lumina_packet::reth::Reth;
 use lumina_packet::{Ecn, MacAddr};
@@ -29,6 +31,22 @@ fn arb_syndrome() -> impl Strategy<Value = AethSyndrome> {
         ])
         .prop_map(AethSyndrome::Nak),
     ]
+}
+
+/// CRC-32 one bit at a time — the definition the table kernel must match.
+fn reference_crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
 }
 
 fn arb_ecn() -> impl Strategy<Value = Ecn> {
@@ -146,6 +164,51 @@ proptest! {
         let idx = payload_start + ((payload.len() - 1) as f64 * flip_at_frac) as usize;
         corrupted[idx] ^= 1 << flip_bit;
         prop_assert!(!icrc_check(&corrupted));
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..4200),
+        skip in 0usize..16,
+        split_frac in 0.0f64..1.0,
+    ) {
+        // `skip` moves the slice start off the allocation's alignment.
+        let data = &data[skip.min(data.len())..];
+        let want = reference_crc32(data);
+        prop_assert_eq!(crc32(data), want);
+        let split = (data.len() as f64 * split_frac) as usize;
+        let mut streamed = Crc32::new();
+        streamed.update(&data[..split]);
+        streamed.update(&data[split..]);
+        prop_assert_eq!(streamed.finish(), want);
+    }
+
+    #[test]
+    fn icrc_ignores_masked_fields_and_nothing_else(
+        payload in prop::collection::vec(any::<u8>(), 0..2048),
+        xor in 1u8..=255,
+        covered_frac in 0.0f64..1.0,
+    ) {
+        let wire = DataPacketBuilder::new()
+            .opcode(Opcode::RdmaWriteMiddle)
+            .payload(Bytes::from(payload))
+            .build()
+            .emit();
+        let region = &wire[14..wire.len() - ICRC_LEN];
+        let base = icrc_over_masked(region, 28);
+        // TOS, TTL, IP checksum, UDP checksum, BTH resv8a.
+        let masked = [1, 8, 10, 11, 26, 27, 32];
+        let mut changed = region.to_vec();
+        for off in masked {
+            changed[off] ^= xor;
+        }
+        prop_assert_eq!(icrc_over_masked(&changed, 28), base);
+        let mut covered = (region.len() as f64 * covered_frac) as usize;
+        while masked.contains(&covered) {
+            covered += 1;
+        }
+        changed[covered] ^= xor;
+        prop_assert!(icrc_over_masked(&changed, 28) != base);
     }
 
     #[test]

@@ -91,6 +91,11 @@ pub struct Rnic {
     port_free: SimTime,
     tx_armed_at: Option<SimTime>,
     rr_cursor: usize,
+    /// Scratch refilled by [`Rnic::candidates`] on every scheduling
+    /// decision: what the ETS scheduler sees, and index-aligned with it
+    /// who each candidate is (`(qpn, is_read_resp)`).
+    tx_cands: Vec<TxCandidate>,
+    tx_owners: Vec<(u32, bool)>,
     /// Read-recovery slow-path engine (the CX4 Lx noisy-neighbor model):
     /// recoveries in flight (running + queued).
     pending_recoveries: usize,
@@ -169,6 +174,8 @@ impl Rnic {
             port_free: SimTime::ZERO,
             tx_armed_at: None,
             rr_cursor: 0,
+            tx_cands: Vec::new(),
+            tx_owners: Vec::new(),
             pending_recoveries: 0,
             recovery_slots,
             stall_wedged: false,
@@ -1158,46 +1165,39 @@ impl Rnic {
         }
     }
 
-    fn candidates(&self, _now: SimTime) -> Vec<(u32, bool, TxCandidate)> {
-        // (qpn, is_read_resp, candidate), in round-robin rotated order.
-        let qpns: Vec<u32> = self.qps.keys().copied().collect();
-        let n = qpns.len();
-        let mut out = Vec::new();
-        if n == 0 {
-            return out;
-        }
-        for i in 0..n {
-            let qpn = qpns[(self.rr_cursor + i) % n];
-            let qp = &self.qps[&qpn];
+    /// Refill the scheduling scratch with every transmit candidate, in
+    /// round-robin order: QPs ascending by QPN, rotated to start at
+    /// `rr_cursor`; within a QP, request work before read-response work.
+    fn candidates(&mut self) {
+        let Rnic {
+            qps,
+            rr_cursor,
+            tx_cands,
+            tx_owners,
+            ..
+        } = self;
+        tx_cands.clear();
+        tx_owners.clear();
+        let start = *rr_cursor % qps.len().max(1);
+        for (&qpn, qp) in qps.iter().skip(start).chain(qps.iter().take(start)) {
+            let mut offer = |is_read_resp, size| {
+                tx_owners.push((qpn, is_read_resp));
+                tx_cands.push(TxCandidate {
+                    tc: qp.cfg.traffic_class,
+                    eligible_at: qp.next_allowed_tx,
+                    size,
+                });
+            };
             if qp.has_tx_work() {
-                let size = self.peek_req_size(qp);
-                out.push((
-                    qpn,
-                    false,
-                    TxCandidate {
-                        tc: qp.cfg.traffic_class,
-                        eligible_at: qp.next_allowed_tx,
-                        size,
-                    },
-                ));
+                offer(false, Self::peek_req_size(qp));
             }
             if qp.has_read_resp_work() {
-                let size = self.peek_read_resp_size(qp);
-                out.push((
-                    qpn,
-                    true,
-                    TxCandidate {
-                        tc: qp.cfg.traffic_class,
-                        eligible_at: qp.next_allowed_tx,
-                        size,
-                    },
-                ));
+                offer(true, Self::peek_read_resp_size(qp));
             }
         }
-        out
     }
 
-    fn peek_req_size(&self, qp: &Qp) -> usize {
+    fn peek_req_size(qp: &Qp) -> usize {
         let lin = qp.send_ptr_lin;
         let Some(m) = qp.msg_at(lin) else { return 64 };
         match m.verb {
@@ -1210,30 +1210,27 @@ impl Rnic {
         }
     }
 
-    fn peek_read_resp_size(&self, qp: &Qp) -> usize {
+    fn peek_read_resp_size(qp: &Qp) -> usize {
         let Some(job) = qp.read_jobs.front() else { return 64 };
         let idx = (job.next_lin - job.msg_base_lin) as u32;
         let chunk = qp.cfg.chunk_len(job.msg_len, idx) as usize;
         14 + 20 + 8 + 12 + 4 + chunk + 4
     }
 
-    fn next_tx_time(&self, now: SimTime) -> Option<SimTime> {
-        let cands: Vec<TxCandidate> = self.candidates(now).into_iter().map(|c| c.2).collect();
-        if cands.is_empty() {
-            return None;
-        }
-        let opp = self.ets.next_opportunity(now, &cands)?;
+    fn next_tx_time(&mut self, now: SimTime) -> Option<SimTime> {
+        self.candidates();
+        let opp = self.ets.next_opportunity(now, &self.tx_cands)?;
         Some(opp.max(self.port_free).max(now))
     }
 
     /// Transmit-wheel tick: emit at most one data packet, then re-arm.
     fn tx_fire(&mut self, now: SimTime, actions: &mut Vec<Action>) {
         if now >= self.port_free {
-            let with_meta = self.candidates(now);
-            if !with_meta.is_empty() {
-                let cands: Vec<TxCandidate> = with_meta.iter().map(|c| c.2).collect();
-                if let Some(i) = self.ets.pick(now, &cands) {
-                    let (qpn, is_read_resp, cand) = with_meta[i];
+            self.candidates();
+            if !self.tx_cands.is_empty() {
+                if let Some(i) = self.ets.pick(now, &self.tx_cands) {
+                    let (qpn, is_read_resp) = self.tx_owners[i];
+                    let cand = self.tx_cands[i];
                     self.rr_cursor = self.rr_cursor.wrapping_add(1);
                     let mut frame = if is_read_resp {
                         self.gen_read_resp_frame(qpn)
@@ -1402,6 +1399,7 @@ impl Rnic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qp::tests::test_cfg;
 
     #[test]
     fn token_pack_unpack() {
@@ -1409,5 +1407,108 @@ mod tests {
         assert_eq!(token::unpack(t), (token::TIMEOUT, 0xabcdef, 0xdead_beef));
         let t2 = token::pack(token::TX_WHEEL, 0, 0);
         assert_eq!(token::unpack(t2), (token::TX_WHEEL, 0, 0));
+    }
+
+    /// A device with `n` QPs cycling through the six scheduling-relevant
+    /// states, under QPNs whose numeric order is not their creation order
+    /// and with per-QP packet sizes and pacing so candidates are distinct.
+    fn mixed_rnic(n: usize) -> Rnic {
+        let mut rnic = Rnic::new(
+            DeviceProfile::cx6_dx(),
+            EtsConfig::single_queue(),
+            MacAddr::local(1),
+        );
+        for i in 0..n {
+            // Odd multiplier: a bijection on 24 bits, so QPNs are unique.
+            let qpn = (i as u32).wrapping_mul(0x9e_3779) & 0xff_ffff;
+            let mut cfg = test_cfg(1024, 100, 200);
+            cfg.local.qpn = qpn;
+            cfg.remote.qpn = qpn ^ 1;
+            rnic.create_qp(cfg);
+            let qp = rnic.qp_mut(qpn).unwrap();
+            qp.next_allowed_tx = SimTime::from_nanos(i as u64 * 10);
+            let len = 64 + i as u32;
+            let (tx, read_resp) = match i % 6 {
+                0 => (true, false),
+                1 => (false, true),
+                2 => (true, true),
+                3 => (false, false),
+                4 => {
+                    qp.recovery_wait = true;
+                    (true, false)
+                }
+                _ => {
+                    qp.state = QpState::Error;
+                    (true, true)
+                }
+            };
+            if tx {
+                qp.push_wqe(WorkRequest {
+                    wr_id: i as u64,
+                    verb: Verb::Write,
+                    len,
+                });
+            }
+            if read_resp {
+                qp.read_jobs.push_back(ReadRespJob {
+                    next_lin: 0,
+                    end_lin: 1,
+                    msg_base_lin: 0,
+                    msg_end_lin: 1,
+                    msg_len: len,
+                });
+            }
+        }
+        rnic
+    }
+
+    /// The candidate walk as it was first written: collect the keys,
+    /// rotate by index, look each QP up again.
+    fn reference_candidates(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
+        let qpns: Vec<u32> = rnic.qps.keys().copied().collect();
+        let n = qpns.len();
+        let mut out = Vec::new();
+        for i in 0..n {
+            let qpn = qpns[(rnic.rr_cursor + i) % n];
+            let qp = &rnic.qps[&qpn];
+            let cand = |size| TxCandidate {
+                tc: qp.cfg.traffic_class,
+                eligible_at: qp.next_allowed_tx,
+                size,
+            };
+            if qp.has_tx_work() {
+                out.push(((qpn, false), cand(Rnic::peek_req_size(qp))));
+            }
+            if qp.has_read_resp_work() {
+                out.push(((qpn, true), cand(Rnic::peek_read_resp_size(qp))));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn candidate_walk_keeps_the_rotated_qpn_order() {
+        for n in [0, 1, 2, 7, 256] {
+            let mut rnic = mixed_rnic(n);
+            for cursor in 0..2 * n + 1 {
+                rnic.rr_cursor = cursor;
+                rnic.candidates();
+                let got: Vec<_> = rnic
+                    .tx_owners
+                    .iter()
+                    .copied()
+                    .zip(rnic.tx_cands.iter().copied())
+                    .collect();
+                assert_eq!(got, reference_candidates(&rnic), "{n} QPs, cursor {cursor}");
+                // Two of every six QPs offer request work, two read
+                // responses (one of them both).
+                let offering = |k: usize| (n + 5 - k) / 6;
+                assert_eq!(
+                    got.len(),
+                    offering(0) + offering(1) + 2 * offering(2),
+                    "{n} QPs"
+                );
+            }
+        }
     }
 }

@@ -65,7 +65,7 @@ impl EtsConfig {
 /// A transmit candidate offered to the scheduler: some queue in TC `tc`
 /// has a head packet of `size` bytes that may leave at `eligible_at`
 /// (DCQCN pacing) or later.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxCandidate {
     /// Traffic class the candidate belongs to.
     pub tc: usize,

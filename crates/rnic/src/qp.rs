@@ -334,7 +334,7 @@ impl Qp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn test_cfg(mtu: u32, local_ipsn: u32, remote_ipsn: u32) -> QpConfig {

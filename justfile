@@ -113,6 +113,14 @@ soak configs="configs" scenarios="2" workers="4":
 bench-gate:
     cargo run --release -p lumina-bench --bin bench-gate
 
+# The repo benchmark (BENCHMARK.json) for one workload, exactly as the
+# driver runs it: end-to-end metrics of real lumina-cli children, last
+# stdout line = the JSON result. `trace="1"` prints the per-layer table
+# instead. Speed claims are made with this, not with `bench-gate`; see
+# benchmark/README.md for the workloads and the pairing rule.
+benchmark workload="run_packets" seed="1" seconds="10" trace="0":
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
+
 # Criterion-style benchmarks (shimmed harness; wall-clock smoke numbers).
 bench:
     cargo bench -p lumina-bench
