@@ -174,6 +174,28 @@ impl ConformanceReport {
         }
         counts
     }
+
+    /// [`Self::class_counts`] as one line: `2 missing-cnp, 1 ack-coalescing`
+    /// (empty when there are no violations).
+    pub fn class_summary(&self) -> String {
+        let classes: Vec<String> = self
+            .class_counts()
+            .iter()
+            .map(|(label, n)| format!("{n} {label}"))
+            .collect();
+        classes.join(", ")
+    }
+
+    /// The one-line verdict of the human reports.
+    pub fn verdict_line(&self) -> String {
+        if !self.compliant {
+            format!("VIOLATIONS ({})", self.class_summary())
+        } else if self.partial {
+            "compliant (partial evidence)".to_string()
+        } else {
+            "compliant".to_string()
+        }
+    }
 }
 
 /// Everything the oracle needs to know beyond the trace itself.

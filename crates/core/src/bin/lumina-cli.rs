@@ -35,7 +35,7 @@
 //! 10 unreadable capture (`ingest` found nothing to degrade into),
 //! 11 proven liveness failure (the recovery oracle caught a wedge).
 
-use lumina_core::analyzers::{cnp, conformance, counter, gbn_fsm, latency, retrans_perf};
+use lumina_core::analyzers::{cnp, counter, gbn_fsm, latency, retrans_perf};
 use lumina_core::cli::{self, CommonOpts};
 use lumina_core::config::TestConfig;
 use lumina_core::fuzz::{self, mutate::EventMutator, score, FuzzParams};
@@ -45,13 +45,19 @@ use lumina_core::soak;
 use lumina_core::Error;
 use std::process::ExitCode;
 
-/// Print a typed error and convert it to the process exit code.
+/// Print a typed error and convert it to the process exit code. Called
+/// once, by `main`: handlers return their errors.
 fn fail(e: Error) -> ExitCode {
     let msg = e.to_string();
     // `Error::Config` with several problems ends its Display with a
     // newline; single-line variants do not.
     eprintln!("error: {}", msg.trim_end_matches('\n'));
     ExitCode::from(e.exit_code())
+}
+
+/// A `--json` document on stdout.
+fn print_pretty(doc: &serde_json::Value) {
+    println!("{}", serde_json::to_string_pretty(doc).unwrap());
 }
 
 /// Flatten one metrics subtree into `section.name : value` table lines.
@@ -85,15 +91,9 @@ fn frame_stats_json(fs: &lumina_sim::FrameStats) -> serde_json::Value {
 
 /// `lumina-cli telemetry --config <test.yaml>`: run the test and dump the
 /// journal + registry (stdout, deterministic) and self-profile (stderr).
-fn telemetry_cmd(args: &[String]) -> ExitCode {
-    let opts = match CommonOpts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let results = match opts.load().and_then(|cfg| run_test(&cfg)) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+fn telemetry_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let opts = CommonOpts::parse(args)?;
+    let results = run_test(&opts.load()?)?;
 
     let tel = &results.telemetry;
     let snap = tel.deterministic_snapshot();
@@ -109,7 +109,7 @@ fn telemetry_cmd(args: &[String]) -> ExitCode {
             "metrics": snap,
             "frames": (frame_stats_json(&results.frame_stats)),
         });
-        println!("{}", serde_json::to_string_pretty(&doc).unwrap());
+        print_pretty(&doc);
     } else {
         // 1. The structured event journal, one JSON object per line.
         print!("{}", tel.journal_jsonl());
@@ -162,22 +162,16 @@ fn telemetry_cmd(args: &[String]) -> ExitCode {
         stat("peak_live_frames") as u64,
     );
 
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lumina-cli trace --config <test.yaml> [--perfetto out.json]`: run the
 /// test with lifecycle tracing forced on, print the per-hop latency
 /// dissection, grade it against `trace.hop-budget-us`, and optionally
 /// export the flight recorder as Chrome trace-event JSON for Perfetto.
-fn trace_cmd(args: &[String]) -> ExitCode {
-    let opts = match CommonOpts::parse(args) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let mut cfg = match opts.load() {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
+fn trace_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let opts = CommonOpts::parse(args)?;
+    let mut cfg = opts.load()?;
     // Tracing is the whole point of this subcommand: force it on while
     // keeping the config's own capacity and budgets when a `trace:`
     // section is present.
@@ -185,22 +179,16 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     tsec.enabled = true;
     cfg.trace = Some(tsec.clone());
 
-    let results = match run_test(&cfg) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let results = run_test(&cfg)?;
     let summary = results.trace_summary();
     let verdict = latency::analyze(&summary, &tsec.hop_budget_us);
 
     if opts.json {
-        let mut report = match results.report_json() {
-            Ok(r) => r,
-            Err(e) => return fail(e),
-        };
+        let mut report = results.report_json()?;
         if !tsec.hop_budget_us.is_empty() {
             report["latency"] = serde_json::to_value(&verdict).unwrap();
         }
-        println!("{}", serde_json::to_string_pretty(&report).unwrap());
+        print_pretty(&report);
     } else {
         println!("test            : {}", opts.config_path);
         println!("trace packets   : {}", summary.packets());
@@ -262,23 +250,21 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             .telemetry
             .with_recorder(|r| lumina_sim::telemetry::trace::perfetto_json(r, &names));
         let text = serde_json::to_string(&doc).unwrap();
-        if let Err(source) = std::fs::write(out, &text) {
-            return fail(Error::Io {
-                path: out.to_string(),
-                source,
-            });
-        }
+        std::fs::write(out, &text).map_err(|source| Error::Io {
+            path: out.to_string(),
+            source,
+        })?;
         eprintln!(
             "wrote {} trace events to {out}",
             doc["traceEvents"].as_array().map_or(0, |a| a.len())
         );
     }
 
-    if verdict.passed() {
+    Ok(if verdict.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
+    })
 }
 
 /// `lumina-cli fuzz --config <base.yaml> [--workers N] [--generations G]
@@ -287,60 +273,53 @@ fn trace_cmd(args: &[String]) -> ExitCode {
 /// [--quirk-knobs]`: genetic campaign with the parallel executor. Anomaly
 /// JSONL on stdout (reproducer JSONL after it in coverage mode), summary +
 /// per-worker profile on stderr.
-fn fuzz_cmd(args: &[String]) -> ExitCode {
-    let corpus_dir = cli::flag_value(args, "--corpus-dir").map(str::to_owned);
+fn fuzz_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let corpus_dir = cli::flag_value(args, "--corpus-dir").map(std::path::Path::new);
     let coverage_on = cli::has_flag(args, "--coverage")
         || cli::has_flag(args, "--shrink")
         || corpus_dir.is_some();
-    let parsed: Result<(TestConfig, FuzzParams), Error> = (|| {
-        let opts = CommonOpts::parse(args)?;
-        let cfg = opts.load()?;
-        let defaults = FuzzParams::default();
-        let batch_size = cli::numeric_flag(args, "--batch", defaults.batch_size)?;
-        let generations: usize = cli::numeric_flag(args, "--generations", 8)?;
-        let coverage = if coverage_on {
-            // A corpus from an earlier campaign seeds the pool and
-            // pre-covers the map, so growth counts only new behavior.
-            let mut cp = lumina_core::fuzz::coverage::CoverageParams {
-                shrink: !cli::has_flag(args, "--no-shrink"),
-                ..Default::default()
-            };
-            if let Some(dir) = &corpus_dir {
-                let path = std::path::Path::new(dir).join("corpus.jsonl");
-                if path.exists() {
-                    let text = std::fs::read_to_string(&path).map_err(|source| Error::Io {
-                        path: path.display().to_string(),
-                        source,
-                    })?;
-                    cp.seed_corpus = lumina_core::fuzz::coverage::Corpus::from_jsonl(&text)?;
-                    eprintln!(
-                        "fuzz: reloaded {} corpus entries from {}",
-                        cp.seed_corpus.len(),
-                        path.display()
-                    );
-                }
-            }
-            Some(cp)
-        } else {
-            None
+    let opts = CommonOpts::parse(args)?;
+    let cfg = opts.load()?;
+    let defaults = FuzzParams::default();
+    let batch_size = cli::numeric_flag(args, "--batch", defaults.batch_size)?;
+    let generations: usize = cli::numeric_flag(args, "--generations", 8)?;
+    let coverage = if coverage_on {
+        // A corpus from an earlier campaign seeds the pool and
+        // pre-covers the map, so growth counts only new behavior.
+        let mut cp = lumina_core::fuzz::coverage::CoverageParams {
+            shrink: !cli::has_flag(args, "--no-shrink"),
+            ..Default::default()
         };
-        let params = FuzzParams {
-            pool_size: cli::numeric_flag(args, "--pool", defaults.pool_size)?,
-            iterations: generations.max(1) * batch_size.max(1),
-            anomaly_threshold: cli::numeric_flag(args, "--threshold", defaults.anomaly_threshold)?,
-            // --seed drives the whole campaign: the config's network.seed
-            // (already overridden by opts.load) and the mutation PRNG.
-            seed: opts.seed.unwrap_or(defaults.seed),
-            batch_size,
-            workers: cli::numeric_flag(args, "--workers", fuzz::default_workers())?,
-            coverage,
-            ..defaults
-        };
-        Ok((cfg, params))
-    })();
-    let (cfg, params) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fail(e),
+        if let Some(path) = corpus_dir
+            .map(|d| d.join("corpus.jsonl"))
+            .filter(|p| p.exists())
+        {
+            let text = std::fs::read_to_string(&path).map_err(|source| Error::Io {
+                path: path.display().to_string(),
+                source,
+            })?;
+            cp.seed_corpus = lumina_core::fuzz::coverage::Corpus::from_jsonl(&text)?;
+            eprintln!(
+                "fuzz: reloaded {} corpus entries from {}",
+                cp.seed_corpus.len(),
+                path.display()
+            );
+        }
+        Some(cp)
+    } else {
+        None
+    };
+    let params = FuzzParams {
+        pool_size: cli::numeric_flag(args, "--pool", defaults.pool_size)?,
+        iterations: generations.max(1) * batch_size.max(1),
+        anomaly_threshold: cli::numeric_flag(args, "--threshold", defaults.anomaly_threshold)?,
+        // --seed drives the whole campaign: the config's network.seed
+        // (already overridden by opts.load) and the mutation PRNG.
+        seed: opts.seed.unwrap_or(defaults.seed),
+        batch_size,
+        workers: cli::numeric_flag(args, "--workers", fuzz::default_workers())?,
+        coverage,
+        ..defaults
     };
     let score_fn: fn(&TestConfig, &lumina_core::orchestrator::TestResults) -> (f64, String) =
         match cli::flag_value(args, "--score") {
@@ -348,7 +327,7 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
             Some("noisy") => score::noisy_neighbor_score,
             Some("violations") => score::violation_score,
             Some(other) => {
-                return fail(Error::config(format!(
+                return Err(Error::config(format!(
                     "unknown --score {other:?} (want default|noisy|violations)"
                 )))
             }
@@ -430,29 +409,22 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
                 serde_json::to_string(&serde_json::Value::Object(line)).unwrap()
             );
         }
-        if let Some(dir) = &corpus_dir {
-            let dir = std::path::Path::new(dir);
+        if let Some(dir) = corpus_dir {
             let write = |path: &std::path::Path, text: &str| -> Result<(), Error> {
                 std::fs::write(path, text).map_err(|source| Error::Io {
                     path: path.display().to_string(),
                     source,
                 })
             };
-            let persist = (|| -> Result<(), Error> {
-                std::fs::create_dir_all(dir).map_err(|source| Error::Io {
-                    path: dir.display().to_string(),
-                    source,
-                })?;
-                write(&dir.join("corpus.jsonl"), &cov.corpus.to_jsonl())?;
-                for r in &cov.reproducers {
-                    let label = r.class.map_or("anomaly", |c| c.label());
-                    let name = format!("repro-{}-{}.yaml", r.candidate, label);
-                    write(&dir.join(name), &r.shrink.cfg.to_yaml())?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = persist {
-                return fail(e);
+            std::fs::create_dir_all(dir).map_err(|source| Error::Io {
+                path: dir.display().to_string(),
+                source,
+            })?;
+            write(&dir.join("corpus.jsonl"), &cov.corpus.to_jsonl())?;
+            for r in &cov.reproducers {
+                let label = r.class.map_or("anomaly", |c| c.label());
+                let name = format!("repro-{}-{}.yaml", r.candidate, label);
+                write(&dir.join(name), &r.shrink.cfg.to_yaml())?;
             }
             eprintln!(
                 "fuzz: persisted {} corpus entries, {} reproducers to {}",
@@ -510,7 +482,7 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
         "fuzz: profile {}",
         serde_json::to_string(&serde_json::Value::Object(throughput)).unwrap()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lumina-cli matrix --config <test.yaml> [--devices a,b] [--workers N]
@@ -518,30 +490,23 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
 /// device profile (twice under an active quirk overlay), grade every cell
 /// with the conformance oracle and print the cross-device behavior diffs.
 /// The report is byte-identical for every `--workers` value.
-fn matrix_cmd(args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<_, Error> {
-        let opts = CommonOpts::parse(args)?;
-        let cfg = opts.load()?;
-        let devices: Vec<String> = cli::flag_value(args, "--devices")
-            .map(|list| {
-                list.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let params = MatrixParams {
-            devices,
-            workers: cli::numeric_flag(args, "--workers", 1)?,
-            quirk_overlay: !cli::has_flag(args, "--no-quirk-overlay"),
-            include_reports: cli::has_flag(args, "--cell-reports"),
-        };
-        Ok((opts, cfg, params))
-    })();
-    let (opts, cfg, params) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fail(e),
+fn matrix_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let opts = CommonOpts::parse(args)?;
+    let cfg = opts.load()?;
+    let devices: Vec<String> = cli::flag_value(args, "--devices")
+        .map(|list| {
+            list.split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(str::to_owned)
+                .collect()
+        })
+        .unwrap_or_default();
+    let params = MatrixParams {
+        devices,
+        workers: cli::numeric_flag(args, "--workers", 1)?,
+        quirk_overlay: !cli::has_flag(args, "--no-quirk-overlay"),
+        include_reports: cli::has_flag(args, "--cell-reports"),
     };
     // The scenario label is the config file stem, as in saved reports.
     let scenario = std::path::Path::new(&opts.config_path)
@@ -549,25 +514,18 @@ fn matrix_cmd(args: &[String]) -> ExitCode {
         .and_then(|s| s.to_str())
         .unwrap_or(opts.config_path.as_str())
         .to_string();
-    let report = match run_matrix(&cfg, &scenario, &params) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let report = run_matrix(&cfg, &scenario, &params)?;
     if opts.json {
-        let doc = match report.to_json() {
-            Ok(d) => d,
-            Err(e) => return fail(e),
-        };
-        println!("{}", serde_json::to_string_pretty(&doc).unwrap());
+        print_pretty(&report.to_json()?);
     } else {
         print!("{}", report.render_human());
     }
     // An error cell means part of the grid never ran: the sweep failed.
-    if report.cells.iter().any(|c| c.error.is_some()) {
+    Ok(if report.cells.iter().any(|c| c.error.is_some()) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `lumina-cli soak [--configs <dir>] [--scenarios N] [--seed N]
@@ -575,44 +533,28 @@ fn matrix_cmd(args: &[String]) -> ExitCode {
 /// chaos schedules and grade each run with the liveness/recovery oracle.
 /// The report is byte-identical for every `--workers` value; a proven
 /// liveness failure exits 11, a scenario that fails to run exits 1.
-fn soak_cmd(args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<_, Error> {
-        let dir = cli::flag_value(args, "--configs")
-            .unwrap_or("configs")
-            .to_owned();
-        let params = soak::SoakParams {
-            scenarios_per_preset: cli::numeric_flag(args, "--scenarios", 3)?,
-            seed: cli::numeric_flag(args, "--seed", 1)?,
-            workers: cli::numeric_flag(args, "--workers", 1)?,
-        };
-        Ok((dir, params, cli::has_flag(args, "--json")))
-    })();
-    let (dir, params, json) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fail(e),
+fn soak_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let dir = cli::flag_value(args, "--configs").unwrap_or("configs");
+    let params = soak::SoakParams {
+        scenarios_per_preset: cli::numeric_flag(args, "--scenarios", 3)?,
+        seed: cli::numeric_flag(args, "--seed", 1)?,
+        workers: cli::numeric_flag(args, "--workers", 1)?,
     };
-    let report = match soak::collect_presets(&dir).and_then(|p| soak::sweep(&p, &params)) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    if json {
-        let doc = match report.to_json() {
-            Ok(d) => d,
-            Err(e) => return fail(e),
-        };
-        println!("{}", serde_json::to_string_pretty(&doc).unwrap());
+    let report = soak::sweep(&soak::collect_presets(dir)?, &params)?;
+    if cli::has_flag(args, "--json") {
+        print_pretty(&report.to_json()?);
     } else {
         print!("{}", report.render_human());
     }
     if let Some(msg) = report.first_liveness_failure() {
-        return fail(Error::Liveness(msg));
+        return Err(Error::Liveness(msg));
     }
-    if report.errors > 0 {
-        // A scenario that failed to run means the sweep is incomplete.
+    // A scenario that failed to run means the sweep is incomplete.
+    Ok(if report.errors > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `lumina-cli ingest --pcap <capture> [--config <test.yaml>]
@@ -620,116 +562,61 @@ fn soak_cmd(args: &[String]) -> ExitCode {
 /// through recovery, chunked reconstruction and the conformance oracle.
 /// Damage degrades the verdict instead of aborting; only a capture with
 /// no readable prefix at all exits 10 ([`Error::Ingest`]).
-fn ingest_cmd(args: &[String]) -> ExitCode {
-    let parsed = (|| -> Result<_, Error> {
-        let pcap = cli::flag_value(args, "--pcap")
-            .map(str::to_owned)
-            .ok_or_else(|| Error::config("ingest needs --pcap <capture>"))?;
-        let defaults = lumina_core::IngestParams::default();
-        let context = match cli::flag_value(args, "--config") {
+fn ingest_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let pcap = cli::flag_value(args, "--pcap")
+        .ok_or_else(|| Error::config("ingest needs --pcap <capture>"))?;
+    let defaults = lumina_core::IngestParams::default();
+    let params = lumina_core::IngestParams {
+        chunk_entries: cli::numeric_flag(args, "--chunk-events", defaults.chunk_entries)?,
+        max_resident_bytes: cli::numeric_flag(args, "--max-bytes", defaults.max_resident_bytes)?,
+        context: match cli::flag_value(args, "--config") {
             None => None,
-            Some(path) => {
-                let yaml = std::fs::read_to_string(path).map_err(|source| Error::Io {
-                    path: path.to_string(),
-                    source,
-                })?;
-                let cfg = TestConfig::from_yaml(&yaml)?;
-                cfg.validate()?;
-                Some(cfg)
-            }
-        };
-        let params = lumina_core::IngestParams {
-            chunk_entries: cli::numeric_flag(args, "--chunk-events", defaults.chunk_entries)?,
-            max_resident_bytes: cli::numeric_flag(
-                args,
-                "--max-bytes",
-                defaults.max_resident_bytes,
-            )?,
-            context,
-            retain_trace: false,
-            progress: true,
-        };
-        Ok((pcap, params, cli::has_flag(args, "--json")))
-    })();
-    let (pcap, params, json) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fail(e),
+            Some(_) => Some(CommonOpts::parse(args)?.load()?),
+        },
+        retain_trace: false,
+        progress: true,
     };
-    let out = match lumina_core::ingest_path(&pcap, &params) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    if json {
-        let doc = match out.report_json() {
-            Ok(d) => d,
-            Err(e) => return fail(e),
-        };
-        println!("{}", serde_json::to_string_pretty(&doc).unwrap());
+    let out = lumina_core::ingest_path(pcap, &params)?;
+    if cli::has_flag(args, "--json") {
+        print_pretty(&out.report_json()?);
     } else {
         println!("capture         : {pcap}");
         print!("{}", out.render_human());
     }
     if !out.conformance.compliant {
-        let classes: Vec<String> = out
-            .conformance
-            .class_counts()
-            .iter()
-            .map(|(label, n)| format!("{n} {label}"))
-            .collect();
-        return fail(Error::Violations(classes.join(", ")));
+        return Err(Error::Violations(out.conformance.class_summary()));
     }
-    if out.pristine() {
+    // Compliant but on damaged evidence: the degraded-report exit, same
+    // class as a failed-but-completed test.
+    Ok(if out.pristine() {
         ExitCode::SUCCESS
     } else {
-        // Compliant but on damaged evidence: the degraded-report exit,
-        // same class as a failed-but-completed test.
         ExitCode::from(1)
-    }
+    })
 }
 
 /// The default subcommand: run one test and report.
-fn run_cmd(args: &[String]) -> ExitCode {
-    let opts = match CommonOpts::parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprint!("{}", cli::help());
-            return fail(e);
-        }
-    };
-    let pcap_path = cli::flag_value(args, "--pcap").map(str::to_owned);
-    let retries: u32 = match cli::numeric_flag(args, "--retries", 0) {
-        Ok(n) => n,
-        Err(e) => return fail(e),
-    };
+fn run_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    let opts = CommonOpts::parse(args).inspect_err(|_| eprint!("{}", cli::help()))?;
+    let pcap_path = cli::flag_value(args, "--pcap");
+    let retries: u32 = cli::numeric_flag(args, "--retries", 0)?;
 
-    let cfg = match opts.load() {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
+    let cfg = opts.load()?;
     if cli::has_flag(args, "--validate") {
         println!("{}: configuration valid", opts.config_path);
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let policy = RetryPolicy {
         max_attempts: retries.saturating_add(1),
         ..RetryPolicy::default()
     };
-    let results = match run_supervised(&cfg, &policy) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let results = run_supervised(&cfg, &policy)?;
 
     // Grade every run that produced a trace against the RC reference FSM.
-    // Quirk-injected runs already carry the verdict from the orchestrator.
-    let conformance_rep = results.conformance.clone().or_else(|| {
-        results.trace.as_ref().map(|trace| {
-            let c_opts = conformance::ConformanceOpts::from_results(&results);
-            conformance::analyze(trace, &results.conns, &c_opts)
-        })
-    });
+    let conformance_rep = results.conformance_verdict();
 
-    if let (Some(out), Some(trace)) = (&pcap_path, results.trace.as_ref()) {
+    if let (Some(out), Some(trace)) = (pcap_path, results.trace.as_ref()) {
         match std::fs::File::create(out) {
             Ok(f) => match trace.write_pcap(f) {
                 Ok(n) => eprintln!("wrote {n} packets to {out}"),
@@ -740,10 +627,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
     }
 
     if opts.json {
-        let mut report = match results.report_json() {
-            Ok(r) => r,
-            Err(e) => return fail(e),
-        };
+        let mut report = results.report_json()?;
         // Trace-based analyzers run on a partial trace when the capture
         // was damaged; flag their confidence so consumers can tell.
         if results.integrity.is_degraded() {
@@ -774,7 +658,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
         if let Some(qs) = &results.quirk_stats {
             report["quirks"] = serde_json::to_value(qs).unwrap();
         }
-        println!("{}", serde_json::to_string_pretty(&report).unwrap());
+        print_pretty(&report);
     } else {
         println!("test            : {}", opts.config_path);
         println!("finished at     : {}", results.end_time);
@@ -831,19 +715,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
             println!("counter finding : {} {} — {}", f.host, f.counter, f.detail);
         }
         if let Some(conf) = &conformance_rep {
-            let verdict = if conf.compliant && !conf.partial {
-                "compliant".to_string()
-            } else if conf.compliant {
-                "compliant (partial evidence)".to_string()
-            } else {
-                let classes: Vec<String> = conf
-                    .class_counts()
-                    .iter()
-                    .map(|(label, n)| format!("{n} {label}"))
-                    .collect();
-                format!("VIOLATIONS ({})", classes.join(", "))
-            };
-            println!("conformance     : {verdict}");
+            println!("conformance     : {}", conf.verdict_line());
             for v in &conf.violations {
                 println!("  !! [{}] {}", v.class.table2_class(), v.detail);
             }
@@ -901,34 +773,23 @@ fn run_cmd(args: &[String]) -> ExitCode {
     // A proven liveness failure outranks the generic exit-1: chaos runs
     // leave traffic incomplete by construction, and the oracle's typed
     // verdict — not "traffic incomplete" — is the story.
-    if let Some(rec) = &results.recovery {
-        if !rec.live {
-            return fail(Error::Liveness(rec.violation_summary()));
-        }
+    if let Some(rec) = results.recovery.as_ref().filter(|rec| !rec.live) {
+        return Err(Error::Liveness(rec.violation_summary()));
     }
 
-    let ok = results.traffic_completed() && (results.trace.is_none() || results.integrity.passed());
+    if !results.traffic_completed() || (results.trace.is_some() && !results.integrity.passed()) {
+        return Ok(ExitCode::from(1));
+    }
     // A healthy run with proven spec violations is its own failure class:
     // deterministic (same seed, same verdict), distinct from flaky infra.
-    if ok {
-        if let Some(conf) = &conformance_rep {
-            if !conf.compliant {
-                let classes: Vec<String> = conf
-                    .class_counts()
-                    .iter()
-                    .map(|(label, n)| format!("{n} {label}"))
-                    .collect();
-                return fail(Error::Violations(classes.join(", ")));
-            }
-        }
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+    match conformance_rep.filter(|conf| !conf.compliant) {
+        Some(conf) => Err(Error::Violations(conf.class_summary())),
+        None => Ok(ExitCode::SUCCESS),
     }
 }
 
 /// A subcommand implementation: the tail of argv, minus the subcommand.
-type Handler = fn(&[String]) -> ExitCode;
+type Handler = fn(&[String]) -> Result<ExitCode, Error>;
 
 /// Handlers for the subcommands declared in [`cli::SUBCOMMANDS`] — the
 /// names here must match the table (checked by `dispatch_covers_table`).
@@ -952,11 +813,13 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         };
     }
-    let first = args.first().map(String::as_str).unwrap_or("");
-    match HANDLERS.iter().find(|(name, _)| *name == first) {
-        Some((_, handler)) => handler(&args[1..]),
-        None => run_cmd(&args),
-    }
+    let (name, handler, rest) = match HANDLERS.iter().find(|(name, _)| *name == args[0]) {
+        Some((name, handler)) => (*name, *handler, &args[1..]),
+        None => ("run", run_cmd as Handler, &args[..]),
+    };
+    cli::reject_unknown_flags(name, rest)
+        .and_then(|()| handler(rest))
+        .unwrap_or_else(fail)
 }
 
 #[cfg(test)]

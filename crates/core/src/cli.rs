@@ -11,7 +11,8 @@
 //!   so every subcommand exits with the same code for the same mistake.
 //! * [`CommonOpts::parse`] resolves the flags every subcommand shares —
 //!   the config path (positional or `--config`, interchangeably),
-//!   `--seed` (overrides `network.seed`), and `--json`.
+//!   `--seed` (overrides `network.seed`), `--json`, and the `--faults` /
+//!   `--quirks` overlays.
 //! * [`CommonOpts::load`] turns the path into a validated [`TestConfig`],
 //!   mapping read failures to [`Error::Io`] and parse/validation
 //!   failures to [`Error::Config`] — the typed errors the binary maps to
@@ -21,6 +22,9 @@
 //!   ([`help`]) and the valued-flag set used by positional-argument
 //!   resolution are both rendered from it, so a new flag or subcommand
 //!   cannot drift out of the help or break positional parsing.
+//! * [`reject_unknown_flags`] turns a `--flag` the invoked subcommand's
+//!   row does not declare into an [`Error::Config`] naming it, so a typo
+//!   is never a silently ignored argument.
 
 use crate::config::{FaultsSection, QuirksSection, TestConfig};
 use crate::error::Error;
@@ -75,6 +79,16 @@ pub const COMMON_FLAGS: &[FlagSpec] = &[
         help: "machine-readable output on stdout",
     },
     FlagSpec {
+        name: "--faults",
+        value: Some("<path>"),
+        help: "merge a fault-injection YAML (a bare `faults:`\nsection) into the test configuration",
+    },
+    FlagSpec {
+        name: "--quirks",
+        value: Some("<path>"),
+        help: "merge a DUT-misbehavior YAML (a bare `quirks:`\nsection); the conformance oracle grades the result",
+    },
+    FlagSpec {
         name: "--help, -h",
         value: None,
         help: "this text",
@@ -91,16 +105,6 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
         flags: &[
             FlagSpec { name: "--validate", value: None, help: "check the configuration, run nothing" },
             FlagSpec { name: "--pcap", value: Some("<out>"), help: "also write the reconstructed trace as pcap" },
-            FlagSpec {
-                name: "--faults",
-                value: Some("<path>"),
-                help: "merge a fault-injection YAML (a bare `faults:`\nsection) into the test configuration",
-            },
-            FlagSpec {
-                name: "--quirks",
-                value: Some("<path>"),
-                help: "merge a DUT-misbehavior YAML (a bare `quirks:`\nsection); the conformance oracle grades the result",
-            },
             FlagSpec {
                 name: "--retries",
                 value: Some("<n>"),
@@ -175,6 +179,7 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
         usage: "lumina-cli ingest --pcap <capture>",
         summary: "grade a real capture offline",
         flags: &[
+            FlagSpec { name: "--pcap", value: Some("<capture>"), help: "the pcap/pcapng capture to grade (required)" },
             FlagSpec {
                 name: "--chunk-events",
                 value: Some("<n>"),
@@ -269,6 +274,35 @@ fn is_valued(flag: &str) -> bool {
         .iter()
         .chain(SUBCOMMANDS.iter().flat_map(|s| s.flags.iter()))
         .any(|f| f.name == flag && f.value.is_some())
+}
+
+/// Reject any `--flag` that neither [`COMMON_FLAGS`] nor subcommand
+/// `sub`'s own table row declares: a typo such as `--worker 4` is a
+/// configuration error naming the flag, not a silently ignored argument.
+/// The argument after a valued flag is its value and is not inspected.
+pub fn reject_unknown_flags(sub: &str, args: &[String]) -> Result<(), Error> {
+    let own = SUBCOMMANDS
+        .iter()
+        .find(|s| s.name == sub)
+        .map_or(&[][..], |s| s.flags);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match COMMON_FLAGS.iter().chain(own).find(|f| f.name == arg) {
+            Some(f) if f.value.is_some() => {
+                args.next();
+            }
+            Some(_) => {}
+            None => {
+                return Err(Error::config(format!(
+                    "unknown flag {arg} for `{sub}` (see --help)"
+                )))
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Render one flag row plus aligned continuation lines.

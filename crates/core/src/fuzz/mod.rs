@@ -9,19 +9,17 @@
 //!
 //! # Parallel campaign execution
 //!
-//! Campaigns big enough to find anomalies are wall-clock bound on the
-//! simulation runs, so the executor is *generation based*: every RNG
-//! decision for a generation — parent pick, mutation draws, the
-//! accept-probability draw — is made up front on the single campaign
-//! [`SimRng`], which turns the batch's `run_test` calls into pure
-//! functions of their configuration. They can then run on any number of
-//! worker threads ([`FuzzParams::workers`]) while scoring, selection and
-//! eviction are merged back on the calling thread in deterministic batch
-//! order. The result: `history`, `best`, `anomalies`, `rejected` and the
-//! final pool are **byte-identical for the same seed regardless of the
-//! worker count** (including the thread-free serial path, `workers <= 1`).
-//! `tests/fuzz_parallel_differential.rs` holds the executor to that
-//! guarantee.
+//! The campaign is *generation based*: every RNG decision for a
+//! generation — parent pick, mutation draws, the accept-probability draw —
+//! is made up front on the single campaign [`SimRng`], which turns the
+//! batch's `run_test` calls into pure functions of their configuration.
+//! They go to the campaign executor (`campaign::run_slots`, DESIGN.md
+//! "Campaign executor") as one job list on [`FuzzParams::workers`] threads,
+//! while scoring, selection and eviction stay on the calling thread in
+//! batch order. The result: `history`, `best`, `anomalies`, `rejected` and
+//! the final pool are **byte-identical for the same seed regardless of the
+//! worker count**; `tests/fuzz_parallel_differential.rs` holds the
+//! campaign to that.
 //!
 //! # Coverage-guided mode
 //!
@@ -43,16 +41,15 @@ pub mod mutate;
 pub mod score;
 pub mod shrink;
 
+use crate::campaign::{panic_message, run_slots, EvalFailure};
 use crate::config::TestConfig;
 use crate::error::Error;
-use crate::orchestrator::{panic_message, run_test, TestResults};
+use crate::orchestrator::{run_test, TestResults};
 use coverage::CorpusEntry;
 use lumina_sim::{SimRng, Telemetry};
 use mutate::Mutator;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Fuzzing campaign parameters.
@@ -218,25 +215,6 @@ struct Candidate {
     invalid: Option<String>,
 }
 
-/// How a dispatched run failed: a typed error from `run_test`, or a panic
-/// the worker caught and carried home as a message.
-pub(crate) enum EvalFailure {
-    Error(Error),
-    Panic(String),
-}
-
-/// `run_test` with panic isolation: a panicking configuration is a result
-/// to classify, not the end of the campaign (or of a worker thread, which
-/// would silently starve the batch). The shrinker leans on the same
-/// isolation for its verification re-runs.
-pub(crate) fn run_caught(cfg: &TestConfig) -> Result<TestResults, EvalFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run_test(cfg))) {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(e)) => Err(EvalFailure::Error(e)),
-        Err(payload) => Err(EvalFailure::Panic(panic_message(payload.as_ref()))),
-    }
-}
-
 impl EvalFailure {
     fn classify(self) -> (RejectReason, String) {
         match self {
@@ -369,12 +347,24 @@ where
             })
             .collect();
 
-        // 3. Scoring — the independent simulation runs, on workers.
-        let evals = evaluate_batch(&cands, params.workers, &tel);
+        // 3. Scoring — the independent simulation runs, on workers. Only
+        // runnable configurations are dispatched.
+        let runnable: Vec<&TestConfig> = cands
+            .iter()
+            .filter(|c| c.invalid.is_none())
+            .map(|c| &c.cfg)
+            .collect();
+        let (evals, worker_rows) = run_slots(&runnable, params.workers, |cfg| run_test(cfg));
+        tel.with_profile(|p| {
+            for (w, (runs, wall_ns)) in worker_rows.iter().enumerate() {
+                p.record_worker(w as u64, *runs, *wall_ns);
+            }
+        });
+        let mut evals = evals.into_iter();
 
         // 4. Selection — merged in batch order, so pool evolution is
         // independent of which worker finished first.
-        for (slot, (cand, eval)) in cands.into_iter().zip(evals).enumerate() {
+        for (slot, cand) in cands.into_iter().enumerate() {
             let candidate = (done + slot) as u64;
             let reject = |outcome: &mut FuzzOutcome, reason, detail| {
                 outcome.rejected += 1;
@@ -384,18 +374,13 @@ where
                     detail,
                 });
             };
-            let results = match eval {
-                Some(Ok(r)) => r,
-                // Invalid configuration: never dispatched.
-                None => {
-                    let detail = cand
-                        .invalid
-                        .unwrap_or_else(|| "config failed validation".into());
-                    reject(&mut outcome, RejectReason::InvalidConfig, detail);
-                    continue;
-                }
-                // Dispatched but failed: classify the failure.
-                Some(Err(failure)) => {
+            if let Some(detail) = cand.invalid {
+                reject(&mut outcome, RejectReason::InvalidConfig, detail);
+                continue;
+            }
+            let results = match evals.next().expect("one eval per runnable candidate") {
+                Ok(r) => r,
+                Err(failure) => {
                     let (reason, detail) = failure.classify();
                     reject(&mut outcome, reason, detail);
                     continue;
@@ -555,73 +540,6 @@ where
 fn unshrunk(cfg: TestConfig) -> shrink::ShrinkOutcome {
     let mut out = shrink::ShrinkOutcome::untouched(cfg);
     out.reproduces = true;
-    out
-}
-
-/// Run every valid candidate of a generation, returning results in slot
-/// order (`None` for candidates that failed validation and never ran).
-///
-/// `workers <= 1` is the serial path: the calling thread runs each job in
-/// slot order with zero thread machinery. Otherwise `workers` scoped
-/// threads pull jobs from a shared cursor — order of *execution* is
-/// nondeterministic, but results land in their slots, so the caller's
-/// merge order never changes.
-fn evaluate_batch(
-    cands: &[Candidate],
-    workers: usize,
-    tel: &Telemetry,
-) -> Vec<Option<Result<TestResults, EvalFailure>>> {
-    let jobs: Vec<(usize, &TestConfig)> = cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.invalid.is_none())
-        .map(|(i, c)| (i, &c.cfg))
-        .collect();
-    let mut out: Vec<Option<Result<TestResults, EvalFailure>>> =
-        (0..cands.len()).map(|_| None).collect();
-
-    if workers <= 1 {
-        let start = Instant::now();
-        let runs = jobs.len() as u64;
-        for (slot, cfg) in jobs {
-            out[slot] = Some(run_caught(cfg));
-        }
-        tel.with_profile(|p| p.record_worker(0, runs, start.elapsed().as_nanos() as u64));
-        return out;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Result<TestResults, EvalFailure>)>> =
-        Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for w in 0..workers.min(jobs.len().max(1)) {
-            let cursor = &cursor;
-            let jobs = &jobs;
-            let collected = &collected;
-            scope.spawn(move || {
-                let start = Instant::now();
-                let mut local = Vec::new();
-                loop {
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(slot, cfg)) = jobs.get(j) else {
-                        break;
-                    };
-                    local.push((slot, run_caught(cfg)));
-                }
-                let runs = local.len() as u64;
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-                tel.with_profile(|p| {
-                    p.record_worker(w as u64, runs, start.elapsed().as_nanos() as u64)
-                });
-            });
-        }
-    });
-    for (slot, res) in collected.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        out[slot] = Some(res);
-    }
     out
 }
 
@@ -801,47 +719,6 @@ traffic:
         assert!(out.history.iter().all(|s| s.is_finite()));
         let cov = out.coverage.expect("coverage mode on");
         assert!(cov.corpus.entries().iter().all(|e| e.score.is_finite()));
-    }
-
-    #[test]
-    fn coverage_mode_parallel_matches_serial_smoke() {
-        // The full sweep (map, corpus, reproducers, across worker counts)
-        // lives in tests/fuzz_coverage_differential.rs; this pins the
-        // invariant at the unit level for the growth curve and history.
-        let base = tiny_base();
-        let params = FuzzParams {
-            pool_size: 3,
-            iterations: 6,
-            batch_size: 3,
-            workers: 0,
-            coverage: Some(coverage::CoverageParams {
-                shrink: false,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let run = |workers: usize| {
-            let mut m = EventMutator::default();
-            let out = fuzz(
-                &base,
-                &mut m,
-                score::default_score,
-                &FuzzParams {
-                    workers,
-                    ..params.clone()
-                },
-            );
-            let cov = out.coverage.expect("coverage mode on");
-            (
-                out.history.clone(),
-                cov.growth.clone(),
-                cov.map.slots().collect::<Vec<_>>(),
-                cov.corpus.to_jsonl(),
-            )
-        };
-        let serial = run(0);
-        assert!(!serial.2.is_empty(), "some coverage must register");
-        assert_eq!(serial, run(2));
     }
 
     #[test]
@@ -1044,37 +921,5 @@ traffic:
             )
         };
         assert_eq!(run(0), run(3));
-    }
-
-    #[test]
-    fn parallel_matches_serial_smoke() {
-        // The full sweep lives in tests/fuzz_parallel_differential.rs;
-        // this keeps the invariant enforced at the unit level too.
-        let base = tiny_base();
-        let params = FuzzParams {
-            pool_size: 3,
-            iterations: 6,
-            batch_size: 3,
-            workers: 0,
-            ..Default::default()
-        };
-        let run = |workers: usize| {
-            let mut m = EventMutator::default();
-            let out = fuzz(
-                &base,
-                &mut m,
-                score::default_score,
-                &FuzzParams {
-                    workers,
-                    ..params.clone()
-                },
-            );
-            (
-                out.history.clone(),
-                out.rejected,
-                out.final_pool.iter().map(|s| s.score).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(run(0), run(2));
     }
 }

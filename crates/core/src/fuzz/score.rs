@@ -104,16 +104,7 @@ pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String
 /// executor's merge without touching serial==parallel bit-identity. Both
 /// [`violation_score`] and the coverage signal build on this.
 pub fn conformance_of(res: &TestResults) -> crate::analyzers::ConformanceReport {
-    match &res.conformance {
-        Some(r) => r.clone(),
-        None => match &res.trace {
-            Some(trace) => {
-                let opts = crate::analyzers::ConformanceOpts::from_results(res);
-                crate::analyzers::conformance::analyze(trace, &res.conns, &opts)
-            }
-            None => Default::default(),
-        },
-    }
+    res.conformance_verdict().unwrap_or_default()
 }
 
 /// The spec-conformance score: drive the campaign toward configurations
@@ -128,15 +119,10 @@ pub fn violation_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
     // candidates so the pool still evolves toward *interesting* traffic.
     let (base, _) = default_score(cfg, res);
     let score = n * 50.0 + base * 0.1;
-    let classes: Vec<String> = report
-        .class_counts()
-        .iter()
-        .map(|(label, c)| format!("{c} {label}"))
-        .collect();
-    let desc = if classes.is_empty() {
+    let desc = if report.violations.is_empty() {
         "no violations".to_string()
     } else {
-        classes.join(", ")
+        report.class_summary()
     };
     (score, desc)
 }

@@ -18,8 +18,8 @@
 //! holds shrinking to the same serial==parallel guarantee as the rest of
 //! the executor.
 
-use super::run_caught;
 use crate::analyzers::ViolationClass;
+use crate::campaign::run_caught;
 use crate::config::{QuirksSection, TestConfig};
 use crate::orchestrator::TestResults;
 

@@ -229,19 +229,7 @@ impl IngestOutcome {
             },
         );
         let conf = &self.conformance;
-        let verdict = if conf.compliant && !conf.partial {
-            "compliant".to_string()
-        } else if conf.compliant {
-            "compliant (partial evidence)".to_string()
-        } else {
-            let classes: Vec<String> = conf
-                .class_counts()
-                .iter()
-                .map(|(label, n)| format!("{n} {label}"))
-                .collect();
-            format!("VIOLATIONS ({})", classes.join(", "))
-        };
-        line(&mut out, "conformance", verdict);
+        line(&mut out, "conformance", conf.verdict_line());
         for v in &conf.violations {
             out.push_str(&format!("  !! [{}] {}\n", v.class.table2_class(), v.detail));
         }

@@ -38,6 +38,7 @@
 //! ```
 
 pub mod analyzers;
+mod campaign;
 pub mod cli;
 pub mod config;
 pub mod error;

@@ -3,23 +3,20 @@
 //! scenario graded on every registered NIC model, with cross-device
 //! behavior diffs extracted from the per-cell results.
 //!
-//! Execution reuses the fuzz campaign's parallel-executor idiom: a shared
-//! atomic cursor feeds worker threads and results land in their slots, so
-//! the assembled report is byte-identical for any `--workers` value.
-//! `workers <= 1` is the serial thread-free path.
+//! Cells are one job list over the campaign executor
+//! (`campaign::run_slots`): each worker runs a cell and grades it down to
+//! its [`CellOutcome`], and the outcomes come back in column order, so the
+//! assembled report is byte-identical for any `--workers` value.
 
 pub mod differ;
 
-use crate::analyzers::{conformance, ConformanceOpts, ConformanceReport};
+use crate::campaign::{run_slots, EvalFailure};
 use crate::config::{QuirksSection, TestConfig};
 use crate::error::Error;
-use crate::fuzz::{run_caught, EvalFailure};
-use crate::orchestrator::TestResults;
+use crate::orchestrator::{run_test, TestResults};
 use lumina_rnic::DeviceRegistry;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub use differ::BehaviorDiff;
 
@@ -266,50 +263,16 @@ pub fn run_matrix(
         }
     }
 
-    // The PR 2 executor idiom: shared cursor, results land in slots.
-    let mut slots: Vec<Option<Result<TestResults, EvalFailure>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    if params.workers <= 1 {
-        for (slot, job) in jobs.iter().enumerate() {
-            slots[slot] = Some(run_caught(&job.cfg));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<TestResults, EvalFailure>)>> =
-            Mutex::new(Vec::with_capacity(jobs.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..params.workers.min(jobs.len().max(1)) {
-                let cursor = &cursor;
-                let jobs = &jobs;
-                let collected = &collected;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(j) else {
-                            break;
-                        };
-                        local.push((j, run_caught(&job.cfg)));
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend(local);
-                });
-            }
-        });
-        for (slot, res) in collected.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            slots[slot] = Some(res);
-        }
-    }
-
+    let (slots, _) = run_slots(&jobs, params.workers, |job| {
+        run_test(&job.cfg)
+            .map(|res| cell_outcome(&job.device, job.quirked, &res, params.include_reports))
+    });
     let mut cells = Vec::with_capacity(jobs.len());
     for (job, slot) in jobs.iter().zip(slots) {
-        let outcome = match slot.expect("every job ran") {
-            Ok(res) => cell_outcome(&job.device, job.quirked, &res, params.include_reports)?,
+        cells.push(match slot {
+            Ok(cell) => cell?,
             Err(failure) => error_cell(&job.device, job.quirked, &failure),
-        };
-        cells.push(outcome);
+        });
     }
     let diffs = differ::diff_cells(&cells);
     Ok(MatrixReport {
@@ -331,11 +294,7 @@ fn cell_outcome(
     res: &TestResults,
     include_report: bool,
 ) -> Result<CellOutcome, Error> {
-    let conf: Option<ConformanceReport> = res.conformance.clone().or_else(|| {
-        res.trace
-            .as_ref()
-            .map(|t| conformance::analyze(t, &res.conns, &ConformanceOpts::from_results(res)))
-    });
+    let conf = res.conformance_verdict();
     let verdict = match &conf {
         None => "untraced",
         Some(c) if !c.violations.is_empty() => "violations",

@@ -2,6 +2,8 @@
 //! configuration, run it, collect every result Table 1 lists, reconstruct
 //! the trace and run the integrity check.
 
+use crate::analyzers::{conformance, ConformanceOpts, ConformanceReport};
+use crate::campaign::{run_caught, EvalFailure};
 use crate::config::{SwitchMode, TestConfig};
 use crate::error::Error;
 use crate::integrity::{self, IntegrityReport};
@@ -115,6 +117,18 @@ impl TestResults {
     /// True when all traffic completed and the run quiesced.
     pub fn traffic_completed(&self) -> bool {
         self.requester_metrics.done()
+    }
+
+    /// The conformance oracle's verdict for this run: the run's own when the
+    /// orchestrator already computed one (quirk-injected runs), an oracle
+    /// replay over the trace otherwise, `None` for a traceless run. A pure
+    /// function of the results.
+    pub fn conformance_verdict(&self) -> Option<ConformanceReport> {
+        self.conformance.clone().or_else(|| {
+            let trace = self.trace.as_ref()?;
+            let opts = ConformanceOpts::from_results(self);
+            Some(conformance::analyze(trace, &self.conns, &opts))
+        })
     }
 
     /// Machine-readable summary (the orchestrator's "test results" file).
@@ -707,14 +721,7 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
     // Quirk-injected runs get the conformance verdict inline: the whole
     // point of injecting misbehavior is to see the oracle call it.
     if results.quirk_stats.is_some() {
-        if let Some(trace) = &results.trace {
-            let opts = crate::analyzers::ConformanceOpts::from_results(&results);
-            results.conformance = Some(crate::analyzers::conformance::analyze(
-                trace,
-                &results.conns,
-                &opts,
-            ));
-        }
+        results.conformance = results.conformance_verdict();
     }
     // Chaos-injected runs get the recovery verdict inline: the whole
     // point of injecting chaos is proving the stack recovers.
@@ -752,17 +759,6 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
         results.recovery = Some(report);
     }
     Ok(results)
-}
-
-/// Extract a human-readable message from a `catch_unwind` payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Salt separating the retry-jitter stream from every other consumer of
@@ -853,15 +849,14 @@ pub fn run_supervised(cfg: &TestConfig, policy: &RetryPolicy) -> Result<TestResu
                 }
             }
         }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_test(&cfg))) {
-            Ok(Ok(results)) => return Ok(results),
-            Ok(Err(e)) if e.is_infra_fault() && attempt + 1 < attempts => last_err = Some(e),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(Error::internal(format!(
-                    "run panicked: {}",
-                    panic_message(payload.as_ref())
-                )))
+        match run_caught(&cfg) {
+            Ok(results) => return Ok(results),
+            Err(EvalFailure::Error(e)) if e.is_infra_fault() && attempt + 1 < attempts => {
+                last_err = Some(e)
+            }
+            Err(EvalFailure::Error(e)) => return Err(e),
+            Err(EvalFailure::Panic(msg)) => {
+                return Err(Error::internal(format!("run panicked: {msg}")))
             }
         }
     }

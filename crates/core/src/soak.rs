@@ -12,9 +12,11 @@
 //! * Schedules are drawn up front on the campaign thread from a
 //!   [`SimRng`] mixed per (preset, scenario) — iteration order never
 //!   touches the RNG, so the schedule set depends only on `--seed`.
-//! * Execution uses the PR 2 cursor-executor idiom: a shared atomic
-//!   cursor feeds worker threads and results land in their slots, so the
-//!   assembled report is byte-identical for any `--workers` value.
+//! * Scenarios are one job list over the campaign executor
+//!   (`campaign::run_slots`): each worker reduces its run to the event
+//!   count and the oracle's verdict, and those come back in (preset,
+//!   scenario) order, so the assembled report is byte-identical for any
+//!   `--workers` value.
 //! * The report carries no wall-clock numbers.
 //!
 //! Presets that already declare an active `chaos:` section (demos like
@@ -23,13 +25,12 @@
 //! grade something else.
 
 use crate::analyzers::RecoveryReport;
+use crate::campaign::{run_slots, EvalFailure};
 use crate::config::{ChaosBurstSpec, ChaosLinkSpec, ChaosSection, ChaosWindowSpec, TestConfig};
 use crate::error::Error;
-use crate::fuzz::{run_caught, EvalFailure};
+use crate::orchestrator::run_test;
 use lumina_sim::SimRng;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Salt separating the soak schedule stream from every other consumer of
 /// the user-facing seed.
@@ -293,99 +294,45 @@ pub fn sweep(presets: &[(String, TestConfig)], params: &SoakParams) -> Result<So
         preset_index += 1;
     }
 
-    // The PR 2 executor idiom: shared cursor, results land in slots.
-    let mut slots: Vec<Option<Result<crate::orchestrator::TestResults, EvalFailure>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    if params.workers <= 1 {
-        for (slot, job) in jobs.iter().enumerate() {
-            slots[slot] = Some(run_caught(&job.cfg));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<crate::orchestrator::TestResults, EvalFailure>)>> =
-            Mutex::new(Vec::with_capacity(jobs.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..params.workers.min(jobs.len().max(1)) {
-                let cursor = &cursor;
-                let jobs = &jobs;
-                let collected = &collected;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(j) else {
-                            break;
-                        };
-                        local.push((j, run_caught(&job.cfg)));
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend(local);
-                });
-            }
-        });
-        for (slot, res) in collected.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            slots[slot] = Some(res);
-        }
-    }
+    let (slots, _) = run_slots(&jobs, params.workers, |job| {
+        run_test(&job.cfg).map(|res| (res.engine_stats.events, res.recovery))
+    });
 
     let mut outcomes = Vec::with_capacity(jobs.len());
     let (mut live, mut liveness_failures, mut errors) = (0usize, 0usize, 0usize);
     let mut events = 0u64;
     for (job, slot) in jobs.iter().zip(slots) {
-        let outcome = match slot.expect("every scenario ran") {
-            Ok(res) => {
-                events = events.saturating_add(res.engine_stats.events);
-                match res.recovery {
+        let (status, detail, recovery) = match slot {
+            Ok((run_events, rec)) => {
+                events = events.saturating_add(run_events);
+                match rec {
                     Some(rec) if !rec.live => {
                         liveness_failures += 1;
-                        ScenarioOutcome {
-                            preset: job.preset.clone(),
-                            scenario: job.scenario,
-                            chaos_seed: job.chaos_seed,
-                            status: "liveness".into(),
-                            detail: Some(rec.violation_summary()),
-                            recovery: Some(rec),
-                        }
+                        ("liveness", Some(rec.violation_summary()), Some(rec))
                     }
                     rec => {
                         live += 1;
-                        ScenarioOutcome {
-                            preset: job.preset.clone(),
-                            scenario: job.scenario,
-                            chaos_seed: job.chaos_seed,
-                            status: "live".into(),
-                            detail: None,
-                            recovery: rec,
-                        }
+                        ("live", None, rec)
                     }
                 }
             }
             Err(EvalFailure::Error(e)) => {
                 errors += 1;
-                ScenarioOutcome {
-                    preset: job.preset.clone(),
-                    scenario: job.scenario,
-                    chaos_seed: job.chaos_seed,
-                    status: "error".into(),
-                    detail: Some(e.to_string()),
-                    recovery: None,
-                }
+                ("error", Some(e.to_string()), None)
             }
             Err(EvalFailure::Panic(msg)) => {
                 errors += 1;
-                ScenarioOutcome {
-                    preset: job.preset.clone(),
-                    scenario: job.scenario,
-                    chaos_seed: job.chaos_seed,
-                    status: "panic".into(),
-                    detail: Some(msg),
-                    recovery: None,
-                }
+                ("panic", Some(msg), None)
             }
         };
-        outcomes.push(outcome);
+        outcomes.push(ScenarioOutcome {
+            preset: job.preset.clone(),
+            scenario: job.scenario,
+            chaos_seed: job.chaos_seed,
+            status: status.into(),
+            detail,
+            recovery,
+        });
     }
 
     Ok(SoakReport {

@@ -1,0 +1,121 @@
+//! The `lumina-cli` binary itself: its typed exit codes, the unknown-flag
+//! rejection, and the campaigns' stdout across worker counts. Everything
+//! else in the workspace tests the library; this spawns the real process,
+//! so `main`'s dispatch and its error-to-exit-code mapping are covered.
+
+use std::process::{Command, Output};
+
+/// Run `lumina-cli` from the repository root, so `configs/…` resolves.
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lumina-cli"))
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .args(args)
+        .output()
+        .expect("lumina-cli spawns")
+}
+
+fn exit_code(args: &[&str]) -> i32 {
+    let out = cli(args);
+    out.status.code().unwrap_or_else(|| {
+        panic!(
+            "{args:?} died on a signal: {}",
+            String::from_utf8_lossy(&out.stderr)
+        )
+    })
+}
+
+#[test]
+fn exit_codes_are_typed() {
+    for (args, want) in [
+        (&["configs/listing2.yaml"][..], 0),
+        (
+            &[
+                "matrix",
+                "--config",
+                "configs/matrix_demo.yaml",
+                "--devices",
+                "nosuchnic",
+            ],
+            2,
+        ),
+        (&["configs/no_such_file.yaml"], 3),
+        (&["configs/quirks_demo.yaml"], 9),
+        // Not a capture at all: nothing to degrade into.
+        (&["ingest", "--pcap", "configs/listing2.yaml"], 10),
+        (&["configs/chaos_demo.yaml"], 11),
+    ] {
+        assert_eq!(exit_code(args), want, "{args:?}");
+    }
+}
+
+#[test]
+fn unknown_flags_are_config_errors_naming_the_flag() {
+    // `--worker` is a typo for `--workers`; it used to be ignored (exit 0
+    // on one worker).
+    let typo = [
+        "matrix",
+        "--config",
+        "configs/matrix_demo.yaml",
+        "--worker",
+        "4",
+    ];
+    let out = cli(&typo);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--worker") && stderr.contains("matrix"),
+        "{stderr}"
+    );
+
+    // Another subcommand's flag is just as unknown here…
+    assert_eq!(
+        exit_code(&["configs/listing2.yaml", "--validate", "--workers", "2"]),
+        2
+    );
+    // …a valued flag's value is never inspected, and the common flags
+    // pass everywhere.
+    assert_eq!(
+        exit_code(&[
+            "--validate",
+            "--pcap",
+            "--not-a-flag",
+            "configs/listing2.yaml"
+        ]),
+        0
+    );
+    assert_eq!(
+        exit_code(&[
+            "--validate",
+            "configs/listing2.yaml",
+            "--seed",
+            "9",
+            "--json"
+        ]),
+        0
+    );
+}
+
+#[test]
+fn campaign_stdout_is_byte_identical_across_worker_counts() {
+    for base in [
+        &["matrix", "--config", "configs/matrix_demo.yaml", "--json"][..],
+        &[
+            "soak",
+            "--configs",
+            "configs/listing2.yaml",
+            "--scenarios",
+            "3",
+            "--json",
+        ],
+    ] {
+        let with_workers = |n: &str| {
+            let out = cli(&[base, &["--workers", n]].concat());
+            assert_eq!(out.status.code(), Some(0), "{base:?} --workers {n}");
+            out.stdout
+        };
+        let serial = with_workers("1");
+        assert!(!serial.is_empty());
+        assert_eq!(serial, with_workers("4"), "{base:?}");
+    }
+}

@@ -6,43 +6,19 @@ check:
     cargo test -q
     cargo clippy -- -D warnings
 
-# The full CI gate: release build, workspace tests (with the parallel-fuzz
-# differential, golden-report, fault-matrix and quirk-matrix suites named
-# explicitly so a filter change can't silently drop them — the fault matrix
-# smokes every fault kind on fig11 and asserts same-seed degraded reports
-# replay byte-identically; the quirk matrix injects every DUT misbehavior
-# kind and asserts the conformance oracle flags each with its expected
-# violation class), the device matrix (cross-NIC registry sweep:
-# worker-count determinism, plain-run parity, per-profile calibration
-# signatures and the differential-report golden), the panic guard (no
-# unwrap/expect on capture-derived paths), the frame-plane hotpath smoke (asserts the identical-outcome
-# column and the copy-reduction bar), the trace-determinism suite plus a
-# live `trace` smoke with Perfetto export, the coverage-fuzzing suites
-# (serial==parallel differential over map/corpus/reproducers; the 9-knob
-# quirk sweep with the 2x fixed-budget acceptance) plus a live
-# `fuzz-coverage` smoke through the CLI corpus-persistence path, the bench
-# gate (fails on >20% regression against the newest committed
-# BENCH_*.json), the pcap round-trip corpus (every preset re-ingests to
-# its live verdict) plus a live `ingest` smoke through the CLI, the
-# chaos/soak suite (noop-chaos byte-identity, the chaos×quirks
-# cross-matrix, the recovery-oracle property tests) plus a live `soak`
-# smoke sweeping every preset under generated chaos schedules, lint with
+# The full CI gate: release build; the workspace tests (`default-members`
+# makes the plain `cargo test -q` run every crate's unit tests and every
+# integration suite — the campaign differentials, golden reports, fault /
+# quirk / device matrices, panic guard, trace determinism, ingest round
+# trip, chaos soak, the bench crate's hotpath smoke, and `cli_e2e` on the
+# real binary — so no suite is named twice here); then the live smokes
+# through the CLI (`trace` with Perfetto export, `fuzz-coverage` with
+# corpus persistence, `matrix`, `ingest`, `soak`); the bench gate (fails on
+# >20% regression against the newest committed BENCH_*.json); lint with
 # warnings fatal.
 ci:
     cargo build --release
     cargo test -q
-    cargo test -q --test fuzz_parallel_differential
-    cargo test -q --test fuzz_coverage_differential
-    cargo test -q --test fuzz_quirk_coverage
-    cargo test -q --test golden_reports
-    cargo test -q --test fault_matrix
-    cargo test -q --test quirk_matrix
-    cargo test -q --test device_matrix
-    cargo test -q --test panic_guard
-    cargo test -q --test trace_determinism
-    cargo test -q --test ingest_roundtrip
-    cargo test -q --test chaos_soak
-    cargo test -q -p lumina-bench hotpath
     just trace
     just fuzz-coverage
     just matrix
