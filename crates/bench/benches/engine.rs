@@ -1,4 +1,5 @@
 //! Criterion microbenchmarks of the substrates: packet codec, ICRC, the
+//! timer-event path (wheel, engine dispatch, the RNIC's DCQCN timer), the
 //! RNIC transmit tick, event-injector pipeline, and end-to-end simulation
 //! throughput.
 
@@ -54,51 +55,114 @@ fn bench_crc(c: &mut Criterion) {
     g.finish();
 }
 
-/// One transmit-wheel tick of a device whose every QP has data queued:
-/// build the candidate list, let ETS pick, emit one packet, re-arm. The
-/// candidate walk is O(QPs), which is what separates the two rows.
-fn bench_rnic_tx(c: &mut Criterion) {
+/// The timer shape of a 256-QP DCQCN run: 256 concurrent 55 µs timers,
+/// 200 ns apart, each re-armed one period on when it fires.
+const TIMERS: u64 = 256;
+const PERIOD_NS: u64 = 55_000;
+
+fn timer_start_ns(i: u64) -> u64 {
+    1 + i * 200
+}
+
+/// What one timer event costs below the RNIC: the bare wheel (one pop and
+/// one push), then the same through `Engine::run` with an echo node (one
+/// lap of the 256 timers per iteration).
+fn bench_timer_events(c: &mut Criterion) {
+    use lumina_sim::wheel::{Entry, TimerWheel};
+    use lumina_sim::{Engine, Node, NodeCtx, PortId, SimTime};
+
+    struct TimerEcho;
+    impl Node for TimerEcho {
+        fn on_frame(&mut self, _port: PortId, _frame: Frame, _ctx: &mut NodeCtx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(SimTime::from_nanos(PERIOD_NS), token);
+        }
+    }
+
+    let mut g = c.benchmark_group("timer_events");
+    let mut wheel = TimerWheel::new();
+    for i in 0..TIMERS {
+        wheel.push(Entry { time: timer_start_ns(i), seq: i, value: i });
+    }
+    let mut seq = TIMERS;
+    g.bench_function("wheel_push_pop_periodic_256", |b| {
+        b.iter(|| {
+            let e = wheel.pop().expect("wheel never drains");
+            wheel.push(Entry { time: e.time + PERIOD_NS, seq, value: e.value });
+            seq += 1;
+        })
+    });
+
+    let mut eng = Engine::new(1);
+    let node = eng.add_node(Box::new(TimerEcho));
+    for i in 0..TIMERS {
+        eng.schedule_timer(node, SimTime::from_nanos(timer_start_ns(i)), i);
+    }
+    eng.event_limit = 0;
+    g.throughput(Throughput::Elements(TIMERS));
+    g.bench_function("engine_timer_echo_256", |b| {
+        b.iter(|| {
+            eng.event_limit += TIMERS;
+            black_box(eng.run(None))
+        })
+    });
+    g.finish();
+}
+
+/// A cx6-dx device with QPs `1..=qps`, as both RNIC rows need it.
+fn bench_rnic(qps: u32, dcqcn_rp: bool) -> lumina_rnic::Rnic {
     use lumina_packet::MacAddr;
-    use lumina_rnic::device::token;
-    use lumina_rnic::ets::EtsConfig;
-    use lumina_rnic::profile::DeviceProfile;
     use lumina_rnic::qp::{QpConfig, QpEndpoint};
-    use lumina_rnic::verbs::{Verb, WorkRequest};
-    use lumina_rnic::{Action, Rnic};
     use lumina_sim::SimTime;
     use std::net::Ipv4Addr;
+
+    let mut rnic = lumina_rnic::Rnic::new(
+        lumina_rnic::profile::DeviceProfile::cx6_dx(),
+        lumina_rnic::ets::EtsConfig::single_queue(),
+        MacAddr::local(1),
+    );
+    for qpn in 1..=qps {
+        rnic.create_qp(QpConfig {
+            local: QpEndpoint {
+                ip: Ipv4Addr::new(10, 0, 0, 1),
+                qpn,
+                ipsn: 0,
+            },
+            remote: QpEndpoint {
+                ip: Ipv4Addr::new(10, 0, 0, 2),
+                qpn,
+                ipsn: 0,
+            },
+            remote_mac: MacAddr::local(2),
+            mtu: 256,
+            timeout_code: 14,
+            retry_cnt: 7,
+            adaptive_retrans: false,
+            traffic_class: 0,
+            dcqcn_rp,
+            dcqcn_np: false,
+            min_time_between_cnps: SimTime::from_micros(4),
+            udp_src_port: 49152,
+        });
+    }
+    rnic
+}
+
+/// One transmit-wheel tick of a device whose every QP has data queued:
+/// build the candidate list, let ETS pick, emit one packet, re-arm from
+/// the patched list, hand the action buffer back as the host does. The
+/// candidate walk is O(QPs), which is what separates the two rows.
+fn bench_rnic_tx(c: &mut Criterion) {
+    use lumina_rnic::device::token;
+    use lumina_rnic::verbs::{Verb, WorkRequest};
+    use lumina_rnic::Action;
+    use lumina_sim::SimTime;
 
     let tx_wheel = token::pack(token::TX_WHEEL, 0, 0);
     let mut g = c.benchmark_group("rnic");
     for qps in [8u32, 256] {
-        let mut rnic = Rnic::new(
-            DeviceProfile::cx6_dx(),
-            EtsConfig::single_queue(),
-            MacAddr::local(1),
-        );
+        let mut rnic = bench_rnic(qps, false);
         for qpn in 1..=qps {
-            rnic.create_qp(QpConfig {
-                local: QpEndpoint {
-                    ip: Ipv4Addr::new(10, 0, 0, 1),
-                    qpn,
-                    ipsn: 0,
-                },
-                remote: QpEndpoint {
-                    ip: Ipv4Addr::new(10, 0, 0, 2),
-                    qpn,
-                    ipsn: 0,
-                },
-                remote_mac: MacAddr::local(2),
-                mtu: 256,
-                timeout_code: 14,
-                retry_cnt: 7,
-                adaptive_retrans: false,
-                traffic_class: 0,
-                dcqcn_rp: false,
-                dcqcn_np: false,
-                min_time_between_cnps: SimTime::from_micros(4),
-                udp_src_port: 49152,
-            });
             // 16 M packets per QP: the queue outlasts any sample count.
             rnic.post_send(
                 qpn,
@@ -123,10 +187,41 @@ fn bench_rnic_tx(c: &mut Criterion) {
                     }
                 }
                 assert!(emitted, "every tick emits one data packet");
-                actions
+                rnic.recycle(actions);
             })
         });
     }
+    g.finish();
+}
+
+/// The commonest event of a DCQCN run: one QP's alpha timer fires and
+/// re-arms itself. 256 reaction points, one CNP each, no rate timers — so
+/// the rate never recovers and every tick re-arms.
+fn bench_rnic_dcqcn_timer(c: &mut Criterion) {
+    use lumina_packet::builder::cnp_frame;
+    use lumina_rnic::device::token;
+    use lumina_sim::SimTime;
+    use std::net::Ipv4Addr;
+
+    const QPS: u32 = 256;
+    let mut rnic = bench_rnic(QPS, true);
+    let mut now = SimTime::from_micros(1);
+    for qpn in 1..=QPS {
+        let cnp = cnp_frame(Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 0, 0, 1), qpn).emit();
+        let armed = rnic.on_frame(cnp, now);
+        assert_eq!(armed.len(), 2, "alpha + rate timers: {armed:?}");
+    }
+    let mut qpn = 0;
+    let mut g = c.benchmark_group("rnic");
+    g.bench_function("rnic_dcqcn_alpha_timer_256qp", |b| {
+        b.iter(|| {
+            qpn = qpn % QPS + 1;
+            now += SimTime::from_nanos(200);
+            let actions = rnic.on_timer(token::pack(token::DCQCN_ALPHA, qpn, 1), now);
+            assert_eq!(actions.len(), 1, "the tick re-arms itself");
+            rnic.recycle(actions);
+        })
+    });
     g.finish();
 }
 
@@ -199,7 +294,9 @@ criterion_group!(
     engine,
     bench_codec,
     bench_crc,
+    bench_timer_events,
     bench_rnic_tx,
+    bench_rnic_dcqcn_timer,
     bench_injector,
     bench_end_to_end
 );

@@ -534,6 +534,18 @@ fn matrix_cmd(args: &[String]) -> Result<ExitCode, Error> {
 /// The report is byte-identical for every `--workers` value; a proven
 /// liveness failure exits 11, a scenario that fails to run exits 1.
 fn soak_cmd(args: &[String]) -> Result<ExitCode, Error> {
+    // The single-run flags are common to every subcommand's table but mean
+    // nothing to a sweep; `--config` for `--configs` would otherwise soak
+    // the default directory and exit 0.
+    if let Some(flag) = ["--config", "--faults", "--quirks"]
+        .into_iter()
+        .find(|f| cli::has_flag(args, f))
+    {
+        return Err(Error::config(format!(
+            "soak does not take {flag}: name the presets with --configs <dir> \
+             (a single YAML file soaks just that preset)"
+        )));
+    }
     let dir = cli::flag_value(args, "--configs").unwrap_or("configs");
     let params = soak::SoakParams {
         scenarios_per_preset: cli::numeric_flag(args, "--scenarios", 3)?,

@@ -225,6 +225,8 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
             "(--seed seeds the schedule PRNG; same seed, same schedules), runs",
             "the liveness/recovery oracle on every scenario and prints a",
             "per-scenario recovery report. Proven liveness failures exit 11.",
+            "A sweep has no single run to apply --config, --faults or --quirks",
+            "to: they are rejected (exit 2) — presets come from --configs.",
         ],
     },
     SubcommandSpec {

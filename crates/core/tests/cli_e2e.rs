@@ -68,6 +68,19 @@ fn unknown_flags_are_config_errors_naming_the_flag() {
         "{stderr}"
     );
 
+    // `--config` is a common flag, but `soak` sweeps `--configs <dir>`:
+    // the one-letter typo used to soak the default directory and exit 0.
+    for flag in ["--config", "--faults", "--quirks"] {
+        let out = cli(&["soak", flag, "configs/listing2.yaml", "--scenarios", "1"]);
+        assert_eq!(out.status.code(), Some(2), "soak {flag}");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag}:")) && stderr.contains("--configs <dir>"),
+            "{stderr}"
+        );
+    }
+
     // Another subcommand's flag is just as unknown here…
     assert_eq!(
         exit_code(&["configs/listing2.yaml", "--validate", "--workers", "2"]),

@@ -122,6 +122,8 @@ impl HostNode {
                 }
             }
         }
+        // Drained: the device fills the same buffer on its next call.
+        self.rnic.recycle(queue.into());
     }
 
     fn post_one(&mut self, qpn: u32, now: SimTime) -> Vec<Action> {

@@ -96,6 +96,10 @@ pub struct Rnic {
     /// who each candidate is (`(qpn, is_read_resp)`).
     tx_cands: Vec<TxCandidate>,
     tx_owners: Vec<(u32, bool)>,
+    /// The buffer the next `post_send` / `on_frame` / `on_timer` returns
+    /// its actions in: empty, with whatever capacity the host handed back
+    /// through [`Rnic::recycle`].
+    spare_actions: Vec<Action>,
     /// Read-recovery slow-path engine (the CX4 Lx noisy-neighbor model):
     /// recoveries in flight (running + queued).
     pending_recoveries: usize,
@@ -176,6 +180,7 @@ impl Rnic {
             rr_cursor: 0,
             tx_cands: Vec::new(),
             tx_owners: Vec::new(),
+            spare_actions: Vec::new(),
             pending_recoveries: 0,
             recovery_slots,
             stall_wedged: false,
@@ -242,7 +247,7 @@ impl Rnic {
 
     /// Post a send-queue work request.
     pub fn post_send(&mut self, qpn: u32, wr: WorkRequest, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.spare_actions);
         let Some(qp) = self.qps.get_mut(&qpn) else {
             panic!("post_send on unknown QP {qpn:#x}");
         };
@@ -261,6 +266,14 @@ impl Rnic {
         self.arm_timeout_if_needed(qpn, now, &mut actions);
         self.tx_kick(now, &mut actions);
         actions
+    }
+
+    /// Hand a drained action list back so the next call fills it again
+    /// instead of allocating. Optional: a host that drops the lists
+    /// instead costs one allocation per non-empty list, nothing else.
+    pub fn recycle(&mut self, mut spent: Vec<Action>) {
+        spent.clear();
+        self.spare_actions = spent;
     }
 
     /// Post a receive WQE (Send/Recv traffic).
@@ -320,7 +333,7 @@ impl Rnic {
 
     /// A frame arrived from the wire.
     pub fn on_frame(&mut self, raw: Frame, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.spare_actions);
         self.counters.rx_packets += 1;
 
         if self.pipeline_stalled() {
@@ -848,7 +861,7 @@ impl Rnic {
 
     /// A timer armed through an [`Action::ArmTimer`] fired.
     pub fn on_timer(&mut self, tok: u64, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.spare_actions);
         let (kind, qpn, extra) = token::unpack(tok);
         match kind {
             token::TX_WHEEL => {
@@ -1153,9 +1166,23 @@ impl Rnic {
     /// Arm the transmit wheel if data work exists and no earlier tick is
     /// already pending.
     fn tx_kick(&mut self, now: SimTime, actions: &mut Vec<Action>) {
-        let Some(next) = self.next_tx_time(now) else {
+        // A tick armed at or before the first instant the port could send
+        // cannot be beaten (`tx_arm` clamps to that instant): skip the walk.
+        let floor = self.port_free.max(now);
+        if self.tx_armed_at.is_some_and(|at| at <= floor) {
+            return;
+        }
+        self.candidates();
+        self.tx_arm(now, actions);
+    }
+
+    /// Arm the transmit wheel at the scratch's next opportunity unless a
+    /// tick is already pending at or before it.
+    fn tx_arm(&mut self, now: SimTime, actions: &mut Vec<Action>) {
+        let Some(opp) = self.ets.next_opportunity(now, &self.tx_cands) else {
             return;
         };
+        let next = opp.max(self.port_free).max(now);
         if self.tx_armed_at.is_none_or(|at| next < at) {
             self.tx_armed_at = Some(next);
             actions.push(Action::ArmTimer {
@@ -1180,21 +1207,41 @@ impl Rnic {
         tx_owners.clear();
         let start = *rr_cursor % qps.len().max(1);
         for (&qpn, qp) in qps.iter().skip(start).chain(qps.iter().take(start)) {
-            let mut offer = |is_read_resp, size| {
-                tx_owners.push((qpn, is_read_resp));
-                tx_cands.push(TxCandidate {
-                    tc: qp.cfg.traffic_class,
-                    eligible_at: qp.next_allowed_tx,
-                    size,
-                });
-            };
-            if qp.has_tx_work() {
-                offer(false, Self::peek_req_size(qp));
-            }
-            if qp.has_read_resp_work() {
-                offer(true, Self::peek_read_resp_size(qp));
-            }
+            Self::offer(qpn, qp, tx_cands, tx_owners);
         }
+    }
+
+    /// Append `qp`'s candidates to the scratch, request work first.
+    fn offer(qpn: u32, qp: &Qp, cands: &mut Vec<TxCandidate>, owners: &mut Vec<(u32, bool)>) {
+        let mut push = |is_read_resp, size| {
+            owners.push((qpn, is_read_resp));
+            cands.push(TxCandidate {
+                tc: qp.cfg.traffic_class,
+                eligible_at: qp.next_allowed_tx,
+                size,
+            });
+        };
+        if qp.has_tx_work() {
+            push(false, Self::peek_req_size(qp));
+        }
+        if qp.has_read_resp_work() {
+            push(true, Self::peek_read_resp_size(qp));
+        }
+    }
+
+    /// Bring the scratch up to date after a transmit changed `qpn` and
+    /// nothing else: drop its candidates (adjacent, one of them at `i`)
+    /// and append its fresh ones. The round-robin order is lost, which
+    /// `next_opportunity` — a `min` — does not see.
+    fn reoffer(&mut self, qpn: u32, i: usize) {
+        let owners = &self.tx_owners;
+        let lo = i - usize::from(i > 0 && owners[i - 1].0 == qpn);
+        let hi = i + usize::from(owners.get(i + 1).is_some_and(|o| o.0 == qpn));
+        for j in (lo..=hi).rev() {
+            self.tx_owners.swap_remove(j);
+            self.tx_cands.swap_remove(j);
+        }
+        Self::offer(qpn, &self.qps[&qpn], &mut self.tx_cands, &mut self.tx_owners);
     }
 
     fn peek_req_size(qp: &Qp) -> usize {
@@ -1215,12 +1262,6 @@ impl Rnic {
         let idx = (job.next_lin - job.msg_base_lin) as u32;
         let chunk = qp.cfg.chunk_len(job.msg_len, idx) as usize;
         14 + 20 + 8 + 12 + 4 + chunk + 4
-    }
-
-    fn next_tx_time(&mut self, now: SimTime) -> Option<SimTime> {
-        self.candidates();
-        let opp = self.ets.next_opportunity(now, &self.tx_cands)?;
-        Some(opp.max(self.port_free).max(now))
     }
 
     /// Transmit-wheel tick: emit at most one data packet, then re-arm.
@@ -1266,10 +1307,15 @@ impl Rnic {
                         actions.push(Action::Emit(g));
                     }
                     self.arm_timeout_if_needed(qpn, now, actions);
+                    self.reoffer(qpn, i);
                 }
             }
+            // The scratch is current — walked above, patched if a packet
+            // left — so re-arm from it rather than walking again.
+            self.tx_arm(now, actions);
+        } else {
+            self.tx_kick(now, actions);
         }
-        self.tx_kick(now, actions);
     }
 
     fn gen_req_frame(&mut self, qpn: u32, now: SimTime) -> Frame {
@@ -1486,6 +1532,12 @@ mod tests {
         out
     }
 
+    /// The scheduling scratch as `(owner, candidate)` pairs.
+    fn scratch(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
+        let owners = rnic.tx_owners.iter().copied();
+        owners.zip(rnic.tx_cands.iter().copied()).collect()
+    }
+
     #[test]
     fn candidate_walk_keeps_the_rotated_qpn_order() {
         for n in [0, 1, 2, 7, 256] {
@@ -1493,12 +1545,7 @@ mod tests {
             for cursor in 0..2 * n + 1 {
                 rnic.rr_cursor = cursor;
                 rnic.candidates();
-                let got: Vec<_> = rnic
-                    .tx_owners
-                    .iter()
-                    .copied()
-                    .zip(rnic.tx_cands.iter().copied())
-                    .collect();
+                let got = scratch(&rnic);
                 assert_eq!(got, reference_candidates(&rnic), "{n} QPs, cursor {cursor}");
                 // Two of every six QPs offer request work, two read
                 // responses (one of them both).
@@ -1508,6 +1555,87 @@ mod tests {
                     offering(0) + offering(1) + 2 * offering(2),
                     "{n} QPs"
                 );
+            }
+        }
+    }
+
+    /// `mixed_rnic` with every QP under DCQCN pacing, so a transmit moves
+    /// the fired QP's `eligible_at` as well as its head packet.
+    fn paced_rnic(n: usize, cursor: usize) -> Rnic {
+        let mut rnic = mixed_rnic(n);
+        rnic.rr_cursor = cursor;
+        for qpn in rnic.qpns() {
+            let mut rp = ReactionPoint::new(rnic.profile.port_bandwidth, rnic.dcqcn_params.clone());
+            rp.on_cnp();
+            rnic.qp_mut(qpn).unwrap().rp = Some(rp);
+        }
+        rnic
+    }
+
+    fn sorted_scratch(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
+        let mut v = scratch(rnic);
+        v.sort_by_key(|&(owner, _)| owner);
+        v
+    }
+
+    #[test]
+    fn scratch_patched_by_tx_fire_equals_a_fresh_walk() {
+        for n in [1, 2, 7, 256] {
+            // About half the QPs are past their pacing instant.
+            let now = SimTime::from_nanos(n as u64 * 5);
+            let mut fired = 0;
+            for cursor in 0..2 * n + 1 {
+                let mut rnic = paced_rnic(n, cursor);
+                let mut actions = Vec::new();
+                rnic.tx_fire(now, &mut actions);
+                fired += usize::from(matches!(actions.first(), Some(Action::Emit(_))));
+                let patched = sorted_scratch(&rnic);
+                let patched_next = rnic.ets.next_opportunity(now, &rnic.tx_cands);
+                rnic.candidates();
+                assert_eq!(patched, sorted_scratch(&rnic), "{n} QPs, cursor {cursor}");
+                assert_eq!(
+                    patched_next,
+                    rnic.ets.next_opportunity(now, &rnic.tx_cands),
+                    "{n} QPs, cursor {cursor}"
+                );
+            }
+            // Some QP is always past its pacing instant: every tick sent.
+            assert_eq!(fired, 2 * n + 1, "{n} QPs");
+        }
+        // The pick can also be a QP's read response, with its request
+        // entry *before* it (the request is too big for the tokens left).
+        let mut rnic = paced_rnic(7, 0);
+        rnic.candidates();
+        let fresh = sorted_scratch(&rnic);
+        let i = rnic.tx_owners.iter().position(|o| o.1 && rnic.tx_owners.contains(&(o.0, false)));
+        let i = i.expect("QP 2 offers both kinds");
+        rnic.reoffer(rnic.tx_owners[i].0, i);
+        assert_eq!(sorted_scratch(&rnic), fresh);
+    }
+
+    #[test]
+    fn gated_tx_kick_equals_the_ungated_computation() {
+        let ns = SimTime::from_nanos;
+        for n in [0, 1, 7, 256] {
+            for cursor in [0, n / 2, n] {
+                for (now, port_free) in [(100, 0), (100, 100), (100, 350), (5_000, 350)] {
+                    for armed in [None, Some(0), Some(100), Some(101), Some(350), Some(351), Some(9_000)] {
+                        let build = || {
+                            let mut rnic = paced_rnic(n, cursor);
+                            rnic.port_free = ns(port_free);
+                            rnic.tx_armed_at = armed.map(ns);
+                            rnic
+                        };
+                        let (mut gated, mut ungated) = (build(), build());
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        gated.tx_kick(ns(now), &mut got);
+                        ungated.candidates();
+                        ungated.tx_arm(ns(now), &mut want);
+                        let case = format!("{n} QPs, now {now}, port_free {port_free}, armed {armed:?}");
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{case}");
+                        assert_eq!(gated.tx_armed_at, ungated.tx_armed_at, "{case}");
+                    }
+                }
             }
         }
     }

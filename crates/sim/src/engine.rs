@@ -183,6 +183,9 @@ pub struct Engine {
     faults: Option<FaultPlane>,
     /// Attached data-path chaos plane, if any.
     chaos: Option<ChaosPlane>,
+    /// The one `Effects` every dispatch fills and `apply` drains; empty
+    /// between events, its buffers kept.
+    effects: Effects,
 }
 
 impl Engine {
@@ -205,6 +208,7 @@ impl Engine {
             wall_clock_limit: None,
             faults: None,
             chaos: None,
+            effects: Effects::default(),
         }
     }
 
@@ -447,7 +451,7 @@ impl Engine {
         let mut node = self.nodes[idx]
             .take()
             .unwrap_or_else(|| panic!("node {idx} missing (re-entrant dispatch?)"));
-        let mut effects = Effects::default();
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let mut ctx = NodeCtx {
                 id: ev.node,
@@ -475,11 +479,12 @@ impl Engine {
             }
         }
         self.nodes[idx] = Some(node);
-        self.apply(ev.node, effects);
+        self.apply(ev.node, &mut effects);
+        self.effects = effects;
     }
 
-    fn apply(&mut self, from: NodeId, effects: Effects) {
-        for (port, frame, depart_delay) in effects.sends {
+    fn apply(&mut self, from: NodeId, effects: &mut Effects) {
+        for (port, frame, depart_delay) in effects.sends.drain(..) {
             let key = (from, port);
             // Marked links (mirror paths) consult the fault plane; every
             // other link bypasses it without touching the plane RNG.
@@ -619,7 +624,7 @@ impl Engine {
                 });
             }
         }
-        for (at, token) in effects.timers {
+        for (at, token) in effects.timers.drain(..) {
             self.push(at, from, EventKind::Timer { token });
         }
     }

@@ -3,9 +3,11 @@
 //! A calendar queue in the style of kernel/tokio timer wheels: eleven
 //! levels of 64 slots each, 6 bits of the nanosecond timestamp per level
 //! (66 bits — the full `u64` range), so any future `SimTime` maps to
-//! exactly one slot. Level 0 slots are one nanosecond wide; higher-level
-//! slots *cascade* — when the wheel advances into one, its events are
-//! re-filed into lower levels — until every event pops from level 0.
+//! exactly one slot. Level 0 slots are one nanosecond wide. A higher-level
+//! slot holding several events *cascades* — when the wheel advances into
+//! it, its events are re-filed into lower levels — until they pop from
+//! level 0. A higher-level slot holding a single event does not: that
+//! event pops straight from where it sits.
 //!
 //! Pop order is the engine's contract: strictly `(time, seq)`, where
 //! `seq` is the monotonic sequence number the engine assigned at push.
@@ -15,8 +17,16 @@
 //! safe: re-filing can append an *older* (lower-seq) event behind a
 //! newer one, and a FIFO slot would then pop them out of order.
 //!
-//! Push and pop are O(levels) amortized — no comparison-heap log factor,
-//! and no allocation beyond the slot vectors, which are recycled.
+//! The lone-entry pop is order-safe for the same reason the lowest
+//! occupied slot is the earliest: every stored event sits at exactly
+//! `level_for(elapsed, time)`, so equal timestamps always share a slot,
+//! and an event alone in the first occupied slot of the lowest occupied
+//! level has neither an earlier nor an equal-time rival anywhere.
+//!
+//! Push and pop are O(levels) amortized — no comparison-heap log factor.
+//! The only allocations are the slot vectors': a slot keeps its buffer
+//! across level-0 and lone-entry pops, and gives it up when it cascades
+//! (`std::mem::take` frees it once re-filed), growing again on reuse.
 
 use std::fmt;
 
@@ -56,9 +66,11 @@ impl<T> Level<T> {
 /// tests can drive it with plain markers.
 pub struct TimerWheel<T> {
     levels: Vec<Level<T>>,
-    /// The wheel's notion of "now": the timestamp of the last pop. All
-    /// stored events satisfy `time >= elapsed`, and agree with `elapsed`
-    /// on every bit group above their level — the invariant that makes
+    /// The wheel's notion of "now": the timestamp of the last pop (or the
+    /// base of the last cascaded slot). All stored events satisfy
+    /// `time >= elapsed` and sit at `level_for(elapsed, time)`: they agree
+    /// with `elapsed` on every bit group above their level and, above
+    /// level 0, differ from it in their own — the invariant that makes
     /// "lowest occupied slot" mean "earliest event".
     elapsed: u64,
     len: usize,
@@ -136,9 +148,14 @@ impl<T> TimerWheel<T> {
             // current position within this rotation, and anything filed
             // at a higher level is strictly later than everything below.
             let level = (0..LEVELS).find(|&l| self.levels[l].occupied != 0)?;
-            let slot = self.levels[level].occupied.trailing_zeros() as usize;
-            if level == 0 {
-                let bucket = &mut self.levels[0].slots[slot];
+            let lv = &mut self.levels[level];
+            let slot = lv.occupied.trailing_zeros() as usize;
+            let bucket = &mut lv.slots[slot];
+            // Alone in the earliest slot = the earliest event outright:
+            // pop it here instead of walking it down a level at a time.
+            // Nothing is left in the slot and every lower level is empty,
+            // so moving `elapsed` to its time keeps the invariant.
+            if level == 0 || bucket.len() == 1 {
                 // One L0 slot = one timestamp; tie-break by minimum seq.
                 let min = bucket
                     .iter()
@@ -148,7 +165,7 @@ impl<T> TimerWheel<T> {
                     .expect("occupied slot is non-empty");
                 let entry = bucket.swap_remove(min);
                 if bucket.is_empty() {
-                    self.levels[0].occupied &= !(1 << slot);
+                    lv.occupied &= !(1 << slot);
                 }
                 self.len -= 1;
                 debug_assert!(entry.time >= self.elapsed);
@@ -298,6 +315,92 @@ mod tests {
             reference.sort();
             rest.sort();
             assert_eq!(rest, reference);
+        }
+    }
+
+    /// `Some(level)` when the next pop takes the lone-entry path above
+    /// level 0.
+    fn lone_level(w: &TimerWheel<u32>) -> Option<usize> {
+        let level = (1..LEVELS).find(|&l| w.levels[l].occupied != 0)?;
+        let lv = &w.levels[level];
+        let first = &lv.slots[lv.occupied.trailing_zeros() as usize];
+        (w.levels[0].occupied == 0 && first.len() == 1).then_some(level)
+    }
+
+    /// Pop once from both and compare; returns the popped time.
+    fn pop_both(w: &mut TimerWheel<u32>, reference: &mut Vec<(u64, u64)>) -> u64 {
+        let got = w.pop().unwrap();
+        reference.sort();
+        assert_eq!((got.time, got.seq), reference.remove(0));
+        got.time
+    }
+
+    /// A few periodic timers, far apart in sim-time: the shape of DCQCN's
+    /// 55 µs timers, where almost every event is alone in its slot.
+    #[test]
+    fn sparse_periodic_timers_match_reference_on_the_lone_entry_path() {
+        let mut rng = SimRng::seed_from_u64(0x10ae);
+        let mut lone_pops = [0u32; LEVELS];
+        for round in 0..40 {
+            let mut w = TimerWheel::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            // Periods filing at levels 1, 2 and 3 respectively.
+            let periods = [70 + rng.below(3_000), 55_000, 300_000 + rng.below(1 << 20)];
+            let timers = 1 + round % 5;
+            let mut seq = 0u64;
+            for _ in 0..timers {
+                let t = rng.below(100_000);
+                w.push(Entry { time: t, seq, value: 0u32 });
+                reference.push((t, seq));
+                seq += 1;
+            }
+            for _ in 0..600 {
+                if let Some(level) = lone_level(&w) {
+                    lone_pops[level] += 1;
+                }
+                let t = pop_both(&mut w, &mut reference) + periods[rng.below(3) as usize];
+                w.push(Entry { time: t, seq, value: 0u32 });
+                reference.push((t, seq));
+                seq += 1;
+            }
+            reference.sort();
+            assert_eq!(drain(&mut w), reference);
+        }
+        assert!(
+            lone_pops[1..=3].iter().all(|&n| n > 100),
+            "lone pops by level: {lone_pops:?}"
+        );
+    }
+
+    /// Equal timestamps pushed under different `elapsed` values must
+    /// still meet in one slot and pop by `seq`.
+    #[test]
+    fn equal_timestamps_pushed_at_different_elapsed_pop_by_seq() {
+        let mut rng = SimRng::seed_from_u64(0xe9a1);
+        for _ in 0..50 {
+            let mut w = TimerWheel::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let targets: Vec<u64> = (0..4).map(|_| 1_000 + rng.below(3_000_000)).collect();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            for _ in 0..500 {
+                let t = match rng.below(4) {
+                    // A rival for a target timestamp still ahead of `now`.
+                    0 => targets[rng.below(4) as usize].max(now),
+                    // Filler that moves `elapsed` on, by either path.
+                    1 => now + rng.below(5_000),
+                    _ if reference.is_empty() => now,
+                    _ => {
+                        now = pop_both(&mut w, &mut reference);
+                        continue;
+                    }
+                };
+                w.push(Entry { time: t, seq, value: 0u32 });
+                reference.push((t, seq));
+                seq += 1;
+            }
+            reference.sort();
+            assert_eq!(drain(&mut w), reference);
         }
     }
 

@@ -97,6 +97,14 @@ bench-gate:
 benchmark workload="run_packets" seed="1" seconds="10" trace="0":
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
 
+# The pairing rule a speed claim rests on (benchmark/README.md): export the
+# committed files of `rev` beside the working tree, run the benchmark on
+# both `pairs` times alternating which goes first, and print per metric the
+# medians, quartiles, wins/pairs, the gain verdict, failed operations and
+# whether every run printed the same `report_fnv64`.
+bench-pairs rev workload="run_timers" pairs="10" seed="1" trace="0":
+    python3 tools/bench_pairs.py {{rev}} --workload {{workload}} --pairs {{pairs}} --seed {{seed}} --trace {{trace}}
+
 # Criterion-style benchmarks (shimmed harness; wall-clock smoke numbers).
 bench:
     cargo bench -p lumina-bench
