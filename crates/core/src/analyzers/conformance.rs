@@ -21,6 +21,7 @@
 //!   the report says so instead of guessing.
 
 use crate::orchestrator::TestResults;
+use crate::report::{line, note};
 use crate::translate::ConnMeta;
 use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::bth::{psn_add, psn_distance};
@@ -186,15 +187,31 @@ impl ConformanceReport {
         classes.join(", ")
     }
 
-    /// The one-line verdict of the human reports.
-    pub fn verdict_line(&self) -> String {
-        if !self.compliant {
+    /// The `conformance` block of the human reports: the verdict line, one
+    /// line per violation, and the truncation note.
+    pub fn render_human(&self) -> String {
+        let verdict = if !self.compliant {
             format!("VIOLATIONS ({})", self.class_summary())
         } else if self.partial {
             "compliant (partial evidence)".to_string()
         } else {
             "compliant".to_string()
+        };
+        let mut out = String::new();
+        line(&mut out, "conformance", verdict);
+        for v in &self.violations {
+            note(
+                &mut out,
+                format_args!("[{}] {}", v.class.table2_class(), v.detail),
+            );
         }
+        if self.truncated {
+            note(
+                &mut out,
+                format_args!("violation list truncated at {}", self.violations.len()),
+            );
+        }
+        out
     }
 }
 

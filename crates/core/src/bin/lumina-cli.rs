@@ -4,6 +4,7 @@
 //! lumina-cli test.yaml                 # run, print the human report
 //! lumina-cli test.yaml --json          # print the JSON report instead
 //! lumina-cli test.yaml --pcap out.pcap # also write the trace as pcap
+//!                                      # (cannot write it: exit 3)
 //! lumina-cli --validate test.yaml      # check the config, run nothing
 //! lumina-cli telemetry --config test.yaml   # event journal + metrics
 //! lumina-cli trace --config test.yaml --perfetto out.json
@@ -35,14 +36,14 @@
 //! 10 unreadable capture (`ingest` found nothing to degrade into),
 //! 11 proven liveness failure (the recovery oracle caught a wedge).
 
-use lumina_core::analyzers::{cnp, counter, gbn_fsm, latency, retrans_perf};
+use lumina_core::analyzers::latency;
 use lumina_core::cli::{self, CommonOpts};
 use lumina_core::config::TestConfig;
 use lumina_core::fuzz::{self, mutate::EventMutator, score, FuzzParams};
 use lumina_core::matrix::{run_matrix, MatrixParams};
 use lumina_core::orchestrator::{run_supervised, run_test, RetryPolicy};
 use lumina_core::soak;
-use lumina_core::Error;
+use lumina_core::{Error, RunReport};
 use std::process::ExitCode;
 
 /// Print a typed error and convert it to the process exit code. Called
@@ -53,6 +54,11 @@ fn fail(e: Error) -> ExitCode {
     // newline; single-line variants do not.
     eprintln!("error: {}", msg.trim_end_matches('\n'));
     ExitCode::from(e.exit_code())
+}
+
+/// Exit 0, or the ran-but-failed exit 1.
+fn passed(ok: bool) -> ExitCode {
+    ExitCode::from(u8::from(!ok))
 }
 
 /// A `--json` document on stdout.
@@ -250,21 +256,14 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, Error> {
             .telemetry
             .with_recorder(|r| lumina_sim::telemetry::trace::perfetto_json(r, &names));
         let text = serde_json::to_string(&doc).unwrap();
-        std::fs::write(out, &text).map_err(|source| Error::Io {
-            path: out.to_string(),
-            source,
-        })?;
+        std::fs::write(out, &text).map_err(Error::io(out))?;
         eprintln!(
             "wrote {} trace events to {out}",
             doc["traceEvents"].as_array().map_or(0, |a| a.len())
         );
     }
 
-    Ok(if verdict.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(passed(verdict.passed()))
 }
 
 /// `lumina-cli fuzz --config <base.yaml> [--workers N] [--generations G]
@@ -294,10 +293,7 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, Error> {
             .map(|d| d.join("corpus.jsonl"))
             .filter(|p| p.exists())
         {
-            let text = std::fs::read_to_string(&path).map_err(|source| Error::Io {
-                path: path.display().to_string(),
-                source,
-            })?;
+            let text = std::fs::read_to_string(&path).map_err(Error::io(path.display()))?;
             cp.seed_corpus = lumina_core::fuzz::coverage::Corpus::from_jsonl(&text)?;
             eprintln!(
                 "fuzz: reloaded {} corpus entries from {}",
@@ -410,16 +406,10 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, Error> {
             );
         }
         if let Some(dir) = corpus_dir {
-            let write = |path: &std::path::Path, text: &str| -> Result<(), Error> {
-                std::fs::write(path, text).map_err(|source| Error::Io {
-                    path: path.display().to_string(),
-                    source,
-                })
+            let write = |path: &std::path::Path, text: &str| {
+                std::fs::write(path, text).map_err(Error::io(path.display()))
             };
-            std::fs::create_dir_all(dir).map_err(|source| Error::Io {
-                path: dir.display().to_string(),
-                source,
-            })?;
+            std::fs::create_dir_all(dir).map_err(Error::io(dir.display()))?;
             write(&dir.join("corpus.jsonl"), &cov.corpus.to_jsonl())?;
             for r in &cov.reproducers {
                 let label = r.class.map_or("anomaly", |c| c.label());
@@ -521,11 +511,7 @@ fn matrix_cmd(args: &[String]) -> Result<ExitCode, Error> {
         print!("{}", report.render_human());
     }
     // An error cell means part of the grid never ran: the sweep failed.
-    Ok(if report.cells.iter().any(|c| c.error.is_some()) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(passed(report.cells.iter().all(|c| c.error.is_none())))
 }
 
 /// `lumina-cli soak [--configs <dir>] [--scenarios N] [--seed N]
@@ -562,11 +548,7 @@ fn soak_cmd(args: &[String]) -> Result<ExitCode, Error> {
         return Err(Error::Liveness(msg));
     }
     // A scenario that failed to run means the sweep is incomplete.
-    Ok(if report.errors > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(passed(report.errors == 0))
 }
 
 /// `lumina-cli ingest --pcap <capture> [--config <test.yaml>]
@@ -600,17 +582,12 @@ fn ingest_cmd(args: &[String]) -> Result<ExitCode, Error> {
     }
     // Compliant but on damaged evidence: the degraded-report exit, same
     // class as a failed-but-completed test.
-    Ok(if out.pristine() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(passed(out.pristine()))
 }
 
 /// The default subcommand: run one test and report.
 fn run_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let opts = CommonOpts::parse(args).inspect_err(|_| eprint!("{}", cli::help()))?;
-    let pcap_path = cli::flag_value(args, "--pcap");
     let retries: u32 = cli::numeric_flag(args, "--retries", 0)?;
 
     let cfg = opts.load()?;
@@ -624,180 +601,20 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, Error> {
         ..RetryPolicy::default()
     };
     let results = run_supervised(&cfg, &policy)?;
-
-    // Grade every run that produced a trace against the RC reference FSM.
-    let conformance_rep = results.conformance_verdict();
-
-    if let (Some(out), Some(trace)) = (pcap_path, results.trace.as_ref()) {
-        match std::fs::File::create(out) {
-            Ok(f) => match trace.write_pcap(f) {
-                Ok(n) => eprintln!("wrote {n} packets to {out}"),
-                Err(e) => eprintln!("warning: pcap write failed: {e}"),
-            },
-            Err(e) => eprintln!("warning: cannot create {out}: {e}"),
-        }
-    }
+    let report = RunReport::of(&results);
 
     if opts.json {
-        let mut report = results.report_json()?;
-        // Trace-based analyzers run on a partial trace when the capture
-        // was damaged; flag their confidence so consumers can tell.
-        if results.integrity.is_degraded() {
-            report["analyzer_confidence"] = serde_json::json!({
-                "gbn_fsm": "degraded",
-                "retransmissions": "degraded",
-                "cnp": "degraded",
-                "counter": "full",
-            });
-        }
-        // Attach analyzer output to the machine-readable report.
-        if let Some(trace) = results.trace.as_ref() {
-            let gbn = gbn_fsm::analyze(trace, &results.conns);
-            report["gbn_compliant"] = serde_json::json!(gbn.compliant());
-            report["gbn_violations"] = serde_json::json!(gbn.violations());
-            report["retransmissions"] =
-                serde_json::to_value(retrans_perf::analyze(trace, &results.conns)).unwrap();
-            let cnp_rep = cnp::analyze(trace);
-            report["cnp_total"] = serde_json::json!(cnp_rep.total_cnps);
-            report["ce_marked"] = serde_json::json!(cnp_rep.total_ce_marked);
-        }
-        report["counter_findings"] = serde_json::to_value(counter::analyze(&results)).unwrap();
-        if report.get("conformance").is_none() {
-            if let Some(conf) = &conformance_rep {
-                report["conformance"] = serde_json::to_value(conf).unwrap();
-            }
-        }
-        if let Some(qs) = &results.quirk_stats {
-            report["quirks"] = serde_json::to_value(qs).unwrap();
-        }
-        print_pretty(&report);
+        print_pretty(&report.to_json()?);
     } else {
         println!("test            : {}", opts.config_path);
-        println!("finished at     : {}", results.end_time);
-        println!("traffic complete: {}", results.traffic_completed());
-        let integrity_line = if results.integrity.passed() {
-            "pass".to_string()
-        } else if let Some(deg) = &results.integrity.degraded {
-            format!(
-                "DEGRADED ({:.1}% analyzable, {} missing across {} gap{})",
-                deg.analyzable_fraction * 100.0,
-                deg.missing,
-                deg.gaps.len(),
-                if deg.gaps.len() == 1 { "" } else { "s" },
-            )
-        } else {
-            "FAIL".to_string()
-        };
-        println!("integrity       : {integrity_line}");
-        for d in &results.integrity.details {
-            println!("  !! {d}");
-        }
-        if results.integrity.is_degraded() {
-            println!("  !! trace-based analyzers below ran on a partial trace (low confidence)");
-        }
-        println!(
-            "events          : {} fired, {} unfired",
-            results.events_fired, results.events_unfired
-        );
-        if let Some(trace) = results.trace.as_ref() {
-            println!("trace packets   : {}", trace.len());
-            let gbn = gbn_fsm::analyze(trace, &results.conns);
-            println!(
-                "go-back-N FSM   : {}",
-                if gbn.compliant() {
-                    "compliant"
-                } else {
-                    "VIOLATIONS"
-                }
-            );
-            for v in gbn.violations() {
-                println!("  !! {v}");
-            }
-            for b in retrans_perf::analyze(trace, &results.conns) {
-                println!(
-                    "retransmission  : conn {} psn {} {:?} total {}",
-                    b.conn_index,
-                    b.dropped_psn,
-                    b.kind,
-                    b.total()
-                );
-            }
-        }
-        for f in counter::analyze(&results) {
-            println!("counter finding : {} {} — {}", f.host, f.counter, f.detail);
-        }
-        if let Some(conf) = &conformance_rep {
-            println!("conformance     : {}", conf.verdict_line());
-            for v in &conf.violations {
-                println!("  !! [{}] {}", v.class.table2_class(), v.detail);
-            }
-            if conf.truncated {
-                println!("  !! violation list truncated at {}", conf.violations.len());
-            }
-        }
-        if let Some(qs) = &results.quirk_stats {
-            println!("quirks injected : {} misbehaviors fired", qs.total());
-        }
-        if let Some(rec) = &results.recovery {
-            println!(
-                "recovery        : {} ({} chaos window{}, {} retransmits)",
-                if rec.live {
-                    "live"
-                } else {
-                    "LIVENESS VIOLATIONS"
-                },
-                rec.windows.len(),
-                if rec.windows.len() == 1 { "" } else { "s" },
-                rec.retransmits,
-            );
-            for w in &rec.windows {
-                println!(
-                    "  window {}–{}µs : {} pkts, {} retrans, ttr {}, goodput ×{:.2}",
-                    w.from_us,
-                    w.until_us,
-                    w.data_packets,
-                    w.retransmits,
-                    w.time_to_recovery_us
-                        .map(|t| format!("{t}µs"))
-                        .unwrap_or_else(|| "unrecovered".into()),
-                    w.goodput_ratio,
-                );
-            }
-            for v in &rec.violations {
-                println!("  !! {}", v.describe());
-            }
-        }
-        for c in &results.conns {
-            let fm = &results.requester_metrics.flows[&c.requester.qpn];
-            println!(
-                "conn {:>3}       : {}/{} msgs, goodput {:.2} Gbps, avg MCT {}",
-                c.index,
-                fm.completed,
-                fm.completed + fm.failed,
-                fm.goodput_gbps(),
-                fm.avg_mct()
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
+        print!("{}", report.render_human());
     }
-
-    // A proven liveness failure outranks the generic exit-1: chaos runs
-    // leave traffic incomplete by construction, and the oracle's typed
-    // verdict — not "traffic incomplete" — is the story.
-    if let Some(rec) = results.recovery.as_ref().filter(|rec| !rec.live) {
-        return Err(Error::Liveness(rec.violation_summary()));
+    if let (Some(out), Some(trace)) = (cli::flag_value(args, "--pcap"), results.trace.as_ref()) {
+        let file = std::fs::File::create(out).map_err(Error::io(out))?;
+        let n = trace.write_pcap(file).map_err(Error::io(out))?;
+        eprintln!("wrote {n} packets to {out}");
     }
-
-    if !results.traffic_completed() || (results.trace.is_some() && !results.integrity.passed()) {
-        return Ok(ExitCode::from(1));
-    }
-    // A healthy run with proven spec violations is its own failure class:
-    // deterministic (same seed, same verdict), distinct from flaky infra.
-    match conformance_rep.filter(|conf| !conf.compliant) {
-        Some(conf) => Err(Error::Violations(conf.class_summary())),
-        None => Ok(ExitCode::SUCCESS),
-    }
+    Ok(passed(report.verdict()?))
 }
 
 /// A subcommand implementation: the tail of argv, minus the subcommand.

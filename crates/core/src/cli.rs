@@ -104,7 +104,11 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
         summary: "run one test",
         flags: &[
             FlagSpec { name: "--validate", value: None, help: "check the configuration, run nothing" },
-            FlagSpec { name: "--pcap", value: Some("<out>"), help: "also write the reconstructed trace as pcap" },
+            FlagSpec {
+                name: "--pcap",
+                value: Some("<out>"),
+                help: "also write the reconstructed trace as pcap\n(an unwritable <out> is an I/O error, exit 3)",
+            },
             FlagSpec {
                 name: "--retries",
                 value: Some("<n>"),
@@ -468,28 +472,20 @@ impl CommonOpts {
     /// Read, parse and validate the configuration, applying the `--seed`
     /// override before validation so the error story is uniform.
     pub fn load(&self) -> Result<TestConfig, Error> {
-        let yaml = std::fs::read_to_string(&self.config_path).map_err(|source| Error::Io {
-            path: self.config_path.clone(),
-            source,
-        })?;
+        let yaml =
+            std::fs::read_to_string(&self.config_path).map_err(Error::io(&self.config_path))?;
         let mut cfg = TestConfig::from_yaml(&yaml)?;
         if let Some(seed) = self.seed {
             cfg.network.seed = seed;
         }
         if let Some(path) = &self.faults_path {
-            let yaml = std::fs::read_to_string(path).map_err(|source| Error::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let yaml = std::fs::read_to_string(path).map_err(Error::io(path))?;
             let overlay: FaultsOverlay = serde_yaml::from_str(&yaml)
                 .map_err(|e| Error::config(format!("--faults {path}: {e}")))?;
             cfg.faults = Some(overlay.faults);
         }
         if let Some(path) = &self.quirks_path {
-            let yaml = std::fs::read_to_string(path).map_err(|source| Error::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let yaml = std::fs::read_to_string(path).map_err(Error::io(path))?;
             let overlay: QuirksOverlay = serde_yaml::from_str(&yaml)
                 .map_err(|e| Error::config(format!("--quirks {path}: {e}")))?;
             cfg.quirks = Some(overlay.quirks);

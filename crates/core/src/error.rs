@@ -77,6 +77,14 @@ impl Error {
         Error::Internal(msg.into())
     }
 
+    /// `map_err` adapter naming the file an I/O call was made on.
+    pub fn io(path: impl fmt::Display) -> impl FnOnce(std::io::Error) -> Error {
+        move |source| Error::Io {
+            path: path.to_string(),
+            source,
+        }
+    }
+
     /// The process exit code the CLI uses for this variant. Success is 0
     /// and a completed-but-failed test is 1, so errors start at 2.
     pub fn exit_code(&self) -> u8 {

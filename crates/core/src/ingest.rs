@@ -29,6 +29,8 @@ use crate::analyzers::conformance::{ConformanceOpts, ConformanceReport, Conforma
 use crate::config::TestConfig;
 use crate::error::Error;
 use crate::integrity::{DegradedMode, IntegrityReport};
+use crate::orchestrator::section;
+use crate::report::{line, note};
 use lumina_dumper::{
     recover_frame, RecoveryStats, StreamOpts, StreamSummary, StreamingReconstructor, Trace,
 };
@@ -36,10 +38,6 @@ use lumina_sim::pcap::{PcapReadError, PcapReadErrorKind, PcapReader};
 use lumina_sim::telemetry::ops::{OpsReporter, OpsSnapshot};
 use std::io::Read;
 use std::time::Duration;
-
-/// Gap spans the integrity report lists verbatim (matches the live
-/// pipeline's cap in [`crate::integrity`]).
-const MAX_REPORTED_GAPS: usize = 16;
 
 /// Tuning and context for one ingestion pass.
 #[derive(Debug, Clone)]
@@ -112,9 +110,6 @@ impl IngestOutcome {
     /// Machine-readable report. Deterministic: no wall-clock readings,
     /// maps in insertion order.
     pub fn report_json(&self) -> Result<serde_json::Value, Error> {
-        let conv = |r: Result<serde_json::Value, _>| {
-            r.map_err(|e| Error::internal(format!("ingest report would not serialize: {e}")))
-        };
         let mut root = serde_json::Map::new();
         root.insert("format", serde_json::Value::from(self.format));
         root.insert("records", serde_json::Value::from(self.records));
@@ -122,12 +117,12 @@ impl IngestOutcome {
             "blocks_skipped",
             serde_json::Value::from(self.blocks_skipped),
         );
-        root.insert("recovery", conv(serde_json::to_value(&self.recovery))?);
-        root.insert("stream", conv(serde_json::to_value(&self.stream))?);
-        root.insert("integrity", conv(serde_json::to_value(&self.integrity))?);
+        root.insert("recovery", section("recovery stats", &self.recovery)?);
+        root.insert("stream", section("stream summary", &self.stream)?);
+        root.insert("integrity", section("integrity report", &self.integrity)?);
         root.insert(
             "conformance",
-            conv(serde_json::to_value(&self.conformance))?,
+            section("conformance report", &self.conformance)?,
         );
         root.insert(
             "conns_tracked",
@@ -151,9 +146,6 @@ impl IngestOutcome {
 
     /// The human-readable report, in the CLI's aligned-table style.
     pub fn render_human(&self) -> String {
-        fn line(out: &mut String, k: &str, v: String) {
-            out.push_str(&format!("{k:<16}: {v}\n"));
-        }
         let mut out = String::new();
         line(&mut out, "format", self.format.to_string());
         line(
@@ -191,31 +183,19 @@ impl IngestOutcome {
                 self.stream.entries, self.stream.chunks, self.stream.peak_resident_bytes
             ),
         );
-        let integrity = if self.integrity.passed() {
-            "pass".to_string()
-        } else if let Some(deg) = &self.integrity.degraded {
-            format!(
-                "DEGRADED ({:.1}% analyzable, {} missing across {} gap{})",
-                deg.analyzable_fraction * 100.0,
-                deg.missing,
-                self.stream.gap_spans_total,
-                if self.stream.gap_spans_total == 1 {
-                    ""
-                } else {
-                    "s"
-                },
-            )
-        } else {
-            "FAIL".to_string()
-        };
-        line(&mut out, "integrity", integrity);
+        line(
+            &mut out,
+            "integrity",
+            self.integrity.status_line(self.stream.gap_spans_total),
+        );
         for d in &self.integrity.details {
-            out.push_str(&format!("  !! {d}\n"));
+            note(&mut out, d);
         }
         if let Some((offset, msg)) = &self.first_malformed {
-            out.push_str(&format!(
-                "  !! capture unreadable past offset {offset}: {msg}\n"
-            ));
+            note(
+                &mut out,
+                format_args!("capture unreadable past offset {offset}: {msg}"),
+            );
         }
         line(
             &mut out,
@@ -228,17 +208,7 @@ impl IngestOutcome {
                 ),
             },
         );
-        let conf = &self.conformance;
-        line(&mut out, "conformance", conf.verdict_line());
-        for v in &conf.violations {
-            out.push_str(&format!("  !! [{}] {}\n", v.class.table2_class(), v.detail));
-        }
-        if conf.truncated {
-            out.push_str(&format!(
-                "  !! violation list truncated at {}\n",
-                conf.violations.len()
-            ));
-        }
+        out.push_str(&self.conformance.render_human());
         out
     }
 }
@@ -261,10 +231,7 @@ fn kind_msg(e: &PcapReadError) -> String {
 
 /// Ingest a capture file from disk. See [`ingest_reader`].
 pub fn ingest_path(path: &str, params: &IngestParams) -> Result<IngestOutcome, Error> {
-    let file = std::fs::File::open(path).map_err(|source| Error::Io {
-        path: path.to_string(),
-        source,
-    })?;
+    let file = std::fs::File::open(path).map_err(Error::io(path))?;
     ingest_reader(std::io::BufReader::new(file), path, params)
 }
 
@@ -336,7 +303,7 @@ pub fn ingest_reader<R: Read>(
             if let Some(chunk) = recon.push(&p) {
                 feed(
                     chunk,
-                    recon.damaged(),
+                    !recon.summary().is_complete(),
                     &mut oracle,
                     &mut degraded_seen,
                     &mut retained,
@@ -364,13 +331,9 @@ pub fn ingest_reader<R: Read>(
 
     let (tail, summary) = recon.finish();
     if let Some(chunk) = tail {
-        let damaged = summary.bad_captures > 0
-            || summary.duplicates > 0
-            || summary.missing > 0
-            || summary.late > 0;
         feed(
             chunk,
-            damaged,
+            !summary.is_complete(),
             &mut oracle,
             &mut degraded_seen,
             &mut retained,
@@ -440,49 +403,16 @@ fn ops_snapshot(recovery: &RecoveryStats, stream: &StreamSummary) -> OpsSnapshot
 }
 
 /// The offline analogue of [`crate::integrity::check`]: condition 1
-/// (consecutive mirror seqs) is checked against the streamed summary;
-/// conditions 2–3 compare against injector counters that do not exist
-/// offline, so they hold vacuously. A short read (malformed tail) fails
-/// condition 1 too — the sequence beyond the damage is unknown.
+/// comes from the streamed summary exactly as in a live run; conditions
+/// 2–3 compare against injector counters that do not exist offline, so
+/// they hold vacuously. A short read (malformed tail) fails condition 1
+/// too — the sequence beyond the damage is unknown.
 fn integrity_from(
     summary: &StreamSummary,
     recovery: &RecoveryStats,
     short_read: bool,
 ) -> IntegrityReport {
-    let mut report = IntegrityReport {
-        seq_consecutive: summary.is_complete() && !short_read,
-        mirrored_matches: true,
-        roce_rx_matches: true,
-        details: Vec::new(),
-        degraded: None,
-    };
-    if summary.missing > 0 {
-        let first = summary.gaps.first();
-        report.details.push(format!(
-            "{} mirror copies missing across {} gaps (first gap: seq {}, len {})",
-            summary.missing,
-            summary.gap_spans_total,
-            first.map_or(0, |g| g.start),
-            first.map_or(0, |g| g.len),
-        ));
-    }
-    if summary.duplicates > 0 {
-        report.details.push(format!(
-            "{} duplicated mirror copies discarded",
-            summary.duplicates
-        ));
-    }
-    if summary.bad_captures > 0 {
-        report
-            .details
-            .push(format!("{} captures failed to parse", summary.bad_captures));
-    }
-    if summary.late > 0 {
-        report.details.push(format!(
-            "{} packets arrived after their chunk sealed (reordering wider than the window)",
-            summary.late
-        ));
-    }
+    let mut report = IntegrityReport::from_summary(summary);
     if recovery.unparseable > 0 {
         report.details.push(format!(
             "{} RoCE frames with rotten headers skipped",
@@ -490,25 +420,13 @@ fn integrity_from(
         ));
     }
     if short_read {
+        report.seq_consecutive = false;
         report
             .details
             .push("capture unreadable past the first malformed record".to_string());
-    }
-    if !report.seq_consecutive {
-        report.degraded = Some(DegradedMode {
-            analyzable_fraction: summary.analyzable_fraction(),
-            present: summary.entries,
-            missing: summary.missing,
-            duplicates: summary.duplicates,
-            bad_captures: summary.bad_captures,
-            gaps: summary
-                .gaps
-                .iter()
-                .take(MAX_REPORTED_GAPS)
-                .copied()
-                .collect(),
-            gaps_truncated: summary.gap_spans_total as usize > MAX_REPORTED_GAPS,
-        });
+        report
+            .degraded
+            .get_or_insert_with(|| DegradedMode::of(summary));
     }
     report
 }

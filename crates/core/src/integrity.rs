@@ -11,8 +11,13 @@
 //! block stating exactly how much survived. The check still *fails* — a
 //! degraded trace is never integrity-clean — but it fails with data
 //! instead of with nothing.
+//!
+//! Condition 1 is read off the reconstructor's [`StreamSummary`] by
+//! [`IntegrityReport::from_summary`] for live runs and offline ingestion
+//! alike; conditions 2–3 need the injector's counters, which only a live
+//! run has.
 
-use lumina_dumper::{reconstruct_lossy, CapturedPacket, GapSpan, Trace};
+use lumina_dumper::{reconstruct_lossy, CapturedPacket, GapSpan, StreamSummary, Trace};
 use lumina_switch::device::SwitchCounters;
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +62,26 @@ pub struct IntegrityReport {
     pub degraded: Option<DegradedMode>,
 }
 
+impl DegradedMode {
+    /// The damage a reconstruction summary recorded.
+    pub(crate) fn of(summary: &StreamSummary) -> DegradedMode {
+        DegradedMode {
+            analyzable_fraction: summary.analyzable_fraction(),
+            present: summary.entries,
+            missing: summary.missing,
+            duplicates: summary.duplicates,
+            bad_captures: summary.bad_captures,
+            gaps: summary
+                .gaps
+                .iter()
+                .take(MAX_REPORTED_GAPS)
+                .copied()
+                .collect(),
+            gaps_truncated: summary.gap_spans_total as usize > MAX_REPORTED_GAPS,
+        }
+    }
+}
+
 impl IntegrityReport {
     /// All three conditions hold.
     pub fn passed(&self) -> bool {
@@ -68,6 +93,59 @@ impl IntegrityReport {
     pub fn is_degraded(&self) -> bool {
         self.degraded.is_some()
     }
+
+    /// Condition 1 as the reconstructor saw it: consecutive iff the summary
+    /// is complete, one detail line per kind of damage, and the
+    /// [`DegradedMode`] block when anything was damaged. Conditions 2–3
+    /// hold until a caller with injector counters says otherwise.
+    pub(crate) fn from_summary(summary: &StreamSummary) -> IntegrityReport {
+        let mut details = Vec::new();
+        if let Some(first) = summary.gaps.first() {
+            details.push(format!(
+                "{} mirror copies missing across {} gaps (first gap: seq {}, len {})",
+                summary.missing, summary.gap_spans_total, first.start, first.len,
+            ));
+        }
+        if summary.duplicates > 0 {
+            details.push(format!(
+                "{} duplicated mirror copies discarded",
+                summary.duplicates
+            ));
+        }
+        if summary.bad_captures > 0 {
+            details.push(format!("{} captures failed to parse", summary.bad_captures));
+        }
+        if summary.late > 0 {
+            details.push(format!(
+                "{} packets arrived after their chunk sealed (reordering wider than the window)",
+                summary.late
+            ));
+        }
+        IntegrityReport {
+            seq_consecutive: summary.is_complete(),
+            mirrored_matches: true,
+            roce_rx_matches: true,
+            details,
+            degraded: (!summary.is_complete()).then(|| DegradedMode::of(summary)),
+        }
+    }
+
+    /// The `integrity` line of a human report. `gap_spans` is the gap count
+    /// the caller's report shows beside the missing total.
+    pub fn status_line(&self, gap_spans: u64) -> String {
+        if self.passed() {
+            "pass".to_string()
+        } else if let Some(deg) = &self.degraded {
+            format!(
+                "DEGRADED ({:.1}% analyzable, {} missing across {gap_spans} gap{})",
+                deg.analyzable_fraction * 100.0,
+                deg.missing,
+                if gap_spans == 1 { "" } else { "s" },
+            )
+        } else {
+            "FAIL".to_string()
+        }
+    }
 }
 
 /// Reconstruct the trace from all dumpers' captures and run the check.
@@ -78,30 +156,9 @@ pub fn check(
     captures: &[Vec<CapturedPacket>],
     switch: &SwitchCounters,
 ) -> (Option<Trace>, IntegrityReport) {
-    let mut report = IntegrityReport::default();
-    let lossy = reconstruct_lossy(captures);
-    report.seq_consecutive = lossy.is_complete();
-    if !lossy.gaps.is_empty() {
-        report.details.push(format!(
-            "{} mirror copies missing across {} gaps (first gap: seq {}, len {})",
-            lossy.missing(),
-            lossy.gaps.len(),
-            lossy.gaps[0].start,
-            lossy.gaps[0].len,
-        ));
-    }
-    if lossy.duplicates > 0 {
-        report.details.push(format!(
-            "{} duplicated mirror copies discarded",
-            lossy.duplicates
-        ));
-    }
-    if lossy.bad_captures > 0 {
-        report
-            .details
-            .push(format!("{} captures failed to parse", lossy.bad_captures));
-    }
-    let n = lossy.trace.len() as u64;
+    let (trace, summary) = reconstruct_lossy(captures);
+    let mut report = IntegrityReport::from_summary(&summary);
+    let n = trace.len() as u64;
     report.mirrored_matches = switch.mirrored_total == n;
     if !report.mirrored_matches {
         report.details.push(format!(
@@ -116,19 +173,7 @@ pub fn check(
             switch.roce_rx_total
         ));
     }
-    if !lossy.is_complete() {
-        let gaps_truncated = lossy.gaps.len() > MAX_REPORTED_GAPS;
-        report.degraded = Some(DegradedMode {
-            analyzable_fraction: lossy.analyzable_fraction(),
-            present: n,
-            missing: lossy.missing(),
-            duplicates: lossy.duplicates,
-            bad_captures: lossy.bad_captures,
-            gaps: lossy.gaps.iter().take(MAX_REPORTED_GAPS).copied().collect(),
-            gaps_truncated,
-        });
-    }
-    (Some(lossy.trace), report)
+    (Some(trace), report)
 }
 
 #[cfg(test)]

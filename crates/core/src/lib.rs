@@ -11,6 +11,7 @@
 //! * [`analyzers`] — the test suite (§4): Go-back-N FSM compliance,
 //!   retransmission performance breakdown (Figure 5), CNP behavior and
 //!   counter consistency;
+//! * [`report`] — the single-run report: analyzers, renderings, verdict;
 //! * [`fuzz`] — the genetic test-case generation module (Algorithm 1).
 //!
 //! # Quickstart
@@ -47,6 +48,7 @@ pub mod ingest;
 pub mod integrity;
 pub mod matrix;
 pub mod orchestrator;
+pub mod report;
 pub mod soak;
 pub mod translate;
 
@@ -57,4 +59,5 @@ pub use ingest::{ingest_path, ingest_reader, IngestOutcome, IngestParams};
 pub use integrity::{DegradedMode, IntegrityReport};
 pub use matrix::{run_matrix, BehaviorDiff, CellOutcome, MatrixParams, MatrixReport};
 pub use orchestrator::{run_supervised, run_test, RetryPolicy, TestResults};
+pub use report::RunReport;
 pub use translate::ConnMeta;

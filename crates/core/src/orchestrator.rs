@@ -2,24 +2,27 @@
 //! configuration, run it, collect every result Table 1 lists, reconstruct
 //! the trace and run the integrity check.
 
-use crate::analyzers::{conformance, ConformanceOpts, ConformanceReport};
+use crate::analyzers::{
+    conformance, recovery, ConformanceOpts, ConformanceReport, FlowAccount, QpEndState,
+    RecoveryOpts,
+};
 use crate::campaign::{run_caught, EvalFailure};
 use crate::config::{SwitchMode, TestConfig};
 use crate::error::Error;
 use crate::integrity::{self, IntegrityReport};
 use crate::translate::{translate, ConnMeta};
 use lumina_dumper::node::{capture_handle, CaptureHandle, DumperConfig, DumperNode};
-use lumina_dumper::{DumperFaults, StallWindow, Trace};
+use lumina_dumper::{CapturedPacket, DumperFaults, StallWindow, Trace};
 use lumina_gen::host::{HostNode, Role};
-use lumina_gen::metrics::{metrics_handle, GenMetrics};
+use lumina_gen::metrics::{metrics_handle, GenMetrics, MetricsHandle};
 use lumina_gen::FlowPlan;
 use lumina_rnic::counters::Counters;
 use lumina_rnic::ets::{EtsConfig, TcConfig};
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
-use lumina_rnic::{QuirkPlane, QuirkStats, Rnic};
+use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
-    MetricSet, MirrorFaults, PortId, RunOutcome, SimRng, SimTime, Telemetry,
+    MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
 };
 use lumina_switch::device::{MirrorMode, SwitchConfig, SwitchCounters, SwitchNode};
 use serde::Serialize;
@@ -132,8 +135,6 @@ impl TestResults {
     }
 
     /// Machine-readable summary (the orchestrator's "test results" file).
-    /// A summary that will not serialize is an invariant violation
-    /// ([`Error::Internal`], exit code 8), not a panic.
     pub fn report_json(&self) -> Result<serde_json::Value, Error> {
         #[derive(Serialize)]
         struct Summary<'a> {
@@ -150,29 +151,30 @@ impl TestResults {
             end_time_ns: u64,
             traffic_completed: bool,
         }
-        let mut report = serde_json::to_value(Summary {
-            integrity_passed: self.integrity.passed(),
-            integrity: &self.integrity,
-            trace_packets: self.trace.as_ref().map_or(0, |t| t.len()),
-            requester_counters: &self.requester_vendor_counters,
-            responder_counters: &self.responder_vendor_counters,
-            requester_metrics: &self.requester_metrics,
-            switch: &self.switch_counters,
-            events_fired: self.events_fired,
-            events_unfired: self.events_unfired,
-            dumper_discards: self.dumper_discards,
-            end_time_ns: self.end_time.as_nanos(),
-            traffic_completed: self.traffic_completed(),
-        })
-        .map_err(|e| Error::internal(format!("summary failed to serialize: {e}")))?;
+        let mut report = section(
+            "summary",
+            &Summary {
+                integrity_passed: self.integrity.passed(),
+                integrity: &self.integrity,
+                trace_packets: self.trace.as_ref().map_or(0, |t| t.len()),
+                requester_counters: &self.requester_vendor_counters,
+                responder_counters: &self.responder_vendor_counters,
+                requester_metrics: &self.requester_metrics,
+                switch: &self.switch_counters,
+                events_fired: self.events_fired,
+                events_unfired: self.events_unfired,
+                dumper_discards: self.dumper_discards,
+                end_time_ns: self.end_time.as_nanos(),
+                traffic_completed: self.traffic_completed(),
+            },
+        )?;
         // The deterministic view only: the self-profile holds wall-clock
         // numbers, which would make same-seed reports differ byte-for-byte.
         report["telemetry"] = self.telemetry.deterministic_snapshot();
         // Fault accounting appears only on fault-injected runs, keeping
         // pristine reports (and all eight goldens) byte-identical.
         if let Some(fs) = &self.fault_stats {
-            let mut faults = serde_json::to_value(fs)
-                .map_err(|e| Error::internal(format!("fault stats failed to serialize: {e}")))?;
+            let mut faults = section("fault stats", fs)?;
             faults["captures_corrupted"] = serde_json::Value::from(self.captures_corrupted);
             faults["service_ticks_stalled"] = serde_json::Value::from(self.service_ticks_stalled);
             report["faults"] = faults;
@@ -180,24 +182,18 @@ impl TestResults {
         // Likewise, misbehavior accounting and the conformance verdict
         // appear only on quirk-injected runs.
         if let Some(qs) = &self.quirk_stats {
-            report["quirks"] = serde_json::to_value(qs)
-                .map_err(|e| Error::internal(format!("quirk stats failed to serialize: {e}")))?;
+            report["quirks"] = section("quirk stats", qs)?;
         }
         if let Some(conf) = &self.conformance {
-            report["conformance"] = serde_json::to_value(conf).map_err(|e| {
-                Error::internal(format!("conformance report failed to serialize: {e}"))
-            })?;
+            report["conformance"] = section("conformance report", conf)?;
         }
         // Chaos accounting and the recovery verdict appear only on
         // chaos-injected runs, keeping chaos-free reports byte-identical.
         if let Some(cs) = &self.chaos_stats {
-            report["chaos"] = serde_json::to_value(cs)
-                .map_err(|e| Error::internal(format!("chaos stats failed to serialize: {e}")))?;
+            report["chaos"] = section("chaos stats", cs)?;
         }
         if let Some(rec) = &self.recovery {
-            report["recovery"] = serde_json::to_value(rec).map_err(|e| {
-                Error::internal(format!("recovery report failed to serialize: {e}"))
-            })?;
+            report["recovery"] = section("recovery report", rec)?;
         }
         // The lifecycle dissection appears only when tracing was on, so
         // trace-free reports (and all eight goldens) stay byte-identical.
@@ -230,10 +226,62 @@ impl TestResults {
     }
 }
 
-/// Run one test end to end.
+/// One section of a report as JSON. A section that will not serialize is
+/// an invariant violation ([`Error::Internal`], exit code 8), not a panic.
+pub(crate) fn section<T: Serialize>(what: &str, value: &T) -> Result<serde_json::Value, Error> {
+    serde_json::to_value(value)
+        .map_err(|e| Error::internal(format!("{what} failed to serialize: {e}")))
+}
+
+/// Run one test end to end: the five stages of the paper's orchestrator
+/// (§3.1, Figure 1), each a function of its own below.
 pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
+    let mut bed = build(cfg)?;
+    let outcome = simulate(&mut bed)?;
+    let (mut results, harvest) = collect(bed, outcome)?;
+    (results.trace, results.integrity) =
+        reconstruct(harvest.captures.as_deref(), &results.switch_counters);
+    analyze(&mut results, &harvest.qp_end_states);
+    Ok(results)
+}
+
+/// The node ids [`build`] registers under. The devices journal under
+/// theirs from construction, so the layout is fixed, not discovered;
+/// dumper `i` is node `FIRST_DUMPER + i`.
+const REQUESTER: NodeId = NodeId(0);
+const RESPONDER: NodeId = NodeId(1);
+const SWITCH: NodeId = NodeId(2);
+const FIRST_DUMPER: usize = 3;
+
+/// A testbed ready to run: the engine with every node wired, plus the
+/// handles [`collect`] reads once the run is over.
+struct Testbed {
+    cfg: TestConfig,
+    eng: Engine,
+    tel: Telemetry,
+    conns: Vec<ConnMeta>,
+    /// Counter dialects of the requester and responder NICs.
+    vendors: [Vendor; 2],
+    req_metrics: MetricsHandle,
+    rsp_metrics: MetricsHandle,
+    dumpers: Vec<CaptureHandle>,
+}
+
+/// What [`collect`] hands the later stages besides the Table-1 results.
+struct Harvest {
+    /// Each dumper's capture buffer; `None` when the switch mode mirrors
+    /// nothing, so there is no trace to reconstruct.
+    captures: Option<Vec<Vec<CapturedPacket>>>,
+    /// End-of-run QP state for the recovery oracle (chaos runs only).
+    qp_end_states: Vec<QpEndState>,
+}
+
+/// Stage 1: validate the configuration and assemble the testbed — devices,
+/// QPs, hosts, the switch with its translated injection table, the dumper
+/// pool, and whichever adversarial planes the config arms. Fails with
+/// [`Error::Config`] or [`Error::Translate`].
+fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     cfg.validate()?;
-    let verb = cfg.traffic.verb()?;
     let verbs = cfg.traffic.verbs()?;
     // validate() checked both device queries resolve against the registry
     // (the `device:` section override wins over `nic-type` per role).
@@ -254,117 +302,10 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
         tel.enable_tracing(t.capacity, lumina_packet::buf::next_trace_id());
     }
 
-    // ---- Runtime metadata (the generators' random QPNs/PSNs, §3.2) ----
-    let ets_cfg = EtsConfig {
-        tcs: cfg
-            .ets
-            .queues
-            .iter()
-            .map(|q| TcConfig {
-                strict_priority: q.strict,
-                weight: q.weight,
-            })
-            .collect(),
-        work_conserving: true,
-    };
-    let req_mac = MacAddr::local(1);
-    let rsp_mac = MacAddr::local(2);
-    let switch_mac = MacAddr::local(100);
-    // Hosts are the first two nodes registered below, so the devices'
-    // telemetry node ids are known at construction time (asserted at
-    // add_node). The DUT misbehavior plane is installed only when a
-    // `quirks:` section asks for at least one quirk; it draws from its own
-    // RNG stream (seeded off `quirks.seed` or the run seed, salted per
-    // node), so the engine/workload schedule never shifts and quirk-free
-    // runs stay byte-identical to every pre-quirk release.
-    let active_quirks = cfg.quirks.as_ref().filter(|q| !q.is_noop());
-    let quirk_plane = |salt: u64| {
-        active_quirks.map(|q| {
-            let quirk_seed = q.seed.unwrap_or(cfg.network.seed);
-            QuirkPlane::new(q.knobs(), QuirkPlane::node_rng(quirk_seed, salt))
-        })
-    };
-    let build_rnic = |profile: &lumina_rnic::DeviceProfile,
-                      ets_cfg: EtsConfig,
-                      mac: MacAddr,
-                      node: u32,
-                      salt: u64| {
-        let mut b = Rnic::builder(profile.clone(), ets_cfg, mac).telemetry(tel.clone(), node);
-        if let Some(plane) = quirk_plane(salt) {
-            b = b.quirks(plane);
-        }
-        b.build()
-    };
-    let mut req_rnic = build_rnic(&req_profile, ets_cfg.clone(), req_mac, 0, 1);
-    let mut rsp_rnic = build_rnic(&rsp_profile, ets_cfg, rsp_mac, 1, 2);
+    let mut req_rnic = build_rnic(cfg, &tel, &req_profile, REQUESTER);
+    let mut rsp_rnic = build_rnic(cfg, &tel, &rsp_profile, RESPONDER);
+    let conns = connect_qps(cfg, &mut eng, &mut req_rnic, &mut rsp_rnic, &verbs)?;
 
-    let n = cfg.traffic.num_connections;
-    let mut conns = Vec::with_capacity(n as usize);
-    let mut req_ips = Vec::new();
-    let mut rsp_ips = Vec::new();
-    for i in 1..=n {
-        let (req_ip, rsp_ip) = if cfg.traffic.multi_gid {
-            (
-                Ipv4Addr::new(10, (i / 200) as u8, (i % 200) as u8, 1),
-                Ipv4Addr::new(10, (i / 200) as u8, (i % 200) as u8, 2),
-            )
-        } else {
-            (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
-        };
-        req_ips.push(req_ip);
-        rsp_ips.push(rsp_ip);
-        let req_qpn = req_rnic.alloc_qpn(eng.rng());
-        let rsp_qpn = rsp_rnic.alloc_qpn(eng.rng());
-        let req_ipsn = eng.rng().bits24();
-        let rsp_ipsn = eng.rng().bits24();
-        conns.push(ConnMeta {
-            index: i,
-            requester: QpEndpoint {
-                ip: req_ip,
-                qpn: req_qpn,
-                ipsn: req_ipsn,
-            },
-            responder: QpEndpoint {
-                ip: rsp_ip,
-                qpn: rsp_qpn,
-                ipsn: rsp_ipsn,
-            },
-            verb,
-        });
-    }
-
-    // ---- QP creation on both RNICs ----
-    for (i, c) in conns.iter().enumerate() {
-        let tc = cfg.traffic.qp_traffic_class.get(i).copied().unwrap_or(0);
-        let base =
-            |local: QpEndpoint, remote: QpEndpoint, host: &crate::config::HostConfig| QpConfig {
-                local,
-                remote,
-                remote_mac: switch_mac,
-                mtu: cfg.traffic.mtu,
-                timeout_code: cfg.traffic.min_retransmit_timeout,
-                retry_cnt: cfg.traffic.max_retransmit_retry,
-                adaptive_retrans: host.adaptive_retrans,
-                traffic_class: tc,
-                dcqcn_rp: host.dcqcn_rp_enable,
-                dcqcn_np: host.dcqcn_np_enable,
-                min_time_between_cnps: SimTime::from_micros(host.min_time_between_cnps_us),
-                udp_src_port: 49152 + c.index as u16,
-            };
-        req_rnic.create_qp(base(c.requester, c.responder, &cfg.requester));
-        rsp_rnic.create_qp(base(c.responder, c.requester, &cfg.responder));
-        if verbs.contains(&lumina_rnic::Verb::Send) {
-            for k in 0..cfg.traffic.num_msgs_per_qp {
-                rsp_rnic.post_recv(
-                    c.responder.qpn,
-                    (c.index as u64) << 32 | k as u64,
-                    cfg.traffic.message_size,
-                );
-            }
-        }
-    }
-
-    // ---- Hosts ----
     let plans: Vec<FlowPlan> = conns
         .iter()
         .map(|c| FlowPlan {
@@ -387,31 +328,182 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
         "requester",
     );
     let responder = HostNode::new(rsp_rnic, Role::Responder, rsp_metrics.clone(), "responder");
+    let switch = build_switch(cfg, &conns)?;
 
-    // ---- Switch ----
+    let ids = [
+        eng.add_node(Box::new(requester)),
+        eng.add_node(Box::new(responder)),
+        eng.add_node(Box::new(switch)),
+    ];
+    debug_assert_eq!(ids, [REQUESTER, RESPONDER, SWITCH]);
+    let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
+    let to_switch = [
+        (REQUESTER, PortId(0), req_profile.port_bandwidth),
+        (RESPONDER, PortId(1), rsp_profile.port_bandwidth),
+    ];
+    for (host, switch_port, bandwidth) in to_switch {
+        eng.connect(host, PortId(0), SWITCH, switch_port, bandwidth, prop);
+    }
+    let dumpers = add_dumpers(cfg, &mut eng);
+    if let Some(plane) = fault_plane(cfg)? {
+        eng.set_fault_plane(plane);
+    }
+    if let Some(plane) = chaos_plane(cfg)? {
+        eng.set_chaos_plane(plane);
+    }
+    // The watchdog limits that supervise the run, if configured.
+    if let Some(max_events) = cfg.network.max_events {
+        eng.event_limit = max_events;
+    }
+    if let Some(max_wall_ms) = cfg.network.max_wall_ms {
+        eng.wall_clock_limit = Some(Duration::from_millis(max_wall_ms));
+    }
+    Ok(Testbed {
+        cfg: cfg.clone(),
+        eng,
+        tel,
+        conns,
+        vendors: [req_profile.vendor, rsp_profile.vendor],
+        req_metrics,
+        rsp_metrics,
+        dumpers,
+    })
+}
+
+/// One device model, journaling as `node`. The DUT misbehavior plane is
+/// installed only when a `quirks:` section asks for at least one quirk; it
+/// draws from its own RNG stream (seeded off `quirks.seed` or the run seed,
+/// salted per node), so the engine/workload schedule never shifts and
+/// quirk-free runs stay byte-identical to every pre-quirk release.
+fn build_rnic(cfg: &TestConfig, tel: &Telemetry, profile: &DeviceProfile, node: NodeId) -> Rnic {
+    let ets = EtsConfig {
+        tcs: cfg
+            .ets
+            .queues
+            .iter()
+            .map(|q| TcConfig {
+                strict_priority: q.strict,
+                weight: q.weight,
+            })
+            .collect(),
+        work_conserving: true,
+    };
+    // 1 = requester, 2 = responder: the MAC index and the quirk salt.
+    let nth = node.0 as u32 + 1;
+    let mut b = Rnic::builder(profile.clone(), ets, MacAddr::local(nth))
+        .telemetry(tel.clone(), node.0 as u32);
+    if let Some(q) = cfg.quirks.as_ref().filter(|q| !q.is_noop()) {
+        let seed = q.seed.unwrap_or(cfg.network.seed);
+        b = b.quirks(QuirkPlane::new(
+            q.knobs(),
+            QuirkPlane::node_rng(seed, nth as u64),
+        ));
+    }
+    b.build()
+}
+
+/// Draw every connection's runtime metadata (the generators' random QPNs
+/// and PSNs, §3.2) and create its QP on both devices.
+fn connect_qps(
+    cfg: &TestConfig,
+    eng: &mut Engine,
+    req_rnic: &mut Rnic,
+    rsp_rnic: &mut Rnic,
+    verbs: &[Verb],
+) -> Result<Vec<ConnMeta>, Error> {
+    let verb = cfg.traffic.verb()?;
+    let switch_mac = MacAddr::local(100);
+    let mut conns = Vec::with_capacity(cfg.traffic.num_connections as usize);
+    for i in 1..=cfg.traffic.num_connections {
+        let (req_ip, rsp_ip) = if cfg.traffic.multi_gid {
+            (
+                Ipv4Addr::new(10, (i / 200) as u8, (i % 200) as u8, 1),
+                Ipv4Addr::new(10, (i / 200) as u8, (i % 200) as u8, 2),
+            )
+        } else {
+            (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+        };
+        let req_qpn = req_rnic.alloc_qpn(eng.rng());
+        let rsp_qpn = rsp_rnic.alloc_qpn(eng.rng());
+        let req_ipsn = eng.rng().bits24();
+        let rsp_ipsn = eng.rng().bits24();
+        conns.push(ConnMeta {
+            index: i,
+            requester: QpEndpoint {
+                ip: req_ip,
+                qpn: req_qpn,
+                ipsn: req_ipsn,
+            },
+            responder: QpEndpoint {
+                ip: rsp_ip,
+                qpn: rsp_qpn,
+                ipsn: rsp_ipsn,
+            },
+            verb,
+        });
+    }
+    for (i, c) in conns.iter().enumerate() {
+        let tc = cfg.traffic.qp_traffic_class.get(i).copied().unwrap_or(0);
+        let base =
+            |local: QpEndpoint, remote: QpEndpoint, host: &crate::config::HostConfig| QpConfig {
+                local,
+                remote,
+                remote_mac: switch_mac,
+                mtu: cfg.traffic.mtu,
+                timeout_code: cfg.traffic.min_retransmit_timeout,
+                retry_cnt: cfg.traffic.max_retransmit_retry,
+                adaptive_retrans: host.adaptive_retrans,
+                traffic_class: tc,
+                dcqcn_rp: host.dcqcn_rp_enable,
+                dcqcn_np: host.dcqcn_np_enable,
+                min_time_between_cnps: SimTime::from_micros(host.min_time_between_cnps_us),
+                udp_src_port: 49152 + c.index as u16,
+            };
+        req_rnic.create_qp(base(c.requester, c.responder, &cfg.requester));
+        rsp_rnic.create_qp(base(c.responder, c.requester, &cfg.responder));
+        if verbs.contains(&Verb::Send) {
+            for k in 0..cfg.traffic.num_msgs_per_qp {
+                rsp_rnic.post_recv(
+                    c.responder.qpn,
+                    (c.index as u64) << 32 | k as u64,
+                    cfg.traffic.message_size,
+                );
+            }
+        }
+    }
+    Ok(conns)
+}
+
+/// Port `2 + i` of the switch faces dumper `i`.
+fn dumper_port(i: usize) -> PortId {
+    PortId(2 + i)
+}
+
+/// The switch in the configured mode, its injection table filled by intent
+/// translation (§3.3).
+fn build_switch(cfg: &TestConfig, conns: &[ConnMeta]) -> Result<SwitchNode, Error> {
     let mut forward: HashMap<Ipv4Addr, PortId> = HashMap::new();
-    for ip in &req_ips {
-        forward.insert(*ip, PortId(0));
+    for c in conns {
+        forward.insert(c.requester.ip, PortId(0));
+        forward.insert(c.responder.ip, PortId(1));
     }
-    for ip in &rsp_ips {
-        forward.insert(*ip, PortId(1));
-    }
-    let num_dumpers = cfg.network.num_dumpers.max(1);
-    let dumper_ports: Vec<(PortId, u32)> =
-        (0..num_dumpers).map(|i| (PortId(2 + i), 1u32)).collect();
+    let lumina = |forward| {
+        let dumper_ports = (0..cfg.network.num_dumpers.max(1))
+            .map(|i| (dumper_port(i), 1u32))
+            .collect();
+        SwitchConfig::lumina(forward, dumper_ports)
+    };
     let mut sw_cfg = match cfg.network.switch_mode {
         SwitchMode::L2Forward => SwitchConfig::l2_forward(forward),
-        SwitchMode::Lumina => SwitchConfig::lumina(forward, dumper_ports.clone()),
-        SwitchMode::LuminaNm => {
-            let mut c = SwitchConfig::lumina(forward, dumper_ports.clone());
-            c.mirroring = false;
-            c
-        }
-        SwitchMode::LuminaNe => {
-            let mut c = SwitchConfig::lumina(forward, dumper_ports.clone());
-            c.injection = false;
-            c
-        }
+        SwitchMode::Lumina => lumina(forward),
+        SwitchMode::LuminaNm => SwitchConfig {
+            mirroring: false,
+            ..lumina(forward)
+        },
+        SwitchMode::LuminaNe => SwitchConfig {
+            injection: false,
+            ..lumina(forward)
+        },
     };
     if cfg.network.no_dport_randomization {
         sw_cfg.randomize_dport = false;
@@ -419,230 +511,197 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
     if cfg.network.per_port_mirroring {
         sw_cfg.mirror_mode = MirrorMode::PerIngressPort;
     }
-    let mirroring = sw_cfg.mirroring;
     let mut switch = SwitchNode::new(sw_cfg);
-    for (key, action) in translate(cfg, &conns)? {
+    for (key, action) in translate(cfg, conns)? {
         switch.table.insert(key, action);
     }
+    Ok(switch)
+}
 
-    // ---- Topology ----
-    let req_id = eng.add_node(Box::new(requester));
-    let rsp_id = eng.add_node(Box::new(responder));
-    let sw_id = eng.add_node(Box::new(switch));
-    // The devices journal under the node ids injected at construction.
-    debug_assert_eq!(req_id.0, 0, "requester must be node 0");
-    debug_assert_eq!(rsp_id.0, 1, "responder must be node 1");
+/// The `faults:` section, when it injects anything, and the seed its
+/// streams fork from. The schedule draws from its own RNG, so the simulated
+/// workload is byte-identical with and without it.
+fn active_faults(cfg: &TestConfig) -> Option<(&crate::config::FaultsSection, u64)> {
+    let f = cfg.faults.as_ref().filter(|f| !f.is_noop())?;
+    Some((f, f.seed.unwrap_or(cfg.network.seed)))
+}
+
+/// Add the dumper pool behind the switch's mirror ports.
+fn add_dumpers(cfg: &TestConfig, eng: &mut Engine) -> Vec<CaptureHandle> {
     let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
-    eng.connect(
-        req_id,
-        PortId(0),
-        sw_id,
-        PortId(0),
-        req_profile.port_bandwidth,
-        prop,
-    );
-    eng.connect(
-        rsp_id,
-        PortId(0),
-        sw_id,
-        PortId(1),
-        rsp_profile.port_bandwidth,
-        prop,
-    );
-    // An active `faults:` section turns the pristine testbed into a
-    // deliberately unreliable one. The schedule draws from its own RNG
-    // stream (seeded separately below), so the simulated workload is
-    // byte-identical with and without this block.
-    let active_faults = cfg.faults.as_ref().filter(|f| !f.is_noop());
-    let fault_seed = cfg
-        .faults
-        .as_ref()
-        .and_then(|f| f.seed)
-        .unwrap_or(cfg.network.seed);
-    let mut dumper_handles: Vec<CaptureHandle> = Vec::new();
-    let mut dumper_ids = Vec::new();
-    for i in 0..num_dumpers {
-        let handle = capture_handle();
-        let dumper_faults = active_faults.map(|f| DumperFaults {
-            bit_rot_prob: f.capture_bit_rot_prob,
-            stalls: f
-                .dumper_stalls
-                .iter()
-                .filter(|s| s.index.is_none() || s.index == Some(i))
-                .map(|s| StallWindow {
-                    from: SimTime::from_micros(s.at_us),
-                    until: SimTime::from_micros(s.at_us + s.duration_us),
-                    slowdown: s.slowdown,
-                })
-                .collect(),
-            rng: FaultPlane::node_rng(fault_seed, 0xd0_0000 + i as u64),
-        });
-        let d = DumperNode::with_faults(
-            DumperConfig {
-                cores: cfg.network.dumper_cores,
-                per_core_rate_pps: cfg.network.dumper_core_rate_pps,
-                ring_capacity: cfg.network.dumper_ring_capacity,
-                trim_bytes: 128,
-            },
-            handle.clone(),
-            dumper_faults,
-        );
-        let d_id = eng.add_node(Box::new(d));
-        eng.connect(
-            sw_id,
-            PortId(2 + i),
-            d_id,
-            PortId(0),
-            lumina_sim::Bandwidth::gbps(100),
-            prop,
-        );
-        dumper_handles.push(handle);
-        dumper_ids.push(d_id);
-    }
-    if let Some(f) = active_faults {
-        let mut plane = FaultPlane::new(
-            fault_seed,
-            MirrorFaults {
-                loss_prob: f.mirror_loss_prob,
-                dup_prob: f.mirror_dup_prob,
-            },
-        );
-        if f.mirror_loss_prob > 0.0 || f.mirror_dup_prob > 0.0 {
-            // Only the mirror paths are unreliable; the data path between
-            // hosts and switch stays pristine (the paper's testbed trusts
-            // its DUT links, not its capture infrastructure).
-            for i in 0..num_dumpers {
-                plane.mark_mirror_link(sw_id, PortId(2 + i));
-            }
-        }
-        for fz in &f.freezes {
-            let node = match fz.node.as_str() {
-                "requester" => req_id,
-                "responder" => rsp_id,
-                "switch" => sw_id,
-                "dumper" => dumper_ids[fz.index],
-                // validate() rejects anything else before we get here
-                other => return Err(Error::config(format!("unknown freeze node {other:?}"))),
-            };
-            plane.add_freeze(FreezeWindow {
-                node,
-                from: SimTime::from_micros(fz.at_us),
-                until: SimTime::from_micros(fz.at_us + fz.duration_us),
+    (0..cfg.network.num_dumpers.max(1))
+        .map(|i| {
+            let handle = capture_handle();
+            let faults = active_faults(cfg).map(|(f, seed)| DumperFaults {
+                bit_rot_prob: f.capture_bit_rot_prob,
+                stalls: f
+                    .dumper_stalls
+                    .iter()
+                    .filter(|s| s.index.is_none() || s.index == Some(i))
+                    .map(|s| StallWindow {
+                        from: SimTime::from_micros(s.at_us),
+                        until: SimTime::from_micros(s.at_us + s.duration_us),
+                        slowdown: s.slowdown,
+                    })
+                    .collect(),
+                rng: FaultPlane::node_rng(seed, 0xd0_0000 + i as u64),
             });
-        }
-        eng.set_fault_plane(plane);
-    }
-    // An active `chaos:` section arms the data-path chaos plane. Like the
-    // fault plane it owns its RNG stream and only touches covered links,
-    // so a noop/absent section draws nothing and the run stays pristine.
-    let active_chaos = cfg.chaos.as_ref().filter(|c| !c.is_noop());
-    if let Some(c) = active_chaos {
-        let chaos_seed = c.seed.unwrap_or(cfg.network.seed);
-        let mut plane = ChaosPlane::new(chaos_seed);
-        for l in &c.links {
-            // A "link" covers both directions: the host's egress and the
-            // switch's egress back toward that host.
-            let (host_id, sw_port) = match l.link.as_str() {
-                "requester" => (req_id, PortId(0)),
-                "responder" => (rsp_id, PortId(1)),
-                // validate() rejects anything else before we get here
-                other => return Err(Error::config(format!("unknown chaos link {other:?}"))),
-            };
-            let schedule = l.to_chaos();
-            plane.set_link(host_id, PortId(0), schedule.clone());
-            plane.set_link(sw_id, sw_port, schedule);
-        }
-        eng.set_chaos_plane(plane);
-    }
+            let dumper = DumperNode::with_faults(
+                DumperConfig {
+                    cores: cfg.network.dumper_cores,
+                    per_core_rate_pps: cfg.network.dumper_core_rate_pps,
+                    ring_capacity: cfg.network.dumper_ring_capacity,
+                    trim_bytes: 128,
+                },
+                handle.clone(),
+                faults,
+            );
+            let id = eng.add_node(Box::new(dumper));
+            debug_assert_eq!(id, NodeId(FIRST_DUMPER + i));
+            eng.connect(
+                SWITCH,
+                dumper_port(i),
+                id,
+                PortId(0),
+                lumina_sim::Bandwidth::gbps(100),
+                prop,
+            );
+            handle
+        })
+        .collect()
+}
 
-    // ---- Run (supervised by the watchdog limits, if configured) ----
-    if let Some(max_events) = cfg.network.max_events {
-        eng.event_limit = max_events;
+/// The infrastructure fault plane an active `faults:` section asks for.
+fn fault_plane(cfg: &TestConfig) -> Result<Option<FaultPlane>, Error> {
+    let Some((f, seed)) = active_faults(cfg) else {
+        return Ok(None);
+    };
+    let mut plane = FaultPlane::new(
+        seed,
+        MirrorFaults {
+            loss_prob: f.mirror_loss_prob,
+            dup_prob: f.mirror_dup_prob,
+        },
+    );
+    if f.mirror_loss_prob > 0.0 || f.mirror_dup_prob > 0.0 {
+        // Only the mirror paths are unreliable; the data path between
+        // hosts and switch stays pristine (the paper's testbed trusts
+        // its DUT links, not its capture infrastructure).
+        for i in 0..cfg.network.num_dumpers.max(1) {
+            plane.mark_mirror_link(SWITCH, dumper_port(i));
+        }
     }
-    if let Some(max_wall_ms) = cfg.network.max_wall_ms {
-        eng.wall_clock_limit = Some(Duration::from_millis(max_wall_ms));
+    for fz in &f.freezes {
+        let node = match fz.node.as_str() {
+            "requester" => REQUESTER,
+            "responder" => RESPONDER,
+            "switch" => SWITCH,
+            "dumper" => NodeId(FIRST_DUMPER + fz.index),
+            // validate() rejects anything else before we get here
+            other => return Err(Error::config(format!("unknown freeze node {other:?}"))),
+        };
+        plane.add_freeze(FreezeWindow {
+            node,
+            from: SimTime::from_micros(fz.at_us),
+            until: SimTime::from_micros(fz.at_us + fz.duration_us),
+        });
     }
-    eng.schedule_timer(req_id, SimTime::from_micros(1), HostNode::start_token());
+    Ok(Some(plane))
+}
+
+/// The data-path chaos plane an active `chaos:` section asks for. Like the
+/// fault plane it owns its RNG stream and only touches covered links, so a
+/// noop/absent section draws nothing and the run stays pristine.
+fn chaos_plane(cfg: &TestConfig) -> Result<Option<ChaosPlane>, Error> {
+    let Some(c) = cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
+        return Ok(None);
+    };
+    let mut plane = ChaosPlane::new(c.seed.unwrap_or(cfg.network.seed));
+    for l in &c.links {
+        // A "link" covers both directions: the host's egress and the
+        // switch's egress back toward that host.
+        let (host, switch_port) = match l.link.as_str() {
+            "requester" => (REQUESTER, PortId(0)),
+            "responder" => (RESPONDER, PortId(1)),
+            // validate() rejects anything else before we get here
+            other => return Err(Error::config(format!("unknown chaos link {other:?}"))),
+        };
+        let schedule = l.to_chaos();
+        plane.set_link(host, PortId(0), schedule.clone());
+        plane.set_link(SWITCH, switch_port, schedule);
+    }
+    Ok(Some(plane))
+}
+
+/// Stage 2: start the requester and run the engine to quiescence or the
+/// horizon. A run the watchdog had to kill is [`Error::Watchdog`].
+fn simulate(bed: &mut Testbed) -> Result<RunOutcome, Error> {
+    let Testbed { cfg, eng, .. } = bed;
+    eng.schedule_timer(REQUESTER, SimTime::from_micros(1), HostNode::start_token());
     let outcome = eng.run(Some(SimTime::from_millis(cfg.network.horizon_ms)));
     match outcome {
-        RunOutcome::EventLimit { end } => {
-            return Err(Error::Watchdog(format!(
-                "event budget of {} exhausted at t={} ns",
-                eng.event_limit,
-                end.as_nanos()
-            )));
-        }
-        RunOutcome::WallClockExceeded { end } => {
-            return Err(Error::Watchdog(format!(
-                "wall-clock limit of {} ms exceeded at t={} ns",
-                cfg.network.max_wall_ms.unwrap_or(0),
-                end.as_nanos()
-            )));
-        }
-        RunOutcome::Quiescent { .. } | RunOutcome::HorizonReached { .. } => {}
+        RunOutcome::EventLimit { end } => Err(Error::Watchdog(format!(
+            "event budget of {} exhausted at t={} ns",
+            eng.event_limit,
+            end.as_nanos()
+        ))),
+        RunOutcome::WallClockExceeded { end } => Err(Error::Watchdog(format!(
+            "wall-clock limit of {} ms exceeded at t={} ns",
+            cfg.network.max_wall_ms.unwrap_or(0),
+            end.as_nanos()
+        ))),
+        RunOutcome::Quiescent { .. } | RunOutcome::HorizonReached { .. } => Ok(outcome),
     }
-    let end_time = outcome.end_time();
+}
+
+/// Take node `id` back out of the engine as the concrete type [`build`]
+/// put there; anything else is [`Error::Internal`].
+fn take_node<T: Node>(eng: &mut Engine, id: NodeId, what: &str) -> Result<Box<T>, Error> {
+    let node: Box<dyn std::any::Any> = eng
+        .take_node(id)
+        .ok_or_else(|| Error::internal(format!("{what} node is no longer in the engine")))?;
+    node.downcast()
+        .map_err(|_| Error::internal(format!("{what} node recovered with unexpected type")))
+}
+
+/// Stage 3: tear the testbed down and collect everything Table 1 lists —
+/// counters, application metrics, engine/frame/plane statistics — folding
+/// every component's counter struct into the telemetry registry through
+/// the one shared MetricSet path, keyed by node id. The dumpers' capture
+/// buffers are taken, not copied. Fails only with [`Error::Internal`].
+fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harvest), Error> {
+    let (eng, tel) = (&mut bed.eng, &bed.tel);
     let engine_stats = *eng.stats();
     // Snapshot the frame-plane counters before teardown frees the buffers.
     let frame_stats = eng.frame_stats();
     let fault_stats = eng.fault_stats();
     let chaos_stats = eng.chaos_stats();
+    let req_host: Box<HostNode> = take_node(eng, REQUESTER, "requester")?;
+    let rsp_host: Box<HostNode> = take_node(eng, RESPONDER, "responder")?;
+    let sw: Box<SwitchNode> = take_node(eng, SWITCH, "switch")?;
+    let hosts = [(REQUESTER, &req_host.rnic), (RESPONDER, &rsp_host.rnic)];
 
-    // ---- Collect (Table 1) ----
-    let req_any: Box<dyn std::any::Any> = eng.remove_node(req_id);
-    let req_host = req_any
-        .downcast::<HostNode>()
-        .map_err(|_| Error::internal("requester node recovered with unexpected type"))?;
-    let rsp_any: Box<dyn std::any::Any> = eng.remove_node(rsp_id);
-    let rsp_host = rsp_any
-        .downcast::<HostNode>()
-        .map_err(|_| Error::internal("responder node recovered with unexpected type"))?;
-    let sw_any: Box<dyn std::any::Any> = eng.remove_node(sw_id);
-    let sw = sw_any
-        .downcast::<SwitchNode>()
-        .map_err(|_| Error::internal("switch node recovered with unexpected type"))?;
-
-    let captures: Vec<Vec<lumina_dumper::CapturedPacket>> = dumper_handles
-        .iter()
-        .map(|h| h.borrow().packets.clone())
-        .collect();
-    let dumper_discards: u64 = dumper_handles.iter().map(|h| h.borrow().rx_discards).sum();
-
-    let (trace, integrity) = if mirroring {
-        integrity::check(&captures, &sw.counters)
-    } else {
-        (None, IntegrityReport::default())
-    };
-
-    // Harvest misbehavior-plane accounting from both devices; `Some` only
-    // on quirk-injected runs, keeping pristine reports byte-identical.
-    let quirk_stats: Option<QuirkStats> =
-        match (req_host.rnic.quirk_stats(), rsp_host.rnic.quirk_stats()) {
-            (None, None) => None,
-            (req_qs, rsp_qs) => {
-                let mut merged = QuirkStats::default();
-                if let Some(qs) = req_qs {
-                    tel.record_metric_set(req_id.0 as u32, qs);
-                    merged.merge(qs);
-                }
-                if let Some(qs) = rsp_qs {
-                    tel.record_metric_set(rsp_id.0 as u32, qs);
-                    merged.merge(qs);
-                }
-                Some(merged)
-            }
-        };
-
-    // Harvest end-of-run QP state for the recovery oracle; chaos-injected
-    // runs only (pristine runs skip the walk entirely).
-    let qp_end_states: Vec<crate::analyzers::QpEndState> = if active_chaos.is_some() {
-        let mut states = Vec::new();
-        for (rnic, requester) in [(&req_host.rnic, true), (&rsp_host.rnic, false)] {
+    // Misbehavior-plane accounting from both devices; `Some` only on
+    // quirk-injected runs, keeping pristine reports byte-identical.
+    let mut quirk_stats: Option<QuirkStats> = None;
+    for (id, rnic) in hosts {
+        if let Some(qs) = rnic.quirk_stats() {
+            tel.record_metric_set(id.0 as u32, qs);
+            quirk_stats
+                .get_or_insert_with(QuirkStats::default)
+                .merge(qs);
+        }
+    }
+    // End-of-run QP state for the recovery oracle; chaos-injected runs
+    // only (pristine runs skip the walk entirely).
+    let mut qp_end_states = Vec::new();
+    if chaos_stats.is_some() {
+        for (id, rnic) in hosts {
             for qpn in rnic.qpns() {
                 if let Some(qp) = rnic.qp(qpn) {
-                    states.push(crate::analyzers::QpEndState {
+                    qp_end_states.push(QpEndState {
                         qpn,
-                        requester,
+                        requester: id == REQUESTER,
                         errored: qp.state == lumina_rnic::qp::QpState::Error,
                         unacked: qp.has_unacked(),
                         timer_armed: qp.timeout_armed,
@@ -650,66 +709,63 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
                 }
             }
         }
-        states
-    } else {
-        Vec::new()
-    };
+    }
 
     let req_counters = req_host.rnic.counters.clone();
     let rsp_counters = rsp_host.rnic.counters.clone();
-    let requester_metrics = req_metrics.borrow().clone();
-    let responder_metrics = rsp_metrics.borrow().clone();
-
-    // Fold every component's counter struct into the registry through the
-    // one shared MetricSet path, keyed by simulation node id.
-    tel.record_metric_set(req_id.0 as u32, &req_counters);
-    tel.record_metric_set(req_id.0 as u32, &requester_metrics);
-    tel.record_metric_set(rsp_id.0 as u32, &rsp_counters);
-    tel.record_metric_set(rsp_id.0 as u32, &responder_metrics);
-    tel.record_metric_set(sw_id.0 as u32, &sw.counters);
-    for (i, h) in dumper_handles.iter().enumerate() {
-        tel.record_metric_set(3 + i as u32, &*h.borrow());
+    let requester_metrics = bed.req_metrics.borrow().clone();
+    let responder_metrics = bed.rsp_metrics.borrow().clone();
+    tel.record_metric_set(REQUESTER.0 as u32, &req_counters);
+    tel.record_metric_set(REQUESTER.0 as u32, &requester_metrics);
+    tel.record_metric_set(RESPONDER.0 as u32, &rsp_counters);
+    tel.record_metric_set(RESPONDER.0 as u32, &responder_metrics);
+    tel.record_metric_set(SWITCH.0 as u32, &sw.counters);
+    let (mut dumper_discards, mut captures_corrupted, mut service_ticks_stalled) = (0, 0, 0);
+    let mut captures = Vec::with_capacity(bed.dumpers.len());
+    for (i, handle) in bed.dumpers.iter().enumerate() {
+        let mut state = handle.borrow_mut();
+        // Recorded first: the snapshot counts the packets taken next.
+        tel.record_metric_set((FIRST_DUMPER + i) as u32, &*state);
+        captures.push(std::mem::take(&mut state.packets));
+        dumper_discards += state.rx_discards;
+        captures_corrupted += state.captures_corrupted;
+        service_ticks_stalled += state.service_ticks_stalled;
     }
     if let Some(fs) = &fault_stats {
-        tel.record_metric_set(sw_id.0 as u32, fs);
+        tel.record_metric_set(SWITCH.0 as u32, fs);
     }
     if let Some(cs) = &chaos_stats {
-        tel.record_metric_set(sw_id.0 as u32, cs);
+        tel.record_metric_set(SWITCH.0 as u32, cs);
     }
     if tel.is_tracing() {
         // Fold the dissection into the registry under the switch (the
         // testbed's vantage point) so `telemetry` surfaces it too.
         let summary = tel.with_recorder(lumina_sim::telemetry::TraceSummary::from_recorder);
-        tel.record_metric_set(sw_id.0 as u32, &summary);
+        tel.record_metric_set(SWITCH.0 as u32, &summary);
     }
-    let captures_corrupted: u64 = dumper_handles
-        .iter()
-        .map(|h| h.borrow().captures_corrupted)
-        .sum();
-    let service_ticks_stalled: u64 = dumper_handles
-        .iter()
-        .map(|h| h.borrow().service_ticks_stalled)
-        .sum();
-    let mut results = TestResults {
-        cfg: cfg.clone(),
-        conns,
-        trace,
-        integrity,
-        requester_vendor_counters: req_counters.vendor_view(req_profile.vendor),
-        responder_vendor_counters: rsp_counters.vendor_view(rsp_profile.vendor),
+    let harvest = Harvest {
+        captures: sw.cfg.mirroring.then_some(captures),
+        qp_end_states,
+    };
+    let results = TestResults {
+        cfg: bed.cfg,
+        conns: bed.conns,
+        trace: None,
+        integrity: IntegrityReport::default(),
+        requester_vendor_counters: req_counters.vendor_view(bed.vendors[0]),
+        responder_vendor_counters: rsp_counters.vendor_view(bed.vendors[1]),
         requester_counters: req_counters,
         responder_counters: rsp_counters,
         requester_metrics,
         responder_metrics,
         events_fired: sw.table.fired().len(),
         events_unfired: sw.table.unfired().len(),
-        switch_counters: sw.counters.clone(),
         dumper_discards,
-        end_time,
+        end_time: outcome.end_time(),
         outcome,
         engine_stats,
         frame_stats,
-        telemetry: tel,
+        telemetry: bed.tel,
         fault_stats,
         captures_corrupted,
         service_ticks_stalled,
@@ -717,48 +773,65 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
         conformance: None,
         chaos_stats,
         recovery: None,
+        switch_counters: sw.counters,
     };
-    // Quirk-injected runs get the conformance verdict inline: the whole
-    // point of injecting misbehavior is to see the oracle call it.
+    Ok((results, harvest))
+}
+
+/// Stage 4: rebuild the trace from the captures and check its integrity
+/// (§3.5). Never fails: damage degrades the report. This is where offline
+/// `ingest` joins — it feeds the same reconstructor from a capture file
+/// and derives condition 1 from the same summary.
+fn reconstruct(
+    captures: Option<&[Vec<CapturedPacket>]>,
+    switch: &SwitchCounters,
+) -> (Option<Trace>, IntegrityReport) {
+    match captures {
+        Some(captures) => integrity::check(captures, switch),
+        None => (None, IntegrityReport::default()),
+    }
+}
+
+/// Stage 5: the oracles a run grades itself with. Quirk-injected runs get
+/// the conformance verdict inline (the whole point of injecting misbehavior
+/// is to see the oracle call it), chaos-injected runs the recovery verdict
+/// (the whole point of injecting chaos is proving the stack recovers); the
+/// report-only analyzers run on demand in [`crate::report::RunReport`].
+fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     if results.quirk_stats.is_some() {
         results.conformance = results.conformance_verdict();
     }
-    // Chaos-injected runs get the recovery verdict inline: the whole
-    // point of injecting chaos is proving the stack recovers.
-    if let Some(chaos) = active_chaos {
-        let planned = cfg.traffic.num_msgs_per_qp as u64;
-        let flows: Vec<crate::analyzers::FlowAccount> = results
-            .conns
-            .iter()
-            .map(|conn| {
-                let m = results.requester_metrics.flows.get(&conn.requester.qpn);
-                crate::analyzers::FlowAccount {
-                    qpn: conn.requester.qpn,
-                    planned,
-                    completed: m.map_or(0, |f| f.completed as u64),
-                    failed: m.map_or(0, |f| f.failed as u64),
-                }
-            })
-            .collect();
-        let destroyed = results
-            .chaos_stats
-            .as_ref()
-            .map_or(0, |cs| cs.data_drops() + cs.corruptions);
-        let opts = crate::analyzers::RecoveryOpts {
-            windows: chaos.windows(),
-            destroyed,
-            amplification_limit: chaos.amplification_limit,
-        };
-        let report = crate::analyzers::recovery::analyze(
-            results.trace.as_ref(),
-            &flows,
-            &qp_end_states,
-            &opts,
-        );
-        results.telemetry.record_metric_set(sw_id.0 as u32, &report);
-        results.recovery = Some(report);
-    }
-    Ok(results)
+    let Some(chaos) = results.cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
+        return;
+    };
+    let planned = results.cfg.traffic.num_msgs_per_qp as u64;
+    let flows: Vec<FlowAccount> = results
+        .conns
+        .iter()
+        .map(|conn| {
+            let m = results.requester_metrics.flows.get(&conn.requester.qpn);
+            FlowAccount {
+                qpn: conn.requester.qpn,
+                planned,
+                completed: m.map_or(0, |f| f.completed as u64),
+                failed: m.map_or(0, |f| f.failed as u64),
+            }
+        })
+        .collect();
+    let destroyed = results
+        .chaos_stats
+        .as_ref()
+        .map_or(0, |cs| cs.data_drops() + cs.corruptions);
+    let opts = RecoveryOpts {
+        windows: chaos.windows(),
+        destroyed,
+        amplification_limit: chaos.amplification_limit,
+    };
+    let report = recovery::analyze(results.trace.as_ref(), &flows, qp_end_states, &opts);
+    results
+        .telemetry
+        .record_metric_set(SWITCH.0 as u32, &report);
+    results.recovery = Some(report);
 }
 
 /// Salt separating the retry-jitter stream from every other consumer of
@@ -861,4 +934,62 @@ pub fn run_supervised(cfg: &TestConfig, policy: &RetryPolicy) -> Result<TestResu
         }
     }
     Err(last_err.unwrap_or_else(|| Error::internal("supervised run loop made no attempts")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every preset in the repository's `configs/`.
+    fn presets() -> Vec<(String, TestConfig)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("configs/ exists") {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) == Some("yaml") {
+                let yaml = std::fs::read_to_string(&path).unwrap();
+                let cfg = TestConfig::from_yaml(&yaml)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                out.push((path.display().to_string(), cfg));
+            }
+        }
+        assert!(out.len() >= 8, "corpus shrank: {}", out.len());
+        out
+    }
+
+    #[test]
+    fn build_lays_the_nodes_out_at_the_fixed_ids_for_every_preset() {
+        for (name, cfg) in presets() {
+            let mut bed = build(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let n = cfg.network.num_dumpers.max(1);
+            assert_eq!(bed.dumpers.len(), n, "{name}");
+            assert_eq!(bed.eng.node_count(), FIRST_DUMPER + n, "{name}");
+            let eng = &mut bed.eng;
+            assert!(take_node::<HostNode>(eng, REQUESTER, "requester").is_ok());
+            assert!(take_node::<HostNode>(eng, RESPONDER, "responder").is_ok());
+            assert!(take_node::<SwitchNode>(eng, SWITCH, "switch").is_ok());
+            for i in 0..n {
+                let id = NodeId(FIRST_DUMPER + i);
+                assert!(take_node::<DumperNode>(eng, id, "dumper").is_ok(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn collect_without_a_node_is_an_internal_error_not_a_panic() {
+        let (_, cfg) = presets().swap_remove(0);
+        for gone in [REQUESTER, RESPONDER, SWITCH] {
+            let mut bed = build(&cfg).unwrap();
+            let outcome = simulate(&mut bed).unwrap();
+            assert!(bed.eng.take_node(gone).is_some());
+            let err = collect(bed, outcome).err().expect("a node is missing");
+            assert!(matches!(err, Error::Internal(_)), "{err}");
+        }
+        // So is a node of another type where a host should be.
+        let mut bed = build(&cfg).unwrap();
+        let err = take_node::<SwitchNode>(&mut bed.eng, REQUESTER, "requester")
+            .err()
+            .expect("a host is not a switch");
+        assert_eq!(err.exit_code(), 8, "{err}");
+    }
 }

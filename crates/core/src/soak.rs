@@ -160,16 +160,10 @@ impl SoakReport {
 /// Load the presets a sweep covers: every `*.yaml` in `path` (sorted by
 /// file name), or just `path` itself when it is a file.
 pub fn collect_presets(path: &str) -> Result<Vec<(String, TestConfig)>, Error> {
-    let meta = std::fs::metadata(path).map_err(|source| Error::Io {
-        path: path.to_string(),
-        source,
-    })?;
+    let meta = std::fs::metadata(path).map_err(Error::io(path))?;
     let mut files: Vec<std::path::PathBuf> = if meta.is_dir() {
         std::fs::read_dir(path)
-            .map_err(|source| Error::Io {
-                path: path.to_string(),
-                source,
-            })?
+            .map_err(Error::io(path))?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|x| x == "yaml" || x == "yml"))
@@ -184,10 +178,7 @@ pub fn collect_presets(path: &str) -> Result<Vec<(String, TestConfig)>, Error> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| f.display().to_string());
-        let yaml = std::fs::read_to_string(&f).map_err(|source| Error::Io {
-            path: f.display().to_string(),
-            source,
-        })?;
+        let yaml = std::fs::read_to_string(&f).map_err(Error::io(f.display()))?;
         let cfg = TestConfig::from_yaml(&yaml)
             .map_err(|e| Error::config(format!("{}: {e}", f.display())))?;
         cfg.validate()

@@ -39,12 +39,46 @@ fn exit_codes_are_typed() {
             2,
         ),
         (&["configs/no_such_file.yaml"], 3),
+        // A capture that cannot be written is an I/O failure, not a
+        // warning beside exit 0.
+        (
+            &["configs/listing2.yaml", "--pcap", "/nonexistent-dir/x.pcap"],
+            3,
+        ),
         (&["configs/quirks_demo.yaml"], 9),
         // Not a capture at all: nothing to degrade into.
         (&["ingest", "--pcap", "configs/listing2.yaml"], 10),
         (&["configs/chaos_demo.yaml"], 11),
     ] {
         assert_eq!(exit_code(args), want, "{args:?}");
+    }
+}
+
+/// The `run` report, human and `--json`, against goldens recorded on the
+/// commit before the report moved into the library. `quirks_demo` and
+/// `chaos_demo` between them print every optional section (quirks,
+/// conformance, chaos, recovery). `UPDATE_GOLDEN=1` re-records.
+#[test]
+fn run_report_matches_its_goldens() {
+    for (preset, want) in [("quirks_demo", 9), ("chaos_demo", 11)] {
+        let config = format!("configs/{preset}.yaml");
+        for (extra, ext) in [(&[][..], "txt"), (&["--json"][..], "json")] {
+            let out = cli(&[&[config.as_str()], extra].concat());
+            assert_eq!(out.status.code(), Some(want), "{preset} {extra:?}");
+            let golden = format!(
+                "{}/tests/golden/run_{preset}.{ext}",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            if std::env::var_os("UPDATE_GOLDEN").is_some() {
+                std::fs::write(&golden, &out.stdout).unwrap();
+            }
+            let expected = std::fs::read(&golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
+            assert!(
+                out.stdout == expected,
+                "{preset} {extra:?} drifted from {golden}:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
     }
 }
 

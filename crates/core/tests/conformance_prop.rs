@@ -211,9 +211,9 @@ proptest! {
                 bytes,
             })
             .collect();
-        let lossy = reconstruct_lossy(&[caps]);
-        grind_analyzers(&lossy.trace, true);
-        grind_analyzers(&lossy.trace, false);
+        let (trace, _) = reconstruct_lossy(&[caps]);
+        grind_analyzers(&trace, true);
+        grind_analyzers(&trace, false);
     }
 
     /// Valid frames, then bit-rot: flip one byte at an arbitrary offset in
@@ -237,8 +237,8 @@ proptest! {
                 }
             }
         }
-        let lossy = reconstruct_lossy(&[caps]);
-        grind_analyzers(&lossy.trace, false);
+        let (trace, _) = reconstruct_lossy(&[caps]);
+        grind_analyzers(&trace, false);
     }
 
     /// Gaps and duplicates: drop an arbitrary subset and re-capture an
@@ -261,10 +261,10 @@ proptest! {
             }
             caps.push(c);
         }
-        let lossy = reconstruct_lossy(&[caps]);
-        prop_assert!(lossy.trace.len() <= n);
-        grind_analyzers(&lossy.trace, false);
-        grind_analyzers(&lossy.trace, true);
+        let (trace, _) = reconstruct_lossy(&[caps]);
+        prop_assert!(trace.len() <= n);
+        grind_analyzers(&trace, false);
+        grind_analyzers(&trace, true);
     }
 
     /// Truncated captures: cut valid frames at arbitrary points so parsing
@@ -284,7 +284,7 @@ proptest! {
                 c.bytes.truncate(cut);
             }
         }
-        let lossy = reconstruct_lossy(&[caps]);
-        grind_analyzers(&lossy.trace, false);
+        let (trace, _) = reconstruct_lossy(&[caps]);
+        grind_analyzers(&trace, false);
     }
 }

@@ -1,26 +1,17 @@
-//! Offline ingestion: recovering mirrored captures from foreign pcap bytes
-//! and reconstructing them in bounded-memory chunks.
+//! Offline ingestion: recovering mirrored captures from foreign pcap bytes.
 //!
-//! [`reconstruct_lossy`](crate::trace::reconstruct_lossy) assumes its input
-//! is a `CapturedPacket` buffer the engine itself produced. Real captures
-//! arrive as raw Ethernet frames from a pcap file: the UDP destination port
-//! may still carry the switch's RSS randomization, non-RoCE traffic is
-//! interleaved, snaplen truncation is routine, and header length fields
-//! lie. This module is the hardening layer between the two worlds:
-//!
-//! * [`recover_frame`] maps one raw frame back to a [`CapturedPacket`],
-//!   classifying every rejection into a [`RecoveryStats`] counter instead
-//!   of failing — foreign traffic, rotten RoCE headers, and missing mirror
-//!   metadata are all just counters;
-//! * [`StreamingReconstructor`] windows recovered packets by mirror
-//!   sequence number so a multi-gigabyte capture flows through in chunks
-//!   under a configurable memory bound, each sealed chunk a normal
-//!   [`Trace`] the analyzers already understand, with all damage (gaps,
-//!   duplicates, late stragglers, parse casualties) merged into one
-//!   [`StreamSummary`].
+//! The reconstructor ([`crate::trace`]) assumes its input is a
+//! `CapturedPacket` buffer a dumper produced. Real captures arrive as raw
+//! Ethernet frames from a pcap file: the UDP destination port may still
+//! carry the switch's RSS randomization, non-RoCE traffic is interleaved,
+//! snaplen truncation is routine, and header length fields lie. This
+//! module is the hardening layer between the two worlds: [`recover_frame`]
+//! maps one raw frame back to a [`CapturedPacket`], classifying every
+//! rejection into a [`RecoveryStats`] counter instead of failing — foreign
+//! traffic, rotten RoCE headers, and missing mirror metadata are all just
+//! counters.
 
-use crate::trace::{CapturedPacket, GapSpan, Trace, TraceEntry};
-use lumina_packet::frame::RoceFrame;
+use crate::trace::{decode, CapturedPacket};
 use lumina_packet::udp::ROCEV2_UDP_PORT;
 use lumina_sim::SimTime;
 use lumina_switch::mirror;
@@ -33,10 +24,6 @@ pub const TRIM_LEN: usize = 128;
 
 /// Offset of the UDP destination port in an Ethernet/IPv4/UDP frame.
 const DPORT_OFF: usize = 14 + 20 + 2;
-
-/// Most gap spans a [`StreamSummary`] retains verbatim; the totals keep
-/// counting past the cap.
-const MAX_SUMMARY_GAPS: usize = 1024;
 
 /// Where every ingested frame ended up. The classification is exhaustive:
 /// `frames_seen == recovered + non_roce + unparseable + no_mirror_meta`
@@ -106,20 +93,20 @@ pub fn recover_frame(
 ) -> Option<CapturedPacket> {
     stats.frames_seen += 1;
     stats.bytes_seen += data.len() as u64;
-    match RoceFrame::parse_headers(data) {
-        Ok(_) => {}
-        Err(e) if e.is_foreign() => {
+    match decode(data) {
+        (Ok(_), Some(_)) => {}
+        (Err(e), _) if e.is_foreign() => {
             stats.non_roce += 1;
             return None;
         }
-        Err(_) => {
+        (Err(_), _) => {
             stats.unparseable += 1;
             return None;
         }
-    }
-    if mirror::extract(data).is_none() {
-        stats.no_mirror_meta += 1;
-        return None;
+        (Ok(_), None) => {
+            stats.no_mirror_meta += 1;
+            return None;
+        }
     }
     let mut bytes = data.to_vec();
     // The switch randomizes the UDP destination port for dumper RSS; a
@@ -149,188 +136,10 @@ pub fn recover_frame(
     })
 }
 
-/// Tuning knobs for [`StreamingReconstructor`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOpts {
-    /// Seal a chunk once it holds this many entries.
-    pub chunk_entries: usize,
-    /// Seal a chunk once its resident entries exceed this many bytes —
-    /// the memory bound that lets multi-GB captures flow.
-    pub max_resident_bytes: usize,
-}
-
-impl Default for StreamOpts {
-    fn default() -> StreamOpts {
-        StreamOpts {
-            chunk_entries: 65_536,
-            max_resident_bytes: 64 << 20,
-        }
-    }
-}
-
-/// The merged account of everything a streaming pass saw — the chunked
-/// equivalent of [`LossyTrace`](crate::trace::LossyTrace)'s damage fields.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct StreamSummary {
-    /// Entries that survived into sealed chunks.
-    pub entries: u64,
-    /// Chunks sealed.
-    pub chunks: u64,
-    /// First [`MAX_SUMMARY_GAPS`] runs of missing mirror seqs.
-    pub gaps: Vec<GapSpan>,
-    /// Total gap runs, including those past the cap.
-    pub gap_spans_total: u64,
-    /// Total missing mirror copies across all gaps.
-    pub missing: u64,
-    /// Copies discarded because their seq was already present.
-    pub duplicates: u64,
-    /// Captures whose mirror or RoCE headers did not parse.
-    pub bad_captures: u64,
-    /// Packets that arrived after their seq window was already sealed —
-    /// reordering wider than the chunk, counted and dropped.
-    pub late: u64,
-    /// High-water mark of resident (unsealed) entry bytes.
-    pub peak_resident_bytes: usize,
-}
-
-impl StreamSummary {
-    /// Sequence numbers the capture should span (tail loss invisible).
-    pub fn expected(&self) -> u64 {
-        self.entries + self.missing
-    }
-
-    /// Fraction of the expected sequence range that survived, `[0, 1]`.
-    pub fn analyzable_fraction(&self) -> f64 {
-        let expected = self.expected();
-        if expected == 0 {
-            return 0.0;
-        }
-        self.entries as f64 / expected as f64
-    }
-
-    /// True when the capture was pristine end to end.
-    pub fn is_complete(&self) -> bool {
-        self.gap_spans_total == 0 && self.duplicates == 0 && self.bad_captures == 0 && self.late == 0
-    }
-}
-
-/// Chunked, bounded-memory trace reconstruction: feed recovered packets in
-/// file order; each sealed chunk comes back as an ordinary [`Trace`] ready
-/// for the analyzers, while gaps/duplicates/stragglers accumulate into the
-/// final [`StreamSummary`].
-#[derive(Debug, Default)]
-pub struct StreamingReconstructor {
-    opts: StreamOpts,
-    pending: Vec<TraceEntry>,
-    pending_bytes: usize,
-    /// Next mirror seq not yet covered by a sealed chunk.
-    cursor: u64,
-    summary: StreamSummary,
-}
-
-impl StreamingReconstructor {
-    /// Create a reconstructor with the given windowing options.
-    pub fn new(opts: StreamOpts) -> StreamingReconstructor {
-        StreamingReconstructor {
-            opts,
-            ..StreamingReconstructor::default()
-        }
-    }
-
-    /// Offer one recovered packet. Returns a sealed chunk when the window
-    /// fills; damage counters in [`Self::summary`] are current the moment
-    /// a chunk is returned (its gaps are already merged).
-    pub fn push(&mut self, p: &CapturedPacket) -> Option<Trace> {
-        let Some(meta) = mirror::extract(&p.bytes) else {
-            self.summary.bad_captures += 1;
-            return None;
-        };
-        let Ok(frame) = RoceFrame::parse_headers(&p.bytes) else {
-            self.summary.bad_captures += 1;
-            return None;
-        };
-        if meta.seq < self.cursor {
-            // Its window was already sealed: reordering wider than the
-            // chunk. Counted, not resurrected.
-            self.summary.late += 1;
-            return None;
-        }
-        self.pending.push(TraceEntry {
-            seq: meta.seq,
-            timestamp: meta.timestamp,
-            event: meta.event,
-            frame,
-            orig_len: p.orig_len,
-        });
-        self.pending_bytes += std::mem::size_of::<TraceEntry>() + p.bytes.len();
-        self.summary.peak_resident_bytes = self.summary.peak_resident_bytes.max(self.pending_bytes);
-        if self.pending.len() >= self.opts.chunk_entries.max(1)
-            || self.pending_bytes >= self.opts.max_resident_bytes
-        {
-            return Some(self.seal());
-        }
-        None
-    }
-
-    /// True once any damage (parse casualty, gap, duplicate, straggler)
-    /// has been observed.
-    pub fn damaged(&self) -> bool {
-        self.summary.bad_captures > 0
-            || self.summary.duplicates > 0
-            || self.summary.missing > 0
-            || self.summary.late > 0
-    }
-
-    /// Running summary (final after [`Self::finish`]).
-    pub fn summary(&self) -> &StreamSummary {
-        &self.summary
-    }
-
-    /// Seal whatever is pending into a chunk: sort by seq, dedup keeping
-    /// the first capture, and record the gaps against the seq cursor.
-    fn seal(&mut self) -> Trace {
-        let mut entries = std::mem::take(&mut self.pending);
-        self.pending_bytes = 0;
-        // Stable: among same-seq duplicates the earlier capture survives.
-        entries.sort_by_key(|e| e.seq);
-        entries.dedup_by(|b, a| {
-            let dup = a.seq == b.seq;
-            self.summary.duplicates += dup as u64;
-            dup
-        });
-        for e in &entries {
-            if e.seq > self.cursor {
-                let span = GapSpan {
-                    start: self.cursor,
-                    len: e.seq - self.cursor,
-                };
-                if self.summary.gaps.len() < MAX_SUMMARY_GAPS {
-                    self.summary.gaps.push(span);
-                }
-                self.summary.gap_spans_total += 1;
-                self.summary.missing += span.len;
-            }
-            self.cursor = e.seq + 1;
-        }
-        self.summary.entries += entries.len() as u64;
-        self.summary.chunks += 1;
-        Trace { entries }
-    }
-
-    /// Seal the final partial chunk (if any) and return the summary.
-    pub fn finish(mut self) -> (Option<Trace>, StreamSummary) {
-        let tail = if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.seal())
-        };
-        (tail, self.summary)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{GapSpan, StreamOpts, StreamingReconstructor};
     use lumina_packet::builder::DataPacketBuilder;
     use lumina_packet::opcode::Opcode;
     use lumina_switch::events::EventType;
@@ -408,6 +217,8 @@ mod tests {
         assert!(recover_frame(&buf, orig_len, SimTime::ZERO, &mut st).is_some());
         assert_eq!(st.truncated, 1);
     }
+
+    // The recovered packets' next stop: the reconstructor, windowed.
 
     fn captured(seq: u64) -> CapturedPacket {
         let (bytes, orig_len) = raw_mirror(seq, seq * 100, None);

@@ -18,11 +18,9 @@ pub mod ingest;
 pub mod node;
 pub mod trace;
 
-pub use ingest::{
-    recover_frame, RecoveryStats, StreamOpts, StreamSummary, StreamingReconstructor, TRIM_LEN,
-};
+pub use ingest::{recover_frame, RecoveryStats, TRIM_LEN};
 pub use node::{CaptureHandle, DumperConfig, DumperFaults, DumperNode, StallWindow};
 pub use trace::{
-    reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, LossyTrace, ReconstructError, Trace,
-    TraceEntry,
+    reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, ReconstructError, StreamOpts,
+    StreamSummary, StreamingReconstructor, Trace, TraceEntry,
 };

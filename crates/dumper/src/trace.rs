@@ -5,6 +5,12 @@
 //! mirror sequence number the switch embedded into each copy. Gaps in the
 //! sequence mean mirror copies were lost (dumper overload) and the trace is
 //! invalid for analysis.
+//!
+//! There is one reconstructor, [`StreamingReconstructor`]: decode, window,
+//! sort, dedup, gap-walk. A live run feeds it everything as one window
+//! ([`reconstruct_lossy`]; [`reconstruct`] additionally insists nothing was
+//! damaged); offline ingestion bounds the window so multi-gigabyte captures
+//! flow through in chunks.
 
 use lumina_packet::frame::RoceFrame;
 use lumina_sim::SimTime;
@@ -75,10 +81,10 @@ impl Trace {
     }
 }
 
-/// Why reconstruction failed.
+/// Why strict reconstruction failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconstructError {
-    /// A mirror sequence number appears twice.
+    /// A mirror sequence number appears twice (the first such seq).
     DuplicateSeq(u64),
     /// Sequence numbers are not consecutive; the missing ones are listed
     /// (capped at 16 for readability).
@@ -88,7 +94,7 @@ pub enum ReconstructError {
         /// Total number of missing packets.
         total_missing: u64,
     },
-    /// A captured packet's headers did not parse.
+    /// This many captures' mirror or RoCE headers did not parse.
     BadCapture(u64),
 }
 
@@ -103,61 +109,12 @@ impl std::fmt::Display for ReconstructError {
                 f,
                 "{total_missing} mirror copies missing (first: {missing:?})"
             ),
-            ReconstructError::BadCapture(s) => write!(f, "capture {s} failed to parse"),
+            ReconstructError::BadCapture(n) => write!(f, "{n} captures failed to parse"),
         }
     }
 }
 
 impl std::error::Error for ReconstructError {}
-
-/// Merge the captures of all dumper hosts into one trace, sorted by mirror
-/// sequence number, verifying the sequence is gap-free and duplicate-free
-/// (integrity condition 1 of §3.5).
-pub fn reconstruct(captures: &[Vec<CapturedPacket>]) -> Result<Trace, ReconstructError> {
-    let mut entries: Vec<TraceEntry> = Vec::new();
-    for cap in captures {
-        for p in cap {
-            let meta = mirror::extract(&p.bytes)
-                .ok_or(ReconstructError::BadCapture(entries.len() as u64))?;
-            let frame = RoceFrame::parse_headers(&p.bytes)
-                .map_err(|_| ReconstructError::BadCapture(meta.seq))?;
-            entries.push(TraceEntry {
-                seq: meta.seq,
-                timestamp: meta.timestamp,
-                event: meta.event,
-                frame,
-                orig_len: p.orig_len,
-            });
-        }
-    }
-    entries.sort_by_key(|e| e.seq);
-    for w in entries.windows(2) {
-        if w[0].seq == w[1].seq {
-            return Err(ReconstructError::DuplicateSeq(w[0].seq));
-        }
-    }
-    // Sequences must be 0..n consecutive.
-    let mut missing = Vec::new();
-    let mut total_missing = 0u64;
-    let mut expect = 0u64;
-    for e in &entries {
-        while expect < e.seq {
-            if missing.len() < 16 {
-                missing.push(expect);
-            }
-            total_missing += 1;
-            expect += 1;
-        }
-        expect += 1;
-    }
-    if total_missing > 0 {
-        return Err(ReconstructError::Gaps {
-            missing,
-            total_missing,
-        });
-    }
-    Ok(Trace { entries })
-}
 
 /// A run of consecutive missing mirror sequence numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -168,38 +125,78 @@ pub struct GapSpan {
     pub len: u64,
 }
 
-/// The best-effort trace [`reconstruct_lossy`] always produces: whatever
-/// parsed and deduplicated, plus an explicit account of what did not.
-///
-/// On gap-free, duplicate-free, parseable captures this is exactly the
-/// strict [`reconstruct`] result with empty damage fields — the property
-/// `crates/dumper/tests/proptest_reconstruct.rs` pins down.
-#[derive(Debug, Clone, Default)]
-pub struct LossyTrace {
-    /// Surviving entries in mirror-sequence order (first copy of any
-    /// duplicated seq).
-    pub trace: Trace,
-    /// Runs of missing sequence numbers, ascending, non-adjacent. Tail
-    /// loss past the highest captured seq is invisible here — only the
-    /// packet-count integrity conditions can catch it.
-    pub gaps: Vec<GapSpan>,
-    /// Copies discarded because their seq was already present.
-    pub duplicates: u64,
-    /// Captures discarded because the mirror header or RoCE headers did
-    /// not parse (bit-rot casualties).
-    pub bad_captures: u64,
+/// Read one (possibly trimmed) capture both ways a mirror copy must read:
+/// as RoCE headers and as the switch's mirror metadata (`None` when the TTL
+/// is not an event code — a direct capture, not a Lumina mirror copy). The
+/// one place capture bytes are judged. The frame is parsed last and handed
+/// back unwrapped so a caller that only classifies never moves it.
+#[inline]
+pub(crate) fn decode(
+    bytes: &[u8],
+) -> (
+    Result<RoceFrame, lumina_packet::ParseError>,
+    Option<mirror::MirrorMeta>,
+) {
+    let meta = mirror::extract(bytes);
+    (RoceFrame::parse_headers(bytes), meta)
 }
 
-impl LossyTrace {
-    /// Total missing packets across all gap spans.
-    pub fn missing(&self) -> u64 {
-        self.gaps.iter().map(|g| g.len).sum()
-    }
+/// Most gap spans a [`StreamSummary`] retains verbatim; the totals keep
+/// counting past the cap.
+const MAX_SUMMARY_GAPS: usize = 1024;
 
-    /// Sequence numbers the trace should span: surviving entries plus the
-    /// interior holes (tail loss excluded, as above).
+/// Windowing of a [`StreamingReconstructor`].
+#[derive(Debug, Clone, Copy)]
+pub struct StreamOpts {
+    /// Seal a chunk once it holds this many entries.
+    pub chunk_entries: usize,
+    /// Seal a chunk once its resident entries exceed this many bytes —
+    /// the memory bound that lets multi-GB captures flow.
+    pub max_resident_bytes: usize,
+}
+
+impl Default for StreamOpts {
+    fn default() -> StreamOpts {
+        StreamOpts {
+            chunk_entries: 65_536,
+            max_resident_bytes: 64 << 20,
+        }
+    }
+}
+
+/// Everything a reconstruction pass saw besides the trace itself: how much
+/// survived and an explicit account of what did not.
+#[derive(Debug, Clone, Default, serde::Serialize)]
+pub struct StreamSummary {
+    /// Entries that survived into sealed chunks.
+    pub entries: u64,
+    /// Chunks sealed.
+    pub chunks: u64,
+    /// First [`MAX_SUMMARY_GAPS`] runs of missing mirror seqs, ascending,
+    /// non-adjacent. Tail loss past the highest captured seq is invisible
+    /// here — only the packet-count integrity conditions can catch it.
+    pub gaps: Vec<GapSpan>,
+    /// Total gap runs, including those past the cap.
+    pub gap_spans_total: u64,
+    /// Total missing mirror copies across all gaps.
+    pub missing: u64,
+    /// Copies discarded because their seq was already present.
+    pub duplicates: u64,
+    /// Captures whose mirror or RoCE headers did not parse (bit-rot
+    /// casualties).
+    pub bad_captures: u64,
+    /// Packets that arrived after their seq window was already sealed —
+    /// reordering wider than the chunk, counted and dropped.
+    pub late: u64,
+    /// High-water mark of resident (unsealed) entry bytes.
+    pub peak_resident_bytes: usize,
+}
+
+impl StreamSummary {
+    /// Sequence numbers the capture should span: surviving entries plus
+    /// the interior holes (tail loss excluded, as above).
     pub fn expected(&self) -> u64 {
-        self.trace.len() as u64 + self.missing()
+        self.entries + self.missing
     }
 
     /// Fraction of the expected sequence range that survived, in `[0, 1]`.
@@ -209,69 +206,175 @@ impl LossyTrace {
         if expected == 0 {
             return 0.0;
         }
-        self.trace.len() as f64 / expected as f64
+        self.entries as f64 / expected as f64
     }
 
-    /// True when the capture was pristine: no gaps, duplicates or parse
-    /// failures — i.e. strict [`reconstruct`] would have succeeded.
+    /// True when no damage (parse casualty, gap, duplicate, straggler) was
+    /// observed — i.e. strict [`reconstruct`] would have succeeded.
     pub fn is_complete(&self) -> bool {
-        self.gaps.is_empty() && self.duplicates == 0 && self.bad_captures == 0
+        self.gap_spans_total == 0
+            && self.duplicates == 0
+            && self.bad_captures == 0
+            && self.late == 0
     }
+}
+
+/// The reconstructor: feed captures in any order within a window; each
+/// sealed window comes back as a seq-ordered [`Trace`] chunk, while gaps,
+/// duplicates, stragglers and parse casualties accumulate into the final
+/// [`StreamSummary`]. Never fails. [`reconstruct_lossy`] is this with one
+/// unbounded window; `ingest` bounds the window so arbitrarily large
+/// captures flow through.
+#[derive(Debug, Default)]
+pub struct StreamingReconstructor {
+    opts: StreamOpts,
+    pending: Vec<TraceEntry>,
+    pending_bytes: usize,
+    /// Next mirror seq not yet covered by a sealed chunk.
+    cursor: u64,
+    /// First seq seen twice inside one window (strict error detail).
+    first_duplicate: Option<u64>,
+    summary: StreamSummary,
+}
+
+impl StreamingReconstructor {
+    /// Create a reconstructor with the given windowing options.
+    pub fn new(opts: StreamOpts) -> StreamingReconstructor {
+        StreamingReconstructor {
+            opts,
+            ..StreamingReconstructor::default()
+        }
+    }
+
+    /// Offer one capture. Returns a sealed chunk when the window fills;
+    /// damage counters in [`Self::summary`] are current the moment a chunk
+    /// is returned (its gaps are already merged).
+    pub fn push(&mut self, p: &CapturedPacket) -> Option<Trace> {
+        let (Ok(frame), Some(meta)) = decode(&p.bytes) else {
+            self.summary.bad_captures += 1;
+            return None;
+        };
+        if meta.seq < self.cursor {
+            // Its window was already sealed: reordering wider than the
+            // chunk. Counted, not resurrected.
+            self.summary.late += 1;
+            return None;
+        }
+        self.pending.push(TraceEntry {
+            seq: meta.seq,
+            timestamp: meta.timestamp,
+            event: meta.event,
+            frame,
+            orig_len: p.orig_len,
+        });
+        self.pending_bytes += std::mem::size_of::<TraceEntry>() + p.bytes.len();
+        self.summary.peak_resident_bytes = self.summary.peak_resident_bytes.max(self.pending_bytes);
+        if self.pending.len() >= self.opts.chunk_entries.max(1)
+            || self.pending_bytes >= self.opts.max_resident_bytes
+        {
+            return Some(self.seal());
+        }
+        None
+    }
+
+    /// Running summary (final after [`Self::finish`]).
+    pub fn summary(&self) -> &StreamSummary {
+        &self.summary
+    }
+
+    /// Seal whatever is pending into a chunk: sort by seq, dedup keeping
+    /// the first capture, and record the gaps against the seq cursor.
+    fn seal(&mut self) -> Trace {
+        let mut entries = std::mem::take(&mut self.pending);
+        self.pending_bytes = 0;
+        // Stable: among same-seq duplicates the earlier capture (in feed
+        // order) survives, deterministically.
+        entries.sort_by_key(|e| e.seq);
+        entries.dedup_by(|b, a| {
+            let dup = a.seq == b.seq;
+            if dup {
+                self.summary.duplicates += 1;
+                self.first_duplicate.get_or_insert(a.seq);
+            }
+            dup
+        });
+        for e in &entries {
+            if e.seq > self.cursor {
+                let span = GapSpan {
+                    start: self.cursor,
+                    len: e.seq - self.cursor,
+                };
+                if self.summary.gaps.len() < MAX_SUMMARY_GAPS {
+                    self.summary.gaps.push(span);
+                }
+                self.summary.gap_spans_total += 1;
+                self.summary.missing += span.len;
+            }
+            self.cursor = e.seq + 1;
+        }
+        self.summary.entries += entries.len() as u64;
+        self.summary.chunks += 1;
+        Trace { entries }
+    }
+
+    fn seal_tail(&mut self) -> Option<Trace> {
+        (!self.pending.is_empty()).then(|| self.seal())
+    }
+
+    /// Seal the final partial chunk (if any) and return the summary.
+    pub fn finish(mut self) -> (Option<Trace>, StreamSummary) {
+        let tail = self.seal_tail();
+        (tail, self.summary)
+    }
+}
+
+/// Every dumper's captures through one unbounded window: nothing seals
+/// (and so nothing can arrive late) before the end.
+fn one_window(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamingReconstructor) {
+    let mut recon = StreamingReconstructor::new(StreamOpts {
+        chunk_entries: usize::MAX,
+        max_resident_bytes: usize::MAX,
+    });
+    for p in captures.iter().flatten() {
+        recon.push(p);
+    }
+    let trace = recon.seal_tail().unwrap_or_default();
+    (trace, recon)
 }
 
 /// Merge the captures of all dumper hosts into the best trace the data
 /// supports, never failing: unparseable captures are counted and skipped,
-/// duplicated seqs keep their first copy, and interior sequence holes
-/// become explicit [`GapSpan`]s so analyzers know exactly what they are
-/// not seeing.
-pub fn reconstruct_lossy(captures: &[Vec<CapturedPacket>]) -> LossyTrace {
-    let mut entries: Vec<TraceEntry> = Vec::new();
-    let mut bad_captures = 0u64;
-    for cap in captures {
-        for p in cap {
-            let Some(meta) = mirror::extract(&p.bytes) else {
-                bad_captures += 1;
-                continue;
-            };
-            let Ok(frame) = RoceFrame::parse_headers(&p.bytes) else {
-                bad_captures += 1;
-                continue;
-            };
-            entries.push(TraceEntry {
-                seq: meta.seq,
-                timestamp: meta.timestamp,
-                event: meta.event,
-                frame,
-                orig_len: p.orig_len,
-            });
-        }
+/// duplicated seqs keep their first copy (in dumper order), and interior
+/// sequence holes become explicit [`GapSpan`]s so analyzers know exactly
+/// what they are not seeing.
+pub fn reconstruct_lossy(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamSummary) {
+    let (trace, recon) = one_window(captures);
+    (trace, recon.summary)
+}
+
+/// [`reconstruct_lossy`], accepted only when the sequence is gap-free,
+/// duplicate-free and every capture parsed (integrity condition 1 of §3.5).
+pub fn reconstruct(captures: &[Vec<CapturedPacket>]) -> Result<Trace, ReconstructError> {
+    let (trace, recon) = one_window(captures);
+    let summary = &recon.summary;
+    if summary.bad_captures > 0 {
+        return Err(ReconstructError::BadCapture(summary.bad_captures));
     }
-    // Stable sort: among same-seq duplicates the earlier capture (in
-    // dumper order) survives the dedup below, deterministically.
-    entries.sort_by_key(|e| e.seq);
-    let mut duplicates = 0u64;
-    entries.dedup_by(|b, a| {
-        let dup = a.seq == b.seq;
-        duplicates += dup as u64;
-        dup
-    });
-    let mut gaps: Vec<GapSpan> = Vec::new();
-    let mut expect = 0u64;
-    for e in &entries {
-        if e.seq > expect {
-            gaps.push(GapSpan {
-                start: expect,
-                len: e.seq - expect,
-            });
-        }
-        expect = e.seq + 1;
+    if let Some(seq) = recon.first_duplicate {
+        return Err(ReconstructError::DuplicateSeq(seq));
     }
-    LossyTrace {
-        trace: Trace { entries },
-        gaps,
-        duplicates,
-        bad_captures,
+    if summary.missing > 0 {
+        return Err(ReconstructError::Gaps {
+            missing: summary
+                .gaps
+                .iter()
+                .flat_map(|g| g.start..g.start + g.len)
+                .take(16)
+                .collect(),
+            total_missing: summary.missing,
+        });
     }
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -352,33 +455,38 @@ mod tests {
         let d1 = vec![capture(3, 300), capture(0, 0), capture(5, 500)];
         let d2 = vec![capture(4, 400), capture(1, 100), capture(2, 200)];
         let strict = reconstruct(&[d1.clone(), d2.clone()]).unwrap();
-        let lossy = reconstruct_lossy(&[d1, d2]);
-        assert!(lossy.is_complete());
-        assert_eq!(lossy.analyzable_fraction(), 1.0);
+        let (trace, summary) = reconstruct_lossy(&[d1, d2]);
+        assert!(summary.is_complete());
+        assert_eq!(summary.analyzable_fraction(), 1.0);
         let seqs = |t: &Trace| t.iter().map(|e| e.seq).collect::<Vec<_>>();
-        assert_eq!(seqs(&lossy.trace), seqs(&strict));
+        assert_eq!(seqs(&trace), seqs(&strict));
     }
 
     #[test]
     fn lossy_reports_gap_spans() {
         // 0 1 _ 3 _ _ 6 — two interior gaps of different lengths.
-        let d1 = vec![capture(0, 0), capture(1, 100), capture(3, 300), capture(6, 600)];
-        let lossy = reconstruct_lossy(&[d1]);
+        let d1 = vec![
+            capture(0, 0),
+            capture(1, 100),
+            capture(3, 300),
+            capture(6, 600),
+        ];
+        let (_, summary) = reconstruct_lossy(&[d1]);
         assert_eq!(
-            lossy.gaps,
+            summary.gaps,
             vec![GapSpan { start: 2, len: 1 }, GapSpan { start: 4, len: 2 }]
         );
-        assert_eq!(lossy.missing(), 3);
-        assert_eq!(lossy.expected(), 7);
-        assert!((lossy.analyzable_fraction() - 4.0 / 7.0).abs() < 1e-12);
-        assert!(!lossy.is_complete());
+        assert_eq!(summary.missing, 3);
+        assert_eq!(summary.expected(), 7);
+        assert!((summary.analyzable_fraction() - 4.0 / 7.0).abs() < 1e-12);
+        assert!(!summary.is_complete());
     }
 
     #[test]
     fn lossy_leading_gap_counted() {
         let d1 = vec![capture(2, 200), capture(3, 300)];
-        let lossy = reconstruct_lossy(&[d1]);
-        assert_eq!(lossy.gaps, vec![GapSpan { start: 0, len: 2 }]);
+        let (_, summary) = reconstruct_lossy(&[d1]);
+        assert_eq!(summary.gaps, vec![GapSpan { start: 0, len: 2 }]);
     }
 
     #[test]
@@ -389,11 +497,11 @@ mod tests {
         late.orig_len += 1; // distinguishable marker
         let d1 = vec![capture(0, 0), capture(1, 100)];
         let d2 = vec![late];
-        let lossy = reconstruct_lossy(&[d1.clone(), d2]);
-        assert_eq!(lossy.duplicates, 1);
-        assert_eq!(lossy.trace.len(), 2);
-        assert_eq!(lossy.trace.entries[1].orig_len, d1[1].orig_len);
-        assert!(lossy.gaps.is_empty());
+        let (trace, summary) = reconstruct_lossy(&[d1.clone(), d2]);
+        assert_eq!(summary.duplicates, 1);
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.entries[1].orig_len, d1[1].orig_len);
+        assert!(summary.gaps.is_empty());
     }
 
     #[test]
@@ -401,19 +509,23 @@ mod tests {
         let mut rotten = capture(1, 100);
         rotten.bytes.truncate(8); // destroy the headers entirely
         let d1 = vec![capture(0, 0), rotten, capture(2, 200)];
-        let lossy = reconstruct_lossy(&[d1]);
-        assert_eq!(lossy.bad_captures, 1);
+        let (trace, summary) = reconstruct_lossy(std::slice::from_ref(&d1));
+        assert_eq!(summary.bad_captures, 1);
         // The rotten capture's seq is now a gap.
-        assert_eq!(lossy.gaps, vec![GapSpan { start: 1, len: 1 }]);
-        assert_eq!(lossy.trace.len(), 2);
+        assert_eq!(summary.gaps, vec![GapSpan { start: 1, len: 1 }]);
+        assert_eq!(trace.len(), 2);
+        assert_eq!(
+            reconstruct(&[d1]).unwrap_err(),
+            ReconstructError::BadCapture(1)
+        );
     }
 
     #[test]
     fn lossy_empty_is_zero_analyzable() {
-        let lossy = reconstruct_lossy(&[vec![], vec![]]);
-        assert!(lossy.trace.is_empty());
-        assert_eq!(lossy.analyzable_fraction(), 0.0);
-        assert!(lossy.is_complete(), "no damage observed, just no data");
+        let (trace, summary) = reconstruct_lossy(&[vec![], vec![]]);
+        assert!(trace.is_empty());
+        assert_eq!(summary.analyzable_fraction(), 0.0);
+        assert!(summary.is_complete(), "no damage observed, just no data");
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property tests for trace reconstruction: any distribution of mirror
 //! copies across dumpers reconstructs in sequence order; any missing or
-//! duplicated copy is detected.
+//! duplicated copy is detected; and the batch entry points are the
+//! streaming reconstructor, whatever its window.
 
-use lumina_dumper::{reconstruct, reconstruct_lossy, CapturedPacket, ReconstructError};
+use lumina_dumper::{
+    reconstruct, reconstruct_lossy, CapturedPacket, ReconstructError, StreamOpts,
+    StreamingReconstructor, Trace,
+};
 use lumina_packet::builder::DataPacketBuilder;
 use lumina_packet::opcode::Opcode;
 use lumina_sim::SimTime;
@@ -127,14 +131,14 @@ proptest! {
             dumpers[d].push(capture(seq));
         }
         let strict = reconstruct(&dumpers).unwrap();
-        let lossy = reconstruct_lossy(&dumpers);
-        prop_assert!(lossy.is_complete());
-        prop_assert!(lossy.gaps.is_empty());
-        prop_assert_eq!(lossy.duplicates, 0);
-        prop_assert_eq!(lossy.bad_captures, 0);
-        prop_assert_eq!(lossy.analyzable_fraction(), 1.0);
-        prop_assert_eq!(lossy.trace.len(), strict.len());
-        for (a, b) in lossy.trace.iter().zip(strict.iter()) {
+        let (trace, summary) = reconstruct_lossy(&dumpers);
+        prop_assert!(summary.is_complete());
+        prop_assert!(summary.gaps.is_empty());
+        prop_assert_eq!(summary.duplicates, 0);
+        prop_assert_eq!(summary.bad_captures, 0);
+        prop_assert_eq!(summary.analyzable_fraction(), 1.0);
+        prop_assert_eq!(trace.len(), strict.len());
+        for (a, b) in trace.iter().zip(strict.iter()) {
             prop_assert_eq!(a.seq, b.seq);
             prop_assert_eq!(a.timestamp, b.timestamp);
             prop_assert_eq!(a.orig_len, b.orig_len);
@@ -159,21 +163,107 @@ proptest! {
             // Every seq dropped — nothing to reconstruct, nothing to check.
             return Ok(());
         }
-        let lossy = reconstruct_lossy(&[caps]);
+        let (trace, summary) = reconstruct_lossy(&[caps]);
         // Tail losses are invisible to seq analysis: only gaps below the
         // highest *surviving* seq can be reported.
-        let horizon = lossy.trace.iter().map(|e| e.seq).max().unwrap();
+        let horizon = trace.iter().map(|e| e.seq).max().unwrap();
         let expected_missing: Vec<u64> =
             dropped.iter().copied().filter(|&s| s < horizon).collect();
         let mut from_spans = Vec::new();
-        for g in &lossy.gaps {
+        for g in &summary.gaps {
             for s in g.start..g.start + g.len {
                 from_spans.push(s);
             }
         }
         prop_assert_eq!(from_spans, expected_missing);
-        prop_assert_eq!(lossy.missing() as usize + lossy.trace.len(), horizon as usize + 1);
-        prop_assert_eq!(lossy.duplicates, 0);
-        prop_assert_eq!(lossy.bad_captures, 0);
+        prop_assert_eq!(summary.missing as usize + trace.len(), horizon as usize + 1);
+        prop_assert_eq!(summary.duplicates, 0);
+        prop_assert_eq!(summary.bad_captures, 0);
     }
+
+    /// `reconstruct_lossy` is the streaming reconstructor with one window:
+    /// feed the same damaged captures (gaps, duplicates, rotten copies) in
+    /// seq order through windows of 1, 7 and unbounded entries, and the
+    /// concatenated chunks and the summary totals come out the same. The
+    /// one thing a window changes is the *name* of a repeated seq: a copy
+    /// whose first sighting is already sealed counts as `late`, not as a
+    /// duplicate — so the two are compared summed.
+    #[test]
+    fn lossy_equals_the_streaming_reconstructor_at_any_window(
+        n in 1usize..120,
+        fates in proptest::collection::vec(0u8..8, 120..121),
+    ) {
+        let caps = damaged(n, &fates);
+        let (batch, total) = reconstruct_lossy(std::slice::from_ref(&caps));
+        for chunk_entries in [1, 7, usize::MAX] {
+            let mut recon = StreamingReconstructor::new(StreamOpts {
+                chunk_entries,
+                max_resident_bytes: usize::MAX,
+            });
+            let mut streamed = Trace::default();
+            for p in &caps {
+                streamed.entries.extend(recon.push(p).into_iter().flat_map(|c| c.entries));
+            }
+            let (tail, summary) = recon.finish();
+            streamed.entries.extend(tail.into_iter().flat_map(|c| c.entries));
+
+            prop_assert_eq!(fingerprint(&streamed), fingerprint(&batch), "window {}", chunk_entries);
+            prop_assert_eq!(summary.entries, total.entries);
+            prop_assert_eq!(&summary.gaps, &total.gaps);
+            prop_assert_eq!(summary.gap_spans_total, total.gap_spans_total);
+            prop_assert_eq!(summary.missing, total.missing);
+            prop_assert_eq!(summary.bad_captures, total.bad_captures);
+            prop_assert_eq!(summary.duplicates + summary.late, total.duplicates);
+            prop_assert_eq!(summary.is_complete(), total.is_complete());
+            if chunk_entries == usize::MAX {
+                prop_assert_eq!(summary.late, 0);
+            }
+        }
+    }
+
+    /// Strict `reconstruct` is the lossy one plus the completeness check:
+    /// it succeeds exactly when the summary is complete, and then returns
+    /// the same trace.
+    #[test]
+    fn strict_succeeds_iff_the_summary_is_complete(
+        n in 1usize..120,
+        fates in proptest::collection::vec(0u8..64, 120..121),
+    ) {
+        let caps = damaged(n, &fates);
+        let (lossy, summary) = reconstruct_lossy(std::slice::from_ref(&caps));
+        match reconstruct(&[caps]) {
+            Ok(strict) => {
+                prop_assert!(summary.is_complete());
+                prop_assert_eq!(fingerprint(&strict), fingerprint(&lossy));
+            }
+            Err(e) => prop_assert!(!summary.is_complete(), "{e} on a complete summary"),
+        }
+    }
+}
+
+/// Seqs `0..n` in order, each with a fate drawn from `fates`: 0 = lost,
+/// 1 = captured twice, 2 = headers rotted away, anything else = captured
+/// once. (A wider fate range makes undamaged inputs likely.)
+fn damaged(n: usize, fates: &[u8]) -> Vec<CapturedPacket> {
+    let mut caps = Vec::new();
+    for seq in 0..n as u64 {
+        match fates[seq as usize] {
+            0 => {}
+            1 => caps.extend([capture(seq), capture(seq)]),
+            2 => {
+                let mut rotten = capture(seq);
+                rotten.bytes.truncate(8);
+                caps.push(rotten);
+            }
+            _ => caps.push(capture(seq)),
+        }
+    }
+    caps
+}
+
+/// What two equal traces must agree on, entry by entry.
+fn fingerprint(t: &Trace) -> Vec<(u64, SimTime, usize, u32)> {
+    t.iter()
+        .map(|e| (e.seq, e.timestamp, e.orig_len, e.frame.bth.psn))
+        .collect()
 }

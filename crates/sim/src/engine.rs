@@ -629,10 +629,16 @@ impl Engine {
         }
     }
 
-    /// Take a node back out of the engine (after a run) for inspection.
-    /// Panics if `id` is out of range.
+    /// Take a node back out of the engine (after a run) for inspection;
+    /// `None` if `id` was never added or is already out.
+    pub fn take_node(&mut self, id: NodeId) -> Option<Box<dyn Node>> {
+        self.nodes.get_mut(id.0)?.take()
+    }
+
+    /// [`Self::take_node`] for a caller that knows the node is there.
+    /// Panics if it is not.
     pub fn remove_node(&mut self, id: NodeId) -> Box<dyn Node> {
-        self.nodes[id.0].take().expect("node already removed")
+        self.take_node(id).expect("node already removed")
     }
 
     /// Number of nodes.

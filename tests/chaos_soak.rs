@@ -358,8 +358,8 @@ proptest! {
                 }
             }
         }
-        let lossy = reconstruct_lossy(&[caps]);
-        let trace = with_trace.then_some(&lossy.trace);
+        let (trace, _) = reconstruct_lossy(&[caps]);
+        let trace = with_trace.then_some(&trace);
 
         let rep = recovery::analyze(trace, &flows, &qps, &opts);
         prop_assert_eq!(rep.windows.len(), opts.windows.len());

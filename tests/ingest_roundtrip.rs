@@ -14,9 +14,9 @@
 //! agree on the compliant flag.
 
 use lumina_core::analyzers::conformance::{analyze, ConformanceOpts};
-use lumina_core::config::TestConfig;
+use lumina_core::config::{FaultsSection, TestConfig};
 use lumina_core::orchestrator::run_test;
-use lumina_core::{ingest_reader, IngestParams, Violation};
+use lumina_core::{ingest_reader, IngestParams, IntegrityReport, Violation};
 use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -166,4 +166,52 @@ fn truncated_copy_still_grades_the_prefix_under_a_memory_bound() {
         out.conformance.partial,
         "a truncated capture must grade as partial evidence"
     );
+}
+
+#[test]
+fn degraded_live_run_reingests_to_the_same_condition_one() {
+    // Live and offline read condition 1 off the same reconstructor
+    // summary, so a damaged run's exported trace must grade the same:
+    // same gaps, same fraction, same detail line. What the export cannot
+    // carry is what reconstruction already removed — the discarded
+    // duplicates and the copies that did not parse — so offline those two
+    // counts (and their detail lines) are zero where live they are not.
+    let yaml =
+        std::fs::read_to_string(repo_root().join("configs/fig11_noisy_neighbor.yaml")).unwrap();
+    let mut cfg = TestConfig::from_yaml(&yaml).unwrap();
+    cfg.faults = Some(FaultsSection {
+        seed: Some(7),
+        mirror_loss_prob: 0.02,
+        mirror_dup_prob: 0.02,
+        capture_bit_rot_prob: 0.01,
+        ..FaultsSection::default()
+    });
+    let res = run_test(&cfg).unwrap();
+    let live = res.integrity.degraded.as_ref().expect("faults degrade the run");
+    assert!(live.missing > 0 && live.duplicates > 0 && live.bad_captures > 0);
+
+    let mut pcap = Vec::new();
+    res.trace.as_ref().unwrap().write_pcap(&mut pcap).unwrap();
+    let out = ingest_reader(Cursor::new(&pcap[..]), "fig11-faults", &params_for(&cfg, false)).unwrap();
+    let offline = out.integrity.degraded.as_ref().expect("the gaps survive the export");
+
+    assert_eq!(offline.analyzable_fraction, live.analyzable_fraction);
+    assert_eq!(offline.present, live.present);
+    assert_eq!(offline.missing, live.missing);
+    assert_eq!(offline.gaps, live.gaps);
+    assert_eq!(offline.gaps_truncated, live.gaps_truncated);
+    assert_eq!((offline.duplicates, offline.bad_captures), (0, 0));
+
+    let gap_lines = |r: &IntegrityReport| -> Vec<String> {
+        let mut lines = r.details.clone();
+        lines.retain(|d| d.contains("mirror copies missing"));
+        lines
+    };
+    assert_eq!(gap_lines(&res.integrity).len(), 1);
+    assert_eq!(
+        out.integrity.details,
+        gap_lines(&res.integrity),
+        "offline: the live gap line and nothing else"
+    );
+    assert!(!out.integrity.seq_consecutive && !res.integrity.seq_consecutive);
 }
