@@ -18,7 +18,7 @@ pub mod ingest;
 pub mod node;
 pub mod trace;
 
-pub use ingest::{recover_frame, RecoveryStats, TRIM_LEN};
+pub use ingest::{recover_entry, recover_frame, RecoveryStats, TRIM_LEN};
 pub use node::{CaptureHandle, DumperConfig, DumperFaults, DumperNode, StallWindow};
 pub use trace::{
     reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, ReconstructError, StreamOpts,

@@ -30,7 +30,7 @@ pub struct CapturedPacket {
 }
 
 /// One entry of the reconstructed trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Mirror sequence number.
     pub seq: u64,
@@ -43,6 +43,19 @@ pub struct TraceEntry {
     pub frame: RoceFrame,
     /// Original wire length.
     pub orig_len: usize,
+}
+
+impl TraceEntry {
+    /// The entry a decoded mirror copy becomes.
+    pub(crate) fn new(frame: RoceFrame, meta: mirror::MirrorMeta, orig_len: usize) -> TraceEntry {
+        TraceEntry {
+            seq: meta.seq,
+            timestamp: meta.timestamp,
+            event: meta.event,
+            frame,
+            orig_len,
+        }
+    }
 }
 
 /// The reconstructed, seq-ordered trace.
@@ -254,20 +267,21 @@ impl StreamingReconstructor {
             self.summary.bad_captures += 1;
             return None;
         };
-        if meta.seq < self.cursor {
+        self.push_entry(TraceEntry::new(frame, meta, p.orig_len), p.bytes.len())
+    }
+
+    /// [`Self::push`] for a capture the caller already decoded
+    /// ([`crate::ingest::recover_entry`]); `captured_len` is how many
+    /// bytes the capture held, for the resident-bytes bound.
+    pub fn push_entry(&mut self, entry: TraceEntry, captured_len: usize) -> Option<Trace> {
+        if entry.seq < self.cursor {
             // Its window was already sealed: reordering wider than the
             // chunk. Counted, not resurrected.
             self.summary.late += 1;
             return None;
         }
-        self.pending.push(TraceEntry {
-            seq: meta.seq,
-            timestamp: meta.timestamp,
-            event: meta.event,
-            frame,
-            orig_len: p.orig_len,
-        });
-        self.pending_bytes += std::mem::size_of::<TraceEntry>() + p.bytes.len();
+        self.pending.push(entry);
+        self.pending_bytes += std::mem::size_of::<TraceEntry>() + captured_len;
         self.summary.peak_resident_bytes = self.summary.peak_resident_bytes.max(self.pending_bytes);
         if self.pending.len() >= self.opts.chunk_entries.max(1)
             || self.pending_bytes >= self.opts.max_resident_bytes
@@ -275,6 +289,15 @@ impl StreamingReconstructor {
             return Some(self.seal());
         }
         None
+    }
+
+    /// Hand a consumed chunk's buffer back: the next window fills it
+    /// instead of growing a new one from empty.
+    pub fn recycle(&mut self, chunk: Trace) {
+        if self.pending.is_empty() {
+            self.pending = chunk.entries;
+            self.pending.clear();
+        }
     }
 
     /// Running summary (final after [`Self::finish`]).
@@ -288,8 +311,12 @@ impl StreamingReconstructor {
         let mut entries = std::mem::take(&mut self.pending);
         self.pending_bytes = 0;
         // Stable: among same-seq duplicates the earlier capture (in feed
-        // order) survives, deterministically.
-        entries.sort_by_key(|e| e.seq);
+        // order) survives, deterministically. A capture read in mirror
+        // order is already sorted, and the stable sort would allocate a
+        // window-sized scratch buffer to find that out.
+        if !entries.is_sorted_by_key(|e| e.seq) {
+            entries.sort_by_key(|e| e.seq);
+        }
         entries.dedup_by(|b, a| {
             let dup = a.seq == b.seq;
             if dup {
@@ -335,6 +362,9 @@ fn one_window(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamingReconstructo
         chunk_entries: usize::MAX,
         max_resident_bytes: usize::MAX,
     });
+    recon
+        .pending
+        .reserve_exact(captures.iter().map(Vec::len).sum());
     for p in captures.iter().flatten() {
         recon.push(p);
     }

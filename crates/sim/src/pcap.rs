@@ -159,8 +159,10 @@ impl std::fmt::Display for PcapReadError {
 
 impl std::error::Error for PcapReadError {}
 
-/// One packet record read back from a capture file.
-#[derive(Debug, Clone)]
+/// One packet record read back from a capture file. Also the caller-owned
+/// buffer [`PcapReader::read_record`] fills: `data` keeps its capacity from
+/// one record to the next.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcapRecord {
     /// Absolute file offset of the record's header.
     pub offset: u64,
@@ -189,9 +191,9 @@ struct Interface {
 }
 
 /// Streaming, panic-free reader for classic pcap and pcapng files — the
-/// inverse of [`PcapWriter`]. Yields records until clean EOF (`None`) or
-/// the first structural error (one final `Some(Err(_))` carrying the file
-/// offset, then `None` forever: a broken framing cannot be resynced).
+/// inverse of [`PcapWriter`]. Yields records until clean EOF or the first
+/// structural error (one final `Err` carrying the file offset, then EOF
+/// forever: a broken framing cannot be resynced).
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     inner: R,
@@ -294,29 +296,34 @@ impl<R: Read> PcapReader<R> {
         self.blocks_skipped
     }
 
-    /// The next record: `None` at clean EOF; one final `Err` (then `None`)
-    /// when the framing breaks mid-file.
-    pub fn next_record(&mut self) -> Option<Result<PcapRecord, PcapReadError>> {
+    /// Read the next record into `rec`, reusing its `data` allocation:
+    /// `Ok(true)` when `rec` was filled, `Ok(false)` at clean EOF; one final
+    /// `Err` (then `Ok(false)`) when the framing breaks mid-file. Unless it
+    /// returns `Ok(true)`, what `rec` holds is unspecified (pcapng block
+    /// bodies are staged in `rec.data`).
+    pub fn read_record(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
         if self.done {
-            return None;
+            return Ok(false);
         }
         let step = match self.format {
-            PcapFormat::Classic => self.next_classic(),
-            PcapFormat::PcapNg => self.next_pcapng(),
+            PcapFormat::Classic => self.next_classic(rec),
+            PcapFormat::PcapNg => self.next_pcapng(rec),
         };
         match step {
-            Ok(Some(rec)) => {
-                self.records += 1;
-                Some(Ok(rec))
-            }
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
+            Ok(true) => self.records += 1,
+            Ok(false) | Err(_) => self.done = true,
+        }
+        step
+    }
+
+    /// [`Self::read_record`] into a fresh record: `None` at clean EOF; one
+    /// final `Err` (then `None`) when the framing breaks mid-file.
+    pub fn next_record(&mut self) -> Option<Result<PcapRecord, PcapReadError>> {
+        let mut rec = PcapRecord::default();
+        match self.read_record(&mut rec) {
+            Ok(true) => Some(Ok(rec)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 
@@ -388,11 +395,11 @@ impl<R: Read> PcapReader<R> {
 
     // ---- classic pcap -------------------------------------------------
 
-    fn next_classic(&mut self) -> Result<Option<PcapRecord>, PcapReadError> {
+    fn next_classic(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
         let rec_off = self.offset;
         let mut hdr = [0u8; 16];
         if !self.read_or_eof(&mut hdr, "record header")? {
-            return Ok(None);
+            return Ok(false);
         }
         let secs = self.u32_at(&hdr, 0).unwrap_or(0);
         let frac = self.u32_at(&hdr, 4).unwrap_or(0);
@@ -407,8 +414,8 @@ impl<R: Read> PcapReader<R> {
                 },
             ));
         }
-        let mut data = vec![0u8; caplen as usize];
-        if let Err(mut e) = self.fill(&mut data, "record data") {
+        rec.data.resize(caplen as usize, 0);
+        if let Err(mut e) = self.fill(&mut rec.data, "record data") {
             // Anchor mid-record truncation to the record's own offset.
             if matches!(e.kind, PcapReadErrorKind::Truncated(_)) {
                 e.offset = rec_off;
@@ -423,12 +430,10 @@ impl<R: Read> PcapReader<R> {
         let ns = (secs as u64)
             .saturating_mul(1_000_000_000)
             .saturating_add(frac_ns);
-        Ok(Some(PcapRecord {
-            offset: rec_off,
-            ts: SimTime::from_nanos(ns),
-            orig_len,
-            data,
-        }))
+        rec.offset = rec_off;
+        rec.ts = SimTime::from_nanos(ns);
+        rec.orig_len = orig_len;
+        Ok(true)
     }
 
     // ---- pcapng -------------------------------------------------------
@@ -477,12 +482,14 @@ impl<R: Read> PcapReader<R> {
         Ok(())
     }
 
-    fn next_pcapng(&mut self) -> Result<Option<PcapRecord>, PcapReadError> {
+    /// Every block body is read into `rec.data`; a packet block then
+    /// shifts its capture to the front of that buffer in place.
+    fn next_pcapng(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
         loop {
             let block_off = self.offset;
             let mut head = [0u8; 8];
             if !self.read_or_eof(&mut head, "block header")? {
-                return Ok(None);
+                return Ok(false);
             }
             if head[0..4] == PCAPNG_SHB {
                 // The length field is in the NEW section's byte order,
@@ -505,8 +512,8 @@ impl<R: Read> PcapReader<R> {
                     },
                 ));
             }
-            let mut body = vec![0u8; total as usize - 12];
-            self.fill(&mut body, "block body")?;
+            rec.data.resize(total as usize - 12, 0);
+            self.fill(&mut rec.data, "block body")?;
             let mut tail = [0u8; 4];
             self.fill(&mut tail, "block trailer")?;
             if self.decode32(tail) != total {
@@ -516,9 +523,9 @@ impl<R: Read> PcapReader<R> {
                 ));
             }
             match btype {
-                PCAPNG_IDB => self.parse_idb(block_off, &body)?,
-                PCAPNG_EPB => return self.parse_epb(block_off, &body).map(Some),
-                PCAPNG_SPB => return self.parse_spb(block_off, &body).map(Some),
+                PCAPNG_IDB => self.parse_idb(block_off, &rec.data)?,
+                PCAPNG_EPB => return self.parse_epb(block_off, rec).map(|()| true),
+                PCAPNG_SPB => return self.parse_spb(block_off, rec).map(|()| true),
                 _ => self.blocks_skipped += 1,
             }
         }
@@ -564,7 +571,9 @@ impl<R: Read> PcapReader<R> {
         Ok(())
     }
 
-    fn parse_epb(&mut self, block_off: u64, body: &[u8]) -> Result<PcapRecord, PcapReadError> {
+    /// `rec.data` holds the block body on entry, the capture on return.
+    fn parse_epb(&self, block_off: u64, rec: &mut PcapRecord) -> Result<(), PcapReadError> {
+        let body = rec.data.as_slice();
         if body.len() < 20 {
             return Err(self.err(block_off, PcapReadErrorKind::Malformed("packet block")));
         }
@@ -588,24 +597,27 @@ impl<R: Read> PcapReader<R> {
                 },
             ));
         }
-        let Some(data) = body.get(20..20 + caplen as usize) else {
+        let caplen = caplen as usize;
+        if body.len() < 20 + caplen {
             return Err(self.err(
                 block_off,
                 PcapReadErrorKind::Malformed("packet block capture length"),
             ));
-        };
+        }
         let ticks = (ts_hi << 32) | ts_lo;
         let tps = intf.ticks_per_sec.max(1);
         let ns = ((ticks as u128).saturating_mul(1_000_000_000) / tps as u128) as u64;
-        Ok(PcapRecord {
-            offset: block_off,
-            ts: SimTime::from_nanos(ns),
-            orig_len,
-            data: data.to_vec(),
-        })
+        rec.data.copy_within(20..20 + caplen, 0);
+        rec.data.truncate(caplen);
+        rec.offset = block_off;
+        rec.ts = SimTime::from_nanos(ns);
+        rec.orig_len = orig_len;
+        Ok(())
     }
 
-    fn parse_spb(&mut self, block_off: u64, body: &[u8]) -> Result<PcapRecord, PcapReadError> {
+    /// `rec.data` holds the block body on entry, the capture on return.
+    fn parse_spb(&self, block_off: u64, rec: &mut PcapRecord) -> Result<(), PcapReadError> {
+        let body = rec.data.as_slice();
         let Some(intf) = self.interfaces.first().copied() else {
             return Err(self.err(
                 block_off,
@@ -626,19 +638,13 @@ impl<R: Read> PcapReader<R> {
             caplen = caplen.min(intf.snaplen as usize);
         }
         caplen = caplen.min(body.len() - 4);
-        let Some(data) = body.get(4..4 + caplen) else {
-            return Err(self.err(
-                block_off,
-                PcapReadErrorKind::Malformed("simple packet block length"),
-            ));
-        };
-        Ok(PcapRecord {
-            offset: block_off,
-            // Simple Packet Blocks carry no timestamp.
-            ts: SimTime::ZERO,
-            orig_len,
-            data: data.to_vec(),
-        })
+        rec.data.copy_within(4..4 + caplen, 0);
+        rec.data.truncate(caplen);
+        rec.offset = block_off;
+        // Simple Packet Blocks carry no timestamp.
+        rec.ts = SimTime::ZERO;
+        rec.orig_len = orig_len;
+        Ok(())
     }
 }
 
@@ -780,7 +786,13 @@ mod tests {
             f.extend_from_slice(&[v, 0, 0, 0]);
         }
         f.extend_from_slice(&(idb_len as u32).to_le_bytes());
-        // EPB: iface 0, ts hi/lo, caplen = origlen = payload.len().
+        push_epb(&mut f, payload);
+        f
+    }
+
+    /// Append a little-endian EPB: iface 0, ts hi/lo, caplen = origlen =
+    /// payload.len().
+    fn push_epb(f: &mut Vec<u8>, payload: &[u8]) {
         let padded = payload.len().div_ceil(4) * 4;
         let epb_len = 32 + padded;
         let ts: u64 = 5_000_000_123;
@@ -794,7 +806,6 @@ mod tests {
         f.extend_from_slice(payload);
         f.extend_from_slice(&vec![0u8; padded - payload.len()]);
         f.extend_from_slice(&(epb_len as u32).to_le_bytes());
-        f
     }
 
     #[test]
@@ -867,6 +878,86 @@ mod tests {
         assert!(r.next_record().unwrap().is_ok());
         assert!(r.next_record().is_none());
         assert_eq!(r.blocks_skipped(), 1);
+    }
+
+    /// Everything a reader yields, drained through `next`: the records,
+    /// the terminal error as text (`PcapReadErrorKind` holds an
+    /// `io::Error`, so it has no `==`), and the reader's own count.
+    fn drain<R: Read>(
+        r: Result<PcapReader<R>, PcapReadError>,
+        mut next: impl FnMut(&mut PcapReader<R>) -> Option<Result<PcapRecord, PcapReadError>>,
+    ) -> (Vec<PcapRecord>, Option<String>, u64) {
+        let mut r = match r {
+            Ok(r) => r,
+            Err(e) => return (Vec::new(), Some(format!("{e} / {:?}", e.kind)), 0),
+        };
+        let mut recs = Vec::new();
+        let mut terminal = None;
+        while let Some(step) = next(&mut r) {
+            match step {
+                Ok(rec) => recs.push(rec),
+                Err(e) => terminal = Some(format!("{e} / {:?}", e.kind)),
+            }
+        }
+        assert!(next(&mut r).is_none(), "latched after the end");
+        (recs, terminal, r.records())
+    }
+
+    #[test]
+    fn read_record_into_a_reused_buffer_equals_next_record() {
+        let mut classic = PcapWriter::new(Vec::new(), 128).unwrap();
+        for (ts, data, orig_len) in [(7, &[0xff; 128][..], 1500), (8, &[], 0), (9, &[1, 2, 3], 3)] {
+            classic
+                .write_packet(SimTime::from_nanos(ts), data, orig_len)
+                .unwrap();
+        }
+        let classic = classic.finish().unwrap();
+
+        let mut be_us = be_us_capture();
+        for (caplen, fill) in [(0u32, 0u8), (7, 0x55)] {
+            be_us.extend_from_slice(&3u32.to_be_bytes());
+            be_us.extend_from_slice(&999_999u32.to_be_bytes());
+            be_us.extend_from_slice(&caplen.to_be_bytes());
+            be_us.extend_from_slice(&64u32.to_be_bytes());
+            be_us.extend_from_slice(&vec![fill; caplen as usize]);
+        }
+
+        // EPB, an unknown block, a longer EPB, then a Simple Packet Block.
+        let mut ng = pcapng_capture(Some(9), &[1, 2, 3, 4, 5]);
+        ng.extend_from_slice(&0x99u32.to_le_bytes());
+        ng.extend_from_slice(&16u32.to_le_bytes());
+        ng.extend_from_slice(&[0u8; 4]);
+        ng.extend_from_slice(&16u32.to_le_bytes());
+        push_epb(&mut ng, &[0xab; 61]);
+        ng.extend_from_slice(&PCAPNG_SPB.to_le_bytes());
+        ng.extend_from_slice(&20u32.to_le_bytes());
+        ng.extend_from_slice(&3u32.to_le_bytes());
+        ng.extend_from_slice(&[7, 8, 9, 0]);
+        ng.extend_from_slice(&20u32.to_le_bytes());
+
+        for (name, file) in [("classic", classic), ("be-us", be_us), ("pcapng", ng)] {
+            for cut in 0..=file.len() {
+                let input = &file[..cut];
+                let fresh = drain(PcapReader::new(input), |r| r.next_record());
+                // One caller-owned record for the whole file, dirty on
+                // entry: nothing of a previous record may show through.
+                let mut rec = PcapRecord {
+                    offset: u64::MAX,
+                    ts: SimTime::from_secs(9),
+                    orig_len: u32::MAX,
+                    data: vec![0xee; 300],
+                };
+                let reused = drain(PcapReader::new(input), |r| match r.read_record(&mut rec) {
+                    Ok(true) => Some(Ok(rec.clone())),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                });
+                assert_eq!(fresh, reused, "{name} cut at {cut}");
+                if cut == file.len() {
+                    assert_eq!((fresh.0.len(), &fresh.1, fresh.2), (3, &None, 3), "{name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Provides the subset of the real API this workspace uses: an immutable,
 //! cheaply cloneable, sliceable byte buffer backed by an `Arc<Vec<u8>>`.
 //! Clones share the allocation; `slice` produces a view without copying.
+//! The empty value ([`Bytes::new`]) has no backing allocation at all.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -13,13 +14,14 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable chunk of contiguous memory.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    /// `None` only for [`Bytes::new`]: the empty value owns nothing.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Create an empty `Bytes`.
+    /// Create an empty `Bytes`. Does not allocate.
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -63,7 +65,7 @@ impl Bytes {
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -71,7 +73,10 @@ impl Bytes {
 
     /// The bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(v) => &v[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// Copy the view into an owned `Vec<u8>`.
@@ -82,7 +87,7 @@ impl Bytes {
     /// True when this handle is the only reference to the allocation
     /// (mirrors `bytes::Bytes::is_unique` from the real crate, ≥ 1.8).
     pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.data) == 1
+        self.data.as_ref().is_none_or(|v| Arc::strong_count(v) == 1)
     }
 
     /// Mutable access to the viewed bytes, only when this handle uniquely
@@ -94,7 +99,10 @@ impl Bytes {
     /// on the unique-owner fast path.
     pub fn get_mut(&mut self) -> Option<&mut [u8]> {
         let (start, end) = (self.start, self.end);
-        Arc::get_mut(&mut self.data).map(|v| &mut v[start..end])
+        match &mut self.data {
+            Some(v) => Arc::get_mut(v).map(|v| &mut v[start..end]),
+            None => Some(&mut []),
+        }
     }
 }
 
@@ -121,7 +129,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -266,5 +274,50 @@ mod tests {
         assert_eq!(a, b);
         assert!(vec![1u8] < vec![2u8]);
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn the_empty_value_behaves_like_an_empty_buffer() {
+        let mut e = Bytes::new();
+        let allocated = Bytes::from(Vec::new());
+        assert_eq!(e.len(), 0);
+        assert_eq!(e.as_slice(), &[] as &[u8]);
+        assert_eq!(e.to_vec(), Vec::<u8>::new());
+        assert!(e.is_unique());
+        assert_eq!(e.get_mut().map(|m| m.len()), Some(0));
+        assert!(e.clone().is_unique(), "nothing to share");
+        assert_eq!(e.slice(..), e);
+        assert_eq!(e.slice(0..0), e);
+        assert_eq!(e, allocated);
+        assert_eq!(e.cmp(&allocated), std::cmp::Ordering::Equal);
+        assert_eq!(format!("{e:?}"), "b\"\"");
+        assert_eq!(format!("{e:?}"), format!("{allocated:?}"));
+        let hash = |b: &Bytes| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&e), hash(&allocated));
+        assert_eq!(hash(&e), hash(&Bytes::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slicing_past_the_empty_value_panics() {
+        let _ = Bytes::new().slice(0..1);
+    }
+
+    #[test]
+    fn empty_slice_of_a_buffer_still_shares_it() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let mut s = b.slice(0..0);
+        assert!(s.is_empty());
+        assert_eq!(s, Bytes::new());
+        // A view, not the empty value: the allocation is shared, so
+        // neither handle may mutate until the other is gone.
+        assert!(!b.is_unique());
+        assert!(s.get_mut().is_none());
+        drop(b);
+        assert_eq!(s.get_mut().map(|m| m.len()), Some(0));
     }
 }
