@@ -28,7 +28,7 @@ pub fn run() -> Figure {
     Figure {
         observations: arrivals
             .iter()
-            .map(|&psn| (psn, tracker.observe(key, psn)))
+            .map(|&psn| (psn, tracker.observe(key, psn).1))
             .collect(),
     }
 }

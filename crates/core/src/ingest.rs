@@ -35,7 +35,7 @@ use crate::report::{line, note};
 use lumina_dumper::{
     recover_entry, RecoveryStats, StreamOpts, StreamSummary, StreamingReconstructor, Trace,
 };
-use lumina_sim::pcap::{PcapReadError, PcapReadErrorKind, PcapReader, PcapRecord};
+use lumina_sim::pcap::{PcapReader, PcapRecord};
 use lumina_sim::telemetry::ops::{OpsReporter, OpsSnapshot};
 use std::io::Read;
 use std::time::Duration;
@@ -214,22 +214,6 @@ impl IngestOutcome {
     }
 }
 
-/// Render a [`PcapReadError`]'s kind without its offset prefix (the
-/// offset travels separately in [`Error::Ingest`] and `first_malformed`).
-fn kind_msg(e: &PcapReadError) -> String {
-    match &e.kind {
-        PcapReadErrorKind::Io(err) => format!("read failed: {err}"),
-        PcapReadErrorKind::BadMagic(m) => {
-            format!("magic {m:#010x} is neither pcap nor pcapng")
-        }
-        PcapReadErrorKind::Malformed(what) => format!("malformed {what}"),
-        PcapReadErrorKind::Oversized { claimed, cap } => {
-            format!("length field claims {claimed} bytes (cap {cap})")
-        }
-        PcapReadErrorKind::Truncated(what) => format!("file ends inside {what}"),
-    }
-}
-
 /// Ingest a capture file from disk. See [`ingest_reader`].
 pub fn ingest_path(path: &str, params: &IngestParams) -> Result<IngestOutcome, Error> {
     let file = std::fs::File::open(path).map_err(Error::io(path))?;
@@ -260,7 +244,8 @@ pub fn ingest_reader<R: Read>(
     let mut pcap = PcapReader::new(reader).map_err(|e| Error::Ingest {
         path: label.to_string(),
         offset: e.offset,
-        msg: kind_msg(&e),
+        // The kind alone: the offset travels beside it.
+        msg: e.kind.to_string(),
     })?;
     let format = pcap.format().label();
 
@@ -306,7 +291,7 @@ pub fn ingest_reader<R: Read>(
             Err(e) => {
                 // The reader latches done after its first error; grade
                 // whatever preceded it.
-                first_malformed = Some((e.offset, kind_msg(&e)));
+                first_malformed = Some((e.offset, e.kind.to_string()));
                 break;
             }
         }

@@ -1,9 +1,12 @@
-//! Exact heap-allocation counts on the ingest path, under a counting
-//! global allocator (the sibling of `lumina-sim`'s and `lumina-rnic`'s
-//! `tests/alloc_free.rs`): what a pcap record costs in `malloc` calls is
-//! part of the ingest budget (DESIGN.md §13), and it either is zero or the
-//! test fails.
+//! Exact heap-allocation counts on the ingest path and a ceiling on the
+//! live path, under a counting global allocator (the sibling of
+//! `lumina-sim`'s and `lumina-rnic`'s `tests/alloc_free.rs`): what a pcap
+//! record costs in `malloc` calls is part of the ingest budget (DESIGN.md
+//! §13), and it either is zero or the test fails; what a mirrored packet
+//! of a live run costs is part of the per-packet budget (DESIGN.md §5).
 
+use lumina_core::config::TestConfig;
+use lumina_core::orchestrator::run_test;
 use lumina_core::{ingest_reader, IngestParams};
 use lumina_dumper::TRIM_LEN;
 use lumina_packet::builder::DataPacketBuilder;
@@ -121,4 +124,37 @@ fn parse_headers_allocates_nothing() {
     assert!(frame.payload.is_empty());
     let (calls, _) = allocations(|| drop(frame));
     assert_eq!(calls, 0);
+}
+
+/// What one more mirrored packet of a live run costs in allocator calls:
+/// the benchmark's `run_packets` shape (8 WRITE QPs, four drops, four CE
+/// marks) at N and at 2 N messages per QP, so per-run set-up, the report
+/// and every buffer that only grows once cancel out of the quotient.
+#[test]
+fn live_run_allocator_calls_per_mirrored_packet() {
+    const N: u32 = 4;
+    let run = |msgs: u32| {
+        let events: String = (1..=8)
+            .map(|qpn| {
+                let kind = if qpn <= 4 { "drop" } else { "ecn" };
+                format!("    - {{qpn: {qpn}, psn: {}, type: {kind}, iter: 1}}\n", 32 + qpn)
+            })
+            .collect();
+        let cfg = TestConfig::from_yaml(&format!(
+            "requester: {{ nic-type: cx6 }}\n\
+             responder: {{ nic-type: cx6, dcqcn-np-enable: true }}\n\
+             traffic:\n  num-connections: 8\n  rdma-verb: write\n  \
+             num-msgs-per-qp: {msgs}\n  mtu: 1024\n  message-size: 65536\n  \
+             data-pkt-events:\n{events}network:\n  seed: 1\n"
+        ))
+        .unwrap();
+        let (calls, res) = allocations(|| run_test(&cfg).unwrap());
+        assert!(res.traffic_completed() && res.integrity.passed());
+        (calls, res.switch_counters.mirrored_total)
+    };
+    let (calls_n, mirrored_n) = run(N);
+    let (calls_2n, mirrored_2n) = run(2 * N);
+    assert!(mirrored_2n > mirrored_n + 1_000, "{mirrored_n} vs {mirrored_2n}");
+    let per_packet = (calls_2n - calls_n) as f64 / (mirrored_2n - mirrored_n) as f64;
+    assert!(per_packet <= 6.0, "{per_packet:.2} allocator calls per mirrored packet");
 }

@@ -14,14 +14,19 @@
 //! share (`bytes_shared`), so `bench`'s `hotpath` experiment can report the
 //! reduction without keeping the old code alive.
 //!
+//! A wire buffer is one allocator call: [`crate::RoceFrame::emit`] writes
+//! into a `BytesMut` whose allocation already holds the reference count,
+//! [`Frame::from_buf`] shares it as it is, and a copy-on-write detach is
+//! one `Arc<[u8]>` copy. Nothing else about a frame lives on the heap —
+//! the live/peak ledger is kept by the handles themselves (see [`Frame`]).
+//!
 //! Counters are thread-local: a simulation runs on one thread, so the
 //! numbers are exact and deterministic per run; parallel fuzz workers each
 //! see their own counters and never race.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::cell::Cell;
 use std::ops::{Deref, RangeBounds};
-use std::sync::Arc;
 
 thread_local! {
     static FRAMES_ALLOCATED: Cell<u64> = const { Cell::new(0) };
@@ -92,8 +97,8 @@ pub fn note_shared(n: usize) {
     BYTES_SHARED.set(BYTES_SHARED.get() + n as u64);
 }
 
-/// The provenance id the next [`Frame::from_vec`] on this thread will
-/// stamp. The flight recorder reads this when tracing is enabled and
+/// The provenance id the next new [`Frame`] on this thread will be
+/// stamped with. The flight recorder reads this when tracing is enabled and
 /// stores subsequent ids relative to it, so same-seed runs produce
 /// identical traces regardless of how many frames earlier runs on this
 /// thread (or other fuzz workers) already minted.
@@ -101,27 +106,12 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.get()
 }
 
-/// Tracks one live buffer for the duration of every handle over it.
-/// Clones of a `Frame` — and slices, which view the same allocation —
-/// share the token; the buffer counts as dead only when the last handle
-/// drops.
-#[derive(Debug)]
-struct LiveToken;
-
-impl LiveToken {
-    fn new() -> Arc<LiveToken> {
-        let live = LIVE_FRAMES.get() + 1;
-        LIVE_FRAMES.set(live);
-        if live > PEAK_LIVE_FRAMES.get() {
-            PEAK_LIVE_FRAMES.set(live);
-        }
-        Arc::new(LiveToken)
-    }
-}
-
-impl Drop for LiveToken {
-    fn drop(&mut self) {
-        LIVE_FRAMES.set(LIVE_FRAMES.get().saturating_sub(1));
+/// Count one more distinct buffer alive on this thread.
+fn note_born() {
+    let live = LIVE_FRAMES.get() + 1;
+    LIVE_FRAMES.set(live);
+    if live > PEAK_LIVE_FRAMES.get() {
+        PEAK_LIVE_FRAMES.set(live);
     }
 }
 
@@ -130,36 +120,51 @@ impl Drop for LiveToken {
 /// `Clone` is an `Arc` bump (counted as a share); mutation goes through
 /// [`Frame::make_mut`], which is in-place when unique and copy-on-write
 /// when shared. There is deliberately no constructor taking a borrowed
-/// slice on the hot path: frames enter the plane exactly once, by moving
-/// a freshly serialized `Vec<u8>` in via [`Frame::from_vec`].
+/// slice on the hot path: frames enter the plane exactly once, serialized
+/// in place into the buffer [`Frame::from_buf`] then shares.
+///
+/// The handle is the buffer and nothing else: bytes and reference count
+/// are one allocation, and the live/peak ledger rides on that count — a
+/// buffer is born in a constructor or a copy-on-write detach and counts
+/// as dead when a handle drops while it is the buffer's only owner.
+/// Clones and slices are owners, and so is a payload view a parse handed
+/// out ([`Frame::as_bytes`]): such a view is meant to be dropped before
+/// the frame it reads, or the buffer stays on the ledger.
 #[derive(Debug)]
 pub struct Frame {
     bytes: Bytes,
-    token: Arc<LiveToken>,
     trace_id: u64,
 }
 
 impl Frame {
-    /// Take ownership of a freshly built buffer — zero-copy; counts one
-    /// allocation. This is the only entry point the hot path uses.
-    pub fn from_vec(buf: Vec<u8>) -> Frame {
-        FRAMES_ALLOCATED.set(FRAMES_ALLOCATED.get() + 1);
-        BYTES_ALLOCATED.set(BYTES_ALLOCATED.get() + buf.len() as u64);
-        let trace_id = NEXT_TRACE_ID.get();
-        NEXT_TRACE_ID.set(trace_id.wrapping_add(1));
-        Frame {
-            bytes: Bytes::from(buf),
-            token: LiveToken::new(),
-            trace_id,
-        }
+    /// Share a buffer that was just serialized in place — zero-copy, one
+    /// allocation in all; counts one. The entry point of the hot path.
+    pub fn from_buf(buf: BytesMut) -> Frame {
+        Frame::born(buf.freeze())
     }
 
-    /// The provenance id stamped when this packet entered the plane via
-    /// [`Frame::from_vec`]. Clones, slices and copy-on-write detaches all
-    /// keep the id: it names the *packet*, not the allocation, so the
-    /// lifecycle tracer can follow one packet across mirror copies and
-    /// in-flight mutations. Ids are a per-thread monotonic counter —
-    /// meaningful only relative to [`next_trace_id`] read at trace start.
+    /// Move an owned vector's bytes into a new frame; counts one
+    /// allocation. Test/tooling convenience: a vector has no room for the
+    /// reference count, so the bytes move house once on the way in.
+    pub fn from_vec(buf: Vec<u8>) -> Frame {
+        Frame::born(Bytes::from(buf))
+    }
+
+    fn born(bytes: Bytes) -> Frame {
+        FRAMES_ALLOCATED.set(FRAMES_ALLOCATED.get() + 1);
+        BYTES_ALLOCATED.set(BYTES_ALLOCATED.get() + bytes.len() as u64);
+        let trace_id = NEXT_TRACE_ID.get();
+        NEXT_TRACE_ID.set(trace_id.wrapping_add(1));
+        note_born();
+        Frame { bytes, trace_id }
+    }
+
+    /// The provenance id stamped when this packet entered the plane.
+    /// Clones, slices and copy-on-write detaches all keep the id: it names
+    /// the *packet*, not the allocation, so the lifecycle tracer can follow
+    /// one packet across mirror copies and in-flight mutations. Ids are a
+    /// per-thread monotonic counter — meaningful only relative to
+    /// [`next_trace_id`] read at trace start.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }
@@ -168,7 +173,7 @@ impl Frame {
     /// the copy is counted.
     pub fn copy_from_slice(data: &[u8]) -> Frame {
         BYTES_COPIED.set(BYTES_COPIED.get() + data.len() as u64);
-        Frame::from_vec(data.to_vec())
+        Frame::born(Bytes::copy_from_slice(data))
     }
 
     /// Length of the viewed bytes.
@@ -181,15 +186,14 @@ impl Frame {
         self.bytes.is_empty()
     }
 
-    /// A sub-view sharing the same allocation (and live token); counts
-    /// the viewed bytes as shared — the old design copied them out.
+    /// A sub-view sharing the same allocation; counts the viewed bytes
+    /// as shared — the old design copied them out.
     pub fn slice(&self, range: impl RangeBounds<usize> + Clone) -> Frame {
         let view = self.bytes.slice(range);
         FRAMES_SHARED.set(FRAMES_SHARED.get() + 1);
         BYTES_SHARED.set(BYTES_SHARED.get() + view.len() as u64);
         Frame {
             bytes: view,
-            token: Arc::clone(&self.token),
             trace_id: self.trace_id,
         }
     }
@@ -216,16 +220,25 @@ impl Frame {
     /// a fresh allocation first (counted) and this handle re-points at it.
     pub fn make_mut(&mut self) -> &mut [u8] {
         if !self.bytes.is_unique() {
-            let copy = self.bytes.to_vec();
-            BYTES_COPIED.set(BYTES_COPIED.get() + copy.len() as u64);
+            let len = self.len() as u64;
+            BYTES_COPIED.set(BYTES_COPIED.get() + len);
             FRAMES_ALLOCATED.set(FRAMES_ALLOCATED.get() + 1);
-            BYTES_ALLOCATED.set(BYTES_ALLOCATED.get() + copy.len() as u64);
-            self.bytes = Bytes::from(copy);
-            self.token = LiveToken::new();
+            BYTES_ALLOCATED.set(BYTES_ALLOCATED.get() + len);
+            self.bytes = Bytes::copy_from_slice(&self.bytes);
+            note_born();
         }
         self.bytes
             .get_mut()
             .expect("frame buffer is uniquely owned after copy-on-write")
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        // The last owner takes the buffer with it.
+        if self.bytes.is_unique() {
+            LIVE_FRAMES.set(LIVE_FRAMES.get().saturating_sub(1));
+        }
     }
 }
 
@@ -235,7 +248,6 @@ impl Clone for Frame {
         BYTES_SHARED.set(BYTES_SHARED.get() + self.len() as u64);
         Frame {
             bytes: self.bytes.clone(),
-            token: Arc::clone(&self.token),
             trace_id: self.trace_id,
         }
     }

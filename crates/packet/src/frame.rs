@@ -17,7 +17,7 @@ use crate::ipv4::{Ipv4Header, IPV4_HEADER_LEN, IP_PROTO_UDP};
 use crate::reth::{Reth, RETH_LEN};
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::{ParseError, Result};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Length of the trailing invariant CRC.
@@ -71,7 +71,8 @@ impl RoceFrame {
         let udp_len = UDP_HEADER_LEN + ib_len;
         let ip_len = IPV4_HEADER_LEN + udp_len;
         let total = ETHERNET_HEADER_LEN + ip_len;
-        let mut buf = vec![0u8; total];
+        let mut wire = BytesMut::zeroed(total);
+        let buf: &mut [u8] = &mut wire;
 
         self.eth
             .emit(&mut buf[..ETHERNET_HEADER_LEN])
@@ -112,7 +113,7 @@ impl RoceFrame {
             IPV4_HEADER_LEN + UDP_HEADER_LEN,
         );
         buf[off..off + ICRC_LEN].copy_from_slice(&icrc.to_le_bytes());
-        Frame::from_vec(buf)
+        Frame::from_buf(wire)
     }
 
     /// Parse a frame, requiring the UDP destination port to be 4791.
@@ -129,20 +130,13 @@ impl RoceFrame {
     /// the frame's buffer, not a copy — the path the switch and RNICs take
     /// on every received packet.
     pub fn parse_frame(frame: &Frame) -> Result<RoceFrame> {
-        let (parts, payload_off, payload_len) = Self::parse_body(frame)?;
-        if !parts.3.is_rocev2() {
+        let (mut parsed, payload_off, payload_len) = Self::parse_body(frame)?;
+        if !parsed.udp.is_rocev2() {
             return Err(ParseError::NotRoce("udp destination port is not 4791"));
         }
-        let (eth, ipv4, bth, udp, ext) = parts;
         buf::note_shared(payload_len);
-        Ok(RoceFrame {
-            eth,
-            ipv4,
-            udp,
-            bth,
-            ext,
-            payload: frame.as_bytes().slice(payload_off..payload_off + payload_len),
-        })
+        parsed.payload = frame.as_bytes().slice(payload_off..payload_off + payload_len);
+        Ok(parsed)
     }
 
     /// Parse a frame without checking the UDP destination port. Used by the
@@ -150,57 +144,27 @@ impl RoceFrame {
     /// port was deliberately randomized for RSS spreading (§3.4). Copies
     /// the payload out of the borrowed buffer.
     pub fn parse_loose(buf: &[u8]) -> Result<RoceFrame> {
-        let ((eth, ipv4, bth, udp, ext), payload_off, payload_len) = Self::parse_body(buf)?;
-        let payload = Bytes::copy_from_slice(&buf[payload_off..payload_off + payload_len]);
+        let (mut parsed, payload_off, payload_len) = Self::parse_body(buf)?;
+        parsed.payload = Bytes::copy_from_slice(&buf[payload_off..payload_off + payload_len]);
         buf::note_copied(payload_len);
-        Ok(RoceFrame {
-            eth,
-            ipv4,
-            udp,
-            bth,
-            ext,
-            payload,
-        })
+        Ok(parsed)
     }
 
-    /// Shared structural parse: headers plus the located (offset, length)
-    /// of the unpadded payload. Callers decide whether the payload is
-    /// copied ([`parse_loose`](Self::parse_loose)) or shared
+    /// Shared structural parse: the headers plus the located (offset,
+    /// length) of the unpadded payload. Callers decide whether the payload
+    /// is copied ([`parse_loose`](Self::parse_loose)) or shared
     /// ([`parse_frame`](Self::parse_frame)).
-    #[allow(clippy::type_complexity)]
-    fn parse_body(
-        buf: &[u8],
-    ) -> Result<((EthernetHeader, Ipv4Header, Bth, UdpHeader, ExtHeaders), usize, usize)> {
-        let eth = EthernetHeader::parse(buf)?;
-        if eth.ethertype != EtherType::Ipv4 {
-            return Err(ParseError::NotRoce("ethertype is not IPv4"));
-        }
-        let ipv4 = Ipv4Header::parse(&buf[ETHERNET_HEADER_LEN..])?;
-        if ipv4.protocol != IP_PROTO_UDP {
-            return Err(ParseError::NotRoce("ip protocol is not UDP"));
-        }
-        let udp = UdpHeader::parse(&buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..])?;
-        let bth_off = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN;
-        let bth = Bth::parse(&buf[bth_off..])?;
-
-        let mut off = bth_off + BTH_LEN;
-        let mut ext = ExtHeaders::default();
-        if bth.opcode.has_reth() {
-            ext.reth = Some(Reth::parse(&buf[off..])?);
-            off += RETH_LEN;
-        }
-        if bth.opcode.has_aeth() {
-            ext.aeth = Some(Aeth::parse(&buf[off..])?);
-            off += AETH_LEN;
-        }
-        if bth.opcode.has_immdt() {
-            ext.immdt = Some(ImmDt::parse(&buf[off..])?);
-            off += IMMDT_LEN;
-        }
+    fn parse_body(buf: &[u8]) -> Result<(RoceFrame, usize, usize)> {
+        let frame = Self::parse_headers(buf)?;
+        let off = ETHERNET_HEADER_LEN
+            + IPV4_HEADER_LEN
+            + UDP_HEADER_LEN
+            + BTH_LEN
+            + frame.ext.wire_len();
 
         // Locate the payload using the UDP length (the IP total_len must
         // agree; trimmed mirror captures use `parse_headers` instead).
-        let udp_end = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + udp.length as usize;
+        let udp_end = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + frame.udp.length as usize;
         if udp_end > buf.len() {
             return Err(ParseError::Truncated {
                 what: "frame body",
@@ -217,19 +181,21 @@ impl RoceFrame {
                     need: off,
                     have: after_payload,
                 })?;
-        let pad = bth.pad_count as usize;
+        let pad = frame.bth.pad_count as usize;
         if pad > padded_payload_len {
             return Err(ParseError::BadField {
                 what: "bth pad_count exceeds payload",
                 value: pad as u64,
             });
         }
-        Ok(((eth, ipv4, bth, udp, ext), off, padded_payload_len - pad))
+        Ok((frame, off, padded_payload_len - pad))
     }
 
-    /// Parse only the headers of a (possibly trimmed) capture. Returns the
-    /// frame with an empty payload; used on the 128-byte trimmed mirror
-    /// captures where the payload and ICRC were cut off.
+    /// Parse only the headers of a (possibly trimmed) capture: Ethernet →
+    /// IPv4 → UDP → BTH → the extension headers the opcode mandates — the
+    /// one header walk, which every other parse starts from. Returns the
+    /// frame with an empty payload; used as it is on the 128-byte trimmed
+    /// mirror captures where the payload and ICRC were cut off.
     pub fn parse_headers(buf: &[u8]) -> Result<RoceFrame> {
         let eth = EthernetHeader::parse(buf)?;
         if eth.ethertype != EtherType::Ipv4 {
@@ -242,6 +208,7 @@ impl RoceFrame {
         let udp = UdpHeader::parse(&buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..])?;
         let bth_off = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN;
         let bth = Bth::parse(&buf[bth_off..])?;
+
         let mut off = bth_off + BTH_LEN;
         let mut ext = ExtHeaders::default();
         if bth.opcode.has_reth() {

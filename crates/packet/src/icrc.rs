@@ -15,6 +15,12 @@
 //!
 //! The 32-bit result is appended little-endian (the convention used by
 //! software RoCE implementations such as Linux `rxe`).
+//!
+//! One table-driven loop (`update`, slicing-by-16) is behind [`crc32`],
+//! [`Crc32`] and [`icrc_over_masked`]. The last of these also knows that a
+//! region usually ends in zeros — every payload this simulator sends — and
+//! steps the state over that run with `ZERO_RUN` instead of walking it,
+//! after reading every byte of it to know that it is one.
 
 /// CRC-32 (IEEE 802.3, reflected, init all-ones, final xor all-ones).
 pub fn crc32(data: &[u8]) -> u32 {
@@ -96,7 +102,73 @@ pub fn icrc_over_masked(l3_and_up: &[u8], bth_offset: usize) -> u32 {
         crc = step(update(crc, &ib[..resv8a]), 0xff);
         ib = &ib[resv8a + 1..];
     }
-    update(crc, ib) ^ 0xffff_ffff
+    update_over_zero_tail(crc, ib) ^ 0xffff_ffff
+}
+
+/// [`update`] for data that may end in a long run of zeros. The run is
+/// found by reading it — whole 16-byte words compared from the end, so one
+/// set bit anywhere ends it there — and only what precedes it goes through
+/// the table loop; the run's effect on the state is applied as one
+/// [`ZERO_RUN`] operator per set bit of its length. Runs under 64 bytes
+/// are not worth an operator and stay in the table loop.
+fn update_over_zero_tail(crc: u32, data: &[u8]) -> u32 {
+    let words = data
+        .rchunks_exact(16)
+        .take((1 << ZERO_RUN.len()) - 1)
+        .take_while(|word| **word == [0; 16])
+        .count();
+    if words < 4 {
+        return update(crc, data);
+    }
+    let mut crc = update(crc, &data[..data.len() - 16 * words]);
+    for (k, run) in ZERO_RUN.iter().enumerate() {
+        if words >> k & 1 != 0 {
+            crc = advance(run, crc);
+        }
+    }
+    crc
+}
+
+/// `ZERO_RUN[k]` is `update(_, zeros(16 << k))` as a 32 × 32 bit matrix:
+/// the kernel carries no init or final xor, so a zero byte advances the raw
+/// state by shifts and table xors alone — a GF(2)-linear map of the state —
+/// and so does any number of them. Column `i` is where state bit `i` ends
+/// up; a run of `2ⁿ` words is the run of `2ⁿ⁻¹` applied twice.
+static ZERO_RUN: [[u32; 32]; 16] = {
+    let mut runs = [[0u32; 32]; 16];
+    let mut i = 0;
+    while i < 32 {
+        // One word of zeros, a bit at a time: the definition, not the kernel.
+        let mut crc = 1u32 << i;
+        let mut bit = 0;
+        while bit < 16 * 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        runs[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < runs.len() {
+        let mut i = 0;
+        while i < 32 {
+            runs[k][i] = advance(&runs[k - 1], runs[k - 1][i]);
+            i += 1;
+        }
+        k += 1;
+    }
+    runs
+};
+
+/// Matrix × state: the xor of the columns whose state bit is set.
+const fn advance(run: &[u32; 32], crc: u32) -> u32 {
+    let mut out = 0;
+    let mut i = 0;
+    while i < 32 {
+        out ^= run[i] & (crc >> i & 1).wrapping_neg();
+        i += 1;
+    }
+    out
 }
 
 /// The one CRC kernel: advance the raw (un-inverted) state over `data`,

@@ -11,7 +11,6 @@ use lumina_packet::Frame;
 use lumina_telemetry::trace::hops as trace_hops;
 use lumina_telemetry::{tev, MetricSet, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Identifies a node within an [`Engine`].
@@ -164,7 +163,9 @@ pub struct Engine {
     /// the horizon check without disturbing the wheel.
     next: Option<Entry<EventBody>>,
     nodes: Vec<Option<Box<dyn Node>>>,
-    links: HashMap<(NodeId, PortId), LinkState>,
+    /// Egress state of every connected port, `links[node][port]`; one
+    /// (possibly empty) row per node.
+    links: Vec<Vec<Option<LinkState>>>,
     rng: SimRng,
     stats: EngineStats,
     /// Packet-plane counter baseline taken at construction; per-run
@@ -198,7 +199,7 @@ impl Engine {
             queue: TimerWheel::new(),
             next: None,
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
             stats: EngineStats::default(),
             frame_baseline: buf::counters(),
@@ -275,6 +276,7 @@ impl Engine {
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Some(node));
+        self.links.push(Vec::new());
         id
     }
 
@@ -300,17 +302,19 @@ impl Engine {
             bandwidth,
             propagation,
         };
-        let dup_f = self.links.insert((a, pa), LinkState::new(fwd));
-        let dup_r = self.links.insert((b, pb), LinkState::new(rev));
-        assert!(
-            dup_f.is_none() && dup_r.is_none(),
-            "port already connected: {a:?}:{pa:?} or {b:?}:{pb:?}"
-        );
+        for (node, port, link) in [(a, pa, fwd), (b, pb, rev)] {
+            let ports = &mut self.links[node.0];
+            if port.0 >= ports.len() {
+                ports.resize(port.0 + 1, None);
+            }
+            let dup = ports[port.0].replace(LinkState::new(link));
+            assert!(dup.is_none(), "port already connected: {node:?}:{port:?}");
+        }
     }
 
     /// Inspect a link's egress state (for diagnostics and tests).
     pub fn link_state(&self, node: NodeId, port: PortId) -> Option<&LinkState> {
-        self.links.get(&(node, port))
+        self.links.get(node.0)?.get(port.0)?.as_ref()
     }
 
     fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind) {
@@ -485,7 +489,6 @@ impl Engine {
 
     fn apply(&mut self, from: NodeId, effects: &mut Effects) {
         for (port, frame, depart_delay) in effects.sends.drain(..) {
-            let key = (from, port);
             // Marked links (mirror paths) consult the fault plane; every
             // other link bypasses it without touching the plane RNG.
             let mut copies = 1usize;
@@ -551,7 +554,7 @@ impl Engine {
                         handoff = resume;
                     }
                 }
-                let Some(link) = self.links.get_mut(&key) else {
+                let Some(Some(link)) = self.links[from.0].get_mut(port.0) else {
                     panic!("node {from:?} sent on unconnected port {port:?}");
                 };
                 self.telemetry.record_hop(

@@ -140,10 +140,9 @@ pub enum PcapReadErrorKind {
     Truncated(&'static str),
 }
 
-impl std::fmt::Display for PcapReadError {
+impl std::fmt::Display for PcapReadErrorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "offset {}: ", self.offset)?;
-        match &self.kind {
+        match self {
             PcapReadErrorKind::Io(e) => write!(f, "read failed: {e}"),
             PcapReadErrorKind::BadMagic(m) => {
                 write!(f, "magic {m:#010x} is neither pcap nor pcapng")
@@ -154,6 +153,12 @@ impl std::fmt::Display for PcapReadError {
             }
             PcapReadErrorKind::Truncated(what) => write!(f, "file ends inside {what}"),
         }
+    }
+}
+
+impl std::fmt::Display for PcapReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "offset {}: {}", self.offset, self.kind)
     }
 }
 

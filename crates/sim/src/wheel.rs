@@ -25,8 +25,10 @@
 //!
 //! Push and pop are O(levels) amortized — no comparison-heap log factor.
 //! The only allocations are the slot vectors': a slot keeps its buffer
-//! across level-0 and lone-entry pops, and gives it up when it cascades
-//! (`std::mem::take` frees it once re-filed), growing again on reuse.
+//! across level-0 and lone-entry pops and gives it up when it cascades.
+//! The buffer given up last is kept as the one `spare`, and the next slot
+//! filed into from nothing takes it over; any other empty slot grows a
+//! buffer of its own on reuse.
 
 use std::fmt;
 
@@ -74,6 +76,10 @@ pub struct TimerWheel<T> {
     /// "lowest occupied slot" mean "earliest event".
     elapsed: u64,
     len: usize,
+    /// The buffer of the slot that cascaded last, empty: the next slot
+    /// filed into from nothing takes it over instead of allocating. One
+    /// buffer, not a pool — the wheel holds no capacity it has no use for.
+    spare: Vec<Entry<T>>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -89,6 +95,7 @@ impl<T> TimerWheel<T> {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             elapsed: 0,
             len: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -133,7 +140,11 @@ impl<T> TimerWheel<T> {
         let level = Self::level_for(self.elapsed, entry.time);
         let slot = Self::slot_for(entry.time, level);
         let lv = &mut self.levels[level];
-        lv.slots[slot].push(entry);
+        let bucket = &mut lv.slots[slot];
+        if bucket.capacity() == 0 {
+            *bucket = std::mem::take(&mut self.spare);
+        }
+        bucket.push(entry);
         lv.occupied |= 1 << slot;
     }
 
@@ -185,11 +196,12 @@ impl<T> TimerWheel<T> {
             let slot_base = high | ((slot as u64) << shift);
             debug_assert!(slot_base >= self.elapsed);
             self.elapsed = slot_base;
-            let drained = std::mem::take(&mut self.levels[level].slots[slot]);
+            let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
             self.levels[level].occupied &= !(1 << slot);
-            for e in drained {
+            for e in drained.drain(..) {
                 self.file(e);
             }
+            self.spare = drained;
         }
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! The wheel's slot vectors are the only buffers on this path. A slot
 //! grows the first time it is filed into and again after it cascades
-//! (`std::mem::take` gives the buffer up), so a shape with multi-entry
-//! slots is never allocation-free; the two tests pin down everything else.
+//! (it gives its buffer up, and only the last one given up is handed on),
+//! so a shape with multi-entry slots is never allocation-free; the two
+//! tests pin down everything else.
 
 use lumina_sim::wheel::{Entry, TimerWheel};
 use lumina_sim::{Engine, Frame, Node, NodeCtx, PortId, SimTime};

@@ -92,11 +92,61 @@ pub struct PortCounters {
     pub mirrored: u64,
 }
 
+/// Per-port counters indexed by port number. Only ports that have counted
+/// something exist, and the table serializes as the map it replaced:
+/// `{"0": {…}, "1": {…}}`, keys in string order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PortTable(Vec<Option<PortCounters>>);
+
+impl PortTable {
+    /// The counters of `port`, created zeroed on first touch.
+    pub fn entry(&mut self, port: usize) -> &mut PortCounters {
+        if port >= self.0.len() {
+            self.0.resize(port + 1, None);
+        }
+        self.0[port].get_or_insert_default()
+    }
+
+    /// `(port, counters)` of every port present, by port number.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &PortCounters)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(port, c)| Some((port, c.as_ref()?)))
+    }
+
+    /// The counters of every port present, by port number.
+    pub fn values(&self) -> impl Iterator<Item = &PortCounters> {
+        self.iter().map(|(_, c)| c)
+    }
+
+    /// True when no port has counted anything.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl Serialize for PortTable {
+    fn serialize(&self) -> serde_json::Value {
+        self.iter().collect::<HashMap<_, _>>().serialize()
+    }
+}
+
+impl Deserialize for PortTable {
+    fn deserialize(v: &serde_json::Value) -> Result<PortTable, serde::Error> {
+        let mut table = PortTable::default();
+        for (port, counters) in HashMap::<usize, PortCounters>::deserialize(v)? {
+            *table.entry(port) = counters;
+        }
+        Ok(table)
+    }
+}
+
 /// Aggregate switch counters.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SwitchCounters {
     /// Per-port counters.
-    pub ports: HashMap<usize, PortCounters>,
+    pub ports: PortTable,
     /// Total RoCE packets that entered the ingress pipeline.
     pub roce_rx_total: u64,
     /// Total mirror copies generated.
@@ -147,6 +197,9 @@ pub struct SwitchNode {
     pub iter: IterTracker,
     /// Counters.
     pub counters: SwitchCounters,
+    /// `cfg.forward` as built, sorted by address: two hosts are two
+    /// compares, and no frame pays for a hash.
+    routes: Vec<(Ipv4Addr, PortId)>,
     wrr: Option<WeightedRoundRobin>,
     mirror_seq: u64,
     held: Vec<Option<HeldPacket>>,
@@ -174,8 +227,11 @@ impl SwitchNode {
                 cfg.dumper_ports.iter().map(|&(_, w)| w).collect(),
             ))
         };
+        let mut routes: Vec<_> = cfg.forward.iter().map(|(&ip, &port)| (ip, port)).collect();
+        routes.sort_unstable();
         SwitchNode {
             cfg,
+            routes,
             table: InjectionTable::default(),
             iter: IterTracker::default(),
             counters: SwitchCounters::default(),
@@ -197,11 +253,12 @@ impl SwitchNode {
     }
 
     fn port_counters(&mut self, port: PortId) -> &mut PortCounters {
-        self.counters.ports.entry(port.0).or_default()
+        self.counters.ports.entry(port.0)
     }
 
     fn forward_port(&self, dst: Ipv4Addr) -> Option<PortId> {
-        self.cfg.forward.get(&dst).copied()
+        let at = self.routes.binary_search_by_key(&dst, |&(ip, _)| ip).ok()?;
+        Some(self.routes[at].1)
     }
 
     fn mirror(&mut self, ingress: PortId, raw: &Frame, event: EventType, ctx: &mut NodeCtx<'_>) {
@@ -235,8 +292,9 @@ impl SwitchNode {
             port = port.0,
         );
         self.counters.mirrored_total += 1;
-        self.port_counters(port).mirrored += 1;
-        self.port_counters(port).tx += 1;
+        let counters = self.port_counters(port);
+        counters.mirrored += 1;
+        counters.tx += 1;
         let latency = self.cfg.pipeline_latency;
         // The copy shares the original's provenance id, so the lifecycle
         // tracer sees one packet branching into a mirror leg.
@@ -380,18 +438,26 @@ impl Node for SwitchNode {
         self.counters.roce_rx_total += 1;
         self.port_counters(port).rx_roce += 1;
 
+        // Everything the rest of the pipeline needs, by value: the parsed
+        // view's payload shares `raw`'s buffer, and it is dropped here so
+        // that an unshared frame can be patched in place by a mutating
+        // action instead of forcing a copy-on-write detach.
+        let out_dst = frame.ipv4.dst;
+        let is_data = frame.bth.opcode.is_data();
+        let psn = frame.bth.psn;
+        let conn = ConnKey {
+            src_ip: frame.ipv4.src,
+            dst_ip: frame.ipv4.dst,
+            dst_qpn: frame.bth.dest_qp,
+        };
+        drop(frame);
+
         // ITER tracking and event injection apply to data packets only
         // (Lumina does not inject events on ACK/NACK/CNP control packets,
         // §3.3 footnote 2).
         let mut action = None;
-        if frame.bth.opcode.is_data() {
-            let conn = ConnKey {
-                src_ip: frame.ipv4.src,
-                dst_ip: frame.ipv4.dst,
-                dst_qpn: frame.bth.dest_qp,
-            };
-            let prev_iter = self.iter.current_iter(&conn);
-            let iter = self.iter.observe(conn, frame.bth.psn);
+        if is_data {
+            let (prev_iter, iter) = self.iter.observe(conn, psn);
             if iter != prev_iter {
                 tev!(
                     ctx.telemetry(),
@@ -400,16 +466,12 @@ impl Node for SwitchNode {
                     "switch",
                     "iter.transition",
                     qpn = conn.dst_qpn,
-                    psn = frame.bth.psn,
+                    psn = psn,
                     iter = iter,
                 );
             }
             if self.cfg.injection {
-                action = self.table.lookup(&InjectionKey {
-                    conn,
-                    psn: frame.bth.psn,
-                    iter,
-                });
+                action = self.table.lookup(&InjectionKey { conn, psn, iter });
             }
             if let Some(a) = action {
                 let kind = match a {
@@ -427,7 +489,7 @@ impl Node for SwitchNode {
                     "switch",
                     kind,
                     qpn = conn.dst_qpn,
-                    psn = frame.bth.psn,
+                    psn = psn,
                     iter = iter,
                 );
                 let hop = match a {
@@ -453,18 +515,6 @@ impl Node for SwitchNode {
             self.mirror(port, &raw, EventType::of_action(action), ctx);
         }
 
-        // The parsed view's payload slice shares `raw`'s buffer; drop it
-        // before any mutating action so an unshared frame can be patched in
-        // place instead of forcing a copy-on-write detach.
-        let out_dst = frame.ipv4.dst;
-        let is_data = frame.bth.opcode.is_data();
-        let psn = frame.bth.psn;
-        let conn = ConnKey {
-            src_ip: frame.ipv4.src,
-            dst_ip: frame.ipv4.dst,
-            dst_qpn: frame.bth.dest_qp,
-        };
-        drop(frame);
         let decision = match action {
             None => ForwardDecision::Forward(raw),
             Some(a) => self.apply_action(raw, a),

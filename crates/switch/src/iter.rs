@@ -9,7 +9,7 @@
 
 use lumina_packet::bth::psn_distance;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::Ipv4Addr;
 
 /// Connection key as the data plane sees it: the direction matters, so the
@@ -37,16 +37,20 @@ pub struct IterTracker {
 }
 
 impl IterTracker {
-    /// Observe a data packet; returns the ITER value the packet belongs to
-    /// (after any new-round increment, so that events target the round the
-    /// packet actually is in — see Figure 3).
-    pub fn observe(&mut self, key: ConnKey, psn: u32) -> u32 {
-        match self.conns.get_mut(&key) {
-            None => {
-                self.conns.insert(key, ConnState { iter: 1, last_psn: psn });
-                1
+    /// Observe a data packet; returns the connection's ITER before the
+    /// packet (1 if never seen) and the ITER the packet belongs to (after
+    /// any new-round increment, so that events target the round the packet
+    /// actually is in — see Figure 3). The two differ on a round's first
+    /// packet.
+    pub fn observe(&mut self, key: ConnKey, psn: u32) -> (u32, u32) {
+        match self.conns.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(ConnState { iter: 1, last_psn: psn });
+                (1, 1)
             }
-            Some(state) => {
+            Entry::Occupied(slot) => {
+                let state = slot.into_mut();
+                let previous = state.iter;
                 // "If its PSN is not larger than Last_PSN, the event
                 // injector identifies this as a new round" — evaluated in
                 // 24-bit PSN space.
@@ -54,7 +58,7 @@ impl IterTracker {
                     state.iter += 1;
                 }
                 state.last_psn = psn;
-                state.iter
+                (previous, state.iter)
             }
         }
     }
@@ -96,7 +100,7 @@ mod tests {
         let k = key();
         let observed: Vec<u32> = [1, 2, 3, 4, 2, 3, 4, 3, 4]
             .iter()
-            .map(|&psn| t.observe(k, psn))
+            .map(|&psn| t.observe(k, psn).1)
             .collect();
         assert_eq!(observed, vec![1, 1, 1, 1, 2, 2, 2, 3, 3]);
     }
@@ -106,9 +110,9 @@ mod tests {
         // "not larger than": a repeat of the same PSN is a new round.
         let mut t = IterTracker::default();
         let k = key();
-        assert_eq!(t.observe(k, 5), 1);
-        assert_eq!(t.observe(k, 5), 2);
-        assert_eq!(t.observe(k, 5), 3);
+        assert_eq!(t.observe(k, 5), (1, 1));
+        assert_eq!(t.observe(k, 5), (1, 2));
+        assert_eq!(t.observe(k, 5), (2, 3));
     }
 
     #[test]
@@ -124,7 +128,7 @@ mod tests {
         t.observe(k1, 1); // k1 round 2
         assert_eq!(t.current_iter(&k1), 2);
         assert_eq!(t.current_iter(&k2), 1);
-        assert_eq!(t.observe(k2, 1), 1);
+        assert_eq!(t.observe(k2, 1), (1, 1));
         assert_eq!(t.connections(), 2);
     }
 
@@ -133,12 +137,12 @@ mod tests {
         // 0xffffff → 0x000000 is forward progress in 24-bit space.
         let mut t = IterTracker::default();
         let k = key();
-        assert_eq!(t.observe(k, 0xff_fffe), 1);
-        assert_eq!(t.observe(k, 0xff_ffff), 1);
-        assert_eq!(t.observe(k, 0x00_0000), 1);
-        assert_eq!(t.observe(k, 0x00_0001), 1);
+        assert_eq!(t.observe(k, 0xff_fffe), (1, 1));
+        assert_eq!(t.observe(k, 0xff_ffff), (1, 1));
+        assert_eq!(t.observe(k, 0x00_0000), (1, 1));
+        assert_eq!(t.observe(k, 0x00_0001), (1, 1));
         // Going back across the wrap is a retransmission.
-        assert_eq!(t.observe(k, 0xff_ffff), 2);
+        assert_eq!(t.observe(k, 0xff_ffff), (1, 2));
     }
 
     #[test]

@@ -1,23 +1,67 @@
 //! Offline shim for the `bytes` crate.
 //!
 //! Provides the subset of the real API this workspace uses: an immutable,
-//! cheaply cloneable, sliceable byte buffer backed by an `Arc<Vec<u8>>`.
-//! Clones share the allocation; `slice` produces a view without copying.
-//! The empty value ([`Bytes::new`]) has no backing allocation at all.
+//! cheaply cloneable, sliceable byte buffer backed by an `Arc<[u8]>` — the
+//! bytes and their reference count live in one allocation. Clones share
+//! it; `slice` produces a view without copying. The empty value
+//! ([`Bytes::new`]) has no backing allocation at all. A buffer that is
+//! written before it is shared starts as a [`BytesMut`].
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable chunk of contiguous memory.
 #[derive(Clone, Default)]
 pub struct Bytes {
     /// `None` only for [`Bytes::new`]: the empty value owns nothing.
-    data: Option<Arc<Vec<u8>>>,
-    start: usize,
-    end: usize,
+    data: Option<Arc<[u8]>>,
+    /// The view, as offsets into `data`. Thirty-two bits each keep the
+    /// handle at three words (every parsed frame carries one); no buffer
+    /// here comes near 4 GiB, and [`From<Arc<[u8]>>`] refuses one that does.
+    start: u32,
+    end: u32,
+}
+
+/// A uniquely owned, writable buffer that becomes a [`Bytes`] without
+/// moving: [`BytesMut::zeroed`], fill through `DerefMut`, [`freeze`]
+/// (the real crate's shape for "serialize, then share") — one allocation
+/// from the first byte written to the last handle dropped.
+///
+/// [`freeze`]: BytesMut::freeze
+pub struct BytesMut {
+    data: Arc<[u8]>,
+}
+
+impl BytesMut {
+    /// A buffer of `len` zero bytes.
+    pub fn zeroed(len: usize) -> BytesMut {
+        // An exact-size iterator collects straight into the shared
+        // allocation (and compiles to a `memset`).
+        BytesMut {
+            data: std::iter::repeat_n(0, len).collect(),
+        }
+    }
+
+    /// Give up write access; the buffer is shared from here on.
+    pub fn freeze(self) -> Bytes {
+        Bytes::from(self.data)
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.data).expect("a BytesMut never shares its buffer")
+    }
 }
 
 impl Bytes {
@@ -28,7 +72,7 @@ impl Bytes {
 
     /// Copy the given slice into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        Bytes::from(Arc::<[u8]>::from(data))
     }
 
     /// Create a `Bytes` from a static slice without tracking the borrow
@@ -39,7 +83,7 @@ impl Bytes {
 
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// True when the view is empty.
@@ -66,15 +110,16 @@ impl Bytes {
         assert!(begin <= end && end <= len, "slice out of bounds");
         Bytes {
             data: self.data.clone(),
-            start: self.start + begin,
-            end: self.start + end,
+            // In bounds of a view whose own bounds fit.
+            start: self.start + begin as u32,
+            end: self.start + end as u32,
         }
     }
 
     /// The bytes as a plain slice.
     pub fn as_slice(&self) -> &[u8] {
         match &self.data {
-            Some(v) => &v[self.start..self.end],
+            Some(v) => &v[self.start as usize..self.end as usize],
             None => &[],
         }
     }
@@ -98,7 +143,7 @@ impl Bytes {
     /// this workspace's copy-on-write `Frame` only needs in-place access
     /// on the unique-owner fast path.
     pub fn get_mut(&mut self) -> Option<&mut [u8]> {
-        let (start, end) = (self.start, self.end);
+        let (start, end) = (self.start as usize, self.end as usize);
         match &mut self.data {
             Some(v) => Arc::get_mut(v).map(|v| &mut v[start..end]),
             None => Some(&mut []),
@@ -125,14 +170,22 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Bytes {
+        let end = u32::try_from(data.len()).expect("buffer of 4 GiB or more");
         Bytes {
-            data: Some(Arc::new(v)),
+            data: Some(data),
             start: 0,
             end,
         }
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    /// Copies: the vector's allocation has no room for a reference count
+    /// (the real crate adopts it and allocates the count beside it).
+    fn from(v: Vec<u8>) -> Bytes {
+        Bytes::from(Arc::<[u8]>::from(v))
     }
 }
 
@@ -265,6 +318,19 @@ mod tests {
         assert_eq!(m.len(), 2);
         m[1] = 7;
         assert_eq!(&s[..], &[0, 7]);
+    }
+
+    #[test]
+    fn a_frozen_buffer_keeps_what_was_written() {
+        let mut m = BytesMut::zeroed(6);
+        assert_eq!(&m[..], &[0; 6]);
+        m[2..4].copy_from_slice(&[7, 8]);
+        let mut b = m.freeze();
+        assert_eq!(&b[..], &[0, 0, 7, 8, 0, 0]);
+        assert!(b.is_unique());
+        b.get_mut().unwrap()[0] = 1;
+        assert_eq!(b.slice(..3), Bytes::from(vec![1, 0, 7]));
+        assert!(BytesMut::zeroed(0).freeze().is_empty());
     }
 
     #[test]

@@ -131,6 +131,38 @@ fn frame_plane_counters_stay_out_of_the_report() {
 }
 
 #[test]
+fn frame_ledger_and_event_count_are_pinned() {
+    // The frame plane's byte ledger and the engine's event count are
+    // counts, not timings: a change to how buffers are built, shared or
+    // scheduled either leaves every one of them where it was or shows up
+    // here. Recorded on the tree before the one-allocation wire buffer.
+    let pinned = [
+        ("listing2", [470, 462_284, 476_820, 235, 1_114_998, 17], 1_177),
+        (
+            "fig11_noisy_neighbor",
+            [18_530, 19_117_460, 19_729_662, 9_265, 43_201_106, 72],
+            53_816,
+        ),
+    ];
+    let corpus = corpus();
+    for (name, ledger, events) in pinned {
+        let (_, cfg) = corpus.iter().find(|(n, _)| n == name).expect(name);
+        let res = run_test(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let fs = res.frame_stats;
+        let got = [
+            fs.frames_allocated,
+            fs.bytes_allocated,
+            fs.bytes_copied,
+            fs.frames_shared,
+            fs.bytes_shared,
+            fs.peak_live_frames,
+        ];
+        assert_eq!(got, ledger, "{name}: frame ledger moved");
+        assert_eq!(res.engine_stats.events, events, "{name}: event count moved");
+    }
+}
+
+#[test]
 fn quirk_free_reports_never_gain_quirk_keys() {
     // The misbehavior plane is absent-by-default: a config without a
     // `quirks:` section must produce a report with no "quirks" or

@@ -1,12 +1,15 @@
 //! Differential and known-answer tests for the CRC-32 / ICRC kernel.
 //!
 //! Every mirrored packet pays the ICRC twice (emit and receive check), so
-//! the kernel is wide (sliced, 16 bytes per step). These tests pin it from
-//! outside the crate: against a bit-at-a-time reference over every length
-//! and source alignment the wide loop and its tail can meet, against
-//! itself across streaming splits, and against ICRC values recorded from
-//! the bytewise implementation it replaced — one frame of every family the
-//! simulator emits.
+//! the kernel is wide (sliced, 16 bytes per step) and `icrc_over_masked`
+//! steps over a zero tail — every payload the simulator sends — with one
+//! matrix product per set bit of its length instead of walking it. These
+//! tests pin both from outside the crate: against a bit-at-a-time
+//! reference over every length and source alignment the wide loop, its
+//! tail and the zero step can meet, against itself across streaming
+//! splits, against ICRC values recorded from the bytewise implementation it
+//! replaced — one frame of every family the simulator emits — and, bit by
+//! bit, that the zero step still reads every byte it steps over.
 
 use lumina_packet::aeth::AethSyndrome;
 use lumina_packet::builder::{ack_frame, cnp_frame, nack_frame, DataPacketBuilder};
@@ -79,6 +82,111 @@ fn streaming_matches_oneshot_at_every_split() {
         c.update(std::slice::from_ref(b));
     }
     assert_eq!(c.finish(), want);
+}
+
+/// The ICRC by its definition: the CRC-32 of eight bytes of ones followed
+/// by the region with its mutable fields set to ones, a bit at a time.
+fn reference_icrc(region: &[u8]) -> u32 {
+    let mut image = [&[0xff; 8], region].concat();
+    for masked in MASKED {
+        if let Some(byte) = image.get_mut(8 + masked) {
+            *byte = 0xff;
+        }
+    }
+    reference_crc32(&image)
+}
+
+/// TOS, TTL, IP checksum, UDP checksum, BTH resv8a — offsets into the
+/// region `icrc_over_masked` takes, for a BTH at byte 28.
+const MASKED: [usize; 7] = [1, 8, 10, 11, 26, 27, 32];
+
+#[test]
+fn zero_tails_match_reference_at_every_length_prefix_and_alignment() {
+    const MAX_TAIL: usize = 4200;
+    // IPv4 + UDP + BTH, then a non-zero prefix, then the zero run.
+    let headers = &pattern(140)[100..];
+    for prefix_len in [0, 1, 15, 16, 66] {
+        let prefix: Vec<u8> = (0..prefix_len).map(|i| 0x80 | i as u8).collect();
+        let body = [headers, &prefix[..]].concat();
+        let mut image = [&[0xff; 8], &body[..]].concat();
+        for masked in MASKED {
+            image[8 + masked] = 0xff;
+        }
+        let before_tail = image.iter().fold(!0, |s, &b| reference_step(s, b));
+        for align in 0..16 {
+            let mut buf = vec![0; align + body.len() + MAX_TAIL];
+            buf[align..align + body.len()].copy_from_slice(&body);
+            let mut state = before_tail;
+            for tail in 0..=MAX_TAIL {
+                assert_eq!(
+                    icrc_over_masked(&buf[align..align + body.len() + tail], 28),
+                    !state,
+                    "{tail} zeros behind a {prefix_len}-byte prefix at alignment {align}"
+                );
+                state = reference_step(state, 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_runs_elsewhere_and_all_zero_regions_match_reference() {
+    // A zero run that does not reach the end is ordinary data.
+    let mut region = [&pattern(140)[100..], &[0; 2049][..]].concat();
+    *region.last_mut().unwrap() = 1;
+    assert_eq!(icrc_over_masked(&region, 28), reference_icrc(&region));
+    // Nothing but zeros, shorter and longer than the staged headers, the
+    // shortest run that takes the step, and one past every operator.
+    for len in [0, 1, 27, 28, 33, 40, 91, 92, 103, 104, 1064, 4136, (16 << 16) + 57] {
+        let zeros = vec![0; len];
+        assert_eq!(icrc_over_masked(&zeros, 28), reference_icrc(&zeros), "{len} zeros");
+    }
+    // Two tail lengths taking turns: nothing is remembered between calls.
+    let (mtu, last) = (vec![0; 40 + 1024], vec![0; 40 + 328]);
+    let want = (reference_icrc(&mtu), reference_icrc(&last));
+    for _ in 0..20 {
+        assert_eq!((icrc_over_masked(&mtu, 28), icrc_over_masked(&last, 28)), want);
+    }
+}
+
+#[test]
+fn streaming_splits_inside_a_zero_run_match_oneshot() {
+    let buf = [&pattern(70)[..], &[0; 600][..]].concat();
+    let want = reference_crc32(&buf);
+    assert_eq!(crc32(&buf), want);
+    for split in 60..=buf.len() {
+        let mut c = Crc32::new();
+        c.update(&buf[..split]);
+        c.update(&buf[split..]);
+        assert_eq!(c.finish(), want, "split at {split}");
+    }
+}
+
+/// The zero step reads what it steps over: a frame whose payload is all
+/// zeros takes it on emit and on receive, and there is no covered bit —
+/// BTH, RETH, payload, pad — whose flip the receive check misses.
+#[test]
+fn every_covered_bit_of_a_zero_payload_frame_has_teeth() {
+    for payload_len in [1024, 1022] {
+        let wire = DataPacketBuilder::new()
+            .opcode(Opcode::RdmaWriteOnly)
+            .reth(reth(payload_len as u32))
+            .payload_len(payload_len)
+            .build()
+            .emit();
+        assert_eq!(wire[wire.len() - ICRC_LEN - 1], 0, "ends in payload or pad");
+        let mut wire = wire.to_vec();
+        assert!(icrc_check(&wire));
+        let bth = 14 + 28;
+        for at in (bth..wire.len() - ICRC_LEN).filter(|&at| at != bth + 4) {
+            for bit in 0..8 {
+                wire[at] ^= 1 << bit;
+                assert!(!icrc_check(&wire), "bit {bit} of byte {at} flipped unseen");
+                wire[at] ^= 1 << bit;
+            }
+            assert!(icrc_check(&wire), "byte {at} restored");
+        }
+    }
 }
 
 fn data(opcode: Opcode, payload_len: usize) -> DataPacketBuilder {
@@ -187,14 +295,12 @@ fn icrc_ignores_exactly_the_masked_fields() {
     let wire = data(Opcode::RdmaWriteMiddle, 1024).build().emit();
     let region = &wire[14..wire.len() - ICRC_LEN];
     let base = icrc_over_masked(region, 28);
-    // TOS, TTL, IP checksum, UDP checksum, BTH resv8a.
-    let masked = [1, 8, 10, 11, 26, 27, 32];
     for off in 0..region.len() {
         let mut changed = region.to_vec();
         changed[off] ^= 0x5a;
         assert_eq!(
             icrc_over_masked(&changed, 28) == base,
-            masked.contains(&off),
+            MASKED.contains(&off),
             "byte {off}"
         );
     }
