@@ -161,6 +161,15 @@ impl<'a> RunReport<'a> {
                     .unwrap_or_else(|| "-".into()),
             ));
         }
+        // The journal is a ring; `lumina-cli telemetry` prints the same line.
+        let dropped = r.telemetry.journal_dropped();
+        if dropped > 0 {
+            line(
+                &mut out,
+                "journal dropped",
+                format_args!("{dropped} (ring full)"),
+            );
+        }
         out
     }
 

@@ -166,3 +166,26 @@ fn campaign_stdout_is_byte_identical_across_worker_counts() {
         assert_eq!(serial, with_workers("4"), "{base:?}");
     }
 }
+
+#[test]
+fn human_run_report_says_when_the_journal_overflowed() {
+    // One journal event per mirrored packet: 66 x 1 MiB at MTU 1024 is
+    // 67 584 data packets, more than the 65 536-event ring holds.
+    let config = concat!(env!("CARGO_TARGET_TMPDIR"), "/journal_overflow.yaml");
+    let yaml = "requester: { nic-type: cx6 }\nresponder: { nic-type: cx6 }\n\
+                traffic:\n  num-connections: 1\n  rdma-verb: write\n  num-msgs-per-qp: 66\n  \
+                mtu: 1024\n  message-size: 1048576\n";
+    std::fs::write(config, yaml).unwrap();
+    let out = cli(&[config]);
+    assert_eq!(out.status.code(), Some(0));
+    let report = String::from_utf8_lossy(&out.stdout);
+    let dropped: Vec<&str> = report
+        .lines()
+        .filter(|l| l.starts_with("journal dropped : ") && l.ends_with(" (ring full)"))
+        .collect();
+    assert_eq!(dropped.len(), 1, "{report}");
+
+    // A run the ring holds prints no such line.
+    let out = cli(&["configs/listing2.yaml"]);
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("journal dropped"));
+}

@@ -44,7 +44,14 @@ pub struct HostNode {
     pub rnic: Rnic,
     role_is_requester: bool,
     barrier_sync: bool,
-    flows: BTreeMap<u32, FlowState>,
+    /// Ascending by QPN.
+    flows: Vec<FlowState>,
+    /// Flows with `outstanding > 0`.
+    busy_flows: usize,
+    /// Flows with `posted < num_msgs`.
+    unposted_flows: usize,
+    /// Flows with `completed + failed < num_msgs`.
+    unfinished_flows: usize,
     metrics: MetricsHandle,
     next_wr_id: u64,
     name: String,
@@ -64,14 +71,14 @@ impl HostNode {
             } => (true, barrier_sync, plans),
             Role::Responder => (false, false, Vec::new()),
         };
-        let mut flows = BTreeMap::new();
+        let mut by_qpn = BTreeMap::new();
         for plan in plans {
             metrics
                 .borrow_mut()
                 .flows
                 .entry(plan.qpn)
                 .or_default();
-            flows.insert(
+            by_qpn.insert(
                 plan.qpn,
                 FlowState {
                     plan,
@@ -83,11 +90,16 @@ impl HostNode {
                 },
             );
         }
+        let flows: Vec<FlowState> = by_qpn.into_values().collect();
+        let with_msgs = flows.iter().filter(|f| f.plan.num_msgs > 0).count();
         HostNode {
             rnic,
             role_is_requester,
             barrier_sync,
             flows,
+            busy_flows: 0,
+            unposted_flows: with_msgs,
+            unfinished_flows: with_msgs,
             metrics,
             next_wr_id: 1,
             name: name.into(),
@@ -116,22 +128,27 @@ impl HostNode {
                     ctx.send(PortId(0), frame);
                 }
                 Action::ArmTimer { at, token } => ctx.set_timer_at(at.max(ctx.now()), token),
-                Action::Complete(c) => {
-                    let more = self.on_completion(c, ctx);
-                    queue.extend(more);
-                }
+                Action::Complete(c) => self.on_completion(c, ctx, &mut queue),
             }
         }
         // Drained: the device fills the same buffer on its next call.
         self.rnic.recycle(queue.into());
     }
 
-    fn post_one(&mut self, qpn: u32, now: SimTime) -> Vec<Action> {
+    /// Post flow `i`'s next message; the device's actions go to `out`.
+    fn post_one(&mut self, i: usize, now: SimTime, out: &mut VecDeque<Action>) {
         let wr_id = self.next_wr_id;
         self.next_wr_id += 1;
-        let flow = self.flows.get_mut(&qpn).expect("unknown flow");
+        let flow = &mut self.flows[i];
+        let qpn = flow.plan.qpn;
         flow.posted += 1;
+        if flow.posted == flow.plan.num_msgs {
+            self.unposted_flows -= 1;
+        }
         flow.outstanding += 1;
+        if flow.outstanding == 1 {
+            self.busy_flows += 1;
+        }
         flow.post_times.insert(wr_id, now);
         {
             let mut m = self.metrics.borrow_mut();
@@ -145,55 +162,48 @@ impl HostNode {
             verb: flow.plan.verb_of_msg(flow.posted - 1),
             len: flow.plan.msg_size,
         };
-        self.rnic.post_send(qpn, wr, now)
+        let mut actions = self.rnic.post_send(qpn, wr, now);
+        out.extend(actions.drain(..));
+        self.rnic.recycle(actions);
     }
 
-    fn fill_pipeline(&mut self, now: SimTime) -> Vec<Action> {
-        let mut out = Vec::new();
-        let qpns: Vec<u32> = self.flows.keys().copied().collect();
-        if self.barrier_sync {
-            // Post exactly one message per QP per round; a new round starts
-            // only when every QP finished the previous one.
-            let all_idle = self
-                .flows
-                .values()
-                .all(|f| f.outstanding == 0);
-            let any_left = self
-                .flows
-                .values()
-                .any(|f| f.posted < f.plan.num_msgs);
-            if all_idle && any_left {
-                self.round += 1;
-                for qpn in qpns {
-                    let f = &self.flows[&qpn];
-                    if f.posted < f.plan.num_msgs {
-                        out.extend(self.post_one(qpn, now));
-                    }
-                }
+    /// Post on flow `i` until its pipeline is full or its plan exhausted.
+    fn fill_flow(&mut self, i: usize, now: SimTime, out: &mut VecDeque<Action>) {
+        loop {
+            let f = &self.flows[i];
+            if f.posted >= f.plan.num_msgs || f.outstanding >= f.plan.tx_depth {
+                break;
             }
-        } else {
-            for qpn in qpns {
-                loop {
-                    let f = &self.flows[&qpn];
-                    if f.posted >= f.plan.num_msgs || f.outstanding >= f.plan.tx_depth {
-                        break;
-                    }
-                    out.extend(self.post_one(qpn, now));
+            self.post_one(i, now, out);
+        }
+    }
+
+    /// Barrier mode: post exactly one message per QP per round; a new round
+    /// starts only when every QP finished the previous one.
+    fn start_round_if_idle(&mut self, now: SimTime, out: &mut VecDeque<Action>) {
+        if self.busy_flows == 0 && self.unposted_flows > 0 {
+            self.round += 1;
+            for i in 0..self.flows.len() {
+                if self.flows[i].posted < self.flows[i].plan.num_msgs {
+                    self.post_one(i, now, out);
                 }
             }
         }
-        out
     }
 
-    fn on_completion(&mut self, c: Completion, ctx: &mut NodeCtx<'_>) -> Vec<Action> {
+    fn on_completion(&mut self, c: Completion, ctx: &mut NodeCtx<'_>, out: &mut VecDeque<Action>) {
         let now = ctx.now();
         if c.is_recv {
             // Responder-side receive completion: account bytes only.
-            return Vec::new();
+            return;
         }
-        let Some(flow) = self.flows.get_mut(&c.qpn) else {
-            return Vec::new();
+        let Ok(i) = self.flows.binary_search_by_key(&c.qpn, |f| f.plan.qpn) else {
+            return;
         };
+        let flow = &mut self.flows[i];
+        if flow.outstanding == 1 {
+            self.busy_flows -= 1;
+        }
         flow.outstanding = flow.outstanding.saturating_sub(1);
         let post_time = flow.post_times.remove(&c.wr_id);
         {
@@ -228,8 +238,8 @@ impl HostNode {
                 }
             }
         }
-        let flow = &self.flows[&c.qpn];
         if flow.completed + flow.failed == flow.plan.num_msgs {
+            self.unfinished_flows -= 1;
             tev!(
                 ctx.telemetry(),
                 now.as_nanos(),
@@ -241,19 +251,19 @@ impl HostNode {
                 failed = flow.failed,
             );
         }
-        let mut out = self.fill_pipeline(now);
-        // Check global completion.
-        let all_done = self
-            .flows
-            .values()
-            .all(|f| f.completed + f.failed >= f.plan.num_msgs);
-        if all_done {
+        if self.barrier_sync {
+            self.start_round_if_idle(now, out);
+        } else {
+            // Every other flow is still full or exhausted: each was filled
+            // to that point at start and after each of its own completions.
+            self.fill_flow(i, now, out);
+        }
+        if self.unfinished_flows == 0 {
             let mut m = self.metrics.borrow_mut();
             if m.all_done_at.is_none() {
                 m.all_done_at = Some(now);
             }
         }
-        std::mem::take(&mut out)
     }
 }
 
@@ -268,8 +278,15 @@ impl Node for HostNode {
         let now = ctx.now();
         if token == START_TOKEN {
             if self.role_is_requester {
-                let actions = self.fill_pipeline(now);
-                self.apply_actions(actions, ctx);
+                let mut first = VecDeque::new();
+                if self.barrier_sync {
+                    self.start_round_if_idle(now, &mut first);
+                } else {
+                    for i in 0..self.flows.len() {
+                        self.fill_flow(i, now, &mut first);
+                    }
+                }
+                self.apply_actions(first.into(), ctx);
             }
             return;
         }

@@ -13,6 +13,7 @@ use crate::dcqcn::{DcqcnParams, NotificationPoint, ReactionPoint};
 use crate::ets::{EtsConfig, EtsScheduler, TxCandidate};
 use crate::profile::DeviceProfile;
 use crate::qp::{Qp, QpConfig, QpState, ReadRespJob, RecvProgress};
+use crate::qp_table::QpTable;
 use crate::quirks;
 use crate::timeout::TimeoutPolicy;
 use crate::verbs::{Completion, CompletionStatus, Verb, WorkRequest};
@@ -25,7 +26,7 @@ use lumina_packet::reth::Reth;
 use lumina_packet::{Aeth, Ecn, MacAddr};
 use lumina_sim::SimTime;
 use lumina_telemetry::{tev, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Effects the device asks its host to carry out.
 #[derive(Debug, Clone)]
@@ -85,7 +86,7 @@ pub struct Rnic {
     /// DCQCN parameters shared by all QPs of this device.
     pub dcqcn_params: DcqcnParams,
     local_mac: MacAddr,
-    qps: BTreeMap<u32, Qp>,
+    qps: QpTable,
     np: NotificationPoint,
     ets: EtsScheduler,
     port_free: SimTime,
@@ -172,7 +173,7 @@ impl Rnic {
             counters: Counters::default(),
             dcqcn_params,
             local_mac,
-            qps: BTreeMap::new(),
+            qps: QpTable::default(),
             np: NotificationPoint::default(),
             ets,
             port_free: SimTime::ZERO,
@@ -226,31 +227,31 @@ impl Rnic {
                 self.dcqcn_params.clone(),
             ));
         }
-        let prior = self.qps.insert(qpn, qp);
-        assert!(prior.is_none(), "duplicate QPN {qpn:#x}");
+        self.qps.insert(qpn, qp);
     }
 
     /// Borrow a QP (tests, metrics).
     pub fn qp(&self, qpn: u32) -> Option<&Qp> {
-        self.qps.get(&qpn)
+        self.qps.slot_of(qpn).map(|i| self.qps.get(i))
     }
 
     /// Mutably borrow a QP (test setup).
     pub fn qp_mut(&mut self, qpn: u32) -> Option<&mut Qp> {
-        self.qps.get_mut(&qpn)
+        self.qps.slot_of(qpn).map(|i| self.qps.get_mut(i))
     }
 
     /// All local QPNs.
     pub fn qpns(&self) -> Vec<u32> {
-        self.qps.keys().copied().collect()
+        self.qps.qpns().to_vec()
     }
 
     /// Post a send-queue work request.
     pub fn post_send(&mut self, qpn: u32, wr: WorkRequest, now: SimTime) -> Vec<Action> {
         let mut actions = std::mem::take(&mut self.spare_actions);
-        let Some(qp) = self.qps.get_mut(&qpn) else {
+        let Some(i) = self.qps.slot_of(qpn) else {
             panic!("post_send on unknown QP {qpn:#x}");
         };
+        let qp = self.qps.get_mut(i);
         if qp.state == QpState::Error {
             actions.push(Action::Complete(Completion {
                 wr_id: wr.wr_id,
@@ -263,7 +264,7 @@ impl Rnic {
             return actions;
         }
         qp.push_wqe(wr);
-        self.arm_timeout_if_needed(qpn, now, &mut actions);
+        self.arm_timeout_if_needed(i, now, &mut actions);
         self.tx_kick(now, &mut actions);
         actions
     }
@@ -278,11 +279,8 @@ impl Rnic {
 
     /// Post a receive WQE (Send/Recv traffic).
     pub fn post_recv(&mut self, qpn: u32, wr_id: u64, len: u32) {
-        self.qps
-            .get_mut(&qpn)
-            .expect("post_recv on unknown QP")
-            .recv_queue
-            .push_back((wr_id, len));
+        let i = self.qps.slot_of(qpn).expect("post_recv on unknown QP");
+        self.qps.get_mut(i).recv_queue.push_back((wr_id, len));
     }
 
     /// True while the shared pipeline is stalled (CX4 Lx noisy-neighbor
@@ -361,10 +359,8 @@ impl Rnic {
             .filter(|_| !frame.bth.mig_req && frame.bth.opcode.is_request())
         {
             let unresolved = self
-                .qps
-                .get(&frame.bth.dest_qp)
-                .map(|qp| !qp.apm_resolved)
-                .unwrap_or(false);
+                .qp(frame.bth.dest_qp)
+                .is_some_and(|qp| !qp.apm_resolved);
             if unresolved {
                 if self.apm_queue.len() >= apm.queue_capacity {
                     self.counters.rx_discards_phy += 1;
@@ -387,16 +383,15 @@ impl Rnic {
     }
 
     fn process_frame(&mut self, frame: RoceFrame, now: SimTime, actions: &mut Vec<Action>) {
-        let qpn = frame.bth.dest_qp;
-        if !self.qps.contains_key(&qpn) {
+        let Some(i) = self.qps.slot_of(frame.bth.dest_qp) else {
             return; // unknown QP: silently dropped
-        }
+        };
 
         // ECN: any CE-marked data packet makes this device a DCQCN
         // notification point for the flow.
         if frame.ipv4.ecn.is_ce() && frame.bth.opcode.is_data() {
             self.counters.np_ecn_marked_roce_packets += 1;
-            self.maybe_send_cnp(qpn, &frame, now, actions);
+            self.maybe_send_cnp(i, &frame, now, actions);
         }
 
         // Spurious-CNP quirk: congestion-notify on data that carries no
@@ -407,14 +402,14 @@ impl Rnic {
                 .as_mut()
                 .is_some_and(quirks::QuirkPlane::spurious_cnp);
             if fire {
-                self.emit_unsolicited_cnp(qpn, now, actions);
+                self.emit_unsolicited_cnp(i, now, actions);
             }
         }
 
         match frame.bth.opcode {
-            Opcode::Cnp => self.rx_cnp(qpn, now, actions),
-            op if op.is_request() => self.responder_rx(qpn, &frame, now, actions),
-            op if op.is_response() => self.requester_rx(qpn, &frame, now, actions),
+            Opcode::Cnp => self.rx_cnp(i, now, actions),
+            op if op.is_request() => self.responder_rx(i, &frame, now, actions),
+            op if op.is_response() => self.requester_rx(i, &frame, now, actions),
             _ => {}
         }
         self.tx_kick(now, actions);
@@ -422,12 +417,13 @@ impl Rnic {
 
     fn maybe_send_cnp(
         &mut self,
-        qpn: u32,
+        i: usize,
         frame: &RoceFrame,
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = &self.qps[&qpn];
+        let qpn = self.qps.qpn(i);
+        let qp = self.qps.get(i);
         if !qp.cfg.dcqcn_np {
             return;
         }
@@ -443,23 +439,22 @@ impl Rnic {
                 }
             }
             self.counters.record_cnp_sent(&self.profile.counter_bugs);
-            tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.tx", qpn = qpn);
-            let qp = &self.qps[&qpn];
-            let mut cnp = cnp_frame(qp.cfg.local.ip, qp.cfg.remote.ip, qp.cfg.remote.qpn);
-            cnp.eth.src = self.local_mac;
-            cnp.eth.dst = qp.cfg.remote_mac;
-            cnp.udp.src_port = qp.cfg.udp_src_port;
-            self.emit_ctrl(cnp, actions);
+            self.emit_cnp(i, now, actions);
         }
     }
 
     /// Quirk path: a CNP no CE mark asked for. Counted like a real one
     /// so the device's counters stay consistent with its wire behavior
     /// — the *protocol* is what misbehaves here, not the bookkeeping.
-    fn emit_unsolicited_cnp(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
+    fn emit_unsolicited_cnp(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
         self.counters.record_cnp_sent(&self.profile.counter_bugs);
+        self.emit_cnp(i, now, actions);
+    }
+
+    fn emit_cnp(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
         tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.tx", qpn = qpn);
-        let qp = &self.qps[&qpn];
+        let qp = self.qps.get(i);
         let mut cnp = cnp_frame(qp.cfg.local.ip, qp.cfg.remote.ip, qp.cfg.remote.qpn);
         cnp.eth.src = self.local_mac;
         cnp.eth.dst = qp.cfg.remote_mac;
@@ -467,10 +462,11 @@ impl Rnic {
         self.emit_ctrl(cnp, actions);
     }
 
-    fn rx_cnp(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
+    fn rx_cnp(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
         self.counters.rp_cnp_handled += 1;
         tev!(self.tel, now.as_nanos(), self.tel_node, "rnic", "cnp.rx", qpn = qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(i);
         if let Some(rp) = qp.rp.as_mut() {
             rp.on_cnp();
             if !qp.dcqcn_timers_armed {
@@ -493,12 +489,13 @@ impl Rnic {
 
     fn responder_rx(
         &mut self,
-        qpn: u32,
+        i: usize,
         frame: &RoceFrame,
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qpn = self.qps.qpn(i);
+        let qp = self.qps.get_mut(i);
         if qp.state == QpState::Error {
             return;
         }
@@ -586,7 +583,7 @@ impl Rnic {
                         }
                     }
                     if op2.is_last() || frame.bth.ack_req {
-                        self.emit_ack_for(qpn, lin as u64, actions);
+                        self.emit_ack_for(i, lin as u64, actions);
                     }
                 }
                 _ => {}
@@ -631,14 +628,15 @@ impl Rnic {
             } else if frame.bth.opcode.is_data() {
                 // Duplicate write/send: acknowledge what we have.
                 let ack_lin = qp.epsn_lin.saturating_sub(1);
-                self.emit_ack_for(qpn, ack_lin, actions);
+                self.emit_ack_for(i, ack_lin, actions);
             }
         }
     }
 
-    fn emit_ack_for(&mut self, qpn: u32, lin: u64, actions: &mut Vec<Action>) {
+    fn emit_ack_for(&mut self, i: usize, lin: u64, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
         let mut lin = lin;
-        let mut msn = self.qps[&qpn].msn;
+        let mut msn = self.qps.get(i).msn;
         if let Some(q) = self.quirks.as_mut() {
             match q.ack_fate(qpn) {
                 quirks::AckFate::Deliver => {}
@@ -650,7 +648,7 @@ impl Rnic {
             lin = lin.wrapping_add(q.ack_psn_skew());
             msn = q.msn_override(msn);
         }
-        let qp = &self.qps[&qpn];
+        let qp = self.qps.get(i);
         let mut ack = ack_frame(
             qp.cfg.local.ip,
             qp.cfg.remote.ip,
@@ -670,7 +668,7 @@ impl Rnic {
 
     fn requester_rx(
         &mut self,
-        qpn: u32,
+        i: usize,
         frame: &RoceFrame,
         now: SimTime,
         actions: &mut Vec<Action>,
@@ -680,34 +678,34 @@ impl Rnic {
             let syndrome = frame.ext.aeth.map(|a| a.syndrome);
             match syndrome {
                 Some(AethSyndrome::Ack { .. }) => {
-                    self.rx_ack(qpn, frame.bth.psn, now, actions);
+                    self.rx_ack(i, frame.bth.psn, now, actions);
                 }
                 Some(AethSyndrome::Nak(lumina_packet::NakCode::PsnSequenceError)) => {
-                    self.rx_seq_nak(qpn, frame.bth.psn, now, actions);
+                    self.rx_seq_nak(i, frame.bth.psn, now, actions);
                 }
                 _ => {}
             }
         } else if op.is_read_response() {
-            self.rx_read_response(qpn, frame, now, actions);
+            self.rx_read_response(i, frame, now, actions);
         }
     }
 
-    fn rx_ack(&mut self, qpn: u32, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn rx_ack(&mut self, i: usize, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
+        let qp = self.qps.get_mut(i);
         let lin = qp.lin_from_wire(qp.snd_una_lin, wire_psn);
         if lin < qp.snd_una_lin as i64 {
             return; // stale ACK
         }
         qp.max_acked_lin = qp.max_acked_lin.max(lin as u64 + 1);
-        self.advance_una_from_acks(qpn, now, actions);
+        self.advance_una_from_acks(i, now, actions);
     }
 
     /// Advance `snd_una` as far as cumulative ACKs allow: freely through
     /// Write/Send packets, but never across an incomplete Read (reads
     /// complete via their responses; the withheld ACK progress is
     /// re-applied here once the responses arrive).
-    fn advance_una_from_acks(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn advance_una_from_acks(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qp = self.qps.get_mut(i);
         let mut new_una = qp
             .max_acked_lin
             .min(qp.snd_nxt_lin)
@@ -733,14 +731,15 @@ impl Rnic {
             if qp.snd_una_lin == qp.snd_nxt_lin {
                 qp.consecutive_timeouts = 0;
             }
-            self.complete_through(qpn, now, actions);
-            self.rearm_or_clear_timeout(qpn, now, actions);
+            self.complete_through(i, now, actions);
+            self.rearm_or_clear_timeout(i, now, actions);
         }
     }
 
-    fn rx_seq_nak(&mut self, qpn: u32, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
+    fn rx_seq_nak(&mut self, i: usize, wire_psn: u32, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
         self.counters.packet_seq_err += 1;
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(i);
         let e_lin = qp.lin_from_wire(qp.snd_una_lin, wire_psn);
         if e_lin < qp.snd_una_lin as i64 {
             return;
@@ -753,9 +752,9 @@ impl Rnic {
             if qp.snd_una_lin == qp.snd_nxt_lin {
                 qp.consecutive_timeouts = 0;
             }
-            self.complete_through(qpn, now, actions);
+            self.complete_through(i, now, actions);
         }
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(i);
         if !qp.recovery_wait {
             qp.recovery_wait = true;
             qp.pending_rewind = Some(e_lin);
@@ -766,17 +765,18 @@ impl Rnic {
                 token: token::pack(token::NACK_REACT, qpn, 0),
             });
         }
-        self.rearm_or_clear_timeout(qpn, now, actions);
+        self.rearm_or_clear_timeout(i, now, actions);
     }
 
     fn rx_read_response(
         &mut self,
-        qpn: u32,
+        i: usize,
         frame: &RoceFrame,
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qpn = self.qps.qpn(i);
+        let qp = self.qps.get_mut(i);
         let expected = qp.snd_una_lin;
         let lin = qp.lin_from_wire(expected, frame.bth.psn);
         // New-round detection (requester-side mirror of the ITER rule): a
@@ -799,13 +799,13 @@ impl Rnic {
             if qp.snd_una_lin == qp.snd_nxt_lin {
                 qp.consecutive_timeouts = 0;
             }
-            let qp = self.qps.get_mut(&qpn).unwrap();
+            let qp = self.qps.get_mut(i);
             qp.read_episode = false;
-            self.complete_through(qpn, now, actions);
+            self.complete_through(i, now, actions);
             // A completed Read may unblock ACK progress that was withheld
             // behind it (mixed-verb flows).
-            self.advance_una_from_acks(qpn, now, actions);
-            self.rearm_or_clear_timeout(qpn, now, actions);
+            self.advance_una_from_acks(i, now, actions);
+            self.rearm_or_clear_timeout(i, now, actions);
         } else if lin > expected as i64 {
             // Out-of-order read response: the "implied NAK" (§6.1). This is
             // the slow path that costs ~150 µs on CX4 Lx and ~83 ms on the
@@ -817,7 +817,7 @@ impl Rnic {
                 self.counters
                     .record_implied_nak(&self.profile.counter_bugs);
                 let fire = self.enter_read_recovery(now);
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(i);
                 qp.read_ooo_pending = true;
                 actions.push(Action::ArmTimer {
                     at: fire,
@@ -830,8 +830,9 @@ impl Rnic {
 
     /// Deliver completions for all fully acknowledged messages and prune
     /// them.
-    fn complete_through(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn complete_through(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
+        let qp = self.qps.get_mut(i);
         let una = qp.snd_una_lin;
         for m in qp.msgs.iter_mut() {
             if !m.completed && m.end_lin() <= una {
@@ -870,9 +871,9 @@ impl Rnic {
                 }
                 self.tx_fire(now, &mut actions);
             }
-            token::TIMEOUT => self.timeout_fire(qpn, extra, now, &mut actions),
+            token::TIMEOUT => self.timeout_fire(self.timer_slot(qpn), extra, now, &mut actions),
             token::NACK_GEN => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(self.timer_slot(qpn));
                 if qp.nack_scheduled {
                     qp.nack_scheduled = false;
                     // Go-back-N off-by-one quirk: NACK one PSN beyond
@@ -896,7 +897,7 @@ impl Rnic {
                 }
             }
             token::NACK_REACT => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(self.timer_slot(qpn));
                 qp.recovery_wait = false;
                 if let Some(rewind) = qp.pending_rewind.take() {
                     if rewind < qp.send_ptr_lin {
@@ -916,11 +917,12 @@ impl Rnic {
                 self.tx_kick(now, &mut actions);
             }
             token::READ_OOO => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let i = self.timer_slot(qpn);
+                let qp = self.qps.get_mut(i);
                 if qp.read_ooo_pending {
                     qp.read_ooo_pending = false;
                     self.read_recovery_done();
-                    let qp = self.qps.get_mut(&qpn).unwrap();
+                    let qp = self.qps.get_mut(i);
                     // Re-issue the read request from the first missing PSN.
                     if qp.snd_una_lin < qp.send_ptr_lin {
                         qp.send_ptr_lin = qp.snd_una_lin;
@@ -939,7 +941,7 @@ impl Rnic {
                 }
             }
             token::READ_REACT => {
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(self.timer_slot(qpn));
                 if let Some(job) = qp.delayed_read_jobs.pop_front() {
                     qp.read_jobs.push_back(job);
                 }
@@ -947,7 +949,7 @@ impl Rnic {
             }
             token::DCQCN_ALPHA => {
                 let p_alpha = self.dcqcn_params.alpha_timer;
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(self.timer_slot(qpn));
                 if extra == qp.dcqcn_timer_epoch {
                     if let Some(rp) = qp.rp.as_mut() {
                         rp.on_alpha_timer();
@@ -965,7 +967,7 @@ impl Rnic {
             }
             token::DCQCN_RATE => {
                 let p_rate = self.dcqcn_params.rate_timer;
-                let qp = self.qps.get_mut(&qpn).unwrap();
+                let qp = self.qps.get_mut(self.timer_slot(qpn));
                 if extra == qp.dcqcn_timer_epoch {
                     if let Some(rp) = qp.rp.as_mut() {
                         rp.on_rate_timer();
@@ -989,7 +991,7 @@ impl Rnic {
                             .as_ref()
                             .map(|m| m.resolve_after_packets)
                             .unwrap_or(u64::MAX);
-                        if let Some(qp) = self.qps.get_mut(&frame.bth.dest_qp) {
+                        if let Some(qp) = self.qp_mut(frame.bth.dest_qp) {
                             qp.apm_serviced += 1;
                             if qp.apm_serviced >= resolve_after {
                                 qp.apm_resolved = true;
@@ -1018,9 +1020,17 @@ impl Rnic {
         actions
     }
 
-    fn timeout_fire(&mut self, qpn: u32, epoch: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    /// The slot of the QP a per-QP timer token names.
+    fn timer_slot(&self, qpn: u32) -> usize {
+        self.qps
+            .slot_of(qpn)
+            .expect("timer token names an unknown QP")
+    }
+
+    fn timeout_fire(&mut self, i: usize, epoch: u32, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
+        let policy = self.timeout_policy(i);
+        let qp = self.qps.get_mut(i);
         if epoch != qp.timer_epoch || !qp.has_unacked() || qp.state == QpState::Error {
             return;
         }
@@ -1086,7 +1096,7 @@ impl Rnic {
             .unwrap_or(false);
         if oldest_is_read && self.profile.noisy_neighbor.is_some() {
             let fire = self.enter_read_recovery(now);
-            let qp = self.qps.get_mut(&qpn).unwrap();
+            let qp = self.qps.get_mut(i);
             qp.read_ooo_pending = true;
             actions.push(Action::ArmTimer {
                 at: fire,
@@ -1109,8 +1119,8 @@ impl Rnic {
         self.tx_kick(now, actions);
     }
 
-    fn timeout_policy(&self, qpn: u32) -> TimeoutPolicy {
-        let qp = &self.qps[&qpn];
+    fn timeout_policy(&self, i: usize) -> TimeoutPolicy {
+        let qp = self.qps.get(i);
         TimeoutPolicy::for_profile(
             &self.profile,
             qp.cfg.timeout_code,
@@ -1119,9 +1129,10 @@ impl Rnic {
         )
     }
 
-    fn arm_timeout_if_needed(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn arm_timeout_if_needed(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
+        let policy = self.timeout_policy(i);
+        let qp = self.qps.get_mut(i);
         if qp.has_unacked() && !qp.timeout_armed {
             qp.timeout_armed = true;
             qp.timer_epoch = qp.timer_epoch.wrapping_add(1);
@@ -1134,9 +1145,10 @@ impl Rnic {
         }
     }
 
-    fn rearm_or_clear_timeout(&mut self, qpn: u32, now: SimTime, actions: &mut Vec<Action>) {
-        let policy = self.timeout_policy(qpn);
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn rearm_or_clear_timeout(&mut self, i: usize, now: SimTime, actions: &mut Vec<Action>) {
+        let qpn = self.qps.qpn(i);
+        let policy = self.timeout_policy(i);
+        let qp = self.qps.get_mut(i);
         qp.timer_epoch = qp.timer_epoch.wrapping_add(1);
         if qp.has_unacked() {
             qp.timeout_armed = true;
@@ -1196,37 +1208,10 @@ impl Rnic {
     /// round-robin order: QPs ascending by QPN, rotated to start at
     /// `rr_cursor`; within a QP, request work before read-response work.
     fn candidates(&mut self) {
-        let Rnic {
-            qps,
-            rr_cursor,
-            tx_cands,
-            tx_owners,
-            ..
-        } = self;
-        tx_cands.clear();
-        tx_owners.clear();
-        let start = *rr_cursor % qps.len().max(1);
-        for (&qpn, qp) in qps.iter().skip(start).chain(qps.iter().take(start)) {
-            Self::offer(qpn, qp, tx_cands, tx_owners);
-        }
-    }
-
-    /// Append `qp`'s candidates to the scratch, request work first.
-    fn offer(qpn: u32, qp: &Qp, cands: &mut Vec<TxCandidate>, owners: &mut Vec<(u32, bool)>) {
-        let mut push = |is_read_resp, size| {
-            owners.push((qpn, is_read_resp));
-            cands.push(TxCandidate {
-                tc: qp.cfg.traffic_class,
-                eligible_at: qp.next_allowed_tx,
-                size,
-            });
-        };
-        if qp.has_tx_work() {
-            push(false, Self::peek_req_size(qp));
-        }
-        if qp.has_read_resp_work() {
-            push(true, Self::peek_read_resp_size(qp));
-        }
+        self.tx_cands.clear();
+        self.tx_owners.clear();
+        self.qps
+            .offer_all(self.rr_cursor, &mut self.tx_cands, &mut self.tx_owners);
     }
 
     /// Bring the scratch up to date after a transmit changed `qpn` and
@@ -1241,10 +1226,12 @@ impl Rnic {
             self.tx_owners.swap_remove(j);
             self.tx_cands.swap_remove(j);
         }
-        Self::offer(qpn, &self.qps[&qpn], &mut self.tx_cands, &mut self.tx_owners);
+        let slot = self.qps.slot_of(qpn).expect("scratch names an unknown QP");
+        self.qps
+            .offer_one(slot, &mut self.tx_cands, &mut self.tx_owners);
     }
 
-    fn peek_req_size(qp: &Qp) -> usize {
+    pub(crate) fn peek_req_size(qp: &Qp) -> usize {
         let lin = qp.send_ptr_lin;
         let Some(m) = qp.msg_at(lin) else { return 64 };
         match m.verb {
@@ -1257,7 +1244,7 @@ impl Rnic {
         }
     }
 
-    fn peek_read_resp_size(qp: &Qp) -> usize {
+    pub(crate) fn peek_read_resp_size(qp: &Qp) -> usize {
         let Some(job) = qp.read_jobs.front() else { return 64 };
         let idx = (job.next_lin - job.msg_base_lin) as u32;
         let chunk = qp.cfg.chunk_len(job.msg_len, idx) as usize;
@@ -1269,14 +1256,15 @@ impl Rnic {
         if now >= self.port_free {
             self.candidates();
             if !self.tx_cands.is_empty() {
-                if let Some(i) = self.ets.pick(now, &self.tx_cands) {
-                    let (qpn, is_read_resp) = self.tx_owners[i];
-                    let cand = self.tx_cands[i];
+                if let Some(picked) = self.ets.pick(now, &self.tx_cands) {
+                    let (qpn, is_read_resp) = self.tx_owners[picked];
+                    let cand = self.tx_cands[picked];
+                    let i = self.qps.slot_of(qpn).expect("scratch names an unknown QP");
                     self.rr_cursor = self.rr_cursor.wrapping_add(1);
                     let mut frame = if is_read_resp {
-                        self.gen_read_resp_frame(qpn)
+                        self.gen_read_resp_frame(i)
                     } else {
-                        self.gen_req_frame(qpn, now)
+                        self.gen_req_frame(i, now)
                     };
                     // Misbehavior plane: ICRC miscompute flips the
                     // emitted trailer; ghost retransmits duplicate the
@@ -1291,7 +1279,7 @@ impl Rnic {
                     self.counters.tx_packets += 1;
                     self.counters.tx_bytes += cand.size as u64;
                     // DCQCN pacing for the next packet of this QP.
-                    let qp = self.qps.get_mut(&qpn).unwrap();
+                    let qp = self.qps.get_mut(i);
                     if let Some(rp) = qp.rp.as_mut() {
                         rp.on_bytes_sent(line as u64);
                         if !rp.at_line_rate() {
@@ -1306,8 +1294,8 @@ impl Rnic {
                         self.counters.tx_packets += 1;
                         actions.push(Action::Emit(g));
                     }
-                    self.arm_timeout_if_needed(qpn, now, actions);
-                    self.reoffer(qpn, i);
+                    self.arm_timeout_if_needed(i, now, actions);
+                    self.reoffer(qpn, picked);
                 }
             }
             // The scratch is current — walked above, patched if a packet
@@ -1318,8 +1306,9 @@ impl Rnic {
         }
     }
 
-    fn gen_req_frame(&mut self, qpn: u32, now: SimTime) -> Frame {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn gen_req_frame(&mut self, i: usize, now: SimTime) -> Frame {
+        let qpn = self.qps.qpn(i);
+        let qp = self.qps.get_mut(i);
         let lin = qp.send_ptr_lin;
         let m = *qp.msg_at(lin).expect("tx pointer outside any message");
         let idx = (lin - m.base_lin) as u32;
@@ -1336,7 +1325,7 @@ impl Rnic {
                 lin = lin,
             );
         }
-        let qp = self.qps.get_mut(&qpn).unwrap();
+        let qp = self.qps.get_mut(i);
         let mig = self.profile.mig_req_bit;
         let builder = DataPacketBuilder::new()
             .src_mac(self.local_mac)
@@ -1403,8 +1392,8 @@ impl Rnic {
         emitted
     }
 
-    fn gen_read_resp_frame(&mut self, qpn: u32) -> Frame {
-        let qp = self.qps.get_mut(&qpn).unwrap();
+    fn gen_read_resp_frame(&mut self, i: usize) -> Frame {
+        let qp = self.qps.get_mut(i);
         let job = qp.read_jobs.front_mut().expect("no read job");
         let lin = job.next_lin;
         let idx_in_msg = (lin - job.msg_base_lin) as u32;
@@ -1415,7 +1404,7 @@ impl Rnic {
         if job.next_lin >= job.end_lin {
             qp.read_jobs.pop_front();
         }
-        let qp = &self.qps[&qpn];
+        let qp = self.qps.get(i);
         let mut b = DataPacketBuilder::new()
             .src_mac(self.local_mac)
             .dst_mac(qp.cfg.remote_mac)
@@ -1511,12 +1500,12 @@ mod tests {
     /// The candidate walk as it was first written: collect the keys,
     /// rotate by index, look each QP up again.
     fn reference_candidates(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
-        let qpns: Vec<u32> = rnic.qps.keys().copied().collect();
+        let qpns = rnic.qpns();
         let n = qpns.len();
         let mut out = Vec::new();
         for i in 0..n {
             let qpn = qpns[(rnic.rr_cursor + i) % n];
-            let qp = &rnic.qps[&qpn];
+            let qp = rnic.qp(qpn).unwrap();
             let cand = |size| TxCandidate {
                 tc: qp.cfg.traffic_class,
                 eligible_at: qp.next_allowed_tx,
@@ -1637,6 +1626,181 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+    /// 64 QPs over two traffic classes, under QPNs whose numeric order is
+    /// not their creation order: every third a DCQCN reaction point, every
+    /// fifth a notification point, receives posted for SEND traffic.
+    fn diff_rnic(profile: DeviceProfile) -> Rnic {
+        let ets = EtsConfig::equal_weights(2, true);
+        let mut rnic = Rnic::new(profile, ets, MacAddr::local(1));
+        for i in 0..64u32 {
+            let qpn = i.wrapping_mul(0x9e_3779) & 0xff_ffff;
+            let mut cfg = test_cfg(1024, 100 + i, 200 + i);
+            cfg.local.qpn = qpn;
+            cfg.remote.qpn = qpn ^ 1;
+            cfg.traffic_class = (i % 2) as usize;
+            cfg.dcqcn_rp = i % 3 == 0;
+            cfg.dcqcn_np = i % 5 == 0;
+            rnic.create_qp(cfg);
+            for wr_id in 0..4 {
+                rnic.post_recv(qpn, wr_id, 1 << 20);
+            }
+        }
+        rnic
+    }
+
+    /// One random operation on a random QP: a posted work request, a frame
+    /// from the peer (in order, duplicate or ahead), a timer of any kind
+    /// (current or stale epoch), or an edit through `qp_mut`.
+    fn random_op(rnic: &mut Rnic, rng: &mut lumina_sim::SimRng, now: SimTime) -> String {
+        let qpns = rnic.qpns();
+        let qpn = qpns[rng.index(qpns.len())];
+        let qp = rnic.qp(qpn).unwrap().clone();
+        // A position just behind, on, or ahead of `lin`.
+        let mut near = |lin: u64| (lin + rng.below(4)).saturating_sub(1);
+        let (req_lin, una_lin) = (near(qp.epsn_lin), near(qp.snd_una_lin));
+        let from_peer = || {
+            DataPacketBuilder::new()
+                .src_ip(qp.cfg.remote.ip)
+                .dst_ip(qp.cfg.local.ip)
+                .dest_qp(qpn)
+        };
+        let ack = AethSyndrome::Ack { credit: 31 };
+        let epoch = |current: u32, rng: &mut lumina_sim::SimRng| {
+            current.wrapping_sub(u32::from(rng.chance(0.25)))
+        };
+        let kind = rng.below(20);
+        let actions = match kind {
+            0..=2 => {
+                let verb = [Verb::Write, Verb::Send, Verb::Read][rng.index(3)];
+                let len = 1 + rng.below(5000) as u32;
+                rnic.post_send(qpn, WorkRequest { wr_id: 7, verb, len }, now)
+            }
+            3 | 4 => {
+                let ops = [
+                    Opcode::SendOnly,
+                    Opcode::SendFirst,
+                    Opcode::SendMiddle,
+                    Opcode::SendLast,
+                    Opcode::RdmaWriteMiddle,
+                    Opcode::RdmaWriteLast,
+                ];
+                let frame = from_peer()
+                    .opcode(ops[rng.index(ops.len())])
+                    .psn(qp.remote_wire_psn(req_lin))
+                    .ack_req(rng.chance(0.5))
+                    .mig_req(rng.chance(0.5))
+                    .ecn(if rng.chance(0.3) { Ecn::Ce } else { Ecn::Ect0 })
+                    .payload_len(rng.below(1025) as usize);
+                rnic.on_frame(frame.build().emit(), now)
+            }
+            5 | 6 => {
+                let frame = from_peer()
+                    .opcode(Opcode::RdmaReadRequest)
+                    .psn(qp.remote_wire_psn(req_lin))
+                    .mig_req(rng.chance(0.5))
+                    .reth(Reth {
+                        vaddr: 0,
+                        rkey: 0,
+                        dma_len: rng.below(4097) as u32,
+                    });
+                rnic.on_frame(frame.build().emit(), now)
+            }
+            7 => {
+                let (src, dst) = (qp.cfg.remote.ip, qp.cfg.local.ip);
+                rnic.on_frame(ack_frame(src, dst, qpn, qp.wire_psn(una_lin), ack, 0).emit(), now)
+            }
+            8 => {
+                // A responder cannot expect a PSN it was never sent.
+                let expected = qp.wire_psn(una_lin.min(qp.send_ptr_lin));
+                let (src, dst) = (qp.cfg.remote.ip, qp.cfg.local.ip);
+                rnic.on_frame(nack_frame(src, dst, qpn, expected, 0).emit(), now)
+            }
+            9 => rnic.on_frame(cnp_frame(qp.cfg.remote.ip, qp.cfg.local.ip, qpn).emit(), now),
+            10 if qp.has_unacked() => {
+                let mut frame = from_peer().psn(qp.wire_psn(una_lin)).payload_len(512);
+                frame = if rng.chance(0.5) {
+                    frame.opcode(Opcode::RdmaReadResponseMiddle)
+                } else {
+                    let aeth = Aeth { syndrome: ack, msn: 0 };
+                    frame.opcode(Opcode::RdmaReadResponseOnly).aeth(aeth)
+                };
+                rnic.on_frame(frame.build().emit(), now)
+            }
+            10 | 11 => rnic.on_timer(token::pack(token::TX_WHEEL, 0, 0), now),
+            12 => rnic.on_timer(token::pack(token::TIMEOUT, qpn, epoch(qp.timer_epoch, rng)), now),
+            13 => rnic.on_timer(token::pack(token::NACK_GEN, qpn, 0), now),
+            14 => rnic.on_timer(token::pack(token::NACK_REACT, qpn, 0), now),
+            15 => {
+                let kind = [token::READ_OOO, token::READ_REACT, token::APM_SERVICE][rng.index(3)];
+                rnic.on_timer(token::pack(kind, qpn, 0), now)
+            }
+            16 => {
+                let kind = [token::DCQCN_ALPHA, token::DCQCN_RATE][rng.index(2)];
+                rnic.on_timer(token::pack(kind, qpn, epoch(qp.dcqcn_timer_epoch, rng)), now)
+            }
+            _ => {
+                let live = rnic.qp_mut(qpn).unwrap();
+                match kind {
+                    17 => live.recovery_wait = !live.recovery_wait,
+                    18 if rng.chance(0.2) => {
+                        let flipped = [QpState::Error, QpState::Rts];
+                        live.state = flipped[usize::from(live.state == QpState::Error)];
+                    }
+                    18 => live.next_allowed_tx = now + SimTime::from_nanos(rng.below(2_000)),
+                    _ => {
+                        let unsent = live.snd_nxt_lin - live.snd_una_lin.min(live.snd_nxt_lin);
+                        live.send_ptr_lin = live.snd_nxt_lin - rng.below(unsent + 1);
+                    }
+                }
+                Vec::new()
+            }
+        };
+        rnic.recycle(actions);
+        format!("op {kind} on QP {qpn:#x}")
+    }
+
+    #[test]
+    fn table_candidates_equal_the_full_walk_after_every_operation() {
+        // cx5 queues MigReq-0 requests behind its APM service loop; cx4_lx
+        // stalls its RX pipeline when read recoveries pile up.
+        for (seed, profile) in [(1, DeviceProfile::cx5()), (2, DeviceProfile::cx4_lx())] {
+            let mut rng = lumina_sim::SimRng::seed_from_u64(seed);
+            let mut rnic = diff_rnic(profile);
+            let n = rnic.qpns().len();
+            let mut now = SimTime::ZERO;
+            let mut ready_seen = 0;
+            for step in 0..4_000 {
+                now += SimTime::from_nanos(rng.below(300));
+                let op = random_op(&mut rnic, &mut rng, now);
+                let case = format!("seed {seed}, step {step}, {op}");
+
+                let cursor = rnic.rr_cursor;
+                for c in [0, 1, n - 1, n, 3 * n + 7] {
+                    rnic.rr_cursor = c;
+                    rnic.candidates();
+                    assert_eq!(scratch(&rnic), reference_candidates(&rnic), "{case}, cursor {c}");
+                }
+                rnic.rr_cursor = cursor;
+                ready_seen += rnic.tx_cands.len();
+
+                // With no tick pending the gate lets `tx_kick` through: it
+                // must arm where a full walk says.
+                let all: Vec<TxCandidate> =
+                    reference_candidates(&rnic).into_iter().map(|(_, c)| c).collect();
+                let opp = rnic.ets.next_opportunity(now, &all);
+                let want = opp.map(|t| t.max(rnic.port_free).max(now));
+                let armed = rnic.tx_armed_at.take();
+                let mut got = Vec::new();
+                rnic.tx_kick(now, &mut got);
+                assert_eq!(rnic.tx_armed_at, want, "{case}");
+                assert_eq!(got.len(), usize::from(want.is_some()), "{case}");
+                rnic.tx_armed_at = armed;
+            }
+            // The walk had something to order: several candidates a step.
+            assert!(ready_seen > 4 * 4_000, "seed {seed}: {ready_seen} candidates");
+            assert!(rnic.counters.tx_packets > 200, "seed {seed}: {:?}", rnic.counters);
         }
     }
 }

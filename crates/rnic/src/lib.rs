@@ -37,6 +37,7 @@ pub mod device;
 pub mod ets;
 pub mod profile;
 pub mod qp;
+mod qp_table;
 pub mod quirks;
 pub mod timeout;
 pub mod verbs;

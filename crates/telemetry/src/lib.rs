@@ -16,19 +16,17 @@
 //!   component stat struct implementing [`MetricSet`]. Everything
 //!   exports through a single [`Telemetry::snapshot`] →
 //!   `serde_json::Value` path.
-//! * **Sim-time spans** ([`span!`]): scoped regions such as a retransmit
-//!   episode record their start/end in simulated time into the journal,
-//!   while their *wall-clock* cost is aggregated separately into a
-//!   self-profile ([`profile`]) so the observability layer can report
-//!   its own overhead (events/sec, per-span totals, queue high-water
-//!   marks) without contaminating the deterministic journal.
+//! * **Self-profile** ([`profile`]): wall-clock readings (events/sec,
+//!   queue high-water marks, per-worker campaign rates) are kept apart
+//!   from the journal, so the observability layer can report its own
+//!   overhead without contaminating the deterministic bytes.
 //!
 //! The handle is a cheap-to-clone `Arc` and is `Send + Sync`, so whole
 //! simulation runs (each owning a sink) can execute on worker threads —
 //! the parallel fuzz campaign executor depends on this. A disabled handle
 //! ([`Telemetry::disabled`]) makes every recording call a no-op, and the
-//! [`tev!`]/[`span!`] macros skip attribute evaluation entirely in that
-//! case, so instrumented hot paths cost one branch when telemetry is off.
+//! [`tev!`] macro skips attribute evaluation entirely in that case, so
+//! instrumented hot paths cost one branch when telemetry is off.
 //! Within one simulation run all recording happens on one thread, so the
 //! internal mutexes are uncontended.
 //!
@@ -48,10 +46,8 @@ pub use ops::{OpsReporter, OpsSnapshot};
 pub use profile::SelfProfile;
 pub use trace::{FlightRecorder, HopRecord, TraceSummary};
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Configuration for a telemetry sink.
 #[derive(Debug, Clone)]
@@ -150,8 +146,8 @@ impl Telemetry {
         })
     }
 
-    /// Whether this sink records anything. The [`tev!`]/[`span!`] macros
-    /// consult this before evaluating their attribute expressions.
+    /// Whether this sink records anything. The [`tev!`] macro consults
+    /// this before evaluating its attribute expressions.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
@@ -308,34 +304,6 @@ impl Telemetry {
         lock(&self.inner.registry).record_global(set.metric_kind(), set.snapshot());
     }
 
-    // -------------------------------------------------------------- spans
-
-    /// Start a sim-time span; see the [`span!`] macro.
-    ///
-    /// Returns `None` when disabled, so callers pay only a branch.
-    pub fn span_start(
-        &self,
-        t: u64,
-        node: u32,
-        component: &'static str,
-        name: &'static str,
-        attrs: Vec<(&'static str, AttrValue)>,
-    ) -> Option<SpanGuard> {
-        if !self.is_enabled() {
-            return None;
-        }
-        Some(SpanGuard {
-            telemetry: self.clone(),
-            node,
-            component,
-            name,
-            start_sim: t,
-            end_sim: Cell::new(t),
-            attrs: RefCell::new(attrs),
-            wall_start: Instant::now(),
-        })
-    }
-
     // ------------------------------------------------------------ profile
 
     /// Mutate the wall-clock self-profile (engine bookkeeping).
@@ -380,53 +348,6 @@ impl Telemetry {
     }
 }
 
-/// Open sim-time span produced by [`Telemetry::span_start`] / [`span!`].
-///
-/// Dropping the guard emits a `span` event into the journal carrying the
-/// simulated start/end times plus the caller's attributes, and folds the
-/// guard's wall-clock lifetime into the self-profile under `name`.
-pub struct SpanGuard {
-    telemetry: Telemetry,
-    node: u32,
-    component: &'static str,
-    name: &'static str,
-    start_sim: u64,
-    end_sim: Cell<u64>,
-    attrs: RefCell<Vec<(&'static str, AttrValue)>>,
-    wall_start: Instant,
-}
-
-impl SpanGuard {
-    /// Set the simulated end time (defaults to the start time for spans
-    /// that close within one event handler).
-    pub fn end_at(&self, t: u64) {
-        self.end_sim.set(t);
-    }
-
-    /// Attach another attribute after the span opened.
-    pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
-        self.attrs.borrow_mut().push((key, value.into()));
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let wall_ns = self.wall_start.elapsed().as_nanos() as u64;
-        let start = self.start_sim;
-        let end = self.end_sim.get().max(start);
-        let mut attrs = std::mem::take(&mut *self.attrs.borrow_mut());
-        attrs.push(("span", AttrValue::Str(self.name.to_string())));
-        attrs.push(("start", AttrValue::U64(start)));
-        attrs.push(("end", AttrValue::U64(end)));
-        attrs.push(("dur", AttrValue::U64(end - start)));
-        self.telemetry
-            .emit(end, self.node, self.component, "span", attrs);
-        // Wall clock goes only into the self-profile, never the journal.
-        self.telemetry
-            .with_profile(|p| p.record_span(self.name, wall_ns));
-    }
-}
-
 /// Record a journal event, skipping attribute evaluation when disabled.
 ///
 /// ```ignore
@@ -447,32 +368,6 @@ macro_rules! tev {
     };
 }
 
-/// Open a sim-time span bound to the current scope.
-///
-/// ```ignore
-/// let _span = span!(tel, now_ns, node_id, "rnic", "qp.retransmit", psn = psn);
-/// // ... work; optionally _span.as_ref().map(|s| s.end_at(later_ns)) ...
-/// ```
-///
-/// Evaluates to `Option<SpanGuard>`; `None` (and no attribute
-/// evaluation) when the sink is disabled.
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $t:expr, $node:expr, $component:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $tel.is_enabled() {
-            $tel.span_start(
-                $t,
-                $node,
-                $component,
-                $name,
-                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*],
-            )
-        } else {
-            None
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,8 +378,6 @@ mod tests {
         tev!(tel, 10, 1, "switch", "drop", psn = 5u64);
         tel.inc_counter(1, "x", 1);
         tel.record_hist(1, "h", 9);
-        let s = span!(tel, 0, 1, "core", "run");
-        assert!(s.is_none());
         assert_eq!(tel.journal_len(), 0);
         assert_eq!(tel.journal_jsonl(), "");
     }
@@ -513,24 +406,6 @@ mod tests {
             r#"{"t":100,"node":2,"component":"switch","kind":"ecn.mark","psn":4,"qpn":1}"#
         );
         assert_eq!(lines[1], r#"{"t":250,"node":3,"component":"rnic","kind":"cnp.tx"}"#);
-    }
-
-    #[test]
-    fn span_records_sim_time_not_wall_time() {
-        let tel = Telemetry::enabled();
-        {
-            let s = span!(tel, 1000, 7, "rnic", "qp.retransmit", psn = 42u32);
-            let s = s.expect("enabled sink opens spans");
-            s.end_at(1800);
-        }
-        let out = tel.journal_jsonl();
-        assert_eq!(
-            out.trim_end(),
-            r#"{"t":1800,"node":7,"component":"rnic","kind":"span","psn":42,"span":"qp.retransmit","start":1000,"end":1800,"dur":800}"#
-        );
-        // Wall clock lands in the self-profile instead.
-        let spans = tel.with_profile(|p| p.span_count("qp.retransmit"));
-        assert_eq!(spans, 1);
     }
 
     #[test]

@@ -4,17 +4,11 @@
 //! Everything here measures *real* time and therefore never enters the
 //! event journal (which must stay byte-identical across same-seed
 //! runs). The CLI prints this block so users can see what observability
-//! itself cost: events recorded per wall-clock second, per-span wall
-//! totals, and engine queue high-water marks.
+//! itself cost: events recorded per wall-clock second and engine queue
+//! high-water marks.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-#[derive(Debug, Default, Clone)]
-struct SpanStats {
-    count: u64,
-    wall_ns: u64,
-}
 
 /// Wall-clock accounting for one campaign worker thread (the parallel
 /// fuzz executor reports one entry per worker per generation).
@@ -38,7 +32,6 @@ pub struct SelfProfile {
     pub peak_live_frames: u64,
     started: Instant,
     wall_ns: Option<u64>,
-    spans: BTreeMap<&'static str, SpanStats>,
     workers: BTreeMap<u64, WorkerStats>,
     campaign_wall_ns: Option<u64>,
 }
@@ -52,7 +45,6 @@ impl Default for SelfProfile {
             peak_live_frames: 0,
             started: Instant::now(),
             wall_ns: None,
-            spans: BTreeMap::new(),
             workers: BTreeMap::new(),
             campaign_wall_ns: None,
         }
@@ -60,18 +52,6 @@ impl Default for SelfProfile {
 }
 
 impl SelfProfile {
-    /// Fold one span occurrence into the per-name totals.
-    pub fn record_span(&mut self, name: &'static str, wall_ns: u64) {
-        let s = self.spans.entry(name).or_default();
-        s.count += 1;
-        s.wall_ns += wall_ns;
-    }
-
-    /// Number of completed spans under `name`.
-    pub fn span_count(&self, name: &str) -> u64 {
-        self.spans.get(name).map_or(0, |s| s.count)
-    }
-
     /// Fold one worker-thread stint (`runs` simulations over `wall_ns` of
     /// wall clock) into the per-worker totals.
     pub fn record_worker(&mut self, worker: u64, runs: u64, wall_ns: u64) {
@@ -133,14 +113,6 @@ impl SelfProfile {
             "peak_live_frames",
             serde_json::Value::from(self.peak_live_frames),
         );
-        let mut spans = serde_json::Map::new();
-        for (name, s) in &self.spans {
-            let mut sj = serde_json::Map::new();
-            sj.insert("count", serde_json::Value::from(s.count));
-            sj.insert("wall_ns", serde_json::Value::from(s.wall_ns));
-            spans.insert(*name, serde_json::Value::Object(sj));
-        }
-        m.insert("spans", serde_json::Value::Object(spans));
         if !self.workers.is_empty() {
             let mut workers = serde_json::Map::new();
             for (id, w) in &self.workers {
@@ -179,18 +151,6 @@ impl SelfProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_totals_accumulate() {
-        let mut p = SelfProfile::default();
-        p.record_span("run", 100);
-        p.record_span("run", 50);
-        p.record_span("parse", 10);
-        assert_eq!(p.span_count("run"), 2);
-        let j = p.to_json();
-        assert_eq!(j["spans"]["run"]["wall_ns"], 150u64);
-        assert_eq!(j["spans"]["parse"]["count"], 1u64);
-    }
 
     #[test]
     fn worker_and_campaign_stats_export() {

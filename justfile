@@ -14,16 +14,27 @@ check:
 # real binary — so no suite is named twice here); then the live smokes
 # through the CLI (`trace` with Perfetto export, `fuzz-coverage` with
 # corpus persistence, `matrix`, `ingest`, `soak`); lint with warnings fatal.
+# The workspace tests run the dev profile, so the byte-level suites run once
+# more under `--release`: the binary users run (fat LTO, one codegen unit)
+# against the report goldens, the CLI goldens and the per-slot panic
+# isolation that needs `panic = unwind`.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
     cargo test -q
+    just release-bytes
     just trace
     just fuzz-coverage
     just matrix
     just ingest
     just soak
     cargo clippy -- -D warnings
+
+# The release-profile pass of the byte-level suites (see `ci`).
+release-bytes:
+    cargo test --release --offline -q -p lumina-core --test cli_e2e
+    cargo test --release --offline -q -p lumina-core --lib run_caught
+    cargo test --release --offline -q -p lumina-repro --test golden_reports
 
 # Fast feedback loop: debug build + tests.
 test:

@@ -135,17 +135,25 @@ fn frame_ledger_and_event_count_are_pinned() {
     // The frame plane's byte ledger and the engine's event count are
     // counts, not timings: a change to how buffers are built, shared or
     // scheduled either leaves every one of them where it was or shows up
-    // here. Recorded on the tree before the one-allocation wire buffer.
+    // here. Recorded on the tree before the one-allocation wire buffer;
+    // the timer / delivery split and the journal length on the tree before
+    // the RNIC's QP table.
     let pinned = [
-        ("listing2", [470, 462_284, 476_820, 235, 1_114_998, 17], 1_177),
+        (
+            "listing2",
+            [470, 462_284, 476_820, 235, 1_114_998, 17],
+            [1_177, 474, 703],
+            258,
+        ),
         (
             "fig11_noisy_neighbor",
             [18_530, 19_117_460, 19_729_662, 9_265, 43_201_106, 72],
-            53_816,
+            [53_816, 26_033, 27_783],
+            9_791,
         ),
     ];
     let corpus = corpus();
-    for (name, ledger, events) in pinned {
+    for (name, ledger, engine, journal_events) in pinned {
         let (_, cfg) = corpus.iter().find(|(n, _)| n == name).expect(name);
         let res = run_test(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let fs = res.frame_stats;
@@ -158,7 +166,62 @@ fn frame_ledger_and_event_count_are_pinned() {
             fs.peak_live_frames,
         ];
         assert_eq!(got, ledger, "{name}: frame ledger moved");
-        assert_eq!(res.engine_stats.events, events, "{name}: event count moved");
+        let es = res.engine_stats;
+        assert_eq!(
+            [es.events, es.timers_fired, es.frames_delivered],
+            engine,
+            "{name}: event counts moved"
+        );
+        assert_eq!(res.telemetry.journal_len(), journal_events, "{name}: journal length moved");
+    }
+}
+
+/// The benchmark's `run_timers` shape (`benchmark/src/workloads.rs`): 256
+/// DCQCN connections of 2 x 4 KiB WRITE with one CE mark each, the marked
+/// message drawn from the seed.
+fn many_qp_yaml(seed: u64) -> String {
+    const QPS: u32 = 256;
+    const MSGS: u32 = 2;
+    const PKTS_PER_MSG: u32 = 4;
+    let mut rng = lumina_sim::SimRng::seed_from_u64(seed);
+    let mut events = String::new();
+    for qpn in 1..=QPS {
+        let msg = rng.range_inclusive(0, u64::from(MSGS - 1)) as u32;
+        let offset = 1 + (PKTS_PER_MSG / 2 + qpn - 1) % PKTS_PER_MSG;
+        let psn = msg * PKTS_PER_MSG + offset;
+        events.push_str(&format!("    - {{qpn: {qpn}, psn: {psn}, type: ecn, iter: 1}}\n"));
+    }
+    format!(
+        "requester: {{ nic-type: cx6, dcqcn-rp-enable: true }}\n\
+         responder: {{ nic-type: cx6, dcqcn-np-enable: true }}\n\
+         traffic:\n  num-connections: {QPS}\n  rdma-verb: write\n  \
+         num-msgs-per-qp: {MSGS}\n  mtu: 1024\n  message-size: 4096\n  \
+         data-pkt-events:\n{events}network:\n  seed: {seed}\n"
+    )
+}
+
+#[test]
+fn many_qp_scheduling_counts_are_pinned() {
+    // 256 rate-limited QPs share one port: which QP the scheduler serves
+    // next, and when each rate timer re-arms the transmit wheel, decide
+    // every count below. Recorded on the tree before the RNIC's QP table.
+    let pinned = [
+        (1, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_316_116),
+        (7, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_315_048),
+    ];
+    for (seed, engine, requester, responder, end_time_ns) in pinned {
+        let cfg = TestConfig::from_yaml(&many_qp_yaml(seed)).expect("many-QP config parses");
+        let res = run_test(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let es = res.engine_stats;
+        assert_eq!(
+            [es.events, es.timers_fired, es.frames_delivered],
+            engine,
+            "seed {seed}: event counts moved"
+        );
+        let host = |c: &lumina_rnic::Counters| [c.tx_packets, c.rp_cnp_handled, c.np_cnp_sent];
+        assert_eq!(host(&res.requester_counters), requester, "seed {seed}: requester");
+        assert_eq!(host(&res.responder_counters), responder, "seed {seed}: responder");
+        assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
     }
 }
 
