@@ -1548,6 +1548,57 @@ mod tests {
         }
     }
 
+    /// Creation order is not slot order, and nothing is looked up or
+    /// walked until every QP exists: the table builds its index and its
+    /// offers once, from 2 048 slots that each moved on every insert.
+    #[test]
+    fn qps_created_in_descending_order_are_found_and_walked_ascending() {
+        const N: u32 = 2048;
+        let qpn_of = |rank: u32| 0x10 + rank * 0x1f3;
+        let mut rnic = Rnic::new(
+            DeviceProfile::cx6_dx(),
+            EtsConfig::single_queue(),
+            MacAddr::local(1),
+        );
+        let create = |rnic: &mut Rnic, qpn: u32| {
+            let mut cfg = test_cfg(1024, 100, 200);
+            cfg.local.qpn = qpn;
+            rnic.create_qp(cfg);
+        };
+        for rank in (0..N).rev() {
+            create(&mut rnic, qpn_of(rank));
+        }
+        assert_eq!(rnic.qpns(), (0..N).map(qpn_of).collect::<Vec<_>>());
+        for rank in 0..N {
+            assert_eq!(rnic.qps.slot_of(qpn_of(rank)), Some(rank as usize));
+            assert_eq!(rnic.qps.slot_of(qpn_of(rank) + 1), None);
+        }
+        assert_eq!(rnic.qps.slot_of(0), None);
+        assert_eq!(rnic.qps.slot_of(u32::MAX), None);
+
+        let post = |rnic: &mut Rnic, rank: u32| {
+            let wr = WorkRequest { wr_id: rank as u64, verb: Verb::Write, len: 64 + rank };
+            rnic.qp_mut(qpn_of(rank)).unwrap().push_wqe(wr);
+        };
+        let walks_like_the_reference = |rnic: &mut Rnic| {
+            for cursor in [0, 1, 1000, N as usize - 1, N as usize, 5000] {
+                rnic.rr_cursor = cursor;
+                rnic.candidates();
+                assert_eq!(scratch(rnic), reference_candidates(rnic), "cursor {cursor}");
+            }
+            rnic.tx_owners.len()
+        };
+        (0..N).step_by(3).for_each(|rank| post(&mut rnic, rank));
+        assert_eq!(walks_like_the_reference(&mut rnic), N.div_ceil(3) as usize);
+
+        // A QP created after the table was built moves every slot again.
+        create(&mut rnic, 0x5);
+        assert_eq!(rnic.qps.slot_of(0x5), Some(0));
+        assert_eq!(rnic.qps.slot_of(qpn_of(N - 1)), Some(N as usize));
+        post(&mut rnic, 1);
+        assert_eq!(walks_like_the_reference(&mut rnic), N.div_ceil(3) as usize + 1);
+    }
+
     /// `mixed_rnic` with every QP under DCQCN pacing, so a transmit moves
     /// the fired QP's `eligible_at` as well as its head packet.
     fn paced_rnic(n: usize, cursor: usize) -> Rnic {

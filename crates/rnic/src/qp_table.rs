@@ -18,6 +18,7 @@ use crate::device::Rnic;
 use crate::ets::TxCandidate;
 use crate::qp::Qp;
 use lumina_sim::SimTime;
+use std::cell::OnceCell;
 
 /// What one QP offers the scheduler: the sizes of its head request packet
 /// and head read-response packet (each present only while that side has
@@ -50,13 +51,74 @@ impl Offer {
     }
 }
 
+/// Marks a vacant [`Index`] cell (in its slot half; any `u32` is a QPN).
+const VACANT: u32 = u32::MAX;
+
+/// QPN → slot, open-addressed: a power-of-two array of `(qpn, slot)`
+/// cells at most a quarter full, probed linearly from the QPN's Fibonacci
+/// hash — one multiply, and almost always one cell read. QPNs are the
+/// device's own (random high bits over a serial low byte), not outside
+/// input, so a fixed hash is enough.
+struct Index {
+    /// `32 - log2(cells.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    cells: Box<[(u32, u32)]>,
+}
+
+impl Index {
+    fn of(qpns: &[u32]) -> Index {
+        let len = (qpns.len() * 4).next_power_of_two().max(2);
+        let mut index = Index {
+            shift: 32 - len.trailing_zeros(),
+            cells: vec![(0, VACANT); len].into(),
+        };
+        for (slot, &qpn) in qpns.iter().enumerate() {
+            let mut at = index.home(qpn);
+            while index.cells[at].1 != VACANT {
+                at = (at + 1) & (len - 1);
+            }
+            index.cells[at] = (qpn, slot as u32);
+        }
+        index
+    }
+
+    fn home(&self, qpn: u32) -> usize {
+        (qpn.wrapping_mul(0x9e37_79b9) >> self.shift) as usize
+    }
+
+    fn slot_of(&self, qpn: u32) -> Option<usize> {
+        let mut at = self.home(qpn);
+        // Three cells in four are vacant, so the probe ends.
+        loop {
+            let (key, slot) = self.cells[at];
+            if slot == VACANT {
+                return None;
+            }
+            if key == qpn {
+                return Some(slot as usize);
+            }
+            at = (at + 1) & (self.cells.len() - 1);
+        }
+    }
+}
+
 /// QPs in ascending QPN order. Slot `i` is `qpns[i]`, `qps[i]`,
-/// `offers[i]`; the QPNs sit apart from the (large) QPs so a lookup
-/// searches one small array.
+/// `offers[i]`; the QPNs sit apart from the (large) QPs so the order is
+/// one small array.
+///
+/// An insert moves slots, so everything derived from them — the lookup
+/// index, the offers, the dirty and ready lists — is dropped there and
+/// built once by whatever needs it next: the index by the first lookup,
+/// the rest by the first walk. Creating N QPs costs N placements, not N
+/// rebuilds.
 #[derive(Default)]
 pub(crate) struct QpTable {
     qpns: Vec<u32>,
     qps: Vec<Qp>,
+    /// Unset from an insert to the next lookup.
+    index: OnceCell<Index>,
+    /// Empty from an insert to the next walk: every slot is then due a
+    /// read, and [`QpTable::get_mut`] has nothing to mark.
     offers: Vec<Offer>,
     /// Slots whose offer is marked dirty, in no order.
     dirty: Vec<usize>,
@@ -77,17 +139,15 @@ impl QpTable {
         };
         self.qpns.insert(at, qpn);
         self.qps.insert(at, qp);
-        // Slots after `at` moved: start every offer over.
+        self.index.take();
         self.offers.clear();
-        self.offers.resize(self.qpns.len(), Offer { dirty: true, ..Offer::default() });
         self.dirty.clear();
-        self.dirty.extend(0..self.qpns.len());
         self.ready.clear();
     }
 
     /// The slot of `qpn`.
     pub(crate) fn slot_of(&self, qpn: u32) -> Option<usize> {
-        self.qpns.binary_search(&qpn).ok()
+        self.index.get_or_init(|| Index::of(&self.qpns)).slot_of(qpn)
     }
 
     /// The QPN in slot `i`.
@@ -103,8 +163,8 @@ impl QpTable {
     /// Borrow the QP in slot `i` for writing; its offer is re-read at the
     /// next walk.
     pub(crate) fn get_mut(&mut self, i: usize) -> &mut Qp {
-        if !self.offers[i].dirty {
-            self.offers[i].dirty = true;
+        if let Some(offer) = self.offers.get_mut(i).filter(|offer| !offer.dirty) {
+            offer.dirty = true;
             self.dirty.push(i);
         }
         &mut self.qps[i]
@@ -112,6 +172,11 @@ impl QpTable {
 
     /// Recompute every dirty offer and keep the ready list in step.
     fn refresh(&mut self) {
+        if self.offers.len() != self.qps.len() {
+            let unread = Offer { dirty: true, ..Offer::default() };
+            self.offers.resize(self.qps.len(), unread);
+            self.dirty.extend(0..self.qps.len());
+        }
         while let Some(i) = self.dirty.pop() {
             let was_ready = self.offers[i].is_ready();
             self.offers[i] = Offer::of(&self.qps[i]);

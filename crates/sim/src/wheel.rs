@@ -9,13 +9,22 @@
 //! level 0. A higher-level slot holding a single event does not: that
 //! event pops straight from where it sits.
 //!
+//! Events live in one slab and never move in it. A cell holds an event's
+//! `(time, seq)`, its payload and the index of the next cell; a slot is
+//! the `{head, tail}` pair of a singly linked chain through the slab. Push
+//! writes the payload into a cell once and links the cell behind its
+//! slot's tail; a cascade re-links cell indices and touches no payload;
+//! pop unlinks one cell and reads the payload out once.
+//!
 //! Pop order is the engine's contract: strictly `(time, seq)`, where
 //! `seq` is the monotonic sequence number the engine assigned at push.
 //! All events in one level-0 slot share one timestamp (the slot is 1 ns
 //! wide and the wheel's invariant pins the high bits), so the tie-break
-//! is a min-`seq` scan of that slot. The scan is what makes cascading
-//! safe: re-filing can append an *older* (lower-seq) event behind a
-//! newer one, and a FIFO slot would then pop them out of order.
+//! is a min-`seq` scan of that slot's chain. The scan is what makes
+//! re-linking safe: a cascade can link an *older* (lower-seq) event behind
+//! a newer one already in the slot, and a FIFO slot would then pop them
+//! out of order. The position of a cell in its chain therefore carries no
+//! meaning, and no step has to preserve it.
 //!
 //! The lone-entry pop is order-safe for the same reason the lowest
 //! occupied slot is the earliest: every stored event sits at exactly
@@ -24,11 +33,11 @@
 //! level has neither an earlier nor an equal-time rival anywhere.
 //!
 //! Push and pop are O(levels) amortized — no comparison-heap log factor.
-//! The only allocations are the slot vectors': a slot keeps its buffer
-//! across level-0 and lone-entry pops and gives it up when it cascades.
-//! The buffer given up last is kept as the one `spare`, and the next slot
-//! filed into from nothing takes it over; any other empty slot grows a
-//! buffer of its own on reuse.
+//! The slab is the only allocation. A popped cell goes on a LIFO free
+//! list and the next push takes it from there, so the slab grows only
+//! when every cell is live: it holds exactly as many cells as the queue
+//! was deep at its deepest, and a run whose depth has peaked allocates
+//! nothing more, whatever its slots do.
 
 use std::fmt;
 
@@ -38,6 +47,8 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels: ⌈64 / 6⌉ = 11 covers the whole u64 nanosecond range.
 const LEVELS: usize = 64usize.div_ceil(LEVEL_BITS as usize);
+/// "No cell": ends a slot's chain and the free list.
+const NIL: u32 = u32::MAX;
 
 /// One entry in the wheel: an opaque payload ordered by `(time, seq)`.
 pub struct Entry<T> {
@@ -49,25 +60,33 @@ pub struct Entry<T> {
     pub value: T,
 }
 
-struct Level<T> {
-    slots: Vec<Vec<Entry<T>>>,
-    /// Bit `i` set ⇔ `slots[i]` is non-empty.
-    occupied: u64,
+/// One slab cell: a queued event linked into its slot's chain, or a free
+/// cell (`value` is `None`) linked into the free list.
+struct Cell<T> {
+    time: u64,
+    seq: u64,
+    next: u32,
+    value: Option<T>,
 }
 
-impl<T> Level<T> {
-    fn new() -> Level<T> {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
+/// A slot's chain of cells; both `NIL` when the slot is empty.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
+
+const EMPTY: Slot = Slot { head: NIL, tail: NIL };
 
 /// The hierarchical wheel. Generic over the payload so the determinism
 /// tests can drive it with plain markers.
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
+    cells: Vec<Cell<T>>,
+    /// Head of the free list: the cell popped last.
+    free: u32,
+    slots: Box<[[Slot; SLOTS]; LEVELS]>,
+    /// Bit `i` of `occupied[level]` set ⇔ `slots[level][i]` is non-empty.
+    occupied: [u64; LEVELS],
     /// The wheel's notion of "now": the timestamp of the last pop (or the
     /// base of the last cascaded slot). All stored events satisfy
     /// `time >= elapsed` and sit at `level_for(elapsed, time)`: they agree
@@ -76,10 +95,6 @@ pub struct TimerWheel<T> {
     /// "lowest occupied slot" mean "earliest event".
     elapsed: u64,
     len: usize,
-    /// The buffer of the slot that cascaded last, empty: the next slot
-    /// filed into from nothing takes it over instead of allocating. One
-    /// buffer, not a pool — the wheel holds no capacity it has no use for.
-    spare: Vec<Entry<T>>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -92,10 +107,12 @@ impl<T> TimerWheel<T> {
     /// An empty wheel at time zero.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            cells: Vec::new(),
+            free: NIL,
+            slots: Box::new([[EMPTY; SLOTS]; LEVELS]),
+            occupied: [0; LEVELS],
             elapsed: 0,
             len: 0,
-            spare: Vec::new(),
         }
     }
 
@@ -127,25 +144,43 @@ impl<T> TimerWheel<T> {
     /// Queue an entry. `time` must not precede the last popped time; a
     /// stale timestamp is clamped to `elapsed` (matching what a
     /// comparison heap would do: pop it next).
-    pub fn push(&mut self, mut entry: Entry<T>) {
-        if entry.time < self.elapsed {
+    pub fn push(&mut self, entry: Entry<T>) {
+        let Entry { mut time, seq, value } = entry;
+        if time < self.elapsed {
             debug_assert!(false, "event scheduled in the past");
-            entry.time = self.elapsed;
+            time = self.elapsed;
         }
-        self.file(entry);
+        let at = if self.free == NIL {
+            assert!(self.cells.len() < NIL as usize, "timer wheel slab is full");
+            self.cells.push(Cell { time, seq, next: NIL, value: Some(value) });
+            (self.cells.len() - 1) as u32
+        } else {
+            let at = self.free;
+            let cell = &mut self.cells[at as usize];
+            self.free = cell.next;
+            cell.time = time;
+            cell.seq = seq;
+            cell.value = Some(value);
+            at
+        };
+        self.link(at);
         self.len += 1;
     }
 
-    fn file(&mut self, entry: Entry<T>) {
-        let level = Self::level_for(self.elapsed, entry.time);
-        let slot = Self::slot_for(entry.time, level);
-        let lv = &mut self.levels[level];
-        let bucket = &mut lv.slots[slot];
-        if bucket.capacity() == 0 {
-            *bucket = std::mem::take(&mut self.spare);
+    /// Link cell `at` behind the tail of the slot its time files under.
+    fn link(&mut self, at: u32) {
+        let cell = &mut self.cells[at as usize];
+        cell.next = NIL;
+        let level = Self::level_for(self.elapsed, cell.time);
+        let slot = Self::slot_for(cell.time, level);
+        let chain = &mut self.slots[level][slot];
+        if chain.head == NIL {
+            chain.head = at;
+            self.occupied[level] |= 1 << slot;
+        } else {
+            self.cells[chain.tail as usize].next = at;
         }
-        bucket.push(entry);
-        lv.occupied |= 1 << slot;
+        chain.tail = at;
     }
 
     /// Remove and return the earliest entry by `(time, seq)`.
@@ -158,33 +193,53 @@ impl<T> TimerWheel<T> {
             // by the invariant, occupied slots sit at-or-ahead of the
             // current position within this rotation, and anything filed
             // at a higher level is strictly later than everything below.
-            let level = (0..LEVELS).find(|&l| self.levels[l].occupied != 0)?;
-            let lv = &mut self.levels[level];
-            let slot = lv.occupied.trailing_zeros() as usize;
-            let bucket = &mut lv.slots[slot];
+            let level = self.occupied.iter().position(|&bits| bits != 0)?;
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            let Slot { head, tail } = self.slots[level][slot];
             // Alone in the earliest slot = the earliest event outright:
             // pop it here instead of walking it down a level at a time.
             // Nothing is left in the slot and every lower level is empty,
             // so moving `elapsed` to its time keeps the invariant.
-            if level == 0 || bucket.len() == 1 {
+            if level == 0 || head == tail {
                 // One L0 slot = one timestamp; tie-break by minimum seq.
-                let min = bucket
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.seq)
-                    .map(|(i, _)| i)
-                    .expect("occupied slot is non-empty");
-                let entry = bucket.swap_remove(min);
-                if bucket.is_empty() {
-                    lv.occupied &= !(1 << slot);
+                let first = &self.cells[head as usize];
+                let (mut min, mut min_seq, mut before_min) = (head, first.seq, NIL);
+                let (mut before, mut at) = (head, first.next);
+                while at != NIL {
+                    let cell = &self.cells[at as usize];
+                    if cell.seq < min_seq {
+                        (min, min_seq, before_min) = (at, cell.seq, before);
+                    }
+                    (before, at) = (at, cell.next);
+                }
+                let cell = &mut self.cells[min as usize];
+                let after_min = cell.next;
+                let entry = Entry {
+                    time: cell.time,
+                    seq: cell.seq,
+                    value: cell.value.take().expect("a linked cell holds its payload"),
+                };
+                cell.next = self.free;
+                self.free = min;
+                let chain = &mut self.slots[level][slot];
+                if before_min == NIL {
+                    chain.head = after_min;
+                } else {
+                    self.cells[before_min as usize].next = after_min;
+                }
+                if min == tail {
+                    chain.tail = before_min;
+                }
+                if chain.head == NIL {
+                    self.occupied[level] &= !(1 << slot);
                 }
                 self.len -= 1;
                 debug_assert!(entry.time >= self.elapsed);
                 self.elapsed = entry.time;
                 return Some(entry);
             }
-            // Cascade: advance to the slot's base time and re-file its
-            // events one level (or more) down.
+            // Cascade: advance to the slot's base time and re-link its
+            // cells one level (or more) down.
             let shift = LEVEL_BITS as usize * level;
             // Bits above this level's group (the top level has none — its
             // group reaches past bit 63, so the mask would overshoot).
@@ -196,12 +251,14 @@ impl<T> TimerWheel<T> {
             let slot_base = high | ((slot as u64) << shift);
             debug_assert!(slot_base >= self.elapsed);
             self.elapsed = slot_base;
-            let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
-            self.levels[level].occupied &= !(1 << slot);
-            for e in drained.drain(..) {
-                self.file(e);
+            self.slots[level][slot] = EMPTY;
+            self.occupied[level] &= !(1 << slot);
+            let mut at = head;
+            while at != NIL {
+                let next = self.cells[at as usize].next;
+                self.link(at);
+                at = next;
             }
-            self.spare = drained;
         }
     }
 }
@@ -333,10 +390,9 @@ mod tests {
     /// `Some(level)` when the next pop takes the lone-entry path above
     /// level 0.
     fn lone_level(w: &TimerWheel<u32>) -> Option<usize> {
-        let level = (1..LEVELS).find(|&l| w.levels[l].occupied != 0)?;
-        let lv = &w.levels[level];
-        let first = &lv.slots[lv.occupied.trailing_zeros() as usize];
-        (w.levels[0].occupied == 0 && first.len() == 1).then_some(level)
+        let level = (1..LEVELS).find(|&l| w.occupied[l] != 0)?;
+        let first = w.slots[level][w.occupied[level].trailing_zeros() as usize];
+        (w.occupied[0] == 0 && first.head == first.tail).then_some(level)
     }
 
     /// Pop once from both and compare; returns the popped time.
@@ -414,6 +470,61 @@ mod tests {
             reference.sort();
             assert_eq!(drain(&mut w), reference);
         }
+    }
+
+    /// The wheel against a sorted `(time, seq)` model over 150 000 mixed
+    /// operations whose depth swings between a few entries and a few
+    /// thousand: far-future spikes, same-instant pushes, and rivals for a
+    /// handful of target timestamps pushed under ever-different `elapsed`.
+    /// Every payload must come back with the `(time, seq)` it was pushed
+    /// under however often its cell was re-linked, `len()` must track the
+    /// model, and the slab must never hold more cells than the queue was
+    /// deep at its deepest — every later push reuses a popped cell.
+    #[test]
+    fn differential_against_a_sorted_model_reuses_cells_within_peak_depth() {
+        use std::collections::BTreeSet;
+        const OPS: usize = 150_000;
+        let mut rng = SimRng::seed_from_u64(0xd1ff);
+        let mut w: TimerWheel<u64> = TimerWheel::new();
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut targets = [0u64; 4];
+        let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+        for op in 0..OPS {
+            // Alternate filling and draining phases so the depth swings.
+            let push_odds = if (op / 6_000) % 2 == 0 { 7 } else { 3 };
+            if model.is_empty() || rng.below(10) < push_odds {
+                let time = match rng.below(16) {
+                    0 => now + rng.below(10_000_000_000),
+                    1 => now,
+                    2..=4 => {
+                        let target = &mut targets[rng.below(4) as usize];
+                        if *target <= now {
+                            *target = now + 1_000 + rng.below(3_000_000);
+                        }
+                        *target
+                    }
+                    _ => now + rng.below(60_000),
+                };
+                w.push(Entry { time, seq, value: !seq });
+                model.insert((time, seq));
+                seq += 1;
+            } else {
+                let got = w.pop().unwrap();
+                assert_eq!(Some((got.time, got.seq)), model.pop_first(), "op {op}");
+                assert_eq!(got.value, !got.seq);
+                now = got.time;
+            }
+            peak = peak.max(model.len());
+            assert_eq!(w.len(), model.len());
+            assert!(w.cells.len() <= peak, "{} cells, peak depth {peak}", w.cells.len());
+        }
+        assert!(peak > 2_000, "peak depth {peak}");
+        assert!(seq > 20 * w.cells.len() as u64, "{seq} pushes, {} cells", w.cells.len());
+        while let Some(got) = w.pop() {
+            assert_eq!(Some((got.time, got.seq)), model.pop_first());
+            assert_eq!(got.value, !got.seq);
+        }
+        assert!(model.is_empty() && w.is_empty());
     }
 
     #[test]

@@ -17,7 +17,9 @@ check:
 # The workspace tests run the dev profile, so the byte-level suites run once
 # more under `--release`: the binary users run (fat LTO, one codegen unit)
 # against the report goldens, the CLI goldens and the per-slot panic
-# isolation that needs `panic = unwind`.
+# isolation that needs `panic = unwind` — and the event queue's
+# zero-allocation and differential tests, because that build inlines the
+# wheel into `Engine::run`.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -35,6 +37,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
     cargo test --release --offline -q -p lumina-repro --test golden_reports
+    cargo test --release --offline -q -p lumina-sim --test alloc_free
+    cargo test --release --offline -q -p lumina-sim --lib wheel::tests::differential
 
 # Fast feedback loop: debug build + tests.
 test:
@@ -107,6 +111,37 @@ benchmark workload="run_packets" seed="1" seconds="10" trace="0":
 # whether every run printed the same `report_fnv64`.
 bench-pairs rev workload="run_timers" pairs="10" seed="1" trace="0":
     python3 tools/bench_pairs.py {{rev}} --workload {{workload}} --pairs {{pairs}} --seed {{seed}} --trace {{trace}}
+
+# Where one benchmark workload's wall time goes, by function: builds
+# `lumina-cli` with line tables into its own target directory, runs it
+# `runs` times on the inputs `just benchmark <workload>` left under
+# benchmark/out/ with the tools/wallprof.c sampler preloaded (100 µs
+# wall-clock stack samples, nothing needed beyond cc / nm / addr2line), and
+# prints the self and inclusive tables of tools/wallprof.py. Dev-only; pass
+# the binary and the .prof files to the script yourself for `--callers-of`.
+# The argument lists are the operations benchmark/src/workloads.rs runs.
+profile workload="run_timers" runs="5":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    dir=target/wallprof inputs=benchmark/out/{{workload}}
+    case {{workload}} in
+        run_packets | run_timers) args=("$inputs/config.yaml" --json) ;;
+        ingest) args=(ingest --pcap "$inputs/capture.pcap" --config "$inputs/config.yaml" --chunk-events 8192 --json) ;;
+        soak) args=(soak --configs "$inputs/presets" --scenarios 2 --seed 1 --workers 1 --json) ;;
+        fuzz) args=(fuzz --config "$inputs/base.yaml" --coverage --no-shrink --events-only --workers 1 --generations 8 --batch 16) ;;
+        matrix) args=(matrix --config "$inputs/base.yaml" --workers 1 --json) ;;
+        *) echo "no such workload: {{workload}}" >&2; exit 2 ;;
+    esac
+    [ -d "$inputs" ] || { echo "$inputs is missing: run \`just benchmark {{workload}}\` once" >&2; exit 2; }
+    mkdir -p $dir
+    cc -O2 -shared -fPIC -o $dir/wallprof.so tools/wallprof.c
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline -q -p lumina-core --bin lumina-cli --target-dir $dir
+    rm -f $dir/{{workload}}.*.prof
+    for run in $(seq {{runs}}); do
+        WALLPROF_OUT=$dir/{{workload}}.$run.prof LD_PRELOAD=$dir/wallprof.so \
+            $dir/release/lumina-cli "${args[@]}" > /dev/null 2>&1 || true
+    done
+    python3 tools/wallprof.py $dir/release/lumina-cli $dir/{{workload}}.*.prof
 
 # Criterion-style benchmarks (shimmed harness; wall-clock smoke numbers).
 bench:

@@ -176,26 +176,53 @@ fn frame_ledger_and_event_count_are_pinned() {
     }
 }
 
-/// The benchmark's `run_timers` shape (`benchmark/src/workloads.rs`): 256
-/// DCQCN connections of 2 x 4 KiB WRITE with one CE mark each, the marked
-/// message drawn from the seed.
+/// One injected event per listed `(kind, qpn)`, as the benchmark places
+/// them (`benchmark/src/workloads.rs`): the seed draws the message, the
+/// offset inside it is fixed per slot, and a drop stays out of the last
+/// message (a tail drop recovers by timeout, not NACK).
+fn bench_events(seed: u64, kinds: &[(&str, u32)], msgs: u32, pkts_per_msg: u32) -> String {
+    let mut rng = lumina_sim::SimRng::seed_from_u64(seed);
+    let mut events = String::new();
+    for (slot, &(kind, qpn)) in kinds.iter().enumerate() {
+        let last = if kind == "drop" { msgs - 2 } else { msgs - 1 };
+        let msg = rng.range_inclusive(0, u64::from(last)) as u32;
+        let offset = 1 + (pkts_per_msg / 2 + slot as u32) % pkts_per_msg;
+        let psn = msg * pkts_per_msg + offset;
+        events.push_str(&format!("    - {{qpn: {qpn}, psn: {psn}, type: {kind}, iter: 1}}\n"));
+    }
+    events
+}
+
+/// The benchmark's `run_timers` shape: 256 DCQCN connections of 2 x 4 KiB
+/// WRITE with one CE mark each.
 fn many_qp_yaml(seed: u64) -> String {
     const QPS: u32 = 256;
     const MSGS: u32 = 2;
-    const PKTS_PER_MSG: u32 = 4;
-    let mut rng = lumina_sim::SimRng::seed_from_u64(seed);
-    let mut events = String::new();
-    for qpn in 1..=QPS {
-        let msg = rng.range_inclusive(0, u64::from(MSGS - 1)) as u32;
-        let offset = 1 + (PKTS_PER_MSG / 2 + qpn - 1) % PKTS_PER_MSG;
-        let psn = msg * PKTS_PER_MSG + offset;
-        events.push_str(&format!("    - {{qpn: {qpn}, psn: {psn}, type: ecn, iter: 1}}\n"));
-    }
+    let kinds: Vec<(&str, u32)> = (1..=QPS).map(|qpn| ("ecn", qpn)).collect();
+    let events = bench_events(seed, &kinds, MSGS, 4);
     format!(
         "requester: {{ nic-type: cx6, dcqcn-rp-enable: true }}\n\
          responder: {{ nic-type: cx6, dcqcn-np-enable: true }}\n\
          traffic:\n  num-connections: {QPS}\n  rdma-verb: write\n  \
          num-msgs-per-qp: {MSGS}\n  mtu: 1024\n  message-size: 4096\n  \
+         data-pkt-events:\n{events}network:\n  seed: {seed}\n"
+    )
+}
+
+/// The benchmark's `run_packets` shape: 8 connections of 16 x 256 KiB
+/// WRITE, a drop on each of the first four and a CE mark on each of the
+/// last four.
+fn packet_dense_yaml(seed: u64) -> String {
+    const MSGS: u32 = 16;
+    let kinds: Vec<(&str, u32)> = (1..=8)
+        .map(|qpn| (if qpn <= 4 { "drop" } else { "ecn" }, qpn))
+        .collect();
+    let events = bench_events(seed, &kinds, MSGS, 256);
+    format!(
+        "requester: {{ nic-type: cx6 }}\n\
+         responder: {{ nic-type: cx6, dcqcn-np-enable: true }}\n\
+         traffic:\n  num-connections: 8\n  rdma-verb: write\n  \
+         num-msgs-per-qp: {MSGS}\n  mtu: 1024\n  message-size: 262144\n  \
          data-pkt-events:\n{events}network:\n  seed: {seed}\n"
     )
 }
@@ -221,6 +248,56 @@ fn many_qp_scheduling_counts_are_pinned() {
         let host = |c: &lumina_rnic::Counters| [c.tx_packets, c.rp_cnp_handled, c.np_cnp_sent];
         assert_eq!(host(&res.requester_counters), requester, "seed {seed}: requester");
         assert_eq!(host(&res.responder_counters), responder, "seed {seed}: responder");
+        assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
+    }
+}
+
+#[test]
+fn packet_dense_counts_are_pinned() {
+    // 33 k data packets through the switch, the mirror and two dumpers,
+    // with Go-back-N recovery on four connections and CNPs on four: the
+    // event count, the frame ledger, what was retransmitted and when the
+    // run ended are all decided by the order events pop in. Recorded on
+    // the tree before the wheel's slab.
+    let pinned = [
+        (
+            1,
+            [164_681, 65_877, 98_804],
+            [65_872, 71_000_256, 73_294_272, 32_936, 172_480_864, 45],
+            32,
+            69_862_954,
+        ),
+        (
+            7,
+            [164_681, 65_877, 98_804],
+            [65_872, 71_000_256, 73_294_272, 32_936, 172_480_864, 44],
+            32,
+            69_873_106,
+        ),
+    ];
+    for (seed, engine, ledger, retransmitted, end_time_ns) in pinned {
+        let cfg = TestConfig::from_yaml(&packet_dense_yaml(seed)).expect("packet-dense config parses");
+        let res = run_test(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let es = res.engine_stats;
+        assert_eq!(
+            [es.events, es.timers_fired, es.frames_delivered],
+            engine,
+            "seed {seed}: event counts moved"
+        );
+        let fs = res.frame_stats;
+        let got = [
+            fs.frames_allocated,
+            fs.bytes_allocated,
+            fs.bytes_copied,
+            fs.frames_shared,
+            fs.bytes_shared,
+            fs.peak_live_frames,
+        ];
+        assert_eq!(got, ledger, "seed {seed}: frame ledger moved");
+        assert_eq!(
+            res.requester_counters.retransmitted_packets, retransmitted,
+            "seed {seed}: retransmissions moved"
+        );
         assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
     }
 }

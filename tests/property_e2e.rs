@@ -1,10 +1,12 @@
 //! Property-based tests over the whole stack: for randomized traffic
 //! shapes and deterministic event injections, the testbed must complete
-//! the traffic, keep the trace intact, and stay Go-back-N compliant.
+//! the traffic, keep the trace intact, and stay Go-back-N compliant — and
+//! observing a run (journal, flight recorder) must not change it.
 
 use lumina_core::analyzers::gbn_fsm;
 use lumina_core::config::TestConfig;
-use lumina_core::orchestrator::run_test;
+use lumina_core::config::TraceSection;
+use lumina_core::orchestrator::{run_test, TestResults};
 use proptest::prelude::*;
 
 #[allow(clippy::too_many_arguments)]
@@ -40,6 +42,99 @@ network:
         ev = if ev.is_empty() { " []".to_string() } else { ev },
     ))
     .unwrap()
+}
+
+/// The report with the sections observation owns taken out: the journal /
+/// metric snapshot and the flight recorder's dissection.
+fn report_outside_observation(res: &TestResults) -> String {
+    let mut report = res.report_json().unwrap();
+    let sections = report.as_object_mut().expect("the report is an object");
+    sections.remove("telemetry");
+    sections.remove("trace");
+    serde_json::to_string(&report).unwrap()
+}
+
+/// Two hosts back to back with a lossy, reordering forward link, run to
+/// quiescence under `tel`; everything the run decided, rendered.
+fn back_to_back_outcome(
+    tel: Option<lumina_sim::Telemetry>,
+    verb: lumina_rnic::Verb,
+    conns: u32,
+    msgs: u32,
+    msg_size: u32,
+    seed: u64,
+) -> String {
+    use lumina_gen::{metrics::metrics_handle, FlowPlan, HostNode, Role};
+    use lumina_packet::MacAddr;
+    use lumina_rnic::qp::{QpConfig, QpEndpoint};
+    use lumina_rnic::{ets::EtsConfig, profile::DeviceProfile, Rnic};
+    use lumina_sim::faults::{BurstRegime, ChaosPlane, ChaosWindow, LinkChaos};
+    use lumina_sim::{Bandwidth, Engine, NodeId, PortId, SimTime};
+    use std::net::Ipv4Addr;
+
+    let mut eng = Engine::new(seed);
+    let (req_id, rsp_id) = (NodeId(0), NodeId(1));
+    let rnic = |mac: u32, node: NodeId| {
+        let b = Rnic::builder(DeviceProfile::cx6_dx(), EtsConfig::single_queue(), MacAddr::local(mac));
+        match &tel {
+            Some(tel) => b.telemetry(tel.clone(), node.0 as u32).build(),
+            None => b.build(),
+        }
+    };
+    let (mut req_rnic, mut rsp_rnic) = (rnic(1, req_id), rnic(2, rsp_id));
+    if let Some(tel) = &tel {
+        eng.set_telemetry(tel.clone());
+    }
+    for i in 0..conns {
+        let req = QpEndpoint { ip: Ipv4Addr::new(10, 0, 0, 1), qpn: 0x100 + i, ipsn: 100 + i };
+        let rsp = QpEndpoint { ip: Ipv4Addr::new(10, 0, 0, 2), qpn: 0x200 + i, ipsn: 200 + i };
+        let cfg = |local, remote, remote_mac| QpConfig {
+            local,
+            remote,
+            remote_mac: MacAddr::local(remote_mac),
+            mtu: 1024,
+            timeout_code: 10,
+            retry_cnt: 7,
+            adaptive_retrans: false,
+            traffic_class: 0,
+            dcqcn_rp: false,
+            dcqcn_np: false,
+            min_time_between_cnps: SimTime::from_micros(4),
+            udp_src_port: 49152 + i as u16,
+        };
+        req_rnic.create_qp(cfg(req, rsp, 2));
+        rsp_rnic.create_qp(cfg(rsp, req, 1));
+        for wr in 0..msgs {
+            rsp_rnic.post_recv(rsp.qpn, u64::from(wr), msg_size);
+        }
+    }
+    let plans = (0..conns)
+        .map(|i| FlowPlan { qpn: 0x100 + i, verbs: vec![verb], num_msgs: msgs, msg_size, tx_depth: 2 })
+        .collect();
+    let (m_req, m_rsp) = (metrics_handle(), metrics_handle());
+    let requester = Role::Requester { plans, barrier_sync: false };
+    assert_eq!(eng.add_node(Box::new(HostNode::new(req_rnic, requester, m_req.clone(), "requester"))), req_id);
+    assert_eq!(eng.add_node(Box::new(HostNode::new(rsp_rnic, Role::Responder, m_rsp.clone(), "responder"))), rsp_id);
+    eng.connect(req_id, PortId(0), rsp_id, PortId(0), Bandwidth::gbps(100), SimTime::from_micros(1));
+    let mut chaos = ChaosPlane::new(seed);
+    let burst = BurstRegime {
+        window: ChaosWindow { from: SimTime::ZERO, until: SimTime::from_micros(40) },
+        loss_prob: 0.05,
+        corrupt_prob: 0.02,
+        reorder_prob: 0.05,
+        reorder_delay: SimTime::from_micros(3),
+    };
+    chaos.set_link(req_id, PortId(0), LinkChaos { bursts: vec![burst], ..LinkChaos::default() });
+    eng.set_chaos_plane(chaos);
+    eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
+    let outcome = eng.run(Some(SimTime::from_secs(5)));
+
+    let counters = [req_id, rsp_id].map(|id| {
+        let host: Box<dyn std::any::Any> = eng.take_node(id).expect("host is still in the engine");
+        host.downcast::<HostNode>().expect("host node").rnic.counters.clone()
+    });
+    let metrics = [m_req, m_rsp].map(|m| serde_json::to_string(&*m.borrow()).unwrap());
+    format!("{outcome:?}\n{:?}\n{:?}\n{counters:?}\n{metrics:?}", eng.stats(), eng.chaos_stats())
 }
 
 fn arb_nic() -> impl Strategy<Value = &'static str> {
@@ -153,5 +248,58 @@ proptest! {
         // An ECN mark must never cause loss or retransmission.
         prop_assert_eq!(res.requester_counters.retransmitted_packets, 0);
         prop_assert!(res.integrity.passed());
+    }
+
+    /// Turning the flight recorder on — at any ring size, so with and
+    /// without eviction — changes no report byte outside the sections
+    /// that exist to show what was observed.
+    #[test]
+    fn tracing_changes_no_report_byte_outside_its_own_sections(
+        nic in arb_nic(),
+        verb in arb_verb(),
+        conns in 1u32..5,
+        msgs in 1u32..4,
+        msg_pkts in 1u32..12,
+        event in prop::sample::select(vec!["drop", "ecn", "corrupt"]),
+        pkt in 0u32..64,
+        capacity in prop::sample::select(vec![64usize, 4096, 262_144]),
+        seed in 0u64..1000,
+    ) {
+        let psn = 1 + pkt % (msgs * msg_pkts);
+        let mut cfg = build_cfg(
+            nic, verb, conns, msgs, msg_pkts * 1024, 1024,
+            &[(1, psn, event, 1)], seed,
+        );
+        cfg.requester.dcqcn_rp_enable = true;
+        cfg.responder.dcqcn_np_enable = true;
+        let plain = run_test(&cfg).unwrap();
+        cfg.trace = Some(TraceSection { capacity, ..TraceSection::default() });
+        let traced = run_test(&cfg).unwrap();
+        prop_assert!(traced.telemetry.is_tracing() && !plain.telemetry.is_tracing());
+        prop_assert_eq!(report_outside_observation(&plain), report_outside_observation(&traced));
+        prop_assert_eq!(plain.engine_stats, traced.engine_stats);
+        prop_assert_eq!(plain.frame_stats, traced.frame_stats);
+        prop_assert_eq!(plain.telemetry.journal_jsonl(), traced.telemetry.journal_jsonl());
+    }
+
+    /// Below the orchestrator, where the sink itself can be left out: a
+    /// lossy two-host run decides the same things with no telemetry, with
+    /// the journal and metric registry, and with the flight recorder too.
+    #[test]
+    fn the_telemetry_sink_changes_nothing_a_run_decides(
+        verb in prop::sample::select(vec![
+            lumina_rnic::Verb::Write, lumina_rnic::Verb::Read, lumina_rnic::Verb::Send,
+        ]),
+        conns in 1u32..6,
+        msgs in 1u32..5,
+        msg_size in prop::sample::select(vec![1u32, 777, 4096, 20_000]),
+        seed in 0u64..1000,
+    ) {
+        let run = |tel| back_to_back_outcome(tel, verb, conns, msgs, msg_size, seed);
+        let dark = run(None);
+        prop_assert_eq!(&dark, &run(Some(lumina_sim::Telemetry::enabled())));
+        let tracing = lumina_sim::Telemetry::enabled();
+        tracing.enable_tracing(256, lumina_packet::buf::next_trace_id());
+        prop_assert_eq!(&dark, &run(Some(tracing)));
     }
 }
