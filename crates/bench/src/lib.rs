@@ -3,9 +3,10 @@
 //! Each module owns one experiment: it builds the configurations, runs the
 //! simulated testbed through `lumina-core`'s orchestrator, post-processes
 //! with the analyzers, and returns a serializable series shaped like the
-//! paper's plot. The `lumina-experiments` binary prints them; the Criterion
-//! benches in `benches/` time them; the integration tests in the workspace
-//! root assert their shapes against the paper's findings.
+//! paper's plot. The `lumina-experiments` binary prints them and the
+//! integration tests in the workspace root assert their shapes against the
+//! paper's findings. Nothing here is a stopwatch: speed claims are made with
+//! the repo benchmark (`benchmark/`, `just bench-pairs`).
 //!
 //! | module | reproduces |
 //! |--------|------------|

@@ -694,6 +694,21 @@ impl ChaosSection {
     }
 }
 
+/// What is wrong with a `[at-us, at-us + duration-us)` window, if anything:
+/// it must be non-empty and end at an instant [`SimTime`] can hold in
+/// nanoseconds — the lowering into sim-layer windows does that arithmetic
+/// unchecked.
+fn window_problem(at_us: u64, duration_us: u64) -> Option<&'static str> {
+    if duration_us == 0 {
+        return Some("duration-us must be ≥ 1");
+    }
+    let end_us = at_us.checked_add(duration_us);
+    match end_us.and_then(|us| us.checked_mul(1_000)) {
+        Some(_end_ns) => None,
+        None => Some("at-us + duration-us does not fit the simulation clock"),
+    }
+}
+
 /// A complete test configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", deny_unknown_fields)]
@@ -883,8 +898,8 @@ impl TestConfig {
                 &mut problems,
             );
             for (i, s) in faults.dumper_stalls.iter().enumerate() {
-                if s.duration_us == 0 {
-                    problems.push(format!("faults: stall {i}: duration-us must be ≥ 1"));
+                if let Some(p) = window_problem(s.at_us, s.duration_us) {
+                    problems.push(format!("faults: stall {i}: {p}"));
                 }
                 if s.slowdown == 0 {
                     problems.push(format!("faults: stall {i}: slowdown must be ≥ 1"));
@@ -899,8 +914,8 @@ impl TestConfig {
                 }
             }
             for (i, fz) in faults.freezes.iter().enumerate() {
-                if fz.duration_us == 0 {
-                    problems.push(format!("faults: freeze {i}: duration-us must be ≥ 1"));
+                if let Some(p) = window_problem(fz.at_us, fz.duration_us) {
+                    problems.push(format!("faults: freeze {i}: {p}"));
                 }
                 match fz.node.as_str() {
                     "requester" | "responder" | "switch" => {}
@@ -957,25 +972,16 @@ impl TestConfig {
                 if !matches!(l.link.as_str(), "requester" | "responder") {
                     problems.push(format!("chaos: link {i}: unknown link {:?}", l.link));
                 }
-                for (j, w) in l.flaps.iter().enumerate() {
-                    if w.duration_us == 0 {
-                        problems.push(format!(
-                            "chaos: link {i}: flap {j}: duration-us must be ≥ 1"
-                        ));
-                    }
-                }
-                for (j, w) in l.pauses.iter().enumerate() {
-                    if w.duration_us == 0 {
-                        problems.push(format!(
-                            "chaos: link {i}: pause {j}: duration-us must be ≥ 1"
-                        ));
+                for (kind, windows) in [("flap", &l.flaps), ("pause", &l.pauses)] {
+                    for (j, w) in windows.iter().enumerate() {
+                        if let Some(p) = window_problem(w.at_us, w.duration_us) {
+                            problems.push(format!("chaos: link {i}: {kind} {j}: {p}"));
+                        }
                     }
                 }
                 for (j, b) in l.bursts.iter().enumerate() {
-                    if b.duration_us == 0 {
-                        problems.push(format!(
-                            "chaos: link {i}: burst {j}: duration-us must be ≥ 1"
-                        ));
+                    if let Some(p) = window_problem(b.at_us, b.duration_us) {
+                        problems.push(format!("chaos: link {i}: burst {j}: {p}"));
                     }
                     let prob = |name: &str, p: f64, problems: &mut Vec<String>| {
                         if !(0.0..=1.0).contains(&p) {
@@ -1225,6 +1231,50 @@ faults:
         assert!(all.contains("index 99 out of range"), "{all}");
         assert!(all.contains("unknown node \"marsrover\""), "{all}");
         assert!(all.contains("index 44 out of range"), "{all}");
+    }
+
+    #[test]
+    fn windows_ending_past_the_clock_are_config_errors() {
+        // `at-us + duration-us` wraps u64 in the first two, its nanoseconds
+        // do in the others; all four lowering sites are covered.
+        let yaml = r#"
+traffic:
+  num-connections: 1
+  rdma-verb: write
+  num-msgs-per-qp: 1
+  mtu: 1024
+  message-size: 1024
+faults:
+  dumper-stalls:
+    - {at-us: 18446744073709551615, duration-us: 2}
+  freezes:
+    - {node: responder, at-us: 2, duration-us: 18446744073709551615}
+chaos:
+  links:
+    - link: requester
+      flaps:
+        - {at-us: 10, duration-us: 5}
+        - {at-us: 18446744073709551, duration-us: 1000}
+      bursts:
+        - {at-us: 18446744073709552, duration-us: 1, loss-prob: 0.1}
+"#;
+        let cfg = TestConfig::from_yaml(yaml).unwrap();
+        let problems = cfg.problems();
+        let all = problems.join("\n");
+        for site in [
+            "faults: stall 0",
+            "faults: freeze 0",
+            "link 0: flap 1",
+            "link 0: burst 0",
+        ] {
+            let want = format!("{site}: at-us + duration-us does not fit the simulation clock");
+            assert!(all.contains(&want), "{site}: {all}");
+        }
+        assert_eq!(problems.len(), 4, "the in-range flap is fine: {all}");
+        assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
+        // The last representable microsecond is still a valid end.
+        assert_eq!(window_problem(18_446_744_073_709_550, 1), None);
+        assert!(window_problem(18_446_744_073_709_551, 1).is_some());
     }
 
     #[test]

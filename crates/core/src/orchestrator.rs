@@ -22,7 +22,8 @@ use lumina_rnic::qp::{QpConfig, QpEndpoint};
 use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
-    MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
+    Interposer, MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime,
+    Telemetry,
 };
 use lumina_switch::device::{MirrorMode, SwitchConfig, SwitchCounters, SwitchNode};
 use serde::Serialize;
@@ -345,12 +346,7 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
         eng.connect(host, PortId(0), SWITCH, switch_port, bandwidth, prop);
     }
     let dumpers = add_dumpers(cfg, &mut eng);
-    if let Some(plane) = fault_plane(cfg)? {
-        eng.set_fault_plane(plane);
-    }
-    if let Some(plane) = chaos_plane(cfg)? {
-        eng.set_chaos_plane(plane);
-    }
+    eng.set_interposer(Interposer::new(fault_plane(cfg)?, chaos_plane(cfg)?));
     // The watchdog limits that supervise the run, if configured.
     if let Some(max_events) = cfg.network.max_events {
         eng.event_limit = max_events;
@@ -674,8 +670,8 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
     let engine_stats = *eng.stats();
     // Snapshot the frame-plane counters before teardown frees the buffers.
     let frame_stats = eng.frame_stats();
-    let fault_stats = eng.fault_stats();
-    let chaos_stats = eng.chaos_stats();
+    let fault_stats = eng.interposer().faults.as_ref().map(|p| p.stats);
+    let chaos_stats = eng.interposer().chaos.as_ref().map(|p| p.stats);
     let req_host: Box<HostNode> = take_node(eng, REQUESTER, "requester")?;
     let rsp_host: Box<HostNode> = take_node(eng, RESPONDER, "responder")?;
     let sw: Box<SwitchNode> = take_node(eng, SWITCH, "switch")?;

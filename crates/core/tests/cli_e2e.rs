@@ -54,6 +54,25 @@ fn exit_codes_are_typed() {
     }
 }
 
+/// A chaos window whose end overflows the simulation clock used to reach
+/// the unchecked lowering: a panic (exit 8) on a dev build, a wrapped,
+/// meaningless window (exit 11) on a release one. Both are exit 2 now.
+#[test]
+fn hostile_window_arithmetic_is_a_config_error() {
+    let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/chaos_demo.yaml");
+    let yaml = std::fs::read_to_string(demo).unwrap();
+    let flap = "{at-us: 700, duration-us: 19300}";
+    assert!(yaml.contains(flap), "chaos_demo.yaml lost its flap");
+    let hostile = yaml.replace(flap, "{at-us: 18446744073709551615, duration-us: 2}");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/hostile_window.yaml");
+    std::fs::write(path, hostile).unwrap();
+    let out = cli(&[path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let want = "chaos: link 0: flap 0: at-us + duration-us";
+    assert!(stderr.contains(want), "{stderr}");
+}
+
 /// The `run` report, human and `--json`, against goldens recorded on the
 /// commit before the report moved into the library. `quirks_demo` and
 /// `chaos_demo` between them print every optional section (quirks,

@@ -1,15 +1,15 @@
 //! The event loop: nodes, ports, timers, and deterministic dispatch.
 
-use crate::faults::{ChaosFate, ChaosPlane, ChaosStats, FaultPlane, FaultStats, TransmitFate};
+use crate::faults::{Gate, Interposer};
 use crate::link::{Link, LinkState};
 use crate::rng::SimRng;
 use crate::time::{Bandwidth, SimTime};
 use crate::wheel::{Entry, TimerWheel};
 use crate::Node;
 use lumina_packet::buf::{self, CounterSnapshot};
-use lumina_packet::Frame;
+use lumina_packet::{frame::line_occupancy_of, Frame};
 use lumina_telemetry::trace::hops as trace_hops;
-use lumina_telemetry::{tev, MetricSet, Telemetry};
+use lumina_telemetry::{MetricSet, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -180,10 +180,8 @@ pub struct Engine {
     /// (the default) disables the check entirely, keeping fault-free runs
     /// on the exact code path the goldens were recorded on.
     pub wall_clock_limit: Option<Duration>,
-    /// Attached infrastructure fault plane, if any.
-    faults: Option<FaultPlane>,
-    /// Attached data-path chaos plane, if any.
-    chaos: Option<ChaosPlane>,
+    /// The seam the adversarial planes act through; holds none by default.
+    interposer: Interposer,
     /// The one `Effects` every dispatch fills and `apply` drains; empty
     /// between events, its buffers kept.
     effects: Effects,
@@ -207,34 +205,20 @@ impl Engine {
             queue_hwm: 0,
             event_limit: 500_000_000,
             wall_clock_limit: None,
-            faults: None,
-            chaos: None,
+            interposer: Interposer::default(),
             effects: Effects::default(),
         }
     }
 
-    /// Attach an infrastructure fault plane. The plane's RNG is its own
-    /// seeded stream, so attaching one never perturbs the engine RNG; an
-    /// engine without a plane takes no fault branches at all.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.faults = Some(plane);
+    /// Attach the interposer the adversarial planes act through. Their RNG
+    /// streams are their own, so attaching one never perturbs the engine's.
+    pub fn set_interposer(&mut self, interposer: Interposer) {
+        self.interposer = interposer;
     }
 
-    /// The attached fault plane's counters, if a plane is attached.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|p| p.stats)
-    }
-
-    /// Attach a data-path chaos plane. Like the fault plane it owns its
-    /// seeded RNG stream, and every transmit on an uncovered link bypasses
-    /// it without a draw — a chaos-free run replays byte-identically.
-    pub fn set_chaos_plane(&mut self, plane: ChaosPlane) {
-        self.chaos = Some(plane);
-    }
-
-    /// The attached chaos plane's counters, if a plane is attached.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|p| p.stats)
+    /// The attached interposer; its planes carry their own run counters.
+    pub fn interposer(&self) -> &Interposer {
+        &self.interposer
     }
 
     /// Attach a telemetry sink. Nodes reach it through
@@ -383,42 +367,15 @@ impl Engine {
             debug_assert!(ev_time >= self.now, "time went backwards");
             self.now = ev_time;
             self.stats.events += 1;
-            // Frozen node? Frames are lost outright (the NIC is down);
-            // timers survive the outage and fire at the thaw instant —
-            // the restart half of freeze/restart.
-            if let Some(plane) = self.faults.as_ref() {
-                if let Some(until) = plane.frozen_until(ev.value.node, ev_time) {
-                    let node = ev.value.node;
-                    let plane = self.faults.as_mut().expect("plane checked above");
-                    match ev.value.kind {
-                        EventKind::FrameArrive { .. } => {
-                            plane.stats.frames_dropped_frozen += 1;
-                            tev!(
-                                &self.telemetry,
-                                ev_time.as_nanos(),
-                                node.0 as u32,
-                                "fault",
-                                "freeze.drop",
-                            );
-                            continue;
-                        }
-                        EventKind::Timer { token } => {
-                            plane.stats.timers_deferred += 1;
-                            tev!(
-                                &self.telemetry,
-                                ev_time.as_nanos(),
-                                node.0 as u32,
-                                "fault",
-                                "freeze.defer",
-                                until = until.as_nanos(),
-                            );
-                            self.push(until, node, EventKind::Timer { token });
-                            continue;
-                        }
-                    }
-                }
+            let is_frame = matches!(ev.value.kind, EventKind::FrameArrive { .. });
+            match self
+                .interposer
+                .gate(&self.telemetry, ev.value.node, is_frame, ev_time)
+            {
+                Gate::Run => self.dispatch(ev.value),
+                Gate::Discard => {}
+                Gate::Defer(until) => self.push(until, ev.value.node, ev.value.kind),
             }
-            self.dispatch(ev.value);
         };
         // Final flush pass.
         for i in 0..self.nodes.len() {
@@ -488,143 +445,31 @@ impl Engine {
     }
 
     fn apply(&mut self, from: NodeId, effects: &mut Effects) {
+        let now = self.now;
         for (port, frame, depart_delay) in effects.sends.drain(..) {
-            // Marked links (mirror paths) consult the fault plane; every
-            // other link bypasses it without touching the plane RNG.
-            let mut copies = 1usize;
-            if let Some(plane) = self.faults.as_mut() {
-                if plane.covers_link(from, port) {
-                    match plane.fate(from, port) {
-                        TransmitFate::Deliver => {}
-                        TransmitFate::Drop => {
-                            tev!(
-                                &self.telemetry,
-                                self.now.as_nanos(),
-                                from.0 as u32,
-                                "fault",
-                                "mirror.drop",
-                            );
-                            continue;
-                        }
-                        TransmitFate::Duplicate => {
-                            tev!(
-                                &self.telemetry,
-                                self.now.as_nanos(),
-                                from.0 as u32,
-                                "fault",
-                                "mirror.dup",
-                            );
-                            copies = 2;
-                        }
-                    }
-                }
-            }
-            // Chaos-covered links (host↔switch data paths) consult the
-            // chaos plane; everything else bypasses it without a draw.
-            let chaos_covered = self
-                .chaos
-                .as_ref()
-                .is_some_and(|p| p.covers_link(from, port));
-            // In the single-copy case the frame is moved, never cloned —
-            // the frame-plane counters of fault-free runs are untouched.
-            let mut remaining = Some(frame);
-            for copy in 0..copies {
-                let is_last = copy + 1 == copies;
-                let mut f = if is_last {
-                    remaining.take().expect("frame still held")
-                } else {
-                    remaining.as_ref().expect("frame still held").clone()
-                };
-                let line_bytes = lumina_packet::frame::line_occupancy_of(f.len());
-                let mut handoff = self.now + depart_delay;
-                if chaos_covered {
-                    // PFC-style pause: the handoff stalls to the window's
-                    // end; the frame then serializes normally — stalled,
-                    // never dropped.
-                    let plane = self.chaos.as_mut().expect("chaos cover checked");
-                    if let Some(resume) = plane.pause_until(from, port, handoff) {
-                        tev!(
-                            &self.telemetry,
-                            self.now.as_nanos(),
-                            from.0 as u32,
-                            "chaos",
-                            "pause",
-                            until = resume.as_nanos(),
-                        );
-                        handoff = resume;
-                    }
-                }
+            // The interposer may destroy the send or ask for a second copy;
+            // the last copy is the frame itself, moved and never cloned.
+            let copies = self.interposer.copies(&self.telemetry, from, port, now);
+            let dup = (copies > 1).then(|| frame.clone());
+            for mut f in dup.into_iter().chain((copies > 0).then_some(frame)) {
+                let (ip, tel) = (&mut self.interposer, &self.telemetry);
+                let handoff = ip.handoff(tel, from, port, now, now + depart_delay);
                 let Some(Some(link)) = self.links[from.0].get_mut(port.0) else {
                     panic!("node {from:?} sent on unconnected port {port:?}");
                 };
-                self.telemetry.record_hop(
-                    f.trace_id(),
-                    trace_hops::LINK_EGRESS,
-                    from.0 as u32,
-                    handoff.as_nanos(),
-                );
-                // A duplicate serializes behind the original, like a
-                // link-layer replay.
-                let mut arrive = link.transmit(handoff, line_bytes);
+                let hop = trace_hops::LINK_EGRESS;
+                tel.record_hop(f.trace_id(), hop, from.0 as u32, handoff.as_nanos());
+                // A duplicate serializes behind the original; a copy the
+                // interposer destroys next has still burned its slot.
+                let arrive = link.transmit(handoff, line_occupancy_of(f.len()));
                 let (to_node, to_port) = (link.link.to_node, link.link.to_port);
-                if chaos_covered {
-                    let plane = self.chaos.as_mut().expect("chaos cover checked");
-                    match plane.fate(from, port, handoff, arrive, f.len()) {
-                        ChaosFate::Deliver => {}
-                        ChaosFate::FlapDrop => {
-                            // The link is down at handoff or arrival: the
-                            // frame burned its serialization slot and died
-                            // on the wire.
-                            tev!(
-                                &self.telemetry,
-                                handoff.as_nanos(),
-                                from.0 as u32,
-                                "chaos",
-                                "flap.drop",
-                            );
-                            continue;
-                        }
-                        ChaosFate::BurstDrop => {
-                            tev!(
-                                &self.telemetry,
-                                handoff.as_nanos(),
-                                from.0 as u32,
-                                "chaos",
-                                "burst.drop",
-                            );
-                            continue;
-                        }
-                        ChaosFate::Corrupt { offset, mask } => {
-                            tev!(
-                                &self.telemetry,
-                                handoff.as_nanos(),
-                                from.0 as u32,
-                                "chaos",
-                                "corrupt",
-                                offset = offset as u64,
-                            );
-                            let buf = f.make_mut();
-                            if let Some(b) = buf.get_mut(offset) {
-                                *b ^= mask;
-                            }
-                        }
-                        ChaosFate::Delay(extra) => {
-                            tev!(
-                                &self.telemetry,
-                                handoff.as_nanos(),
-                                from.0 as u32,
-                                "chaos",
-                                "delay",
-                                extra = extra.as_nanos(),
-                            );
-                            arrive += extra;
-                        }
-                    }
+                if let Some(at) = ip.fate(tel, from, port, handoff, arrive, &mut f) {
+                    let kind = EventKind::FrameArrive {
+                        port: to_port,
+                        frame: f,
+                    };
+                    self.push(at, to_node, kind);
                 }
-                self.push(arrive, to_node, EventKind::FrameArrive {
-                    port: to_port,
-                    frame: f,
-                });
             }
         }
         for (at, token) in effects.timers.drain(..) {
@@ -803,11 +648,6 @@ mod tests {
         let one_way = ser + SimTime::from_nanos(500);
         let expect = one_way + SimTime::from_nanos(100) + one_way;
 
-        let b: Box<dyn Node> = eng.remove_node(blaster);
-        // SAFETY of downcast: we know what we inserted. Use raw pointer cast
-        // via Box into raw — instead, keep it simple and re-run assertions
-        // through stats.
-        drop(b);
         assert_eq!(eng.stats().frames_delivered, 2);
         assert_eq!(outcome.end_time(), expect);
     }
@@ -979,7 +819,7 @@ mod tests {
 
     #[test]
     fn marked_link_drops_and_duplicates_deterministically() {
-        use crate::faults::{FaultPlane, MirrorFaults};
+        use crate::faults::{FaultPlane, Interposer, MirrorFaults};
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -1008,10 +848,10 @@ mod tests {
             );
             plane.mark_mirror_link(blaster, PortId(0));
             // Return path is unmarked: echoes flow back untouched.
-            eng.set_fault_plane(plane);
+            eng.set_interposer(Interposer::new(Some(plane), None));
             eng.schedule_timer(blaster, SimTime::ZERO, 0);
             eng.run(None);
-            let stats = eng.fault_stats().expect("plane attached");
+            let stats = eng.interposer().faults.as_ref().expect("plane attached").stats;
             (*eng.stats(), stats)
         };
         let (eng_stats, faults) = run();
@@ -1027,7 +867,7 @@ mod tests {
 
     #[test]
     fn frozen_node_loses_frames_and_defers_timers() {
-        use crate::faults::{FaultPlane, FreezeWindow, MirrorFaults};
+        use crate::faults::{FaultPlane, FreezeWindow, Interposer, MirrorFaults};
         // A ticker timer armed inside the freeze window must fire at the
         // thaw instant, not during the outage.
         struct Once {
@@ -1050,7 +890,7 @@ mod tests {
             from: SimTime::from_micros(10),
             until: SimTime::from_micros(50),
         });
-        eng.set_fault_plane(plane);
+        eng.set_interposer(Interposer::new(Some(plane), None));
         eng.schedule_timer(n, SimTime::from_micros(5), 0); // before: fires
         eng.schedule_timer(n, SimTime::from_micros(20), 1); // inside: deferred
         eng.inject_frame(n, PortId(0), SimTime::from_micros(30), test_frame()); // lost
@@ -1059,7 +899,7 @@ mod tests {
             *fired.borrow(),
             vec![SimTime::from_micros(5), SimTime::from_micros(50)]
         );
-        let stats = eng.fault_stats().unwrap();
+        let stats = eng.interposer().faults.as_ref().unwrap().stats;
         assert_eq!(stats.timers_deferred, 1);
         assert_eq!(stats.frames_dropped_frozen, 1);
         assert_eq!(eng.stats().frames_delivered, 0);
@@ -1067,7 +907,7 @@ mod tests {
 
     #[test]
     fn chaos_flap_drops_in_flight_frames_and_replays() {
-        use crate::faults::{ChaosPlane, ChaosWindow, LinkChaos};
+        use crate::faults::{ChaosPlane, ChaosWindow, Interposer, LinkChaos};
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -1099,10 +939,10 @@ mod tests {
                     ..LinkChaos::default()
                 },
             );
-            eng.set_chaos_plane(plane);
+            eng.set_interposer(Interposer::new(None, Some(plane)));
             eng.schedule_timer(blaster, SimTime::ZERO, 0);
             eng.run(None);
-            let stats = eng.chaos_stats().expect("plane attached");
+            let stats = eng.interposer().chaos.as_ref().expect("plane attached").stats;
             (*eng.stats(), stats)
         };
         let (eng_stats, chaos) = run();
@@ -1116,7 +956,7 @@ mod tests {
 
     #[test]
     fn chaos_pause_delays_without_loss() {
-        use crate::faults::{ChaosPlane, ChaosWindow, LinkChaos};
+        use crate::faults::{ChaosPlane, ChaosWindow, Interposer, LinkChaos};
         let mut eng = Engine::new(5);
         let blaster = eng.add_node(Box::new(Blaster {
             count: 5,
@@ -1147,11 +987,11 @@ mod tests {
                 ..LinkChaos::default()
             },
         );
-        eng.set_chaos_plane(plane);
+        eng.set_interposer(Interposer::new(None, Some(plane)));
         eng.schedule_timer(blaster, SimTime::ZERO, 0);
         let outcome = eng.run(None);
         assert!(outcome.is_quiescent());
-        let chaos = eng.chaos_stats().unwrap();
+        let chaos = eng.interposer().chaos.as_ref().unwrap().stats;
         assert_eq!(chaos.paused_frames, 5);
         assert_eq!(chaos.data_drops(), 0, "pause must not drop: {chaos:?}");
         // All five frames arrive (and echo back), but only after the pause.
@@ -1161,8 +1001,8 @@ mod tests {
 
     #[test]
     fn chaos_free_plane_leaves_runs_byte_identical() {
-        use crate::faults::ChaosPlane;
-        let run = |attach: bool| {
+        use crate::faults::{ChaosPlane, FaultPlane, Interposer, MirrorFaults};
+        let run = |attach: Option<Interposer>| {
             let mut eng = Engine::new(42);
             let blaster = eng.add_node(Box::new(Blaster {
                 count: 50,
@@ -1181,16 +1021,25 @@ mod tests {
                 Bandwidth::gbps(40),
                 SimTime::from_nanos(750),
             );
-            if attach {
-                // A plane with no covered links: every transmit bypasses
-                // it without a draw.
-                eng.set_chaos_plane(ChaosPlane::new(7));
+            if let Some(interposer) = attach {
+                eng.set_interposer(interposer);
             }
             eng.schedule_timer(blaster, SimTime::ZERO, 0);
             let o = eng.run(None);
             (*eng.stats(), o.end_time())
         };
-        assert_eq!(run(false), run(true));
+        // Planes with nothing marked, covered or frozen: every event and
+        // every transmit bypasses them without a draw.
+        let mirror = MirrorFaults {
+            loss_prob: 0.5,
+            dup_prob: 0.5,
+        };
+        let (faults, chaos) = (FaultPlane::new(7, mirror), ChaosPlane::new(7));
+        let pristine = run(None);
+        for (f, c) in [(false, true), (true, false), (true, true)] {
+            let armed = Interposer::new(f.then(|| faults.clone()), c.then(|| chaos.clone()));
+            assert_eq!(pristine, run(Some(armed)), "faults={f} chaos={c}");
+        }
     }
 
     #[test]

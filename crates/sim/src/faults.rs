@@ -1,11 +1,36 @@
-//! Deterministic infrastructure fault injection.
+//! Deterministic infrastructure fault injection, and the one seam through
+//! which it reaches the event loop.
 //!
 //! Lumina's §3.5 integrity check exists because the *testbed itself* can
 //! fail — mirror copies are dropped when dumpers overload, capture hosts
-//! stall, bits rot on the way to disk. This module injects those failures
-//! on purpose, so the degraded-trace pipeline can be exercised instead of
-//! merely survived: the [`FaultPlane`] sits inside the [`Engine`]
-//! (`Engine::set_fault_plane`) and intercepts two spots of the event loop:
+//! stall, links flap, bits rot on the way to disk. This module injects
+//! those failures on purpose, so the degraded-trace pipeline can be
+//! exercised instead of merely survived. Two planes decide and one
+//! [`Interposer`] carries their decisions out; the [`Engine`] owns links,
+//! time and the wheel and knows neither plane by name.
+//!
+//! # The seam: four instants
+//!
+//! Their order fixes the planes' RNG draws, the journal and the links'
+//! busy time, so it is part of the replay contract:
+//!
+//! 1. [`gate`](Interposer::gate) — per event, before dispatch (freezes);
+//! 2. [`copies`](Interposer::copies) — once per send (mirror loss → dup);
+//! 3. [`handoff`](Interposer::handoff) — per copy, *before* the link
+//!    serializes it (pauses);
+//! 4. [`fate`](Interposer::fate) — per copy, *after* it (flaps, bursts): a
+//!    destroyed frame has still burned its serialization slot, and a
+//!    duplicate serializes behind the original like a link-layer replay.
+//!
+//! The planes own their seeded draws, their counters ([`FaultStats`],
+//! [`ChaosStats`], read through [`Engine::interposer`]), their `"fault"` /
+//! `"chaos"` journal lines and the copy-on-write byte flip; the engine owns
+//! the links and reports on them (the `link.ingress` / `link.egress` hops).
+//! The planes' own `fate` / `frozen_until` / `pause_until` are the pure
+//! decisions and the interposer is their effect side; the default one holds
+//! no plane and every call returns at once.
+//!
+//! # The fault plane
 //!
 //! * **Marked links** (the switch→dumper mirror paths) may drop or
 //!   duplicate a frame per transmit, per [`MirrorFaults`] probabilities.
@@ -48,11 +73,13 @@
 //! decisions are pure window lookups and never touch the RNG at all.
 //!
 //! [`Engine`]: crate::Engine
+//! [`Engine::interposer`]: crate::Engine::interposer
 
 use crate::engine::{NodeId, PortId};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use lumina_telemetry::MetricSet;
+use lumina_packet::Frame;
+use lumina_telemetry::{tev, MetricSet, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -124,9 +151,8 @@ impl MetricSet for FaultStats {
     }
 }
 
-/// The seeded fault injector the engine consults. Build one, mark the
-/// mirror links and freeze windows, then hand it to
-/// [`Engine::set_fault_plane`](crate::Engine::set_fault_plane).
+/// The seeded fault injector. Build one, mark the mirror links and freeze
+/// windows, then attach it inside an [`Interposer`].
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
     rng: SimRng,
@@ -318,9 +344,8 @@ impl MetricSet for ChaosStats {
     }
 }
 
-/// The seeded data-path chaos injector the engine consults. Build one,
-/// attach per-link schedules, then hand it to
-/// [`Engine::set_chaos_plane`](crate::Engine::set_chaos_plane).
+/// The seeded data-path chaos injector. Build one, attach per-link
+/// schedules, then attach it inside an [`Interposer`].
 #[derive(Debug, Clone)]
 pub struct ChaosPlane {
     rng: SimRng,
@@ -351,11 +376,6 @@ impl ChaosPlane {
     /// from [`fate`](Self::fate) so uncovered links never touch the RNG.
     pub fn covers_link(&self, from: NodeId, port: PortId) -> bool {
         self.links.contains_key(&(from, port))
-    }
-
-    /// True when no link carries any schedule.
-    pub fn is_noop(&self) -> bool {
-        self.links.is_empty()
     }
 
     /// If a pause window covers the handoff instant `at`, the instant the
@@ -423,6 +443,140 @@ impl ChaosPlane {
             return ChaosFate::Delay(burst.reorder_delay);
         }
         ChaosFate::Deliver
+    }
+}
+
+/// What [`Interposer::gate`] decided for one event about to be dispatched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Dispatch it.
+    Run,
+    /// Drop it undelivered.
+    Discard,
+    /// File it again at the contained instant, under a fresh `seq`.
+    Defer(SimTime),
+}
+
+/// The effect side of both planes — counters, journal lines, the in-place
+/// corruption — at the four instants the module docs list. An interposer
+/// whose planes cover nothing is invisible to a run.
+#[derive(Debug, Clone, Default)]
+pub struct Interposer {
+    /// The infrastructure fault plane, if armed.
+    pub faults: Option<FaultPlane>,
+    /// The data-path chaos plane, if armed.
+    pub chaos: Option<ChaosPlane>,
+    /// Whether the chaos plane covers the link of the send in progress:
+    /// looked up once by `copies`, read per copy by `handoff` and `fate`.
+    chaos_covered: bool,
+}
+
+impl Interposer {
+    /// An interposer armed with the given planes.
+    pub fn new(faults: Option<FaultPlane>, chaos: Option<ChaosPlane>) -> Interposer {
+        Interposer {
+            faults,
+            chaos,
+            chaos_covered: false,
+        }
+    }
+
+    /// A frozen node loses arriving frames outright (the NIC is down); its
+    /// timers survive the outage and fire at the thaw instant.
+    pub fn gate(&mut self, tel: &Telemetry, node: NodeId, is_frame: bool, now: SimTime) -> Gate {
+        let Some(plane) = self.faults.as_mut() else {
+            return Gate::Run;
+        };
+        let Some(until) = plane.frozen_until(node, now) else {
+            return Gate::Run;
+        };
+        let (t, n) = (now.as_nanos(), node.0 as u32);
+        if is_frame {
+            plane.stats.frames_dropped_frozen += 1;
+            tev!(tel, t, n, "fault", "freeze.drop");
+            return Gate::Discard;
+        }
+        plane.stats.timers_deferred += 1;
+        tev!(tel, t, n, "fault", "freeze.defer", until = until.as_nanos());
+        Gate::Defer(until)
+    }
+
+    /// How many copies of a frame sent at `now` enter the link. Marked
+    /// links (mirror paths) take the fault plane's one loss→dup draw; every
+    /// other link bypasses it without touching its RNG.
+    pub fn copies(&mut self, tel: &Telemetry, from: NodeId, port: PortId, now: SimTime) -> usize {
+        let chaos = self.chaos.as_ref();
+        self.chaos_covered = chaos.is_some_and(|p| p.covers_link(from, port));
+        let Some(plane) = self.faults.as_mut().filter(|p| p.covers_link(from, port)) else {
+            return 1;
+        };
+        let (copies, kind) = match plane.fate(from, port) {
+            TransmitFate::Deliver => return 1,
+            TransmitFate::Drop => (0, "mirror.drop"),
+            TransmitFate::Duplicate => (2, "mirror.dup"),
+        };
+        tev!(tel, now.as_nanos(), from.0 as u32, "fault", kind);
+        copies
+    }
+
+    /// The instant a copy due at `at` is really handed to the link: a
+    /// PFC-style pause stalls it to the window's end, then the frame
+    /// serializes normally — stalled, never dropped.
+    pub fn handoff(
+        &mut self,
+        tel: &Telemetry,
+        from: NodeId,
+        port: PortId,
+        now: SimTime,
+        at: SimTime,
+    ) -> SimTime {
+        let covering = self.chaos.as_mut().filter(|_| self.chaos_covered);
+        let Some(resume) = covering.and_then(|p| p.pause_until(from, port, at)) else {
+            return at;
+        };
+        let (t, n) = (now.as_nanos(), from.0 as u32);
+        tev!(tel, t, n, "chaos", "pause", until = resume.as_nanos());
+        resume
+    }
+
+    /// The arrival instant of a serialized copy, or `None` when it died on
+    /// the wire (the link was down at handoff or arrival, or a burst ate
+    /// it). A corrupted copy has one tail byte flipped in place,
+    /// copy-on-write; a reordered one arrives late.
+    pub fn fate(
+        &mut self,
+        tel: &Telemetry,
+        from: NodeId,
+        port: PortId,
+        handoff: SimTime,
+        arrive: SimTime,
+        frame: &mut Frame,
+    ) -> Option<SimTime> {
+        let covering = self.chaos.as_mut().filter(|_| self.chaos_covered);
+        let Some(plane) = covering else {
+            return Some(arrive);
+        };
+        let (t, n) = (handoff.as_nanos(), from.0 as u32);
+        let lost = |kind: &'static str| {
+            tev!(tel, t, n, "chaos", kind);
+            None
+        };
+        match plane.fate(from, port, handoff, arrive, frame.len()) {
+            ChaosFate::Deliver => Some(arrive),
+            ChaosFate::FlapDrop => lost("flap.drop"),
+            ChaosFate::BurstDrop => lost("burst.drop"),
+            ChaosFate::Corrupt { offset, mask } => {
+                tev!(tel, t, n, "chaos", "corrupt", offset = offset as u64);
+                if let Some(b) = frame.make_mut().get_mut(offset) {
+                    *b ^= mask;
+                }
+                Some(arrive)
+            }
+            ChaosFate::Delay(extra) => {
+                tev!(tel, t, n, "chaos", "delay", extra = extra.as_nanos());
+                Some(arrive + extra)
+            }
+        }
     }
 }
 
@@ -608,7 +762,6 @@ mod tests {
         let mut p = ChaosPlane::new(11);
         p.set_link(NodeId(0), PortId(0), chaos(0.0, 0.0, 0.0));
         assert!(!p.covers_link(NodeId(0), PortId(0)));
-        assert!(p.is_noop());
     }
 
     #[test]

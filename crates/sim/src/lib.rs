@@ -36,7 +36,7 @@ pub mod wheel;
 pub use engine::{Engine, EngineStats, FrameStats, NodeCtx, NodeId, PortId, RunOutcome};
 pub use faults::{
     BurstRegime, ChaosFate, ChaosPlane, ChaosStats, ChaosWindow, FaultPlane, FaultStats,
-    FreezeWindow, LinkChaos, MirrorFaults,
+    FreezeWindow, Gate, Interposer, LinkChaos, MirrorFaults,
 };
 pub use link::Link;
 pub use rng::SimRng;

@@ -142,7 +142,3 @@ profile workload="run_timers" runs="5":
             $dir/release/lumina-cli "${args[@]}" > /dev/null 2>&1 || true
     done
     python3 tools/wallprof.py $dir/release/lumina-cli $dir/{{workload}}.*.prof
-
-# Criterion-style benchmarks (shimmed harness; wall-clock smoke numbers).
-bench:
-    cargo bench -p lumina-bench

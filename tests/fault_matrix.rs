@@ -162,3 +162,94 @@ fn noop_fault_section_matches_a_pristine_run_byte_for_byte() {
     );
     assert!(b.fault_stats.is_none(), "no plane attached for a noop section");
 }
+
+/// FNV-1a, 64 bit: small enough to pin whole reports and journals as
+/// constants.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Both planes armed on one small WRITE run, every fate firing: mirror
+/// loss + dup, a responder freeze inside the first flight, and on both host
+/// links a loss/corrupt/reorder burst over that flight plus a pause and a
+/// short flap over the post-RTO retry flight (≈ 67.16 ms).
+const BOTH_PLANES_YAML: &str = "\
+requester: { nic-type: cx5 }
+responder: { nic-type: cx5 }
+traffic:
+  num-connections: 4
+  rdma-verb: write
+  num-msgs-per-qp: 16
+  mtu: 1024
+  message-size: 16384
+network:
+  seed: 7
+  horizon-ms: 2000
+faults:
+  seed: 21
+  mirror-loss-prob: 0.05
+  mirror-dup-prob: 0.05
+  freezes:
+    - {node: responder, at-us: 30, duration-us: 30}
+chaos:
+  seed: 33
+  links:
+    - link: requester
+      bursts:
+        - {at-us: 5, duration-us: 30, loss-prob: 0.05, corrupt-prob: 0.05, reorder-prob: 0.1}
+      pauses:
+        - {at-us: 67170, duration-us: 10}
+      flaps:
+        - {at-us: 67200, duration-us: 4}
+    - link: responder
+      bursts:
+        - {at-us: 5, duration-us: 30, loss-prob: 0.05, corrupt-prob: 0.05, reorder-prob: 0.1}
+      pauses:
+        - {at-us: 67170, duration-us: 10}
+      flaps:
+        - {at-us: 67200, duration-us: 4}
+";
+
+/// No golden has a `faults:` section and nothing else arms both planes, so
+/// this is what pins the `"fault"` / `"chaos"` journal lines, the order of
+/// the planes' RNG draws and the link busy-time they leave behind. The
+/// constants were recorded before the planes' effects moved out of the
+/// engine; a change to them is a behaviour change.
+#[test]
+fn both_planes_armed_pin_report_and_journal_bytes() {
+    const REPORT: u64 = 0xd9d9_0a25_7c08_518b;
+    const REPORT_TRACED: u64 = 0x454a_c059_cdca_9ded;
+    const JOURNAL: u64 = 0x59cc_28dc_4bde_de58;
+
+    let mut cfg = TestConfig::from_yaml(BOTH_PLANES_YAML).unwrap();
+    cfg.validate().expect("both sections validate");
+    for (traced, want_report) in [(false, REPORT), (true, REPORT_TRACED)] {
+        cfg.trace = traced.then(lumina_core::config::TraceSection::default);
+        let res = run_test(&cfg).unwrap();
+        assert!(res.traffic_completed(), "go-back-N recovers every window");
+        let f = res.fault_stats.expect("fault plane attached");
+        let c = res.chaos_stats.expect("chaos plane attached");
+        for (name, n) in [
+            ("mirror_copies_dropped", f.mirror_copies_dropped),
+            ("mirror_copies_duplicated", f.mirror_copies_duplicated),
+            ("frames_dropped_frozen", f.frames_dropped_frozen),
+            ("timers_deferred", f.timers_deferred),
+            ("flap_drops", c.flap_drops),
+            ("burst_drops", c.burst_drops),
+            ("corruptions", c.corruptions),
+            ("reorders", c.reorders),
+            ("paused_frames", c.paused_frames),
+        ] {
+            assert!(n > 0, "{name} never fired (traced={traced}): {f:?} {c:?}");
+        }
+        let report = serde_json::to_string(&res.report_json().unwrap()).unwrap();
+        let journal = res.telemetry.journal_jsonl();
+        assert_eq!(
+            (fnv1a64(report.as_bytes()), fnv1a64(journal.as_bytes())),
+            (want_report, JOURNAL),
+            "traced={traced}: report / journal FNV-64 moved"
+        );
+    }
+}

@@ -68,7 +68,7 @@ fn back_to_back_outcome(
     use lumina_packet::MacAddr;
     use lumina_rnic::qp::{QpConfig, QpEndpoint};
     use lumina_rnic::{ets::EtsConfig, profile::DeviceProfile, Rnic};
-    use lumina_sim::faults::{BurstRegime, ChaosPlane, ChaosWindow, LinkChaos};
+    use lumina_sim::faults::{BurstRegime, ChaosPlane, ChaosWindow, Interposer, LinkChaos};
     use lumina_sim::{Bandwidth, Engine, NodeId, PortId, SimTime};
     use std::net::Ipv4Addr;
 
@@ -125,7 +125,7 @@ fn back_to_back_outcome(
         reorder_delay: SimTime::from_micros(3),
     };
     chaos.set_link(req_id, PortId(0), LinkChaos { bursts: vec![burst], ..LinkChaos::default() });
-    eng.set_chaos_plane(chaos);
+    eng.set_interposer(Interposer::new(None, Some(chaos)));
     eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
     let outcome = eng.run(Some(SimTime::from_secs(5)));
 
@@ -134,7 +134,8 @@ fn back_to_back_outcome(
         host.downcast::<HostNode>().expect("host node").rnic.counters.clone()
     });
     let metrics = [m_req, m_rsp].map(|m| serde_json::to_string(&*m.borrow()).unwrap());
-    format!("{outcome:?}\n{:?}\n{:?}\n{counters:?}\n{metrics:?}", eng.stats(), eng.chaos_stats())
+    let chaos_stats = eng.interposer().chaos.as_ref().map(|p| p.stats);
+    format!("{outcome:?}\n{:?}\n{chaos_stats:?}\n{counters:?}\n{metrics:?}", eng.stats())
 }
 
 fn arb_nic() -> impl Strategy<Value = &'static str> {
