@@ -167,17 +167,19 @@ network:
         .collect()
 }
 
-/// Run and print all ablations.
-pub fn print_all() {
-    let fix = ets_fix(5);
+/// Print ablation 1.
+pub fn print_ets_fix(fix: &EtsFix) {
     println!("\nAblation 1: CX6 Dx ETS with work conservation forced on");
     println!(
         "QP1 under multi-queue+ECN: stock {:.1} Gbps → fixed {:.1} Gbps (vanilla {:.1})",
         fix.stock_qp1_gbps, fix.fixed_qp1_gbps, fix.vanilla_qp1_gbps
     );
+}
 
+/// Print ablation 2.
+pub fn print_contexts(sweep: &[ContextPoint]) {
     println!("\nAblation 2: CX4 Lx recovery-context sweep (12 concurrent drops)");
-    let rows: Vec<Vec<String>> = context_sweep(&[4, 8, 10, 16, 32])
+    let rows: Vec<Vec<String>> = sweep
         .iter()
         .map(|p| {
             vec![
@@ -191,9 +193,12 @@ pub fn print_all() {
         "{}",
         crate::common::render_table(&["contexts", "innocent MCT (ms)", "discards"], &rows)
     );
+}
 
+/// Print ablation 3.
+pub fn print_apm(sweep: &[ApmPoint]) {
     println!("\nAblation 3: CX5 APM queue capacity sweep (16 QPs from E810)");
-    let rows: Vec<Vec<String>> = apm_sweep(&[128, 512, 1024, 2048, 4096])
+    let rows: Vec<Vec<String>> = sweep
         .iter()
         .map(|p| vec![p.capacity.to_string(), p.rx_discards.to_string()])
         .collect();

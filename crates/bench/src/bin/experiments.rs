@@ -8,10 +8,36 @@
 
 use lumina_bench::*;
 
-const IDS: [&str; 14] = [
-    "fig03", "fig07", "fig08", "fig09", "fig10", "fig11", "table2", "interop", "cnp",
-    "adaptive", "sec34", "ablations", "fuzz", "hotpath",
+const IDS: [&str; 12] = [
+    "fig03",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11",
+    "table2",
+    "interop",
+    "cnp",
+    "adaptive",
+    "sec34",
+    "ablations",
 ];
+
+/// One experiment's series: under `key` of the `--json` document when
+/// there is one, through the experiment's own `print` otherwise.
+fn emit<T: serde::Serialize>(
+    doc: &mut Option<serde_json::Map>,
+    key: &str,
+    series: T,
+    print: impl FnOnce(&T),
+) {
+    match doc {
+        Some(doc) => {
+            doc.insert(key, serde_json::to_value(&series).unwrap());
+        }
+        None => print(&series),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,41 +56,30 @@ fn main() {
     let run_all = wanted.contains(&"all");
     let want = |id: &str| run_all || wanted.contains(&id);
 
-    let mut out = serde_json::Map::new();
+    let doc = &mut json.then(serde_json::Map::new);
     if want("fig03") {
-        let f = fig03_iter::run();
-        if json {
-            out.insert("fig03", serde_json::to_value(&f).unwrap());
-        } else {
-            fig03_iter::print(&f);
-        }
+        emit(doc, "fig03", fig03_iter::run(), fig03_iter::print);
     }
     if want("fig07") {
-        let f = fig07_overhead::run_with_msgs(if quick { 100 } else { 1000 });
-        if json {
-            out.insert("fig07", serde_json::to_value(&f).unwrap());
-        } else {
-            fig07_overhead::print(&f);
-        }
+        let msgs = if quick { 100 } else { 1000 };
+        let f = fig07_overhead::run_with_msgs(msgs);
+        emit(doc, "fig07", f, fig07_overhead::print);
     }
     if want("fig08") || want("fig09") {
-        let f = fig08_09_retrans::run();
-        if json {
-            out.insert("fig08_09", serde_json::to_value(&f).unwrap());
-        } else {
-            fig08_09_retrans::print(&f);
-        }
+        emit(
+            doc,
+            "fig08_09",
+            fig08_09_retrans::run(),
+            fig08_09_retrans::print,
+        );
     }
     if want("fig10") {
-        let f = fig10_ets::run_on("cx6", if quick { 5 } else { 20 });
-        if json {
-            out.insert("fig10", serde_json::to_value(&f).unwrap());
-        } else {
-            fig10_ets::print(&f);
-            let ablation = fig10_ets::run_on("cx5", if quick { 5 } else { 20 });
+        let msgs = if quick { 5 } else { 20 };
+        emit(doc, "fig10", fig10_ets::run_on("cx6", msgs), |f| {
+            fig10_ets::print(f);
             println!("\nablation — same settings on a work-conserving model (CX5):");
-            fig10_ets::print(&ablation);
-        }
+            fig10_ets::print(&fig10_ets::run_on("cx5", msgs));
+        });
     }
     if want("fig11") {
         let f = if quick {
@@ -72,94 +87,42 @@ fn main() {
         } else {
             fig11_noisy::run()
         };
-        if json {
-            out.insert("fig11", serde_json::to_value(&f).unwrap());
-        } else {
-            fig11_noisy::print(&f);
-        }
+        emit(doc, "fig11", f, fig11_noisy::print);
     }
     if want("table2") {
-        let t = table2_bugs::run();
-        if json {
-            out.insert("table2", serde_json::to_value(&t).unwrap());
-        } else {
-            table2_bugs::print(&t);
-        }
+        emit(doc, "table2", table2_bugs::run(), table2_bugs::print);
     }
     if want("interop") {
-        let e = interop::run();
-        if json {
-            out.insert("interop", serde_json::to_value(&e).unwrap());
-        } else {
-            interop::print(&e);
-        }
+        emit(doc, "interop", interop::run(), interop::print);
     }
     if want("cnp") {
-        let e = cnp_behavior::run();
-        if json {
-            out.insert("cnp", serde_json::to_value(&e).unwrap());
-        } else {
-            cnp_behavior::print(&e);
-        }
+        emit(doc, "cnp", cnp_behavior::run(), cnp_behavior::print);
     }
     if want("adaptive") {
-        let e = adaptive_retrans::run();
-        if json {
-            out.insert("adaptive", serde_json::to_value(&e).unwrap());
-        } else {
-            adaptive_retrans::print(&e);
-        }
+        emit(
+            doc,
+            "adaptive",
+            adaptive_retrans::run(),
+            adaptive_retrans::print,
+        );
     }
     if want("sec34") {
-        let e = sec34_dumper::run();
-        if json {
-            out.insert("sec34", serde_json::to_value(&e).unwrap());
-        } else {
-            sec34_dumper::print(&e);
-        }
+        emit(doc, "sec34", sec34_dumper::run(), sec34_dumper::print);
     }
     if want("ablations") {
-        if json {
-            let fix = ablations::ets_fix(5);
-            out.insert("ablation_ets_fix", serde_json::to_value(&fix).unwrap());
-            out.insert(
-                "ablation_contexts",
-                serde_json::to_value(ablations::context_sweep(&[4, 8, 10, 16, 32])).unwrap(),
-            );
-            out.insert(
-                "ablation_apm",
-                serde_json::to_value(ablations::apm_sweep(&[128, 512, 1024, 2048, 4096]))
-                    .unwrap(),
-            );
-        } else {
-            ablations::print_all();
-        }
-    }
-    if want("fuzz") {
-        let f = fuzz_throughput::run_with(if quick { 8 } else { 32 });
-        if json {
-            out.insert("fuzz", serde_json::to_value(&f).unwrap());
-        } else {
-            fuzz_throughput::print(&f);
-        }
-    }
-    if want("hotpath") {
-        let h = hotpath::run();
-        if json {
-            out.insert("hotpath", serde_json::to_value(&h).unwrap());
-        } else {
-            hotpath::print(&h);
-        }
+        let fix = ablations::ets_fix(5);
+        emit(doc, "ablation_ets_fix", fix, ablations::print_ets_fix);
+        let contexts = ablations::context_sweep(&[4, 8, 10, 16, 32]);
+        emit(doc, "ablation_contexts", contexts, |s| {
+            ablations::print_contexts(s)
+        });
+        let apm = ablations::apm_sweep(&[128, 512, 1024, 2048, 4096]);
+        emit(doc, "ablation_apm", apm, |s| ablations::print_apm(s));
     }
     if want("sec5") {
-        let r = sec5_switch::run();
-        if json {
-            out.insert("sec5", serde_json::to_value(&r).unwrap());
-        } else {
-            sec5_switch::print(&r);
-        }
+        emit(doc, "sec5", sec5_switch::run(), sec5_switch::print);
     }
-    if json {
-        println!("{}", serde_json::to_string_pretty(&out).unwrap());
+    if let Some(doc) = doc {
+        println!("{}", serde_json::to_string_pretty(doc).unwrap());
     }
 }

@@ -22,8 +22,6 @@
 //! | [`sec34_dumper`] | §3.4 — dumper load-balancing success ratio |
 //! | [`ablations`] | beyond the paper — causal knobs for each modeled quirk |
 //! | [`sec5_switch`] | §5 — injector capacity & latency accounting |
-//! | [`fuzz_throughput`] | §4 — fuzz-campaign throughput, serial vs. parallel |
-//! | [`hotpath`] | beyond the paper — frame-plane copy accounting, zero-copy vs. owned-Vec |
 
 pub mod ablations;
 pub mod adaptive_retrans;
@@ -34,8 +32,6 @@ pub mod fig07_overhead;
 pub mod fig08_09_retrans;
 pub mod fig10_ets;
 pub mod fig11_noisy;
-pub mod fuzz_throughput;
-pub mod hotpath;
 pub mod interop;
 pub mod sec34_dumper;
 pub mod sec5_switch;

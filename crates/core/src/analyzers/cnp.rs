@@ -18,13 +18,19 @@ pub struct CnpFlowStats {
     pub times: Vec<SimTime>,
 }
 
+/// Smallest gap between consecutive instants of an ascending series.
+fn min_gap(times: &[SimTime]) -> Option<SimTime> {
+    times
+        .iter()
+        .zip(times.iter().skip(1))
+        .map(|(earlier, later)| later.saturating_since(*earlier))
+        .min()
+}
+
 impl CnpFlowStats {
     /// Smallest gap between consecutive CNPs of this flow.
     pub fn min_interval(&self) -> Option<SimTime> {
-        self.times
-            .windows(2)
-            .map(|w| w[1].saturating_since(w[0]))
-            .min()
+        min_gap(&self.times)
     }
 
     /// Number of CNPs.
@@ -59,8 +65,7 @@ impl CnpReport {
             .into_iter()
             .map(|(ip, mut ts)| {
                 ts.sort();
-                let min = ts.windows(2).map(|w| w[1].saturating_since(w[0])).min();
-                (ip, min)
+                (ip, min_gap(&ts))
             })
             .collect()
     }
@@ -80,8 +85,7 @@ impl CnpReport {
             .into_iter()
             .map(|(ip, mut ts)| {
                 ts.sort();
-                let min = ts.windows(2).map(|w| w[1].saturating_since(w[0])).min();
-                (ip, min)
+                (ip, min_gap(&ts))
             })
             .collect()
     }
@@ -104,7 +108,7 @@ impl CnpReport {
             .flat_map(|s| s.times.iter().copied())
             .collect();
         ts.sort();
-        ts.windows(2).map(|w| w[1].saturating_since(w[0])).min()
+        min_gap(&ts)
     }
 }
 

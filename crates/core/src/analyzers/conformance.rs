@@ -412,6 +412,28 @@ fn in_bind_window(ipsn: u32, psn: u32) -> bool {
     (0..=BIND_WINDOW).contains(&psn_distance(ipsn, psn))
 }
 
+/// Pick the binding among window candidates (`(tracker, distance from
+/// its anchor)`, see `bind_candidates`). Windows are anchored at random
+/// 24-bit initial PSNs, so when several overlap the owner is the one whose
+/// anchor sits nearest below the packet's PSN — every impostor's anchor
+/// is, with overwhelming probability, much farther away. A distance tie is
+/// genuinely ambiguous and stays unbound.
+fn best_bind(cands: &[(usize, i32)]) -> Option<usize> {
+    let mut best: Option<(usize, i32)> = None;
+    let mut tied = false;
+    for &(i, di) in cands {
+        match best {
+            Some((_, db)) if di > db => {}
+            Some((_, db)) if di == db => tied = true,
+            _ => {
+                best = Some((i, di));
+                tied = false;
+            }
+        }
+    }
+    best.filter(|_| !tied).map(|(i, _)| i)
+}
+
 /// Incremental form of the oracle: feed trace entries (or whole chunks)
 /// as they stream out of reconstruction, then [`finish`](Self::finish)
 /// for the report. Two modes:
@@ -568,7 +590,7 @@ impl ConformanceStream {
             // count as data (they consume PSN space) but flow requester →
             // responder, so treating one as a data packet would invent a
             // write connection in the wrong direction.
-            let cands = self.bind_candidates(|t| {
+            let cands = self.bind_candidates(psn, |t| {
                 t.is_read()
                     && !t.rsp_qpn_known
                     && t.meta.requester.ip == f.ipv4.src
@@ -577,8 +599,7 @@ impl ConformanceStream {
             });
             if cands.is_empty() {
                 self.create_conn(e, Verb::Read);
-            } else if let Some(i) = self.best_bind(&cands, psn) {
-                let t = &mut self.trackers[i];
+            } else if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
                 t.meta.responder.qpn = f.bth.dest_qp;
                 t.rsp_qpn_known = true;
                 reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
@@ -589,7 +610,7 @@ impl ConformanceStream {
             if op.is_read_response() {
                 // A response stream: bind to a read connection created
                 // from its request, or create one outright.
-                let cands = self.bind_candidates(|t| {
+                let cands = self.bind_candidates(psn, |t| {
                     t.is_read()
                         && !t.req_qpn_known
                         && t.meta.responder.ip == f.ipv4.src
@@ -598,8 +619,7 @@ impl ConformanceStream {
                 });
                 if cands.is_empty() {
                     self.create_conn(e, Verb::Read);
-                } else if let Some(i) = self.best_bind(&cands, psn) {
-                    let t = &mut self.trackers[i];
+                } else if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
                     t.meta.requester.qpn = f.bth.dest_qp;
                     t.req_qpn_known = true;
                     data_packet(e.event, f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
@@ -621,7 +641,7 @@ impl ConformanceStream {
         } else if op == Opcode::Acknowledge {
             // Bind the ACK stream of a write/send connection: the ACK's
             // PSN must fall inside the span that connection has sent.
-            let cands = self.bind_candidates(|t| {
+            let cands = self.bind_candidates(psn, |t| {
                 !t.is_read()
                     && !t.req_qpn_known
                     && t.meta.responder.ip == f.ipv4.src
@@ -631,8 +651,7 @@ impl ConformanceStream {
                             && psn_distance(psn, m) >= -ACK_WINDOW_SLACK
                     })
             });
-            if let Some(i) = self.best_bind(&cands, psn) {
-                let t = &mut self.trackers[i];
+            if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
                 t.meta.requester.qpn = f.bth.dest_qp;
                 t.req_qpn_known = true;
                 reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
@@ -644,43 +663,15 @@ impl ConformanceStream {
         // per-connection evidence this oracle uses.
     }
 
-    fn bind_candidates(&self, pred: impl Fn(&ConnTracker) -> bool) -> Vec<usize> {
+    /// The trackers `pred` accepts, each with the distance from its
+    /// initial-PSN anchor to `psn`.
+    fn bind_candidates(&self, psn: u32, pred: impl Fn(&ConnTracker) -> bool) -> Vec<(usize, i32)> {
         self.trackers
             .iter()
             .enumerate()
             .filter(|(_, t)| pred(t))
-            .map(|(i, _)| i)
+            .map(|(i, t)| (i, psn_distance(t.meta.requester.ipsn, psn)))
             .collect()
-    }
-
-    /// Pick the binding among window candidates. Windows are anchored at
-    /// random 24-bit initial PSNs, so when several overlap the owner is
-    /// the one whose anchor sits nearest below the packet's PSN — every
-    /// impostor's anchor is, with overwhelming probability, much farther
-    /// away. A distance tie is genuinely ambiguous and stays unbound.
-    fn best_bind(&self, cands: &[usize], psn: u32) -> Option<usize> {
-        let dist = |i: usize| psn_distance(self.trackers[i].meta.requester.ipsn, psn);
-        let mut best: Option<usize> = None;
-        let mut tied = false;
-        for &i in cands {
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let (db, di) = (dist(b), dist(i));
-                    if di < db {
-                        best = Some(i);
-                        tied = false;
-                    } else if di == db {
-                        tied = true;
-                    }
-                }
-            }
-        }
-        if tied {
-            None
-        } else {
-            best
-        }
     }
 
     /// Create a tracker from the first packet of an undiscovered flow and

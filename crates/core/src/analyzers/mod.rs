@@ -1,5 +1,12 @@
 //! The test suite (§4): built-in analyzers over reconstructed traces.
 
+// The analyzers run over capture-derived data, where a panic forfeits the
+// verdict. Lint levels are inherited, so every analyzer below is covered.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 pub mod cnp;
 pub mod conformance;
 pub mod counter;

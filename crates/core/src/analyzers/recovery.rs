@@ -182,7 +182,9 @@ impl TtrHistogram {
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
+        if let Some(bucket) = self.buckets.get_mut(idx) {
+            *bucket += 1;
+        }
     }
 }
 

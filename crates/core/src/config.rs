@@ -694,18 +694,22 @@ impl ChaosSection {
     }
 }
 
-/// What is wrong with a `[at-us, at-us + duration-us)` window, if anything:
-/// it must be non-empty and end at an instant [`SimTime`] can hold in
-/// nanoseconds — the lowering into sim-layer windows does that arithmetic
+/// True when `value`, counted in units of `unit_ns` nanoseconds, is a time
+/// [`SimTime`] can hold — the lowering into the sim layer multiplies
 /// unchecked.
+fn fits_clock(value: u64, unit_ns: u64) -> bool {
+    value.checked_mul(unit_ns).is_some()
+}
+
+/// What is wrong with a `[at-us, at-us + duration-us)` window, if anything:
+/// it must be non-empty and end at an instant that [`fits_clock`].
 fn window_problem(at_us: u64, duration_us: u64) -> Option<&'static str> {
     if duration_us == 0 {
         return Some("duration-us must be ≥ 1");
     }
-    let end_us = at_us.checked_add(duration_us);
-    match end_us.and_then(|us| us.checked_mul(1_000)) {
-        Some(_end_ns) => None,
-        None => Some("at-us + duration-us does not fit the simulation clock"),
+    match at_us.checked_add(duration_us) {
+        Some(end_us) if fits_clock(end_us, 1_000) => None,
+        _ => Some("at-us + duration-us does not fit the simulation clock"),
     }
 }
 
@@ -845,6 +849,12 @@ impl TestConfig {
                     ));
                 }
             }
+        }
+        if !fits_clock(self.network.horizon_ms, 1_000_000) {
+            problems.push(format!(
+                "network: horizon-ms {} does not fit the simulation clock",
+                self.network.horizon_ms
+            ));
         }
         if self.traffic.min_retransmit_timeout >= 32 {
             problems.push("min-retransmit-timeout must be a 5-bit code".into());
@@ -993,6 +1003,13 @@ impl TestConfig {
                     prob("loss-prob", b.loss_prob, &mut problems);
                     prob("corrupt-prob", b.corrupt_prob, &mut problems);
                     prob("reorder-prob", b.reorder_prob, &mut problems);
+                    if !fits_clock(b.reorder_delay_us, 1_000) {
+                        problems.push(format!(
+                            "chaos: link {i}: burst {j}: reorder-delay-us {} does not fit \
+                             the simulation clock",
+                            b.reorder_delay_us
+                        ));
+                    }
                 }
             }
         }
@@ -1275,6 +1292,47 @@ chaos:
         // The last representable microsecond is still a valid end.
         assert_eq!(window_problem(18_446_744_073_709_550, 1), None);
         assert!(window_problem(18_446_744_073_709_551, 1).is_some());
+    }
+
+    #[test]
+    fn spans_past_the_clock_are_config_errors() {
+        // The two plain spans lowered by multiplication: both wrap u64
+        // nanoseconds by one unit; one unit less is fine.
+        let yaml = |horizon_ms: u64, delay_us: u64| {
+            format!(
+                r#"
+traffic:
+  num-connections: 1
+  rdma-verb: write
+  num-msgs-per-qp: 1
+  mtu: 1024
+  message-size: 1024
+network:
+  horizon-ms: {horizon_ms}
+chaos:
+  links:
+    - link: requester
+      bursts:
+        - {{at-us: 1, duration-us: 1, reorder-prob: 0.1, reorder-delay-us: {delay_us}}}
+"#
+            )
+        };
+        let (ms, us) = (u64::MAX / 1_000_000, u64::MAX / 1_000);
+        let cfg = TestConfig::from_yaml(&yaml(ms, us)).unwrap();
+        assert_eq!(cfg.problems(), Vec::<String>::new());
+        let cfg = TestConfig::from_yaml(&yaml(ms + 1, us + 1)).unwrap();
+        let want = [
+            format!(
+                "network: horizon-ms {} does not fit the simulation clock",
+                ms + 1
+            ),
+            format!(
+                "chaos: link 0: burst 0: reorder-delay-us {} does not fit the simulation clock",
+                us + 1
+            ),
+        ];
+        assert_eq!(cfg.problems(), want);
+        assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! fold signals into the map on the campaign thread in slot order — the
 //! serial==parallel bit-identity guarantee is untouched.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::analyzers::ViolationClass;
 use crate::config::TestConfig;
 use crate::error::Error;

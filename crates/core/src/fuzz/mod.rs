@@ -41,6 +41,7 @@ pub mod mutate;
 pub mod score;
 pub mod shrink;
 
+use crate::analyzers::ViolationClass;
 use crate::campaign::{panic_message, run_slots, EvalFailure};
 use crate::config::TestConfig;
 use crate::error::Error;
@@ -431,62 +432,43 @@ where
                     );
                 }
                 // Findings ship with a minimal reproducer: one per newly
-                // proven violation class…
+                // proven violation class, and one per distinct
+                // heuristic-anomaly description (violation-free runs whose
+                // raw score crossed the threshold), which preserves "score
+                // still over threshold".
                 let classes = coverage::violation_classes(&results);
-                for class in &classes {
-                    if !cov.seen_classes.insert(class.label()) {
-                        continue;
-                    }
-                    let shrunk = if cov.params.shrink {
-                        shrink::shrink_violation(
-                            &cand.cfg,
-                            *class,
-                            &shrink::ShrinkParams {
-                                max_runs: cov.params.shrink_budget,
-                                ..Default::default()
-                            },
-                        )
-                    } else {
-                        unshrunk(cand.cfg.clone())
-                    };
-                    cov.reproducers.push(shrink::Reproducer {
-                        candidate,
-                        class: Some(*class),
-                        desc: format!("violation {}", class.label()),
-                        shrink: shrunk,
-                    });
-                }
-                // …and one per distinct heuristic-anomaly description
-                // (violation-free runs whose raw score crossed the
-                // threshold), preserving "score still over threshold".
+                let mut findings: Vec<(Option<ViolationClass>, String)> = classes
+                    .iter()
+                    .filter(|class| cov.seen_classes.insert(class.label()))
+                    .map(|class| (Some(*class), format!("violation {}", class.label())))
+                    .collect();
                 if raw_s >= params.anomaly_threshold
                     && classes.is_empty()
                     && cov.seen_anomalies.insert(desc.clone())
                 {
-                    let shrunk = if cov.params.shrink {
-                        let threshold = params.anomaly_threshold;
-                        let keep = |c: &TestConfig, r: &TestResults| match catch_unwind(
-                            AssertUnwindSafe(|| score(c, r)),
-                        ) {
-                            Ok((v, _)) => sanitize_score(v) >= threshold,
-                            Err(_) => false,
-                        };
-                        shrink::shrink_config(
-                            &cand.cfg,
-                            &keep,
-                            &shrink::ShrinkParams {
-                                max_runs: cov.params.shrink_budget,
-                                ..Default::default()
-                            },
-                        )
-                    } else {
+                    findings.push((None, desc.clone()));
+                }
+                let over_threshold = |c: &TestConfig, r: &TestResults| {
+                    catch_unwind(AssertUnwindSafe(|| score(c, r)))
+                        .is_ok_and(|(v, _)| sanitize_score(v) >= params.anomaly_threshold)
+                };
+                let budget = shrink::ShrinkParams {
+                    max_runs: cov.params.shrink_budget,
+                    ..Default::default()
+                };
+                for (class, desc) in findings {
+                    let shrink = if !cov.params.shrink {
                         unshrunk(cand.cfg.clone())
+                    } else if let Some(class) = class {
+                        shrink::shrink_violation(&cand.cfg, class, &budget)
+                    } else {
+                        shrink::shrink_config(&cand.cfg, &over_threshold, &budget)
                     };
                     cov.reproducers.push(shrink::Reproducer {
                         candidate,
-                        class: None,
-                        desc: desc.clone(),
-                        shrink: shrunk,
+                        class,
+                        desc,
+                        shrink,
                     });
                 }
             }

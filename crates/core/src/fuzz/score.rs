@@ -127,6 +127,19 @@ pub fn violation_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
     (score, desc)
 }
 
+/// A scoring function, as [`fuzz_observed`](super::fuzz_observed) takes it.
+pub type ScoreFn = fn(&TestConfig, &TestResults) -> (f64, String);
+
+/// The built-in scorer `lumina-cli fuzz --score <name>` selects.
+pub fn by_name(name: &str) -> Option<ScoreFn> {
+    match name {
+        "default" => Some(default_score),
+        "noisy" => Some(noisy_neighbor_score),
+        "violations" => Some(violation_score),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,12 @@
 //! holds shrinking to the same serial==parallel guarantee as the rest of
 //! the executor.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::analyzers::ViolationClass;
 use crate::campaign::run_caught;
 use crate::config::{QuirksSection, TestConfig};

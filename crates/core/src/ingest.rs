@@ -26,6 +26,12 @@
 //! [`Error::Ingest`] (exit code 10), carrying the byte offset of the
 //! first malformed structure.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::analyzers::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream};
 use crate::config::TestConfig;
 use crate::error::Error;

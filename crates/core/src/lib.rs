@@ -11,7 +11,8 @@
 //! * [`analyzers`] — the test suite (§4): Go-back-N FSM compliance,
 //!   retransmission performance breakdown (Figure 5), CNP behavior and
 //!   counter consistency;
-//! * [`report`] — the single-run report: analyzers, renderings, verdict;
+//! * [`report`] — what `run`, `telemetry`, `trace` and `fuzz` print:
+//!   one plain struct each, with its renderings and exit verdict;
 //! * [`fuzz`] — the genetic test-case generation module (Algorithm 1).
 //!
 //! # Quickstart

@@ -74,8 +74,7 @@ pub struct TestResults {
     /// Frame-plane allocation/copy accounting for this run. Deliberately
     /// NOT part of [`report_json`](Self::report_json): the golden reports
     /// predate the zero-copy plane and must stay byte-identical. The
-    /// counters surface through the `telemetry` CLI subcommand and the
-    /// `hotpath` bench instead.
+    /// counters surface through the `telemetry` CLI subcommand instead.
     pub frame_stats: FrameStats,
     /// Telemetry sink the run recorded into: structured event journal,
     /// per-node metric registry and the wall-clock self-profile.
@@ -253,6 +252,23 @@ const REQUESTER: NodeId = NodeId(0);
 const RESPONDER: NodeId = NodeId(1);
 const SWITCH: NodeId = NodeId(2);
 const FIRST_DUMPER: usize = 3;
+
+/// A display name for every node id a run of `cfg` uses (the Perfetto
+/// export's track names).
+pub fn node_names(cfg: &TestConfig) -> BTreeMap<u32, String> {
+    let fixed = [
+        (REQUESTER, "requester"),
+        (RESPONDER, "responder"),
+        (SWITCH, "switch"),
+    ];
+    let dumpers = (0..cfg.network.num_dumpers.max(1))
+        .map(|i| ((FIRST_DUMPER + i) as u32, format!("dumper-{i}")));
+    fixed
+        .into_iter()
+        .map(|(id, name)| (id.0 as u32, name.to_string()))
+        .chain(dumpers)
+        .collect()
+}
 
 /// A testbed ready to run: the engine with every node wired, plus the
 /// handles [`collect`] reads once the run is over.
@@ -968,6 +984,18 @@ mod tests {
                 let id = NodeId(FIRST_DUMPER + i);
                 assert!(take_node::<DumperNode>(eng, id, "dumper").is_ok(), "{name}");
             }
+        }
+        // `node_names` names exactly the ids `build` registers.
+        let (_, mut cfg) = presets().swap_remove(0);
+        for (dumpers, last) in [(1, "dumper-0"), (3, "dumper-2")] {
+            cfg.network.num_dumpers = dumpers;
+            let names = node_names(&cfg);
+            let ids: Vec<u32> = names.keys().copied().collect();
+            let built = build(&cfg).unwrap().eng.node_count() as u32;
+            assert_eq!(ids, (0..built).collect::<Vec<u32>>());
+            let named: Vec<&str> = names.values().map(String::as_str).collect();
+            assert_eq!(named[..3], ["requester", "responder", "switch"]);
+            assert_eq!(named.last(), Some(&last));
         }
     }
 

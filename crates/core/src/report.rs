@@ -1,7 +1,18 @@
-//! The single-run report (`lumina-cli <test.yaml>`): the orchestrator's
-//! Table-1 summary plus the §4 analyzers, each run once, with the machine
-//! and human renderings and the exit verdict read off the same values. A
-//! plain struct, not an analyzer trait: DESIGN.md §4 "Run pipeline" says why.
+//! What the subcommands print. [`RunReport`] is the single-run report
+//! (`lumina-cli <test.yaml>`): the orchestrator's Table-1 summary plus the
+//! §4 analyzers, each run once, with the machine and human renderings and
+//! the exit verdict read off the same values. [`TelemetryReport`],
+//! [`TraceReport`] and [`FuzzReport`] do the same for their subcommands.
+//! Plain structs holding a borrow, not a report trait: DESIGN.md §4 "Run
+//! pipeline" says why.
+
+mod fuzz;
+mod telemetry;
+mod trace;
+
+pub use fuzz::{anomaly_line, load_corpus, FuzzReport};
+pub use telemetry::TelemetryReport;
+pub use trace::TraceReport;
 
 use crate::analyzers::{
     cnp, counter, gbn_fsm, retrans_perf, CnpReport, ConformanceReport, CounterFinding, GbnReport,
@@ -161,15 +172,7 @@ impl<'a> RunReport<'a> {
                     .unwrap_or_else(|| "-".into()),
             ));
         }
-        // The journal is a ring; `lumina-cli telemetry` prints the same line.
-        let dropped = r.telemetry.journal_dropped();
-        if dropped > 0 {
-            line(
-                &mut out,
-                "journal dropped",
-                format_args!("{dropped} (ring full)"),
-            );
-        }
+        journal_dropped(&mut out, &r.telemetry);
         out
     }
 
@@ -201,6 +204,18 @@ impl<'a> RunReport<'a> {
 /// One `key             : value` row of a human report.
 pub(crate) fn line(out: &mut String, key: &str, value: impl Display) {
     out.push_str(&format!("{key:<16}: {value}\n"));
+}
+
+/// The journal is a ring: say so when it overflowed (`run` and `telemetry`).
+fn journal_dropped(out: &mut String, tel: &lumina_sim::Telemetry) {
+    let dropped = tel.journal_dropped();
+    if dropped > 0 {
+        line(
+            out,
+            "journal dropped",
+            format_args!("{dropped} (ring full)"),
+        );
+    }
 }
 
 /// One `  !! detail` row under the line it qualifies.

@@ -56,21 +56,47 @@ fn exit_codes_are_typed() {
 
 /// A chaos window whose end overflows the simulation clock used to reach
 /// the unchecked lowering: a panic (exit 8) on a dev build, a wrapped,
-/// meaningless window (exit 11) on a release one. Both are exit 2 now.
+/// meaningless window (exit 11) on a release one. So did a horizon or a
+/// reorder delay whose nanoseconds overflow (exit 8 on dev; a wrapped value
+/// and exit 0 or 11 on release). All are exit 2 now, naming section and
+/// field.
 #[test]
 fn hostile_window_arithmetic_is_a_config_error() {
-    let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/chaos_demo.yaml");
-    let yaml = std::fs::read_to_string(demo).unwrap();
-    let flap = "{at-us: 700, duration-us: 19300}";
-    assert!(yaml.contains(flap), "chaos_demo.yaml lost its flap");
-    let hostile = yaml.replace(flap, "{at-us: 18446744073709551615, duration-us: 2}");
-    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/hostile_window.yaml");
-    std::fs::write(path, hostile).unwrap();
-    let out = cli(&[path]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    let want = "chaos: link 0: flap 0: at-us + duration-us";
-    assert!(stderr.contains(want), "{stderr}");
+    let max = "18446744073709551615";
+    let burst = "{at-us: 100, duration-us: 150, loss-prob: 0.05}";
+    for (preset, old, new, want) in [
+        (
+            "chaos_demo",
+            "{at-us: 700, duration-us: 19300}",
+            format!("{{at-us: {max}, duration-us: 2}}"),
+            "chaos: link 0: flap 0: at-us + duration-us".to_string(),
+        ),
+        (
+            "chaos_demo",
+            burst,
+            burst.replace(
+                '}',
+                &format!(", reorder-prob: 0.1, reorder-delay-us: {max}}}"),
+            ),
+            format!("chaos: link 0: burst 0: reorder-delay-us {max} does not fit"),
+        ),
+        (
+            "listing2",
+            "traffic:",
+            format!("network:\n  horizon-ms: {max}\ntraffic:"),
+            format!("network: horizon-ms {max} does not fit"),
+        ),
+    ] {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+        let yaml = std::fs::read_to_string(format!("{dir}/{preset}.yaml")).unwrap();
+        assert!(yaml.contains(old), "{preset}.yaml lost {old:?}");
+        let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/hostile_window.yaml");
+        std::fs::write(path, yaml.replace(old, &new)).unwrap();
+        let out = cli(&[path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(&want), "{stderr}");
+    }
 }
 
 /// The `run` report, human and `--json`, against goldens recorded on the
@@ -207,4 +233,73 @@ fn human_run_report_says_when_the_journal_overflowed() {
     // A run the ring holds prints no such line.
     let out = cli(&["configs/listing2.yaml"]);
     assert!(!String::from_utf8_lossy(&out.stdout).contains("journal dropped"));
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bytes of `telemetry`, `trace` and `fuzz`, as FNV-1a 64 recorded on
+/// the commit before their rendering moved out of the binary into
+/// `lumina_core::report`. A failure prints the hashes it saw.
+#[test]
+fn telemetry_trace_and_fuzz_bytes_are_pinned() {
+    let stdout_of = |args: &[&str], want: i32| {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(want), "{args:?}");
+        out.stdout
+    };
+    let telemetry = ["telemetry", "--config", "configs/listing2.yaml"];
+    let perfetto = concat!(env!("CARGO_TARGET_TMPDIR"), "/pinned_perfetto.json");
+    let trace = ["trace", "--config", "configs/fig11_noisy_neighbor.yaml"];
+    let fuzz = cli(&[
+        "fuzz",
+        "--config",
+        "configs/quirks_demo.yaml",
+        "--coverage",
+        "--quirk-knobs",
+        "--generations",
+        "3",
+        "--batch",
+        "4",
+        "--seed",
+        "7",
+        "--workers",
+        "1",
+    ]);
+    assert_eq!(fuzz.status.code(), Some(0));
+    // The one wall-clock line of the campaign's stderr.
+    let fuzz_stderr: String = String::from_utf8_lossy(&fuzz.stderr)
+        .lines()
+        .filter(|l| !l.starts_with("fuzz: profile "))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    let seen = [
+        fnv64(&stdout_of(&telemetry, 0)),
+        fnv64(&stdout_of(&[&telemetry[..], &["--json"]].concat(), 0)),
+        fnv64(&stdout_of(
+            &[&trace[..], &["--perfetto", perfetto]].concat(),
+            0,
+        )),
+        fnv64(&stdout_of(&[&trace[..], &["--json"]].concat(), 0)),
+        fnv64(&std::fs::read(perfetto).unwrap()),
+        fnv64(&fuzz.stdout),
+        fnv64(fuzz_stderr.as_bytes()),
+    ];
+    let pinned = [
+        0x218f_8870_8330_4b92, // telemetry
+        0x81ab_b279_4868_0013, // telemetry --json
+        0x5949_a397_8b5a_c2a3, // trace
+        0xfdcb_89a3_4da9_cb84, // trace --json
+        0x7b23_600a_b478_b177, // the --perfetto file
+        // The move left 0x0c56_92d3_8e8c_45b0 / 0xefaf_b74f_6e4b_7272, the
+        // parent's values, standing; the NAK-after-rewind fix in
+        // `Rnic::rx_seq_nak`, same PR, moved candidate 3's run (a quirked
+        // NAK lands after a timeout rewind: 140 → 170 timeouts).
+        0x6ec8_35b2_a2b8_bd87, // fuzz stdout
+        0x6d39_98b3_cbd9_8562, // fuzz stderr, profile line dropped
+    ];
+    assert!(seen == pinned, "saw {seen:#018x?}");
 }

@@ -12,6 +12,12 @@
 //! all just counters. [`recover_frame`] is the same judgement handed back
 //! as the [`CapturedPacket`] a dumper would have produced.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::trace::{decode, CapturedPacket, TraceEntry};
 use lumina_packet::udp::ROCEV2_UDP_PORT;
 use lumina_sim::SimTime;

@@ -12,6 +12,12 @@
 //! damaged); offline ingestion bounds the window so multi-gigabyte captures
 //! flow through in chunks.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use lumina_packet::frame::RoceFrame;
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
@@ -86,7 +92,8 @@ impl Trace {
         let mut w = lumina_sim::pcap::PcapWriter::new(out, 128)?;
         for e in &self.entries {
             let bytes = e.frame.emit();
-            w.write_packet(e.timestamp, &bytes[..bytes.len().min(128)], e.orig_len)?;
+            let trimmed = bytes.get(..128).unwrap_or(&bytes);
+            w.write_packet(e.timestamp, trimmed, e.orig_len)?;
         }
         let n = w.packets();
         w.finish()?;

@@ -11,8 +11,8 @@
 //! otherwise. The old design gave every hop its own `Vec<u8>`; the counters
 //! here measure both what the new plane actually copies (`bytes_copied`)
 //! and what the owned-vector design would have copied at each point we now
-//! share (`bytes_shared`), so `bench`'s `hotpath` experiment can report the
-//! reduction without keeping the old code alive.
+//! share (`bytes_shared`), so the ledger pinned in `tests/golden_reports.rs`
+//! states the reduction without keeping the old code alive.
 //!
 //! A wire buffer is one allocator call: [`crate::RoceFrame::emit`] writes
 //! into a `BytesMut` whose allocation already holds the reference count,

@@ -749,6 +749,11 @@ impl Rnic {
         // PSN.
         if e_lin > qp.snd_una_lin {
             qp.snd_una_lin = e_lin;
+            // A timeout may have rewound the pointer below what this NACK
+            // acknowledges; those messages are about to be pruned.
+            if qp.send_ptr_lin < e_lin {
+                qp.send_ptr_lin = e_lin;
+            }
             if qp.snd_una_lin == qp.snd_nxt_lin {
                 qp.consecutive_timeouts = 0;
             }
@@ -1763,8 +1768,7 @@ mod tests {
                 rnic.on_frame(ack_frame(src, dst, qpn, qp.wire_psn(una_lin), ack, 0).emit(), now)
             }
             8 => {
-                // A responder cannot expect a PSN it was never sent.
-                let expected = qp.wire_psn(una_lin.min(qp.send_ptr_lin));
+                let expected = qp.wire_psn(una_lin);
                 let (src, dst) = (qp.cfg.remote.ip, qp.cfg.local.ip);
                 rnic.on_frame(nack_frame(src, dst, qpn, expected, 0).emit(), now)
             }

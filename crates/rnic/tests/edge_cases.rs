@@ -387,3 +387,67 @@ fn many_small_messages_back_to_back() {
         .all(|c| c.status == CompletionStatus::Success));
     assert_eq!(p.b.counters.rx_bytes, 200 * 64);
 }
+
+/// Fire `rnic`'s own timers in time order up to `until`, starting from
+/// the `actions` of one call; returns the frames that reached the wire.
+fn drive(rnic: &mut Rnic, mut actions: Vec<Action>, until: SimTime) -> Vec<RoceFrame> {
+    let mut timers: Vec<(SimTime, u64)> = Vec::new();
+    let mut wire = Vec::new();
+    loop {
+        for act in actions.drain(..) {
+            match act {
+                Action::Emit(frame) => wire.push(RoceFrame::parse(&frame).expect("parses")),
+                Action::ArmTimer { at, token } => timers.push((at, token)),
+                Action::Complete(_) => {}
+            }
+        }
+        let due = timers.iter().enumerate().filter(|(_, t)| t.0 <= until);
+        let Some((next, _)) = due.min_by_key(|(_, t)| t.0) else {
+            return wire;
+        };
+        let (at, token) = timers.remove(next);
+        actions = rnic.on_timer(token, at);
+    }
+}
+
+/// A sequence-error NAK that arrives after a timeout already rewound the
+/// transmit pointer acknowledges — and prunes — the message the pointer
+/// sits in. The next transmit used to die on "tx pointer outside any
+/// message"; it resumes at the PSN the NAK names.
+#[test]
+fn nak_after_a_timeout_rewind_resumes_at_the_expected_psn() {
+    use lumina_packet::builder::nack_frame;
+    use lumina_rnic::device::token;
+
+    let Pump { a: mut rnic, .. } = pair_with_ipsn(100, 200);
+    let ms = SimTime::from_millis;
+    // Two 4-packet Writes, all eight packets sent, nothing acknowledged.
+    let mut sent = Vec::new();
+    for wr_id in [1, 2] {
+        let wr = WorkRequest {
+            wr_id,
+            verb: Verb::Write,
+            len: 4096,
+        };
+        let posted = rnic.post_send(0x11, wr, SimTime::ZERO);
+        sent.extend(drive(&mut rnic, posted, ms(1)));
+    }
+    assert_eq!(sent.len(), 8);
+    let qp = rnic.qp(0x11).unwrap().clone();
+    assert_eq!((qp.snd_una_lin, qp.send_ptr_lin), (0, 8));
+
+    // The timeout goes back to the first packet…
+    let now = ms(70);
+    let timeout = token::pack(token::TIMEOUT, 0x11, qp.timer_epoch);
+    let rewound = rnic.on_timer(timeout, now);
+    assert_eq!(rnic.qp(0x11).unwrap().send_ptr_lin, 0);
+    // …and before it is resent, the late NAK says packets 0–4 arrived:
+    // message 1 completes and leaves the queue.
+    let (req, rsp) = (qp.cfg.local.ip, qp.cfg.remote.ip);
+    let nak = nack_frame(rsp, req, 0x11, qp.wire_psn(5), 0).emit();
+    let mut after_nak = rnic.on_frame(nak, now);
+    assert_eq!(rnic.qp(0x11).unwrap().snd_una_lin, 5);
+    after_nak.extend(rewound);
+    let resent = drive(&mut rnic, after_nak, ms(71));
+    assert_eq!(resent.first().map(|f| f.bth.psn), Some(qp.wire_psn(5)));
+}

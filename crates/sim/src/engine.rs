@@ -67,9 +67,9 @@ impl MetricSet for EngineStats {
 ///
 /// Kept **out** of the golden `report_json` telemetry snapshot on purpose
 /// (the orchestrator does not record it during `run_test`); it is surfaced
-/// through [`TestResults`]-style carriers, the `telemetry` CLI subcommand,
-/// and the `hotpath` bench, where `bytes_copied + bytes_shared` is the
-/// copy bill of the old owned-`Vec<u8>`-per-hop design.
+/// through [`TestResults`]-style carriers and the `telemetry` CLI
+/// subcommand; `bytes_copied + bytes_shared` is the copy bill of the old
+/// owned-`Vec<u8>`-per-hop design.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrameStats {
     /// Distinct frame buffers created.

@@ -75,6 +75,12 @@
 //! [`Engine`]: crate::Engine
 //! [`Engine::interposer`]: crate::Engine::interposer
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::engine::{NodeId, PortId};
 use crate::rng::SimRng;
 use crate::time::SimTime;

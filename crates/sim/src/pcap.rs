@@ -11,14 +11,20 @@
 //! Interface Description / Enhanced and Simple Packet Blocks, per-interface
 //! `if_tsresol`), under a strict degrade-don't-die contract:
 //!
-//! * **panic-free** — no `unwrap`/`expect`/unchecked indexing; the
-//!   `panic_guard` integration test audits this file;
+//! * **panic-free** — no `unwrap`/`expect`/unchecked indexing; the lints
+//!   at the top of this file have clippy deny them;
 //! * **bounded** — a record claiming more than [`MAX_RECORD_BYTES`] or a
 //!   block over [`MAX_BLOCK_BYTES`] is a lying header, reported as a typed
 //!   error instead of an allocation;
 //! * **offset-carrying** — every [`PcapReadError`] names the absolute file
 //!   offset of the record that killed the framing, so callers can say
 //!   exactly where a capture went bad and keep everything before it.
+
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 use crate::time::SimTime;
 use std::io::{self, Read, Write};
@@ -352,8 +358,8 @@ impl<R: Read> PcapReader<R> {
     fn read_or_eof(&mut self, buf: &mut [u8], what: &'static str) -> Result<bool, PcapReadError> {
         let start = self.offset;
         let mut got = 0usize;
-        while got < buf.len() {
-            match self.inner.read(&mut buf[got..]) {
+        while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
+            match self.inner.read(rest) {
                 Ok(0) => {
                     if got == 0 {
                         return Ok(false);
@@ -382,7 +388,7 @@ impl<R: Read> PcapReader<R> {
     /// Decode a u16 at `off` in the current section's byte order.
     fn u16_at(&self, buf: &[u8], off: usize) -> Option<u16> {
         let s = buf.get(off..off.checked_add(2)?)?;
-        let a = [s[0], s[1]];
+        let a = <[u8; 2]>::try_from(s).ok()?;
         Some(if self.big_endian {
             u16::from_be_bytes(a)
         } else {

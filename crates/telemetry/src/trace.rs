@@ -22,6 +22,12 @@
 //!   one track per node, a span per packet leg, instant events for
 //!   retransmits and injected mutations — loadable at ui.perfetto.dev.
 
+// A panic here forfeits a verdict or a whole campaign.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::metrics::{Histogram, MetricSet};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -186,9 +192,9 @@ impl TraceSummary {
         };
         for (_, recs) in rec.per_packet() {
             s.packets += 1;
-            for pair in recs.windows(2) {
-                let dt = pair[1].t.saturating_sub(pair[0].t);
-                s.per_hop.entry(pair[1].hop).or_default().record(dt);
+            for (from, to) in recs.iter().zip(recs.iter().skip(1)) {
+                let dt = to.t.saturating_sub(from.t);
+                s.per_hop.entry(to.hop).or_default().record(dt);
             }
             if let (Some(first), Some(last)) = (recs.first(), recs.last()) {
                 if recs.len() > 1 {
@@ -268,8 +274,7 @@ pub fn perfetto_json(
         }));
     }
     for (id, recs) in rec.per_packet() {
-        for pair in recs.windows(2) {
-            let (from, to) = (pair[0], pair[1]);
+        for (from, to) in recs.iter().zip(recs.iter().skip(1)) {
             events.push(serde_json::json!({
                 "ph": "X",
                 "name": (format!("{}\u{2192}{}", from.hop, to.hop)),

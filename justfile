@@ -9,11 +9,12 @@ check:
 # The full CI gate: release build; the workspace tests (`default-members`
 # makes the plain `cargo test -q` run every crate's unit tests and every
 # integration suite — the campaign differentials, golden reports, fault /
-# quirk / device matrices, panic guard, trace determinism, ingest round
-# trip, chaos soak, the bench crate's hotpath smoke, and `cli_e2e` on the
-# real binary — so no suite is named twice here); then the live smokes
-# through the CLI (`trace` with Perfetto export, `fuzz-coverage` with
-# corpus persistence, `matrix`, `ingest`, `soak`); lint with warnings fatal.
+# quirk / device matrices, trace determinism, ingest round trip, chaos
+# soak, and `cli_e2e` on the real binary — so no suite is named twice
+# here); then the live smokes through the CLI (`trace` with Perfetto
+# export, `fuzz-coverage` with corpus persistence, `matrix`, `ingest`,
+# `soak`); lint with warnings fatal, which is also what keeps `unwrap` /
+# `expect` / indexing out of the modules that deny them.
 # The workspace tests run the dev profile, so the byte-level suites run once
 # more under `--release`: the binary users run (fat LTO, one codegen unit)
 # against the report goldens, the CLI goldens and the per-slot panic
