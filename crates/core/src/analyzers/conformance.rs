@@ -20,6 +20,7 @@
 //!   drops invisible to the mirror), the affected checks are skipped and
 //!   the report says so instead of guessing.
 
+use super::Routes;
 use crate::orchestrator::TestResults;
 use crate::report::{line, note};
 use crate::translate::ConnMeta;
@@ -392,6 +393,14 @@ impl ConnTracker {
         known && f.ipv4.src == key.dst_ip && f.ipv4.dst == key.src_ip && f.bth.dest_qp == rq
     }
 
+    /// Own, as the tracker at position `at`, the keys of the directions
+    /// whose QPN is known. Due when the tracker is created and again each
+    /// time a bind teaches it a QPN: a packet is only ever offered to the
+    /// owners of its key.
+    fn route(&self, at: usize, routes: &mut Routes) {
+        routes.add(at, &self.meta, self.data_qpn_known(), self.reverse_qpn().1);
+    }
+
     /// Does a delay/reorder event on this frame displace this connection?
     /// An unknown QPN matches any — better to skip a replay than misjudge
     /// one.
@@ -434,6 +443,15 @@ fn best_bind(cands: &[(usize, i32)]) -> Option<usize> {
     best.filter(|_| !tied).map(|(i, _)| i)
 }
 
+/// [`best_bind`]'s choice and its position among the trackers.
+fn bound<'a>(
+    trackers: &'a mut [ConnTracker],
+    cands: &[(usize, i32)],
+) -> Option<(usize, &'a mut ConnTracker)> {
+    let i = best_bind(cands)?;
+    Some((i, trackers.get_mut(i)?))
+}
+
 /// Incremental form of the oracle: feed trace entries (or whole chunks)
 /// as they stream out of reconstruction, then [`finish`](Self::finish)
 /// for the report. Two modes:
@@ -451,6 +469,9 @@ fn best_bind(cands: &[(usize, i32)]) -> Option<usize> {
 pub struct ConformanceStream {
     opts: ConformanceOpts,
     trackers: Vec<ConnTracker>,
+    /// Which trackers to ask about a packet, by their position in
+    /// `trackers`; kept current as discovery creates and binds them.
+    routes: Routes,
     discovery: bool,
     packets: u64,
     req_ips: BTreeSet<Ipv4Addr>,
@@ -472,6 +493,7 @@ impl ConformanceStream {
                 .iter()
                 .map(|m| ConnTracker::new(*m, true, true))
                 .collect(),
+            routes: Routes::of(conns),
             discovery: false,
             packets: 0,
             req_ips: conns.iter().map(|c| c.requester.ip).collect(),
@@ -491,6 +513,13 @@ impl ConformanceStream {
             discovery: true,
             ..ConformanceStream::new(&[], opts)
         }
+    }
+
+    /// The same stream asking `routes` whom to offer a packet to.
+    #[cfg(test)]
+    pub(super) fn with_routes(mut self, routes: Routes) -> ConformanceStream {
+        self.routes = routes;
+        self
     }
 
     /// Mark the remaining evidence degraded (e.g. the streaming
@@ -545,7 +574,10 @@ impl ConformanceStream {
 
         let opts = &self.opts;
         let mut claimed = false;
-        for t in &mut self.trackers {
+        for owner in self.routes.owners(f) {
+            let Some(t) = self.trackers.get_mut(owner) else {
+                continue;
+            };
             if t.claims_data(f) {
                 data_packet(e.event, f, &t.meta, opts, &mut t.st, &mut t.sink);
                 claimed = true;
@@ -599,10 +631,11 @@ impl ConformanceStream {
             });
             if cands.is_empty() {
                 self.create_conn(e, Verb::Read);
-            } else if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
+            } else if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                 t.meta.responder.qpn = f.bth.dest_qp;
                 t.rsp_qpn_known = true;
                 reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                t.route(i, &mut self.routes);
             } else {
                 self.unattributed += 1;
             }
@@ -619,10 +652,11 @@ impl ConformanceStream {
                 });
                 if cands.is_empty() {
                     self.create_conn(e, Verb::Read);
-                } else if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
+                } else if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                     t.meta.requester.qpn = f.bth.dest_qp;
                     t.req_qpn_known = true;
                     data_packet(e.event, f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                    t.route(i, &mut self.routes);
                 } else {
                     self.unattributed += 1;
                 }
@@ -651,10 +685,11 @@ impl ConformanceStream {
                             && psn_distance(psn, m) >= -ACK_WINDOW_SLACK
                     })
             });
-            if let Some(t) = best_bind(&cands).and_then(|i| self.trackers.get_mut(i)) {
+            if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                 t.meta.requester.qpn = f.bth.dest_qp;
                 t.req_qpn_known = true;
                 reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                t.route(i, &mut self.routes);
             } else {
                 self.unattributed += 1;
             }
@@ -735,6 +770,7 @@ impl ConformanceStream {
         } else {
             data_packet(e.event, f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
         }
+        t.route(self.trackers.len(), &mut self.routes);
         self.trackers.push(t);
     }
 

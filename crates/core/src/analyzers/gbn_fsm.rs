@@ -15,8 +15,9 @@
 //! For Read traffic the "NACK" is the re-issued read request (§6.1) and
 //! the same rules apply to its PSN.
 
+use super::ConnIndex;
 use crate::translate::ConnMeta;
-use lumina_dumper::Trace;
+use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::bth::psn_distance;
 use lumina_packet::opcode::Opcode;
 use lumina_switch::events::EventType;
@@ -68,33 +69,30 @@ impl GbnReport {
 
 /// Run the FSM over a trace.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> GbnReport {
+    analyze_routed(&ConnIndex::build(trace, conns), conns)
+}
+
+/// [`analyze`] over a trace already split by connection (`index` was built
+/// from `conns`).
+pub(crate) fn analyze_routed(index: &ConnIndex<'_>, conns: &[ConnMeta]) -> GbnReport {
     let mut report = GbnReport::default();
-    for meta in conns {
-        report.per_conn.push(analyze_conn(trace, meta));
+    for (conn, meta) in conns.iter().enumerate() {
+        report
+            .per_conn
+            .push(analyze_conn(index.of_conn(conn), meta));
     }
     report
 }
 
-fn analyze_conn(trace: &Trace, meta: &ConnMeta) -> ConnGbnReport {
+/// `entries` holds, in trace order, at least every entry of the connection
+/// (either direction); whatever else it holds is told apart here.
+fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta) -> ConnGbnReport {
     let mut rep = ConnGbnReport {
         index: meta.index,
         ..Default::default()
     };
     let data_key = meta.data_conn_key();
     let is_read = meta.verb.data_from_responder();
-
-    // Displacement events make ingress order diverge from arrival order;
-    // the FSM cannot be replayed from the trace (§7-extension events).
-    let displaced = trace.iter().any(|e| {
-        matches!(e.event, EventType::Delay | EventType::Reorder)
-            && e.frame.ipv4.src == data_key.src_ip
-            && e.frame.ipv4.dst == data_key.dst_ip
-            && e.frame.bth.dest_qp == data_key.dst_qpn
-    });
-    if displaced {
-        rep.displaced = true;
-        return rep;
-    }
 
     // Receiver simulation state.
     let mut expected: u32 = meta.data_psn(1);
@@ -106,11 +104,22 @@ fn analyze_conn(trace: &Trace, meta: &ConnMeta) -> ConnGbnReport {
     let mut max_data_psn_seen: Option<u32> = None;
     let mut last_ack_psn: Option<u32> = None;
 
-    for e in trace.iter() {
+    for e in entries {
         let f = &e.frame;
-        let is_data_of_conn = f.ipv4.src == data_key.src_ip
+        let on_data_key = f.ipv4.src == data_key.src_ip
             && f.ipv4.dst == data_key.dst_ip
-            && f.bth.dest_qp == data_key.dst_qpn
+            && f.bth.dest_qp == data_key.dst_qpn;
+        // Displacement events make ingress order diverge from arrival
+        // order; the FSM cannot be replayed from the trace (§7-extension
+        // events), and what it replayed up to here is void.
+        if on_data_key && matches!(e.event, EventType::Delay | EventType::Reorder) {
+            return ConnGbnReport {
+                index: meta.index,
+                displaced: true,
+                ..Default::default()
+            };
+        }
+        let is_data_of_conn = on_data_key
             && f.bth.opcode.is_data()
             && if is_read {
                 f.bth.opcode.is_read_response()

@@ -7,8 +7,9 @@
 //! into each phase; callers can pre-measure the base RTT and pass it for
 //! subtraction.
 
+use super::ConnIndex;
 use crate::translate::ConnMeta;
-use lumina_dumper::Trace;
+use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::bth::psn_distance;
 use lumina_packet::opcode::Opcode;
 use lumina_sim::SimTime;
@@ -69,14 +70,22 @@ impl RetransBreakdown {
 
 /// Analyze every injected drop in the trace.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> Vec<RetransBreakdown> {
+    analyze_routed(&ConnIndex::build(trace, conns), conns)
+}
+
+/// [`analyze`] over a trace already split by connection (`index` was built
+/// from `conns`).
+pub(crate) fn analyze_routed(index: &ConnIndex<'_>, conns: &[ConnMeta]) -> Vec<RetransBreakdown> {
     let mut out = Vec::new();
-    for meta in conns {
-        analyze_conn(trace, meta, &mut out);
+    for (conn, meta) in conns.iter().enumerate() {
+        analyze_conn(index.of_conn(conn), meta, &mut out);
     }
     out
 }
 
-fn analyze_conn(trace: &Trace, meta: &ConnMeta, out: &mut Vec<RetransBreakdown>) {
+/// `entries` holds, in trace order, at least every entry of the connection
+/// (either direction); whatever else it holds is told apart here.
+fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta, out: &mut Vec<RetransBreakdown>) {
     let key = meta.data_conn_key();
     let is_read = meta.verb.data_from_responder();
 
@@ -88,22 +97,15 @@ fn analyze_conn(trace: &Trace, meta: &ConnMeta, out: &mut Vec<RetransBreakdown>)
             && (is_read == f.bth.opcode.is_read_response())
     };
 
-    // Collect indices of drop events on this connection's data packets.
-    let drops: Vec<usize> = trace
+    // Drop events on this connection's data packets, each with what
+    // followed it.
+    let drops = entries
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.event == EventType::Drop && is_data(&e.frame))
-        .map(|(i, _)| i)
-        .collect();
+        .filter(|(_, e)| e.event == EventType::Drop && is_data(&e.frame));
 
-    for di in drops {
-        // `drops` indexes into the same trace, but stay total anyway: a
-        // hostile or truncated trace must degrade to fewer breakdowns,
-        // never to a panic.
-        let Some(dropped) = trace.entries.get(di) else {
-            continue;
-        };
-        let after = trace.entries.get(di + 1..).unwrap_or_default();
+    for (di, dropped) in drops {
+        let after = entries.get(di + 1..).unwrap_or_default();
         let psn = dropped.frame.bth.psn;
         // The out-of-order trigger: the next delivered data packet with a
         // higher PSN.

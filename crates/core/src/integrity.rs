@@ -203,7 +203,7 @@ mod tests {
         CapturedPacket {
             rx_time: SimTime::ZERO,
             orig_len: buf.len(),
-            bytes: buf,
+            bytes: buf.as_slice().into(),
         }
     }
 

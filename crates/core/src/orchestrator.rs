@@ -563,7 +563,7 @@ fn add_dumpers(cfg: &TestConfig, eng: &mut Engine) -> Vec<CaptureHandle> {
                     cores: cfg.network.dumper_cores,
                     per_core_rate_pps: cfg.network.dumper_core_rate_pps,
                     ring_capacity: cfg.network.dumper_ring_capacity,
-                    trim_bytes: 128,
+                    trim_bytes: lumina_dumper::TRIM_LEN,
                 },
                 handle.clone(),
                 faults,

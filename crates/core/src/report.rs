@@ -15,8 +15,8 @@ pub use telemetry::TelemetryReport;
 pub use trace::TraceReport;
 
 use crate::analyzers::{
-    cnp, counter, gbn_fsm, retrans_perf, CnpReport, ConformanceReport, CounterFinding, GbnReport,
-    RecoveryReport, RetransBreakdown,
+    cnp, counter, gbn_fsm, retrans_perf, CnpReport, ConformanceReport, ConnIndex, CounterFinding,
+    GbnReport, RecoveryReport, RetransBreakdown,
 };
 use crate::error::Error;
 use crate::orchestrator::{section, TestResults};
@@ -45,10 +45,13 @@ impl<'a> RunReport<'a> {
     pub fn of(results: &'a TestResults) -> RunReport<'a> {
         RunReport {
             results,
-            traced: results.trace.as_ref().map(|trace| TraceSections {
-                gbn: gbn_fsm::analyze(trace, &results.conns),
-                retransmissions: retrans_perf::analyze(trace, &results.conns),
-                cnp: cnp::analyze(trace),
+            traced: results.trace.as_ref().map(|trace| {
+                let by_conn = ConnIndex::build(trace, &results.conns);
+                TraceSections {
+                    gbn: gbn_fsm::analyze_routed(&by_conn, &results.conns),
+                    retransmissions: retrans_perf::analyze_routed(&by_conn, &results.conns),
+                    cnp: cnp::analyze(trace),
+                }
             }),
             counter_findings: counter::analyze(results),
             conformance: results.conformance_verdict(),

@@ -186,7 +186,7 @@ fn valid_capture(seq: u64, flavor: u8, psn: u32) -> CapturedPacket {
     CapturedPacket {
         rx_time: SimTime::ZERO,
         orig_len,
-        bytes: buf,
+        bytes: buf.as_slice().into(),
     }
 }
 
@@ -208,7 +208,7 @@ proptest! {
             .map(|bytes| CapturedPacket {
                 rx_time: SimTime::ZERO,
                 orig_len: bytes.len(),
-                bytes,
+                bytes: bytes.as_slice().into(),
             })
             .collect();
         let (trace, _) = reconstruct_lossy(&[caps]);

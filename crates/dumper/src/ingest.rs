@@ -18,16 +18,11 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-use crate::trace::{decode, CapturedPacket, TraceEntry};
+use crate::trace::{decode, CaptureBytes, CapturedPacket, TraceEntry, TRIM_LEN};
 use lumina_packet::udp::ROCEV2_UDP_PORT;
 use lumina_sim::SimTime;
 use lumina_switch::mirror;
 use serde::Serialize;
-
-/// Dumpers trim mirror copies to this many bytes (all headers, no
-/// payload); a capture shorter than its wire length *and* shorter than
-/// this was truncated abnormally (snaplen below the trim, mid-frame drop).
-pub const TRIM_LEN: usize = 128;
 
 /// Where every ingested frame ended up. The classification is exhaustive:
 /// `frames_seen == recovered + non_roce + unparseable + no_mirror_meta`
@@ -132,7 +127,8 @@ pub fn recover_entry(data: &[u8], orig_len: u32, stats: &mut RecoveryStats) -> O
 }
 
 /// [`recover_entry`], handed back as the [`CapturedPacket`] a dumper would
-/// have stored: the capture's bytes with the destination port restored.
+/// have stored: the capture's first [`TRIM_LEN`] bytes with the destination
+/// port restored.
 pub fn recover_frame(
     data: &[u8],
     orig_len: u32,
@@ -140,7 +136,7 @@ pub fn recover_frame(
     stats: &mut RecoveryStats,
 ) -> Option<CapturedPacket> {
     let entry = recover_entry(data, orig_len, stats)?;
-    let mut bytes = data.to_vec();
+    let mut bytes = CaptureBytes::from(data);
     mirror::restore_dport(&mut bytes);
     Some(CapturedPacket {
         rx_time: ts,
@@ -241,7 +237,7 @@ mod tests {
         CapturedPacket {
             rx_time: SimTime::from_nanos(seq * 100),
             orig_len: orig_len as usize,
-            bytes,
+            bytes: bytes.as_slice().into(),
         }
     }
 

@@ -18,9 +18,9 @@ pub mod ingest;
 pub mod node;
 pub mod trace;
 
-pub use ingest::{recover_entry, recover_frame, RecoveryStats, TRIM_LEN};
+pub use ingest::{recover_entry, recover_frame, RecoveryStats};
 pub use node::{CaptureHandle, DumperConfig, DumperFaults, DumperNode, StallWindow};
 pub use trace::{
-    reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, ReconstructError, StreamOpts,
-    StreamSummary, StreamingReconstructor, Trace, TraceEntry,
+    reconstruct, reconstruct_lossy, CaptureBytes, CapturedPacket, GapSpan, ReconstructError,
+    StreamOpts, StreamSummary, StreamingReconstructor, Trace, TraceEntry, TRIM_LEN,
 };

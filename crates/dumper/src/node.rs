@@ -1,6 +1,6 @@
 //! The dumper simulation node: RSS, per-core rings, trimming, buffering.
 
-use crate::trace::CapturedPacket;
+use crate::trace::{CaptureBytes, CapturedPacket, TRIM_LEN};
 use lumina_packet::buf;
 use lumina_sim::{Frame, Node, NodeCtx, PortId, SimRng, SimTime};
 use lumina_telemetry::{tev, MetricSet};
@@ -50,7 +50,8 @@ pub struct DumperConfig {
     /// NIC (`rx_discards_phy`).
     pub ring_capacity: usize,
     /// Capture snap length — the paper's dumper keeps the first 128 bytes,
-    /// which hold every protocol header Lumina needs.
+    /// which hold every protocol header Lumina needs. At most [`TRIM_LEN`],
+    /// the size a stored capture has room for.
     pub trim_bytes: usize,
 }
 
@@ -60,7 +61,7 @@ impl Default for DumperConfig {
             cores: 8,
             per_core_rate_pps: 2_500_000,
             ring_capacity: 1024,
-            trim_bytes: 128,
+            trim_bytes: TRIM_LEN,
         }
     }
 }
@@ -162,6 +163,10 @@ impl DumperNode {
         faults: Option<DumperFaults>,
     ) -> DumperNode {
         assert!(cfg.cores > 0);
+        assert!(
+            cfg.trim_bytes <= TRIM_LEN,
+            "a stored capture holds at most {TRIM_LEN} bytes"
+        );
         out.borrow_mut().per_core_processed = vec![0; cfg.cores];
         let service_interval =
             SimTime::from_nanos(1_000_000_000u64.div_ceil(cfg.per_core_rate_pps));
@@ -202,8 +207,8 @@ impl DumperNode {
     /// hash, so without destination-port randomization a single flow pins
     /// one core.
     fn rss_core(&self, frame: &[u8]) -> usize {
-        // src ip (26..30 is wrong: eth 14 + ip src at 12..16 → 26..30;
-        // dst 30..34; ports at 34..38).
+        // Ethernet is 14 bytes: IPv4 src at 26..30, dst at 30..34, the
+        // UDP ports at 34..38.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in frame
             .get(26..38)
@@ -217,7 +222,7 @@ impl DumperNode {
 
     fn capture(&mut self, rx_time: SimTime, raw: &Frame, core: usize) {
         let trimmed_len = raw.len().min(self.cfg.trim_bytes);
-        let mut bytes = raw[..trimmed_len].to_vec();
+        let mut bytes = CaptureBytes::from(&raw[..trimmed_len]);
         buf::note_copied(trimmed_len);
         // Restoration of the RoCEv2 destination port happens at TERM in
         // the real dumper; doing it at capture time is equivalent for the
@@ -376,12 +381,22 @@ mod tests {
         assert_eq!(st.packets.len(), 20);
         assert_eq!(st.rx_discards, 0);
         for p in &st.packets {
-            assert!(p.bytes.len() <= 128);
+            assert!(p.bytes.len() <= TRIM_LEN);
             assert!(p.orig_len > 1024);
             // dport restored to 4791.
             let parsed = lumina_packet::frame::RoceFrame::parse_headers(&p.bytes).unwrap();
             assert_eq!(parsed.udp.dst_port, lumina_packet::ROCEV2_UDP_PORT);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds at most 128 bytes")]
+    fn trim_beyond_the_stored_capture_rejected() {
+        let cfg = DumperConfig {
+            trim_bytes: TRIM_LEN + 1,
+            ..DumperConfig::default()
+        };
+        DumperNode::new(cfg, capture_handle());
     }
 
     #[test]
@@ -488,7 +503,10 @@ mod tests {
             let st = h.borrow();
             (
                 st.captures_corrupted,
-                st.packets.iter().map(|p| p.bytes.clone()).collect::<Vec<_>>(),
+                st.packets
+                    .iter()
+                    .map(|p| p.bytes.to_vec())
+                    .collect::<Vec<_>>(),
             )
         };
         let (corrupted, bytes) = run();

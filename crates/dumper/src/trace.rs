@@ -23,6 +23,60 @@ use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use lumina_switch::mirror;
 
+/// Dumpers trim mirror copies to this many bytes (all headers, no
+/// payload); a capture shorter than its wire length *and* shorter than
+/// this was truncated abnormally (snaplen below the trim, mid-frame drop).
+pub const TRIM_LEN: usize = 128;
+
+/// The stored bytes of one capture: at most [`TRIM_LEN`] of them, held
+/// inline so that storing a capture never calls the allocator and dropping
+/// a dumper's buffer is one free. Reads and writes as the `[u8]` it holds.
+#[derive(Clone)]
+pub struct CaptureBytes {
+    buf: [u8; TRIM_LEN],
+    /// Bytes of `buf` in use, never more than [`TRIM_LEN`].
+    len: usize,
+}
+
+impl CaptureBytes {
+    /// Keep the first `len` bytes; a no-op when fewer are held.
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+}
+
+impl From<&[u8]> for CaptureBytes {
+    /// The first [`TRIM_LEN`] bytes of `bytes`.
+    fn from(bytes: &[u8]) -> CaptureBytes {
+        let len = bytes.len().min(TRIM_LEN);
+        let mut buf = [0; TRIM_LEN];
+        if let (Some(kept), Some(src)) = (buf.get_mut(..len), bytes.get(..len)) {
+            kept.copy_from_slice(src);
+        }
+        CaptureBytes { buf, len }
+    }
+}
+
+impl std::ops::Deref for CaptureBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or_default()
+    }
+}
+
+impl std::ops::DerefMut for CaptureBytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.buf.get_mut(..self.len).unwrap_or_default()
+    }
+}
+
+impl std::fmt::Debug for CaptureBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One packet as captured by a dumper host (trimmed, dport restored).
 #[derive(Debug, Clone)]
 pub struct CapturedPacket {
@@ -32,7 +86,7 @@ pub struct CapturedPacket {
     /// Original wire length before trimming.
     pub orig_len: usize,
     /// Trimmed bytes.
-    pub bytes: Vec<u8>,
+    pub bytes: CaptureBytes,
 }
 
 /// One entry of the reconstructed trace.
@@ -89,10 +143,10 @@ impl Trace {
 
     /// Write the trace as a nanosecond pcap file.
     pub fn write_pcap<W: std::io::Write>(&self, out: W) -> std::io::Result<u64> {
-        let mut w = lumina_sim::pcap::PcapWriter::new(out, 128)?;
+        let mut w = lumina_sim::pcap::PcapWriter::new(out, TRIM_LEN as u32)?;
         for e in &self.entries {
             let bytes = e.frame.emit();
-            let trimmed = bytes.get(..128).unwrap_or(&bytes);
+            let trimmed = bytes.get(..TRIM_LEN).unwrap_or(&bytes);
             w.write_packet(e.timestamp, trimmed, e.orig_len)?;
         }
         let n = w.packets();
@@ -318,11 +372,12 @@ impl StreamingReconstructor {
         let mut entries = std::mem::take(&mut self.pending);
         self.pending_bytes = 0;
         // Stable: among same-seq duplicates the earlier capture (in feed
-        // order) survives, deterministically. A capture read in mirror
-        // order is already sorted, and the stable sort would allocate a
-        // window-sized scratch buffer to find that out.
+        // order) survives, deterministically. What gets sorted is `(seq,
+        // position)` pairs, after which each 160-byte entry moves once, to
+        // its place. A capture read in mirror order is already sorted, and
+        // the sort would allocate a window of pairs to find that out.
         if !entries.is_sorted_by_key(|e| e.seq) {
-            entries.sort_by_key(|e| e.seq);
+            entries.sort_by_cached_key(|e| e.seq);
         }
         entries.dedup_by(|b, a| {
             let dup = a.seq == b.seq;
@@ -436,11 +491,10 @@ mod tests {
             None,
         );
         let orig_len = buf.len();
-        buf.truncate(128);
         CapturedPacket {
             rx_time: SimTime::from_nanos(ts_ns + 10_000),
             orig_len,
-            bytes: buf,
+            bytes: buf.as_slice().into(),
         }
     }
 

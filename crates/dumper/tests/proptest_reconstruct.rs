@@ -4,10 +4,11 @@
 //! streaming reconstructor, whatever its window.
 
 use lumina_dumper::{
-    reconstruct, reconstruct_lossy, CapturedPacket, ReconstructError, StreamOpts,
-    StreamingReconstructor, Trace,
+    reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, ReconstructError, StreamOpts,
+    StreamSummary, StreamingReconstructor, Trace, TraceEntry,
 };
 use lumina_packet::builder::DataPacketBuilder;
+use lumina_packet::frame::RoceFrame;
 use lumina_packet::opcode::Opcode;
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
@@ -37,7 +38,7 @@ fn capture(seq: u64) -> CapturedPacket {
     CapturedPacket {
         rx_time: SimTime::ZERO,
         orig_len,
-        bytes: buf,
+        bytes: buf.as_slice().into(),
     }
 }
 
@@ -221,6 +222,56 @@ proptest! {
         }
     }
 
+    /// The reconstructor orders `(seq, position)` pairs and moves each entry
+    /// once; the reconstruction one would write first decodes everything in
+    /// feed order, stable-sorts the entries, keeps the first of each seq and
+    /// walks the gaps. Over 1–4 dumpers, any interleaving, and captures that
+    /// are lost, duplicated on another dumper (told apart by `orig_len`), or
+    /// rotted with and without their mirror metadata, the two agree on the
+    /// trace, on every summary field and on the strict verdict.
+    #[test]
+    fn lossy_equals_the_naive_reference(
+        dumpers in 1usize..5,
+        n in 1usize..120,
+        seed in 0u64..1000,
+        fates in proptest::collection::vec(0u8..8, 120..121),
+    ) {
+        let captures = scattered(dumpers, n, seed, &fates);
+        let (expected, want, first_duplicate) = naive_reference(&captures);
+        let (trace, got) = reconstruct_lossy(&captures);
+
+        prop_assert_eq!(fingerprint(&trace), fingerprint(&expected));
+        prop_assert_eq!(got.entries, want.entries);
+        prop_assert_eq!(got.chunks, want.chunks);
+        prop_assert_eq!(&got.gaps, &want.gaps);
+        prop_assert_eq!(got.gap_spans_total, want.gap_spans_total);
+        prop_assert_eq!(got.missing, want.missing);
+        prop_assert_eq!(got.duplicates, want.duplicates);
+        prop_assert_eq!(got.bad_captures, want.bad_captures);
+        prop_assert_eq!(got.late, 0);
+        prop_assert_eq!(got.peak_resident_bytes, want.peak_resident_bytes);
+
+        let strict = reconstruct(&captures).map(|t| fingerprint(&t));
+        let verdict = if want.bad_captures > 0 {
+            Err(ReconstructError::BadCapture(want.bad_captures))
+        } else if let Some(seq) = first_duplicate {
+            Err(ReconstructError::DuplicateSeq(seq))
+        } else if want.missing > 0 {
+            Err(ReconstructError::Gaps {
+                missing: want
+                    .gaps
+                    .iter()
+                    .flat_map(|g| g.start..g.start + g.len)
+                    .take(16)
+                    .collect(),
+                total_missing: want.missing,
+            })
+        } else {
+            Ok(fingerprint(&expected))
+        };
+        prop_assert_eq!(strict, verdict);
+    }
+
     /// Strict `reconstruct` is the lossy one plus the completeness check:
     /// it succeeds exactly when the summary is complete, and then returns
     /// the same trace.
@@ -259,6 +310,94 @@ fn damaged(n: usize, fates: &[u8]) -> Vec<CapturedPacket> {
         }
     }
     caps
+}
+
+/// Seqs `0..n` shuffled over `dumpers` capture buffers, each with a fate
+/// drawn from `fates`: 0 = lost, 1 = captured again by the next dumper with
+/// an `orig_len` one longer, 2 = rotted to 8 bytes (no mirror metadata
+/// left), 3 = rotted to 44 bytes (the metadata reads, the BTH is gone),
+/// anything else = captured once.
+fn scattered(dumpers: usize, n: usize, seed: u64, fates: &[u8]) -> Vec<Vec<CapturedPacket>> {
+    let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+    let mut draw = |below: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize % below
+    };
+    let mut order: Vec<u64> = (0..n as u64).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, draw(i + 1));
+    }
+    let mut captures = vec![Vec::new(); dumpers];
+    for seq in order {
+        let d = draw(dumpers);
+        let mut p = capture(seq);
+        match fates[seq as usize] {
+            0 => continue,
+            1 => {
+                let mut again = p.clone();
+                again.orig_len += 1;
+                captures[(d + 1) % dumpers].push(again);
+            }
+            2 => p.bytes.truncate(8),
+            3 => p.bytes.truncate(44),
+            _ => {}
+        }
+        captures[d].push(p);
+    }
+    captures
+}
+
+/// Decode all in feed order, stable-sort, keep the first of each seq, walk
+/// the gaps: the trace, its summary, and the lowest seq seen twice.
+fn naive_reference(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamSummary, Option<u64>) {
+    let mut summary = StreamSummary::default();
+    let mut decoded = Vec::new();
+    for p in captures.iter().flatten() {
+        match (
+            RoceFrame::parse_headers(&p.bytes),
+            mirror::extract(&p.bytes),
+        ) {
+            (Ok(frame), Some(meta)) => {
+                summary.peak_resident_bytes += std::mem::size_of::<TraceEntry>() + p.bytes.len();
+                decoded.push(TraceEntry {
+                    seq: meta.seq,
+                    timestamp: meta.timestamp,
+                    event: meta.event,
+                    frame,
+                    orig_len: p.orig_len,
+                });
+            }
+            _ => summary.bad_captures += 1,
+        }
+    }
+    decoded.sort_by_key(|e| e.seq);
+    let mut first_duplicate = None;
+    let mut entries: Vec<TraceEntry> = Vec::new();
+    for e in decoded {
+        if entries.last().is_some_and(|kept| kept.seq == e.seq) {
+            summary.duplicates += 1;
+            first_duplicate.get_or_insert(e.seq);
+        } else {
+            entries.push(e);
+        }
+    }
+    let mut next = 0;
+    for e in &entries {
+        if e.seq > next {
+            summary.gaps.push(GapSpan {
+                start: next,
+                len: e.seq - next,
+            });
+            summary.gap_spans_total += 1;
+            summary.missing += e.seq - next;
+        }
+        next = e.seq + 1;
+    }
+    summary.entries = entries.len() as u64;
+    summary.chunks = !entries.is_empty() as u64;
+    (Trace { entries }, summary, first_duplicate)
 }
 
 /// What two equal traces must agree on, entry by entry.

@@ -20,7 +20,8 @@ check:
 # against the report goldens, the CLI goldens and the per-slot panic
 # isolation that needs `panic = unwind` — and the event queue's
 # zero-allocation and differential tests, because that build inlines the
-# wheel into `Engine::run`.
+# wheel into `Engine::run`, and the reconstruction properties, because it
+# is that build's sort that orders the trace.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -40,6 +41,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-repro --test golden_reports
     cargo test --release --offline -q -p lumina-sim --test alloc_free
     cargo test --release --offline -q -p lumina-sim --lib wheel::tests::differential
+    cargo test --release --offline -q -p lumina-dumper --test proptest_reconstruct
 
 # Fast feedback loop: debug build + tests.
 test:
@@ -119,7 +121,9 @@ bench-pairs rev workload="run_timers" pairs="10" seed="1" trace="0":
 # benchmark/out/ with the tools/wallprof.c sampler preloaded (100 µs
 # wall-clock stack samples, nothing needed beyond cc / nm / addr2line), and
 # prints the self and inclusive tables of tools/wallprof.py. Dev-only; pass
-# the binary and the .prof files to the script yourself for `--callers-of`.
+# the binary and the .prof files to the script yourself for `--callers-of`
+# (who allocates: `--callers-of __rdl_alloc --through 'alloc,core::,__rdl_,{closure,new_uninit'`
+# steps over the std shims between the allocator and the code that asked).
 # The argument lists are the operations benchmark/src/workloads.rs runs.
 profile workload="run_timers" runs="5":
     #!/usr/bin/env bash

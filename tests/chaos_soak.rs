@@ -268,7 +268,7 @@ fn hostile_capture(seq: u64, flavor: u8, psn: u32, qpn: u32) -> CapturedPacket {
     CapturedPacket {
         rx_time: SimTime::ZERO,
         orig_len,
-        bytes: buf,
+        bytes: buf.as_slice().into(),
     }
 }
 

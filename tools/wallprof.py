@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Tables from one or more tools/wallprof.c sample files.
 
-    tools/wallprof.py <binary> <run.prof>... [--top 30] [--callers-of NAME]
+    tools/wallprof.py <binary> <run.prof>... [--top 30]
+                      [--callers-of NAME [--through PAT[,PAT...]]]
 
 Each file carries its own /proc/self/maps, so every run is symbolised
 against its own ASLR base. In-binary addresses go through `addr2line -f -i`
@@ -13,7 +14,15 @@ shown as `caller <- libc`.
 
 Prints two tables, self and inclusive, as shares of all samples; with
 --callers-of, the direct callers of every function whose name contains
-NAME instead.
+NAME instead. The direct caller of an allocator entry point is always a
+std shim, so --through names the frames to step over on the way out:
+
+    --callers-of __rdl_alloc --through 'alloc,core::,__rdl_,{closure,new_uninit'
+
+charges each allocation sample to the first frame above the allocator
+whose name contains none of the patterns (with line tables the inlined
+shims carry bare names — `alloc`, `allocate`, `new_uninit<..>` — hence
+`alloc` and not `alloc::`).
 """
 
 import argparse
@@ -99,7 +108,12 @@ def main():
     ap.add_argument("profiles", nargs="+")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--callers-of", metavar="NAME")
+    ap.add_argument("--through", metavar="PAT[,PAT...]", default="",
+                    help="with --callers-of: skip frames whose name contains any PAT")
     opts = ap.parse_args()
+    if opts.through and not opts.callers_of:
+        ap.error("--through needs --callers-of")
+    through = [pat for pat in opts.through.split(",") if pat]
 
     stacks = [s for p in opts.profiles for s in load(p, opts.binary)]
     names = symbolise(opts.binary, {a for s in stacks for a in s if a is not None})
@@ -116,6 +130,8 @@ def main():
             hits = [i for i, n in enumerate(logical) if opts.callers_of in n]
             if hits:
                 outer = hits[-1] + 1
+                while outer < len(logical) and any(pat in logical[outer] for pat in through):
+                    outer += 1
                 callers[logical[outer] if outer < len(logical) else "(root)"] += 1
 
     total = len(stacks)
