@@ -370,11 +370,12 @@ impl ConnTracker {
 
     /// The reverse direction's destination QPN, and whether it is known.
     fn reverse_qpn(&self) -> (u32, bool) {
-        if self.is_read() {
-            (self.meta.responder.qpn, self.rsp_qpn_known)
+        let known = if self.is_read() {
+            self.rsp_qpn_known
         } else {
-            (self.meta.requester.qpn, self.req_qpn_known)
-        }
+            self.req_qpn_known
+        };
+        (self.meta.reverse_qpn(), known)
     }
 
     fn claims_data(&self, f: &RoceFrame) -> bool {

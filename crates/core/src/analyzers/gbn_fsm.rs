@@ -92,6 +92,7 @@ fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta) -> ConnGbnReport {
         ..Default::default()
     };
     let data_key = meta.data_conn_key();
+    let reverse_qpn = meta.reverse_qpn();
     let is_read = meta.verb.data_from_responder();
 
     // Receiver simulation state.
@@ -127,13 +128,7 @@ fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta) -> ConnGbnReport {
                 !f.bth.opcode.is_read_response()
             };
         // Control packets of interest flow opposite to the data, toward
-        // the data sender's QPN (connections can share an IP pair, so the
-        // QPN is part of the match).
-        let reverse_qpn = if is_read {
-            meta.responder.qpn // re-issued read requests target the responder
-        } else {
-            meta.requester.qpn // ACK/NACK target the requester
-        };
+        // the data sender's QPN.
         let is_reverse_of_conn = f.ipv4.src == data_key.dst_ip
             && f.ipv4.dst == data_key.src_ip
             && f.bth.dest_qp == reverse_qpn;

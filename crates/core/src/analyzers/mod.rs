@@ -118,11 +118,7 @@ impl Routes {
             return;
         }
         let data = meta.data_conn_key();
-        let reverse_qpn = if meta.verb.data_from_responder() {
-            meta.responder.qpn
-        } else {
-            meta.requester.qpn
-        };
+        let reverse_qpn = meta.reverse_qpn();
         for (known, key) in [
             (data_known, self.key(data.src_ip, data.dst_ip, data.dst_qpn)),
             (

@@ -119,11 +119,7 @@ fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta, out: &mut Vec<RetransB
             .map(|e| e.timestamp);
         // The NACK: write/send → seq-err NACK with the dropped PSN;
         // read → re-issued read request with the dropped PSN.
-        let reverse_qpn = if is_read {
-            meta.responder.qpn
-        } else {
-            meta.requester.qpn
-        };
+        let reverse_qpn = meta.reverse_qpn();
         let t_nack = after.iter().find_map(|e| {
             let f = &e.frame;
             let reverse = f.ipv4.src == key.dst_ip

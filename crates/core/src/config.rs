@@ -694,6 +694,10 @@ impl ChaosSection {
     }
 }
 
+/// Most connections one run can carry: connection `i` (1-based) sends from
+/// UDP source port `49152 + i`, and 65 535 is the last port.
+const MAX_CONNECTIONS: u32 = 16_383;
+
 /// True when `value`, counted in units of `unit_ns` nanoseconds, is a time
 /// [`SimTime`] can hold — the lowering into the sim layer multiplies
 /// unchecked.
@@ -817,6 +821,12 @@ impl TestConfig {
         let mut problems = Vec::new();
         if self.traffic.num_connections == 0 {
             problems.push("num-connections must be ≥ 1".into());
+        }
+        if self.traffic.num_connections > MAX_CONNECTIONS {
+            problems.push(format!(
+                "traffic: num-connections {} exceeds {MAX_CONNECTIONS} (one UDP source port per connection from 49152)",
+                self.traffic.num_connections
+            ));
         }
         if self.traffic.mtu == 0 || self.traffic.mtu > 4096 {
             problems.push(format!("mtu {} out of range (1..=4096)", self.traffic.mtu));
@@ -1099,6 +1109,16 @@ traffic:
         assert!(
             err.contains("rdma-verb") && err.contains("num-connections"),
             "{err}"
+        );
+
+        // One UDP source port per connection: 16 383 is the last that fits.
+        let mut cfg = TestConfig::from_yaml(LISTING2).unwrap();
+        cfg.traffic.num_connections = 16_383;
+        assert_eq!(cfg.problems(), Vec::<String>::new());
+        cfg.traffic.num_connections = 20_000;
+        assert_eq!(
+            cfg.problems(),
+            ["traffic: num-connections 20000 exceeds 16383 (one UDP source port per connection from 49152)"]
         );
     }
 

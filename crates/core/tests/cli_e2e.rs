@@ -58,8 +58,9 @@ fn exit_codes_are_typed() {
 /// the unchecked lowering: a panic (exit 8) on a dev build, a wrapped,
 /// meaningless window (exit 11) on a release one. So did a horizon or a
 /// reorder delay whose nanoseconds overflow (exit 8 on dev; a wrapped value
-/// and exit 0 or 11 on release). All are exit 2 now, naming section and
-/// field.
+/// and exit 0 or 11 on release), and a connection count with more
+/// connections than UDP source ports. All are exit 2 now, naming section
+/// and field.
 #[test]
 fn hostile_window_arithmetic_is_a_config_error() {
     let max = "18446744073709551615";
@@ -85,6 +86,14 @@ fn hostile_window_arithmetic_is_a_config_error() {
             "traffic:",
             format!("network:\n  horizon-ms: {max}\ntraffic:"),
             format!("network: horizon-ms {max} does not fit"),
+        ),
+        // Connection 16 384 would send from UDP port 65 536 (`49152 +
+        // index` overflowed: exit 8 on dev, a wrapped port on release).
+        (
+            "listing2",
+            "num-connections: 2",
+            "num-connections: 16384".to_string(),
+            "traffic: num-connections 16384 exceeds 16383".to_string(),
         ),
     ] {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");

@@ -155,20 +155,24 @@ pub struct Qp {
     // ---- Requester side ----
     /// Outstanding + queued messages, in PSN order. Pruned as completed.
     pub msgs: VecDeque<OutMsg>,
+    // The sequence space: `snd_una ≤ send_ptr ≤ snd_nxt` and `max_sent ≤
+    // snd_nxt`, always. Private so that only the writers below can move a
+    // pointer: `push_wqe` (`snd_nxt`), `mark_sent` (`send_ptr` forward),
+    // `ack_through` (`snd_una`) and `rewind_to` (`send_ptr` back).
     /// Next linear PSN to assign to a new message.
-    pub snd_nxt_lin: u64,
+    snd_nxt_lin: u64,
     /// Next linear PSN to put on the wire (Go-back-N transmit pointer).
-    pub send_ptr_lin: u64,
+    send_ptr_lin: u64,
     /// High-water mark of transmitted PSNs; anything below it going out
     /// again is a retransmission.
-    pub max_sent_lin: u64,
+    max_sent_lin: u64,
     /// Oldest unacknowledged linear PSN.
-    pub snd_una_lin: u64,
+    snd_una_lin: u64,
     /// One past the highest cumulatively ACKed linear PSN. May run ahead
     /// of `snd_una_lin` when an ACK covers packets beyond a still-pending
     /// Read (mixed-verb flows): the ACK's progress is re-applied once the
     /// Read completes via responses.
-    pub max_acked_lin: u64,
+    max_acked_lin: u64,
     /// Recovery pause: a NACK arrived and the device is inside its
     /// reaction latency; transmission is halted until the rewind fires.
     pub recovery_wait: bool,
@@ -310,6 +314,93 @@ impl Qp {
         msg
     }
 
+    /// Oldest unacknowledged linear PSN.
+    pub fn snd_una_lin(&self) -> u64 {
+        self.snd_una_lin
+    }
+
+    /// Next linear PSN to put on the wire.
+    pub fn send_ptr_lin(&self) -> u64 {
+        self.send_ptr_lin
+    }
+
+    /// One past the highest linear PSN ever put on the wire.
+    pub fn max_sent_lin(&self) -> u64 {
+        self.max_sent_lin
+    }
+
+    /// The packets up to `end` left for the wire: the transmit pointer's
+    /// only way forward.
+    pub(crate) fn mark_sent(&mut self, end: u64) {
+        debug_assert!(self.send_ptr_lin < end && end <= self.snd_nxt_lin);
+        self.send_ptr_lin = end;
+        self.max_sent_lin = self.max_sent_lin.max(end);
+    }
+
+    /// True if an acknowledge may name `lin`: not before `snd_una` (stale)
+    /// and not beyond `snd_nxt` — a request that was never sent. Such a
+    /// ghost is dropped silently, as IB drops a response beyond the most
+    /// recently sent request.
+    pub(crate) fn can_ack(&self, lin: i64) -> bool {
+        (self.snd_una_lin as i64..=self.snd_nxt_lin as i64).contains(&lin)
+    }
+
+    /// Everything before `lin` is acknowledged: the only place `snd_una`
+    /// moves. Returns whether it did; a `lin` that [`Qp::can_ack`] refuses
+    /// moves nothing.
+    pub(crate) fn ack_through(&mut self, lin: u64) -> bool {
+        if lin == self.snd_una_lin || !self.can_ack(lin as i64) {
+            return false;
+        }
+        self.snd_una_lin = lin;
+        // A timeout may have rewound the pointer below what is now
+        // acknowledged; those messages are about to be pruned.
+        self.send_ptr_lin = self.send_ptr_lin.max(lin);
+        // The consecutive-timeout count (which drives the adaptive
+        // schedule, §6.3) resets only when nothing is left in flight:
+        // duplicate-ACK progress during a Go-back-N round does not
+        // restart the backoff for the still-missing tail.
+        if self.snd_una_lin == self.snd_nxt_lin {
+            self.consecutive_timeouts = 0;
+        }
+        true
+    }
+
+    /// Go back to `lin`, or to `snd_una` if that is later: the only place
+    /// the transmit pointer moves back. Returns where it now stands.
+    pub(crate) fn rewind_to(&mut self, lin: u64) -> u64 {
+        self.send_ptr_lin = lin.max(self.snd_una_lin).min(self.send_ptr_lin);
+        self.send_ptr_lin
+    }
+
+    /// A cumulative ACK of the packet at wire PSN `wire` arrived. Returns
+    /// false for a stale one; otherwise remembers how far it reaches — as
+    /// it comes, even past `snd_nxt`: [`Qp::acked_prefix`] bounds it where
+    /// it is applied. (Bounding the memory too changes what a responder
+    /// lying about its ACK PSN does to work posted later, which the quirked
+    /// fuzz pin in `cli_e2e` holds.)
+    pub(crate) fn note_ack(&mut self, wire: u32) -> bool {
+        let lin = self.lin_from_wire(self.snd_una_lin, wire);
+        if lin < self.snd_una_lin as i64 {
+            return false;
+        }
+        self.max_acked_lin = self.max_acked_lin.max(lin as u64 + 1);
+        true
+    }
+
+    /// How far cumulative ACKs allow `snd_una` to advance: freely through
+    /// Write/Send packets, but never across an incomplete Read (reads
+    /// complete via their responses; the withheld ACK progress is
+    /// re-applied once the responses arrive).
+    pub(crate) fn acked_prefix(&self) -> u64 {
+        let una = self.snd_una_lin;
+        let acked = self.max_acked_lin.min(self.snd_nxt_lin).max(una);
+        self.msgs
+            .iter()
+            .filter(|m| m.verb == Verb::Read && !m.completed && m.base_lin >= una)
+            .fold(acked, |prefix, m| prefix.min(m.base_lin))
+    }
+
     /// The message containing linear PSN `lin`, if any.
     pub fn msg_at(&self, lin: u64) -> Option<&OutMsg> {
         // msgs is sorted by base_lin; linear scan is fine at the queue
@@ -336,6 +427,18 @@ impl Qp {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// What the device's random-operation harness reads and edits beyond
+    /// the product's accessors.
+    impl Qp {
+        pub(crate) fn snd_nxt_lin(&self) -> u64 {
+            self.snd_nxt_lin
+        }
+
+        pub(crate) fn set_send_ptr_lin(&mut self, lin: u64) {
+            self.send_ptr_lin = lin;
+        }
+    }
 
     pub(crate) fn test_cfg(mtu: u32, local_ipsn: u32, remote_ipsn: u32) -> QpConfig {
         QpConfig {

@@ -291,13 +291,6 @@ impl QuirkPlane {
 }
 
 impl Rnic {
-    /// Attach a misbehavior plane. Installed only when at least one
-    /// quirk knob is non-zero; an un-attached device never consults an
-    /// RNG on any emission path.
-    pub fn set_quirks(&mut self, plane: QuirkPlane) {
-        self.quirks = Some(plane);
-    }
-
     /// Counts of quirks fired, when a plane is attached.
     pub fn quirk_stats(&self) -> Option<&QuirkStats> {
         self.quirks.as_ref().map(QuirkPlane::stats)

@@ -7,7 +7,8 @@
 //! undershoot the configured minimum, and the device retries more times
 //! than configured.
 
-use crate::profile::AdaptiveRetransModel;
+use crate::profile::{AdaptiveRetransModel, DeviceProfile};
+use crate::qp::QpConfig;
 use lumina_sim::SimTime;
 
 /// Base unit of the IB timeout formula.
@@ -35,23 +36,14 @@ pub struct TimeoutPolicy {
 }
 
 impl TimeoutPolicy {
-    /// Policy for a QP configured with `timeout_code`/`retry_cnt` on a
-    /// given device: the profile's adaptive model applies only when the
-    /// device has one *and* the QP opted in.
-    pub fn for_profile(
-        profile: &crate::profile::DeviceProfile,
-        timeout_code: u8,
-        retry_cnt: u32,
-        adaptive_enabled: bool,
-    ) -> TimeoutPolicy {
+    /// Policy for a QP on a given device: the profile's adaptive model
+    /// applies only when the device has one *and* the QP opted in.
+    pub fn for_profile(profile: &DeviceProfile, cfg: &QpConfig) -> TimeoutPolicy {
+        let adaptive = profile.adaptive_retrans.as_ref();
         TimeoutPolicy {
-            timeout_code,
-            retry_cnt,
-            adaptive: if adaptive_enabled {
-                profile.adaptive_retrans.clone()
-            } else {
-                None
-            },
+            timeout_code: cfg.timeout_code,
+            retry_cnt: cfg.retry_cnt,
+            adaptive: adaptive.filter(|_| cfg.adaptive_retrans).cloned(),
         }
     }
 
@@ -95,7 +87,6 @@ impl TimeoutPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DeviceProfile;
 
     #[test]
     fn ib_formula_reference_points() {

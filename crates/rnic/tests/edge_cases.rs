@@ -434,20 +434,55 @@ fn nak_after_a_timeout_rewind_resumes_at_the_expected_psn() {
     }
     assert_eq!(sent.len(), 8);
     let qp = rnic.qp(0x11).unwrap().clone();
-    assert_eq!((qp.snd_una_lin, qp.send_ptr_lin), (0, 8));
+    assert_eq!((qp.snd_una_lin(), qp.send_ptr_lin()), (0, 8));
 
     // The timeout goes back to the first packet…
     let now = ms(70);
     let timeout = token::pack(token::TIMEOUT, 0x11, qp.timer_epoch);
     let rewound = rnic.on_timer(timeout, now);
-    assert_eq!(rnic.qp(0x11).unwrap().send_ptr_lin, 0);
+    assert_eq!(rnic.qp(0x11).unwrap().send_ptr_lin(), 0);
     // …and before it is resent, the late NAK says packets 0–4 arrived:
     // message 1 completes and leaves the queue.
     let (req, rsp) = (qp.cfg.local.ip, qp.cfg.remote.ip);
     let nak = nack_frame(rsp, req, 0x11, qp.wire_psn(5), 0).emit();
     let mut after_nak = rnic.on_frame(nak, now);
-    assert_eq!(rnic.qp(0x11).unwrap().snd_una_lin, 5);
+    assert_eq!(rnic.qp(0x11).unwrap().snd_una_lin(), 5);
     after_nak.extend(rewound);
     let resent = drive(&mut rnic, after_nak, ms(71));
     assert_eq!(resent.first().map(|f| f.bth.psn), Some(qp.wire_psn(5)));
+}
+
+/// The serial low byte keeps a device's first 256 QPNs apart and nothing
+/// after them: 4 096 allocations used to repeat a QPN on most seeds, and
+/// `create_qp` panics on a duplicate. A taken QPN is drawn again, so a run
+/// without a collision keeps its RNG schedule — and its QPNs.
+#[test]
+fn allocated_qpns_are_distinct_and_keep_the_rng_schedule() {
+    let new_rnic = || {
+        Rnic::new(
+            DeviceProfile::cx5(),
+            EtsConfig::single_queue(),
+            MacAddr::local(1),
+        )
+    };
+    for seed in 0..64 {
+        let mut rng = lumina_sim::SimRng::seed_from_u64(seed);
+        let mut rnic = new_rnic();
+        let mut qpns: Vec<u32> = (0..4096).map(|_| rnic.alloc_qpn(&mut rng)).collect();
+        // Ascending, so each insert into the QP table is an append.
+        qpns.sort_unstable();
+        for &qpn in &qpns {
+            let mut qp = cfg(true, 100, 200);
+            qp.local.qpn = qpn;
+            rnic.create_qp(qp);
+        }
+        assert_eq!(rnic.qpns(), qpns, "seed {seed}");
+    }
+    let mut rng = lumina_sim::SimRng::seed_from_u64(1);
+    let mut rnic = new_rnic();
+    let first: Vec<u32> = (0..8).map(|_| rnic.alloc_qpn(&mut rng)).collect();
+    let at_the_parent = [
+        0x3c200, 0x3fe001, 0xaaf502, 0xcd5603, 0x186f04, 0x202305, 0xf41506, 0x63f207,
+    ];
+    assert_eq!(first, at_the_parent);
 }

@@ -39,6 +39,9 @@ struct Pump {
     pub completions_b: Vec<Completion>,
     /// (time, parsed frame, a_to_b) for every frame that passed the wire.
     pub trace: Vec<(SimTime, RoceFrame, bool)>,
+    /// FNV-64 over every frame a device emitted — time, direction, bytes,
+    /// before the injector — and every completion, in the order they came.
+    transcript: u64,
 }
 
 enum Ev {
@@ -60,6 +63,13 @@ impl Pump {
             completions_a: Vec::new(),
             completions_b: Vec::new(),
             trace: Vec::new(),
+            transcript: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.transcript = (self.transcript ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
@@ -79,6 +89,9 @@ impl Pump {
         for act in actions {
             match act {
                 Action::Emit(frame) => {
+                    self.fold(&self.now.as_nanos().to_le_bytes());
+                    self.fold(&[u8::from(from_a)]);
+                    self.fold(&frame);
                     // The injector sits mid-wire, like Lumina's switch; the
                     // trace records every transmission *before* any drop —
                     // exactly like Lumina's ingress mirroring (§3.4).
@@ -118,6 +131,7 @@ impl Pump {
                     self.push(at, Ev::Timer { on_b: !from_a, token });
                 }
                 Action::Complete(c) => {
+                    self.fold(format!("{from_a} {c:?}").as_bytes());
                     if from_a {
                         self.completions_a.push(c);
                     } else {
@@ -813,4 +827,103 @@ fn deterministic_trace_across_runs() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+/// What the wire does to the data packets of one pinned run.
+#[derive(Debug, Clone, Copy)]
+enum Wire {
+    Clean,
+    /// The 5th data packet is lost (NACK / implied-NAK recovery).
+    MiddleDrop,
+    /// The last data packet is lost (timeout recovery).
+    TailDrop,
+    /// Every 4th data packet arrives CE-marked, DCQCN off: counted only.
+    CeMarks,
+    /// The same marks with DCQCN on: CNPs, rate cuts, alpha / rate timers.
+    CeMarksDcqcn,
+}
+
+/// Three 10-packet messages of `verb` between two `profile` devices over
+/// `wire`; the pump's transcript with both devices' counters folded in.
+fn pinned_run(profile: &DeviceProfile, verb: Verb, wire: Wire) -> u64 {
+    const MSGS: u64 = 3;
+    const PKTS: usize = 10 * MSGS as usize;
+    let mut seen = 0usize;
+    let injector: Injector = Box::new(move |f, a_to_b| {
+        // Read data flows responder → requester, the rest the other way.
+        if !f.bth.opcode.has_payload() || a_to_b == (verb == Verb::Read) {
+            return Verdict::Pass;
+        }
+        seen += 1;
+        match wire {
+            Wire::MiddleDrop if seen == 5 => Verdict::Drop,
+            Wire::TailDrop if seen == PKTS => Verdict::Drop,
+            Wire::CeMarks | Wire::CeMarksDcqcn if seen.is_multiple_of(4) => {
+                let mut marked = f.clone();
+                marked.ipv4.ecn = lumina_packet::Ecn::Ce;
+                Verdict::Replace(marked.emit())
+            }
+            _ => Verdict::Pass,
+        }
+    });
+    let dcqcn = matches!(wire, Wire::CeMarksDcqcn);
+    let mut p = pair(profile.clone(), 1024, dcqcn).with_injector(injector);
+    for wr_id in 0..MSGS {
+        p.b.post_recv(RSP_QPN, 500 + wr_id, 10_240);
+        p.post_a(REQ_QPN, WorkRequest { wr_id, verb, len: 10_240 });
+    }
+    p.run(secs(5));
+    assert_eq!(p.completions_a.len(), MSGS as usize, "{} {verb:?} {wire:?}", profile.name);
+    // The condition was met by traffic, not sidestepped.
+    let receiver = if verb == Verb::Read { &p.a } else { &p.b };
+    let case = format!("{} {verb:?} {wire:?}: {:?} {:?}", profile.name, p.a.counters, p.b.counters);
+    match wire {
+        Wire::Clean => assert_eq!(p.a.counters.retransmitted_packets, 0, "{case}"),
+        Wire::MiddleDrop => assert!(p.a.counters.retransmitted_packets > 0, "{case}"),
+        Wire::TailDrop => assert!(p.a.counters.local_ack_timeout_err > 0, "{case}"),
+        Wire::CeMarks => assert_eq!(
+            (receiver.counters.np_ecn_marked_roce_packets, receiver.counters.truth_cnp_sent),
+            (PKTS as u64 / 4, 0),
+            "{case}"
+        ),
+        Wire::CeMarksDcqcn => assert!(receiver.counters.truth_cnp_sent > 0, "{case}"),
+    }
+    let counters = format!("{:?} {:?}", p.a.counters, p.b.counters);
+    p.fold(counters.as_bytes());
+    p.transcript
+}
+
+/// Same device, same wire: every frame (time, direction, bytes), every
+/// completion and both devices' counters over profile × verb × wire
+/// condition, as recorded before `Rnic`'s `impl` split by role. A changed
+/// hash is a behaviour change to explain, not to re-record.
+#[test]
+fn wire_transcripts_are_pinned() {
+    let wires = [
+        Wire::Clean,
+        Wire::MiddleDrop,
+        Wire::TailDrop,
+        Wire::CeMarks,
+        Wire::CeMarksDcqcn,
+    ];
+    let profiles = DeviceProfile::all();
+    let seen: Vec<(&str, u64)> = profiles
+        .iter()
+        .map(|profile| {
+            let mut hash = 0u64;
+            for verb in [Verb::Write, Verb::Send, Verb::Read] {
+                for wire in wires {
+                    hash = hash.rotate_left(7) ^ pinned_run(profile, verb, wire);
+                }
+            }
+            (profile.name.as_str(), hash)
+        })
+        .collect();
+    let pinned = [
+        ("CX4LX", 0xb937_a2b5_7c4d_20cb_u64),
+        ("CX5", 0x644c_5f38_3105_78e3),
+        ("CX6DX", 0x8817_8cd4_0163_882c),
+        ("E810", 0x5d69_56df_4672_e162),
+    ];
+    assert!(seen == pinned, "saw {seen:#018x?}");
 }

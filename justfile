@@ -21,7 +21,9 @@ check:
 # isolation that needs `panic = unwind` — and the event queue's
 # zero-allocation and differential tests, because that build inlines the
 # wheel into `Engine::run`, and the reconstruction properties, because it
-# is that build's sort that orders the trace.
+# is that build's sort that orders the trace, and the device's two
+# transcript pins (the random-operation harness and the loopback wire
+# transcripts), because it inlines `Rnic`'s handlers into `HostNode`.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -42,6 +44,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-sim --test alloc_free
     cargo test --release --offline -q -p lumina-sim --lib wheel::tests::differential
     cargo test --release --offline -q -p lumina-dumper --test proptest_reconstruct
+    cargo test --release --offline -q -p lumina-rnic --lib table_candidates
+    cargo test --release --offline -q -p lumina-rnic --test loopback
 
 # Fast feedback loop: debug build + tests.
 test:
