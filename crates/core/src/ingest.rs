@@ -41,7 +41,7 @@ use crate::report::{line, note};
 use lumina_dumper::{
     recover_entry, RecoveryStats, StreamOpts, StreamSummary, StreamingReconstructor, Trace,
 };
-use lumina_sim::pcap::{PcapReader, PcapRecord};
+use lumina_sim::pcap::PcapReader;
 use lumina_sim::telemetry::ops::{OpsReporter, OpsSnapshot};
 use std::io::Read;
 use std::time::Duration;
@@ -223,13 +223,8 @@ impl IngestOutcome {
 /// Ingest a capture file from disk. See [`ingest_reader`].
 pub fn ingest_path(path: &str, params: &IngestParams) -> Result<IngestOutcome, Error> {
     let file = std::fs::File::open(path).map_err(Error::io(path))?;
-    // 64 KiB: 8× fewer read(2) calls than the default buffer, and small
-    // enough to leave the process's peak RSS where it was.
-    ingest_reader(
-        std::io::BufReader::with_capacity(64 << 10, file),
-        path,
-        params,
-    )
+    // The file itself: `PcapReader` reads it a 64 KiB block at a time.
+    ingest_reader(file, path, params)
 }
 
 /// Feed a capture through recovery, streaming reconstruction and the
@@ -287,21 +282,21 @@ pub fn ingest_reader<R: Read>(
         }
     };
 
-    // Per record: one read into `rec`, one decode, one push; no
-    // allocation and (ops heartbeat included) no clock read.
-    let mut rec = PcapRecord::default();
+    // Per record: decoded where the reader's block holds it, one push;
+    // no copy of the capture, no allocation and (ops heartbeat included)
+    // no clock read.
     loop {
-        match pcap.read_record(&mut rec) {
-            Ok(true) => {}
-            Ok(false) => break,
+        let rec = match pcap.next_view() {
+            Ok(Some(rec)) => rec,
+            Ok(None) => break,
             Err(e) => {
                 // The reader latches done after its first error; grade
                 // whatever preceded it.
                 first_malformed = Some((e.offset, e.kind.to_string()));
                 break;
             }
-        }
-        if let Some(entry) = recover_entry(&rec.data, rec.orig_len, &mut recovery) {
+        };
+        if let Some(entry) = recover_entry(rec.data, rec.orig_len, &mut recovery) {
             if let Some(mut chunk) = recon.push_entry(entry, rec.data.len()) {
                 feed(
                     &mut chunk,

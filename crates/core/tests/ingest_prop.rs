@@ -13,11 +13,13 @@
 
 use lumina_core::analyzers::conformance::ConformanceStream;
 use lumina_core::{ingest_reader, ConformanceOpts, IngestOutcome, IngestParams};
-use lumina_dumper::{recover_frame, RecoveryStats, StreamOpts, StreamingReconstructor, Trace};
+use lumina_dumper::{
+    recover_entry, recover_frame, RecoveryStats, StreamOpts, StreamingReconstructor, Trace,
+};
 use lumina_packet::builder::DataPacketBuilder;
 use lumina_packet::opcode::Opcode;
 use lumina_packet::udp::ROCEV2_UDP_PORT;
-use lumina_sim::pcap::{PcapReader, PcapWriter};
+use lumina_sim::pcap::{PcapReader, PcapRecord, PcapWriter};
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use lumina_switch::mirror;
@@ -111,7 +113,14 @@ fn hostile_pcap(ops: &[u32]) -> Vec<u8> {
         let mut orig_len = buf.len();
         buf.truncate(128);
         match kind {
-            // Foreign traffic: ARP ethertype.
+            // Foreign traffic: an IP fragment (first: MF; later: offset)…
+            6 => {
+                let later = arg % 2 == 1;
+                buf[14 + 6] = if later { 0x00 } else { 0x20 };
+                buf[14 + 7] = if later { 185 } else { 0 };
+                mirror::fix_ip_checksum(&mut buf);
+            }
+            // …and an ARP ethertype.
             7 => buf[12..14].copy_from_slice(&[0x08, 0x06]),
             // Rotten: cut inside the headers / IPv4 checksum broken.
             8 => buf.truncate(14 + arg % 40),
@@ -127,7 +136,7 @@ fn hostile_pcap(ops: &[u32]) -> Vec<u8> {
             12 => buf.truncate(80 + arg % 48),
             _ => {}
         }
-        if !(7..=10).contains(&kind) {
+        if !(6..=10).contains(&kind) {
             next_seq = next_seq.max(seq + 1);
         }
         w.write_packet(ts, &buf, orig_len).unwrap();
@@ -136,14 +145,31 @@ fn hostile_pcap(ops: &[u32]) -> Vec<u8> {
     out
 }
 
+/// Both sealed nothing, or the same entries.
+fn same_chunk(a: &Option<Trace>, b: &Option<Trace>) -> bool {
+    a.as_ref().map(|t| &t.entries) == b.as_ref().map(|t| &t.entries)
+}
+
 /// The parent commit's `ingest_reader` loop, kept as the reference: every
 /// record goes through `next_record`, is copied into a `CapturedPacket` by
 /// `recover_frame` and is decoded a second time by `push`. The integrity
 /// verdict is the one field taken from `fused` — its constructor is
 /// crate-private, and it is a function of the summary, the recovery stats
 /// and `first_malformed`, each of which the caller compares.
+///
+/// Beside the adapters runs the pair the product is built from —
+/// `read_record` into one reused record, `recover_entry`, `push_entry` —
+/// on a second reader over the same bytes: record for record it must read,
+/// judge and seal as the adapters do.
 fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> IngestOutcome {
     let mut pcap = PcapReader::new(bytes).unwrap();
+    let mut own_pcap = PcapReader::new(bytes).unwrap();
+    let mut own_rec = PcapRecord::default();
+    let mut own_recovery = RecoveryStats::default();
+    let mut own_recon = StreamingReconstructor::new(StreamOpts {
+        chunk_entries: params.chunk_entries,
+        max_resident_bytes: params.max_resident_bytes,
+    });
     let mut oracle = ConformanceStream::discovering(&ConformanceOpts {
         mtu: 1024,
         ..ConformanceOpts::default()
@@ -165,13 +191,23 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
     };
     while let Some(rec) = pcap.next_record() {
         let rec = rec.unwrap();
-        if let Some(p) = recover_frame(&rec.data, rec.orig_len, rec.ts, &mut recovery) {
-            if let Some(chunk) = recon.push(&p) {
-                feed(chunk, !recon.summary().is_complete(), &mut oracle);
-            }
+        assert!(own_pcap.read_record(&mut own_rec).unwrap());
+        assert_eq!(rec, own_rec);
+        let own_sealed = recover_entry(&own_rec.data, own_rec.orig_len, &mut own_recovery)
+            .and_then(|entry| own_recon.push_entry(entry, own_rec.data.len()));
+        let sealed = recover_frame(&rec.data, rec.orig_len, rec.ts, &mut recovery)
+            .and_then(|p| recon.push(&p));
+        assert_eq!(format!("{recovery:?}"), format!("{own_recovery:?}"));
+        assert!(same_chunk(&sealed, &own_sealed), "record at {}", rec.offset);
+        if let Some(chunk) = sealed {
+            feed(chunk, !recon.summary().is_complete(), &mut oracle);
         }
     }
+    assert!(!own_pcap.read_record(&mut own_rec).unwrap());
+    let (own_tail, own_stream) = own_recon.finish();
     let (tail, stream) = recon.finish();
+    assert!(same_chunk(&tail, &own_tail));
+    assert_eq!(format!("{stream:?}"), format!("{own_stream:?}"));
     if let Some(chunk) = tail {
         feed(chunk, !stream.is_complete(), &mut oracle);
     }
@@ -200,7 +236,7 @@ fn hostile_pcap_reaches_every_class() {
     // 38 in-order copies, half with a randomized dport, then one of
     // each hostile kind, the straggler 30 behind.
     let mut ops: Vec<u32> = (0..38).map(|i| (i % 2) * 0x80).collect();
-    ops.extend((7..16).map(|kind| kind | 28 << 8));
+    ops.extend((6..16).map(|kind| kind | 28 << 8));
     let params = IngestParams {
         chunk_entries: 7,
         ..IngestParams::default()
@@ -221,6 +257,7 @@ fn hostile_pcap_reaches_every_class() {
         assert!(n > 0, "no {what} record: {r:?} {s:?}");
     }
     assert_eq!(r.unparseable, 2, "cut headers and a broken checksum");
+    assert_eq!(r.non_roce, 2, "an ip fragment and an arp frame");
 }
 
 proptest! {
@@ -283,7 +320,7 @@ proptest! {
         grind(&bytes);
     }
 
-    /// Foreign frames, rotten headers, TTLs that are no event code,
+    /// Foreign frames, IP fragments, rotten headers, TTLs that are no event code,
     /// RSS-randomized dports, lying `orig_len`, sub-trim truncation,
     /// duplicates, stragglers and gaps, under windows of 1, 7 and 8192:
     /// decoding once and pushing the entry grades exactly as the

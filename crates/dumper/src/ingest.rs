@@ -208,6 +208,24 @@ mod tests {
     }
 
     #[test]
+    fn ip_fragments_are_foreign_not_rotten() {
+        let mut st = RecoveryStats::default();
+        // A first fragment (MF set) and a later one (offset only), each of
+        // a frame that would otherwise be recovered: what follows the IP
+        // header of a later fragment is payload, not UDP + BTH.
+        for (flags, offset_lo) in [(0x20, 0), (0x00, 185)] {
+            let (mut buf, orig_len) = raw_mirror(4, 400, None);
+            buf[14 + 6] = flags;
+            buf[14 + 7] = offset_lo;
+            mirror::fix_ip_checksum(&mut buf);
+            assert!(recover_frame(&buf, orig_len, SimTime::ZERO, &mut st).is_none());
+        }
+        assert_eq!(st.non_roce, 2);
+        assert_eq!(st.unparseable + st.no_mirror_meta + st.recovered, 0);
+        assert!(st.consistent());
+    }
+
+    #[test]
     fn lying_orig_len_trusts_the_bytes() {
         let mut st = RecoveryStats::default();
         let (buf, _) = raw_mirror(2, 200, None);

@@ -6,7 +6,7 @@
 //! through `NakCode::PsnSequenceError`, which is the NACK the paper's
 //! retransmission analyzers time (Figures 5, 8, 9).
 
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of the AETH on the wire.
@@ -121,10 +121,16 @@ pub struct Aeth {
 impl Aeth {
     /// Parse an AETH from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Aeth> {
-        check_len(buf, AETH_LEN, "aeth")?;
+        Aeth::decode(head(buf, "aeth")?)
+    }
+
+    /// Decode an AETH from exactly its bytes; fails on a reserved
+    /// syndrome class or an undefined NAK code.
+    #[inline]
+    pub fn decode(b: &[u8; AETH_LEN]) -> Result<Aeth> {
         Ok(Aeth {
-            syndrome: AethSyndrome::from_value(buf[0])?,
-            msn: u32::from_be_bytes([0, buf[1], buf[2], buf[3]]),
+            syndrome: AethSyndrome::from_value(b[0])?,
+            msn: u32::from_be_bytes([0, b[1], b[2], b[3]]),
         })
     }
 

@@ -10,7 +10,7 @@
 //! * `ack_req` — requests an acknowledgement from the responder.
 
 use crate::opcode::Opcode;
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of the BTH on the wire.
@@ -85,21 +85,28 @@ impl Default for Bth {
 impl Bth {
     /// Parse a BTH from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Bth> {
-        check_len(buf, BTH_LEN, "bth")?;
-        let opcode = Opcode::from_value(buf[0]).ok_or(ParseError::BadField {
-            what: "bth opcode",
-            value: buf[0] as u64,
-        })?;
+        Bth::decode(head(buf, "bth")?)
+    }
+
+    /// Decode a BTH from exactly its bytes; fails on an undefined opcode.
+    #[inline]
+    pub fn decode(b: &[u8; BTH_LEN]) -> Result<Bth> {
+        let Some(opcode) = Opcode::from_value(b[0]) else {
+            return Err(ParseError::BadField {
+                what: "bth opcode",
+                value: b[0] as u64,
+            });
+        };
         Ok(Bth {
             opcode,
-            solicited: buf[1] & 0x80 != 0,
-            mig_req: buf[1] & 0x40 != 0,
-            pad_count: (buf[1] >> 4) & 0x03,
-            tver: buf[1] & 0x0f,
-            pkey: u16::from_be_bytes([buf[2], buf[3]]),
-            dest_qp: u32::from_be_bytes([0, buf[5], buf[6], buf[7]]),
-            ack_req: buf[8] & 0x80 != 0,
-            psn: u32::from_be_bytes([0, buf[9], buf[10], buf[11]]),
+            solicited: b[1] & 0x80 != 0,
+            mig_req: b[1] & 0x40 != 0,
+            pad_count: (b[1] >> 4) & 0x03,
+            tver: b[1] & 0x0f,
+            pkey: u16::from_be_bytes([b[2], b[3]]),
+            dest_qp: u32::from_be_bytes([0, b[5], b[6], b[7]]),
+            ack_req: b[8] & 0x80 != 0,
+            psn: u32::from_be_bytes([0, b[9], b[10], b[11]]),
         })
     }
 

@@ -1,7 +1,7 @@
 //! Ethernet II framing.
 
 use crate::mac::MacAddr;
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of an Ethernet II header on the wire.
@@ -55,17 +55,18 @@ pub struct EthernetHeader {
 impl EthernetHeader {
     /// Parse a header from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<EthernetHeader> {
-        check_len(buf, ETHERNET_HEADER_LEN, "ethernet header")?;
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
-        let ethertype = EtherType::from_value(u16::from_be_bytes([buf[12], buf[13]]));
-        Ok(EthernetHeader {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-        })
+        head(buf, "ethernet header").map(EthernetHeader::decode)
+    }
+
+    /// Decode a header from exactly its bytes.
+    #[inline]
+    pub fn decode(b: &[u8; ETHERNET_HEADER_LEN]) -> EthernetHeader {
+        let [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1] = *b;
+        EthernetHeader {
+            dst: MacAddr([d0, d1, d2, d3, d4, d5]),
+            src: MacAddr([s0, s1, s2, s3, s4, s5]),
+            ethertype: EtherType::from_value(u16::from_be_bytes([t0, t1])),
+        }
     }
 
     /// Serialize into the front of `buf`, which must hold at least

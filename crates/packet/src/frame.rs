@@ -23,6 +23,25 @@ use serde::{Deserialize, Serialize};
 /// Length of the trailing invariant CRC.
 pub const ICRC_LEN: usize = 4;
 
+const IPV4_OFF: usize = ETHERNET_HEADER_LEN;
+const UDP_OFF: usize = IPV4_OFF + IPV4_HEADER_LEN;
+const BTH_OFF: usize = UDP_OFF + UDP_HEADER_LEN;
+/// Ethernet + IPv4 + UDP + BTH: the stack every RoCEv2 frame starts with,
+/// and nearly all a record of an exported capture holds of one
+/// (`Trace::write_pcap` re-emits headers + ICRC: 58 bytes for a middle
+/// packet), so this — not the longest stack — is what one check covers.
+const FIXED_HEADERS_LEN: usize = BTH_OFF + BTH_LEN;
+
+/// `fixed[OFF..OFF + N]` as an array. The range is checked when the call
+/// is compiled, so the `expect` cannot fire.
+#[inline(always)]
+fn sub<const OFF: usize, const N: usize>(fixed: &[u8; FIXED_HEADERS_LEN]) -> &[u8; N] {
+    const { assert!(OFF + N <= FIXED_HEADERS_LEN) };
+    fixed[OFF..]
+        .first_chunk()
+        .expect("range checked at compile time")
+}
+
 /// Extension headers selected by the BTH opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ExtHeaders {
@@ -156,15 +175,11 @@ impl RoceFrame {
     /// ([`parse_frame`](Self::parse_frame)).
     fn parse_body(buf: &[u8]) -> Result<(RoceFrame, usize, usize)> {
         let frame = Self::parse_headers(buf)?;
-        let off = ETHERNET_HEADER_LEN
-            + IPV4_HEADER_LEN
-            + UDP_HEADER_LEN
-            + BTH_LEN
-            + frame.ext.wire_len();
+        let off = FIXED_HEADERS_LEN + frame.ext.wire_len();
 
         // Locate the payload using the UDP length (the IP total_len must
         // agree; trimmed mirror captures use `parse_headers` instead).
-        let udp_end = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + frame.udp.length as usize;
+        let udp_end = UDP_OFF + frame.udp.length as usize;
         if udp_end > buf.len() {
             return Err(ParseError::Truncated {
                 what: "frame body",
@@ -196,31 +211,49 @@ impl RoceFrame {
     /// one header walk, which every other parse starts from. Returns the
     /// frame with an empty payload; used as it is on the 128-byte trimmed
     /// mirror captures where the payload and ICRC were cut off.
+    ///
+    /// The four headers every RoCEv2 frame has sit behind one length
+    /// check and are decoded from array references. A buffer too short for
+    /// them, or for an extension header, is an error, and which error is
+    /// [`Self::walk_short`]'s to say: the result is the same value or
+    /// error, for every input, as parsing header by header (pinned by
+    /// `tests/header_walk.rs`).
+    #[inline]
     pub fn parse_headers(buf: &[u8]) -> Result<RoceFrame> {
-        let eth = EthernetHeader::parse(buf)?;
+        let Some((fixed, mut rest)) = buf.split_first_chunk::<FIXED_HEADERS_LEN>() else {
+            return Err(Self::walk_short(buf));
+        };
+        let eth = EthernetHeader::decode(sub::<0, ETHERNET_HEADER_LEN>(fixed));
         if eth.ethertype != EtherType::Ipv4 {
             return Err(ParseError::NotRoce("ethertype is not IPv4"));
         }
-        let ipv4 = Ipv4Header::parse(&buf[ETHERNET_HEADER_LEN..])?;
+        let ipv4 = Ipv4Header::decode(sub::<IPV4_OFF, IPV4_HEADER_LEN>(fixed))?;
         if ipv4.protocol != IP_PROTO_UDP {
             return Err(ParseError::NotRoce("ip protocol is not UDP"));
         }
-        let udp = UdpHeader::parse(&buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..])?;
-        let bth_off = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN;
-        let bth = Bth::parse(&buf[bth_off..])?;
+        let udp = UdpHeader::decode(sub::<UDP_OFF, UDP_HEADER_LEN>(fixed));
+        let bth = Bth::decode(sub::<BTH_OFF, BTH_LEN>(fixed))?;
 
-        let mut off = bth_off + BTH_LEN;
         let mut ext = ExtHeaders::default();
         if bth.opcode.has_reth() {
-            ext.reth = Some(Reth::parse(&buf[off..])?);
-            off += RETH_LEN;
+            let Some((reth, after)) = rest.split_first_chunk() else {
+                return Err(Self::walk_short(buf));
+            };
+            ext.reth = Some(Reth::decode(reth));
+            rest = after;
         }
         if bth.opcode.has_aeth() {
-            ext.aeth = Some(Aeth::parse(&buf[off..])?);
-            off += AETH_LEN;
+            let Some((aeth, after)) = rest.split_first_chunk() else {
+                return Err(Self::walk_short(buf));
+            };
+            ext.aeth = Some(Aeth::decode(aeth)?);
+            rest = after;
         }
         if bth.opcode.has_immdt() {
-            ext.immdt = Some(ImmDt::parse(&buf[off..])?);
+            let Some(immdt) = rest.first_chunk() else {
+                return Err(Self::walk_short(buf));
+            };
+            ext.immdt = Some(ImmDt::decode(immdt));
         }
         Ok(RoceFrame {
             eth,
@@ -230,6 +263,52 @@ impl RoceFrame {
             ext,
             payload: Bytes::new(),
         })
+    }
+
+    /// Why the header walk rejects `buf`, which ends inside the headers it
+    /// announces: the walk one `parse` at a time, each with its own length
+    /// check, so foreign traffic is foreign before it is truncated (a
+    /// 30-byte ARP frame is [`ParseError::NotRoce`]) and a cut names the
+    /// header it fell in. Returns the error alone: no frame comes back
+    /// from here, so the caller's need not live in memory.
+    #[cold]
+    fn walk_short(buf: &[u8]) -> ParseError {
+        let walk = || {
+            let eth = EthernetHeader::parse(buf)?;
+            if eth.ethertype != EtherType::Ipv4 {
+                return Err(ParseError::NotRoce("ethertype is not IPv4"));
+            }
+            let ipv4 = Ipv4Header::parse(&buf[IPV4_OFF..])?;
+            if ipv4.protocol != IP_PROTO_UDP {
+                return Err(ParseError::NotRoce("ip protocol is not UDP"));
+            }
+            UdpHeader::parse(&buf[UDP_OFF..])?;
+            let bth = Bth::parse(&buf[BTH_OFF..])?;
+            let mut off = FIXED_HEADERS_LEN;
+            if bth.opcode.has_reth() {
+                Reth::parse(&buf[off..])?;
+                off += RETH_LEN;
+            }
+            if bth.opcode.has_aeth() {
+                Aeth::parse(&buf[off..])?;
+                off += AETH_LEN;
+            }
+            if bth.opcode.has_immdt() {
+                ImmDt::parse(&buf[off..])?;
+                off += IMMDT_LEN;
+            }
+            Ok(off)
+        };
+        match walk() {
+            Err(e) => e,
+            // Not reached: the caller found `buf` short of a header this
+            // walk reads too.
+            Ok(need) => ParseError::Truncated {
+                what: "roce headers",
+                need,
+                have: buf.len(),
+            },
+        }
     }
 
     /// Verify the trailing ICRC of serialized frame bytes.

@@ -1,6 +1,6 @@
 //! Immediate data extension header (4 bytes).
 
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of the immediate-data header.
@@ -13,8 +13,13 @@ pub struct ImmDt(pub u32);
 impl ImmDt {
     /// Parse from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<ImmDt> {
-        check_len(buf, IMMDT_LEN, "immdt")?;
-        Ok(ImmDt(u32::from_be_bytes(buf[0..4].try_into().unwrap())))
+        head(buf, "immdt").map(ImmDt::decode)
+    }
+
+    /// Decode from exactly the header's bytes.
+    #[inline]
+    pub fn decode(b: &[u8; IMMDT_LEN]) -> ImmDt {
+        ImmDt(u32::from_be_bytes(*b))
     }
 
     /// Serialize into the front of `buf`.

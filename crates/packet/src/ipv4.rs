@@ -5,7 +5,7 @@
 //! data packets by emitting CNPs. The TTL field is additionally scavenged on
 //! *mirrored* packets to carry the injected-event type (§3.4 of the paper).
 
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -82,7 +82,14 @@ impl Ipv4Header {
     /// Parse a header from the front of `buf`. The stored checksum is
     /// verified; a mismatch is reported as a [`ParseError::BadField`].
     pub fn parse(buf: &[u8]) -> Result<Ipv4Header> {
-        check_len(buf, IPV4_HEADER_LEN, "ipv4 header")?;
+        Ipv4Header::decode(head(buf, "ipv4 header")?)
+    }
+
+    /// Decode a header from exactly its bytes: version, IHL and checksum
+    /// are verified (a [`ParseError::BadField`] each), and a fragment is
+    /// [`ParseError::NotRoce`].
+    #[inline]
+    pub fn decode(buf: &[u8; IPV4_HEADER_LEN]) -> Result<Ipv4Header> {
         let version = buf[0] >> 4;
         if version != 4 {
             return Err(ParseError::BadField {
@@ -98,12 +105,16 @@ impl Ipv4Header {
             });
         }
         let stored_csum = u16::from_be_bytes([buf[10], buf[11]]);
-        let computed = checksum_with_zeroed_field(&buf[..IPV4_HEADER_LEN]);
-        if stored_csum != computed {
+        if stored_csum != header_checksum(buf) {
             return Err(ParseError::BadField {
                 what: "ipv4 checksum",
                 value: stored_csum as u64,
             });
+        }
+        // RoCEv2 is never fragmented: a first fragment (MF) carries a
+        // partial datagram, a later one (offset != 0) no UDP header at all.
+        if buf[6] & 0x3f != 0 || buf[7] != 0 {
+            return Err(ParseError::NotRoce("ip fragment"));
         }
         Ok(Ipv4Header {
             dscp: buf[1] >> 2,
@@ -121,51 +132,42 @@ impl Ipv4Header {
     /// Serialize into the front of `buf` (at least [`IPV4_HEADER_LEN`]
     /// bytes), computing the header checksum.
     pub fn emit(&self, buf: &mut [u8]) -> Result<()> {
-        if buf.len() < IPV4_HEADER_LEN {
+        let have = buf.len();
+        let Some(h) = buf.first_chunk_mut::<IPV4_HEADER_LEN>() else {
             return Err(ParseError::Truncated {
                 what: "ipv4 emit buffer",
                 need: IPV4_HEADER_LEN,
-                have: buf.len(),
+                have,
             });
-        }
-        buf[0] = 0x45;
-        buf[1] = (self.dscp << 2) | self.ecn.bits();
-        buf[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        buf[4..6].copy_from_slice(&self.identification.to_be_bytes());
-        buf[6] = if self.dont_fragment { 0x40 } else { 0x00 };
-        buf[7] = 0;
-        buf[8] = self.ttl;
-        buf[9] = self.protocol;
-        buf[10] = 0;
-        buf[11] = 0;
-        buf[12..16].copy_from_slice(&self.src.octets());
-        buf[16..20].copy_from_slice(&self.dst.octets());
-        let csum = checksum_with_zeroed_field(&buf[..IPV4_HEADER_LEN]);
-        buf[10..12].copy_from_slice(&csum.to_be_bytes());
+        };
+        h[0] = 0x45;
+        h[1] = (self.dscp << 2) | self.ecn.bits();
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        h[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        h[6] = if self.dont_fragment { 0x40 } else { 0x00 };
+        h[7] = 0;
+        h[8] = self.ttl;
+        h[9] = self.protocol;
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        let csum = header_checksum(h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
         Ok(())
     }
 }
 
-/// RFC 1071 internet checksum over `data` treating bytes 10..12 (the
-/// checksum field itself) as zero.
-fn checksum_with_zeroed_field(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut i = 0;
-    while i + 1 < data.len() {
-        let word = if i == 10 {
-            0
-        } else {
-            u16::from_be_bytes([data[i], data[i + 1]]) as u32
-        };
-        sum += word;
-        i += 2;
-    }
-    if i < data.len() {
-        sum += (data[i] as u32) << 8;
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
+/// RFC 1071 internet checksum of an IPv4 header, the checksum field
+/// itself (bytes 10..12) left out of the sum — so the same call verifies a
+/// received header and computes the field of one being written. The one
+/// checksum kernel of the workspace: nine words and two folds (nine
+/// 16-bit words sum below 2^20, so the first fold leaves at most one
+/// carry).
+#[inline]
+pub fn header_checksum(h: &[u8; IPV4_HEADER_LEN]) -> u16 {
+    let w = |i: usize| u16::from_be_bytes([h[i], h[i + 1]]) as u32;
+    let sum = w(0) + w(2) + w(4) + w(6) + w(8) + w(12) + w(14) + w(16) + w(18);
+    let sum = (sum & 0xffff) + (sum >> 16);
+    let sum = (sum & 0xffff) + (sum >> 16);
     !(sum as u16)
 }
 
@@ -227,6 +229,51 @@ mod tests {
         let mut opts = buf;
         opts[0] = 0x46;
         assert!(Ipv4Header::parse(&opts).is_err());
+    }
+
+    #[test]
+    fn fragments_are_foreign_traffic() {
+        let mut buf = [0u8; IPV4_HEADER_LEN];
+        sample().emit(&mut buf).unwrap();
+        // DF alone (what `emit` writes) and the reserved bit are not
+        // fragmentation.
+        assert!(Ipv4Header::parse(&buf).is_ok());
+        for (flags, offset_lo, fragment) in [
+            (0x20, 0, true),   // first fragment: MF set, offset 0
+            (0x00, 185, true), // last fragment: offset only
+            (0x21, 0, true),   // offset in the high bits, MF set
+            (0x01, 0, true),   // offset in the high bits alone
+            (0xc0, 0, false),  // reserved + DF
+            (0x00, 0, false),
+        ] {
+            let mut b = buf;
+            b[6] = flags;
+            b[7] = offset_lo;
+            let csum = header_checksum(&b);
+            b[10..12].copy_from_slice(&csum.to_be_bytes());
+            let got = Ipv4Header::parse(&b);
+            if fragment {
+                assert_eq!(
+                    got,
+                    Err(ParseError::NotRoce("ip fragment")),
+                    "{flags:#x}/{offset_lo}"
+                );
+                assert!(got.unwrap_err().is_foreign());
+            } else {
+                assert!(got.is_ok(), "{flags:#x}/{offset_lo}: {got:?}");
+            }
+        }
+        // A fragment whose checksum is also wrong is rotten first: the
+        // header cannot be trusted to say what it is.
+        let mut b = buf;
+        b[6] = 0x20;
+        assert!(matches!(
+            Ipv4Header::parse(&b),
+            Err(ParseError::BadField {
+                what: "ipv4 checksum",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -117,16 +117,14 @@ impl std::error::Error for ParseError {}
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ParseError>;
 
-/// Check that `buf` has at least `need` bytes, otherwise return a
-/// [`ParseError::Truncated`] tagged with `what`.
-pub(crate) fn check_len(buf: &[u8], need: usize, what: &'static str) -> Result<()> {
-    if buf.len() < need {
-        Err(ParseError::Truncated {
-            what,
-            need,
-            have: buf.len(),
-        })
-    } else {
-        Ok(())
-    }
+/// The first `N` bytes of `buf` as an array — the one length check of a
+/// header's `parse`; its `decode` then reads fields at constant offsets —
+/// or a [`ParseError::Truncated`] tagged with `what`.
+#[inline]
+pub(crate) fn head<'a, const N: usize>(buf: &'a [u8], what: &'static str) -> Result<&'a [u8; N]> {
+    buf.first_chunk().ok_or(ParseError::Truncated {
+        what,
+        need: N,
+        have: buf.len(),
+    })
 }

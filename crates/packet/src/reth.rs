@@ -4,7 +4,7 @@
 //! single-packet Writes, and by Read requests: remote virtual address,
 //! remote key, and DMA length.
 
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of the RETH on the wire.
@@ -24,12 +24,17 @@ pub struct Reth {
 impl Reth {
     /// Parse a RETH from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Reth> {
-        check_len(buf, RETH_LEN, "reth")?;
-        Ok(Reth {
-            vaddr: u64::from_be_bytes(buf[0..8].try_into().unwrap()),
-            rkey: u32::from_be_bytes(buf[8..12].try_into().unwrap()),
-            dma_len: u32::from_be_bytes(buf[12..16].try_into().unwrap()),
-        })
+        head(buf, "reth").map(Reth::decode)
+    }
+
+    /// Decode a RETH from exactly its bytes.
+    #[inline]
+    pub fn decode(b: &[u8; RETH_LEN]) -> Reth {
+        Reth {
+            vaddr: u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+            rkey: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+            dma_len: u32::from_be_bytes([b[12], b[13], b[14], b[15]]),
+        }
     }
 
     /// Serialize into the front of `buf` (at least [`RETH_LEN`] bytes).

@@ -5,7 +5,7 @@
 //! dumpers' RSS sees "many flows" and spreads load across all CPU cores
 //! (§3.4 of the paper); the dumper restores it before writing the trace.
 
-use crate::{check_len, ParseError, Result};
+use crate::{head, ParseError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Length of a UDP header.
@@ -32,13 +32,18 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Parse a header from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<UdpHeader> {
-        check_len(buf, UDP_HEADER_LEN, "udp header")?;
-        Ok(UdpHeader {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            length: u16::from_be_bytes([buf[4], buf[5]]),
-            checksum: u16::from_be_bytes([buf[6], buf[7]]),
-        })
+        head(buf, "udp header").map(UdpHeader::decode)
+    }
+
+    /// Decode a header from exactly its bytes.
+    #[inline]
+    pub fn decode(b: &[u8; UDP_HEADER_LEN]) -> UdpHeader {
+        UdpHeader {
+            src_port: u16::from_be_bytes([b[0], b[1]]),
+            dst_port: u16::from_be_bytes([b[2], b[3]]),
+            length: u16::from_be_bytes([b[4], b[5]]),
+            checksum: u16::from_be_bytes([b[6], b[7]]),
+        }
     }
 
     /// Serialize into the front of `buf` (at least [`UDP_HEADER_LEN`] bytes).

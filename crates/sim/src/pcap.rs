@@ -192,6 +192,20 @@ impl PcapRecord {
     }
 }
 
+/// One packet record, borrowed from the reader's block: what
+/// [`PcapReader::next_view`] hands out, valid until the next read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// Absolute file offset of the record's header.
+    pub offset: u64,
+    /// Capture timestamp, normalized to nanoseconds.
+    pub ts: SimTime,
+    /// Original wire length the header claims.
+    pub orig_len: u32,
+    /// The captured bytes (at most `caplen`), in place.
+    pub data: &'a [u8],
+}
+
 /// Per-interface metadata a pcapng section declares.
 #[derive(Debug, Clone, Copy)]
 struct Interface {
@@ -201,13 +215,36 @@ struct Interface {
     snaplen: u32,
 }
 
+/// A record's framing decoded, its capture located in the block.
+struct Located {
+    offset: u64,
+    ts: SimTime,
+    orig_len: u32,
+    /// The capture is `block[start..start + caplen]`.
+    start: usize,
+    caplen: usize,
+}
+
+/// Bytes the reader asks its source for at a time, and holds.
+const BLOCK_BYTES: usize = 64 << 10;
+
 /// Streaming, panic-free reader for classic pcap and pcapng files — the
 /// inverse of [`PcapWriter`]. Yields records until clean EOF or the first
 /// structural error (one final `Err` carrying the file offset, then EOF
 /// forever: a broken framing cannot be resynced).
+///
+/// The reader buffers: it fills one block from `R` in large reads and
+/// decodes both formats' framing in it, so hand it the `File` itself, not a
+/// `BufReader` around one.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     inner: R,
+    /// `block[pos..filled]` is read from `inner` and not yet consumed;
+    /// `block[..pos]` still holds the last record handed out.
+    block: Vec<u8>,
+    pos: usize,
+    filled: usize,
+    /// Absolute offset of `block[pos]`.
     offset: u64,
     format: PcapFormat,
     big_endian: bool,
@@ -231,6 +268,9 @@ impl<R: Read> PcapReader<R> {
     pub fn new(inner: R) -> Result<PcapReader<R>, PcapReadError> {
         let mut r = PcapReader {
             inner,
+            block: vec![0; BLOCK_BYTES],
+            pos: 0,
+            filled: 0,
             offset: 0,
             format: PcapFormat::Classic,
             big_endian: false,
@@ -242,13 +282,17 @@ impl<R: Read> PcapReader<R> {
             records: 0,
             done: false,
         };
-        let mut magic = [0u8; 4];
-        r.fill(&mut magic, "file header")?;
+        let have = r.want(4)?;
+        let Some(magic) = r.peek::<4>() else {
+            return Err(r.cut_short(have, 0, "file header"));
+        };
         if magic == PCAPNG_SHB {
             r.format = PcapFormat::PcapNg;
-            let mut len_raw = [0u8; 4];
-            r.fill(&mut len_raw, "section header")?;
-            r.read_shb_body(0, len_raw)?;
+            let have = r.want(8)?;
+            if have < 8 {
+                return Err(r.cut_short(have, 4, "section header"));
+            }
+            r.read_shb(0)?;
             return Ok(r);
         }
         let raw = u32::from_le_bytes(magic);
@@ -264,11 +308,14 @@ impl<R: Read> PcapReader<R> {
                 })
             }
         };
-        let mut rest = [0u8; 20];
-        r.fill(&mut rest, "file header")?;
-        // version(4) thiszone(4) sigfigs(4) snaplen(4) linktype(4).
-        r.snaplen = r.u32_at(&rest, 12).unwrap_or(0);
-        r.linktype = r.u32_at(&rest, 16).unwrap_or(0);
+        // magic(4) version(4) thiszone(4) sigfigs(4) snaplen(4) linktype(4).
+        let have = r.want(24)?;
+        let Some(header) = r.peek::<24>() else {
+            return Err(r.cut_short(have, 4, "file header"));
+        };
+        r.snaplen = r.u32_at(&header, 16).unwrap_or(0);
+        r.linktype = r.u32_at(&header, 20).unwrap_or(0);
+        r.advance(24);
         Ok(r)
     }
 
@@ -307,24 +354,48 @@ impl<R: Read> PcapReader<R> {
         self.blocks_skipped
     }
 
-    /// Read the next record into `rec`, reusing its `data` allocation:
-    /// `Ok(true)` when `rec` was filled, `Ok(false)` at clean EOF; one final
-    /// `Err` (then `Ok(false)`) when the framing breaks mid-file. Unless it
-    /// returns `Ok(true)`, what `rec` holds is unspecified (pcapng block
-    /// bodies are staged in `rec.data`).
-    pub fn read_record(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
+    /// The next record, in place: its `data` borrows the reader's block
+    /// and is valid until the next read. `Ok(None)` at clean EOF; one
+    /// final `Err` (then `Ok(None)`) when the framing breaks mid-file.
+    pub fn next_view(&mut self) -> Result<Option<RecordView<'_>>, PcapReadError> {
         if self.done {
-            return Ok(false);
+            return Ok(None);
         }
         let step = match self.format {
-            PcapFormat::Classic => self.next_classic(rec),
-            PcapFormat::PcapNg => self.next_pcapng(rec),
+            PcapFormat::Classic => self.next_classic(),
+            PcapFormat::PcapNg => self.next_pcapng(),
         };
-        match step {
-            Ok(true) => self.records += 1,
-            Ok(false) | Err(_) => self.done = true,
-        }
-        step
+        // Clean EOF and the one error both latch.
+        self.done = !matches!(step, Ok(Some(_)));
+        let Some(at) = step? else {
+            return Ok(None);
+        };
+        self.records += 1;
+        Ok(Some(RecordView {
+            offset: at.offset,
+            ts: at.ts,
+            orig_len: at.orig_len,
+            data: self
+                .block
+                .get(at.start..at.start + at.caplen)
+                .unwrap_or_default(),
+        }))
+    }
+
+    /// [`Self::next_view`] copied into `rec`, reusing its `data`
+    /// allocation: `Ok(true)` when `rec` was filled, `Ok(false)` at clean
+    /// EOF; one final `Err` (then `Ok(false)`) when the framing breaks
+    /// mid-file. Unless it returns `Ok(true)`, `rec` is untouched.
+    pub fn read_record(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
+        let Some(view) = self.next_view()? else {
+            return Ok(false);
+        };
+        rec.offset = view.offset;
+        rec.ts = view.ts;
+        rec.orig_len = view.orig_len;
+        rec.data.clear();
+        rec.data.extend_from_slice(view.data);
+        Ok(true)
     }
 
     /// [`Self::read_record`] into a fresh record: `None` at clean EOF; one
@@ -344,51 +415,70 @@ impl<R: Read> PcapReader<R> {
         PcapReadError { offset, kind }
     }
 
-    /// Read exactly `buf.len()` bytes or fail, naming `what`.
-    fn fill(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), PcapReadError> {
-        let start = self.offset;
-        if !self.read_or_eof(buf, what)? {
-            return Err(self.err(start, PcapReadErrorKind::Truncated(what)));
+    /// Make `n` contiguous bytes available at the cursor and say how many
+    /// are: fewer than `n` only when the input ended first. The one place
+    /// the inner reader is read. The unread tail moves to the front of the
+    /// block, which is then refilled in as few reads as `R` allows; the
+    /// block grows only for a record or pcapng block larger than it (the
+    /// callers cap `n` at [`MAX_RECORD_BYTES`] / [`MAX_BLOCK_BYTES`]), and
+    /// only as the bytes actually arrive — a lying length in a short file
+    /// allocates nothing.
+    fn want(&mut self, n: usize) -> Result<usize, PcapReadError> {
+        if self.filled - self.pos >= n {
+            return Ok(self.filled - self.pos);
         }
-        Ok(())
-    }
-
-    /// Read exactly `buf.len()` bytes; `Ok(false)` on clean EOF before the
-    /// first byte, an error if the stream ends partway through.
-    fn read_or_eof(&mut self, buf: &mut [u8], what: &'static str) -> Result<bool, PcapReadError> {
-        let start = self.offset;
-        let mut got = 0usize;
-        while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
-            match self.inner.read(rest) {
-                Ok(0) => {
-                    if got == 0 {
-                        return Ok(false);
-                    }
-                    return Err(self.err(start, PcapReadErrorKind::Truncated(what)));
-                }
-                Ok(n) => {
-                    got += n;
-                    self.offset += n as u64;
-                }
+        self.block.copy_within(self.pos..self.filled, 0);
+        self.filled -= self.pos;
+        self.pos = 0;
+        while self.filled < n {
+            if self.filled == self.block.len() {
+                let grown = self.block.len().saturating_mul(2).min(n);
+                self.block.resize(grown, 0);
+            }
+            let Some(room) = self.block.get_mut(self.filled..) else {
+                break;
+            };
+            match self.inner.read(room) {
+                Ok(0) => break,
+                Ok(got) => self.filled += got,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(self.err(self.offset, PcapReadErrorKind::Io(e))),
+                // Where the stream failed: behind everything it delivered.
+                Err(e) => {
+                    return Err(self.err(self.offset + self.filled as u64, PcapReadErrorKind::Io(e)))
+                }
             }
         }
-        Ok(true)
+        Ok(self.filled)
+    }
+
+    /// The next `N` available bytes, copied out (`want` them first).
+    fn peek<const N: usize>(&self) -> Option<[u8; N]> {
+        let unread = self.block.get(self.pos..self.filled)?;
+        unread.first_chunk().copied()
+    }
+
+    /// Consume `n` available bytes.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n as u64;
+    }
+
+    /// The input ended `have` bytes past the cursor, inside `what`, which
+    /// began at `at`: consume what there was and word the error.
+    fn cut_short(&mut self, have: usize, at: u64, what: &'static str) -> PcapReadError {
+        self.advance(have);
+        self.err(at, PcapReadErrorKind::Truncated(what))
     }
 
     /// Decode a u32 at `off` in the current section's byte order.
     fn u32_at(&self, buf: &[u8], off: usize) -> Option<u32> {
-        let s = buf.get(off..off.checked_add(4)?)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(s);
-        Some(self.decode32(a))
+        let a = buf.get(off..)?.first_chunk()?;
+        Some(self.decode32(*a))
     }
 
     /// Decode a u16 at `off` in the current section's byte order.
     fn u16_at(&self, buf: &[u8], off: usize) -> Option<u16> {
-        let s = buf.get(off..off.checked_add(2)?)?;
-        let a = <[u8; 2]>::try_from(s).ok()?;
+        let a = *buf.get(off..)?.first_chunk()?;
         Some(if self.big_endian {
             u16::from_be_bytes(a)
         } else {
@@ -406,17 +496,21 @@ impl<R: Read> PcapReader<R> {
 
     // ---- classic pcap -------------------------------------------------
 
-    fn next_classic(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
+    fn next_classic(&mut self) -> Result<Option<Located>, PcapReadError> {
         let rec_off = self.offset;
-        let mut hdr = [0u8; 16];
-        if !self.read_or_eof(&mut hdr, "record header")? {
-            return Ok(false);
-        }
+        let have = self.want(16)?;
+        let Some(hdr) = self.peek::<16>() else {
+            if have == 0 {
+                return Ok(None);
+            }
+            return Err(self.cut_short(have, rec_off, "record header"));
+        };
         let secs = self.u32_at(&hdr, 0).unwrap_or(0);
         let frac = self.u32_at(&hdr, 4).unwrap_or(0);
         let caplen = self.u32_at(&hdr, 8).unwrap_or(0);
         let orig_len = self.u32_at(&hdr, 12).unwrap_or(0);
         if caplen > MAX_RECORD_BYTES {
+            self.advance(16);
             return Err(self.err(
                 rec_off,
                 PcapReadErrorKind::Oversized {
@@ -425,13 +519,11 @@ impl<R: Read> PcapReader<R> {
                 },
             ));
         }
-        rec.data.resize(caplen as usize, 0);
-        if let Err(mut e) = self.fill(&mut rec.data, "record data") {
+        let caplen = caplen as usize;
+        let have = self.want(16 + caplen)?;
+        if have < 16 + caplen {
             // Anchor mid-record truncation to the record's own offset.
-            if matches!(e.kind, PcapReadErrorKind::Truncated(_)) {
-                e.offset = rec_off;
-            }
-            return Err(e);
+            return Err(self.cut_short(have, rec_off, "record data"));
         }
         let frac_ns = if self.frac_is_nanos {
             frac as u64
@@ -441,32 +533,40 @@ impl<R: Read> PcapReader<R> {
         let ns = (secs as u64)
             .saturating_mul(1_000_000_000)
             .saturating_add(frac_ns);
-        rec.offset = rec_off;
-        rec.ts = SimTime::from_nanos(ns);
-        rec.orig_len = orig_len;
-        Ok(true)
+        let start = self.pos + 16;
+        self.advance(16 + caplen);
+        Ok(Some(Located {
+            offset: rec_off,
+            ts: SimTime::from_nanos(ns),
+            orig_len,
+            start,
+            caplen,
+        }))
     }
 
     // ---- pcapng -------------------------------------------------------
 
-    /// After the SHB block type was consumed: read the rest of a Section
-    /// Header Block, switching the section's endianness.
-    fn read_shb_body(&mut self, block_off: u64, len_raw: [u8; 4]) -> Result<(), PcapReadError> {
-        let mut bom = [0u8; 4];
-        self.fill(&mut bom, "section header")?;
-        self.big_endian = match u32::from_le_bytes(bom) {
+    /// Read a Section Header Block whose type and length words (8 bytes)
+    /// are available at the cursor, switching the section's endianness.
+    fn read_shb(&mut self, block_off: u64) -> Result<(), PcapReadError> {
+        let have = self.want(12)?;
+        let Some(head) = self.peek::<12>() else {
+            return Err(self.cut_short(have, block_off + 8, "section header"));
+        };
+        self.advance(12);
+        let [_, _, _, _, l0, l1, l2, l3, b0, b1, b2, b3] = head;
+        self.big_endian = match u32::from_le_bytes([b0, b1, b2, b3]) {
             PCAPNG_BOM => false,
             m if m == PCAPNG_BOM.swap_bytes() => true,
-            _ => {
-                return Err(self.err(
-                    block_off,
-                    PcapReadErrorKind::Malformed("byte-order magic"),
-                ))
-            }
+            _ => return Err(self.err(block_off, PcapReadErrorKind::Malformed("byte-order magic"))),
         };
-        let total = self.decode32(len_raw);
+        // The length word is in the NEW section's byte order.
+        let total = self.decode32([l0, l1, l2, l3]);
         if total < 28 || !total.is_multiple_of(4) {
-            return Err(self.err(block_off, PcapReadErrorKind::Malformed("section block length")));
+            return Err(self.err(
+                block_off,
+                PcapReadErrorKind::Malformed("section block length"),
+            ));
         }
         if total > MAX_BLOCK_BYTES {
             return Err(self.err(
@@ -479,10 +579,14 @@ impl<R: Read> PcapReader<R> {
         }
         // type(4) + length(4) + bom(4) consumed; the rest ends with a copy
         // of the block length.
-        let mut rest = vec![0u8; total as usize - 12];
-        self.fill(&mut rest, "section header block")?;
-        let tail_off = rest.len() - 4;
-        if self.u32_at(&rest, tail_off) != Some(total) {
+        let rest = total as usize - 12;
+        let have = self.want(rest)?;
+        if have < rest {
+            return Err(self.cut_short(have, block_off + 12, "section header block"));
+        }
+        let tail = self.u32_at(&self.block, self.pos + rest - 4);
+        self.advance(rest);
+        if tail != Some(total) {
             return Err(self.err(
                 block_off,
                 PcapReadErrorKind::Malformed("trailing block length"),
@@ -493,22 +597,21 @@ impl<R: Read> PcapReader<R> {
         Ok(())
     }
 
-    /// Every block body is read into `rec.data`; a packet block then
-    /// shifts its capture to the front of that buffer in place.
-    fn next_pcapng(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
+    fn next_pcapng(&mut self) -> Result<Option<Located>, PcapReadError> {
         loop {
             let block_off = self.offset;
-            let mut head = [0u8; 8];
-            if !self.read_or_eof(&mut head, "block header")? {
-                return Ok(false);
-            }
-            if head[0..4] == PCAPNG_SHB {
-                // The length field is in the NEW section's byte order,
-                // which read_shb_body derives from the byte-order magic.
-                let len_raw = [head[4], head[5], head[6], head[7]];
-                self.read_shb_body(block_off, len_raw)?;
+            let have = self.want(8)?;
+            let Some(head) = self.peek::<8>() else {
+                if have == 0 {
+                    return Ok(None);
+                }
+                return Err(self.cut_short(have, block_off, "block header"));
+            };
+            if head.starts_with(&PCAPNG_SHB) {
+                self.read_shb(block_off)?;
                 continue;
             }
+            self.advance(8);
             let btype = self.u32_at(&head, 0).unwrap_or(0);
             let total = self.u32_at(&head, 4).unwrap_or(0);
             if total < 12 || !total.is_multiple_of(4) {
@@ -523,35 +626,59 @@ impl<R: Read> PcapReader<R> {
                     },
                 ));
             }
-            rec.data.resize(total as usize - 12, 0);
-            self.fill(&mut rec.data, "block body")?;
-            let mut tail = [0u8; 4];
-            self.fill(&mut tail, "block trailer")?;
-            if self.decode32(tail) != total {
+            // The body, then a copy of the block length.
+            let body_len = total as usize - 12;
+            let have = self.want(body_len + 4)?;
+            if have < body_len {
+                return Err(self.cut_short(have, block_off + 8, "block body"));
+            }
+            if have < body_len + 4 {
+                let trailer_off = block_off + 8 + body_len as u64;
+                return Err(self.cut_short(have, trailer_off, "block trailer"));
+            }
+            let body_at = self.pos;
+            self.advance(body_len + 4);
+            if self.u32_at(&self.block, body_at + body_len) != Some(total) {
                 return Err(self.err(
                     block_off,
                     PcapReadErrorKind::Malformed("trailing block length"),
                 ));
             }
-            match btype {
-                PCAPNG_IDB => self.parse_idb(block_off, &rec.data)?,
-                PCAPNG_EPB => return self.parse_epb(block_off, rec).map(|()| true),
-                PCAPNG_SPB => return self.parse_spb(block_off, rec).map(|()| true),
-                _ => self.blocks_skipped += 1,
-            }
+            let body = self
+                .block
+                .get(body_at..body_at + body_len)
+                .unwrap_or_default();
+            let packet = match btype {
+                PCAPNG_IDB => {
+                    let (linktype, intf) = self.parse_idb(block_off, body)?;
+                    if self.interfaces.is_empty() {
+                        self.linktype = linktype;
+                        self.snaplen = intf.snaplen;
+                    }
+                    self.interfaces.push(intf);
+                    continue;
+                }
+                PCAPNG_EPB => self.parse_epb(block_off, body)?,
+                PCAPNG_SPB => self.parse_spb(block_off, body)?,
+                _ => {
+                    self.blocks_skipped += 1;
+                    continue;
+                }
+            };
+            return Ok(Some(Located {
+                start: body_at + packet.start,
+                ..packet
+            }));
         }
     }
 
-    fn parse_idb(&mut self, block_off: u64, body: &[u8]) -> Result<(), PcapReadError> {
+    /// The link type and interface an Interface Description Block declares.
+    fn parse_idb(&self, block_off: u64, body: &[u8]) -> Result<(u32, Interface), PcapReadError> {
         if body.len() < 8 {
             return Err(self.err(block_off, PcapReadErrorKind::Malformed("interface block")));
         }
         let linktype = self.u16_at(body, 0).unwrap_or(0) as u32;
         let snaplen = self.u32_at(body, 4).unwrap_or(0);
-        if self.interfaces.is_empty() {
-            self.linktype = linktype;
-            self.snaplen = snaplen;
-        }
         // Walk options for if_tsresol; anything malformed ends the walk
         // and leaves the spec default (microseconds) in place.
         let mut ticks_per_sec = 1_000_000u64;
@@ -575,16 +702,17 @@ impl<R: Read> PcapReader<R> {
                 None => break,
             };
         }
-        self.interfaces.push(Interface {
-            ticks_per_sec,
-            snaplen,
-        });
-        Ok(())
+        Ok((
+            linktype,
+            Interface {
+                ticks_per_sec,
+                snaplen,
+            },
+        ))
     }
 
-    /// `rec.data` holds the block body on entry, the capture on return.
-    fn parse_epb(&self, block_off: u64, rec: &mut PcapRecord) -> Result<(), PcapReadError> {
-        let body = rec.data.as_slice();
+    /// An Enhanced Packet Block's record; `start` is relative to `body`.
+    fn parse_epb(&self, block_off: u64, body: &[u8]) -> Result<Located, PcapReadError> {
         if body.len() < 20 {
             return Err(self.err(block_off, PcapReadErrorKind::Malformed("packet block")));
         }
@@ -618,17 +746,17 @@ impl<R: Read> PcapReader<R> {
         let ticks = (ts_hi << 32) | ts_lo;
         let tps = intf.ticks_per_sec.max(1);
         let ns = ((ticks as u128).saturating_mul(1_000_000_000) / tps as u128) as u64;
-        rec.data.copy_within(20..20 + caplen, 0);
-        rec.data.truncate(caplen);
-        rec.offset = block_off;
-        rec.ts = SimTime::from_nanos(ns);
-        rec.orig_len = orig_len;
-        Ok(())
+        Ok(Located {
+            offset: block_off,
+            ts: SimTime::from_nanos(ns),
+            orig_len,
+            start: 20,
+            caplen,
+        })
     }
 
-    /// `rec.data` holds the block body on entry, the capture on return.
-    fn parse_spb(&self, block_off: u64, rec: &mut PcapRecord) -> Result<(), PcapReadError> {
-        let body = rec.data.as_slice();
+    /// A Simple Packet Block's record; `start` is relative to `body`.
+    fn parse_spb(&self, block_off: u64, body: &[u8]) -> Result<Located, PcapReadError> {
         let Some(intf) = self.interfaces.first().copied() else {
             return Err(self.err(
                 block_off,
@@ -649,13 +777,14 @@ impl<R: Read> PcapReader<R> {
             caplen = caplen.min(intf.snaplen as usize);
         }
         caplen = caplen.min(body.len() - 4);
-        rec.data.copy_within(4..4 + caplen, 0);
-        rec.data.truncate(caplen);
-        rec.offset = block_off;
-        // Simple Packet Blocks carry no timestamp.
-        rec.ts = SimTime::ZERO;
-        rec.orig_len = orig_len;
-        Ok(())
+        Ok(Located {
+            offset: block_off,
+            // Simple Packet Blocks carry no timestamp.
+            ts: SimTime::ZERO,
+            orig_len,
+            start: 4,
+            caplen,
+        })
     }
 }
 
@@ -875,6 +1004,7 @@ mod tests {
         let e = r.next_record().unwrap().unwrap_err();
         assert!(matches!(e.kind, PcapReadErrorKind::Oversized { .. }), "{e}");
         assert_eq!(e.offset, 24);
+        assert_eq!(r.block.len(), BLOCK_BYTES);
     }
 
     #[test]
@@ -968,6 +1098,397 @@ mod tests {
                     assert_eq!((fresh.0.len(), &fresh.1, fresh.2), (3, &None, 3), "{name}");
                 }
             }
+        }
+    }
+
+    // ---- the reader under hostile reads ---------------------------------
+
+    /// A `Read` that hands out 1, 2, … `k`, 1, 2, … bytes per call, however
+    /// much room the caller offers: what a pipe or a socket may do.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        k: usize,
+        calls: usize,
+    }
+
+    fn dribble(data: &[u8], k: usize) -> Dribble<'_> {
+        Dribble { data, k, calls: 0 }
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (self.calls % self.k + 1)
+                .min(buf.len())
+                .min(self.data.len());
+            self.calls += 1;
+            let (head, rest) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = rest;
+            Ok(n)
+        }
+    }
+
+    /// Everything a caller can see of one pass over a capture.
+    #[derive(Debug, PartialEq)]
+    struct Transcript {
+        /// Format, byte order, snaplen and link type as opened.
+        header: Option<(PcapFormat, bool, u32, u32)>,
+        /// `(offset, ts, orig_len, data)` of every record yielded.
+        records: Vec<(u64, SimTime, u32, Vec<u8>)>,
+        /// `(offset, kind.to_string())` of the one error, from `new` or
+        /// from the read that hit it.
+        terminal: Option<(u64, String)>,
+        counted: u64,
+        skipped: u64,
+        end_offset: u64,
+    }
+
+    /// How the records are taken from the reader.
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        /// `next_record`: a fresh `PcapRecord` each.
+        Fresh,
+        /// `read_record` into one caller-owned record, dirty on entry.
+        Reused,
+        /// `next_view`: the record borrowed from the reader's block.
+        InPlace,
+    }
+
+    fn transcript<R: Read>(input: R, via: Via) -> Transcript {
+        let mut t = Transcript {
+            header: None,
+            records: Vec::new(),
+            terminal: None,
+            counted: 0,
+            skipped: 0,
+            end_offset: 0,
+        };
+        let mut r = match PcapReader::new(input) {
+            Ok(r) => r,
+            Err(e) => {
+                t.terminal = Some((e.offset, e.kind.to_string()));
+                return t;
+            }
+        };
+        t.header = Some((r.format(), r.big_endian(), r.snaplen(), r.linktype()));
+        let mut rec = PcapRecord {
+            offset: u64::MAX,
+            ts: SimTime::from_secs(9),
+            orig_len: u32::MAX,
+            data: vec![0xee; 300],
+        };
+        loop {
+            let step = match via {
+                Via::Fresh => r
+                    .next_record()
+                    .transpose()
+                    .map(|o| o.map(|rec| (rec.offset, rec.ts, rec.orig_len, rec.data))),
+                Via::Reused => r.read_record(&mut rec).map(|filled| {
+                    filled.then(|| (rec.offset, rec.ts, rec.orig_len, rec.data.clone()))
+                }),
+                Via::InPlace => r.next_view().map(|o| {
+                    o.map(|view| (view.offset, view.ts, view.orig_len, view.data.to_vec()))
+                }),
+            };
+            match step {
+                Ok(Some(record)) => t.records.push(record),
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(
+                        t.terminal.is_none(),
+                        "a second error after {:?}",
+                        t.terminal
+                    );
+                    t.terminal = Some((e.offset, e.kind.to_string()));
+                }
+            }
+        }
+        assert!(r.next_record().is_none(), "latched after the end");
+        t.counted = r.records();
+        t.skipped = r.blocks_skipped();
+        t.end_offset = r.offset();
+        t
+    }
+
+    const VIAS: [Via; 3] = [Via::Fresh, Via::Reused, Via::InPlace];
+
+    /// One pcapng block in the given byte order: type, total length, body
+    /// (padded to 32 bits), total length again.
+    fn ng_block(be: bool, btype: u32, body: &[u8]) -> Vec<u8> {
+        let w = |v: u32| if be { v.to_be_bytes() } else { v.to_le_bytes() };
+        let padded = body.len().div_ceil(4) * 4;
+        let total = w(12 + padded as u32);
+        let mut b = Vec::new();
+        b.extend_from_slice(&w(btype));
+        b.extend_from_slice(&total);
+        b.extend_from_slice(body);
+        b.resize(8 + padded, 0);
+        b.extend_from_slice(&total);
+        b
+    }
+
+    /// A pcapng section in the given byte order: SHB, IDB (nanosecond
+    /// ticks, snaplen 96), an unknown block, two EPBs and an SPB.
+    fn ng_section(be: bool) -> Vec<u8> {
+        let w = |v: u32| if be { v.to_be_bytes() } else { v.to_le_bytes() };
+        let h = |v: u16| if be { v.to_be_bytes() } else { v.to_le_bytes() };
+        let mut shb = Vec::new();
+        shb.extend_from_slice(&w(PCAPNG_BOM));
+        shb.extend_from_slice(&h(1));
+        shb.extend_from_slice(&h(0));
+        shb.extend_from_slice(&[0xff; 8]);
+        let mut f = ng_block(be, u32::from_le_bytes(PCAPNG_SHB), &shb);
+
+        let mut idb = Vec::new();
+        idb.extend_from_slice(&h(1)); // linktype
+        idb.extend_from_slice(&h(0));
+        idb.extend_from_slice(&w(96)); // snaplen
+        idb.extend_from_slice(&h(OPT_IF_TSRESOL));
+        idb.extend_from_slice(&h(1));
+        idb.extend_from_slice(&[9, 0, 0, 0]);
+        idb.extend_from_slice(&h(OPT_ENDOFOPT));
+        idb.extend_from_slice(&h(0));
+        f.extend(ng_block(be, PCAPNG_IDB, &idb));
+
+        f.extend(ng_block(be, 0x99, &[1, 2, 3, 4, 5]));
+        for (ts, payload) in [(5_000_000_123u64, &[0xab; 61][..]), (5_000_000_456, &[])] {
+            let mut epb = Vec::new();
+            epb.extend_from_slice(&w(0)); // interface
+            epb.extend_from_slice(&w((ts >> 32) as u32));
+            epb.extend_from_slice(&w(ts as u32));
+            epb.extend_from_slice(&w(payload.len() as u32));
+            epb.extend_from_slice(&w(1500));
+            epb.extend_from_slice(payload);
+            f.extend(ng_block(be, PCAPNG_EPB, &epb));
+        }
+        let mut spb = Vec::new();
+        spb.extend_from_slice(&w(7)); // orig_len
+        spb.extend_from_slice(&[7, 8, 9, 10, 11, 12, 13]);
+        f.extend(ng_block(be, PCAPNG_SPB, &spb));
+        f
+    }
+
+    /// Hand-build a classic capture: either byte order, either magic,
+    /// records of 0, 3 and 70 captured bytes.
+    fn classic_capture(be: bool, magic: u32) -> Vec<u8> {
+        let w = |v: u32| if be { v.to_be_bytes() } else { v.to_le_bytes() };
+        let mut f = Vec::new();
+        f.extend_from_slice(&w(magic));
+        f.extend_from_slice(&[0u8; 12]); // version, thiszone, sigfigs
+        f.extend_from_slice(&w(128));
+        f.extend_from_slice(&w(LINKTYPE_ETHERNET));
+        for (caplen, fill) in [(0u32, 0u8), (3, 0x55), (70, 0xa7)] {
+            f.extend_from_slice(&w(3));
+            f.extend_from_slice(&w(999_999));
+            f.extend_from_slice(&w(caplen));
+            f.extend_from_slice(&w(1082));
+            f.extend_from_slice(&vec![fill; caplen as usize]);
+        }
+        f
+    }
+
+    /// Classic µs and ns in both byte orders, one pcapng section of each
+    /// byte order, and a little-endian section followed by a big-endian one.
+    fn corpus() -> Vec<(&'static str, Vec<u8>)> {
+        let mut two_sections = ng_section(false);
+        two_sections.extend(ng_section(true));
+        vec![
+            ("classic-us", classic_capture(false, PCAP_MAGIC_US)),
+            ("classic-ns", classic_capture(false, PCAP_MAGIC_NS)),
+            ("classic-be-us", classic_capture(true, PCAP_MAGIC_US)),
+            ("classic-be-ns", classic_capture(true, PCAP_MAGIC_NS)),
+            ("pcapng", ng_section(false)),
+            ("pcapng-be", ng_section(true)),
+            ("pcapng-le-then-be", two_sections),
+        ]
+    }
+
+    #[test]
+    fn the_corpus_reads_whole() {
+        for (name, file) in corpus() {
+            let t = transcript(file.as_slice(), Via::Fresh);
+            let sections = if name == "pcapng-le-then-be" { 2 } else { 1 };
+            assert_eq!(t.terminal, None, "{name}");
+            assert_eq!(t.counted, 3 * sections, "{name}");
+            assert_eq!(t.end_offset, file.len() as u64, "{name}");
+            if name.starts_with("pcapng") {
+                assert_eq!(t.skipped, sections, "{name}");
+                let lens: Vec<_> = t
+                    .records
+                    .iter()
+                    .map(|r| (r.1.as_nanos(), r.3.len()))
+                    .collect();
+                assert_eq!(
+                    lens[..3],
+                    [(5_000_000_123, 61), (5_000_000_456, 0), (0, 7)],
+                    "{name}"
+                );
+            } else {
+                let ns = if name.ends_with("ns") {
+                    3_000_999_999
+                } else {
+                    3_999_999_000
+                };
+                assert!(
+                    t.records
+                        .iter()
+                        .all(|r| r.1.as_nanos() == ns && r.2 == 1082),
+                    "{name}"
+                );
+                let lens: Vec<_> = t.records.iter().map(|r| r.3.len()).collect();
+                assert_eq!(lens, [0, 3, 70], "{name}");
+            }
+        }
+    }
+
+    /// Cut at every offset, read a byte at a time and in ragged pieces: the
+    /// same records, the same terminal error at the same offset, the same
+    /// counters as reading the slice whole — through every way of taking
+    /// records.
+    #[test]
+    fn every_truncation_reads_the_same_in_pieces() {
+        for (name, file) in corpus() {
+            for cut in 0..=file.len() {
+                let input = &file[..cut];
+                let whole = transcript(input, Via::Fresh);
+                for via in VIAS {
+                    for k in [1, 3, 50] {
+                        let pieces = transcript(dribble(input, k), via);
+                        assert_eq!(whole, pieces, "{name} cut at {cut}, {via:?}, k = {k}");
+                    }
+                    assert_eq!(
+                        whole,
+                        transcript(input, via),
+                        "{name} cut at {cut}, {via:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One byte of the file rotted — every length word in turn claims too
+    /// much, too little, or nonsense; magics and block types go foreign.
+    #[test]
+    fn every_rotted_byte_reads_the_same_in_pieces() {
+        for (name, file) in corpus() {
+            for at in 0..file.len() {
+                for xor in [0x01, 0x10, 0x80, 0xff] {
+                    let mut rot = file.clone();
+                    rot[at] ^= xor;
+                    let whole = transcript(rot.as_slice(), Via::Fresh);
+                    for via in VIAS {
+                        let pieces = transcript(dribble(&rot, 1), via);
+                        assert_eq!(whole, pieces, "{name} byte {at} ^ {xor:#x}, {via:?}");
+                        assert_eq!(
+                            whole,
+                            transcript(rot.as_slice(), via),
+                            "{name} byte {at} ^ {xor:#x}, {via:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 400,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Rot, cut and piece size together.
+        #[test]
+        fn hostile_reads_equal_the_whole_slice(
+            which in 0usize..7,
+            rots in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..4),
+            cut in 0usize..10_000,
+            k in 1usize..40,
+        ) {
+            let (name, mut file) = corpus().swap_remove(which);
+            for rot in rots {
+                let at = (rot >> 8) as usize % file.len();
+                file[at] ^= (rot as u8).max(1);
+            }
+            // Three cases in four keep the whole (rotted) file.
+            let cut = if cut % 4 == 0 { cut * file.len() / 10_000 } else { file.len() };
+            let input = &file[..cut];
+            let whole = transcript(input, Via::Fresh);
+            for via in VIAS {
+                let pieces = transcript(dribble(input, k), via);
+                proptest::prop_assert!(whole == pieces, "{} {:?} k = {}:\n{:?}\n{:?}", name, via, k, whole, pieces);
+            }
+        }
+    }
+
+    /// A record larger than anything the reader holds by default, between
+    /// two small ones: its bytes arrive intact, whole or in pieces.
+    #[test]
+    fn a_record_larger_than_the_block() {
+        let big: Vec<u8> = (0..100_000u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let mut w = PcapWriter::new(Vec::new(), 1 << 20).unwrap();
+        w.write_packet(SimTime::from_nanos(1), &[1; 60], 60)
+            .unwrap();
+        w.write_packet(SimTime::from_nanos(2), &big, big.len())
+            .unwrap();
+        w.write_packet(SimTime::from_nanos(3), &[3; 60], 60)
+            .unwrap();
+        let file = w.finish().unwrap();
+        let whole = transcript(file.as_slice(), Via::Fresh);
+        assert_eq!(whole.terminal, None);
+        assert_eq!(whole.records.len(), 3);
+        assert!(whole.records[1].3 == big, "bytes intact");
+        assert_eq!(whole.records[2].3, [3; 60]);
+        for via in VIAS {
+            for k in [1, 4096, 1 << 20] {
+                let pieces = transcript(dribble(&file, k), via);
+                assert!(whole == pieces, "{via:?}, k = {k}");
+            }
+        }
+        // The same record, cut short: anchored to its own header.
+        let cut = &file[..file.len() - 80];
+        let t = transcript(dribble(cut, 4096), Via::Reused);
+        assert_eq!(
+            t.terminal,
+            Some((24 + 76, "file ends inside record data".to_string()))
+        );
+        assert_eq!(t.counted, 1);
+
+        // The block grows once, to that record and its header, and stays.
+        let mut r = PcapReader::new(file.as_slice()).unwrap();
+        assert_eq!(r.next_view().unwrap().unwrap().data, [1; 60]);
+        assert_eq!(r.block.len(), BLOCK_BYTES);
+        assert!(r.next_view().unwrap().unwrap().data == big);
+        assert_eq!(r.block.len(), 16 + big.len());
+        assert_eq!(r.next_view().unwrap().unwrap().data, [3; 60]);
+        assert_eq!(r.next_view().unwrap(), None);
+        assert_eq!(r.block.len(), 16 + big.len());
+    }
+
+    /// A length the file does not back allocates nothing: the block
+    /// grows as bytes arrive, not as headers claim.
+    #[test]
+    fn a_lying_length_in_a_short_file_allocates_nothing() {
+        let mut classic = classic_capture(false, PCAP_MAGIC_NS);
+        classic.extend_from_slice(&[0; 8]);
+        classic.extend_from_slice(&MAX_RECORD_BYTES.to_le_bytes()); // caplen: the cap itself
+        classic.extend_from_slice(&MAX_RECORD_BYTES.to_le_bytes());
+        classic.extend_from_slice(&[0xaa; 100]);
+        let mut ng = ng_section(false);
+        ng.extend_from_slice(&PCAPNG_EPB.to_le_bytes());
+        ng.extend_from_slice(&MAX_BLOCK_BYTES.to_le_bytes()); // block length: the cap itself
+        ng.extend_from_slice(&[0xaa; 100]);
+        for (file, what) in [(classic, "record data"), (ng, "block body")] {
+            let mut r = PcapReader::new(file.as_slice()).unwrap();
+            let e = loop {
+                match r.next_view() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{what}: clean EOF"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(e.kind.to_string(), format!("file ends inside {what}"));
+            assert_eq!(r.block.len(), BLOCK_BYTES, "{what}");
+            assert_eq!(r.offset(), file.len() as u64);
         }
     }
 

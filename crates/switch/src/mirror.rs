@@ -17,13 +17,13 @@
 //! port, which is why restoration happens before traces are written.
 
 use crate::events::EventType;
+use lumina_packet::ipv4::header_checksum;
 use lumina_packet::udp::ROCEV2_UDP_PORT;
 use lumina_packet::MacAddr;
 use lumina_sim::SimTime;
 
 const ETH_LEN: usize = 14;
 const TTL_OFF: usize = ETH_LEN + 8;
-const IP_CSUM_OFF: usize = ETH_LEN + 10;
 const DPORT_OFF: usize = ETH_LEN + 20 + 2;
 
 /// Decoded metadata recovered from a mirrored packet.
@@ -81,18 +81,11 @@ pub fn restore_dport(buf: &mut [u8]) {
 
 /// Recompute the IPv4 header checksum of a frame in place.
 pub fn fix_ip_checksum(buf: &mut [u8]) {
-    let ip = &mut buf[ETH_LEN..ETH_LEN + 20];
-    ip[10] = 0;
-    ip[11] = 0;
-    let mut sum: u32 = 0;
-    for i in (0..20).step_by(2) {
-        sum += u16::from_be_bytes([ip[i], ip[i + 1]]) as u32;
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    let csum = !(sum as u16);
-    buf[IP_CSUM_OFF..IP_CSUM_OFF + 2].copy_from_slice(&csum.to_be_bytes());
+    let ip = buf[ETH_LEN..]
+        .first_chunk_mut::<20>()
+        .expect("frame holds an IPv4 header");
+    let csum = header_checksum(ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -23,7 +23,11 @@ check:
 # wheel into `Engine::run`, and the reconstruction properties, because it
 # is that build's sort that orders the trace, and the device's two
 # transcript pins (the random-operation harness and the loopback wire
-# transcripts), because it inlines `Rnic`'s handlers into `HostNode`.
+# transcripts), because it inlines `Rnic`'s handlers into `HostNode`, and
+# the two ingest differentials — the header walk against the per-header
+# walk (`header_walk`) and the pcap reader under ragged reads (`--lib
+# pcap`) — because it inlines the walk into `recover_entry` and the reader
+# into `ingest_reader`.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -46,6 +50,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-dumper --test proptest_reconstruct
     cargo test --release --offline -q -p lumina-rnic --lib table_candidates
     cargo test --release --offline -q -p lumina-rnic --test loopback
+    cargo test --release --offline -q -p lumina-packet --test header_walk
+    cargo test --release --offline -q -p lumina-sim --lib pcap
 
 # Fast feedback loop: debug build + tests.
 test:
