@@ -19,7 +19,7 @@
 //!
 //! Exit codes follow [`lumina_core::Error::exit_code`]: 0 success, 1 test
 //! ran but failed (integrity or incomplete traffic), 2 configuration,
-//! 3 I/O, 4 translation, 5 engine, 6 reconstruction, 7 watchdog,
+//! 3 I/O, 4 translation, 7 watchdog (5 and 6 are unused),
 //! 8 internal, 9 spec-conformance violations proven by the oracle,
 //! 10 unreadable capture (`ingest` found nothing to degrade into),
 //! 11 proven liveness failure (the recovery oracle caught a wedge).

@@ -268,7 +268,7 @@ const EXIT_CODES: &str = "\
 EXIT CODES:
     0  success          1  test ran but failed
     2  bad config       3  I/O error
-    4  translation      5  engine          6  reconstruction
+    4  translation      5, 6  unused (nothing raises them)
     7  watchdog         8  internal        9  violations
     10 ingest (unreadable capture)
     11 liveness (recovery oracle proved a wedge)
@@ -581,7 +581,7 @@ mod tests {
             "--max-bytes",
             "conformance oracle",
             "discovery mode",
-            "6  reconstruction",
+            "5, 6  unused",
             "7  watchdog",
             "8  internal",
             "9  violations",

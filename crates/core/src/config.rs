@@ -55,15 +55,8 @@ impl Default for HostConfig {
 }
 
 impl HostConfig {
-    /// Resolve the device profile with any ablation overrides applied.
-    pub fn resolved_profile(&self) -> Option<lumina_rnic::DeviceProfile> {
-        let mut p = lumina_rnic::DeviceProfile::by_name(&self.nic_type)?;
-        self.apply_overrides(&mut p);
-        Some(p)
-    }
-
-    /// Apply this host's ablation overrides to an already-resolved profile
-    /// (the `device:` section path resolves through the registry first).
+    /// Apply this host's ablation overrides to a profile
+    /// [`TestConfig::resolved_device`] resolved.
     pub fn apply_overrides(&self, p: &mut lumina_rnic::DeviceProfile) {
         if let Some(n) = self.override_recovery_contexts {
             match p.noisy_neighbor.as_mut() {

@@ -21,10 +21,6 @@ pub enum Error {
     /// Intent translation (§3.3) could not map an event onto the runtime
     /// traffic metadata.
     Translate(String),
-    /// The simulation engine failed (e.g. the run hit a hard limit).
-    Engine(String),
-    /// Trace reconstruction or the integrity check failed structurally.
-    Reconstruction(String),
     /// A file could not be read or written.
     Io {
         /// The path involved.
@@ -86,14 +82,15 @@ impl Error {
     }
 
     /// The process exit code the CLI uses for this variant. Success is 0
-    /// and a completed-but-failed test is 1, so errors start at 2.
+    /// and a completed-but-failed test is 1, so errors start at 2. Codes 5
+    /// and 6 are unused: nothing raised the engine and reconstruction
+    /// errors that held them (a run the engine cannot finish is
+    /// [`Error::Watchdog`]; reconstruction degrades, never fails).
     pub fn exit_code(&self) -> u8 {
         match self {
             Error::Config { .. } => 2,
             Error::Io { .. } => 3,
             Error::Translate(_) => 4,
-            Error::Engine(_) => 5,
-            Error::Reconstruction(_) => 6,
             Error::Watchdog(_) => 7,
             Error::Internal(_) => 8,
             Error::Violations(_) => 9,
@@ -124,8 +121,6 @@ impl fmt::Display for Error {
                 }
             },
             Error::Translate(msg) => write!(f, "event translation failed: {msg}"),
-            Error::Engine(msg) => write!(f, "simulation engine error: {msg}"),
-            Error::Reconstruction(msg) => write!(f, "trace reconstruction failed: {msg}"),
             Error::Io { path, source } => write!(f, "{path}: {source}"),
             Error::Watchdog(msg) => write!(f, "watchdog killed the run: {msg}"),
             Error::Internal(msg) => write!(f, "internal error: {msg}"),
@@ -160,8 +155,6 @@ mod tests {
                 source: std::io::Error::other("nope"),
             },
             Error::Translate("t".into()),
-            Error::Engine("e".into()),
-            Error::Reconstruction("r".into()),
             Error::Watchdog("w".into()),
             Error::internal("i"),
             Error::Violations("v".into()),
@@ -201,7 +194,7 @@ mod tests {
         .is_infra_fault());
         assert!(!Error::config("bad mtu").is_infra_fault());
         assert!(!Error::internal("wrong downcast").is_infra_fault());
-        assert!(!Error::Engine("e".into()).is_infra_fault());
+        assert!(!Error::Translate("t".into()).is_infra_fault());
         assert!(
             !Error::Violations("dut bug".into()).is_infra_fault(),
             "violations reproduce on retry — retrying is pointless"

@@ -47,11 +47,11 @@ use crate::config::TestConfig;
 use crate::error::Error;
 use crate::orchestrator::{run_test, TestResults};
 use coverage::CorpusEntry;
-use lumina_sim::{SimRng, Telemetry};
+use lumina_sim::telemetry::SelfProfile;
+use lumina_sim::SimRng;
 use mutate::Mutator;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 /// Fuzzing campaign parameters.
 #[derive(Debug, Clone)]
@@ -122,8 +122,6 @@ pub enum RejectReason {
     Panic,
     /// The watchdog killed the run (event budget or wall clock).
     Watchdog,
-    /// Trace reconstruction / integrity failed structurally.
-    IntegrityFail,
     /// Any other `run_test` error.
     RunError,
 }
@@ -135,7 +133,6 @@ impl RejectReason {
             RejectReason::InvalidConfig => "invalid-config",
             RejectReason::Panic => "panic",
             RejectReason::Watchdog => "watchdog",
-            RejectReason::IntegrityFail => "integrity-fail",
             RejectReason::RunError => "run-error",
         }
     }
@@ -170,9 +167,9 @@ pub struct FuzzOutcome {
     pub rejections: Vec<Rejection>,
     /// The pool as it stood when the campaign ended.
     pub final_pool: Vec<Scored>,
-    /// Campaign-level telemetry: the self-profile carries per-worker
-    /// runs/sec and the campaign wall clock.
-    pub telemetry: Telemetry,
+    /// Wall-clock self-profile: per-worker runs/sec and the campaign
+    /// wall clock.
+    pub profile: SelfProfile,
     /// Coverage accounting, `Some` iff [`FuzzParams::coverage`] was set.
     pub coverage: Option<CoverageOutcome>,
 }
@@ -221,9 +218,6 @@ impl EvalFailure {
         match self {
             EvalFailure::Panic(msg) => (RejectReason::Panic, msg),
             EvalFailure::Error(e @ Error::Watchdog(_)) => (RejectReason::Watchdog, e.to_string()),
-            EvalFailure::Error(e @ Error::Reconstruction(_)) => {
-                (RejectReason::IntegrityFail, e.to_string())
-            }
             EvalFailure::Error(e) => (RejectReason::RunError, e.to_string()),
         }
     }
@@ -261,8 +255,6 @@ pub fn fuzz_observed<S>(
 where
     S: Fn(&TestConfig, &TestResults) -> (f64, String),
 {
-    let campaign_start = Instant::now();
-    let tel = Telemetry::enabled();
     let mut rng = SimRng::seed_from_u64(params.seed);
     let mut outcome = FuzzOutcome {
         best: None,
@@ -271,7 +263,7 @@ where
         rejected: 0,
         rejections: Vec::new(),
         final_pool: Vec::new(),
-        telemetry: tel.clone(),
+        profile: SelfProfile::start(),
         coverage: None,
     };
     // Coverage mode: the map starts pre-covered by the reloaded corpus,
@@ -356,11 +348,9 @@ where
             .map(|c| &c.cfg)
             .collect();
         let (evals, worker_rows) = run_slots(&runnable, params.workers, |cfg| run_test(cfg));
-        tel.with_profile(|p| {
-            for (w, (runs, wall_ns)) in worker_rows.iter().enumerate() {
-                p.record_worker(w as u64, *runs, *wall_ns);
-            }
-        });
+        for (w, (runs, wall_ns)) in worker_rows.iter().enumerate() {
+            outcome.profile.record_worker(w as u64, *runs, *wall_ns);
+        }
         let mut evals = evals.into_iter();
 
         // 4. Selection — merged in batch order, so pool evolution is
@@ -504,9 +494,7 @@ where
         }
         done += g;
     }
-    tel.with_profile(|p| {
-        p.set_campaign_wall_ns(campaign_start.elapsed().as_nanos() as u64);
-    });
+    outcome.profile.finish();
     outcome.coverage = cov.map(|c| CoverageOutcome {
         map: c.map,
         corpus: c.corpus,
@@ -601,7 +589,7 @@ traffic:
         assert!(!out.final_pool.is_empty());
         // The serial path reports its runs under worker 0; it executed
         // every valid candidate (history counts the successful subset).
-        let runs = out.telemetry.with_profile(|p| p.worker_runs(0)) as usize;
+        let runs = out.profile.worker_runs(0) as usize;
         assert!(runs >= out.history.len() && runs <= 6, "{runs}");
     }
 

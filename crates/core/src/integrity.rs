@@ -13,7 +13,7 @@
 //! instead of with nothing.
 //!
 //! Condition 1 is read off the reconstructor's [`StreamSummary`] by
-//! [`IntegrityReport::from_summary`] for live runs and offline ingestion
+//! `IntegrityReport::from_summary` for live runs and offline ingestion
 //! alike; conditions 2–3 need the injector's counters, which only a live
 //! run has.
 
@@ -39,7 +39,7 @@ pub struct DegradedMode {
     pub duplicates: u64,
     /// Captures dropped because their headers did not parse.
     pub bad_captures: u64,
-    /// The gap spans themselves (first [`MAX_REPORTED_GAPS`]).
+    /// The gap spans themselves (the first 16, `MAX_REPORTED_GAPS`).
     pub gaps: Vec<GapSpan>,
     /// True when more gaps existed than `gaps` lists.
     pub gaps_truncated: bool,

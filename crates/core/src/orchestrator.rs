@@ -20,6 +20,7 @@ use lumina_rnic::counters::Counters;
 use lumina_rnic::ets::{EtsConfig, TcConfig};
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
 use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
+use lumina_sim::telemetry::SelfProfile;
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
     Interposer, MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime,
@@ -77,8 +78,12 @@ pub struct TestResults {
     /// counters surface through the `telemetry` CLI subcommand instead.
     pub frame_stats: FrameStats,
     /// Telemetry sink the run recorded into: structured event journal,
-    /// per-node metric registry and the wall-clock self-profile.
+    /// per-node metric registry and flight recorder, all in simulated time.
     pub telemetry: Telemetry,
+    /// Wall-clock self-profile: from building the testbed to the end of
+    /// [`run_test`], and the engine queue's high-water mark. Never in
+    /// [`report_json`](Self::report_json).
+    pub profile: SelfProfile,
     /// Fault-plane counters; `Some` only when the run had an active
     /// `faults:` section, so fault-free reports are byte-identical to
     /// every pre-fault-plane release.
@@ -168,8 +173,6 @@ impl TestResults {
                 traffic_completed: self.traffic_completed(),
             },
         )?;
-        // The deterministic view only: the self-profile holds wall-clock
-        // numbers, which would make same-seed reports differ byte-for-byte.
         report["telemetry"] = self.telemetry.deterministic_snapshot();
         // Fault accounting appears only on fault-injected runs, keeping
         // pristine reports (and all eight goldens) byte-identical.
@@ -242,6 +245,7 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
     (results.trace, results.integrity) =
         reconstruct(harvest.captures.as_deref(), &results.switch_counters);
     analyze(&mut results, &harvest.qp_end_states);
+    results.profile.finish();
     Ok(results)
 }
 
@@ -276,6 +280,7 @@ struct Testbed {
     cfg: TestConfig,
     eng: Engine,
     tel: Telemetry,
+    profile: SelfProfile,
     conns: Vec<ConnMeta>,
     /// Counter dialects of the requester and responder NICs.
     vendors: [Vendor; 2],
@@ -298,6 +303,7 @@ struct Harvest {
 /// pool, and whichever adversarial planes the config arms. Fails with
 /// [`Error::Config`] or [`Error::Translate`].
 fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
+    let profile = SelfProfile::start();
     cfg.validate()?;
     let verbs = cfg.traffic.verbs()?;
     // validate() checked both device queries resolve against the registry
@@ -374,6 +380,7 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
         cfg: cfg.clone(),
         eng,
         tel,
+        profile,
         conns,
         vendors: [req_profile.vendor, rsp_profile.vendor],
         req_metrics,
@@ -684,6 +691,8 @@ fn take_node<T: Node>(eng: &mut Engine, id: NodeId, what: &str) -> Result<Box<T>
 fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harvest), Error> {
     let (eng, tel) = (&mut bed.eng, &bed.tel);
     let engine_stats = *eng.stats();
+    let mut profile = bed.profile;
+    profile.queue_depth_hwm = eng.queue_depth_hwm();
     // Snapshot the frame-plane counters before teardown frees the buffers.
     let frame_stats = eng.frame_stats();
     let fault_stats = eng.interposer().faults.as_ref().map(|p| p.stats);
@@ -778,6 +787,7 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         engine_stats,
         frame_stats,
         telemetry: bed.tel,
+        profile,
         fault_stats,
         captures_corrupted,
         service_ticks_stalled,
@@ -915,18 +925,17 @@ pub fn run_supervised(cfg: &TestConfig, policy: &RetryPolicy) -> Result<TestResu
         .unwrap_or(cfg.network.seed);
     let attempts = policy.max_attempts.max(1);
     let mut last_err = None;
-    let mut ops = lumina_sim::telemetry::ops::OpsReporter::new(std::io::stderr(), Duration::ZERO);
     for attempt in 0..attempts {
         if attempt > 0 {
             let delay = policy.backoff_delay(attempt, cfg.network.seed);
-            ops.note(&format!(
+            eprintln!(
                 "supervisor: retry {attempt}/{} after infra fault ({}); backing off {:.0}ms",
                 attempts - 1,
                 last_err
                     .as_ref()
                     .map_or_else(|| "unknown".to_string(), |e: &Error| e.to_string()),
                 delay.as_secs_f64() * 1_000.0,
-            ));
+            );
             std::thread::sleep(delay);
             if policy.reseed_faults {
                 if let Some(f) = cfg.faults.as_mut() {

@@ -162,17 +162,7 @@ impl<'a> FuzzReport<'a> {
         if let Some(best) = &out.best {
             s.push_str(&format!("fuzz: best score {:.3}\n", best.score));
         }
-        let profile = out.telemetry.with_profile(|p| p.to_json());
-        let mut throughput = serde_json::Map::new();
-        for key in ["workers", "campaign"] {
-            if let Some(v) = profile.get(key) {
-                throughput.insert(key, v.clone());
-            }
-        }
-        s.push_str(&format!(
-            "fuzz: profile {}\n",
-            serde_json::Value::Object(throughput)
-        ));
+        s.push_str(&format!("fuzz: profile {}\n", out.profile.campaign_json()));
         s
     }
 }

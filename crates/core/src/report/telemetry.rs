@@ -61,20 +61,34 @@ impl<'a> TelemetryReport<'a> {
         Ok(out)
     }
 
-    /// The wall-clock self-profile (stderr: it differs run to run), then
-    /// its headline numbers so nobody has to eyeball the JSON blob: the
-    /// sustained event rate and the run's two pressure gauges.
+    /// The wall-clock self-profile (stderr: it differs run to run) beside
+    /// the counts it is read against, each from its owner — journal events
+    /// recorded (evicted ones included), engine events, peak live frames —
+    /// then the headline numbers so nobody has to eyeball the JSON blob:
+    /// the sustained journal rate and the run's two high-water marks.
     pub fn render_profile(&self) -> String {
-        let tel = &self.results.telemetry;
-        tel.with_profile(|p| p.finish());
-        let profile = tel.with_profile(|p| p.to_json());
-        let stat = |k: &str| profile.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+        let r = self.results;
+        let p = &r.profile;
+        let recorded = r.telemetry.journal_len() as u64 + r.telemetry.journal_dropped();
+        let secs = p.wall_ns as f64 / 1e9;
+        let per_sec = if secs > 0.0 {
+            recorded as f64 / secs
+        } else {
+            0.0
+        };
+        let peak = r.frame_stats.peak_live_frames;
+        let blob = serde_json::json!({
+            "wall_ns": (p.wall_ns),
+            "events_recorded": recorded,
+            "events_per_sec": per_sec,
+            "sim_events_dispatched": (r.engine_stats.events),
+            "queue_depth_hwm": (p.queue_depth_hwm),
+            "peak_live_frames": peak,
+        });
         format!(
-            "self-profile: {profile}\n\
-             self-profile: {:.0} events/sec, queue-depth hwm {}, peak live frames {}\n",
-            stat("events_per_sec"),
-            stat("queue_depth_hwm") as u64,
-            stat("peak_live_frames") as u64,
+            "self-profile: {blob}\n\
+             self-profile: {per_sec:.0} events/sec, queue-depth hwm {}, peak live frames {peak}\n",
+            p.queue_depth_hwm,
         )
     }
 }
@@ -178,7 +192,34 @@ traffic:
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
         let blob = lines[0].strip_prefix("self-profile: ").unwrap();
-        assert!(serde_json::from_str::<Value>(blob).is_ok(), "{blob}");
+        let blob: Value = serde_json::from_str(blob).unwrap_or_else(|e| panic!("{blob}: {e}"));
+        let keys: Vec<&str> = blob
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        let want = [
+            "wall_ns",
+            "events_recorded",
+            "events_per_sec",
+            "sim_events_dispatched",
+            "queue_depth_hwm",
+            "peak_live_frames",
+        ];
+        assert_eq!(keys, want);
+        // The deterministic counts are their owners' numbers.
+        let tel = &results.telemetry;
+        assert_eq!(
+            blob["events_recorded"],
+            tel.journal_len() as u64 + tel.journal_dropped()
+        );
+        assert_eq!(blob["sim_events_dispatched"], results.engine_stats.events);
+        assert_eq!(
+            blob["peak_live_frames"],
+            results.frame_stats.peak_live_frames
+        );
+        assert_eq!(blob["queue_depth_hwm"], results.profile.queue_depth_hwm);
         assert!(lines[1].starts_with("self-profile: ") && lines[1].contains(" events/sec, "));
     }
 }

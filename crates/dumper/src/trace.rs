@@ -246,7 +246,7 @@ pub struct StreamSummary {
     pub entries: u64,
     /// Chunks sealed.
     pub chunks: u64,
-    /// First [`MAX_SUMMARY_GAPS`] runs of missing mirror seqs, ascending,
+    /// First 1 024 (`MAX_SUMMARY_GAPS`) runs of missing mirror seqs, ascending,
     /// non-adjacent. Tail loss past the highest captured seq is invisible
     /// here — only the packet-count integrity conditions can catch it.
     pub gaps: Vec<GapSpan>,

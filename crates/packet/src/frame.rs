@@ -215,7 +215,7 @@ impl RoceFrame {
     /// The four headers every RoCEv2 frame has sit behind one length
     /// check and are decoded from array references. A buffer too short for
     /// them, or for an extension header, is an error, and which error is
-    /// [`Self::walk_short`]'s to say: the result is the same value or
+    /// `walk_short`'s to say: the result is the same value or
     /// error, for every input, as parsing header by header (pinned by
     /// `tests/header_walk.rs`).
     #[inline]

@@ -11,8 +11,8 @@
 //! This file holds the device's state, QP management, the `on_frame` front
 //! door and the two dispatches (by opcode, by timer kind). What a frame or
 //! timer then does is split by role into child modules — children, so the
-//! fields stay private to the device: [`requester`], [`responder`], [`cc`]
-//! (DCQCN) and [`txsched`] (egress).
+//! fields stay private to the device: `requester`, `responder`, `cc`
+//! (DCQCN) and `txsched` (egress).
 
 /// Journal one of the device's decision points: [`lumina_telemetry::tev!`]
 /// under this device's node and the `"rnic"` component.

@@ -44,7 +44,7 @@ pub mod verbs;
 
 pub use counters::Counters;
 pub use device::{Action, Rnic, RnicBuilder};
-pub use profile::{CnpLimitMode, DeviceProfile, DeviceProfileBuilder, DeviceRegistry, Vendor};
+pub use profile::{CnpLimitMode, DeviceProfile, DeviceRegistry, Vendor};
 pub use quirks::{QuirkKnobs, QuirkPlane, QuirkStats};
 pub use qp::{QpConfig, QpEndpoint};
 pub use verbs::{Completion, CompletionStatus, Verb, WorkRequest};

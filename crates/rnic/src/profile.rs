@@ -6,7 +6,7 @@
 //! Calibration sources are cited per field; see DESIGN.md §3 for the table
 //! of paper-reported numbers and §12 for the registry/matrix layer.
 //!
-//! Profiles are built through [`DeviceProfileBuilder`] and looked up through
+//! Profiles start from [`DeviceProfile::baseline`] and are looked up through
 //! the [`DeviceRegistry`], which holds the four paper NICs plus the
 //! hypothetical next-generation `CX8NEXT` used for "what would a fixed NIC
 //! look like" matrix columns.
@@ -138,8 +138,8 @@ pub struct DeviceProfile {
     /// Default of the configurable `min_time_between_cnps` (NVIDIA: 4 µs).
     pub min_time_between_cnps_default: SimTime,
     /// DCQCN reaction-point constants this device ships with. All four
-    /// paper NICs use the calibrated commodity defaults; profiles built
-    /// through the builder may sweep them.
+    /// paper NICs use the calibrated commodity defaults; a profile built
+    /// on the baseline may sweep them.
     #[serde(default)]
     pub dcqcn: DcqcnParams,
 
@@ -161,151 +161,35 @@ pub struct DeviceProfile {
     pub counter_bugs: CounterBugs,
 }
 
-/// Chainable constructor for [`DeviceProfile`].
-///
-/// Starts from a quirk-free, spec-following baseline (100 GbE, flat fast
-/// NACK paths, per-port CNP limiting, no hidden intervals, work-conserving
-/// ETS, honest counters) so each profile only states where the device
-/// deviates. `build()` always succeeds — name and vendor are taken up
-/// front, every other field has the baseline default.
-#[derive(Debug, Clone)]
-pub struct DeviceProfileBuilder {
-    profile: DeviceProfile,
-}
-
-impl DeviceProfileBuilder {
-    fn new(name: &str, vendor: Vendor) -> Self {
-        DeviceProfileBuilder {
-            profile: DeviceProfile {
-                name: name.to_string(),
-                vendor,
-                port_bandwidth: Bandwidth::gbps(100),
-                rx_latency: SimTime::from_nanos(400),
-                nack_gen_write: SimTime::from_nanos(2_000),
-                nack_gen_read: SimTime::from_nanos(2_000),
-                nack_react_write_base: SimTime::from_nanos(2_000),
-                nack_react_write_per_pkt: SimTime::ZERO,
-                nack_react_read_base: SimTime::from_nanos(2_000),
-                nack_react_read_per_pkt: SimTime::ZERO,
-                mig_req_bit: true,
-                apm_slowpath_on_migreq0: None,
-                cnp_mode: CnpLimitMode::PerPort,
-                cnp_hidden_min_interval: None,
-                min_time_between_cnps_default: SimTime::from_micros(4),
-                dcqcn: DcqcnParams::default(),
-                adaptive_retrans: None,
-                ets_work_conserving: true,
-                noisy_neighbor: None,
-                counter_bugs: CounterBugs::default(),
-            },
-        }
-    }
-
-    /// Port speed.
-    pub fn port_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.profile.port_bandwidth = bw;
-        self
-    }
-
-    /// Fast-path ingress latency.
-    pub fn rx_latency(mut self, t: SimTime) -> Self {
-        self.profile.rx_latency = t;
-        self
-    }
-
-    /// NACK generation latencies (Write/Send responder, Read requester).
-    pub fn nack_gen(mut self, write: SimTime, read: SimTime) -> Self {
-        self.profile.nack_gen_write = write;
-        self.profile.nack_gen_read = read;
-        self
-    }
-
-    /// Write/Send NACK reaction latency: base term plus PSN-dependent
-    /// per-packet rollback cost.
-    pub fn nack_react_write(mut self, base: SimTime, per_pkt: SimTime) -> Self {
-        self.profile.nack_react_write_base = base;
-        self.profile.nack_react_write_per_pkt = per_pkt;
-        self
-    }
-
-    /// Read NACK reaction latency: base term plus PSN-dependent term.
-    pub fn nack_react_read(mut self, base: SimTime, per_pkt: SimTime) -> Self {
-        self.profile.nack_react_read_base = base;
-        self.profile.nack_react_read_per_pkt = per_pkt;
-        self
-    }
-
-    /// BTH MigReq bit on transmitted packets (NVIDIA: 1, Intel: 0).
-    pub fn mig_req_bit(mut self, bit: bool) -> Self {
-        self.profile.mig_req_bit = bit;
-        self
-    }
-
-    /// Enable the CX5-style APM slow path for `MigReq = 0` peers.
-    pub fn apm_slowpath(mut self, model: ApmModel) -> Self {
-        self.profile.apm_slowpath_on_migreq0 = Some(model);
-        self
-    }
-
-    /// CNP rate-limiter granularity.
-    pub fn cnp_mode(mut self, mode: CnpLimitMode) -> Self {
-        self.profile.cnp_mode = mode;
-        self
-    }
-
-    /// Hidden hardware floor on the CNP interval (E810: ~50 µs).
-    pub fn cnp_hidden_min_interval(mut self, t: SimTime) -> Self {
-        self.profile.cnp_hidden_min_interval = Some(t);
-        self
-    }
-
-    /// Default of the configurable `min_time_between_cnps`.
-    pub fn min_time_between_cnps_default(mut self, t: SimTime) -> Self {
-        self.profile.min_time_between_cnps_default = t;
-        self
-    }
-
-    /// DCQCN reaction-point constants.
-    pub fn dcqcn(mut self, params: DcqcnParams) -> Self {
-        self.profile.dcqcn = params;
-        self
-    }
-
-    /// Enable NVIDIA-style adaptive retransmission with the given
-    /// measured timeout schedule and extra-retry budget.
-    pub fn adaptive_retrans(mut self, model: AdaptiveRetransModel) -> Self {
-        self.profile.adaptive_retrans = Some(model);
-        self
-    }
-
-    /// ETS work conservation; `false` reproduces the CX6 Dx bug.
-    pub fn ets_work_conserving(mut self, on: bool) -> Self {
-        self.profile.ets_work_conserving = on;
-        self
-    }
-
-    /// Enable the CX4 Lx noisy-neighbor pipeline stall.
-    pub fn noisy_neighbor(mut self, model: NoisyNeighborModel) -> Self {
-        self.profile.noisy_neighbor = Some(model);
-        self
-    }
-
-    /// Which counters lie (§6.2.4).
-    pub fn counter_bugs(mut self, bugs: CounterBugs) -> Self {
-        self.profile.counter_bugs = bugs;
-        self
-    }
-
-    /// Finish the profile.
-    pub fn build(self) -> DeviceProfile {
-        self.profile
-    }
-}
-
 impl DeviceProfile {
-    /// Start building a profile from the quirk-free baseline.
-    pub fn builder(name: &str, vendor: Vendor) -> DeviceProfileBuilder {
-        DeviceProfileBuilder::new(name, vendor)
+    /// The quirk-free, spec-following baseline every profile starts from
+    /// (100 GbE, flat fast NACK paths, per-port CNP limiting, no hidden
+    /// intervals, work-conserving ETS, honest counters), so each named
+    /// profile states only where its device deviates:
+    /// `DeviceProfile { …, ..DeviceProfile::baseline(name, vendor) }`.
+    pub fn baseline(name: &str, vendor: Vendor) -> DeviceProfile {
+        DeviceProfile {
+            name: name.to_string(),
+            vendor,
+            port_bandwidth: Bandwidth::gbps(100),
+            rx_latency: SimTime::from_nanos(400),
+            nack_gen_write: SimTime::from_nanos(2_000),
+            nack_gen_read: SimTime::from_nanos(2_000),
+            nack_react_write_base: SimTime::from_nanos(2_000),
+            nack_react_write_per_pkt: SimTime::ZERO,
+            nack_react_read_base: SimTime::from_nanos(2_000),
+            nack_react_read_per_pkt: SimTime::ZERO,
+            mig_req_bit: true,
+            apm_slowpath_on_migreq0: None,
+            cnp_mode: CnpLimitMode::PerPort,
+            cnp_hidden_min_interval: None,
+            min_time_between_cnps_default: SimTime::from_micros(4),
+            dcqcn: DcqcnParams::default(),
+            adaptive_retrans: None,
+            ets_work_conserving: true,
+            noisy_neighbor: None,
+            counter_bugs: CounterBugs::default(),
+        }
     }
 
     /// NVIDIA ConnectX-4 Lx, 40 GbE.
@@ -316,14 +200,17 @@ impl DeviceProfile {
     /// limiting; noisy-neighbor pipeline stall; frozen
     /// `implied_nak_seq_err`.
     pub fn cx4_lx() -> DeviceProfile {
-        Self::builder("CX4LX", Vendor::Nvidia)
-            .port_bandwidth(Bandwidth::gbps(40))
-            .rx_latency(SimTime::from_nanos(600))
-            .nack_gen(SimTime::from_nanos(3_500), SimTime::from_micros(150))
-            .nack_react_write(SimTime::from_micros(120), SimTime::from_nanos(800))
-            .nack_react_read(SimTime::from_micros(110), SimTime::from_nanos(700))
-            .cnp_mode(CnpLimitMode::PerDestinationIp)
-            .adaptive_retrans(AdaptiveRetransModel {
+        DeviceProfile {
+            port_bandwidth: Bandwidth::gbps(40),
+            rx_latency: SimTime::from_nanos(600),
+            nack_gen_write: SimTime::from_nanos(3_500),
+            nack_gen_read: SimTime::from_micros(150),
+            nack_react_write_base: SimTime::from_micros(120),
+            nack_react_write_per_pkt: SimTime::from_nanos(800),
+            nack_react_read_base: SimTime::from_micros(110),
+            nack_react_read_per_pkt: SimTime::from_nanos(700),
+            cnp_mode: CnpLimitMode::PerDestinationIp,
+            adaptive_retrans: Some(AdaptiveRetransModel {
                 timeout_schedule: vec![
                     SimTime::from_micros(4_700),
                     SimTime::from_micros(3_900),
@@ -334,15 +221,16 @@ impl DeviceProfile {
                     SimTime::from_micros(134_200),
                 ],
                 extra_retries: 1, // retries 8 times with retry_cnt = 7
-            })
-            .noisy_neighbor(NoisyNeighborModel {
+            }),
+            noisy_neighbor: Some(NoisyNeighborModel {
                 recovery_contexts: 10,
-            })
-            .counter_bugs(CounterBugs {
+            }),
+            counter_bugs: CounterBugs {
                 cnp_sent_stuck: false,
                 implied_nak_frozen: true,
-            })
-            .build()
+            },
+            ..DeviceProfile::baseline("CX4LX", Vendor::Nvidia)
+        }
     }
 
     /// NVIDIA ConnectX-5, 100 GbE.
@@ -351,19 +239,22 @@ impl DeviceProfile {
     /// reaction 2–6 µs); per-port CNP limiting; APM slow path when peered
     /// with a `MigReq = 0` sender (§6.2.3).
     pub fn cx5() -> DeviceProfile {
-        Self::builder("CX5", Vendor::Nvidia)
-            .nack_gen(SimTime::from_nanos(1_900), SimTime::from_nanos(2_100))
-            .nack_react_write(SimTime::from_nanos(2_200), SimTime::from_nanos(38))
-            .nack_react_read(SimTime::from_nanos(2_000), SimTime::from_nanos(20))
+        DeviceProfile {
+            nack_gen_write: SimTime::from_nanos(1_900),
+            nack_gen_read: SimTime::from_nanos(2_100),
+            nack_react_write_base: SimTime::from_nanos(2_200),
+            nack_react_write_per_pkt: SimTime::from_nanos(38),
+            nack_react_read_base: SimTime::from_nanos(2_000),
+            nack_react_read_per_pkt: SimTime::from_nanos(20),
             // Calibrated to §6.2.3: ~500 RX discards when 16 QPs start
             // simultaneously from an E810, no discards at ≤ 8 QPs, drops
             // concentrated on each QP's first message.
-            .apm_slowpath(ApmModel {
+            apm_slowpath_on_migreq0: Some(ApmModel {
                 service_time: SimTime::from_nanos(900),
                 queue_capacity: 1024,
                 resolve_after_packets: 128,
-            })
-            .adaptive_retrans(AdaptiveRetransModel {
+            }),
+            adaptive_retrans: Some(AdaptiveRetransModel {
                 timeout_schedule: vec![
                     SimTime::from_micros(5_100),
                     SimTime::from_micros(4_000),
@@ -374,8 +265,9 @@ impl DeviceProfile {
                     SimTime::from_micros(134_200),
                 ],
                 extra_retries: 3, // retries 10 times with retry_cnt = 7
-            })
-            .build()
+            }),
+            ..DeviceProfile::baseline("CX5", Vendor::Nvidia)
+        }
     }
 
     /// NVIDIA ConnectX-6 Dx, 100 GbE.
@@ -384,11 +276,14 @@ impl DeviceProfile {
     /// **non-work-conserving ETS** (§6.2.1); the adaptive-retransmission
     /// timeout table is exactly the sequence the paper measured.
     pub fn cx6_dx() -> DeviceProfile {
-        Self::builder("CX6DX", Vendor::Nvidia)
-            .nack_gen(SimTime::from_nanos(2_000), SimTime::from_nanos(2_200))
-            .nack_react_write(SimTime::from_nanos(2_000), SimTime::from_nanos(30))
-            .nack_react_read(SimTime::from_nanos(1_800), SimTime::from_nanos(15))
-            .adaptive_retrans(AdaptiveRetransModel {
+        DeviceProfile {
+            nack_gen_write: SimTime::from_nanos(2_000),
+            nack_gen_read: SimTime::from_nanos(2_200),
+            nack_react_write_base: SimTime::from_nanos(2_000),
+            nack_react_write_per_pkt: SimTime::from_nanos(30),
+            nack_react_read_base: SimTime::from_nanos(1_800),
+            nack_react_read_per_pkt: SimTime::from_nanos(15),
+            adaptive_retrans: Some(AdaptiveRetransModel {
                 // §6.3: 0.0056, 0.0041, 0.0084, 0.0167, 0.0251, 0.0671,
                 // 0.1342 seconds.
                 timeout_schedule: vec![
@@ -401,9 +296,10 @@ impl DeviceProfile {
                     SimTime::from_micros(134_200),
                 ],
                 extra_retries: 6, // retries 13 times with retry_cnt = 7
-            })
-            .ets_work_conserving(false)
-            .build()
+            }),
+            ets_work_conserving: false,
+            ..DeviceProfile::baseline("CX6DX", Vendor::Nvidia)
+        }
     }
 
     /// Intel E810, 100 GbE.
@@ -413,20 +309,24 @@ impl DeviceProfile {
     /// `MigReq = 0` on the wire; per-QP CNP limiting with a hidden ~50 µs
     /// minimum interval; `cnpSent` counter stuck.
     pub fn e810() -> DeviceProfile {
-        Self::builder("E810", Vendor::Intel)
-            .rx_latency(SimTime::from_nanos(500))
-            .nack_gen(SimTime::from_micros(10), SimTime::from_millis(83))
-            .nack_react_write(SimTime::from_micros(95), SimTime::from_nanos(500))
-            .nack_react_read(SimTime::from_micros(90), SimTime::from_nanos(400))
-            .mig_req_bit(false)
-            .cnp_mode(CnpLimitMode::PerQp)
-            .cnp_hidden_min_interval(SimTime::from_micros(50))
-            .min_time_between_cnps_default(SimTime::ZERO)
-            .counter_bugs(CounterBugs {
+        DeviceProfile {
+            rx_latency: SimTime::from_nanos(500),
+            nack_gen_write: SimTime::from_micros(10),
+            nack_gen_read: SimTime::from_millis(83),
+            nack_react_write_base: SimTime::from_micros(95),
+            nack_react_write_per_pkt: SimTime::from_nanos(500),
+            nack_react_read_base: SimTime::from_micros(90),
+            nack_react_read_per_pkt: SimTime::from_nanos(400),
+            mig_req_bit: false,
+            cnp_mode: CnpLimitMode::PerQp,
+            cnp_hidden_min_interval: Some(SimTime::from_micros(50)),
+            min_time_between_cnps_default: SimTime::ZERO,
+            counter_bugs: CounterBugs {
                 cnp_sent_stuck: true,
                 implied_nak_frozen: false,
-            })
-            .build()
+            },
+            ..DeviceProfile::baseline("E810", Vendor::Intel)
+        }
     }
 
     /// Hypothetical next-generation NIC ("CX8NEXT"): what Table 2 would
@@ -440,13 +340,15 @@ impl DeviceProfile {
     /// the matrix's control column: any violation the oracle reports
     /// against it is a harness bug, not a modeled quirk.
     pub fn cx8_next() -> DeviceProfile {
-        Self::builder("CX8NEXT", Vendor::Nvidia)
-            .port_bandwidth(Bandwidth::gbps(200))
-            .rx_latency(SimTime::from_nanos(300))
-            .nack_gen(SimTime::from_nanos(1_500), SimTime::from_nanos(1_600))
-            .nack_react_write(SimTime::from_nanos(1_500), SimTime::ZERO)
-            .nack_react_read(SimTime::from_nanos(1_400), SimTime::ZERO)
-            .build()
+        DeviceProfile {
+            port_bandwidth: Bandwidth::gbps(200),
+            rx_latency: SimTime::from_nanos(300),
+            nack_gen_write: SimTime::from_nanos(1_500),
+            nack_gen_read: SimTime::from_nanos(1_600),
+            nack_react_write_base: SimTime::from_nanos(1_500),
+            nack_react_read_base: SimTime::from_nanos(1_400),
+            ..DeviceProfile::baseline("CX8NEXT", Vendor::Nvidia)
+        }
     }
 
     /// Look a profile up by the names used in Lumina configs
@@ -585,8 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_baseline_is_quirk_free() {
-        let p = DeviceProfile::builder("TEST", Vendor::Nvidia).build();
+    fn baseline_is_quirk_free() {
+        let p = DeviceProfile::baseline("TEST", Vendor::Nvidia);
         assert!(p.ets_work_conserving);
         assert!(p.adaptive_retrans.is_none());
         assert!(p.noisy_neighbor.is_none());
@@ -597,22 +499,27 @@ mod tests {
     }
 
     #[test]
-    fn builder_reproduces_struct_literal() {
-        // The builder is a re-expression, not a re-calibration: a profile
-        // assembled field by field equals the named constructor.
-        let e810 = DeviceProfile::e810();
-        let rebuilt = DeviceProfile::builder("E810", Vendor::Intel)
-            .rx_latency(e810.rx_latency)
-            .nack_gen(e810.nack_gen_write, e810.nack_gen_read)
-            .nack_react_write(e810.nack_react_write_base, e810.nack_react_write_per_pkt)
-            .nack_react_read(e810.nack_react_read_base, e810.nack_react_read_per_pkt)
-            .mig_req_bit(false)
-            .cnp_mode(CnpLimitMode::PerQp)
-            .cnp_hidden_min_interval(SimTime::from_micros(50))
-            .min_time_between_cnps_default(SimTime::ZERO)
-            .counter_bugs(e810.counter_bugs)
-            .build();
-        assert_eq!(rebuilt, e810);
+    fn registry_profiles_are_pinned() {
+        // FNV-1a of each registry profile's serde JSON: any calibrated
+        // value that moves, moves its hash.
+        let fnv = |text: String| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let got: Vec<(String, u64)> = DeviceRegistry::builtin()
+            .iter()
+            .map(|p| (p.name.clone(), fnv(serde_json::to_string(p).unwrap())))
+            .collect();
+        let want = [
+            ("CX4LX", 0x40fd_ed55_5a6e_783c),
+            ("CX5", 0xff53_a219_da02_8658),
+            ("CX6DX", 0x401c_637f_9353_f2dc),
+            ("E810", 0xff8a_5c42_0a2f_00f1),
+            ("CX8NEXT", 0x7afa_0863_100f_226b),
+        ];
+        let want: Vec<(String, u64)> = want.iter().map(|&(n, h)| (n.to_string(), h)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

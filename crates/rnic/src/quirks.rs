@@ -4,7 +4,7 @@
 //! RoCEv2/RC specification. The behavioral models in this crate are
 //! well-behaved by construction, which leaves the conformance analyzers
 //! untestable against the very misbehavior they exist to catch. A
-//! [`QuirkPlane`] attached to an [`Rnic`](crate::Rnic) makes the model
+//! [`QuirkPlane`] attached to an [`Rnic`] makes the model
 //! emit spec-violating traffic on demand:
 //!
 //! * **wrong ACK PSN** — acknowledge a PSN the peer never transmitted;

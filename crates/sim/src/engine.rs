@@ -67,7 +67,7 @@ impl MetricSet for EngineStats {
 ///
 /// Kept **out** of the golden `report_json` telemetry snapshot on purpose
 /// (the orchestrator does not record it during `run_test`); it is surfaced
-/// through [`TestResults`]-style carriers and the `telemetry` CLI
+/// through `TestResults`-style carriers and the `telemetry` CLI
 /// subcommand; `bytes_copied + bytes_shared` is the copy bill of the old
 /// owned-`Vec<u8>`-per-hop design.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -250,6 +250,11 @@ impl Engine {
         FrameStats::delta(&self.frame_baseline)
     }
 
+    /// Most events the queue has held at once.
+    pub fn queue_depth_hwm(&self) -> u64 {
+        self.queue_hwm as u64
+    }
+
     /// Borrow the engine's root RNG (e.g. to fork node-local streams
     /// during setup).
     pub fn rng(&mut self) -> &mut SimRng {
@@ -394,16 +399,7 @@ impl Engine {
             self.nodes[i] = Some(node);
             // Effects at finish are discarded by design: the run is over.
         }
-        if self.telemetry.is_enabled() {
-            self.telemetry.record_global_set(&self.stats);
-            let (hwm, events) = (self.queue_hwm as u64, self.stats.events);
-            let peak = self.frame_stats().peak_live_frames;
-            self.telemetry.with_profile(|p| {
-                p.queue_depth_hwm = p.queue_depth_hwm.max(hwm);
-                p.sim_events_dispatched = events;
-                p.peak_live_frames = p.peak_live_frames.max(peak);
-            });
-        }
+        self.telemetry.record_global_set(&self.stats);
         outcome
     }
 

@@ -73,15 +73,15 @@ impl Node for Collector {
     }
 }
 
-/// Emits a fixed schedule of frames. Arm with `schedule_kickoff` after
-/// adding to the engine.
+/// Emits a fixed schedule of frames. Arm by scheduling a timer with
+/// [`Script::KICKOFF`] after adding it to the engine.
 pub struct Script {
     /// `(emit time, port, frame)` entries; emitted in order of the list.
     pub plan: Vec<(SimTime, PortId, Frame)>,
 }
 
 impl Script {
-    /// Plan token used by [`Script::kickoff`].
+    /// Timer token that starts the plan.
     pub const KICKOFF: u64 = u64::MAX;
 
     /// Create a script node.

@@ -2,24 +2,26 @@
 //!
 //! Every layer of the simulated testbed — the event engine, the RNIC
 //! models, the programmable switch, the traffic generator and the
-//! dumpers — reports what it does through one [`Telemetry`] handle:
+//! dumpers — reports what it does through one [`Telemetry`] handle, and
+//! everything the handle holds is measured in *simulated* time:
 //!
 //! * **Structured event journal** ([`journal`]): decision points (packet
 //!   drops, ECN marks, CNPs, timeouts, go-back-N rollbacks, iteration
 //!   transitions, mirror emissions) are recorded as
-//!   [`TelemetryEvent`]s against *simulated* time in a bounded ring
-//!   buffer. The JSONL rendering of the journal is byte-identical across
-//!   same-seed runs: it contains no wall-clock readings, and every map
+//!   [`TelemetryEvent`]s in a bounded ring buffer. The JSONL rendering of
+//!   the journal is byte-identical across same-seed runs, and every map
 //!   serializes in insertion order.
-//! * **Per-node metric registry** ([`metrics`]): typed counters, gauges
-//!   and log-linear histograms keyed by node id, plus snapshots of any
-//!   component stat struct implementing [`MetricSet`]. Everything
-//!   exports through a single [`Telemetry::snapshot`] →
-//!   `serde_json::Value` path.
-//! * **Self-profile** ([`profile`]): wall-clock readings (events/sec,
-//!   queue high-water marks, per-worker campaign rates) are kept apart
-//!   from the journal, so the observability layer can report its own
-//!   overhead without contaminating the deterministic bytes.
+//! * **Per-node metric registry** ([`metrics`]): counters and log-linear
+//!   histograms keyed by node id, plus snapshots of any component stat
+//!   struct implementing [`MetricSet`], exported through
+//!   [`Telemetry::deterministic_snapshot`].
+//! * **Flight recorder** ([`trace`]): packet-lifecycle hops, off until
+//!   [`Telemetry::enable_tracing`].
+//!
+//! Wall-clock readings live outside the sink: a [`SelfProfile`] is plain
+//! data carried by whoever measured it (a run's `TestResults`, a fuzz
+//! campaign's outcome), and the [`ops`] heartbeat writes straight to
+//! stderr.
 //!
 //! The handle is a cheap-to-clone `Arc` and is `Send + Sync`, so whole
 //! simulation runs (each owning a sink) can execute on worker threads —
@@ -27,8 +29,8 @@
 //! ([`Telemetry::disabled`]) makes every recording call a no-op, and the
 //! [`tev!`] macro skips attribute evaluation entirely in that case, so
 //! instrumented hot paths cost one branch when telemetry is off.
-//! Within one simulation run all recording happens on one thread, so the
-//! internal mutexes are uncontended.
+//! One uncontended lock guards the journal, the registry and the
+//! recorder: within one run all recording happens on one thread.
 //!
 //! This crate sits *below* `lumina-sim`: it identifies nodes by plain
 //! `u32` ids (the engine's `NodeId` converts losslessly) and depends
@@ -49,23 +51,8 @@ pub use trace::{FlightRecorder, HopRecord, TraceSummary};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Configuration for a telemetry sink.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Master switch; a disabled sink records nothing.
-    pub enabled: bool,
-    /// Ring-buffer capacity of the event journal.
-    pub journal_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            journal_capacity: 65_536,
-        }
-    }
-}
+/// Ring capacity of the event journal.
+const JOURNAL_CAPACITY: usize = 65_536;
 
 struct Inner {
     enabled: AtomicBool,
@@ -73,16 +60,14 @@ struct Inner {
     // enabled sink still records no hops until `enable_tracing`, so the
     // golden reports (which run with telemetry on) never see a trace.
     tracing: AtomicBool,
-    journal: Mutex<Journal>,
-    registry: Mutex<Registry>,
-    profile: Mutex<SelfProfile>,
-    recorder: Mutex<FlightRecorder>,
+    sink: Mutex<Sink>,
 }
 
-/// Lock that shrugs off poisoning: a panicking worker thread must not
-/// wedge every other run's telemetry.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Everything one run records, behind the one lock.
+struct Sink {
+    journal: Journal,
+    registry: Registry,
+    recorder: FlightRecorder,
 }
 
 /// Shared handle to one simulation run's telemetry sink.
@@ -107,7 +92,7 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.is_enabled())
-            .field("journal_len", &lock(&self.inner.journal).len())
+            .field("journal_len", &self.journal_len())
             .finish()
     }
 }
@@ -119,31 +104,34 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled sink with the given configuration.
-    pub fn new(config: TelemetryConfig) -> Telemetry {
+    fn new(enabled: bool) -> Telemetry {
         Telemetry {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(config.enabled),
+                enabled: AtomicBool::new(enabled),
                 tracing: AtomicBool::new(false),
-                journal: Mutex::new(Journal::new(config.journal_capacity)),
-                registry: Mutex::new(Registry::default()),
-                profile: Mutex::new(SelfProfile::default()),
-                recorder: Mutex::new(FlightRecorder::new(1, 0)),
+                sink: Mutex::new(Sink {
+                    journal: Journal::new(JOURNAL_CAPACITY),
+                    registry: Registry::default(),
+                    recorder: FlightRecorder::new(1, 0),
+                }),
             }),
         }
     }
 
-    /// An enabled sink with default configuration.
+    /// A recording sink.
     pub fn enabled() -> Telemetry {
-        Telemetry::new(TelemetryConfig::default())
+        Telemetry::new(true)
     }
 
     /// A no-op sink: every recording call returns immediately.
     pub fn disabled() -> Telemetry {
-        Telemetry::new(TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        })
+        Telemetry::new(false)
+    }
+
+    /// The sink, shrugging off poisoning: a panicking worker thread must
+    /// not wedge every other run's telemetry.
+    fn sink(&self) -> MutexGuard<'_, Sink> {
+        self.inner.sink.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Whether this sink records anything. The [`tev!`] macro consults
@@ -169,7 +157,7 @@ impl Telemetry {
     /// ids are stored relative to it, which is what makes same-seed
     /// traces byte-identical across runs and across fuzz worker threads.
     pub fn enable_tracing(&self, capacity: usize, baseline: u64) {
-        *lock(&self.inner.recorder) = FlightRecorder::new(capacity, baseline);
+        self.sink().recorder = FlightRecorder::new(capacity, baseline);
         self.inner.tracing.store(true, Ordering::Relaxed);
     }
 
@@ -179,12 +167,12 @@ impl Telemetry {
         if !self.is_tracing() {
             return;
         }
-        lock(&self.inner.recorder).record(raw_trace_id, hop, node, t);
+        self.sink().recorder.record(raw_trace_id, hop, node, t);
     }
 
     /// Run `f` over the flight recorder (summaries, exports).
     pub fn with_recorder<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
-        f(&lock(&self.inner.recorder))
+        f(&self.sink().recorder)
     }
 
     // ------------------------------------------------------------ journal
@@ -204,24 +192,23 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        lock(&self.inner.journal).push(TelemetryEvent {
+        self.sink().journal.push(TelemetryEvent {
             t,
             node,
             component,
             kind,
             attrs,
         });
-        lock(&self.inner.profile).events_recorded += 1;
     }
 
     /// Number of events currently held in the journal ring.
     pub fn journal_len(&self) -> usize {
-        lock(&self.inner.journal).len()
+        self.sink().journal.len()
     }
 
     /// Events evicted from the ring because it was full.
     pub fn journal_dropped(&self) -> u64 {
-        lock(&self.inner.journal).dropped()
+        self.sink().journal.dropped()
     }
 
     /// Render the journal as JSON Lines (one event object per line).
@@ -229,21 +216,19 @@ impl Telemetry {
     /// Byte-identical across same-seed runs: sim-time only, insertion
     /// order preserved.
     pub fn journal_jsonl(&self) -> String {
-        lock(&self.inner.journal).to_jsonl()
+        self.sink().journal.to_jsonl()
     }
 
     /// Run `f` over each journal event in order.
-    pub fn for_each_event<F: FnMut(&TelemetryEvent)>(&self, mut f: F) {
-        for ev in lock(&self.inner.journal).iter() {
-            f(ev);
-        }
+    pub fn for_each_event<F: FnMut(&TelemetryEvent)>(&self, f: F) {
+        self.sink().journal.iter().for_each(f);
     }
 
     /// Run `f` over every same-node event-kind edge in the journal, in
     /// order ([`Journal::for_each_edge`]): the behavior signature the
     /// coverage-guided fuzzer hashes.
     pub fn for_each_edge<F: FnMut(u32, &'static str, &'static str)>(&self, f: F) {
-        lock(&self.inner.journal).for_each_edge(f);
+        self.sink().journal.for_each_edge(f);
     }
 
     // ------------------------------------------------------------ metrics
@@ -253,23 +238,7 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        lock(&self.inner.registry).node_mut(node).inc(name, delta);
-    }
-
-    /// Set the named per-node gauge.
-    pub fn set_gauge(&self, node: u32, name: &'static str, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        lock(&self.inner.registry).node_mut(node).set_gauge(name, value);
-    }
-
-    /// Raise the named gauge to `value` if it is a new high-water mark.
-    pub fn gauge_max(&self, node: u32, name: &'static str, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        lock(&self.inner.registry).node_mut(node).gauge_max(name, value);
+        self.sink().registry.node_mut(node).inc(name, delta);
     }
 
     /// Record a sample into the named per-node log-linear histogram.
@@ -277,7 +246,7 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        lock(&self.inner.registry).node_mut(node).record(name, value);
+        self.sink().registry.node_mut(node).record(name, value);
     }
 
     /// Store a component stat struct's snapshot under the node.
@@ -290,7 +259,8 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        lock(&self.inner.registry)
+        self.sink()
+            .registry
             .node_mut(node)
             .record_set(set.metric_kind(), set.snapshot());
     }
@@ -301,49 +271,32 @@ impl Telemetry {
         if !self.is_enabled() {
             return;
         }
-        lock(&self.inner.registry).record_global(set.metric_kind(), set.snapshot());
-    }
-
-    // ------------------------------------------------------------ profile
-
-    /// Mutate the wall-clock self-profile (engine bookkeeping).
-    pub fn with_profile<R>(&self, f: impl FnOnce(&mut SelfProfile) -> R) -> R {
-        f(&mut lock(&self.inner.profile))
+        self.sink()
+            .registry
+            .record_global(set.metric_kind(), set.snapshot());
     }
 
     // ----------------------------------------------------------- snapshot
 
-    /// Export everything as one JSON value:
+    /// Export the journal's size and the registry as one JSON value,
+    /// byte-stable across same-seed runs:
     ///
     /// ```json
     /// {
     ///   "journal": { "events": <count>, "dropped": <count> },
     ///   "global": { "<kind>": { run-global metric sets } },
-    ///   "nodes": { "<id>": { counters, gauges, histograms, sets } },
-    ///   "self_profile": { wall-clock numbers; omit for determinism }
+    ///   "nodes": { "<id>": { counters, histograms, sets } }
     /// }
     /// ```
-    ///
-    /// The `self_profile` subtree is the only non-deterministic part; the
-    /// `deterministic_snapshot` variant leaves it out.
-    pub fn snapshot(&self) -> serde_json::Value {
-        let mut root = self.deterministic_snapshot();
-        root["self_profile"] = lock(&self.inner.profile).to_json();
-        root
-    }
-
-    /// [`Telemetry::snapshot`] without the wall-clock self-profile;
-    /// byte-stable across same-seed runs.
     pub fn deterministic_snapshot(&self) -> serde_json::Value {
-        let journal = lock(&self.inner.journal);
+        let sink = self.sink();
         let mut root = serde_json::Map::new();
         let mut j = serde_json::Map::new();
-        j.insert("events", serde_json::Value::from(journal.len() as u64));
-        j.insert("dropped", serde_json::Value::from(journal.dropped()));
+        j.insert("events", serde_json::Value::from(sink.journal.len() as u64));
+        j.insert("dropped", serde_json::Value::from(sink.journal.dropped()));
         root.insert("journal", serde_json::Value::Object(j));
-        let registry = lock(&self.inner.registry);
-        root.insert("global", registry.globals_to_json());
-        root.insert("nodes", registry.to_json());
+        root.insert("global", sink.registry.globals_to_json());
+        root.insert("nodes", sink.registry.to_json());
         serde_json::Value::Object(root)
     }
 }
@@ -412,14 +365,10 @@ mod tests {
     fn snapshot_merges_registry_and_journal() {
         let tel = Telemetry::enabled();
         tel.inc_counter(1, "tx_packets", 3);
-        tel.set_gauge(1, "queue_depth", 5);
-        tel.gauge_max(1, "queue_depth_hwm", 5);
-        tel.gauge_max(1, "queue_depth_hwm", 2); // not a new high
         tev!(tel, 1, 1, "engine", "dispatch");
         let snap = tel.deterministic_snapshot();
         assert_eq!(snap["journal"]["events"], 1u64);
         assert_eq!(snap["nodes"]["1"]["counters"]["tx_packets"], 3u64);
-        assert_eq!(snap["nodes"]["1"]["gauges"]["queue_depth_hwm"], 5i64);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Per-node metric registry: counters, gauges, log-linear histograms,
-//! and snapshots of component stat structs.
+//! Per-node metric registry: counters, log-linear histograms, and
+//! snapshots of component stat structs.
 //!
 //! The simulation previously grew three incompatible counter structs
 //! (`EngineStats`, the RNIC `Counters`, the generator `FlowMetrics`),
 //! each with its own export path. The [`MetricSet`] trait unifies them:
 //! any stat struct renders itself to JSON once, and the registry files
 //! it under the owning node next to the registry's own typed metrics,
-//! so the whole run exports through a single `snapshot()` call.
+//! so the whole run exports through
+//! [`Telemetry::deterministic_snapshot`](crate::Telemetry::deterministic_snapshot).
 
 use std::collections::BTreeMap;
 
@@ -120,7 +121,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct NodeMetrics {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
     sets: BTreeMap<&'static str, serde_json::Value>,
 }
@@ -132,37 +132,9 @@ impl NodeMetrics {
         *c = c.saturating_add(delta);
     }
 
-    /// Current counter value (0 if never written).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set a gauge to an absolute value.
-    pub fn set_gauge(&mut self, name: &'static str, value: i64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Raise a gauge to `value` only if higher (high-water mark).
-    pub fn gauge_max(&mut self, name: &'static str, value: i64) {
-        let g = self.gauges.entry(name).or_insert(i64::MIN);
-        if value > *g {
-            *g = value;
-        }
-    }
-
-    /// Current gauge value.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Record into a log-linear histogram.
     pub fn record(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Access a histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// File a [`MetricSet`] snapshot under `kind`.
@@ -179,13 +151,6 @@ impl NodeMetrics {
                 c.insert(*k, serde_json::Value::from(*v));
             }
             m.insert("counters", serde_json::Value::Object(c));
-        }
-        if !self.gauges.is_empty() {
-            let mut g = serde_json::Map::new();
-            for (k, v) in &self.gauges {
-                g.insert(*k, serde_json::Value::from(*v));
-            }
-            m.insert("gauges", serde_json::Value::Object(g));
         }
         if !self.histograms.is_empty() {
             let mut h = serde_json::Map::new();
@@ -213,16 +178,6 @@ impl Registry {
     /// Metrics for `node`, created on first touch.
     pub fn node_mut(&mut self, node: u32) -> &mut NodeMetrics {
         self.nodes.entry(node).or_default()
-    }
-
-    /// Metrics for `node`, if any were recorded.
-    pub fn node(&self, node: u32) -> Option<&NodeMetrics> {
-        self.nodes.get(&node)
-    }
-
-    /// Iterate `(node id, metrics)` in ascending node order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &NodeMetrics)> {
-        self.nodes.iter().map(|(&id, m)| (id, m))
     }
 
     /// File a run-global [`MetricSet`] snapshot under `kind`.
@@ -325,16 +280,7 @@ mod tests {
         let mut n = NodeMetrics::default();
         n.inc("c", u64::MAX - 1);
         n.inc("c", 5);
-        assert_eq!(n.counter("c"), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_max_keeps_high_water_mark() {
-        let mut n = NodeMetrics::default();
-        n.gauge_max("depth", 3);
-        n.gauge_max("depth", 9);
-        n.gauge_max("depth", 4);
-        assert_eq!(n.gauge("depth"), Some(9));
+        assert_eq!(n.to_json()["counters"]["c"], u64::MAX);
     }
 
     #[test]
@@ -342,7 +288,6 @@ mod tests {
         let mut r = Registry::default();
         let n = r.node_mut(2);
         n.inc("tx", 7);
-        n.set_gauge("depth", -3);
         n.record("lat", 100);
         n.record("lat", 4000);
         n.record_set("engine", serde_json::json!({"dispatched": 12}));
@@ -351,7 +296,6 @@ mod tests {
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back["2"]["counters"]["tx"], 7u64);
-        assert_eq!(back["2"]["gauges"]["depth"], -3i64);
         assert_eq!(back["2"]["histograms"]["lat"]["count"], 2u64);
         assert_eq!(back["2"]["engine"]["dispatched"], 12u64);
     }

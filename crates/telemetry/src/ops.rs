@@ -87,9 +87,9 @@ impl<W: Write> OpsReporter<W> {
 
     /// Offer progress; prints one line if the interval has elapsed since
     /// the previous line, otherwise does nothing. Meant to be called per
-    /// record: the first call and every [`CLOCK_STRIDE`]th after it read
-    /// the clock, the rest cost a decrement, and `snap` runs only when a
-    /// line is due.
+    /// record: the first call and every 1 024th after it (`CLOCK_STRIDE`)
+    /// read the clock, the rest cost a decrement, and `snap` runs only
+    /// when a line is due.
     pub fn tick(&mut self, snap: impl FnOnce() -> OpsSnapshot) {
         if self.ticks_to_clock > 0 {
             self.ticks_to_clock -= 1;
@@ -127,15 +127,6 @@ impl<W: Write> OpsReporter<W> {
             human_bytes(rate(snap.bytes_seen, elapsed)),
             human_bytes(snap.peak_resident_bytes),
         );
-    }
-
-    /// Print a one-off operational note unconditionally (bypassing the
-    /// heartbeat rate limit) and flush. Supervisors use this to narrate
-    /// retries and backoff decisions that would otherwise happen as a
-    /// silent sleep.
-    pub fn note(&mut self, line: &str) {
-        let _ = writeln!(self.out, "{line}");
-        let _ = self.out.flush();
     }
 
     /// Print the final summary line unconditionally and flush.
@@ -269,20 +260,6 @@ mod tests {
             });
         }
         assert_eq!((rep.lines_emitted(), snapshots), (1, 1));
-    }
-
-    #[test]
-    fn note_bypasses_the_rate_limit() {
-        let mut out = Vec::new();
-        let mut rep = OpsReporter::new(&mut out, Duration::from_secs(3600));
-        let t0 = Instant::now();
-        rep.tick_at(snap(1, 100), t0);
-        rep.note("retry 1/3: watchdog (backing off 50ms)");
-        rep.note("retry 2/3: watchdog (backing off 100ms)");
-        assert_eq!(rep.lines_emitted(), 1, "notes are not heartbeat lines");
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("retry 1/3"), "{text}");
-        assert!(text.contains("retry 2/3"), "{text}");
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Wall-clock self-profile of the telemetry layer and the run it
-//! observed.
+//! Wall-clock self-profile of one run or one fuzz campaign.
 //!
-//! Everything here measures *real* time and therefore never enters the
-//! event journal (which must stay byte-identical across same-seed
-//! runs). The CLI prints this block so users can see what observability
-//! itself cost: events recorded per wall-clock second and engine queue
-//! high-water marks.
+//! Everything here measures *real* time, so none of it enters the
+//! telemetry sink, whose bytes must stay identical across same-seed runs.
+//! A profile is plain data carried by whoever measured it — a run's
+//! `TestResults::profile`, a campaign's `FuzzOutcome::profile` — and holds
+//! only what no other mechanism owns: the wall clock, the engine queue's
+//! high-water mark and the per-worker campaign rows. The counts the CLI
+//! prints beside it are read from their owners (the journal, `EngineStats`,
+//! `FrameStats`).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -18,40 +20,45 @@ struct WorkerStats {
     wall_ns: u64,
 }
 
-/// Aggregated wall-clock accounting for one run.
-#[derive(Debug)]
+/// Wall-clock accounting for one run or one campaign.
+#[derive(Debug, Clone)]
 pub struct SelfProfile {
-    /// Journal events recorded (including later-evicted ones).
-    pub events_recorded: u64,
-    /// Engine event-queue high-water mark, reported by the engine.
+    /// Wall clock from [`SelfProfile::start`] to the last
+    /// [`SelfProfile::finish`]; 0 until then.
+    pub wall_ns: u64,
+    /// Engine event-queue high-water mark of the run.
     pub queue_depth_hwm: u64,
-    /// Simulation events dispatched, reported by the engine.
-    pub sim_events_dispatched: u64,
-    /// High-water mark of concurrently live frame buffers, reported by
-    /// the engine from the frame-plane ledger.
-    pub peak_live_frames: u64,
     started: Instant,
-    wall_ns: Option<u64>,
     workers: BTreeMap<u64, WorkerStats>,
-    campaign_wall_ns: Option<u64>,
 }
 
-impl Default for SelfProfile {
-    fn default() -> Self {
-        SelfProfile {
-            events_recorded: 0,
-            queue_depth_hwm: 0,
-            sim_events_dispatched: 0,
-            peak_live_frames: 0,
-            started: Instant::now(),
-            wall_ns: None,
-            workers: BTreeMap::new(),
-            campaign_wall_ns: None,
-        }
+/// `n` per second of `wall_ns`; 0 before any time has passed.
+fn per_sec(n: u64, wall_ns: u64) -> f64 {
+    let secs = wall_ns as f64 / 1e9;
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        0.0
     }
 }
 
 impl SelfProfile {
+    /// A profile whose wall clock starts now.
+    pub fn start() -> SelfProfile {
+        SelfProfile {
+            wall_ns: 0,
+            queue_depth_hwm: 0,
+            started: Instant::now(),
+            workers: BTreeMap::new(),
+        }
+    }
+
+    /// Stop the wall clock: [`SelfProfile::wall_ns`] becomes the time
+    /// since [`SelfProfile::start`].
+    pub fn finish(&mut self) {
+        self.wall_ns = self.started.elapsed().as_nanos() as u64;
+    }
+
     /// Fold one worker-thread stint (`runs` simulations over `wall_ns` of
     /// wall clock) into the per-worker totals.
     pub fn record_worker(&mut self, worker: u64, runs: u64, wall_ns: u64) {
@@ -65,85 +72,34 @@ impl SelfProfile {
         self.workers.get(&worker).map_or(0, |w| w.runs)
     }
 
-    /// Total simulations executed across all workers.
-    pub fn total_worker_runs(&self) -> u64 {
-        self.workers.values().map(|w| w.runs).sum()
-    }
-
-    /// Freeze the campaign's end-to-end wall clock (idempotent).
-    pub fn set_campaign_wall_ns(&mut self, wall_ns: u64) {
-        if self.campaign_wall_ns.is_none() {
-            self.campaign_wall_ns = Some(wall_ns);
-        }
-    }
-
-    /// Freeze the total wall-clock duration (idempotent; first call wins).
-    pub fn finish(&mut self) {
-        if self.wall_ns.is_none() {
-            self.wall_ns = Some(self.started.elapsed().as_nanos() as u64);
-        }
-    }
-
-    fn total_wall_ns(&self) -> u64 {
-        self.wall_ns
-            .unwrap_or_else(|| self.started.elapsed().as_nanos() as u64)
-    }
-
-    /// Render as JSON (wall-clock numbers; excluded from the journal).
-    pub fn to_json(&self) -> serde_json::Value {
-        let wall_ns = self.total_wall_ns();
-        let secs = wall_ns as f64 / 1e9;
+    /// The campaign view as JSON: `workers` (per-worker runs, wall clock
+    /// and rate; omitted when no worker ran) and `campaign` (the finished
+    /// wall clock, total runs and rate).
+    pub fn campaign_json(&self) -> serde_json::Value {
         let mut m = serde_json::Map::new();
-        m.insert("wall_ns", serde_json::Value::from(wall_ns));
-        m.insert("events_recorded", serde_json::Value::from(self.events_recorded));
-        m.insert(
-            "events_per_sec",
-            serde_json::Value::from(if secs > 0.0 {
-                self.events_recorded as f64 / secs
-            } else {
-                0.0
-            }),
-        );
-        m.insert(
-            "sim_events_dispatched",
-            serde_json::Value::from(self.sim_events_dispatched),
-        );
-        m.insert("queue_depth_hwm", serde_json::Value::from(self.queue_depth_hwm));
-        m.insert(
-            "peak_live_frames",
-            serde_json::Value::from(self.peak_live_frames),
-        );
         if !self.workers.is_empty() {
             let mut workers = serde_json::Map::new();
             for (id, w) in &self.workers {
-                let wsecs = w.wall_ns as f64 / 1e9;
                 let mut wj = serde_json::Map::new();
                 wj.insert("runs", serde_json::Value::from(w.runs));
                 wj.insert("wall_ns", serde_json::Value::from(w.wall_ns));
                 wj.insert(
                     "runs_per_sec",
-                    serde_json::Value::from(if wsecs > 0.0 {
-                        w.runs as f64 / wsecs
-                    } else {
-                        0.0
-                    }),
+                    serde_json::Value::from(per_sec(w.runs, w.wall_ns)),
                 );
                 workers.insert(id.to_string(), serde_json::Value::Object(wj));
             }
             m.insert("workers", serde_json::Value::Object(workers));
         }
-        if let Some(cw) = self.campaign_wall_ns {
-            let csecs = cw as f64 / 1e9;
-            let runs = self.total_worker_runs();
-            let mut cj = serde_json::Map::new();
-            cj.insert("wall_ns", serde_json::Value::from(cw));
-            cj.insert("runs", serde_json::Value::from(runs));
-            cj.insert(
-                "runs_per_sec",
-                serde_json::Value::from(if csecs > 0.0 { runs as f64 / csecs } else { 0.0 }),
-            );
-            m.insert("campaign", serde_json::Value::Object(cj));
-        }
+        let runs = self.workers.values().map(|w| w.runs).sum();
+        let mut cj = serde_json::Map::new();
+        cj.insert("wall_ns", serde_json::Value::from(self.wall_ns));
+        cj.insert("runs", serde_json::Value::from(runs));
+        cj.insert(
+            "runs_per_sec",
+            serde_json::Value::from(per_sec(runs, self.wall_ns)),
+        );
+        m.insert("campaign", serde_json::Value::Object(cj));
         serde_json::Value::Object(m)
     }
 }
@@ -154,28 +110,38 @@ mod tests {
 
     #[test]
     fn worker_and_campaign_stats_export() {
-        let mut p = SelfProfile::default();
+        let mut p = SelfProfile::start();
         p.record_worker(0, 5, 1_000_000_000);
         p.record_worker(0, 5, 1_000_000_000);
         p.record_worker(1, 3, 500_000_000);
-        p.set_campaign_wall_ns(2_000_000_000);
-        p.set_campaign_wall_ns(9); // idempotent: first call wins
+        p.wall_ns = 2_000_000_000;
         assert_eq!(p.worker_runs(0), 10);
-        assert_eq!(p.total_worker_runs(), 13);
-        let j = p.to_json();
+        let j = p.campaign_json();
         assert_eq!(j["workers"]["0"]["runs"], 10u64);
         assert_eq!(j["workers"]["0"]["runs_per_sec"].as_f64().unwrap(), 5.0);
         assert_eq!(j["workers"]["1"]["wall_ns"], 500_000_000u64);
         assert_eq!(j["campaign"]["wall_ns"], 2_000_000_000u64);
         assert_eq!(j["campaign"]["runs"], 13u64);
+        assert_eq!(j["campaign"]["runs_per_sec"].as_f64().unwrap(), 6.5);
+        // No worker ran: the campaign row alone.
+        let keys: Vec<String> = SelfProfile::start()
+            .campaign_json()
+            .as_object()
+            .unwrap()
+            .keys()
+            .cloned()
+            .collect();
+        assert_eq!(keys, ["campaign"]);
     }
 
     #[test]
     fn finish_freezes_wall_clock() {
-        let mut p = SelfProfile::default();
+        let mut p = SelfProfile::start();
+        assert_eq!(p.wall_ns, 0, "nothing is read before finish");
         p.finish();
-        let a = p.to_json()["wall_ns"].clone();
-        let b = p.to_json()["wall_ns"].clone();
+        let a = p.campaign_json()["campaign"]["wall_ns"].clone();
+        let b = p.campaign_json()["campaign"]["wall_ns"].clone();
         assert_eq!(a, b);
+        assert_eq!(a, p.wall_ns);
     }
 }

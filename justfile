@@ -14,7 +14,9 @@ check:
 # here); then the live smokes through the CLI (`trace` with Perfetto
 # export, `fuzz-coverage` with corpus persistence, `matrix`, `ingest`,
 # `soak`); lint with warnings fatal, which is also what keeps `unwrap` /
-# `expect` / indexing out of the modules that deny them.
+# `expect` / indexing out of the modules that deny them; then the docs with
+# warnings fatal (`doc`), which is what catches an intra-doc link to an item
+# that was deleted or made private.
 # The workspace tests run the dev profile, so the byte-level suites run once
 # more under `--release`: the binary users run (fat LTO, one codegen unit)
 # against the report goldens, the CLI goldens and the per-slot panic
@@ -39,6 +41,11 @@ ci:
     just ingest
     just soak
     cargo clippy -- -D warnings
+    just doc
+
+# The product crates' API docs, warnings fatal (≈ 3 s).
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p lumina-packet -p lumina-sim -p lumina-telemetry -p lumina-rnic -p lumina-switch -p lumina-dumper -p lumina-gen -p lumina-core
 
 # The release-profile pass of the byte-level suites (see `ci`).
 release-bytes:

@@ -212,12 +212,18 @@ mod parse {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Take the full UTF-8 scalar starting here.
-                    let rest = std::str::from_utf8(&b[*pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    // The run up to the next quote or backslash, validated
+                    // as one slice so a parse stays linear in the document;
+                    // both bytes are ASCII, so the run ends on a scalar
+                    // boundary.
+                    let start = *pos;
+                    while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+                        *pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&b[start..*pos])
+                            .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
+                    );
                 }
             }
         }
@@ -298,8 +304,9 @@ mod tests {
 
     #[test]
     fn parses_escapes_and_numbers() {
-        let v: Value = from_str(r#"{"s": "a\nbA", "n": -3, "f": 1.5}"#).unwrap();
+        let v: Value = from_str(r#"{"s": "a\nbA", "u": "é→\"x", "n": -3, "f": 1.5}"#).unwrap();
         assert_eq!(v["s"], "a\nbA");
+        assert_eq!(v["u"], "é→\"x");
         assert_eq!(v["n"], -3i64);
         assert_eq!(v["f"], 1.5);
     }

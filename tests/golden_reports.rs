@@ -137,23 +137,26 @@ fn frame_ledger_and_event_count_are_pinned() {
     // scheduled either leaves every one of them where it was or shows up
     // here. Recorded on the tree before the one-allocation wire buffer;
     // the timer / delivery split and the journal length on the tree before
-    // the RNIC's QP table.
+    // the RNIC's QP table; the queue high-water mark on the tree before the
+    // self-profile left the telemetry sink.
     let pinned = [
         (
             "listing2",
             [470, 462_284, 476_820, 235, 1_114_998, 17],
             [1_177, 474, 703],
             258,
+            38,
         ),
         (
             "fig11_noisy_neighbor",
             [18_530, 19_117_460, 19_729_662, 9_265, 43_201_106, 72],
             [53_816, 26_033, 27_783],
             9_791,
+            3_025,
         ),
     ];
     let corpus = corpus();
-    for (name, ledger, engine, journal_events) in pinned {
+    for (name, ledger, engine, journal_events, queue_depth_hwm) in pinned {
         let (_, cfg) = corpus.iter().find(|(n, _)| n == name).expect(name);
         let res = run_test(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let fs = res.frame_stats;
@@ -173,6 +176,10 @@ fn frame_ledger_and_event_count_are_pinned() {
             "{name}: event counts moved"
         );
         assert_eq!(res.telemetry.journal_len(), journal_events, "{name}: journal length moved");
+        assert_eq!(
+            res.profile.queue_depth_hwm, queue_depth_hwm,
+            "{name}: queue high-water mark moved"
+        );
     }
 }
 
@@ -231,12 +238,14 @@ fn packet_dense_yaml(seed: u64) -> String {
 fn many_qp_scheduling_counts_are_pinned() {
     // 256 rate-limited QPs share one port: which QP the scheduler serves
     // next, and when each rate timer re-arms the transmit wheel, decide
-    // every count below. Recorded on the tree before the RNIC's QP table.
+    // every count below. Recorded on the tree before the RNIC's QP table;
+    // the queue high-water mark on the tree before the self-profile left
+    // the telemetry sink.
     let pinned = [
-        (1, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_316_116),
-        (7, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_315_048),
+        (1, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_316_116, 1_086),
+        (7, [467_969, 459_521, 8_448], [2_048, 256, 0], [768, 0, 256], 97_315_048, 1_087),
     ];
-    for (seed, engine, requester, responder, end_time_ns) in pinned {
+    for (seed, engine, requester, responder, end_time_ns, queue_depth_hwm) in pinned {
         let cfg = TestConfig::from_yaml(&many_qp_yaml(seed)).expect("many-QP config parses");
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let es = res.engine_stats;
@@ -249,6 +258,10 @@ fn many_qp_scheduling_counts_are_pinned() {
         assert_eq!(host(&res.requester_counters), requester, "seed {seed}: requester");
         assert_eq!(host(&res.responder_counters), responder, "seed {seed}: responder");
         assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
+        assert_eq!(
+            res.profile.queue_depth_hwm, queue_depth_hwm,
+            "seed {seed}: queue high-water mark moved"
+        );
     }
 }
 
@@ -258,7 +271,8 @@ fn packet_dense_counts_are_pinned() {
     // with Go-back-N recovery on four connections and CNPs on four: the
     // event count, the frame ledger, what was retransmitted and when the
     // run ended are all decided by the order events pop in. Recorded on
-    // the tree before the wheel's slab.
+    // the tree before the wheel's slab; the queue high-water mark on the
+    // tree before the self-profile left the telemetry sink.
     let pinned = [
         (
             1,
@@ -266,6 +280,7 @@ fn packet_dense_counts_are_pinned() {
             [65_872, 71_000_256, 73_294_272, 32_936, 172_480_864, 45],
             32,
             69_862_954,
+            170,
         ),
         (
             7,
@@ -273,9 +288,10 @@ fn packet_dense_counts_are_pinned() {
             [65_872, 71_000_256, 73_294_272, 32_936, 172_480_864, 44],
             32,
             69_873_106,
+            170,
         ),
     ];
-    for (seed, engine, ledger, retransmitted, end_time_ns) in pinned {
+    for (seed, engine, ledger, retransmitted, end_time_ns, queue_depth_hwm) in pinned {
         let cfg = TestConfig::from_yaml(&packet_dense_yaml(seed)).expect("packet-dense config parses");
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let es = res.engine_stats;
@@ -299,6 +315,10 @@ fn packet_dense_counts_are_pinned() {
             "seed {seed}: retransmissions moved"
         );
         assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
+        assert_eq!(
+            res.profile.queue_depth_hwm, queue_depth_hwm,
+            "seed {seed}: queue high-water mark moved"
+        );
     }
 }
 
