@@ -19,7 +19,13 @@
 //!   untrustworthy (mirror loss, displaced packets, receiver-side ICRC
 //!   drops invisible to the mirror), the affected checks are skipped and
 //!   the report says so instead of guessing.
+//!
+//! It is also a run's one RC replay: in known-connections mode it feeds the
+//! Go-back-N view ([`super::gbn_fsm`]), whose expected PSN, last delivered
+//! PSN, sender frontier and NACK-PSN comparison are the replay's own.
+//! `GbnView` keeps only what its rules add.
 
+use super::gbn_fsm::{ConnGbnReport, GbnReport};
 use super::Routes;
 use crate::orchestrator::TestResults;
 use crate::report::{line, note};
@@ -291,6 +297,9 @@ struct ConnState {
     loss_overflow: bool,
     /// One past the highest response PSN any read request asked for.
     read_frontier: Option<u32>,
+    /// The Go-back-N view of this replay; `None` in discovery mode, whose
+    /// memory stays bounded whatever a capture holds.
+    gbn: Option<Box<GbnView>>,
 }
 
 /// Replay the RC reference FSM over a complete trace and report every
@@ -301,9 +310,138 @@ struct ConnState {
 /// [`ConformanceStream`] in known-connections mode; the streaming form
 /// exists for chunked ingestion of captures too large to hold at once.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> ConformanceReport {
+    replay(trace, conns, opts).0
+}
+
+/// The one RC replay of a traced run: [`analyze`]'s report and the
+/// Go-back-N view of the same pass.
+pub(crate) fn replay(
+    trace: &Trace,
+    conns: &[ConnMeta],
+    opts: &ConformanceOpts,
+) -> (ConformanceReport, GbnReport) {
     let mut stream = ConformanceStream::new(conns, opts);
     stream.observe_trace(trace);
-    stream.finish()
+    stream.finish_with_gbn()
+}
+
+/// The Go-back-N view's own state (§4): what its rules keep beyond the
+/// shared replay, which calls it with the shared state as it stood before
+/// each packet. Known-connections mode only. Each field differs from the
+/// oracle's nearest one on purpose (DESIGN.md §7).
+#[derive(Default)]
+struct GbnView {
+    rep: ConnGbnReport,
+    /// The receiver is inside an out-of-sequence episode…
+    in_episode: bool,
+    /// …and has NACKed (or re-requested) it.
+    nacked: bool,
+    /// The last NACKed PSN, consumed by the first data packet at or below
+    /// the frontier (the oracle consumes its own at a PSN step-down).
+    pending_nack: Option<u32>,
+    /// The last positive ACK's PSN (the oracle keeps the highest).
+    last_ack: Option<u32>,
+}
+
+impl GbnView {
+    fn of(index: u32) -> GbnView {
+        let mut view = GbnView::default();
+        view.rep.index = index;
+        view
+    }
+
+    /// A delay/reorder event on the data key: mirror order is not arrival
+    /// order, what was replayed so far is void, and nothing more is.
+    fn displace(&mut self) {
+        *self = GbnView::of(self.rep.index);
+        self.rep.displaced = true;
+    }
+
+    /// The view, unless there is none or it was displaced.
+    fn live(view: &mut Option<Box<GbnView>>) -> Option<&mut GbnView> {
+        view.as_deref_mut().filter(|v| !v.rep.displaced)
+    }
+
+    fn flag(&mut self, what: std::fmt::Arguments) {
+        let conn = self.rep.index;
+        self.rep.violations.push(format!("conn {conn}: {what}"));
+    }
+
+    /// A data packet; `last` is the last PSN delivered before it, and
+    /// `arrived` its distance from the expected PSN, if it was delivered.
+    fn data(&mut self, psn: u32, frontier: Option<u32>, last: Option<u32>, arrived: Option<i32>) {
+        // A retransmission round must start exactly at the NACKed PSN
+        // (Go-back-N, not selective repeat).
+        if frontier.is_some_and(|m| psn_distance(m, psn) <= 0) {
+            if let Some(nack) = self.pending_nack.take().filter(|&n| n != psn) {
+                self.flag(format_args!(
+                    "retransmission round started at PSN {psn} but the NACK asked for {nack}"
+                ));
+            }
+        }
+        let Some(distance) = arrived else { return };
+        // A new-round arrival ends the episode (a dropped retransmission
+        // legitimately draws a fresh NACK), and so does the expected packet.
+        if distance == 0 || last.is_some_and(|l| psn_distance(l, psn) <= 0) {
+            self.in_episode = false;
+            self.nacked = false;
+        }
+        if distance == 0 {
+            self.rep.in_order += 1;
+        } else if distance > 0 && !self.in_episode {
+            self.in_episode = true;
+            self.rep.ooo_episodes += 1;
+        }
+    }
+
+    /// A sequence-error NACK; `mismatch` when it names a PSN other than
+    /// `expected`.
+    fn nack(&mut self, psn: u32, expected: u32, mismatch: bool) {
+        self.rep.nacks += 1;
+        if !self.in_episode {
+            self.flag(format_args!(
+                "NACK (PSN {psn}) without an out-of-sequence episode"
+            ));
+        } else if self.nacked {
+            self.flag(format_args!("second NACK (PSN {psn}) within one episode"));
+        }
+        if mismatch {
+            self.flag(format_args!(
+                "NACK carries PSN {psn} but the receiver expected {expected}"
+            ));
+        }
+        self.nacked = true;
+        self.pending_nack = Some(psn);
+    }
+
+    fn ack(&mut self, psn: u32) {
+        self.rep.acks += 1;
+        if let Some(prev) = self.last_ack.filter(|&p| psn_distance(p, psn) < 0) {
+            self.flag(format_args!("ACK PSN regressed from {prev} to {psn}"));
+        }
+        self.last_ack = Some(psn);
+    }
+
+    /// A read request: a re-issued one inside an episode acts as the NACK;
+    /// the first request of each message is not one.
+    fn read_request(&mut self, psn: u32, expected: u32) {
+        if !self.in_episode {
+            return;
+        }
+        self.rep.nacks += 1;
+        if self.nacked {
+            self.flag(format_args!(
+                "second re-issued read request within one episode"
+            ));
+        }
+        if psn_distance(expected, psn) != 0 {
+            self.flag(format_args!(
+                "re-issued read request PSN {psn} but expected {expected}"
+            ));
+        }
+        self.nacked = true;
+        self.pending_nack = Some(psn);
+    }
 }
 
 /// Violations and partial-evidence flags buffered per connection until
@@ -378,12 +516,15 @@ impl ConnTracker {
         (self.meta.reverse_qpn(), known)
     }
 
-    fn claims_data(&self, f: &RoceFrame) -> bool {
+    /// Does `f` travel the data direction's key, whatever its opcode?
+    fn on_data_key(&self, f: &RoceFrame) -> bool {
         let key = self.meta.data_conn_key();
+        f.ipv4.src == key.src_ip && f.ipv4.dst == key.dst_ip && f.bth.dest_qp == key.dst_qpn
+    }
+
+    fn claims_data(&self, f: &RoceFrame) -> bool {
         self.data_qpn_known()
-            && f.ipv4.src == key.src_ip
-            && f.ipv4.dst == key.dst_ip
-            && f.bth.dest_qp == key.dst_qpn
+            && self.on_data_key(f)
             && f.bth.opcode.is_data()
             && (self.is_read() == f.bth.opcode.is_read_response())
     }
@@ -492,7 +633,11 @@ impl ConformanceStream {
             opts: opts.clone(),
             trackers: conns
                 .iter()
-                .map(|m| ConnTracker::new(*m, true, true))
+                .map(|m| {
+                    let mut t = ConnTracker::new(*m, true, true);
+                    t.st.gbn = Some(Box::new(GbnView::of(m.index)));
+                    t
+                })
                 .collect(),
             routes: Routes::of(conns),
             discovery: false,
@@ -569,6 +714,10 @@ impl ConformanceStream {
             for t in &mut self.trackers {
                 if t.touched_by(f) {
                     t.displaced = true;
+                    // The Go-back-N view is displaced by its data key only.
+                    if let (true, Some(gbn)) = (t.on_data_key(f), t.st.gbn.as_deref_mut()) {
+                        gbn.displace();
+                    }
                 }
             }
         }
@@ -778,6 +927,13 @@ impl ConformanceStream {
     /// Close the stream and produce the report. In known-connections mode
     /// this is identical to [`analyze`] over the concatenated chunks.
     pub fn finish(self) -> ConformanceReport {
+        self.finish_with_gbn().0
+    }
+
+    /// [`Self::finish`], and the Go-back-N view of the same replay (no
+    /// connection in discovery mode, which keeps none).
+    pub(crate) fn finish_with_gbn(self) -> (ConformanceReport, GbnReport) {
+        let mut gbn = GbnReport::default();
         let mut report = ConformanceReport {
             compliant: true,
             partial: self.opts.degraded || self.opts.external_loss,
@@ -801,6 +957,7 @@ impl ConformanceStream {
         };
 
         for t in self.trackers {
+            gbn.per_conn.extend(t.st.gbn.map(|view| view.rep));
             if t.displaced {
                 report.skipped_displaced += 1;
                 report.partial = true;
@@ -897,7 +1054,7 @@ impl ConformanceStream {
         }
 
         report.compliant = report.violations.is_empty();
-        report
+        (report, gbn)
     }
 }
 
@@ -934,8 +1091,9 @@ fn data_packet(
             let nack = st.last_nack.take();
             let reread = st.pending_reread.take();
             let justified_by_loss = st.loss_psns.iter().any(|&l| psn_distance(psn, l) >= 0);
-            // A NACK's resume-point correctness is the Go-back-N
-            // analyzer's job; here any NACK/re-request justifies a round.
+            // Whether the round resumes at the NACKed PSN is the Go-back-N
+            // view's rule (`GbnView`, fed by this replay); here any NACK or
+            // re-request justifies a round.
             let justified = nack.is_some() || reread.is_some() || justified_by_loss;
             // Receiver-side ICRC drops, degraded mirrors and chaos-plane
             // losses hide real drops: skip rather than guess.
@@ -972,7 +1130,8 @@ fn data_packet(
         }
     }
     st.prev_data = Some(psn);
-    if st.max_sent.is_none_or(|m| psn_distance(m, psn) > 0) {
+    let frontier = st.max_sent;
+    if frontier.is_none_or(|m| psn_distance(m, psn) > 0) {
         st.max_sent = Some(psn);
     }
 
@@ -982,10 +1141,14 @@ fn data_packet(
     }
 
     // ---- Receiver view ----
+    let distance = psn_distance(st.expected, psn);
+    let arrived = (!lost).then_some(distance);
+    if let Some(gbn) = GbnView::live(&mut st.gbn) {
+        gbn.data(psn, frontier, st.last_delivered, arrived);
+    }
     if !lost {
         st.last_delivered = Some(psn);
-        let d = psn_distance(st.expected, psn);
-        if d == 0 {
+        if distance == 0 {
             st.expected = psn_add(psn, 1);
             // A write/send message boundary that arrives in order owes
             // the sender an ACK.
@@ -997,7 +1160,7 @@ fn data_packet(
                 }
             }
         }
-        // d > 0: out-of-sequence gap; d < 0: stale duplicate. Neither
+        // distance > 0: out-of-sequence gap; < 0: stale duplicate. Neither
         // moves the expected pointer.
     }
 }
@@ -1021,10 +1184,11 @@ fn reverse_packet(
             return;
         };
         if aeth.syndrome.is_seq_err_nak() {
+            let mismatch = psn_distance(st.expected, psn) != 0;
             // Chaos-destroyed frames desync the mirror's expected pointer
             // from the receiver's (a drop after the mirror tap advances one
             // but not the other), so this check is void under external loss.
-            if psn_distance(st.expected, psn) != 0 && !opts.degraded && !opts.external_loss {
+            if mismatch && !opts.degraded && !opts.external_loss {
                 sink.push(Violation {
                     class: ViolationClass::NackPsnMismatch,
                     conn: Some(meta.index),
@@ -1037,14 +1201,14 @@ fn reverse_packet(
             }
             st.last_nack = Some(psn);
             track_msn(aeth.msn, psn, meta, st, sink, opts);
+            if let Some(gbn) = GbnView::live(&mut st.gbn) {
+                gbn.nack(psn, st.expected, mismatch);
+            }
         } else if aeth.syndrome.is_nak() {
             // Other NAK codes are out of the oracle's scope.
         } else {
             // Positive ACK.
-            let beyond_sent = match st.max_sent {
-                Some(m) => psn_distance(m, psn) > 0,
-                None => true,
-            };
+            let beyond_sent = st.max_sent.is_none_or(|m| psn_distance(m, psn) > 0);
             if beyond_sent && !opts.degraded {
                 sink.push(Violation {
                     class: ViolationClass::AckPsnInvalid,
@@ -1061,15 +1225,12 @@ fn reverse_packet(
             // Every ACK-due boundary at or below this ACK's PSN is
             // covered by it; a compliant responder acknowledges each
             // boundary individually.
-            let mut covered = 0usize;
-            while let Some(&front) = st.pending_acks.front() {
-                if psn_distance(front, psn) >= 0 {
-                    st.pending_acks.pop_front();
-                    covered += 1;
-                } else {
-                    break;
-                }
-            }
+            let covered = st
+                .pending_acks
+                .iter()
+                .take_while(|&&due| psn_distance(due, psn) >= 0)
+                .count();
+            st.pending_acks.drain(..covered);
             if covered > 1 && !st.pending_overflow && !opts.degraded && !opts.external_loss {
                 sink.push(Violation {
                     class: ViolationClass::AckCoalescing,
@@ -1083,6 +1244,9 @@ fn reverse_packet(
             }
             if st.last_ack.is_none_or(|a| psn_distance(a, psn) > 0) {
                 st.last_ack = Some(psn);
+            }
+            if let Some(gbn) = GbnView::live(&mut st.gbn) {
+                gbn.ack(psn);
             }
         }
     } else if is_read && f.bth.opcode == Opcode::RdmaReadRequest {
@@ -1101,6 +1265,9 @@ fn reverse_packet(
         let end = psn_add(psn, npkts);
         if st.read_frontier.is_none_or(|fr| psn_distance(fr, end) > 0) {
             st.read_frontier = Some(end);
+        }
+        if let Some(gbn) = GbnView::live(&mut st.gbn) {
+            gbn.read_request(psn, st.expected);
         }
     }
 }

@@ -1,9 +1,12 @@
-//! Go-back-N retransmission-logic analyzer (§4, "Retransmission logic").
+//! Go-back-N retransmission-logic analyzer (§4, "Retransmission logic"),
+//! a view of the conformance oracle's replay.
 //!
-//! The Go-back-N specification is represented as a state machine executed
-//! over the reconstructed trace: the analyzer replays what the *receiver*
-//! of data packets saw (a packet mirrored with a `drop` or `corrupt` event
-//! never reached it) and validates that
+//! The Go-back-N specification is one state machine executed over the
+//! reconstructed trace: the RC replay of [`super::conformance`], which keeps
+//! the receiver's expected PSN, the last PSN it accepted, the sender frontier
+//! and the NACK-PSN comparison, and hands each packet to this view. The view
+//! replays what the *receiver* of data packets saw (a `drop` or `corrupt`
+//! packet never reached it) and validates that
 //!
 //! * a sequence-error NACK is generated exactly when an out-of-order
 //!   packet arrives, carries the receiver's expected PSN, and is not
@@ -12,15 +15,12 @@
 //!   PSN (Go-back-N, not selective repeat);
 //! * positive ACK PSNs never regress.
 //!
-//! For Read traffic the "NACK" is the re-issued read request (§6.1) and
-//! the same rules apply to its PSN.
+//! For Read traffic the "NACK" is the re-issued read request (§6.1). DESIGN.md
+//! §7 lists where these rules and the oracle's classes agree and differ.
 
-use super::ConnIndex;
+use super::conformance::{self, ConformanceOpts};
 use crate::translate::ConnMeta;
-use lumina_dumper::{Trace, TraceEntry};
-use lumina_packet::bth::psn_distance;
-use lumina_packet::opcode::Opcode;
-use lumina_switch::events::EventType;
+use lumina_dumper::Trace;
 use serde::{Deserialize, Serialize};
 
 /// Per-connection compliance report.
@@ -67,181 +67,11 @@ impl GbnReport {
     }
 }
 
-/// Run the FSM over a trace.
+/// Run the FSM over a trace: a replay of its own, read through this view
+/// (the oracle's options do not change what the view sees). A run's report
+/// takes the view from the replay that grades it instead.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> GbnReport {
-    analyze_routed(&ConnIndex::build(trace, conns), conns)
-}
-
-/// [`analyze`] over a trace already split by connection (`index` was built
-/// from `conns`).
-pub(crate) fn analyze_routed(index: &ConnIndex<'_>, conns: &[ConnMeta]) -> GbnReport {
-    let mut report = GbnReport::default();
-    for (conn, meta) in conns.iter().enumerate() {
-        report
-            .per_conn
-            .push(analyze_conn(index.of_conn(conn), meta));
-    }
-    report
-}
-
-/// `entries` holds, in trace order, at least every entry of the connection
-/// (either direction); whatever else it holds is told apart here.
-fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta) -> ConnGbnReport {
-    let mut rep = ConnGbnReport {
-        index: meta.index,
-        ..Default::default()
-    };
-    let data_key = meta.data_conn_key();
-    let reverse_qpn = meta.reverse_qpn();
-    let is_read = meta.verb.data_from_responder();
-
-    // Receiver simulation state.
-    let mut expected: u32 = meta.data_psn(1);
-    let mut in_episode = false;
-    let mut nack_sent_in_episode = false;
-    let mut last_delivered_psn: Option<u32> = None;
-    // Sender-side check state.
-    let mut last_nack_psn: Option<u32> = None;
-    let mut max_data_psn_seen: Option<u32> = None;
-    let mut last_ack_psn: Option<u32> = None;
-
-    for e in entries {
-        let f = &e.frame;
-        let on_data_key = f.ipv4.src == data_key.src_ip
-            && f.ipv4.dst == data_key.dst_ip
-            && f.bth.dest_qp == data_key.dst_qpn;
-        // Displacement events make ingress order diverge from arrival
-        // order; the FSM cannot be replayed from the trace (§7-extension
-        // events), and what it replayed up to here is void.
-        if on_data_key && matches!(e.event, EventType::Delay | EventType::Reorder) {
-            return ConnGbnReport {
-                index: meta.index,
-                displaced: true,
-                ..Default::default()
-            };
-        }
-        let is_data_of_conn = on_data_key
-            && f.bth.opcode.is_data()
-            && if is_read {
-                f.bth.opcode.is_read_response()
-            } else {
-                !f.bth.opcode.is_read_response()
-            };
-        // Control packets of interest flow opposite to the data, toward
-        // the data sender's QPN.
-        let is_reverse_of_conn = f.ipv4.src == data_key.dst_ip
-            && f.ipv4.dst == data_key.src_ip
-            && f.bth.dest_qp == reverse_qpn;
-
-        if is_data_of_conn {
-            // Go-back-N resumption check: a retransmission round must
-            // start exactly at the NACKed PSN.
-            if let Some(maxp) = max_data_psn_seen {
-                if psn_distance(maxp, f.bth.psn) <= 0 {
-                    // New round (mirrors the injector's ITER rule).
-                    if let Some(nack_psn) = last_nack_psn.take() {
-                        if f.bth.psn != nack_psn {
-                            rep.violations.push(format!(
-                                "conn {}: retransmission round started at PSN {} but the NACK asked for {}",
-                                meta.index, f.bth.psn, nack_psn
-                            ));
-                        }
-                    }
-                }
-            }
-            if max_data_psn_seen.is_none_or(|m| psn_distance(m, f.bth.psn) > 0) {
-                max_data_psn_seen = Some(f.bth.psn);
-            }
-
-            // Receiver view: dropped/corrupted packets never arrive.
-            let delivered = !matches!(e.event, EventType::Drop | EventType::Corrupt);
-            if delivered {
-                // New-round arrival (PSN not larger than the previous
-                // delivered one) ends the current OOO episode: a dropped
-                // retransmission legitimately draws a fresh NACK.
-                if let Some(last) = last_delivered_psn {
-                    if psn_distance(last, f.bth.psn) <= 0 {
-                        in_episode = false;
-                        nack_sent_in_episode = false;
-                    }
-                }
-                last_delivered_psn = Some(f.bth.psn);
-                let d = psn_distance(expected, f.bth.psn);
-                if d == 0 {
-                    expected = lumina_packet::bth::psn_add(expected, 1);
-                    rep.in_order += 1;
-                    in_episode = false;
-                    nack_sent_in_episode = false;
-                } else if d > 0 && !in_episode {
-                    in_episode = true;
-                    rep.ooo_episodes += 1;
-                }
-                // d < 0: duplicate, no state change.
-            }
-        } else if is_reverse_of_conn {
-            if !is_read && f.bth.opcode == Opcode::Acknowledge {
-                if let Some(aeth) = f.ext.aeth {
-                    if aeth.syndrome.is_seq_err_nak() {
-                        rep.nacks += 1;
-                        if !in_episode {
-                            rep.violations.push(format!(
-                                "conn {}: NACK (PSN {}) without an out-of-sequence episode",
-                                meta.index, f.bth.psn
-                            ));
-                        } else if nack_sent_in_episode {
-                            rep.violations.push(format!(
-                                "conn {}: second NACK (PSN {}) within one episode",
-                                meta.index, f.bth.psn
-                            ));
-                        }
-                        if f.bth.psn != expected {
-                            rep.violations.push(format!(
-                                "conn {}: NACK carries PSN {} but the receiver expected {}",
-                                meta.index, f.bth.psn, expected
-                            ));
-                        }
-                        nack_sent_in_episode = true;
-                        last_nack_psn = Some(f.bth.psn);
-                    } else if aeth.syndrome.is_nak() {
-                        // Other NAK codes are out of scope.
-                    } else {
-                        rep.acks += 1;
-                        if let Some(prev) = last_ack_psn {
-                            if psn_distance(prev, f.bth.psn) < 0 {
-                                rep.violations.push(format!(
-                                    "conn {}: ACK PSN regressed from {} to {}",
-                                    meta.index, prev, f.bth.psn
-                                ));
-                            }
-                        }
-                        last_ack_psn = Some(f.bth.psn);
-                    }
-                }
-            } else if is_read && f.bth.opcode == Opcode::RdmaReadRequest {
-                // A re-issued read request inside an episode acts as the
-                // NACK; the first request of each message is not.
-                let d = psn_distance(expected, f.bth.psn);
-                if in_episode {
-                    rep.nacks += 1;
-                    if nack_sent_in_episode {
-                        rep.violations.push(format!(
-                            "conn {}: second re-issued read request within one episode",
-                            meta.index
-                        ));
-                    }
-                    if d != 0 {
-                        rep.violations.push(format!(
-                            "conn {}: re-issued read request PSN {} but expected {}",
-                            meta.index, f.bth.psn, expected
-                        ));
-                    }
-                    nack_sent_in_episode = true;
-                    last_nack_psn = Some(f.bth.psn);
-                }
-            }
-        }
-    }
-    rep
+    conformance::replay(trace, conns, &ConformanceOpts::default()).1
 }
 
 #[cfg(test)]

@@ -62,8 +62,9 @@ pub(crate) enum RouteMode {
     #[default]
     Routed,
     /// Every connection owns every packet: the walk over all connections
-    /// the analyzers made before there were routes, kept as the reference
-    /// the routed reports are compared against.
+    /// `retrans_perf` and the replay (the oracle and its Go-back-N view)
+    /// made before there were routes, kept as the reference the routed
+    /// reports are compared against.
     FullWalk,
     /// A connection keeps the keys it was first added with — what forgetting
     /// to re-route a connection when discovery binds its second QPN does.
@@ -146,9 +147,9 @@ impl Routes {
 }
 
 /// A trace split by connection in one pass: for each connection, in trace
-/// order, the entries [`Routes`] gives it. Built once per report and read by
-/// every per-connection analyzer, which then visits its own packets and not
-/// the whole trace once per connection.
+/// order, the entries [`Routes`] gives it. `retrans_perf` reads it, and so
+/// visits each connection's own packets and not the whole trace once per
+/// connection. (The RC replay routes packet by packet as it streams.)
 pub(crate) struct ConnIndex<'t> {
     per_conn: Vec<Vec<&'t TraceEntry>>,
 }

@@ -1,16 +1,22 @@
 //! The routed analyzers against the walk they replaced. Under
 //! [`RouteMode::FullWalk`] every connection owns every packet, which is what
-//! `gbn_fsm`, `retrans_perf` and the conformance oracle read before there
-//! were routes: each asked every connection about every packet. Their
+//! `retrans_perf` and the RC replay (the conformance oracle and its
+//! Go-back-N view) read before there were routes: each asked every
+//! connection about every packet. Their
 //! reports must serialize to the same bytes either way — on every preset in
 //! `configs/`, on random traces built to collide (connections sharing an IP
 //! pair, one QPN on both hosts, one key with two owners, a displaced
 //! connection, packets nobody owns), in known-connections mode and in
 //! discovery mode, where the routes change as QPNs are learnt.
+//!
+//! The same inputs pin the two public replays, `gbn_fsm::analyze` and
+//! `conformance::analyze`, to FNV-64 constants, and check the one rule the
+//! two views share: a sequence-error NACK names the receiver's expected PSN.
 
-use super::conformance::{ConformanceOpts, ConformanceStream};
-use super::{gbn_fsm, retrans_perf, ConnIndex, RouteMode, Routes};
+use super::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream, ViolationClass};
+use super::{gbn_fsm, retrans_perf, ConnIndex, GbnReport, RouteMode, Routes};
 use crate::config::TestConfig;
+use crate::fuzz::mutate::{EventMutator, Mutator};
 use crate::orchestrator::run_test;
 use crate::translate::ConnMeta;
 use lumina_dumper::{Trace, TraceEntry};
@@ -21,17 +27,39 @@ use lumina_packet::reth::Reth;
 use lumina_packet::RoceFrame;
 use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
-use lumina_sim::SimTime;
+use lumina_sim::{SimRng, SimTime};
 use lumina_switch::events::EventType;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use std::path::PathBuf;
+use std::sync::LazyLock;
 
 fn json<T: serde::Serialize>(report: &T) -> String {
     serde_json::to_string(report).unwrap()
 }
 
+/// Every preset in `configs/`, in path order.
+fn presets() -> Vec<(PathBuf, TestConfig)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("configs/ exists")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("yaml"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let cfg = TestConfig::from_yaml(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path, cfg)
+        })
+        .collect()
+}
+
 /// `[gbn_fsm, retrans_perf, conformance with the roster, conformance in
-/// discovery]` over `trace`, serialized, with the routes in `mode`.
+/// discovery]` over `trace`, serialized, with the routes in `mode` (the
+/// first and third from one replay).
 fn reports(
     mode: RouteMode,
     trace: &Trace,
@@ -44,26 +72,20 @@ fn reports(
     let mut discovered =
         ConformanceStream::discovering(opts).with_routes(Routes::in_mode(mode, &[]));
     discovered.observe_trace(trace);
+    let (conformance, gbn) = known.finish_with_gbn();
     [
-        json(&gbn_fsm::analyze_routed(&index, conns)),
+        json(&gbn),
         json(&retrans_perf::analyze_routed(&index, conns)),
-        json(&known.finish()),
+        json(&conformance),
         json(&discovered.finish()),
     ]
 }
 
 #[test]
 fn every_preset_reports_the_same_routed_and_walked() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
     let mut traced = 0;
-    for entry in std::fs::read_dir(dir).expect("configs/ exists") {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("yaml") {
-            continue;
-        }
+    for (path, cfg) in presets() {
         let name = path.display();
-        let cfg = TestConfig::from_yaml(&std::fs::read_to_string(&path).unwrap())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let Some(trace) = &res.trace else { continue };
         traced += 1;
@@ -323,4 +345,202 @@ traffic:
     let forgetful = reports(RouteMode::NoRebind, trace, &res.conns, &opts);
     assert_eq!(forgetful[..3], walked[..3], "only discovery binds");
     assert_ne!(forgetful[3], walked[3]);
+}
+
+/// One pinned input: the two public reports over it, and what the
+/// differential needs to know about it.
+struct Pinned {
+    gbn: GbnReport,
+    conformance: ConformanceReport,
+    /// The Go-back-N view of the replay that graded the input with its own
+    /// options (what a run's report shows).
+    graded_gbn: GbnReport,
+    conns: Vec<ConnMeta>,
+    /// The oracle's NACK check runs: the trace is neither degraded nor
+    /// chaos-lossy.
+    gate_open: bool,
+    /// Per connection: a delay or reorder event on either of its keys, the
+    /// oracle's displacement rule (gbn's looks at the data key only).
+    displaced: Vec<bool>,
+}
+
+fn pinned(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Pinned {
+    let displacing: Vec<&RoceFrame> = trace
+        .iter()
+        .filter(|e| matches!(e.event, EventType::Delay | EventType::Reorder))
+        .map(|e| &e.frame)
+        .collect();
+    let displaced = conns
+        .iter()
+        .map(|meta| {
+            let key = meta.data_conn_key();
+            displacing.iter().any(|f| {
+                let on = (f.ipv4.src, f.ipv4.dst, f.bth.dest_qp);
+                on == (key.src_ip, key.dst_ip, key.dst_qpn)
+                    || on == (key.dst_ip, key.src_ip, meta.reverse_qpn())
+            })
+        })
+        .collect();
+    Pinned {
+        gbn: gbn_fsm::analyze(trace, conns),
+        conformance: super::conformance::analyze(trace, conns, opts),
+        graded_gbn: super::conformance::replay(trace, conns, opts).1,
+        conns: conns.to_vec(),
+        gate_open: !opts.degraded && !opts.external_loss,
+        displaced,
+    }
+}
+
+fn pinned_run(cfg: &TestConfig) -> Option<Pinned> {
+    let res = run_test(cfg).unwrap();
+    let trace = res.trace.as_ref()?;
+    Some(pinned(
+        trace,
+        &res.conns,
+        &ConformanceOpts::from_results(&res),
+    ))
+}
+
+/// The pinned inputs, computed once for the three tests below: (a) every preset
+/// at seeds 1 and 2; (b) 32 quirk-knob children of `quirks_demo`; (c) 256
+/// colliding traces, each with the notification points off and on, a
+/// quarter of them degraded and a quarter chaos-lossy.
+static PINNED: LazyLock<[Vec<Pinned>; 3]> = LazyLock::new(|| {
+    let presets = presets();
+    let runs = presets
+        .iter()
+        .flat_map(|(_, cfg)| {
+            [1, 2].map(|seed| {
+                let mut cfg = cfg.clone();
+                cfg.network.seed = seed;
+                cfg
+            })
+        })
+        .filter_map(|cfg| pinned_run(&cfg))
+        .collect();
+
+    let (_, quirks_demo) = presets
+        .iter()
+        .find(|(path, _)| path.ends_with("quirks_demo.yaml"))
+        .expect("configs/quirks_demo.yaml");
+    let mut mutator = EventMutator {
+        mutate_quirks: true,
+        ..EventMutator::default()
+    };
+    let mut rng = SimRng::seed_from_u64(0x2601);
+    let children = (0..32)
+        .filter_map(|_| pinned_run(&mutator.mutate(quirks_demo, &mut rng)))
+        .collect();
+
+    let mut rng = SimRng::seed_from_u64(0x2602);
+    let conns = colliding_conns();
+    let mut colliding = Vec::new();
+    for i in 0..256 {
+        let len = rng.below(160);
+        let packets: Vec<(u8, u32, u8)> = (0..len)
+            .map(|_| {
+                (
+                    rng.below(16) as u8,
+                    rng.below(12) as u32,
+                    rng.below(48) as u8,
+                )
+            })
+            .collect();
+        let trace = trace_of(&packets);
+        for np in [false, true] {
+            let opts = ConformanceOpts {
+                np_enabled_requester: np,
+                np_enabled_responder: np,
+                mtu: 1024,
+                degraded: i % 4 == 1,
+                external_loss: i % 4 == 2,
+                ..ConformanceOpts::default()
+            };
+            colliding.push(pinned(&trace, &conns, &opts));
+        }
+    }
+    [runs, children, colliding]
+});
+
+fn fnv64(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Both public reports, byte for byte, on every pinned input. The constants
+/// come from the two analyzers' separate walks, before they became one
+/// replay: a change that moves them changes what a report says.
+#[test]
+fn replay_reports_are_pinned() {
+    let digests = PINNED.each_ref().map(|group| {
+        let h = group.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+            fnv64(
+                fnv64(h, json(&p.gbn).as_bytes()),
+                json(&p.conformance).as_bytes(),
+            )
+        });
+        (group.len(), format!("{h:016x}"))
+    });
+    assert_eq!(
+        digests,
+        [
+            (22, "77957416f23b5666".to_string()),
+            (32, "34760ba74252506e".to_string()),
+            (512, "805eaf2fbf6a2d35".to_string()),
+        ]
+    );
+}
+
+/// The oracle's options gate the oracle's checks only: on every pinned
+/// input, the Go-back-N view of the replay that graded it is the one the
+/// frozen entry point reports.
+#[test]
+fn the_view_does_not_depend_on_the_oracle_options() {
+    let gated = PINNED
+        .iter()
+        .flatten()
+        .inspect(|p| assert_eq!(json(&p.graded_gbn), json(&p.gbn)))
+        .filter(|p| !p.gate_open && !p.gbn.compliant())
+        .count();
+    assert!(gated > 0, "no gated input the view flags");
+}
+
+/// The one rule both views check: a sequence-error NACK names the receiver's
+/// expected PSN. Wherever the oracle checks it (gate open, report not
+/// truncated, connection displaced for neither), gbn's `NACK carries PSN`
+/// lines and the oracle's `nack-psn-mismatch` violations count the same.
+#[test]
+fn both_views_count_the_same_nack_psn_mismatches() {
+    let mut mismatches = 0;
+    for p in PINNED.iter().flatten() {
+        if !p.gate_open || p.conformance.truncated {
+            continue;
+        }
+        for ((meta, gbn), &displaced) in p.conns.iter().zip(&p.gbn.per_conn).zip(&p.displaced) {
+            if gbn.displaced || displaced {
+                continue;
+            }
+            let by_gbn = gbn
+                .violations
+                .iter()
+                .filter(|v| v.contains("NACK carries PSN"))
+                .count();
+            let by_oracle = p
+                .conformance
+                .violations
+                .iter()
+                .filter(|v| {
+                    v.class == ViolationClass::NackPsnMismatch && v.conn == Some(meta.index)
+                })
+                .count();
+            assert_eq!(
+                by_gbn, by_oracle,
+                "conn {}: {:?}",
+                meta.index, gbn.violations
+            );
+            mismatches += by_gbn;
+        }
+    }
+    assert!(mismatches > 0, "no pinned input exercises the rule");
 }

@@ -3,7 +3,7 @@
 //! the trace and run the integrity check.
 
 use crate::analyzers::{
-    conformance, recovery, ConformanceOpts, ConformanceReport, FlowAccount, QpEndState,
+    conformance, recovery, ConformanceOpts, ConformanceReport, FlowAccount, GbnReport, QpEndState,
     RecoveryOpts,
 };
 use crate::campaign::{run_caught, EvalFailure};
@@ -99,6 +99,10 @@ pub struct TestResults {
     /// Spec-conformance oracle verdict. Computed here for quirk-injected
     /// runs with a trace; the CLI runs the oracle on demand otherwise.
     pub conformance: Option<crate::analyzers::ConformanceReport>,
+    /// The Go-back-N view of the replay that computed `conformance`: `Some`
+    /// exactly when it is, so the report does not replay again. Never in
+    /// [`report_json`](Self::report_json).
+    pub(crate) gbn: Option<GbnReport>,
     /// Chaos-plane counters; `Some` only when the run had an active
     /// `chaos:` section, so chaos-free reports are byte-identical to
     /// every pre-chaos release.
@@ -132,11 +136,17 @@ impl TestResults {
     /// replay over the trace otherwise, `None` for a traceless run. A pure
     /// function of the results.
     pub fn conformance_verdict(&self) -> Option<ConformanceReport> {
-        self.conformance.clone().or_else(|| {
-            let trace = self.trace.as_ref()?;
-            let opts = ConformanceOpts::from_results(self);
-            Some(conformance::analyze(trace, &self.conns, &opts))
-        })
+        self.conformance
+            .clone()
+            .or_else(|| self.replay().map(|(conf, _)| conf))
+    }
+
+    /// The RC replay over the trace: the conformance verdict and its
+    /// Go-back-N view, `None` for a traceless run.
+    pub(crate) fn replay(&self) -> Option<(ConformanceReport, GbnReport)> {
+        let trace = self.trace.as_ref()?;
+        let opts = ConformanceOpts::from_results(self);
+        Some(conformance::replay(trace, &self.conns, &opts))
     }
 
     /// Machine-readable summary (the orchestrator's "test results" file).
@@ -793,6 +803,7 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         service_ticks_stalled,
         quirk_stats,
         conformance: None,
+        gbn: None,
         chaos_stats,
         recovery: None,
         switch_counters: sw.counters,
@@ -816,12 +827,13 @@ fn reconstruct(
 
 /// Stage 5: the oracles a run grades itself with. Quirk-injected runs get
 /// the conformance verdict inline (the whole point of injecting misbehavior
-/// is to see the oracle call it), chaos-injected runs the recovery verdict
+/// is to see the oracle call it), with the Go-back-N view of the same
+/// replay kept for the report; chaos-injected runs the recovery verdict
 /// (the whole point of injecting chaos is proving the stack recovers); the
 /// report-only analyzers run on demand in [`crate::report::RunReport`].
 fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     if results.quirk_stats.is_some() {
-        results.conformance = results.conformance_verdict();
+        (results.conformance, results.gbn) = results.replay().unzip();
     }
     let Some(chaos) = results.cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
         return;

@@ -15,8 +15,8 @@ pub use telemetry::TelemetryReport;
 pub use trace::TraceReport;
 
 use crate::analyzers::{
-    cnp, counter, gbn_fsm, retrans_perf, CnpReport, ConformanceReport, ConnIndex, CounterFinding,
-    GbnReport, RecoveryReport, RetransBreakdown,
+    cnp, counter, retrans_perf, CnpReport, ConformanceReport, CounterFinding, GbnReport,
+    RecoveryReport, RetransBreakdown,
 };
 use crate::error::Error;
 use crate::orchestrator::{section, TestResults};
@@ -41,20 +41,27 @@ pub struct RunReport<'a> {
 }
 
 impl<'a> RunReport<'a> {
-    /// Run every analyzer over `results`.
+    /// Run every analyzer over `results`. The RC replay (the conformance
+    /// verdict and its Go-back-N view) runs at most once: not at all when
+    /// the run already graded itself (stage 5 of a quirk-injected run).
     pub fn of(results: &'a TestResults) -> RunReport<'a> {
+        let (conformance, gbn) = match &results.conformance {
+            Some(conf) => (Some(conf.clone()), results.gbn.clone()),
+            None => results.replay().unzip(),
+        };
         RunReport {
             results,
-            traced: results.trace.as_ref().map(|trace| {
-                let by_conn = ConnIndex::build(trace, &results.conns);
-                TraceSections {
-                    gbn: gbn_fsm::analyze_routed(&by_conn, &results.conns),
-                    retransmissions: retrans_perf::analyze_routed(&by_conn, &results.conns),
+            traced: results
+                .trace
+                .as_ref()
+                .zip(gbn)
+                .map(|(trace, gbn)| TraceSections {
+                    gbn,
+                    retransmissions: retrans_perf::analyze(trace, &results.conns),
                     cnp: cnp::analyze(trace),
-                }
-            }),
+                }),
             counter_findings: counter::analyze(results),
-            conformance: results.conformance_verdict(),
+            conformance,
         }
     }
 

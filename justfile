@@ -29,7 +29,9 @@ check:
 # the two ingest differentials — the header walk against the per-header
 # walk (`header_walk`) and the pcap reader under ragged reads (`--lib
 # pcap`) — because it inlines the walk into `recover_entry` and the reader
-# into `ingest_reader`.
+# into `ingest_reader` — and the byte pins of the one RC replay (`--lib
+# routed_tests`, `--test analyzer_teeth`), because it inlines the
+# Go-back-N view into the oracle's per-packet steps.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -47,7 +49,10 @@ ci:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p lumina-packet -p lumina-sim -p lumina-telemetry -p lumina-rnic -p lumina-switch -p lumina-dumper -p lumina-gen -p lumina-core
 
-# The release-profile pass of the byte-level suites (see `ci`).
+# The release-profile pass of the byte-level suites (see `ci`). The last two
+# are the byte pins of the one RC replay: both public reports over every
+# preset, quirked fuzz children and colliding traces, and the
+# trace-mutation teeth of the oracle and its Go-back-N view.
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
@@ -59,6 +64,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-rnic --test loopback
     cargo test --release --offline -q -p lumina-packet --test header_walk
     cargo test --release --offline -q -p lumina-sim --lib pcap
+    cargo test --release --offline -q -p lumina-core --lib routed_tests
+    cargo test --release --offline -q -p lumina-core --test analyzer_teeth
 
 # Fast feedback loop: debug build + tests.
 test:
