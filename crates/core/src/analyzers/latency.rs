@@ -57,7 +57,7 @@ pub fn analyze(summary: &TraceSummary, budgets_us: &BTreeMap<String, u64>) -> La
     let mut report = LatencyReport::default();
     for (hop, budget_us) in budgets_us {
         let p99 = if hop == END_TO_END {
-            summary.end_to_end().quantile_lower_bound(0.99)
+            summary.end_to_end.quantile_lower_bound(0.99)
         } else {
             summary.hop_p99_ns(hop)
         };
@@ -79,16 +79,17 @@ pub fn analyze(summary: &TraceSummary, budgets_us: &BTreeMap<String, u64>) -> La
 mod tests {
     use super::*;
     use lumina_sim::telemetry::trace::hops;
-    use lumina_sim::telemetry::FlightRecorder;
+    use lumina_sim::Telemetry;
 
     fn summary() -> TraceSummary {
-        let mut r = FlightRecorder::new(64, 0);
+        let tel = Telemetry::enabled();
+        tel.enable_tracing(64, 0);
         // One packet: 500 ns to egress, 2000 ns flight, 500 ns forward.
-        r.record(0, hops::GEN_ENQUEUE, 0, 1_000);
-        r.record(0, hops::LINK_EGRESS, 0, 1_500);
-        r.record(0, hops::LINK_INGRESS, 2, 3_500);
-        r.record(0, hops::SWITCH_FORWARD, 2, 4_000);
-        TraceSummary::from_recorder(&r)
+        tel.record_hop(0, hops::GEN_ENQUEUE, 0, 1_000);
+        tel.record_hop(0, hops::LINK_EGRESS, 0, 1_500);
+        tel.record_hop(0, hops::LINK_INGRESS, 2, 3_500);
+        tel.record_hop(0, hops::SWITCH_FORWARD, 2, 4_000);
+        tel.with_log(TraceSummary::from_log)
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn telemetry_cmd(args: &[String]) -> Result<ExitCode, Error> {
 /// `lumina-cli trace --config <test.yaml> [--perfetto out.json]`: run the
 /// test with lifecycle tracing forced on, print the per-hop latency
 /// dissection, grade it against `trace.hop-budget-us`, and optionally
-/// export the flight recorder as Chrome trace-event JSON for Perfetto.
+/// export the event log's hop view as Chrome trace-event JSON for Perfetto.
 fn trace_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let opts = CommonOpts::parse(args)?;
     let mut cfg = opts.load()?;

@@ -138,7 +138,7 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
         flags: &[FlagSpec {
             name: "--perfetto",
             value: Some("<out>"),
-            help: "also write the packet-lifecycle flight recorder as\nChrome trace-event JSON, loadable at ui.perfetto.dev",
+            help: "also write the run's packet-lifecycle hops as\nChrome trace-event JSON, loadable at ui.perfetto.dev",
         }],
         notes: &[
             "Runs the test with lifecycle tracing forced on and prints the",

@@ -473,18 +473,19 @@ impl QuirksSection {
     }
 }
 
-/// Packet-lifecycle tracing (`trace:`): turns on the flight recorder so
-/// every instrumented hop appends a `(trace_id, hop, sim_time)` record,
+/// Packet-lifecycle tracing (`trace:`): turns on the event log's hop view
+/// so every instrumented hop appends a `(trace_id, hop, sim_time)` record,
 /// the report gains a `"trace"` latency dissection, and the `trace`
 /// subcommand can export a Perfetto timeline. Absent — the default —
-/// means no recorder, no extra report keys, and byte-identical goldens.
+/// means no hop view, no extra report keys, and byte-identical goldens.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub struct TraceSection {
     /// Master switch; present-but-disabled keeps the run pristine.
     #[serde(default = "default_true")]
     pub enabled: bool,
-    /// Flight-recorder ring capacity, records (oldest evicted when full).
+    /// Room the event log adds for packet hops, records: the ring holds
+    /// the journal's 65 536 plus this, evicting the oldest when full.
     #[serde(default = "default_trace_capacity")]
     pub capacity: usize,
     /// Per-hop p99 latency budgets for the `latency` analyzer,
@@ -505,7 +506,7 @@ impl Default for TraceSection {
 
 impl TraceSection {
     /// True when the section records nothing — the orchestrator then
-    /// leaves the recorder off, keeping the run on the pristine path.
+    /// leaves the hop view off, keeping the run on the pristine path.
     pub fn is_noop(&self) -> bool {
         !self.enabled
     }
@@ -734,7 +735,7 @@ pub struct TestConfig {
     /// DUT misbehavior injection; absent = spec-faithful devices.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub quirks: Option<QuirksSection>,
-    /// Packet-lifecycle tracing; absent = recorder off, pristine report.
+    /// Packet-lifecycle tracing; absent = hop view off, pristine report.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceSection>,
     /// Registry-based device selection; absent = `nic-type` fields apply.

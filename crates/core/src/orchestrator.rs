@@ -20,7 +20,7 @@ use lumina_rnic::counters::Counters;
 use lumina_rnic::ets::{EtsConfig, TcConfig};
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
 use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
-use lumina_sim::telemetry::SelfProfile;
+use lumina_sim::telemetry::{SelfProfile, TraceSummary};
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
     Interposer, MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime,
@@ -77,9 +77,13 @@ pub struct TestResults {
     /// predate the zero-copy plane and must stay byte-identical. The
     /// counters surface through the `telemetry` CLI subcommand instead.
     pub frame_stats: FrameStats,
-    /// Telemetry sink the run recorded into: structured event journal,
-    /// per-node metric registry and flight recorder, all in simulated time.
+    /// Telemetry sink the run recorded into: the event log (journal and
+    /// hop views) and the per-node metric registry, all in simulated time.
     pub telemetry: Telemetry,
+    /// Per-hop / end-to-end latency dissection of the hop view, folded
+    /// once when the run is collected; empty unless the run traced
+    /// (`trace:` section enabled).
+    pub trace_summary: TraceSummary,
     /// Wall-clock self-profile: from building the testbed to the end of
     /// [`run_test`], and the engine queue's high-water mark. Never in
     /// [`report_json`](Self::report_json).
@@ -211,7 +215,7 @@ impl TestResults {
         // The lifecycle dissection appears only when tracing was on, so
         // trace-free reports (and all eight goldens) stay byte-identical.
         if self.telemetry.is_tracing() {
-            report["trace"] = self.trace_summary().snapshot();
+            report["trace"] = self.trace_summary.snapshot();
         }
         // The canonical device names appear only when a `device:` section
         // selected them, so registry-free reports stay byte-identical.
@@ -228,14 +232,6 @@ impl TestResults {
             report["device"] = serde_json::Value::Object(device);
         }
         Ok(report)
-    }
-
-    /// Per-hop / end-to-end latency dissection of the flight recorder.
-    /// Meaningful only when the run traced (`trace:` section enabled);
-    /// otherwise every histogram is empty.
-    pub fn trace_summary(&self) -> lumina_sim::telemetry::TraceSummary {
-        use lumina_sim::telemetry::TraceSummary;
-        self.telemetry.with_recorder(TraceSummary::from_recorder)
     }
 }
 
@@ -328,11 +324,14 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     let mut eng = Engine::new(cfg.network.seed);
     let tel = Telemetry::enabled();
     eng.set_telemetry(tel.clone());
-    // Lifecycle tracing arms only on request: the flight recorder is
-    // baselined against the thread's provenance counter so same-seed
-    // runs record identical ids no matter what ran on the thread before.
-    if let Some(t) = cfg.trace.as_ref().filter(|t| !t.is_noop()) {
-        tel.enable_tracing(t.capacity, lumina_packet::buf::next_trace_id());
+    // Every run's log is baselined against the thread's provenance
+    // counter, so same-seed runs record identical ids no matter what ran
+    // on the thread before, traced or not. Lifecycle tracing arms only on
+    // request.
+    let baseline = lumina_packet::buf::next_trace_id();
+    match cfg.trace.as_ref().filter(|t| !t.is_noop()) {
+        Some(t) => tel.enable_tracing(t.capacity, baseline),
+        None => tel.set_trace_baseline(baseline),
     }
 
     let mut req_rnic = build_rnic(cfg, &tel, &req_profile, REQUESTER);
@@ -768,11 +767,12 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
     if let Some(cs) = &chaos_stats {
         tel.record_metric_set(SWITCH.0 as u32, cs);
     }
+    let mut trace_summary = TraceSummary::default();
     if tel.is_tracing() {
-        // Fold the dissection into the registry under the switch (the
-        // testbed's vantage point) so `telemetry` surfaces it too.
-        let summary = tel.with_recorder(lumina_sim::telemetry::TraceSummary::from_recorder);
-        tel.record_metric_set(SWITCH.0 as u32, &summary);
+        // Fold the dissection once, and file it in the registry under the
+        // switch (the testbed's vantage point) so `telemetry` surfaces it.
+        trace_summary = tel.with_log(TraceSummary::from_log);
+        tel.record_metric_set(SWITCH.0 as u32, &trace_summary);
     }
     let harvest = Harvest {
         captures: sw.cfg.mirroring.then_some(captures),
@@ -797,6 +797,7 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         engine_stats,
         frame_stats,
         telemetry: bed.tel,
+        trace_summary,
         profile,
         fault_stats,
         captures_corrupted,

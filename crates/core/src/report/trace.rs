@@ -1,36 +1,30 @@
 //! `lumina-cli trace`: the per-hop latency dissection of a traced run,
-//! graded against the config's `trace.hop-budget-us`, and the flight
-//! recorder as Chrome trace-event JSON for Perfetto.
+//! graded against the config's `trace.hop-budget-us`, and the event log's
+//! hop view as Chrome trace-event JSON for Perfetto.
 
 use super::line;
 use crate::analyzers::latency::{self, LatencyReport};
 use crate::error::Error;
 use crate::orchestrator::{node_names, section, TestResults};
 use lumina_sim::telemetry::trace::perfetto_json;
-use lumina_sim::telemetry::{Histogram, TraceSummary};
+use lumina_sim::telemetry::Histogram;
 
 /// Everything `lumina-cli trace` reports about one run.
 pub struct TraceReport<'a> {
     results: &'a TestResults,
-    summary: TraceSummary,
     /// `None` when the config declares no budget: nothing to grade.
     latency: Option<LatencyReport>,
 }
 
 impl<'a> TraceReport<'a> {
-    /// Dissect the flight recorder of `results` and grade it against the
-    /// budgets of the configuration that produced the run.
+    /// Grade the latency dissection of `results` against the budgets of
+    /// the configuration that produced the run.
     pub fn of(results: &'a TestResults) -> TraceReport<'a> {
-        let summary = results.trace_summary();
         let budgets = results.cfg.trace.as_ref().map(|t| &t.hop_budget_us);
         let latency = budgets
             .filter(|b| !b.is_empty())
-            .map(|b| latency::analyze(&summary, b));
-        TraceReport {
-            results,
-            summary,
-            latency,
-        }
+            .map(|b| latency::analyze(&results.trace_summary, b));
+        TraceReport { results, latency }
     }
 
     /// [`TestResults::report_json`], with the latency verdict attached
@@ -46,28 +40,23 @@ impl<'a> TraceReport<'a> {
     /// The dissection as an aligned table, one row per sampled hop, and
     /// one `latency budgets` line per finding.
     pub fn render_human(&self) -> String {
+        let summary = &self.results.trace_summary;
         let mut out = String::new();
-        line(&mut out, "trace packets", self.summary.packets());
-        let (records, dropped) = self
-            .results
-            .telemetry
-            .with_recorder(|r| (r.len(), r.dropped()));
+        line(&mut out, "trace packets", summary.packets);
         line(
             &mut out,
             "trace records",
-            format_args!("{records} retained, {dropped} evicted"),
+            format_args!("{} retained, {} evicted", summary.records, summary.dropped),
         );
         out.push_str(&format!(
             "{:<24} {:>8} {:>12} {:>12}\n",
             "hop", "count", "mean ns", "p99 ns"
         ));
-        for hop in self.summary.hop_names() {
-            if let Some(h) = self.summary.hop_histogram(hop) {
-                hop_row(&mut out, hop, h);
-            }
+        for (hop, h) in summary.per_hop() {
+            hop_row(&mut out, hop, h);
         }
-        if self.summary.end_to_end().count() > 0 {
-            hop_row(&mut out, latency::END_TO_END, self.summary.end_to_end());
+        if summary.end_to_end.count() > 0 {
+            hop_row(&mut out, latency::END_TO_END, &summary.end_to_end);
         }
         if let Some(verdict) = &self.latency {
             if verdict.passed() {
@@ -101,7 +90,7 @@ impl<'a> TraceReport<'a> {
         let doc = self
             .results
             .telemetry
-            .with_recorder(|r| perfetto_json(r, &names));
+            .with_log(|log| perfetto_json(log, &names));
         let events = doc["traceEvents"].as_array().map_or(0, Vec::len);
         (doc.to_string(), events)
     }

@@ -98,7 +98,7 @@ pub fn note_shared(n: usize) {
 }
 
 /// The provenance id the next new [`Frame`] on this thread will be
-/// stamped with. The flight recorder reads this when tracing is enabled and
+/// stamped with. A run's event log reads this when the run is built and
 /// stores subsequent ids relative to it, so same-seed runs produce
 /// identical traces regardless of how many frames earlier runs on this
 /// thread (or other fuzz workers) already minted.

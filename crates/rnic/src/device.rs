@@ -15,11 +15,11 @@
 //! (DCQCN) and `txsched` (egress).
 
 /// Journal one of the device's decision points: [`lumina_telemetry::tev!`]
-/// under this device's node and the `"rnic"` component.
+/// (either form) under this device's node and the `"rnic"` component.
 macro_rules! journal {
-    ($rnic:ident, $now:expr, $kind:literal $(, $key:ident = $val:expr)*) => {{
+    ($rnic:ident, $now:expr, $($event:tt)*) => {{
         let (tel, node) = (&$rnic.tel, $rnic.tel_node);
-        lumina_telemetry::tev!(tel, $now.as_nanos(), node, "rnic", $kind $(, $key = $val)*)
+        lumina_telemetry::tev!(tel, $now.as_nanos(), node, "rnic", $($event)*)
     }};
 }
 

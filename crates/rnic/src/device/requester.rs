@@ -15,6 +15,7 @@ use lumina_packet::opcode::{send_opcode, write_opcode, Opcode};
 use lumina_packet::reth::Reth;
 use lumina_packet::{Frame, NakCode};
 use lumina_sim::SimTime;
+use lumina_telemetry::Hop;
 
 impl Rnic {
     pub(super) fn requester_rx(
@@ -294,7 +295,6 @@ impl Rnic {
         let is_retransmit = lin < qp.max_sent_lin();
         if is_retransmit {
             self.counters.retransmitted_packets += 1;
-            journal!(self, now, "retransmit", qpn = qpn, lin = lin);
         }
         let builder = DataPacketBuilder::new().psn(qp.wire_psn(lin));
         let (frame, end) = match m.verb {
@@ -332,12 +332,8 @@ impl Rnic {
         qp.mark_sent(end);
         let emitted = self.addressed(i, frame).emit();
         if is_retransmit {
-            self.tel.record_hop(
-                emitted.trace_id(),
-                lumina_telemetry::trace::hops::RNIC_RETRANSMIT,
-                self.tel_node,
-                now.as_nanos(),
-            );
+            let id = emitted.trace_id();
+            journal!(self, now, hop(Hop::Retransmit, id), qpn = qpn, lin = lin);
         }
         emitted
     }

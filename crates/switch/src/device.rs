@@ -10,7 +10,7 @@ use lumina_packet::frame::{RoceFrame, ICRC_LEN};
 use lumina_packet::icrc::icrc_over_masked;
 use lumina_sim::{Frame, Node, NodeCtx, PortId, SimTime};
 use lumina_telemetry::trace::hops as trace_hops;
-use lumina_telemetry::{tev, MetricSet};
+use lumina_telemetry::{tev, Hop, MetricSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -205,6 +205,19 @@ pub struct SwitchNode {
     held: Vec<Option<HeldPacket>>,
 }
 
+/// The kind-table entry of an injected action: the journal kind and the
+/// hop name of the one record it leaves.
+fn hop_of(action: EventAction) -> Hop {
+    match action {
+        EventAction::Drop => Hop::Drop,
+        EventAction::EcnMark => Hop::Ecn,
+        EventAction::Corrupt => Hop::Corrupt,
+        EventAction::SetMigReq(_) => Hop::MigReq,
+        EventAction::Delay(_) => Hop::Delay,
+        EventAction::Reorder(_) => Hop::Reorder,
+    }
+}
+
 /// What the injection action decided about the packet's onward journey.
 enum ForwardDecision {
     /// Forward this frame handle (shared or patched copy-on-write).
@@ -282,12 +295,14 @@ impl SwitchNode {
         let seq = self.mirror_seq;
         self.mirror_seq += 1;
         mirror::embed(copy.make_mut(), seq, ctx.now(), event, dport);
+        // The copy shares the original's provenance id, so the lifecycle
+        // tracer sees one packet branching into a mirror leg.
         tev!(
             ctx.telemetry(),
             ctx.now().as_nanos(),
             ctx.telemetry_node(),
             "switch",
-            "mirror.emit",
+            hop(Hop::Mirror, copy.trace_id()),
             seq = seq,
             port = port.0,
         );
@@ -296,14 +311,6 @@ impl SwitchNode {
         counters.mirrored += 1;
         counters.tx += 1;
         let latency = self.cfg.pipeline_latency;
-        // The copy shares the original's provenance id, so the lifecycle
-        // tracer sees one packet branching into a mirror leg.
-        ctx.telemetry().record_hop(
-            copy.trace_id(),
-            trace_hops::SWITCH_MIRROR,
-            ctx.telemetry_node(),
-            ctx.now().as_nanos(),
-        );
         ctx.send_after(port, copy, latency);
     }
 
@@ -474,37 +481,15 @@ impl Node for SwitchNode {
                 action = self.table.lookup(&InjectionKey { conn, psn, iter });
             }
             if let Some(a) = action {
-                let kind = match a {
-                    EventAction::Drop => "drop",
-                    EventAction::EcnMark => "ecn.mark",
-                    EventAction::Corrupt => "corrupt",
-                    EventAction::SetMigReq(_) => "migreq.rewrite",
-                    EventAction::Delay(_) => "delay",
-                    EventAction::Reorder(_) => "reorder",
-                };
                 tev!(
                     ctx.telemetry(),
                     ctx.now().as_nanos(),
                     ctx.telemetry_node(),
                     "switch",
-                    kind,
+                    hop(hop_of(a), raw.trace_id()),
                     qpn = conn.dst_qpn,
                     psn = psn,
                     iter = iter,
-                );
-                let hop = match a {
-                    EventAction::Drop => "switch.mutate.drop",
-                    EventAction::EcnMark => "switch.mutate.ecn",
-                    EventAction::Corrupt => "switch.mutate.corrupt",
-                    EventAction::SetMigReq(_) => "switch.mutate.migreq",
-                    EventAction::Delay(_) => "switch.mutate.delay",
-                    EventAction::Reorder(_) => "switch.mutate.reorder",
-                };
-                ctx.telemetry().record_hop(
-                    raw.trace_id(),
-                    hop,
-                    ctx.telemetry_node(),
-                    ctx.now().as_nanos(),
                 );
             }
         }
@@ -810,5 +795,69 @@ mod tests {
         eng.run(None);
         assert_eq!(host_rx.borrow().len(), 1, "ACKs are never injected on");
         assert_eq!(dump_rx.borrow().len(), 1, "but they are mirrored");
+    }
+
+    #[test]
+    fn the_kind_table_names_each_action_as_the_two_old_matches_did() {
+        // `(journal kind, hop name)` of each action, as the switch spelled
+        // them out before the table existed.
+        let old = [
+            (EventAction::Drop, "drop", "switch.mutate.drop"),
+            (EventAction::EcnMark, "ecn.mark", "switch.mutate.ecn"),
+            (EventAction::Corrupt, "corrupt", "switch.mutate.corrupt"),
+            (
+                EventAction::SetMigReq(true),
+                "migreq.rewrite",
+                "switch.mutate.migreq",
+            ),
+            (
+                EventAction::SetMigReq(false),
+                "migreq.rewrite",
+                "switch.mutate.migreq",
+            ),
+            (
+                EventAction::Delay(SimTime::from_micros(5)),
+                "delay",
+                "switch.mutate.delay",
+            ),
+            (EventAction::Reorder(3), "reorder", "switch.mutate.reorder"),
+        ];
+        for (action, kind, hop) in old {
+            let h = hop_of(action);
+            assert_eq!(
+                (h.journal_kind(), h.name()),
+                (Some(kind), hop),
+                "{action:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_no_route_drop_is_journaled_without_a_packet_hop() {
+        let plan = vec![(SimTime::ZERO, data_frame(100, 256))];
+        let mut r = rig(
+            |cfg| {
+                cfg.forward.remove(&H2);
+            },
+            plan,
+        );
+        let tel = lumina_sim::Telemetry::enabled();
+        tel.enable_tracing(64, 0);
+        r.eng.set_telemetry(tel.clone());
+        r.eng.run(None);
+        assert!(r.host_rx.borrow().is_empty());
+        tel.with_log(|log| {
+            let drops: Vec<_> = log.journal().filter(|e| e.kind == "drop").collect();
+            assert_eq!(drops.len(), 1);
+            assert_eq!((drops[0].trace_id(), drops[0].hop), (None, None));
+            let hops: Vec<&str> = log.hops().map(|(_, hop, _)| hop.name()).collect();
+            // The mirror copy still leaves; nothing is forwarded or mutated.
+            assert!(hops.contains(&"switch.mirror"), "{hops:?}");
+            assert!(
+                !hops.iter().any(|h| h.starts_with("switch.mutate.")),
+                "{hops:?}"
+            );
+            assert!(!hops.contains(&"switch.forward"), "{hops:?}");
+        });
     }
 }

@@ -1,12 +1,12 @@
-//! Ring-buffered structured event journal.
-//!
-//! Each [`TelemetryEvent`] captures one decision point of the simulated
-//! testbed — a drop, an ECN mark, a CNP, a timeout, a go-back-N
-//! rollback, an iteration transition, a mirror emission — at a simulated
-//! timestamp. The journal is bounded: when full, the oldest events are
-//! evicted and counted in [`Journal::dropped`], so a pathological run
-//! cannot exhaust memory.
+//! The run's event log: one bounded ring of [`Record`]s in two roles. A
+//! *journal* record is a decision point (a drop, an ECN mark, a CNP, a
+//! timeout, a go-back-N rollback, a mirror emission); a *hop* is a packet
+//! reaching a point of its lifecycle, named by the [`Hop`] table, carrying
+//! its `trace_id` ([`trace`](crate::trace) renders those). A decision that
+//! happens to a packet is one record in both roles. A full ring evicts its
+//! oldest record, whatever the role, and counts it: one eviction counter.
 
+use crate::trace::Hop;
 use std::collections::VecDeque;
 
 /// One attribute value attached to an event.
@@ -79,25 +79,59 @@ impl AttrValue {
     }
 }
 
-/// One journal entry, stamped with simulated time.
+/// A record's free-form key/value payload.
+pub type Attrs = Vec<(&'static str, AttrValue)>;
+
+/// One entry of the event log, stamped with simulated time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryEvent {
+pub struct Record {
     /// Simulated time in nanoseconds.
     pub t: u64,
     /// Node the event happened on (engine `NodeId` as `u32`).
     pub node: u32,
-    /// Emitting component, e.g. `"switch"`, `"rnic"`, `"engine"`.
+    /// Emitting component, e.g. `"switch"`, `"rnic"`; empty for a pure hop.
     pub component: &'static str,
     /// Event kind, dotted lowercase, e.g. `"ecn.mark"`, `"gbn.rollback"`.
     pub kind: &'static str,
+    /// The packet hop this record also is, if any.
+    pub hop: Option<Hop>,
     /// Free-form key/value payload.
-    pub attrs: Vec<(&'static str, AttrValue)>,
+    pub attrs: Attrs,
+    /// Provenance id of the hop's packet, raw when built and relative to
+    /// the run's first frame once in the log (a plain `u64` beside `hop`
+    /// keeps the record at 80 bytes; read it through `trace_id`).
+    id: u64,
 }
 
-impl TelemetryEvent {
+impl Record {
+    /// A journal event about no packet.
+    pub fn event(t: u64, node: u32, component: &'static str, kind: &'static str, attrs: Attrs)
+        -> Record {
+        Record { t, node, component, kind, hop: None, attrs, id: 0 }
+    }
+
+    /// A record that is `hop` of the frame whose raw provenance id is
+    /// `raw_id`; its kind comes from the [`Hop`] table, never the
+    /// caller: the journal kind, or the hop name of a pure hop.
+    pub fn of_hop(hop: Hop, raw_id: u64, t: u64, node: u32, component: &'static str, attrs: Attrs)
+        -> Record {
+        let kind = hop.journal_kind().unwrap_or(hop.name());
+        Record { hop: Some(hop), id: raw_id, ..Record::event(t, node, component, kind, attrs) }
+    }
+
+    /// The id of the packet the record is about: every hop has one.
+    pub fn trace_id(&self) -> Option<u64> {
+        self.hop.map(|_| self.id)
+    }
+
+    /// Whether the journal shows the record: all but the pure hops.
+    pub fn in_journal(&self) -> bool {
+        self.hop.is_none_or(|h| h.journal_kind().is_some())
+    }
+
     /// Render as a single flat JSON object: fixed fields first, then the
     /// attributes in their original order (an attribute may not shadow a
-    /// fixed field name).
+    /// fixed field name). The `trace_id` is not rendered.
     pub fn to_json(&self) -> serde_json::Value {
         let mut m = serde_json::Map::new();
         m.insert("t", serde_json::Value::from(self.t));
@@ -115,63 +149,62 @@ impl TelemetryEvent {
     }
 }
 
-/// Bounded FIFO of [`TelemetryEvent`]s.
-#[derive(Debug)]
-pub struct Journal {
-    events: VecDeque<TelemetryEvent>,
+/// Bounded FIFO of [`Record`]s, the one ring of a run.
+#[derive(Debug, Default)]
+pub struct EventLog {
+    pub(crate) records: VecDeque<Record>,
     capacity: usize,
-    dropped: u64,
+    /// Records evicted because the ring was full, whatever their role.
+    pub(crate) dropped: u64,
+    /// Retained records in the journal role.
+    pub(crate) journal_len: usize,
+    /// Raw provenance id of the run's first frame.
+    pub(crate) baseline: u64,
+    /// Whether the hop view shows anything.
+    pub(crate) tracing: bool,
 }
 
-impl Journal {
-    /// A journal holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Journal {
-        Journal {
-            events: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
+impl EventLog {
+    /// A log holding at most `capacity` records (min 1).
+    pub fn new(capacity: usize) -> EventLog {
+        EventLog { capacity: capacity.max(1), ..EventLog::default() }
     }
 
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TelemetryEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
+    /// Turn the hop view on, with room for `room` more records.
+    pub(crate) fn trace(&mut self, room: usize) {
+        self.capacity = self.capacity.saturating_add(room);
+        self.tracing = true;
+    }
+
+    /// Append a record, its id made baseline-relative, evicting the oldest
+    /// when full.
+    pub fn push(&mut self, mut rec: Record) {
+        rec.id = rec.id.saturating_sub(self.baseline);
+        if self.records.len() == self.capacity {
+            let evicted = self.records.pop_front();
+            self.journal_len -= usize::from(evicted.is_some_and(|r| r.in_journal()));
             self.dropped += 1;
         }
-        self.events.push_back(ev);
+        self.journal_len += usize::from(rec.in_journal());
+        self.records.push_back(rec);
     }
 
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
+    /// The journal view: every retained record but the pure hops, oldest
+    /// first.
+    pub fn journal(&self) -> impl Iterator<Item = &Record> {
+        self.records.iter().filter(|r| r.in_journal())
     }
 
-    /// Whether the journal holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterate the retained events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.events.iter()
-    }
-
-    /// Run `f` over every same-node event-kind *edge*, oldest-first: for
-    /// each event, `f(node, prev_kind, kind)` where `prev_kind` is the
-    /// kind of the previous retained event on the same node, or `"^"` for
-    /// the node's first. This is the journal's behavior signature — the
-    /// fuzzer's coverage signal hashes these edges — and it is a pure
-    /// function of the retained ring, so it inherits the journal's
-    /// same-seed determinism.
+    /// Run `f` over every same-node event-kind *edge* of the journal view,
+    /// oldest-first: for each event, `f(node, prev_kind, kind)` where
+    /// `prev_kind` is the kind of the previous retained event on the same
+    /// node, or `"^"` for the node's first. This is the journal's behavior
+    /// signature — the fuzzer's coverage signal hashes these edges — and it
+    /// is a pure function of the retained ring, so it inherits the
+    /// journal's same-seed determinism.
     pub fn for_each_edge<F: FnMut(u32, &'static str, &'static str)>(&self, mut f: F) {
         let mut last: Vec<(u32, &'static str)> = Vec::new();
-        for ev in &self.events {
+        for ev in self.journal() {
             let prev = match last.iter_mut().find(|(n, _)| *n == ev.node) {
                 Some(entry) => std::mem::replace(&mut entry.1, ev.kind),
                 None => {
@@ -183,61 +216,75 @@ impl Journal {
         }
     }
 
-    /// Render as JSON Lines (one compact object per event, oldest first).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json().to_string());
-            out.push('\n');
-        }
-        out
+    /// Render the journal view as JSON Lines (one compact object per
+    /// event, oldest first).
+    pub fn journal_jsonl(&self) -> String {
+        jsonl(self.journal().map(Record::to_json))
     }
+}
+
+/// One compact JSON object per line.
+pub(crate) fn jsonl(values: impl Iterator<Item = serde_json::Value>) -> String {
+    values.map(|v| v.to_string() + "\n").collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(t: u64) -> TelemetryEvent {
-        TelemetryEvent {
-            t,
-            node: 0,
-            component: "test",
-            kind: "tick",
-            attrs: vec![],
-        }
+    fn ev(t: u64, node: u32, kind: &'static str) -> Record {
+        Record::event(t, node, "test", kind, vec![])
+    }
+
+    #[test]
+    fn a_record_costs_what_a_journal_event_did_plus_its_id() {
+        // 72 bytes before the two rings merged; the id adds 8, no more.
+        assert_eq!(std::mem::size_of::<Record>(), 80);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let mut j = Journal::new(3);
-        for t in 0..5 {
-            j.push(ev(t));
+        // Eviction is oldest-first whatever the role: a pure hop counts
+        // against the one ring and the one counter like a journal event.
+        let mut log = EventLog::new(3);
+        log.trace(1);
+        log.push(ev(0, 0, "tick"));
+        log.push(Record::of_hop(Hop::LinkEgress, 7, 1, 0, "", vec![]));
+        for t in 2..6 {
+            log.push(ev(t, 0, "tick"));
         }
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.dropped(), 2);
-        let ts: Vec<u64> = j.iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
+        assert_eq!(log.records.len(), 4);
+        assert_eq!(log.dropped, 2);
+        let ts: Vec<u64> = log.records.iter().map(|e| e.t).collect();
+        assert_eq!(ts, vec![2, 3, 4, 5]);
+        assert_eq!((log.journal().count(), log.journal_len), (4, 4));
+    }
+
+    #[test]
+    fn roles_split_the_views() {
+        let mut log = EventLog::new(8);
+        log.baseline = 10;
+        log.push(ev(0, 2, "drop"));
+        log.push(Record::of_hop(Hop::SwitchForward, 11, 1, 2, "", vec![]));
+        log.push(Record::of_hop(Hop::Drop, 12, 2, 2, "switch", vec![]));
+        let kinds: Vec<_> = log.journal().map(|r| (r.kind, r.trace_id())).collect();
+        // The no-route drop carries no packet; the injected one does.
+        assert_eq!(kinds, vec![("drop", None), ("drop", Some(2))]);
+        let hops: Vec<_> = log.records.iter().filter_map(|r| r.hop).collect();
+        assert_eq!(hops, vec![Hop::SwitchForward, Hop::Drop]);
     }
 
     #[test]
     fn edges_pair_consecutive_kinds_per_node() {
-        let mut j = Journal::new(8);
-        let push = |j: &mut Journal, t, node, kind| {
-            j.push(TelemetryEvent {
-                t,
-                node,
-                component: "test",
-                kind,
-                attrs: vec![],
-            })
-        };
+        let mut j = EventLog::new(8);
         // Node 0 and node 1 interleave; edges must not cross nodes.
-        push(&mut j, 0, 0, "a");
-        push(&mut j, 1, 1, "x");
-        push(&mut j, 2, 0, "b");
-        push(&mut j, 3, 1, "y");
-        push(&mut j, 4, 0, "a");
+        j.push(ev(0, 0, "a"));
+        j.push(ev(1, 1, "x"));
+        j.push(ev(2, 0, "b"));
+        // A pure hop is not a journal event and is no edge.
+        j.push(Record::of_hop(Hop::GenEnqueue, 0, 2, 0, "", vec![]));
+        j.push(ev(3, 1, "y"));
+        j.push(ev(4, 0, "a"));
         let mut edges = Vec::new();
         j.for_each_edge(|node, prev, kind| edges.push((node, prev, kind)));
         assert_eq!(
@@ -257,15 +304,9 @@ mod tests {
         // Eviction loses the head of each node's sequence; the edge view
         // is defined over the *retained* ring only, so it stays a pure
         // function of the journal contents.
-        let mut j = Journal::new(2);
+        let mut j = EventLog::new(2);
         for (t, kind) in [(0, "a"), (1, "b"), (2, "c")] {
-            j.push(TelemetryEvent {
-                t,
-                node: 0,
-                component: "test",
-                kind,
-                attrs: vec![],
-            });
+            j.push(ev(t, 0, kind));
         }
         let mut edges = Vec::new();
         j.for_each_edge(|_, prev, kind| edges.push((prev, kind)));
@@ -274,16 +315,12 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_compact_object_per_line() {
-        let mut j = Journal::new(8);
-        j.push(TelemetryEvent {
-            t: 7,
-            node: 1,
-            component: "switch",
-            kind: "drop",
-            attrs: vec![("psn", AttrValue::U64(5)), ("dup", AttrValue::Bool(false))],
-        });
+        let mut j = EventLog::new(8);
+        let attrs = vec![("psn", AttrValue::U64(5)), ("dup", AttrValue::Bool(false))];
+        j.push(Record::of_hop(Hop::Drop, 3, 7, 1, "switch", attrs));
+        j.push(Record::of_hop(Hop::SwitchForward, 4, 8, 1, "", vec![]));
         assert_eq!(
-            j.to_jsonl(),
+            j.journal_jsonl(),
             "{\"t\":7,\"node\":1,\"component\":\"switch\",\"kind\":\"drop\",\"psn\":5,\"dup\":false}\n"
         );
     }

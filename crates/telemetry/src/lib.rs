@@ -5,18 +5,15 @@
 //! dumpers — reports what it does through one [`Telemetry`] handle, and
 //! everything the handle holds is measured in *simulated* time:
 //!
-//! * **Structured event journal** ([`journal`]): decision points (packet
-//!   drops, ECN marks, CNPs, timeouts, go-back-N rollbacks, iteration
-//!   transitions, mirror emissions) are recorded as
-//!   [`TelemetryEvent`]s in a bounded ring buffer. The JSONL rendering of
-//!   the journal is byte-identical across same-seed runs, and every map
+//! * **Event log** ([`journal`]): one bounded ring of [`Record`]s, seen
+//!   as the *journal* of decision points and as the *hop view* of packet
+//!   lifecycles ([`trace`], off until [`Telemetry::enable_tracing`]). Both
+//!   render byte-identically across same-seed runs, and every map
 //!   serializes in insertion order.
 //! * **Per-node metric registry** ([`metrics`]): counters and log-linear
 //!   histograms keyed by node id, plus snapshots of any component stat
 //!   struct implementing [`MetricSet`], exported through
 //!   [`Telemetry::deterministic_snapshot`].
-//! * **Flight recorder** ([`trace`]): packet-lifecycle hops, off until
-//!   [`Telemetry::enable_tracing`].
 //!
 //! Wall-clock readings live outside the sink: a [`SelfProfile`] is plain
 //! data carried by whoever measured it (a run's `TestResults`, a fuzz
@@ -29,8 +26,8 @@
 //! ([`Telemetry::disabled`]) makes every recording call a no-op, and the
 //! [`tev!`] macro skips attribute evaluation entirely in that case, so
 //! instrumented hot paths cost one branch when telemetry is off.
-//! One uncontended lock guards the journal, the registry and the
-//! recorder: within one run all recording happens on one thread.
+//! One uncontended lock guards the log and the registry: within one run
+//! all recording happens on one thread.
 //!
 //! This crate sits *below* `lumina-sim`: it identifies nodes by plain
 //! `u32` ids (the engine's `NodeId` converts losslessly) and depends
@@ -42,22 +39,22 @@ pub mod ops;
 pub mod profile;
 pub mod trace;
 
-pub use journal::{AttrValue, Journal, TelemetryEvent};
+pub use journal::{AttrValue, EventLog, Record};
 pub use metrics::{Histogram, MetricSet, NodeMetrics, Registry};
 pub use ops::{OpsReporter, OpsSnapshot};
 pub use profile::SelfProfile;
-pub use trace::{FlightRecorder, HopRecord, TraceSummary};
+pub use trace::{Hop, TraceSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Ring capacity of the event journal.
+/// Ring capacity of the event log before tracing adds room for hops.
 const JOURNAL_CAPACITY: usize = 65_536;
 
 struct Inner {
     enabled: AtomicBool,
-    // Packet-lifecycle tracing is a separate, off-by-default gate: an
-    // enabled sink still records no hops until `enable_tracing`, so the
+    // Packet-lifecycle tracing is a separate, off-by-default gate: until
+    // `enable_tracing` there are no pure hops and no hop view, so the
     // golden reports (which run with telemetry on) never see a trace.
     tracing: AtomicBool,
     sink: Mutex<Sink>,
@@ -65,9 +62,8 @@ struct Inner {
 
 /// Everything one run records, behind the one lock.
 struct Sink {
-    journal: Journal,
+    log: EventLog,
     registry: Registry,
-    recorder: FlightRecorder,
 }
 
 /// Shared handle to one simulation run's telemetry sink.
@@ -110,9 +106,8 @@ impl Telemetry {
                 enabled: AtomicBool::new(enabled),
                 tracing: AtomicBool::new(false),
                 sink: Mutex::new(Sink {
-                    journal: Journal::new(JOURNAL_CAPACITY),
+                    log: EventLog::new(JOURNAL_CAPACITY),
                     registry: Registry::default(),
-                    recorder: FlightRecorder::new(1, 0),
                 }),
             }),
         }
@@ -151,84 +146,79 @@ impl Telemetry {
         self.inner.tracing.load(Ordering::Relaxed)
     }
 
-    /// Turn on the flight recorder with a ring of `capacity` records.
-    /// `baseline` is the raw provenance-counter reading at enable time
-    /// (`lumina_packet::buf::next_trace_id()` at the call site); recorded
-    /// ids are stored relative to it, which is what makes same-seed
-    /// traces byte-identical across runs and across fuzz worker threads.
+    /// Store trace ids relative to `baseline`, the raw provenance counter
+    /// at the start of the run (`lumina_packet::buf::next_trace_id()`), so
+    /// same-seed runs name the same packets on any thread, traced or not.
+    pub fn set_trace_baseline(&self, baseline: u64) {
+        self.sink().log.baseline = baseline;
+    }
+
+    /// Turn on the hop view, with room in the log for `capacity` more
+    /// records, and set the trace baseline.
     pub fn enable_tracing(&self, capacity: usize, baseline: u64) {
-        self.sink().recorder = FlightRecorder::new(capacity, baseline);
+        self.set_trace_baseline(baseline);
+        self.sink().log.trace(capacity);
         self.inner.tracing.store(true, Ordering::Relaxed);
     }
 
-    /// Record one lifecycle hop; no-op (one branch) unless tracing is on.
+    /// Record one pure lifecycle hop (a [`trace::hops`] name); no-op (one
+    /// branch) unless tracing is on. A hop that is also a decision is
+    /// `tev!`'s `hop(..)` form instead.
     #[inline]
     pub fn record_hop(&self, raw_trace_id: u64, hop: &'static str, node: u32, t: u64) {
         if !self.is_tracing() {
             return;
         }
-        self.sink().recorder.record(raw_trace_id, hop, node, t);
+        let Some(hop) = Hop::pure(hop) else {
+            debug_assert!(false, "{hop:?} is not a pure hop");
+            return;
+        };
+        self.sink().log.push(Record::of_hop(hop, raw_trace_id, t, node, "", Vec::new()));
     }
 
-    /// Run `f` over the flight recorder (summaries, exports).
-    pub fn with_recorder<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
-        f(&self.sink().recorder)
+    /// Run `f` over the event log (summaries, exports).
+    pub fn with_log<R>(&self, f: impl FnOnce(&EventLog) -> R) -> R {
+        f(&self.sink().log)
     }
 
     // ------------------------------------------------------------ journal
 
-    /// Record one event at simulated time `t` (nanoseconds).
-    ///
-    /// Prefer the [`tev!`] macro, which skips attribute construction when
-    /// the sink is disabled.
-    pub fn emit(
-        &self,
-        t: u64,
-        node: u32,
-        component: &'static str,
-        kind: &'static str,
-        attrs: Vec<(&'static str, AttrValue)>,
-    ) {
-        if !self.is_enabled() {
-            return;
+    /// Record one journal event; a hop-role one shows in the hop view
+    /// only while tracing. Prefer the [`tev!`] macro, which skips building
+    /// the record when the sink is disabled.
+    pub fn emit(&self, rec: Record) {
+        if self.is_enabled() {
+            self.sink().log.push(rec);
         }
-        self.sink().journal.push(TelemetryEvent {
-            t,
-            node,
-            component,
-            kind,
-            attrs,
-        });
     }
 
-    /// Number of events currently held in the journal ring.
+    /// Number of journal events currently held in the ring.
     pub fn journal_len(&self) -> usize {
-        self.sink().journal.len()
+        self.sink().log.journal_len
     }
 
-    /// Events evicted from the ring because it was full.
+    /// Records evicted from the ring because it was full, whatever their
+    /// role: the log's one eviction counter.
     pub fn journal_dropped(&self) -> u64 {
-        self.sink().journal.dropped()
+        self.sink().log.dropped
     }
 
-    /// Render the journal as JSON Lines (one event object per line).
-    ///
-    /// Byte-identical across same-seed runs: sim-time only, insertion
-    /// order preserved.
+    /// Render the journal as JSON Lines (one event object per line),
+    /// byte-identical across same-seed runs.
     pub fn journal_jsonl(&self) -> String {
-        self.sink().journal.to_jsonl()
+        self.sink().log.journal_jsonl()
     }
 
     /// Run `f` over each journal event in order.
-    pub fn for_each_event<F: FnMut(&TelemetryEvent)>(&self, f: F) {
-        self.sink().journal.iter().for_each(f);
+    pub fn for_each_event<F: FnMut(&Record)>(&self, f: F) {
+        self.sink().log.journal().for_each(f);
     }
 
     /// Run `f` over every same-node event-kind edge in the journal, in
-    /// order ([`Journal::for_each_edge`]): the behavior signature the
+    /// order ([`EventLog::for_each_edge`]): the behavior signature the
     /// coverage-guided fuzzer hashes.
     pub fn for_each_edge<F: FnMut(u32, &'static str, &'static str)>(&self, f: F) {
-        self.sink().journal.for_each_edge(f);
+        self.sink().log.for_each_edge(f);
     }
 
     // ------------------------------------------------------------ metrics
@@ -292,8 +282,8 @@ impl Telemetry {
         let sink = self.sink();
         let mut root = serde_json::Map::new();
         let mut j = serde_json::Map::new();
-        j.insert("events", serde_json::Value::from(sink.journal.len() as u64));
-        j.insert("dropped", serde_json::Value::from(sink.journal.dropped()));
+        j.insert("events", serde_json::Value::from(sink.log.journal_len as u64));
+        j.insert("dropped", serde_json::Value::from(sink.log.dropped));
         root.insert("journal", serde_json::Value::Object(j));
         root.insert("global", sink.registry.globals_to_json());
         root.insert("nodes", sink.registry.to_json());
@@ -302,21 +292,25 @@ impl Telemetry {
 }
 
 /// Record a journal event, skipping attribute evaluation when disabled.
+/// The `hop(..)` form records a decision that is also a [`Hop`] of the
+/// packet with that raw provenance id ([`Record::of_hop`]).
 ///
 /// ```ignore
 /// tev!(tel, now_ns, node_id, "rnic", "gbn.rollback", psn = psn, qpn = qpn);
+/// tev!(tel, now_ns, node_id, "switch", hop(Hop::Drop, frame.trace_id()), psn = psn);
 /// ```
 #[macro_export]
 macro_rules! tev {
+    ($tel:expr, $t:expr, $node:expr, $component:expr, hop($hop:expr, $id:expr) $(, $key:ident = $val:expr)* $(,)?) => {
+        if $tel.is_enabled() {
+            $tel.emit($crate::Record::of_hop($hop, $id, $t, $node, $component,
+                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*]));
+        }
+    };
     ($tel:expr, $t:expr, $node:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
         if $tel.is_enabled() {
-            $tel.emit(
-                $t,
-                $node,
-                $component,
-                $kind,
-                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*],
-            );
+            $tel.emit($crate::Record::event($t, $node, $component, $kind,
+                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*]));
         }
     };
 }
@@ -377,7 +371,7 @@ mod tests {
         assert!(tel.is_enabled());
         assert!(!tel.is_tracing());
         tel.record_hop(5, "gen.enqueue", 0, 100);
-        assert!(tel.with_recorder(|r| r.is_empty()));
+        assert_eq!(tel.with_log(|l| l.records.len()), 0);
     }
 
     #[test]
@@ -386,11 +380,67 @@ mod tests {
         tel.enable_tracing(16, 40);
         assert!(tel.is_tracing());
         tel.record_hop(42, "gen.enqueue", 0, 100);
-        let (len, id) = tel.with_recorder(|r| {
-            (r.len(), r.iter().next().map(|h| h.trace_id))
-        });
-        assert_eq!(len, 1);
-        assert_eq!(id, Some(2));
+        let ids: Vec<u64> = tel.with_log(|l| l.hops().map(|(id, _, _)| id).collect());
+        assert_eq!(ids, [2]);
+    }
+
+    /// What each gate keeps: `(journal kinds, hop-view names, ids)`.
+    fn views(tel: &Telemetry) -> (Vec<&'static str>, Vec<&'static str>, Vec<Option<u64>>) {
+        tev!(tel, 1, 2, "switch", "iter.transition");
+        tel.record_hop(11, trace::hops::SWITCH_FORWARD, 2, 2);
+        tev!(tel, 3, 2, "switch", hop(Hop::Drop, 12), psn = 4u32);
+        tel.with_log(|l| {
+            (
+                l.journal().map(|r| r.kind).collect(),
+                l.hops().map(|(_, hop, _)| hop.name()).collect(),
+                l.records.iter().map(Record::trace_id).collect(),
+            )
+        })
+    }
+
+    #[test]
+    fn each_role_is_kept_under_its_gate() {
+        assert_eq!(views(&Telemetry::disabled()), (vec![], vec![], vec![]));
+        // On but untraced: the decision keeps its packet's id, and there
+        // is no pure hop and no hop view.
+        let tel = Telemetry::enabled();
+        tel.set_trace_baseline(10);
+        assert_eq!(
+            views(&tel),
+            (vec!["iter.transition", "drop"], vec![], vec![None, Some(2)])
+        );
+        let tel = Telemetry::enabled();
+        tel.enable_tracing(16, 10);
+        assert_eq!(
+            views(&tel),
+            (
+                vec!["iter.transition", "drop"],
+                vec!["switch.forward", "switch.mutate.drop"],
+                vec![None, Some(1), Some(2)],
+            )
+        );
+    }
+
+    #[test]
+    fn one_ring_one_counter_under_both_gates() {
+        // Room for one hop beyond the journal's 65 536: filling the
+        // journal, then two hops and one more event evicts the two
+        // oldest events, and only the journal's share counts as events.
+        let tel = Telemetry::enabled();
+        tel.enable_tracing(1, 0);
+        for t in 0..JOURNAL_CAPACITY as u64 {
+            tev!(tel, t, 0, "c", "k");
+        }
+        tel.record_hop(0, trace::hops::GEN_ENQUEUE, 0, 1 << 20);
+        tel.record_hop(0, trace::hops::LINK_EGRESS, 0, 1 << 21);
+        tev!(tel, 1 << 22, 0, "c", "last");
+        assert_eq!(tel.journal_dropped(), 2);
+        assert_eq!(tel.journal_len(), JOURNAL_CAPACITY - 1);
+        let first = tel.with_log(|l| l.records.iter().next().map(|r| r.t));
+        assert_eq!(first, Some(2), "oldest first");
+        let snap = tel.deterministic_snapshot();
+        assert_eq!(snap["journal"]["events"], (JOURNAL_CAPACITY - 1) as u64);
+        assert_eq!(snap["journal"]["dropped"], 2u64);
     }
 
     #[test]

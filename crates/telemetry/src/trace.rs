@@ -1,26 +1,14 @@
-//! Packet-lifecycle flight recorder: causal `(trace_id, hop, sim_time)`
-//! records, per-hop latency dissection, and Perfetto export.
+//! The hop view of the event log: the kind table, per-hop latency
+//! dissection, and Perfetto export.
 //!
 //! Every [`Frame`](../../lumina_packet/buf/struct.Frame.html) carries a
-//! provenance id stamped when the packet is serialized; instrumented
-//! hops — generator enqueue, RNIC retransmit, link egress/ingress,
-//! switch forward/mirror/mutate, dumper capture — append one
-//! [`HopRecord`] to a bounded ring here. The ring is seed-deterministic:
-//! it stores only simulated time, records arrive in dispatch order, and
-//! raw provenance ids (a per-thread monotonic counter) are normalized
-//! against a baseline captured when tracing was enabled, so the same
-//! seed yields byte-identical traces no matter how many frames earlier
-//! runs on the thread — or sibling fuzz workers — already minted.
-//!
-//! Two derived views answer "where did this microsecond go":
-//!
-//! * [`TraceSummary`] folds consecutive records of each packet into
-//!   per-hop and end-to-end latency [`Histogram`]s, exported as a
-//!   [`MetricSet`] and embedded in `report_json` under `"trace"` only
-//!   when tracing is on (the golden reports never see it);
-//! * [`perfetto_json`] renders the ring as Chrome trace-event JSON —
-//!   one track per node, a span per packet leg, instant events for
-//!   retransmits and injected mutations — loadable at ui.perfetto.dev.
+//! provenance id stamped when the packet is serialized; a record of one of
+//! the [`Hop`] kinds carries it, relative to a baseline taken when the run
+//! was built, so the same seed yields byte-identical traces on any thread.
+//! Pure hops are kept only while tracing; a hop that is also a decision
+//! (mirror, mutate, retransmit) is the journal's record of it, shown here
+//! only while tracing. [`TraceSummary`] folds the view into latency
+//! [`Histogram`]s; [`perfetto_json`] renders it for ui.perfetto.dev.
 
 // A panic here forfeits a verdict or a whole campaign.
 #![cfg_attr(
@@ -28,201 +16,152 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
+use crate::journal::{jsonl, EventLog, Record};
 use crate::metrics::{Histogram, MetricSet};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Canonical hop names. Instrumentation sites pass these (or, for
-/// switch mutations, one of the `switch.mutate.*` variants) so the
-/// dissection and the Perfetto export agree on the taxonomy.
+/// The kind table: every record kind that is a packet hop. Each kind's
+/// names are its row of the table in `Hop::row`, read through
+/// [`Hop::name`], [`Hop::journal_kind`] and [`Hop::is_instant`]. A hop
+/// with a journal kind is also a decision the journal shows, recorded once
+/// in both roles; one without is a pure hop, kept only while tracing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[rustfmt::skip]
+pub enum Hop {
+    GenEnqueue, Retransmit, LinkEgress, LinkIngress, SwitchForward, Mirror,
+    Drop, Ecn, Corrupt, MigReq, Delay, Reorder, DumperCapture,
+}
+
+impl Hop {
+    /// The table: hop name, journal kind, and whether the hop is a point
+    /// event (a Perfetto instant) rather than the start of a residency leg.
+    const fn row(self) -> (&'static str, Option<&'static str>, bool) {
+        match self {
+            // Host hands a freshly built frame (data, ACK, CNP) to the engine.
+            Hop::GenEnqueue => ("gen.enqueue", None, false),
+            // RNIC re-emits an already-sent PSN (go-back-N or timeout path).
+            Hop::Retransmit => ("rnic.retransmit", Some("retransmit"), true),
+            // Engine hands the frame to a link; it arrives at the far end.
+            Hop::LinkEgress => ("link.egress", None, false),
+            Hop::LinkIngress => ("link.ingress", None, false),
+            Hop::SwitchForward => ("switch.forward", None, false),
+            // Switch emits a mirror copy toward a dumper.
+            Hop::Mirror => ("switch.mirror", Some("mirror.emit"), false),
+            // The injected events.
+            Hop::Drop => ("switch.mutate.drop", Some("drop"), true),
+            Hop::Ecn => ("switch.mutate.ecn", Some("ecn.mark"), true),
+            Hop::Corrupt => ("switch.mutate.corrupt", Some("corrupt"), true),
+            Hop::MigReq => ("switch.mutate.migreq", Some("migreq.rewrite"), true),
+            Hop::Delay => ("switch.mutate.delay", Some("delay"), true),
+            Hop::Reorder => ("switch.mutate.reorder", Some("reorder"), true),
+            // Dumper files the frame into its capture ring.
+            Hop::DumperCapture => ("dumper.capture", None, false),
+        }
+    }
+
+    /// The name the hop view renders.
+    pub const fn name(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The journal kind of a hop that is also a decision.
+    pub const fn journal_kind(self) -> Option<&'static str> {
+        self.row().1
+    }
+
+    /// Whether the hop renders as a Perfetto instant.
+    pub const fn is_instant(self) -> bool {
+        self.row().2
+    }
+
+    /// The pure hop called `name`, if there is one.
+    pub fn pure(name: &str) -> Option<Hop> {
+        use Hop::*;
+        [GenEnqueue, LinkEgress, LinkIngress, SwitchForward, DumperCapture]
+            .into_iter()
+            .find(|h| h.name() == name)
+    }
+}
+
+/// The pure hops' names, which instrumentation sites pass to
+/// [`Telemetry::record_hop`](crate::Telemetry::record_hop).
 pub mod hops {
-    /// Host hands a freshly built frame (data, ACK, CNP) to the engine.
-    pub const GEN_ENQUEUE: &str = "gen.enqueue";
-    /// RNIC re-emits an already-sent PSN (go-back-N or timeout path).
-    pub const RNIC_RETRANSMIT: &str = "rnic.retransmit";
-    /// Engine hands the frame to a link for serialization + propagation.
-    pub const LINK_EGRESS: &str = "link.egress";
-    /// Frame arrives at the far end of a link.
-    pub const LINK_INGRESS: &str = "link.ingress";
-    /// Switch forwards the frame out its egress port.
-    pub const SWITCH_FORWARD: &str = "switch.forward";
-    /// Switch emits a mirror copy toward a dumper.
-    pub const SWITCH_MIRROR: &str = "switch.mirror";
-    /// Prefix of the injected-mutation hops (`.drop`, `.ecn`, …).
-    pub const SWITCH_MUTATE_PREFIX: &str = "switch.mutate.";
-    /// Dumper files the frame into its capture ring.
-    pub const DUMPER_CAPTURE: &str = "dumper.capture";
+    use super::Hop;
+    pub const GEN_ENQUEUE: &str = Hop::GenEnqueue.name();
+    pub const LINK_EGRESS: &str = Hop::LinkEgress.name();
+    pub const LINK_INGRESS: &str = Hop::LinkIngress.name();
+    pub const SWITCH_FORWARD: &str = Hop::SwitchForward.name();
+    pub const DUMPER_CAPTURE: &str = Hop::DumperCapture.name();
 }
 
-/// Hops that mark a point event rather than the start of a residency
-/// leg: injected mutations and retransmissions render as Perfetto
-/// instant events.
-pub fn is_instant_hop(hop: &str) -> bool {
-    hop == hops::RNIC_RETRANSMIT || hop.starts_with(hops::SWITCH_MUTATE_PREFIX)
-}
-
-/// One lifecycle record: packet `trace_id` was observed at `hop` on
-/// `node` at simulated nanosecond `t`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HopRecord {
-    /// Baseline-relative provenance id (0 = first frame after enable).
-    pub trace_id: u64,
-    /// Hop name; see [`hops`].
-    pub hop: &'static str,
-    /// Engine node id the observation happened on.
-    pub node: u32,
-    /// Simulated time, nanoseconds.
-    pub t: u64,
-}
-
-impl HopRecord {
-    /// Render as one flat JSON object.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        m.insert("id", serde_json::Value::from(self.trace_id));
-        m.insert("hop", serde_json::Value::String(self.hop.to_string()));
-        m.insert("node", serde_json::Value::from(self.node as u64));
-        m.insert("t", serde_json::Value::from(self.t));
-        serde_json::Value::Object(m)
-    }
-}
-
-/// Bounded FIFO of [`HopRecord`]s, evicting oldest-first like the event
-/// journal so a pathological run cannot exhaust memory.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    records: VecDeque<HopRecord>,
-    capacity: usize,
-    dropped: u64,
-    baseline: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder holding at most `capacity` records (min 1). `baseline`
-    /// is the raw provenance counter at enable time; recorded ids are
-    /// stored relative to it.
-    pub fn new(capacity: usize, baseline: u64) -> FlightRecorder {
-        FlightRecorder {
-            records: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-            baseline,
-        }
+impl EventLog {
+    /// The hop view: `(trace_id, hop, record)` of every retained record in
+    /// the hop role, oldest first — none unless tracing is on.
+    pub fn hops(&self) -> impl Iterator<Item = (u64, Hop, &Record)> {
+        let shown = if self.tracing { usize::MAX } else { 0 };
+        self.records.iter().take(shown).filter_map(|r| Some((r.trace_id()?, r.hop?, r)))
     }
 
-    /// Append one observation; `raw_trace_id` is the frame's absolute id.
-    pub fn record(&mut self, raw_trace_id: u64, hop: &'static str, node: u32, t: u64) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(HopRecord {
-            trace_id: raw_trace_id.saturating_sub(self.baseline),
-            hop,
-            node,
-            t,
-        });
+    /// Render the hop view as JSON Lines (`{"id","hop","node","t"}`),
+    /// oldest first — byte-identical across same-seed runs.
+    pub fn hops_jsonl(&self) -> String {
+        jsonl(self.hops().map(|(id, hop, r)| {
+            serde_json::json!({"id": id, "hop": (hop.name()), "node": (r.node), "t": (r.t)})
+        }))
     }
 
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Iterate retained records oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &HopRecord> {
-        self.records.iter()
-    }
-
-    /// Render as JSON Lines, oldest first — byte-identical across
-    /// same-seed runs.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_json().to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Group retained records per packet, id-ascending; each packet's
-    /// records keep their (sim-time) arrival order.
-    fn per_packet(&self) -> BTreeMap<u64, Vec<&HopRecord>> {
-        let mut by_id: BTreeMap<u64, Vec<&HopRecord>> = BTreeMap::new();
-        for r in &self.records {
-            by_id.entry(r.trace_id).or_default().push(r);
+    /// Group the hop view per packet, id-ascending; each packet's records
+    /// keep their (sim-time) arrival order.
+    fn per_packet(&self) -> BTreeMap<u64, Vec<(Hop, &Record)>> {
+        let mut by_id: BTreeMap<u64, Vec<(Hop, &Record)>> = BTreeMap::new();
+        for (id, hop, r) in self.hops() {
+            by_id.entry(id).or_default().push((hop, r));
         }
         by_id
     }
 }
 
-/// Latency dissection derived from a [`FlightRecorder`]: one histogram
-/// per hop (time spent reaching that hop from the packet's previous
-/// record) plus an end-to-end histogram (first record → last record).
+/// Latency dissection derived from the hop view: one histogram per hop
+/// (time spent reaching that hop from the packet's previous record) plus
+/// an end-to-end histogram (first record → last record).
 #[derive(Debug, Default)]
 pub struct TraceSummary {
     per_hop: BTreeMap<&'static str, Histogram>,
-    end_to_end: Histogram,
-    packets: u64,
-    records: u64,
-    dropped: u64,
+    /// End-to-end (first record → last record) latency.
+    pub end_to_end: Histogram,
+    /// Distinct packets observed.
+    pub packets: u64,
+    /// Hop records retained.
+    pub records: u64,
+    /// Records the log evicted, whatever their role.
+    pub dropped: u64,
 }
 
 impl TraceSummary {
-    /// Fold the recorder's retained records into histograms.
-    pub fn from_recorder(rec: &FlightRecorder) -> TraceSummary {
+    /// Fold the log's hop view into histograms.
+    pub fn from_log(log: &EventLog) -> TraceSummary {
         let mut s = TraceSummary {
-            records: rec.len() as u64,
-            dropped: rec.dropped(),
+            records: log.hops().count() as u64,
+            dropped: log.dropped,
             ..TraceSummary::default()
         };
-        for (_, recs) in rec.per_packet() {
+        for (_, recs) in log.per_packet() {
             s.packets += 1;
-            for (from, to) in recs.iter().zip(recs.iter().skip(1)) {
+            for ((_, from), (hop, to)) in recs.iter().zip(recs.iter().skip(1)) {
                 let dt = to.t.saturating_sub(from.t);
-                s.per_hop.entry(to.hop).or_default().record(dt);
+                s.per_hop.entry(hop.name()).or_default().record(dt);
             }
-            if let (Some(first), Some(last)) = (recs.first(), recs.last()) {
-                if recs.len() > 1 {
-                    s.end_to_end.record(last.t.saturating_sub(first.t));
-                }
+            if let [(_, first), .., (_, last)] = recs.as_slice() {
+                s.end_to_end.record(last.t.saturating_sub(first.t));
             }
         }
         s
     }
 
-    /// Distinct packets observed.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Hop names with at least one latency sample, ascending.
-    pub fn hop_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.per_hop.keys().copied()
-    }
-
-    /// Latency histogram for reaching `hop`, if sampled.
-    pub fn hop_histogram(&self, hop: &str) -> Option<&Histogram> {
-        self.per_hop.get(hop)
-    }
-
-    /// End-to-end (first record → last record) histogram.
-    pub fn end_to_end(&self) -> &Histogram {
-        &self.end_to_end
+    /// `(hop name, latency histogram for reaching it)` of every sampled
+    /// hop, by name.
+    pub fn per_hop(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        self.per_hop.iter().map(|(hop, h)| (*hop, h))
     }
 
     /// Approximate p99 latency into `hop`, nanoseconds.
@@ -237,21 +176,18 @@ impl MetricSet for TraceSummary {
     }
 
     fn snapshot(&self) -> serde_json::Value {
+        let per_hop = self.per_hop().map(|(hop, h)| (hop.to_string(), h.to_json()));
         let mut m = serde_json::Map::new();
         m.insert("packets", serde_json::Value::from(self.packets));
         m.insert("records", serde_json::Value::from(self.records));
         m.insert("dropped", serde_json::Value::from(self.dropped));
         m.insert("end_to_end", self.end_to_end.to_json());
-        let mut hops = serde_json::Map::new();
-        for (hop, h) in &self.per_hop {
-            hops.insert(*hop, h.to_json());
-        }
-        m.insert("per_hop", serde_json::Value::Object(hops));
+        m.insert("per_hop", serde_json::Value::Object(per_hop.collect()));
         serde_json::Value::Object(m)
     }
 }
 
-/// Render the recorder as Chrome trace-event JSON for Perfetto.
+/// Render the log's hop view as Chrome trace-event JSON for Perfetto.
 ///
 /// Mapping: every node is one track (`pid` 0, `tid` = node id, named by
 /// `node_names`); each consecutive record pair of one packet becomes a
@@ -259,10 +195,7 @@ impl MetricSet for TraceSummary {
 /// `from→to`, with the packet id in `args`; retransmit and mutation
 /// hops additionally emit thread-scoped instant (`"i"`) events.
 /// Timestamps convert sim-nanoseconds to the format's microseconds.
-pub fn perfetto_json(
-    rec: &FlightRecorder,
-    node_names: &BTreeMap<u32, String>,
-) -> serde_json::Value {
+pub fn perfetto_json(log: &EventLog, node_names: &BTreeMap<u32, String>) -> serde_json::Value {
     let mut events: Vec<serde_json::Value> = Vec::new();
     for (&node, name) in node_names {
         events.push(serde_json::json!({
@@ -273,32 +206,31 @@ pub fn perfetto_json(
             "args": {"name": (name.as_str())},
         }));
     }
-    for (id, recs) in rec.per_packet() {
-        for (from, to) in recs.iter().zip(recs.iter().skip(1)) {
+    for (id, recs) in log.per_packet() {
+        for ((from_hop, from), (to_hop, to)) in recs.iter().zip(recs.iter().skip(1)) {
+            let (from_hop, to_hop) = (from_hop.name(), to_hop.name());
             events.push(serde_json::json!({
                 "ph": "X",
-                "name": (format!("{}\u{2192}{}", from.hop, to.hop)),
+                "name": (format!("{from_hop}\u{2192}{to_hop}")),
                 "cat": "packet",
                 "pid": 0,
                 "tid": (from.node),
                 "ts": (from.t as f64 / 1e3),
                 "dur": (to.t.saturating_sub(from.t) as f64 / 1e3),
-                "args": {"trace_id": id, "from": (from.hop), "to": (to.hop)},
+                "args": {"trace_id": id, "from": from_hop, "to": to_hop},
             }));
         }
-        for r in &recs {
-            if is_instant_hop(r.hop) {
-                events.push(serde_json::json!({
-                    "ph": "i",
-                    "name": (r.hop),
-                    "cat": "packet",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": (r.node),
-                    "ts": (r.t as f64 / 1e3),
-                    "args": {"trace_id": id},
-                }));
-            }
+        for (hop, r) in recs.iter().filter(|(hop, _)| hop.is_instant()) {
+            events.push(serde_json::json!({
+                "ph": "i",
+                "name": (hop.name()),
+                "cat": "packet",
+                "s": "t",
+                "pid": 0,
+                "tid": (r.node),
+                "ts": (r.t as f64 / 1e3),
+                "args": {"trace_id": id},
+            }));
         }
     }
     serde_json::json!({
@@ -311,58 +243,108 @@ pub fn perfetto_json(
 mod tests {
     use super::*;
 
-    fn sample_recorder() -> FlightRecorder {
-        let mut r = FlightRecorder::new(64, 100);
+    /// Every kind, in lifecycle order.
+    const ALL: [Hop; 13] = {
+        use Hop::*;
+        [
+            GenEnqueue,
+            Retransmit,
+            LinkEgress,
+            LinkIngress,
+            SwitchForward,
+            Mirror,
+            Drop,
+            Ecn,
+            Corrupt,
+            MigReq,
+            Delay,
+            Reorder,
+            DumperCapture,
+        ]
+    };
+
+    fn sample_log() -> EventLog {
+        let mut r = EventLog::new(64);
+        r.baseline = 100;
+        r.trace(0);
         // Packet 100 (relative 0): gen → egress → ingress → forward.
-        r.record(100, hops::GEN_ENQUEUE, 0, 1_000);
-        r.record(100, hops::LINK_EGRESS, 0, 1_500);
-        r.record(100, hops::LINK_INGRESS, 2, 3_500);
-        r.record(100, hops::SWITCH_FORWARD, 2, 4_000);
+        r.push(Record::of_hop(Hop::GenEnqueue, 100, 1_000, 0, "", vec![]));
+        r.push(Record::of_hop(Hop::LinkEgress, 100, 1_500, 0, "", vec![]));
+        r.push(Record::of_hop(Hop::LinkIngress, 100, 3_500, 2, "", vec![]));
+        r.push(Record::of_hop(
+            Hop::SwitchForward,
+            100,
+            4_000,
+            2,
+            "",
+            vec![],
+        ));
         // Packet 101 (relative 1): dropped at the switch.
-        r.record(101, hops::GEN_ENQUEUE, 0, 2_000);
-        r.record(101, "switch.mutate.drop", 2, 5_000);
+        r.push(Record::of_hop(Hop::GenEnqueue, 101, 2_000, 0, "", vec![]));
+        r.push(Record::of_hop(Hop::Drop, 101, 5_000, 2, "switch", vec![]));
         r
     }
 
     #[test]
     fn ring_normalizes_ids_and_evicts_oldest() {
-        let mut r = FlightRecorder::new(2, 10);
-        r.record(10, hops::GEN_ENQUEUE, 0, 1);
-        r.record(11, hops::GEN_ENQUEUE, 0, 2);
-        r.record(12, hops::GEN_ENQUEUE, 0, 3);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 1);
-        let ids: Vec<u64> = r.iter().map(|h| h.trace_id).collect();
+        let mut r = EventLog::new(2);
+        r.baseline = 10;
+        r.trace(0);
+        for (raw, t) in [(10, 1), (11, 2), (12, 3)] {
+            r.push(Record::of_hop(Hop::GenEnqueue, raw, t, 0, "", vec![]));
+        }
+        assert_eq!(r.hops().count(), 2);
+        assert_eq!(r.dropped, 1);
+        let ids: Vec<u64> = r.hops().map(|(id, _, _)| id).collect();
         assert_eq!(ids, vec![1, 2], "ids are baseline-relative");
         // Pre-baseline frames clamp to 0 instead of wrapping.
-        r.record(3, hops::GEN_ENQUEUE, 0, 4);
-        assert_eq!(r.iter().last().map(|h| h.trace_id), Some(0));
+        r.push(Record::of_hop(Hop::GenEnqueue, 3, 4, 0, "", vec![]));
+        assert_eq!(r.hops().last().map(|(id, _, _)| id), Some(0));
     }
 
     #[test]
     fn jsonl_is_deterministic_and_flat() {
-        let r = sample_recorder();
-        let jsonl = r.to_jsonl();
+        let r = sample_log();
+        let jsonl = r.hops_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 6);
         assert_eq!(
             lines[0],
             r#"{"id":0,"hop":"gen.enqueue","node":0,"t":1000}"#
         );
+        assert_eq!(
+            lines[5],
+            r#"{"id":1,"hop":"switch.mutate.drop","node":2,"t":5000}"#
+        );
+    }
+
+    #[test]
+    fn hop_view_is_empty_unless_tracing() {
+        let mut r = EventLog::new(8);
+        r.push(Record::of_hop(Hop::Mirror, 3, 7, 2, "switch", vec![]));
+        assert_eq!(r.journal().count(), 1);
+        assert_eq!(r.hops().count(), 0);
+        assert_eq!(r.hops_jsonl(), "");
+        r.trace(8);
+        assert_eq!(
+            r.hops().map(|(id, hop, _)| (id, hop)).collect::<Vec<_>>(),
+            [(3, Hop::Mirror)]
+        );
     }
 
     #[test]
     fn summary_dissects_per_hop_and_end_to_end() {
-        let s = TraceSummary::from_recorder(&sample_recorder());
-        assert_eq!(s.packets(), 2);
-        let egress = s.hop_histogram(hops::LINK_EGRESS).unwrap();
+        let s = TraceSummary::from_log(&sample_log());
+        assert_eq!((s.packets, s.records, s.dropped), (2, 6, 0));
+        let hop = |name| s.per_hop().find(|(n, _)| *n == name).unwrap().1;
+        let egress = hop(hops::LINK_EGRESS);
         assert_eq!(egress.count(), 1);
         assert_eq!(egress.sum(), 500);
-        let ingress = s.hop_histogram(hops::LINK_INGRESS).unwrap();
+        let ingress = hop(hops::LINK_INGRESS);
         assert_eq!(ingress.sum(), 2_000);
         // End-to-end: 3000 ns for packet 0, 3000 ns for packet 1.
-        assert_eq!(s.end_to_end().count(), 2);
-        assert_eq!(s.end_to_end().sum(), 6_000);
+        assert_eq!(s.end_to_end.count(), 2);
+        assert_eq!(s.end_to_end.sum(), 6_000);
         assert!(s.hop_p99_ns(hops::LINK_INGRESS).unwrap() <= 2_000);
         let j = s.snapshot();
         assert_eq!(j["packets"], 2u64);
@@ -371,7 +353,7 @@ mod tests {
 
     #[test]
     fn perfetto_has_tracks_spans_and_instants() {
-        let r = sample_recorder();
+        let r = sample_log();
         let mut names = BTreeMap::new();
         names.insert(0u32, "requester".to_string());
         names.insert(2u32, "switch".to_string());
@@ -395,9 +377,42 @@ mod tests {
 
     #[test]
     fn instant_classification() {
-        assert!(is_instant_hop("rnic.retransmit"));
-        assert!(is_instant_hop("switch.mutate.ecn"));
-        assert!(!is_instant_hop("switch.forward"));
-        assert!(!is_instant_hop("gen.enqueue"));
+        // Exactly the retransmit and the six injected mutations.
+        let instants: Vec<&str> = ALL
+            .into_iter()
+            .filter(|h| h.is_instant())
+            .map(Hop::name)
+            .collect();
+        assert_eq!(
+            instants,
+            [
+                "rnic.retransmit",
+                "switch.mutate.drop",
+                "switch.mutate.ecn",
+                "switch.mutate.corrupt",
+                "switch.mutate.migreq",
+                "switch.mutate.delay",
+                "switch.mutate.reorder",
+            ]
+        );
+    }
+
+    #[test]
+    fn record_hop_takes_only_pure_hop_names() {
+        let pure: Vec<&str> = ALL
+            .into_iter()
+            .filter_map(|h| Hop::pure(h.name()))
+            .map(Hop::name)
+            .collect();
+        let want = [
+            hops::GEN_ENQUEUE,
+            hops::LINK_EGRESS,
+            hops::LINK_INGRESS,
+            hops::SWITCH_FORWARD,
+            hops::DUMPER_CAPTURE,
+        ];
+        assert_eq!(pure, want);
+        assert_eq!(Hop::pure("switch.mutate.drop"), None);
+        assert_eq!(Hop::pure("nosuch.hop"), None);
     }
 }

@@ -31,7 +31,8 @@ check:
 # pcap`) — because it inlines the walk into `recover_entry` and the reader
 # into `ingest_reader` — and the byte pins of the one RC replay (`--lib
 # routed_tests`, `--test analyzer_teeth`), because it inlines the
-# Go-back-N view into the oracle's per-packet steps.
+# Go-back-N view into the oracle's per-packet steps — and the event log's
+# byte pins and ring tests, because it inlines the recording sites.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
     cargo build --release
@@ -49,10 +50,15 @@ ci:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p lumina-packet -p lumina-sim -p lumina-telemetry -p lumina-rnic -p lumina-switch -p lumina-dumper -p lumina-gen -p lumina-core
 
-# The release-profile pass of the byte-level suites (see `ci`). The last two
-# are the byte pins of the one RC replay: both public reports over every
-# preset, quirked fuzz children and colliding traces, and the
-# trace-mutation teeth of the oracle and its Go-back-N view.
+# The release-profile pass of the byte-level suites (see `ci`). Then the
+# byte pins of the one RC replay: both public reports over every preset,
+# quirked fuzz children and colliding traces, and the trace-mutation teeth
+# of the oracle and its Go-back-N view. The last two are the run's one event
+# log: `event_log_pins` holds what its journal and hop views rendered while
+# they were two rings (every preset untraced at seeds 1-2, the ten presets
+# whose hops fit the trace ring traced at seed 1, an overflowing journal),
+# and the telemetry unit tests hold the ring itself (eviction order, the one
+# eviction counter, which role each gate keeps).
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
@@ -66,6 +72,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-sim --lib pcap
     cargo test --release --offline -q -p lumina-core --lib routed_tests
     cargo test --release --offline -q -p lumina-core --test analyzer_teeth
+    cargo test --release --offline -q -p lumina-repro --test event_log_pins
+    cargo test --release --offline -q -p lumina-telemetry --lib
 
 # Fast feedback loop: debug build + tests.
 test:
