@@ -23,7 +23,9 @@
 //! It is also a run's one RC replay: in known-connections mode it feeds the
 //! Go-back-N view ([`super::gbn_fsm`]), whose expected PSN, last delivered
 //! PSN, sender frontier and NACK-PSN comparison are the replay's own.
-//! `GbnView` keeps only what its rules add.
+//! `GbnView` keeps only what its rules add. Each rule outcome taken is one
+//! bit of the replay's [`Decisions`], the spec coverage the fuzzer steers by
+//! (DESIGN.md §11); recording adds no rule and moves no verdict.
 
 use super::gbn_fsm::{ConnGbnReport, GbnReport};
 use super::Routes;
@@ -120,6 +122,133 @@ impl ViolationClass {
             }
             ViolationClass::IcrcMiscompute => "data integrity",
         }
+    }
+}
+
+/// The enum, its labels and the class each outcome proves, from one list.
+macro_rules! decision_table {
+    ($($name:ident = $label:literal $(=> $class:ident)?,)+) => {
+        /// One `(rule, outcome)` decision point of the RC replay or of its
+        /// Go-back-N view, named `rule.outcome`. The table holds each
+        /// outcome that a preset, a quirk knob or a trace mutant reaches, an
+        /// abstention for lack of evidence (`round.unprovable`) included, and
+        /// no other (`analyzer_teeth::every_decision_point_is_reached`).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Decision {
+            $(#[doc = $label] $name,)+
+        }
+
+        impl Decision {
+            /// The whole table, in bit order.
+            pub const ALL: &'static [Decision] = &[$(Decision::$name),+];
+
+            /// Stable kebab-case `rule.outcome` label.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(Decision::$name => $label,)+
+                }
+            }
+
+            /// The violation class this outcome proves, if it is one.
+            pub fn proves(self) -> Option<ViolationClass> {
+                match self {
+                    $($(Decision::$name => Some(ViolationClass::$class),)?)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+decision_table! {
+    // The sender view: what justified a retransmission round, if anything.
+    RoundByNack = "round.by-nack",
+    RoundByReread = "round.by-reread",
+    RoundByLoss = "round.by-loss",
+    RoundUnjustified = "round.unjustified" => SpuriousRetransmit,
+    RoundUnacked = "round.unacked" => UnackedDelivery,
+    RoundUnprovable = "round.unprovable",
+    // The receiver view: a data packet against the expected PSN.
+    RecvInOrder = "recv.in-order",
+    RecvGap = "recv.gap",
+    RecvDuplicate = "recv.duplicate",
+    RecvLost = "recv.lost",
+    AckDue = "ack.due",
+    // Sequence-error NACKs, positive ACKs and the boundaries they cover.
+    NackAtExpected = "nack.at-expected",
+    NackPsnMismatch = "nack.psn-mismatch" => NackPsnMismatch,
+    AckInWindow = "ack.in-window",
+    AckBeyondSent = "ack.beyond-sent" => AckPsnInvalid,
+    AckCoversNone = "ack.covers-none",
+    AckCoversOne = "ack.covers-one",
+    AckCoalesced = "ack.coalesced" => AckCoalescing,
+    MsnAdvanced = "msn.advanced",
+    MsnRegressed = "msn.regressed" => MsnRegression,
+    ReadRequest = "read.request",
+    ReadReissued = "read.reissued",
+    // Whole-connection and whole-trace outcomes.
+    ConnDisplaced = "conn.displaced",
+    CnpAfterCe = "cnp.after-ce",
+    CnpMissing = "cnp.missing" => MissingCnp,
+    CnpSpurious = "cnp.spurious" => SpuriousCnp,
+    IcrcMiscompute = "icrc.miscompute" => IcrcMiscompute,
+    // The Go-back-N view's rules.
+    GbnRoundAtNack = "gbn.round-at-nack",
+    GbnRoundOffNack = "gbn.round-off-nack",
+    GbnNackInEpisode = "gbn.nack-in-episode",
+    GbnNackOutsideEpisode = "gbn.nack-outside-episode",
+    GbnNackRepeated = "gbn.nack-repeated",
+    GbnRereadOffExpected = "gbn.reread-off-expected",
+    GbnAckRegressed = "gbn.ack-regressed",
+}
+
+// A run's decisions are one `u64`.
+const _: () = assert!(Decision::ALL.len() <= 64);
+
+/// A set of [`Decision`]s, one bit each: what one replay (or a campaign)
+/// covered. Never in a report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Decisions(u64);
+
+impl Decisions {
+    /// Whether `d` is in the set.
+    pub fn contains(self, d: Decision) -> bool {
+        self.0 & 1 << d as u32 != 0
+    }
+
+    /// Number of decisions in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The decisions in the set, in table order.
+    pub fn iter(self) -> impl Iterator<Item = Decision> {
+        Decision::ALL
+            .iter()
+            .copied()
+            .filter(move |&d| self.contains(d))
+    }
+
+    /// The decisions in `self` that `other` lacks.
+    pub fn without(self, other: Decisions) -> Decisions {
+        Decisions(self.0 & !other.0)
+    }
+}
+
+impl std::ops::BitOrAssign<Decision> for Decisions {
+    fn bitor_assign(&mut self, d: Decision) {
+        self.0 |= 1 << d as u32;
+    }
+}
+
+impl std::ops::BitOrAssign for Decisions {
+    fn bitor_assign(&mut self, other: Decisions) {
+        self.0 |= other.0;
     }
 }
 
@@ -297,6 +426,8 @@ struct ConnState {
     loss_overflow: bool,
     /// One past the highest response PSN any read request asked for.
     read_frontier: Option<u32>,
+    /// The decisions this connection's replay took.
+    seen: Decisions,
     /// The Go-back-N view of this replay; `None` in discovery mode, whose
     /// memory stays bounded whatever a capture holds.
     gbn: Option<Box<GbnView>>,
@@ -313,13 +444,13 @@ pub fn analyze(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Con
     replay(trace, conns, opts).0
 }
 
-/// The one RC replay of a traced run: [`analyze`]'s report and the
-/// Go-back-N view of the same pass.
+/// The one RC replay of a traced run: [`analyze`]'s report, and the
+/// Go-back-N view of the same pass with the decisions it took.
 pub(crate) fn replay(
     trace: &Trace,
     conns: &[ConnMeta],
     opts: &ConformanceOpts,
-) -> (ConformanceReport, GbnReport) {
+) -> (ConformanceReport, (GbnReport, Decisions)) {
     let mut stream = ConformanceStream::new(conns, opts);
     stream.observe_trace(trace);
     stream.finish_with_gbn()
@@ -341,6 +472,8 @@ struct GbnView {
     pending_nack: Option<u32>,
     /// The last positive ACK's PSN (the oracle keeps the highest).
     last_ack: Option<u32>,
+    /// The decisions this view's rules took.
+    seen: Decisions,
 }
 
 impl GbnView {
@@ -373,10 +506,15 @@ impl GbnView {
         // A retransmission round must start exactly at the NACKed PSN
         // (Go-back-N, not selective repeat).
         if frontier.is_some_and(|m| psn_distance(m, psn) <= 0) {
-            if let Some(nack) = self.pending_nack.take().filter(|&n| n != psn) {
-                self.flag(format_args!(
-                    "retransmission round started at PSN {psn} but the NACK asked for {nack}"
-                ));
+            match self.pending_nack.take() {
+                Some(nack) if nack == psn => self.seen |= Decision::GbnRoundAtNack,
+                Some(nack) => {
+                    self.seen |= Decision::GbnRoundOffNack;
+                    self.flag(format_args!(
+                        "retransmission round started at PSN {psn} but the NACK asked for {nack}"
+                    ));
+                }
+                None => {}
             }
         }
         let Some(distance) = arrived else { return };
@@ -399,11 +537,15 @@ impl GbnView {
     fn nack(&mut self, psn: u32, expected: u32, mismatch: bool) {
         self.rep.nacks += 1;
         if !self.in_episode {
+            self.seen |= Decision::GbnNackOutsideEpisode;
             self.flag(format_args!(
                 "NACK (PSN {psn}) without an out-of-sequence episode"
             ));
         } else if self.nacked {
+            self.seen |= Decision::GbnNackRepeated;
             self.flag(format_args!("second NACK (PSN {psn}) within one episode"));
+        } else {
+            self.seen |= Decision::GbnNackInEpisode;
         }
         if mismatch {
             self.flag(format_args!(
@@ -417,6 +559,7 @@ impl GbnView {
     fn ack(&mut self, psn: u32) {
         self.rep.acks += 1;
         if let Some(prev) = self.last_ack.filter(|&p| psn_distance(p, psn) < 0) {
+            self.seen |= Decision::GbnAckRegressed;
             self.flag(format_args!("ACK PSN regressed from {prev} to {psn}"));
         }
         self.last_ack = Some(psn);
@@ -430,11 +573,15 @@ impl GbnView {
         }
         self.rep.nacks += 1;
         if self.nacked {
+            self.seen |= Decision::GbnNackRepeated;
             self.flag(format_args!(
                 "second re-issued read request within one episode"
             ));
+        } else {
+            self.seen |= Decision::GbnNackInEpisode;
         }
         if psn_distance(expected, psn) != 0 {
+            self.seen |= Decision::GbnRereadOffExpected;
             self.flag(format_args!(
                 "re-issued read request PSN {psn} but expected {expected}"
             ));
@@ -930,10 +1077,12 @@ impl ConformanceStream {
         self.finish_with_gbn().0
     }
 
-    /// [`Self::finish`], and the Go-back-N view of the same replay (no
-    /// connection in discovery mode, which keeps none).
-    pub(crate) fn finish_with_gbn(self) -> (ConformanceReport, GbnReport) {
+    /// [`Self::finish`], the Go-back-N view of the same replay (none in
+    /// discovery mode) and its decisions, of which a displaced connection
+    /// contributes [`Decision::ConnDisplaced`] alone.
+    pub(crate) fn finish_with_gbn(self) -> (ConformanceReport, (GbnReport, Decisions)) {
         let mut gbn = GbnReport::default();
+        let mut seen = Decisions::default();
         let mut report = ConformanceReport {
             compliant: true,
             partial: self.opts.degraded || self.opts.external_loss,
@@ -956,13 +1105,18 @@ impl ConformanceStream {
             (self.req_ips, self.rsp_ips)
         };
 
-        for t in self.trackers {
-            gbn.per_conn.extend(t.st.gbn.map(|view| view.rep));
+        for mut t in self.trackers {
+            if let Some(view) = t.st.gbn {
+                t.st.seen |= view.seen;
+                gbn.per_conn.push(view.rep);
+            }
             if t.displaced {
+                seen |= Decision::ConnDisplaced;
                 report.skipped_displaced += 1;
                 report.partial = true;
                 continue;
             }
+            seen |= t.st.seen;
             report.checked_conns += 1;
             for v in t.sink.violations {
                 report.push(v);
@@ -1013,7 +1167,11 @@ impl ConformanceStream {
                 // counted it, leaving the NP innocently silent — but it
                 // cannot make a NIC *emit* CNPs, so the spurious check
                 // below stays live under external loss.
+                if ce > 0 && cnps > 0 {
+                    seen |= Decision::CnpAfterCe;
+                }
                 if ce > 0 && np && cnps == 0 && !self.opts.external_loss {
+                    seen |= Decision::CnpMissing;
                     report.push(Violation {
                         class: ViolationClass::MissingCnp,
                         conn: None,
@@ -1024,6 +1182,7 @@ impl ConformanceStream {
                     });
                 }
                 if cnps > 0 && ce == 0 {
+                    seen |= Decision::CnpSpurious;
                     report.push(Violation {
                         class: ViolationClass::SpuriousCnp,
                         conn: None,
@@ -1037,6 +1196,7 @@ impl ConformanceStream {
             // Chaos corruptions die at the receiver's ICRC check without a
             // Corrupt mirror event to explain them — not the sender's fault.
             if self.opts.rx_icrc_errors > self.corrupt_events && !self.opts.external_loss {
+                seen |= Decision::IcrcMiscompute;
                 report.push(Violation {
                     class: ViolationClass::IcrcMiscompute,
                     conn: None,
@@ -1054,7 +1214,7 @@ impl ConformanceStream {
         }
 
         report.compliant = report.violations.is_empty();
-        (report, gbn)
+        (report, (gbn, seen))
     }
 }
 
@@ -1090,20 +1250,29 @@ fn data_packet(
             // oldest unacknowledged PSN, which is ≤ the lost one).
             let nack = st.last_nack.take();
             let reread = st.pending_reread.take();
-            let justified_by_loss = st.loss_psns.iter().any(|&l| psn_distance(psn, l) >= 0);
             // Whether the round resumes at the NACKed PSN is the Go-back-N
             // view's rule (`GbnView`, fed by this replay); here any NACK or
             // re-request justifies a round.
-            let justified = nack.is_some() || reread.is_some() || justified_by_loss;
+            let justified = match (nack, reread) {
+                (Some(_), _) => Some(Decision::RoundByNack),
+                (None, Some(_)) => Some(Decision::RoundByReread),
+                (None, None) => (st.loss_psns.iter().any(|&l| psn_distance(psn, l) >= 0))
+                    .then_some(Decision::RoundByLoss),
+            };
             // Receiver-side ICRC drops, degraded mirrors and chaos-plane
             // losses hide real drops: skip rather than guess.
             let evidence_ok = opts.rx_icrc_errors == 0
                 && !st.loss_overflow
                 && !opts.degraded
                 && !opts.external_loss;
-            if evidence_ok && !justified {
+            if let Some(why) = justified {
+                st.seen |= why;
+            } else if !evidence_ok {
+                st.seen |= Decision::RoundUnprovable;
+            } else {
                 let already_acked = st.last_ack.is_some_and(|a| psn_distance(psn, a) >= 0);
                 if is_read || already_acked {
+                    st.seen |= Decision::RoundUnjustified;
                     sink.push(Violation {
                         class: ViolationClass::SpuriousRetransmit,
                         conn: Some(meta.index),
@@ -1114,6 +1283,7 @@ fn data_packet(
                         ),
                     });
                 } else {
+                    st.seen |= Decision::RoundUnacked;
                     sink.push(Violation {
                         class: ViolationClass::UnackedDelivery,
                         conn: Some(meta.index),
@@ -1124,7 +1294,8 @@ fn data_packet(
                         ),
                     });
                 }
-            } else if opts.rx_icrc_errors > 0 {
+            }
+            if opts.rx_icrc_errors > 0 {
                 sink.partial = true;
             }
         }
@@ -1146,6 +1317,12 @@ fn data_packet(
     if let Some(gbn) = GbnView::live(&mut st.gbn) {
         gbn.data(psn, frontier, st.last_delivered, arrived);
     }
+    st.seen |= match (lost, distance.signum()) {
+        (true, _) => Decision::RecvLost,
+        (false, 0) => Decision::RecvInOrder,
+        (false, 1) => Decision::RecvGap,
+        _ => Decision::RecvDuplicate,
+    };
     if !lost {
         st.last_delivered = Some(psn);
         if distance == 0 {
@@ -1153,6 +1330,7 @@ fn data_packet(
             // A write/send message boundary that arrives in order owes
             // the sender an ACK.
             if !is_read && (f.bth.ack_req || f.bth.opcode.is_last()) {
+                st.seen |= Decision::AckDue;
                 if st.pending_acks.len() < MAX_PENDING_ACKS {
                     st.pending_acks.push_back(psn);
                 } else {
@@ -1188,7 +1366,10 @@ fn reverse_packet(
             // Chaos-destroyed frames desync the mirror's expected pointer
             // from the receiver's (a drop after the mirror tap advances one
             // but not the other), so this check is void under external loss.
-            if mismatch && !opts.degraded && !opts.external_loss {
+            if !mismatch {
+                st.seen |= Decision::NackAtExpected;
+            } else if !opts.degraded && !opts.external_loss {
+                st.seen |= Decision::NackPsnMismatch;
                 sink.push(Violation {
                     class: ViolationClass::NackPsnMismatch,
                     conn: Some(meta.index),
@@ -1209,7 +1390,10 @@ fn reverse_packet(
         } else {
             // Positive ACK.
             let beyond_sent = st.max_sent.is_none_or(|m| psn_distance(m, psn) > 0);
-            if beyond_sent && !opts.degraded {
+            if !beyond_sent {
+                st.seen |= Decision::AckInWindow;
+            } else if !opts.degraded {
+                st.seen |= Decision::AckBeyondSent;
                 sink.push(Violation {
                     class: ViolationClass::AckPsnInvalid,
                     conn: Some(meta.index),
@@ -1231,7 +1415,12 @@ fn reverse_packet(
                 .take_while(|&&due| psn_distance(due, psn) >= 0)
                 .count();
             st.pending_acks.drain(..covered);
-            if covered > 1 && !st.pending_overflow && !opts.degraded && !opts.external_loss {
+            if covered == 0 {
+                st.seen |= Decision::AckCoversNone;
+            } else if covered == 1 {
+                st.seen |= Decision::AckCoversOne;
+            } else if !st.pending_overflow && !opts.degraded && !opts.external_loss {
+                st.seen |= Decision::AckCoalesced;
                 sink.push(Violation {
                     class: ViolationClass::AckCoalescing,
                     conn: Some(meta.index),
@@ -1255,12 +1444,13 @@ fn reverse_packet(
             .ext
             .reth
             .map_or(1, |r| r.dma_len.div_ceil(opts.mtu.max(1)).max(1));
-        if let Some(fr) = st.read_frontier {
-            if psn_distance(fr, psn) < 0 {
-                // Asks for PSNs already requested: a re-issued request,
-                // the read-side NACK.
-                st.pending_reread = Some(psn);
-            }
+        if st.read_frontier.is_some_and(|fr| psn_distance(fr, psn) < 0) {
+            // Asks for PSNs already requested: a re-issued request, the
+            // read-side NACK.
+            st.pending_reread = Some(psn);
+            st.seen |= Decision::ReadReissued;
+        } else {
+            st.seen |= Decision::ReadRequest;
         }
         let end = psn_add(psn, npkts);
         if st.read_frontier.is_none_or(|fr| psn_distance(fr, end) > 0) {
@@ -1283,6 +1473,7 @@ fn track_msn(
 ) {
     if let Some(prev) = st.last_msn {
         if psn_distance(prev, msn) < 0 && !opts.degraded && !opts.external_loss {
+            st.seen |= Decision::MsnRegressed;
             sink.push(Violation {
                 class: ViolationClass::MsnRegression,
                 conn: Some(meta.index),
@@ -1295,6 +1486,7 @@ fn track_msn(
         }
     }
     if st.last_msn.is_none_or(|p| psn_distance(p, msn) > 0) {
+        st.seen |= Decision::MsnAdvanced;
         st.last_msn = Some(msn);
     }
 }

@@ -19,7 +19,8 @@ mod routed_tests;
 
 pub use cnp::CnpReport;
 pub use conformance::{
-    ConformanceOpts, ConformanceReport, ConformanceStream, Violation, ViolationClass,
+    ConformanceOpts, ConformanceReport, ConformanceStream, Decision, Decisions, Violation,
+    ViolationClass,
 };
 pub use counter::CounterFinding;
 pub use gbn_fsm::GbnReport;

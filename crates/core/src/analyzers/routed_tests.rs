@@ -72,7 +72,7 @@ fn reports(
     let mut discovered =
         ConformanceStream::discovering(opts).with_routes(Routes::in_mode(mode, &[]));
     discovered.observe_trace(trace);
-    let (conformance, gbn) = known.finish_with_gbn();
+    let (conformance, (gbn, _)) = known.finish_with_gbn();
     [
         json(&gbn),
         json(&retrans_perf::analyze_routed(&index, conns)),
@@ -384,7 +384,7 @@ fn pinned(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Pinned {
     Pinned {
         gbn: gbn_fsm::analyze(trace, conns),
         conformance: super::conformance::analyze(trace, conns, opts),
-        graded_gbn: super::conformance::replay(trace, conns, opts).1,
+        graded_gbn: super::conformance::replay(trace, conns, opts).1.0,
         conns: conns.to_vec(),
         gate_open: !opts.degraded && !opts.external_loss,
         displaced,

@@ -104,9 +104,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, Error> {
 /// `--workers` value.
 fn fuzz_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let corpus_dir = cli::flag_value(args, "--corpus-dir").map(std::path::Path::new);
-    let coverage_on = cli::has_flag(args, "--coverage")
-        || cli::has_flag(args, "--shrink")
-        || corpus_dir.is_some();
+    let coverage_on = cli::has_flag(args, "--coverage") || corpus_dir.is_some();
     let opts = CommonOpts::parse(args)?;
     let cfg = opts.load()?;
     let defaults = FuzzParams::default();
@@ -118,7 +116,7 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, Error> {
             ..Default::default()
         };
         // A corpus from an earlier campaign seeds the pool and
-        // pre-covers the map, so growth counts only new behavior.
+        // pre-covers the map, so growth counts only new decision points.
         if let Some((corpus, receipt)) = corpus_dir.map(load_corpus).transpose()?.flatten() {
             eprint!("{receipt}");
             cp.seed_corpus = corpus;

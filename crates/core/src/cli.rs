@@ -161,17 +161,12 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
             FlagSpec {
                 name: "--coverage",
                 value: None,
-                help: "coverage-guided mode: journal-edge × violation-class\nnovelty steers selection; findings are auto-shrunk\ninto minimal reproducer YAMLs on stdout",
+                help: "coverage-guided mode: novelty in the RC spec's\ndecision points steers selection; findings are\nauto-shrunk into minimal reproducer YAMLs on stdout",
             },
             FlagSpec {
                 name: "--corpus-dir",
                 value: Some("<d>"),
                 help: "persist/reload the novel-config corpus (JSONL) and\nwrite reproducer YAMLs there (implies --coverage)",
-            },
-            FlagSpec {
-                name: "--shrink",
-                value: None,
-                help: "force shrinking on (implied by --coverage; use\n--no-shrink to keep findings unshrunk)",
             },
             FlagSpec { name: "--no-shrink", value: None, help: "record findings without shrinking them" },
             FlagSpec { name: "--quirk-knobs", value: None, help: "let the mutator flip DUT-misbehavior (quirks) knobs" },
@@ -571,7 +566,6 @@ mod tests {
             "--retries",
             "--coverage",
             "--corpus-dir",
-            "--shrink",
             "--no-shrink",
             "--quirk-knobs",
             "--devices",

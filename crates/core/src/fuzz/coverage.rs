@@ -1,17 +1,19 @@
-//! Coverage signal for the guided fuzzer: journal edges × oracle verdict.
+//! Coverage signal for the guided fuzzer: the spec decision points a run's
+//! RC replay took.
 //!
 //! The heuristic scores in [`super::score`] rank candidates by *how bad*
 //! a run looked; they say nothing about whether the run reached behavior
 //! the campaign had already seen. This module defines the orthogonal
-//! novelty axis: every run is reduced to the set of `(event-kind edge,
-//! violation-class)` pairs it exhibited — the edges come from the
-//! deterministic telemetry journal ([`lumina_sim::Telemetry::for_each_edge`]),
-//! the verdict from the spec-conformance oracle — and each pair is hashed
-//! into a bounded slot space. A campaign-wide [`CoverageMap`] remembers
-//! which slots any candidate ever covered; a candidate covering a fresh
-//! slot is *novel* regardless of its heuristic score, and the executor
-//! keeps it, boosts its selection energy, and records it in a bounded
-//! [`Corpus`] that persists as deterministic JSONL.
+//! novelty axis: every run is reduced to the [`Decisions`] its one RC
+//! replay recorded — which `(rule, outcome)` points of the closed table in
+//! [`crate::analyzers::conformance`] it exercised, violations and
+//! abstentions included. The campaign's map is the union of those sets; a
+//! candidate that adds a point is *novel* regardless of its heuristic
+//! score, and the executor keeps it, boosts its selection energy, and
+//! records it in a [`Corpus`] that persists as deterministic JSONL. Every
+//! entry owns a point no earlier entry had, so a campaign adds at most
+//! `Decision::ALL.len()` entries. The event log plays no part: adding a
+//! journal line cannot change what a campaign explores.
 //!
 //! Everything here is a pure function of a finished run's results, so the
 //! parallel executor can evaluate candidates on any number of workers and
@@ -24,42 +26,28 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-use crate::analyzers::ViolationClass;
+use crate::analyzers::{Decision, Decisions, ViolationClass};
 use crate::config::TestConfig;
 use crate::error::Error;
 use crate::orchestrator::TestResults;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Coverage slots live in a `1 << MAP_BITS` space: bounded memory no
-/// matter how long a campaign runs, at the cost of conflating pairs that
-/// collide (the classic AFL trade).
-pub const MAP_BITS: u32 = 16;
+use serde::{Deserialize, Serialize, Value};
 
 /// Tuning for the executor's coverage-guided mode.
 #[derive(Debug, Clone)]
 pub struct CoverageParams {
-    /// Selection-energy bonus per newly covered slot, added to the
-    /// heuristic score (and re-sanitized) before pool admission.
-    pub novelty_weight: f64,
-    /// Corpus bound; exceeding it evicts the entry that contributed the
-    /// fewest new slots (oldest first among ties).
-    pub corpus_cap: usize,
     /// Auto-shrink each finding into a minimal reproducer config.
     pub shrink: bool,
     /// Re-run budget per shrink attempt ([`super::shrink::ShrinkParams`]).
     pub shrink_budget: usize,
     /// Corpus reloaded from an earlier campaign: its configurations seed
-    /// the pool and its slots pre-populate the map, so the growth summary
-    /// counts only coverage this campaign actually added.
+    /// the pool and its decision points pre-populate the map, so the
+    /// growth summary counts only coverage this campaign actually added.
     pub seed_corpus: Corpus,
 }
 
 impl Default for CoverageParams {
     fn default() -> Self {
         CoverageParams {
-            novelty_weight: 25.0,
-            corpus_cap: 256,
             shrink: true,
             shrink_budget: 24,
             seed_corpus: Corpus::default(),
@@ -67,154 +55,27 @@ impl Default for CoverageParams {
     }
 }
 
-/// FNV-1a over the edge and verdict labels: a stable hash (unlike
-/// `DefaultHasher`, which is free to change between toolchains), so a
-/// persisted corpus re-loads into the same slots forever.
-fn slot_of(prev: &str, kind: &str, verdict: &str) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in [prev, "\x1f", kind, "\x1f", verdict] {
-        for b in part.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    (h ^ (h >> 32)) as u32 & ((1 << MAP_BITS) - 1)
-}
-
-/// The coverage signal of one finished run: every (edge, verdict) pair it
-/// exhibited, as a deterministic set of slots.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Signal {
-    slots: BTreeSet<u32>,
-}
-
-impl Signal {
-    /// Slots this run covered, ascending.
-    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().copied()
-    }
-
-    /// Number of distinct slots (distinct pairs, modulo hash collisions).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the run produced no signal at all.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
-/// The distinct violation classes the oracle proved on this run, in first
-/// appearance order. Empty for compliant (or traceless) runs.
+/// The distinct violation classes the oracle proved on this run: the
+/// proving outcomes among its decisions, in table order. Empty for
+/// compliant (or traceless) runs.
 pub fn violation_classes(res: &TestResults) -> Vec<ViolationClass> {
-    let report = super::score::conformance_of(res);
-    let mut out: Vec<ViolationClass> = Vec::new();
-    for v in &report.violations {
-        if !out.contains(&v.class) {
-            out.push(v.class);
-        }
-    }
-    out
+    signal_of(res).iter().filter_map(Decision::proves).collect()
 }
 
-/// The verdict labels a run's pairs carry: one per proven violation
-/// class, or `"compliant"` when the oracle found nothing.
-fn verdict_labels(res: &TestResults) -> Vec<&'static str> {
-    let mut labels: Vec<&'static str> = violation_classes(res).iter().map(|c| c.label()).collect();
-    labels.sort_unstable();
-    if labels.is_empty() {
-        labels.push("compliant");
-    }
-    labels
+/// Reduce a finished run to its coverage signal: the decision points its
+/// RC replay took — the run's own replay when stage 5 graded it (a
+/// quirk-injected run), one replay now otherwise. A traceless run covers
+/// nothing.
+pub fn signal_of(res: &TestResults) -> Decisions {
+    let seen = match &res.conformance {
+        Some(_) => res.replayed.as_ref().map(|(_, seen)| *seen),
+        None => res.replay().map(|(_, (_, seen))| seen),
+    };
+    seen.unwrap_or_default()
 }
 
-/// Reduce a finished run to its coverage signal. Pure function of the
-/// results (journal + oracle verdict), both of which are bit-deterministic
-/// for a given configuration.
-pub fn signal_of(res: &TestResults) -> Signal {
-    let verdicts = verdict_labels(res);
-    let mut slots = BTreeSet::new();
-    res.telemetry.for_each_edge(|_node, prev, kind| {
-        for v in &verdicts {
-            slots.insert(slot_of(prev, kind, v));
-        }
-    });
-    // The bare verdict, so a run whose journal is empty (or whose edges
-    // all collide with known ones) still registers a novel outcome.
-    for v in &verdicts {
-        slots.insert(slot_of("^", "$", v));
-    }
-    Signal { slots }
-}
-
-/// The un-hashed (edge, verdict) pairs of a run, deduplicated and sorted:
-/// what [`signal_of`] sees before bounding. Tests and summaries use this
-/// to name the behavior a campaign reached.
-pub fn pairs_of(res: &TestResults) -> Vec<(String, &'static str)> {
-    let verdicts = verdict_labels(res);
-    let mut pairs = BTreeSet::new();
-    res.telemetry.for_each_edge(|_node, prev, kind| {
-        for v in &verdicts {
-            pairs.insert((format!("{prev}>{kind}"), *v));
-        }
-    });
-    for v in &verdicts {
-        pairs.insert(("^>$".to_string(), *v));
-    }
-    pairs.into_iter().collect()
-}
-
-/// Campaign-wide coverage accounting: which slots any candidate ever
-/// covered, and how often.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoverageMap {
-    hits: BTreeMap<u32, u64>,
-}
-
-impl CoverageMap {
-    /// Distinct slots covered so far.
-    pub fn distinct(&self) -> usize {
-        self.hits.len()
-    }
-
-    /// Times the given slot was covered.
-    pub fn hits(&self, slot: u32) -> u64 {
-        self.hits.get(&slot).copied().unwrap_or(0)
-    }
-
-    /// Covered slots, ascending.
-    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.hits.keys().copied()
-    }
-
-    /// Mark slots as already covered (a reloaded corpus's contribution)
-    /// without reporting them fresh: a resumed campaign's growth curve
-    /// counts only what it adds itself.
-    pub fn preload(&mut self, slots: impl IntoIterator<Item = u32>) {
-        for slot in slots {
-            let hits = self.hits.entry(slot).or_insert(0);
-            *hits = hits.saturating_add(1);
-        }
-    }
-
-    /// Fold one run's signal in; returns the slots this signal covered
-    /// for the first time, ascending (empty = nothing novel).
-    pub fn merge(&mut self, sig: &Signal) -> Vec<u32> {
-        let mut fresh = Vec::new();
-        for slot in &sig.slots {
-            let hits = self.hits.entry(*slot).or_insert(0);
-            if *hits == 0 {
-                fresh.push(*slot);
-            }
-            *hits = hits.saturating_add(1);
-        }
-        fresh
-    }
-}
-
-/// One corpus member: a configuration that covered slots nothing before
-/// it had, with the selection energy it earned.
+/// One corpus member: a configuration that covered decision points nothing
+/// before it had, with the selection energy it earned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub struct CorpusEntry {
@@ -222,55 +83,43 @@ pub struct CorpusEntry {
     pub candidate: u64,
     /// Post-novelty, sanitized score at discovery.
     pub score: f64,
-    /// Slots this entry covered first, ascending.
-    pub new_slots: Vec<u32>,
+    /// Decision points this entry covered first, as labels in table order.
+    pub new_slots: Decisions,
     /// The configuration itself.
     pub config: TestConfig,
 }
 
-/// Bounded, discovery-ordered set of novel configurations.
+impl Serialize for Decisions {
+    fn serialize(&self) -> Value {
+        Value::Array(self.iter().map(|d| Value::from(d.label())).collect())
+    }
+}
+
+impl Deserialize for Decisions {
+    fn deserialize(v: &Value) -> Result<Decisions, serde::Error> {
+        let labels = v
+            .as_array()
+            .ok_or_else(|| serde::Error::custom(format!("expected decision labels, got {v}")))?;
+        let mut set = Decisions::default();
+        for label in labels {
+            let known = label
+                .as_str()
+                .and_then(|l| Decision::ALL.iter().copied().find(|d| d.label() == l));
+            set |= known
+                .ok_or_else(|| serde::Error::custom(format!("unknown decision point {label}")))?;
+        }
+        Ok(set)
+    }
+}
+
+/// Discovery-ordered set of novel configurations.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
-    entries: Vec<CorpusEntry>,
+    /// The entries, in discovery order.
+    pub entries: Vec<CorpusEntry>,
 }
 
 impl Corpus {
-    /// Entries in discovery order.
-    pub fn entries(&self) -> &[CorpusEntry] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the corpus holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Admit an entry, then enforce `cap` by evicting the member that
-    /// contributed the fewest new slots (oldest first among ties) — a
-    /// deterministic rule, so same-seed campaigns keep identical corpora.
-    pub fn admit(&mut self, entry: CorpusEntry, cap: usize) {
-        self.entries.push(entry);
-        while self.entries.len() > cap.max(1) {
-            let evict = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, e)| (e.new_slots.len(), *i))
-                .map(|(i, _)| i);
-            match evict {
-                Some(i) => {
-                    self.entries.remove(i);
-                }
-                None => break,
-            }
-        }
-    }
-
     /// Render as deterministic JSON Lines, one entry per line in
     /// discovery order. Entries that fail to serialize are skipped (the
     /// config round-trips serde by construction, so this is theoretical).
@@ -286,8 +135,10 @@ impl Corpus {
     }
 
     /// Parse a corpus back from [`Corpus::to_jsonl`] output. Any
-    /// malformed line is a hard error — a corpus file is machine-written,
-    /// so damage means the wrong file, not a lenient-parse situation.
+    /// malformed line — an unknown decision label, or a numeric slot of a
+    /// corpus written before decision coverage — is a hard error naming the
+    /// line: a corpus file is machine-written, so damage means the wrong
+    /// file, not a lenient-parse situation.
     pub fn from_jsonl(text: &str) -> Result<Corpus, Error> {
         let mut entries = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -323,25 +174,48 @@ traffic:
         .unwrap()
     }
 
+    fn set(ds: &[Decision]) -> Decisions {
+        let mut set = Decisions::default();
+        ds.iter().for_each(|d| set |= *d);
+        set
+    }
+
     #[test]
     fn slots_are_stable_and_bounded() {
-        let a = slot_of("a", "b", "compliant");
-        assert_eq!(a, slot_of("a", "b", "compliant"), "hash must be stable");
-        assert!(a < (1 << MAP_BITS));
-        // The separator matters: ("ab","c") must not equal ("a","bc").
-        assert_ne!(slot_of("ab", "c", "v"), slot_of("a", "bc", "v"));
+        // The table is closed: distinct labels, each a `rule.outcome`, at
+        // most one bit each of a `u64`; a label names its point for good.
+        assert!(Decision::ALL.len() <= 64);
+        let labels: std::collections::BTreeSet<&str> =
+            Decision::ALL.iter().map(|d| d.label()).collect();
+        assert_eq!(labels.len(), Decision::ALL.len(), "labels are unique");
+        for d in Decision::ALL {
+            assert!(d.label().contains('.'), "{}", d.label());
+            assert_eq!(set(&[*d]).iter().collect::<Vec<_>>(), [*d]);
+        }
+        assert_eq!(set(Decision::ALL).len(), Decision::ALL.len());
+        // Each violation class is the outcome of exactly one point.
+        let proving: Vec<ViolationClass> =
+            Decision::ALL.iter().filter_map(|d| d.proves()).collect();
+        assert_eq!(proving.len(), 9);
+        for c in &proving {
+            assert_eq!(proving.iter().filter(|p| *p == c).count(), 1, "{c:?}");
+        }
     }
 
     #[test]
     fn signal_is_deterministic_and_verdict_sensitive() {
         let cfg = tiny("");
-        let a = signal_of(&run_test(&cfg).unwrap());
-        let b = signal_of(&run_test(&cfg).unwrap());
-        assert_eq!(a, b, "same config, same signal");
-        assert!(!a.is_empty());
+        let res = run_test(&cfg).unwrap();
+        let a = signal_of(&res);
+        assert_eq!(
+            a,
+            signal_of(&run_test(&cfg).unwrap()),
+            "same config, same signal"
+        );
+        assert!(a.contains(Decision::RecvInOrder) && violation_classes(&res).is_empty());
 
-        // A quirked run carries a violation verdict: different pairs even
-        // where the edge set overlaps.
+        // A quirked run carries a violation verdict, and the decision that
+        // proves it.
         let mut quirked = cfg.clone();
         quirked.quirks = Some(crate::config::QuirksSection {
             ghost_retransmit_prob: 1.0,
@@ -349,63 +223,92 @@ traffic:
         });
         quirked.traffic.rdma_verb = "read".into();
         let res = run_test(&quirked).unwrap();
-        assert!(
-            violation_classes(&res).contains(&crate::analyzers::ViolationClass::SpuriousRetransmit)
-        );
         let q = signal_of(&res);
-        assert_ne!(a, q);
-        let labels: Vec<&str> = pairs_of(&res).iter().map(|(_, v)| *v).collect();
-        assert!(labels.contains(&"spurious-retransmit"), "{labels:?}");
+        let classes = violation_classes(&res);
+        assert!(classes.contains(&ViolationClass::SpuriousRetransmit));
+        // The proving outcomes are the verdict's classes.
+        let verdict = res.conformance.as_ref().unwrap();
+        assert!(verdict
+            .violations
+            .iter()
+            .all(|v| classes.contains(&v.class)));
+        assert_eq!(classes.len(), verdict.class_counts().len());
+        assert!(
+            q.contains(Decision::RoundUnjustified),
+            "{:?}",
+            q.iter().collect::<Vec<_>>()
+        );
+        assert!(!a.contains(Decision::RoundUnjustified));
+
+        // A traceless run covers nothing.
+        let mut blind = cfg.clone();
+        blind.network.switch_mode = crate::config::SwitchMode::LuminaNm;
+        assert_eq!(signal_of(&run_test(&blind).unwrap()), Default::default());
     }
 
     #[test]
     fn map_merge_reports_only_fresh_slots() {
-        let mut map = CoverageMap::default();
-        let sig = Signal {
-            slots: [3u32, 9, 17].into_iter().collect(),
-        };
-        assert_eq!(map.merge(&sig), vec![3, 9, 17]);
-        assert_eq!(map.merge(&sig), Vec::<u32>::new());
-        assert_eq!(map.distinct(), 3);
-        assert_eq!(map.hits(9), 2);
-    }
-
-    #[test]
-    fn corpus_evicts_smallest_contributor_first() {
-        let entry = |candidate, slots: &[u32]| CorpusEntry {
-            candidate,
-            score: 1.0,
-            new_slots: slots.to_vec(),
-            config: tiny(""),
-        };
-        let mut c = Corpus::default();
-        c.admit(entry(0, &[1, 2, 3]), 2);
-        c.admit(entry(1, &[4]), 2);
-        c.admit(entry(2, &[5, 6]), 2);
-        let kept: Vec<u64> = c.entries().iter().map(|e| e.candidate).collect();
-        assert_eq!(kept, vec![0, 2], "the one-slot entry goes first");
+        let seen = set(&[Decision::AckDue, Decision::RecvGap, Decision::CnpSpurious]);
+        let mut map = Decisions::default();
+        assert_eq!(seen.without(map), seen);
+        map |= seen;
+        assert!(seen.without(map).is_empty());
+        let more = set(&[Decision::RecvGap, Decision::RecvLost]);
+        assert_eq!(
+            more.without(map).iter().collect::<Vec<_>>(),
+            [Decision::RecvLost]
+        );
+        map |= more;
+        assert_eq!(map.len(), 4);
     }
 
     #[test]
     fn corpus_jsonl_round_trips_byte_identically() {
         let mut c = Corpus::default();
-        c.admit(
-            CorpusEntry {
-                candidate: 7,
-                score: 51.5,
-                new_slots: vec![11, 42],
-                config: tiny("  data-pkt-events:\n    - {qpn: 1, psn: 2, type: drop, iter: 1}\n"),
-            },
-            16,
-        );
+        c.entries.push(CorpusEntry {
+            candidate: 7,
+            score: 51.5,
+            new_slots: set(&[Decision::RoundByNack, Decision::AckCoalesced]),
+            config: tiny("  data-pkt-events:\n    - {qpn: 1, psn: 2, type: drop, iter: 1}\n"),
+        });
         let text = c.to_jsonl();
+        assert!(
+            text.contains("\"new-slots\":[\"round.by-nack\",\"ack.coalesced\"]"),
+            "{text}"
+        );
         let back = Corpus::from_jsonl(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.entries()[0].candidate, 7);
-        assert_eq!(back.entries()[0].new_slots, vec![11, 42]);
+        assert_eq!(back.entries.len(), 1);
+        assert_eq!(back.entries[0].candidate, 7);
+        assert_eq!(back.entries[0].new_slots, c.entries[0].new_slots);
         assert_eq!(back.to_jsonl(), text, "round trip is byte-identical");
 
         let err = Corpus::from_jsonl("{\"not\": \"a corpus\"}").unwrap_err();
         assert!(err.to_string().contains("corpus line 1"), "{err}");
+    }
+
+    #[test]
+    fn a_corpus_of_hashed_slots_or_unknown_labels_is_a_config_error() {
+        let line = c_line(&tiny(""));
+        // A corpus written before decision coverage: numeric slots.
+        let old = line.replace("[\"recv.gap\"]", "[10,306,539,577]");
+        let unknown = line.replace("recv.gap", "recv.teleported");
+        for bad in [old, unknown] {
+            let text = format!("{line}\n{bad}\n");
+            let err = Corpus::from_jsonl(&text).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("corpus line 2"), "{err}");
+        }
+    }
+
+    /// One corpus line covering `recv.gap` first.
+    fn c_line(cfg: &TestConfig) -> String {
+        let mut c = Corpus::default();
+        c.entries.push(CorpusEntry {
+            candidate: 3,
+            score: 25.0,
+            new_slots: set(&[Decision::RecvGap]),
+            config: cfg.clone(),
+        });
+        c.to_jsonl().trim_end().to_string()
     }
 }

@@ -24,24 +24,25 @@
 //! # Coverage-guided mode
 //!
 //! With [`FuzzParams::coverage`] set, candidate fitness combines the
-//! heuristic score with *novelty*: each run is reduced to its
-//! (journal-edge, violation-class) signal ([`coverage::signal_of`]) and
-//! folded into a campaign-wide [`coverage::CoverageMap`] — on the
-//! campaign thread, in slot order, so the bit-identity guarantee above
-//! extends to the map, the corpus and every reproducer
-//! (`tests/fuzz_coverage_differential.rs`). A candidate covering fresh
-//! slots is kept regardless of the pool median, earns a selection-energy
-//! bonus (re-sanitized, so a NaN/inf scorer cannot poison corpus energy),
-//! and enters a bounded [`coverage::Corpus`]. Findings — proven violation
-//! classes and threshold anomalies — are auto-shrunk into minimal
-//! reproducer configs ([`shrink`]), one per class / anomaly description.
+//! heuristic score with *novelty*: each run is reduced to the spec
+//! decision points its RC replay took ([`coverage::signal_of`]) and folded
+//! into the campaign's map, their union — on the campaign thread, in slot
+//! order, so the bit-identity guarantee above extends to the map, the
+//! corpus and every reproducer (`tests/fuzz_coverage_differential.rs`). A
+//! candidate covering fresh points is kept regardless of the pool median,
+//! earns a fixed 25 of selection energy per point (re-sanitized, so
+//! a NaN/inf scorer cannot poison corpus energy), and enters the
+//! [`coverage::Corpus`], which that rule bounds by the table's size.
+//! Findings — proven violation classes and threshold anomalies — are
+//! auto-shrunk into minimal reproducer configs ([`shrink`]), one per class
+//! / anomaly description.
 
 pub mod coverage;
 pub mod mutate;
 pub mod score;
 pub mod shrink;
 
-use crate::analyzers::ViolationClass;
+use crate::analyzers::{Decision, Decisions, ViolationClass};
 use crate::campaign::{panic_message, run_slots, EvalFailure};
 use crate::config::TestConfig;
 use crate::error::Error;
@@ -95,6 +96,10 @@ impl Default for FuzzParams {
         }
     }
 }
+
+/// Selection energy a coverage-guided candidate earns per decision point it
+/// covers first, on top of its heuristic score.
+const NOVELTY_WEIGHT: f64 = 25.0;
 
 /// The default worker count: one per available hardware thread.
 pub fn default_workers() -> usize {
@@ -177,14 +182,15 @@ pub struct FuzzOutcome {
 /// What a coverage-guided campaign accumulated.
 #[derive(Debug)]
 pub struct CoverageOutcome {
-    /// The campaign-wide coverage map.
-    pub map: coverage::CoverageMap,
-    /// Novel configurations, bounded and in discovery order.
+    /// The campaign-wide coverage map: every decision point any run (or
+    /// the reloaded corpus) covered.
+    pub map: Decisions,
+    /// Novel configurations, in discovery order.
     pub corpus: coverage::Corpus,
     /// Findings with their (shrunk) minimal reproducers: one per proven
     /// violation class plus one per distinct anomaly description.
     pub reproducers: Vec<shrink::Reproducer>,
-    /// `(candidate index, cumulative distinct slots)` recorded each time
+    /// `(candidate index, cumulative decision points)` recorded each time
     /// the map grew — the coverage-growth curve.
     pub growth: Vec<(u64, usize)>,
 }
@@ -192,10 +198,7 @@ pub struct CoverageOutcome {
 /// Mutable campaign state for the coverage-guided mode.
 struct CoverageState {
     params: coverage::CoverageParams,
-    map: coverage::CoverageMap,
-    corpus: coverage::Corpus,
-    reproducers: Vec<shrink::Reproducer>,
-    growth: Vec<(u64, usize)>,
+    out: CoverageOutcome,
     /// Violation classes already shipped with a reproducer.
     seen_classes: BTreeSet<&'static str>,
     /// Anomaly descriptions already shipped with a reproducer.
@@ -268,16 +271,19 @@ where
     };
     // Coverage mode: the map starts pre-covered by the reloaded corpus,
     // so the growth curve counts only what this campaign adds.
-    let mut cov = params.coverage.clone().map(|cp| {
-        let mut map = coverage::CoverageMap::default();
-        for e in cp.seed_corpus.entries() {
-            map.preload(e.new_slots.iter().copied());
+    let mut cov = params.coverage.clone().map(|mut cp| {
+        let corpus = std::mem::take(&mut cp.seed_corpus);
+        let mut map = Decisions::default();
+        for e in &corpus.entries {
+            map |= e.new_slots;
         }
         CoverageState {
-            map,
-            corpus: cp.seed_corpus.clone(),
-            reproducers: Vec::new(),
-            growth: Vec::new(),
+            out: CoverageOutcome {
+                map,
+                corpus,
+                reproducers: Vec::new(),
+                growth: Vec::new(),
+            },
             seen_classes: BTreeSet::new(),
             seen_anomalies: BTreeSet::new(),
             params: cp,
@@ -302,7 +308,7 @@ where
     // A reloaded corpus seeds the pool too (no RNG draws, so the
     // cross-worker-count determinism is untouched).
     if let Some(cov) = cov.as_ref() {
-        for e in cov.params.seed_corpus.entries() {
+        for e in &cov.out.corpus.entries {
             if e.config.validate().is_ok() {
                 pool.push(Scored {
                     cfg: e.config.clone(),
@@ -397,36 +403,35 @@ where
             };
             let raw_s = sanitize_score(raw);
             let mut s = raw_s;
-            let mut fresh_slots = 0usize;
+            let mut novel = false;
             // Coverage merge: on the campaign thread, in slot order, so
             // the map/corpus/reproducers inherit the executor's
             // cross-worker-count bit-identity.
             if let Some(cov) = cov.as_mut() {
-                let sig = coverage::signal_of(&results);
-                let fresh = cov.map.merge(&sig);
-                fresh_slots = fresh.len();
-                if fresh_slots > 0 {
+                let seen = coverage::signal_of(&results);
+                let classes: Vec<ViolationClass> =
+                    seen.iter().filter_map(Decision::proves).collect();
+                let fresh = seen.without(cov.out.map);
+                novel = !fresh.is_empty();
+                if novel {
                     // Novelty is selection energy: a bonus per fresh
-                    // slot, re-sanitized so a NaN/inf scorer cannot ride
+                    // point, re-sanitized so a NaN/inf scorer cannot ride
                     // the bonus into the pool or the corpus.
-                    s = sanitize_score(raw_s + cov.params.novelty_weight * fresh_slots as f64);
-                    cov.growth.push((candidate, cov.map.distinct()));
-                    cov.corpus.admit(
-                        CorpusEntry {
-                            candidate,
-                            score: s,
-                            new_slots: fresh,
-                            config: cand.cfg.clone(),
-                        },
-                        cov.params.corpus_cap,
-                    );
+                    s = sanitize_score(raw_s + NOVELTY_WEIGHT * fresh.len() as f64);
+                    cov.out.map |= fresh;
+                    cov.out.growth.push((candidate, cov.out.map.len()));
+                    cov.out.corpus.entries.push(CorpusEntry {
+                        candidate,
+                        score: s,
+                        new_slots: fresh,
+                        config: cand.cfg.clone(),
+                    });
                 }
                 // Findings ship with a minimal reproducer: one per newly
                 // proven violation class, and one per distinct
                 // heuristic-anomaly description (violation-free runs whose
                 // raw score crossed the threshold), which preserves "score
                 // still over threshold".
-                let classes = coverage::violation_classes(&results);
                 let mut findings: Vec<(Option<ViolationClass>, String)> = classes
                     .iter()
                     .filter(|class| cov.seen_classes.insert(class.label()))
@@ -454,7 +459,7 @@ where
                     } else {
                         shrink::shrink_config(&cand.cfg, &over_threshold, &budget)
                     };
-                    cov.reproducers.push(shrink::Reproducer {
+                    cov.out.reproducers.push(shrink::Reproducer {
                         candidate,
                         class,
                         desc,
@@ -478,7 +483,7 @@ where
             }
             let median = median_score(&pool);
             // New coverage ⇒ keep, regardless of the pool median.
-            if fresh_slots > 0 || s >= median || cand.accept_draw < params.accept_prob {
+            if novel || s >= median || cand.accept_draw < params.accept_prob {
                 pool.push(scored);
                 // Bound the pool: evict the worst member.
                 if pool.len() > params.pool_size * 4 {
@@ -495,12 +500,7 @@ where
         done += g;
     }
     outcome.profile.finish();
-    outcome.coverage = cov.map(|c| CoverageOutcome {
-        map: c.map,
-        corpus: c.corpus,
-        reproducers: c.reproducers,
-        growth: c.growth,
-    });
+    outcome.coverage = cov.map(|c| c.out);
     outcome.final_pool = pool;
     outcome
 }
@@ -675,7 +675,7 @@ traffic:
         );
         assert!(out.final_pool.iter().all(|s| s.score.is_finite()));
         let cov = out.coverage.expect("coverage mode on");
-        assert!(cov.corpus.entries().iter().all(|e| e.score.is_finite()));
+        assert!(cov.corpus.entries.iter().all(|e| e.score.is_finite()));
 
         // Same with an infinite scorer: the bonus must not overflow past
         // the clamp.
@@ -688,7 +688,7 @@ traffic:
         );
         assert!(out.history.iter().all(|s| s.is_finite()));
         let cov = out.coverage.expect("coverage mode on");
-        assert!(cov.corpus.entries().iter().all(|e| e.score.is_finite()));
+        assert!(cov.corpus.entries.iter().all(|e| e.score.is_finite()));
     }
 
     #[test]

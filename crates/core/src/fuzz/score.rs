@@ -97,23 +97,13 @@ pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String
     )
 }
 
-/// The oracle's verdict for a finished run: the run's own report when the
-/// orchestrator already computed one (quirk-injected runs), an oracle
-/// replay over the trace otherwise, and the empty default for traceless
-/// runs. Pure function of the results — safe to call from the parallel
-/// executor's merge without touching serial==parallel bit-identity. Both
-/// [`violation_score`] and the coverage signal build on this.
-pub fn conformance_of(res: &TestResults) -> crate::analyzers::ConformanceReport {
-    res.conformance_verdict().unwrap_or_default()
-}
-
 /// The spec-conformance score: drive the campaign toward configurations
 /// that make the oracle find violations. Reuses the run's own verdict
 /// when the orchestrator already computed one (quirk-injected runs) and
 /// replays the oracle otherwise — pure function of the results, so the
 /// parallel executor's serial==parallel bit-identity is untouched.
 pub fn violation_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
-    let report = conformance_of(res);
+    let report = res.conformance_verdict().unwrap_or_default();
     let n = report.violations.len() as f64;
     // A small default-score tail breaks ties among violation-free
     // candidates so the pool still evolves toward *interesting* traffic.

@@ -3,8 +3,8 @@
 //! the trace and run the integrity check.
 
 use crate::analyzers::{
-    conformance, recovery, ConformanceOpts, ConformanceReport, FlowAccount, GbnReport, QpEndState,
-    RecoveryOpts,
+    conformance, recovery, ConformanceOpts, ConformanceReport, Decisions, FlowAccount, GbnReport,
+    QpEndState, RecoveryOpts,
 };
 use crate::campaign::{run_caught, EvalFailure};
 use crate::config::{SwitchMode, TestConfig};
@@ -103,10 +103,10 @@ pub struct TestResults {
     /// Spec-conformance oracle verdict. Computed here for quirk-injected
     /// runs with a trace; the CLI runs the oracle on demand otherwise.
     pub conformance: Option<crate::analyzers::ConformanceReport>,
-    /// The Go-back-N view of the replay that computed `conformance`: `Some`
-    /// exactly when it is, so the report does not replay again. Never in
-    /// [`report_json`](Self::report_json).
-    pub(crate) gbn: Option<GbnReport>,
+    /// The Go-back-N view and decision points of the replay that computed
+    /// `conformance`: `Some` exactly when it is, so neither the report nor a
+    /// campaign replays again. Never in [`report_json`](Self::report_json).
+    pub(crate) replayed: Option<(GbnReport, Decisions)>,
     /// Chaos-plane counters; `Some` only when the run had an active
     /// `chaos:` section, so chaos-free reports are byte-identical to
     /// every pre-chaos release.
@@ -145,9 +145,9 @@ impl TestResults {
             .or_else(|| self.replay().map(|(conf, _)| conf))
     }
 
-    /// The RC replay over the trace: the conformance verdict and its
-    /// Go-back-N view, `None` for a traceless run.
-    pub(crate) fn replay(&self) -> Option<(ConformanceReport, GbnReport)> {
+    /// The RC replay over the trace: the conformance verdict, its Go-back-N
+    /// view and its decision points; `None` for a traceless run.
+    pub(crate) fn replay(&self) -> Option<(ConformanceReport, (GbnReport, Decisions))> {
         let trace = self.trace.as_ref()?;
         let opts = ConformanceOpts::from_results(self);
         Some(conformance::replay(trace, &self.conns, &opts))
@@ -804,7 +804,7 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         service_ticks_stalled,
         quirk_stats,
         conformance: None,
-        gbn: None,
+        replayed: None,
         chaos_stats,
         recovery: None,
         switch_counters: sw.counters,
@@ -828,13 +828,13 @@ fn reconstruct(
 
 /// Stage 5: the oracles a run grades itself with. Quirk-injected runs get
 /// the conformance verdict inline (the whole point of injecting misbehavior
-/// is to see the oracle call it), with the Go-back-N view of the same
-/// replay kept for the report; chaos-injected runs the recovery verdict
-/// (the whole point of injecting chaos is proving the stack recovers); the
-/// report-only analyzers run on demand in [`crate::report::RunReport`].
+/// is to see the oracle call it), with the rest of the same replay kept;
+/// chaos-injected runs the recovery verdict (the whole point of injecting
+/// chaos is proving the stack recovers); the report-only analyzers run on
+/// demand in [`crate::report::RunReport`].
 fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     if results.quirk_stats.is_some() {
-        (results.conformance, results.gbn) = results.replay().unzip();
+        (results.conformance, results.replayed) = results.replay().unzip();
     }
     let Some(chaos) = results.cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
         return;

@@ -46,8 +46,8 @@ impl<'a> RunReport<'a> {
     /// the run already graded itself (stage 5 of a quirk-injected run).
     pub fn of(results: &'a TestResults) -> RunReport<'a> {
         let (conformance, gbn) = match &results.conformance {
-            Some(conf) => (Some(conf.clone()), results.gbn.clone()),
-            None => results.replay().unzip(),
+            Some(conf) => (Some(conf.clone()), results.replayed.clone().map(|r| r.0)),
+            None => results.replay().map(|(conf, (gbn, _))| (conf, gbn)).unzip(),
         };
         RunReport {
             results,

@@ -3,6 +3,7 @@
 //! reproducers — its stderr summary, and the corpus directory a later
 //! campaign reloads.
 
+use crate::analyzers::Decision;
 use crate::error::Error;
 use crate::fuzz::coverage::Corpus;
 use crate::fuzz::{FuzzOutcome, FuzzParams, Scored};
@@ -37,7 +38,7 @@ pub fn load_corpus(dir: &Path) -> Result<Option<(Corpus, String)>, Error> {
     let corpus = Corpus::from_jsonl(&text)?;
     let receipt = format!(
         "fuzz: reloaded {} corpus entries from {}\n",
-        corpus.len(),
+        corpus.entries.len(),
         path.display()
     );
     Ok(Some((corpus, receipt)))
@@ -115,7 +116,7 @@ impl<'a> FuzzReport<'a> {
         }
         Ok(format!(
             "fuzz: persisted {} corpus entries, {} reproducers to {}\n",
-            cov.corpus.len(),
+            cov.corpus.entries.len(),
             cov.reproducers.len(),
             dir.display()
         ))
@@ -135,9 +136,10 @@ impl<'a> FuzzReport<'a> {
                 _ => "no growth this campaign".to_string(),
             };
             s.push_str(&format!(
-                "fuzz: coverage {} distinct slots ({growth}), corpus {} entries, {} reproducers\n",
-                cov.map.distinct(),
-                cov.corpus.len(),
+                "fuzz: coverage {}/{} decision points ({growth}), corpus {} entries, {} reproducers\n",
+                cov.map.len(),
+                Decision::ALL.len(),
+                cov.corpus.entries.len(),
                 cov.reproducers.len()
             ));
         }
@@ -269,7 +271,14 @@ traffic:
         );
         let text = FuzzReport::of(&outcome, &params).render_summary();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("fuzz: coverage "), "{text}");
+        let cov = outcome.coverage.as_ref().unwrap();
+        let points = format!(
+            "fuzz: coverage {}/{} decision points (",
+            cov.map.len(),
+            Decision::ALL.len()
+        );
+        assert!(lines[0].starts_with(&points), "{text}");
+        assert!(!cov.map.is_empty());
         let counts = format!(
             "fuzz: {} scored, {} rejected, {} anomalies >= 0",
             outcome.history.len(),
@@ -300,14 +309,17 @@ traffic:
         let receipt = FuzzReport::of(&outcome, &params).persist(&dir).unwrap();
         let counts = format!(
             "fuzz: persisted {} corpus entries, {} reproducers to ",
-            cov.corpus.len(),
+            cov.corpus.entries.len(),
             cov.reproducers.len()
         );
         assert!(receipt.starts_with(&counts), "{receipt}");
         let (corpus, receipt) = load_corpus(&dir).unwrap().expect("a corpus file");
         assert_eq!(corpus.to_jsonl(), cov.corpus.to_jsonl());
-        assert!(!corpus.is_empty());
-        let reloaded = format!("fuzz: reloaded {} corpus entries from ", corpus.len());
+        assert!(!corpus.entries.is_empty());
+        let reloaded = format!(
+            "fuzz: reloaded {} corpus entries from ",
+            corpus.entries.len()
+        );
         assert!(receipt.starts_with(&reloaded), "{receipt}");
         // One YAML per reproducer, and each is a config that still parses.
         for r in &cov.reproducers {

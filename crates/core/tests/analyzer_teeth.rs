@@ -9,9 +9,12 @@
 //! exactly the class the edit plants, and the Go-back-N view exactly the
 //! lines it implies. No NIC model's quirks are involved.
 
-use lumina_core::analyzers::{conformance, gbn_fsm, ConformanceOpts, ViolationClass};
-use lumina_core::config::TestConfig;
-use lumina_core::orchestrator::run_test;
+use lumina_core::analyzers::{
+    conformance, gbn_fsm, ConformanceOpts, Decision, Decisions, ViolationClass,
+};
+use lumina_core::config::{EventSpec, QuirksSection, TestConfig};
+use lumina_core::fuzz::coverage::signal_of;
+use lumina_core::orchestrator::{run_test, TestResults};
 use lumina_core::translate::ConnMeta;
 use lumina_dumper::trace::{Trace, TraceEntry};
 use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
@@ -23,7 +26,6 @@ use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 const REQ_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -284,9 +286,10 @@ fn corrupt_event_counts_as_not_delivered() {
 
 // ---- Teeth by trace mutation ----
 
-/// A preset's compliant trace, to be edited.
+/// A preset's compliant trace, to be edited, and the run that made it.
 struct Clean {
     name: &'static str,
+    res: TestResults,
     trace: Trace,
     conns: Vec<ConnMeta>,
     opts: ConformanceOpts,
@@ -299,14 +302,13 @@ fn clean_traces() -> Vec<Clean> {
     ["listing2", "cnp_hidden_interval"]
         .into_iter()
         .map(|name| {
-            let path = format!("{}/../../configs/{name}.yaml", env!("CARGO_MANIFEST_DIR"));
-            let cfg = TestConfig::from_yaml(&std::fs::read_to_string(path).unwrap()).unwrap();
-            let res = run_test(&cfg).unwrap();
+            let res = run_test(&preset(name)).unwrap();
             let clean = Clean {
                 name,
                 trace: res.trace.clone().unwrap(),
                 opts: ConformanceOpts::from_results(&res),
-                conns: res.conns,
+                conns: res.conns.clone(),
+                res,
             };
             let conf = conformance::analyze(&clean.trace, &clean.conns, &clean.opts);
             assert!(conf.compliant && !conf.partial, "{name}: {conf:?}");
@@ -315,6 +317,11 @@ fn clean_traces() -> Vec<Clean> {
             clean
         })
         .collect()
+}
+
+fn preset(name: &str) -> TestConfig {
+    let path = format!("{}/../../configs/{name}.yaml", env!("CARGO_MANIFEST_DIR"));
+    TestConfig::from_yaml(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
 fn on(f: &RoceFrame, src: Ipv4Addr, dst: Ipv4Addr, qpn: u32) -> bool {
@@ -408,36 +415,44 @@ fn gbn_kinds(trace: &Trace, conns: &[ConnMeta]) -> Vec<String> {
     kinds
 }
 
-/// Every mutant of `clean` must draw exactly one `class` violation from the
-/// oracle and exactly `gbn` from the Go-back-N view. Returns how many there
-/// were.
-fn assert_mutants(
-    clean: &Clean,
-    edit: &str,
-    mutants: Vec<(usize, Trace)>,
-    class: impl Fn(usize) -> ViolationClass,
-    gbn: &[&str],
-) -> usize {
-    for (at, mutant) in &mutants {
-        let conf = conformance::analyze(mutant, &clean.conns, &clean.opts);
-        let classes: Vec<ViolationClass> = conf.violations.iter().map(|v| v.class).collect();
-        assert_eq!(
-            classes,
-            [class(*at)],
-            "{}: {edit} at entry {at}: {:?}",
-            clean.name,
-            conf.violations
-        );
-        let mut expected: Vec<String> = gbn.iter().map(|k| k.to_string()).collect();
-        expected.sort();
-        assert_eq!(
-            gbn_kinds(mutant, &clean.conns),
-            expected,
-            "{}: {edit} at entry {at}",
-            clean.name
-        );
+/// One edited trace: the entry the edit is at, the trace, and the one
+/// class the edit plants.
+type Mutant = (usize, Trace, ViolationClass);
+
+/// Every mutant of one connection of a clean trace that an edit makes.
+type Edit = fn(&Trace, &ConnMeta) -> Vec<Mutant>;
+
+/// Every mutant `edit` makes of every connection of every clean trace must
+/// draw exactly its one class from the oracle and exactly `gbn` from the
+/// Go-back-N view. Returns the classes planted.
+fn assert_teeth(name: &str, edit: Edit, gbn: &[&str]) -> Vec<ViolationClass> {
+    let mut planted = Vec::new();
+    for clean in clean_traces() {
+        for meta in &clean.conns {
+            for (at, mutant, class) in edit(&clean.trace, meta) {
+                let conf = conformance::analyze(&mutant, &clean.conns, &clean.opts);
+                let classes: Vec<ViolationClass> =
+                    conf.violations.iter().map(|v| v.class).collect();
+                assert_eq!(
+                    classes,
+                    [class],
+                    "{}: {name} at entry {at}: {:?}",
+                    clean.name,
+                    conf.violations
+                );
+                let mut expected: Vec<String> = gbn.iter().map(|k| k.to_string()).collect();
+                expected.sort();
+                assert_eq!(
+                    gbn_kinds(&mutant, &clean.conns),
+                    expected,
+                    "{}: {name} at entry {at}",
+                    clean.name
+                );
+                planted.push(class);
+            }
+        }
     }
-    mutants.len()
+    planted
 }
 
 fn without(trace: &Trace, at: usize) -> Trace {
@@ -446,194 +461,323 @@ fn without(trace: &Trace, at: usize) -> Trace {
     t
 }
 
-#[test]
-fn dropping_an_ack_that_the_next_one_covers_is_coalescing() {
-    let mut edits = 0;
-    for clean in clean_traces() {
-        for meta in &clean.conns {
-            let acks = acks_of(&clean.trace, meta);
-            let mutants = acks
-                .windows(2)
-                .filter(|w| matches!(w, [a, b] if a.covered == 1 && b.covered >= 1))
-                .map(|w| (w[0].at, without(&clean.trace, w[0].at)))
-                .collect();
-            edits += assert_mutants(
-                &clean,
-                "drop ACK",
-                mutants,
-                |_| ViolationClass::AckCoalescing,
-                &[],
-            );
+/// Drop an ACK that the next one covers.
+fn drop_covered_acks(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    acks_of(trace, meta)
+        .windows(2)
+        .filter(|w| matches!(w, [a, b] if a.covered == 1 && b.covered >= 1))
+        .map(|w| {
+            (
+                w[0].at,
+                without(trace, w[0].at),
+                ViolationClass::AckCoalescing,
+            )
+        })
+        .collect()
+}
+
+/// Lower the MSN of an ACK below the highest seen.
+fn lower_msns(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    let mut highest: Option<u32> = None;
+    let mut mutants = Vec::new();
+    for (at, e) in trace.iter().enumerate() {
+        // The oracle tracks the MSN of ACKs and sequence-error NACKs.
+        let Some(aeth) = reverse_aeth(meta, &e.frame) else {
+            continue;
+        };
+        let ack = !aeth.syndrome.is_nak();
+        if !ack && !aeth.syndrome.is_seq_err_nak() {
+            continue;
+        }
+        if let (true, Some(m @ 1..)) = (ack, highest) {
+            let mut t = trace.clone();
+            t.entries[at].frame.ext.aeth = Some(Aeth { msn: m - 1, ..aeth });
+            mutants.push((at, t, ViolationClass::MsnRegression));
+        }
+        if highest.is_none_or(|m| psn_distance(m, aeth.msn) > 0) {
+            highest = Some(aeth.msn);
         }
     }
-    assert!(edits > 0);
+    mutants
+}
+
+/// Move an ACK past the sender frontier.
+fn acks_past_the_frontier(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    acks_of(trace, meta)
+        .windows(2)
+        .filter_map(|w| {
+            let a = &w[0];
+            let frontier = a.frontier.filter(|_| a.waiting <= 1)?;
+            let mut t = trace.clone();
+            t.entries[a.at].frame.bth.psn = psn_add(frontier, 1 << 22);
+            Some((a.at, t, ViolationClass::AckPsnInvalid))
+        })
+        .collect()
+}
+
+/// Duplicate each data packet delivered in order before the connection's
+/// first loss or NACK just before its successor: unacked delivery, or a
+/// spurious retransmission when an ACK already covered it.
+fn unprovoked_duplicates(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    let entries = &trace.entries;
+    let mut expected = meta.data_psn(1);
+    let mut mutants = Vec::new();
+    for (at, e) in entries.iter().enumerate() {
+        let f = &e.frame;
+        if reverse_aeth(meta, f).is_some_and(|a| a.syndrome.is_nak())
+            || (is_data(meta, f) && lost(e))
+        {
+            break;
+        }
+        if !is_data(meta, f) || f.bth.psn != expected {
+            continue;
+        }
+        expected = psn_add(expected, 1);
+        let next = entries
+            .iter()
+            .skip(at + 1)
+            .position(|n| is_data(meta, &n.frame))
+            .map_or(entries.len(), |d| at + 1 + d);
+        let already_acked = entries[..next]
+            .iter()
+            .any(|a| is_ack(meta, &a.frame) && psn_distance(f.bth.psn, a.frame.bth.psn) >= 0);
+        let class = if already_acked {
+            ViolationClass::SpuriousRetransmit
+        } else {
+            ViolationClass::UnackedDelivery
+        };
+        let mut t = trace.clone();
+        t.entries.insert(next, e.clone());
+        mutants.push((at, t, class));
+    }
+    mutants
+}
+
+/// Move each sequence-error NACK one PSN up.
+fn nacks_off_by_one(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    trace
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| reverse_aeth(meta, &e.frame).is_some_and(|a| a.syndrome.is_seq_err_nak()))
+        .map(|(at, e)| {
+            let mut t = trace.clone();
+            t.entries[at].frame.bth.psn = psn_add(e.frame.bth.psn, 1);
+            (at, t, ViolationClass::NackPsnMismatch)
+        })
+        .collect()
+}
+
+/// Delete every CNP of the trace: a whole-trace edit, made once, for the
+/// first connection, when there is a CNP to delete.
+fn without_cnps(trace: &Trace, meta: &ConnMeta) -> Vec<Mutant> {
+    let mut t = trace.clone();
+    t.entries.retain(|e| e.frame.bth.opcode != Opcode::Cnp);
+    if meta.index == 1 && t.len() < trace.len() {
+        vec![(0, t, ViolationClass::MissingCnp)]
+    } else {
+        Vec::new()
+    }
+}
+
+#[test]
+fn dropping_an_ack_that_the_next_one_covers_is_coalescing() {
+    assert!(!assert_teeth("drop ACK", drop_covered_acks, &[]).is_empty());
 }
 
 #[test]
 fn lowering_an_msn_is_msn_regression() {
-    let mut edits = 0;
-    for clean in clean_traces() {
-        for meta in &clean.conns {
-            let mut highest: Option<u32> = None;
-            let mut mutants = Vec::new();
-            for (at, e) in clean.trace.iter().enumerate() {
-                // The oracle tracks the MSN of ACKs and sequence-error NACKs.
-                let Some(aeth) = reverse_aeth(meta, &e.frame) else {
-                    continue;
-                };
-                let ack = !aeth.syndrome.is_nak();
-                if !ack && !aeth.syndrome.is_seq_err_nak() {
-                    continue;
-                }
-                if let (true, Some(m @ 1..)) = (ack, highest) {
-                    let mut t = clean.trace.clone();
-                    t.entries[at].frame.ext.aeth = Some(Aeth { msn: m - 1, ..aeth });
-                    mutants.push((at, t));
-                }
-                if highest.is_none_or(|m| psn_distance(m, aeth.msn) > 0) {
-                    highest = Some(aeth.msn);
-                }
-            }
-            edits += assert_mutants(
-                &clean,
-                "lower MSN",
-                mutants,
-                |_| ViolationClass::MsnRegression,
-                &[],
-            );
-        }
-    }
-    assert!(edits > 0);
+    assert!(!assert_teeth("lower MSN", lower_msns, &[]).is_empty());
 }
 
 #[test]
 fn an_ack_past_the_frontier_is_invalid_and_the_next_one_regresses() {
-    let mut edits = 0;
-    for clean in clean_traces() {
-        for meta in &clean.conns {
-            let acks = acks_of(&clean.trace, meta);
-            let mutants = acks
-                .windows(2)
-                .filter_map(|w| {
-                    let a = &w[0];
-                    let frontier = a.frontier.filter(|_| a.waiting <= 1)?;
-                    let mut t = clean.trace.clone();
-                    t.entries[a.at].frame.bth.psn = psn_add(frontier, 1 << 22);
-                    Some((a.at, t))
-                })
-                .collect();
-            edits += assert_mutants(
-                &clean,
-                "ACK past the frontier",
-                mutants,
-                |_| ViolationClass::AckPsnInvalid,
-                &["ACK PSN regressed"],
-            );
-        }
-    }
-    assert!(edits > 0);
+    let edits = assert_teeth(
+        "ACK past the frontier",
+        acks_past_the_frontier,
+        &["ACK PSN regressed"],
+    );
+    assert!(!edits.is_empty());
 }
 
 #[test]
 fn an_unprovoked_duplicate_is_unacked_delivery_or_spurious_retransmit() {
-    let (mut unacked, mut spurious) = (0, 0);
-    for clean in clean_traces() {
-        for meta in &clean.conns {
-            let entries = &clean.trace.entries;
-            // Data packets delivered in order before the connection's first
-            // loss or NACK, each duplicated just before its successor.
-            let mut expected = meta.data_psn(1);
-            let mut mutants = Vec::new();
-            let mut acked = BTreeSet::new();
-            for (at, e) in entries.iter().enumerate() {
-                let f = &e.frame;
-                if reverse_aeth(meta, f).is_some_and(|a| a.syndrome.is_nak())
-                    || (is_data(meta, f) && lost(e))
-                {
-                    break;
-                }
-                if !is_data(meta, f) || f.bth.psn != expected {
-                    continue;
-                }
-                expected = psn_add(expected, 1);
-                let next = entries
-                    .iter()
-                    .skip(at + 1)
-                    .position(|n| is_data(meta, &n.frame))
-                    .map_or(entries.len(), |d| at + 1 + d);
-                let already_acked = entries[..next].iter().any(|a| {
-                    is_ack(meta, &a.frame) && psn_distance(f.bth.psn, a.frame.bth.psn) >= 0
-                });
-                if already_acked {
-                    acked.insert(at);
-                }
-                let mut t = clean.trace.clone();
-                t.entries.insert(next, e.clone());
-                mutants.push((at, t));
-            }
-            let class = |at| {
-                if acked.contains(&at) {
-                    ViolationClass::SpuriousRetransmit
-                } else {
-                    ViolationClass::UnackedDelivery
-                }
-            };
-            let edits = assert_mutants(&clean, "duplicate data packet", mutants, class, &[]);
-            spurious += acked.len();
-            unacked += edits - acked.len();
-        }
-    }
+    let planted = assert_teeth("duplicate data packet", unprovoked_duplicates, &[]);
+    let count = |class| planted.iter().filter(|c| **c == class).count();
+    let (unacked, spurious) = (
+        count(ViolationClass::UnackedDelivery),
+        count(ViolationClass::SpuriousRetransmit),
+    );
     assert!(unacked > 0 && spurious > 0, "{unacked} / {spurious}");
 }
 
 #[test]
 fn a_nack_off_by_one_is_a_psn_mismatch_in_both_views() {
-    let mut edits = 0;
-    for clean in clean_traces() {
-        for meta in &clean.conns {
-            let mutants = clean
-                .trace
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| {
-                    reverse_aeth(meta, &e.frame).is_some_and(|a| a.syndrome.is_seq_err_nak())
-                })
-                .map(|(at, e)| {
-                    let mut t = clean.trace.clone();
-                    t.entries[at].frame.bth.psn = psn_add(e.frame.bth.psn, 1);
-                    (at, t)
-                })
-                .collect();
-            // The resumed round then starts one PSN before what the NACK
-            // asked for, which is the Go-back-N view's second line.
-            edits += assert_mutants(
-                &clean,
-                "NACK PSN + 1",
-                mutants,
-                |_| ViolationClass::NackPsnMismatch,
-                &["NACK carries PSN", "retransmission round started at"],
-            );
-        }
-    }
-    assert!(edits > 0);
+    // The resumed round then starts one PSN before what the NACK asked
+    // for, which is the Go-back-N view's second line.
+    let edits = assert_teeth(
+        "NACK PSN + 1",
+        nacks_off_by_one,
+        &["NACK carries PSN", "retransmission round started at"],
+    );
+    assert!(!edits.is_empty());
 }
 
 #[test]
 fn deleting_every_cnp_is_missing_cnp() {
-    for clean in clean_traces() {
-        let mut t = clean.trace.clone();
-        t.entries.retain(|e| e.frame.bth.opcode != Opcode::Cnp);
-        assert!(
-            t.len() < clean.trace.len(),
-            "{}: no CNP to delete",
-            clean.name
-        );
-        assert_mutants(
-            &clean,
-            "delete CNPs",
-            vec![(0, t)],
-            |_| ViolationClass::MissingCnp,
-            &[],
-        );
+    // Both clean traces carry CNPs: one mutant each.
+    assert_eq!(assert_teeth("delete CNPs", without_cnps, &[]).len(), 2);
+}
+
+// ---- The decision table is what the replay reaches ----
+
+/// The quirk matrix's knobs (`tests/quirk_matrix.rs`), each on
+/// `fig11_noisy_neighbor` trimmed to two messages per QP.
+fn quirk_knobs() -> Vec<TestConfig> {
+    let write = |c: &mut TestConfig| c.traffic.rdma_verb = "write".into();
+    let knob = |quirks: QuirksSection, tweak: &dyn Fn(&mut TestConfig)| {
+        let mut c = preset("fig11_noisy_neighbor");
+        c.traffic.num_msgs_per_qp = 2;
+        tweak(&mut c);
+        c.quirks = Some(quirks);
+        c
+    };
+    let q = QuirksSection::default;
+    vec![
+        knob(
+            QuirksSection {
+                wrong_ack_psn_prob: 0.3,
+                ..q()
+            },
+            &write,
+        ),
+        knob(
+            QuirksSection {
+                ack_drop_prob: 0.3,
+                ..q()
+            },
+            &write,
+        ),
+        knob(
+            QuirksSection {
+                ack_coalesce_prob: 0.35,
+                ..q()
+            },
+            &|c| {
+                write(c);
+                c.traffic.tx_depth = 4;
+            },
+        ),
+        knob(
+            QuirksSection {
+                cnp_suppress_prob: 1.0,
+                ..q()
+            },
+            &|c| {
+                c.requester.dcqcn_np_enable = true;
+                for qpn in [13, 14] {
+                    c.traffic.data_pkt_events.push(EventSpec {
+                        qpn,
+                        psn: 3,
+                        r#type: "ecn".into(),
+                        iter: 1,
+                        every: 0,
+                        delay_us: 0,
+                        reorder_by: 0,
+                    });
+                }
+            },
+        ),
+        knob(
+            QuirksSection {
+                cnp_spurious_prob: 0.02,
+                ..q()
+            },
+            &|_| {},
+        ),
+        knob(
+            QuirksSection {
+                ghost_retransmit_prob: 0.05,
+                ..q()
+            },
+            &|_| {},
+        ),
+        knob(
+            QuirksSection {
+                stale_msn_prob: 0.4,
+                ..q()
+            },
+            &|_| {},
+        ),
+        knob(
+            QuirksSection {
+                gbn_off_by_one_prob: 0.5,
+                ..q()
+            },
+            &write,
+        ),
+        knob(
+            QuirksSection {
+                icrc_corrupt_prob: 0.05,
+                ..q()
+            },
+            &|_| {},
+        ),
+    ]
+}
+
+/// The decisions one replay of `trace` takes, graded as `res` was, read
+/// through the fuzzer's own signal.
+fn decisions_over(res: &mut TestResults, trace: Trace) -> Decisions {
+    let clean = res.trace.replace(trace);
+    let seen = signal_of(res);
+    res.trace = clean;
+    seen
+}
+
+/// Every entry of the decision table is reached by a preset, a quirk knob
+/// or a trace mutant: an entry nothing reaches does not belong in it.
+#[test]
+fn every_decision_point_is_reached() {
+    let mut seen = Decisions::default();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "yaml") {
+            let cfg = TestConfig::from_yaml(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            seen |= signal_of(&run_test(&cfg).unwrap());
+        }
     }
+    for cfg in quirk_knobs() {
+        seen |= signal_of(&run_test(&cfg).unwrap());
+    }
+    let edits: [Edit; 6] = [
+        drop_covered_acks,
+        lower_msns,
+        acks_past_the_frontier,
+        unprovoked_duplicates,
+        nacks_off_by_one,
+        without_cnps,
+    ];
+    for mut clean in clean_traces() {
+        for meta in clean.conns.clone() {
+            for edit in edits {
+                for (_, mutant, class) in edit(&clean.trace, &meta) {
+                    let took = decisions_over(&mut clean.res, mutant);
+                    let proving = Decision::ALL.iter().find(|d| d.proves() == Some(class));
+                    assert!(
+                        took.contains(*proving.unwrap()),
+                        "{}: {class:?}",
+                        clean.name
+                    );
+                    seen |= took;
+                }
+            }
+        }
+    }
+    let missed: Vec<&str> = Decision::ALL
+        .iter()
+        .filter(|d| !seen.contains(**d))
+        .map(|d| d.label())
+        .collect();
+    assert!(missed.is_empty(), "unreached decision points: {missed:?}");
 }

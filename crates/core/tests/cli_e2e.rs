@@ -169,6 +169,10 @@ fn unknown_flags_are_config_errors_naming_the_flag() {
         );
     }
 
+    // `--shrink` was a second spelling of `--coverage` and is gone.
+    let shrink = ["fuzz", "--config", "configs/listing2.yaml", "--shrink"];
+    assert_eq!(exit_code(&shrink), 2);
+
     // Another subcommand's flag is just as unknown here…
     assert_eq!(
         exit_code(&["configs/listing2.yaml", "--validate", "--workers", "2"]),
@@ -195,6 +199,41 @@ fn unknown_flags_are_config_errors_naming_the_flag() {
         ]),
         0
     );
+}
+
+/// A corpus whose entries name their first-covered points by hashed slot
+/// number — the format before coverage became the replay's decision
+/// points — names nothing the campaign can reload: exit 2, naming the line.
+#[test]
+fn a_corpus_of_hashed_slots_is_a_config_error() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/hashed_slot_corpus");
+    std::fs::create_dir_all(dir).unwrap();
+    let yaml = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../configs/listing2.yaml"
+    ))
+    .unwrap();
+    let config = lumina_core::config::TestConfig::from_yaml(&yaml).unwrap();
+    let line = format!(
+        "{{\"candidate\":0,\"score\":2400.0,\"new-slots\":[10,306,539,577],\"config\":{}}}\n",
+        serde_json::to_string(&config).unwrap()
+    );
+    std::fs::write(format!("{dir}/corpus.jsonl"), line).unwrap();
+    let out = cli(&[
+        "fuzz",
+        "--config",
+        "configs/listing2.yaml",
+        "--corpus-dir",
+        dir,
+        "--generations",
+        "1",
+        "--batch",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert!(stderr.contains("corpus line 1"), "{stderr}");
 }
 
 #[test]
@@ -285,6 +324,17 @@ fn telemetry_trace_and_fuzz_bytes_are_pinned() {
         .filter(|l| !l.starts_with("fuzz: profile "))
         .flat_map(|l| [l, "\n"])
         .collect();
+    // The summary says how much of the spec's decision table was covered.
+    let (k, n) = fuzz_stderr
+        .lines()
+        .find_map(|l| {
+            let rest = l.strip_prefix("fuzz: coverage ")?;
+            let (k, rest) = rest.split_once('/')?;
+            let (n, _) = rest.split_once(" decision points (")?;
+            Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?))
+        })
+        .unwrap_or_else(|| panic!("no decision coverage line: {fuzz_stderr}"));
+    assert!(0 < k && k <= n, "{k}/{n}");
     let seen = [
         fnv64(&stdout_of(&telemetry, 0)),
         fnv64(&stdout_of(&[&telemetry[..], &["--json"]].concat(), 0)),
@@ -303,12 +353,14 @@ fn telemetry_trace_and_fuzz_bytes_are_pinned() {
         0x5949_a397_8b5a_c2a3, // trace
         0xfdcb_89a3_4da9_cb84, // trace --json
         0x7b23_600a_b478_b177, // the --perfetto file
-        // The move left 0x0c56_92d3_8e8c_45b0 / 0xefaf_b74f_6e4b_7272, the
-        // parent's values, standing; the NAK-after-rewind fix in
-        // `Rnic::rx_seq_nak`, same PR, moved candidate 3's run (a quirked
-        // NAK lands after a timeout rewind: 140 → 170 timeouts).
-        0x6ec8_35b2_a2b8_bd87, // fuzz stdout
-        0x6d39_98b3_cbd9_8562, // fuzz stderr, profile line dropped
+        // Re-recorded once when the coverage signal became the RC replay's
+        // decision points instead of hashed journal edges. The novelty
+        // bonus of each score and the summary line moved; the twelve
+        // configs evaluated at this budget did not. The hashed-edge signal
+        // left 0x6ec8_35b2_a2b8_bd87 / 0x6d39_98b3_cbd9_8562 (its summary
+        // line: `coverage 223 distinct slots`).
+        0xdfa6_8b32_ee88_db6e, // fuzz stdout
+        0x9777_6e44_6df2_d517, // fuzz stderr, profile line dropped
     ];
     assert!(seen == pinned, "saw {seen:#018x?}");
 }

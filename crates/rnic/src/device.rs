@@ -258,11 +258,11 @@ impl Rnic {
 
     /// Borrow a QP (tests, metrics).
     pub fn qp(&self, qpn: u32) -> Option<&Qp> {
-        self.qps.slot_of(qpn).map(|i| self.qps.get(i))
+        self.qps.lookup(qpn).map(|i| self.qps.get(i))
     }
 
     fn qp_mut(&mut self, qpn: u32) -> Option<&mut Qp> {
-        self.qps.slot_of(qpn).map(|i| self.qps.get_mut(i))
+        self.qps.lookup(qpn).map(|i| self.qps.get_mut(i))
     }
 
     /// All local QPNs.
@@ -273,7 +273,7 @@ impl Rnic {
     /// Post a send-queue work request.
     pub fn post_send(&mut self, qpn: u32, wr: WorkRequest, now: SimTime) -> Vec<Action> {
         let mut actions = std::mem::take(&mut self.spare_actions);
-        let Some(i) = self.qps.slot_of(qpn) else {
+        let Some(i) = self.qps.lookup(qpn) else {
             panic!("post_send on unknown QP {qpn:#x}");
         };
         let qp = self.qps.get_mut(i);
@@ -297,7 +297,7 @@ impl Rnic {
 
     /// Post a receive WQE (Send/Recv traffic).
     pub fn post_recv(&mut self, qpn: u32, wr_id: u64, len: u32) {
-        let i = self.qps.slot_of(qpn).expect("post_recv on unknown QP");
+        let i = self.qps.lookup(qpn).expect("post_recv on unknown QP");
         self.qps.get_mut(i).recv_queue.push_back((wr_id, len));
     }
 
@@ -363,7 +363,7 @@ impl Rnic {
 
     /// Dispatch a frame that passed the front door, by opcode.
     fn process_frame(&mut self, frame: RoceFrame, now: SimTime, actions: &mut Vec<Action>) {
-        let Some(i) = self.qps.slot_of(frame.bth.dest_qp) else {
+        let Some(i) = self.qps.lookup(frame.bth.dest_qp) else {
             return; // unknown QP: silently dropped
         };
 
@@ -447,7 +447,7 @@ impl Rnic {
     /// The slot of the QP a per-QP timer token names.
     fn timer_slot(&self, qpn: u32) -> usize {
         self.qps
-            .slot_of(qpn)
+            .lookup(qpn)
             .expect("timer token names an unknown QP")
     }
 
@@ -624,11 +624,11 @@ mod tests {
         }
         assert_eq!(rnic.qpns(), (0..N).map(qpn_of).collect::<Vec<_>>());
         for rank in 0..N {
-            assert_eq!(rnic.qps.slot_of(qpn_of(rank)), Some(rank as usize));
-            assert_eq!(rnic.qps.slot_of(qpn_of(rank) + 1), None);
+            assert_eq!(rnic.qps.lookup(qpn_of(rank)), Some(rank as usize));
+            assert_eq!(rnic.qps.lookup(qpn_of(rank) + 1), None);
         }
-        assert_eq!(rnic.qps.slot_of(0), None);
-        assert_eq!(rnic.qps.slot_of(u32::MAX), None);
+        assert_eq!(rnic.qps.lookup(0), None);
+        assert_eq!(rnic.qps.lookup(u32::MAX), None);
 
         let post = |rnic: &mut Rnic, rank: u32| {
             let wr = WorkRequest { wr_id: rank as u64, verb: Verb::Write, len: 64 + rank };
@@ -647,8 +647,8 @@ mod tests {
 
         // A QP created after the table was built moves every slot again.
         create(&mut rnic, 0x5);
-        assert_eq!(rnic.qps.slot_of(0x5), Some(0));
-        assert_eq!(rnic.qps.slot_of(qpn_of(N - 1)), Some(N as usize));
+        assert_eq!(rnic.qps.lookup(0x5), Some(0));
+        assert_eq!(rnic.qps.lookup(qpn_of(N - 1)), Some(N as usize));
         post(&mut rnic, 1);
         assert_eq!(walks_like_the_reference(&mut rnic), N.div_ceil(3) as usize + 1);
     }

@@ -55,7 +55,7 @@ impl Rnic {
             self.tx_owners.swap_remove(j);
             self.tx_cands.swap_remove(j);
         }
-        let slot = self.qps.slot_of(qpn).expect("scratch names an unknown QP");
+        let slot = self.qps.lookup(qpn).expect("scratch names an unknown QP");
         self.qps
             .offer_one(slot, &mut self.tx_cands, &mut self.tx_owners);
     }
@@ -99,7 +99,7 @@ impl Rnic {
     fn transmit(&mut self, picked: usize, now: SimTime, actions: &mut Vec<Action>) {
         let (qpn, is_read_resp) = self.tx_owners[picked];
         let cand = self.tx_cands[picked];
-        let i = self.qps.slot_of(qpn).expect("scratch names an unknown QP");
+        let i = self.qps.lookup(qpn).expect("scratch names an unknown QP");
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         let mut frame = if is_read_resp {
             self.gen_read_resp_frame(i)

@@ -86,7 +86,7 @@ impl Index {
         (qpn.wrapping_mul(0x9e37_79b9) >> self.shift) as usize
     }
 
-    fn slot_of(&self, qpn: u32) -> Option<usize> {
+    fn lookup(&self, qpn: u32) -> Option<usize> {
         let mut at = self.home(qpn);
         // Three cells in four are vacant, so the probe ends.
         loop {
@@ -146,8 +146,8 @@ impl QpTable {
     }
 
     /// The slot of `qpn`.
-    pub(crate) fn slot_of(&self, qpn: u32) -> Option<usize> {
-        self.index.get_or_init(|| Index::of(&self.qpns)).slot_of(qpn)
+    pub(crate) fn lookup(&self, qpn: u32) -> Option<usize> {
+        self.index.get_or_init(|| Index::of(&self.qpns)).lookup(qpn)
     }
 
     /// The QPN in slot `i`.

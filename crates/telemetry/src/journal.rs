@@ -1,5 +1,5 @@
 //! The run's event log: one bounded ring of [`Record`]s in two roles. A
-//! *journal* record is a decision point (a drop, an ECN mark, a CNP, a
+//! *journal* record is a component's decision (a drop, an ECN mark, a CNP, a
 //! timeout, a go-back-N rollback, a mirror emission); a *hop* is a packet
 //! reaching a point of its lifecycle, named by the [`Hop`] table, carrying
 //! its `trace_id` ([`trace`](crate::trace) renders those). A decision that
@@ -195,27 +195,6 @@ impl EventLog {
         self.records.iter().filter(|r| r.in_journal())
     }
 
-    /// Run `f` over every same-node event-kind *edge* of the journal view,
-    /// oldest-first: for each event, `f(node, prev_kind, kind)` where
-    /// `prev_kind` is the kind of the previous retained event on the same
-    /// node, or `"^"` for the node's first. This is the journal's behavior
-    /// signature — the fuzzer's coverage signal hashes these edges — and it
-    /// is a pure function of the retained ring, so it inherits the
-    /// journal's same-seed determinism.
-    pub fn for_each_edge<F: FnMut(u32, &'static str, &'static str)>(&self, mut f: F) {
-        let mut last: Vec<(u32, &'static str)> = Vec::new();
-        for ev in self.journal() {
-            let prev = match last.iter_mut().find(|(n, _)| *n == ev.node) {
-                Some(entry) => std::mem::replace(&mut entry.1, ev.kind),
-                None => {
-                    last.push((ev.node, ev.kind));
-                    "^"
-                }
-            };
-            f(ev.node, prev, ev.kind);
-        }
-    }
-
     /// Render the journal view as JSON Lines (one compact object per
     /// event, oldest first).
     pub fn journal_jsonl(&self) -> String {
@@ -272,45 +251,6 @@ mod tests {
         assert_eq!(kinds, vec![("drop", None), ("drop", Some(2))]);
         let hops: Vec<_> = log.records.iter().filter_map(|r| r.hop).collect();
         assert_eq!(hops, vec![Hop::SwitchForward, Hop::Drop]);
-    }
-
-    #[test]
-    fn edges_pair_consecutive_kinds_per_node() {
-        let mut j = EventLog::new(8);
-        // Node 0 and node 1 interleave; edges must not cross nodes.
-        j.push(ev(0, 0, "a"));
-        j.push(ev(1, 1, "x"));
-        j.push(ev(2, 0, "b"));
-        // A pure hop is not a journal event and is no edge.
-        j.push(Record::of_hop(Hop::GenEnqueue, 0, 2, 0, "", vec![]));
-        j.push(ev(3, 1, "y"));
-        j.push(ev(4, 0, "a"));
-        let mut edges = Vec::new();
-        j.for_each_edge(|node, prev, kind| edges.push((node, prev, kind)));
-        assert_eq!(
-            edges,
-            vec![
-                (0, "^", "a"),
-                (1, "^", "x"),
-                (0, "a", "b"),
-                (1, "x", "y"),
-                (0, "b", "a"),
-            ]
-        );
-    }
-
-    #[test]
-    fn edges_restart_after_ring_eviction() {
-        // Eviction loses the head of each node's sequence; the edge view
-        // is defined over the *retained* ring only, so it stays a pure
-        // function of the journal contents.
-        let mut j = EventLog::new(2);
-        for (t, kind) in [(0, "a"), (1, "b"), (2, "c")] {
-            j.push(ev(t, 0, kind));
-        }
-        let mut edges = Vec::new();
-        j.for_each_edge(|_, prev, kind| edges.push((prev, kind)));
-        assert_eq!(edges, vec![("^", "b"), ("b", "c")]);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! everything the handle holds is measured in *simulated* time:
 //!
 //! * **Event log** ([`journal`]): one bounded ring of [`Record`]s, seen
-//!   as the *journal* of decision points and as the *hop view* of packet
-//!   lifecycles ([`trace`], off until [`Telemetry::enable_tracing`]). Both
-//!   render byte-identically across same-seed runs, and every map
-//!   serializes in insertion order.
+//!   as the *journal* of component decisions and as the *hop view* of
+//!   packet lifecycles ([`trace`], off until [`Telemetry::enable_tracing`]).
+//!   Both render byte-identically across same-seed runs, and every map
+//!   serializes in insertion order. Their readers only render them:
+//!   nothing steers a run or a campaign by what the log holds.
 //! * **Per-node metric registry** ([`metrics`]): counters and log-linear
 //!   histograms keyed by node id, plus snapshots of any component stat
 //!   struct implementing [`MetricSet`], exported through
@@ -212,13 +213,6 @@ impl Telemetry {
     /// Run `f` over each journal event in order.
     pub fn for_each_event<F: FnMut(&Record)>(&self, f: F) {
         self.sink().log.journal().for_each(f);
-    }
-
-    /// Run `f` over every same-node event-kind edge in the journal, in
-    /// order ([`EventLog::for_each_edge`]): the behavior signature the
-    /// coverage-guided fuzzer hashes.
-    pub fn for_each_edge<F: FnMut(u32, &'static str, &'static str)>(&self, f: F) {
-        self.sink().log.for_each_edge(f);
     }
 
     // ------------------------------------------------------------ metrics

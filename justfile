@@ -98,11 +98,17 @@ trace config="configs/fig11_noisy_neighbor.yaml" out="perfetto.json":
 
 # Coverage-guided fuzzing smoke: a short campaign on the quirks demo with
 # the quirk-knob mutation dimension, persisting the novelty corpus and the
-# shrunk per-class reproducer YAMLs to a scratch dir. Doubles as the CI
-# smoke for the coverage/shrink/corpus-persistence CLI path.
+# shrunk per-class reproducer YAMLs to a scratch dir, then a second campaign
+# that reloads that corpus (it must say `reloaded … corpus entries`).
+# Doubles as the CI smoke for the coverage/shrink/corpus persist → reload
+# CLI path.
 fuzz-coverage config="configs/quirks_demo.yaml" out="target/fuzz-corpus":
     mkdir -p {{out}}
+    rm -f {{out}}/corpus.jsonl {{out}}/repro-*.yaml
     cargo run --release -p lumina-core --bin lumina-cli -- fuzz --config {{config}} --corpus-dir {{out}} --quirk-knobs --generations 4 --batch 4 --seed 7 > {{out}}/findings.jsonl
+    cargo run --release -p lumina-core --bin lumina-cli -- fuzz --config {{config}} --corpus-dir {{out}} --quirk-knobs --generations 4 --batch 4 --seed 8 > {{out}}/findings-reloaded.jsonl 2> {{out}}/reloaded.log
+    cat {{out}}/reloaded.log
+    grep -q '^fuzz: reloaded [1-9][0-9]* corpus entries' {{out}}/reloaded.log
 
 # Cross-NIC behavior matrix: the demo scenario swept over the whole
 # device registry, with per-cell conformance verdicts and the

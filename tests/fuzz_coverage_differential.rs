@@ -1,7 +1,7 @@
 //! Differential proof for the coverage-guided executor: for the same seed
-//! and base configuration, the coverage map, the corpus, the growth curve
-//! and every shrunk reproducer must be byte-identical across worker
-//! counts (serial included) and across repeated same-seed runs. Coverage
+//! and base configuration, the covered decision points, the corpus, the
+//! growth curve and every shrunk reproducer must be byte-identical across
+//! worker counts (serial included) and across repeated same-seed runs. Coverage
 //! merging happens on the campaign thread in slot order, so the parallel
 //! executor's determinism guarantee extends to everything coverage mode
 //! adds — this suite is what holds it there.
@@ -41,8 +41,7 @@ traffic:
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     history_bits: Vec<u64>,
-    map_slots: Vec<u32>,
-    map_hits: Vec<(u32, u64)>,
+    map: Vec<&'static str>,
     growth: Vec<(u64, usize)>,
     corpus_jsonl: String,
     reproducers: Vec<(u64, Option<&'static str>, String, bool, String)>,
@@ -52,8 +51,7 @@ fn fingerprint(out: &FuzzOutcome) -> Fingerprint {
     let cov = out.coverage.as_ref().expect("coverage mode on");
     Fingerprint {
         history_bits: out.history.iter().map(|s| s.to_bits()).collect(),
-        map_slots: cov.map.slots().collect(),
-        map_hits: cov.map.slots().map(|s| (s, cov.map.hits(s))).collect(),
+        map: cov.map.iter().map(|d| d.label()).collect(),
         growth: cov.growth.clone(),
         corpus_jsonl: cov.corpus.to_jsonl(),
         reproducers: cov
@@ -97,7 +95,7 @@ fn campaign(workers: usize) -> Fingerprint {
 fn coverage_campaigns_match_serial_exactly() {
     let serial = campaign(0);
     assert!(
-        !serial.map_slots.is_empty(),
+        !serial.map.is_empty(),
         "campaign covered nothing; the differential would be vacuous"
     );
     assert!(
