@@ -21,7 +21,7 @@ impl<'a> TelemetryReport<'a> {
     /// One machine-readable document: journal, metrics, frame plane.
     pub fn to_json(&self) -> Result<Value, Error> {
         let tel = &self.results.telemetry;
-        let journal: Vec<Value> = tel.with_log(|log| log.journal().map(|r| r.to_json()).collect());
+        let journal: Vec<Value> = tel.with_log(|log| log.journal().map(|r| r.to_json(log)).collect());
         Ok(serde_json::json!({
             "journal": journal,
             "metrics": (tel.deterministic_snapshot()),

@@ -130,9 +130,10 @@ fn parse_headers_allocates_nothing() {
 /// the benchmark's `run_packets` shape (8 WRITE QPs, four drops, four CE
 /// marks) at N and at 2 N messages per QP, so per-run set-up, the report
 /// and every buffer that only grows once cancel out of the quotient.
-/// Measured 3.02 (4.02 while a stored capture was a `Vec`, 4.96 while the
-/// wheel's slots were vectors that regrew after a cascade); the ceiling
-/// leaves one call of room.
+/// Measured 2.02 in the dev and the release profile alike (3.02 while a
+/// journal record owned an attribute `Vec`, 4.02 while a stored capture
+/// was a `Vec`, 4.96 while the wheel's slots were vectors that regrew
+/// after a cascade); the ceiling leaves one call of room.
 #[test]
 fn live_run_allocator_calls_per_mirrored_packet() {
     const N: u32 = 4;
@@ -159,5 +160,5 @@ fn live_run_allocator_calls_per_mirrored_packet() {
     let (calls_2n, mirrored_2n) = run(2 * N);
     assert!(mirrored_2n > mirrored_n + 1_000, "{mirrored_n} vs {mirrored_2n}");
     let per_packet = (calls_2n - calls_n) as f64 / (mirrored_2n - mirrored_n) as f64;
-    assert!(per_packet <= 4.0, "{per_packet:.2} allocator calls per mirrored packet");
+    assert!(per_packet <= 3.0, "{per_packet:.2} allocator calls per mirrored packet");
 }

@@ -8,6 +8,9 @@
 //! * **Event log** ([`journal`]): one bounded ring of [`Record`]s, seen
 //!   as the *journal* of component decisions and as the *hop view* of
 //!   packet lifecycles ([`trace`], off until [`Telemetry::enable_tracing`]).
+//!   A record is one fixed-size value with its attributes inline, so
+//!   recording allocates nothing once the ring has reached its length; each
+//!   view counts what the ring evicted of it.
 //!   Both render byte-identically across same-seed runs, and every map
 //!   serializes in insertion order. Their readers only render them:
 //!   nothing steers a run or a campaign by what the log holds.
@@ -40,7 +43,7 @@ pub mod ops;
 pub mod profile;
 pub mod trace;
 
-pub use journal::{AttrValue, EventLog, Record};
+pub use journal::{AttrValue, EventLog, Record, Site};
 pub use metrics::{Histogram, MetricSet, NodeMetrics, Registry};
 pub use ops::{OpsReporter, OpsSnapshot};
 pub use profile::SelfProfile;
@@ -174,7 +177,8 @@ impl Telemetry {
             debug_assert!(false, "{hop:?} is not a pure hop");
             return;
         };
-        self.sink().log.push(Record::of_hop(hop, raw_trace_id, t, node, "", Vec::new()));
+        let rec = Record::of_hop(&journal::PURE_HOP, hop, raw_trace_id, t, node);
+        self.sink().log.push(rec, &[]);
     }
 
     /// Run `f` over the event log (summaries, exports).
@@ -184,12 +188,13 @@ impl Telemetry {
 
     // ------------------------------------------------------------ journal
 
-    /// Record one journal event; a hop-role one shows in the hop view
-    /// only while tracing. Prefer the [`tev!`] macro, which skips building
-    /// the record when the sink is disabled.
-    pub fn emit(&self, rec: Record) {
+    /// Record one journal event with the values of its site's attributes;
+    /// a hop-role one shows in the hop view only while tracing. Prefer the
+    /// [`tev!`] macro, which skips building the record when the sink is
+    /// disabled and checks the site when it compiles.
+    pub fn emit(&self, rec: Record, attrs: &[AttrValue]) {
         if self.is_enabled() {
-            self.sink().log.push(rec);
+            self.sink().log.push(rec, attrs);
         }
     }
 
@@ -198,10 +203,10 @@ impl Telemetry {
         self.sink().log.journal_len
     }
 
-    /// Records evicted from the ring because it was full, whatever their
-    /// role: the log's one eviction counter.
+    /// Journal events evicted from the ring because it was full: with
+    /// [`journal_len`](Self::journal_len), every event the run journaled.
     pub fn journal_dropped(&self) -> u64 {
-        self.sink().log.dropped
+        self.sink().log.journal_dropped
     }
 
     /// Render the journal as JSON Lines (one event object per line),
@@ -277,7 +282,7 @@ impl Telemetry {
         let mut root = serde_json::Map::new();
         let mut j = serde_json::Map::new();
         j.insert("events", serde_json::Value::from(sink.log.journal_len as u64));
-        j.insert("dropped", serde_json::Value::from(sink.log.dropped));
+        j.insert("dropped", serde_json::Value::from(sink.log.journal_dropped));
         root.insert("journal", serde_json::Value::Object(j));
         root.insert("global", sink.registry.globals_to_json());
         root.insert("nodes", sink.registry.to_json());
@@ -287,24 +292,53 @@ impl Telemetry {
 
 /// Record a journal event, skipping attribute evaluation when disabled.
 /// The `hop(..)` form records a decision that is also a [`Hop`] of the
-/// packet with that raw provenance id ([`Record::of_hop`]).
+/// packet with that raw provenance id ([`Record::of_hop`]). Values are
+/// integers, `f64`, `bool` or `&'static str`.
 ///
-/// ```ignore
-/// tev!(tel, now_ns, node_id, "rnic", "gbn.rollback", psn = psn, qpn = qpn);
-/// tev!(tel, now_ns, node_id, "switch", hop(Hop::Drop, frame.trace_id()), psn = psn);
+/// ```
+/// use lumina_telemetry::{tev, Hop, Telemetry};
+/// let tel = Telemetry::enabled();
+/// let (psn, qpn, id) = (7u32, 1u32, 42u64);
+/// tev!(tel, 100, 2, "rnic", "gbn.rollback", qpn = qpn, psn = psn, reason = "nack");
+/// tev!(tel, 250, 2, "switch", hop(Hop::Drop, id), psn = psn);
+/// assert_eq!(tel.journal_len(), 2);
+/// ```
+///
+/// Each call site's component and keys become one [`Site`] `static`, so
+/// what a record cannot hold fails to compile. A fourth attribute:
+///
+/// ```compile_fail,E0080
+/// # let tel = lumina_telemetry::Telemetry::enabled();
+/// lumina_telemetry::tev!(tel, 0, 0, "c", "k", a = 1u8, b = 2u8, c = 3u8, d = 4u8);
+/// ```
+///
+/// A key that shadows a fixed field (`t`, `node`, `component`, `kind`):
+///
+/// ```compile_fail,E0080
+/// # let tel = lumina_telemetry::Telemetry::enabled();
+/// lumina_telemetry::tev!(tel, 0, 0, "c", "k", node = 1u8);
+/// ```
+///
+/// A key twice:
+///
+/// ```compile_fail,E0080
+/// # let tel = lumina_telemetry::Telemetry::enabled();
+/// lumina_telemetry::tev!(tel, 0, 0, "c", "k", psn = 1u8, psn = 2u8);
 /// ```
 #[macro_export]
 macro_rules! tev {
     ($tel:expr, $t:expr, $node:expr, $component:expr, hop($hop:expr, $id:expr) $(, $key:ident = $val:expr)* $(,)?) => {
         if $tel.is_enabled() {
-            $tel.emit($crate::Record::of_hop($hop, $id, $t, $node, $component,
-                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*]));
+            static SITE: $crate::Site = $crate::Site::new($component, &[$(stringify!($key)),*]);
+            $tel.emit($crate::Record::of_hop(&SITE, $hop, $id, $t, $node),
+                &[$($crate::AttrValue::from($val)),*]);
         }
     };
     ($tel:expr, $t:expr, $node:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
         if $tel.is_enabled() {
-            $tel.emit($crate::Record::event($t, $node, $component, $kind,
-                vec![$( (stringify!($key), $crate::AttrValue::from($val)) ),*]));
+            static SITE: $crate::Site = $crate::Site::new($component, &[$(stringify!($key)),*]);
+            $tel.emit($crate::Record::event(&SITE, $t, $node, $kind),
+                &[$($crate::AttrValue::from($val)),*]);
         }
     };
 }
@@ -416,10 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn one_ring_one_counter_under_both_gates() {
+    fn one_ring_counts_what_each_view_lost() {
         // Room for one hop beyond the journal's 65 536: filling the
         // journal, then two hops and one more event evicts the two
-        // oldest events, and only the journal's share counts as events.
+        // oldest events, which only the journal counts.
         let tel = Telemetry::enabled();
         tel.enable_tracing(1, 0);
         for t in 0..JOURNAL_CAPACITY as u64 {
@@ -435,6 +469,15 @@ mod tests {
         let snap = tel.deterministic_snapshot();
         assert_eq!(snap["journal"]["events"], (JOURNAL_CAPACITY - 1) as u64);
         assert_eq!(snap["journal"]["dropped"], 2u64);
+        // As many events again push both hops out: each view's retained
+        // plus dropped is what it was offered.
+        for t in 0..JOURNAL_CAPACITY as u64 {
+            tev!(tel, (1 << 23) + t, 0, "c", "k");
+        }
+        let offered = 2 * JOURNAL_CAPACITY as u64 + 1;
+        assert_eq!(tel.journal_len() as u64 + tel.journal_dropped(), offered);
+        let hops = tel.with_log(TraceSummary::from_log);
+        assert_eq!((hops.records, hops.dropped), (0, 2));
     }
 
     #[test]

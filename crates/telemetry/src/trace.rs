@@ -133,7 +133,7 @@ pub struct TraceSummary {
     pub packets: u64,
     /// Hop records retained.
     pub records: u64,
-    /// Records the log evicted, whatever their role.
+    /// Hop records the log evicted.
     pub dropped: u64,
 }
 
@@ -142,7 +142,7 @@ impl TraceSummary {
     pub fn from_log(log: &EventLog) -> TraceSummary {
         let mut s = TraceSummary {
             records: log.hops().count() as u64,
-            dropped: log.dropped,
+            dropped: log.hop_dropped,
             ..TraceSummary::default()
         };
         for (_, recs) in log.per_packet() {
@@ -242,6 +242,7 @@ pub fn perfetto_json(log: &EventLog, node_names: &BTreeMap<u32, String>) -> serd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{Site, PURE_HOP};
 
     /// Every kind, in lifecycle order.
     const ALL: [Hop; 13] = {
@@ -263,25 +264,24 @@ mod tests {
         ]
     };
 
+    static SWITCH: Site = Site::new("switch", &[]);
+
     fn sample_log() -> EventLog {
         let mut r = EventLog::new(64);
         r.baseline = 100;
         r.trace(0);
         // Packet 100 (relative 0): gen → egress → ingress → forward.
-        r.push(Record::of_hop(Hop::GenEnqueue, 100, 1_000, 0, "", vec![]));
-        r.push(Record::of_hop(Hop::LinkEgress, 100, 1_500, 0, "", vec![]));
-        r.push(Record::of_hop(Hop::LinkIngress, 100, 3_500, 2, "", vec![]));
-        r.push(Record::of_hop(
-            Hop::SwitchForward,
-            100,
-            4_000,
-            2,
-            "",
-            vec![],
-        ));
+        for (hop, t, node) in [
+            (Hop::GenEnqueue, 1_000, 0),
+            (Hop::LinkEgress, 1_500, 0),
+            (Hop::LinkIngress, 3_500, 2),
+            (Hop::SwitchForward, 4_000, 2),
+        ] {
+            r.push(Record::of_hop(&PURE_HOP, hop, 100, t, node), &[]);
+        }
         // Packet 101 (relative 1): dropped at the switch.
-        r.push(Record::of_hop(Hop::GenEnqueue, 101, 2_000, 0, "", vec![]));
-        r.push(Record::of_hop(Hop::Drop, 101, 5_000, 2, "switch", vec![]));
+        r.push(Record::of_hop(&PURE_HOP, Hop::GenEnqueue, 101, 2_000, 0), &[]);
+        r.push(Record::of_hop(&SWITCH, Hop::Drop, 101, 5_000, 2), &[]);
         r
     }
 
@@ -291,14 +291,14 @@ mod tests {
         r.baseline = 10;
         r.trace(0);
         for (raw, t) in [(10, 1), (11, 2), (12, 3)] {
-            r.push(Record::of_hop(Hop::GenEnqueue, raw, t, 0, "", vec![]));
+            r.push(Record::of_hop(&PURE_HOP, Hop::GenEnqueue, raw, t, 0), &[]);
         }
         assert_eq!(r.hops().count(), 2);
-        assert_eq!(r.dropped, 1);
+        assert_eq!(r.hop_dropped, 1);
         let ids: Vec<u64> = r.hops().map(|(id, _, _)| id).collect();
         assert_eq!(ids, vec![1, 2], "ids are baseline-relative");
         // Pre-baseline frames clamp to 0 instead of wrapping.
-        r.push(Record::of_hop(Hop::GenEnqueue, 3, 4, 0, "", vec![]));
+        r.push(Record::of_hop(&PURE_HOP, Hop::GenEnqueue, 3, 4, 0), &[]);
         assert_eq!(r.hops().last().map(|(id, _, _)| id), Some(0));
     }
 
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn hop_view_is_empty_unless_tracing() {
         let mut r = EventLog::new(8);
-        r.push(Record::of_hop(Hop::Mirror, 3, 7, 2, "switch", vec![]));
+        r.push(Record::of_hop(&SWITCH, Hop::Mirror, 3, 7, 2), &[]);
         assert_eq!(r.journal().count(), 1);
         assert_eq!(r.hops().count(), 0);
         assert_eq!(r.hops_jsonl(), "");

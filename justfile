@@ -57,8 +57,10 @@ doc:
 # log: `event_log_pins` holds what its journal and hop views rendered while
 # they were two rings (every preset untraced at seeds 1-2, the ten presets
 # whose hops fit the trace ring traced at seed 1, an overflowing journal),
-# and the telemetry unit tests hold the ring itself (eviction order, the one
-# eviction counter, which role each gate keeps).
+# and the telemetry unit tests hold the ring itself (eviction order, each
+# view's eviction count, which role each gate keeps). Last, the allocator
+# counts of the recording path and of a live run's mirrored packet, because
+# that build inlines `tev!`'s record into the switch and the ring.
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
@@ -74,6 +76,8 @@ release-bytes:
     cargo test --release --offline -q -p lumina-core --test analyzer_teeth
     cargo test --release --offline -q -p lumina-repro --test event_log_pins
     cargo test --release --offline -q -p lumina-telemetry --lib
+    cargo test --release --offline -q -p lumina-telemetry --test alloc_free
+    cargo test --release --offline -q -p lumina-core --test alloc_free
 
 # Fast feedback loop: debug build + tests.
 test:

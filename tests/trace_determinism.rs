@@ -7,7 +7,7 @@
 //! The same baseline is taken by untraced runs, so a journal record names
 //! its packet by the same id whether or not the run traced.
 
-use lumina_core::config::TestConfig;
+use lumina_core::config::{TestConfig, TraceSection};
 use lumina_core::orchestrator::run_test;
 use lumina_sim::telemetry::trace::perfetto_json;
 use std::collections::BTreeMap;
@@ -153,4 +153,32 @@ fn journal_records_carry_the_id_of_their_packets_hops() {
     assert_eq!(joined, joined_records(false));
     let worker = std::thread::spawn(|| joined_records(false));
     assert_eq!(joined, worker.join().expect("worker thread"));
+}
+
+/// `fig10_ets_bug` traced overflows the default ring: each view still
+/// accounts for every record it was offered, retained or evicted — the
+/// journal for what the untraced run journaled, the hop view for what a
+/// ring large enough for the whole run keeps.
+#[test]
+fn an_overflowing_traced_run_counts_each_views_evictions() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/fig10_ets_bug.yaml");
+    let yaml = std::fs::read_to_string(path).expect("preset reads");
+    let run = |trace: Option<TraceSection>| {
+        let mut cfg = TestConfig::from_yaml(&yaml).expect("config parses");
+        cfg.trace = trace;
+        run_test(&cfg).expect("run succeeds")
+    };
+    let untraced = run(None);
+    let traced = run(Some(TraceSection::default()));
+    let whole = run(Some(TraceSection { capacity: 1 << 20, ..TraceSection::default() }));
+
+    let (plain, tel) = (&untraced.telemetry, &traced.telemetry);
+    assert_eq!(plain.journal_dropped(), 0);
+    assert!(tel.journal_dropped() > 0, "the traced ring must evict journal events");
+    assert_eq!(tel.journal_len() as u64 + tel.journal_dropped(), plain.journal_len() as u64);
+
+    let (hops, all_hops) = (&traced.trace_summary, &whole.trace_summary);
+    assert_eq!(all_hops.dropped, 0);
+    assert!(hops.dropped > 0, "the traced ring must evict hops");
+    assert_eq!(hops.records + hops.dropped, all_hops.records);
 }
