@@ -24,7 +24,7 @@
 //! just pass/fail.
 
 use lumina_dumper::Trace;
-use lumina_sim::{ChaosWindow, MetricSet, SimTime};
+use lumina_sim::{ChaosWindow, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -221,16 +221,6 @@ pub struct RecoveryReport {
     pub retransmits: u64,
     /// The amplification multiplier the oracle enforced.
     pub amplification_limit: f64,
-}
-
-impl MetricSet for RecoveryReport {
-    fn metric_kind(&self) -> &'static str {
-        "recovery"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).unwrap_or(serde_json::Value::Null)
-    }
 }
 
 /// Run the oracle. Degraded inputs are fine: a missing trace skips the
@@ -582,7 +572,5 @@ mod tests {
         assert_eq!(json["live"], serde_json::Value::Bool(false));
         let back: RecoveryReport = serde_json::from_value(json).unwrap();
         assert_eq!(back, rep);
-        assert_eq!(rep.metric_kind(), "recovery");
-        assert!(rep.snapshot().as_object().is_some());
     }
 }

@@ -976,10 +976,14 @@ impl TestConfig {
             prob("icrc-corrupt-prob", quirks.icrc_corrupt_prob, &mut problems);
         }
         if let Some(chaos) = &self.chaos {
-            if chaos.amplification_limit.is_some_and(|l| l <= 0.0 || l.is_nan()) {
+            // NaN and +∞ (YAML's `1e400`) are rejected too: the oracle
+            // would otherwise grade against its default bound instead.
+            if let Some(l) = chaos
+                .amplification_limit
+                .filter(|l| !(l.is_finite() && *l > 0.0))
+            {
                 problems.push(format!(
-                    "chaos: amplification-limit {} must be > 0",
-                    chaos.amplification_limit.unwrap_or(0.0)
+                    "chaos: amplification-limit {l} must be finite and > 0"
                 ));
             }
             for (i, l) in chaos.links.iter().enumerate() {
@@ -1347,6 +1351,14 @@ chaos:
         ];
         assert_eq!(cfg.problems(), want);
         assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
+        // A float past f64 parses as +∞, which bounds nothing.
+        let inf = yaml(ms, us).replace("chaos:\n", "chaos:\n  amplification-limit: 1e400\n");
+        let cfg = TestConfig::from_yaml(&inf).unwrap();
+        assert_eq!(cfg.chaos.as_ref().unwrap().amplification_limit, Some(f64::INFINITY));
+        assert_eq!(
+            cfg.problems(),
+            ["chaos: amplification-limit inf must be finite and > 0"]
+        );
     }
 
     #[test]

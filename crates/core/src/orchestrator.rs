@@ -11,7 +11,7 @@ use crate::config::{SwitchMode, TestConfig};
 use crate::error::Error;
 use crate::integrity::{self, IntegrityReport};
 use crate::translate::{translate, ConnMeta};
-use lumina_dumper::node::{capture_handle, CaptureHandle, DumperConfig, DumperNode};
+use lumina_dumper::node::{capture_handle, CaptureCounts, CaptureHandle, DumperConfig, DumperNode};
 use lumina_dumper::{CapturedPacket, DumperFaults, StallWindow, Trace};
 use lumina_gen::host::{HostNode, Role};
 use lumina_gen::metrics::{metrics_handle, GenMetrics, MetricsHandle};
@@ -23,11 +23,11 @@ use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
 use lumina_sim::telemetry::{SelfProfile, TraceSummary};
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
-    Interposer, MetricSet, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime,
-    Telemetry,
+    Interposer, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
 };
 use lumina_switch::device::{MirrorMode, SwitchConfig, SwitchCounters, SwitchNode};
 use serde::Serialize;
+use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -96,10 +96,15 @@ pub struct TestResults {
     pub captures_corrupted: u64,
     /// Stall-inflated dumper service ticks, summed over the pool.
     pub service_ticks_stalled: u64,
+    /// Each dumper's counts, dumper `i` at index `i`.
+    pub dumper_counts: Vec<CaptureCounts>,
     /// Misbehavior-plane counters (both devices merged); `Some` only when
     /// the run had an active `quirks:` section, so quirk-free reports are
     /// byte-identical to every pre-quirk release.
     pub quirk_stats: Option<QuirkStats>,
+    /// Each device's misbehavior-plane counters, requester first; `Some`
+    /// where that device had a plane. `quirk_stats` is their sum.
+    pub host_quirk_stats: [Option<QuirkStats>; 2],
     /// Spec-conformance oracle verdict. Computed here for quirk-injected
     /// runs with a trace; the CLI runs the oracle on demand otherwise.
     pub conformance: Option<crate::analyzers::ConformanceReport>,
@@ -187,7 +192,7 @@ impl TestResults {
                 traffic_completed: self.traffic_completed(),
             },
         )?;
-        report["telemetry"] = self.telemetry.deterministic_snapshot();
+        report["telemetry"] = self.telemetry_json()?;
         // Fault accounting appears only on fault-injected runs, keeping
         // pristine reports (and all eight goldens) byte-identical.
         if let Some(fs) = &self.fault_stats {
@@ -215,7 +220,7 @@ impl TestResults {
         // The lifecycle dissection appears only when tracing was on, so
         // trace-free reports (and all eight goldens) stay byte-identical.
         if self.telemetry.is_tracing() {
-            report["trace"] = self.trace_summary.snapshot();
+            report["trace"] = self.trace_summary.to_json();
         }
         // The canonical device names appear only when a `device:` section
         // selected them, so registry-free reports stay byte-identical.
@@ -232,6 +237,52 @@ impl TestResults {
             report["device"] = serde_json::Value::Object(device);
         }
         Ok(report)
+    }
+
+    /// The `telemetry` document, in `report_json` and `lumina-cli
+    /// telemetry`: the journal's two counts, the engine's statistics, and
+    /// per node the registry's counters and histograms, then the node's
+    /// component counters as this result holds them, by kind.
+    pub fn telemetry_json(&self) -> Result<Value, Error> {
+        let tel = &self.telemetry;
+        let mut nodes: BTreeMap<u32, Value> =
+            tel.with_registry(|r| r.nodes().map(|(id, m)| (id, m.to_json())).collect());
+        let mut file = |node: NodeId, kind: &str, set: Value| {
+            nodes.entry(node.0 as u32).or_default()[kind] = set;
+        };
+        let hosts = [
+            (REQUESTER, &self.requester_metrics, &self.requester_counters),
+            (RESPONDER, &self.responder_metrics, &self.responder_counters),
+        ];
+        for ((id, gen, rnic), quirks) in hosts.into_iter().zip(&self.host_quirk_stats) {
+            file(id, "gen", section("gen metrics", gen)?);
+            if let Some(qs) = quirks {
+                file(id, "quirks", section("quirk stats", qs)?);
+            }
+            file(id, "rnic", section("rnic counters", rnic)?);
+        }
+        if let Some(cs) = &self.chaos_stats {
+            file(SWITCH, "chaos", section("chaos stats", cs)?);
+        }
+        if let Some(fs) = &self.fault_stats {
+            file(SWITCH, "faults", section("fault stats", fs)?);
+        }
+        if let Some(rec) = &self.recovery {
+            file(SWITCH, "recovery", section("recovery report", rec)?);
+        }
+        file(SWITCH, "switch", section("switch counters", &self.switch_counters)?);
+        if tel.is_tracing() {
+            file(SWITCH, "trace", self.trace_summary.to_json());
+        }
+        for (i, counts) in self.dumper_counts.iter().enumerate() {
+            file(NodeId(FIRST_DUMPER + i), "dumper", section("capture counts", counts)?);
+        }
+        let mut doc = serde_json::json!({
+            "journal": {"events": (tel.journal_len() as u64), "dropped": (tel.journal_dropped())},
+            "global": {"engine": (section("engine stats", &self.engine_stats)?)},
+        });
+        doc["nodes"] = Value::Object(nodes.into_iter().map(|(id, v)| (id.to_string(), v)).collect());
+        Ok(doc)
     }
 }
 
@@ -693,10 +744,10 @@ fn take_node<T: Node>(eng: &mut Engine, id: NodeId, what: &str) -> Result<Box<T>
 }
 
 /// Stage 3: tear the testbed down and collect everything Table 1 lists —
-/// counters, application metrics, engine/frame/plane statistics — folding
-/// every component's counter struct into the telemetry registry through
-/// the one shared MetricSet path, keyed by node id. The dumpers' capture
-/// buffers are taken, not copied. Fails only with [`Error::Internal`].
+/// counters, application metrics, engine/frame/plane statistics — each
+/// component's counter struct once, where the reports read it. The
+/// dumpers' capture buffers are taken, not copied. Fails only with
+/// [`Error::Internal`].
 fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harvest), Error> {
     let (eng, tel) = (&mut bed.eng, &bed.tel);
     let engine_stats = *eng.stats();
@@ -713,14 +764,12 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
 
     // Misbehavior-plane accounting from both devices; `Some` only on
     // quirk-injected runs, keeping pristine reports byte-identical.
+    let host_quirk_stats = hosts.map(|(_, rnic)| rnic.quirk_stats().cloned());
     let mut quirk_stats: Option<QuirkStats> = None;
-    for (id, rnic) in hosts {
-        if let Some(qs) = rnic.quirk_stats() {
-            tel.record_metric_set(id.0 as u32, qs);
-            quirk_stats
-                .get_or_insert_with(QuirkStats::default)
-                .merge(qs);
-        }
+    for qs in host_quirk_stats.iter().flatten() {
+        quirk_stats
+            .get_or_insert_with(QuirkStats::default)
+            .merge(qs);
     }
     // End-of-run QP state for the recovery oracle; chaos-injected runs
     // only (pristine runs skip the walk entirely).
@@ -745,35 +794,25 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
     let rsp_counters = rsp_host.rnic.counters.clone();
     let requester_metrics = bed.req_metrics.borrow().clone();
     let responder_metrics = bed.rsp_metrics.borrow().clone();
-    tel.record_metric_set(REQUESTER.0 as u32, &req_counters);
-    tel.record_metric_set(REQUESTER.0 as u32, &requester_metrics);
-    tel.record_metric_set(RESPONDER.0 as u32, &rsp_counters);
-    tel.record_metric_set(RESPONDER.0 as u32, &responder_metrics);
-    tel.record_metric_set(SWITCH.0 as u32, &sw.counters);
     let (mut dumper_discards, mut captures_corrupted, mut service_ticks_stalled) = (0, 0, 0);
     let mut captures = Vec::with_capacity(bed.dumpers.len());
-    for (i, handle) in bed.dumpers.iter().enumerate() {
+    let mut dumper_counts = Vec::with_capacity(bed.dumpers.len());
+    for handle in &bed.dumpers {
         let mut state = handle.borrow_mut();
-        // Recorded first: the snapshot counts the packets taken next.
-        tel.record_metric_set((FIRST_DUMPER + i) as u32, &*state);
+        // Counted first: `packets_captured` is the buffer taken next.
+        dumper_counts.push(state.counts());
         captures.push(std::mem::take(&mut state.packets));
         dumper_discards += state.rx_discards;
         captures_corrupted += state.captures_corrupted;
         service_ticks_stalled += state.service_ticks_stalled;
     }
-    if let Some(fs) = &fault_stats {
-        tel.record_metric_set(SWITCH.0 as u32, fs);
-    }
-    if let Some(cs) = &chaos_stats {
-        tel.record_metric_set(SWITCH.0 as u32, cs);
-    }
-    let mut trace_summary = TraceSummary::default();
-    if tel.is_tracing() {
-        // Fold the dissection once, and file it in the registry under the
-        // switch (the testbed's vantage point) so `telemetry` surfaces it.
-        trace_summary = tel.with_log(TraceSummary::from_log);
-        tel.record_metric_set(SWITCH.0 as u32, &trace_summary);
-    }
+    // Fold the dissection once; the reports file it under the switch (the
+    // testbed's vantage point).
+    let trace_summary = if tel.is_tracing() {
+        tel.with_log(TraceSummary::from_log)
+    } else {
+        TraceSummary::default()
+    };
     let harvest = Harvest {
         captures: sw.cfg.mirroring.then_some(captures),
         qp_end_states,
@@ -802,7 +841,9 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         fault_stats,
         captures_corrupted,
         service_ticks_stalled,
+        dumper_counts,
         quirk_stats,
+        host_quirk_stats,
         conformance: None,
         replayed: None,
         chaos_stats,
@@ -862,11 +903,12 @@ fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
         destroyed,
         amplification_limit: chaos.amplification_limit,
     };
-    let report = recovery::analyze(results.trace.as_ref(), &flows, qp_end_states, &opts);
-    results
-        .telemetry
-        .record_metric_set(SWITCH.0 as u32, &report);
-    results.recovery = Some(report);
+    results.recovery = Some(recovery::analyze(
+        results.trace.as_ref(),
+        &flows,
+        qp_end_states,
+        &opts,
+    ));
 }
 
 /// Salt separating the retry-jitter stream from every other consumer of

@@ -1,6 +1,7 @@
-//! `lumina-cli telemetry`: the event journal, the per-node metric registry
-//! and the frame-plane counters of one run — byte-identical across
-//! same-seed runs — plus the wall-clock self-profile, which is not.
+//! `lumina-cli telemetry`: the event journal, the per-node metrics (the
+//! registry's, then each component's counters read from the results) and
+//! the frame-plane counters of one run — byte-identical across same-seed
+//! runs — plus the wall-clock self-profile, which is not.
 
 use super::journal_dropped;
 use crate::error::Error;
@@ -24,16 +25,16 @@ impl<'a> TelemetryReport<'a> {
         let journal: Vec<Value> = tel.with_log(|log| log.journal().map(|r| r.to_json(log)).collect());
         Ok(serde_json::json!({
             "journal": journal,
-            "metrics": (tel.deterministic_snapshot()),
+            "metrics": (self.results.telemetry_json()?),
             "frames": (section("frame stats", &self.results.frame_stats)?),
         }))
     }
 
-    /// The journal as JSON Lines, then the registry and the frame-plane
-    /// allocation/copy accounting as one aligned table.
+    /// The journal as JSON Lines, then the per-node metrics and the
+    /// frame-plane allocation/copy accounting as one aligned table.
     pub fn render_human(&self) -> Result<String, Error> {
         let tel = &self.results.telemetry;
-        let snap = tel.deterministic_snapshot();
+        let snap = self.results.telemetry_json()?;
         let mut out = tel.journal_jsonl();
         out.push_str("--- metrics ---\n");
         if let Some(global) = snap.get("global").and_then(Value::as_object) {
@@ -163,7 +164,7 @@ traffic:
         assert_eq!(keys, ["journal", "metrics", "frames"]);
         let journal = doc["journal"].as_array().unwrap();
         assert_eq!(journal.len(), results.telemetry.journal_len());
-        assert_eq!(doc["metrics"], results.telemetry.deterministic_snapshot());
+        assert_eq!(doc["metrics"], results.report_json().unwrap()["telemetry"]);
         let frames: Vec<&str> = doc["frames"]
             .as_object()
             .unwrap()

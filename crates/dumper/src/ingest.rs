@@ -61,26 +61,6 @@ impl RecoveryStats {
     }
 }
 
-impl lumina_telemetry::MetricSet for RecoveryStats {
-    fn metric_kind(&self) -> &'static str {
-        "ingest"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::json!({
-            "frames_seen": (self.frames_seen),
-            "bytes_seen": (self.bytes_seen),
-            "recovered": (self.recovered),
-            "non_roce": (self.non_roce),
-            "unparseable": (self.unparseable),
-            "no_mirror_meta": (self.no_mirror_meta),
-            "truncated": (self.truncated),
-            "dport_restored": (self.dport_restored),
-            "lying_lengths": (self.lying_lengths),
-        })
-    }
-}
-
 /// Decode one raw captured frame into its [`TraceEntry`], or classify why
 /// it cannot be. Total: every input increments exactly one of `recovered`
 /// / `non_roce` / `unparseable` / `no_mirror_meta`. The entry's frame has

@@ -3,7 +3,7 @@
 use crate::trace::{CaptureBytes, CapturedPacket, TRIM_LEN};
 use lumina_packet::buf;
 use lumina_sim::{Frame, Node, NodeCtx, PortId, SimRng, SimTime};
-use lumina_telemetry::{tev, MetricSet};
+use lumina_telemetry::tev;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -79,53 +79,47 @@ pub struct CaptureState {
     pub rx_discards: u64,
     /// Packets fully processed per core (service accounting).
     pub per_core_processed: Vec<u64>,
-    /// Captures that had a bit flipped by injected bit-rot. Zero on
-    /// fault-free runs, and then absent from [`snapshot`](MetricSet) —
-    /// golden reports never see the key.
+    /// Captures that had a bit flipped by injected bit-rot; zero on
+    /// fault-free runs.
     pub captures_corrupted: u64,
-    /// Service timer fires that ran at a stall-inflated interval. Same
-    /// only-when-nonzero snapshot rule.
+    /// Service timer fires that ran at a stall-inflated interval.
     pub service_ticks_stalled: u64,
 }
 
-impl MetricSet for CaptureState {
-    fn metric_kind(&self) -> &'static str {
-        "dumper"
+impl CaptureState {
+    /// The counts, with the buffer's length as `packets_captured`: read
+    /// them before the packets are taken.
+    pub fn counts(&self) -> CaptureCounts {
+        CaptureCounts {
+            packets_captured: self.packets.len() as u64,
+            rx_discards: self.rx_discards,
+            per_core_processed: self.per_core_processed.clone(),
+            captures_corrupted: self.captures_corrupted,
+            service_ticks_stalled: self.service_ticks_stalled,
+        }
     }
+}
 
-    fn snapshot(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        m.insert(
-            "packets_captured",
-            serde_json::Value::from(self.packets.len() as u64),
-        );
-        m.insert("rx_discards", serde_json::Value::from(self.rx_discards));
-        m.insert(
-            "per_core_processed",
-            serde_json::Value::Array(
-                self.per_core_processed
-                    .iter()
-                    .map(|&c| serde_json::Value::from(c))
-                    .collect(),
-            ),
-        );
-        // Fault counters appear only when faults actually fired, so
-        // fault-free snapshots — and the golden reports built from them —
-        // are byte-identical to the pre-fault-plane format.
-        if self.captures_corrupted > 0 {
-            m.insert(
-                "captures_corrupted",
-                serde_json::Value::from(self.captures_corrupted),
-            );
-        }
-        if self.service_ticks_stalled > 0 {
-            m.insert(
-                "service_ticks_stalled",
-                serde_json::Value::from(self.service_ticks_stalled),
-            );
-        }
-        serde_json::Value::Object(m)
-    }
+/// One dumper's counts at the end of a run. The two fault counts serialize
+/// only when faults fired, so fault-free reports never see the keys.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+pub struct CaptureCounts {
+    /// Packets in the capture buffer.
+    pub packets_captured: u64,
+    /// Packets discarded because a core ring overflowed.
+    pub rx_discards: u64,
+    /// Packets fully processed per core.
+    pub per_core_processed: Vec<u64>,
+    /// Captures hit by injected bit-rot.
+    #[serde(skip_serializing_if = "is_zero")]
+    pub captures_corrupted: u64,
+    /// Service ticks stretched by a stall window.
+    #[serde(skip_serializing_if = "is_zero")]
+    pub service_ticks_stalled: u64,
+}
+
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 /// Create an empty capture handle.
@@ -531,12 +525,6 @@ mod tests {
         );
         let st = h.borrow();
         assert_eq!(st.captures_corrupted, 0);
-        let snap = st.snapshot();
-        assert!(
-            snap.get("captures_corrupted").is_none(),
-            "zero counters stay out of the snapshot: {snap}"
-        );
-        assert!(snap.get("service_ticks_stalled").is_none());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Application-level metrics: goodput and message completion times.
 
 use lumina_sim::SimTime;
-use lumina_telemetry::MetricSet;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -52,16 +51,6 @@ pub struct GenMetrics {
     pub flows: BTreeMap<u32, FlowMetrics>,
     /// Time all flows finished (success or failure).
     pub all_done_at: Option<SimTime>,
-}
-
-impl MetricSet for GenMetrics {
-    fn metric_kind(&self) -> &'static str {
-        "gen"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("GenMetrics serializes")
-    }
 }
 
 impl GenMetrics {

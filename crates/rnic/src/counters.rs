@@ -8,7 +8,6 @@
 //! assert the divergence, exactly the way Lumina infers it from the trace).
 
 use crate::profile::{CounterBugs, Vendor};
-use lumina_telemetry::MetricSet;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -58,16 +57,6 @@ pub struct Counters {
     pub truth_cnp_sent: u64,
     /// Shadow truth for `implied_nak_seq_err`.
     pub truth_implied_nak_seq_err: u64,
-}
-
-impl MetricSet for Counters {
-    fn metric_kind(&self) -> &'static str {
-        "rnic"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("Counters serializes")
-    }
 }
 
 impl Counters {

@@ -28,7 +28,6 @@
 use crate::Rnic;
 use lumina_packet::Frame;
 use lumina_sim::SimRng;
-use lumina_telemetry::MetricSet;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -127,16 +126,6 @@ impl QuirkStats {
             + self.stale_msn
             + self.nacks_off_by_one
             + self.icrc_corrupted
-    }
-}
-
-impl MetricSet for QuirkStats {
-    fn metric_kind(&self) -> &'static str {
-        "quirks"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("QuirkStats serializes")
     }
 }
 

@@ -9,7 +9,7 @@ use crate::Node;
 use lumina_packet::buf::{self, CounterSnapshot};
 use lumina_packet::{frame::line_occupancy_of, Frame};
 use lumina_telemetry::trace::hops as trace_hops;
-use lumina_telemetry::{MetricSet, Telemetry};
+use lumina_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -51,22 +51,12 @@ pub struct EngineStats {
     pub events: u64,
 }
 
-impl MetricSet for EngineStats {
-    fn metric_kind(&self) -> &'static str {
-        "engine"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("EngineStats serializes")
-    }
-}
-
 /// Packet-plane allocation/copy accounting for one run: the per-run delta
 /// of `lumina_packet::buf`'s thread-local counters, baselined when the
 /// engine is constructed.
 ///
-/// Kept **out** of the golden `report_json` telemetry snapshot on purpose
-/// (the orchestrator does not record it during `run_test`); it is surfaced
+/// Kept **out** of the golden `report_json` telemetry section on purpose;
+/// it is surfaced
 /// through `TestResults`-style carriers and the `telemetry` CLI
 /// subcommand; `bytes_copied + bytes_shared` is the copy bill of the old
 /// owned-`Vec<u8>`-per-hop design.
@@ -98,16 +88,6 @@ impl FrameStats {
             bytes_shared: now.bytes_shared - base.bytes_shared,
             peak_live_frames: now.peak_live_frames.saturating_sub(base.live_frames),
         }
-    }
-}
-
-impl MetricSet for FrameStats {
-    fn metric_kind(&self) -> &'static str {
-        "frames"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("FrameStats serializes")
     }
 }
 
@@ -399,7 +379,6 @@ impl Engine {
             self.nodes[i] = Some(node);
             // Effects at finish are discarded by design: the run is over.
         }
-        self.telemetry.record_global_set(&self.stats);
         outcome
     }
 

@@ -85,7 +85,7 @@ use crate::engine::{NodeId, PortId};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use lumina_packet::Frame;
-use lumina_telemetry::{tev, MetricSet, Telemetry};
+use lumina_telemetry::{tev, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -130,9 +130,9 @@ pub enum TransmitFate {
     Duplicate,
 }
 
-/// Counters the plane accumulates during a run. Recorded into telemetry
-/// (kind `faults`) only when a plane is attached, so fault-free runs keep
-/// their snapshots — and golden reports — unchanged.
+/// Counters the plane accumulates during a run. Reported (kind `faults`)
+/// only when a plane is attached, so fault-free runs keep their golden
+/// reports unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Mirror copies dropped on marked links.
@@ -143,18 +143,6 @@ pub struct FaultStats {
     pub frames_dropped_frozen: u64,
     /// Timers deferred to a freeze window's thaw instant.
     pub timers_deferred: u64,
-}
-
-impl MetricSet for FaultStats {
-    fn metric_kind(&self) -> &'static str {
-        "faults"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        // Infallible for a struct of plain integers; Null beats a panic
-        // inside a degraded run's teardown if that ever changes.
-        serde_json::to_value(self).unwrap_or(serde_json::Value::Null)
-    }
 }
 
 /// The seeded fault injector. Build one, mark the mirror links and freeze
@@ -312,9 +300,9 @@ pub enum ChaosFate {
     Delay(SimTime),
 }
 
-/// Counters the chaos plane accumulates during a run. Recorded into
-/// telemetry (kind `chaos`) only when a plane is attached, so chaos-free
-/// runs keep their snapshots — and golden reports — unchanged.
+/// Counters the chaos plane accumulates during a run. Reported (kind
+/// `chaos`) only when a plane is attached, so chaos-free runs keep their
+/// golden reports unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChaosStats {
     /// Frames lost to link-down windows (handoff or arrival inside one).
@@ -337,16 +325,6 @@ impl ChaosStats {
     /// cannot attribute to the mirror record.
     pub fn data_drops(&self) -> u64 {
         self.flap_drops + self.burst_drops
-    }
-}
-
-impl MetricSet for ChaosStats {
-    fn metric_kind(&self) -> &'static str {
-        "chaos"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).unwrap_or(serde_json::Value::Null)
     }
 }
 
@@ -807,31 +785,13 @@ mod tests {
     }
 
     #[test]
-    fn chaos_stats_snapshot_round_trips() {
+    fn chaos_data_drops_are_flaps_plus_bursts() {
         let s = ChaosStats {
             flap_drops: 2,
             burst_drops: 3,
             corruptions: 1,
-            reorders: 4,
-            paused_frames: 5,
-            pause_delay_ns: 6,
+            ..ChaosStats::default()
         };
-        let v = s.snapshot();
-        assert_eq!(v["flap_drops"], serde_json::Value::from(2u64));
-        assert_eq!(s.metric_kind(), "chaos");
         assert_eq!(s.data_drops(), 5);
-    }
-
-    #[test]
-    fn fault_stats_snapshot_round_trips() {
-        let s = FaultStats {
-            mirror_copies_dropped: 3,
-            mirror_copies_duplicated: 1,
-            frames_dropped_frozen: 2,
-            timers_deferred: 4,
-        };
-        let v = s.snapshot();
-        assert_eq!(v["mirror_copies_dropped"], serde_json::Value::from(3u64));
-        assert_eq!(s.metric_kind(), "faults");
     }
 }

@@ -49,7 +49,7 @@ pub use lumina_packet::Frame;
 // Re-export the telemetry layer so embedders (orchestrator, node models)
 // reach the sink types through the same crate that hands them a `NodeCtx`.
 pub use lumina_telemetry as telemetry;
-pub use lumina_telemetry::{MetricSet, Telemetry};
+pub use lumina_telemetry::Telemetry;
 
 /// A simulated device attached to the network.
 ///

@@ -10,7 +10,7 @@ use lumina_packet::frame::{RoceFrame, ICRC_LEN};
 use lumina_packet::icrc::icrc_over_masked;
 use lumina_sim::{Frame, Node, NodeCtx, PortId, SimTime};
 use lumina_telemetry::trace::hops as trace_hops;
-use lumina_telemetry::{tev, Hop, MetricSet};
+use lumina_telemetry::{tev, Hop};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -165,16 +165,6 @@ pub struct SwitchCounters {
     pub injected_reorders: u64,
     /// Frames with no forwarding entry (dropped).
     pub no_route: u64,
-}
-
-impl MetricSet for SwitchCounters {
-    fn metric_kind(&self) -> &'static str {
-        "switch"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("SwitchCounters serializes")
-    }
 }
 
 /// A packet held back by a reorder or delay event.

@@ -14,10 +14,10 @@
 //!   Both render byte-identically across same-seed runs, and every map
 //!   serializes in insertion order. Their readers only render them:
 //!   nothing steers a run or a campaign by what the log holds.
-//! * **Per-node metric registry** ([`metrics`]): counters and log-linear
-//!   histograms keyed by node id, plus snapshots of any component stat
-//!   struct implementing [`MetricSet`], exported through
-//!   [`Telemetry::deterministic_snapshot`].
+//! * **Per-node metric registry** ([`metrics`]): the counters and
+//!   log-linear histograms recorded during the run, keyed by node id. A
+//!   component's own stat struct (engine, RNIC, switch, dumper counters) is
+//!   not copied here: the reports read it from its owner.
 //!
 //! Wall-clock readings live outside the sink: a [`SelfProfile`] is plain
 //! data carried by whoever measured it (a run's `TestResults`, a fuzz
@@ -44,7 +44,7 @@ pub mod profile;
 pub mod trace;
 
 pub use journal::{AttrValue, EventLog, Record, Site};
-pub use metrics::{Histogram, MetricSet, NodeMetrics, Registry};
+pub use metrics::{Histogram, NodeMetrics, Registry};
 pub use ops::{OpsReporter, OpsSnapshot};
 pub use profile::SelfProfile;
 pub use trace::{Hop, TraceSummary};
@@ -238,55 +238,9 @@ impl Telemetry {
         self.sink().registry.node_mut(node).record(name, value);
     }
 
-    /// Store a component stat struct's snapshot under the node.
-    ///
-    /// This is the shared export path for the previously incompatible
-    /// per-component counter structs (`EngineStats`, the RNIC `Counters`,
-    /// the generator `FlowMetrics`): anything implementing [`MetricSet`]
-    /// lands in the same per-node tree.
-    pub fn record_metric_set(&self, node: u32, set: &dyn MetricSet) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink()
-            .registry
-            .node_mut(node)
-            .record_set(set.metric_kind(), set.snapshot());
-    }
-
-    /// Store a run-global stat struct's snapshot (no owning node), e.g.
-    /// the engine's own event-loop statistics.
-    pub fn record_global_set(&self, set: &dyn MetricSet) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink()
-            .registry
-            .record_global(set.metric_kind(), set.snapshot());
-    }
-
-    // ----------------------------------------------------------- snapshot
-
-    /// Export the journal's size and the registry as one JSON value,
-    /// byte-stable across same-seed runs:
-    ///
-    /// ```json
-    /// {
-    ///   "journal": { "events": <count>, "dropped": <count> },
-    ///   "global": { "<kind>": { run-global metric sets } },
-    ///   "nodes": { "<id>": { counters, histograms, sets } }
-    /// }
-    /// ```
-    pub fn deterministic_snapshot(&self) -> serde_json::Value {
-        let sink = self.sink();
-        let mut root = serde_json::Map::new();
-        let mut j = serde_json::Map::new();
-        j.insert("events", serde_json::Value::from(sink.log.journal_len as u64));
-        j.insert("dropped", serde_json::Value::from(sink.log.journal_dropped));
-        root.insert("journal", serde_json::Value::Object(j));
-        root.insert("global", sink.registry.globals_to_json());
-        root.insert("nodes", sink.registry.to_json());
-        serde_json::Value::Object(root)
+    /// Run `f` over the per-node metric registry (the reports render it).
+    pub fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> R {
+        f(&self.sink().registry)
     }
 }
 
@@ -384,13 +338,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merges_registry_and_journal() {
+    fn registry_keeps_what_the_run_recorded() {
         let tel = Telemetry::enabled();
         tel.inc_counter(1, "tx_packets", 3);
-        tev!(tel, 1, 1, "engine", "dispatch");
-        let snap = tel.deterministic_snapshot();
-        assert_eq!(snap["journal"]["events"], 1u64);
-        assert_eq!(snap["nodes"]["1"]["counters"]["tx_packets"], 3u64);
+        tel.record_hist(0, "mct_ns", 40);
+        let nodes = tel.with_registry(|r| {
+            r.nodes()
+                .map(|(id, m)| (id, m.to_json()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(nodes.len(), 2);
+        assert_eq!(nodes[0].0, 0);
+        assert_eq!(nodes[0].1["histograms"]["mct_ns"]["count"], 1u64);
+        assert_eq!(nodes[1].1["counters"]["tx_packets"], 3u64);
     }
 
     #[test]
@@ -466,9 +426,6 @@ mod tests {
         assert_eq!(tel.journal_len(), JOURNAL_CAPACITY - 1);
         let first = tel.with_log(|l| l.records.iter().next().map(|r| r.t));
         assert_eq!(first, Some(2), "oldest first");
-        let snap = tel.deterministic_snapshot();
-        assert_eq!(snap["journal"]["events"], (JOURNAL_CAPACITY - 1) as u64);
-        assert_eq!(snap["journal"]["dropped"], 2u64);
         // As many events again push both hops out: each view's retained
         // plus dropped is what it was offered.
         for t in 0..JOURNAL_CAPACITY as u64 {

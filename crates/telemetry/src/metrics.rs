@@ -1,23 +1,12 @@
-//! Per-node metric registry: counters, log-linear histograms, and
-//! snapshots of component stat structs.
+//! Per-node metric registry: the counters and log-linear histograms a run
+//! records while it runs, keyed by node id.
 //!
-//! The simulation previously grew three incompatible counter structs
-//! (`EngineStats`, the RNIC `Counters`, the generator `FlowMetrics`),
-//! each with its own export path. The [`MetricSet`] trait unifies them:
-//! any stat struct renders itself to JSON once, and the registry files
-//! it under the owning node next to the registry's own typed metrics,
-//! so the whole run exports through
-//! [`Telemetry::deterministic_snapshot`](crate::Telemetry::deterministic_snapshot).
+//! Nothing else is stored here. A component's own stat struct (the
+//! engine's `EngineStats`, the RNIC `Counters`, the switch and dumper
+//! counters) stays with its owner, and a report that prints it reads it
+//! there, next to this registry's nodes.
 
 use std::collections::BTreeMap;
-
-/// A component stat struct that can export itself into the registry.
-pub trait MetricSet {
-    /// Stable name this set is filed under, e.g. `"engine"`, `"rnic"`.
-    fn metric_kind(&self) -> &'static str;
-    /// Render the current values as JSON.
-    fn snapshot(&self) -> serde_json::Value;
-}
 
 /// Log-linear histogram for latency-like values.
 ///
@@ -122,7 +111,6 @@ impl Histogram {
 pub struct NodeMetrics {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    sets: BTreeMap<&'static str, serde_json::Value>,
 }
 
 impl NodeMetrics {
@@ -135,11 +123,6 @@ impl NodeMetrics {
     /// Record into a log-linear histogram.
     pub fn record(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// File a [`MetricSet`] snapshot under `kind`.
-    pub fn record_set(&mut self, kind: &'static str, snapshot: serde_json::Value) {
-        self.sets.insert(kind, snapshot);
     }
 
     /// Render this node's metrics as JSON.
@@ -159,19 +142,14 @@ impl NodeMetrics {
             }
             m.insert("histograms", serde_json::Value::Object(h));
         }
-        for (kind, snap) in &self.sets {
-            m.insert(*kind, snap.clone());
-        }
         serde_json::Value::Object(m)
     }
 }
 
-/// All nodes' metrics for one run, plus run-global metric sets that do
-/// not belong to any single node (the engine's own statistics).
+/// All nodes' metrics for one run.
 #[derive(Debug, Default)]
 pub struct Registry {
     nodes: BTreeMap<u32, NodeMetrics>,
-    globals: BTreeMap<&'static str, serde_json::Value>,
 }
 
 impl Registry {
@@ -180,27 +158,9 @@ impl Registry {
         self.nodes.entry(node).or_default()
     }
 
-    /// File a run-global [`MetricSet`] snapshot under `kind`.
-    pub fn record_global(&mut self, kind: &'static str, snapshot: serde_json::Value) {
-        self.globals.insert(kind, snapshot);
-    }
-
-    /// Render every node keyed by its decimal id, ascending.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        for (id, node) in &self.nodes {
-            m.insert(id.to_string(), node.to_json());
-        }
-        serde_json::Value::Object(m)
-    }
-
-    /// Render the run-global metric sets keyed by kind.
-    pub fn globals_to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        for (kind, snap) in &self.globals {
-            m.insert(*kind, snap.clone());
-        }
-        serde_json::Value::Object(m)
+    /// Every node that recorded a metric, by ascending id.
+    pub fn nodes(&self) -> impl Iterator<Item = (u32, &NodeMetrics)> {
+        self.nodes.iter().map(|(id, m)| (*id, m))
     }
 }
 
@@ -290,13 +250,14 @@ mod tests {
         n.inc("tx", 7);
         n.record("lat", 100);
         n.record("lat", 4000);
-        n.record_set("engine", serde_json::json!({"dispatched": 12}));
-        let snap = r.to_json();
+        r.node_mut(0).inc("rx", 1);
+        let ids: Vec<u32> = r.nodes().map(|(id, _)| id).collect();
+        assert_eq!(ids, [0, 2]);
+        let snap = r.nodes().last().unwrap().1.to_json();
         let text = serde_json::to_string(&snap).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back["2"]["counters"]["tx"], 7u64);
-        assert_eq!(back["2"]["histograms"]["lat"]["count"], 2u64);
-        assert_eq!(back["2"]["engine"]["dispatched"], 12u64);
+        assert_eq!(back["counters"]["tx"], 7u64);
+        assert_eq!(back["histograms"]["lat"]["count"], 2u64);
     }
 }

@@ -17,7 +17,7 @@
 )]
 
 use crate::journal::{jsonl, EventLog, Record};
-use crate::metrics::{Histogram, MetricSet};
+use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 
 /// The kind table: every record kind that is a packet hop. Each kind's
@@ -168,14 +168,10 @@ impl TraceSummary {
     pub fn hop_p99_ns(&self, hop: &str) -> Option<u64> {
         self.per_hop.get(hop).and_then(|h| h.quantile_lower_bound(0.99))
     }
-}
 
-impl MetricSet for TraceSummary {
-    fn metric_kind(&self) -> &'static str {
-        "trace"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
+    /// Render as JSON: the counts, the end-to-end histogram, then each
+    /// hop's histogram by name.
+    pub fn to_json(&self) -> serde_json::Value {
         let per_hop = self.per_hop().map(|(hop, h)| (hop.to_string(), h.to_json()));
         let mut m = serde_json::Map::new();
         m.insert("packets", serde_json::Value::from(self.packets));
@@ -346,7 +342,7 @@ mod tests {
         assert_eq!(s.end_to_end.count(), 2);
         assert_eq!(s.end_to_end.sum(), 6_000);
         assert!(s.hop_p99_ns(hops::LINK_INGRESS).unwrap() <= 2_000);
-        let j = s.snapshot();
+        let j = s.to_json();
         assert_eq!(j["packets"], 2u64);
         assert_eq!(j["per_hop"]["link.egress"]["count"], 1u64);
     }

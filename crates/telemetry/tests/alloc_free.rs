@@ -6,7 +6,7 @@
 //! allocator at all (DESIGN.md §5).
 
 use lumina_telemetry::trace::hops;
-use lumina_telemetry::{tev, Hop, MetricSet, Telemetry};
+use lumina_telemetry::{tev, Hop, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -76,19 +76,6 @@ fn recording_into_a_wrapped_ring_allocates_nothing() {
     assert_eq!(calls, 0);
 }
 
-/// A component stat struct whose snapshot would allocate.
-struct Stats;
-
-impl MetricSet for Stats {
-    fn metric_kind(&self) -> &'static str {
-        "stats"
-    }
-
-    fn snapshot(&self) -> serde_json::Value {
-        serde_json::json!({"n": 1})
-    }
-}
-
 /// Every recording call on a disabled sink, and the two counts, return
 /// before the allocator.
 #[test]
@@ -99,8 +86,6 @@ fn a_disabled_sink_allocates_nothing() {
             record_each_shape(&tel, i);
             tel.inc_counter(1, "tx_packets", 1);
             tel.record_hist(1, "latency", i);
-            tel.record_metric_set(1, &Stats);
-            tel.record_global_set(&Stats);
             assert_eq!((tel.journal_len(), tel.journal_dropped()), (0, 0));
         }
     });

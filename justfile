@@ -56,8 +56,10 @@ doc:
 # of the oracle and its Go-back-N view. The last two are the run's one event
 # log: `event_log_pins` holds what its journal and hop views rendered while
 # they were two rings (every preset untraced at seeds 1-2, the ten presets
-# whose hops fit the trace ring traced at seed 1, an overflowing journal),
-# and the telemetry unit tests hold the ring itself (eviction order, each
+# whose hops fit the trace ring traced at seed 1, an overflowing journal)
+# and the `telemetry` documents the registry rendered while it stored JSON
+# copies of each component's counters (every preset at seed 1, a
+# fault-injected and a traced run), and the telemetry unit tests hold the ring itself (eviction order, each
 # view's eviction count, which role each gate keeps). Last, the allocator
 # counts of the recording path and of a live run's mirrored packet, because
 # that build inlines `tev!`'s record into the switch and the ring.

@@ -368,8 +368,8 @@ proptest! {
         for w in &rep.windows {
             prop_assert!((0.0..=f64::MAX).contains(&w.goodput_ratio));
         }
-        // The verdict must serialize (it lands in report_json and the
-        // telemetry registry on every chaos run).
+        // The verdict must serialize (it lands in report_json and its
+        // telemetry section on every chaos run).
         prop_assert!(serde_json::to_string(&rep).is_ok());
     }
 }

@@ -11,11 +11,18 @@
 //! * (c) a run whose journal overflows its 65 536-record ring, untraced:
 //!   the journal JSONL and both counts.
 //!
+//! A fourth group, (d), was recorded while the telemetry registry still
+//! stored JSON copies of every component's counters, before the reports
+//! read them from their owners: the report's `telemetry` section and both
+//! renderings of `lumina-cli telemetry`, for every preset at seed 1, for
+//! the noisy-neighbor preset with every dumper and engine fault armed, and
+//! for one traced run.
+//!
 //! A failure prints the hash it saw.
 
-use lumina_core::config::{TestConfig, TraceSection};
+use lumina_core::config::{FaultsSection, FreezeSpec, StallSpec, TestConfig, TraceSection};
 use lumina_core::orchestrator::{run_test, TestResults};
-use lumina_core::report::TraceReport;
+use lumina_core::report::{TelemetryReport, TraceReport};
 use std::path::PathBuf;
 
 /// FNV-1a 64 over a sequence of byte strings, each one terminated, so
@@ -118,4 +125,68 @@ fn an_overflowing_journal_is_pinned() {
     h.piece(tel.journal_len().to_string());
     h.piece(tel.journal_dropped().to_string());
     assert_eq!(h.0, 0xacd3_1b7d_3acf_4238, "saw {:#018x}", h.0);
+}
+
+/// The report's `telemetry` section and `TelemetryReport`'s JSON and human
+/// renderings of one run; returns the section.
+fn telemetry_views(h: &mut Fnv, name: &str, cfg: &TestConfig) -> serde_json::Value {
+    let res = run(name, cfg);
+    let view = TelemetryReport::of(&res);
+    let section = report(name, &res)["telemetry"].clone();
+    h.piece(name);
+    h.piece(section.to_string());
+    h.piece(view.to_json().unwrap_or_else(|e| panic!("{name}: {e}")).to_string());
+    h.piece(view.render_human().unwrap_or_else(|e| panic!("{name}: {e}")));
+    section
+}
+
+#[test]
+fn telemetry_reports_are_pinned() {
+    let mut h = Fnv::new();
+    let mut presets = presets();
+    for (name, cfg) in &mut presets {
+        cfg.network.seed = 1;
+        telemetry_views(&mut h, name, cfg);
+    }
+    // Node 2's `faults` set and the dumpers' two fault counts, which only
+    // a fault-injected run renders.
+    let (_, fig11) = presets
+        .iter()
+        .find(|(n, _)| n == "fig11_noisy_neighbor")
+        .expect("fig11 preset");
+    let mut faulted = fig11.clone();
+    faulted.faults = Some(FaultsSection {
+        seed: Some(7),
+        mirror_loss_prob: 0.02,
+        mirror_dup_prob: 0.02,
+        capture_bit_rot_prob: 0.1,
+        dumper_stalls: vec![StallSpec {
+            index: None,
+            at_us: 0,
+            duration_us: 200_000,
+            slowdown: 50,
+        }],
+        freezes: vec![FreezeSpec {
+            node: "responder".into(),
+            index: 0,
+            at_us: 50,
+            duration_us: 200,
+        }],
+    });
+    faulted.validate().expect("fault section validates");
+    let section = telemetry_views(&mut h, "fig11_noisy_neighbor+faults", &faulted);
+    let dumper = &section["nodes"]["3"]["dumper"];
+    assert!(dumper["captures_corrupted"].as_u64() > Some(0), "{dumper}");
+    assert!(dumper["service_ticks_stalled"].as_u64() > Some(0), "{dumper}");
+    assert!(section["nodes"]["2"]["faults"].as_object().is_some());
+    // Node 2's `trace` set.
+    let (_, listing2) = presets
+        .iter()
+        .find(|(n, _)| n == "listing2")
+        .expect("listing2 preset");
+    let mut traced = listing2.clone();
+    traced.trace = Some(TraceSection::default());
+    let section = telemetry_views(&mut h, "listing2+trace", &traced);
+    assert!(section["nodes"]["2"]["trace"].as_object().is_some());
+    assert_eq!(h.0, 0xa55e_6b86_2dcd_2ae9, "saw {:#018x}", h.0);
 }

@@ -209,12 +209,7 @@ fn telemetry_journal_identical_across_same_seed_runs() {
     if let Some((n, la, lb)) = lumina_sim::testutil::journal_diff(&a.telemetry, &b.telemetry) {
         panic!("telemetry journals diverge at line {n}:\n  a: {la}\n  b: {lb}");
     }
-    // The whole deterministic snapshot (journal summary + registry) and the
-    // report embedding it must also be byte-stable.
-    assert_eq!(
-        serde_json::to_string(&a.telemetry.deterministic_snapshot()).unwrap(),
-        serde_json::to_string(&b.telemetry.deterministic_snapshot()).unwrap()
-    );
+    // The report, its telemetry section included, must also be byte-stable.
     assert_eq!(
         serde_json::to_string(&a.report_json().unwrap()).unwrap(),
         serde_json::to_string(&b.report_json().unwrap()).unwrap()
@@ -259,8 +254,8 @@ fn telemetry_journal_records_drop_and_recovery_events() {
             "timeout journal missing {expected:?}; kinds present: {to_kinds:?}"
         );
     }
-    // Registry: every simulation node contributed at least one metric set.
-    let snap = res.telemetry.deterministic_snapshot();
+    // Every simulation node has its counters in the telemetry section.
+    let snap = res.telemetry_json().unwrap();
     let nodes = snap.get("nodes").and_then(|n| n.as_object()).unwrap();
     assert!(nodes.len() >= 4, "req, rsp, switch and dumper expected");
     let global = snap.get("global").and_then(|g| g.as_object()).unwrap();
