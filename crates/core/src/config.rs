@@ -895,6 +895,12 @@ impl TestConfig {
         if self.network.dumper_ring_capacity == 0 {
             problems.push("dumper-ring-capacity must be ≥ 1".into());
         }
+        if self.network.dumper_cores == 0 {
+            problems.push("dumper-cores must be ≥ 1".into());
+        }
+        if self.network.dumper_core_rate_pps == 0 {
+            problems.push("dumper-core-rate-pps must be ≥ 1".into());
+        }
         if self.network.max_events == Some(0) {
             problems.push("max-events must be ≥ 1".into());
         }
@@ -1507,9 +1513,13 @@ network:
         let mut bad = cfg.clone();
         bad.network.dumper_ring_capacity = 0;
         bad.network.max_events = Some(0);
+        bad.network.dumper_cores = 0;
+        bad.network.dumper_core_rate_pps = 0;
         let all = bad.problems().join("\n");
         assert!(all.contains("dumper-ring-capacity"), "{all}");
         assert!(all.contains("max-events"), "{all}");
+        assert!(all.contains("dumper-cores must be ≥ 1"), "{all}");
+        assert!(all.contains("dumper-core-rate-pps must be ≥ 1"), "{all}");
     }
 
     #[test]

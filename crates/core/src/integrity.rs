@@ -6,18 +6,20 @@
 //!    length.
 //!
 //! A damaged capture no longer discards the run: reconstruction is
-//! gap-tolerant ([`lumina_dumper::reconstruct_lossy`]), the partial trace
-//! is returned for analysis, and the report carries a [`DegradedMode`]
-//! block stating exactly how much survived. The check still *fails* — a
-//! degraded trace is never integrity-clean — but it fails with data
-//! instead of with nothing.
+//! gap-tolerant ([`lumina_dumper::reconstruct_lossy_owned`]), the partial
+//! trace is returned for analysis, and the report carries a
+//! [`DegradedMode`] block stating exactly how much survived. The check
+//! still *fails* — a degraded trace is never integrity-clean — but it
+//! fails with data instead of with nothing.
 //!
 //! Condition 1 is read off the reconstructor's [`StreamSummary`] by
 //! `IntegrityReport::from_summary` for live runs and offline ingestion
 //! alike; conditions 2–3 need the injector's counters, which only a live
 //! run has.
 
-use lumina_dumper::{reconstruct_lossy, CapturedPacket, GapSpan, StreamSummary, Trace};
+use lumina_dumper::{
+    reconstruct_lossy, reconstruct_lossy_owned, CapturedPacket, GapSpan, StreamSummary, Trace,
+};
 use lumina_switch::device::SwitchCounters;
 use serde::{Deserialize, Serialize};
 
@@ -151,13 +153,35 @@ impl IntegrityReport {
 /// Reconstruct the trace from all dumpers' captures and run the check.
 /// Always returns the best trace the captures support — possibly partial,
 /// never `None` — alongside the report; a damaged capture shows up as a
-/// failed check with [`IntegrityReport::degraded`] populated.
+/// failed check with [`IntegrityReport::degraded`] populated. The captures
+/// are consumed, each freed as it is decoded
+/// ([`lumina_dumper::reconstruct_lossy_owned`]).
+pub fn check_owned(
+    captures: Vec<Vec<CapturedPacket>>,
+    switch: &SwitchCounters,
+) -> (Option<Trace>, IntegrityReport) {
+    let (trace, summary) = reconstruct_lossy_owned(captures);
+    graded(trace, &summary, switch)
+}
+
+/// [`check_owned`] over borrowed captures, for callers that keep them
+/// (the benchmark's replays and the tests).
 pub fn check(
     captures: &[Vec<CapturedPacket>],
     switch: &SwitchCounters,
 ) -> (Option<Trace>, IntegrityReport) {
     let (trace, summary) = reconstruct_lossy(captures);
-    let mut report = IntegrityReport::from_summary(&summary);
+    graded(trace, &summary, switch)
+}
+
+/// Condition 1 from the reconstruction's summary, conditions 2–3 from the
+/// injector's counters against the trace length.
+fn graded(
+    trace: Trace,
+    summary: &StreamSummary,
+    switch: &SwitchCounters,
+) -> (Option<Trace>, IntegrityReport) {
+    let mut report = IntegrityReport::from_summary(summary);
     let n = trace.len() as u64;
     report.mirrored_matches = switch.mirrored_total == n;
     if !report.mirrored_matches {

@@ -299,8 +299,7 @@ pub fn run_test(cfg: &TestConfig) -> Result<TestResults, Error> {
     let mut bed = build(cfg)?;
     let outcome = simulate(&mut bed)?;
     let (mut results, harvest) = collect(bed, outcome)?;
-    (results.trace, results.integrity) =
-        reconstruct(harvest.captures.as_deref(), &results.switch_counters);
+    (results.trace, results.integrity) = reconstruct(harvest.captures, &results.switch_counters);
     analyze(&mut results, &harvest.qp_end_states);
     results.profile.finish();
     Ok(results)
@@ -348,8 +347,10 @@ struct Testbed {
 
 /// What [`collect`] hands the later stages besides the Table-1 results.
 struct Harvest {
-    /// Each dumper's capture buffer; `None` when the switch mode mirrors
-    /// nothing, so there is no trace to reconstruct.
+    /// Each dumper's capture buffer, taken from the dumper and moved into
+    /// [`reconstruct`], which frees each capture as it decodes it; `None`
+    /// when the switch mode mirrors nothing, so there is no trace to
+    /// reconstruct.
     captures: Option<Vec<Vec<CapturedPacket>>>,
     /// End-of-run QP state for the recovery oracle (chaos runs only).
     qp_end_states: Vec<QpEndState>,
@@ -746,7 +747,8 @@ fn take_node<T: Node>(eng: &mut Engine, id: NodeId, what: &str) -> Result<Box<T>
 /// Stage 3: tear the testbed down and collect everything Table 1 lists —
 /// counters, application metrics, engine/frame/plane statistics — each
 /// component's counter struct once, where the reports read it. The
-/// dumpers' capture buffers are taken, not copied. Fails only with
+/// dumpers' capture buffers are taken, not copied, and handed on whole to
+/// [`reconstruct`], which consumes them. Fails only with
 /// [`Error::Internal`].
 fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harvest), Error> {
     let (eng, tel) = (&mut bed.eng, &bed.tel);
@@ -854,15 +856,18 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
 }
 
 /// Stage 4: rebuild the trace from the captures and check its integrity
-/// (§3.5). Never fails: damage degrades the report. This is where offline
-/// `ingest` joins — it feeds the same reconstructor from a capture file
-/// and derives condition 1 from the same summary.
+/// (§3.5). Never fails: damage degrades the report. The captures are
+/// consumed: each dumper buffer gives its memory back as it is decoded, so
+/// only the trace built so far and the captures not yet decoded are
+/// resident. This is where offline `ingest` joins — it feeds the same
+/// reconstructor from a capture file and derives condition 1 from the
+/// same summary.
 fn reconstruct(
-    captures: Option<&[Vec<CapturedPacket>]>,
+    captures: Option<Vec<Vec<CapturedPacket>>>,
     switch: &SwitchCounters,
 ) -> (Option<Trace>, IntegrityReport) {
     match captures {
-        Some(captures) => integrity::check(captures, switch),
+        Some(captures) => integrity::check_owned(captures, switch),
         None => (None, IntegrityReport::default()),
     }
 }

@@ -58,9 +58,9 @@ fn exit_codes_are_typed() {
 /// the unchecked lowering: a panic (exit 8) on a dev build, a wrapped,
 /// meaningless window (exit 11) on a release one. So did a horizon or a
 /// reorder delay whose nanoseconds overflow (exit 8 on dev; a wrapped value
-/// and exit 0 or 11 on release), and a connection count with more
-/// connections than UDP source ports. All are exit 2 now, naming section
-/// and field.
+/// and exit 0 or 11 on release), a connection count with more connections
+/// than UDP source ports, and a dumper with no cores or no service rate.
+/// All are exit 2 now, naming the field.
 #[test]
 fn hostile_window_arithmetic_is_a_config_error() {
     let max = "18446744073709551615";
@@ -102,6 +102,21 @@ fn hostile_window_arithmetic_is_a_config_error() {
             "num-connections: 2",
             "num-connections: 16384".to_string(),
             "traffic: num-connections 16384 exceeds 16383".to_string(),
+        ),
+        // A dumper with no cores tripped an assert, and one serving 0
+        // packets per second divided by zero, both while the testbed was
+        // built (exit 8).
+        (
+            "listing2",
+            "traffic:",
+            "network:\n  dumper-cores: 0\ntraffic:".to_string(),
+            "dumper-cores must be ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "traffic:",
+            "network:\n  dumper-core-rate-pps: 0\ntraffic:".to_string(),
+            "dumper-core-rate-pps must be ≥ 1".to_string(),
         ),
     ] {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");

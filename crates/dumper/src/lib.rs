@@ -21,6 +21,7 @@ pub mod trace;
 pub use ingest::{recover_entry, recover_frame, RecoveryStats};
 pub use node::{CaptureHandle, DumperConfig, DumperFaults, DumperNode, StallWindow};
 pub use trace::{
-    reconstruct, reconstruct_lossy, CaptureBytes, CapturedPacket, GapSpan, ReconstructError,
-    StreamOpts, StreamSummary, StreamingReconstructor, Trace, TraceEntry, TRIM_LEN,
+    reconstruct, reconstruct_lossy, reconstruct_lossy_owned, CaptureBytes, CapturedPacket, GapSpan,
+    ReconstructError, StreamOpts, StreamSummary, StreamingReconstructor, Trace, TraceEntry,
+    TRIM_LEN,
 };

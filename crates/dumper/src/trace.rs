@@ -7,10 +7,14 @@
 //! invalid for analysis.
 //!
 //! There is one reconstructor, [`StreamingReconstructor`]: decode, window,
-//! sort, dedup, gap-walk. A live run feeds it everything as one window
-//! ([`reconstruct_lossy`]; [`reconstruct`] additionally insists nothing was
-//! damaged); offline ingestion bounds the window so multi-gigabyte captures
-//! flow through in chunks.
+//! sort, dedup, gap-walk. A live run hands it the capture buffers and it
+//! feeds everything as one window, freeing each buffer's memory as its
+//! captures are decoded ([`reconstruct_lossy_owned`]), so captures and
+//! trace are never resident together. [`reconstruct_lossy`] and
+//! [`reconstruct`] (which additionally insists nothing was damaged) feed
+//! the same window from borrowed buffers, for callers that keep them.
+//! Offline ingestion bounds the window so multi-gigabyte captures flow
+//! through in chunks.
 
 // A panic here forfeits a verdict or a whole campaign.
 #![cfg_attr(
@@ -418,36 +422,74 @@ impl StreamingReconstructor {
 }
 
 /// Every dumper's captures through one unbounded window: nothing seals
-/// (and so nothing can arrive late) before the end.
-fn one_window(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamingReconstructor) {
+/// (and so nothing can arrive late) before the end. `feed` offers every
+/// dumper's captures (`captures` of them in all) to the window, dumper 0
+/// first and each buffer front to back: the stable dedup keeps the first
+/// copy in that order.
+fn one_window(
+    captures: usize,
+    feed: impl FnOnce(&mut StreamingReconstructor),
+) -> (Trace, StreamingReconstructor) {
     let mut recon = StreamingReconstructor::new(StreamOpts {
         chunk_entries: usize::MAX,
         max_resident_bytes: usize::MAX,
     });
-    recon
-        .pending
-        .reserve_exact(captures.iter().map(Vec::len).sum());
-    for p in captures.iter().flatten() {
-        recon.push(p);
-    }
+    recon.pending.reserve_exact(captures);
+    feed(&mut recon);
     let trace = recon.seal_tail().unwrap_or_default();
     (trace, recon)
 }
+
+/// [`one_window`] over borrowed captures, which stay resident throughout.
+fn one_window_borrowed(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamingReconstructor) {
+    one_window(captures.iter().map(Vec::len).sum(), |recon| {
+        for p in captures.iter().flatten() {
+            recon.push(p);
+        }
+    })
+}
+
+/// Captures a buffer gives up between two releases of its memory.
+const RELEASE_EVERY: usize = 4096;
 
 /// Merge the captures of all dumper hosts into the best trace the data
 /// supports, never failing: unparseable captures are counted and skipped,
 /// duplicated seqs keep their first copy (in dumper order), and interior
 /// sequence holes become explicit [`GapSpan`]s so analyzers know exactly
 /// what they are not seeing.
+///
+/// The captures are consumed: each buffer gives its memory back as its
+/// captures are decoded, so the trace built so far and the captures not
+/// yet decoded are all that is ever resident.
+pub fn reconstruct_lossy_owned(captures: Vec<Vec<CapturedPacket>>) -> (Trace, StreamSummary) {
+    let total = captures.iter().map(Vec::len).sum();
+    let (trace, recon) = one_window(total, |recon| {
+        for mut buf in captures {
+            // Taken from the back, where a buffer can shrink in place.
+            buf.reverse();
+            while let Some(p) = buf.last() {
+                recon.push(p);
+                buf.pop();
+                if buf.len() % RELEASE_EVERY == 0 {
+                    buf.shrink_to_fit();
+                }
+            }
+        }
+    });
+    (trace, recon.summary)
+}
+
+/// [`reconstruct_lossy_owned`] over borrowed captures, for callers that
+/// keep them (the benchmark's replays and the tests).
 pub fn reconstruct_lossy(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamSummary) {
-    let (trace, recon) = one_window(captures);
+    let (trace, recon) = one_window_borrowed(captures);
     (trace, recon.summary)
 }
 
 /// [`reconstruct_lossy`], accepted only when the sequence is gap-free,
 /// duplicate-free and every capture parsed (integrity condition 1 of §3.5).
 pub fn reconstruct(captures: &[Vec<CapturedPacket>]) -> Result<Trace, ReconstructError> {
-    let (trace, recon) = one_window(captures);
+    let (trace, recon) = one_window_borrowed(captures);
     let summary = &recon.summary;
     if summary.bad_captures > 0 {
         return Err(ReconstructError::BadCapture(summary.bad_captures));
@@ -593,6 +635,39 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.entries[1].orig_len, d1[1].orig_len);
         assert!(summary.gaps.is_empty());
+    }
+
+    #[test]
+    fn owned_matches_borrowed_across_releases() {
+        // Enough captures that each buffer gives memory back twice
+        // mid-decode. Every seventh seq is captured again by the other
+        // dumper, that copy marked by a longer `orig_len`; every eleventh
+        // rots.
+        let n = 4 * RELEASE_EVERY as u64;
+        let mut dumpers = vec![Vec::new(), Vec::new()];
+        for seq in (0..n).rev() {
+            let mut p = capture(seq, seq * 100);
+            if seq % 11 == 0 {
+                p.bytes.truncate(8);
+            }
+            if seq % 7 == 0 {
+                let mut again = p.clone();
+                again.orig_len += 1;
+                dumpers[(seq as usize + 1) % 2].push(again);
+            }
+            dumpers[seq as usize % 2].push(p);
+        }
+        let (want, want_summary) = reconstruct_lossy(&dumpers);
+        let (got, got_summary) = reconstruct_lossy_owned(dumpers);
+        assert!(want_summary.duplicates > 0 && want_summary.bad_captures > 0);
+        assert_eq!(got.entries, want.entries);
+        assert_eq!(format!("{got_summary:?}"), format!("{want_summary:?}"));
+        // Dumper 0's copy is the first in dumper order: the original for an
+        // even seq, the marked copy for an odd one.
+        let base = capture(0, 0).orig_len;
+        for e in got.iter().filter(|e| e.seq % 7 == 0) {
+            assert_eq!(e.orig_len, base + (e.seq % 2) as usize, "seq {}", e.seq);
+        }
     }
 
     #[test]

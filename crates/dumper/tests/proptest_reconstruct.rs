@@ -1,11 +1,11 @@
 //! Property tests for trace reconstruction: any distribution of mirror
 //! copies across dumpers reconstructs in sequence order; any missing or
-//! duplicated copy is detected; and the batch entry points are the
-//! streaming reconstructor, whatever its window.
+//! duplicated copy is detected; and the batch entry points, borrowed or
+//! by value, are the streaming reconstructor, whatever its window.
 
 use lumina_dumper::{
-    reconstruct, reconstruct_lossy, CapturedPacket, GapSpan, ReconstructError, StreamOpts,
-    StreamSummary, StreamingReconstructor, Trace, TraceEntry,
+    reconstruct, reconstruct_lossy, reconstruct_lossy_owned, CapturedPacket, GapSpan,
+    ReconstructError, StreamOpts, StreamSummary, StreamingReconstructor, Trace, TraceEntry,
 };
 use lumina_packet::builder::DataPacketBuilder;
 use lumina_packet::frame::RoceFrame;
@@ -228,7 +228,9 @@ proptest! {
     /// walks the gaps. Over 1–4 dumpers, any interleaving, and captures that
     /// are lost, duplicated on another dumper (told apart by `orig_len`), or
     /// rotted with and without their mirror metadata, the two agree on the
-    /// trace, on every summary field and on the strict verdict.
+    /// trace, on every summary field and on the strict verdict — and so does
+    /// the by-value entry point, which consumes the buffers as it decodes
+    /// them but must still keep the first copy in dumper order.
     #[test]
     fn lossy_equals_the_naive_reference(
         dumpers in 1usize..5,
@@ -238,18 +240,21 @@ proptest! {
     ) {
         let captures = scattered(dumpers, n, seed, &fates);
         let (expected, want, first_duplicate) = naive_reference(&captures);
-        let (trace, got) = reconstruct_lossy(&captures);
+        let borrowed = reconstruct_lossy(&captures);
+        let owned = reconstruct_lossy_owned(captures.clone());
 
-        prop_assert_eq!(fingerprint(&trace), fingerprint(&expected));
-        prop_assert_eq!(got.entries, want.entries);
-        prop_assert_eq!(got.chunks, want.chunks);
-        prop_assert_eq!(&got.gaps, &want.gaps);
-        prop_assert_eq!(got.gap_spans_total, want.gap_spans_total);
-        prop_assert_eq!(got.missing, want.missing);
-        prop_assert_eq!(got.duplicates, want.duplicates);
-        prop_assert_eq!(got.bad_captures, want.bad_captures);
-        prop_assert_eq!(got.late, 0);
-        prop_assert_eq!(got.peak_resident_bytes, want.peak_resident_bytes);
+        for (trace, got) in [&borrowed, &owned] {
+            prop_assert_eq!(fingerprint(trace), fingerprint(&expected));
+            prop_assert_eq!(got.entries, want.entries);
+            prop_assert_eq!(got.chunks, want.chunks);
+            prop_assert_eq!(&got.gaps, &want.gaps);
+            prop_assert_eq!(got.gap_spans_total, want.gap_spans_total);
+            prop_assert_eq!(got.missing, want.missing);
+            prop_assert_eq!(got.duplicates, want.duplicates);
+            prop_assert_eq!(got.bad_captures, want.bad_captures);
+            prop_assert_eq!(got.late, 0);
+            prop_assert_eq!(got.peak_resident_bytes, want.peak_resident_bytes);
+        }
 
         let strict = reconstruct(&captures).map(|t| fingerprint(&t));
         let verdict = if want.bad_captures > 0 {
@@ -269,6 +274,7 @@ proptest! {
         } else {
             Ok(fingerprint(&expected))
         };
+        prop_assert_eq!(owned.1.is_complete(), verdict.is_ok());
         prop_assert_eq!(strict, verdict);
     }
 

@@ -60,9 +60,11 @@ doc:
 # and the `telemetry` documents the registry rendered while it stored JSON
 # copies of each component's counters (every preset at seed 1, a
 # fault-injected and a traced run), and the telemetry unit tests hold the ring itself (eviction order, each
-# view's eviction count, which role each gate keeps). Last, the allocator
+# view's eviction count, which role each gate keeps). Then the allocator
 # counts of the recording path and of a live run's mirrored packet, because
-# that build inlines `tev!`'s record into the switch and the ring.
+# that build inlines `tev!`'s record into the switch and the ring. Last,
+# stage 4's memory: the high-water mark of a packet-dense run against what
+# it leaves resident, on the shipped build's allocations.
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
@@ -80,6 +82,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-telemetry --lib
     cargo test --release --offline -q -p lumina-telemetry --test alloc_free
     cargo test --release --offline -q -p lumina-core --test alloc_free
+    cargo test --release --offline -q -p lumina-core --test stage4_memory
 
 # Fast feedback loop: debug build + tests.
 test:
