@@ -3,7 +3,11 @@
 //! The orchestrator writes reconstructed packet traces in the standard
 //! pcap format (magic `0xa1b23c4d`, the nanosecond-resolution variant) so
 //! they can be opened in Wireshark/tcpdump, mirroring how Lumina's users
-//! analyze dumped traffic offline.
+//! analyze dumped traffic offline. [`PcapWriter`] stages records in one
+//! block of the reader's size and hands its sink one `write_all` per full
+//! block, so [`PcapWriter::finish`] is required: it writes the staged tail.
+//! A sink error surfaces from the `write_packet` that flushes a block, or
+//! from `finish`.
 //!
 //! [`PcapReader`] is the other direction: the first byte stream the engine
 //! does not control. It accepts classic pcap (both endiannesses, both the
@@ -51,37 +55,68 @@ const OPT_ENDOFOPT: u16 = 0;
 const OPT_IF_TSRESOL: u16 = 9;
 
 /// Streaming pcap writer.
+///
+/// The writer buffers: it stages the global header and whole records in
+/// one block of the reader's size and hands `W` one `write_all` per full
+/// block, so hand it the `File` itself, not a `BufWriter` around one. A
+/// record larger than the block goes straight through after what is
+/// staged, so records reach `W` in order. A sink error surfaces from the
+/// [`Self::write_packet`] that flushes a block, or from [`Self::finish`] —
+/// which is required: a writer dropped without it loses the staged tail.
 pub struct PcapWriter<W: Write> {
     out: W,
+    /// Bytes staged for `out`, never more than `BLOCK_BYTES`.
+    block: Vec<u8>,
     packets: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
-    /// Create a writer and emit the global header. `snaplen` is the
+    /// Create a writer and stage the global header. `snaplen` is the
     /// maximum capture length recorded in the header (Lumina's dumpers trim
     /// mirrored packets to 128 bytes).
-    pub fn new(mut out: W, snaplen: u32) -> io::Result<PcapWriter<W>> {
-        out.write_all(&PCAP_MAGIC_NS.to_le_bytes())?;
-        out.write_all(&2u16.to_le_bytes())?; // version major
-        out.write_all(&4u16.to_le_bytes())?; // version minor
-        out.write_all(&0i32.to_le_bytes())?; // thiszone
-        out.write_all(&0u32.to_le_bytes())?; // sigfigs
-        out.write_all(&snaplen.to_le_bytes())?;
-        out.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-        Ok(PcapWriter { out, packets: 0 })
+    pub fn new(out: W, snaplen: u32) -> io::Result<PcapWriter<W>> {
+        let mut block = Vec::with_capacity(BLOCK_BYTES);
+        block.extend_from_slice(&PCAP_MAGIC_NS.to_le_bytes());
+        block.extend_from_slice(&2u16.to_le_bytes()); // version major
+        block.extend_from_slice(&4u16.to_le_bytes()); // version minor
+        block.extend_from_slice(&0i32.to_le_bytes()); // thiszone
+        block.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
+        block.extend_from_slice(&snaplen.to_le_bytes());
+        block.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+        Ok(PcapWriter {
+            out,
+            block,
+            packets: 0,
+        })
     }
 
-    /// Append one packet. `orig_len` is the original wire length before any
-    /// trimming; `data` is the (possibly trimmed) capture.
+    /// Stage one packet, first handing `W` the staged block if the record
+    /// does not fit in it. `orig_len` is the original wire length before
+    /// any trimming; `data` is the (possibly trimmed) capture.
     pub fn write_packet(&mut self, ts: SimTime, data: &[u8], orig_len: usize) -> io::Result<()> {
         let ns = ts.as_nanos();
-        let secs = (ns / 1_000_000_000) as u32;
-        let nanos = (ns % 1_000_000_000) as u32;
-        self.out.write_all(&secs.to_le_bytes())?;
-        self.out.write_all(&nanos.to_le_bytes())?;
-        self.out.write_all(&(data.len() as u32).to_le_bytes())?;
-        self.out.write_all(&(orig_len as u32).to_le_bytes())?;
-        self.out.write_all(data)?;
+        let fields = [
+            (ns / 1_000_000_000) as u32,
+            (ns % 1_000_000_000) as u32,
+            data.len() as u32,
+            orig_len as u32,
+        ];
+        let mut header = [0u8; 16];
+        for (at, field) in header.chunks_exact_mut(4).zip(fields) {
+            at.copy_from_slice(&field.to_le_bytes());
+        }
+        let len = header.len() + data.len();
+        if self.block.len() + len > BLOCK_BYTES {
+            self.out.write_all(&self.block)?;
+            self.block.clear();
+        }
+        if len > BLOCK_BYTES {
+            self.out.write_all(&header)?;
+            self.out.write_all(data)?;
+        } else {
+            self.block.extend_from_slice(&header);
+            self.block.extend_from_slice(data);
+        }
         self.packets += 1;
         Ok(())
     }
@@ -91,8 +126,9 @@ impl<W: Write> PcapWriter<W> {
         self.packets
     }
 
-    /// Flush and return the underlying writer.
+    /// Write the staged block, flush and return the underlying writer.
     pub fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(&self.block)?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -225,7 +261,8 @@ struct Located {
     caplen: usize,
 }
 
-/// Bytes the reader asks its source for at a time, and holds.
+/// Bytes the reader asks its source for at a time, and holds; also the
+/// writer's staging block.
 const BLOCK_BYTES: usize = 64 << 10;
 
 /// Streaming, panic-free reader for classic pcap and pcapng files — the
@@ -1462,6 +1499,123 @@ mod tests {
         assert_eq!(r.next_view().unwrap().unwrap().data, [3; 60]);
         assert_eq!(r.next_view().unwrap(), None);
         assert_eq!(r.block.len(), 16 + big.len());
+    }
+
+    // ---- the writer under ragged writes ---------------------------------
+
+    /// A `Write` that takes `k`, `k - 1`, … 1, `k`, … bytes per call, however
+    /// much it is offered, and counts the calls. `k = usize::MAX` takes all.
+    struct Ragged {
+        out: Vec<u8>,
+        k: usize,
+        calls: usize,
+    }
+
+    fn ragged(k: usize) -> Ragged {
+        Ragged {
+            out: Vec::new(),
+            k,
+            calls: 0,
+        }
+    }
+
+    impl Write for Ragged {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = (self.k - self.calls % self.k).min(buf.len());
+            self.calls += 1;
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The field-by-field writer the staged one replaced (seven
+    /// `write_all`s for the global header, five per record): the bytes
+    /// `PcapWriter` must reproduce.
+    fn reference(snaplen: u32, records: &[(SimTime, Vec<u8>, usize)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.write_all(&PCAP_MAGIC_NS.to_le_bytes()).unwrap();
+        out.write_all(&2u16.to_le_bytes()).unwrap();
+        out.write_all(&4u16.to_le_bytes()).unwrap();
+        out.write_all(&0i32.to_le_bytes()).unwrap();
+        out.write_all(&0u32.to_le_bytes()).unwrap();
+        out.write_all(&snaplen.to_le_bytes()).unwrap();
+        out.write_all(&LINKTYPE_ETHERNET.to_le_bytes()).unwrap();
+        for (ts, data, orig_len) in records {
+            let ns = ts.as_nanos();
+            let secs = (ns / 1_000_000_000) as u32;
+            let nanos = (ns % 1_000_000_000) as u32;
+            out.write_all(&secs.to_le_bytes()).unwrap();
+            out.write_all(&nanos.to_le_bytes()).unwrap();
+            out.write_all(&(data.len() as u32).to_le_bytes()).unwrap();
+            out.write_all(&(*orig_len as u32).to_le_bytes()).unwrap();
+            out.write_all(data).unwrap();
+        }
+        out
+    }
+
+    /// One record from one draw: 0–128 bytes, or one time in 128 up to two
+    /// blocks; any timestamp, any claimed length.
+    fn record_of(draw: u64) -> (SimTime, Vec<u8>, usize) {
+        let len = if draw.is_multiple_of(128) {
+            (draw >> 7) as usize % (2 * BLOCK_BYTES + 1)
+        } else {
+            (draw >> 7) as usize % 129
+        };
+        let data = (0..len).map(|i| (i as u64 ^ draw >> 16) as u8).collect();
+        let ts = SimTime::from_nanos(draw.rotate_left(23));
+        (ts, data, (draw >> 32) as usize)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 64,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Random records through a sink that takes 1..=k bytes a call:
+        /// the reference's bytes, block boundaries wherever they fall.
+        #[test]
+        fn ragged_writes_equal_the_reference(
+            draws in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..1500),
+            k in 1usize..512,
+            snaplen in proptest::arbitrary::any::<u32>(),
+        ) {
+            let records: Vec<_> = draws.into_iter().map(record_of).collect();
+            let mut w = PcapWriter::new(ragged(k), snaplen).unwrap();
+            for (ts, data, orig_len) in &records {
+                w.write_packet(*ts, data, *orig_len).unwrap();
+            }
+            proptest::prop_assert_eq!(w.packets(), records.len() as u64);
+            let got = w.finish().unwrap().out;
+            let want = reference(snaplen, &records);
+            proptest::prop_assert!(got == want, "k = {}: {} bytes, want {}", k, got.len(), want.len());
+        }
+    }
+
+    /// A full block is one `write`: 10 000 trim-sized records reach the
+    /// sink in at most ⌈bytes / `BLOCK_BYTES`⌉ + 1 calls, not five each.
+    #[test]
+    fn records_reach_the_sink_in_blocks() {
+        let records: Vec<_> = (0..10_000u64)
+            .map(|i| (SimTime::from_nanos(i * 800), vec![i as u8; 128], 1082))
+            .collect();
+        let mut w = PcapWriter::new(ragged(usize::MAX), 128).unwrap();
+        for (ts, data, orig_len) in &records {
+            w.write_packet(*ts, data, *orig_len).unwrap();
+        }
+        let sink = w.finish().unwrap();
+        assert!(sink.out == reference(128, &records), "bytes differ");
+        let bound = sink.out.len().div_ceil(BLOCK_BYTES) + 1;
+        assert!(
+            sink.calls <= bound,
+            "{} write calls for {} bytes (bound {bound})",
+            sink.calls,
+            sink.out.len()
+        );
     }
 
     /// A length the file does not back allocates nothing: the block

@@ -61,8 +61,31 @@ fn params_for(cfg: &TestConfig, retain: bool) -> IngestParams {
     }
 }
 
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Each preset's exported capture: `(preset, length, FNV-1a 64)`, recorded
+/// from the field-by-field writer the staged `PcapWriter` replaced.
+const EXPORTS: &[(&str, usize, u64)] = &[
+    ("adaptive_retrans", 1_330, 0x0e1e_4965_459d_589a),
+    ("chaos_demo", 399_038, 0x3791_be70_7610_45b1),
+    ("cnp_hidden_interval", 75_112, 0x9cd6_0aad_dfd1_c146),
+    ("delay_reorder_demo", 2_292, 0xc46c_945e_a926_1cc1),
+    ("fig08_retrans_probe", 11_740, 0x760e_1ce3_37dd_2ba0),
+    ("fig10_ets_bug", 3_065_090, 0x7635_c9dd_5f0e_88a5),
+    ("fig11_noisy_neighbor", 696_818, 0xb192_11aa_435b_f913),
+    ("interop_migreq", 686_412, 0xd167_f9b1_125d_6442),
+    ("listing2", 17_822, 0x50a5_d7da_ae0f_6243),
+    ("matrix_demo", 3_444, 0x70e9_73b9_0127_f715),
+    ("quirks_demo", 21_850, 0x7c42_7e30_5fe5_0aa6),
+];
+
 #[test]
 fn every_preset_reingests_to_the_live_verdict() {
+    let mut exports = Vec::new();
     for (name, cfg) in corpus() {
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let trace = res
@@ -74,6 +97,7 @@ fn every_preset_reingests_to_the_live_verdict() {
 
         let mut pcap = Vec::new();
         trace.write_pcap(&mut pcap).unwrap();
+        exports.push((name.clone(), pcap.len(), fnv1a64(&pcap)));
         let out = ingest_reader(Cursor::new(&pcap[..]), &name, &params_for(&cfg, false))
             .unwrap_or_else(|e| panic!("{name}: ingest failed: {e}"));
 
@@ -112,6 +136,11 @@ fn every_preset_reingests_to_the_live_verdict() {
             "{name}: violation classes diverged"
         );
     }
+    let pinned: Vec<_> = EXPORTS
+        .iter()
+        .map(|&(name, len, fnv)| (name.to_string(), len, fnv))
+        .collect();
+    assert_eq!(exports, pinned, "exported bytes moved");
 }
 
 #[test]
