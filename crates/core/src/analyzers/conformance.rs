@@ -35,7 +35,7 @@ use crate::translate::ConnMeta;
 use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::bth::{psn_add, psn_distance};
 use lumina_packet::opcode::Opcode;
-use lumina_packet::RoceFrame;
+use lumina_packet::RoceHeaders;
 use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
 use lumina_switch::events::EventType;
@@ -664,19 +664,19 @@ impl ConnTracker {
     }
 
     /// Does `f` travel the data direction's key, whatever its opcode?
-    fn on_data_key(&self, f: &RoceFrame) -> bool {
+    fn on_data_key(&self, f: &RoceHeaders) -> bool {
         let key = self.meta.data_conn_key();
         f.ipv4.src == key.src_ip && f.ipv4.dst == key.dst_ip && f.bth.dest_qp == key.dst_qpn
     }
 
-    fn claims_data(&self, f: &RoceFrame) -> bool {
+    fn claims_data(&self, f: &RoceHeaders) -> bool {
         self.data_qpn_known()
             && self.on_data_key(f)
             && f.bth.opcode.is_data()
             && (self.is_read() == f.bth.opcode.is_read_response())
     }
 
-    fn claims_reverse(&self, f: &RoceFrame) -> bool {
+    fn claims_reverse(&self, f: &RoceHeaders) -> bool {
         let key = self.meta.data_conn_key();
         let (rq, known) = self.reverse_qpn();
         known && f.ipv4.src == key.dst_ip && f.ipv4.dst == key.src_ip && f.bth.dest_qp == rq
@@ -693,7 +693,7 @@ impl ConnTracker {
     /// Does a delay/reorder event on this frame displace this connection?
     /// An unknown QPN matches any — better to skip a replay than misjudge
     /// one.
-    fn touched_by(&self, f: &RoceFrame) -> bool {
+    fn touched_by(&self, f: &RoceHeaders) -> bool {
         let key = self.meta.data_conn_key();
         let (rq, rknown) = self.reverse_qpn();
         (f.ipv4.src == key.src_ip
@@ -1221,7 +1221,7 @@ impl ConformanceStream {
 /// A data packet of the connection (write/send data, or read responses).
 fn data_packet(
     event: EventType,
-    f: &RoceFrame,
+    f: &RoceHeaders,
     meta: &ConnMeta,
     opts: &ConformanceOpts,
     st: &mut ConnState,
@@ -1346,7 +1346,7 @@ fn data_packet(
 /// A packet flowing against the data direction: ACK/NACK for write/send,
 /// (re-)issued read requests for read.
 fn reverse_packet(
-    f: &RoceFrame,
+    f: &RoceHeaders,
     meta: &ConnMeta,
     opts: &ConformanceOpts,
     st: &mut ConnState,

@@ -32,7 +32,7 @@ pub use retrans_perf::{RetransBreakdown, RetransKind};
 
 use crate::translate::ConnMeta;
 use lumina_dumper::{Trace, TraceEntry};
-use lumina_packet::RoceFrame;
+use lumina_packet::RoceHeaders;
 use std::net::Ipv4Addr;
 
 /// What names a connection on the wire, one direction of it: `(ipv4.src,
@@ -135,7 +135,7 @@ impl Routes {
     }
 
     /// The connections that may own `f`, ascending.
-    pub(crate) fn owners(&self, f: &RoceFrame) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn owners(&self, f: &RoceHeaders) -> impl Iterator<Item = usize> + '_ {
         let key = self.key(f.ipv4.src, f.ipv4.dst, f.bth.dest_qp);
         let first = self.owners.partition_point(|&(k, _)| k < key);
         self.owners

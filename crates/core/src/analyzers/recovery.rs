@@ -243,7 +243,7 @@ pub fn analyze(
     // forward progress is a PSN above the QP's previous high-water mark.
     let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
     let mut high: HashMap<u32, u32> = HashMap::new();
-    let mut data_events: Vec<(SimTime, usize)> = Vec::new(); // (time, wire len)
+    let mut data_events: Vec<(SimTime, u32)> = Vec::new(); // (time, wire len)
     let mut retrans_events: Vec<SimTime> = Vec::new();
     let mut progress_events: Vec<SimTime> = Vec::new();
     if let Some(trace) = trace {
@@ -399,7 +399,8 @@ mod tests {
             .dest_qp(qp)
             .psn(psn)
             .payload_len(64)
-            .build();
+            .build()
+            .headers();
         TraceEntry {
             seq,
             timestamp: SimTime::from_micros(at_us),

@@ -89,7 +89,7 @@ fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta, out: &mut Vec<RetransB
     let key = meta.data_conn_key();
     let is_read = meta.verb.data_from_responder();
 
-    let is_data = |f: &lumina_packet::RoceFrame| {
+    let is_data = |f: &lumina_packet::RoceHeaders| {
         f.ipv4.src == key.src_ip
             && f.ipv4.dst == key.dst_ip
             && f.bth.dest_qp == key.dst_qpn

@@ -24,7 +24,7 @@ use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
 use lumina_packet::builder::{cnp_frame, DataPacketBuilder};
 use lumina_packet::opcode::Opcode;
 use lumina_packet::reth::Reth;
-use lumina_packet::RoceFrame;
+use lumina_packet::{RoceFrame, RoceHeaders};
 use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
 use lumina_sim::{SimRng, SimTime};
@@ -145,7 +145,7 @@ fn colliding_conns() -> Vec<ConnMeta> {
 }
 
 /// One frame of the given flavor as a capture decodes it (headers only).
-fn frame(flavor: u8, psn: u32) -> RoceFrame {
+fn frame(flavor: u8, psn: u32) -> RoceHeaders {
     let fwd = || {
         DataPacketBuilder::new()
             .src_ip(REQ_IP)
@@ -365,7 +365,7 @@ struct Pinned {
 }
 
 fn pinned(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Pinned {
-    let displacing: Vec<&RoceFrame> = trace
+    let displacing: Vec<&RoceHeaders> = trace
         .iter()
         .filter(|e| matches!(e.event, EventType::Delay | EventType::Reorder))
         .map(|e| &e.frame)

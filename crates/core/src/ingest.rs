@@ -552,6 +552,33 @@ mod tests {
         assert!(out.integrity.passed(), "chunking alone never degrades");
     }
 
+    /// The peak window counts each resident entry at its in-memory size
+    /// plus the bytes its capture held, in the summary and in both
+    /// renderings: 4 entries of 128 bytes, each decoded from a whole
+    /// 90-byte frame.
+    #[test]
+    fn peak_window_is_entries_at_their_size_plus_their_captures() {
+        let bytes = mirror_pcap(10);
+        let mut reader = PcapReader::new(&bytes[..]).unwrap();
+        let captured = reader.next_record().unwrap().unwrap().data.len();
+        let params = IngestParams {
+            chunk_entries: 4,
+            ..IngestParams::default()
+        };
+        let out = ingest_reader(&bytes[..], "t.pcap", &params).unwrap();
+        let entry = std::mem::size_of::<lumina_dumper::TraceEntry>();
+        let window = 4 * (entry + captured);
+        assert_eq!((entry, captured, window), (128, 90, 872));
+        assert_eq!(out.stream.peak_resident_bytes, window);
+        let json = out.report_json().unwrap();
+        assert_eq!(json["stream"]["peak_resident_bytes"], window as u64);
+        let human = out.render_human();
+        assert!(
+            human.contains("in 3 chunks, peak window 872 bytes"),
+            "{human}"
+        );
+    }
+
     #[test]
     fn foreign_traffic_is_counted_not_fatal() {
         let mut w = PcapWriter::new(Vec::new(), 256).unwrap();

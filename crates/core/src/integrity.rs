@@ -226,7 +226,7 @@ mod tests {
         );
         CapturedPacket {
             rx_time: SimTime::ZERO,
-            orig_len: buf.len(),
+            orig_len: buf.len() as u32,
             bytes: buf.as_slice().into(),
         }
     }

@@ -20,7 +20,7 @@ use lumina_dumper::trace::{Trace, TraceEntry};
 use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
 use lumina_packet::bth::{psn_add, psn_distance};
 use lumina_packet::builder::{ack_frame, nack_frame, DataPacketBuilder};
-use lumina_packet::frame::RoceFrame;
+use lumina_packet::frame::{RoceFrame, RoceHeaders};
 use lumina_packet::opcode::Opcode;
 use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
@@ -71,7 +71,7 @@ impl TraceBuilder {
             seq,
             timestamp: SimTime::from_nanos(self.t),
             event,
-            frame,
+            frame: frame.headers(),
             orig_len: 1100,
         });
         self
@@ -324,18 +324,18 @@ fn preset(name: &str) -> TestConfig {
     TestConfig::from_yaml(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-fn on(f: &RoceFrame, src: Ipv4Addr, dst: Ipv4Addr, qpn: u32) -> bool {
+fn on(f: &RoceHeaders, src: Ipv4Addr, dst: Ipv4Addr, qpn: u32) -> bool {
     (f.ipv4.src, f.ipv4.dst, f.bth.dest_qp) == (src, dst, qpn)
 }
 
 /// A data packet of the (write) connection.
-fn is_data(meta: &ConnMeta, f: &RoceFrame) -> bool {
+fn is_data(meta: &ConnMeta, f: &RoceHeaders) -> bool {
     let key = meta.data_conn_key();
     on(f, key.src_ip, key.dst_ip, key.dst_qpn) && f.bth.opcode.is_data()
 }
 
 /// The AETH of an acknowledge flowing back to the connection's sender.
-fn reverse_aeth(meta: &ConnMeta, f: &RoceFrame) -> Option<Aeth> {
+fn reverse_aeth(meta: &ConnMeta, f: &RoceHeaders) -> Option<Aeth> {
     let key = meta.data_conn_key();
     let back = on(f, key.dst_ip, key.src_ip, meta.reverse_qpn());
     f.ext
@@ -343,7 +343,7 @@ fn reverse_aeth(meta: &ConnMeta, f: &RoceFrame) -> Option<Aeth> {
         .filter(|_| back && f.bth.opcode == Opcode::Acknowledge)
 }
 
-fn is_ack(meta: &ConnMeta, f: &RoceFrame) -> bool {
+fn is_ack(meta: &ConnMeta, f: &RoceHeaders) -> bool {
     reverse_aeth(meta, f).is_some_and(|a| !a.syndrome.is_nak())
 }
 

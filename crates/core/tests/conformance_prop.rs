@@ -181,7 +181,7 @@ fn valid_capture(seq: u64, flavor: u8, psn: u32) -> CapturedPacket {
         Some((seq % 65_536) as u16),
     );
     mirror::restore_dport(&mut buf);
-    let orig_len = buf.len();
+    let orig_len = buf.len() as u32;
     buf.truncate(128);
     CapturedPacket {
         rx_time: SimTime::ZERO,
@@ -207,7 +207,7 @@ proptest! {
             .into_iter()
             .map(|bytes| CapturedPacket {
                 rx_time: SimTime::ZERO,
-                orig_len: bytes.len(),
+                orig_len: bytes.len() as u32,
                 bytes: bytes.as_slice().into(),
             })
             .collect();

@@ -6,9 +6,18 @@
 //! two dumpers) the high-water mark may rise by at most 1.25 × what the
 //! run leaves resident (its `TestResults`, trace included). Decoding the
 //! trace while every capture buffer is still alive reads ≈ 1.67 here.
+//!
+//! The rise is also held to a byte budget per trace entry, which is what a
+//! mirrored packet's evidence costs at the peak: its trace entry, its event
+//! log record and its share of the sort's pairs, beside the run's fixed
+//! footprint. 128-byte entries and 56-byte records read ≈ 216 B here;
+//! 160-byte entries and 72-byte records read ≈ 264 B.
 
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
+
+/// Most bytes the high-water mark may rise by per trace entry.
+const HWM_BYTES_PER_ENTRY: u64 = 240;
 
 /// The benchmark's `run_packets` shape: 8 connections of 16 × 256 KiB
 /// WRITE, a drop on each of the first four and a CE mark on each of the
@@ -61,11 +70,20 @@ fn stage4_peak_stays_near_what_the_run_keeps() {
     let hwm_rise = hwm_after.saturating_sub(hwm_before);
     let rss_rise = rss_after.saturating_sub(rss_before);
     let ratio = hwm_rise as f64 / rss_rise.max(1) as f64;
-    println!("high-water mark +{hwm_rise} kB, resident +{rss_rise} kB: {ratio:.2}");
+    let per_entry = hwm_rise * 1024 / trace_len as u64;
+    println!(
+        "high-water mark +{hwm_rise} kB, resident +{rss_rise} kB: {ratio:.2}; \
+         {per_entry} B per trace entry (budget {HWM_BYTES_PER_ENTRY})"
+    );
     assert!(
         ratio <= 1.25,
         "stage 4 held captures and trace together: high-water mark +{hwm_rise} kB \
          against +{rss_rise} kB still resident ({ratio:.2} > 1.25)"
+    );
+    assert!(
+        per_entry <= HWM_BYTES_PER_ENTRY,
+        "a mirrored packet's evidence grew: high-water mark +{hwm_rise} kB over \
+         {trace_len} trace entries is {per_entry} B each (> {HWM_BYTES_PER_ENTRY})"
     );
     drop(res);
 }

@@ -66,7 +66,7 @@ impl RecoveryStats {
 /// / `non_roce` / `unparseable` / `no_mirror_meta`. The entry's frame has
 /// the RoCEv2 destination port restored and its `orig_len` is the wire
 /// length the bytes support. Inlined across the crate boundary so the
-/// 160-byte entry is built where the caller wants it (4 % of `ingest`).
+/// 128-byte entry is built where the caller wants it (4 % of `ingest`).
 #[inline]
 pub fn recover_entry(data: &[u8], orig_len: u32, stats: &mut RecoveryStats) -> Option<TraceEntry> {
     stats.frames_seen += 1;
@@ -94,12 +94,13 @@ pub fn recover_entry(data: &[u8], orig_len: u32, stats: &mut RecoveryStats) -> O
     }
     // Length bookkeeping: a header may claim less than was captured (a
     // lie — trust the bytes) or more (normal trimming).
-    let claimed = orig_len as usize;
-    if claimed < data.len() {
+    // A pcap record's captured length is a `u32` too.
+    let captured = u32::try_from(data.len()).unwrap_or(u32::MAX);
+    if orig_len < captured {
         stats.lying_lengths += 1;
     }
-    let wire_len = claimed.max(data.len());
-    if data.len() < wire_len && data.len() < TRIM_LEN {
+    let wire_len = orig_len.max(captured);
+    if captured < wire_len && data.len() < TRIM_LEN {
         stats.truncated += 1;
     }
     stats.recovered += 1;
@@ -159,7 +160,7 @@ mod tests {
         let p = recover_frame(&buf, orig_len, SimTime::from_nanos(1), &mut st).unwrap();
         assert_eq!(st.recovered, 1);
         assert_eq!(st.dport_restored, 1);
-        assert_eq!(p.orig_len, orig_len as usize);
+        assert_eq!(p.orig_len, orig_len);
         let dport = u16::from_be_bytes([p.bytes[DPORT_OFF], p.bytes[DPORT_OFF + 1]]);
         assert_eq!(dport, ROCEV2_UDP_PORT);
         assert!(st.consistent());
@@ -211,7 +212,7 @@ mod tests {
         let (buf, _) = raw_mirror(2, 200, None);
         let p = recover_frame(&buf, 10, SimTime::ZERO, &mut st).unwrap();
         assert_eq!(st.lying_lengths, 1);
-        assert_eq!(p.orig_len, buf.len());
+        assert_eq!(p.orig_len as usize, buf.len());
     }
 
     #[test]
@@ -234,7 +235,7 @@ mod tests {
         let (bytes, orig_len) = raw_mirror(seq, seq * 100, None);
         CapturedPacket {
             rx_time: SimTime::from_nanos(seq * 100),
-            orig_len: orig_len as usize,
+            orig_len,
             bytes: bytes.as_slice().into(),
         }
     }

@@ -238,7 +238,7 @@ impl DumperNode {
         out.per_core_processed[core] += 1;
         out.packets.push(CapturedPacket {
             rx_time,
-            orig_len: raw.len(),
+            orig_len: raw.len() as u32,
             bytes,
         });
     }

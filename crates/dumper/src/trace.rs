@@ -22,7 +22,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-use lumina_packet::frame::RoceFrame;
+use lumina_packet::frame::{RoceFrame, RoceHeaders};
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use lumina_switch::mirror;
@@ -39,13 +39,18 @@ pub const TRIM_LEN: usize = 128;
 pub struct CaptureBytes {
     buf: [u8; TRIM_LEN],
     /// Bytes of `buf` in use, never more than [`TRIM_LEN`].
-    len: usize,
+    len: u8,
 }
+
+// `len` counts up to `TRIM_LEN`.
+const _: () = assert!(TRIM_LEN <= u8::MAX as usize);
 
 impl CaptureBytes {
     /// Keep the first `len` bytes; a no-op when fewer are held.
     pub fn truncate(&mut self, len: usize) {
-        self.len = self.len.min(len);
+        if len < usize::from(self.len) {
+            self.len = len as u8;
+        }
     }
 }
 
@@ -57,7 +62,10 @@ impl From<&[u8]> for CaptureBytes {
         if let (Some(kept), Some(src)) = (buf.get_mut(..len), bytes.get(..len)) {
             kept.copy_from_slice(src);
         }
-        CaptureBytes { buf, len }
+        CaptureBytes {
+            buf,
+            len: len as u8,
+        }
     }
 }
 
@@ -65,13 +73,15 @@ impl std::ops::Deref for CaptureBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        self.buf.get(..self.len).unwrap_or_default()
+        self.buf.get(..usize::from(self.len)).unwrap_or_default()
     }
 }
 
 impl std::ops::DerefMut for CaptureBytes {
     fn deref_mut(&mut self) -> &mut [u8] {
-        self.buf.get_mut(..self.len).unwrap_or_default()
+        self.buf
+            .get_mut(..usize::from(self.len))
+            .unwrap_or_default()
     }
 }
 
@@ -87,11 +97,14 @@ pub struct CapturedPacket {
     /// Arrival time at the dumper (not used for analysis — the mirror
     /// timestamp is authoritative).
     pub rx_time: SimTime,
-    /// Original wire length before trimming.
-    pub orig_len: usize,
+    /// Original wire length before trimming, as a pcap record stores it.
+    pub orig_len: u32,
     /// Trimmed bytes.
     pub bytes: CaptureBytes,
 }
+
+// Every capture of a run is resident until stage 4 decodes it.
+const _: () = assert!(std::mem::size_of::<CapturedPacket>() == 144);
 
 /// One entry of the reconstructed trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,15 +116,18 @@ pub struct TraceEntry {
     pub timestamp: SimTime,
     /// Event the injector applied to this packet.
     pub event: EventType,
-    /// Parsed headers (payload absent — captures are trimmed).
-    pub frame: RoceFrame,
-    /// Original wire length.
-    pub orig_len: usize,
+    /// Parsed headers (captures are trimmed: there is no payload).
+    pub frame: RoceHeaders,
+    /// Original wire length, as a pcap record stores it.
+    pub orig_len: u32,
 }
+
+// Every entry of a live run's trace is resident from stage 4 to the report.
+const _: () = assert!(std::mem::size_of::<TraceEntry>() == 128);
 
 impl TraceEntry {
     /// The entry a decoded mirror copy becomes.
-    pub(crate) fn new(frame: RoceFrame, meta: mirror::MirrorMeta, orig_len: usize) -> TraceEntry {
+    pub(crate) fn new(frame: RoceHeaders, meta: mirror::MirrorMeta, orig_len: u32) -> TraceEntry {
         TraceEntry {
             seq: meta.seq,
             timestamp: meta.timestamp,
@@ -149,9 +165,9 @@ impl Trace {
     pub fn write_pcap<W: std::io::Write>(&self, out: W) -> std::io::Result<u64> {
         let mut w = lumina_sim::pcap::PcapWriter::new(out, TRIM_LEN as u32)?;
         for e in &self.entries {
-            let bytes = e.frame.emit();
+            let bytes = RoceFrame::from(e.frame).emit();
             let trimmed = bytes.get(..TRIM_LEN).unwrap_or(&bytes);
-            w.write_packet(e.timestamp, trimmed, e.orig_len)?;
+            w.write_packet(e.timestamp, trimmed, e.orig_len as usize)?;
         }
         let n = w.packets();
         w.finish()?;
@@ -212,7 +228,7 @@ pub struct GapSpan {
 pub(crate) fn decode(
     bytes: &[u8],
 ) -> (
-    Result<RoceFrame, lumina_packet::ParseError>,
+    Result<RoceHeaders, lumina_packet::ParseError>,
     Option<mirror::MirrorMeta>,
 ) {
     let meta = mirror::extract(bytes);
@@ -377,7 +393,7 @@ impl StreamingReconstructor {
         self.pending_bytes = 0;
         // Stable: among same-seq duplicates the earlier capture (in feed
         // order) survives, deterministically. What gets sorted is `(seq,
-        // position)` pairs, after which each 160-byte entry moves once, to
+        // position)` pairs, after which each 128-byte entry moves once, to
         // its place. A capture read in mirror order is already sorted, and
         // the sort would allocate a window of pairs to find that out.
         if !entries.is_sorted_by_key(|e| e.seq) {
@@ -449,8 +465,11 @@ fn one_window_borrowed(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamingRec
     })
 }
 
-/// Captures a buffer gives up between two releases of its memory.
-const RELEASE_EVERY: usize = 4096;
+/// Captures a buffer gives up between two releases of its memory. The
+/// trace runs this many entries ahead of the memory their captures give
+/// back, which is stage 4's whole rise over the end of the simulation:
+/// 1 024 × 128 B. At 4 096 the rise was what set a packet-dense run's peak.
+const RELEASE_EVERY: usize = 1024;
 
 /// Merge the captures of all dumper hosts into the best trace the data
 /// supports, never failing: unparseable captures are counted and skipped,
@@ -532,7 +551,7 @@ mod tests {
             EventType::None,
             None,
         );
-        let orig_len = buf.len();
+        let orig_len = buf.len() as u32;
         CapturedPacket {
             rx_time: SimTime::from_nanos(ts_ns + 10_000),
             orig_len,
@@ -666,7 +685,7 @@ mod tests {
         // even seq, the marked copy for an odd one.
         let base = capture(0, 0).orig_len;
         for e in got.iter().filter(|e| e.seq % 7 == 0) {
-            assert_eq!(e.orig_len, base + (e.seq % 2) as usize, "seq {}", e.seq);
+            assert_eq!(e.orig_len, base + (e.seq % 2) as u32, "seq {}", e.seq);
         }
     }
 

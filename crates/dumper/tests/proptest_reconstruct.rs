@@ -33,7 +33,7 @@ fn capture(seq: u64) -> CapturedPacket {
     // Restore happens at the dumper; mimic it so the headers parse
     // strictly.
     mirror::restore_dport(&mut buf);
-    let orig_len = buf.len();
+    let orig_len = buf.len() as u32;
     buf.truncate(128);
     CapturedPacket {
         rx_time: SimTime::ZERO,
@@ -407,7 +407,7 @@ fn naive_reference(captures: &[Vec<CapturedPacket>]) -> (Trace, StreamSummary, O
 }
 
 /// What two equal traces must agree on, entry by entry.
-fn fingerprint(t: &Trace) -> Vec<(u64, SimTime, usize, u32)> {
+fn fingerprint(t: &Trace) -> Vec<(u64, SimTime, u32, u32)> {
     t.iter()
         .map(|e| (e.seq, e.timestamp, e.orig_len, e.frame.bth.psn))
         .collect()

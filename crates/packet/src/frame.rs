@@ -62,6 +62,56 @@ impl ExtHeaders {
     }
 }
 
+/// The headers of one RoCEv2 frame: a [`RoceFrame`] without its payload,
+/// field for field, which is all a trimmed mirror capture holds of one.
+/// [`RoceFrame::parse_headers`] returns it, [`RoceFrame::headers`] takes it
+/// from a frame, and `RoceFrame::from(headers)` is the header-only frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoceHeaders {
+    /// Ethernet header.
+    pub eth: EthernetHeader,
+    /// IPv4 header.
+    pub ipv4: Ipv4Header,
+    /// UDP header.
+    pub udp: UdpHeader,
+    /// Base transport header.
+    pub bth: Bth,
+    /// Extension headers the opcode mandates.
+    pub ext: ExtHeaders,
+}
+
+// One per entry of a reconstructed trace: the payload handle it dropped
+// (24 bytes) is what makes a trace entry 128 bytes.
+const _: () = assert!(std::mem::size_of::<RoceHeaders>() <= 104);
+
+impl RoceHeaders {
+    /// The frame of these headers carrying `payload`.
+    fn with_payload(self, payload: Bytes) -> RoceFrame {
+        let RoceHeaders {
+            eth,
+            ipv4,
+            udp,
+            bth,
+            ext,
+        } = self;
+        RoceFrame {
+            eth,
+            ipv4,
+            udp,
+            bth,
+            ext,
+            payload,
+        }
+    }
+}
+
+impl From<RoceHeaders> for RoceFrame {
+    /// The header-only frame: what `emit` re-serializes of a capture.
+    fn from(headers: RoceHeaders) -> RoceFrame {
+        headers.with_payload(Bytes::new())
+    }
+}
+
 /// A fully structured RoCEv2 frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoceFrame {
@@ -80,6 +130,17 @@ pub struct RoceFrame {
 }
 
 impl RoceFrame {
+    /// The frame's headers, without its payload.
+    pub fn headers(&self) -> RoceHeaders {
+        RoceHeaders {
+            eth: self.eth,
+            ipv4: self.ipv4,
+            udp: self.udp,
+            bth: self.bth,
+            ext: self.ext,
+        }
+    }
+
     /// Serialize the frame, computing all length fields, the pad count, the
     /// IPv4 checksum and the ICRC. This is the **only** place a wire buffer
     /// is born: the returned [`Frame`] then travels the whole pipeline by
@@ -149,13 +210,15 @@ impl RoceFrame {
     /// the frame's buffer, not a copy — the path the switch and RNICs take
     /// on every received packet.
     pub fn parse_frame(frame: &Frame) -> Result<RoceFrame> {
-        let (mut parsed, payload_off, payload_len) = Self::parse_body(frame)?;
-        if !parsed.udp.is_rocev2() {
+        let (headers, payload_off, payload_len) = Self::parse_body(frame)?;
+        if !headers.udp.is_rocev2() {
             return Err(ParseError::NotRoce("udp destination port is not 4791"));
         }
         buf::note_shared(payload_len);
-        parsed.payload = frame.as_bytes().slice(payload_off..payload_off + payload_len);
-        Ok(parsed)
+        let payload = frame
+            .as_bytes()
+            .slice(payload_off..payload_off + payload_len);
+        Ok(headers.with_payload(payload))
     }
 
     /// Parse a frame without checking the UDP destination port. Used by the
@@ -163,17 +226,18 @@ impl RoceFrame {
     /// port was deliberately randomized for RSS spreading (§3.4). Copies
     /// the payload out of the borrowed buffer.
     pub fn parse_loose(buf: &[u8]) -> Result<RoceFrame> {
-        let (mut parsed, payload_off, payload_len) = Self::parse_body(buf)?;
-        parsed.payload = Bytes::copy_from_slice(&buf[payload_off..payload_off + payload_len]);
+        let (headers, payload_off, payload_len) = Self::parse_body(buf)?;
         buf::note_copied(payload_len);
-        Ok(parsed)
+        Ok(headers.with_payload(Bytes::copy_from_slice(
+            &buf[payload_off..payload_off + payload_len],
+        )))
     }
 
     /// Shared structural parse: the headers plus the located (offset,
     /// length) of the unpadded payload. Callers decide whether the payload
     /// is copied ([`parse_loose`](Self::parse_loose)) or shared
     /// ([`parse_frame`](Self::parse_frame)).
-    fn parse_body(buf: &[u8]) -> Result<(RoceFrame, usize, usize)> {
+    fn parse_body(buf: &[u8]) -> Result<(RoceHeaders, usize, usize)> {
         let frame = Self::parse_headers(buf)?;
         let off = FIXED_HEADERS_LEN + frame.ext.wire_len();
 
@@ -209,8 +273,8 @@ impl RoceFrame {
     /// Parse only the headers of a (possibly trimmed) capture: Ethernet →
     /// IPv4 → UDP → BTH → the extension headers the opcode mandates — the
     /// one header walk, which every other parse starts from. Returns the
-    /// frame with an empty payload; used as it is on the 128-byte trimmed
-    /// mirror captures where the payload and ICRC were cut off.
+    /// headers alone; used as it is on the 128-byte trimmed mirror captures
+    /// where the payload and ICRC were cut off.
     ///
     /// The four headers every RoCEv2 frame has sit behind one length
     /// check and are decoded from array references. A buffer too short for
@@ -219,7 +283,7 @@ impl RoceFrame {
     /// error, for every input, as parsing header by header (pinned by
     /// `tests/header_walk.rs`).
     #[inline]
-    pub fn parse_headers(buf: &[u8]) -> Result<RoceFrame> {
+    pub fn parse_headers(buf: &[u8]) -> Result<RoceHeaders> {
         let Some((fixed, mut rest)) = buf.split_first_chunk::<FIXED_HEADERS_LEN>() else {
             return Err(Self::walk_short(buf));
         };
@@ -255,13 +319,12 @@ impl RoceFrame {
             };
             ext.immdt = Some(ImmDt::decode(immdt));
         }
-        Ok(RoceFrame {
+        Ok(RoceHeaders {
             eth,
             ipv4,
             udp,
             bth,
             ext,
-            payload: Bytes::new(),
         })
     }
 
@@ -457,7 +520,6 @@ mod tests {
         let parsed = RoceFrame::parse_headers(trimmed).unwrap();
         assert_eq!(parsed.bth.psn, 1001);
         assert_eq!(parsed.ext.reth.unwrap().rkey, 42);
-        assert!(parsed.payload.is_empty());
     }
 
     #[test]

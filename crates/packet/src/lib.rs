@@ -50,7 +50,7 @@ pub use aeth::{Aeth, AethSyndrome, NakCode};
 pub use bth::Bth;
 pub use buf::Frame;
 pub use ethernet::{EtherType, EthernetHeader};
-pub use frame::{ExtHeaders, RoceFrame};
+pub use frame::{ExtHeaders, RoceFrame, RoceHeaders};
 pub use ipv4::{Ecn, Ipv4Header};
 pub use mac::MacAddr;
 pub use opcode::Opcode;

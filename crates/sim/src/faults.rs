@@ -494,13 +494,18 @@ impl Interposer {
         let Some(plane) = self.faults.as_mut().filter(|p| p.covers_link(from, port)) else {
             return 1;
         };
-        let (copies, kind) = match plane.fate(from, port) {
-            TransmitFate::Deliver => return 1,
-            TransmitFate::Drop => (0, "mirror.drop"),
-            TransmitFate::Duplicate => (2, "mirror.dup"),
-        };
-        tev!(tel, now.as_nanos(), from.0 as u32, "fault", kind);
-        copies
+        let (t, n) = (now.as_nanos(), from.0 as u32);
+        match plane.fate(from, port) {
+            TransmitFate::Deliver => 1,
+            TransmitFate::Drop => {
+                tev!(tel, t, n, "fault", "mirror.drop");
+                0
+            }
+            TransmitFate::Duplicate => {
+                tev!(tel, t, n, "fault", "mirror.dup");
+                2
+            }
+        }
     }
 
     /// The instant a copy due at `at` is really handed to the link: a
@@ -541,14 +546,16 @@ impl Interposer {
             return Some(arrive);
         };
         let (t, n) = (handoff.as_nanos(), from.0 as u32);
-        let lost = |kind: &'static str| {
-            tev!(tel, t, n, "chaos", kind);
-            None
-        };
         match plane.fate(from, port, handoff, arrive, frame.len()) {
             ChaosFate::Deliver => Some(arrive),
-            ChaosFate::FlapDrop => lost("flap.drop"),
-            ChaosFate::BurstDrop => lost("burst.drop"),
+            ChaosFate::FlapDrop => {
+                tev!(tel, t, n, "chaos", "flap.drop");
+                None
+            }
+            ChaosFate::BurstDrop => {
+                tev!(tel, t, n, "chaos", "burst.drop");
+                None
+            }
             ChaosFate::Corrupt { offset, mask } => {
                 tev!(tel, t, n, "chaos", "corrupt", offset = offset as u64);
                 if let Some(b) = frame.make_mut().get_mut(offset) {

@@ -837,7 +837,7 @@ mod tests {
         r.eng.run(None);
         assert!(r.host_rx.borrow().is_empty());
         tel.with_log(|log| {
-            let drops: Vec<_> = log.journal().filter(|e| e.kind == "drop").collect();
+            let drops: Vec<_> = log.journal().filter(|e| e.kind() == "drop").collect();
             assert_eq!(drops.len(), 1);
             assert_eq!((drops[0].trace_id(), drops[0].hop), (None, None));
             let hops: Vec<&str> = log.hops().map(|(_, hop, _)| hop.name()).collect();

@@ -7,10 +7,11 @@
 //! oldest record, whatever the role, and each view counts what it lost.
 //!
 //! A record is one fixed-size value that owns no heap memory: its
-//! component and attribute keys live in the [`Site`] `static` that
-//! [`tev!`](crate::tev) emits at each call site, its attribute values in
-//! three 8-byte slots beside their type tags, and a `&'static str` value
-//! is an index into the log's table of the strings it has seen.
+//! component, kind and attribute keys live in the [`Site`] `static` that
+//! [`tev!`](crate::tev) emits at each call site (a hop's kind in the [`Hop`]
+//! table instead), its attribute values in three 8-byte slots beside their
+//! type tags, and a `&'static str` value is an index into the log's table
+//! of the strings it has seen.
 
 use crate::trace::Hop;
 use std::collections::VecDeque;
@@ -85,20 +86,27 @@ impl AttrValue {
 /// The fields a record always renders, which no attribute may shadow.
 const FIXED: [&str; 4] = ["t", "node", "component", "kind"];
 
-/// The fixed part of one recording site: its component and its attribute
-/// keys, in call order. [`tev!`](crate::tev) puts one in a `static` at each
-/// call, so [`Site::new`]'s checks run when that `static` is evaluated —
-/// at compile time.
+/// The fixed part of one recording site: its component, its kind and its
+/// attribute keys, in call order. [`tev!`](crate::tev) puts one in a
+/// `static` at each call, so [`Site::new`]'s checks run when that `static`
+/// is evaluated — at compile time.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Site {
     component: &'static str,
+    /// Event kind, dotted lowercase, e.g. `"ecn.mark"`; unused by a hop's
+    /// records, which take theirs from the [`Hop`] table.
+    kind: &'static str,
     keys: &'static [&'static str],
 }
 
 impl Site {
-    /// A site of `component` journaling `keys`: at most [`SLOTS`] of them,
-    /// none named like a fixed field, no two alike.
-    pub const fn new(component: &'static str, keys: &'static [&'static str]) -> Site {
+    /// A site of `component` journaling `kind` events with `keys`: at most
+    /// [`SLOTS`] of them, none named like a fixed field, no two alike.
+    pub const fn new(
+        component: &'static str,
+        kind: &'static str,
+        keys: &'static [&'static str],
+    ) -> Site {
         assert!(
             keys.len() <= SLOTS,
             "a record holds at most three attributes"
@@ -120,7 +128,11 @@ impl Site {
             }
             i += 1;
         }
-        Site { component, keys }
+        Site {
+            component,
+            kind,
+            keys,
+        }
     }
 }
 
@@ -141,7 +153,7 @@ const fn str_eq(a: &str, b: &str) -> bool {
 }
 
 /// The site of a pure hop: no component, no attribute.
-pub(crate) static PURE_HOP: Site = Site::new("", &[]);
+pub(crate) static PURE_HOP: Site = Site::new("", "", &[]);
 
 /// How an attribute slot's 8 bytes read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +166,7 @@ enum Tag {
     Str,
 }
 
-/// One entry of the event log, stamped with simulated time: 72 bytes, no
+/// One entry of the event log, stamped with simulated time: 56 bytes, no
 /// heap memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Record {
@@ -163,10 +175,8 @@ pub struct Record {
     /// Provenance id of the hop's packet, raw when built and relative to
     /// the run's first frame once in the log; read it through `trace_id`.
     id: u64,
-    /// Component and attribute keys.
+    /// Component, kind and attribute keys.
     site: &'static Site,
-    /// Event kind, dotted lowercase, e.g. `"ecn.mark"`, `"gbn.rollback"`.
-    pub kind: &'static str,
     /// Attribute values, the first `site.keys.len()` in use.
     slots: [u64; SLOTS],
     /// Node the event happened on (engine `NodeId` as `u32`).
@@ -176,15 +186,18 @@ pub struct Record {
     pub hop: Option<Hop>,
 }
 
+// Every retained record of a run is in its peak RSS: up to 65 536 of them
+// untraced, all 33 000 of `run_packets`.
+const _: () = assert!(std::mem::size_of::<Record>() == 56);
+
 impl Record {
-    /// A journal event about no packet; [`EventLog::push`] adds its
-    /// attribute values.
-    pub fn event(site: &'static Site, t: u64, node: u32, kind: &'static str) -> Record {
+    /// A journal event about no packet, of its site's kind;
+    /// [`EventLog::push`] adds its attribute values.
+    pub fn event(site: &'static Site, t: u64, node: u32) -> Record {
         Record {
             t,
             id: 0,
             site,
-            kind,
             slots: [0; SLOTS],
             node,
             tags: [Tag::U64; SLOTS],
@@ -193,20 +206,28 @@ impl Record {
     }
 
     /// A record that is `hop` of the frame whose raw provenance id is
-    /// `raw_id`; its kind comes from the [`Hop`] table, never the
-    /// caller: the journal kind, or the hop name of a pure hop.
+    /// `raw_id`; its kind comes from the [`Hop`] table.
     pub fn of_hop(site: &'static Site, hop: Hop, raw_id: u64, t: u64, node: u32) -> Record {
-        let kind = hop.journal_kind().unwrap_or(hop.name());
         Record {
             hop: Some(hop),
             id: raw_id,
-            ..Record::event(site, t, node, kind)
+            ..Record::event(site, t, node)
         }
     }
 
     /// Emitting component, e.g. `"switch"`, `"rnic"`; empty for a pure hop.
     pub fn component(&self) -> &'static str {
         self.site.component
+    }
+
+    /// Event kind, dotted lowercase, e.g. `"ecn.mark"`, `"gbn.rollback"`:
+    /// the site's, or for a hop the [`Hop`] table's — the journal kind, or
+    /// the hop name of a pure hop.
+    pub fn kind(&self) -> &'static str {
+        match self.hop {
+            Some(hop) => hop.journal_kind().unwrap_or(hop.name()),
+            None => self.site.kind,
+        }
     }
 
     /// The id of the packet the record is about: every hop has one.
@@ -252,7 +273,7 @@ impl Record {
             "component",
             serde_json::Value::String(self.component().to_string()),
         );
-        m.insert("kind", serde_json::Value::String(self.kind.to_string()));
+        m.insert("kind", serde_json::Value::String(self.kind().to_string()));
         for (k, v) in self.attrs(log) {
             m.insert(k, v.to_json());
         }
@@ -352,18 +373,19 @@ pub(crate) fn jsonl(values: impl Iterator<Item = serde_json::Value>) -> String {
 mod tests {
     use super::*;
 
-    static TEST: Site = Site::new("test", &[]);
-    static SWITCH: Site = Site::new("switch", &[]);
+    static TICK: Site = Site::new("test", "tick", &[]);
+    static NO_ROUTE: Site = Site::new("test", "drop", &[]);
+    static SWITCH: Site = Site::new("switch", "", &[]);
 
-    fn ev(t: u64, node: u32, kind: &'static str) -> Record {
-        Record::event(&TEST, t, node, kind)
+    fn ev(t: u64, node: u32) -> Record {
+        Record::event(&TICK, t, node)
     }
 
     #[test]
-    fn a_record_is_72_bytes_and_owns_no_heap() {
+    fn a_record_is_56_bytes_and_owns_no_heap() {
         // Every retained record of a run is in its peak RSS: up to 65 536
         // of them untraced, all 33 000 of `run_packets`.
-        assert!(std::mem::size_of::<Record>() <= 72);
+        assert_eq!(std::mem::size_of::<Record>(), 56);
         assert!(!std::mem::needs_drop::<Record>());
     }
 
@@ -373,11 +395,11 @@ mod tests {
         // what it lost, so retained + dropped is what it was offered.
         let mut log = EventLog::new(3);
         log.trace(1);
-        log.push(ev(0, 0, "tick"), &[]);
+        log.push(ev(0, 0), &[]);
         log.push(Record::of_hop(&PURE_HOP, Hop::LinkEgress, 7, 1, 0), &[]);
         log.push(Record::of_hop(&SWITCH, Hop::Mirror, 8, 2, 0), &[]);
         for t in 3..6 {
-            log.push(ev(t, 0, "tick"), &[]);
+            log.push(ev(t, 0), &[]);
         }
         assert_eq!(log.records.len(), 4);
         let ts: Vec<u64> = log.records.iter().map(|e| e.t).collect();
@@ -391,10 +413,10 @@ mod tests {
     fn roles_split_the_views() {
         let mut log = EventLog::new(8);
         log.baseline = 10;
-        log.push(ev(0, 2, "drop"), &[]);
+        log.push(Record::event(&NO_ROUTE, 0, 2), &[]);
         log.push(Record::of_hop(&PURE_HOP, Hop::SwitchForward, 11, 1, 2), &[]);
         log.push(Record::of_hop(&SWITCH, Hop::Drop, 12, 2, 2), &[]);
-        let kinds: Vec<_> = log.journal().map(|r| (r.kind, r.trace_id())).collect();
+        let kinds: Vec<_> = log.journal().map(|r| (r.kind(), r.trace_id())).collect();
         // The no-route drop carries no packet; the injected one does.
         assert_eq!(kinds, vec![("drop", None), ("drop", Some(2))]);
         let hops: Vec<_> = log.records.iter().filter_map(|r| r.hop).collect();
@@ -403,7 +425,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_compact_object_per_line() {
-        static DROP: Site = Site::new("switch", &["psn", "dup"]);
+        static DROP: Site = Site::new("switch", "", &["psn", "dup"]);
         let mut j = EventLog::new(8);
         let attrs = [AttrValue::U64(5), AttrValue::Bool(false)];
         j.push(Record::of_hop(&DROP, Hop::Drop, 3, 7, 1), &attrs);
@@ -416,14 +438,11 @@ mod tests {
 
     #[test]
     fn string_values_share_one_table_entry_per_string() {
-        static WHY: Site = Site::new("rnic", &["reason"]);
+        static WHY: Site = Site::new("rnic", "gbn.rollback", &["reason"]);
         let mut log = EventLog::new(8);
         for why in ["nack", "timeout", "nack"] {
-            log.push(ev(0, 0, "k"), &[]);
-            log.push(
-                Record::event(&WHY, 1, 0, "gbn.rollback"),
-                &[AttrValue::Str(why)],
-            );
+            log.push(ev(0, 0), &[]);
+            log.push(Record::event(&WHY, 1, 0), &[AttrValue::Str(why)]);
         }
         assert_eq!(log.strs, ["nack", "timeout"]);
         let whys: Vec<_> = log
@@ -468,10 +487,10 @@ mod tests {
     #[test]
     fn random_records_render_as_the_vec_renderer_did() {
         static SITES: [Site; 4] = [
-            Site::new("gen", &[]),
-            Site::new("switch", &["psn"]),
-            Site::new("rnic", &["qpn", "reason"]),
-            Site::new("chaos", &["z", "a", "m"]),
+            Site::new("gen", "k.ind", &[]),
+            Site::new("switch", "k.ind", &["psn"]),
+            Site::new("rnic", "k.ind", &["qpn", "reason"]),
+            Site::new("chaos", "k.ind", &["z", "a", "m"]),
         ];
         const STRS: [&str; 3] = ["nack", "", "a \"quoted\"\nline"];
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
@@ -507,7 +526,7 @@ mod tests {
             let rec = if r & 8 != 0 {
                 Record::of_hop(site, Hop::Mirror, next(), t, node)
             } else {
-                Record::event(site, t, node, "k.ind")
+                Record::event(site, t, node)
             };
             let pairs: Vec<_> = site
                 .keys
@@ -515,7 +534,7 @@ mod tests {
                 .copied()
                 .zip(vals.iter().copied())
                 .collect();
-            want.push(reference(t, node, site.component, rec.kind, &pairs).to_string());
+            want.push(reference(t, node, site.component, rec.kind(), &pairs).to_string());
             log.push(rec, &vals);
         }
         let got: Vec<String> = log.journal().map(|r| r.to_json(&log).to_string()).collect();

@@ -246,7 +246,8 @@ impl Telemetry {
 
 /// Record a journal event, skipping attribute evaluation when disabled.
 /// The `hop(..)` form records a decision that is also a [`Hop`] of the
-/// packet with that raw provenance id ([`Record::of_hop`]). Values are
+/// packet with that raw provenance id ([`Record::of_hop`]), whose kind is
+/// the [`Hop`] table's. Any other kind is a string literal. Values are
 /// integers, `f64`, `bool` or `&'static str`.
 ///
 /// ```
@@ -258,8 +259,8 @@ impl Telemetry {
 /// assert_eq!(tel.journal_len(), 2);
 /// ```
 ///
-/// Each call site's component and keys become one [`Site`] `static`, so
-/// what a record cannot hold fails to compile. A fourth attribute:
+/// Each call site's component, kind and keys become one [`Site`] `static`,
+/// so what a record cannot hold fails to compile. A fourth attribute:
 ///
 /// ```compile_fail,E0080
 /// # let tel = lumina_telemetry::Telemetry::enabled();
@@ -283,15 +284,15 @@ impl Telemetry {
 macro_rules! tev {
     ($tel:expr, $t:expr, $node:expr, $component:expr, hop($hop:expr, $id:expr) $(, $key:ident = $val:expr)* $(,)?) => {
         if $tel.is_enabled() {
-            static SITE: $crate::Site = $crate::Site::new($component, &[$(stringify!($key)),*]);
+            static SITE: $crate::Site = $crate::Site::new($component, "", &[$(stringify!($key)),*]);
             $tel.emit($crate::Record::of_hop(&SITE, $hop, $id, $t, $node),
                 &[$($crate::AttrValue::from($val)),*]);
         }
     };
-    ($tel:expr, $t:expr, $node:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
+    ($tel:expr, $t:expr, $node:expr, $component:expr, $kind:literal $(, $key:ident = $val:expr)* $(,)?) => {
         if $tel.is_enabled() {
-            static SITE: $crate::Site = $crate::Site::new($component, &[$(stringify!($key)),*]);
-            $tel.emit($crate::Record::event(&SITE, $t, $node, $kind),
+            static SITE: $crate::Site = $crate::Site::new($component, $kind, &[$(stringify!($key)),*]);
+            $tel.emit($crate::Record::event(&SITE, $t, $node),
                 &[$($crate::AttrValue::from($val)),*]);
         }
     };
@@ -379,7 +380,7 @@ mod tests {
         tev!(tel, 3, 2, "switch", hop(Hop::Drop, 12), psn = 4u32);
         tel.with_log(|l| {
             (
-                l.journal().map(|r| r.kind).collect(),
+                l.journal().map(Record::kind).collect(),
                 l.hops().map(|(_, hop, _)| hop.name()).collect(),
                 l.records.iter().map(Record::trace_id).collect(),
             )

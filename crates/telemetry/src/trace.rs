@@ -260,7 +260,7 @@ mod tests {
         ]
     };
 
-    static SWITCH: Site = Site::new("switch", &[]);
+    static SWITCH: Site = Site::new("switch", "", &[]);
 
     fn sample_log() -> EventLog {
         let mut r = EventLog::new(64);

@@ -171,23 +171,15 @@ bench-pairs rev workload="run_timers" pairs="10" seed="1" trace="0":
 # the binary and the .prof files to the script yourself for `--callers-of`
 # (who allocates: `--callers-of __rdl_alloc --through 'alloc,core::,__rdl_,{closure,new_uninit'`
 # steps over the std shims between the allocator and the code that asked).
-# The argument lists are the operations benchmark/src/workloads.rs runs;
-# `export` is the `ingest` workload's set-up instead, the live run that
-# exports its capture (`--pcap`), so set-up cost is profiled the same way.
+# The argument lists (tools/workload-args.sh) are the operations
+# benchmark/src/workloads.rs runs; `export` is the `ingest` workload's set-up
+# instead, the live run that exports its capture (`--pcap`), so set-up cost
+# is profiled the same way.
 profile workload="run_timers" runs="5":
     #!/usr/bin/env bash
     set -euo pipefail
-    dir=target/wallprof inputs=benchmark/out/{{workload}}
-    case {{workload}} in
-        run_packets | run_timers) args=("$inputs/config.yaml" --json) ;;
-        ingest) args=(ingest --pcap "$inputs/capture.pcap" --config "$inputs/config.yaml" --chunk-events 8192 --json) ;;
-        export) inputs=benchmark/out/ingest args=("$inputs/config.yaml" --json --pcap $dir/export.pcap) ;;
-        soak) args=(soak --configs "$inputs/presets" --scenarios 2 --seed 1 --workers 1 --json) ;;
-        fuzz) args=(fuzz --config "$inputs/base.yaml" --coverage --no-shrink --events-only --workers 1 --generations 8 --batch 16) ;;
-        matrix) args=(matrix --config "$inputs/base.yaml" --workers 1 --json) ;;
-        *) echo "no such workload: {{workload}}" >&2; exit 2 ;;
-    esac
-    [ -d "$inputs" ] || { echo "$inputs is missing: run \`just benchmark ${inputs#benchmark/out/}\` once" >&2; exit 2; }
+    workload={{workload}} dir=target/wallprof
+    source tools/workload-args.sh
     mkdir -p $dir
     cc -O2 -shared -fPIC -o $dir/wallprof.so tools/wallprof.c
     CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline -q -p lumina-core --bin lumina-cli --target-dir $dir
@@ -197,3 +189,21 @@ profile workload="run_timers" runs="5":
             $dir/release/lumina-cli "${args[@]}" > /dev/null 2>&1 || true
     done
     python3 tools/wallprof.py $dir/release/lumina-cli $dir/{{workload}}.*.prof
+
+# Peak memory of one benchmark workload's operation without the whole
+# benchmark: builds the release `lumina-cli` and tools/rss.c, then runs the
+# operation `runs` times on the inputs `just benchmark <workload>` left under
+# benchmark/out/ (the argument lists `profile` uses) and prints each run's
+# wall ms, `ru_maxrss` kB and minor faults, then their medians. The child
+# is reaped with wait4(2) by a small C parent, as the benchmark reaps it: a
+# Python parent's `wait4` would count the interpreter pages the child
+# inherited across `fork`.
+rss workload="run_packets" runs="10":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    workload={{workload}} dir=target/rss
+    source tools/workload-args.sh
+    mkdir -p $dir
+    cc -O2 -o $dir/rss tools/rss.c
+    cargo build --release --offline -q -p lumina-core --bin lumina-cli
+    $dir/rss {{runs}} target/release/lumina-cli "${args[@]}"

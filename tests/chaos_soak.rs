@@ -264,7 +264,7 @@ fn hostile_capture(seq: u64, flavor: u8, psn: u32, qpn: u32) -> CapturedPacket {
         Some((seq % 65_536) as u16),
     );
     mirror::restore_dport(&mut buf);
-    let orig_len = buf.len();
+    let orig_len = buf.len() as u32;
     CapturedPacket {
         rx_time: SimTime::ZERO,
         orig_len,

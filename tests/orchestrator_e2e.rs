@@ -226,7 +226,7 @@ fn telemetry_journal_records_drop_and_recovery_events() {
     .unwrap();
     let mut kinds: Vec<String> = Vec::new();
     res.telemetry
-        .for_each_event(|e| kinds.push(e.kind.to_string()));
+        .for_each_event(|e| kinds.push(e.kind().to_string()));
     // A dropped middle packet recovers through the NACK path.
     for expected in ["mirror.emit", "drop", "gbn.rollback", "retransmit", "flow.done"] {
         assert!(
@@ -247,7 +247,7 @@ fn telemetry_journal_records_drop_and_recovery_events() {
     let mut to_kinds: Vec<String> = Vec::new();
     res_to
         .telemetry
-        .for_each_event(|e| to_kinds.push(e.kind.to_string()));
+        .for_each_event(|e| to_kinds.push(e.kind().to_string()));
     for expected in ["drop", "timeout", "gbn.rollback", "retransmit"] {
         assert!(
             to_kinds.iter().any(|k| k == expected),

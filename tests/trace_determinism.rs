@@ -107,8 +107,8 @@ fn joined_records(traced: bool) -> Joined {
     let res = run_test(&cfg).expect("run succeeds");
     let mut out = Vec::new();
     res.telemetry.for_each_event(|r| {
-        if matches!(r.kind, "drop" | "mirror.emit" | "retransmit") {
-            out.push((r.kind, r.t, r.node, r.trace_id()));
+        if matches!(r.kind(), "drop" | "mirror.emit" | "retransmit") {
+            out.push((r.kind(), r.t, r.node, r.trace_id()));
         }
     });
     let count = |kind| out.iter().filter(|j| j.0 == kind).count();
