@@ -493,6 +493,7 @@ impl CommonOpts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumina_rnic::Quirk;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -695,7 +696,7 @@ mod tests {
         let cfg = o.load().unwrap();
         let q = cfg.quirks.expect("overlay applied");
         assert_eq!(q.seed, Some(5));
-        assert_eq!(q.ghost_retransmit_prob, 0.05);
+        assert_eq!(q.knobs[Quirk::GhostRetransmit], 0.05);
         assert!(!q.is_noop());
 
         // Garbage overlay → config error naming the flag.

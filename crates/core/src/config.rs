@@ -3,9 +3,9 @@
 //! real Lumina gets from physical hardware).
 
 use crate::error::Error;
-use lumina_rnic::Verb;
+use lumina_rnic::{Quirk, QuirkKnobs, Verb};
 use lumina_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize, Value};
 
 /// NIC settings of one host (Listing 1's `nic` + `roce-parameters`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -194,6 +194,13 @@ impl TrafficConfig {
         } else {
             self.message_size.div_ceil(self.mtu)
         }
+    }
+
+    /// Data packets each QP sends (`pkts_per_msg × num-msgs-per-qp`), or
+    /// `None` when that overflows `u32` — a config
+    /// [`TestConfig::problems`] rejects.
+    pub fn pkts_per_qp(&self) -> Option<u32> {
+        self.pkts_per_msg().checked_mul(self.num_msgs_per_qp)
     }
 }
 
@@ -411,42 +418,15 @@ impl FaultsSection {
 /// spec-violating traffic on demand so the conformance oracle can be
 /// exercised closed-loop. Absent — the default — means spec-faithful
 /// devices and byte-identical behavior to every pre-quirk release.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", deny_unknown_fields)]
+#[derive(Debug, Clone, Default)]
 pub struct QuirksSection {
     /// Quirk-schedule seed; absent = derived from `network.seed`.
     /// Separate so campaigns can sweep misbehavior while holding the
     /// workload fixed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
-    /// Probability an ACK carries a PSN the requester never sent.
-    #[serde(default)]
-    pub wrong_ack_psn_prob: f64,
-    /// Probability a due ACK is silently swallowed.
-    #[serde(default)]
-    pub ack_drop_prob: f64,
-    /// Probability a due ACK is withheld and folded into the next one.
-    #[serde(default)]
-    pub ack_coalesce_prob: f64,
-    /// Probability a spec-mandated CNP is suppressed at the NP.
-    #[serde(default)]
-    pub cnp_suppress_prob: f64,
-    /// Probability a data packet triggers a CNP with no CE mark behind it.
-    #[serde(default)]
-    pub cnp_spurious_prob: f64,
-    /// Probability a data packet is followed by an unprovoked duplicate
-    /// of the QP's previous data packet.
-    #[serde(default)]
-    pub ghost_retransmit_prob: f64,
-    /// Probability an AETH carries a regressed (stale) MSN.
-    #[serde(default)]
-    pub stale_msn_prob: f64,
-    /// Probability a Go-back-N NACK names ePSN+1 instead of ePSN.
-    #[serde(default)]
-    pub gbn_off_by_one_prob: f64,
-    /// Probability an emitted data frame carries a miscomputed ICRC.
-    #[serde(default)]
-    pub icrc_corrupt_prob: f64,
+    /// Each quirk's firing probability, keyed in YAML by
+    /// [`Quirk::config_key`]; an absent key is 0.
+    pub knobs: QuirkKnobs,
 }
 
 impl QuirksSection {
@@ -454,22 +434,47 @@ impl QuirksSection {
     /// installing quirk planes entirely, keeping the run on the pristine
     /// code path (zero extra RNG draws, byte-identical reports).
     pub fn is_noop(&self) -> bool {
-        !self.knobs().any()
+        !self.knobs.any()
     }
+}
 
-    /// The per-device knob block handed to the RNIC misbehavior plane.
-    pub fn knobs(&self) -> lumina_rnic::QuirkKnobs {
-        lumina_rnic::QuirkKnobs {
-            wrong_ack_psn: self.wrong_ack_psn_prob,
-            ack_drop: self.ack_drop_prob,
-            ack_coalesce: self.ack_coalesce_prob,
-            cnp_suppress: self.cnp_suppress_prob,
-            cnp_spurious: self.cnp_spurious_prob,
-            ghost_retransmit: self.ghost_retransmit_prob,
-            stale_msn: self.stale_msn_prob,
-            gbn_off_by_one: self.gbn_off_by_one_prob,
-            icrc_corrupt: self.icrc_corrupt_prob,
+/// Written as a derive with `skip_serializing_if` on `seed` would: `seed`
+/// when set, then every quirk's key in [`Quirk::ALL`] order.
+impl Serialize for QuirksSection {
+    fn serialize(&self) -> Value {
+        let mut m = Map::new();
+        if let Some(seed) = self.seed {
+            m.insert("seed", seed.serialize());
         }
+        for q in Quirk::ALL {
+            m.insert(q.config_key(), self.knobs[q].serialize());
+        }
+        Value::Object(m)
+    }
+}
+
+/// Read as a `deny_unknown_fields` derive with `default` fields would.
+impl Deserialize for QuirksSection {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let m = v.as_object().ok_or_else(|| {
+            serde::Error::custom(format!("expected map for QuirksSection, got {v}"))
+        })?;
+        let known = |k: &str| k == "seed" || Quirk::ALL.iter().any(|q| q.config_key() == k);
+        if let Some(k) = m.keys().find(|k| !known(k)) {
+            return Err(serde::Error::custom(format!(
+                "unknown field `{k}` in QuirksSection"
+            )));
+        }
+        let mut out = QuirksSection::default();
+        if let Some(x) = m.get("seed") {
+            out.seed = Deserialize::deserialize(x).map_err(|e| e.at("seed"))?;
+        }
+        for q in Quirk::ALL {
+            if let Some(x) = m.get(q.config_key()) {
+                out.knobs[q] = f64::deserialize(x).map_err(|e| e.at(q.config_key()))?;
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -758,16 +763,6 @@ impl TestConfig {
         serde_yaml::to_string(self).expect("config serializes")
     }
 
-    /// Configured minimum CNP interval of the responder NP.
-    pub fn min_cnp_interval(&self, responder_side: bool) -> SimTime {
-        let host = if responder_side {
-            &self.responder
-        } else {
-            &self.requester
-        };
-        SimTime::from_micros(host.min_time_between_cnps_us)
-    }
-
     /// The device query string selecting a role's NIC: the `device:`
     /// section override when present, the host's `nic-type` otherwise.
     pub fn device_query(&self, responder_side: bool) -> &str {
@@ -828,20 +823,29 @@ impl TestConfig {
         if self.traffic.verb().is_err() {
             problems.push(format!("unknown rdma-verb {:?}", self.traffic.rdma_verb));
         }
+        let total = self.traffic.pkts_per_qp();
+        if total.is_none() {
+            problems.push(format!(
+                "traffic: num-msgs-per-qp {} × message-size {} / mtu {} data packets overflow u32",
+                self.traffic.num_msgs_per_qp, self.traffic.message_size, self.traffic.mtu
+            ));
+        }
         // Device resolution: the `device:` section override wins per role;
         // either way an unresolvable name lists what the registry offers.
         let registry = lumina_rnic::DeviceRegistry::builtin();
         let available = registry.names().join(", ");
-        for responder_side in [false, true] {
-            let role = if responder_side {
-                "responder"
-            } else {
-                "requester"
-            };
+        let hosts = [("requester", &self.requester), ("responder", &self.responder)];
+        for (responder_side, (role, host)) in [false, true].into_iter().zip(hosts) {
             let query = self.device_query(responder_side);
             if registry.get(query).is_none() {
                 problems.push(format!(
                     "unknown {role} nic {query:?} (available: {available})"
+                ));
+            }
+            if !fits_clock(host.min_time_between_cnps_us, 1_000) {
+                problems.push(format!(
+                    "{role}: min-time-between-cnps-us {} does not fit the simulation clock",
+                    host.min_time_between_cnps_us
                 ));
             }
         }
@@ -863,13 +867,24 @@ impl TestConfig {
         if self.traffic.min_retransmit_timeout >= 32 {
             problems.push("min-retransmit-timeout must be a 5-bit code".into());
         }
-        let ppm = self.traffic.pkts_per_msg();
         for (i, ev) in self.traffic.data_pkt_events.iter().enumerate() {
             if ev.qpn == 0 || ev.qpn > self.traffic.num_connections {
                 problems.push(format!("event {i}: qpn {} out of range", ev.qpn));
             }
-            if ev.psn == 0 || (ev.every == 0 && ev.psn > ppm * self.traffic.num_msgs_per_qp) {
+            if ev.psn == 0 || (ev.every == 0 && total.is_some_and(|t| ev.psn > t)) {
                 problems.push(format!("event {i}: psn {} out of range", ev.psn));
+            }
+            if ev.psn.checked_add(ev.every).is_none() {
+                problems.push(format!(
+                    "traffic: event {i}: psn {} + every {} overflows u32",
+                    ev.psn, ev.every
+                ));
+            }
+            if !fits_clock(ev.delay_us, 1_000) {
+                problems.push(format!(
+                    "traffic: event {i}: delay-us {} does not fit the simulation clock",
+                    ev.delay_us
+                ));
             }
             if ev.iter == 0 {
                 problems.push(format!("event {i}: iter must be ≥ 1"));
@@ -954,32 +969,12 @@ impl TestConfig {
             }
         }
         if let Some(quirks) = &self.quirks {
-            let prob = |name: &str, p: f64, problems: &mut Vec<String>| {
+            for q in Quirk::ALL {
+                let p = quirks.knobs[q];
                 if !(0.0..=1.0).contains(&p) {
-                    problems.push(format!("quirks: {name} {p} not a probability"));
+                    problems.push(format!("quirks: {} {p} not a probability", q.config_key()));
                 }
-            };
-            prob(
-                "wrong-ack-psn-prob",
-                quirks.wrong_ack_psn_prob,
-                &mut problems,
-            );
-            prob("ack-drop-prob", quirks.ack_drop_prob, &mut problems);
-            prob("ack-coalesce-prob", quirks.ack_coalesce_prob, &mut problems);
-            prob("cnp-suppress-prob", quirks.cnp_suppress_prob, &mut problems);
-            prob("cnp-spurious-prob", quirks.cnp_spurious_prob, &mut problems);
-            prob(
-                "ghost-retransmit-prob",
-                quirks.ghost_retransmit_prob,
-                &mut problems,
-            );
-            prob("stale-msn-prob", quirks.stale_msn_prob, &mut problems);
-            prob(
-                "gbn-off-by-one-prob",
-                quirks.gbn_off_by_one_prob,
-                &mut problems,
-            );
-            prob("icrc-corrupt-prob", quirks.icrc_corrupt_prob, &mut problems);
+            }
         }
         if let Some(chaos) = &self.chaos {
             // NaN and +∞ (YAML's `1e400`) are rejected too: the oracle
@@ -1386,14 +1381,57 @@ quirks:
         let quirks = cfg.quirks.as_ref().unwrap();
         assert!(!quirks.is_noop());
         assert_eq!(quirks.seed, Some(99));
-        assert_eq!(quirks.wrong_ack_psn_prob, 0.1);
-        assert_eq!(quirks.ack_drop_prob, 0.0, "unset knobs default to 0");
-        let knobs = quirks.knobs();
-        assert!(knobs.any());
-        assert_eq!(knobs.ack_coalesce, 0.25);
+        assert_eq!(quirks.knobs[Quirk::WrongAckPsn], 0.1);
+        assert_eq!(quirks.knobs[Quirk::AckDrop], 0.0, "unset knobs default to 0");
+        assert!(quirks.knobs.any());
+        assert_eq!(quirks.knobs[Quirk::AckCoalesce], 0.25);
         assert!(cfg.validate().is_ok(), "{:?}", cfg.problems());
         let cfg2 = TestConfig::from_yaml(&cfg.to_yaml()).unwrap();
-        assert_eq!(cfg2.quirks.unwrap().icrc_corrupt_prob, 0.01);
+        assert_eq!(cfg2.quirks.unwrap().knobs[Quirk::IcrcCorrupt], 0.01);
+    }
+
+    /// A seeded section with every knob set, in the YAML and JSON the
+    /// derived impls wrote (recorded before the section became a table).
+    const ALL_KNOBS: &str = "{\"seed\":7,\"wrong-ack-psn-prob\":0.1,\"ack-drop-prob\":0.2,\
+        \"ack-coalesce-prob\":0.25,\"cnp-suppress-prob\":1.0,\"cnp-spurious-prob\":0.02,\
+        \"ghost-retransmit-prob\":0.05,\"stale-msn-prob\":0.4,\"gbn-off-by-one-prob\":0.5,\
+        \"icrc-corrupt-prob\":0.01}";
+
+    #[test]
+    fn quirks_section_bytes_are_pinned() {
+        let yaml = "traffic:\n  num-connections: 1\n  rdma-verb: write\n  num-msgs-per-qp: 1\n  \
+            mtu: 1024\n  message-size: 1024\nquirks:\n  seed: 7\n  wrong-ack-psn-prob: 0.1\n  \
+            ack-drop-prob: 0.2\n  ack-coalesce-prob: 0.25\n  cnp-suppress-prob: 1.0\n  \
+            cnp-spurious-prob: 0.02\n  ghost-retransmit-prob: 0.05\n  stale-msn-prob: 0.4\n  \
+            gbn-off-by-one-prob: 0.5\n  icrc-corrupt-prob: 0.01\n";
+        let cfg = TestConfig::from_yaml(yaml).unwrap();
+        let quirks = cfg.quirks.as_ref().unwrap();
+        assert!(cfg.to_yaml().ends_with(&format!(",\"quirks\":{ALL_KNOBS}}}\n")));
+        assert_eq!(serde_yaml::to_string(quirks).unwrap(), format!("{ALL_KNOBS}\n"));
+        assert_eq!(serde_json::to_string(quirks).unwrap(), ALL_KNOBS);
+        // Unseeded: no `seed` key, the knobs still all written.
+        let unseeded = QuirksSection {
+            seed: None,
+            ..quirks.clone()
+        };
+        let json = serde_json::to_string(&unseeded).unwrap();
+        assert_eq!(json, ALL_KNOBS.replace("\"seed\":7,", ""));
+        let back: QuirksSection = serde_json::from_str(&json).unwrap();
+        assert_eq!((back.seed, back.knobs), (None, quirks.knobs));
+    }
+
+    #[test]
+    fn misspelled_quirk_key_is_named() {
+        let yaml = "traffic:\n  num-connections: 1\n  rdma-verb: write\n  num-msgs-per-qp: 1\n  \
+                    mtu: 1024\n  message-size: 1024\nquirks:\n  ack-drop-prop: 0.5\n";
+        let e = TestConfig::from_yaml(yaml).unwrap_err().to_string();
+        assert!(
+            e.contains("unknown field `ack-drop-prop` in QuirksSection"),
+            "{e}"
+        );
+        let bad = yaml.replace("ack-drop-prop: 0.5", "ack-drop-prob: x");
+        let e = TestConfig::from_yaml(&bad).unwrap_err().to_string();
+        assert!(e.contains("ack-drop-prob: expected number"), "{e}");
     }
 
     #[test]

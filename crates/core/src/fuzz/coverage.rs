@@ -157,6 +157,7 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::orchestrator::run_test;
+    use lumina_rnic::{Quirk, QuirkKnobs};
 
     fn tiny(yaml_tail: &str) -> TestConfig {
         TestConfig::from_yaml(&format!(
@@ -218,7 +219,7 @@ traffic:
         // proves it.
         let mut quirked = cfg.clone();
         quirked.quirks = Some(crate::config::QuirksSection {
-            ghost_retransmit_prob: 1.0,
+            knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 1.0),
             ..Default::default()
         });
         quirked.traffic.rdma_verb = "read".into();

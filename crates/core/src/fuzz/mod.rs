@@ -541,6 +541,7 @@ fn median_score(pool: &[Scored]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumina_rnic::{Quirk, QuirkKnobs};
     use mutate::EventMutator;
 
     fn tiny_base() -> TestConfig {
@@ -698,7 +699,7 @@ traffic:
         // must re-trigger the class.
         let mut base = tiny_base();
         base.quirks = Some(crate::config::QuirksSection {
-            ghost_retransmit_prob: 1.0,
+            knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 1.0),
             ..Default::default()
         });
         base.traffic.rdma_verb = "read".into();

@@ -1,7 +1,7 @@
 //! Configuration mutation operators for the fuzzer.
 
-use super::shrink::{quirk_prob, set_quirk_prob, QUIRK_KNOB_COUNT};
 use crate::config::{EventSpec, TestConfig};
+use lumina_rnic::Quirk;
 use lumina_sim::SimRng;
 
 /// Generates and perturbs configurations.
@@ -30,7 +30,7 @@ pub struct EventMutator {
 
 impl EventMutator {
     fn random_event(cfg: &TestConfig, rng: &mut SimRng) -> EventSpec {
-        let total_pkts = (cfg.traffic.pkts_per_msg() * cfg.traffic.num_msgs_per_qp).max(1);
+        let total_pkts = cfg.traffic.pkts_per_qp().unwrap_or(u32::MAX).max(1);
         EventSpec {
             qpn: rng.range_inclusive(1, cfg.traffic.num_connections as u64) as u32,
             psn: rng.range_inclusive(1, total_pkts as u64) as u32,
@@ -50,7 +50,7 @@ impl EventMutator {
     fn drop_wave(cfg: &mut TestConfig, rng: &mut SimRng) {
         let n = cfg.traffic.num_connections as u64;
         let k = rng.range_inclusive(1, n);
-        let total = (cfg.traffic.pkts_per_msg() * cfg.traffic.num_msgs_per_qp).max(1);
+        let total = cfg.traffic.pkts_per_qp().unwrap_or(u32::MAX).max(1);
         let psn = rng.range_inclusive(1, total.min(cfg.traffic.pkts_per_msg()) as u64) as u32;
         cfg.traffic.data_pkt_events.clear();
         for q in 1..=k {
@@ -112,7 +112,7 @@ impl Mutator for EventMutator {
             2 => {
                 if !cfg.traffic.data_pkt_events.is_empty() {
                     let i = rng.index(cfg.traffic.data_pkt_events.len());
-                    let total = (cfg.traffic.pkts_per_msg() * cfg.traffic.num_msgs_per_qp).max(1);
+                    let total = cfg.traffic.pkts_per_qp().unwrap_or(u32::MAX).max(1);
                     cfg.traffic.data_pkt_events[i].psn =
                         rng.range_inclusive(1, total as u64) as u32;
                 }
@@ -129,7 +129,7 @@ impl Mutator for EventMutator {
             4 => {
                 let sizes = [1024u32, 4096, 10_240, 20_480, 102_400];
                 cfg.traffic.message_size = sizes[rng.index(sizes.len())];
-                let total = (cfg.traffic.pkts_per_msg() * cfg.traffic.num_msgs_per_qp).max(1);
+                let total = cfg.traffic.pkts_per_qp().unwrap_or(u32::MAX).max(1);
                 cfg.traffic.data_pkt_events.retain(|e| e.psn <= total);
             }
             5 => {
@@ -138,15 +138,15 @@ impl Mutator for EventMutator {
             }
             // --- quirk-knob mutation (reachable only with mutate_quirks) ---
             _ => {
-                let k = rng.index(QUIRK_KNOB_COUNT);
+                let quirk = Quirk::ALL[rng.index(Quirk::COUNT)];
                 let q = cfg.quirks.get_or_insert_with(Default::default);
-                if quirk_prob(q, k) != 0.0 && rng.chance(0.4) {
-                    set_quirk_prob(q, k, 0.0);
+                if q.knobs[quirk] != 0.0 && rng.chance(0.4) {
+                    q.knobs[quirk] = 0.0;
                 } else {
                     // Quantized probabilities spanning "rare" to "always",
                     // matching the regimes the quirk matrix exercises.
                     let probs = [0.05, 0.3, 0.5, 1.0];
-                    set_quirk_prob(q, k, probs[rng.index(probs.len())]);
+                    q.knobs[quirk] = probs[rng.index(probs.len())];
                 }
                 // An all-zero section is behavior-identical to none;
                 // normalize so quirk-free configs stay byte-comparable.

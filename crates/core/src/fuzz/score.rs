@@ -134,6 +134,7 @@ pub fn by_name(name: &str) -> Option<ScoreFn> {
 mod tests {
     use super::*;
     use crate::orchestrator::run_test;
+    use lumina_rnic::{Quirk, QuirkKnobs};
 
     #[test]
     fn clean_run_scores_near_zero() {
@@ -202,7 +203,7 @@ traffic:
 
         let mut quirked = clean.clone();
         quirked.quirks = Some(crate::config::QuirksSection {
-            ghost_retransmit_prob: 1.0,
+            knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 1.0),
             ..Default::default()
         });
         quirked.traffic.rdma_verb = "read".into();

@@ -26,11 +26,9 @@
 
 use crate::analyzers::ViolationClass;
 use crate::campaign::run_caught;
-use crate::config::{QuirksSection, TestConfig};
+use crate::config::TestConfig;
 use crate::orchestrator::TestResults;
-
-/// Number of probability knobs on [`QuirksSection`].
-pub const QUIRK_KNOB_COUNT: usize = 9;
+use lumina_rnic::Quirk;
 
 /// Bounds for one shrink attempt.
 #[derive(Debug, Clone)]
@@ -95,42 +93,6 @@ impl ShrinkOutcome {
     }
 }
 
-/// The quirk probability knob `k` of a section, by fixed index order.
-pub(crate) fn quirk_prob(q: &QuirksSection, k: usize) -> f64 {
-    match k {
-        0 => q.wrong_ack_psn_prob,
-        1 => q.ack_drop_prob,
-        2 => q.ack_coalesce_prob,
-        3 => q.cnp_suppress_prob,
-        4 => q.cnp_spurious_prob,
-        5 => q.ghost_retransmit_prob,
-        6 => q.stale_msn_prob,
-        7 => q.gbn_off_by_one_prob,
-        _ => q.icrc_corrupt_prob,
-    }
-}
-
-/// Set the quirk probability knob `k` (same index order as
-/// [`quirk_prob`]); the mutator's quirk dimension shares it.
-pub(crate) fn set_quirk_prob(q: &mut QuirksSection, k: usize, v: f64) {
-    match k {
-        0 => q.wrong_ack_psn_prob = v,
-        1 => q.ack_drop_prob = v,
-        2 => q.ack_coalesce_prob = v,
-        3 => q.cnp_suppress_prob = v,
-        4 => q.cnp_spurious_prob = v,
-        5 => q.ghost_retransmit_prob = v,
-        6 => q.stale_msn_prob = v,
-        7 => q.gbn_off_by_one_prob = v,
-        _ => q.icrc_corrupt_prob = v,
-    }
-}
-
-/// Zero the quirk probability knob `k`.
-fn clear_quirk_prob(q: &mut QuirksSection, k: usize) {
-    set_quirk_prob(q, k, 0.0);
-}
-
 /// One budgeted verification run: false when the config is invalid, the
 /// budget is spent, the run fails (panics included — `run_caught`
 /// isolates them), or the property is gone.
@@ -191,17 +153,17 @@ pub fn shrink_config(
         }
 
         // 2. Zero quirk knobs one at a time.
-        for k in 0..QUIRK_KNOB_COUNT {
+        for quirk in Quirk::ALL {
             if budget == 0 {
                 break;
             }
-            let firing = cur.quirks.as_ref().is_some_and(|q| quirk_prob(q, k) != 0.0);
+            let firing = cur.quirks.as_ref().is_some_and(|q| q.knobs[quirk] != 0.0);
             if !firing {
                 continue;
             }
             let mut cand = cur.clone();
             if let Some(q) = cand.quirks.as_mut() {
-                clear_quirk_prob(q, k);
+                q.knobs[quirk] = 0.0;
             }
             if still_reproduces(&cand, keep, &mut budget, &mut out.runs_used) {
                 cur = cand;
@@ -236,7 +198,7 @@ pub fn shrink_config(
         while cur.traffic.num_msgs_per_qp > 1 && budget > 0 {
             let mut cand = cur.clone();
             cand.traffic.num_msgs_per_qp = cur.traffic.num_msgs_per_qp / 2;
-            let total = (cand.traffic.pkts_per_msg() * cand.traffic.num_msgs_per_qp).max(1);
+            let total = cand.traffic.pkts_per_qp().unwrap_or(u32::MAX).max(1);
             cand.traffic.data_pkt_events.retain(|e| e.psn <= total);
             if still_reproduces(&cand, keep, &mut budget, &mut out.runs_used) {
                 out.msgs_trimmed += cur.traffic.num_msgs_per_qp - cand.traffic.num_msgs_per_qp;
@@ -293,7 +255,8 @@ pub struct Reproducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EventSpec;
+    use crate::config::{EventSpec, QuirksSection};
+    use lumina_rnic::QuirkKnobs;
 
     fn quirked_base() -> TestConfig {
         let mut cfg = TestConfig::from_yaml(
@@ -310,8 +273,9 @@ traffic:
         )
         .unwrap();
         cfg.quirks = Some(QuirksSection {
-            ghost_retransmit_prob: 1.0,
-            stale_msn_prob: 0.4,
+            knobs: QuirkKnobs::default()
+                .with(Quirk::GhostRetransmit, 1.0)
+                .with(Quirk::StaleMsn, 0.4),
             ..Default::default()
         });
         // Debris an evolved campaign config would carry.
@@ -340,8 +304,8 @@ traffic:
         assert!(out.removed() > 0, "{out:?}");
         // The irrelevant knob is gone, the essential one survives.
         let q = out.cfg.quirks.as_ref().expect("quirks survive");
-        assert_eq!(q.stale_msn_prob, 0.0, "{q:?}");
-        assert_eq!(q.ghost_retransmit_prob, 1.0, "{q:?}");
+        assert_eq!(q.knobs[Quirk::StaleMsn], 0.0, "{q:?}");
+        assert_eq!(q.knobs[Quirk::GhostRetransmit], 1.0, "{q:?}");
         // And the shrunk config still reproduces when re-run.
         let res = crate::orchestrator::run_test(&out.cfg).unwrap();
         assert!(super::super::coverage::violation_classes(&res)

@@ -475,7 +475,7 @@ fn build_rnic(cfg: &TestConfig, tel: &Telemetry, profile: &DeviceProfile, node: 
     if let Some(q) = cfg.quirks.as_ref().filter(|q| !q.is_noop()) {
         let seed = q.seed.unwrap_or(cfg.network.seed);
         b = b.quirks(QuirkPlane::new(
-            q.knobs(),
+            q.knobs,
             QuirkPlane::node_rng(seed, nth as u64),
         ));
     }
@@ -766,13 +766,11 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
 
     // Misbehavior-plane accounting from both devices; `Some` only on
     // quirk-injected runs, keeping pristine reports byte-identical.
-    let host_quirk_stats = hosts.map(|(_, rnic)| rnic.quirk_stats().cloned());
-    let mut quirk_stats: Option<QuirkStats> = None;
-    for qs in host_quirk_stats.iter().flatten() {
-        quirk_stats
-            .get_or_insert_with(QuirkStats::default)
-            .merge(qs);
-    }
+    let host_quirk_stats = hosts.map(|(_, rnic)| rnic.quirk_stats().copied());
+    let quirk_stats = host_quirk_stats.iter().flatten().copied().reduce(|mut sum, qs| {
+        sum.merge(&qs);
+        sum
+    });
     // End-of-run QP state for the recovery oracle; chaos-injected runs
     // only (pristine runs skip the walk entirely).
     let mut qp_end_states = Vec::new();

@@ -92,7 +92,10 @@ pub fn translate(
     cfg: &TestConfig,
     metas: &[ConnMeta],
 ) -> Result<Vec<(InjectionKey, EventAction)>, Error> {
-    let total_pkts = cfg.traffic.pkts_per_msg() * cfg.traffic.num_msgs_per_qp;
+    let total_pkts = cfg
+        .traffic
+        .pkts_per_qp()
+        .ok_or_else(|| Error::Translate("data packets per QP overflow u32".into()))?;
     let mut out = Vec::new();
     for ev in &cfg.traffic.data_pkt_events {
         let action = parse_action(ev)?;
@@ -119,8 +122,8 @@ fn expand_psns(ev: &EventSpec, total_pkts: u32) -> Vec<u32> {
     if ev.every == 0 {
         vec![ev.psn]
     } else {
-        (0..)
-            .map(|k| ev.psn + k * ev.every)
+        // Stops at the first PSN past the total, or past `u32::MAX`.
+        std::iter::successors(Some(ev.psn), |p| p.checked_add(ev.every))
             .take_while(|&p| p <= total_pkts)
             .collect()
     }
@@ -230,6 +233,22 @@ traffic:
         assert_eq!(entries.len(), 4);
         assert_eq!(entries[0].0.psn, 1001 + 49);
         assert_eq!(entries[3].0.psn, 1001 + 199);
+    }
+
+    #[test]
+    fn periodic_expansion_stops_instead_of_wrapping() {
+        let ev = |psn, every| EventSpec {
+            qpn: 1,
+            psn,
+            r#type: "ecn".into(),
+            iter: 1,
+            every,
+            delay_us: 0,
+            reorder_by: 1,
+        };
+        assert_eq!(expand_psns(&ev(4, u32::MAX), 30), [4]);
+        assert_eq!(expand_psns(&ev(1, 1 << 31), u32::MAX), [1, (1 << 31) + 1]);
+        assert_eq!(expand_psns(&ev(u32::MAX, 1), u32::MAX), [u32::MAX]);
     }
 
     #[test]

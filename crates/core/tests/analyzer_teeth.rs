@@ -23,7 +23,7 @@ use lumina_packet::builder::{ack_frame, nack_frame, DataPacketBuilder};
 use lumina_packet::frame::{RoceFrame, RoceHeaders};
 use lumina_packet::opcode::Opcode;
 use lumina_rnic::qp::QpEndpoint;
-use lumina_rnic::Verb;
+use lumina_rnic::{Quirk, QuirkKnobs, Verb};
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use std::net::Ipv4Addr;
@@ -645,21 +645,21 @@ fn quirk_knobs() -> Vec<TestConfig> {
     vec![
         knob(
             QuirksSection {
-                wrong_ack_psn_prob: 0.3,
+                knobs: QuirkKnobs::default().with(Quirk::WrongAckPsn, 0.3),
                 ..q()
             },
             &write,
         ),
         knob(
             QuirksSection {
-                ack_drop_prob: 0.3,
+                knobs: QuirkKnobs::default().with(Quirk::AckDrop, 0.3),
                 ..q()
             },
             &write,
         ),
         knob(
             QuirksSection {
-                ack_coalesce_prob: 0.35,
+                knobs: QuirkKnobs::default().with(Quirk::AckCoalesce, 0.35),
                 ..q()
             },
             &|c| {
@@ -669,7 +669,7 @@ fn quirk_knobs() -> Vec<TestConfig> {
         ),
         knob(
             QuirksSection {
-                cnp_suppress_prob: 1.0,
+                knobs: QuirkKnobs::default().with(Quirk::CnpSuppress, 1.0),
                 ..q()
             },
             &|c| {
@@ -689,35 +689,35 @@ fn quirk_knobs() -> Vec<TestConfig> {
         ),
         knob(
             QuirksSection {
-                cnp_spurious_prob: 0.02,
+                knobs: QuirkKnobs::default().with(Quirk::CnpSpurious, 0.02),
                 ..q()
             },
             &|_| {},
         ),
         knob(
             QuirksSection {
-                ghost_retransmit_prob: 0.05,
+                knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 0.05),
                 ..q()
             },
             &|_| {},
         ),
         knob(
             QuirksSection {
-                stale_msn_prob: 0.4,
+                knobs: QuirkKnobs::default().with(Quirk::StaleMsn, 0.4),
                 ..q()
             },
             &|_| {},
         ),
         knob(
             QuirksSection {
-                gbn_off_by_one_prob: 0.5,
+                knobs: QuirkKnobs::default().with(Quirk::GbnOffByOne, 0.5),
                 ..q()
             },
             &write,
         ),
         knob(
             QuirksSection {
-                icrc_corrupt_prob: 0.05,
+                knobs: QuirkKnobs::default().with(Quirk::IcrcCorrupt, 0.05),
                 ..q()
             },
             &|_| {},

@@ -10,6 +10,7 @@ use lumina_core::analyzers::ViolationClass;
 use lumina_core::config::{EventSpec, QuirksSection, TestConfig};
 use lumina_core::fuzz::coverage::violation_classes;
 use lumina_core::fuzz::shrink::{shrink_violation, ShrinkParams};
+use lumina_rnic::{Quirk, QuirkKnobs};
 use proptest::prelude::*;
 
 /// A base config sized so a run is fast but every shrink dimension has
@@ -40,14 +41,14 @@ fn firing_quirks(which: usize) -> (QuirksSection, ViolationClass) {
     match which % 2 {
         0 => (
             QuirksSection {
-                ghost_retransmit_prob: 1.0,
+                knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 1.0),
                 ..Default::default()
             },
             ViolationClass::SpuriousRetransmit,
         ),
         _ => (
             QuirksSection {
-                stale_msn_prob: 1.0,
+                knobs: QuirkKnobs::default().with(Quirk::StaleMsn, 1.0),
                 ..Default::default()
             },
             ViolationClass::MsnRegression,
@@ -77,7 +78,7 @@ proptest! {
         let mut q = quirks;
         if debris_knob == 1 {
             // An irrelevant knob the shrinker should be able to clear.
-            q.cnp_spurious_prob = 0.02;
+            q.knobs[Quirk::CnpSpurious] = 0.02;
         }
         cfg.quirks = Some(q);
         for enc in debris_events {

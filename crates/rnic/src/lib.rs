@@ -45,6 +45,6 @@ pub mod verbs;
 pub use counters::Counters;
 pub use device::{Action, Rnic, RnicBuilder};
 pub use profile::{CnpLimitMode, DeviceProfile, DeviceRegistry, Vendor};
-pub use quirks::{QuirkKnobs, QuirkPlane, QuirkStats};
+pub use quirks::{PerQuirk, Quirk, QuirkKnobs, QuirkPlane, QuirkStats};
 pub use qp::{QpConfig, QpEndpoint};
 pub use verbs::{Completion, CompletionStatus, Verb, WorkRequest};

@@ -64,7 +64,9 @@ doc:
 # counts of the recording path and of a live run's mirrored packet, because
 # that build inlines `tev!`'s record into the switch and the ring. Last,
 # stage 4's memory: the high-water mark of a packet-dense run against what
-# it leaves resident, on the shipped build's allocations.
+# it leaves resident, on the shipped build's allocations. And the preset
+# corpus with its hostile numbers, which wrap silently only in this build
+# (the dev build panics on the overflow instead): each must be exit 2.
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught
@@ -83,6 +85,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-telemetry --test alloc_free
     cargo test --release --offline -q -p lumina-core --test alloc_free
     cargo test --release --offline -q -p lumina-core --test stage4_memory
+    cargo test --release --offline -q -p lumina-repro --test config_corpus
 
 # Fast feedback loop: debug build + tests.
 test:

@@ -63,3 +63,50 @@ fn listing2_preset_reproduces_its_events() {
     assert_eq!(res.switch_counters.injected_drops, 2);
     assert_eq!(res.responder_counters.np_cnp_sent, 1);
 }
+
+fn preset(name: &str) -> TestConfig {
+    let path = format!("{}/configs/{name}", env!("CARGO_MANIFEST_DIR"));
+    TestConfig::from_yaml(&std::fs::read_to_string(&path).unwrap()).unwrap()
+}
+
+/// A number that wraps or overflows the arithmetic it feeds is a config
+/// error (exit 2) naming its section and field, on the dev profile (where
+/// the overflow would panic) and on the release profile (where it would
+/// wrap) alike: `just release-bytes` runs this suite under `--release`.
+fn assert_rejected(cfg: &TestConfig, field: &str) {
+    let e = cfg.validate().expect_err(field);
+    assert_eq!(e.exit_code(), 2, "{e}");
+    assert!(e.to_string().contains(field), "{field}: {e}");
+    let e = run_test(cfg).err().expect(field);
+    assert_eq!(e.exit_code(), 2, "{e}");
+}
+
+#[test]
+fn hostile_cnp_interval_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.requester.min_time_between_cnps_us = u64::MAX;
+    assert_rejected(&cfg, "requester: min-time-between-cnps-us");
+}
+
+#[test]
+fn hostile_delay_is_a_config_error() {
+    let mut cfg = preset("delay_reorder_demo.yaml");
+    let ev = cfg.traffic.data_pkt_events.iter_mut().find(|e| e.r#type == "delay");
+    ev.unwrap().delay_us = u64::MAX;
+    assert_rejected(&cfg, "traffic: event 0: delay-us");
+}
+
+#[test]
+fn hostile_period_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.traffic.data_pkt_events[0].every = u32::MAX;
+    assert_rejected(&cfg, "traffic: event 0: psn 4 + every 4294967295");
+}
+
+#[test]
+fn hostile_packet_count_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.traffic.mtu = 1;
+    cfg.traffic.message_size = u32::MAX;
+    assert_rejected(&cfg, "traffic: num-msgs-per-qp 10 × message-size 4294967295");
+}

@@ -10,6 +10,7 @@ use lumina_core::config::TestConfig;
 use lumina_core::fuzz::{
     coverage::CoverageParams, fuzz, mutate::EventMutator, score, FuzzOutcome, FuzzParams,
 };
+use lumina_rnic::{Quirk, QuirkKnobs};
 
 fn base() -> TestConfig {
     let mut cfg = TestConfig::from_yaml(
@@ -30,7 +31,7 @@ traffic:
     // A firing quirk knob so the campaign proves violation classes and
     // therefore exercises the shrinking reproducer path.
     cfg.quirks = Some(lumina_core::config::QuirksSection {
-        ghost_retransmit_prob: 1.0,
+        knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 1.0),
         ..Default::default()
     });
     cfg

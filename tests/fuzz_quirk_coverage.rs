@@ -15,6 +15,7 @@ use lumina_core::config::{EventSpec, QuirksSection, TestConfig};
 use lumina_core::fuzz::coverage::{signal_of, violation_classes, CoverageParams};
 use lumina_core::fuzz::mutate::EventMutator;
 use lumina_core::fuzz::{fuzz, score, FuzzOutcome, FuzzParams};
+use lumina_rnic::{Quirk, QuirkKnobs};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
@@ -48,7 +49,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "wrong-ack-psn",
             quirked(
                 QuirksSection {
-                    wrong_ack_psn_prob: 0.3,
+                    knobs: QuirkKnobs::default().with(Quirk::WrongAckPsn, 0.3),
                     ..Default::default()
                 },
                 &|c| c.traffic.rdma_verb = "write".into(),
@@ -59,7 +60,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "ack-drop",
             quirked(
                 QuirksSection {
-                    ack_drop_prob: 0.3,
+                    knobs: QuirkKnobs::default().with(Quirk::AckDrop, 0.3),
                     ..Default::default()
                 },
                 &|c| c.traffic.rdma_verb = "write".into(),
@@ -70,7 +71,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "ack-coalesce",
             quirked(
                 QuirksSection {
-                    ack_coalesce_prob: 0.35,
+                    knobs: QuirkKnobs::default().with(Quirk::AckCoalesce, 0.35),
                     ..Default::default()
                 },
                 &|c| {
@@ -84,7 +85,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "cnp-suppress",
             quirked(
                 QuirksSection {
-                    cnp_suppress_prob: 1.0,
+                    knobs: QuirkKnobs::default().with(Quirk::CnpSuppress, 1.0),
                     ..Default::default()
                 },
                 &|c| {
@@ -108,7 +109,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "cnp-spurious",
             quirked(
                 QuirksSection {
-                    cnp_spurious_prob: 0.02,
+                    knobs: QuirkKnobs::default().with(Quirk::CnpSpurious, 0.02),
                     ..Default::default()
                 },
                 &|_| {},
@@ -119,7 +120,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "ghost-retransmit",
             quirked(
                 QuirksSection {
-                    ghost_retransmit_prob: 0.05,
+                    knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 0.05),
                     ..Default::default()
                 },
                 &|_| {},
@@ -130,7 +131,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "stale-msn",
             quirked(
                 QuirksSection {
-                    stale_msn_prob: 0.4,
+                    knobs: QuirkKnobs::default().with(Quirk::StaleMsn, 0.4),
                     ..Default::default()
                 },
                 &|_| {},
@@ -141,7 +142,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "gbn-off-by-one",
             quirked(
                 QuirksSection {
-                    gbn_off_by_one_prob: 0.5,
+                    knobs: QuirkKnobs::default().with(Quirk::GbnOffByOne, 0.5),
                     ..Default::default()
                 },
                 &|c| c.traffic.rdma_verb = "write".into(),
@@ -152,7 +153,7 @@ fn knob_matrix() -> Vec<(&'static str, TestConfig, ViolationClass)> {
             "icrc-corrupt",
             quirked(
                 QuirksSection {
-                    icrc_corrupt_prob: 0.05,
+                    knobs: QuirkKnobs::default().with(Quirk::IcrcCorrupt, 0.05),
                     ..Default::default()
                 },
                 &|_| {},

@@ -10,7 +10,7 @@ use lumina_core::analyzers::{conformance, ConformanceOpts, ViolationClass};
 use lumina_core::config::{EventSpec, QuirksSection, TestConfig};
 use lumina_core::orchestrator::run_test;
 use lumina_core::TestResults;
-use lumina_rnic::QuirkStats;
+use lumina_rnic::{Quirk, QuirkKnobs, QuirkStats};
 
 fn fig11() -> TestConfig {
     let path = concat!(
@@ -68,33 +68,33 @@ fn assert_detected(
 fn wrong_ack_psn_is_flagged_as_ack_psn_invalid() {
     let cfg = fig11_quirked(
         QuirksSection {
-            wrong_ack_psn_prob: 0.3,
+            knobs: QuirkKnobs::default().with(Quirk::WrongAckPsn, 0.3),
             ..QuirksSection::default()
         },
         |c| c.traffic.rdma_verb = "write".into(),
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.wrong_ack_psn, ViolationClass::AckPsnInvalid);
+    assert_detected(&res, |s| s[Quirk::WrongAckPsn], ViolationClass::AckPsnInvalid);
 }
 
 #[test]
 fn dropped_acks_are_flagged_as_unacked_delivery() {
     let cfg = fig11_quirked(
         QuirksSection {
-            ack_drop_prob: 0.3,
+            knobs: QuirkKnobs::default().with(Quirk::AckDrop, 0.3),
             ..QuirksSection::default()
         },
         |c| c.traffic.rdma_verb = "write".into(),
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.acks_dropped, ViolationClass::UnackedDelivery);
+    assert_detected(&res, |s| s[Quirk::AckDrop], ViolationClass::UnackedDelivery);
 }
 
 #[test]
 fn coalesced_acks_are_flagged_as_ack_coalescing() {
     let cfg = fig11_quirked(
         QuirksSection {
-            ack_coalesce_prob: 0.35,
+            knobs: QuirkKnobs::default().with(Quirk::AckCoalesce, 0.35),
             ..QuirksSection::default()
         },
         |c| {
@@ -105,14 +105,14 @@ fn coalesced_acks_are_flagged_as_ack_coalescing() {
         },
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.acks_coalesced, ViolationClass::AckCoalescing);
+    assert_detected(&res, |s| s[Quirk::AckCoalesce], ViolationClass::AckCoalescing);
 }
 
 #[test]
 fn suppressed_cnps_are_flagged_as_missing_cnp() {
     let cfg = fig11_quirked(
         QuirksSection {
-            cnp_suppress_prob: 1.0,
+            knobs: QuirkKnobs::default().with(Quirk::CnpSuppress, 1.0),
             ..QuirksSection::default()
         },
         |c| {
@@ -133,27 +133,27 @@ fn suppressed_cnps_are_flagged_as_missing_cnp() {
         },
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.cnps_suppressed, ViolationClass::MissingCnp);
+    assert_detected(&res, |s| s[Quirk::CnpSuppress], ViolationClass::MissingCnp);
 }
 
 #[test]
 fn spurious_cnps_are_flagged() {
     let cfg = fig11_quirked(
         QuirksSection {
-            cnp_spurious_prob: 0.02,
+            knobs: QuirkKnobs::default().with(Quirk::CnpSpurious, 0.02),
             ..QuirksSection::default()
         },
         |_| {},
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.cnps_spurious, ViolationClass::SpuriousCnp);
+    assert_detected(&res, |s| s[Quirk::CnpSpurious], ViolationClass::SpuriousCnp);
 }
 
 #[test]
 fn ghost_retransmits_are_flagged_as_spurious_retransmit() {
     let cfg = fig11_quirked(
         QuirksSection {
-            ghost_retransmit_prob: 0.05,
+            knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 0.05),
             ..QuirksSection::default()
         },
         |_| {},
@@ -161,7 +161,7 @@ fn ghost_retransmits_are_flagged_as_spurious_retransmit() {
     let (res, _) = run_replayed(&cfg);
     assert_detected(
         &res,
-        |s| s.ghost_retransmits,
+        |s| s[Quirk::GhostRetransmit],
         ViolationClass::SpuriousRetransmit,
     );
 }
@@ -170,13 +170,13 @@ fn ghost_retransmits_are_flagged_as_spurious_retransmit() {
 fn stale_msn_is_flagged_as_msn_regression() {
     let cfg = fig11_quirked(
         QuirksSection {
-            stale_msn_prob: 0.4,
+            knobs: QuirkKnobs::default().with(Quirk::StaleMsn, 0.4),
             ..QuirksSection::default()
         },
         |_| {},
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.stale_msn, ViolationClass::MsnRegression);
+    assert_detected(&res, |s| s[Quirk::StaleMsn], ViolationClass::MsnRegression);
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn gbn_off_by_one_is_flagged_as_nack_psn_mismatch() {
             // NACK/retransmit livelock until the horizon. At 0.5 the
             // first honest NACK ends each loop, while the injected drops
             // still provoke plenty of skewed ones.
-            gbn_off_by_one_prob: 0.5,
+            knobs: QuirkKnobs::default().with(Quirk::GbnOffByOne, 0.5),
             ..QuirksSection::default()
         },
         // Write verb: the injected drops then provoke sequence-error
@@ -197,20 +197,20 @@ fn gbn_off_by_one_is_flagged_as_nack_psn_mismatch() {
         |c| c.traffic.rdma_verb = "write".into(),
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.nacks_off_by_one, ViolationClass::NackPsnMismatch);
+    assert_detected(&res, |s| s[Quirk::GbnOffByOne], ViolationClass::NackPsnMismatch);
 }
 
 #[test]
 fn icrc_corruption_is_flagged_as_icrc_miscompute() {
     let cfg = fig11_quirked(
         QuirksSection {
-            icrc_corrupt_prob: 0.05,
+            knobs: QuirkKnobs::default().with(Quirk::IcrcCorrupt, 0.05),
             ..QuirksSection::default()
         },
         |_| {},
     );
     let (res, _) = run_replayed(&cfg);
-    assert_detected(&res, |s| s.icrc_corrupted, ViolationClass::IcrcMiscompute);
+    assert_detected(&res, |s| s[Quirk::IcrcCorrupt], ViolationClass::IcrcMiscompute);
 }
 
 #[test]
@@ -219,8 +219,7 @@ fn quirk_seed_varies_misbehavior_without_touching_workload() {
         fig11_quirked(
             QuirksSection {
                 seed: Some(quirk_seed),
-                ghost_retransmit_prob: 0.05,
-                ..QuirksSection::default()
+                knobs: QuirkKnobs::default().with(Quirk::GhostRetransmit, 0.05),
             },
             |_| {},
         )
@@ -230,10 +229,10 @@ fn quirk_seed_varies_misbehavior_without_touching_workload() {
     // Same workload either way: the engine RNG never sees the quirk seed.
     assert_eq!(a.conns[0].requester.qpn, b.conns[0].requester.qpn);
     // But the misbehavior schedule differs.
-    let (qa, qb) = (a.quirk_stats.clone().unwrap(), b.quirk_stats.clone().unwrap());
+    let (qa, qb) = (a.quirk_stats.unwrap(), b.quirk_stats.unwrap());
     assert_ne!(
-        (qa.ghost_retransmits, first_ghost_psn(&a)),
-        (qb.ghost_retransmits, first_ghost_psn(&b)),
+        (qa[Quirk::GhostRetransmit], first_ghost_psn(&a)),
+        (qb[Quirk::GhostRetransmit], first_ghost_psn(&b)),
         "different quirk seeds should misbehave differently"
     );
 }
