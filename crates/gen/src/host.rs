@@ -3,6 +3,7 @@
 
 use crate::metrics::MetricsHandle;
 use crate::spec::FlowPlan;
+use lumina_rnic::device::token;
 use lumina_rnic::verbs::{Completion, CompletionStatus, WorkRequest};
 use lumina_rnic::{Action, Rnic};
 use lumina_sim::{Frame, Node, NodeCtx, PortId, SimTime};
@@ -287,6 +288,14 @@ impl Node for HostNode {
                     }
                 }
                 self.apply_actions(first.into(), ctx);
+            }
+            return;
+        }
+        if token::unpack(token).0 == token::DCQCN_ALPHA {
+            // Nine in ten events of a DCQCN run; its one effect is its
+            // own re-arm, so it skips the action list.
+            if let Some(at) = self.rnic.dcqcn_alpha_tick(token, now) {
+                ctx.set_timer_at(at, token);
             }
             return;
         }

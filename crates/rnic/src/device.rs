@@ -436,7 +436,11 @@ impl Rnic {
             token::NACK_REACT => self.nack_react_fire(self.timer_slot(qpn), now, acts),
             token::READ_OOO => self.read_ooo_fire(self.timer_slot(qpn), now, acts),
             token::READ_REACT => self.read_react_fire(self.timer_slot(qpn), now, acts),
-            token::DCQCN_ALPHA => self.dcqcn_alpha_fire(self.timer_slot(qpn), extra, now, acts),
+            token::DCQCN_ALPHA => {
+                if let Some(at) = self.dcqcn_alpha_tick(tok, now) {
+                    acts.push(Action::ArmTimer { at, token: tok });
+                }
+            }
             token::DCQCN_RATE => self.dcqcn_rate_fire(self.timer_slot(qpn), extra, now, acts),
             token::APM_SERVICE => self.apm_service(now, acts),
             _ => {}
@@ -881,7 +885,15 @@ mod tests {
             }
             16 => {
                 let kind = [token::DCQCN_ALPHA, token::DCQCN_RATE][rng.index(2)];
-                rnic.on_timer(token::pack(kind, qpn, epoch(qp.dcqcn_timer_epoch, rng)), now)
+                let tok = token::pack(kind, qpn, epoch(qp.dcqcn_timer_epoch, rng));
+                if kind == token::DCQCN_ALPHA && now.as_nanos() % 2 == 0 {
+                    // The host's entry for the tick: its answer must be the
+                    // one action `on_timer` returns.
+                    let at = rnic.dcqcn_alpha_tick(tok, now);
+                    at.map(|at| Action::ArmTimer { at, token: tok }).into_iter().collect()
+                } else {
+                    rnic.on_timer(tok, now)
+                }
             }
             _ => {
                 let live = rnic.qp_mut(qpn).unwrap();

@@ -73,27 +73,27 @@ impl Rnic {
         arm(actions, now + period, kind, qpn, epoch);
     }
 
-    /// Alpha-update tick: decay alpha, and keep ticking until the QP is
-    /// back at line rate with nothing left to decay.
-    pub(super) fn dcqcn_alpha_fire(
-        &mut self,
-        i: usize,
-        epoch: u32,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        let qpn = self.qps.qpn(i);
-        let qp = self.qps.get_mut(i);
+    /// Alpha-update tick of the timer `tok` names: decay alpha, and keep
+    /// ticking until the QP is back at line rate with nothing left to
+    /// decay. Returns when the same token fires next, or `None` once the
+    /// timer stops. Its only effect besides the QP's state is that re-arm,
+    /// so a host may re-file `tok` itself instead of going through
+    /// [`Rnic::on_timer`], which wraps the answer in an
+    /// [`Action::ArmTimer`].
+    pub fn dcqcn_alpha_tick(&mut self, tok: u64, now: SimTime) -> Option<SimTime> {
+        let (_, qpn, epoch) = token::unpack(tok);
+        let qp = self.qps.get_mut(self.timer_slot(qpn));
         if epoch != qp.dcqcn_timer_epoch {
-            return;
+            return None;
         }
-        let Some(rp) = qp.rp.as_mut() else { return };
+        let rp = qp.rp.as_mut()?;
         rp.on_alpha_timer();
         if rp.at_line_rate() && rp.alpha < 1e-3 {
             qp.dcqcn_timers_armed = false;
             qp.dcqcn_timer_epoch = qp.dcqcn_timer_epoch.wrapping_add(1);
+            None
         } else {
-            self.arm_dcqcn(token::DCQCN_ALPHA, qpn, epoch, now, actions);
+            Some(now + self.dcqcn_params.alpha_timer)
         }
     }
 
