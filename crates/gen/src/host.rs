@@ -128,7 +128,14 @@ impl HostNode {
                     );
                     ctx.send(PortId(0), frame);
                 }
-                Action::ArmTimer { at, token } => ctx.set_timer_at(at.max(ctx.now()), token),
+                Action::ArmTimer { at, token } => {
+                    let at = at.max(ctx.now());
+                    if token::unpack(token).0 == token::DCQCN_ALPHA {
+                        ctx.set_tick_at(at, token);
+                    } else {
+                        ctx.set_timer_at(at, token);
+                    }
+                }
                 Action::Complete(c) => self.on_completion(c, ctx, &mut queue),
             }
         }
@@ -291,16 +298,14 @@ impl Node for HostNode {
             }
             return;
         }
-        if token::unpack(token).0 == token::DCQCN_ALPHA {
-            // Nine in ten events of a DCQCN run; its one effect is its
-            // own re-arm, so it skips the action list.
-            if let Some(at) = self.rnic.dcqcn_alpha_tick(token, now) {
-                ctx.set_timer_at(at, token);
-            }
-            return;
-        }
         let actions = self.rnic.on_timer(token, now);
         self.apply_actions(actions, ctx);
+    }
+
+    /// A DCQCN alpha tick: nine in ten events of a DCQCN run, and its one
+    /// effect is its own re-arm.
+    fn on_tick(&mut self, token: u64, now: SimTime) -> Option<SimTime> {
+        self.rnic.dcqcn_alpha_tick(token, now)
     }
 
     fn name(&self) -> &str {

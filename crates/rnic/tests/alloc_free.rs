@@ -2,7 +2,8 @@
 //! counting global allocator (the twin of `lumina-sim`'s
 //! `tests/alloc_free.rs`): a DCQCN alpha tick that re-arms itself, with
 //! the action list handed back as `HostNode::apply_actions` does, must not
-//! reach the allocator at all.
+//! reach the allocator at all — nor the same tick through `HostNode` and
+//! `Engine::run`, where it re-arms without an action list.
 
 use lumina_packet::builder::cnp_frame;
 use lumina_packet::MacAddr;
@@ -10,8 +11,9 @@ use lumina_rnic::device::token;
 use lumina_rnic::ets::EtsConfig;
 use lumina_rnic::profile::DeviceProfile;
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
+use lumina_gen::{metrics_handle, HostNode, Role};
 use lumina_rnic::{Action, Rnic};
-use lumina_sim::SimTime;
+use lumina_sim::{Engine, PortId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -43,18 +45,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn a_dcqcn_alpha_tick_with_hand_back_allocates_nothing() {
-    let local = QpEndpoint {
-        ip: Ipv4Addr::new(10, 0, 0, 1),
-        qpn: 0x11,
-        ipsn: 100,
-    };
-    let remote = QpEndpoint {
-        ip: Ipv4Addr::new(10, 0, 0, 2),
-        qpn: 0x22,
-        ipsn: 200,
-    };
+const LOCAL: QpEndpoint = QpEndpoint {
+    ip: Ipv4Addr::new(10, 0, 0, 1),
+    qpn: 0x11,
+    ipsn: 100,
+};
+const REMOTE: QpEndpoint = QpEndpoint {
+    ip: Ipv4Addr::new(10, 0, 0, 2),
+    qpn: 0x22,
+    ipsn: 200,
+};
+
+/// A device with one DCQCN reaction-point QP.
+fn dcqcn_rnic() -> Rnic {
+    let (local, remote) = (LOCAL, REMOTE);
     let mut rnic = Rnic::new(
         DeviceProfile::cx6_dx(),
         EtsConfig::single_queue(),
@@ -74,6 +78,13 @@ fn a_dcqcn_alpha_tick_with_hand_back_allocates_nothing() {
         min_time_between_cnps: SimTime::from_micros(4),
         udp_src_port: 49152,
     });
+    rnic
+}
+
+#[test]
+fn a_dcqcn_alpha_tick_with_hand_back_allocates_nothing() {
+    let (local, remote) = (LOCAL, REMOTE);
+    let mut rnic = dcqcn_rnic();
 
     // One CNP cuts the rate and starts the QP's alpha and rate timers.
     // Only alpha ticks are pumped, so the rate never recovers and the
@@ -105,4 +116,29 @@ fn a_dcqcn_alpha_tick_with_hand_back_allocates_nothing() {
         tick(&mut rnic);
     }
     assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+}
+
+/// 10 000 alpha ticks through `HostNode` and `Engine::run`, after a warm-up
+/// that filled the engine's and the wheel's buffers. The rate timer is put
+/// past the run, so the rate never recovers and the tick is the only event.
+#[test]
+fn a_dcqcn_alpha_tick_through_host_and_engine_allocates_nothing() {
+    const WARM: u64 = 100;
+    const MEASURED: u64 = 10_000;
+    let mut rnic = dcqcn_rnic();
+    rnic.dcqcn_params.rate_timer = SimTime::from_secs(3_600);
+    let host = HostNode::new(rnic, Role::Responder, metrics_handle(), "host");
+    let mut eng = Engine::new(1);
+    let id = eng.add_node(Box::new(host));
+    let cnp = cnp_frame(REMOTE.ip, LOCAL.ip, LOCAL.qpn).emit();
+    eng.inject_frame(id, PortId(0), SimTime::from_micros(1), cnp);
+    eng.event_limit = WARM;
+    eng.run(None);
+    eng.event_limit = WARM + MEASURED;
+    let before = ALLOCS.with(Cell::get);
+    eng.run(None);
+    let made = ALLOCS.with(Cell::get) - before;
+    // Everything after the CNP was an alpha tick.
+    assert_eq!(eng.stats().timers_fired, WARM + MEASURED - 1);
+    assert_eq!(made, 0);
 }

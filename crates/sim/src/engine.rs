@@ -29,6 +29,10 @@ pub struct PortId(pub usize);
 enum EventKind {
     FrameArrive { port: PortId, frame: Frame },
     Timer { token: u64 },
+    /// A timer whose handler does nothing but re-arm itself: dispatched
+    /// through [`Node::on_tick`], with the node left in place and no
+    /// [`Effects`] filled.
+    Tick { token: u64 },
 }
 
 /// The payload filed in the timer wheel; ordering — `(time, seq)` with
@@ -165,6 +169,9 @@ pub struct Engine {
     /// The one `Effects` every dispatch fills and `apply` drains; empty
     /// between events, its buffers kept.
     effects: Effects,
+    /// `(time, seq)` of every event popped, in order.
+    #[cfg(test)]
+    popped: Vec<(u64, u64)>,
 }
 
 impl Engine {
@@ -187,6 +194,8 @@ impl Engine {
             wall_clock_limit: None,
             interposer: Interposer::default(),
             effects: Effects::default(),
+            #[cfg(test)]
+            popped: Vec::new(),
         }
     }
 
@@ -349,6 +358,8 @@ impl Engine {
                 }
             }
             let ev = self.next.take().expect("peeked event is stashed");
+            #[cfg(test)]
+            self.popped.push((ev.time, ev.seq));
             debug_assert!(ev_time >= self.now, "time went backwards");
             self.now = ev_time;
             self.stats.events += 1;
@@ -357,7 +368,10 @@ impl Engine {
                 .interposer
                 .gate(&self.telemetry, ev.value.node, is_frame, ev_time)
             {
-                Gate::Run => self.dispatch(ev.value),
+                Gate::Run => match ev.value.kind {
+                    EventKind::Tick { token } => self.tick(ev.value.node, token),
+                    _ => self.dispatch(ev.value),
+                },
                 Gate::Discard => {}
                 Gate::Defer(until) => self.push(until, ev.value.node, ev.value.kind),
             }
@@ -380,6 +394,20 @@ impl Engine {
             // Effects at finish are discarded by design: the run is over.
         }
         outcome
+    }
+
+    /// Fire a tick and re-file it where its node says, with the next `seq`
+    /// — where `apply` would have filed the one timer its handler armed.
+    fn tick(&mut self, node: NodeId, token: u64) {
+        self.stats.timers_fired += 1;
+        let idx = node.0;
+        let n = self.nodes[idx]
+            .as_mut()
+            .unwrap_or_else(|| panic!("node {idx} missing (re-entrant dispatch?)"));
+        if let Some(at) = n.on_tick(token, self.now) {
+            debug_assert!(at >= self.now, "tick re-armed in the past");
+            self.push(at, node, EventKind::Tick { token });
+        }
     }
 
     fn dispatch(&mut self, ev: EventBody) {
@@ -412,6 +440,7 @@ impl Engine {
                     self.stats.timers_fired += 1;
                     node.on_timer(token, &mut ctx);
                 }
+                EventKind::Tick { .. } => unreachable!("ticks are dispatched by `tick`"),
             }
         }
         self.nodes[idx] = Some(node);
@@ -447,8 +476,8 @@ impl Engine {
                 }
             }
         }
-        for (at, token) in effects.timers.drain(..) {
-            self.push(at, from, EventKind::Timer { token });
+        for (at, kind) in effects.timers.drain(..) {
+            self.push(at, from, kind);
         }
     }
 
@@ -473,7 +502,9 @@ impl Engine {
 #[derive(Default)]
 struct Effects {
     sends: Vec<(PortId, Frame, SimTime)>,
-    timers: Vec<(SimTime, u64)>,
+    /// Timers and ticks in one buffer, so ties keep the order they were
+    /// armed in.
+    timers: Vec<(SimTime, EventKind)>,
 }
 
 /// The context handed to a node during dispatch. All interaction with the
@@ -525,13 +556,22 @@ impl NodeCtx<'_> {
     /// Arm a timer `delay` from now; `token` comes back in
     /// [`Node::on_timer`].
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.effects.timers.push((self.now + delay, token));
+        let kind = EventKind::Timer { token };
+        self.effects.timers.push((self.now + delay, kind));
     }
 
     /// Arm a timer at an absolute time.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         debug_assert!(at >= self.now);
-        self.effects.timers.push((at, token));
+        self.effects.timers.push((at, EventKind::Timer { token }));
+    }
+
+    /// Arm a tick at an absolute time: a timer whose `token` comes back in
+    /// [`Node::on_tick`], which re-arms it by returning the next firing
+    /// time. It counts, ties and freezes as a timer does.
+    pub fn set_tick_at(&mut self, at: SimTime, token: u64) {
+        debug_assert!(at >= self.now);
+        self.effects.timers.push((at, EventKind::Tick { token }));
     }
 
     /// The engine's deterministic RNG.
@@ -878,6 +918,151 @@ mod tests {
         assert_eq!(stats.timers_deferred, 1);
         assert_eq!(stats.frames_dropped_frozen, 1);
         assert_eq!(eng.stats().frames_delivered, 0);
+    }
+
+    /// Chains of periodic tokens that re-arm through ticks (`ticks`) or
+    /// through plain timers. A start timer `START + k` arms chain `k` and,
+    /// at the same instant and after it, a companion timer `COMPANION + k`
+    /// — as a CNP arms a QP's alpha tick, then its rate timer. Chain `k`
+    /// fires `20 + 7k` times, the companion every third period while the
+    /// chain lives; both record what they saw.
+    struct Rearm {
+        ticks: bool,
+        left: Vec<u32>,
+        seen: Vec<(SimTime, u64)>,
+    }
+
+    const START: u64 = 1_000;
+    const COMPANION: u64 = 2_000;
+
+    fn period(k: u64) -> SimTime {
+        // Three periods: chains tie with each other and with companions.
+        SimTime::from_nanos(50 + 25 * (k % 3))
+    }
+
+    impl Rearm {
+        /// Chain `k` fired at `now`: when it fires next, if it does.
+        fn chain(&mut self, k: u64, now: SimTime) -> Option<SimTime> {
+            self.seen.push((now, k));
+            let left = &mut self.left[k as usize];
+            *left -= 1;
+            (*left > 0).then(|| now + period(k))
+        }
+    }
+
+    impl Node for Rearm {
+        fn on_frame(&mut self, _: PortId, _: Frame, _: &mut NodeCtx<'_>) {}
+        fn on_timer(&mut self, t: u64, ctx: &mut NodeCtx<'_>) {
+            let now = ctx.now();
+            match t {
+                START.. if t < COMPANION => {
+                    let k = t - START;
+                    self.seen.push((now, t));
+                    let at = now + period(k);
+                    if self.ticks {
+                        ctx.set_tick_at(at, k);
+                    } else {
+                        ctx.set_timer_at(at, k);
+                    }
+                    ctx.set_timer_at(at, COMPANION + k);
+                }
+                COMPANION.. => {
+                    let k = t - COMPANION;
+                    self.seen.push((now, t));
+                    if self.left[k as usize] > 0 {
+                        ctx.set_timer(period(k) + period(k) + period(k), t);
+                    }
+                }
+                k => {
+                    assert!(!self.ticks, "a tick came back through on_timer");
+                    if let Some(at) = self.chain(k, now) {
+                        ctx.set_timer_at(at, k);
+                    }
+                }
+            }
+        }
+        fn on_tick(&mut self, k: u64, now: SimTime) -> Option<SimTime> {
+            assert!(self.ticks, "a timer came back through on_tick");
+            self.chain(k, now)
+        }
+    }
+
+    /// Everything a run shows of its event order and its counts.
+    type Observed = (
+        Vec<(u64, u64)>,
+        Vec<(SimTime, u64)>,
+        EngineStats,
+        u64,
+        RunOutcome,
+        u64,
+    );
+
+    fn rearm_run(
+        ticks: bool,
+        freeze: Option<(u64, u64)>,
+        horizon: Option<u64>,
+        limit: Option<u64>,
+    ) -> Observed {
+        use crate::faults::{FaultPlane, FreezeWindow, Interposer, MirrorFaults};
+        const CHAINS: u64 = 6;
+        let mut eng = Engine::new(3);
+        let node = eng.add_node(Box::new(Rearm {
+            ticks,
+            left: (0..CHAINS as u32).map(|k| 20 + 7 * k).collect(),
+            seen: Vec::new(),
+        }));
+        if let Some((from, until)) = freeze {
+            let mut plane = FaultPlane::new(1, MirrorFaults::default());
+            plane.add_freeze(FreezeWindow {
+                node,
+                from: SimTime::from_nanos(from),
+                until: SimTime::from_nanos(until),
+            });
+            eng.set_interposer(Interposer::new(Some(plane), None));
+        }
+        for k in 0..CHAINS {
+            // Two chains start together, the rest staggered.
+            eng.schedule_timer(node, SimTime::from_nanos(10 * (k / 2)), START + k);
+        }
+        if let Some(limit) = limit {
+            eng.event_limit = limit;
+        }
+        let outcome = eng.run(horizon.map(SimTime::from_nanos));
+        let deferred = eng.interposer().faults.as_ref().map_or(0, |f| f.stats.timers_deferred);
+        let (stats, hwm, popped) = (*eng.stats(), eng.queue_depth_hwm(), eng.popped.clone());
+        let any: Box<dyn std::any::Any> = eng.remove_node(node);
+        let seen = any.downcast::<Rearm>().expect("a Rearm node").seen;
+        (popped, seen, stats, hwm, outcome, deferred)
+    }
+
+    /// A node that re-arms through ticks sees exactly what the same node
+    /// sees re-arming through timers: the same `(time, seq)` pops, the same
+    /// counts and queue depth, the same outcome — with a freeze window
+    /// deferring ticks, a horizon cut and an event-limit cut.
+    #[test]
+    fn ticks_replay_the_timer_path() {
+        let cases = [
+            (None, None, None),
+            (Some((400, 1_300)), None, None),
+            (None, Some(900), None),
+            (None, None, Some(150)),
+            (Some((200, 700)), Some(2_500), Some(100)),
+        ];
+        for (freeze, horizon, limit) in cases {
+            let case = format!("freeze {freeze:?}, horizon {horizon:?}, limit {limit:?}");
+            let via_ticks = rearm_run(true, freeze, horizon, limit);
+            assert_eq!(via_ticks, rearm_run(false, freeze, horizon, limit), "{case}");
+            let (popped, seen, stats, _, outcome, deferred) = via_ticks;
+            assert_eq!(popped.len() as u64, stats.events, "{case}");
+            assert!(stats.events >= 100, "{case}: {stats:?}");
+            assert_eq!(stats.timers_fired, seen.len() as u64, "{case}");
+            assert_eq!(freeze.is_some(), deferred > 0, "{case}: {deferred} deferred");
+            match (horizon, limit) {
+                (_, Some(_)) => assert!(matches!(outcome, RunOutcome::EventLimit { .. }), "{case}"),
+                (Some(_), None) => assert!(matches!(outcome, RunOutcome::HorizonReached { .. }), "{case}"),
+                (None, None) => assert!(outcome.is_quiescent(), "{case}"),
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,15 @@ pub trait Node: std::any::Any {
     /// A timer armed via [`NodeCtx::set_timer`] has fired.
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>);
 
+    /// A tick armed via [`NodeCtx::set_tick_at`] has fired at `now`.
+    /// Returns when the same token fires next, or `None` to stop. A tick
+    /// can do nothing else — no frames, no other timers, no RNG — which is
+    /// what lets the engine skip the [`NodeCtx`] round trip. A node that
+    /// arms ticks overrides this; the default stops every tick.
+    fn on_tick(&mut self, _token: u64, _now: SimTime) -> Option<SimTime> {
+        None
+    }
+
     /// Called once when the engine finishes, at the final simulation time.
     /// Nodes can flush buffered state (e.g. the dumper writing its trace).
     fn on_finish(&mut self, _ctx: &mut NodeCtx<'_>) {}
