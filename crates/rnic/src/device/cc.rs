@@ -55,11 +55,18 @@ impl Rnic {
         let qp = self.qps.get_mut(i);
         let Some(rp) = qp.rp.as_mut() else { return };
         rp.on_cnp();
-        if !qp.dcqcn_timers_armed {
-            qp.dcqcn_timers_armed = true;
+        if !qp.dcqcn_alpha_armed {
+            qp.dcqcn_alpha_armed = true;
+            qp.dcqcn_rate_armed = true;
             qp.dcqcn_timer_epoch = qp.dcqcn_timer_epoch.wrapping_add(1);
             let epoch = qp.dcqcn_timer_epoch;
             self.arm_dcqcn(token::DCQCN_ALPHA, qpn, epoch, now, actions);
+            self.arm_dcqcn(token::DCQCN_RATE, qpn, epoch, now, actions);
+        } else if !qp.dcqcn_rate_armed {
+            // The rate timer stopped at line rate while alpha still
+            // decays: without it the cut rate would never recover.
+            qp.dcqcn_rate_armed = true;
+            let epoch = qp.dcqcn_timer_epoch;
             self.arm_dcqcn(token::DCQCN_RATE, qpn, epoch, now, actions);
         }
     }
@@ -89,7 +96,8 @@ impl Rnic {
         let rp = qp.rp.as_mut()?;
         rp.on_alpha_timer();
         if rp.at_line_rate() && rp.alpha < 1e-3 {
-            qp.dcqcn_timers_armed = false;
+            qp.dcqcn_alpha_armed = false;
+            qp.dcqcn_rate_armed = false;
             qp.dcqcn_timer_epoch = qp.dcqcn_timer_epoch.wrapping_add(1);
             None
         } else {
@@ -113,7 +121,9 @@ impl Rnic {
         }
         if let Some(rp) = qp.rp.as_mut() {
             rp.on_rate_timer();
-            if !rp.at_line_rate() {
+            if rp.at_line_rate() {
+                qp.dcqcn_rate_armed = false;
+            } else {
                 self.arm_dcqcn(token::DCQCN_RATE, qpn, epoch, now, actions);
             }
         }

@@ -199,8 +199,11 @@ pub struct Qp {
     pub rp: Option<ReactionPoint>,
     /// Epoch for DCQCN periodic timers.
     pub dcqcn_timer_epoch: u32,
-    /// True while DCQCN alpha/rate timers are running.
-    pub dcqcn_timers_armed: bool,
+    /// True while the DCQCN alpha timer runs.
+    pub dcqcn_alpha_armed: bool,
+    /// True while the DCQCN rate timer runs: it stops at line rate, before
+    /// alpha has decayed, and the next cut restarts it.
+    pub dcqcn_rate_armed: bool,
     /// Earliest instant the next data packet may leave (DCQCN pacing).
     pub next_allowed_tx: SimTime,
 
@@ -257,7 +260,8 @@ impl Qp {
             timeout_armed: false,
             rp: None,
             dcqcn_timer_epoch: 0,
-            dcqcn_timers_armed: false,
+            dcqcn_alpha_armed: false,
+            dcqcn_rate_armed: false,
             next_allowed_tx: SimTime::ZERO,
             epsn_lin: 0,
             msn: 0,

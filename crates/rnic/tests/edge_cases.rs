@@ -486,3 +486,78 @@ fn allocated_qpns_are_distinct_and_keep_the_rng_schedule() {
     ];
     assert_eq!(first, at_the_parent);
 }
+
+/// One device's pending timers, by (time, arm order, token).
+#[derive(Default)]
+struct Timers(BinaryHeap<Reverse<(u64, u64, u64)>>, u64);
+
+impl Timers {
+    fn file(&mut self, actions: Vec<Action>) {
+        for act in actions {
+            if let Action::ArmTimer { at, token } = act {
+                self.0.push(Reverse((at.as_nanos(), self.1, token)));
+                self.1 += 1;
+            }
+        }
+    }
+
+    fn pending(&self, kind: u8) -> bool {
+        let kind_of = |t: u64| lumina_rnic::device::token::unpack(t).0;
+        self.0.iter().any(|Reverse((_, _, t))| kind_of(*t) == kind)
+    }
+
+    /// Fire the earliest timer; returns its time.
+    fn fire(&mut self, rnic: &mut Rnic) -> SimTime {
+        let Reverse((at, _, tok)) = self.0.pop().expect("a timer is pending");
+        let now = SimTime::from_nanos(at);
+        self.file(rnic.on_timer(tok, now));
+        now
+    }
+}
+
+/// A CNP that lands after a QP's rate timer stopped at line rate, while
+/// its alpha timer still decays, must restart the rate timer: the QP gets
+/// back to line rate and both timers stop. Without the restart the cut rate
+/// never recovers, so alpha can never stop either and ticks until the
+/// run's horizon.
+#[test]
+fn a_cnp_after_the_rate_timer_stopped_restarts_it() {
+    use lumina_packet::builder::cnp_frame;
+    use lumina_rnic::device::token::{DCQCN_ALPHA, DCQCN_RATE};
+
+    let mut rnic = Rnic::new(
+        DeviceProfile::cx6_dx(),
+        EtsConfig::single_queue(),
+        MacAddr::local(1),
+    );
+    let mut c = cfg(true, 100, 200);
+    c.dcqcn_rp = true;
+    let (qpn, local_ip, remote_ip) = (c.local.qpn, c.local.ip, c.remote.ip);
+    rnic.create_qp(c);
+    let cnp = || cnp_frame(remote_ip, local_ip, qpn).emit();
+    let rp = |rnic: &Rnic| rnic.qp(qpn).and_then(|qp| qp.rp.clone()).expect("a reaction point");
+
+    let mut timers = Timers::default();
+    timers.file(rnic.on_frame(cnp(), SimTime::from_micros(1)));
+    assert!(!rp(&rnic).at_line_rate());
+    let mut now = SimTime::ZERO;
+    while timers.pending(DCQCN_RATE) {
+        now = timers.fire(&mut rnic);
+    }
+    assert!(rp(&rnic).at_line_rate());
+    assert!(timers.pending(DCQCN_ALPHA), "alpha still decays");
+
+    timers.file(rnic.on_frame(cnp(), now + SimTime::from_micros(1)));
+    assert!(!rp(&rnic).at_line_rate());
+    // Alpha needs ≈ 1 800 ticks of 55 µs to decay below 1e-3.
+    for _ in 0..10_000 {
+        if timers.0.is_empty() {
+            break;
+        }
+        timers.fire(&mut rnic);
+    }
+    assert!(timers.0.is_empty(), "{} timers still pending", timers.0.len());
+    assert!(rp(&rnic).at_line_rate());
+    let qp = rnic.qp(qpn).expect("the QP");
+    assert!(!qp.dcqcn_alpha_armed && !qp.dcqcn_rate_armed);
+}
