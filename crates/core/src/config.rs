@@ -697,6 +697,19 @@ impl ChaosSection {
 /// UDP source port `49152 + i`, and 65 535 is the last port.
 const MAX_CONNECTIONS: u32 = 16_383;
 
+/// Most dumper cores one run builds, `num-dumpers × dumper-cores`: each is
+/// a receive ring and a packet counter (48 B) allocated when the run is
+/// built, 3 MiB at the bound, and a dumper has at least one.
+const MAX_DUMPER_CORES: usize = 1 << 16;
+
+/// Longest one-way propagation delay a run with horizon `horizon_ns` can
+/// carry: a round trip — four link crossings and the 760 ns of switch and
+/// line time the retransmission analyzer adds to them — must fit the
+/// simulation clock past the horizon.
+fn max_propagation_ns(horizon_ns: u64) -> u64 {
+    (u64::MAX - 760).saturating_sub(horizon_ns) / 4
+}
+
 /// True when `value`, counted in units of `unit_ns` nanoseconds, is a time
 /// [`SimTime`] can hold — the lowering into the sim layer multiplies
 /// unchecked.
@@ -912,6 +925,27 @@ impl TestConfig {
         }
         if self.network.dumper_cores == 0 {
             problems.push("dumper-cores must be ≥ 1".into());
+        }
+        let net = &self.network;
+        if net.num_dumpers > MAX_DUMPER_CORES {
+            problems.push(format!(
+                "network: num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds; each dumper has at least one)",
+                net.num_dumpers
+            ));
+        } else if net.dumper_cores.saturating_mul(net.num_dumpers.max(1)) > MAX_DUMPER_CORES {
+            problems.push(format!(
+                "network: dumper-cores {} × num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds, each a receive ring and a counter)",
+                net.dumper_cores, net.num_dumpers
+            ));
+        }
+        if let Some(horizon_ns) = net.horizon_ms.checked_mul(1_000_000) {
+            let max = max_propagation_ns(horizon_ns);
+            if net.propagation_delay_ns > max {
+                problems.push(format!(
+                    "network: propagation-delay-ns {} exceeds {max} (a round trip, four crossings + 760 ns, past horizon-ms must fit the simulation clock)",
+                    net.propagation_delay_ns
+                ));
+            }
         }
         if self.network.dumper_core_rate_pps == 0 {
             problems.push("dumper-core-rate-pps must be ≥ 1".into());

@@ -110,3 +110,24 @@ fn hostile_packet_count_is_a_config_error() {
     cfg.traffic.message_size = u32::MAX;
     assert_rejected(&cfg, "traffic: num-msgs-per-qp 10 × message-size 4294967295");
 }
+
+#[test]
+fn hostile_propagation_delay_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.network.propagation_delay_ns = u64::MAX;
+    assert_rejected(&cfg, "network: propagation-delay-ns 18446744073709551615 exceeds");
+}
+
+#[test]
+fn hostile_dumper_count_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.network.num_dumpers = usize::MAX;
+    assert_rejected(&cfg, "network: num-dumpers 18446744073709551615 exceeds 65536");
+}
+
+#[test]
+fn hostile_dumper_core_count_is_a_config_error() {
+    let mut cfg = preset("listing2.yaml");
+    cfg.network.dumper_cores = u32::MAX as usize;
+    assert_rejected(&cfg, "network: dumper-cores 4294967295 × num-dumpers 3 exceeds 65536");
+}
