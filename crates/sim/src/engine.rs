@@ -476,7 +476,12 @@ impl Engine {
                 }
             }
         }
-        for (at, kind) in effects.timers.drain(..) {
+        for (at, token, tick) in effects.timers.drain(..) {
+            let kind = if tick {
+                EventKind::Tick { token }
+            } else {
+                EventKind::Timer { token }
+            };
             self.push(at, from, kind);
         }
     }
@@ -502,9 +507,9 @@ impl Engine {
 #[derive(Default)]
 struct Effects {
     sends: Vec<(PortId, Frame, SimTime)>,
-    /// Timers and ticks in one buffer, so ties keep the order they were
-    /// armed in.
-    timers: Vec<(SimTime, EventKind)>,
+    /// Timers and ticks (`true`) in one buffer, so ties keep the order
+    /// they were armed in.
+    timers: Vec<(SimTime, u64, bool)>,
 }
 
 /// The context handed to a node during dispatch. All interaction with the
@@ -556,14 +561,13 @@ impl NodeCtx<'_> {
     /// Arm a timer `delay` from now; `token` comes back in
     /// [`Node::on_timer`].
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
-        let kind = EventKind::Timer { token };
-        self.effects.timers.push((self.now + delay, kind));
+        self.effects.timers.push((self.now + delay, token, false));
     }
 
     /// Arm a timer at an absolute time.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         debug_assert!(at >= self.now);
-        self.effects.timers.push((at, EventKind::Timer { token }));
+        self.effects.timers.push((at, token, false));
     }
 
     /// Arm a tick at an absolute time: a timer whose `token` comes back in
@@ -571,7 +575,7 @@ impl NodeCtx<'_> {
     /// time. It counts, ties and freezes as a timer does.
     pub fn set_tick_at(&mut self, at: SimTime, token: u64) {
         debug_assert!(at >= self.now);
-        self.effects.timers.push((at, EventKind::Tick { token }));
+        self.effects.timers.push((at, token, true));
     }
 
     /// The engine's deterministic RNG.

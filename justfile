@@ -21,8 +21,9 @@ check:
 # more under `--release`: the binary users run (fat LTO, one codegen unit)
 # against the report goldens, the CLI goldens and the per-slot panic
 # isolation that needs `panic = unwind` — and the event queue's
-# zero-allocation and differential tests, because that build inlines the
-# wheel into `Engine::run`, and the reconstruction properties, because it
+# zero-allocation and differential tests, and the engine's tick-against-
+# timer differential, because that build inlines the wheel and the tick
+# path into `Engine::run`, and the reconstruction properties, because it
 # is that build's sort that orders the trace, and the device's two
 # transcript pins (the random-operation harness and the loopback wire
 # transcripts), because it inlines `Rnic`'s handlers into `HostNode`, and
@@ -73,6 +74,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-repro --test golden_reports
     cargo test --release --offline -q -p lumina-sim --test alloc_free
     cargo test --release --offline -q -p lumina-sim --lib wheel::tests::differential
+    cargo test --release --offline -q -p lumina-sim --lib engine::tests::ticks_replay_the_timer_path
     cargo test --release --offline -q -p lumina-dumper --test proptest_reconstruct
     cargo test --release --offline -q -p lumina-rnic --lib table_candidates
     cargo test --release --offline -q -p lumina-rnic --test loopback
