@@ -886,7 +886,7 @@ mod tests {
             16 => {
                 let kind = [token::DCQCN_ALPHA, token::DCQCN_RATE][rng.index(2)];
                 let tok = token::pack(kind, qpn, epoch(qp.dcqcn_timer_epoch, rng));
-                if kind == token::DCQCN_ALPHA && now.as_nanos() % 2 == 0 {
+                if kind == token::DCQCN_ALPHA && now.as_nanos().is_multiple_of(2) {
                     // The host's entry for the tick: its answer must be the
                     // one action `on_timer` returns.
                     let at = rnic.dcqcn_alpha_tick(tok, now);
