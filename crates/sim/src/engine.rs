@@ -296,6 +296,13 @@ impl Engine {
     }
 
     fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind) {
+        let entry = self.entry(time, node, kind);
+        self.queue.push(entry);
+        self.queue_hwm = self.queue_hwm.max(self.queue.len());
+    }
+
+    /// The next event's queue entry, under the next `seq`.
+    fn entry(&mut self, time: SimTime, node: NodeId, kind: EventKind) -> Entry<EventBody> {
         // A stashed peek (e.g. left by a horizon break) must compete with
         // the new event — return it to the wheel first.
         if let Some(stashed) = self.next.take() {
@@ -303,12 +310,11 @@ impl Engine {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Entry {
+        Entry {
             time: time.as_nanos(),
             seq,
             value: EventBody { node, kind },
-        });
-        self.queue_hwm = self.queue_hwm.max(self.queue.len());
+        }
     }
 
     /// The next event by `(time, seq)`, pre-popped from the wheel so its
@@ -397,7 +403,8 @@ impl Engine {
     }
 
     /// Fire a tick and re-file it where its node says, with the next `seq`
-    /// — where `apply` would have filed the one timer its handler armed.
+    /// — where `apply` would have filed the one timer its handler armed —
+    /// in the queue's FIFO lane for its period.
     fn tick(&mut self, node: NodeId, token: u64) {
         self.stats.timers_fired += 1;
         let idx = node.0;
@@ -406,7 +413,10 @@ impl Engine {
             .unwrap_or_else(|| panic!("node {idx} missing (re-entrant dispatch?)"));
         if let Some(at) = n.on_tick(token, self.now) {
             debug_assert!(at >= self.now, "tick re-armed in the past");
-            self.push(at, node, EventKind::Tick { token });
+            let period = at.saturating_since(self.now).as_nanos();
+            let entry = self.entry(at, node, EventKind::Tick { token });
+            self.queue.push_lane(period, entry);
+            self.queue_hwm = self.queue_hwm.max(self.queue.len());
         }
     }
 
@@ -928,29 +938,41 @@ mod tests {
     /// through plain timers. A start timer `START + k` arms chain `k` and,
     /// at the same instant and after it, a companion timer `COMPANION + k`
     /// — as a CNP arms a QP's alpha tick, then its rate timer. Chain `k`
-    /// fires `20 + 7k` times, the companion every third period while the
-    /// chain lives; both record what they saw.
+    /// fires `20 + 7k` times, the companion 25 ns later than the chain's
+    /// period while the chain lives — so a timer filed after a tick can be
+    /// due with it; both record what they saw.
     struct Rearm {
         ticks: bool,
+        periods: Periods,
         left: Vec<u32>,
         seen: Vec<(SimTime, u64)>,
+    }
+
+    /// How many distinct periods the chains re-arm with, and whether each
+    /// chain moves to a new one when fewer than ten fires are left.
+    #[derive(Debug, Clone, Copy)]
+    struct Periods {
+        distinct: u64,
+        shift: bool,
     }
 
     const START: u64 = 1_000;
     const COMPANION: u64 = 2_000;
 
-    fn period(k: u64) -> SimTime {
-        // Three periods: chains tie with each other and with companions.
-        SimTime::from_nanos(50 + 25 * (k % 3))
-    }
-
     impl Rearm {
+        /// Chain `k`'s period now. Periods are 25 ns apart, so chains tie
+        /// with each other and with companions.
+        fn period(&self, k: u64) -> SimTime {
+            let Periods { distinct, shift } = self.periods;
+            let late = shift && self.left[k as usize] < 10;
+            SimTime::from_nanos(50 + 25 * (k % distinct + if late { distinct } else { 0 }))
+        }
+
         /// Chain `k` fired at `now`: when it fires next, if it does.
         fn chain(&mut self, k: u64, now: SimTime) -> Option<SimTime> {
             self.seen.push((now, k));
-            let left = &mut self.left[k as usize];
-            *left -= 1;
-            (*left > 0).then(|| now + period(k))
+            self.left[k as usize] -= 1;
+            (self.left[k as usize] > 0).then(|| now + self.period(k))
         }
     }
 
@@ -962,7 +984,7 @@ mod tests {
                 START.. if t < COMPANION => {
                     let k = t - START;
                     self.seen.push((now, t));
-                    let at = now + period(k);
+                    let at = now + self.period(k);
                     if self.ticks {
                         ctx.set_tick_at(at, k);
                     } else {
@@ -974,7 +996,7 @@ mod tests {
                     let k = t - COMPANION;
                     self.seen.push((now, t));
                     if self.left[k as usize] > 0 {
-                        ctx.set_timer(period(k) + period(k) + period(k), t);
+                        ctx.set_timer(self.period(k) + SimTime::from_nanos(25), t);
                     }
                 }
                 k => {
@@ -1003,6 +1025,7 @@ mod tests {
 
     fn rearm_run(
         ticks: bool,
+        periods: Periods,
         freeze: Option<(u64, u64)>,
         horizon: Option<u64>,
         limit: Option<u64>,
@@ -1012,6 +1035,7 @@ mod tests {
         let mut eng = Engine::new(3);
         let node = eng.add_node(Box::new(Rearm {
             ticks,
+            periods,
             left: (0..CHAINS as u32).map(|k| 20 + 7 * k).collect(),
             seen: Vec::new(),
         }));
@@ -1039,28 +1063,42 @@ mod tests {
         (popped, seen, stats, hwm, outcome, deferred)
     }
 
-    /// A node that re-arms through ticks sees exactly what the same node
-    /// sees re-arming through timers: the same `(time, seq)` pops, the same
-    /// counts and queue depth, the same outcome — with a freeze window
-    /// deferring ticks, a horizon cut and an event-limit cut.
+    /// A node that re-arms through ticks — re-filed in the queue's FIFO
+    /// lanes — sees exactly what the same node sees re-arming through
+    /// timers in the wheel: the same `(time, seq)` pops, the same counts and
+    /// queue depth, the same outcome. With two, three or six periods (more
+    /// than the queue has lanes), periods that change mid-run, a freeze
+    /// window deferring ticks, a horizon cut and an event-limit cut.
     #[test]
     fn ticks_replay_the_timer_path() {
+        let periods = |distinct, shift| Periods { distinct, shift };
         let cases = [
-            (None, None, None),
-            (Some((400, 1_300)), None, None),
-            (None, Some(900), None),
-            (None, None, Some(150)),
-            (Some((200, 700)), Some(2_500), Some(100)),
+            (periods(3, false), None, None, None),
+            (periods(3, false), Some((400, 1_300)), None, None),
+            (periods(3, false), None, Some(900), None),
+            (periods(3, false), None, None, Some(150)),
+            (periods(3, false), Some((200, 700)), Some(2_500), Some(100)),
+            (periods(2, false), None, None, None),
+            (periods(6, false), None, None, None),
+            (periods(1, true), None, None, None),
+            (periods(3, true), None, None, None),
+            (periods(2, true), Some((600, 1_900)), None, None),
         ];
-        for (freeze, horizon, limit) in cases {
-            let case = format!("freeze {freeze:?}, horizon {horizon:?}, limit {limit:?}");
-            let via_ticks = rearm_run(true, freeze, horizon, limit);
-            assert_eq!(via_ticks, rearm_run(false, freeze, horizon, limit), "{case}");
+        for (periods, freeze, horizon, limit) in cases {
+            let case =
+                format!("{periods:?}, freeze {freeze:?}, horizon {horizon:?}, limit {limit:?}");
+            let via_ticks = rearm_run(true, periods, freeze, horizon, limit);
+            let via_timers = rearm_run(false, periods, freeze, horizon, limit);
+            assert_eq!(via_ticks, via_timers, "{case}");
             let (popped, seen, stats, _, outcome, deferred) = via_ticks;
             assert_eq!(popped.len() as u64, stats.events, "{case}");
             assert!(stats.events >= 100, "{case}: {stats:?}");
             assert_eq!(stats.timers_fired, seen.len() as u64, "{case}");
             assert_eq!(freeze.is_some(), deferred > 0, "{case}: {deferred} deferred");
+            if let Some((_, thaw)) = freeze {
+                let thawed = |&(at, k): &(SimTime, u64)| at.as_nanos() == thaw && k < START;
+                assert!(seen.iter().any(thawed), "{case}: no tick fired at the thaw");
+            }
             match (horizon, limit) {
                 (_, Some(_)) => assert!(matches!(outcome, RunOutcome::EventLimit { .. }), "{case}"),
                 (Some(_), None) => assert!(matches!(outcome, RunOutcome::HorizonReached { .. }), "{case}"),

@@ -33,12 +33,29 @@
 //! level has neither an earlier nor an equal-time rival anywhere.
 //!
 //! Push and pop are O(levels) amortized — no comparison-heap log factor.
-//! The slab is the only allocation. A popped cell goes on a LIFO free
-//! list and the next push takes it from there, so the slab grows only
-//! when every cell is live: it holds exactly as many cells as the queue
-//! was deep at its deepest, and a run whose depth has peaked allocates
-//! nothing more, whatever its slots do.
+//! A popped cell goes on a LIFO free list and the next push takes it from
+//! there, so the slab grows only when every cell is live: it holds exactly
+//! as many cells as the wheel was deep at its deepest, and a run whose
+//! depth has peaked allocates nothing more, whatever its slots do.
+//!
+//! Beside the wheel sit up to four FIFO *lanes*
+//! ([`push_lane`](TimerWheel::push_lane)). A lane holds entries filed one
+//! fixed `delay` after the pusher's clock — a periodic timer re-arming
+//! itself — so it is already sorted by `(time, seq)`: the clock never runs
+//! backwards and `seq` only grows. A lane push is an append and a lane pop
+//! takes the head, with no slot to file under and no cascade. An entry
+//! that would not extend its lane's tail, or whose delay finds no lane
+//! when all are taken, files in the wheel instead. `pop` takes the smaller
+//! `(time, seq)` of the earliest lane head and the wheel's minimum, under
+//! two rules that keep the wheel's invariant:
+//!
+//! - a lane pop leaves `elapsed` alone, so every wheel entry stays at
+//!   `level_for(elapsed, time)`;
+//! - a cascade moves `elapsed` to its slot's base time only when no lane
+//!   head is earlier: one that is pops first. Every entry popped from then
+//!   on is at or after the base, so every later push is too.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Bits of the timestamp consumed per level.
@@ -49,6 +66,8 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 64usize.div_ceil(LEVEL_BITS as usize);
 /// "No cell": ends a slot's chain and the free list.
 const NIL: u32 = u32::MAX;
+/// Most FIFO lanes a wheel keeps; a further delay files in the wheel.
+const LANES: usize = 4;
 
 /// One entry in the wheel: an opaque payload ordered by `(time, seq)`.
 pub struct Entry<T> {
@@ -60,8 +79,8 @@ pub struct Entry<T> {
     pub value: T,
 }
 
-/// One slab cell: a queued event linked into its slot's chain, or a free
-/// cell (`value` is `None`) linked into the free list.
+/// One slab cell: an event queued in the wheel, linked into its slot's
+/// chain, or a free cell (`value` is `None`) linked into the free list.
 struct Cell<T> {
     time: u64,
     seq: u64,
@@ -77,6 +96,12 @@ struct Slot {
 }
 
 const EMPTY: Slot = Slot { head: NIL, tail: NIL };
+
+/// Entries filed `delay` after their pusher's clock, in push order.
+struct Lane<T> {
+    delay: u64,
+    entries: VecDeque<Entry<T>>,
+}
 
 /// The hierarchical wheel. Generic over the payload so the determinism
 /// tests can drive it with plain markers.
@@ -94,6 +119,9 @@ pub struct TimerWheel<T> {
     /// level 0, differ from it in their own — the invariant that makes
     /// "lowest occupied slot" mean "earliest event".
     elapsed: u64,
+    /// FIFO lanes, made on first use, at most [`LANES`].
+    lanes: Vec<Lane<T>>,
+    /// Entries queued in the wheel and the lanes together.
     len: usize,
 }
 
@@ -112,11 +140,12 @@ impl<T> TimerWheel<T> {
             slots: Box::new([[EMPTY; SLOTS]; LEVELS]),
             occupied: [0; LEVELS],
             elapsed: 0,
+            lanes: Vec::new(),
             len: 0,
         }
     }
 
-    /// Number of queued entries.
+    /// Number of queued entries, lanes included.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -167,6 +196,46 @@ impl<T> TimerWheel<T> {
         self.len += 1;
     }
 
+    /// Queue an entry filed `delay` after the pusher's clock: appended to
+    /// that delay's lane when it extends the lane's tail, else filed in
+    /// the wheel as [`push`](Self::push) files it. Pop order is the same
+    /// either way.
+    pub fn push_lane(&mut self, delay: u64, entry: Entry<T>) {
+        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None if self.lanes.len() < LANES => {
+                self.lanes.push(Lane {
+                    delay,
+                    entries: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+            None => return self.push(entry),
+        };
+        let entries = &mut self.lanes[lane].entries;
+        if entries
+            .back()
+            .is_some_and(|tail| (tail.time, tail.seq) > (entry.time, entry.seq))
+        {
+            return self.push(entry);
+        }
+        entries.push_back(entry);
+        self.len += 1;
+    }
+
+    /// The lane whose head is earliest by `(time, seq)`, with that key.
+    fn first_lane(&self) -> Option<(usize, (u64, u64))> {
+        let heads = self.lanes.iter().enumerate();
+        let keyed = heads.filter_map(|(i, l)| l.entries.front().map(|e| (i, (e.time, e.seq))));
+        keyed.min_by_key(|&(_, key)| key)
+    }
+
+    /// Pop lane `i`'s head; `elapsed` stays where it is.
+    fn pop_lane(&mut self, i: usize) -> Option<Entry<T>> {
+        self.len -= 1;
+        self.lanes[i].entries.pop_front()
+    }
+
     /// Link cell `at` behind the tail of the slot its time files under.
     fn link(&mut self, at: u32) {
         let cell = &mut self.cells[at as usize];
@@ -188,12 +257,15 @@ impl<T> TimerWheel<T> {
         if self.len == 0 {
             return None;
         }
+        let lane = self.first_lane();
         loop {
             // The lowest level with any occupancy holds the next event:
             // by the invariant, occupied slots sit at-or-ahead of the
             // current position within this rotation, and anything filed
             // at a higher level is strictly later than everything below.
-            let level = self.occupied.iter().position(|&bits| bits != 0)?;
+            let Some(level) = self.occupied.iter().position(|&bits| bits != 0) else {
+                return self.pop_lane(lane?.0);
+            };
             let slot = self.occupied[level].trailing_zeros() as usize;
             let Slot { head, tail } = self.slots[level][slot];
             // Alone in the earliest slot = the earliest event outright:
@@ -213,6 +285,9 @@ impl<T> TimerWheel<T> {
                     (before, at) = (at, cell.next);
                 }
                 let cell = &mut self.cells[min as usize];
+                if let Some((i, _)) = lane.filter(|&(_, key)| key < (cell.time, min_seq)) {
+                    return self.pop_lane(i);
+                }
                 let after_min = cell.next;
                 let entry = Entry {
                     time: cell.time,
@@ -250,6 +325,11 @@ impl<T> TimerWheel<T> {
             };
             let slot_base = high | ((slot as u64) << shift);
             debug_assert!(slot_base >= self.elapsed);
+            // A lane head before the base pops first: moving `elapsed`
+            // past it would strand a push between the two.
+            if let Some((i, _)) = lane.filter(|&(_, (time, _))| time < slot_base) {
+                return self.pop_lane(i);
+            }
             self.elapsed = slot_base;
             self.slots[level][slot] = EMPTY;
             self.occupied[level] &= !(1 << slot);
@@ -520,6 +600,90 @@ mod tests {
         }
         assert!(peak > 2_000, "peak depth {peak}");
         assert!(seq > 20 * w.cells.len() as u64, "{seq} pushes, {} cells", w.cells.len());
+        while let Some(got) = w.pop() {
+            assert_eq!(Some((got.time, got.seq)), model.pop_first());
+            assert_eq!(got.value, !got.seq);
+        }
+        assert!(model.is_empty() && w.is_empty());
+    }
+
+    /// Entries queued in the lanes.
+    fn lane_len(w: &TimerWheel<u64>) -> usize {
+        w.lanes.iter().map(|l| l.entries.len()).sum()
+    }
+
+    /// The wheel with its lanes against a sorted `(time, seq)` model over
+    /// 120 000 mixed operations. Lane pushes one delay ahead of `now` meet
+    /// wheel pushes at the same instants (ties across the two, both ways
+    /// round in `seq`), pushes that would go backwards in their lane, six
+    /// delays for four lanes, far-future spikes that make the wheel
+    /// cascade while lane heads wait, and wheel pushes just after `now`,
+    /// which a cascade past a lane head would strand in the past. Pops
+    /// interleave with pushes in filling and draining phases.
+    #[test]
+    fn differential_of_lanes_and_wheel_against_a_sorted_model() {
+        use std::collections::BTreeSet;
+        const OPS: usize = 120_000;
+        const DELAYS: [u64; 6] = [55_000, 50, 75, 640, 4_096, 1 << 20];
+        let mut rng = SimRng::seed_from_u64(0x1a9e5);
+        let mut w: TimerWheel<u64> = TimerWheel::new();
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+        let (mut into_lanes, mut turned_away, mut lane_pops, mut ties) = (0, 0, 0, 0);
+        for op in 0..OPS {
+            let push_odds = if (op / 5_000) % 2 == 0 { 7 } else { 3 };
+            if model.is_empty() || rng.below(10) < push_odds {
+                let delay = DELAYS[rng.below(DELAYS.len() as u64) as usize];
+                let before = lane_len(&w);
+                let (time, lane) = match rng.below(16) {
+                    0..=6 => (now + delay, true),
+                    // Under its lane's tail, most of the time.
+                    7 => (now + rng.below(delay), true),
+                    // A rival in the wheel for a lane's instant.
+                    8..=10 => (now + delay, false),
+                    11..=13 => (now + rng.below(100), false),
+                    14 => (now + rng.below(60_000), false),
+                    _ => (now + rng.below(10_000_000_000), false),
+                };
+                let entry = Entry {
+                    time,
+                    seq,
+                    value: !seq,
+                };
+                if lane {
+                    w.push_lane(delay, entry);
+                    if lane_len(&w) > before {
+                        into_lanes += 1;
+                    } else {
+                        turned_away += 1;
+                    }
+                } else {
+                    w.push(entry);
+                }
+                model.insert((time, seq));
+                seq += 1;
+            } else {
+                let before = lane_len(&w);
+                let got = w.pop().unwrap();
+                assert_eq!(Some((got.time, got.seq)), model.pop_first(), "op {op}");
+                assert_eq!(got.value, !got.seq);
+                lane_pops += usize::from(lane_len(&w) < before);
+                ties += usize::from(model.first().is_some_and(|&(t, _)| t == got.time));
+                now = got.time;
+            }
+            peak = peak.max(model.len());
+            assert_eq!(w.len(), model.len());
+            assert!(w.cells.len() <= peak, "{} cells, peak depth {peak}", w.cells.len());
+        }
+        assert_eq!(w.lanes.len(), LANES);
+        assert!(
+            into_lanes > 12_000 && lane_pops > 12_000,
+            "{into_lanes} in, {lane_pops} out"
+        );
+        assert!(
+            turned_away > 8_000 && ties > 10_000,
+            "{turned_away} turned away, {ties} ties"
+        );
         while let Some(got) = w.pop() {
             assert_eq!(Some((got.time, got.seq)), model.pop_first());
             assert_eq!(got.value, !got.seq);

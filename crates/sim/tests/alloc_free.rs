@@ -3,11 +3,11 @@
 //! event plane's budget (DESIGN.md §5), and it either repeats exactly or
 //! the test fails.
 //!
-//! The wheel's one buffer is its slab, which grows only while the queue
-//! is deeper than it has ever been; slots are index pairs and a cascade
-//! re-links cells. So once a run's depth has peaked, the count is zero
-//! for any shape — lone entries or crowded slots, bare wheel or through
-//! `Engine::run`.
+//! The wheel's buffers are its slab and its lanes' rings, each of which
+//! grows only while it is deeper than it has ever been; slots are index
+//! pairs and a cascade re-links cells. So once a run's depth has peaked,
+//! the count is zero for any shape — lone entries, crowded slots or a
+//! lane, bare wheel or through `Engine::run`.
 
 use lumina_sim::wheel::{Entry, TimerWheel};
 use lumina_sim::{Engine, Frame, Node, NodeCtx, PortId, SimTime};
@@ -74,6 +74,28 @@ fn a_lone_periodic_timer_allocates_nothing() {
     let mut seq = 1;
     wheel.push(Entry { time: 1, seq: 0, value: 0u64 });
     assert_eq!(allocations(|| spin(&mut wheel, &mut seq, MEASURED)), 0);
+}
+
+/// 256 concurrent 55 µs timers re-filed through their FIFO lane, as the
+/// engine re-files ticks: after one warm-up lap the ring has held every
+/// timer, and 10 000 pops and pushes make no allocator call.
+#[test]
+fn a_lane_of_periodic_timers_allocates_nothing() {
+    let mut wheel = TimerWheel::new();
+    for i in 0..TIMERS {
+        wheel.push(Entry { time: 1 + i * 200, seq: i, value: i });
+    }
+    let mut seq = TIMERS;
+    let mut spin = |wheel: &mut TimerWheel<u64>, pairs: u64| {
+        for _ in 0..pairs {
+            let e = wheel.pop().expect("wheel never drains");
+            let next = Entry { time: e.time + PERIOD_NS, seq, value: e.value };
+            wheel.push_lane(PERIOD_NS, next);
+            seq += 1;
+        }
+    };
+    spin(&mut wheel, TIMERS);
+    assert_eq!(allocations(|| spin(&mut wheel, MEASURED)), 0);
 }
 
 /// Re-arms its timer forever: pure dispatch + wheel.
