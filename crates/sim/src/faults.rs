@@ -87,7 +87,6 @@ use crate::time::SimTime;
 use lumina_packet::Frame;
 use lumina_telemetry::{tev, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Salt folded into the fault seed so a plane seeded with the campaign
 /// seed still draws a stream unrelated to the engine's.
@@ -97,6 +96,36 @@ const FAULT_SEED_SALT: u64 = 0xfa17_ab1e_0bad_cafe;
 /// and the fault plane's, so mirror faults and data-path chaos can share
 /// one campaign seed without entangling their schedules.
 const CHAOS_SEED_SALT: u64 = 0xc7a0_5bad_5eed_f00d;
+
+/// Per-link values stored `[node][port]`, as the engine stores its links:
+/// a lookup on every send is two bounds checks, not a hash.
+#[derive(Debug, Clone)]
+struct LinkMap<V>(Vec<Vec<Option<V>>>);
+
+impl<V> LinkMap<V> {
+    fn new() -> LinkMap<V> {
+        LinkMap(Vec::new())
+    }
+
+    fn get(&self, from: NodeId, port: PortId) -> Option<&V> {
+        self.0.get(from.0)?.get(port.0)?.as_ref()
+    }
+
+    fn insert(&mut self, from: NodeId, port: PortId, value: V) {
+        if self.0.len() <= from.0 {
+            self.0.resize_with(from.0 + 1, Vec::new);
+        }
+        let Some(ports) = self.0.get_mut(from.0) else {
+            return;
+        };
+        if ports.len() <= port.0 {
+            ports.resize_with(port.0 + 1, || None);
+        }
+        if let Some(slot) = ports.get_mut(port.0) {
+            *slot = Some(value);
+        }
+    }
+}
 
 /// Loss/duplication probabilities applied per transmit on marked links.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -151,8 +180,8 @@ pub struct FaultStats {
 pub struct FaultPlane {
     rng: SimRng,
     mirror: MirrorFaults,
-    /// Egress `(node, port)` keys subject to [`MirrorFaults`].
-    marked_links: HashSet<(NodeId, PortId)>,
+    /// Egress links subject to [`MirrorFaults`].
+    marked_links: LinkMap<()>,
     freezes: Vec<FreezeWindow>,
     /// Run counters (engine-owned faults only; dumper-local fault counts
     /// live in the dumper's capture state).
@@ -165,7 +194,7 @@ impl FaultPlane {
         FaultPlane {
             rng: SimRng::seed_from_u64(seed ^ FAULT_SEED_SALT),
             mirror,
-            marked_links: HashSet::new(),
+            marked_links: LinkMap::new(),
             freezes: Vec::new(),
             stats: FaultStats::default(),
         }
@@ -181,7 +210,7 @@ impl FaultPlane {
 
     /// Subject `from:port` egress to the mirror loss/dup probabilities.
     pub fn mark_mirror_link(&mut self, from: NodeId, port: PortId) {
-        self.marked_links.insert((from, port));
+        self.marked_links.insert(from, port, ());
     }
 
     /// Add a freeze window. Zero-length windows are ignored.
@@ -194,7 +223,7 @@ impl FaultPlane {
     /// True when a transmit on this link must consult the plane. Split
     /// from [`fate`](Self::fate) so unmarked links never touch the RNG.
     pub fn covers_link(&self, from: NodeId, port: PortId) -> bool {
-        self.marked_links.contains(&(from, port))
+        self.marked_links.get(from, port).is_some()
     }
 
     /// Decide one transmit on a marked link. Draws loss first and, only
@@ -333,7 +362,7 @@ impl ChaosStats {
 #[derive(Debug, Clone)]
 pub struct ChaosPlane {
     rng: SimRng,
-    links: HashMap<(NodeId, PortId), LinkChaos>,
+    links: LinkMap<LinkChaos>,
     /// Run counters.
     pub stats: ChaosStats,
 }
@@ -343,7 +372,7 @@ impl ChaosPlane {
     pub fn new(seed: u64) -> ChaosPlane {
         ChaosPlane {
             rng: SimRng::seed_from_u64(seed ^ CHAOS_SEED_SALT),
-            links: HashMap::new(),
+            links: LinkMap::new(),
             stats: ChaosStats::default(),
         }
     }
@@ -352,14 +381,14 @@ impl ChaosPlane {
     /// are not registered, so they cannot even cover a link.
     pub fn set_link(&mut self, from: NodeId, port: PortId, chaos: LinkChaos) {
         if !chaos.is_noop() {
-            self.links.insert((from, port), chaos);
+            self.links.insert(from, port, chaos);
         }
     }
 
     /// True when a transmit on this link must consult the plane. Split
     /// from [`fate`](Self::fate) so uncovered links never touch the RNG.
     pub fn covers_link(&self, from: NodeId, port: PortId) -> bool {
-        self.links.contains_key(&(from, port))
+        self.links.get(from, port).is_some()
     }
 
     /// If a pause window covers the handoff instant `at`, the instant the
@@ -368,7 +397,7 @@ impl ChaosPlane {
     pub fn pause_until(&mut self, from: NodeId, port: PortId, at: SimTime) -> Option<SimTime> {
         let resume = self
             .links
-            .get(&(from, port))?
+            .get(from, port)?
             .pauses
             .iter()
             .filter(|w| w.contains(at))
@@ -392,7 +421,7 @@ impl ChaosPlane {
         arrival: SimTime,
         frame_len: usize,
     ) -> ChaosFate {
-        let Some(lc) = self.links.get(&(from, port)) else {
+        let Some(lc) = self.links.get(from, port) else {
             return ChaosFate::Deliver;
         };
         if lc
