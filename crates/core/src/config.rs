@@ -710,6 +710,29 @@ fn max_propagation_ns(horizon_ns: u64) -> u64 {
     (u64::MAX - 760).saturating_sub(horizon_ns) / 4
 }
 
+/// The latest instant a frame of a run with horizon `horizon_ns` arrives,
+/// to the bound [`max_propagation_ns`] keeps: a round trip past the horizon.
+fn latest_arrival_ns(horizon_ns: u64, propagation_ns: u64) -> Option<u64> {
+    propagation_ns
+        .checked_mul(4)?
+        .checked_add(760)?
+        .checked_add(horizon_ns)
+}
+
+/// What is wrong with an injected delay of `delay_us`, if anything. The
+/// delay is added to an arrival time, so it must fit the clock past the
+/// latest one ([`latest_arrival_ns`], `None` when that does not fit
+/// either and is reported on its own).
+fn delay_problem(delay_us: u64, latest_arrival_ns: Option<u64>) -> Option<String> {
+    let max_us = (u64::MAX - latest_arrival_ns.unwrap_or(0)) / 1_000;
+    (delay_us > max_us).then(|| {
+        format!(
+            "{delay_us} does not fit the simulation clock once added to an arrival a round \
+             trip past horizon-ms (at most {max_us})"
+        )
+    })
+}
+
 /// True when `value`, counted in units of `unit_ns` nanoseconds, is a time
 /// [`SimTime`] can hold — the lowering into the sim layer multiplies
 /// unchecked.
@@ -877,6 +900,11 @@ impl TestConfig {
                 self.network.horizon_ms
             ));
         }
+        let net = &self.network;
+        let latest_arrival = net
+            .horizon_ms
+            .checked_mul(1_000_000)
+            .and_then(|h| latest_arrival_ns(h, net.propagation_delay_ns));
         if self.traffic.min_retransmit_timeout >= 32 {
             problems.push("min-retransmit-timeout must be a 5-bit code".into());
         }
@@ -893,11 +921,8 @@ impl TestConfig {
                     ev.psn, ev.every
                 ));
             }
-            if !fits_clock(ev.delay_us, 1_000) {
-                problems.push(format!(
-                    "traffic: event {i}: delay-us {} does not fit the simulation clock",
-                    ev.delay_us
-                ));
+            if let Some(p) = delay_problem(ev.delay_us, latest_arrival) {
+                problems.push(format!("traffic: event {i}: delay-us {p}"));
             }
             if ev.iter == 0 {
                 problems.push(format!("event {i}: iter must be ≥ 1"));
@@ -1046,12 +1071,8 @@ impl TestConfig {
                     prob("loss-prob", b.loss_prob, &mut problems);
                     prob("corrupt-prob", b.corrupt_prob, &mut problems);
                     prob("reorder-prob", b.reorder_prob, &mut problems);
-                    if !fits_clock(b.reorder_delay_us, 1_000) {
-                        problems.push(format!(
-                            "chaos: link {i}: burst {j}: reorder-delay-us {} does not fit \
-                             the simulation clock",
-                            b.reorder_delay_us
-                        ));
+                    if let Some(p) = delay_problem(b.reorder_delay_us, latest_arrival) {
+                        problems.push(format!("chaos: link {i}: burst {j}: reorder-delay-us {p}"));
                     }
                 }
             }
@@ -1349,8 +1370,10 @@ chaos:
 
     #[test]
     fn spans_past_the_clock_are_config_errors() {
-        // The two plain spans lowered by multiplication: both wrap u64
-        // nanoseconds by one unit; one unit less is fine.
+        // The horizon is lowered by multiplication and wraps u64
+        // nanoseconds by one unit; one unit less is fine. A reorder delay
+        // is added to an arrival a round trip past the horizon, so the
+        // longest one is what the clock has left after that arrival.
         let yaml = |horizon_ms: u64, delay_us: u64| {
             format!(
                 r#"
@@ -1371,23 +1394,36 @@ chaos:
             )
         };
         let (ms, us) = (u64::MAX / 1_000_000, u64::MAX / 1_000);
+        let latest = latest_arrival_ns(1_000_000, default_prop()).unwrap();
+        let max_us = (u64::MAX - latest) / 1_000;
+        for fits in [yaml(ms, 0), yaml(1, max_us)] {
+            let cfg = TestConfig::from_yaml(&fits).unwrap();
+            assert_eq!(cfg.problems(), Vec::<String>::new());
+        }
+        let reorder = |delay_us: u64, max_us: u64| {
+            format!(
+                "chaos: link 0: burst 0: reorder-delay-us {delay_us} does not fit the simulation \
+                 clock once added to an arrival a round trip past horizon-ms (at most {max_us})"
+            )
+        };
+        let cfg = TestConfig::from_yaml(&yaml(1, max_us + 1)).unwrap();
+        assert_eq!(cfg.problems(), [reorder(max_us + 1, max_us)]);
+        // A delay that fits the clock alone, past the longest horizon.
         let cfg = TestConfig::from_yaml(&yaml(ms, us)).unwrap();
-        assert_eq!(cfg.problems(), Vec::<String>::new());
+        let latest = latest_arrival_ns(ms * 1_000_000, default_prop()).unwrap();
+        assert_eq!(cfg.problems(), [reorder(us, (u64::MAX - latest) / 1_000)]);
         let cfg = TestConfig::from_yaml(&yaml(ms + 1, us + 1)).unwrap();
         let want = [
             format!(
                 "network: horizon-ms {} does not fit the simulation clock",
                 ms + 1
             ),
-            format!(
-                "chaos: link 0: burst 0: reorder-delay-us {} does not fit the simulation clock",
-                us + 1
-            ),
+            reorder(us + 1, us),
         ];
         assert_eq!(cfg.problems(), want);
         assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
         // A float past f64 parses as +∞, which bounds nothing.
-        let inf = yaml(ms, us).replace("chaos:\n", "chaos:\n  amplification-limit: 1e400\n");
+        let inf = yaml(ms, 0).replace("chaos:\n", "chaos:\n  amplification-limit: 1e400\n");
         let cfg = TestConfig::from_yaml(&inf).unwrap();
         assert_eq!(cfg.chaos.as_ref().unwrap().amplification_limit, Some(f64::INFINITY));
         assert_eq!(

@@ -96,6 +96,33 @@ fn hostile_delay_is_a_config_error() {
     assert_rejected(&cfg, "traffic: event 0: delay-us");
 }
 
+/// A delay that fits the clock on its own but not once it is added to a
+/// late arrival: the switch's release timer would overflow.
+#[test]
+fn late_overflowing_delay_is_a_config_error() {
+    let mut cfg = preset("delay_reorder_demo.yaml");
+    let ev = cfg.traffic.data_pkt_events.iter_mut().find(|e| e.r#type == "delay");
+    ev.unwrap().delay_us = u64::MAX / 1_000;
+    assert_rejected(
+        &cfg,
+        "traffic: event 0: delay-us 18446744073709551 does not fit",
+    );
+}
+
+/// The same for a chaos burst's reorder delay, which is added to the
+/// arrival time of every frame it reorders.
+#[test]
+fn late_overflowing_reorder_delay_is_a_config_error() {
+    let mut cfg = preset("chaos_demo.yaml");
+    let burst = &mut cfg.chaos.as_mut().unwrap().links[0].bursts[0];
+    burst.reorder_prob = 1.0;
+    burst.reorder_delay_us = u64::MAX / 1_000;
+    assert_rejected(
+        &cfg,
+        "chaos: link 0: burst 0: reorder-delay-us 18446744073709551 does not fit",
+    );
+}
+
 #[test]
 fn hostile_period_is_a_config_error() {
     let mut cfg = preset("listing2.yaml");
