@@ -138,7 +138,9 @@ fn frame_ledger_and_event_count_are_pinned() {
     // here. Recorded on the tree before the one-allocation wire buffer;
     // the timer / delivery split and the journal length on the tree before
     // the RNIC's QP table; the queue high-water mark on the tree before the
-    // self-profile left the telemetry sink.
+    // self-profile left the telemetry sink. `quirks_demo` (89 % of its
+    // events DCQCN alpha ticks) was recorded whole on the tree before ticks
+    // re-filed through the queue's FIFO lanes, which its depth counts.
     let pinned = [
         (
             "listing2",
@@ -153,6 +155,13 @@ fn frame_ledger_and_event_count_are_pinned() {
             [53_816, 26_033, 27_783],
             9_791,
             3_025,
+        ),
+        (
+            "quirks_demo",
+            [565, 497_666, 514_634, 522, 1_471_020, 41],
+            [7_702, 6_836, 866],
+            532,
+            50,
         ),
     ];
     let corpus = corpus();
