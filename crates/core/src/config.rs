@@ -951,7 +951,6 @@ impl TestConfig {
         if self.network.dumper_cores == 0 {
             problems.push("dumper-cores must be ≥ 1".into());
         }
-        let net = &self.network;
         if net.num_dumpers > MAX_DUMPER_CORES {
             problems.push(format!(
                 "network: num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds; each dumper has at least one)",
