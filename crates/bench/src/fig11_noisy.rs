@@ -65,7 +65,7 @@ network:
     assert!(
         res.traffic_completed(),
         "{nic}/i={injected}: traffic incomplete at {}",
-        res.end_time
+        res.outcome.end_time()
     );
     let victims: Vec<u32> = res
         .conns

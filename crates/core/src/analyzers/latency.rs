@@ -89,7 +89,7 @@ mod tests {
         tel.record_hop(0, hops::LINK_EGRESS, 0, 1_500);
         tel.record_hop(0, hops::LINK_INGRESS, 2, 3_500);
         tel.record_hop(0, hops::SWITCH_FORWARD, 2, 4_000);
-        tel.with_log(TraceSummary::from_log)
+        TraceSummary::from_log(&tel.into_log())
     }
 
     #[test]

@@ -54,7 +54,8 @@ fn print_pretty(doc: &serde_json::Value) {
 }
 
 /// `lumina-cli telemetry --config <test.yaml>`: run the test and dump the
-/// journal + registry (stdout, deterministic) and self-profile (stderr).
+/// journal + per-node metrics (stdout, deterministic) and self-profile
+/// (stderr).
 fn telemetry_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let opts = CommonOpts::parse(args)?;
     let results = run_test(&opts.load()?)?;

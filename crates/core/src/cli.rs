@@ -126,8 +126,8 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
         summary: "event journal + metrics",
         flags: &[],
         notes: &[
-            "Prints the structured event journal (JSONL) then the per-node metric",
-            "registry — both byte-identical across same-seed runs — plus the",
+            "Prints the structured event journal (JSONL) then the per-node",
+            "metrics — both byte-identical across same-seed runs — plus the",
             "frame-plane allocation counters. With --json, one JSON document.",
         ],
     },
@@ -306,18 +306,30 @@ pub fn reject_unknown_flags(sub: &str, args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-/// Render one flag row plus aligned continuation lines.
-fn render_flag(out: &mut String, f: &FlagSpec) {
-    let head = match f.value {
-        Some(v) => format!("{} {v}", f.name),
-        None => f.name.to_string(),
-    };
-    for (i, line) in f.help.lines().enumerate() {
-        if i == 0 {
-            out.push_str(&format!("    {head:<18}{line}\n"));
-        } else {
-            out.push_str(&format!("    {:<18}{line}\n", ""));
+impl FlagSpec {
+    /// The flag as its help row shows it: `--pcap <out>`.
+    fn head(&self) -> String {
+        match self.value {
+            Some(v) => format!("{} {v}", self.name),
+            None => self.name.to_string(),
         }
+    }
+}
+
+/// Every flag the help text lists, common ones first.
+fn all_flags() -> impl Iterator<Item = &'static FlagSpec> {
+    COMMON_FLAGS
+        .iter()
+        .chain(SUBCOMMANDS.iter().flat_map(|s| s.flags))
+}
+
+/// Render one flag row plus aligned continuation lines, the help starting
+/// at column `col`.
+fn render_flag(out: &mut String, f: &FlagSpec, col: usize) {
+    let head = f.head();
+    for (i, line) in f.help.lines().enumerate() {
+        let head = if i == 0 { head.as_str() } else { "" };
+        out.push_str(&format!("    {head:<col$}{line}\n"));
     }
 }
 
@@ -326,6 +338,8 @@ fn render_flag(out: &mut String, f: &FlagSpec) {
 pub fn help() -> &'static str {
     static HELP: OnceLock<String> = OnceLock::new();
     HELP.get_or_init(|| {
+        // Two spaces past the longest flag, so no flag runs into its help.
+        let col = all_flags().map(|f| f.head().len()).max().unwrap_or(0) + 2;
         let mut out = String::new();
         out.push_str("lumina-cli — run Lumina tests against the simulated testbed\n\nUSAGE:\n");
         for s in SUBCOMMANDS {
@@ -336,7 +350,7 @@ pub fn help() -> &'static str {
         );
         out.push_str("\nCOMMON OPTIONS (all subcommands):\n");
         for f in COMMON_FLAGS {
-            render_flag(&mut out, f);
+            render_flag(&mut out, f, col);
         }
         for s in SUBCOMMANDS {
             let title = s.name.to_uppercase();
@@ -345,7 +359,7 @@ pub fn help() -> &'static str {
             } else {
                 out.push_str(&format!("\n{title} OPTIONS:\n"));
                 for f in s.flags {
-                    render_flag(&mut out, f);
+                    render_flag(&mut out, f, col);
                 }
             }
             if !s.notes.is_empty() {
@@ -547,6 +561,16 @@ mod tests {
         let o = CommonOpts::parse(&argv(&[path, "--seed", "7777"])).unwrap();
         let cfg = o.load().unwrap();
         assert_eq!(cfg.network.seed, 7777);
+    }
+
+    #[test]
+    fn every_flag_row_leaves_two_spaces_before_its_help() {
+        for f in all_flags() {
+            let row = format!("    {}  ", f.head());
+            let first = f.help.lines().next().unwrap_or_default();
+            let line = help().lines().find(|l| l.starts_with(&row) && l.ends_with(first));
+            assert!(line.is_some(), "{} runs into its help", f.name);
+        }
     }
 
     #[test]

@@ -1053,6 +1053,16 @@ impl TestConfig {
                     for (j, w) in windows.iter().enumerate() {
                         if let Some(p) = window_problem(w.at_us, w.duration_us) {
                             problems.push(format!("chaos: link {i}: {kind} {j}: {p}"));
+                        } else if kind == "pause" {
+                            // A paused frame leaves when the window ends: like
+                            // an injected delay, the end must fit the clock a
+                            // round trip past the latest arrival.
+                            let end_us = w.at_us + w.duration_us;
+                            if let Some(p) = delay_problem(end_us, latest_arrival) {
+                                problems.push(format!(
+                                    "chaos: link {i}: pause {j}: at-us + duration-us {p}"
+                                ));
+                            }
                         }
                     }
                 }

@@ -339,7 +339,7 @@ fn cell_outcome(
         msgs_completed: completed,
         msgs_failed: failed,
         trace_packets: res.trace.as_ref().map_or(0, |t| t.len()) as u64,
-        end_time_ns: res.end_time.as_nanos(),
+        end_time_ns: res.outcome.end_time().as_nanos(),
     };
     let report = if include_report {
         Some(res.report_json()?)

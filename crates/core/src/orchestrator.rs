@@ -14,13 +14,13 @@ use crate::translate::{translate, ConnMeta};
 use lumina_dumper::node::{capture_handle, CaptureCounts, CaptureHandle, DumperConfig, DumperNode};
 use lumina_dumper::{CapturedPacket, DumperFaults, StallWindow, Trace};
 use lumina_gen::host::{HostNode, Role};
-use lumina_gen::metrics::{metrics_handle, GenMetrics, MetricsHandle};
+use lumina_gen::metrics::GenMetrics;
 use lumina_gen::FlowPlan;
 use lumina_rnic::counters::Counters;
 use lumina_rnic::ets::{EtsConfig, TcConfig};
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
-use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Vendor, Verb};
-use lumina_sim::telemetry::{SelfProfile, TraceSummary};
+use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Verb};
+use lumina_sim::telemetry::{EventLog, SelfProfile, TraceSummary};
 use lumina_sim::{
     ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
     Interposer, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
@@ -50,10 +50,6 @@ pub struct TestResults {
     pub requester_counters: Counters,
     /// Responder NIC canonical counters.
     pub responder_counters: Counters,
-    /// Requester counters under vendor names.
-    pub requester_vendor_counters: BTreeMap<String, u64>,
-    /// Responder counters under vendor names.
-    pub responder_vendor_counters: BTreeMap<String, u64>,
     /// Requester application metrics (goodput, MCTs).
     pub requester_metrics: GenMetrics,
     /// Responder application metrics.
@@ -66,9 +62,7 @@ pub struct TestResults {
     pub events_unfired: usize,
     /// Mirror copies lost to dumper overload.
     pub dumper_discards: u64,
-    /// Final simulation time.
-    pub end_time: SimTime,
-    /// How the run ended.
+    /// How the run ended, and when.
     pub outcome: RunOutcome,
     /// Engine statistics.
     pub engine_stats: EngineStats,
@@ -77,13 +71,9 @@ pub struct TestResults {
     /// predate the zero-copy plane and must stay byte-identical. The
     /// counters surface through the `telemetry` CLI subcommand instead.
     pub frame_stats: FrameStats,
-    /// Telemetry sink the run recorded into: the event log (journal and
-    /// hop views) and the per-node metric registry, all in simulated time.
-    pub telemetry: Telemetry,
-    /// Per-hop / end-to-end latency dissection of the hop view, folded
-    /// once when the run is collected; empty unless the run traced
-    /// (`trace:` section enabled).
-    pub trace_summary: TraceSummary,
+    /// The run's event log (journal and hop views, in simulated time),
+    /// moved out of its telemetry sink when the run was collected.
+    pub telemetry: EventLog,
     /// Wall-clock self-profile: from building the testbed to the end of
     /// [`run_test`], and the engine queue's high-water mark. Never in
     /// [`report_json`](Self::report_json).
@@ -92,10 +82,6 @@ pub struct TestResults {
     /// `faults:` section, so fault-free reports are byte-identical to
     /// every pre-fault-plane release.
     pub fault_stats: Option<FaultStats>,
-    /// Captures hit by injected bit-rot, summed over the dumper pool.
-    pub captures_corrupted: u64,
-    /// Stall-inflated dumper service ticks, summed over the pool.
-    pub service_ticks_stalled: u64,
     /// Each dumper's counts, dumper `i` at index `i`.
     pub dumper_counts: Vec<CaptureCounts>,
     /// Misbehavior-plane counters (both devices merged); `Some` only when
@@ -122,11 +108,10 @@ pub struct TestResults {
 }
 
 // The parallel fuzz executor evaluates `run_test` on worker threads and
-// ships whole `TestResults` back to the campaign thread. Everything a run
-// produces is owned per-run state (the `Rc`-based capture/metrics handles
-// stay inside the run's thread and are cloned out before return), and the
-// telemetry sink is `Arc`-backed — keep that Send guarantee checked at
-// compile time.
+// ships whole `TestResults` back to the campaign thread. A run's `Rc`
+// handles (telemetry sink, capture buffers) stay on its thread with the
+// engine; what they held is moved out into plain data when the run is
+// collected — keep that Send guarantee checked at compile time.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<TestResults>();
@@ -158,6 +143,28 @@ impl TestResults {
         Some(conformance::replay(trace, &self.conns, &opts))
     }
 
+    /// The per-hop / end-to-end latency dissection of the hop view; `None`
+    /// unless the run traced (`trace:` section enabled).
+    pub fn trace_summary(&self) -> Option<TraceSummary> {
+        let log = &self.telemetry;
+        log.is_tracing().then(|| TraceSummary::from_log(log))
+    }
+
+    /// One device's counters under its vendor's names, the way the
+    /// orchestrator collects "network stack counters" (Table 1).
+    pub fn vendor_counters(&self, responder_side: bool) -> Result<BTreeMap<String, u64>, Error> {
+        let (counters, role) = if responder_side {
+            (&self.responder_counters, "responder")
+        } else {
+            (&self.requester_counters, "requester")
+        };
+        let profile = self
+            .cfg
+            .resolved_device(responder_side)
+            .ok_or_else(|| Error::internal(format!("unknown {role} nic")))?;
+        Ok(counters.vendor_view(profile.vendor))
+    }
+
     /// Machine-readable summary (the orchestrator's "test results" file).
     pub fn report_json(&self) -> Result<serde_json::Value, Error> {
         #[derive(Serialize)]
@@ -165,8 +172,8 @@ impl TestResults {
             integrity_passed: bool,
             integrity: &'a IntegrityReport,
             trace_packets: usize,
-            requester_counters: &'a BTreeMap<String, u64>,
-            responder_counters: &'a BTreeMap<String, u64>,
+            requester_counters: BTreeMap<String, u64>,
+            responder_counters: BTreeMap<String, u64>,
             requester_metrics: &'a GenMetrics,
             switch: &'a SwitchCounters,
             events_fired: usize,
@@ -181,14 +188,14 @@ impl TestResults {
                 integrity_passed: self.integrity.passed(),
                 integrity: &self.integrity,
                 trace_packets: self.trace.as_ref().map_or(0, |t| t.len()),
-                requester_counters: &self.requester_vendor_counters,
-                responder_counters: &self.responder_vendor_counters,
+                requester_counters: self.vendor_counters(false)?,
+                responder_counters: self.vendor_counters(true)?,
                 requester_metrics: &self.requester_metrics,
                 switch: &self.switch_counters,
                 events_fired: self.events_fired,
                 events_unfired: self.events_unfired,
                 dumper_discards: self.dumper_discards,
-                end_time_ns: self.end_time.as_nanos(),
+                end_time_ns: self.outcome.end_time().as_nanos(),
                 traffic_completed: self.traffic_completed(),
             },
         )?;
@@ -197,8 +204,11 @@ impl TestResults {
         // pristine reports (and all eight goldens) byte-identical.
         if let Some(fs) = &self.fault_stats {
             let mut faults = section("fault stats", fs)?;
-            faults["captures_corrupted"] = serde_json::Value::from(self.captures_corrupted);
-            faults["service_ticks_stalled"] = serde_json::Value::from(self.service_ticks_stalled);
+            let pool = |count: fn(&CaptureCounts) -> u64| {
+                Value::from(self.dumper_counts.iter().map(count).sum::<u64>())
+            };
+            faults["captures_corrupted"] = pool(|c| c.captures_corrupted);
+            faults["service_ticks_stalled"] = pool(|c| c.service_ticks_stalled);
             report["faults"] = faults;
         }
         // Likewise, misbehavior accounting and the conformance verdict
@@ -219,8 +229,8 @@ impl TestResults {
         }
         // The lifecycle dissection appears only when tracing was on, so
         // trace-free reports (and all eight goldens) stay byte-identical.
-        if self.telemetry.is_tracing() {
-            report["trace"] = self.trace_summary.to_json();
+        if let Some(summary) = self.trace_summary() {
+            report["trace"] = summary.to_json();
         }
         // The canonical device names appear only when a `device:` section
         // selected them, so registry-free reports stay byte-identical.
@@ -241,12 +251,11 @@ impl TestResults {
 
     /// The `telemetry` document, in `report_json` and `lumina-cli
     /// telemetry`: the journal's two counts, the engine's statistics, and
-    /// per node the registry's counters and histograms, then the node's
-    /// component counters as this result holds them, by kind.
+    /// per node its sets as this result holds them, by kind — first a
+    /// host's MCT histogram, when it completed a message.
     pub fn telemetry_json(&self) -> Result<Value, Error> {
-        let tel = &self.telemetry;
-        let mut nodes: BTreeMap<u32, Value> =
-            tel.with_registry(|r| r.nodes().map(|(id, m)| (id, m.to_json())).collect());
+        let log = &self.telemetry;
+        let mut nodes: BTreeMap<u32, Value> = BTreeMap::new();
         let mut file = |node: NodeId, kind: &str, set: Value| {
             nodes.entry(node.0 as u32).or_default()[kind] = set;
         };
@@ -255,6 +264,9 @@ impl TestResults {
             (RESPONDER, &self.responder_metrics, &self.responder_counters),
         ];
         for ((id, gen, rnic), quirks) in hosts.into_iter().zip(&self.host_quirk_stats) {
+            if let Some(mct) = gen.mct_histogram() {
+                file(id, "histograms", serde_json::json!({"mct_ns": (mct.to_json())}));
+            }
             file(id, "gen", section("gen metrics", gen)?);
             if let Some(qs) = quirks {
                 file(id, "quirks", section("quirk stats", qs)?);
@@ -271,14 +283,14 @@ impl TestResults {
             file(SWITCH, "recovery", section("recovery report", rec)?);
         }
         file(SWITCH, "switch", section("switch counters", &self.switch_counters)?);
-        if tel.is_tracing() {
-            file(SWITCH, "trace", self.trace_summary.to_json());
+        if let Some(summary) = self.trace_summary() {
+            file(SWITCH, "trace", summary.to_json());
         }
         for (i, counts) in self.dumper_counts.iter().enumerate() {
             file(NodeId(FIRST_DUMPER + i), "dumper", section("capture counts", counts)?);
         }
         let mut doc = serde_json::json!({
-            "journal": {"events": (tel.journal_len() as u64), "dropped": (tel.journal_dropped())},
+            "journal": {"events": (log.journal_len() as u64), "dropped": (log.journal_dropped())},
             "global": {"engine": (section("engine stats", &self.engine_stats)?)},
         });
         doc["nodes"] = Value::Object(nodes.into_iter().map(|(id, v)| (id.to_string(), v)).collect());
@@ -338,10 +350,6 @@ struct Testbed {
     tel: Telemetry,
     profile: SelfProfile,
     conns: Vec<ConnMeta>,
-    /// Counter dialects of the requester and responder NICs.
-    vendors: [Vendor; 2],
-    req_metrics: MetricsHandle,
-    rsp_metrics: MetricsHandle,
     dumpers: Vec<CaptureHandle>,
 }
 
@@ -400,18 +408,15 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
             tx_depth: cfg.traffic.tx_depth,
         })
         .collect();
-    let req_metrics = metrics_handle();
-    let rsp_metrics = metrics_handle();
     let requester = HostNode::new(
         req_rnic,
         Role::Requester {
             plans,
             barrier_sync: cfg.traffic.barrier_sync,
         },
-        req_metrics.clone(),
         "requester",
     );
-    let responder = HostNode::new(rsp_rnic, Role::Responder, rsp_metrics.clone(), "responder");
+    let responder = HostNode::new(rsp_rnic, Role::Responder, "responder");
     let switch = build_switch(cfg, &conns)?;
 
     let ids = [
@@ -443,9 +448,6 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
         tel,
         profile,
         conns,
-        vendors: [req_profile.vendor, rsp_profile.vendor],
-        req_metrics,
-        rsp_metrics,
         dumpers,
     })
 }
@@ -745,13 +747,13 @@ fn take_node<T: Node>(eng: &mut Engine, id: NodeId, what: &str) -> Result<Box<T>
 }
 
 /// Stage 3: tear the testbed down and collect everything Table 1 lists —
-/// counters, application metrics, engine/frame/plane statistics — each
-/// component's counter struct once, where the reports read it. The
+/// counters, application metrics, engine/frame/plane statistics, the event
+/// log — each once, moved out of its owner, where the reports read it. The
 /// dumpers' capture buffers are taken, not copied, and handed on whole to
 /// [`reconstruct`], which consumes them. Fails only with
 /// [`Error::Internal`].
 fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harvest), Error> {
-    let (eng, tel) = (&mut bed.eng, &bed.tel);
+    let eng = &mut bed.eng;
     let engine_stats = *eng.stats();
     let mut profile = bed.profile;
     profile.queue_depth_hwm = eng.queue_depth_hwm();
@@ -790,11 +792,8 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         }
     }
 
-    let req_counters = req_host.rnic.counters.clone();
-    let rsp_counters = rsp_host.rnic.counters.clone();
-    let requester_metrics = bed.req_metrics.borrow().clone();
-    let responder_metrics = bed.rsp_metrics.borrow().clone();
-    let (mut dumper_discards, mut captures_corrupted, mut service_ticks_stalled) = (0, 0, 0);
+    let (req_host, rsp_host) = (*req_host, *rsp_host);
+    let mut dumper_discards = 0;
     let mut captures = Vec::with_capacity(bed.dumpers.len());
     let mut dumper_counts = Vec::with_capacity(bed.dumpers.len());
     for handle in &bed.dumpers {
@@ -803,16 +802,7 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         dumper_counts.push(state.counts());
         captures.push(std::mem::take(&mut state.packets));
         dumper_discards += state.rx_discards;
-        captures_corrupted += state.captures_corrupted;
-        service_ticks_stalled += state.service_ticks_stalled;
     }
-    // Fold the dissection once; the reports file it under the switch (the
-    // testbed's vantage point).
-    let trace_summary = if tel.is_tracing() {
-        tel.with_log(TraceSummary::from_log)
-    } else {
-        TraceSummary::default()
-    };
     let harvest = Harvest {
         captures: sw.cfg.mirroring.then_some(captures),
         qp_end_states,
@@ -822,25 +812,19 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
         conns: bed.conns,
         trace: None,
         integrity: IntegrityReport::default(),
-        requester_vendor_counters: req_counters.vendor_view(bed.vendors[0]),
-        responder_vendor_counters: rsp_counters.vendor_view(bed.vendors[1]),
-        requester_counters: req_counters,
-        responder_counters: rsp_counters,
-        requester_metrics,
-        responder_metrics,
+        requester_counters: req_host.rnic.counters,
+        responder_counters: rsp_host.rnic.counters,
+        requester_metrics: req_host.metrics,
+        responder_metrics: rsp_host.metrics,
         events_fired: sw.table.fired().len(),
         events_unfired: sw.table.unfired().len(),
         dumper_discards,
-        end_time: outcome.end_time(),
         outcome,
         engine_stats,
         frame_stats,
-        telemetry: bed.tel,
-        trace_summary,
+        telemetry: bed.tel.into_log(),
         profile,
         fault_stats,
-        captures_corrupted,
-        service_ticks_stalled,
         dumper_counts,
         quirk_stats,
         host_quirk_stats,

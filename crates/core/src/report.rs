@@ -98,7 +98,7 @@ impl<'a> RunReport<'a> {
     pub fn render_human(&self) -> String {
         let r = self.results;
         let mut out = String::new();
-        line(&mut out, "finished at", r.end_time);
+        line(&mut out, "finished at", r.outcome.end_time());
         line(&mut out, "traffic complete", r.traffic_completed());
         // The live report counts the gap spans it lists (the first 16).
         let listed_gaps = r.integrity.degraded.as_ref().map_or(0, |d| d.gaps.len());
@@ -217,8 +217,8 @@ pub(crate) fn line(out: &mut String, key: &str, value: impl Display) {
 }
 
 /// The journal is a ring: say so when it overflowed (`run` and `telemetry`).
-fn journal_dropped(out: &mut String, tel: &lumina_sim::Telemetry) {
-    let dropped = tel.journal_dropped();
+fn journal_dropped(out: &mut String, log: &lumina_sim::telemetry::EventLog) {
+    let dropped = log.journal_dropped();
     if dropped > 0 {
         line(
             out,

@@ -1,7 +1,7 @@
-//! `lumina-cli telemetry`: the event journal, the per-node metrics (the
-//! registry's, then each component's counters read from the results) and
-//! the frame-plane counters of one run — byte-identical across same-seed
-//! runs — plus the wall-clock self-profile, which is not.
+//! `lumina-cli telemetry`: the event journal, the per-node metrics (each
+//! host's MCT histogram, then each component's counters, read from the
+//! results) and the frame-plane counters of one run — byte-identical across
+//! same-seed runs — plus the wall-clock self-profile, which is not.
 
 use super::journal_dropped;
 use crate::error::Error;
@@ -21,8 +21,8 @@ impl<'a> TelemetryReport<'a> {
 
     /// One machine-readable document: journal, metrics, frame plane.
     pub fn to_json(&self) -> Result<Value, Error> {
-        let tel = &self.results.telemetry;
-        let journal: Vec<Value> = tel.with_log(|log| log.journal().map(|r| r.to_json(log)).collect());
+        let log = &self.results.telemetry;
+        let journal: Vec<Value> = log.journal().map(|r| r.to_json(log)).collect();
         Ok(serde_json::json!({
             "journal": journal,
             "metrics": (self.results.telemetry_json()?),
@@ -33,9 +33,9 @@ impl<'a> TelemetryReport<'a> {
     /// The journal as JSON Lines, then the per-node metrics and the
     /// frame-plane allocation/copy accounting as one aligned table.
     pub fn render_human(&self) -> Result<String, Error> {
-        let tel = &self.results.telemetry;
+        let log = &self.results.telemetry;
         let snap = self.results.telemetry_json()?;
-        let mut out = tel.journal_jsonl();
+        let mut out = log.journal_jsonl();
         out.push_str("--- metrics ---\n");
         if let Some(global) = snap.get("global").and_then(Value::as_object) {
             for (kind, set) in global {
@@ -54,7 +54,7 @@ impl<'a> TelemetryReport<'a> {
         out.push_str("global [frames]\n");
         let frames = section("frame stats", &self.results.frame_stats)?;
         metric_rows(&mut out, "", &frames);
-        journal_dropped(&mut out, tel);
+        journal_dropped(&mut out, log);
         Ok(out)
     }
 

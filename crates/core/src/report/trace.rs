@@ -7,11 +7,13 @@ use crate::analyzers::latency::{self, LatencyReport};
 use crate::error::Error;
 use crate::orchestrator::{node_names, section, TestResults};
 use lumina_sim::telemetry::trace::perfetto_json;
-use lumina_sim::telemetry::Histogram;
+use lumina_sim::telemetry::{Histogram, TraceSummary};
 
 /// Everything `lumina-cli trace` reports about one run.
 pub struct TraceReport<'a> {
     results: &'a TestResults,
+    /// The run's latency dissection, empty unless it traced.
+    summary: TraceSummary,
     /// `None` when the config declares no budget: nothing to grade.
     latency: Option<LatencyReport>,
 }
@@ -20,11 +22,16 @@ impl<'a> TraceReport<'a> {
     /// Grade the latency dissection of `results` against the budgets of
     /// the configuration that produced the run.
     pub fn of(results: &'a TestResults) -> TraceReport<'a> {
+        let summary = results.trace_summary().unwrap_or_default();
         let budgets = results.cfg.trace.as_ref().map(|t| &t.hop_budget_us);
         let latency = budgets
             .filter(|b| !b.is_empty())
-            .map(|b| latency::analyze(&results.trace_summary, b));
-        TraceReport { results, latency }
+            .map(|b| latency::analyze(&summary, b));
+        TraceReport {
+            results,
+            summary,
+            latency,
+        }
     }
 
     /// [`TestResults::report_json`], with the latency verdict attached
@@ -40,7 +47,7 @@ impl<'a> TraceReport<'a> {
     /// The dissection as an aligned table, one row per sampled hop, and
     /// one `latency budgets` line per finding.
     pub fn render_human(&self) -> String {
-        let summary = &self.results.trace_summary;
+        let summary = &self.summary;
         let mut out = String::new();
         line(&mut out, "trace packets", summary.packets);
         line(
@@ -87,10 +94,7 @@ impl<'a> TraceReport<'a> {
     /// [`node_names`] — and the number of trace events in it.
     pub fn perfetto(&self) -> (String, usize) {
         let names = node_names(&self.results.cfg);
-        let doc = self
-            .results
-            .telemetry
-            .with_log(|log| perfetto_json(log, &names));
+        let doc = perfetto_json(&self.results.telemetry, &names);
         let events = doc["traceEvents"].as_array().map_or(0, Vec::len);
         (doc.to_string(), events)
     }

@@ -1,7 +1,7 @@
 //! The generator host: an [`lumina_rnic::Rnic`] plus the requester or
 //! responder application, adapted onto the simulation engine.
 
-use crate::metrics::MetricsHandle;
+use crate::metrics::GenMetrics;
 use crate::spec::FlowPlan;
 use lumina_rnic::device::token;
 use lumina_rnic::verbs::{Completion, CompletionStatus, WorkRequest};
@@ -53,7 +53,9 @@ pub struct HostNode {
     unposted_flows: usize,
     /// Flows with `completed + failed < num_msgs`.
     unfinished_flows: usize,
-    metrics: MetricsHandle,
+    /// The application metrics (goodput, MCTs), the host's own: read
+    /// them once the node is back out of the engine.
+    pub metrics: GenMetrics,
     next_wr_id: u64,
     name: String,
     /// Rounds completed (barrier mode).
@@ -64,7 +66,7 @@ impl HostNode {
     /// Build a host. For a responder pass `Role::Responder`; receive WQEs
     /// for Send traffic must be pre-posted by the orchestrator via
     /// [`HostNode::rnic`]'s `post_recv`.
-    pub fn new(rnic: Rnic, role: Role, metrics: MetricsHandle, name: impl Into<String>) -> HostNode {
+    pub fn new(rnic: Rnic, role: Role, name: impl Into<String>) -> HostNode {
         let (role_is_requester, barrier_sync, plans) = match role {
             Role::Requester {
                 plans,
@@ -72,13 +74,10 @@ impl HostNode {
             } => (true, barrier_sync, plans),
             Role::Responder => (false, false, Vec::new()),
         };
+        let mut metrics = GenMetrics::default();
         let mut by_qpn = BTreeMap::new();
         for plan in plans {
-            metrics
-                .borrow_mut()
-                .flows
-                .entry(plan.qpn)
-                .or_default();
+            metrics.flows.entry(plan.qpn).or_default();
             by_qpn.insert(
                 plan.qpn,
                 FlowState {
@@ -158,12 +157,9 @@ impl HostNode {
             self.busy_flows += 1;
         }
         flow.post_times.insert(wr_id, now);
-        {
-            let mut m = self.metrics.borrow_mut();
-            let fm = m.flows.get_mut(&qpn).unwrap();
-            if fm.first_post.is_none() {
-                fm.first_post = Some(now);
-            }
+        let fm = self.metrics.flows.get_mut(&qpn).unwrap();
+        if fm.first_post.is_none() {
+            fm.first_post = Some(now);
         }
         let wr = WorkRequest {
             wr_id,
@@ -214,36 +210,30 @@ impl HostNode {
         }
         flow.outstanding = flow.outstanding.saturating_sub(1);
         let post_time = flow.post_times.remove(&c.wr_id);
-        {
-            let mut m = self.metrics.borrow_mut();
-            let fm = m.flows.get_mut(&c.qpn).unwrap();
-            match c.status {
-                CompletionStatus::Success => {
-                    flow.completed += 1;
-                    fm.completed += 1;
-                    fm.bytes += c.len as u64;
-                    if let Some(p) = post_time {
-                        let mct = c.time.saturating_since(p);
-                        fm.mcts.push(mct);
-                        ctx.telemetry()
-                            .record_hist(ctx.telemetry_node(), "mct_ns", mct.as_nanos());
-                    }
-                    fm.last_completion = Some(c.time);
+        let fm = self.metrics.flows.get_mut(&c.qpn).unwrap();
+        match c.status {
+            CompletionStatus::Success => {
+                flow.completed += 1;
+                fm.completed += 1;
+                fm.bytes += c.len as u64;
+                if let Some(p) = post_time {
+                    fm.mcts.push(c.time.saturating_since(p));
                 }
-                _ => {
-                    flow.failed += 1;
-                    fm.failed += 1;
-                    fm.last_completion = Some(c.time);
-                    tev!(
-                        ctx.telemetry(),
-                        now.as_nanos(),
-                        ctx.telemetry_node(),
-                        "gen",
-                        "msg.failed",
-                        qpn = c.qpn,
-                        wr_id = c.wr_id,
-                    );
-                }
+                fm.last_completion = Some(c.time);
+            }
+            _ => {
+                flow.failed += 1;
+                fm.failed += 1;
+                fm.last_completion = Some(c.time);
+                tev!(
+                    ctx.telemetry(),
+                    now.as_nanos(),
+                    ctx.telemetry_node(),
+                    "gen",
+                    "msg.failed",
+                    qpn = c.qpn,
+                    wr_id = c.wr_id,
+                );
             }
         }
         if flow.completed + flow.failed == flow.plan.num_msgs {
@@ -266,11 +256,8 @@ impl HostNode {
             // to that point at start and after each of its own completions.
             self.fill_flow(i, now, out);
         }
-        if self.unfinished_flows == 0 {
-            let mut m = self.metrics.borrow_mut();
-            if m.all_done_at.is_none() {
-                m.all_done_at = Some(now);
-            }
+        if self.unfinished_flows == 0 && self.metrics.all_done_at.is_none() {
+            self.metrics.all_done_at = Some(now);
         }
     }
 }
@@ -321,8 +308,14 @@ mod tests {
     use lumina_rnic::profile::DeviceProfile;
     use lumina_rnic::Verb;
     use lumina_rnic::qp::{QpConfig, QpEndpoint};
-    use lumina_sim::{Bandwidth, Engine};
+    use lumina_sim::{Bandwidth, Engine, NodeId};
     use std::net::Ipv4Addr;
+
+    /// The metrics of host `id`, taken back out of the engine.
+    fn metrics_of(eng: &mut Engine, id: NodeId) -> GenMetrics {
+        let node: Box<dyn std::any::Any> = eng.remove_node(id);
+        node.downcast::<HostNode>().expect("a host").metrics
+    }
 
     fn qp_cfg(local_req: bool, mtu: u32) -> QpConfig {
         let req = QpEndpoint {
@@ -370,8 +363,6 @@ mod tests {
         );
         rsp_rnic.create_qp(qp_cfg(false, 1024));
 
-        let m_req = crate::metrics::metrics_handle();
-        let m_rsp = crate::metrics::metrics_handle();
         let req = HostNode::new(
             req_rnic,
             Role::Requester {
@@ -384,10 +375,9 @@ mod tests {
                 }],
                 barrier_sync: true,
             },
-            m_req.clone(),
             "requester",
         );
-        let rsp = HostNode::new(rsp_rnic, Role::Responder, m_rsp, "responder");
+        let rsp = HostNode::new(rsp_rnic, Role::Responder, "responder");
 
         let req_id = eng.add_node(Box::new(req));
         let rsp_id = eng.add_node(Box::new(rsp));
@@ -403,7 +393,7 @@ mod tests {
         let outcome = eng.run(Some(SimTime::from_secs(5)));
         assert!(outcome.is_quiescent(), "network should quiesce");
 
-        let m = m_req.borrow();
+        let m = metrics_of(&mut eng, req_id);
         assert!(m.done());
         let f = &m.flows[&0x11];
         assert_eq!(f.completed, 10);
@@ -434,7 +424,6 @@ mod tests {
             MacAddr::local(2),
         );
         rsp_rnic.create_qp(qp_cfg(false, 1024));
-        let m_req = crate::metrics::metrics_handle();
         let req = HostNode::new(
             req_rnic,
             Role::Requester {
@@ -447,15 +436,9 @@ mod tests {
                 }],
                 barrier_sync: false,
             },
-            m_req.clone(),
             "requester",
         );
-        let rsp = HostNode::new(
-            rsp_rnic,
-            Role::Responder,
-            crate::metrics::metrics_handle(),
-            "responder",
-        );
+        let rsp = HostNode::new(rsp_rnic, Role::Responder, "responder");
         let req_id = eng.add_node(Box::new(req));
         let rsp_id = eng.add_node(Box::new(rsp));
         eng.connect(
@@ -468,7 +451,7 @@ mod tests {
         );
         eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
         eng.run(Some(SimTime::from_secs(5)));
-        let m = m_req.borrow();
+        let m = metrics_of(&mut eng, req_id);
         assert!(m.done());
         assert_eq!(m.flows[&0x11].completed, 8);
         assert_eq!(m.flows[&0x11].bytes, 8 * 20_480);
@@ -492,8 +475,6 @@ mod tests {
         for i in 0..5 {
             rsp_rnic.post_recv(0x22, 900 + i, 4096);
         }
-        let m_req = crate::metrics::metrics_handle();
-        let m_rsp = crate::metrics::metrics_handle();
         let req = HostNode::new(
             req_rnic,
             Role::Requester {
@@ -506,10 +487,9 @@ mod tests {
                 }],
                 barrier_sync: false,
             },
-            m_req.clone(),
             "requester",
         );
-        let rsp = HostNode::new(rsp_rnic, Role::Responder, m_rsp, "responder");
+        let rsp = HostNode::new(rsp_rnic, Role::Responder, "responder");
         let req_id = eng.add_node(Box::new(req));
         let rsp_id = eng.add_node(Box::new(rsp));
         eng.connect(
@@ -522,6 +502,6 @@ mod tests {
         );
         eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
         eng.run(Some(SimTime::from_secs(5)));
-        assert_eq!(m_req.borrow().flows[&0x11].completed, 5);
+        assert_eq!(metrics_of(&mut eng, req_id).flows[&0x11].completed, 5);
     }
 }

@@ -15,6 +15,5 @@ pub mod metrics;
 pub mod spec;
 
 pub use host::{HostNode, Role};
-pub use metrics::metrics_handle;
-pub use metrics::{FlowMetrics, GenMetrics, MetricsHandle};
+pub use metrics::{FlowMetrics, GenMetrics};
 pub use spec::FlowPlan;

@@ -1,10 +1,9 @@
 //! Application-level metrics: goodput and message completion times.
 
+use lumina_sim::telemetry::Histogram;
 use lumina_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Per-flow (per-QP) metrics.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -85,14 +84,17 @@ impl GenMetrics {
     pub fn done(&self) -> bool {
         self.all_done_at.is_some()
     }
-}
 
-/// Shared handle to a host's metrics, alive after the simulation ends.
-pub type MetricsHandle = Rc<RefCell<GenMetrics>>;
-
-/// Create an empty metrics handle.
-pub fn metrics_handle() -> MetricsHandle {
-    Rc::new(RefCell::new(GenMetrics::default()))
+    /// Every flow's MCTs in nanoseconds, folded into one histogram; `None`
+    /// when no message completed. The fold is order-free, so it equals one
+    /// recorded in completion order.
+    pub fn mct_histogram(&self) -> Option<Histogram> {
+        let mut h = Histogram::default();
+        for mct in self.flows.values().flat_map(|f| &f.mcts) {
+            h.record(mct.as_nanos());
+        }
+        (h.count() > 0).then_some(h)
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +120,19 @@ mod tests {
         };
         assert_eq!(f.avg_mct(), Some(SimTime::from_micros(15)));
         assert_eq!(FlowMetrics::default().avg_mct(), None);
+    }
+
+    #[test]
+    fn mct_histogram_folds_every_flow() {
+        let mut g = GenMetrics::default();
+        assert!(g.mct_histogram().is_none(), "no MCT, no histogram");
+        for (q, us) in [(1u32, [10u64, 30]), (2, [20, 20])] {
+            let f = g.flows.entry(q).or_default();
+            f.mcts = us.iter().map(|&u| SimTime::from_micros(u)).collect();
+        }
+        let h = g.mct_histogram().unwrap();
+        assert_eq!((h.count(), h.sum()), (4, 80_000));
+        assert_eq!(h.to_json()["min"], 10_000u64);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use lumina_rnic::device::token;
 use lumina_rnic::ets::EtsConfig;
 use lumina_rnic::profile::DeviceProfile;
 use lumina_rnic::qp::{QpConfig, QpEndpoint};
-use lumina_gen::{metrics_handle, HostNode, Role};
+use lumina_gen::{HostNode, Role};
 use lumina_rnic::{Action, Rnic};
 use lumina_sim::{Engine, PortId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -127,7 +127,7 @@ fn a_dcqcn_alpha_tick_through_host_and_engine_allocates_nothing() {
     const MEASURED: u64 = 10_000;
     let mut rnic = dcqcn_rnic();
     rnic.dcqcn_params.rate_timer = SimTime::from_secs(3_600);
-    let host = HostNode::new(rnic, Role::Responder, metrics_handle(), "host");
+    let host = HostNode::new(rnic, Role::Responder, "host");
     let mut eng = Engine::new(1);
     let id = eng.add_node(Box::new(host));
     let cnp = cnp_frame(REMOTE.ip, LOCAL.ip, LOCAL.qpn).emit();

@@ -404,7 +404,8 @@ impl ChaosPlane {
             .map(|w| w.until)
             .max()?;
         self.stats.paused_frames += 1;
-        self.stats.pause_delay_ns += resume.saturating_since(at).as_nanos();
+        let delay_ns = resume.saturating_since(at).as_nanos();
+        self.stats.pause_delay_ns = self.stats.pause_delay_ns.saturating_add(delay_ns);
         Some(resume)
     }
 
@@ -741,6 +742,22 @@ mod tests {
         assert_eq!(p.stats.pause_delay_ns, 30_000);
         // A paused frame is never a dropped frame.
         assert_eq!(p.stats.data_drops(), 0);
+        // Two frames held by a window near the top of the clock each wait
+        // more than half of it: the total saturates instead of wrapping.
+        let long = ChaosWindow {
+            from: SimTime::ZERO,
+            until: SimTime::from_nanos(u64::MAX - 1),
+        };
+        let mut p = ChaosPlane::new(3);
+        let chaos = LinkChaos {
+            pauses: vec![long],
+            ..LinkChaos::default()
+        };
+        p.set_link(NodeId(1), PortId(0), chaos);
+        for at in [0, 1] {
+            p.pause_until(NodeId(1), PortId(0), SimTime::from_nanos(at));
+        }
+        assert_eq!((p.stats.paused_frames, p.stats.pause_delay_ns), (2, u64::MAX));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::engine::{NodeCtx, PortId};
 use crate::time::SimTime;
 use crate::Node;
 use lumina_packet::Frame;
-use lumina_telemetry::Telemetry;
+use lumina_telemetry::EventLog;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -20,7 +20,7 @@ use std::rc::Rc;
 /// an empty string standing in for a journal that ended early. Tests use
 /// this instead of a plain `assert_eq!` so a determinism regression
 /// reports the first divergent event rather than two multi-kilobyte blobs.
-pub fn journal_diff(a: &Telemetry, b: &Telemetry) -> Option<(usize, String, String)> {
+pub fn journal_diff(a: &EventLog, b: &EventLog) -> Option<(usize, String, String)> {
     let (ja, jb) = (a.journal_jsonl(), b.journal_jsonl());
     if ja == jb {
         return None;
@@ -111,7 +111,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::time::Bandwidth;
-    use lumina_telemetry::tev;
+    use lumina_telemetry::{tev, Telemetry};
 
     #[test]
     fn script_delivers_to_collector_in_order() {
@@ -167,7 +167,7 @@ mod tests {
         }
     }
 
-    fn chatty_run(seed: u64) -> Telemetry {
+    fn chatty_run(seed: u64) -> EventLog {
         let tel = Telemetry::enabled();
         let mut eng = Engine::new(seed);
         eng.set_telemetry(tel.clone());
@@ -192,7 +192,7 @@ mod tests {
         );
         eng.schedule_timer(script, SimTime::ZERO, Script::KICKOFF);
         eng.run(None);
-        tel
+        tel.into_log()
     }
 
     #[test]

@@ -836,18 +836,17 @@ mod tests {
         r.eng.set_telemetry(tel.clone());
         r.eng.run(None);
         assert!(r.host_rx.borrow().is_empty());
-        tel.with_log(|log| {
-            let drops: Vec<_> = log.journal().filter(|e| e.kind() == "drop").collect();
-            assert_eq!(drops.len(), 1);
-            assert_eq!((drops[0].trace_id(), drops[0].hop), (None, None));
-            let hops: Vec<&str> = log.hops().map(|(_, hop, _)| hop.name()).collect();
-            // The mirror copy still leaves; nothing is forwarded or mutated.
-            assert!(hops.contains(&"switch.mirror"), "{hops:?}");
-            assert!(
-                !hops.iter().any(|h| h.starts_with("switch.mutate.")),
-                "{hops:?}"
-            );
-            assert!(!hops.contains(&"switch.forward"), "{hops:?}");
-        });
+        let log = tel.into_log();
+        let drops: Vec<_> = log.journal().filter(|e| e.kind() == "drop").collect();
+        assert_eq!(drops.len(), 1);
+        assert_eq!((drops[0].trace_id(), drops[0].hop), (None, None));
+        let hops: Vec<&str> = log.hops().map(|(_, hop, _)| hop.name()).collect();
+        // The mirror copy still leaves; nothing is forwarded or mutated.
+        assert!(hops.contains(&"switch.mirror"), "{hops:?}");
+        assert!(
+            !hops.iter().any(|h| h.starts_with("switch.mutate.")),
+            "{hops:?}"
+        );
+        assert!(!hops.contains(&"switch.forward"), "{hops:?}");
     }
 }

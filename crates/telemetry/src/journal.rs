@@ -357,6 +357,22 @@ impl EventLog {
         self.records.iter().filter(|r| r.in_journal())
     }
 
+    /// Number of journal events held in the ring.
+    pub fn journal_len(&self) -> usize {
+        self.journal_len
+    }
+
+    /// Journal events evicted because the ring was full: with
+    /// [`journal_len`](Self::journal_len), every event the run journaled.
+    pub fn journal_dropped(&self) -> u64 {
+        self.journal_dropped
+    }
+
+    /// Whether the hop view shows anything (the run traced).
+    pub fn is_tracing(&self) -> bool {
+        self.tracing
+    }
+
     /// Render the journal view as JSON Lines (one compact object per
     /// event, oldest first).
     pub fn journal_jsonl(&self) -> String {

@@ -14,24 +14,26 @@
 //!   Both render byte-identically across same-seed runs, and every map
 //!   serializes in insertion order. Their readers only render them:
 //!   nothing steers a run or a campaign by what the log holds.
-//! * **Per-node metric registry** ([`metrics`]): the counters and
-//!   log-linear histograms recorded during the run, keyed by node id. A
-//!   component's own stat struct (engine, RNIC, switch, dumper counters) is
-//!   not copied here: the reports read it from its owner.
+//! * **Counters** ([`Telemetry::inc_counter`]): per-node named counters
+//!   an embedder may add to. No component writes one: a component's own
+//!   stat struct (engine, RNIC, switch, dumper counters) and the
+//!   generator's metrics stay with their owner, and the reports read them
+//!   there.
 //!
 //! Wall-clock readings live outside the sink: a [`SelfProfile`] is plain
 //! data carried by whoever measured it (a run's `TestResults`, a fuzz
 //! campaign's outcome), and the [`ops`] heartbeat writes straight to
 //! stderr.
 //!
-//! The handle is a cheap-to-clone `Arc` and is `Send + Sync`, so whole
-//! simulation runs (each owning a sink) can execute on worker threads —
-//! the parallel fuzz campaign executor depends on this. A disabled handle
-//! ([`Telemetry::disabled`]) makes every recording call a no-op, and the
-//! [`tev!`] macro skips attribute evaluation entirely in that case, so
-//! instrumented hot paths cost one branch when telemetry is off.
-//! One uncontended lock guards the log and the registry: within one run
-//! all recording happens on one thread.
+//! A sink belongs to one run, and a run records on one thread, so the
+//! handle is a plain `Rc` with no lock. When the run is over,
+//! [`Telemetry::into_log`] moves the [`EventLog`] out: that is plain,
+//! `Send` data, so a run's results can travel to another thread (the
+//! parallel campaign executors depend on this) while the handle never
+//! does. A disabled handle ([`Telemetry::disabled`]) holds no sink, so
+//! every recording call is a no-op, and the [`tev!`] macro skips attribute
+//! evaluation entirely in that case: instrumented hot paths cost one branch
+//! when telemetry is off.
 //!
 //! This crate sits *below* `lumina-sim`: it identifies nodes by plain
 //! `u32` ids (the engine's `NodeId` converts losslessly) and depends
@@ -44,49 +46,37 @@ pub mod profile;
 pub mod trace;
 
 pub use journal::{AttrValue, EventLog, Record, Site};
-pub use metrics::{Histogram, NodeMetrics, Registry};
+pub use metrics::Histogram;
 pub use ops::{OpsReporter, OpsSnapshot};
 pub use profile::SelfProfile;
 pub use trace::{Hop, TraceSummary};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use metrics::Registry;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Ring capacity of the event log before tracing adds room for hops.
 const JOURNAL_CAPACITY: usize = 65_536;
 
-struct Inner {
-    enabled: AtomicBool,
-    // Packet-lifecycle tracing is a separate, off-by-default gate: until
-    // `enable_tracing` there are no pure hops and no hop view, so the
-    // golden reports (which run with telemetry on) never see a trace.
-    tracing: AtomicBool,
-    sink: Mutex<Sink>,
-}
-
-/// Everything one run records, behind the one lock.
+/// Everything one run records.
 struct Sink {
     log: EventLog,
     registry: Registry,
 }
 
-/// Shared handle to one simulation run's telemetry sink.
+/// Handle to one simulation run's telemetry sink, or to none.
 ///
-/// Clones are cheap (`Arc`) and all clones observe the same sink, which
-/// is how the engine, the nodes and the orchestrator share one journal.
-/// The handle is `Send + Sync`, so a run (and the results carrying its
-/// sink) can live on a worker thread.
-#[derive(Clone)]
+/// Clones share the sink, which is how the engine, the nodes and the
+/// orchestrator record into one log. Packet-lifecycle tracing is a
+/// separate, off-by-default gate, the log's own: until
+/// [`enable_tracing`](Self::enable_tracing) there are no pure hops and no
+/// hop view, so the golden reports (which run with telemetry on) never see
+/// a trace.
+#[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Arc<Inner>,
+    /// `None` when disabled.
+    sink: Option<Rc<RefCell<Sink>>>,
 }
-
-// The whole point of the Arc/Mutex interior: runs carrying a sink must be
-// movable across threads. Keep that fact checked at compile time.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Telemetry>();
-};
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -97,93 +87,81 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry::disabled()
-    }
-}
-
 impl Telemetry {
-    fn new(enabled: bool) -> Telemetry {
-        Telemetry {
-            inner: Arc::new(Inner {
-                enabled: AtomicBool::new(enabled),
-                tracing: AtomicBool::new(false),
-                sink: Mutex::new(Sink {
-                    log: EventLog::new(JOURNAL_CAPACITY),
-                    registry: Registry::default(),
-                }),
-            }),
-        }
-    }
-
     /// A recording sink.
     pub fn enabled() -> Telemetry {
-        Telemetry::new(true)
+        let sink = Sink {
+            log: EventLog::new(JOURNAL_CAPACITY),
+            registry: Registry::default(),
+        };
+        Telemetry {
+            sink: Some(Rc::new(RefCell::new(sink))),
+        }
     }
 
     /// A no-op sink: every recording call returns immediately.
     pub fn disabled() -> Telemetry {
-        Telemetry::new(false)
-    }
-
-    /// The sink, shrugging off poisoning: a panicking worker thread must
-    /// not wedge every other run's telemetry.
-    fn sink(&self) -> MutexGuard<'_, Sink> {
-        self.inner.sink.lock().unwrap_or_else(|e| e.into_inner())
+        Telemetry { sink: None }
     }
 
     /// Whether this sink records anything. The [`tev!`] macro consults
     /// this before evaluating its attribute expressions.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.sink.is_some()
+    }
+
+    /// The log, moved out of the sink: every clone of the handle records
+    /// into an empty log from here on. A disabled handle gives an empty log.
+    pub fn into_log(self) -> EventLog {
+        self.sink
+            .map(|s| std::mem::take(&mut s.borrow_mut().log))
+            .unwrap_or_default()
     }
 
     // ------------------------------------------------------------ tracing
 
-    /// Whether packet-lifecycle tracing is on. Instrumented hops consult
-    /// this first, so tracing costs one branch when off — exactly like
-    /// the [`tev!`] gate.
-    #[inline]
+    /// Whether packet-lifecycle tracing is on.
     pub fn is_tracing(&self) -> bool {
-        self.inner.tracing.load(Ordering::Relaxed)
+        self.sink.as_ref().is_some_and(|s| s.borrow().log.tracing)
     }
 
     /// Store trace ids relative to `baseline`, the raw provenance counter
     /// at the start of the run (`lumina_packet::buf::next_trace_id()`), so
     /// same-seed runs name the same packets on any thread, traced or not.
     pub fn set_trace_baseline(&self, baseline: u64) {
-        self.sink().log.baseline = baseline;
+        if let Some(s) = &self.sink {
+            s.borrow_mut().log.baseline = baseline;
+        }
     }
 
     /// Turn on the hop view, with room in the log for `capacity` more
     /// records, and set the trace baseline.
     pub fn enable_tracing(&self, capacity: usize, baseline: u64) {
-        self.set_trace_baseline(baseline);
-        self.sink().log.trace(capacity);
-        self.inner.tracing.store(true, Ordering::Relaxed);
+        if let Some(s) = &self.sink {
+            let log = &mut s.borrow_mut().log;
+            log.baseline = baseline;
+            log.trace(capacity);
+        }
     }
 
-    /// Record one pure lifecycle hop (a [`trace::hops`] name); no-op (one
-    /// branch) unless tracing is on. A hop that is also a decision is
-    /// `tev!`'s `hop(..)` form instead.
+    /// Record one pure lifecycle hop (a [`trace::hops`] name); no-op unless
+    /// tracing is on. A hop that is also a decision is `tev!`'s `hop(..)`
+    /// form instead.
     #[inline]
     pub fn record_hop(&self, raw_trace_id: u64, hop: &'static str, node: u32, t: u64) {
-        if !self.is_tracing() {
+        let Some(s) = &self.sink else {
+            return;
+        };
+        let log = &mut s.borrow_mut().log;
+        if !log.tracing {
             return;
         }
         let Some(hop) = Hop::pure(hop) else {
             debug_assert!(false, "{hop:?} is not a pure hop");
             return;
         };
-        let rec = Record::of_hop(&journal::PURE_HOP, hop, raw_trace_id, t, node);
-        self.sink().log.push(rec, &[]);
-    }
-
-    /// Run `f` over the event log (summaries, exports).
-    pub fn with_log<R>(&self, f: impl FnOnce(&EventLog) -> R) -> R {
-        f(&self.sink().log)
+        log.push(Record::of_hop(&journal::PURE_HOP, hop, raw_trace_id, t, node), &[]);
     }
 
     // ------------------------------------------------------------ journal
@@ -193,54 +171,28 @@ impl Telemetry {
     /// [`tev!`] macro, which skips building the record when the sink is
     /// disabled and checks the site when it compiles.
     pub fn emit(&self, rec: Record, attrs: &[AttrValue]) {
-        if self.is_enabled() {
-            self.sink().log.push(rec, attrs);
+        if let Some(s) = &self.sink {
+            s.borrow_mut().log.push(rec, attrs);
         }
     }
 
     /// Number of journal events currently held in the ring.
     pub fn journal_len(&self) -> usize {
-        self.sink().log.journal_len
+        self.sink.as_ref().map_or(0, |s| s.borrow().log.journal_len())
     }
 
-    /// Journal events evicted from the ring because it was full: with
-    /// [`journal_len`](Self::journal_len), every event the run journaled.
+    /// Journal events evicted from the ring because it was full.
     pub fn journal_dropped(&self) -> u64 {
-        self.sink().log.journal_dropped
+        self.sink.as_ref().map_or(0, |s| s.borrow().log.journal_dropped())
     }
 
-    /// Render the journal as JSON Lines (one event object per line),
-    /// byte-identical across same-seed runs.
-    pub fn journal_jsonl(&self) -> String {
-        self.sink().log.journal_jsonl()
-    }
-
-    /// Run `f` over each journal event in order.
-    pub fn for_each_event<F: FnMut(&Record)>(&self, f: F) {
-        self.sink().log.journal().for_each(f);
-    }
-
-    // ------------------------------------------------------------ metrics
+    // ----------------------------------------------------------- counters
 
     /// Add `delta` to the named per-node counter (saturating).
     pub fn inc_counter(&self, node: u32, name: &'static str, delta: u64) {
-        if !self.is_enabled() {
-            return;
+        if let Some(s) = &self.sink {
+            s.borrow_mut().registry.inc(node, name, delta);
         }
-        self.sink().registry.node_mut(node).inc(name, delta);
-    }
-
-    /// Record a sample into the named per-node log-linear histogram.
-    pub fn record_hist(&self, node: u32, name: &'static str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink().registry.node_mut(node).record(name, value);
-    }
-
-    /// Run `f` over the per-node metric registry (the reports render it).
-    pub fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> R {
-        f(&self.sink().registry)
     }
 }
 
@@ -307,9 +259,11 @@ mod tests {
         let tel = Telemetry::disabled();
         tev!(tel, 10, 1, "switch", "drop", psn = 5u64);
         tel.inc_counter(1, "x", 1);
-        tel.record_hist(1, "h", 9);
+        tel.enable_tracing(16, 0);
+        tel.record_hop(5, trace::hops::GEN_ENQUEUE, 0, 100);
+        assert!(!tel.is_tracing());
         assert_eq!(tel.journal_len(), 0);
-        assert_eq!(tel.journal_jsonl(), "");
+        assert_eq!(tel.into_log().journal_jsonl(), "");
     }
 
     #[test]
@@ -328,7 +282,7 @@ mod tests {
         let tel = Telemetry::enabled();
         tev!(tel, 100, 2, "switch", "ecn.mark", psn = 4u32, qpn = 1u32);
         tev!(tel, 250, 3, "rnic", "cnp.tx");
-        let out = tel.journal_jsonl();
+        let out = tel.into_log().journal_jsonl();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
@@ -342,16 +296,13 @@ mod tests {
     fn registry_keeps_what_the_run_recorded() {
         let tel = Telemetry::enabled();
         tel.inc_counter(1, "tx_packets", 3);
-        tel.record_hist(0, "mct_ns", 40);
-        let nodes = tel.with_registry(|r| {
-            r.nodes()
-                .map(|(id, m)| (id, m.to_json()))
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(nodes[0].0, 0);
-        assert_eq!(nodes[0].1["histograms"]["mct_ns"]["count"], 1u64);
-        assert_eq!(nodes[1].1["counters"]["tx_packets"], 3u64);
+        tel.inc_counter(1, "tx_packets", 2);
+        tel.inc_counter(0, "tx_packets", 1);
+        let sink = tel.sink.as_ref().map(|s| s.borrow());
+        let registry = &sink.as_ref().unwrap().registry;
+        assert_eq!(registry.counter(1, "tx_packets"), 5);
+        assert_eq!(registry.counter(0, "tx_packets"), 1);
+        assert_eq!(registry.counter(2, "tx_packets"), 0);
     }
 
     #[test]
@@ -360,7 +311,7 @@ mod tests {
         assert!(tel.is_enabled());
         assert!(!tel.is_tracing());
         tel.record_hop(5, "gen.enqueue", 0, 100);
-        assert_eq!(tel.with_log(|l| l.records.len()), 0);
+        assert_eq!(tel.into_log().records.len(), 0);
     }
 
     #[test]
@@ -369,39 +320,40 @@ mod tests {
         tel.enable_tracing(16, 40);
         assert!(tel.is_tracing());
         tel.record_hop(42, "gen.enqueue", 0, 100);
-        let ids: Vec<u64> = tel.with_log(|l| l.hops().map(|(id, _, _)| id).collect());
+        let log = tel.into_log();
+        assert!(log.is_tracing());
+        let ids: Vec<u64> = log.hops().map(|(id, _, _)| id).collect();
         assert_eq!(ids, [2]);
     }
 
     /// What each gate keeps: `(journal kinds, hop-view names, ids)`.
-    fn views(tel: &Telemetry) -> (Vec<&'static str>, Vec<&'static str>, Vec<Option<u64>>) {
+    fn views(tel: Telemetry) -> (Vec<&'static str>, Vec<&'static str>, Vec<Option<u64>>) {
         tev!(tel, 1, 2, "switch", "iter.transition");
         tel.record_hop(11, trace::hops::SWITCH_FORWARD, 2, 2);
         tev!(tel, 3, 2, "switch", hop(Hop::Drop, 12), psn = 4u32);
-        tel.with_log(|l| {
-            (
-                l.journal().map(Record::kind).collect(),
-                l.hops().map(|(_, hop, _)| hop.name()).collect(),
-                l.records.iter().map(Record::trace_id).collect(),
-            )
-        })
+        let l = tel.into_log();
+        (
+            l.journal().map(Record::kind).collect(),
+            l.hops().map(|(_, hop, _)| hop.name()).collect(),
+            l.records.iter().map(Record::trace_id).collect(),
+        )
     }
 
     #[test]
     fn each_role_is_kept_under_its_gate() {
-        assert_eq!(views(&Telemetry::disabled()), (vec![], vec![], vec![]));
+        assert_eq!(views(Telemetry::disabled()), (vec![], vec![], vec![]));
         // On but untraced: the decision keeps its packet's id, and there
         // is no pure hop and no hop view.
         let tel = Telemetry::enabled();
         tel.set_trace_baseline(10);
         assert_eq!(
-            views(&tel),
+            views(tel),
             (vec!["iter.transition", "drop"], vec![], vec![None, Some(2)])
         );
         let tel = Telemetry::enabled();
         tel.enable_tracing(16, 10);
         assert_eq!(
-            views(&tel),
+            views(tel),
             (
                 vec!["iter.transition", "drop"],
                 vec!["switch.forward", "switch.mutate.drop"],
@@ -425,16 +377,16 @@ mod tests {
         tev!(tel, 1 << 22, 0, "c", "last");
         assert_eq!(tel.journal_dropped(), 2);
         assert_eq!(tel.journal_len(), JOURNAL_CAPACITY - 1);
-        let first = tel.with_log(|l| l.records.iter().next().map(|r| r.t));
-        assert_eq!(first, Some(2), "oldest first");
         // As many events again push both hops out: each view's retained
         // plus dropped is what it was offered.
         for t in 0..JOURNAL_CAPACITY as u64 {
             tev!(tel, (1 << 23) + t, 0, "c", "k");
         }
+        let log = tel.into_log();
         let offered = 2 * JOURNAL_CAPACITY as u64 + 1;
-        assert_eq!(tel.journal_len() as u64 + tel.journal_dropped(), offered);
-        let hops = tel.with_log(TraceSummary::from_log);
+        assert_eq!(log.journal_len() as u64 + log.journal_dropped(), offered);
+        assert_eq!(log.records.front().map(|r| r.t), Some(1 << 22), "oldest first");
+        let hops = TraceSummary::from_log(&log);
         assert_eq!((hops.records, hops.dropped), (0, 2));
     }
 
@@ -444,5 +396,8 @@ mod tests {
         let other = tel.clone();
         tev!(other, 5, 0, "gen", "flow.done");
         assert_eq!(tel.journal_len(), 1);
+        let log = tel.into_log();
+        assert_eq!(log.journal_len(), 1);
+        assert_eq!(other.journal_len(), 0);
     }
 }

@@ -1,10 +1,12 @@
-//! Per-node metric registry: the counters and log-linear histograms a run
-//! records while it runs, keyed by node id.
+//! The log-linear [`Histogram`] the reports fold samples into, and the
+//! per-node counters a sink keeps for [`Telemetry::inc_counter`].
 //!
-//! Nothing else is stored here. A component's own stat struct (the
-//! engine's `EngineStats`, the RNIC `Counters`, the switch and dumper
-//! counters) stays with its owner, and a report that prints it reads it
-//! there, next to this registry's nodes.
+//! No component's numbers are stored here. A component's own stat struct
+//! (the engine's `EngineStats`, the RNIC `Counters`, the switch and dumper
+//! counters, the generator's metrics) stays with its owner, and a report
+//! that prints it reads it there.
+//!
+//! [`Telemetry::inc_counter`]: crate::Telemetry::inc_counter
 
 use std::collections::BTreeMap;
 
@@ -106,61 +108,23 @@ impl Histogram {
     }
 }
 
-/// Typed metrics belonging to one node.
+/// Named counters keyed by node id, each saturating at `u64::MAX`.
 #[derive(Debug, Default)]
-pub struct NodeMetrics {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl NodeMetrics {
-    /// Add `delta` to a counter, saturating at `u64::MAX`.
-    pub fn inc(&mut self, name: &'static str, delta: u64) {
-        let c = self.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(delta);
-    }
-
-    /// Record into a log-linear histogram.
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Render this node's metrics as JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut m = serde_json::Map::new();
-        if !self.counters.is_empty() {
-            let mut c = serde_json::Map::new();
-            for (k, v) in &self.counters {
-                c.insert(*k, serde_json::Value::from(*v));
-            }
-            m.insert("counters", serde_json::Value::Object(c));
-        }
-        if !self.histograms.is_empty() {
-            let mut h = serde_json::Map::new();
-            for (k, v) in &self.histograms {
-                h.insert(*k, v.to_json());
-            }
-            m.insert("histograms", serde_json::Value::Object(h));
-        }
-        serde_json::Value::Object(m)
-    }
-}
-
-/// All nodes' metrics for one run.
-#[derive(Debug, Default)]
-pub struct Registry {
-    nodes: BTreeMap<u32, NodeMetrics>,
+pub(crate) struct Registry {
+    counters: BTreeMap<(u32, &'static str), u64>,
 }
 
 impl Registry {
-    /// Metrics for `node`, created on first touch.
-    pub fn node_mut(&mut self, node: u32) -> &mut NodeMetrics {
-        self.nodes.entry(node).or_default()
+    /// Add `delta` to `node`'s counter `name`, created at zero on first touch.
+    pub(crate) fn inc(&mut self, node: u32, name: &'static str, delta: u64) {
+        let c = self.counters.entry((node, name)).or_insert(0);
+        *c = c.saturating_add(delta);
     }
 
-    /// Every node that recorded a metric, by ascending id.
-    pub fn nodes(&self) -> impl Iterator<Item = (u32, &NodeMetrics)> {
-        self.nodes.iter().map(|(id, m)| (*id, m))
+    /// `node`'s counter `name`; zero if never touched.
+    #[cfg(test)]
+    pub(crate) fn counter(&self, node: u32, name: &'static str) -> u64 {
+        self.counters.get(&(node, name)).copied().unwrap_or(0)
     }
 }
 
@@ -236,28 +200,23 @@ mod tests {
     }
 
     #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let mut n = NodeMetrics::default();
-        n.inc("c", u64::MAX - 1);
-        n.inc("c", 5);
-        assert_eq!(n.to_json()["counters"]["c"], u64::MAX);
-    }
-
-    #[test]
     fn snapshot_round_trips_through_serde() {
-        let mut r = Registry::default();
-        let n = r.node_mut(2);
-        n.inc("tx", 7);
-        n.record("lat", 100);
-        n.record("lat", 4000);
-        r.node_mut(0).inc("rx", 1);
-        let ids: Vec<u32> = r.nodes().map(|(id, _)| id).collect();
-        assert_eq!(ids, [0, 2]);
-        let snap = r.nodes().last().unwrap().1.to_json();
+        let mut h = Histogram::default();
+        h.record(100);
+        h.record(4000);
+        let snap = h.to_json();
         let text = serde_json::to_string(&snap).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back["counters"]["tx"], 7u64);
-        assert_eq!(back["histograms"]["lat"]["count"], 2u64);
+        assert_eq!(back["count"], 2u64);
+        assert_eq!(back["buckets"].as_array().map(Vec::len), Some(2));
+    }
+
+    #[test]
+    fn counter_saturates_instead_of_wrapping() {
+        let mut r = Registry::default();
+        r.inc(2, "c", u64::MAX - 1);
+        r.inc(2, "c", 5);
+        assert_eq!(r.counter(2, "c"), u64::MAX);
     }
 }

@@ -51,7 +51,7 @@ fn main() {
     let results = run_test(&cfg).expect("test runs");
 
     println!("-- run --");
-    println!("finished at       : {}", results.end_time);
+    println!("finished at       : {}", results.outcome.end_time());
     println!("traffic completed : {}", results.traffic_completed());
     println!(
         "events fired      : {} (unfired: {})",
@@ -76,14 +76,10 @@ fn main() {
     }
 
     println!("\n-- NIC counters (vendor names) --");
-    for (name, v) in &results.requester_vendor_counters {
-        if *v != 0 {
-            println!("requester {name:>28}: {v}");
-        }
-    }
-    for (name, v) in &results.responder_vendor_counters {
-        if *v != 0 {
-            println!("responder {name:>28}: {v}");
+    for (host, responder_side) in [("requester", false), ("responder", true)] {
+        let counters = results.vendor_counters(responder_side).expect("known device");
+        for (name, v) in counters.iter().filter(|(_, v)| **v != 0) {
+            println!("{host} {name:>28}: {v}");
         }
     }
 

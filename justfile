@@ -13,7 +13,8 @@ check:
 # soak, and `cli_e2e` on the real binary — so no suite is named twice
 # here); then the live smokes through the CLI (`trace` with Perfetto
 # export, `fuzz-coverage` with corpus persistence, `matrix`, `ingest`,
-# `soak`); lint with warnings fatal, which is also what keeps `unwrap` /
+# `soak`); lint every target, tests included, with warnings fatal
+# (`lint`), which is also what keeps `unwrap` /
 # `expect` / indexing out of the modules that deny them; then the docs with
 # warnings fatal (`doc`), which is what catches an intra-doc link to an item
 # that was deleted or made private.
@@ -44,7 +45,7 @@ ci:
     just matrix
     just ingest
     just soak
-    cargo clippy -- -D warnings
+    just lint
     just doc
 
 # The product crates' API docs, warnings fatal (≈ 3 s).

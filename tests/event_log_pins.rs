@@ -77,7 +77,7 @@ fn report(name: &str, res: &TestResults) -> serde_json::Value {
 
 /// The hop view of a traced run, one JSON object per line.
 fn hop_jsonl(res: &TestResults) -> String {
-    res.telemetry.with_log(|log| log.hops_jsonl())
+    res.telemetry.hops_jsonl()
 }
 
 #[test]

@@ -80,7 +80,8 @@ fn capture_bit_rot_is_counted_per_run() {
     let (res, report) = run_replayed(&cfg);
     let corrupted = report["faults"]["captures_corrupted"].as_u64().unwrap();
     assert!(corrupted > 0, "20% bit-rot must corrupt some captures");
-    assert_eq!(corrupted, res.captures_corrupted);
+    let per_dumper = res.dumper_counts.iter().map(|c| c.captures_corrupted);
+    assert_eq!(corrupted, per_dumper.sum::<u64>());
     assert!(res.traffic_completed());
     assert!(res.trace.is_some(), "flips never discard the whole trace");
 }
@@ -99,7 +100,8 @@ fn dumper_stall_inflates_service_and_can_overflow() {
     let (res, report) = run_replayed(&cfg);
     let stalled = report["faults"]["service_ticks_stalled"].as_u64().unwrap();
     assert!(stalled > 0, "a 200 ms x50 stall must slow some service ticks");
-    assert_eq!(stalled, res.service_ticks_stalled);
+    let per_dumper = res.dumper_counts.iter().map(|c| c.service_ticks_stalled);
+    assert_eq!(stalled, per_dumper.sum::<u64>());
     assert!(res.traffic_completed(), "stalls never touch the data path");
 }
 

@@ -266,7 +266,7 @@ fn many_qp_scheduling_counts_are_pinned() {
         let host = |c: &lumina_rnic::Counters| [c.tx_packets, c.rp_cnp_handled, c.np_cnp_sent];
         assert_eq!(host(&res.requester_counters), requester, "seed {seed}: requester");
         assert_eq!(host(&res.responder_counters), responder, "seed {seed}: responder");
-        assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
+        assert_eq!(res.outcome.end_time().as_nanos(), end_time_ns, "seed {seed}: end time moved");
         assert_eq!(
             res.profile.queue_depth_hwm, queue_depth_hwm,
             "seed {seed}: queue high-water mark moved"
@@ -323,7 +323,7 @@ fn packet_dense_counts_are_pinned() {
             res.requester_counters.retransmitted_packets, retransmitted,
             "seed {seed}: retransmissions moved"
         );
-        assert_eq!(res.end_time.as_nanos(), end_time_ns, "seed {seed}: end time moved");
+        assert_eq!(res.outcome.end_time().as_nanos(), end_time_ns, "seed {seed}: end time moved");
         assert_eq!(
             res.profile.queue_depth_hwm, queue_depth_hwm,
             "seed {seed}: queue high-water mark moved"

@@ -56,9 +56,10 @@ fn table1_results_all_collected() {
     let trace = res.trace.as_ref().expect("trace present");
     assert!(trace.len() > 60);
     // NIC counters, vendor naming.
-    assert!(res.requester_vendor_counters.contains_key("packet_seq_err"));
-    assert!(res.responder_vendor_counters.contains_key("out_of_sequence"));
-    assert_eq!(res.responder_vendor_counters["out_of_sequence"], 5);
+    let (req, rsp) = (res.vendor_counters(false).unwrap(), res.vendor_counters(true).unwrap());
+    assert!(req.contains_key("packet_seq_err"));
+    assert!(rsp.contains_key("out_of_sequence"));
+    assert_eq!(rsp["out_of_sequence"], 5);
     // Generator log.
     assert_eq!(res.requester_metrics.flows.len(), 2);
     assert!(res.requester_metrics.avg_mct().is_some());
@@ -131,8 +132,8 @@ traffic:
     let res = run_test(&TestConfig::from_yaml(yaml).unwrap()).unwrap();
     assert!(res.traffic_completed());
     // Vendor views differ per side.
-    assert!(res.requester_vendor_counters.contains_key("np_cnp_sent"));
-    assert!(res.responder_vendor_counters.contains_key("cnpSent"));
+    assert!(res.vendor_counters(false).unwrap().contains_key("np_cnp_sent"));
+    assert!(res.vendor_counters(true).unwrap().contains_key("cnpSent"));
 }
 
 #[test]
@@ -224,13 +225,11 @@ fn telemetry_journal_records_drop_and_recovery_events() {
         "\n    - {qpn: 1, psn: 5, type: drop, iter: 1}",
     ))
     .unwrap();
-    let mut kinds: Vec<String> = Vec::new();
-    res.telemetry
-        .for_each_event(|e| kinds.push(e.kind().to_string()));
+    let kinds: Vec<&str> = res.telemetry.journal().map(|e| e.kind()).collect();
     // A dropped middle packet recovers through the NACK path.
     for expected in ["mirror.emit", "drop", "gbn.rollback", "retransmit", "flow.done"] {
         assert!(
-            kinds.iter().any(|k| k == expected),
+            kinds.contains(&expected),
             "journal missing {expected:?}; kinds present: {kinds:?}"
         );
     }
@@ -244,13 +243,10 @@ fn telemetry_journal_records_drop_and_recovery_events() {
         "\n    - {qpn: 1, psn: 30, type: drop, iter: 1}",
     ))
     .unwrap();
-    let mut to_kinds: Vec<String> = Vec::new();
-    res_to
-        .telemetry
-        .for_each_event(|e| to_kinds.push(e.kind().to_string()));
+    let to_kinds: Vec<&str> = res_to.telemetry.journal().map(|e| e.kind()).collect();
     for expected in ["drop", "timeout", "gbn.rollback", "retransmit"] {
         assert!(
-            to_kinds.iter().any(|k| k == expected),
+            to_kinds.contains(&expected),
             "timeout journal missing {expected:?}; kinds present: {to_kinds:?}"
         );
     }

@@ -64,7 +64,7 @@ fn back_to_back_outcome(
     msg_size: u32,
     seed: u64,
 ) -> String {
-    use lumina_gen::{metrics::metrics_handle, FlowPlan, HostNode, Role};
+    use lumina_gen::{FlowPlan, HostNode, Role};
     use lumina_packet::MacAddr;
     use lumina_rnic::qp::{QpConfig, QpEndpoint};
     use lumina_rnic::{ets::EtsConfig, profile::DeviceProfile, Rnic};
@@ -111,10 +111,9 @@ fn back_to_back_outcome(
     let plans = (0..conns)
         .map(|i| FlowPlan { qpn: 0x100 + i, verbs: vec![verb], num_msgs: msgs, msg_size, tx_depth: 2 })
         .collect();
-    let (m_req, m_rsp) = (metrics_handle(), metrics_handle());
     let requester = Role::Requester { plans, barrier_sync: false };
-    assert_eq!(eng.add_node(Box::new(HostNode::new(req_rnic, requester, m_req.clone(), "requester"))), req_id);
-    assert_eq!(eng.add_node(Box::new(HostNode::new(rsp_rnic, Role::Responder, m_rsp.clone(), "responder"))), rsp_id);
+    assert_eq!(eng.add_node(Box::new(HostNode::new(req_rnic, requester, "requester"))), req_id);
+    assert_eq!(eng.add_node(Box::new(HostNode::new(rsp_rnic, Role::Responder, "responder"))), rsp_id);
     eng.connect(req_id, PortId(0), rsp_id, PortId(0), Bandwidth::gbps(100), SimTime::from_micros(1));
     let mut chaos = ChaosPlane::new(seed);
     let burst = BurstRegime {
@@ -129,11 +128,12 @@ fn back_to_back_outcome(
     eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
     let outcome = eng.run(Some(SimTime::from_secs(5)));
 
-    let counters = [req_id, rsp_id].map(|id| {
+    let hosts = [req_id, rsp_id].map(|id| {
         let host: Box<dyn std::any::Any> = eng.take_node(id).expect("host is still in the engine");
-        host.downcast::<HostNode>().expect("host node").rnic.counters.clone()
+        *host.downcast::<HostNode>().expect("host node")
     });
-    let metrics = [m_req, m_rsp].map(|m| serde_json::to_string(&*m.borrow()).unwrap());
+    let counters = hosts.each_ref().map(|h| &h.rnic.counters);
+    let metrics = hosts.each_ref().map(|h| serde_json::to_string(&h.metrics).unwrap());
     let chaos_stats = eng.interposer().chaos.as_ref().map(|p| p.stats);
     format!("{outcome:?}\n{:?}\n{chaos_stats:?}\n{counters:?}\n{metrics:?}", eng.stats())
 }
@@ -285,7 +285,7 @@ proptest! {
 
     /// Below the orchestrator, where the sink itself can be left out: a
     /// lossy two-host run decides the same things with no telemetry, with
-    /// the journal and metric registry, and with the flight recorder too.
+    /// the event log, and with the hop view too.
     #[test]
     fn the_telemetry_sink_changes_nothing_a_run_decides(
         verb in prop::sample::select(vec![

@@ -37,11 +37,10 @@ fn trace_bytes() -> (String, String) {
     for (id, name) in [(0u32, "requester"), (1, "responder"), (2, "switch"), (3, "dumper-0")] {
         names.insert(id, name.to_string());
     }
-    res.telemetry.with_log(|log| {
-        assert!(log.hops().next().is_some(), "instrumented hops recorded");
-        let perfetto = serde_json::to_string(&perfetto_json(log, &names)).expect("serializes");
-        (log.hops_jsonl(), perfetto)
-    })
+    let log = &res.telemetry;
+    assert!(log.hops().next().is_some(), "instrumented hops recorded");
+    let perfetto = serde_json::to_string(&perfetto_json(log, &names)).expect("serializes");
+    (log.hops_jsonl(), perfetto)
 }
 
 #[test]
@@ -105,12 +104,12 @@ fn joined_records(traced: bool) -> Joined {
         cfg.trace = Some(Default::default());
     }
     let res = run_test(&cfg).expect("run succeeds");
-    let mut out = Vec::new();
-    res.telemetry.for_each_event(|r| {
-        if matches!(r.kind(), "drop" | "mirror.emit" | "retransmit") {
-            out.push((r.kind(), r.t, r.node, r.trace_id()));
-        }
-    });
+    let out: Joined = res
+        .telemetry
+        .journal()
+        .filter(|r| matches!(r.kind(), "drop" | "mirror.emit" | "retransmit"))
+        .map(|r| (r.kind(), r.t, r.node, r.trace_id()))
+        .collect();
     let count = |kind| out.iter().filter(|j| j.0 == kind).count();
     assert_eq!((count("drop"), count("retransmit")), (1, 1), "{out:?}");
     out
@@ -122,15 +121,13 @@ fn journal_records_carry_the_id_of_their_packets_hops() {
     let res = run_test(&cfg).expect("run succeeds");
     // Every pure hop, by the place and time it was recorded.
     let mut pure: BTreeMap<(u64, u32), Vec<(&'static str, u64)>> = BTreeMap::new();
-    res.telemetry.with_log(|log| {
-        for (id, hop, r) in log.hops() {
-            if hop.journal_kind().is_none() {
-                pure.entry((r.t, r.node))
-                    .or_default()
-                    .push((hop.name(), id));
-            }
+    for (id, hop, r) in res.telemetry.hops() {
+        if hop.journal_kind().is_none() {
+            pure.entry((r.t, r.node))
+                .or_default()
+                .push((hop.name(), id));
         }
-    });
+    }
     let joined = joined_records(true);
     for &(kind, t, node, id) in &joined {
         let id = id.unwrap_or_else(|| panic!("{kind} at {t} carries no trace_id"));
@@ -177,7 +174,7 @@ fn an_overflowing_traced_run_counts_each_views_evictions() {
     assert!(tel.journal_dropped() > 0, "the traced ring must evict journal events");
     assert_eq!(tel.journal_len() as u64 + tel.journal_dropped(), plain.journal_len() as u64);
 
-    let (hops, all_hops) = (&traced.trace_summary, &whole.trace_summary);
+    let (hops, all_hops) = (traced.trace_summary().unwrap(), whole.trace_summary().unwrap());
     assert_eq!(all_hops.dropped, 0);
     assert!(hops.dropped > 0, "the traced ring must evict hops");
     assert_eq!(hops.records + hops.dropped, all_hops.records);
