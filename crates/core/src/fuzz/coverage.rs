@@ -62,16 +62,10 @@ pub fn violation_classes(res: &TestResults) -> Vec<ViolationClass> {
     signal_of(res).iter().filter_map(Decision::proves).collect()
 }
 
-/// Reduce a finished run to its coverage signal: the decision points its
-/// RC replay took — the run's own replay when stage 5 graded it (a
-/// quirk-injected run), one replay now otherwise. A traceless run covers
-/// nothing.
+/// Reduce a finished run to its coverage signal: the decision points of
+/// the run's own RC replay (stage 5). A traceless run covers nothing.
 pub fn signal_of(res: &TestResults) -> Decisions {
-    let seen = match &res.conformance {
-        Some(_) => res.replayed.as_ref().map(|(_, seen)| *seen),
-        None => res.replay().map(|(_, (_, seen))| seen),
-    };
-    seen.unwrap_or_default()
+    res.replayed.as_ref().map(|(_, seen)| *seen).unwrap_or_default()
 }
 
 /// One corpus member: a configuration that covered decision points nothing

@@ -98,23 +98,19 @@ pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String
 }
 
 /// The spec-conformance score: drive the campaign toward configurations
-/// that make the oracle find violations. Reuses the run's own verdict
-/// when the orchestrator already computed one (quirk-injected runs) and
-/// replays the oracle otherwise — pure function of the results, so the
-/// parallel executor's serial==parallel bit-identity is untouched.
+/// that make the oracle find violations. Reads the run's own verdict (a
+/// traceless run has none, and scores as violation-free) — pure function
+/// of the results, so the parallel executor's serial==parallel
+/// bit-identity is untouched.
 pub fn violation_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
-    let report = res.conformance_verdict().unwrap_or_default();
-    let n = report.violations.len() as f64;
+    let (n, desc) = match res.conformance.as_ref().filter(|c| !c.violations.is_empty()) {
+        Some(c) => (c.violations.len() as f64, c.class_summary()),
+        None => (0.0, "no violations".to_string()),
+    };
     // A small default-score tail breaks ties among violation-free
     // candidates so the pool still evolves toward *interesting* traffic.
     let (base, _) = default_score(cfg, res);
-    let score = n * 50.0 + base * 0.1;
-    let desc = if report.violations.is_empty() {
-        "no violations".to_string()
-    } else {
-        report.class_summary()
-    };
-    (score, desc)
+    (n * 50.0 + base * 0.1, desc)
 }
 
 /// A scoring function, as [`fuzz_observed`](super::fuzz_observed) takes it.

@@ -285,17 +285,16 @@ pub fn run_matrix(
     })
 }
 
-/// Grade one successful run into a cell: every traced cell gets the
-/// conformance oracle (the orchestrator only runs it inline for quirked
-/// runs), then the headline numbers are extracted.
+/// Grade one successful run into a cell: the run's own conformance verdict
+/// (stage 5 grades every traced run), then the headline numbers.
 fn cell_outcome(
     device: &str,
     quirked: bool,
     res: &TestResults,
     include_report: bool,
 ) -> Result<CellOutcome, Error> {
-    let conf = res.conformance_verdict();
-    let verdict = match &conf {
+    let conf = res.conformance.as_ref();
+    let verdict = match conf {
         None => "untraced",
         Some(c) if !c.violations.is_empty() => "violations",
         Some(c) if c.partial => "partial",
@@ -303,7 +302,7 @@ fn cell_outcome(
     };
     let mut violations = BTreeMap::new();
     let mut table2 = BTreeMap::new();
-    if let Some(c) = &conf {
+    if let Some(c) = conf {
         for (label, n) in c.class_counts() {
             violations.insert(label.to_string(), n as u64);
         }

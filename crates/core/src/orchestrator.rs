@@ -91,13 +91,14 @@ pub struct TestResults {
     /// Each device's misbehavior-plane counters, requester first; `Some`
     /// where that device had a plane. `quirk_stats` is their sum.
     pub host_quirk_stats: [Option<QuirkStats>; 2],
-    /// Spec-conformance oracle verdict. Computed here for quirk-injected
-    /// runs with a trace; the CLI runs the oracle on demand otherwise.
-    pub conformance: Option<crate::analyzers::ConformanceReport>,
-    /// The Go-back-N view and decision points of the replay that computed
-    /// `conformance`: `Some` exactly when it is, so neither the report nor a
-    /// campaign replays again. Never in [`report_json`](Self::report_json).
-    pub(crate) replayed: Option<(GbnReport, Decisions)>,
+    /// Spec-conformance oracle verdict, from stage 5's RC replay: `Some`
+    /// exactly when `trace` is. [`report_json`](Self::report_json) carries
+    /// it only for quirk-injected runs; `RunReport` appends it otherwise.
+    pub conformance: Option<ConformanceReport>,
+    /// The Go-back-N view and decision points of the same replay: `Some`
+    /// exactly when `conformance` is, so no report or campaign replays
+    /// again. Never in [`report_json`](Self::report_json).
+    pub replayed: Option<(GbnReport, Decisions)>,
     /// Chaos-plane counters; `Some` only when the run had an active
     /// `chaos:` section, so chaos-free reports are byte-identical to
     /// every pre-chaos release.
@@ -123,24 +124,6 @@ impl TestResults {
     /// True when all traffic completed and the run quiesced.
     pub fn traffic_completed(&self) -> bool {
         self.requester_metrics.done()
-    }
-
-    /// The conformance oracle's verdict for this run: the run's own when the
-    /// orchestrator already computed one (quirk-injected runs), an oracle
-    /// replay over the trace otherwise, `None` for a traceless run. A pure
-    /// function of the results.
-    pub fn conformance_verdict(&self) -> Option<ConformanceReport> {
-        self.conformance
-            .clone()
-            .or_else(|| self.replay().map(|(conf, _)| conf))
-    }
-
-    /// The RC replay over the trace: the conformance verdict, its Go-back-N
-    /// view and its decision points; `None` for a traceless run.
-    pub(crate) fn replay(&self) -> Option<(ConformanceReport, (GbnReport, Decisions))> {
-        let trace = self.trace.as_ref()?;
-        let opts = ConformanceOpts::from_results(self);
-        Some(conformance::replay(trace, &self.conns, &opts))
     }
 
     /// The per-hop / end-to-end latency dissection of the hop view; `None`
@@ -212,12 +195,12 @@ impl TestResults {
             report["faults"] = faults;
         }
         // Likewise, misbehavior accounting and the conformance verdict
-        // appear only on quirk-injected runs.
+        // appear here only on quirk-injected runs.
         if let Some(qs) = &self.quirk_stats {
             report["quirks"] = section("quirk stats", qs)?;
-        }
-        if let Some(conf) = &self.conformance {
-            report["conformance"] = section("conformance report", conf)?;
+            if let Some(conf) = &self.conformance {
+                report["conformance"] = section("conformance report", conf)?;
+            }
         }
         // Chaos accounting and the recovery verdict appear only on
         // chaos-injected runs, keeping chaos-free reports byte-identical.
@@ -854,15 +837,17 @@ fn reconstruct(
     }
 }
 
-/// Stage 5: the oracles a run grades itself with. Quirk-injected runs get
-/// the conformance verdict inline (the whole point of injecting misbehavior
-/// is to see the oracle call it), with the rest of the same replay kept;
-/// chaos-injected runs the recovery verdict (the whole point of injecting
-/// chaos is proving the stack recovers); the report-only analyzers run on
-/// demand in [`crate::report::RunReport`].
+/// Stage 5: the oracles a run grades itself with. Every traced run gets
+/// the one RC replay — the conformance verdict, its Go-back-N view and its
+/// decision points — which every report and campaign then reads;
+/// chaos-injected runs the recovery verdict too (the whole point of
+/// injecting chaos is proving the stack recovers). The report-only
+/// analyzers run in [`crate::report::RunReport`].
 fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
-    if results.quirk_stats.is_some() {
-        (results.conformance, results.replayed) = results.replay().unzip();
+    if let Some(trace) = &results.trace {
+        let opts = ConformanceOpts::from_results(results);
+        let (conf, replayed) = conformance::replay(trace, &results.conns, &opts);
+        (results.conformance, results.replayed) = (Some(conf), Some(replayed));
     }
     let Some(chaos) = results.cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
         return;

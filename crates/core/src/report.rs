@@ -15,16 +15,17 @@ pub use telemetry::TelemetryReport;
 pub use trace::TraceReport;
 
 use crate::analyzers::{
-    cnp, counter, retrans_perf, CnpReport, ConformanceReport, CounterFinding, GbnReport,
-    RecoveryReport, RetransBreakdown,
+    cnp, counter, retrans_perf, CnpReport, CounterFinding, GbnReport, RecoveryReport,
+    RetransBreakdown,
 };
 use crate::error::Error;
 use crate::orchestrator::{section, TestResults};
 use std::fmt::Display;
 
 /// The analyzers that need a reconstructed trace.
-struct TraceSections {
-    gbn: GbnReport,
+struct TraceSections<'a> {
+    /// Stage 5's Go-back-N view, borrowed from the results.
+    gbn: &'a GbnReport,
     retransmissions: Vec<RetransBreakdown>,
     cnp: CnpReport,
 }
@@ -33,35 +34,26 @@ struct TraceSections {
 pub struct RunReport<'a> {
     results: &'a TestResults,
     /// `None` for a traceless run (mirroring off).
-    traced: Option<TraceSections>,
+    traced: Option<TraceSections<'a>>,
     counter_findings: Vec<CounterFinding>,
-    /// Every run that produced a trace is graded against the RC reference
-    /// FSM, quirk-injected or not.
-    conformance: Option<ConformanceReport>,
 }
 
 impl<'a> RunReport<'a> {
-    /// Run every analyzer over `results`. The RC replay (the conformance
-    /// verdict and its Go-back-N view) runs at most once: not at all when
-    /// the run already graded itself (stage 5 of a quirk-injected run).
+    /// Run the report-only analyzers over `results`. The conformance
+    /// verdict and the Go-back-N view are stage 5's, read in place.
     pub fn of(results: &'a TestResults) -> RunReport<'a> {
-        let (conformance, gbn) = match &results.conformance {
-            Some(conf) => (Some(conf.clone()), results.replayed.clone().map(|r| r.0)),
-            None => results.replay().map(|(conf, (gbn, _))| (conf, gbn)).unzip(),
-        };
         RunReport {
             results,
             traced: results
                 .trace
                 .as_ref()
-                .zip(gbn)
-                .map(|(trace, gbn)| TraceSections {
+                .zip(results.replayed.as_ref())
+                .map(|(trace, (gbn, _))| TraceSections {
                     gbn,
                     retransmissions: retrans_perf::analyze(trace, &results.conns),
                     cnp: cnp::analyze(trace),
                 }),
             counter_findings: counter::analyze(results),
-            conformance,
         }
     }
 
@@ -88,7 +80,7 @@ impl<'a> RunReport<'a> {
         }
         report["counter_findings"] = section("counter findings", &self.counter_findings)?;
         // Quirk-injected runs already carry their verdict.
-        if let (None, Some(conf)) = (&self.results.conformance, &self.conformance) {
+        if let (None, Some(conf)) = (&self.results.quirk_stats, &self.results.conformance) {
             report["conformance"] = section("conformance report", conf)?;
         }
         Ok(report)
@@ -153,7 +145,7 @@ impl<'a> RunReport<'a> {
                 format_args!("{} {} — {}", f.host, f.counter, f.detail),
             );
         }
-        if let Some(conf) = &self.conformance {
+        if let Some(conf) = &r.conformance {
             out.push_str(&conf.render_human());
         }
         if let Some(qs) = &r.quirk_stats {
@@ -204,7 +196,7 @@ impl<'a> RunReport<'a> {
         // A healthy run with proven spec violations is its own failure
         // class: deterministic (same seed, same verdict), distinct from
         // flaky infra.
-        match self.conformance.as_ref().filter(|conf| !conf.compliant) {
+        match r.conformance.as_ref().filter(|conf| !conf.compliant) {
             Some(conf) => Err(Error::Violations(conf.class_summary())),
             None => Ok(true),
         }

@@ -223,6 +223,9 @@ fn run_reports_of_every_preset_are_pinned() {
     for (name, mut cfg) in corpus() {
         cfg.network.seed = 1;
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // Stage 5 graded the run exactly when it has a trace.
+        assert_eq!(res.conformance.is_some(), res.trace.is_some(), "{name}");
+        assert_eq!(res.replayed.is_some(), res.trace.is_some(), "{name}");
         let report = RunReport::of(&res);
         let json = serde_json::to_string_pretty(&report.to_json().unwrap()).unwrap();
         got.push((name, fnv64(json.as_bytes()), fnv64(report.render_human().as_bytes())));
