@@ -175,6 +175,11 @@ struct HeldPacket {
     remaining: Option<u32>,
     frame: Frame,
     out: PortId,
+    /// The timer token that releases this hold: its slot in the low 32
+    /// bits, the count of holds made before it above. A reorder hold
+    /// released early leaves its safety flush armed, and the slot may hold
+    /// another packet by the time it fires.
+    token: u64,
 }
 
 /// The switch simulation node.
@@ -193,6 +198,8 @@ pub struct SwitchNode {
     wrr: Option<WeightedRoundRobin>,
     mirror_seq: u64,
     held: Vec<Option<HeldPacket>>,
+    /// Holds made so far (the generation in [`HeldPacket::token`]).
+    holds: u64,
 }
 
 /// The kind-table entry of an injected action: the journal kind and the
@@ -241,6 +248,7 @@ impl SwitchNode {
             wrr,
             mirror_seq: 0,
             held: Vec::new(),
+            holds: 0,
         }
     }
 
@@ -363,7 +371,9 @@ impl SwitchNode {
         }
     }
 
-    fn hold(&mut self, conn: ConnKey, remaining: Option<u32>, frame: Frame, out: PortId) -> usize {
+    /// Hold `frame` in the first free slot; returns the token of the timer
+    /// that releases it.
+    fn hold(&mut self, conn: ConnKey, remaining: Option<u32>, frame: Frame, out: PortId) -> u64 {
         let idx = self
             .held
             .iter()
@@ -372,13 +382,16 @@ impl SwitchNode {
                 self.held.push(None);
                 self.held.len() - 1
             });
+        let token = self.holds << 32 | idx as u64;
+        self.holds += 1;
         self.held[idx] = Some(HeldPacket {
             conn,
             remaining,
             frame,
             out,
+            token,
         });
-        idx
+        token
     }
 
     /// A data packet of `conn` was forwarded: advance reorder holds and
@@ -530,23 +543,23 @@ impl Node for SwitchNode {
                 // the egress at release time — a held packet must not
                 // occupy the line meanwhile.
                 self.port_counters(out).tx += 1;
-                let idx = self.hold(conn, None, fwd, out);
-                ctx.set_timer(latency + extra, idx as u64);
+                let token = self.hold(conn, None, fwd, out);
+                ctx.set_timer(latency + extra, token);
             }
             ForwardDecision::Held(fwd, n) => {
                 self.port_counters(out).tx += 1;
-                let idx = self.hold(conn, Some(n), fwd, out);
+                let token = self.hold(conn, Some(n), fwd, out);
                 // Safety flush: if the connection goes quiet, release the
                 // held packet after 1 ms rather than leaking it.
-                ctx.set_timer(SimTime::from_millis(1), idx as u64);
+                ctx.set_timer(SimTime::from_millis(1), token);
             }
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_>) {
-        let idx = token as usize;
-        if let Some(Some(_)) = self.held.get(idx) {
-            let h = self.held[idx].take().unwrap();
+        // Only the hold that armed this timer, if it is still held.
+        let slot = self.held.get_mut(token as u32 as usize);
+        if let Some(h) = slot.and_then(|s| s.take_if(|h| h.token == token)) {
             let latency = self.cfg.pipeline_latency;
             ctx.telemetry().record_hop(
                 h.frame.trace_id(),

@@ -5,6 +5,7 @@ use lumina_core::analyzers::gbn_fsm;
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
 use lumina_switch::events::EventType;
+use lumina_sim::telemetry::trace::Hop;
 
 fn run(events: &str) -> lumina_core::orchestrator::TestResults {
     let yaml = format!(
@@ -130,4 +131,42 @@ traffic:
 "#;
     let cfg = TestConfig::from_yaml(bad_reorder).unwrap();
     assert!(cfg.problems().iter().any(|p| p.contains("reorder-by")));
+}
+
+#[test]
+fn a_released_reorder_hold_leaves_no_timer_for_a_later_hold() {
+    // Packet 3 is held behind one later packet and released by packet 4;
+    // its 1 ms safety flush stays armed. Packet 8 is then held for 2 ms in
+    // the same switch slot: the stale flush must not release it at 1 ms.
+    let yaml = r#"
+requester: { nic-type: cx5 }
+responder: { nic-type: cx5 }
+traffic:
+  num-connections: 1
+  rdma-verb: write
+  num-msgs-per-qp: 1
+  mtu: 1024
+  message-size: 20480
+  data-pkt-events:
+    - {qpn: 1, psn: 3, type: reorder, iter: 1, reorder-by: 1}
+    - {qpn: 1, psn: 8, type: delay, iter: 1, delay-us: 2000}
+trace:
+  capacity: 65536
+"#;
+    let res = run_test(&TestConfig::from_yaml(yaml).unwrap()).unwrap();
+    assert!(res.traffic_completed());
+    let switch_hops = |hop: Hop| -> Vec<(u64, u64)> {
+        let log = res.telemetry.hops();
+        log.filter(|(_, h, r)| *h == hop && r.node == 2).map(|(id, _, r)| (id, r.t)).collect()
+    };
+    let [(delayed, held_at)] = switch_hops(Hop::Delay)[..] else {
+        panic!("one delay hop expected");
+    };
+    let released: Vec<u64> = switch_hops(Hop::SwitchForward)
+        .into_iter()
+        .filter_map(|(id, t)| (id == delayed).then_some(t))
+        .collect();
+    // Held at 2.213 µs; released after the pipeline's 380 ns plus 2 ms.
+    assert_eq!(held_at, 2_213);
+    assert_eq!(released, [2_002_593]);
 }
