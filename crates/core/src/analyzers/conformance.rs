@@ -369,7 +369,8 @@ pub struct ConformanceOpts {
     pub degraded: bool,
     /// Frames were destroyed or displaced outside the injector's event
     /// table — the data-path chaos plane dropped, corrupted or reordered
-    /// traffic the mirror cannot attribute. Retransmission rounds are then
+    /// traffic, or a frozen node dropped what reached it, and the mirror
+    /// cannot attribute it. Retransmission rounds are then
     /// *justified* by definition (the loss was real, just not
     /// injector-recorded), so every loss- and order-sensitive check is
     /// skipped rather than blamed on the DUT. Checks chaos cannot
@@ -391,7 +392,8 @@ impl ConformanceOpts {
             external_loss: res
                 .chaos_stats
                 .as_ref()
-                .is_some_and(|cs| cs.data_drops() + cs.corruptions + cs.reorders > 0),
+                .is_some_and(|cs| cs.data_drops() + cs.corruptions + cs.reorders > 0)
+                || res.fault_stats.is_some_and(|fs| fs.frames_dropped_frozen > 0),
         }
     }
 }
