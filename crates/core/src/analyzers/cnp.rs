@@ -28,11 +28,6 @@ fn min_gap(times: &[SimTime]) -> Option<SimTime> {
 }
 
 impl CnpFlowStats {
-    /// Smallest gap between consecutive CNPs of this flow.
-    pub fn min_interval(&self) -> Option<SimTime> {
-        min_gap(&self.times)
-    }
-
     /// Number of CNPs.
     pub fn count(&self) -> usize {
         self.times.len()
@@ -51,54 +46,6 @@ pub struct CnpReport {
 }
 
 impl CnpReport {
-    /// Minimum CNP interval observed per source NIC port (all flows from
-    /// one IP merged) — the quantity that exposes *per-port* limiting.
-    pub fn min_interval_per_src_ip(&self) -> BTreeMap<Ipv4Addr, Option<SimTime>> {
-        let mut merged: BTreeMap<Ipv4Addr, Vec<SimTime>> = BTreeMap::new();
-        for ((src, _, _), st) in &self.flows {
-            merged
-                .entry(*src)
-                .or_default()
-                .extend(st.times.iter().copied());
-        }
-        merged
-            .into_iter()
-            .map(|(ip, mut ts)| {
-                ts.sort();
-                (ip, min_gap(&ts))
-            })
-            .collect()
-    }
-
-    /// Minimum interval per destination IP (exposes per-destination-IP
-    /// limiting: flows to different destinations are unthrottled relative
-    /// to each other while flows to one destination share a limiter).
-    pub fn min_interval_per_dst_ip(&self) -> BTreeMap<Ipv4Addr, Option<SimTime>> {
-        let mut merged: BTreeMap<Ipv4Addr, Vec<SimTime>> = BTreeMap::new();
-        for ((_, dst, _), st) in &self.flows {
-            merged
-                .entry(*dst)
-                .or_default()
-                .extend(st.times.iter().copied());
-        }
-        merged
-            .into_iter()
-            .map(|(ip, mut ts)| {
-                ts.sort();
-                (ip, min_gap(&ts))
-            })
-            .collect()
-    }
-
-    /// Minimum interval per individual flow (per-QP limiting leaves each
-    /// flow throttled but different QPs mutually unconstrained).
-    pub fn min_interval_per_flow(&self) -> BTreeMap<(Ipv4Addr, Ipv4Addr, u32), Option<SimTime>> {
-        self.flows
-            .iter()
-            .map(|(k, v)| (*k, v.min_interval()))
-            .collect()
-    }
-
     /// Minimum interval across *all* CNPs leaving one NIC (merging every
     /// flow): small under per-QP/per-IP limiting, large under per-port.
     pub fn min_interval_global(&self) -> Option<SimTime> {

@@ -19,7 +19,7 @@ use lumina_dumper::{
 use lumina_packet::builder::DataPacketBuilder;
 use lumina_packet::opcode::Opcode;
 use lumina_packet::udp::ROCEV2_UDP_PORT;
-use lumina_sim::pcap::{PcapReader, PcapRecord, PcapWriter};
+use lumina_sim::pcap::{PcapReader, PcapWriter};
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use lumina_switch::mirror;
@@ -157,14 +157,13 @@ fn same_chunk(a: &Option<Trace>, b: &Option<Trace>) -> bool {
 /// crate-private, and it is a function of the summary, the recovery stats
 /// and `first_malformed`, each of which the caller compares.
 ///
-/// Beside the adapters runs the pair the product is built from —
-/// `read_record` into one reused record, `recover_entry`, `push_entry` —
-/// on a second reader over the same bytes: record for record it must read,
-/// judge and seal as the adapters do.
+/// Beside the adapters runs the path the product is built from —
+/// `next_view`, `recover_entry`, `push_entry` — on a second reader over the
+/// same bytes: record for record it must read, judge and seal as the
+/// adapters do.
 fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> IngestOutcome {
     let mut pcap = PcapReader::new(bytes).unwrap();
     let mut own_pcap = PcapReader::new(bytes).unwrap();
-    let mut own_rec = PcapRecord::default();
     let mut own_recovery = RecoveryStats::default();
     let mut own_recon = StreamingReconstructor::new(StreamOpts {
         chunk_entries: params.chunk_entries,
@@ -191,10 +190,11 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
     };
     while let Some(rec) = pcap.next_record() {
         let rec = rec.unwrap();
-        assert!(own_pcap.read_record(&mut own_rec).unwrap());
-        assert_eq!(rec, own_rec);
-        let own_sealed = recover_entry(&own_rec.data, own_rec.orig_len, &mut own_recovery)
-            .and_then(|entry| own_recon.push_entry(entry, own_rec.data.len()));
+        let view = own_pcap.next_view().unwrap().expect("the view reads the record too");
+        assert_eq!((rec.offset, rec.ts, rec.orig_len), (view.offset, view.ts, view.orig_len));
+        assert_eq!(rec.data, view.data);
+        let own_sealed = recover_entry(view.data, view.orig_len, &mut own_recovery)
+            .and_then(|entry| own_recon.push_entry(entry, view.data.len()));
         let sealed = recover_frame(&rec.data, rec.orig_len, rec.ts, &mut recovery)
             .and_then(|p| recon.push(&p));
         assert_eq!(format!("{recovery:?}"), format!("{own_recovery:?}"));
@@ -203,7 +203,7 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
             feed(chunk, !recon.summary().is_complete(), &mut oracle);
         }
     }
-    assert!(!own_pcap.read_record(&mut own_rec).unwrap());
+    assert!(own_pcap.next_view().unwrap().is_none());
     let (own_tail, own_stream) = own_recon.finish();
     let (tail, stream) = recon.finish();
     assert!(same_chunk(&tail, &own_tail));

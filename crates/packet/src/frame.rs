@@ -392,12 +392,6 @@ impl RoceFrame {
             + pad
             + ICRC_LEN
     }
-
-    /// Bytes of line occupancy for serialization-time computation:
-    /// frame + FCS + preamble/IFG.
-    pub fn line_occupancy(&self) -> usize {
-        self.wire_len() + ETHERNET_FCS_LEN + ETHERNET_LINE_OVERHEAD
-    }
 }
 
 /// Verify the trailing ICRC of raw frame bytes (no structured parse

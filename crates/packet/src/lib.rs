@@ -87,15 +87,6 @@ impl ParseError {
     pub fn is_foreign(&self) -> bool {
         matches!(self, ParseError::NotRoce(_))
     }
-
-    /// Stable kebab-case label of the failure class, for skip counters.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ParseError::Truncated { .. } => "truncated",
-            ParseError::BadField { .. } => "bad-field",
-            ParseError::NotRoce(_) => "not-roce",
-        }
-    }
 }
 
 impl std::fmt::Display for ParseError {

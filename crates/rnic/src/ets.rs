@@ -120,11 +120,6 @@ impl EtsScheduler {
         EtsScheduler { cfg, states }
     }
 
-    /// Number of traffic classes.
-    pub fn tc_count(&self) -> usize {
-        self.cfg.tcs.len()
-    }
-
     /// Whether the scheduler is work conserving.
     pub fn work_conserving(&self) -> bool {
         self.cfg.work_conserving

@@ -206,9 +206,7 @@ impl std::fmt::Display for PcapReadError {
 
 impl std::error::Error for PcapReadError {}
 
-/// One packet record read back from a capture file. Also the caller-owned
-/// buffer [`PcapReader::read_record`] fills: `data` keeps its capacity from
-/// one record to the next.
+/// One packet record read back from a capture file, owning its bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcapRecord {
     /// Absolute file offset of the record's header.
@@ -419,31 +417,16 @@ impl<R: Read> PcapReader<R> {
         }))
     }
 
-    /// [`Self::next_view`] copied into `rec`, reusing its `data`
-    /// allocation: `Ok(true)` when `rec` was filled, `Ok(false)` at clean
-    /// EOF; one final `Err` (then `Ok(false)`) when the framing breaks
-    /// mid-file. Unless it returns `Ok(true)`, `rec` is untouched.
-    pub fn read_record(&mut self, rec: &mut PcapRecord) -> Result<bool, PcapReadError> {
-        let Some(view) = self.next_view()? else {
-            return Ok(false);
-        };
-        rec.offset = view.offset;
-        rec.ts = view.ts;
-        rec.orig_len = view.orig_len;
-        rec.data.clear();
-        rec.data.extend_from_slice(view.data);
-        Ok(true)
-    }
-
-    /// [`Self::read_record`] into a fresh record: `None` at clean EOF; one
-    /// final `Err` (then `None`) when the framing breaks mid-file.
+    /// [`Self::next_view`] copied into a fresh record: `None` at clean
+    /// EOF; one final `Err` (then `None`) when the framing breaks mid-file.
     pub fn next_record(&mut self) -> Option<Result<PcapRecord, PcapReadError>> {
-        let mut rec = PcapRecord::default();
-        match self.read_record(&mut rec) {
-            Ok(true) => Some(Ok(rec)),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        }
+        let view = self.next_view().transpose()?;
+        Some(view.map(|v| PcapRecord {
+            offset: v.offset,
+            ts: v.ts,
+            orig_len: v.orig_len,
+            data: v.data.to_vec(),
+        }))
     }
 
     // ---- byte-level helpers -------------------------------------------
@@ -1058,86 +1041,6 @@ mod tests {
         assert_eq!(r.blocks_skipped(), 1);
     }
 
-    /// Everything a reader yields, drained through `next`: the records,
-    /// the terminal error as text (`PcapReadErrorKind` holds an
-    /// `io::Error`, so it has no `==`), and the reader's own count.
-    fn drain<R: Read>(
-        r: Result<PcapReader<R>, PcapReadError>,
-        mut next: impl FnMut(&mut PcapReader<R>) -> Option<Result<PcapRecord, PcapReadError>>,
-    ) -> (Vec<PcapRecord>, Option<String>, u64) {
-        let mut r = match r {
-            Ok(r) => r,
-            Err(e) => return (Vec::new(), Some(format!("{e} / {:?}", e.kind)), 0),
-        };
-        let mut recs = Vec::new();
-        let mut terminal = None;
-        while let Some(step) = next(&mut r) {
-            match step {
-                Ok(rec) => recs.push(rec),
-                Err(e) => terminal = Some(format!("{e} / {:?}", e.kind)),
-            }
-        }
-        assert!(next(&mut r).is_none(), "latched after the end");
-        (recs, terminal, r.records())
-    }
-
-    #[test]
-    fn read_record_into_a_reused_buffer_equals_next_record() {
-        let mut classic = PcapWriter::new(Vec::new(), 128).unwrap();
-        for (ts, data, orig_len) in [(7, &[0xff; 128][..], 1500), (8, &[], 0), (9, &[1, 2, 3], 3)] {
-            classic
-                .write_packet(SimTime::from_nanos(ts), data, orig_len)
-                .unwrap();
-        }
-        let classic = classic.finish().unwrap();
-
-        let mut be_us = be_us_capture();
-        for (caplen, fill) in [(0u32, 0u8), (7, 0x55)] {
-            be_us.extend_from_slice(&3u32.to_be_bytes());
-            be_us.extend_from_slice(&999_999u32.to_be_bytes());
-            be_us.extend_from_slice(&caplen.to_be_bytes());
-            be_us.extend_from_slice(&64u32.to_be_bytes());
-            be_us.extend_from_slice(&vec![fill; caplen as usize]);
-        }
-
-        // EPB, an unknown block, a longer EPB, then a Simple Packet Block.
-        let mut ng = pcapng_capture(Some(9), &[1, 2, 3, 4, 5]);
-        ng.extend_from_slice(&0x99u32.to_le_bytes());
-        ng.extend_from_slice(&16u32.to_le_bytes());
-        ng.extend_from_slice(&[0u8; 4]);
-        ng.extend_from_slice(&16u32.to_le_bytes());
-        push_epb(&mut ng, &[0xab; 61]);
-        ng.extend_from_slice(&PCAPNG_SPB.to_le_bytes());
-        ng.extend_from_slice(&20u32.to_le_bytes());
-        ng.extend_from_slice(&3u32.to_le_bytes());
-        ng.extend_from_slice(&[7, 8, 9, 0]);
-        ng.extend_from_slice(&20u32.to_le_bytes());
-
-        for (name, file) in [("classic", classic), ("be-us", be_us), ("pcapng", ng)] {
-            for cut in 0..=file.len() {
-                let input = &file[..cut];
-                let fresh = drain(PcapReader::new(input), |r| r.next_record());
-                // One caller-owned record for the whole file, dirty on
-                // entry: nothing of a previous record may show through.
-                let mut rec = PcapRecord {
-                    offset: u64::MAX,
-                    ts: SimTime::from_secs(9),
-                    orig_len: u32::MAX,
-                    data: vec![0xee; 300],
-                };
-                let reused = drain(PcapReader::new(input), |r| match r.read_record(&mut rec) {
-                    Ok(true) => Some(Ok(rec.clone())),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                });
-                assert_eq!(fresh, reused, "{name} cut at {cut}");
-                if cut == file.len() {
-                    assert_eq!((fresh.0.len(), &fresh.1, fresh.2), (3, &None, 3), "{name}");
-                }
-            }
-        }
-    }
-
     // ---- the reader under hostile reads ---------------------------------
 
     /// A `Read` that hands out 1, 2, … `k`, 1, 2, … bytes per call, however
@@ -1185,8 +1088,6 @@ mod tests {
     enum Via {
         /// `next_record`: a fresh `PcapRecord` each.
         Fresh,
-        /// `read_record` into one caller-owned record, dirty on entry.
-        Reused,
         /// `next_view`: the record borrowed from the reader's block.
         InPlace,
     }
@@ -1208,21 +1109,12 @@ mod tests {
             }
         };
         t.header = Some((r.format(), r.big_endian(), r.snaplen(), r.linktype()));
-        let mut rec = PcapRecord {
-            offset: u64::MAX,
-            ts: SimTime::from_secs(9),
-            orig_len: u32::MAX,
-            data: vec![0xee; 300],
-        };
         loop {
             let step = match via {
                 Via::Fresh => r
                     .next_record()
                     .transpose()
                     .map(|o| o.map(|rec| (rec.offset, rec.ts, rec.orig_len, rec.data))),
-                Via::Reused => r.read_record(&mut rec).map(|filled| {
-                    filled.then(|| (rec.offset, rec.ts, rec.orig_len, rec.data.clone()))
-                }),
                 Via::InPlace => r.next_view().map(|o| {
                     o.map(|view| (view.offset, view.ts, view.orig_len, view.data.to_vec()))
                 }),
@@ -1247,7 +1139,7 @@ mod tests {
         t
     }
 
-    const VIAS: [Via; 3] = [Via::Fresh, Via::Reused, Via::InPlace];
+    const VIAS: [Via; 2] = [Via::Fresh, Via::InPlace];
 
     /// One pcapng block in the given byte order: type, total length, body
     /// (padded to 32 bits), total length again.
@@ -1483,7 +1375,7 @@ mod tests {
         }
         // The same record, cut short: anchored to its own header.
         let cut = &file[..file.len() - 80];
-        let t = transcript(dribble(cut, 4096), Via::Reused);
+        let t = transcript(dribble(cut, 4096), Via::InPlace);
         assert_eq!(
             t.terminal,
             Some((24 + 76, "file ends inside record data".to_string()))
