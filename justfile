@@ -1,10 +1,11 @@
 # Developer entry points. `just check` is the gate CI and pre-commit use.
 
-# Build, test and lint everything, exactly as the release gate does.
+# Build, test and lint everything, exactly as the release gate does
+# (`lint` covers every target, tests, examples and benches included).
 check:
     cargo build --release
     cargo test -q
-    cargo clippy -- -D warnings
+    just lint
 
 # The full CI gate: release build; the workspace tests (`default-members`
 # makes the plain `cargo test -q` run every crate's unit tests and every
