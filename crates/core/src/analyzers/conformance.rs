@@ -447,8 +447,10 @@ pub fn analyze(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Con
 }
 
 /// The one RC replay of a traced run: [`analyze`]'s report, and the
-/// Go-back-N view of the same pass with the decisions it took.
-pub(crate) fn replay(
+/// Go-back-N view of the same pass with the decisions it took. Stage 5 of
+/// the orchestrator runs it once per traced run and keeps all three in
+/// `TestResults`.
+pub fn replay(
     trace: &Trace,
     conns: &[ConnMeta],
     opts: &ConformanceOpts,

@@ -14,7 +14,7 @@ use lumina_core::analyzers::{
 };
 use lumina_core::config::{EventSpec, QuirksSection, TestConfig};
 use lumina_core::fuzz::coverage::signal_of;
-use lumina_core::orchestrator::{run_test, TestResults};
+use lumina_core::orchestrator::run_test;
 use lumina_core::translate::ConnMeta;
 use lumina_dumper::trace::{Trace, TraceEntry};
 use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
@@ -286,10 +286,10 @@ fn corrupt_event_counts_as_not_delivered() {
 
 // ---- Teeth by trace mutation ----
 
-/// A preset's compliant trace, to be edited, and the run that made it.
+/// A preset's compliant trace, to be edited, with its run's connections
+/// and oracle options.
 struct Clean {
     name: &'static str,
-    res: TestResults,
     trace: Trace,
     conns: Vec<ConnMeta>,
     opts: ConformanceOpts,
@@ -305,10 +305,9 @@ fn clean_traces() -> Vec<Clean> {
             let res = run_test(&preset(name)).unwrap();
             let clean = Clean {
                 name,
-                trace: res.trace.clone().unwrap(),
                 opts: ConformanceOpts::from_results(&res),
-                conns: res.conns.clone(),
-                res,
+                trace: res.trace.unwrap(),
+                conns: res.conns,
             };
             let conf = conformance::analyze(&clean.trace, &clean.conns, &clean.opts);
             assert!(conf.compliant && !conf.partial, "{name}: {conf:?}");
@@ -725,13 +724,10 @@ fn quirk_knobs() -> Vec<TestConfig> {
     ]
 }
 
-/// The decisions one replay of `trace` takes, graded as `res` was, read
-/// through the fuzzer's own signal.
-fn decisions_over(res: &mut TestResults, trace: Trace) -> Decisions {
-    let clean = res.trace.replace(trace);
-    let seen = signal_of(res);
-    res.trace = clean;
-    seen
+/// The decisions one replay of `trace` takes, graded as `clean` was: what
+/// stage 5 would hand the fuzzer's signal for a run that left `trace`.
+fn decisions_over(clean: &Clean, trace: &Trace) -> Decisions {
+    conformance::replay(trace, &clean.conns, &clean.opts).1 .1
 }
 
 /// Every entry of the decision table is reached by a preset, a quirk knob
@@ -758,11 +754,11 @@ fn every_decision_point_is_reached() {
         nacks_off_by_one,
         without_cnps,
     ];
-    for mut clean in clean_traces() {
-        for meta in clean.conns.clone() {
+    for clean in clean_traces() {
+        for meta in &clean.conns {
             for edit in edits {
-                for (_, mutant, class) in edit(&clean.trace, &meta) {
-                    let took = decisions_over(&mut clean.res, mutant);
+                for (_, mutant, class) in edit(&clean.trace, meta) {
+                    let took = decisions_over(&clean, &mutant);
                     let proving = Decision::ALL.iter().find(|d| d.proves() == Some(class));
                     assert!(
                         took.contains(*proving.unwrap()),
