@@ -393,7 +393,9 @@ impl ConformanceOpts {
                 .chaos_stats
                 .as_ref()
                 .is_some_and(|cs| cs.data_drops() + cs.corruptions + cs.reorders > 0)
-                || res.fault_stats.is_some_and(|fs| fs.frames_dropped_frozen > 0),
+                || res
+                    .fault_stats
+                    .is_some_and(|fs| fs.frames_dropped_frozen > 0),
         }
     }
 }

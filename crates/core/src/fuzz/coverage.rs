@@ -65,7 +65,10 @@ pub fn violation_classes(res: &TestResults) -> Vec<ViolationClass> {
 /// Reduce a finished run to its coverage signal: the decision points of
 /// the run's own RC replay (stage 5). A traceless run covers nothing.
 pub fn signal_of(res: &TestResults) -> Decisions {
-    res.replayed.as_ref().map(|(_, seen)| *seen).unwrap_or_default()
+    res.replayed
+        .as_ref()
+        .map(|(_, seen)| *seen)
+        .unwrap_or_default()
 }
 
 /// One corpus member: a configuration that covered decision points nothing

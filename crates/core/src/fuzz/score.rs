@@ -103,7 +103,11 @@ pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String
 /// of the results, so the parallel executor's serial==parallel
 /// bit-identity is untouched.
 pub fn violation_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
-    let (n, desc) = match res.conformance.as_ref().filter(|c| !c.violations.is_empty()) {
+    let (n, desc) = match res
+        .conformance
+        .as_ref()
+        .filter(|c| !c.violations.is_empty())
+    {
         Some(c) => (c.violations.len() as f64, c.class_summary()),
         None => (0.0, "no violations".to_string()),
     };

@@ -190,8 +190,14 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
     };
     while let Some(rec) = pcap.next_record() {
         let rec = rec.unwrap();
-        let view = own_pcap.next_view().unwrap().expect("the view reads the record too");
-        assert_eq!((rec.offset, rec.ts, rec.orig_len), (view.offset, view.ts, view.orig_len));
+        let view = own_pcap
+            .next_view()
+            .unwrap()
+            .expect("the view reads the record too");
+        assert_eq!(
+            (rec.offset, rec.ts, rec.orig_len),
+            (view.offset, view.ts, view.orig_len)
+        );
         assert_eq!(rec.data, view.data);
         let own_sealed = recover_entry(view.data, view.orig_len, &mut own_recovery)
             .and_then(|entry| own_recon.push_entry(entry, view.data.len()));

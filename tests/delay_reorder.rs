@@ -4,8 +4,8 @@
 use lumina_core::analyzers::gbn_fsm;
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
-use lumina_switch::events::EventType;
 use lumina_sim::telemetry::trace::Hop;
+use lumina_switch::events::EventType;
 
 fn run(events: &str) -> lumina_core::orchestrator::TestResults {
     let yaml = format!(
@@ -157,7 +157,9 @@ trace:
     assert!(res.traffic_completed());
     let switch_hops = |hop: Hop| -> Vec<(u64, u64)> {
         let log = res.telemetry.hops();
-        log.filter(|(_, h, r)| *h == hop && r.node == 2).map(|(id, _, r)| (id, r.t)).collect()
+        log.filter(|(_, h, r)| *h == hop && r.node == 2)
+            .map(|(id, _, r)| (id, r.t))
+            .collect()
     };
     let [(delayed, held_at)] = switch_hops(Hop::Delay)[..] else {
         panic!("one delay hop expected");

@@ -228,10 +228,16 @@ fn run_reports_of_every_preset_are_pinned() {
         assert_eq!(res.replayed.is_some(), res.trace.is_some(), "{name}");
         let report = RunReport::of(&res);
         let json = serde_json::to_string_pretty(&report.to_json().unwrap()).unwrap();
-        got.push((name, fnv64(json.as_bytes()), fnv64(report.render_human().as_bytes())));
+        got.push((
+            name,
+            fnv64(json.as_bytes()),
+            fnv64(report.render_human().as_bytes()),
+        ));
     }
-    let want: Vec<(String, u64, u64)> =
-        pinned.iter().map(|&(n, j, h)| (n.to_string(), j, h)).collect();
+    let want: Vec<(String, u64, u64)> = pinned
+        .iter()
+        .map(|&(n, j, h)| (n.to_string(), j, h))
+        .collect();
     assert_eq!(got, want, "run reports moved: {got:#x?}");
 }
 
