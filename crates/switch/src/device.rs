@@ -541,10 +541,11 @@ impl Node for SwitchNode {
             ForwardDecision::Delayed(fwd, extra) => {
                 // The packet is buffered inside the switch and re-enters
                 // the egress at release time — a held packet must not
-                // occupy the line meanwhile.
+                // occupy the line meanwhile. The release pays the pipeline
+                // latency (`on_timer`), so the hold lasts the extra delay.
                 self.port_counters(out).tx += 1;
                 let token = self.hold(conn, None, fwd, out);
-                ctx.set_timer(latency + extra, token);
+                ctx.set_timer(extra, token);
             }
             ForwardDecision::Held(fwd, n) => {
                 self.port_counters(out).tx += 1;

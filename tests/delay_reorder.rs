@@ -164,11 +164,17 @@ trace:
     let [(delayed, held_at)] = switch_hops(Hop::Delay)[..] else {
         panic!("one delay hop expected");
     };
-    let released: Vec<u64> = switch_hops(Hop::SwitchForward)
-        .into_iter()
-        .filter_map(|(id, t)| (id == delayed).then_some(t))
-        .collect();
-    // Held at 2.213 µs; released after the pipeline's 380 ns plus 2 ms.
+    let of_delayed = |hop: Hop| -> Vec<u64> {
+        switch_hops(hop)
+            .into_iter()
+            .filter_map(|(id, t)| (id == delayed).then_some(t))
+            .collect()
+    };
+    // Held at 2.213 µs and released 2 ms later. Its mirror copy leaves the
+    // switch one pipeline latency (380 ns) after the hold, and the packet
+    // one pipeline latency after its release: the delay pays it once.
     assert_eq!(held_at, 2_213);
-    assert_eq!(released, [2_002_593]);
+    let released = held_at + 2_000_000;
+    assert_eq!(of_delayed(Hop::SwitchForward), [released]);
+    assert_eq!(of_delayed(Hop::LinkEgress), [held_at + 380, released + 380]);
 }

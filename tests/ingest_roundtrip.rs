@@ -73,7 +73,7 @@ const EXPORTS: &[(&str, usize, u64)] = &[
     ("adaptive_retrans", 1_330, 0x0e1e_4965_459d_589a),
     ("chaos_demo", 399_038, 0x3791_be70_7610_45b1),
     ("cnp_hidden_interval", 75_112, 0x9cd6_0aad_dfd1_c146),
-    ("delay_reorder_demo", 2_292, 0xc46c_945e_a926_1cc1),
+    ("delay_reorder_demo", 2_292, 0x6f50_bcbb_b609_7e95),
     ("fig08_retrans_probe", 11_740, 0x760e_1ce3_37dd_2ba0),
     ("fig10_ets_bug", 3_065_090, 0x7635_c9dd_5f0e_88a5),
     ("fig11_noisy_neighbor", 696_818, 0xb192_11aa_435b_f913),
