@@ -2,6 +2,10 @@
 //! against the ECN marks on the wire and measure CNP spacing, the signal
 //! behind the §6.3 findings (the E810's hidden ~50 µs interval and the
 //! per-IP / per-QP / per-port rate-limiting modes).
+//!
+//! A run's CNP and CE totals are tallies of its RC replay
+//! ([`super::ReplayViews`]), which `run` and `ingest` report; this walk is
+//! the experiments' per-flow interval tool.
 
 use lumina_dumper::Trace;
 use lumina_packet::opcode::Opcode;

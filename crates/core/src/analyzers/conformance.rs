@@ -20,14 +20,18 @@
 //!   drops invisible to the mirror), the affected checks are skipped and
 //!   the report says so instead of guessing.
 //!
-//! It is also a run's one RC replay: in known-connections mode it feeds the
-//! Go-back-N view ([`super::gbn_fsm`]), whose expected PSN, last delivered
-//! PSN, sender frontier and NACK-PSN comparison are the replay's own.
+//! It is also a run's one RC replay, and the §6 measurements are views of
+//! it ([`ReplayViews`]): in known-connections mode it feeds the Go-back-N
+//! view ([`super::gbn_fsm`]), whose expected PSN, last delivered PSN, sender
+//! frontier and NACK-PSN comparison are the replay's own; in both modes it
+//! feeds each connection's retransmission breakdowns
+//! ([`super::retrans_perf`]) and tallies the trace's CNPs and CE marks.
 //! `GbnView` keeps only what its rules add. Each rule outcome taken is one
 //! bit of the replay's [`Decisions`], the spec coverage the fuzzer steers by
 //! (DESIGN.md §11); recording adds no rule and moves no verdict.
 
 use super::gbn_fsm::{ConnGbnReport, GbnReport};
+use super::retrans_perf::{RetransBreakdown, RetransView};
 use super::Routes;
 use crate::orchestrator::TestResults;
 use crate::report::{line, note};
@@ -435,6 +439,9 @@ struct ConnState {
     /// The Go-back-N view of this replay; `None` in discovery mode, whose
     /// memory stays bounded whatever a capture holds.
     gbn: Option<Box<GbnView>>,
+    /// The retransmission view of this replay; capped like `loss_psns` in
+    /// discovery mode.
+    retrans: RetransView,
 }
 
 /// Replay the RC reference FSM over a complete trace and report every
@@ -448,18 +455,34 @@ pub fn analyze(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Con
     replay(trace, conns, opts).0
 }
 
-/// The one RC replay of a traced run: [`analyze`]'s report, and the
-/// Go-back-N view of the same pass with the decisions it took. Stage 5 of
-/// the orchestrator runs it once per traced run and keeps all three in
-/// `TestResults`.
+/// What one RC replay shows beside its verdict: the views of the same pass
+/// over the trace. Stage 5 of the orchestrator keeps them in
+/// `TestResults::replayed`; `ingest` reports them for a capture.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayViews {
+    /// The Go-back-N view (no connection in discovery mode).
+    pub gbn: GbnReport,
+    /// The decision points the replay took.
+    pub decisions: Decisions,
+    /// Every retransmitted loss, connection by connection in stream order.
+    pub retransmissions: Vec<RetransBreakdown>,
+    /// CNPs in the trace.
+    pub cnp_total: u64,
+    /// Data packets the injector CE-marked.
+    pub ce_marked: u64,
+}
+
+/// The one RC replay of a traced run: [`analyze`]'s report and the views of
+/// the same pass. Stage 5 of the orchestrator runs it once per traced run
+/// and keeps both in `TestResults`.
 pub fn replay(
     trace: &Trace,
     conns: &[ConnMeta],
     opts: &ConformanceOpts,
-) -> (ConformanceReport, (GbnReport, Decisions)) {
+) -> (ConformanceReport, ReplayViews) {
     let mut stream = ConformanceStream::new(conns, opts);
     stream.observe_trace(trace);
-    stream.finish_with_gbn()
+    stream.finish_views()
 }
 
 /// The Go-back-N view's own state (§4): what its rules keep beyond the
@@ -773,6 +796,8 @@ pub struct ConformanceStream {
     rsp_ips: BTreeSet<Ipv4Addr>,
     ce_by_dst: BTreeMap<Ipv4Addr, u64>,
     cnp_by_src: BTreeMap<Ipv4Addr, u64>,
+    ce_marked: u64,
+    cnp_total: u64,
     corrupt_events: u64,
     ip_overflow: bool,
     unattributed: u64,
@@ -799,6 +824,8 @@ impl ConformanceStream {
             rsp_ips: conns.iter().map(|c| c.responder.ip).collect(),
             ce_by_dst: BTreeMap::new(),
             cnp_by_src: BTreeMap::new(),
+            ce_marked: 0,
+            cnp_total: 0,
             corrupt_events: 0,
             ip_overflow: false,
             unattributed: 0,
@@ -828,9 +855,10 @@ impl ConformanceStream {
         self.opts.degraded = true;
     }
 
-    /// Connections currently tracked (preconfigured plus discovered).
-    pub fn conns_tracked(&self) -> usize {
-        self.trackers.len()
+    /// Connections currently tracked (preconfigured plus discovered), as
+    /// far as the wire has named their QPNs, in index order.
+    pub fn conns(&self) -> impl ExactSizeIterator<Item = &ConnMeta> {
+        self.trackers.iter().map(|t| &t.meta)
     }
 
     /// Packets discovery mode could not route (ambiguous or unbindable).
@@ -854,12 +882,14 @@ impl ConformanceStream {
         // classification against the requester/responder IP sets happens
         // at finish, once the sets are final.
         if e.event == EventType::Ecn {
+            self.ce_marked += 1;
             self.count_ip(true, f.ipv4.dst);
         }
         if e.event == EventType::Corrupt {
             self.corrupt_events += 1;
         }
         if f.bth.opcode == Opcode::Cnp {
+            self.cnp_total += 1;
             self.count_ip(false, f.ipv4.src);
         }
 
@@ -882,10 +912,10 @@ impl ConformanceStream {
                 continue;
             };
             if t.claims_data(f) {
-                data_packet(e.event, f, &t.meta, opts, &mut t.st, &mut t.sink);
+                data_packet(e, &t.meta, opts, &mut t.st, &mut t.sink);
                 claimed = true;
             } else if t.claims_reverse(f) {
-                reverse_packet(f, &t.meta, opts, &mut t.st, &mut t.sink);
+                reverse_packet(e, &t.meta, opts, &mut t.st, &mut t.sink);
                 claimed = true;
             }
         }
@@ -937,7 +967,7 @@ impl ConformanceStream {
             } else if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                 t.meta.responder.qpn = f.bth.dest_qp;
                 t.rsp_qpn_known = true;
-                reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                reverse_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
                 t.route(i, &mut self.routes);
             } else {
                 self.unattributed += 1;
@@ -958,7 +988,7 @@ impl ConformanceStream {
                 } else if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                     t.meta.requester.qpn = f.bth.dest_qp;
                     t.req_qpn_known = true;
-                    data_packet(e.event, f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                    data_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
                     t.route(i, &mut self.routes);
                 } else {
                     self.unattributed += 1;
@@ -991,7 +1021,7 @@ impl ConformanceStream {
             if let Some((i, t)) = bound(&mut self.trackers, &cands) {
                 t.meta.requester.qpn = f.bth.dest_qp;
                 t.req_qpn_known = true;
-                reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+                reverse_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
                 t.route(i, &mut self.routes);
             } else {
                 self.unattributed += 1;
@@ -1068,10 +1098,11 @@ impl ConformanceStream {
             verb,
         };
         let mut t = ConnTracker::new(meta, req_known, rsp_known);
+        t.st.retrans = RetransView::capped(MAX_LOSS_RECORDS);
         if from_request {
-            reverse_packet(f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+            reverse_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
         } else {
-            data_packet(e.event, f, &t.meta, &self.opts, &mut t.st, &mut t.sink);
+            data_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
         }
         t.route(self.trackers.len(), &mut self.routes);
         self.trackers.push(t);
@@ -1080,15 +1111,16 @@ impl ConformanceStream {
     /// Close the stream and produce the report. In known-connections mode
     /// this is identical to [`analyze`] over the concatenated chunks.
     pub fn finish(self) -> ConformanceReport {
-        self.finish_with_gbn().0
+        self.finish_views().0
     }
 
-    /// [`Self::finish`], the Go-back-N view of the same replay (none in
-    /// discovery mode) and its decisions, of which a displaced connection
-    /// contributes [`Decision::ConnDisplaced`] alone.
-    pub(crate) fn finish_with_gbn(self) -> (ConformanceReport, (GbnReport, Decisions)) {
+    /// [`Self::finish`] and the views of the same replay. A displaced
+    /// connection contributes [`Decision::ConnDisplaced`] alone to the
+    /// decisions, and its breakdowns like any other.
+    pub fn finish_views(self) -> (ConformanceReport, ReplayViews) {
         let mut gbn = GbnReport::default();
         let mut seen = Decisions::default();
+        let mut retransmissions = Vec::new();
         let mut report = ConformanceReport {
             compliant: true,
             partial: self.opts.degraded || self.opts.external_loss,
@@ -1116,6 +1148,7 @@ impl ConformanceStream {
                 t.st.seen |= view.seen;
                 gbn.per_conn.push(view.rep);
             }
+            t.st.retrans.finish(t.meta.index, &mut retransmissions);
             if t.displaced {
                 seen |= Decision::ConnDisplaced;
                 report.skipped_displaced += 1;
@@ -1220,19 +1253,26 @@ impl ConformanceStream {
         }
 
         report.compliant = report.violations.is_empty();
-        (report, (gbn, seen))
+        let views = ReplayViews {
+            gbn,
+            decisions: seen,
+            retransmissions,
+            cnp_total: self.cnp_total,
+            ce_marked: self.ce_marked,
+        };
+        (report, views)
     }
 }
 
 /// A data packet of the connection (write/send data, or read responses).
 fn data_packet(
-    event: EventType,
-    f: &RoceHeaders,
+    e: &TraceEntry,
     meta: &ConnMeta,
     opts: &ConformanceOpts,
     st: &mut ConnState,
     sink: &mut ConnSink,
 ) {
+    let (event, f) = (e.event, &e.frame);
     let psn = f.bth.psn;
     let is_read = meta.verb.data_from_responder();
     let lost = matches!(event, EventType::Drop | EventType::Corrupt);
@@ -1243,6 +1283,7 @@ fn data_packet(
             st.loss_overflow = true;
         }
     }
+    st.retrans.data(psn, event, e.timestamp);
 
     // ---- Sender view: retransmission-round justification ----
     // Round detection keys on the *previous* wire PSN, not the frontier:
@@ -1352,12 +1393,13 @@ fn data_packet(
 /// A packet flowing against the data direction: ACK/NACK for write/send,
 /// (re-)issued read requests for read.
 fn reverse_packet(
-    f: &RoceHeaders,
+    e: &TraceEntry,
     meta: &ConnMeta,
     opts: &ConformanceOpts,
     st: &mut ConnState,
     sink: &mut ConnSink,
 ) {
+    let f = &e.frame;
     let psn = f.bth.psn;
     let is_read = meta.verb.data_from_responder();
 
@@ -1387,6 +1429,7 @@ fn reverse_packet(
                 });
             }
             st.last_nack = Some(psn);
+            st.retrans.nack(psn, e.timestamp);
             track_msn(aeth.msn, psn, meta, st, sink, opts);
             if let Some(gbn) = GbnView::live(&mut st.gbn) {
                 gbn.nack(psn, st.expected, mismatch);
@@ -1458,6 +1501,7 @@ fn reverse_packet(
         } else {
             st.seen |= Decision::ReadRequest;
         }
+        st.retrans.nack(psn, e.timestamp);
         let end = psn_add(psn, npkts);
         if st.read_frontier.is_none_or(|fr| psn_distance(fr, end) > 0) {
             st.read_frontier = Some(end);
@@ -1726,7 +1770,7 @@ traffic:
 
         let mut disc = ConformanceStream::discovering(&opts);
         disc.observe_trace(trace);
-        assert_eq!(disc.conns_tracked(), res.conns.len());
+        assert_eq!(disc.conns().len(), res.conns.len());
         assert_eq!(disc.unattributed(), 0);
         let rep = disc.finish();
         assert_eq!(rep.compliant, known.compliant, "{:?}", rep.violations);
@@ -1763,7 +1807,7 @@ traffic:
 
         let mut disc = ConformanceStream::discovering(&opts);
         disc.observe_trace(trace);
-        assert_eq!(disc.conns_tracked(), res.conns.len());
+        assert_eq!(disc.conns().len(), res.conns.len());
         assert_eq!(disc.unattributed(), 0);
         let rep = disc.finish();
         assert!(rep.compliant, "{:?}", rep.violations);

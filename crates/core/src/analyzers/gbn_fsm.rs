@@ -71,8 +71,9 @@ impl GbnReport {
 /// (the oracle's options do not change what the view sees). A run's report
 /// takes the view from the replay that grades it instead.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> GbnReport {
-    let (_, (gbn, _)) = conformance::replay(trace, conns, &ConformanceOpts::default());
-    gbn
+    conformance::replay(trace, conns, &ConformanceOpts::default())
+        .1
+        .gbn
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ mod routed_tests;
 
 pub use cnp::CnpReport;
 pub use conformance::{
-    ConformanceOpts, ConformanceReport, ConformanceStream, Decision, Decisions, Violation,
-    ViolationClass,
+    ConformanceOpts, ConformanceReport, ConformanceStream, Decision, Decisions, ReplayViews,
+    Violation, ViolationClass,
 };
 pub use counter::CounterFinding;
 pub use gbn_fsm::GbnReport;
@@ -31,7 +31,6 @@ pub use recovery::{
 pub use retrans_perf::{RetransBreakdown, RetransKind};
 
 use crate::translate::ConnMeta;
-use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::RoceHeaders;
 use std::net::Ipv4Addr;
 
@@ -42,9 +41,9 @@ fn route_key(src: Ipv4Addr, dst: Ipv4Addr, dest_qp: u32) -> u128 {
 }
 
 /// Which connections a packet can belong to, by [`route_key`]: both
-/// directions of every connection, so that an analyzer asks the owners of a
-/// packet about it and not every connection. Owners are candidates — the
-/// analyzer still applies its own tests to each — and a key may have
+/// directions of every connection, so that the RC replay asks the owners of
+/// a packet about it and not every connection. Owners are candidates — the
+/// replay still applies its own tests to each — and a key may have
 /// several: connections can share an IP pair, and both hosts may hand out
 /// the same QPN. The keys come from captures, so this is a sorted slice and
 /// not a hash table someone could aim collisions at.
@@ -63,8 +62,8 @@ pub(crate) enum RouteMode {
     #[default]
     Routed,
     /// Every connection owns every packet: the walk over all connections
-    /// `retrans_perf` and the replay (the oracle and its Go-back-N view)
-    /// made before there were routes, kept as the reference the routed
+    /// the replay (the oracle and its views) and the old `retrans_perf`
+    /// scan made before there were routes, kept as the reference the routed
     /// reports are compared against.
     FullWalk,
     /// A connection keeps the keys it was first added with — what forgetting
@@ -144,37 +143,5 @@ impl Routes {
             .iter()
             .take_while(move |&&(k, _)| k == key)
             .map(|&(_, conn)| conn)
-    }
-}
-
-/// A trace split by connection in one pass: for each connection, in trace
-/// order, the entries [`Routes`] gives it. `retrans_perf` reads it, and so
-/// visits each connection's own packets and not the whole trace once per
-/// connection. (The RC replay routes packet by packet as it streams.)
-pub(crate) struct ConnIndex<'t> {
-    per_conn: Vec<Vec<&'t TraceEntry>>,
-}
-
-impl<'t> ConnIndex<'t> {
-    pub(crate) fn build(trace: &'t Trace, conns: &[ConnMeta]) -> ConnIndex<'t> {
-        ConnIndex::routed(&Routes::of(conns), trace, conns.len())
-    }
-
-    fn routed(routes: &Routes, trace: &'t Trace, conns: usize) -> ConnIndex<'t> {
-        let mut per_conn = vec![Vec::new(); conns];
-        for e in trace.iter() {
-            for conn in routes.owners(&e.frame) {
-                if let Some(entries) = per_conn.get_mut(conn) {
-                    entries.push(e);
-                }
-            }
-        }
-        ConnIndex { per_conn }
-    }
-
-    /// The entries of the `conn`-th connection of the roster the index was
-    /// built from.
-    pub(crate) fn of_conn(&self, conn: usize) -> &[&'t TraceEntry] {
-        self.per_conn.get(conn).map_or(&[], Vec::as_slice)
     }
 }

@@ -6,12 +6,16 @@
 //! As the paper notes, switch-side timestamps embed roughly half an RTT
 //! into each phase; callers can pre-measure the base RTT and pass it for
 //! subtraction.
+//!
+//! The breakdowns are a view of the RC replay ([`super::conformance`]),
+//! which hands the view each connection's data packets and NACKs as it
+//! streams: `run` reads them off stage 5's replay and `ingest` off its
+//! discovery-mode one.
 
-use super::ConnIndex;
+use super::conformance::{self, ConformanceOpts};
 use crate::translate::ConnMeta;
-use lumina_dumper::{Trace, TraceEntry};
+use lumina_dumper::Trace;
 use lumina_packet::bth::psn_distance;
-use lumina_packet::opcode::Opcode;
 use lumina_sim::SimTime;
 use lumina_switch::events::EventType;
 use serde::{Deserialize, Serialize};
@@ -68,105 +72,128 @@ impl RetransBreakdown {
     }
 }
 
-/// Analyze every injected drop in the trace.
+/// Analyze every injected drop in the trace: the breakdowns of a replay of
+/// its own (the oracle's options do not change what the view sees). A
+/// run's report takes them from the replay that grades it instead.
 pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> Vec<RetransBreakdown> {
-    analyze_routed(&ConnIndex::build(trace, conns), conns)
+    conformance::replay(trace, conns, &ConformanceOpts::default())
+        .1
+        .retransmissions
 }
 
-/// [`analyze`] over a trace already split by connection (`index` was built
-/// from `conns`).
-pub(crate) fn analyze_routed(index: &ConnIndex<'_>, conns: &[ConnMeta]) -> Vec<RetransBreakdown> {
-    let mut out = Vec::new();
-    for (conn, meta) in conns.iter().enumerate() {
-        analyze_conn(index.of_conn(conn), meta, &mut out);
+/// One dropped data packet and what the stream has shown since.
+struct Loss {
+    psn: u32,
+    t_drop: SimTime,
+    t_ooo: Option<SimTime>,
+    t_nack: Option<SimTime>,
+    t_retx: Option<SimTime>,
+}
+
+/// The retransmission view of one connection's replay: the RC replay
+/// hands it the connection's data packets and the NACKs (or re-issued read
+/// requests) that flow against them. A loss stays open to the end of the
+/// stream, because its trigger and its NACK may come after its
+/// retransmission.
+pub(super) struct RetransView {
+    losses: Vec<Loss>,
+    /// Positions in `losses` still waiting for a data packet: the trigger
+    /// or the retransmission.
+    want_data: Vec<usize>,
+    /// Positions in `losses` still waiting for their NACK.
+    want_nack: Vec<usize>,
+    /// Losses recorded at most; the rest are not broken down.
+    cap: usize,
+}
+
+/// Known-connections mode keeps every loss, as a run's report always has.
+impl Default for RetransView {
+    fn default() -> RetransView {
+        RetransView::capped(usize::MAX)
     }
-    out
 }
 
-/// `entries` holds, in trace order, at least every entry of the connection
-/// (either direction); whatever else it holds is told apart here.
-fn analyze_conn(entries: &[&TraceEntry], meta: &ConnMeta, out: &mut Vec<RetransBreakdown>) {
-    let key = meta.data_conn_key();
-    let is_read = meta.verb.data_from_responder();
+impl RetransView {
+    /// A view keeping at most `cap` losses.
+    pub(super) fn capped(cap: usize) -> RetransView {
+        RetransView {
+            losses: Vec::new(),
+            want_data: Vec::new(),
+            want_nack: Vec::new(),
+            cap,
+        }
+    }
 
-    let is_data = |f: &lumina_packet::RoceHeaders| {
-        f.ipv4.src == key.src_ip
-            && f.ipv4.dst == key.dst_ip
-            && f.bth.dest_qp == key.dst_qpn
-            && f.bth.opcode.is_data()
-            && (is_read == f.bth.opcode.is_read_response())
-    };
-
-    // Drop events on this connection's data packets, each with what
-    // followed it.
-    let drops = entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.event == EventType::Drop && is_data(&e.frame));
-
-    for (di, dropped) in drops {
-        let after = entries.get(di + 1..).unwrap_or_default();
-        let psn = dropped.frame.bth.psn;
-        // The out-of-order trigger: the next delivered data packet with a
-        // higher PSN.
-        let t_ooo = after
-            .iter()
-            .find(|e| {
-                is_data(&e.frame)
-                    && e.event != EventType::Drop
-                    && psn_distance(psn, e.frame.bth.psn) > 0
-            })
-            .map(|e| e.timestamp);
-        // The NACK: write/send → seq-err NACK with the dropped PSN;
-        // read → re-issued read request with the dropped PSN.
-        let reverse_qpn = meta.reverse_qpn();
-        let t_nack = after.iter().find_map(|e| {
-            let f = &e.frame;
-            let reverse = f.ipv4.src == key.dst_ip
-                && f.ipv4.dst == key.src_ip
-                && f.bth.dest_qp == reverse_qpn;
-            if !reverse {
-                return None;
-            }
-            let hit = if is_read {
-                f.bth.opcode == Opcode::RdmaReadRequest && f.bth.psn == psn
-            } else {
-                f.bth.opcode == Opcode::Acknowledge
-                    && f.ext
-                        .aeth
-                        .map(|a| a.syndrome.is_seq_err_nak())
-                        .unwrap_or(false)
-                    && f.bth.psn == psn
+    /// A data packet of the connection: the out-of-order trigger of every
+    /// earlier loss below it unless it was dropped too, the
+    /// retransmission of an earlier loss of its PSN, and a loss of its own
+    /// when it was dropped.
+    pub(super) fn data(&mut self, psn: u32, event: EventType, t: SimTime) {
+        let losses = &mut self.losses;
+        self.want_data.retain(|&at| {
+            let Some(loss) = losses.get_mut(at) else {
+                return false;
             };
-            hit.then_some(e.timestamp)
+            if loss.t_ooo.is_none() && event != EventType::Drop && psn_distance(loss.psn, psn) > 0 {
+                loss.t_ooo = Some(t);
+            }
+            if loss.t_retx.is_none() && loss.psn == psn {
+                loss.t_retx = Some(t);
+            }
+            loss.t_ooo.is_none() || loss.t_retx.is_none()
         });
-        // The retransmission: the same PSN reappearing on the data path.
-        let Some(retx) = after
-            .iter()
-            .find(|e| is_data(&e.frame) && e.frame.bth.psn == psn)
-        else {
-            continue; // never retransmitted (retry exhaustion)
-        };
-        let t_retx = retx.timestamp;
-        let (kind, nack_gen, nack_react) = match (t_nack, t_ooo) {
-            (Some(tn), Some(to)) if tn <= t_retx => (
-                RetransKind::Fast,
-                Some(tn.saturating_since(to)),
-                Some(t_retx.saturating_since(tn)),
-            ),
-            _ => (RetransKind::Timeout, None, None),
-        };
-        out.push(RetransBreakdown {
-            conn_index: meta.index,
-            dropped_psn: psn,
-            kind,
-            t_drop: dropped.timestamp,
-            t_ooo,
-            t_nack,
-            t_retx,
-            nack_gen,
-            nack_react,
+        if event == EventType::Drop && self.losses.len() < self.cap {
+            self.want_data.push(self.losses.len());
+            self.want_nack.push(self.losses.len());
+            self.losses.push(Loss {
+                psn,
+                t_drop: t,
+                t_ooo: None,
+                t_nack: None,
+                t_retx: None,
+            });
+        }
+    }
+
+    /// A sequence-error NACK (write/send) or a read request (read) naming
+    /// `psn`: the NACK of every earlier loss of that PSN.
+    pub(super) fn nack(&mut self, psn: u32, t: SimTime) {
+        let losses = &mut self.losses;
+        self.want_nack.retain(|&at| match losses.get_mut(at) {
+            Some(loss) if loss.psn == psn => {
+                loss.t_nack = Some(t);
+                false
+            }
+            Some(_) => true,
+            None => false,
         });
+    }
+
+    /// The breakdown of every retransmitted loss, in stream order; a loss
+    /// never retransmitted (retry exhaustion) has none.
+    pub(super) fn finish(self, conn_index: u32, out: &mut Vec<RetransBreakdown>) {
+        out.extend(self.losses.into_iter().filter_map(|loss| {
+            let t_retx = loss.t_retx?;
+            let (kind, nack_gen, nack_react) = match (loss.t_nack, loss.t_ooo) {
+                (Some(tn), Some(to)) if tn <= t_retx => (
+                    RetransKind::Fast,
+                    Some(tn.saturating_since(to)),
+                    Some(t_retx.saturating_since(tn)),
+                ),
+                _ => (RetransKind::Timeout, None, None),
+            };
+            Some(RetransBreakdown {
+                conn_index,
+                dropped_psn: loss.psn,
+                kind,
+                t_drop: loss.t_drop,
+                t_ooo: loss.t_ooo,
+                t_nack: loss.t_nack,
+                t_retx,
+                nack_gen,
+                nack_react,
+            })
+        }));
     }
 }
 

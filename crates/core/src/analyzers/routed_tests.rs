@@ -1,20 +1,21 @@
-//! The routed analyzers against the walk they replaced. Under
+//! The routed RC replay against the walk it replaced. Under
 //! [`RouteMode::FullWalk`] every connection owns every packet, which is what
-//! `retrans_perf` and the RC replay (the conformance oracle and its
-//! Go-back-N view) read before there were routes: each asked every
-//! connection about every packet. Their
-//! reports must serialize to the same bytes either way — on every preset in
-//! `configs/`, on random traces built to collide (connections sharing an IP
-//! pair, one QPN on both hosts, one key with two owners, a displaced
-//! connection, packets nobody owns), in known-connections mode and in
-//! discovery mode, where the routes change as QPNs are learnt.
+//! the replay (the conformance oracle and its views) and the old
+//! `retrans_perf` scan read before there were routes: each asked every
+//! connection about every packet. The reports must serialize to the same
+//! bytes either way — on every preset in `configs/`, on random traces built
+//! to collide (connections sharing an IP pair, one QPN on both hosts, one
+//! key with two owners, a displaced connection, packets nobody owns), in
+//! known-connections mode and in discovery mode, where the routes change as
+//! QPNs are learnt.
 //!
-//! The same inputs pin the two public replays, `gbn_fsm::analyze` and
-//! `conformance::analyze`, to FNV-64 constants, and check the one rule the
-//! two views share: a sequence-error NACK names the receiver's expected PSN.
+//! The same inputs pin the three public replays, `gbn_fsm::analyze`,
+//! `conformance::analyze` and `retrans_perf::analyze`, to FNV-64 constants,
+//! and check the one rule the oracle and its Go-back-N view share: a
+//! sequence-error NACK names the receiver's expected PSN.
 
 use super::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream, ViolationClass};
-use super::{gbn_fsm, retrans_perf, ConnIndex, GbnReport, RouteMode, Routes};
+use super::{gbn_fsm, retrans_perf, GbnReport, RetransBreakdown, RouteMode, Routes};
 use crate::config::TestConfig;
 use crate::fuzz::mutate::{EventMutator, Mutator};
 use crate::orchestrator::run_test;
@@ -57,27 +58,27 @@ fn presets() -> Vec<(PathBuf, TestConfig)> {
         .collect()
 }
 
-/// `[gbn_fsm, retrans_perf, conformance with the roster, conformance in
-/// discovery]` over `trace`, serialized, with the routes in `mode` (the
-/// first and third from one replay).
+/// `[gbn_fsm, retrans_perf, conformance with the roster, conformance and
+/// retrans_perf in discovery]` over `trace`, serialized, with the routes in
+/// `mode` (the first three from one replay, the last from another).
 fn reports(
     mode: RouteMode,
     trace: &Trace,
     conns: &[ConnMeta],
     opts: &ConformanceOpts,
 ) -> [String; 4] {
-    let index = ConnIndex::routed(&Routes::in_mode(mode, conns), trace, conns.len());
     let mut known = ConformanceStream::new(conns, opts).with_routes(Routes::in_mode(mode, conns));
     known.observe_trace(trace);
     let mut discovered =
         ConformanceStream::discovering(opts).with_routes(Routes::in_mode(mode, &[]));
     discovered.observe_trace(trace);
-    let (conformance, (gbn, _)) = known.finish_with_gbn();
+    let (conformance, views) = known.finish_views();
+    let (found, found_views) = discovered.finish_views();
     [
-        json(&gbn),
-        json(&retrans_perf::analyze_routed(&index, conns)),
+        json(&views.gbn),
+        json(&views.retransmissions),
         json(&conformance),
-        json(&discovered.finish()),
+        json(&found) + &json(&found_views.retransmissions),
     ]
 }
 
@@ -355,6 +356,7 @@ struct Pinned {
     /// The Go-back-N view of the replay that graded the input with its own
     /// options (what a run's report shows).
     graded_gbn: GbnReport,
+    retransmissions: Vec<RetransBreakdown>,
     conns: Vec<ConnMeta>,
     /// The oracle's NACK check runs: the trace is neither degraded nor
     /// chaos-lossy.
@@ -384,7 +386,8 @@ fn pinned(trace: &Trace, conns: &[ConnMeta], opts: &ConformanceOpts) -> Pinned {
     Pinned {
         gbn: gbn_fsm::analyze(trace, conns),
         conformance: super::conformance::analyze(trace, conns, opts),
-        graded_gbn: super::conformance::replay(trace, conns, opts).1.0,
+        graded_gbn: super::conformance::replay(trace, conns, opts).1.gbn,
+        retransmissions: retrans_perf::analyze(trace, conns),
         conns: conns.to_vec(),
         gate_open: !opts.degraded && !opts.external_loss,
         displaced,
@@ -488,6 +491,28 @@ fn replay_reports_are_pinned() {
             (22, "77957416f23b5666".to_string()),
             (32, "34760ba74252506e".to_string()),
             (512, "805eaf2fbf6a2d35".to_string()),
+        ]
+    );
+}
+
+/// The retransmission breakdowns, byte for byte and counted, on every pinned
+/// input. The constants come from `retrans_perf`'s forward scan over a
+/// per-connection index, before the breakdowns became a view of the replay.
+#[test]
+fn retransmission_breakdowns_are_pinned() {
+    let digests = PINNED.each_ref().map(|group| {
+        let h = group.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+            fnv64(h, json(&p.retransmissions).as_bytes())
+        });
+        let breakdowns: usize = group.iter().map(|p| p.retransmissions.len()).sum();
+        (group.len(), breakdowns, format!("{h:016x}"))
+    });
+    assert_eq!(
+        digests,
+        [
+            (22, 45, "7f648d89e133e402".to_string()),
+            (32, 32, "251a143887483efe".to_string()),
+            (512, 758, "2999de81c2917d0d".to_string()),
         ]
     );
 }

@@ -67,7 +67,7 @@ pub fn violation_classes(res: &TestResults) -> Vec<ViolationClass> {
 pub fn signal_of(res: &TestResults) -> Decisions {
     res.replayed
         .as_ref()
-        .map(|(_, seen)| *seen)
+        .map(|views| views.decisions)
         .unwrap_or_default()
 }
 

@@ -19,7 +19,9 @@
 //!   flow through in chunks;
 //! * [`ConformanceStream`] replays the RC reference FSM over the chunks
 //!   in discovery mode — connections are learned from the wire, and the
-//!   verdict flips to *partial* the moment the evidence degrades.
+//!   verdict flips to *partial* the moment the evidence degrades. The same
+//!   replay breaks down each retransmission and tallies CNPs and CE marks,
+//!   the §6 sections a run's report carries.
 //!
 //! The only hard failure is a capture with nothing to degrade into: an
 //! unreadable header, or a first record already malformed. That is
@@ -33,11 +35,13 @@
 )]
 
 use crate::analyzers::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream};
+use crate::analyzers::RetransBreakdown;
 use crate::config::TestConfig;
 use crate::error::Error;
 use crate::integrity::{DegradedMode, IntegrityReport};
 use crate::orchestrator::section;
-use crate::report::{line, note};
+use crate::report::{line, note, render_retransmissions};
+use crate::translate::ConnMeta;
 use lumina_dumper::{
     recover_entry, RecoveryStats, StreamOpts, StreamSummary, StreamingReconstructor, Trace,
 };
@@ -96,8 +100,16 @@ pub struct IngestOutcome {
     pub integrity: IntegrityReport,
     /// The conformance oracle's verdict, graded in discovery mode.
     pub conformance: ConformanceReport,
-    /// Connections discovery mode learned from the wire.
-    pub conns_tracked: usize,
+    /// Every retransmitted loss, by discovered connection (at most
+    /// [`MAX_LOSS_RECORDS`](crate::analyzers::conformance::MAX_LOSS_RECORDS)
+    /// losses a connection).
+    pub retransmissions: Vec<RetransBreakdown>,
+    /// CNPs in the capture.
+    pub cnp_total: u64,
+    /// Data packets the injector CE-marked.
+    pub ce_marked: u64,
+    /// Connections discovery mode learned from the wire, in index order.
+    pub conns: Vec<ConnMeta>,
     /// Packets no discovered connection would claim.
     pub unattributed: u64,
     /// Offset and description of the first malformed pcap structure;
@@ -132,8 +144,14 @@ impl IngestOutcome {
             section("conformance report", &self.conformance)?,
         );
         root.insert(
+            "retransmissions",
+            section("retransmissions", &self.retransmissions)?,
+        );
+        root.insert("cnp_total", serde_json::Value::from(self.cnp_total));
+        root.insert("ce_marked", serde_json::Value::from(self.ce_marked));
+        root.insert(
             "conns_tracked",
-            serde_json::Value::from(self.conns_tracked as u64),
+            serde_json::Value::from(self.conns.len() as u64),
         );
         root.insert("unattributed", serde_json::Value::from(self.unattributed));
         root.insert(
@@ -208,12 +226,18 @@ impl IngestOutcome {
             &mut out,
             "connections",
             match self.unattributed {
-                0 => format!("{} discovered", self.conns_tracked),
-                n => format!(
-                    "{} discovered, {n} packets unattributed",
-                    self.conns_tracked
-                ),
+                0 => format!("{} discovered", self.conns.len()),
+                n => format!("{} discovered, {n} packets unattributed", self.conns.len()),
             },
+        );
+        render_retransmissions(&mut out, &self.retransmissions);
+        line(
+            &mut out,
+            "congestion",
+            format_args!(
+                "{} CNPs, {} CE-marked packets",
+                self.cnp_total, self.ce_marked
+            ),
         );
         out.push_str(&self.conformance.render_human());
         out
@@ -342,9 +366,9 @@ pub fn ingest_reader<R: Read>(
     if !integrity.passed() && !degraded_seen {
         oracle.set_degraded();
     }
-    let conns_tracked = oracle.conns_tracked();
+    let conns = oracle.conns().copied().collect();
     let unattributed = oracle.unattributed();
-    let conformance = oracle.finish();
+    let (conformance, views) = oracle.finish_views();
 
     if let Some(ops) = &mut ops {
         ops.finish(ops_snapshot(&recovery, &summary));
@@ -358,7 +382,10 @@ pub fn ingest_reader<R: Read>(
         stream: summary,
         integrity,
         conformance,
-        conns_tracked,
+        retransmissions: views.retransmissions,
+        cnp_total: views.cnp_total,
+        ce_marked: views.ce_marked,
+        conns,
         unattributed,
         first_malformed,
         trace: retained,
@@ -476,7 +503,7 @@ mod tests {
         assert!(out.pristine(), "{out:?}");
         assert!(out.integrity.passed());
         assert!(out.first_malformed.is_none());
-        assert_eq!(out.conns_tracked, 1, "one write flow discovered");
+        assert_eq!(out.conns.len(), 1, "one write flow discovered");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! the trace and run the integrity check.
 
 use crate::analyzers::{
-    conformance, recovery, ConformanceOpts, ConformanceReport, Decisions, FlowAccount, GbnReport,
-    QpEndState, RecoveryOpts,
+    conformance, recovery, ConformanceOpts, ConformanceReport, FlowAccount, QpEndState,
+    RecoveryOpts, ReplayViews,
 };
 use crate::campaign::{run_caught, EvalFailure};
 use crate::config::{SwitchMode, TestConfig};
@@ -95,10 +95,11 @@ pub struct TestResults {
     /// exactly when `trace` is. [`report_json`](Self::report_json) carries
     /// it only for quirk-injected runs; `RunReport` appends it otherwise.
     pub conformance: Option<ConformanceReport>,
-    /// The Go-back-N view and decision points of the same replay: `Some`
-    /// exactly when `conformance` is, so no report or campaign replays
-    /// again. Never in [`report_json`](Self::report_json).
-    pub replayed: Option<(GbnReport, Decisions)>,
+    /// The views of the same replay (the Go-back-N view, the decision
+    /// points, the retransmission breakdowns and the CNP / CE tallies):
+    /// `Some` exactly when `conformance` is, so no report or campaign walks
+    /// the trace again. Never in [`report_json`](Self::report_json).
+    pub replayed: Option<ReplayViews>,
     /// Chaos-plane counters; `Some` only when the run had an active
     /// `chaos:` section, so chaos-free reports are byte-identical to
     /// every pre-chaos release.
@@ -838,11 +839,11 @@ fn reconstruct(
 }
 
 /// Stage 5: the oracles a run grades itself with. Every traced run gets
-/// the one RC replay — the conformance verdict, its Go-back-N view and its
-/// decision points — which every report and campaign then reads;
-/// chaos-injected runs the recovery verdict too (the whole point of
-/// injecting chaos is proving the stack recovers). The report-only
-/// analyzers run in [`crate::report::RunReport`].
+/// the one RC replay — the conformance verdict and its views — which every
+/// report and campaign then reads; chaos-injected runs the recovery verdict
+/// too (the whole point of injecting chaos is proving the stack recovers).
+/// [`crate::report::RunReport`] runs only the counter analyzer, which reads
+/// no trace.
 fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     if let Some(trace) = &results.trace {
         let opts = ConformanceOpts::from_results(results);

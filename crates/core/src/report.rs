@@ -1,7 +1,7 @@
 //! What the subcommands print. [`RunReport`] is the single-run report
 //! (`lumina-cli <test.yaml>`): the orchestrator's Table-1 summary plus the
-//! §4 analyzers, each run once, with the machine and human renderings and
-//! the exit verdict read off the same values. [`TelemetryReport`],
+//! §4 analyzers' sections, read off stage 5's replay, with the machine and
+//! human renderings and the exit verdict read off the same values. [`TelemetryReport`],
 //! [`TraceReport`] and [`FuzzReport`] do the same for their subcommands.
 //! Plain structs holding a borrow, not a report trait: DESIGN.md §4 "Run
 //! pipeline" says why.
@@ -14,45 +14,24 @@ pub use fuzz::{anomaly_line, load_corpus, FuzzReport};
 pub use telemetry::TelemetryReport;
 pub use trace::TraceReport;
 
-use crate::analyzers::{
-    cnp, counter, retrans_perf, CnpReport, CounterFinding, GbnReport, RecoveryReport,
-    RetransBreakdown,
-};
+use crate::analyzers::{counter, CounterFinding, RecoveryReport, RetransBreakdown};
 use crate::error::Error;
 use crate::orchestrator::{section, TestResults};
 use std::fmt::Display;
 
-/// The analyzers that need a reconstructed trace.
-struct TraceSections<'a> {
-    /// Stage 5's Go-back-N view, borrowed from the results.
-    gbn: &'a GbnReport,
-    retransmissions: Vec<RetransBreakdown>,
-    cnp: CnpReport,
-}
-
 /// Everything `lumina-cli <test.yaml>` reports about one run.
 pub struct RunReport<'a> {
     results: &'a TestResults,
-    /// `None` for a traceless run (mirroring off).
-    traced: Option<TraceSections<'a>>,
     counter_findings: Vec<CounterFinding>,
 }
 
 impl<'a> RunReport<'a> {
-    /// Run the report-only analyzers over `results`. The conformance
-    /// verdict and the Go-back-N view are stage 5's, read in place.
+    /// The report of `results`: the conformance verdict and the views of
+    /// stage 5's replay are read in place, and only the counter analyzer,
+    /// which reads no trace, runs here.
     pub fn of(results: &'a TestResults) -> RunReport<'a> {
         RunReport {
             results,
-            traced: results
-                .trace
-                .as_ref()
-                .zip(results.replayed.as_ref())
-                .map(|(trace, (gbn, _))| TraceSections {
-                    gbn,
-                    retransmissions: retrans_perf::analyze(trace, &results.conns),
-                    cnp: cnp::analyze(trace),
-                }),
             counter_findings: counter::analyze(results),
         }
     }
@@ -71,12 +50,12 @@ impl<'a> RunReport<'a> {
                 "counter": "full",
             });
         }
-        if let Some(t) = &self.traced {
+        if let Some(t) = &self.results.replayed {
             report["gbn_compliant"] = serde_json::json!(t.gbn.compliant());
             report["gbn_violations"] = serde_json::json!(t.gbn.violations());
             report["retransmissions"] = section("retransmissions", &t.retransmissions)?;
-            report["cnp_total"] = serde_json::json!(t.cnp.total_cnps);
-            report["ce_marked"] = serde_json::json!(t.cnp.total_ce_marked);
+            report["cnp_total"] = serde_json::json!(t.cnp_total);
+            report["ce_marked"] = serde_json::json!(t.ce_marked);
         }
         report["counter_findings"] = section("counter findings", &self.counter_findings)?;
         // Quirk-injected runs already carry their verdict.
@@ -113,7 +92,7 @@ impl<'a> RunReport<'a> {
             "events",
             format_args!("{} fired, {} unfired", r.events_fired, r.events_unfired),
         );
-        if let (Some(trace), Some(t)) = (&r.trace, &self.traced) {
+        if let (Some(trace), Some(t)) = (&r.trace, &r.replayed) {
             line(&mut out, "trace packets", trace.len());
             let verdict = if t.gbn.compliant() {
                 "compliant"
@@ -124,19 +103,7 @@ impl<'a> RunReport<'a> {
             for v in t.gbn.violations() {
                 note(&mut out, v);
             }
-            for b in &t.retransmissions {
-                line(
-                    &mut out,
-                    "retransmission",
-                    format_args!(
-                        "conn {} psn {} {:?} total {}",
-                        b.conn_index,
-                        b.dropped_psn,
-                        b.kind,
-                        b.total()
-                    ),
-                );
-            }
+            render_retransmissions(&mut out, &t.retransmissions);
         }
         for f in &self.counter_findings {
             line(
@@ -216,6 +183,23 @@ fn journal_dropped(out: &mut String, log: &lumina_sim::telemetry::EventLog) {
             out,
             "journal dropped",
             format_args!("{dropped} (ring full)"),
+        );
+    }
+}
+
+/// One `retransmission` row per recovered loss (`run` and `ingest`).
+pub(crate) fn render_retransmissions(out: &mut String, breakdowns: &[RetransBreakdown]) {
+    for b in breakdowns {
+        line(
+            out,
+            "retransmission",
+            format_args!(
+                "conn {} psn {} {:?} total {}",
+                b.conn_index,
+                b.dropped_psn,
+                b.kind,
+                b.total()
+            ),
         );
     }
 }

@@ -727,7 +727,9 @@ fn quirk_knobs() -> Vec<TestConfig> {
 /// The decisions one replay of `trace` takes, graded as `clean` was: what
 /// stage 5 would hand the fuzzer's signal for a run that left `trace`.
 fn decisions_over(clean: &Clean, trace: &Trace) -> Decisions {
-    conformance::replay(trace, &clean.conns, &clean.opts).1 .1
+    conformance::replay(trace, &clean.conns, &clean.opts)
+        .1
+        .decisions
 }
 
 /// Every entry of the decision table is reached by a preset, a quirk knob

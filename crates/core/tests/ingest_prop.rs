@@ -220,6 +220,8 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
     if !stream.is_complete() && !degraded_seen {
         oracle.set_degraded();
     }
+    let (conns, unattributed) = (oracle.conns().copied().collect(), oracle.unattributed());
+    let (conformance, views) = oracle.finish_views();
     IngestOutcome {
         format: pcap.format().label(),
         records: pcap.records(),
@@ -227,9 +229,12 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
         recovery,
         stream,
         integrity: fused.integrity.clone(),
-        conns_tracked: oracle.conns_tracked(),
-        unattributed: oracle.unattributed(),
-        conformance: oracle.finish(),
+        conns,
+        unattributed,
+        conformance,
+        retransmissions: views.retransmissions,
+        cnp_total: views.cnp_total,
+        ce_marked: views.ce_marked,
         first_malformed: None,
         trace: Some(trace),
     }

@@ -3,14 +3,15 @@
 //! Builds the simulated testbed (two hosts with the NIC under test, the
 //! event-injector switch, a dumper pool), injects the three events of
 //! Listing 2 — an ECN mark, a drop, and a drop of the retransmission —
-//! reconstructs the packet trace, runs the integrity check and the
-//! built-in analyzers, and prints the collected results.
+//! reconstructs the packet trace, runs the integrity check and the RC
+//! replay whose views are the built-in analyzers, and prints the collected
+//! results.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use lumina_core::analyzers::{cnp, counter, gbn_fsm, retrans_perf};
+use lumina_core::analyzers::counter;
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
 
@@ -83,25 +84,25 @@ fn main() {
         }
     }
 
-    println!("\n-- analyzers (§4) --");
-    let gbn = gbn_fsm::analyze(trace, &results.conns);
+    println!("\n-- analyzers (§4): views of the run's RC replay --");
+    let views = results.replayed.as_ref().expect("a traced run is replayed");
+    let gbn = &views.gbn;
     println!(
         "Go-back-N FSM     : {} ({} NACKs, {} OOO episodes)",
         if gbn.compliant() { "compliant" } else { "VIOLATIONS" },
         gbn.per_conn.iter().map(|c| c.nacks).sum::<u32>(),
         gbn.per_conn.iter().map(|c| c.ooo_episodes).sum::<u32>(),
     );
-    for b in retrans_perf::analyze(trace, &results.conns) {
+    for b in &views.retransmissions {
         println!(
             "retransmission    : conn {} psn {} via {:?}, gen {:?}, react {:?}, total {}",
             b.conn_index, b.dropped_psn, b.kind, b.nack_gen, b.nack_react,
             b.total()
         );
     }
-    let cnp_rep = cnp::analyze(trace);
     println!(
         "CNPs              : {} generated for {} CE-marked packets",
-        cnp_rep.total_cnps, cnp_rep.total_ce_marked
+        views.cnp_total, views.ce_marked
     );
     let findings = counter::analyze(&results);
     println!("counter analyzer  : {} inconsistencies", findings.len());

@@ -5,6 +5,7 @@
 //! a real behavior change (or an intentional one: regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_reports`).
 
+use lumina_core::analyzers::{cnp, retrans_perf};
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
 use lumina_core::RunReport;
@@ -226,6 +227,22 @@ fn run_reports_of_every_preset_are_pinned() {
         // Stage 5 graded the run exactly when it has a trace.
         assert_eq!(res.conformance.is_some(), res.trace.is_some(), "{name}");
         assert_eq!(res.replayed.is_some(), res.trace.is_some(), "{name}");
+        // The report's §6 sections are views of that replay, and the public
+        // analyzers the benchmark's traced walk calls report the same.
+        if let (Some(trace), Some(views)) = (&res.trace, &res.replayed) {
+            let to_string = |v| serde_json::to_string(v).unwrap();
+            assert_eq!(
+                to_string(&retrans_perf::analyze(trace, &res.conns)),
+                to_string(&views.retransmissions),
+                "{name}"
+            );
+            let cnp = cnp::analyze(trace);
+            assert_eq!(
+                (cnp.total_cnps as u64, cnp.total_ce_marked as u64),
+                (views.cnp_total, views.ce_marked),
+                "{name}"
+            );
+        }
         let report = RunReport::of(&res);
         let json = serde_json::to_string_pretty(&report.to_json().unwrap()).unwrap();
         got.push((

@@ -4,7 +4,9 @@
 //! re-ingests through the offline pipeline (format parse → frame
 //! recovery → streaming reconstruction → discovery-mode conformance).
 //! The offline grade must match the live one: same compliant flag, same
-//! violation classes, every connection rediscovered from the wire alone.
+//! violation classes, every connection rediscovered from the wire alone,
+//! and the same §6 sections — retransmission breakdowns, CNPs and CE
+//! marks.
 //!
 //! One documented exception: receiver-side ICRC drops live only in NIC
 //! counters, which a capture file cannot carry. Presets that corrupt
@@ -14,8 +16,10 @@
 //! agree on the compliant flag.
 
 use lumina_core::analyzers::conformance::{analyze, ConformanceOpts};
+use lumina_core::analyzers::RetransBreakdown;
 use lumina_core::config::{FaultsSection, TestConfig};
 use lumina_core::orchestrator::run_test;
+use lumina_core::translate::ConnMeta;
 use lumina_core::{ingest_reader, IngestParams, IntegrityReport, Violation};
 use std::collections::BTreeMap;
 use std::io::Cursor;
@@ -83,9 +87,43 @@ const EXPORTS: &[(&str, usize, u64)] = &[
     ("quirks_demo", 21_850, 0x7c42_7e30_5fe5_0aa6),
 ];
 
+/// `found`'s breakdowns under the roster's connection indexes, each
+/// discovered connection mapped to the roster connection with its IPs and
+/// QPNs, in roster order and, within a connection, in stream order.
+fn on_roster(
+    found: &[RetransBreakdown],
+    discovered: &[ConnMeta],
+    roster: &[ConnMeta],
+) -> Vec<RetransBreakdown> {
+    let endpoints = |c: &ConnMeta| {
+        let (q, r) = (c.requester, c.responder);
+        (q.ip, q.qpn, r.ip, r.qpn)
+    };
+    let mut mapped: Vec<RetransBreakdown> = found
+        .iter()
+        .map(|b| {
+            let d = discovered
+                .iter()
+                .find(|d| d.index == b.conn_index)
+                .expect("a breakdown names a discovered connection");
+            let twin = roster
+                .iter()
+                .find(|c| endpoints(c) == endpoints(d))
+                .unwrap_or_else(|| panic!("no roster connection has the endpoints of {d:?}"));
+            RetransBreakdown {
+                conn_index: twin.index,
+                ..b.clone()
+            }
+        })
+        .collect();
+    mapped.sort_by_key(|b| b.conn_index);
+    mapped
+}
+
 #[test]
 fn every_preset_reingests_to_the_live_verdict() {
     let mut exports = Vec::new();
+    let (mut breakdowns, mut cnps) = (0, 0);
     for (name, cfg) in corpus() {
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let trace = res
@@ -109,7 +147,7 @@ fn every_preset_reingests_to_the_live_verdict() {
             out.first_malformed
         );
         assert_eq!(
-            out.conns_tracked,
+            out.conns.len(),
             res.conns.len(),
             "{name}: discovery must find every live connection"
         );
@@ -135,7 +173,28 @@ fn every_preset_reingests_to_the_live_verdict() {
             live_classes, ingest_classes,
             "{name}: violation classes diverged"
         );
+
+        let views = res.replayed.as_ref().expect("stage 5 replayed the trace");
+        assert_eq!(
+            (out.cnp_total, out.ce_marked),
+            (views.cnp_total, views.ce_marked),
+            "{name}: CNP and CE tallies diverged"
+        );
+        let json = |b: &[RetransBreakdown]| serde_json::to_string(&b).unwrap();
+        let mut live_breakdowns = views.retransmissions.clone();
+        live_breakdowns.sort_by_key(|b| b.conn_index);
+        assert_eq!(
+            json(&on_roster(&out.retransmissions, &out.conns, &res.conns)),
+            json(&live_breakdowns),
+            "{name}: retransmission breakdowns diverged"
+        );
+        breakdowns += live_breakdowns.len();
+        cnps += views.cnp_total;
     }
+    assert!(
+        breakdowns > 0 && cnps > 0,
+        "{breakdowns} breakdowns, {cnps} CNPs"
+    );
     let pinned: Vec<_> = EXPORTS
         .iter()
         .map(|&(name, len, fnv)| (name.to_string(), len, fnv))
