@@ -11,11 +11,6 @@ pub fn run_yaml(yaml: &str) -> TestResults {
     run_test(&cfg).unwrap_or_else(|e| panic!("experiment failed: {e}"))
 }
 
-/// Run an already-built configuration.
-pub fn run_cfg(cfg: &TestConfig) -> TestResults {
-    run_test(cfg).unwrap_or_else(|e| panic!("experiment failed: {e}"))
-}
-
 /// The four devices, in the paper's order, by config name.
 pub const NICS: [&str; 4] = ["cx4", "cx5", "cx6", "e810"];
 

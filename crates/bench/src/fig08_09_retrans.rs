@@ -48,18 +48,6 @@ impl Figure {
         v.sort_by_key(|p| p.seqnum);
         v
     }
-
-    /// Mean generation latency of a series, µs.
-    pub fn mean_gen(&self, nic: &str, verb: &str) -> f64 {
-        let s = self.series(nic, verb);
-        s.iter().map(|p| p.nack_gen_us).sum::<f64>() / s.len().max(1) as f64
-    }
-
-    /// Mean reaction latency of a series, µs.
-    pub fn mean_react(&self, nic: &str, verb: &str) -> f64 {
-        let s = self.series(nic, verb);
-        s.iter().map(|p| p.nack_react_us).sum::<f64>() / s.len().max(1) as f64
-    }
 }
 
 /// Measure one point.

@@ -374,11 +374,6 @@ impl RoceFrame {
         }
     }
 
-    /// Verify the trailing ICRC of serialized frame bytes.
-    pub fn icrc_ok(&self, wire: &[u8]) -> bool {
-        icrc_check(wire)
-    }
-
     /// Total wire length of this frame once emitted (header + padded
     /// payload + ICRC), excluding Ethernet FCS and line overhead.
     pub fn wire_len(&self) -> usize {

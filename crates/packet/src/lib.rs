@@ -14,7 +14,7 @@
 //! # Example
 //!
 //! ```
-//! use lumina_packet::{RoceFrame, builder, opcode::Opcode};
+//! use lumina_packet::{RoceFrame, builder, frame::icrc_check, opcode::Opcode};
 //! use std::net::Ipv4Addr;
 //!
 //! let frame = builder::DataPacketBuilder::new()
@@ -28,7 +28,7 @@
 //! let bytes = frame.emit();
 //! let parsed = RoceFrame::parse(&bytes).unwrap();
 //! assert_eq!(parsed.bth.psn, 1004);
-//! assert!(parsed.icrc_ok(&bytes));
+//! assert!(icrc_check(&bytes));
 //! ```
 
 pub mod aeth;

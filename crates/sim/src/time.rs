@@ -126,11 +126,6 @@ impl Bandwidth {
         let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
         SimTime(ns as u64)
     }
-
-    /// Bytes transferable in `dur` at this bandwidth (rounded down).
-    pub fn bytes_in(self, dur: SimTime) -> u64 {
-        ((self.0 as u128 * dur.0 as u128) / 8 / 1_000_000_000) as u64
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -186,13 +181,6 @@ mod tests {
             Bandwidth::gbps(40).serialization_time(1000),
             SimTime::from_nanos(200)
         );
-    }
-
-    #[test]
-    fn bytes_in_inverts_serialization() {
-        let bw = Bandwidth::gbps(100);
-        let t = bw.serialization_time(9000);
-        assert_eq!(bw.bytes_in(t), 9000);
     }
 
     #[test]
