@@ -3,7 +3,8 @@
 
 use lumina_core::config::{ChaosWindowSpec, TestConfig};
 use lumina_core::orchestrator::{run_supervised, run_test, RetryPolicy};
-use lumina_core::RunReport;
+use lumina_core::{FaultsSection, QuirksSection, RunReport};
+use lumina_rnic::Quirk;
 
 fn corpus() -> Vec<(String, TestConfig)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/configs");
@@ -277,4 +278,111 @@ fn window_fields_at_the_clock_edges_end_in_a_typed_exit() {
     }
     let want: Vec<_> = pinned.iter().map(|&(_, site, exits)| (site, exits)).collect();
     assert_eq!(got, want);
+}
+
+/// One probability field: the section its message names, and the field.
+#[derive(Clone, Copy)]
+enum Probability {
+    Faults(&'static str),
+    Quirk(Quirk),
+    Burst(usize, usize, &'static str),
+}
+
+impl Probability {
+    /// Every probability field of `cfg`: the three of `faults:` and the nine
+    /// of `quirks:` (a section the preset lacks is added with the field
+    /// alone set), and the three of each chaos burst the preset has.
+    fn of(cfg: &TestConfig) -> Vec<Probability> {
+        let mut out: Vec<Probability> = [
+            "mirror-loss-prob",
+            "mirror-dup-prob",
+            "capture-bit-rot-prob",
+        ]
+        .map(Probability::Faults)
+        .into_iter()
+        .chain(Quirk::ALL.map(Probability::Quirk))
+        .collect();
+        for (i, link) in cfg.chaos.iter().flat_map(|c| c.links.iter().enumerate()) {
+            for j in 0..link.bursts.len() {
+                for field in ["loss-prob", "corrupt-prob", "reorder-prob"] {
+                    out.push(Probability::Burst(i, j, field));
+                }
+            }
+        }
+        out
+    }
+
+    /// `(section, field)` as a validation message names them.
+    fn name(self) -> (String, &'static str) {
+        match self {
+            Probability::Faults(field) => ("faults".into(), field),
+            Probability::Quirk(q) => ("quirks".into(), q.config_key()),
+            Probability::Burst(i, j, field) => (format!("chaos: link {i}: burst {j}"), field),
+        }
+    }
+
+    /// `cfg` with this field set to `p`.
+    fn set(self, cfg: &TestConfig, p: f64) -> TestConfig {
+        let mut cfg = cfg.clone();
+        match self {
+            Probability::Faults(field) => {
+                let f = cfg.faults.get_or_insert_with(FaultsSection::default);
+                *match field {
+                    "mirror-loss-prob" => &mut f.mirror_loss_prob,
+                    "mirror-dup-prob" => &mut f.mirror_dup_prob,
+                    _ => &mut f.capture_bit_rot_prob,
+                } = p;
+            }
+            Probability::Quirk(q) => {
+                cfg.quirks.get_or_insert_with(QuirksSection::default).knobs[q] = p;
+            }
+            Probability::Burst(i, j, field) => {
+                let b = &mut cfg.chaos.as_mut().unwrap().links[i].bursts[j];
+                *match field {
+                    "loss-prob" => &mut b.loss_prob,
+                    "corrupt-prob" => &mut b.corrupt_prob,
+                    _ => &mut b.reorder_prob,
+                } = p;
+            }
+        }
+        cfg
+    }
+}
+
+/// ROADMAP item 6's probability slice: every probability field of every
+/// preset set in turn to −0.0, −ε, NaN and 1 + ε. The last three are exit 2
+/// with a message naming section and field. −0.0 is a probability, and
+/// zero: the run ends in a typed exit (never 8, never a panic), the
+/// preset's own. The two heavy presets `light_presets_run_green` skips are
+/// validated here but not run: their 24 runs would take half a minute on
+/// the dev build.
+#[test]
+fn probability_fields_off_the_unit_interval_end_in_a_typed_exit() {
+    let values = [-0.0, -f64::EPSILON, f64::NAN, 1.0 + f64::EPSILON];
+    let mut runs = 0;
+    for (name, cfg) in corpus() {
+        let heavy = name == "fig11_noisy_neighbor.yaml" || name == "fig10_ets_bug.yaml";
+        let own = (!heavy).then(|| exit_of(&cfg));
+        for site in Probability::of(&cfg) {
+            let (section, field) = site.name();
+            for p in values {
+                let case = site.set(&cfg, p);
+                let Err(e) = case.validate() else {
+                    assert_eq!(p, 0.0, "{name} {section}: {field} {p} validated");
+                    if let Some(own) = own {
+                        let exit = exit_of(&case);
+                        assert_ne!(exit, 8, "{name} {section}: {field} {p}");
+                        assert_eq!(exit, own, "{name} {section}: {field} {p}");
+                        runs += 1;
+                    }
+                    continue;
+                };
+                assert_eq!(e.exit_code(), 2, "{name} {section}: {field} {p}: {e}");
+                let e = e.to_string();
+                let named = e.lines().any(|l| l.contains(&section) && l.contains(field));
+                assert!(named, "{name} {section}: {field} {p}: {e}");
+            }
+        }
+    }
+    assert!(runs >= 9 * 12, "sweep shrank: {runs} runs");
 }
