@@ -31,13 +31,6 @@ fn min_gap(times: &[SimTime]) -> Option<SimTime> {
         .min()
 }
 
-impl CnpFlowStats {
-    /// Number of CNPs.
-    pub fn count(&self) -> usize {
-        self.times.len()
-    }
-}
-
 /// Whole-trace CNP report.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CnpReport {

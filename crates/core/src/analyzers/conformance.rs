@@ -1098,7 +1098,7 @@ impl ConformanceStream {
             verb,
         };
         let mut t = ConnTracker::new(meta, req_known, rsp_known);
-        t.st.retrans = RetransView::capped(MAX_LOSS_RECORDS);
+        t.st.retrans.cap = Some(MAX_LOSS_RECORDS);
         if from_request {
             reverse_packet(e, &t.meta, &self.opts, &mut t.st, &mut t.sink);
         } else {

@@ -82,6 +82,7 @@ pub fn analyze(trace: &Trace, conns: &[ConnMeta]) -> Vec<RetransBreakdown> {
 }
 
 /// One dropped data packet and what the stream has shown since.
+#[derive(Default)]
 struct Loss {
     psn: u32,
     t_drop: SimTime,
@@ -95,6 +96,7 @@ struct Loss {
 /// requests) that flow against them. A loss stays open to the end of the
 /// stream, because its trigger and its NACK may come after its
 /// retransmission.
+#[derive(Default)]
 pub(super) struct RetransView {
     losses: Vec<Loss>,
     /// Positions in `losses` still waiting for a data packet: the trigger
@@ -102,28 +104,11 @@ pub(super) struct RetransView {
     want_data: Vec<usize>,
     /// Positions in `losses` still waiting for their NACK.
     want_nack: Vec<usize>,
-    /// Losses recorded at most; the rest are not broken down.
-    cap: usize,
-}
-
-/// Known-connections mode keeps every loss, as a run's report always has.
-impl Default for RetransView {
-    fn default() -> RetransView {
-        RetransView::capped(usize::MAX)
-    }
+    /// Losses recorded at most (discovery mode); `None` records every one.
+    pub(super) cap: Option<usize>,
 }
 
 impl RetransView {
-    /// A view keeping at most `cap` losses.
-    pub(super) fn capped(cap: usize) -> RetransView {
-        RetransView {
-            losses: Vec::new(),
-            want_data: Vec::new(),
-            want_nack: Vec::new(),
-            cap,
-        }
-    }
-
     /// A data packet of the connection: the out-of-order trigger of every
     /// earlier loss below it unless it was dropped too, the
     /// retransmission of an earlier loss of its PSN, and a loss of its own
@@ -142,15 +127,14 @@ impl RetransView {
             }
             loss.t_ooo.is_none() || loss.t_retx.is_none()
         });
-        if event == EventType::Drop && self.losses.len() < self.cap {
-            self.want_data.push(self.losses.len());
-            self.want_nack.push(self.losses.len());
+        let recorded = self.losses.len();
+        if event == EventType::Drop && self.cap.is_none_or(|cap| recorded < cap) {
+            self.want_data.push(recorded);
+            self.want_nack.push(recorded);
             self.losses.push(Loss {
                 psn,
                 t_drop: t,
-                t_ooo: None,
-                t_nack: None,
-                t_retx: None,
+                ..Loss::default()
             });
         }
     }

@@ -35,7 +35,7 @@
 )]
 
 use crate::analyzers::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream};
-use crate::analyzers::RetransBreakdown;
+use crate::analyzers::ReplayViews;
 use crate::config::TestConfig;
 use crate::error::Error;
 use crate::integrity::{DegradedMode, IntegrityReport};
@@ -100,14 +100,10 @@ pub struct IngestOutcome {
     pub integrity: IntegrityReport,
     /// The conformance oracle's verdict, graded in discovery mode.
     pub conformance: ConformanceReport,
-    /// Every retransmitted loss, by discovered connection (at most
+    /// The views of the same replay; a discovered connection keeps at most
     /// [`MAX_LOSS_RECORDS`](crate::analyzers::conformance::MAX_LOSS_RECORDS)
-    /// losses a connection).
-    pub retransmissions: Vec<RetransBreakdown>,
-    /// CNPs in the capture.
-    pub cnp_total: u64,
-    /// Data packets the injector CE-marked.
-    pub ce_marked: u64,
+    /// losses.
+    pub views: ReplayViews,
     /// Connections discovery mode learned from the wire, in index order.
     pub conns: Vec<ConnMeta>,
     /// Packets no discovered connection would claim.
@@ -143,12 +139,13 @@ impl IngestOutcome {
             "conformance",
             section("conformance report", &self.conformance)?,
         );
+        let views = &self.views;
         root.insert(
             "retransmissions",
-            section("retransmissions", &self.retransmissions)?,
+            section("retransmissions", &views.retransmissions)?,
         );
-        root.insert("cnp_total", serde_json::Value::from(self.cnp_total));
-        root.insert("ce_marked", serde_json::Value::from(self.ce_marked));
+        root.insert("cnp_total", serde_json::Value::from(views.cnp_total));
+        root.insert("ce_marked", serde_json::Value::from(views.ce_marked));
         root.insert(
             "conns_tracked",
             serde_json::Value::from(self.conns.len() as u64),
@@ -230,13 +227,14 @@ impl IngestOutcome {
                 n => format!("{} discovered, {n} packets unattributed", self.conns.len()),
             },
         );
-        render_retransmissions(&mut out, &self.retransmissions);
+        let views = &self.views;
+        render_retransmissions(&mut out, &views.retransmissions);
         line(
             &mut out,
             "congestion",
             format_args!(
                 "{} CNPs, {} CE-marked packets",
-                self.cnp_total, self.ce_marked
+                views.cnp_total, views.ce_marked
             ),
         );
         out.push_str(&self.conformance.render_human());
@@ -382,9 +380,7 @@ pub fn ingest_reader<R: Read>(
         stream: summary,
         integrity,
         conformance,
-        retransmissions: views.retransmissions,
-        cnp_total: views.cnp_total,
-        ce_marked: views.ce_marked,
+        views,
         conns,
         unattributed,
         first_malformed,
@@ -396,23 +392,12 @@ pub fn ingest_reader<R: Read>(
 /// context config when given; receiver-side ICRC drops are unknowable
 /// offline, so the ICRC-miscompute check never fires.
 fn conformance_opts(params: &IngestParams) -> ConformanceOpts {
-    match &params.context {
-        Some(cfg) => ConformanceOpts {
-            np_enabled_requester: cfg.requester.dcqcn_np_enable,
-            np_enabled_responder: cfg.responder.dcqcn_np_enable,
-            mtu: cfg.traffic.mtu,
-            rx_icrc_errors: 0,
-            degraded: false,
-            external_loss: false,
-        },
-        None => ConformanceOpts {
-            np_enabled_requester: false,
-            np_enabled_responder: false,
-            mtu: 1024,
-            rx_icrc_errors: 0,
-            degraded: false,
-            external_loss: false,
-        },
+    let cfg = params.context.as_ref();
+    ConformanceOpts {
+        np_enabled_requester: cfg.is_some_and(|c| c.requester.dcqcn_np_enable),
+        np_enabled_responder: cfg.is_some_and(|c| c.responder.dcqcn_np_enable),
+        mtu: cfg.map_or(1024, |c| c.traffic.mtu),
+        ..ConformanceOpts::default()
     }
 }
 

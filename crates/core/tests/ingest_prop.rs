@@ -232,9 +232,7 @@ fn via_adapters(bytes: &[u8], params: &IngestParams, fused: &IngestOutcome) -> I
         conns,
         unattributed,
         conformance,
-        retransmissions: views.retransmissions,
-        cnp_total: views.cnp_total,
-        ce_marked: views.ce_marked,
+        views,
         first_malformed: None,
         trace: Some(trace),
     }

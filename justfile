@@ -91,6 +91,13 @@ release-bytes:
     cargo test --release --offline -q -p lumina-core --test stage4_memory
     cargo test --release --offline -q -p lumina-repro --test config_corpus
 
+# Non-test lines of the product crates, the count ROADMAP quotes: every
+# `crates/*/src` file but `crates/bench`'s, each counted up to its first
+# `#[cfg(test)]` (so a file that is a test module, such as
+# `analyzers/routed_tests.rs`, counts whole).
+loc:
+    find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort | xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'
+
 # Fast feedback loop: debug build + tests.
 test:
     cargo test --workspace -q

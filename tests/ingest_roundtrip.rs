@@ -176,7 +176,7 @@ fn every_preset_reingests_to_the_live_verdict() {
 
         let views = res.replayed.as_ref().expect("stage 5 replayed the trace");
         assert_eq!(
-            (out.cnp_total, out.ce_marked),
+            (out.views.cnp_total, out.views.ce_marked),
             (views.cnp_total, views.ce_marked),
             "{name}: CNP and CE tallies diverged"
         );
@@ -184,7 +184,7 @@ fn every_preset_reingests_to_the_live_verdict() {
         let mut live_breakdowns = views.retransmissions.clone();
         live_breakdowns.sort_by_key(|b| b.conn_index);
         assert_eq!(
-            json(&on_roster(&out.retransmissions, &out.conns, &res.conns)),
+            json(&on_roster(&out.views.retransmissions, &out.conns, &res.conns)),
             json(&live_breakdowns),
             "{name}: retransmission breakdowns diverged"
         );
