@@ -1,8 +1,9 @@
 //! What the subcommands print. [`RunReport`] is the single-run report
 //! (`lumina-cli <test.yaml>`): the orchestrator's Table-1 summary plus the
 //! §4 analyzers' sections, read off stage 5's replay, with the machine and
-//! human renderings and the exit verdict read off the same values. [`TelemetryReport`],
-//! [`TraceReport`] and [`FuzzReport`] do the same for their subcommands.
+//! human renderings and the exit verdict read off the same values.
+//! [`TelemetryReport`], [`TraceReport`] and [`FuzzReport`] do the same for
+//! their subcommands.
 //! Plain structs holding a borrow, not a report trait: DESIGN.md §4 "Run
 //! pipeline" says why.
 
