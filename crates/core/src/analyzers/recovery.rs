@@ -24,6 +24,7 @@
 //! just pass/fail.
 
 use lumina_dumper::Trace;
+use lumina_packet::bth::psn_distance;
 use lumina_sim::{ChaosWindow, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -240,7 +241,8 @@ pub fn analyze(
 
     // ---- Wire walk: data packets, retransmits, forward progress ----
     // A retransmit is a (dest QP, PSN) pair re-observed on the wire;
-    // forward progress is a PSN above the QP's previous high-water mark.
+    // forward progress is a PSN ahead of the QP's previous high-water mark
+    // in 24-bit PSN space, so a QP crossing `0xFFFFFF → 0` still progresses.
     let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
     let mut high: HashMap<u32, u32> = HashMap::new();
     let mut data_events: Vec<(SimTime, u32)> = Vec::new(); // (time, wire len)
@@ -258,7 +260,7 @@ pub fn analyze(
                 retrans_events.push(e.timestamp);
             }
             match high.get(&qp) {
-                Some(&h) if psn <= h => {}
+                Some(&h) if psn_distance(h, psn) <= 0 => {}
                 _ => {
                     high.insert(qp, psn);
                     progress_events.push(e.timestamp);
@@ -546,6 +548,26 @@ mod tests {
         // 7 µs lands in the [4, 8) bucket — index 3.
         assert_eq!(rep.ttr_histogram.buckets.get(3), Some(&1));
         assert_eq!(rep.ttr_histogram.unrecovered, 0);
+    }
+
+    #[test]
+    fn forward_progress_crosses_the_psn_wrap() {
+        // The shape above with PSNs starting 16 below the 24-bit wrap: the
+        // recovery packet's PSN is numerically below the high-water mark
+        // but ahead of it in PSN space.
+        let psn = |i: u32| (0xff_fff0 + i) & 0xff_ffff;
+        let mut entries: Vec<TraceEntry> =
+            (0..20).map(|i| data_entry(i, i, 1, psn(i as u32))).collect();
+        entries.push(data_entry(20, 47, 1, psn(20)));
+        let trace = trace_of(entries);
+        let opts = RecoveryOpts {
+            windows: vec![window(20, 40)],
+            ..RecoveryOpts::default()
+        };
+        let rep = analyze(Some(&trace), &[], &[], &opts);
+        assert_eq!(rep.windows[0].time_to_recovery_us, Some(7));
+        assert_eq!(rep.ttr_histogram.unrecovered, 0);
+        assert_eq!(rep.retransmits, 0);
     }
 
     #[test]
