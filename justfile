@@ -92,11 +92,12 @@ release-bytes:
     cargo test --release --offline -q -p lumina-repro --test config_corpus
 
 # Non-test lines of the product crates, the count ROADMAP quotes: every
-# `crates/*/src` file but `crates/bench`'s, each counted up to its first
-# `#[cfg(test)]` (so a file that is a test module, such as
-# `analyzers/routed_tests.rs`, counts whole).
+# `crates/*/src` file but `crates/bench`'s, each counted up to the
+# column-0 `#[cfg(test)]` that opens its test module; a file declared
+# `#[cfg(test)] mod name;` (such as `analyzers/routed_tests.rs`) counts
+# nothing (`tools/loc.awk`).
 loc:
-    find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort | xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'
+    files=$(find crates -path crates/bench -prune -o -path '*/src/*.rs' -print | sort); awk -f tools/loc.awk pass=1 $files pass=2 $files
 
 # Fast feedback loop: debug build + tests.
 test:
