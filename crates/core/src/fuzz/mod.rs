@@ -16,7 +16,7 @@
 //! They go to the campaign executor (`campaign::run_slots`, DESIGN.md
 //! "Campaign executor") as one job list on [`FuzzParams::workers`] threads,
 //! while scoring, selection and eviction stay on the calling thread in
-//! batch order. The result: `history`, `best`, `anomalies`, `rejected` and
+//! batch order. The result: `history`, `best`, `anomalies`, `rejections` and
 //! the final pool are **byte-identical for the same seed regardless of the
 //! worker count**; `tests/fuzz_parallel_differential.rs` holds the
 //! campaign to that.
@@ -165,10 +165,8 @@ pub struct FuzzOutcome {
     pub anomalies: Vec<(Scored, String)>,
     /// Score of every evaluated configuration, in order.
     pub history: Vec<f64>,
-    /// Runs whose configuration failed validation or execution
-    /// (`rejections.len()`, kept as a count for quick summaries).
-    pub rejected: usize,
-    /// Why each rejected candidate was rejected, in evaluation order.
+    /// Runs whose configuration failed validation or execution, and why,
+    /// in evaluation order.
     pub rejections: Vec<Rejection>,
     /// The pool as it stood when the campaign ended.
     pub final_pool: Vec<Scored>,
@@ -263,7 +261,6 @@ where
         best: None,
         anomalies: Vec::new(),
         history: Vec::new(),
-        rejected: 0,
         rejections: Vec::new(),
         final_pool: Vec::new(),
         profile: SelfProfile::start(),
@@ -364,7 +361,6 @@ where
         for (slot, cand) in cands.into_iter().enumerate() {
             let candidate = (done + slot) as u64;
             let reject = |outcome: &mut FuzzOutcome, reason, detail| {
-                outcome.rejected += 1;
                 outcome.rejections.push(Rejection {
                     candidate,
                     reason,
@@ -585,7 +581,7 @@ traffic:
             },
             &params,
         );
-        assert_eq!(out.history.len() + out.rejected, 6);
+        assert_eq!(out.history.len() + out.rejections.len(), 6);
         assert!(out.best.is_some());
         assert!(!out.final_pool.is_empty());
         // The serial path reports its runs under worker 0; it executed
@@ -780,7 +776,7 @@ traffic:
         );
         // Every evaluation panicked in the scorer: all rejected, each an
         // anomaly, campaign alive to the end.
-        assert_eq!(out.rejected, 3);
+        assert_eq!(out.rejections.len(), 3);
         assert_eq!(out.rejections.len(), 3);
         assert!(out
             .rejections
@@ -813,7 +809,7 @@ traffic:
             ..Default::default()
         });
         let out = fuzz(&base, &mut Breaker, |_c, _r| (0.0, String::new()), &params);
-        assert_eq!(out.rejected, 2);
+        assert_eq!(out.rejections.len(), 2);
         for r in &out.rejections {
             assert_eq!(r.reason, RejectReason::InvalidConfig);
             assert_eq!(r.reason.label(), "invalid-config");
@@ -847,7 +843,7 @@ traffic:
             |_c, _r| (0.0, String::new()),
             &params,
         );
-        assert_eq!(out.rejected, 2);
+        assert_eq!(out.rejections.len(), 2);
         for r in &out.rejections {
             assert_eq!(r.reason, RejectReason::Watchdog, "{}", r.detail);
             assert!(r.detail.contains("event budget"), "{}", r.detail);

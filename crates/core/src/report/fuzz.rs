@@ -146,7 +146,7 @@ impl<'a> FuzzReport<'a> {
         s.push_str(&format!(
             "fuzz: {} scored, {} rejected, {} anomalies >= {}\n",
             out.history.len(),
-            out.rejected,
+            out.rejections.len(),
             out.anomalies.len(),
             self.params.anomaly_threshold
         ));
@@ -282,11 +282,11 @@ traffic:
         let counts = format!(
             "fuzz: {} scored, {} rejected, {} anomalies >= 0",
             outcome.history.len(),
-            outcome.rejected,
+            outcome.rejections.len(),
             outcome.anomalies.len()
         );
         assert_eq!(lines[1], counts);
-        assert_eq!(outcome.history.len() + outcome.rejected, 4);
+        assert_eq!(outcome.history.len() + outcome.rejections.len(), 4);
         let profile = lines
             .last()
             .unwrap()

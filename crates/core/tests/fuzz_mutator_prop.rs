@@ -82,7 +82,7 @@ proptest! {
             ..Default::default()
         };
         let out = fuzz(&base, &mut m, |_c, _r| (0.0, String::new()), &params);
-        prop_assert_eq!(out.history.len() + out.rejected, params.iterations);
+        prop_assert_eq!(out.history.len() + out.rejections.len(), params.iterations);
     }
 }
 

@@ -53,7 +53,7 @@ network:
     };
     let outcome = fuzz(&base, &mut mutator, noisy_neighbor_score, &params);
 
-    println!("evaluated {} configurations ({} rejected)", outcome.history.len(), outcome.rejected);
+    println!("evaluated {} configurations ({} rejected)", outcome.history.len(), outcome.rejections.len());
     println!(
         "score trajectory: {}",
         outcome

@@ -40,7 +40,7 @@ struct Fingerprint {
 fn fingerprint(out: &FuzzOutcome) -> Fingerprint {
     Fingerprint {
         history_bits: out.history.iter().map(|s| s.to_bits()).collect(),
-        rejected: out.rejected,
+        rejected: out.rejections.len(),
         best: out
             .best
             .as_ref()
