@@ -13,9 +13,10 @@
 //!    Error state (accounted as failure). Unacked + no timer + no error
 //!    is a wedge that would hang forever.
 //! 3. **Bounded amplification** — retransmitted data frames per chaos
-//!    window may not exceed `limit × dropped` plus a small constant
-//!    slack; unbounded retransmit storms are a congestion-collapse bug
-//!    even when traffic eventually completes.
+//!    window may not exceed [`DEFAULT_AMPLIFICATION_LIMIT`] × the frames
+//!    chaos destroyed plus [`AMPLIFICATION_SLACK`]; unbounded retransmit
+//!    storms are a congestion-collapse bug even when traffic eventually
+//!    completes.
 //!
 //! A violated invariant is a *proven* liveness failure:
 //! [`Error::Liveness`](crate::error::Error::Liveness), exit code 11.
@@ -25,12 +26,12 @@
 
 use lumina_dumper::Trace;
 use lumina_packet::bth::psn_distance;
-use lumina_sim::{ChaosWindow, SimTime};
+use lumina_sim::{SimTime, Window};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Default retransmit-amplification bound (`chaos: amplification-limit`
-/// absent): retransmits per window ≤ 8× the frames chaos destroyed.
+/// The retransmit-amplification multiplier: retransmits per window ≤ 8×
+/// the frames chaos destroyed (plus [`AMPLIFICATION_SLACK`]).
 pub const DEFAULT_AMPLIFICATION_LIMIT: f64 = 8.0;
 
 /// Constant slack added to the amplification bound so timer-driven
@@ -101,7 +102,7 @@ pub enum LivenessViolation {
         retransmits: u64,
         /// Frames chaos destroyed run-wide (drops + corruptions).
         destroyed: u64,
-        /// The configured multiplier.
+        /// The multiplier, [`DEFAULT_AMPLIFICATION_LIMIT`].
         limit: f64,
     },
 }
@@ -193,12 +194,10 @@ impl TtrHistogram {
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOpts {
     /// The chaos windows (flap/pause/burst), sorted by start.
-    pub windows: Vec<ChaosWindow>,
+    pub windows: Vec<Window>,
     /// Frames chaos destroyed run-wide: data drops plus corruptions
     /// (a corrupted frame dies at the receiver's ICRC check).
     pub destroyed: u64,
-    /// Retransmit-amplification multiplier; `None` = the default bound.
-    pub amplification_limit: Option<f64>,
 }
 
 /// The oracle's verdict.
@@ -220,7 +219,8 @@ pub struct RecoveryReport {
     pub failed: u64,
     /// Retransmitted data frames observed run-wide.
     pub retransmits: u64,
-    /// The amplification multiplier the oracle enforced.
+    /// The amplification multiplier the oracle enforced,
+    /// [`DEFAULT_AMPLIFICATION_LIMIT`].
     pub amplification_limit: f64,
 }
 
@@ -234,11 +234,6 @@ pub fn analyze(
     qps: &[QpEndState],
     opts: &RecoveryOpts,
 ) -> RecoveryReport {
-    let limit = opts
-        .amplification_limit
-        .filter(|l| l.is_finite() && *l > 0.0)
-        .unwrap_or(DEFAULT_AMPLIFICATION_LIMIT);
-
     // ---- Wire walk: data packets, retransmits, forward progress ----
     // A retransmit is a (dest QP, PSN) pair re-observed on the wire;
     // forward progress is a PSN ahead of the QP's previous high-water mark
@@ -340,6 +335,7 @@ pub fn analyze(
             });
         }
     }
+    let limit = DEFAULT_AMPLIFICATION_LIMIT;
     let bound = limit * opts.destroyed as f64 + AMPLIFICATION_SLACK as f64;
     for (i, w) in windows.iter().enumerate() {
         if w.retransmits as f64 > bound {
@@ -388,8 +384,8 @@ mod tests {
     use lumina_packet::opcode::Opcode;
     use lumina_switch::events::EventType;
 
-    fn window(from_us: u64, until_us: u64) -> ChaosWindow {
-        ChaosWindow {
+    fn window(from_us: u64, until_us: u64) -> Window {
+        Window {
             from: SimTime::from_micros(from_us),
             until: SimTime::from_micros(until_us),
         }
@@ -487,39 +483,31 @@ mod tests {
 
     #[test]
     fn amplification_bound_trips_only_past_limit_plus_slack() {
-        // 40 retransmits of the same PSN inside the window, 2 destroyed
-        // frames, limit 2×: bound = 2*2 + 16 = 20 < 40 → violation.
+        // 40 retransmits of the same PSN inside the window. The bound is
+        // 8 × destroyed + 16: 2 destroyed frames allow 32 (trips), 3 allow
+        // 40 (holds exactly).
         let mut entries = vec![data_entry(0, 5, 1, 1)];
         for i in 0..40u64 {
             entries.push(data_entry(1 + i, 12 + i, 1, 1));
         }
         let trace = trace_of(entries);
-        let opts = RecoveryOpts {
+        let opts = |destroyed| RecoveryOpts {
             windows: vec![window(10, 60)],
-            destroyed: 2,
-            amplification_limit: Some(2.0),
+            destroyed,
         };
-        let rep = analyze(Some(&trace), &[], &[], &opts);
+        let rep = analyze(Some(&trace), &[], &[], &opts(2));
         assert!(!rep.live);
-        assert!(matches!(
-            rep.violations[0],
-            LivenessViolation::RetransmitAmplification {
+        assert_eq!(
+            rep.violations,
+            [LivenessViolation::RetransmitAmplification {
+                window: 0,
                 retransmits: 40,
                 destroyed: 2,
-                ..
-            }
-        ));
-        // Same trace under the default 8× bound: 8*2+16 = 32 < 40 still
-        // trips; with generous destroyed count it passes.
-        let ok = analyze(
-            Some(&trace),
-            &[],
-            &[],
-            &RecoveryOpts {
-                destroyed: 40,
-                ..opts
-            },
+                limit: 8.0,
+            }]
         );
+        assert_eq!(rep.amplification_limit, 8.0);
+        let ok = analyze(Some(&trace), &[], &[], &opts(3));
         assert!(ok.live, "{:?}", ok.violations);
     }
 

@@ -4,7 +4,7 @@
 
 use crate::error::Error;
 use lumina_rnic::{Quirk, QuirkKnobs, Verb};
-use lumina_sim::SimTime;
+use lumina_sim::{SimTime, Window};
 use serde::{Deserialize, Map, Serialize, Value};
 
 /// NIC settings of one host (Listing 1's `nic` + `roce-parameters`).
@@ -402,9 +402,8 @@ pub struct FaultsSection {
 }
 
 impl FaultsSection {
-    /// True when the section injects nothing — the orchestrator then skips
-    /// building a fault plane entirely, keeping the run on the pristine
-    /// code path.
+    /// True when the section injects nothing — the orchestrator then arms
+    /// no faults at all, keeping the run on the pristine code path.
     pub fn is_noop(&self) -> bool {
         self.mirror_loss_prob == 0.0
             && self.mirror_dup_prob == 0.0
@@ -563,16 +562,6 @@ pub struct ChaosWindowSpec {
     pub duration_us: u64,
 }
 
-impl ChaosWindowSpec {
-    /// Lower the schema window into the sim-layer representation.
-    pub fn to_window(self) -> lumina_sim::ChaosWindow {
-        lumina_sim::ChaosWindow {
-            from: SimTime::from_micros(self.at_us),
-            until: SimTime::from_micros(self.at_us + self.duration_us),
-        }
-    }
-}
-
 /// A sustained seeded burst regime in the `chaos:` section: while the
 /// window is open, every frame handed to the covered link independently
 /// risks loss, tail-byte corruption, or a fixed reorder delay.
@@ -601,22 +590,6 @@ fn default_reorder_delay_us() -> u64 {
     5
 }
 
-impl ChaosBurstSpec {
-    /// Lower the schema burst into the sim-layer representation.
-    pub fn to_regime(self) -> lumina_sim::BurstRegime {
-        lumina_sim::BurstRegime {
-            window: lumina_sim::ChaosWindow {
-                from: SimTime::from_micros(self.at_us),
-                until: SimTime::from_micros(self.at_us + self.duration_us),
-            },
-            loss_prob: self.loss_prob,
-            corrupt_prob: self.corrupt_prob,
-            reorder_prob: self.reorder_prob,
-            reorder_delay: SimTime::from_micros(self.reorder_delay_us),
-        }
-    }
-}
-
 /// Per-link chaos schedule in the `chaos:` section. `link` names a
 /// host↔switch data link; the schedule covers both directions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -639,11 +612,34 @@ pub struct ChaosLinkSpec {
 impl ChaosLinkSpec {
     /// Lower the schema schedule into the sim-layer representation.
     pub fn to_chaos(&self) -> lumina_sim::LinkChaos {
+        let windows = |ws: &[ChaosWindowSpec]| -> Vec<Window> {
+            ws.iter().map(|w| window(w.at_us, w.duration_us)).collect()
+        };
         lumina_sim::LinkChaos {
-            flaps: self.flaps.iter().map(|w| w.to_window()).collect(),
-            pauses: self.pauses.iter().map(|w| w.to_window()).collect(),
-            bursts: self.bursts.iter().map(|b| b.to_regime()).collect(),
+            flaps: windows(&self.flaps),
+            pauses: windows(&self.pauses),
+            bursts: self
+                .bursts
+                .iter()
+                .map(|b| lumina_sim::BurstRegime {
+                    window: window(b.at_us, b.duration_us),
+                    loss_prob: b.loss_prob,
+                    corrupt_prob: b.corrupt_prob,
+                    reorder_prob: b.reorder_prob,
+                    reorder_delay: SimTime::from_micros(b.reorder_delay_us),
+                })
+                .collect(),
         }
+    }
+
+    /// True when this schedule can never touch a frame.
+    pub fn is_noop(&self) -> bool {
+        self.flaps.is_empty()
+            && self.pauses.is_empty()
+            && self
+                .bursts
+                .iter()
+                .all(|b| b.loss_prob <= 0.0 && b.corrupt_prob <= 0.0 && b.reorder_prob <= 0.0)
     }
 }
 
@@ -660,33 +656,32 @@ pub struct ChaosSection {
     /// the workload fixed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
-    /// Retransmit-amplification bound per chaos window: retransmitted
-    /// frames may not exceed `limit × dropped` + a small constant slack.
-    /// Absent = the recovery oracle's built-in default.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub amplification_limit: Option<f64>,
     /// Per-link chaos schedules.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub links: Vec<ChaosLinkSpec>,
 }
 
 impl ChaosSection {
-    /// True when the section injects nothing — the orchestrator then skips
-    /// building a chaos plane entirely, keeping the run on the pristine
-    /// code path (zero extra RNG draws, byte-identical reports).
+    /// True when the section injects nothing — the orchestrator then arms
+    /// no chaos at all, keeping the run on the pristine code path (zero
+    /// extra RNG draws, byte-identical reports).
     pub fn is_noop(&self) -> bool {
-        self.links.iter().all(|l| l.to_chaos().is_noop())
+        self.links.iter().all(ChaosLinkSpec::is_noop)
     }
 
-    /// Every chaos window (flap/pause/burst) across all links, sorted —
-    /// the recovery oracle keys its per-window histograms to these.
-    pub fn windows(&self) -> Vec<lumina_sim::ChaosWindow> {
-        let mut out: Vec<lumina_sim::ChaosWindow> = Vec::new();
-        for l in &self.links {
-            out.extend(l.flaps.iter().map(|w| w.to_window()));
-            out.extend(l.pauses.iter().map(|w| w.to_window()));
-            out.extend(l.bursts.iter().map(|b| b.to_regime().window));
-        }
+    /// Every chaos window (flap/pause/burst) across all links, sorted and
+    /// deduplicated — the recovery oracle keys its per-window histograms
+    /// to these.
+    pub fn windows(&self) -> Vec<Window> {
+        let mut out: Vec<Window> = self
+            .links
+            .iter()
+            .flat_map(|l| {
+                let spans = l.flaps.iter().chain(&l.pauses).map(|w| (w.at_us, w.duration_us));
+                spans.chain(l.bursts.iter().map(|b| (b.at_us, b.duration_us)))
+            })
+            .map(|(at_us, duration_us)| window(at_us, duration_us))
+            .collect();
         out.sort_by_key(|w| (w.from, w.until));
         out.dedup();
         out
@@ -738,6 +733,17 @@ fn delay_problem(delay_us: u64, latest_arrival_ns: Option<u64>) -> Option<String
 /// unchecked.
 fn fits_clock(value: u64, unit_ns: u64) -> bool {
     value.checked_mul(unit_ns).is_some()
+}
+
+/// The `[at-us, at-us + duration-us)` window a `faults:` or `chaos:` entry
+/// names — a freeze, a stall, a flap, a pause or a burst — in simulation
+/// time. Call it on a validated config: [`TestConfig::problems`] rejects a
+/// window whose end does not fit the clock.
+pub fn window(at_us: u64, duration_us: u64) -> Window {
+    Window {
+        from: SimTime::from_micros(at_us),
+        until: SimTime::from_micros(at_us + duration_us),
+    }
 }
 
 /// What is wrong with a `[at-us, at-us + duration-us)` window, if anything:
@@ -1035,16 +1041,6 @@ impl TestConfig {
             }
         }
         if let Some(chaos) = &self.chaos {
-            // NaN and +∞ (YAML's `1e400`) are rejected too: the oracle
-            // would otherwise grade against its default bound instead.
-            if let Some(l) = chaos
-                .amplification_limit
-                .filter(|l| !(l.is_finite() && *l > 0.0))
-            {
-                problems.push(format!(
-                    "chaos: amplification-limit {l} must be finite and > 0"
-                ));
-            }
             for (i, l) in chaos.links.iter().enumerate() {
                 if !matches!(l.link.as_str(), "requester" | "responder") {
                     problems.push(format!("chaos: link {i}: unknown link {:?}", l.link));
@@ -1431,14 +1427,12 @@ chaos:
         ];
         assert_eq!(cfg.problems(), want);
         assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
-        // A float past f64 parses as +∞, which bounds nothing.
-        let inf = yaml(ms, 0).replace("chaos:\n", "chaos:\n  amplification-limit: 1e400\n");
-        let cfg = TestConfig::from_yaml(&inf).unwrap();
-        assert_eq!(cfg.chaos.as_ref().unwrap().amplification_limit, Some(f64::INFINITY));
-        assert_eq!(
-            cfg.problems(),
-            ["chaos: amplification-limit inf must be finite and > 0"]
-        );
+        // The amplification bound is a constant, not a key: even `1e400`,
+        // which parses as +∞, is an unknown field.
+        let knob = yaml(ms, 0).replace("chaos:\n", "chaos:\n  amplification-limit: 1e400\n");
+        let err = TestConfig::from_yaml(&knob).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("amplification-limit"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::analyzers::{
     RecoveryOpts, ReplayViews,
 };
 use crate::campaign::{run_caught, EvalFailure};
-use crate::config::{SwitchMode, TestConfig};
+use crate::config::{window, SwitchMode, TestConfig};
 use crate::error::Error;
 use crate::integrity::{self, IntegrityReport};
 use crate::translate::{translate, ConnMeta};
@@ -22,8 +22,8 @@ use lumina_rnic::qp::{QpConfig, QpEndpoint};
 use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Verb};
 use lumina_sim::telemetry::{EventLog, SelfProfile, TraceSummary};
 use lumina_sim::{
-    ChaosPlane, ChaosStats, Engine, EngineStats, FaultPlane, FaultStats, FrameStats, FreezeWindow,
-    Interposer, MirrorFaults, Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
+    faults, ChaosStats, Engine, EngineStats, FaultStats, FrameStats, Interposer, MirrorFaults,
+    Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
 };
 use lumina_switch::device::{MirrorMode, SwitchConfig, SwitchCounters, SwitchNode};
 use serde::Serialize;
@@ -350,7 +350,7 @@ struct Harvest {
 
 /// Stage 1: validate the configuration and assemble the testbed — devices,
 /// QPs, hosts, the switch with its translated injection table, the dumper
-/// pool, and whichever adversarial planes the config arms. Fails with
+/// pool, and whatever faults and chaos the config arms. Fails with
 /// [`Error::Config`] or [`Error::Translate`].
 fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     let profile = SelfProfile::start();
@@ -417,8 +417,9 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     for (host, switch_port, bandwidth) in to_switch {
         eng.connect(host, PortId(0), SWITCH, switch_port, bandwidth, prop);
     }
-    let dumpers = add_dumpers(cfg, &mut eng);
-    eng.set_interposer(Interposer::new(fault_plane(cfg)?, chaos_plane(cfg)?));
+    let (interposer, dumper_faults) = adversary(cfg)?;
+    let dumpers = add_dumpers(cfg, &mut eng, dumper_faults);
+    eng.set_interposer(interposer);
     // The watchdog limits that supervise the run, if configured.
     if let Some(max_events) = cfg.network.max_events {
         eng.event_limit = max_events;
@@ -584,34 +585,19 @@ fn build_switch(cfg: &TestConfig, conns: &[ConnMeta]) -> Result<SwitchNode, Erro
     Ok(switch)
 }
 
-/// The `faults:` section, when it injects anything, and the seed its
-/// streams fork from. The schedule draws from its own RNG, so the simulated
-/// workload is byte-identical with and without it.
-fn active_faults(cfg: &TestConfig) -> Option<(&crate::config::FaultsSection, u64)> {
-    let f = cfg.faults.as_ref().filter(|f| !f.is_noop())?;
-    Some((f, f.seed.unwrap_or(cfg.network.seed)))
-}
-
-/// Add the dumper pool behind the switch's mirror ports.
-fn add_dumpers(cfg: &TestConfig, eng: &mut Engine) -> Vec<CaptureHandle> {
+/// Add the dumper pool behind the switch's mirror ports, dumper `i` with
+/// `faults[i]`.
+fn add_dumpers(
+    cfg: &TestConfig,
+    eng: &mut Engine,
+    faults: Vec<Option<DumperFaults>>,
+) -> Vec<CaptureHandle> {
     let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
-    (0..cfg.network.num_dumpers.max(1))
-        .map(|i| {
+    faults
+        .into_iter()
+        .enumerate()
+        .map(|(i, faults)| {
             let handle = capture_handle();
-            let faults = active_faults(cfg).map(|(f, seed)| DumperFaults {
-                bit_rot_prob: f.capture_bit_rot_prob,
-                stalls: f
-                    .dumper_stalls
-                    .iter()
-                    .filter(|s| s.index.is_none() || s.index == Some(i))
-                    .map(|s| StallWindow {
-                        from: SimTime::from_micros(s.at_us),
-                        until: SimTime::from_micros(s.at_us + s.duration_us),
-                        slowdown: s.slowdown,
-                    })
-                    .collect(),
-                rng: FaultPlane::node_rng(seed, 0xd0_0000 + i as u64),
-            });
             let dumper = DumperNode::with_faults(
                 DumperConfig {
                     cores: cfg.network.dumper_cores,
@@ -637,66 +623,74 @@ fn add_dumpers(cfg: &TestConfig, eng: &mut Engine) -> Vec<CaptureHandle> {
         .collect()
 }
 
-/// The infrastructure fault plane an active `faults:` section asks for.
-fn fault_plane(cfg: &TestConfig) -> Result<Option<FaultPlane>, Error> {
-    let Some((f, seed)) = active_faults(cfg) else {
-        return Ok(None);
-    };
-    let mut plane = FaultPlane::new(
-        seed,
-        MirrorFaults {
+/// What the `faults:` and `chaos:` sections inject: the engine's
+/// interposer, and each dumper's local faults. A section that injects
+/// nothing arms nothing, so its run stays on the pristine path; one that
+/// does draws from its own seeded streams, so the simulated workload draws
+/// the same with and without it.
+fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<Option<DumperFaults>>), Error> {
+    let mut ip = Interposer::default();
+    let dumpers = cfg.network.num_dumpers.max(1);
+    let mut dumper_faults = vec![None; dumpers];
+    if let Some(f) = cfg.faults.as_ref().filter(|f| !f.is_noop()) {
+        let seed = f.seed.unwrap_or(cfg.network.seed);
+        let mirror = MirrorFaults {
             loss_prob: f.mirror_loss_prob,
             dup_prob: f.mirror_dup_prob,
-        },
-    );
-    if f.mirror_loss_prob > 0.0 || f.mirror_dup_prob > 0.0 {
-        // Only the mirror paths are unreliable; the data path between
-        // hosts and switch stays pristine (the paper's testbed trusts
-        // its DUT links, not its capture infrastructure).
-        for i in 0..cfg.network.num_dumpers.max(1) {
-            plane.mark_mirror_link(SWITCH, dumper_port(i));
+        };
+        ip.arm_faults(seed, mirror);
+        if mirror.loss_prob > 0.0 || mirror.dup_prob > 0.0 {
+            // Only the mirror paths are unreliable; the data path between
+            // hosts and switch stays pristine (the paper's testbed trusts
+            // its DUT links, not its capture infrastructure).
+            for i in 0..dumpers {
+                ip.mark_mirror_link(SWITCH, dumper_port(i));
+            }
+        }
+        for fz in &f.freezes {
+            let node = match fz.node.as_str() {
+                "requester" => REQUESTER,
+                "responder" => RESPONDER,
+                "switch" => SWITCH,
+                "dumper" => NodeId(FIRST_DUMPER + fz.index),
+                // validate() rejects anything else before we get here
+                other => return Err(Error::config(format!("unknown freeze node {other:?}"))),
+            };
+            ip.add_freeze(node, window(fz.at_us, fz.duration_us));
+        }
+        for (i, slot) in dumper_faults.iter_mut().enumerate() {
+            *slot = Some(DumperFaults {
+                bit_rot_prob: f.capture_bit_rot_prob,
+                stalls: f
+                    .dumper_stalls
+                    .iter()
+                    .filter(|s| s.index.is_none() || s.index == Some(i))
+                    .map(|s| StallWindow {
+                        window: window(s.at_us, s.duration_us),
+                        slowdown: s.slowdown,
+                    })
+                    .collect(),
+                rng: faults::node_rng(seed, 0xd0_0000 + i as u64),
+            });
         }
     }
-    for fz in &f.freezes {
-        let node = match fz.node.as_str() {
-            "requester" => REQUESTER,
-            "responder" => RESPONDER,
-            "switch" => SWITCH,
-            "dumper" => NodeId(FIRST_DUMPER + fz.index),
-            // validate() rejects anything else before we get here
-            other => return Err(Error::config(format!("unknown freeze node {other:?}"))),
-        };
-        plane.add_freeze(FreezeWindow {
-            node,
-            from: SimTime::from_micros(fz.at_us),
-            until: SimTime::from_micros(fz.at_us + fz.duration_us),
-        });
+    if let Some(c) = cfg.chaos.as_ref().filter(|c| !c.is_noop()) {
+        ip.arm_chaos(c.seed.unwrap_or(cfg.network.seed));
+        for l in &c.links {
+            // A "link" covers both directions: the host's egress and the
+            // switch's egress back toward that host.
+            let (host, switch_port) = match l.link.as_str() {
+                "requester" => (REQUESTER, PortId(0)),
+                "responder" => (RESPONDER, PortId(1)),
+                // validate() rejects anything else before we get here
+                other => return Err(Error::config(format!("unknown chaos link {other:?}"))),
+            };
+            let schedule = l.to_chaos();
+            ip.set_chaos(host, PortId(0), schedule.clone());
+            ip.set_chaos(SWITCH, switch_port, schedule);
+        }
     }
-    Ok(Some(plane))
-}
-
-/// The data-path chaos plane an active `chaos:` section asks for. Like the
-/// fault plane it owns its RNG stream and only touches covered links, so a
-/// noop/absent section draws nothing and the run stays pristine.
-fn chaos_plane(cfg: &TestConfig) -> Result<Option<ChaosPlane>, Error> {
-    let Some(c) = cfg.chaos.as_ref().filter(|c| !c.is_noop()) else {
-        return Ok(None);
-    };
-    let mut plane = ChaosPlane::new(c.seed.unwrap_or(cfg.network.seed));
-    for l in &c.links {
-        // A "link" covers both directions: the host's egress and the
-        // switch's egress back toward that host.
-        let (host, switch_port) = match l.link.as_str() {
-            "requester" => (REQUESTER, PortId(0)),
-            "responder" => (RESPONDER, PortId(1)),
-            // validate() rejects anything else before we get here
-            other => return Err(Error::config(format!("unknown chaos link {other:?}"))),
-        };
-        let schedule = l.to_chaos();
-        plane.set_link(host, PortId(0), schedule.clone());
-        plane.set_link(SWITCH, switch_port, schedule);
-    }
-    Ok(Some(plane))
+    Ok((ip, dumper_faults))
 }
 
 /// Stage 2: start the requester and run the engine to quiescence or the
@@ -743,8 +737,8 @@ fn collect(mut bed: Testbed, outcome: RunOutcome) -> Result<(TestResults, Harves
     profile.queue_depth_hwm = eng.queue_depth_hwm();
     // Snapshot the frame-plane counters before teardown frees the buffers.
     let frame_stats = eng.frame_stats();
-    let fault_stats = eng.interposer().faults.as_ref().map(|p| p.stats);
-    let chaos_stats = eng.interposer().chaos.as_ref().map(|p| p.stats);
+    let fault_stats = eng.interposer().fault_stats();
+    let chaos_stats = eng.interposer().chaos_stats();
     let req_host: Box<HostNode> = take_node(eng, REQUESTER, "requester")?;
     let rsp_host: Box<HostNode> = take_node(eng, RESPONDER, "responder")?;
     let sw: Box<SwitchNode> = take_node(eng, SWITCH, "switch")?;
@@ -874,7 +868,6 @@ fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     let opts = RecoveryOpts {
         windows: chaos.windows(),
         destroyed,
-        amplification_limit: chaos.amplification_limit,
     };
     results.recovery = Some(recovery::analyze(
         results.trace.as_ref(),

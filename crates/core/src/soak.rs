@@ -243,7 +243,6 @@ fn gen_schedule(rng: &mut SimRng, horizon_us: u64, chaos_seed: u64) -> ChaosSect
     }
     ChaosSection {
         seed: Some(chaos_seed),
-        amplification_limit: None,
         links,
     }
 }
@@ -407,7 +406,6 @@ network:
         let mut cfg = TestConfig::from_yaml(BASE).unwrap();
         cfg.chaos = Some(ChaosSection {
             seed: None,
-            amplification_limit: None,
             links: vec![ChaosLinkSpec {
                 link: "requester".into(),
                 flaps: vec![ChaosWindowSpec {

@@ -2,22 +2,20 @@
 
 use crate::trace::{CaptureBytes, CapturedPacket, TRIM_LEN};
 use lumina_packet::buf;
-use lumina_sim::{Frame, Node, NodeCtx, PortId, SimRng, SimTime};
+use lumina_sim::{Frame, Node, NodeCtx, PortId, SimRng, SimTime, Window};
 use lumina_telemetry::tev;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// A temporary dumper-host slowdown: within `[from, until)` every core's
+/// A temporary dumper-host slowdown: within its window every core's
 /// service interval is multiplied by `slowdown` (the poll loop sharing its
 /// cores with a noisy co-tenant, a page-cache writeback storm, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallWindow {
-    /// First stalled instant (inclusive).
-    pub from: SimTime,
-    /// End of the stall (exclusive).
-    pub until: SimTime,
+    /// When the stall is in force.
+    pub window: Window,
     /// Service-interval multiplier; `1` is a no-op.
     pub slowdown: u32,
 }
@@ -25,7 +23,7 @@ pub struct StallWindow {
 /// Host-local fault injection for one dumper: capture bit-rot and core
 /// stalls. Built by the orchestrator from the `faults:` config section
 /// with an RNG forked off the campaign fault seed
-/// ([`lumina_sim::FaultPlane::node_rng`]) so each dumper draws its own
+/// ([`lumina_sim::faults::node_rng`]) so each dumper draws its own
 /// replayable stream.
 #[derive(Debug, Clone)]
 pub struct DumperFaults {
@@ -186,8 +184,8 @@ impl DumperNode {
         let slowdown = f
             .stalls
             .iter()
-            .filter(|w| now >= w.from && now < w.until)
-            .map(|w| w.slowdown.max(1))
+            .filter(|s| s.window.contains(now))
+            .map(|s| s.slowdown.max(1))
             .max()
             .unwrap_or(1);
         if slowdown == 1 {
@@ -544,8 +542,10 @@ mod tests {
         let faults = DumperFaults {
             bit_rot_prob: 0.0,
             stalls: vec![StallWindow {
-                from: SimTime::from_micros(100),
-                until: SimTime::from_micros(900),
+                window: Window {
+                    from: SimTime::from_micros(100),
+                    until: SimTime::from_micros(900),
+                },
                 slowdown: 10,
             }],
             rng: SimRng::seed_from_u64(42),

@@ -218,7 +218,7 @@ impl QuirkPlane {
     }
 
     /// The per-node quirk RNG: seed XOR [`QUIRK_SEED_SALT`], forked by a
-    /// per-node salt. Mirrors `FaultPlane::node_rng` so every optional
+    /// per-node salt. Mirrors `lumina_sim::faults::node_rng` so every optional
     /// plane follows the same never-touch-the-engine-RNG discipline.
     pub fn node_rng(seed: u64, salt: u64) -> SimRng {
         SimRng::seed_from_u64(seed ^ QUIRK_SEED_SALT).fork(salt)

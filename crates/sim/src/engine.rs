@@ -164,7 +164,7 @@ pub struct Engine {
     /// (the default) disables the check entirely, keeping fault-free runs
     /// on the exact code path the goldens were recorded on.
     pub wall_clock_limit: Option<Duration>,
-    /// The seam the adversarial planes act through; holds none by default.
+    /// The seam faults and chaos act through; arms nothing by default.
     interposer: Interposer,
     /// The one `Effects` every dispatch fills and `apply` drains; empty
     /// between events, its buffers kept.
@@ -199,13 +199,13 @@ impl Engine {
         }
     }
 
-    /// Attach the interposer the adversarial planes act through. Their RNG
-    /// streams are their own, so attaching one never perturbs the engine's.
+    /// Attach the interposer faults and chaos act through. Its RNG streams
+    /// are its own, so attaching one never perturbs the engine's.
     pub fn set_interposer(&mut self, interposer: Interposer) {
         self.interposer = interposer;
     }
 
-    /// The attached interposer; its planes carry their own run counters.
+    /// The attached interposer; it carries the fault and chaos counters.
     pub fn interposer(&self) -> &Interposer {
         &self.interposer
     }
@@ -597,6 +597,7 @@ impl NodeCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Window;
     use lumina_packet::builder::DataPacketBuilder;
     use lumina_packet::opcode::Opcode;
 
@@ -848,7 +849,7 @@ mod tests {
 
     #[test]
     fn marked_link_drops_and_duplicates_deterministically() {
-        use crate::faults::{FaultPlane, Interposer, MirrorFaults};
+        use crate::faults::{Interposer, MirrorFaults};
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -868,19 +869,18 @@ mod tests {
                 Bandwidth::gbps(100),
                 SimTime::from_nanos(100),
             );
-            let mut plane = FaultPlane::new(
-                9,
-                MirrorFaults {
-                    loss_prob: 0.25,
-                    dup_prob: 0.1,
-                },
-            );
-            plane.mark_mirror_link(blaster, PortId(0));
+            let mut ip = Interposer::default();
+            let mirror = MirrorFaults {
+                loss_prob: 0.25,
+                dup_prob: 0.1,
+            };
+            ip.arm_faults(9, mirror);
+            ip.mark_mirror_link(blaster, PortId(0));
             // Return path is unmarked: echoes flow back untouched.
-            eng.set_interposer(Interposer::new(Some(plane), None));
+            eng.set_interposer(ip);
             eng.schedule_timer(blaster, SimTime::ZERO, 0);
             eng.run(None);
-            let stats = eng.interposer().faults.as_ref().expect("plane attached").stats;
+            let stats = eng.interposer().fault_stats().expect("faults armed");
             (*eng.stats(), stats)
         };
         let (eng_stats, faults) = run();
@@ -896,7 +896,7 @@ mod tests {
 
     #[test]
     fn frozen_node_loses_frames_and_defers_timers() {
-        use crate::faults::{FaultPlane, FreezeWindow, Interposer, MirrorFaults};
+        use crate::faults::{Interposer, MirrorFaults};
         // A ticker timer armed inside the freeze window must fire at the
         // thaw instant, not during the outage.
         struct Once {
@@ -913,13 +913,14 @@ mod tests {
         let n = eng.add_node(Box::new(Once {
             fired_at: fired.clone(),
         }));
-        let mut plane = FaultPlane::new(1, MirrorFaults::default());
-        plane.add_freeze(FreezeWindow {
-            node: n,
+        let mut ip = Interposer::default();
+        ip.arm_faults(1, MirrorFaults::default());
+        let outage = Window {
             from: SimTime::from_micros(10),
             until: SimTime::from_micros(50),
-        });
-        eng.set_interposer(Interposer::new(Some(plane), None));
+        };
+        ip.add_freeze(n, outage);
+        eng.set_interposer(ip);
         eng.schedule_timer(n, SimTime::from_micros(5), 0); // before: fires
         eng.schedule_timer(n, SimTime::from_micros(20), 1); // inside: deferred
         eng.inject_frame(n, PortId(0), SimTime::from_micros(30), test_frame()); // lost
@@ -928,7 +929,7 @@ mod tests {
             *fired.borrow(),
             vec![SimTime::from_micros(5), SimTime::from_micros(50)]
         );
-        let stats = eng.interposer().faults.as_ref().unwrap().stats;
+        let stats = eng.interposer().fault_stats().unwrap();
         assert_eq!(stats.timers_deferred, 1);
         assert_eq!(stats.frames_dropped_frozen, 1);
         assert_eq!(eng.stats().frames_delivered, 0);
@@ -1030,7 +1031,7 @@ mod tests {
         horizon: Option<u64>,
         limit: Option<u64>,
     ) -> Observed {
-        use crate::faults::{FaultPlane, FreezeWindow, Interposer, MirrorFaults};
+        use crate::faults::{Interposer, MirrorFaults};
         const CHAINS: u64 = 6;
         let mut eng = Engine::new(3);
         let node = eng.add_node(Box::new(Rearm {
@@ -1040,13 +1041,14 @@ mod tests {
             seen: Vec::new(),
         }));
         if let Some((from, until)) = freeze {
-            let mut plane = FaultPlane::new(1, MirrorFaults::default());
-            plane.add_freeze(FreezeWindow {
-                node,
+            let mut ip = Interposer::default();
+            ip.arm_faults(1, MirrorFaults::default());
+            let outage = Window {
                 from: SimTime::from_nanos(from),
                 until: SimTime::from_nanos(until),
-            });
-            eng.set_interposer(Interposer::new(Some(plane), None));
+            };
+            ip.add_freeze(node, outage);
+            eng.set_interposer(ip);
         }
         for k in 0..CHAINS {
             // Two chains start together, the rest staggered.
@@ -1056,7 +1058,7 @@ mod tests {
             eng.event_limit = limit;
         }
         let outcome = eng.run(horizon.map(SimTime::from_nanos));
-        let deferred = eng.interposer().faults.as_ref().map_or(0, |f| f.stats.timers_deferred);
+        let deferred = eng.interposer().fault_stats().map_or(0, |s| s.timers_deferred);
         let (stats, hwm, popped) = (*eng.stats(), eng.queue_depth_hwm(), eng.popped.clone());
         let any: Box<dyn std::any::Any> = eng.remove_node(node);
         let seen = any.downcast::<Rearm>().expect("a Rearm node").seen;
@@ -1109,7 +1111,7 @@ mod tests {
 
     #[test]
     fn chaos_flap_drops_in_flight_frames_and_replays() {
-        use crate::faults::{ChaosPlane, ChaosWindow, Interposer, LinkChaos};
+        use crate::faults::{Interposer, LinkChaos};
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -1129,22 +1131,20 @@ mod tests {
                 Bandwidth::gbps(10),
                 SimTime::from_nanos(500),
             );
-            let mut plane = ChaosPlane::new(9);
-            plane.set_link(
-                blaster,
-                PortId(0),
-                LinkChaos {
-                    flaps: vec![ChaosWindow {
-                        from: SimTime::from_micros(1),
-                        until: SimTime::from_micros(3),
-                    }],
-                    ..LinkChaos::default()
-                },
-            );
-            eng.set_interposer(Interposer::new(None, Some(plane)));
+            let mut ip = Interposer::default();
+            ip.arm_chaos(9);
+            let flaps = LinkChaos {
+                flaps: vec![Window {
+                    from: SimTime::from_micros(1),
+                    until: SimTime::from_micros(3),
+                }],
+                ..LinkChaos::default()
+            };
+            ip.set_chaos(blaster, PortId(0), flaps);
+            eng.set_interposer(ip);
             eng.schedule_timer(blaster, SimTime::ZERO, 0);
             eng.run(None);
-            let stats = eng.interposer().chaos.as_ref().expect("plane attached").stats;
+            let stats = eng.interposer().chaos_stats().expect("chaos armed");
             (*eng.stats(), stats)
         };
         let (eng_stats, chaos) = run();
@@ -1158,7 +1158,7 @@ mod tests {
 
     #[test]
     fn chaos_pause_delays_without_loss() {
-        use crate::faults::{ChaosPlane, ChaosWindow, Interposer, LinkChaos};
+        use crate::faults::{Interposer, LinkChaos};
         let mut eng = Engine::new(5);
         let blaster = eng.add_node(Box::new(Blaster {
             count: 5,
@@ -1177,23 +1177,21 @@ mod tests {
             Bandwidth::gbps(100),
             SimTime::from_nanos(100),
         );
-        let mut plane = ChaosPlane::new(1);
-        plane.set_link(
-            blaster,
-            PortId(0),
-            LinkChaos {
-                pauses: vec![ChaosWindow {
-                    from: SimTime::ZERO,
-                    until: SimTime::from_micros(50),
-                }],
-                ..LinkChaos::default()
-            },
-        );
-        eng.set_interposer(Interposer::new(None, Some(plane)));
+        let mut ip = Interposer::default();
+        ip.arm_chaos(1);
+        let pauses = LinkChaos {
+            pauses: vec![Window {
+                from: SimTime::ZERO,
+                until: SimTime::from_micros(50),
+            }],
+            ..LinkChaos::default()
+        };
+        ip.set_chaos(blaster, PortId(0), pauses);
+        eng.set_interposer(ip);
         eng.schedule_timer(blaster, SimTime::ZERO, 0);
         let outcome = eng.run(None);
         assert!(outcome.is_quiescent());
-        let chaos = eng.interposer().chaos.as_ref().unwrap().stats;
+        let chaos = eng.interposer().chaos_stats().unwrap();
         assert_eq!(chaos.paused_frames, 5);
         assert_eq!(chaos.data_drops(), 0, "pause must not drop: {chaos:?}");
         // All five frames arrive (and echo back), but only after the pause.
@@ -1203,7 +1201,7 @@ mod tests {
 
     #[test]
     fn chaos_free_plane_leaves_runs_byte_identical() {
-        use crate::faults::{ChaosPlane, FaultPlane, Interposer, MirrorFaults};
+        use crate::faults::{Interposer, MirrorFaults};
         let run = |attach: Option<Interposer>| {
             let mut eng = Engine::new(42);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -1230,16 +1228,21 @@ mod tests {
             let o = eng.run(None);
             (*eng.stats(), o.end_time())
         };
-        // Planes with nothing marked, covered or frozen: every event and
-        // every transmit bypasses them without a draw.
+        // Faults and chaos armed with nothing marked, covered or frozen:
+        // every event and every transmit bypasses them without a draw.
         let mirror = MirrorFaults {
             loss_prob: 0.5,
             dup_prob: 0.5,
         };
-        let (faults, chaos) = (FaultPlane::new(7, mirror), ChaosPlane::new(7));
         let pristine = run(None);
         for (f, c) in [(false, true), (true, false), (true, true)] {
-            let armed = Interposer::new(f.then(|| faults.clone()), c.then(|| chaos.clone()));
+            let mut armed = Interposer::default();
+            if f {
+                armed.arm_faults(7, mirror);
+            }
+            if c {
+                armed.arm_chaos(7);
+            }
             assert_eq!(pristine, run(Some(armed)), "faults={f} chaos={c}");
         }
     }

@@ -34,13 +34,10 @@ pub mod time;
 pub mod wheel;
 
 pub use engine::{Engine, EngineStats, FrameStats, NodeCtx, NodeId, PortId, RunOutcome};
-pub use faults::{
-    BurstRegime, ChaosFate, ChaosPlane, ChaosStats, ChaosWindow, FaultPlane, FaultStats,
-    FreezeWindow, Gate, Interposer, LinkChaos, MirrorFaults,
-};
+pub use faults::{BurstRegime, ChaosStats, FaultStats, Gate, Interposer, LinkChaos, MirrorFaults};
 pub use link::Link;
 pub use rng::SimRng;
-pub use time::{Bandwidth, SimTime};
+pub use time::{Bandwidth, SimTime, Window};
 
 // Re-export the frame handle nodes exchange, so node implementations can
 // name it without depending on lumina-packet directly.

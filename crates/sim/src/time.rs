@@ -99,6 +99,23 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// A half-open `[from, until)` span of simulated time: when a freeze,
+/// stall, flap, pause or burst is in force.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// First instant inside (inclusive).
+    pub from: SimTime,
+    /// First instant past the end (exclusive).
+    pub until: SimTime,
+}
+
+impl Window {
+    /// True when `at` falls inside the window.
+    pub fn contains(&self, at: SimTime) -> bool {
+        at >= self.from && at < self.until
+    }
+}
+
 /// Link or port bandwidth in bits per second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Bandwidth(pub u64);

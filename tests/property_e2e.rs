@@ -68,8 +68,8 @@ fn back_to_back_outcome(
     use lumina_packet::MacAddr;
     use lumina_rnic::qp::{QpConfig, QpEndpoint};
     use lumina_rnic::{ets::EtsConfig, profile::DeviceProfile, Rnic};
-    use lumina_sim::faults::{BurstRegime, ChaosPlane, ChaosWindow, Interposer, LinkChaos};
-    use lumina_sim::{Bandwidth, Engine, NodeId, PortId, SimTime};
+    use lumina_sim::faults::{BurstRegime, Interposer, LinkChaos};
+    use lumina_sim::{Bandwidth, Engine, NodeId, PortId, SimTime, Window};
     use std::net::Ipv4Addr;
 
     let mut eng = Engine::new(seed);
@@ -115,16 +115,17 @@ fn back_to_back_outcome(
     assert_eq!(eng.add_node(Box::new(HostNode::new(req_rnic, requester, "requester"))), req_id);
     assert_eq!(eng.add_node(Box::new(HostNode::new(rsp_rnic, Role::Responder, "responder"))), rsp_id);
     eng.connect(req_id, PortId(0), rsp_id, PortId(0), Bandwidth::gbps(100), SimTime::from_micros(1));
-    let mut chaos = ChaosPlane::new(seed);
+    let mut chaos = Interposer::default();
+    chaos.arm_chaos(seed);
     let burst = BurstRegime {
-        window: ChaosWindow { from: SimTime::ZERO, until: SimTime::from_micros(40) },
+        window: Window { from: SimTime::ZERO, until: SimTime::from_micros(40) },
         loss_prob: 0.05,
         corrupt_prob: 0.02,
         reorder_prob: 0.05,
         reorder_delay: SimTime::from_micros(3),
     };
-    chaos.set_link(req_id, PortId(0), LinkChaos { bursts: vec![burst], ..LinkChaos::default() });
-    eng.set_interposer(Interposer::new(None, Some(chaos)));
+    chaos.set_chaos(req_id, PortId(0), LinkChaos { bursts: vec![burst], ..LinkChaos::default() });
+    eng.set_interposer(chaos);
     eng.schedule_timer(req_id, SimTime::ZERO, HostNode::start_token());
     let outcome = eng.run(Some(SimTime::from_secs(5)));
 
@@ -134,7 +135,7 @@ fn back_to_back_outcome(
     });
     let counters = hosts.each_ref().map(|h| &h.rnic.counters);
     let metrics = hosts.each_ref().map(|h| serde_json::to_string(&h.metrics).unwrap());
-    let chaos_stats = eng.interposer().chaos.as_ref().map(|p| p.stats);
+    let chaos_stats = eng.interposer().chaos_stats();
     format!("{outcome:?}\n{:?}\n{chaos_stats:?}\n{counters:?}\n{metrics:?}", eng.stats())
 }
 
