@@ -673,15 +673,12 @@ impl ChaosSection {
     /// deduplicated — the recovery oracle keys its per-window histograms
     /// to these.
     pub fn windows(&self) -> Vec<Window> {
-        let mut out: Vec<Window> = self
-            .links
-            .iter()
-            .flat_map(|l| {
-                let spans = l.flaps.iter().chain(&l.pauses).map(|w| (w.at_us, w.duration_us));
-                spans.chain(l.bursts.iter().map(|b| (b.at_us, b.duration_us)))
-            })
-            .map(|(at_us, duration_us)| window(at_us, duration_us))
-            .collect();
+        let mut out = Vec::new();
+        for l in &self.links {
+            let spans = l.flaps.iter().chain(&l.pauses).map(|w| (w.at_us, w.duration_us));
+            let bursts = l.bursts.iter().map(|b| (b.at_us, b.duration_us));
+            out.extend(spans.chain(bursts).map(|(at_us, duration_us)| window(at_us, duration_us)));
+        }
         out.sort_by_key(|w| (w.from, w.until));
         out.dedup();
         out

@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn marked_link_drops_and_duplicates_deterministically() {
-        use crate::faults::{Interposer, MirrorFaults};
+        use crate::faults::MirrorFaults;
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -896,7 +896,7 @@ mod tests {
 
     #[test]
     fn frozen_node_loses_frames_and_defers_timers() {
-        use crate::faults::{Interposer, MirrorFaults};
+        use crate::faults::MirrorFaults;
         // A ticker timer armed inside the freeze window must fire at the
         // thaw instant, not during the outage.
         struct Once {
@@ -1031,7 +1031,7 @@ mod tests {
         horizon: Option<u64>,
         limit: Option<u64>,
     ) -> Observed {
-        use crate::faults::{Interposer, MirrorFaults};
+        use crate::faults::MirrorFaults;
         const CHAINS: u64 = 6;
         let mut eng = Engine::new(3);
         let node = eng.add_node(Box::new(Rearm {
@@ -1111,7 +1111,7 @@ mod tests {
 
     #[test]
     fn chaos_flap_drops_in_flight_frames_and_replays() {
-        use crate::faults::{Interposer, LinkChaos};
+        use crate::faults::LinkChaos;
         let run = || {
             let mut eng = Engine::new(5);
             let blaster = eng.add_node(Box::new(Blaster {
@@ -1158,7 +1158,7 @@ mod tests {
 
     #[test]
     fn chaos_pause_delays_without_loss() {
-        use crate::faults::{Interposer, LinkChaos};
+        use crate::faults::LinkChaos;
         let mut eng = Engine::new(5);
         let blaster = eng.add_node(Box::new(Blaster {
             count: 5,
@@ -1201,7 +1201,7 @@ mod tests {
 
     #[test]
     fn chaos_free_plane_leaves_runs_byte_identical() {
-        use crate::faults::{Interposer, MirrorFaults};
+        use crate::faults::MirrorFaults;
         let run = |attach: Option<Interposer>| {
             let mut eng = Engine::new(42);
             let blaster = eng.add_node(Box::new(Blaster {
