@@ -586,17 +586,12 @@ fn build_switch(cfg: &TestConfig, conns: &[ConnMeta]) -> Result<SwitchNode, Erro
 }
 
 /// Add the dumper pool behind the switch's mirror ports, dumper `i` with
-/// `faults[i]`.
-fn add_dumpers(
-    cfg: &TestConfig,
-    eng: &mut Engine,
-    faults: Vec<Option<DumperFaults>>,
-) -> Vec<CaptureHandle> {
+/// `faults[i]` (none when `faults` is empty).
+fn add_dumpers(cfg: &TestConfig, eng: &mut Engine, faults: Vec<DumperFaults>) -> Vec<CaptureHandle> {
     let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
-    faults
-        .into_iter()
-        .enumerate()
-        .map(|(i, faults)| {
+    let mut faults = faults.into_iter();
+    (0..cfg.network.num_dumpers.max(1))
+        .map(|i| {
             let handle = capture_handle();
             let dumper = DumperNode::with_faults(
                 DumperConfig {
@@ -606,7 +601,7 @@ fn add_dumpers(
                     trim_bytes: lumina_dumper::TRIM_LEN,
                 },
                 handle.clone(),
-                faults,
+                faults.next(),
             );
             let id = eng.add_node(Box::new(dumper));
             debug_assert_eq!(id, NodeId(FIRST_DUMPER + i));
@@ -624,14 +619,14 @@ fn add_dumpers(
 }
 
 /// What the `faults:` and `chaos:` sections inject: the engine's
-/// interposer, and each dumper's local faults. A section that injects
-/// nothing arms nothing, so its run stays on the pristine path; one that
-/// does draws from its own seeded streams, so the simulated workload draws
-/// the same with and without it.
-fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<Option<DumperFaults>>), Error> {
+/// interposer, and each dumper's local faults (none unless `faults:` is
+/// armed). A section that injects nothing arms nothing, so its run stays on
+/// the pristine path; one that does draws from its own seeded streams, so
+/// the simulated workload draws the same with and without it.
+fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<DumperFaults>), Error> {
     let mut ip = Interposer::default();
     let dumpers = cfg.network.num_dumpers.max(1);
-    let mut dumper_faults = vec![None; dumpers];
+    let mut dumper_faults = Vec::new();
     if let Some(f) = cfg.faults.as_ref().filter(|f| !f.is_noop()) {
         let seed = f.seed.unwrap_or(cfg.network.seed);
         let mirror = MirrorFaults {
@@ -658,8 +653,8 @@ fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<Option<DumperFaults>>)
             };
             ip.add_freeze(node, window(fz.at_us, fz.duration_us));
         }
-        for (i, slot) in dumper_faults.iter_mut().enumerate() {
-            *slot = Some(DumperFaults {
+        dumper_faults = (0..dumpers)
+            .map(|i| DumperFaults {
                 bit_rot_prob: f.capture_bit_rot_prob,
                 stalls: f
                     .dumper_stalls
@@ -671,8 +666,8 @@ fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<Option<DumperFaults>>)
                     })
                     .collect(),
                 rng: faults::node_rng(seed, 0xd0_0000 + i as u64),
-            });
-        }
+            })
+            .collect();
     }
     if let Some(c) = cfg.chaos.as_ref().filter(|c| !c.is_noop()) {
         ip.arm_chaos(c.seed.unwrap_or(cfg.network.seed));
