@@ -238,7 +238,8 @@ pub struct Interposer {
     mirror: MirrorFaults,
     fault_rng: SimRng,
     chaos_rng: SimRng,
-    /// `Some` once faults are armed.
+    /// `Some` once faults are armed. Only an armed side marks links or
+    /// freezes nodes, so the instants that count find their side `Some`.
     fault_stats: Option<FaultStats>,
     /// `Some` once chaos is armed.
     chaos_stats: Option<ChaosStats>,
