@@ -587,7 +587,11 @@ fn build_switch(cfg: &TestConfig, conns: &[ConnMeta]) -> Result<SwitchNode, Erro
 
 /// Add the dumper pool behind the switch's mirror ports, dumper `i` with
 /// `faults[i]` (none when `faults` is empty).
-fn add_dumpers(cfg: &TestConfig, eng: &mut Engine, faults: Vec<DumperFaults>) -> Vec<CaptureHandle> {
+fn add_dumpers(
+    cfg: &TestConfig,
+    eng: &mut Engine,
+    faults: Vec<DumperFaults>,
+) -> Vec<CaptureHandle> {
     let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
     let mut faults = faults.into_iter();
     (0..cfg.network.num_dumpers.max(1))
