@@ -5,7 +5,7 @@
 #
 #   awk -f tools/loc.awk pass=1 FILES… pass=2 FILES…
 #
-# `-v per_file=1` prints each file's count before the total.
+# Give pass 2 one file for that file's count.
 
 function mod_name(line) {
     sub(/^(pub(\([a-z]+\))? )?mod /, "", line)
@@ -43,19 +43,11 @@ held {
         stop = 1
         next
     }
-    count[FILENAME]++
+    n++
 }
 
 /^#\[cfg\(test\)\]/ { held = 1; next }
 
-{ count[FILENAME]++ }
+{ n++ }
 
-END {
-    for (f in count) {
-        total += count[f]
-        if (per_file) {
-            print count[f], f
-        }
-    }
-    print total
-}
+END { print n + 0 }
