@@ -19,8 +19,9 @@
 //!
 //! Exit codes follow [`lumina_core::Error::exit_code`]: 0 success, 1 test
 //! ran but failed (integrity or incomplete traffic), 2 configuration,
-//! 3 I/O, 4 translation, 7 watchdog (5 and 6 are unused),
-//! 8 internal, 9 spec-conformance violations proven by the oracle,
+//! 3 I/O, 4 translation, 7 watchdog (the run exhausted its event budget,
+//! `network.max-events`; 5 and 6 are unused), 8 internal,
+//! 9 spec-conformance violations proven by the oracle,
 //! 10 unreadable capture (`ingest` found nothing to degrade into),
 //! 11 proven liveness failure (the recovery oracle caught a wedge).
 
@@ -78,7 +79,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let mut cfg = opts.load()?;
     // Tracing is the whole point of this subcommand: force it on, keeping
     // the capacity and budgets of the config's own `trace:` section.
-    cfg.trace.get_or_insert_with(Default::default).enabled = true;
+    cfg.trace.get_or_insert_with(Default::default);
     let results = run_test(&cfg)?;
     let report = TraceReport::of(&results);
     if opts.json {
@@ -280,19 +281,13 @@ fn ingest_cmd(args: &[String]) -> Result<ExitCode, Error> {
 /// The default subcommand: run one test and report.
 fn run_cmd(args: &[String]) -> Result<ExitCode, Error> {
     let opts = CommonOpts::parse(args).inspect_err(|_| eprint!("{}", cli::help()))?;
-    let retries: u32 = cli::numeric_flag(args, "--retries", 0)?;
-
     let cfg = opts.load()?;
     if cli::has_flag(args, "--validate") {
         println!("{}: configuration valid", opts.config_path);
         return Ok(ExitCode::SUCCESS);
     }
 
-    let policy = RetryPolicy {
-        max_attempts: retries.saturating_add(1),
-        ..RetryPolicy::default()
-    };
-    let results = run_supervised(&cfg, &policy)?;
+    let results = run_supervised(&cfg, &RetryPolicy::default())?;
     let report = RunReport::of(&results);
 
     if opts.json {

@@ -109,11 +109,6 @@ pub const SUBCOMMANDS: &[SubcommandSpec] = &[
                 value: Some("<out>"),
                 help: "also write the reconstructed trace as pcap\n(an unwritable <out> is an I/O error, exit 3)",
             },
-            FlagSpec {
-                name: "--retries",
-                value: Some("<n>"),
-                help: "retry watchdog/I-O-classified failures up to n extra\ntimes with backoff (default 0: fail fast)",
-            },
         ],
         notes: &[
             "Every run with a trace is graded by the spec-conformance oracle;",
@@ -588,7 +583,6 @@ mod tests {
             "--json",
             "--faults",
             "--quirks",
-            "--retries",
             "--coverage",
             "--corpus-dir",
             "--no-shrink",
@@ -638,7 +632,6 @@ mod tests {
             "--score",
             "--faults",
             "--quirks",
-            "--retries",
             "--corpus-dir",
             "--devices",
             "--chunk-events",

@@ -289,10 +289,6 @@ pub struct NetworkConfig {
     /// events. Absent = the engine's own 500 M safety limit.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub max_events: Option<u64>,
-    /// Watchdog: abort the run (exit code 7) after this much host wall
-    /// time, milliseconds. Absent = no wall-clock limit.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub max_wall_ms: Option<u64>,
 }
 
 fn default_seed() -> u64 {
@@ -331,7 +327,6 @@ impl Default for NetworkConfig {
             horizon_ms: default_horizon(),
             dumper_ring_capacity: default_ring_capacity(),
             max_events: None,
-            max_wall_ms: None,
         }
     }
 }
@@ -485,9 +480,6 @@ impl Deserialize for QuirksSection {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub struct TraceSection {
-    /// Master switch; present-but-disabled keeps the run pristine.
-    #[serde(default = "default_true")]
-    pub enabled: bool,
     /// Room the event log adds for packet hops, records: the ring holds
     /// the journal's 65 536 plus this, evicting the oldest when full.
     #[serde(default = "default_trace_capacity")]
@@ -501,23 +493,10 @@ pub struct TraceSection {
 impl Default for TraceSection {
     fn default() -> Self {
         TraceSection {
-            enabled: true,
             capacity: default_trace_capacity(),
             hop_budget_us: std::collections::BTreeMap::new(),
         }
     }
-}
-
-impl TraceSection {
-    /// True when the section records nothing — the orchestrator then
-    /// leaves the hop view off, keeping the run on the pristine path.
-    pub fn is_noop(&self) -> bool {
-        !self.enabled
-    }
-}
-
-fn default_true() -> bool {
-    true
 }
 
 fn default_trace_capacity() -> usize {
@@ -949,17 +928,19 @@ impl TestConfig {
             }
         }
         if self.network.dumper_ring_capacity == 0 {
-            problems.push("dumper-ring-capacity must be ≥ 1".into());
+            problems.push("network: dumper-ring-capacity must be ≥ 1".into());
         }
         if self.network.dumper_cores == 0 {
-            problems.push("dumper-cores must be ≥ 1".into());
+            problems.push("network: dumper-cores must be ≥ 1".into());
         }
-        if net.num_dumpers > MAX_DUMPER_CORES {
+        if net.num_dumpers == 0 {
+            problems.push("network: num-dumpers must be ≥ 1".into());
+        } else if net.num_dumpers > MAX_DUMPER_CORES {
             problems.push(format!(
                 "network: num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds; each dumper has at least one)",
                 net.num_dumpers
             ));
-        } else if net.dumper_cores.saturating_mul(net.num_dumpers.max(1)) > MAX_DUMPER_CORES {
+        } else if net.dumper_cores.saturating_mul(net.num_dumpers) > MAX_DUMPER_CORES {
             problems.push(format!(
                 "network: dumper-cores {} × num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds, each a receive ring and a counter)",
                 net.dumper_cores, net.num_dumpers
@@ -975,10 +956,10 @@ impl TestConfig {
             }
         }
         if self.network.dumper_core_rate_pps == 0 {
-            problems.push("dumper-core-rate-pps must be ≥ 1".into());
+            problems.push("network: dumper-core-rate-pps must be ≥ 1".into());
         }
         if self.network.max_events == Some(0) {
-            problems.push("max-events must be ≥ 1".into());
+            problems.push("network: max-events must be ≥ 1".into());
         }
         if let Some(faults) = &self.faults {
             let prob = |name: &str, p: f64, problems: &mut Vec<String>| {
@@ -1523,8 +1504,6 @@ quirks:
             !cfg.to_yaml().contains("trace:"),
             "skip-serializing must keep pristine configs pristine"
         );
-        // Default section = tracing on; explicit `enabled: false` = noop.
-        assert!(!TraceSection::default().is_noop());
     }
 
     #[test]
@@ -1544,7 +1523,6 @@ trace:
 "#;
         let cfg = TestConfig::from_yaml(yaml).unwrap();
         let trace = cfg.trace.as_ref().unwrap();
-        assert!(trace.enabled, "enabled defaults to true when present");
         assert_eq!(trace.capacity, 4096);
         assert_eq!(trace.hop_budget_us["link.ingress"], 10);
         assert!(cfg.problems().is_empty());
@@ -1573,11 +1551,6 @@ trace:
             problems.iter().any(|p| p.contains("hop-budget-us")),
             "{problems:?}"
         );
-        let off = TraceSection {
-            enabled: false,
-            ..TraceSection::default()
-        };
-        assert!(off.is_noop());
     }
 
     #[test]
@@ -1610,12 +1583,10 @@ traffic:
   message-size: 1024
 network:
   max-events: 1000000
-  max-wall-ms: 5000
   dumper-ring-capacity: 64
 "#;
         let cfg = TestConfig::from_yaml(yaml).unwrap();
         assert_eq!(cfg.network.max_events, Some(1_000_000));
-        assert_eq!(cfg.network.max_wall_ms, Some(5_000));
         assert_eq!(cfg.network.dumper_ring_capacity, 64);
         assert!(cfg.validate().is_ok());
         let mut bad = cfg.clone();
@@ -1623,11 +1594,16 @@ network:
         bad.network.max_events = Some(0);
         bad.network.dumper_cores = 0;
         bad.network.dumper_core_rate_pps = 0;
+        bad.network.num_dumpers = 0;
         let all = bad.problems().join("\n");
-        assert!(all.contains("dumper-ring-capacity"), "{all}");
-        assert!(all.contains("max-events"), "{all}");
-        assert!(all.contains("dumper-cores must be ≥ 1"), "{all}");
-        assert!(all.contains("dumper-core-rate-pps must be ≥ 1"), "{all}");
+        assert!(all.contains("network: dumper-ring-capacity"), "{all}");
+        assert!(all.contains("network: max-events"), "{all}");
+        assert!(all.contains("network: dumper-cores must be ≥ 1"), "{all}");
+        assert!(
+            all.contains("network: dumper-core-rate-pps must be ≥ 1"),
+            "{all}"
+        );
+        assert!(all.contains("network: num-dumpers must be ≥ 1"), "{all}");
     }
 
     #[test]

@@ -28,23 +28,20 @@ pub enum Error {
         /// The underlying OS error.
         source: std::io::Error,
     },
-    /// The run supervisor killed the simulation: event budget or
-    /// wall-clock limit exceeded. Classified as an infrastructure fault —
-    /// [`run_supervised`](crate::orchestrator::run_supervised) retries it.
+    /// The run exhausted its event budget (`network.max-events`, else the
+    /// engine's own safety limit): a livelock, not a result. Whether it
+    /// fires depends on the config and seed alone.
     Watchdog(String),
     /// An invariant the orchestrator relies on was violated (a node
     /// downcast to the wrong type, a report that would not serialize).
-    /// Never retried: this is a bug, not weather.
     Internal(String),
     /// The run itself succeeded but the conformance oracle proved the
-    /// device under test violated the RC specification. Not an
-    /// infrastructure fault: rerunning the same seed reproduces it.
+    /// device under test violated the RC specification.
     Violations(String),
     /// The recovery oracle proved a liveness failure: posted work neither
     /// completed nor was accounted with a typed reason, a QP wedged with
     /// unacked PSNs and no live timer, or retransmit amplification blew
-    /// its per-window bound. Not an infrastructure fault: the same seed
-    /// reproduces the same wedge.
+    /// its per-window bound.
     Liveness(String),
     /// A capture file could not be ingested at all — the pcap header was
     /// unreadable or the very first record was malformed, so there is
@@ -97,13 +94,6 @@ impl Error {
             Error::Ingest { .. } => 10,
             Error::Liveness(_) => 11,
         }
-    }
-
-    /// True for failures caused by the (simulated or real) infrastructure
-    /// rather than the configuration or the code: a supervised run may
-    /// retry these with a reseeded fault schedule and succeed.
-    pub fn is_infra_fault(&self) -> bool {
-        matches!(self, Error::Watchdog(_) | Error::Io { .. })
     }
 }
 
@@ -185,27 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn infra_fault_classification() {
-        assert!(Error::Watchdog("stuck".into()).is_infra_fault());
-        assert!(Error::Io {
-            path: "p".into(),
-            source: std::io::Error::other("flaky disk"),
-        }
-        .is_infra_fault());
-        assert!(!Error::config("bad mtu").is_infra_fault());
-        assert!(!Error::internal("wrong downcast").is_infra_fault());
-        assert!(!Error::Translate("t".into()).is_infra_fault());
-        assert!(
-            !Error::Violations("dut bug".into()).is_infra_fault(),
-            "violations reproduce on retry — retrying is pointless"
-        );
-        assert!(
-            !Error::Liveness("qp 2 stuck".into()).is_infra_fault(),
-            "a proven wedge reproduces on retry — retrying is pointless"
-        );
-    }
-
-    #[test]
     fn liveness_gets_exit_code_11() {
         let e = Error::Liveness("1 message unaccounted on qp 1".into());
         assert_eq!(e.exit_code(), 11);
@@ -222,7 +191,6 @@ mod tests {
             msg: "block length 7 not a multiple of 4".into(),
         };
         assert_eq!(e.exit_code(), 10);
-        assert!(!e.is_infra_fault(), "a rotten file reproduces on retry");
         let s = e.to_string();
         assert!(s.contains("bad.pcapng"), "{s}");
         assert!(s.contains("offset 1028"), "{s}");

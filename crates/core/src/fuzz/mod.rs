@@ -125,7 +125,7 @@ pub enum RejectReason {
     InvalidConfig,
     /// The run (or the scorer) panicked; caught and isolated.
     Panic,
-    /// The watchdog killed the run (event budget or wall clock).
+    /// The watchdog killed the run: it exhausted its event budget.
     Watchdog,
     /// Any other `run_test` error.
     RunError,

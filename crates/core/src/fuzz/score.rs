@@ -6,59 +6,43 @@ use crate::config::TestConfig;
 use crate::orchestrator::TestResults;
 use lumina_sim::SimTime;
 
-/// Weights for the default anomaly objectives.
-#[derive(Debug, Clone)]
-pub struct ScoreWeights {
-    /// Per discarded RX packet (pipeline stalls, overloads).
-    pub rx_discard: f64,
-    /// Per retransmission timeout.
-    pub timeout: f64,
-    /// Per counter inconsistency found by the counter analyzer.
-    pub counter_inconsistency: f64,
-    /// Per failed (retry-exhausted) message.
-    pub failed_message: f64,
-    /// Per millisecond of worst-case innocent-flow MCT inflation.
-    pub innocent_mct_ms: f64,
-}
-
-impl Default for ScoreWeights {
-    fn default() -> Self {
-        ScoreWeights {
-            rx_discard: 0.01,
-            timeout: 2.0,
-            counter_inconsistency: 25.0,
-            failed_message: 10.0,
-            innocent_mct_ms: 1.0,
-        }
-    }
-}
+// Weights of the default anomaly objectives.
+/// Per discarded RX packet (pipeline stalls, overloads).
+const W_RX_DISCARD: f64 = 0.01;
+/// Per retransmission timeout.
+const W_TIMEOUT: f64 = 2.0;
+/// Per counter inconsistency found by the counter analyzer.
+const W_COUNTER_INCONSISTENCY: f64 = 25.0;
+/// Per failed (retry-exhausted) message.
+const W_FAILED_MESSAGE: f64 = 10.0;
+/// Per millisecond of worst-case innocent-flow MCT inflation.
+const W_INNOCENT_MCT_MS: f64 = 1.0;
 
 /// The general-purpose anomaly score ("finding bugs in a network setting"),
 /// combining discards, timeouts, counter lies and failures.
 pub fn default_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
-    let w = ScoreWeights::default();
     let mut score = 0.0;
     let mut notes = Vec::new();
 
     let discards = res.requester_counters.rx_discards_phy + res.responder_counters.rx_discards_phy;
     if discards > 0 {
-        score += w.rx_discard * discards as f64;
+        score += W_RX_DISCARD * discards as f64;
         notes.push(format!("{discards} rx discards"));
     }
     let timeouts =
         res.requester_counters.local_ack_timeout_err + res.responder_counters.local_ack_timeout_err;
     if timeouts > 0 {
-        score += w.timeout * timeouts as f64;
+        score += W_TIMEOUT * timeouts as f64;
         notes.push(format!("{timeouts} timeouts"));
     }
     let inconsistencies = counter::analyze(res).len();
     if inconsistencies > 0 {
-        score += w.counter_inconsistency * inconsistencies as f64;
+        score += W_COUNTER_INCONSISTENCY * inconsistencies as f64;
         notes.push(format!("{inconsistencies} counter inconsistencies"));
     }
     let failed: u32 = res.requester_metrics.flows.values().map(|f| f.failed).sum();
     if failed > 0 {
-        score += w.failed_message * failed as f64;
+        score += W_FAILED_MESSAGE * failed as f64;
         notes.push(format!("{failed} failed messages"));
     }
     let _ = cfg;
@@ -70,7 +54,6 @@ pub fn default_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
 /// connections"): measures degradation of *innocent* flows, i.e. flows no
 /// event was injected on.
 pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String) {
-    let w = ScoreWeights::default();
     let victims: std::collections::HashSet<u32> =
         cfg.traffic.data_pkt_events.iter().map(|e| e.qpn).collect();
     let mut worst_innocent_mct = SimTime::ZERO;
@@ -86,9 +69,9 @@ pub fn noisy_neighbor_score(cfg: &TestConfig, res: &TestResults) -> (f64, String
             innocent_failures += f.failed;
         }
     }
-    let score = w.innocent_mct_ms * worst_innocent_mct.as_millis_f64()
-        + w.failed_message * innocent_failures as f64
-        + w.rx_discard
+    let score = W_INNOCENT_MCT_MS * worst_innocent_mct.as_millis_f64()
+        + W_FAILED_MESSAGE * innocent_failures as f64
+        + W_RX_DISCARD
             * (res.requester_counters.rx_discards_phy + res.responder_counters.rx_discards_phy)
                 as f64;
     (

@@ -23,14 +23,13 @@ use lumina_rnic::{DeviceProfile, QuirkPlane, QuirkStats, Rnic, Verb};
 use lumina_sim::telemetry::{EventLog, SelfProfile, TraceSummary};
 use lumina_sim::{
     faults, ChaosStats, Engine, EngineStats, FaultStats, FrameStats, Interposer, MirrorFaults,
-    Node, NodeId, PortId, RunOutcome, SimRng, SimTime, Telemetry,
+    Node, NodeId, PortId, RunOutcome, SimTime, Telemetry,
 };
 use lumina_switch::device::{MirrorMode, SwitchConfig, SwitchCounters, SwitchNode};
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::time::Duration;
 
 pub use lumina_packet::MacAddr;
 
@@ -317,8 +316,8 @@ pub fn node_names(cfg: &TestConfig) -> BTreeMap<u32, String> {
         (RESPONDER, "responder"),
         (SWITCH, "switch"),
     ];
-    let dumpers = (0..cfg.network.num_dumpers.max(1))
-        .map(|i| ((FIRST_DUMPER + i) as u32, format!("dumper-{i}")));
+    let dumpers =
+        (0..cfg.network.num_dumpers).map(|i| ((FIRST_DUMPER + i) as u32, format!("dumper-{i}")));
     fixed
         .into_iter()
         .map(|(id, name)| (id.0 as u32, name.to_string()))
@@ -373,7 +372,7 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     // on the thread before, traced or not. Lifecycle tracing arms only on
     // request.
     let baseline = lumina_packet::buf::next_trace_id();
-    match cfg.trace.as_ref().filter(|t| !t.is_noop()) {
+    match &cfg.trace {
         Some(t) => tel.enable_tracing(t.capacity, baseline),
         None => tel.set_trace_baseline(baseline),
     }
@@ -420,12 +419,9 @@ fn build(cfg: &TestConfig) -> Result<Testbed, Error> {
     let (interposer, dumper_faults) = adversary(cfg)?;
     let dumpers = add_dumpers(cfg, &mut eng, dumper_faults);
     eng.set_interposer(interposer);
-    // The watchdog limits that supervise the run, if configured.
+    // The event budget that supervises the run, if configured.
     if let Some(max_events) = cfg.network.max_events {
         eng.event_limit = max_events;
-    }
-    if let Some(max_wall_ms) = cfg.network.max_wall_ms {
-        eng.wall_clock_limit = Some(Duration::from_millis(max_wall_ms));
     }
     Ok(Testbed {
         cfg: cfg.clone(),
@@ -555,7 +551,7 @@ fn build_switch(cfg: &TestConfig, conns: &[ConnMeta]) -> Result<SwitchNode, Erro
         forward.insert(c.responder.ip, PortId(1));
     }
     let lumina = |forward| {
-        let dumper_ports = (0..cfg.network.num_dumpers.max(1))
+        let dumper_ports = (0..cfg.network.num_dumpers)
             .map(|i| (dumper_port(i), 1u32))
             .collect();
         SwitchConfig::lumina(forward, dumper_ports)
@@ -594,7 +590,7 @@ fn add_dumpers(
 ) -> Vec<CaptureHandle> {
     let prop = SimTime::from_nanos(cfg.network.propagation_delay_ns);
     let mut faults = faults.into_iter();
-    (0..cfg.network.num_dumpers.max(1))
+    (0..cfg.network.num_dumpers)
         .map(|i| {
             let handle = capture_handle();
             let dumper = DumperNode::with_faults(
@@ -629,7 +625,7 @@ fn add_dumpers(
 /// the simulated workload draws the same with and without it.
 fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<DumperFaults>), Error> {
     let mut ip = Interposer::default();
-    let dumpers = cfg.network.num_dumpers.max(1);
+    let dumpers = cfg.network.num_dumpers;
     let mut dumper_faults = Vec::new();
     if let Some(f) = cfg.faults.as_ref().filter(|f| !f.is_noop()) {
         let seed = f.seed.unwrap_or(cfg.network.seed);
@@ -693,7 +689,7 @@ fn adversary(cfg: &TestConfig) -> Result<(Interposer, Vec<DumperFaults>), Error>
 }
 
 /// Stage 2: start the requester and run the engine to quiescence or the
-/// horizon. A run the watchdog had to kill is [`Error::Watchdog`].
+/// horizon. A run that exhausts its event budget is [`Error::Watchdog`].
 fn simulate(bed: &mut Testbed) -> Result<RunOutcome, Error> {
     let Testbed { cfg, eng, .. } = bed;
     eng.schedule_timer(REQUESTER, SimTime::from_micros(1), HostNode::start_token());
@@ -702,11 +698,6 @@ fn simulate(bed: &mut Testbed) -> Result<RunOutcome, Error> {
         RunOutcome::EventLimit { end } => Err(Error::Watchdog(format!(
             "event budget of {} exhausted at t={} ns",
             eng.event_limit,
-            end.as_nanos()
-        ))),
-        RunOutcome::WallClockExceeded { end } => Err(Error::Watchdog(format!(
-            "wall-clock limit of {} ms exceeded at t={} ns",
-            cfg.network.max_wall_ms.unwrap_or(0),
             end.as_nanos()
         ))),
         RunOutcome::Quiescent { .. } | RunOutcome::HorizonReached { .. } => Ok(outcome),
@@ -876,105 +867,24 @@ fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     ));
 }
 
-/// Salt separating the retry-jitter stream from every other consumer of
-/// the workload seed.
-const RETRY_JITTER_SALT: u64 = 0x4a17_7e5b_ac0f_f5a1;
-
-/// How [`run_supervised`] reacts to infrastructure-classified failures.
-#[derive(Debug, Clone)]
+/// Kept only because the benchmark (`benchmark/src/traced.rs`) names it:
+/// nothing reads `max_attempts`, since a simulated run is a pure function
+/// of its config and seed and a second attempt would replay the first.
+/// The benchmark's re-issue (ROADMAP item 5) deletes the type.
+#[derive(Debug, Clone, Default)]
 pub struct RetryPolicy {
-    /// Total attempts, including the first (≥ 1).
+    /// Unused; see the type's doc.
     pub max_attempts: u32,
-    /// Sleep before the first retry; doubles per subsequent retry.
-    pub backoff: Duration,
-    /// Upper bound on any single backoff sleep, applied before jitter.
-    /// No magic shift cap: the doubling runs free and this clamps it.
-    pub backoff_cap: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is stretched by up to this
-    /// fraction. The stretch is *deterministic* — drawn from a [`SimRng`]
-    /// keyed on the workload seed and attempt index — so a supervised run
-    /// sleeps identically on replay while distinct seeds still desynchronize
-    /// their retry storms.
-    pub jitter: f64,
-    /// Bump the fault-schedule seed on each retry so a run killed by an
-    /// unlucky fault draw gets fresh weather instead of a replay of the
-    /// same storm. The workload seed is never touched.
-    pub reseed_faults: bool,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_millis(800),
-            jitter: 0.25,
-            reseed_faults: true,
-        }
+/// Run one test once, catching a panic inside the run and surfacing it as
+/// [`Error::Internal`]; every other failure passes through unchanged.
+pub fn run_supervised(cfg: &TestConfig, _policy: &RetryPolicy) -> Result<TestResults, Error> {
+    match run_caught(cfg) {
+        Ok(results) => Ok(results),
+        Err(EvalFailure::Error(e)) => Err(e),
+        Err(EvalFailure::Panic(msg)) => Err(Error::internal(format!("run panicked: {msg}"))),
     }
-}
-
-impl RetryPolicy {
-    /// The sleep before retry `attempt` (1-based) of a run seeded with
-    /// `seed`: exponential from [`RetryPolicy::backoff`], clamped to
-    /// [`RetryPolicy::backoff_cap`], then stretched by the deterministic
-    /// jitter draw. Pure — same inputs, same delay.
-    pub fn backoff_delay(&self, attempt: u32, seed: u64) -> Duration {
-        let shift = attempt.saturating_sub(1).min(20);
-        let exp = self.backoff.saturating_mul(1u32 << shift);
-        let capped = exp.min(self.backoff_cap);
-        let mix = (seed ^ RETRY_JITTER_SALT)
-            .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let frac = SimRng::seed_from_u64(mix).unit_f64();
-        capped.mul_f64(1.0 + self.jitter.clamp(0.0, 1.0) * frac)
-    }
-}
-
-/// Run one test under supervision: panics inside the run are caught and
-/// surfaced as [`Error::Internal`], and failures classified as
-/// infrastructure faults ([`Error::is_infra_fault`] — watchdog kills, I/O)
-/// are retried with exponential backoff up to the policy's attempt budget.
-/// Config, translation and engine errors fail fast: retrying a bug is
-/// just the same bug, slower.
-pub fn run_supervised(cfg: &TestConfig, policy: &RetryPolicy) -> Result<TestResults, Error> {
-    let mut cfg = cfg.clone();
-    let base_fault_seed = cfg
-        .faults
-        .as_ref()
-        .and_then(|f| f.seed)
-        .unwrap_or(cfg.network.seed);
-    let attempts = policy.max_attempts.max(1);
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            let delay = policy.backoff_delay(attempt, cfg.network.seed);
-            eprintln!(
-                "supervisor: retry {attempt}/{} after infra fault ({}); backing off {:.0}ms",
-                attempts - 1,
-                last_err
-                    .as_ref()
-                    .map_or_else(|| "unknown".to_string(), |e: &Error| e.to_string()),
-                delay.as_secs_f64() * 1_000.0,
-            );
-            std::thread::sleep(delay);
-            if policy.reseed_faults {
-                if let Some(f) = cfg.faults.as_mut() {
-                    f.seed = Some(base_fault_seed.wrapping_add(attempt as u64));
-                }
-            }
-        }
-        match run_caught(&cfg) {
-            Ok(results) => return Ok(results),
-            Err(EvalFailure::Error(e)) if e.is_infra_fault() && attempt + 1 < attempts => {
-                last_err = Some(e)
-            }
-            Err(EvalFailure::Error(e)) => return Err(e),
-            Err(EvalFailure::Panic(msg)) => {
-                return Err(Error::internal(format!("run panicked: {msg}")))
-            }
-        }
-    }
-    Err(last_err.unwrap_or_else(|| Error::internal("supervised run loop made no attempts")))
 }
 
 #[cfg(test)]
@@ -1002,7 +912,7 @@ mod tests {
     fn build_lays_the_nodes_out_at_the_fixed_ids_for_every_preset() {
         for (name, cfg) in presets() {
             let mut bed = build(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let n = cfg.network.num_dumpers.max(1);
+            let n = cfg.network.num_dumpers;
             assert_eq!(bed.dumpers.len(), n, "{name}");
             assert_eq!(bed.eng.node_count(), FIRST_DUMPER + n, "{name}");
             let eng = &mut bed.eng;

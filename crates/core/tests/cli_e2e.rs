@@ -86,7 +86,8 @@ fn exit_codes_are_typed() {
 /// reorder delay whose nanoseconds overflow (exit 8 on dev; a wrapped value
 /// and exit 0 or 11 on release), a connection count with more connections
 /// than UDP source ports, and a dumper with no cores or no service rate.
-/// All are exit 2 now, naming the field.
+/// All are exit 2 now, naming the field, as are the keys that are gone and
+/// a network with no dumper.
 #[test]
 fn hostile_window_arithmetic_is_a_config_error() {
     let max = "18446744073709551615";
@@ -137,13 +138,35 @@ fn hostile_window_arithmetic_is_a_config_error() {
             "listing2",
             "traffic:",
             "network:\n  dumper-cores: 0\ntraffic:".to_string(),
-            "dumper-cores must be ≥ 1".to_string(),
+            "network: dumper-cores must be ≥ 1".to_string(),
         ),
         (
             "listing2",
             "traffic:",
             "network:\n  dumper-core-rate-pps: 0\ntraffic:".to_string(),
-            "dumper-core-rate-pps must be ≥ 1".to_string(),
+            "network: dumper-core-rate-pps must be ≥ 1".to_string(),
+        ),
+        // `num-dumpers: 0` built one dumper, yet rejected a freeze of
+        // dumper 0 as out of range.
+        (
+            "listing2",
+            "traffic:",
+            "network:\n  num-dumpers: 0\ntraffic:".to_string(),
+            "network: num-dumpers must be ≥ 1".to_string(),
+        ),
+        // The wall-clock watchdog fired or not with host load, and
+        // `trace: {enabled: false}` meant no `trace:` at all.
+        (
+            "listing2",
+            "traffic:",
+            "network:\n  max-wall-ms: 5\ntraffic:".to_string(),
+            "network: unknown field `max-wall-ms`".to_string(),
+        ),
+        (
+            "listing2",
+            "traffic:",
+            "trace:\n  enabled: false\ntraffic:".to_string(),
+            "trace: unknown field `enabled`".to_string(),
         ),
     ] {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
@@ -188,23 +211,37 @@ fn run_report_matches_its_goldens() {
 
 #[test]
 fn unknown_flags_are_config_errors_naming_the_flag() {
-    // `--worker` is a typo for `--workers`; it used to be ignored (exit 0
-    // on one worker).
-    let typo = [
-        "matrix",
-        "--config",
-        "configs/matrix_demo.yaml",
-        "--worker",
-        "4",
-    ];
-    let out = cli(&typo);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "nothing may run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--worker") && stderr.contains("matrix"),
-        "{stderr}"
-    );
+    for (args, flag, sub) in [
+        // `--worker` is a typo for `--workers`; it used to be ignored
+        // (exit 0 on one worker).
+        (
+            &[
+                "matrix",
+                "--config",
+                "configs/matrix_demo.yaml",
+                "--worker",
+                "4",
+            ][..],
+            "--worker",
+            "matrix",
+        ),
+        // `--retries` re-ran a failed run, which replays the same seed to
+        // the same verdict; it is gone.
+        (
+            &["configs/listing2.yaml", "--retries", "1"][..],
+            "--retries",
+            "run",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for `{sub}`")),
+            "{stderr}"
+        );
+    }
 
     // `--config` is a common flag, but `soak` sweeps `--configs <dir>`:
     // the one-letter typo used to soak the default directory and exit 0.

@@ -11,7 +11,6 @@ use lumina_packet::{frame::line_occupancy_of, Frame};
 use lumina_telemetry::trace::hops as trace_hops;
 use lumina_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
 /// Identifies a node within an [`Engine`].
 #[derive(
@@ -113,12 +112,6 @@ pub enum RunOutcome {
         /// Time at which the limit tripped.
         end: SimTime,
     },
-    /// The wall-clock watchdog ([`Engine::wall_clock_limit`]) tripped: the
-    /// run burned more real time than the supervisor allowed.
-    WallClockExceeded {
-        /// Simulation time at which the watchdog fired.
-        end: SimTime,
-    },
 }
 
 impl RunOutcome {
@@ -127,8 +120,7 @@ impl RunOutcome {
         match self {
             RunOutcome::Quiescent { end }
             | RunOutcome::HorizonReached { end }
-            | RunOutcome::EventLimit { end }
-            | RunOutcome::WallClockExceeded { end } => end,
+            | RunOutcome::EventLimit { end } => end,
         }
     }
 
@@ -159,11 +151,6 @@ pub struct Engine {
     queue_hwm: usize,
     /// Safety valve against livelocked simulations.
     pub event_limit: u64,
-    /// Wall-clock watchdog: checked every few thousand events; tripping
-    /// it ends the run with [`RunOutcome::WallClockExceeded`]. `None`
-    /// (the default) disables the check entirely, keeping fault-free runs
-    /// on the exact code path the goldens were recorded on.
-    pub wall_clock_limit: Option<Duration>,
     /// The seam faults and chaos act through; arms nothing by default.
     interposer: Interposer,
     /// The one `Effects` every dispatch fills and `apply` drains; empty
@@ -191,7 +178,6 @@ impl Engine {
             telemetry: Telemetry::disabled(),
             queue_hwm: 0,
             event_limit: 500_000_000,
-            wall_clock_limit: None,
             interposer: Interposer::default(),
             effects: Effects::default(),
             #[cfg(test)]
@@ -341,17 +327,9 @@ impl Engine {
     /// Run until the queue drains, `horizon` passes, or the event limit
     /// trips. Afterwards every node's [`Node::on_finish`] hook runs once.
     pub fn run(&mut self, horizon: Option<SimTime>) -> RunOutcome {
-        let wall_start = self.wall_clock_limit.map(|_| Instant::now());
         let outcome = loop {
             if self.stats.events >= self.event_limit {
                 break RunOutcome::EventLimit { end: self.now };
-            }
-            if let (Some(limit), Some(start)) = (self.wall_clock_limit, wall_start) {
-                // Checked once per few thousand events: cheap enough to
-                // leave on, coarse enough not to perturb throughput.
-                if self.stats.events & 0xfff == 0 && start.elapsed() >= limit {
-                    break RunOutcome::WallClockExceeded { end: self.now };
-                }
             }
             let Some(ev) = self.peek_next() else {
                 break RunOutcome::Quiescent { end: self.now };
@@ -1245,26 +1223,6 @@ mod tests {
             }
             assert_eq!(pristine, run(Some(armed)), "faults={f} chaos={c}");
         }
-    }
-
-    #[test]
-    fn wall_clock_watchdog_trips_on_a_livelock() {
-        let mut eng = Engine::new(1);
-        struct Spinner;
-        impl Node for Spinner {
-            fn on_frame(&mut self, _: PortId, _: Frame, _: &mut NodeCtx<'_>) {}
-            fn on_timer(&mut self, t: u64, ctx: &mut NodeCtx<'_>) {
-                ctx.set_timer(SimTime::ZERO, t);
-            }
-        }
-        let n = eng.add_node(Box::new(Spinner));
-        eng.schedule_timer(n, SimTime::ZERO, 0);
-        eng.wall_clock_limit = Some(Duration::from_millis(20));
-        let outcome = eng.run(None);
-        assert!(
-            matches!(outcome, RunOutcome::WallClockExceeded { .. }),
-            "{outcome:?}"
-        );
     }
 
     #[test]

@@ -184,11 +184,8 @@ const CLOCK_US: u64 = u64::MAX / 1_000;
 /// The exit `lumina-cli <cfg>` ends in: a typed error's code, else the run
 /// report's verdict.
 fn exit_of(cfg: &TestConfig) -> u8 {
-    let once = RetryPolicy {
-        max_attempts: 1,
-        ..RetryPolicy::default()
-    };
-    match run_supervised(cfg, &once).and_then(|res| RunReport::of(&res).verdict()) {
+    match run_supervised(cfg, &RetryPolicy::default()).and_then(|res| RunReport::of(&res).verdict())
+    {
         Ok(passed) => u8::from(!passed),
         Err(e) => e.exit_code(),
     }

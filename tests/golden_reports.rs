@@ -469,7 +469,7 @@ fn trace_free_reports_never_gain_a_trace_key() {
     for (name, cfg) in corpus() {
         let golden = std::fs::read_to_string(golden_dir().join(format!("{name}.json")))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        if cfg.trace.as_ref().is_some_and(|t| !t.is_noop()) {
+        if cfg.trace.is_some() {
             assert!(
                 golden.contains("\"trace\":"),
                 "{name}: traced preset lost its trace dissection"

@@ -1,13 +1,12 @@
 //! Degrade-don't-die, end to end: an under-provisioned capture pool
 //! yields a *degraded* report (never an absent one), the event-budget
 //! watchdog turns a runaway run into a typed error with its own exit
-//! code, and `run_supervised` retries infra-classified failures a
-//! bounded number of times.
+//! code, and `run_supervised` is a single attempt that leaves a clean run
+//! untouched.
 
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::{run_supervised, run_test, RetryPolicy};
 use lumina_core::Error;
-use std::time::Duration;
 
 fn base_cfg() -> TestConfig {
     TestConfig::from_yaml(
@@ -75,30 +74,6 @@ fn event_budget_watchdog_is_a_typed_error_with_exit_code_7() {
         other => panic!("expected Watchdog, got {other:?}"),
     }
     assert_eq!(err.exit_code(), 7);
-    assert!(err.is_infra_fault(), "watchdog kills are retryable");
-}
-
-#[test]
-fn run_supervised_retries_watchdogs_a_bounded_number_of_times() {
-    let mut cfg = base_cfg();
-    cfg.network.max_events = Some(10);
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        backoff: Duration::from_millis(1),
-        reseed_faults: true,
-        ..RetryPolicy::default()
-    };
-    let started = std::time::Instant::now();
-    let err = match run_supervised(&cfg, &policy) {
-        Err(e) => e,
-        Ok(_) => panic!("budget never grows"),
-    };
-    assert_eq!(err.exit_code(), 7, "the final watchdog error surfaces");
-    // Bounded: three tiny runs plus 1ms + 2ms of backoff, not forever.
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "supervision must give up after max_attempts"
-    );
 }
 
 #[test]
@@ -110,55 +85,5 @@ fn run_supervised_passes_a_clean_run_through_untouched() {
         serde_json::to_string(&supervised.report_json().unwrap()).unwrap(),
         serde_json::to_string(&direct.report_json().unwrap()).unwrap(),
         "supervision is transparent on the happy path"
-    );
-}
-
-#[test]
-fn backoff_delay_is_capped_jittered_and_deterministic() {
-    let policy = RetryPolicy {
-        backoff: Duration::from_millis(50),
-        backoff_cap: Duration::from_millis(200),
-        jitter: 0.25,
-        ..RetryPolicy::default()
-    };
-    // Deterministic: same (attempt, seed) → same delay, every time.
-    for attempt in 1..6u32 {
-        assert_eq!(
-            policy.backoff_delay(attempt, 7),
-            policy.backoff_delay(attempt, 7)
-        );
-    }
-    // Exponential then clamped: attempt 10 would be 50ms << 9 = 25.6s
-    // un-capped; the cap plus ≤25% jitter bounds it to 250ms.
-    let late = policy.backoff_delay(10, 7);
-    assert!(late >= Duration::from_millis(200), "{late:?}");
-    assert!(late <= Duration::from_millis(250), "{late:?}");
-    // The first sleep stays near the base, never below it.
-    let first = policy.backoff_delay(1, 7);
-    assert!(first >= Duration::from_millis(50), "{first:?}");
-    assert!(first <= Duration::from_millis(63), "{first:?}");
-    // Distinct seeds desynchronize their retry storms.
-    assert_ne!(policy.backoff_delay(3, 1), policy.backoff_delay(3, 2));
-}
-
-#[test]
-fn config_errors_are_never_retried() {
-    let mut cfg = base_cfg();
-    cfg.traffic.rdma_verb = "teleport".into();
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        backoff: Duration::from_secs(60), // would be felt if retried
-        reseed_faults: false,
-        ..RetryPolicy::default()
-    };
-    let started = std::time::Instant::now();
-    let err = match run_supervised(&cfg, &policy) {
-        Err(e) => e,
-        Ok(_) => panic!("invalid verb must be rejected"),
-    };
-    assert_eq!(err.exit_code(), 2);
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "non-infra failures must fail fast, not back off"
     );
 }
