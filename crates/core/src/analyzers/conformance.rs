@@ -25,12 +25,16 @@
 //! view ([`super::gbn_fsm`]), whose expected PSN, last delivered PSN, sender
 //! frontier and NACK-PSN comparison are the replay's own; in both modes it
 //! feeds each connection's retransmission breakdowns
-//! ([`super::retrans_perf`]) and tallies the trace's CNPs and CE marks.
+//! ([`super::retrans_perf`]), the counter analyzer's tally ([`super::counter`])
+//! and, armed, the recovery oracle's view ([`super::recovery`]), and tallies
+//! the trace's CNPs and CE marks.
 //! `GbnView` keeps only what its rules add. Each rule outcome taken is one
 //! bit of the replay's [`Decisions`], the spec coverage the fuzzer steers by
 //! (DESIGN.md §11); recording adds no rule and moves no verdict.
 
+use super::counter::CounterTally;
 use super::gbn_fsm::{ConnGbnReport, GbnReport};
+use super::recovery::RecoveryView;
 use super::retrans_perf::{RetransBreakdown, RetransView};
 use super::Routes;
 use crate::orchestrator::TestResults;
@@ -381,6 +385,8 @@ pub struct ConformanceOpts {
     /// confound (ACKs beyond the sender frontier, CNPs with no CE marks)
     /// stay live.
     pub external_loss: bool,
+    /// Feed [`ReplayViews::recovery`]: a `chaos:` section schedules something.
+    pub recovery: bool,
 }
 
 impl ConformanceOpts {
@@ -400,6 +406,7 @@ impl ConformanceOpts {
                 || res
                     .fault_stats
                     .is_some_and(|fs| fs.frames_dropped_frozen > 0),
+            recovery: res.cfg.chaos.as_ref().is_some_and(|c| !c.is_noop()),
         }
     }
 }
@@ -434,6 +441,8 @@ struct ConnState {
     loss_overflow: bool,
     /// One past the highest response PSN any read request asked for.
     read_frontier: Option<u32>,
+    /// Read requests below `read_frontier`: `read.reissued` taken.
+    rereads: u64,
     /// The decisions this connection's replay took.
     seen: Decisions,
     /// The Go-back-N view of this replay; `None` in discovery mode, whose
@@ -470,6 +479,10 @@ pub struct ReplayViews {
     pub cnp_total: u64,
     /// Data packets the injector CE-marked.
     pub ce_marked: u64,
+    /// What the counter analyzer checks the NIC counters against.
+    pub counter: CounterTally,
+    /// The recovery oracle's wire evidence, if [`ConformanceOpts::recovery`].
+    pub recovery: Option<RecoveryView>,
 }
 
 /// The one RC replay of a traced run: [`analyze`]'s report and the views of
@@ -784,6 +797,7 @@ fn bound<'a>(
 ///   24-bit values, so windows are effectively unique). Anything
 ///   ambiguous is counted as unattributed and marks the report partial
 ///   instead of being guessed at.
+#[derive(Default)]
 pub struct ConformanceStream {
     opts: ConformanceOpts,
     trackers: Vec<ConnTracker>,
@@ -799,6 +813,9 @@ pub struct ConformanceStream {
     ce_marked: u64,
     cnp_total: u64,
     corrupt_events: u64,
+    /// Its corrupt events toward a configured responder IP (known mode).
+    counter: CounterTally,
+    recovery: Option<RecoveryView>,
     ip_overflow: bool,
     unattributed: u64,
     flows_dropped: u64,
@@ -818,18 +835,10 @@ impl ConformanceStream {
                 })
                 .collect(),
             routes: Routes::of(conns),
-            discovery: false,
-            packets: 0,
             req_ips: conns.iter().map(|c| c.requester.ip).collect(),
             rsp_ips: conns.iter().map(|c| c.responder.ip).collect(),
-            ce_by_dst: BTreeMap::new(),
-            cnp_by_src: BTreeMap::new(),
-            ce_marked: 0,
-            cnp_total: 0,
-            corrupt_events: 0,
-            ip_overflow: false,
-            unattributed: 0,
-            flows_dropped: 0,
+            recovery: opts.recovery.then(RecoveryView::default),
+            ..ConformanceStream::default()
         }
     }
 
@@ -878,15 +887,21 @@ impl ConformanceStream {
         self.packets += 1;
         let f = &e.frame;
 
-        // Whole-trace accounting (CE marks, CNPs, corruption events);
-        // classification against the requester/responder IP sets happens
-        // at finish, once the sets are final.
+        // Whole-trace accounting (CE marks, CNPs, corruption events, the
+        // recovery view). CE and CNP IPs are classified against the
+        // requester/responder IP sets at finish, once discovery made them.
         if e.event == EventType::Ecn {
             self.ce_marked += 1;
             self.count_ip(true, f.ipv4.dst);
         }
         if e.event == EventType::Corrupt {
             self.corrupt_events += 1;
+            if self.rsp_ips.contains(&f.ipv4.dst) {
+                self.counter.corrupt_toward_responder += 1;
+            }
+        }
+        if let Some(view) = &mut self.recovery {
+            view.observe(e);
         }
         if f.bth.opcode == Opcode::Cnp {
             self.cnp_total += 1;
@@ -1117,10 +1132,11 @@ impl ConformanceStream {
     /// [`Self::finish`] and the views of the same replay. A displaced
     /// connection contributes [`Decision::ConnDisplaced`] alone to the
     /// decisions, and its breakdowns like any other.
-    pub fn finish_views(self) -> (ConformanceReport, ReplayViews) {
+    pub fn finish_views(mut self) -> (ConformanceReport, ReplayViews) {
         let mut gbn = GbnReport::default();
         let mut seen = Decisions::default();
         let mut retransmissions = Vec::new();
+        let mut counter = self.counter;
         let mut report = ConformanceReport {
             compliant: true,
             partial: self.opts.degraded || self.opts.external_loss,
@@ -1128,20 +1144,10 @@ impl ConformanceStream {
         };
         report.packets_checked = self.packets;
 
-        let (req_ips, rsp_ips) = if self.discovery {
-            (
-                self.trackers
-                    .iter()
-                    .map(|t| t.meta.requester.ip)
-                    .collect::<BTreeSet<_>>(),
-                self.trackers
-                    .iter()
-                    .map(|t| t.meta.responder.ip)
-                    .collect::<BTreeSet<_>>(),
-            )
-        } else {
-            (self.req_ips, self.rsp_ips)
-        };
+        if self.discovery {
+            self.req_ips = self.trackers.iter().map(|t| t.meta.requester.ip).collect();
+            self.rsp_ips = self.trackers.iter().map(|t| t.meta.responder.ip).collect();
+        }
 
         for mut t in self.trackers {
             if let Some(view) = t.st.gbn {
@@ -1149,6 +1155,7 @@ impl ConformanceStream {
                 gbn.per_conn.push(view.rep);
             }
             t.st.retrans.finish(t.meta.index, &mut retransmissions);
+            counter.reread_requests += t.st.rereads;
             if t.displaced {
                 seen |= Decision::ConnDisplaced;
                 report.skipped_displaced += 1;
@@ -1172,20 +1179,24 @@ impl ConformanceStream {
         // are rate-limited per NIC (per-IP/per-QP/per-port by vendor), so
         // the sound per-direction claims are "CE arrived, NP enabled,
         // zero CNPs ever" and "CNPs without any CE" — the first CNP
-        // always passes every limiter.
-        let classify = |map: &BTreeMap<Ipv4Addr, u64>| {
-            let (mut toward_req, mut toward_rsp) = (0u64, 0u64);
+        // always passes every limiter. An IP of both roles counts for the
+        // side asked first: the responder here, the requester in the
+        // counter's tally; each keeps its own analyzer's definition.
+        let split = |map: &BTreeMap<Ipv4Addr, u64>, first: &BTreeSet<_>, then: &BTreeSet<_>| {
+            let (mut firsts, mut thens) = (0u64, 0u64);
             for (ip, n) in map {
-                if rsp_ips.contains(ip) {
-                    toward_rsp += n;
-                } else if req_ips.contains(ip) {
-                    toward_req += n;
+                if first.contains(ip) {
+                    firsts += n;
+                } else if then.contains(ip) {
+                    thens += n;
                 }
             }
-            (toward_req, toward_rsp)
+            (firsts, thens)
         };
-        let (ce_toward_req, ce_toward_rsp) = classify(&self.ce_by_dst);
-        let (cnps_from_req, cnps_from_rsp) = classify(&self.cnp_by_src);
+        let (ce_toward_rsp, ce_toward_req) = split(&self.ce_by_dst, &self.rsp_ips, &self.req_ips);
+        let (cnps_from_rsp, cnps_from_req) = split(&self.cnp_by_src, &self.rsp_ips, &self.req_ips);
+        (counter.cnps_from_requester, counter.cnps_from_responder) =
+            split(&self.cnp_by_src, &self.req_ips, &self.rsp_ips);
 
         if !self.opts.degraded {
             for (side, ce, cnps, np) in [
@@ -1259,6 +1270,8 @@ impl ConformanceStream {
             retransmissions,
             cnp_total: self.cnp_total,
             ce_marked: self.ce_marked,
+            counter,
+            recovery: self.recovery,
         };
         (report, views)
     }
@@ -1497,6 +1510,7 @@ fn reverse_packet(
             // Asks for PSNs already requested: a re-issued request, the
             // read-side NACK.
             st.pending_reread = Some(psn);
+            st.rereads += 1;
             st.seen |= Decision::ReadReissued;
         } else {
             st.seen |= Decision::ReadRequest;

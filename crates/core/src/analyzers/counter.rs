@@ -2,10 +2,13 @@
 //! the counters the NICs report against ground truth derived from the
 //! packet trace. This is how Lumina exposed the E810's stuck `cnpSent` and
 //! the CX4 Lx's frozen `implied_nak_seq_err` (§6.2.4).
+//!
+//! The ground truth is a view of stage 5's RC replay: the replay counts a
+//! [`CounterTally`] on its one pass over the trace, and this module compares
+//! it with the counters. It walks no trace of its own.
 
 use crate::orchestrator::TestResults;
-use lumina_packet::opcode::Opcode;
-use lumina_switch::events::EventType;
+use lumina_rnic::counters::Counters;
 use serde::{Deserialize, Serialize};
 
 /// One counter inconsistency.
@@ -23,69 +26,49 @@ pub struct CounterFinding {
     pub detail: String,
 }
 
-/// Cross-check all verifiable counters. Empty = consistent.
-pub fn analyze(results: &TestResults) -> Vec<CounterFinding> {
-    let mut findings = Vec::new();
-    let Some(trace) = results.trace.as_ref() else {
-        return findings;
-    };
+/// What the RC replay counts on the wire for this analyzer, displaced
+/// connections included (`ReplayViews::counter`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CounterTally {
+    /// CNPs from a requester IP (an IP of both roles counts here).
+    pub cnps_from_requester: u64,
+    /// CNPs from a responder IP.
+    pub cnps_from_responder: u64,
+    /// Read requests that ask again for PSNs already requested, from the
+    /// first missing response (§6.1): the replay's `read.reissued`.
+    pub reread_requests: u64,
+    /// Corrupt events on frames toward a responder IP.
+    pub corrupt_toward_responder: u64,
+}
 
-    // Ground truth from the trace.
-    let req_ips: Vec<_> = results.conns.iter().map(|c| c.requester.ip).collect();
-    let rsp_ips: Vec<_> = results.conns.iter().map(|c| c.responder.ip).collect();
-    let mut cnps_from_requester = 0u64;
-    let mut cnps_from_responder = 0u64;
-    let mut reread_requests = 0u64;
-    // Fresh read requests advance a per-connection frontier; a request
-    // whose PSN range overlaps already-requested PSN space is a re-read
-    // (it asks again from the first missing response, §6.1).
-    let mut read_frontier: std::collections::HashMap<(std::net::Ipv4Addr, u32), u32> =
-        std::collections::HashMap::new();
-    let mtu = results.cfg.traffic.mtu.max(1);
-    let mut corrupt_toward_responder = 0u64;
-    for e in trace.iter() {
-        let f = &e.frame;
-        match f.bth.opcode {
-            Opcode::Cnp => {
-                if req_ips.contains(&f.ipv4.src) {
-                    cnps_from_requester += 1;
-                } else if rsp_ips.contains(&f.ipv4.src) {
-                    cnps_from_responder += 1;
-                }
-            }
-            Opcode::RdmaReadRequest => {
-                let npkts = f
-                    .ext
-                    .reth
-                    .map(|r| r.dma_len.div_ceil(mtu).max(1))
-                    .unwrap_or(1);
-                let end = lumina_packet::bth::psn_add(f.bth.psn, npkts);
-                let key = (f.ipv4.src, f.bth.dest_qp);
-                match read_frontier.get_mut(&key) {
-                    None => {
-                        read_frontier.insert(key, end);
-                    }
-                    Some(frontier) => {
-                        if lumina_packet::bth::psn_distance(*frontier, f.bth.psn) < 0 {
-                            reread_requests += 1;
-                        }
-                        if lumina_packet::bth::psn_distance(*frontier, end) > 0 {
-                            *frontier = end;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        if e.event == EventType::Corrupt && rsp_ips.contains(&f.ipv4.dst) {
-            corrupt_toward_responder += 1;
-        }
-    }
+/// Cross-check all verifiable counters. Empty = consistent, and empty on a
+/// run without a trace (which stage 5 did not replay).
+pub fn analyze(results: &TestResults) -> Vec<CounterFinding> {
+    results.replayed.as_ref().map_or_else(Vec::new, |views| {
+        check(
+            &views.counter,
+            &results.requester_counters,
+            &results.responder_counters,
+        )
+    })
+}
+
+/// The findings of `tally` against the two NICs' counters.
+pub(super) fn check(
+    tally: &CounterTally,
+    requester: &Counters,
+    responder: &Counters,
+) -> Vec<CounterFinding> {
+    let mut findings = Vec::new();
 
     // CNPs sent: the NP side's counter must match the CNPs on the wire.
-    let check_cnp = |host: &str, reported: u64, on_wire: u64, out: &mut Vec<CounterFinding>| {
+    for (host, counters, on_wire) in [
+        ("requester", requester, tally.cnps_from_requester),
+        ("responder", responder, tally.cnps_from_responder),
+    ] {
+        let reported = counters.np_cnp_sent;
         if reported != on_wire {
-            out.push(CounterFinding {
+            findings.push(CounterFinding {
                 host: host.into(),
                 counter: "np_cnp_sent".into(),
                 expected_from_trace: on_wire,
@@ -95,48 +78,35 @@ pub fn analyze(results: &TestResults) -> Vec<CounterFinding> {
                 ),
             });
         }
-    };
-    check_cnp(
-        "requester",
-        results.requester_counters.np_cnp_sent,
-        cnps_from_requester,
-        &mut findings,
-    );
-    check_cnp(
-        "responder",
-        results.responder_counters.np_cnp_sent,
-        cnps_from_responder,
-        &mut findings,
-    );
+    }
 
     // Implied NAKs: every re-issued read request not explained by a
     // timeout implies the requester detected out-of-order read responses.
     // Timeout-driven re-reads also re-issue, so the trace-derived count is
     // an upper bound only when timeouts fired; when no timeouts fired the
     // counter must match exactly.
-    if results.requester_counters.local_ack_timeout_err == 0
-        && results.requester_counters.implied_nak_seq_err != reread_requests
-    {
+    let rereads = tally.reread_requests;
+    if requester.local_ack_timeout_err == 0 && requester.implied_nak_seq_err != rereads {
         findings.push(CounterFinding {
             host: "requester".into(),
             counter: "implied_nak_seq_err".into(),
-            expected_from_trace: reread_requests,
-            reported: results.requester_counters.implied_nak_seq_err,
+            expected_from_trace: rereads,
+            reported: requester.implied_nak_seq_err,
             detail: format!(
-                "{reread_requests} re-issued read requests on the wire (no timeouts fired), counter reads {}",
-                results.requester_counters.implied_nak_seq_err
+                "{rereads} re-issued read requests on the wire (no timeouts fired), counter reads {}",
+                requester.implied_nak_seq_err
             ),
         });
     }
 
     // ICRC errors: every corrupt event toward the responder must be
     // counted there.
-    if results.responder_counters.rx_icrc_errors != corrupt_toward_responder {
+    if responder.rx_icrc_errors != tally.corrupt_toward_responder {
         findings.push(CounterFinding {
             host: "responder".into(),
             counter: "rx_icrc_errors".into(),
-            expected_from_trace: corrupt_toward_responder,
-            reported: results.responder_counters.rx_icrc_errors,
+            expected_from_trace: tally.corrupt_toward_responder,
+            reported: responder.rx_icrc_errors,
             detail: "corrupted packets vs ICRC error counter mismatch".into(),
         });
     }

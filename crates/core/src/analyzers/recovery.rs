@@ -24,11 +24,11 @@
 //! each chaos window so soak campaigns can chart recovery behavior, not
 //! just pass/fail.
 
-use lumina_dumper::Trace;
+use lumina_dumper::TraceEntry;
 use lumina_packet::bth::psn_distance;
 use lumina_sim::{SimTime, Window};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The retransmit-amplification multiplier: retransmits per window ≤ 8×
 /// the frames chaos destroyed (plus [`AMPLIFICATION_SLACK`]).
@@ -175,7 +175,7 @@ pub struct TtrHistogram {
 }
 
 impl TtrHistogram {
-    fn record(&mut self, us: u64) {
+    pub(super) fn record(&mut self, us: u64) {
         let idx = if us == 0 {
             0
         } else {
@@ -190,7 +190,7 @@ impl TtrHistogram {
     }
 }
 
-/// Everything the oracle needs besides the trace.
+/// Everything the oracle needs besides the wire evidence.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOpts {
     /// The chaos windows (flap/pause/burst), sorted by start.
@@ -224,45 +224,56 @@ pub struct RecoveryReport {
     pub amplification_limit: f64,
 }
 
-/// Run the oracle. Degraded inputs are fine: a missing trace skips the
-/// wire-derived measurements (windows report zero activity, amplification
+/// The oracle's wire evidence: the recovery view of stage 5's RC replay,
+/// fed every trace entry before routing when `ConformanceOpts::recovery`
+/// arms it (runs with a `chaos:` section).
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryView {
+    seen: HashSet<(u32, u32)>,
+    high: HashMap<u32, u32>,
+    data_events: Vec<(SimTime, u32)>, // (time, wire len)
+    retrans_events: Vec<SimTime>,
+    progress_events: Vec<SimTime>,
+}
+
+impl RecoveryView {
+    /// One trace entry. A retransmit is a (dest QP, PSN) pair re-observed
+    /// on the wire; forward progress is a PSN ahead of the QP's previous
+    /// high-water mark in 24-bit PSN space, so a QP crossing `0xFFFFFF → 0`
+    /// still progresses. Read requests are data too.
+    pub(crate) fn observe(&mut self, e: &TraceEntry) {
+        let (qp, psn, at) = (e.frame.bth.dest_qp, e.frame.bth.psn, e.timestamp);
+        if !e.frame.bth.opcode.is_data() {
+            return;
+        }
+        self.data_events.push((at, e.orig_len));
+        if !self.seen.insert((qp, psn)) {
+            self.retrans_events.push(at);
+        }
+        match self.high.get(&qp) {
+            Some(&h) if psn_distance(h, psn) <= 0 => {}
+            _ => {
+                self.high.insert(qp, psn);
+                self.progress_events.push(at);
+            }
+        }
+    }
+}
+
+/// Run the oracle over the replay's recovery view. Degraded inputs are
+/// fine: without a view (the run kept no trace) the wire-derived
+/// measurements are skipped (windows report zero activity, amplification
 /// is vacuously bounded) but the accounting and stuck-QP invariants still
 /// apply — the oracle never panics on hostile traces.
 pub fn analyze(
-    trace: Option<&Trace>,
+    wire: Option<&RecoveryView>,
     flows: &[FlowAccount],
     qps: &[QpEndState],
     opts: &RecoveryOpts,
 ) -> RecoveryReport {
-    // ---- Wire walk: data packets, retransmits, forward progress ----
-    // A retransmit is a (dest QP, PSN) pair re-observed on the wire;
-    // forward progress is a PSN ahead of the QP's previous high-water mark
-    // in 24-bit PSN space, so a QP crossing `0xFFFFFF → 0` still progresses.
-    let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
-    let mut high: HashMap<u32, u32> = HashMap::new();
-    let mut data_events: Vec<(SimTime, u32)> = Vec::new(); // (time, wire len)
-    let mut retrans_events: Vec<SimTime> = Vec::new();
-    let mut progress_events: Vec<SimTime> = Vec::new();
-    if let Some(trace) = trace {
-        for e in trace.iter() {
-            if !e.frame.bth.opcode.is_data() {
-                continue;
-            }
-            let qp = e.frame.bth.dest_qp;
-            let psn = e.frame.bth.psn;
-            data_events.push((e.timestamp, e.orig_len));
-            if seen.insert((qp, psn), ()).is_some() {
-                retrans_events.push(e.timestamp);
-            }
-            match high.get(&qp) {
-                Some(&h) if psn_distance(h, psn) <= 0 => {}
-                _ => {
-                    high.insert(qp, psn);
-                    progress_events.push(e.timestamp);
-                }
-            }
-        }
-    }
+    let no_wire = RecoveryView::default();
+    let wire = wire.unwrap_or(&no_wire);
+    let (data_events, retrans_events) = (&wire.data_events, &wire.retrans_events);
 
     // ---- Per-window accounting ----
     // A retransmit is attributed to the most recent window that had
@@ -282,16 +293,16 @@ pub fn analyze(
     let mut ttr_histogram = TtrHistogram::default();
     for (i, w) in opts.windows.iter().enumerate() {
         let next_start = opts.windows.get(i + 1).map(|n| n.from);
-        let in_window = |t: SimTime| w.contains(t);
         let attributed = |t: SimTime| t >= w.from && next_start.is_none_or(|n| t < n);
-        let data_packets = data_events.iter().filter(|&&(t, _)| in_window(t)).count() as u64;
-        let window_bytes: u64 = data_events
+        let (data_packets, window_bytes) = data_events
             .iter()
-            .filter(|&&(t, _)| in_window(t))
-            .map(|&(_, len)| len as u64)
-            .sum();
+            .filter(|&&(t, _)| w.contains(t))
+            .fold((0u64, 0u64), |(n, bytes), &(_, len)| {
+                (n + 1, bytes + len as u64)
+            });
         let retransmits = retrans_events.iter().filter(|&&t| attributed(t)).count() as u64;
-        let time_to_recovery_us = progress_events
+        let time_to_recovery_us = wire
+            .progress_events
             .iter()
             .find(|&&t| t >= w.until)
             .map(|t| t.saturating_since(w.until).as_nanos() / 1_000);
@@ -379,7 +390,6 @@ impl RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumina_dumper::trace::TraceEntry;
     use lumina_packet::builder::DataPacketBuilder;
     use lumina_packet::opcode::Opcode;
     use lumina_switch::events::EventType;
@@ -408,8 +418,12 @@ mod tests {
         }
     }
 
-    fn trace_of(entries: Vec<TraceEntry>) -> Trace {
-        Trace { entries }
+    fn view_of(entries: Vec<TraceEntry>) -> RecoveryView {
+        let mut view = RecoveryView::default();
+        for e in &entries {
+            view.observe(e);
+        }
+        view
     }
 
     #[test]
@@ -490,12 +504,12 @@ mod tests {
         for i in 0..40u64 {
             entries.push(data_entry(1 + i, 12 + i, 1, 1));
         }
-        let trace = trace_of(entries);
+        let wire = view_of(entries);
         let opts = |destroyed| RecoveryOpts {
             windows: vec![window(10, 60)],
             destroyed,
         };
-        let rep = analyze(Some(&trace), &[], &[], &opts(2));
+        let rep = analyze(Some(&wire), &[], &[], &opts(2));
         assert!(!rep.live);
         assert_eq!(
             rep.violations,
@@ -507,7 +521,7 @@ mod tests {
             }]
         );
         assert_eq!(rep.amplification_limit, 8.0);
-        let ok = analyze(Some(&trace), &[], &[], &opts(3));
+        let ok = analyze(Some(&wire), &[], &[], &opts(3));
         assert!(ok.live, "{:?}", ok.violations);
     }
 
@@ -518,12 +532,12 @@ mod tests {
         let mut entries: Vec<TraceEntry> =
             (0..20).map(|i| data_entry(i, i, 1, i as u32 + 1)).collect();
         entries.push(data_entry(20, 47, 1, 21));
-        let trace = trace_of(entries);
+        let wire = view_of(entries);
         let opts = RecoveryOpts {
             windows: vec![window(20, 40)],
             ..RecoveryOpts::default()
         };
-        let rep = analyze(Some(&trace), &[], &[], &opts);
+        let rep = analyze(Some(&wire), &[], &[], &opts);
         assert_eq!(rep.windows.len(), 1);
         let w = &rep.windows[0];
         assert_eq!(w.data_packets, 0);
@@ -547,12 +561,12 @@ mod tests {
         let mut entries: Vec<TraceEntry> =
             (0..20).map(|i| data_entry(i, i, 1, psn(i as u32))).collect();
         entries.push(data_entry(20, 47, 1, psn(20)));
-        let trace = trace_of(entries);
+        let wire = view_of(entries);
         let opts = RecoveryOpts {
             windows: vec![window(20, 40)],
             ..RecoveryOpts::default()
         };
-        let rep = analyze(Some(&trace), &[], &[], &opts);
+        let rep = analyze(Some(&wire), &[], &[], &opts);
         assert_eq!(rep.windows[0].time_to_recovery_us, Some(7));
         assert_eq!(rep.ttr_histogram.unrecovered, 0);
         assert_eq!(rep.retransmits, 0);
@@ -560,12 +574,12 @@ mod tests {
 
     #[test]
     fn window_running_to_horizon_counts_as_unrecovered() {
-        let trace = trace_of(vec![data_entry(0, 5, 1, 1)]);
+        let wire = view_of(vec![data_entry(0, 5, 1, 1)]);
         let opts = RecoveryOpts {
             windows: vec![window(10, 1_000)],
             ..RecoveryOpts::default()
         };
-        let rep = analyze(Some(&trace), &[], &[], &opts);
+        let rep = analyze(Some(&wire), &[], &[], &opts);
         assert_eq!(rep.windows[0].time_to_recovery_us, None);
         assert_eq!(rep.ttr_histogram.unrecovered, 1);
     }

@@ -13,12 +13,25 @@
 //! `conformance::analyze` and `retrans_perf::analyze`, to FNV-64 constants,
 //! and check the one rule the oracle and its Go-back-N view share: a
 //! sequence-error NACK names the receiver's expected PSN.
+//!
+//! The counter analyzer and the recovery oracle read views of the replay
+//! too. Their own walks over the trace are kept here as references
+//! ([`walked_counter`], [`walked_recovery`]), and their findings and
+//! reports must serialize to the same bytes as the views' on every preset
+//! at seeds 1–3, under four overlays that damage only the capture, on
+//! `chaos_demo` and one soak schedule per preset, and on the colliding
+//! traces.
 
 use super::conformance::{ConformanceOpts, ConformanceReport, ConformanceStream, ViolationClass};
+use super::counter::{self, CounterFinding};
+use super::recovery::{
+    self, FlowAccount, LivenessViolation, QpEndState, RecoveryOpts, RecoveryReport, TtrHistogram,
+    WindowRecovery, AMPLIFICATION_SLACK, DEFAULT_AMPLIFICATION_LIMIT,
+};
 use super::{gbn_fsm, retrans_perf, GbnReport, RetransBreakdown, RouteMode, Routes};
-use crate::config::TestConfig;
+use crate::config::{FaultsSection, StallSpec, TestConfig};
 use crate::fuzz::mutate::{EventMutator, Mutator};
-use crate::orchestrator::run_test;
+use crate::orchestrator::{run_test, TestResults};
 use crate::translate::ConnMeta;
 use lumina_dumper::{Trace, TraceEntry};
 use lumina_packet::aeth::{Aeth, AethSyndrome, NakCode};
@@ -26,11 +39,13 @@ use lumina_packet::builder::{cnp_frame, DataPacketBuilder};
 use lumina_packet::opcode::Opcode;
 use lumina_packet::reth::Reth;
 use lumina_packet::{RoceFrame, RoceHeaders};
+use lumina_rnic::counters::Counters;
 use lumina_rnic::qp::QpEndpoint;
 use lumina_rnic::Verb;
-use lumina_sim::{SimRng, SimTime};
+use lumina_sim::{SimRng, SimTime, Window};
 use lumina_switch::events::EventType;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::LazyLock;
@@ -82,12 +97,18 @@ fn reports(
     ]
 }
 
+/// Presets whose debug-build runs take 0.5–2.5 s each: their extra
+/// inputs are seed 1's.
+const HEAVY: [&str; 3] = ["fig10_ets_bug", "fig11_noisy_neighbor", "interop_migreq"];
+
 #[test]
 fn every_preset_reports_the_same_routed_and_walked() {
     let mut traced = 0;
-    for (path, cfg) in presets() {
+    let mut compared = 0;
+    for (i, (path, cfg)) in presets().into_iter().enumerate() {
         let name = path.display();
         let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        compared += usize::from(assert_views_match_walks(&res, &format!("{name}")));
         let Some(trace) = &res.trace else { continue };
         traced += 1;
         let opts = ConformanceOpts::from_results(&res);
@@ -110,8 +131,397 @@ fn every_preset_reports_the_same_routed_and_walked() {
             routed[2],
             "{name}"
         );
+
+        // More inputs for the counter and recovery views: seeds 1–3, bare
+        // and under each capture-only overlay, and one soak schedule
+        // (`chaos_demo` declares its own chaos, so the soak skips it).
+        let heavy = HEAVY.iter().any(|h| path.ends_with(format!("{h}.yaml")));
+        let mut inputs = Vec::new();
+        for seed in if heavy { 1..=1 } else { 1..=3 } {
+            for overlay in capture_overlays() {
+                if seed == cfg.network.seed && overlay.is_none() {
+                    continue;
+                }
+                let mut cfg = cfg.clone();
+                cfg.network.seed = seed;
+                cfg.faults = overlay;
+                inputs.push((format!("{name} seed {seed} {:?}", cfg.faults), cfg));
+            }
+        }
+        if cfg.chaos.as_ref().is_none_or(|c| c.is_noop()) {
+            let chaos_seed = 0x50ac + i as u64;
+            let mut rng = SimRng::seed_from_u64(chaos_seed);
+            let mut cfg = cfg.clone();
+            let horizon_us = cfg.network.horizon_ms.saturating_mul(1_000);
+            cfg.chaos = Some(crate::soak::gen_schedule(&mut rng, horizon_us, chaos_seed));
+            inputs.push((format!("{name} soak schedule"), cfg));
+        }
+        for (name, cfg) in inputs {
+            let res = run_test(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            compared += usize::from(assert_views_match_walks(&res, &name));
+        }
     }
     assert!(traced >= 8, "corpus shrank: {traced}");
+    assert!(compared >= 100, "corpus shrank: {compared}");
+}
+
+/// The four overlays that damage only the capture, never the traffic, and
+/// none: 5 % mirror loss, 5 % mirror duplication, 1 % capture bit-rot and
+/// dumper 0 stalled ×50 for the first 500 µs, each seeded 7.
+fn capture_overlays() -> [Option<FaultsSection>; 5] {
+    let seeded = FaultsSection {
+        seed: Some(7),
+        ..FaultsSection::default()
+    };
+    [
+        None,
+        Some(FaultsSection {
+            mirror_loss_prob: 0.05,
+            ..seeded.clone()
+        }),
+        Some(FaultsSection {
+            mirror_dup_prob: 0.05,
+            ..seeded.clone()
+        }),
+        Some(FaultsSection {
+            capture_bit_rot_prob: 0.01,
+            ..seeded.clone()
+        }),
+        Some(FaultsSection {
+            dumper_stalls: vec![StallSpec {
+                index: Some(0),
+                at_us: 0,
+                duration_us: 500,
+                slowdown: 50,
+            }],
+            ..seeded
+        }),
+    ]
+}
+
+/// Stage 5's counter findings and recovery verdict against the walks they
+/// replaced, on a finished run; false when the run kept no trace. The
+/// recovery view is stage 5's on a chaos run, and a replay armed here on
+/// any other, graded over the chaos windows and two windows inside the
+/// trace's span.
+fn assert_views_match_walks(res: &TestResults, name: &str) -> bool {
+    let Some(trace) = &res.trace else {
+        assert!(counter::analyze(res).is_empty(), "{name}");
+        return false;
+    };
+    let walked = walked_counter(
+        trace,
+        &res.conns,
+        res.cfg.traffic.mtu,
+        &res.requester_counters,
+        &res.responder_counters,
+    );
+    assert_eq!(json(&counter::analyze(res)), json(&walked), "{name}");
+
+    let chaos = res.cfg.chaos.as_ref().filter(|c| !c.is_noop());
+    let staged = res.replayed.as_ref().and_then(|r| r.recovery.clone());
+    assert_eq!(staged.is_some(), chaos.is_some(), "{name}: armed iff chaos");
+    let view = staged.or_else(|| {
+        let opts = ConformanceOpts {
+            recovery: true,
+            ..ConformanceOpts::from_results(res)
+        };
+        super::conformance::replay(trace, &res.conns, &opts)
+            .1
+            .recovery
+    });
+    let mut windows = chaos.map(|c| c.windows()).unwrap_or_default();
+    if let (Some(first), Some(last)) = (trace.entries.first(), trace.entries.last()) {
+        let at = |eighths: u64| {
+            let span = last.timestamp.saturating_since(first.timestamp).as_nanos();
+            SimTime::from_nanos(first.timestamp.as_nanos() + span * eighths / 8)
+        };
+        windows.push(Window {
+            from: at(2),
+            until: at(3),
+        });
+        windows.push(Window {
+            from: at(5),
+            until: at(7),
+        });
+    }
+    let opts = RecoveryOpts {
+        windows,
+        destroyed: res
+            .chaos_stats
+            .as_ref()
+            .map_or(0, |cs| cs.data_drops() + cs.corruptions),
+    };
+    assert_eq!(
+        json(&recovery::analyze(view.as_ref(), &[], &[], &opts)),
+        json(&walked_recovery(Some(trace), &[], &[], &opts)),
+        "{name}"
+    );
+    true
+}
+
+/// The counter analyzer's walk before its ground truth became the replay's
+/// [`counter::CounterTally`], verbatim but for its inputs: what it read of
+/// `TestResults` is passed in, so that synthetic traces can be fed.
+fn walked_counter(
+    trace: &Trace,
+    conns: &[ConnMeta],
+    mtu: u32,
+    requester_counters: &Counters,
+    responder_counters: &Counters,
+) -> Vec<CounterFinding> {
+    let mut findings = Vec::new();
+
+    // Ground truth from the trace.
+    let req_ips: Vec<_> = conns.iter().map(|c| c.requester.ip).collect();
+    let rsp_ips: Vec<_> = conns.iter().map(|c| c.responder.ip).collect();
+    let mut cnps_from_requester = 0u64;
+    let mut cnps_from_responder = 0u64;
+    let mut reread_requests = 0u64;
+    // Fresh read requests advance a per-connection frontier; a request
+    // whose PSN range overlaps already-requested PSN space is a re-read
+    // (it asks again from the first missing response, §6.1).
+    let mut read_frontier: HashMap<(Ipv4Addr, u32), u32> = HashMap::new();
+    let mtu = mtu.max(1);
+    let mut corrupt_toward_responder = 0u64;
+    for e in trace.iter() {
+        let f = &e.frame;
+        match f.bth.opcode {
+            Opcode::Cnp => {
+                if req_ips.contains(&f.ipv4.src) {
+                    cnps_from_requester += 1;
+                } else if rsp_ips.contains(&f.ipv4.src) {
+                    cnps_from_responder += 1;
+                }
+            }
+            Opcode::RdmaReadRequest => {
+                let npkts = f
+                    .ext
+                    .reth
+                    .map(|r| r.dma_len.div_ceil(mtu).max(1))
+                    .unwrap_or(1);
+                let end = lumina_packet::bth::psn_add(f.bth.psn, npkts);
+                let key = (f.ipv4.src, f.bth.dest_qp);
+                match read_frontier.get_mut(&key) {
+                    None => {
+                        read_frontier.insert(key, end);
+                    }
+                    Some(frontier) => {
+                        if lumina_packet::bth::psn_distance(*frontier, f.bth.psn) < 0 {
+                            reread_requests += 1;
+                        }
+                        if lumina_packet::bth::psn_distance(*frontier, end) > 0 {
+                            *frontier = end;
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+        if e.event == EventType::Corrupt && rsp_ips.contains(&f.ipv4.dst) {
+            corrupt_toward_responder += 1;
+        }
+    }
+
+    // CNPs sent: the NP side's counter must match the CNPs on the wire.
+    let check_cnp = |host: &str, reported: u64, on_wire: u64, out: &mut Vec<CounterFinding>| {
+        if reported != on_wire {
+            out.push(CounterFinding {
+                host: host.into(),
+                counter: "np_cnp_sent".into(),
+                expected_from_trace: on_wire,
+                reported,
+                detail: format!(
+                    "{on_wire} CNPs observed on the wire from the {host}, counter reads {reported}"
+                ),
+            });
+        }
+    };
+    check_cnp(
+        "requester",
+        requester_counters.np_cnp_sent,
+        cnps_from_requester,
+        &mut findings,
+    );
+    check_cnp(
+        "responder",
+        responder_counters.np_cnp_sent,
+        cnps_from_responder,
+        &mut findings,
+    );
+
+    // Implied NAKs: every re-issued read request not explained by a
+    // timeout implies the requester detected out-of-order read responses.
+    // Timeout-driven re-reads also re-issue, so the trace-derived count is
+    // an upper bound only when timeouts fired; when no timeouts fired the
+    // counter must match exactly.
+    if requester_counters.local_ack_timeout_err == 0
+        && requester_counters.implied_nak_seq_err != reread_requests
+    {
+        findings.push(CounterFinding {
+            host: "requester".into(),
+            counter: "implied_nak_seq_err".into(),
+            expected_from_trace: reread_requests,
+            reported: requester_counters.implied_nak_seq_err,
+            detail: format!(
+                "{reread_requests} re-issued read requests on the wire (no timeouts fired), counter reads {}",
+                requester_counters.implied_nak_seq_err
+            ),
+        });
+    }
+
+    // ICRC errors: every corrupt event toward the responder must be
+    // counted there.
+    if responder_counters.rx_icrc_errors != corrupt_toward_responder {
+        findings.push(CounterFinding {
+            host: "responder".into(),
+            counter: "rx_icrc_errors".into(),
+            expected_from_trace: corrupt_toward_responder,
+            reported: responder_counters.rx_icrc_errors,
+            detail: "corrupted packets vs ICRC error counter mismatch".into(),
+        });
+    }
+
+    findings
+}
+
+/// The recovery oracle before its wire evidence became the replay's
+/// [`recovery::RecoveryView`], verbatim.
+fn walked_recovery(
+    trace: Option<&Trace>,
+    flows: &[FlowAccount],
+    qps: &[QpEndState],
+    opts: &RecoveryOpts,
+) -> RecoveryReport {
+    // ---- Wire walk: data packets, retransmits, forward progress ----
+    // A retransmit is a (dest QP, PSN) pair re-observed on the wire;
+    // forward progress is a PSN ahead of the QP's previous high-water mark
+    // in 24-bit PSN space, so a QP crossing `0xFFFFFF → 0` still progresses.
+    let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
+    let mut high: HashMap<u32, u32> = HashMap::new();
+    let mut data_events: Vec<(SimTime, u32)> = Vec::new(); // (time, wire len)
+    let mut retrans_events: Vec<SimTime> = Vec::new();
+    let mut progress_events: Vec<SimTime> = Vec::new();
+    if let Some(trace) = trace {
+        for e in trace.iter() {
+            if !e.frame.bth.opcode.is_data() {
+                continue;
+            }
+            let qp = e.frame.bth.dest_qp;
+            let psn = e.frame.bth.psn;
+            data_events.push((e.timestamp, e.orig_len));
+            if seen.insert((qp, psn), ()).is_some() {
+                retrans_events.push(e.timestamp);
+            }
+            match high.get(&qp) {
+                Some(&h) if lumina_packet::bth::psn_distance(h, psn) <= 0 => {}
+                _ => {
+                    high.insert(qp, psn);
+                    progress_events.push(e.timestamp);
+                }
+            }
+        }
+    }
+
+    // ---- Per-window accounting ----
+    // A retransmit is attributed to the most recent window that had
+    // started when it hit the wire: recovery traffic follows the fault
+    // that caused it, it does not precede it.
+    let total_bytes: u64 = data_events.iter().map(|&(_, len)| len as u64).sum();
+    let span_ns = match (data_events.first(), data_events.last()) {
+        (Some(&(a, _)), Some(&(b, _))) if b > a => b.as_nanos() - a.as_nanos(),
+        _ => 0,
+    };
+    let mean_rate = if span_ns > 0 {
+        total_bytes as f64 / span_ns as f64
+    } else {
+        0.0
+    };
+    let mut windows: Vec<WindowRecovery> = Vec::new();
+    let mut ttr_histogram = TtrHistogram::default();
+    for (i, w) in opts.windows.iter().enumerate() {
+        let next_start = opts.windows.get(i + 1).map(|n| n.from);
+        let in_window = |t: SimTime| w.contains(t);
+        let attributed = |t: SimTime| t >= w.from && next_start.is_none_or(|n| t < n);
+        let data_packets = data_events.iter().filter(|&&(t, _)| in_window(t)).count() as u64;
+        let window_bytes: u64 = data_events
+            .iter()
+            .filter(|&&(t, _)| in_window(t))
+            .map(|&(_, len)| len as u64)
+            .sum();
+        let retransmits = retrans_events.iter().filter(|&&t| attributed(t)).count() as u64;
+        let time_to_recovery_us = progress_events
+            .iter()
+            .find(|&&t| t >= w.until)
+            .map(|t| t.saturating_since(w.until).as_nanos() / 1_000);
+        match time_to_recovery_us {
+            Some(us) => ttr_histogram.record(us),
+            None => ttr_histogram.unrecovered += 1,
+        }
+        let duration_ns = w.until.saturating_since(w.from).as_nanos();
+        let goodput_ratio = if mean_rate > 0.0 && duration_ns > 0 {
+            (window_bytes as f64 / duration_ns as f64) / mean_rate
+        } else {
+            0.0
+        };
+        windows.push(WindowRecovery {
+            from_us: w.from.as_nanos() / 1_000,
+            until_us: w.until.as_nanos() / 1_000,
+            data_packets,
+            retransmits,
+            time_to_recovery_us,
+            goodput_ratio,
+        });
+    }
+
+    // ---- Invariants ----
+    let mut violations = Vec::new();
+    for f in flows {
+        if f.completed.saturating_add(f.failed) < f.planned {
+            violations.push(LivenessViolation::Unaccounted {
+                qpn: f.qpn,
+                planned: f.planned,
+                completed: f.completed,
+                failed: f.failed,
+            });
+        }
+    }
+    for qp in qps {
+        if qp.unacked && !qp.timer_armed && !qp.errored {
+            violations.push(LivenessViolation::StuckQp {
+                qpn: qp.qpn,
+                requester: qp.requester,
+            });
+        }
+    }
+    let limit = DEFAULT_AMPLIFICATION_LIMIT;
+    let bound = limit * opts.destroyed as f64 + AMPLIFICATION_SLACK as f64;
+    for (i, w) in windows.iter().enumerate() {
+        if w.retransmits as f64 > bound {
+            violations.push(LivenessViolation::RetransmitAmplification {
+                window: i,
+                retransmits: w.retransmits,
+                destroyed: opts.destroyed,
+                limit,
+            });
+        }
+    }
+
+    RecoveryReport {
+        live: violations.is_empty(),
+        violations,
+        windows,
+        ttr_histogram,
+        // Saturating folds: end-of-run accounting is analyzer input, and
+        // a hostile harvest must degrade to a clamped total, not a panic.
+        planned: flows.iter().fold(0u64, |a, f| a.saturating_add(f.planned)),
+        completed: flows
+            .iter()
+            .fold(0u64, |a, f| a.saturating_add(f.completed)),
+        failed: flows.iter().fold(0u64, |a, f| a.saturating_add(f.failed)),
+        retransmits: retrans_events.len() as u64,
+        amplification_limit: limit,
+    }
 }
 
 const REQ_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -303,6 +713,8 @@ proptest! {
         psns in prop::collection::vec(0u32..12, 160..161),
         events in prop::collection::vec(0u8..48, 160..161),
         np in any::<bool>(),
+        windows in prop::collection::vec(0u64..120 * 120, 0..4),
+        destroyed in 0u64..8,
     ) {
         let packets: Vec<(u8, u32, u8)> = (0..len).map(|i| (flavors[i], psns[i], events[i])).collect();
         let trace = trace_of(&packets);
@@ -316,6 +728,44 @@ proptest! {
         prop_assert_eq!(
             reports(RouteMode::Routed, &trace, &conns, &opts),
             reports(RouteMode::FullWalk, &trace, &conns, &opts)
+        );
+
+        // The counter's and the recovery oracle's views against their walks.
+        // With both NICs' counters at zero, each nonzero tally is a finding.
+        let armed = ConformanceOpts {
+            recovery: true,
+            ..opts
+        };
+        let views = super::conformance::replay(&trace, &conns, &armed).1;
+        let zero = Counters::default();
+        prop_assert_eq!(
+            json(&counter::check(&views.counter, &zero, &zero)),
+            json(&walked_counter(&trace, &conns, 1024, &zero, &zero))
+        );
+        // Without connection 4, whose requester sits on the responder's
+        // host, every IP has one role: a corrupt event toward the requester
+        // is not toward a responder.
+        let one_role: Vec<ConnMeta> = conns.iter().filter(|c| c.index != 4).copied().collect();
+        let tally = super::conformance::replay(&trace, &one_role, &armed).1.counter;
+        prop_assert_eq!(
+            json(&counter::check(&tally, &zero, &zero)),
+            json(&walked_counter(&trace, &one_role, 1024, &zero, &zero))
+        );
+        let opts = RecoveryOpts {
+            // Unsorted, overlapping, sometimes inverted windows in the
+            // trace's 0–112 µs.
+            windows: windows
+                .iter()
+                .map(|&w| Window {
+                    from: SimTime::from_micros(w / 120),
+                    until: SimTime::from_micros(w % 120),
+                })
+                .collect(),
+            destroyed,
+        };
+        prop_assert_eq!(
+            json(&recovery::analyze(views.recovery.as_ref(), &[], &[], &opts)),
+            json(&walked_recovery(Some(&trace), &[], &[], &opts))
         );
     }
 }

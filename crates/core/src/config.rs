@@ -827,7 +827,7 @@ impl TestConfig {
     pub fn problems(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.traffic.num_connections == 0 {
-            problems.push("num-connections must be ≥ 1".into());
+            problems.push("traffic: num-connections must be ≥ 1".into());
         }
         if self.traffic.num_connections > MAX_CONNECTIONS {
             problems.push(format!(
@@ -835,11 +835,12 @@ impl TestConfig {
                 self.traffic.num_connections
             ));
         }
-        if self.traffic.mtu == 0 || self.traffic.mtu > 4096 {
-            problems.push(format!("mtu {} out of range (1..=4096)", self.traffic.mtu));
+        let (mtu, verb) = (self.traffic.mtu, &self.traffic.rdma_verb);
+        if mtu == 0 || mtu > 4096 {
+            problems.push(format!("traffic: mtu {mtu} out of range (1..=4096)"));
         }
         if self.traffic.verb().is_err() {
-            problems.push(format!("unknown rdma-verb {:?}", self.traffic.rdma_verb));
+            problems.push(format!("traffic: unknown rdma-verb {verb:?}"));
         }
         let total = self.traffic.pkts_per_qp();
         if total.is_none() {
@@ -888,14 +889,14 @@ impl TestConfig {
             .checked_mul(1_000_000)
             .and_then(|h| latest_arrival_ns(h, net.propagation_delay_ns));
         if self.traffic.min_retransmit_timeout >= 32 {
-            problems.push("min-retransmit-timeout must be a 5-bit code".into());
+            problems.push("traffic: min-retransmit-timeout must be a 5-bit code".into());
         }
         for (i, ev) in self.traffic.data_pkt_events.iter().enumerate() {
             if ev.qpn == 0 || ev.qpn > self.traffic.num_connections {
-                problems.push(format!("event {i}: qpn {} out of range", ev.qpn));
+                problems.push(format!("traffic: event {i}: qpn {} out of range", ev.qpn));
             }
             if ev.psn == 0 || (ev.every == 0 && total.is_some_and(|t| ev.psn > t)) {
-                problems.push(format!("event {i}: psn {} out of range", ev.psn));
+                problems.push(format!("traffic: event {i}: psn {} out of range", ev.psn));
             }
             if ev.psn.checked_add(ev.every).is_none() {
                 problems.push(format!(
@@ -907,24 +908,24 @@ impl TestConfig {
                 problems.push(format!("traffic: event {i}: delay-us {p}"));
             }
             if ev.iter == 0 {
-                problems.push(format!("event {i}: iter must be ≥ 1"));
+                problems.push(format!("traffic: event {i}: iter must be ≥ 1"));
             }
             if !matches!(
                 ev.r#type.as_str(),
                 "drop" | "ecn" | "corrupt" | "set-mig-0" | "set-mig-1" | "delay" | "reorder"
             ) {
-                problems.push(format!("event {i}: unknown type {:?}", ev.r#type));
+                problems.push(format!("traffic: event {i}: unknown type {:?}", ev.r#type));
             }
             if ev.r#type == "delay" && ev.delay_us == 0 {
-                problems.push(format!("event {i}: delay requires delay-us ≥ 1"));
+                problems.push(format!("traffic: event {i}: delay requires delay-us ≥ 1"));
             }
             if ev.r#type == "reorder" && ev.reorder_by == 0 {
-                problems.push(format!("event {i}: reorder-by must be ≥ 1"));
+                problems.push(format!("traffic: event {i}: reorder-by must be ≥ 1"));
             }
         }
         for (i, &tc) in self.traffic.qp_traffic_class.iter().enumerate() {
             if tc >= self.ets.queues.len() {
-                problems.push(format!("qp {i}: traffic class {tc} out of range"));
+                problems.push(format!("traffic: qp {i}: traffic class {tc} out of range"));
             }
         }
         if self.network.dumper_ring_capacity == 0 {

@@ -95,9 +95,10 @@ pub struct TestResults {
     /// it only for quirk-injected runs; `RunReport` appends it otherwise.
     pub conformance: Option<ConformanceReport>,
     /// The views of the same replay (the Go-back-N view, the decision
-    /// points, the retransmission breakdowns and the CNP / CE tallies):
-    /// `Some` exactly when `conformance` is, so no report or campaign walks
-    /// the trace again. Never in [`report_json`](Self::report_json).
+    /// points, the retransmission breakdowns, the CNP / CE and counter
+    /// tallies, the recovery view on chaos runs): `Some` exactly when
+    /// `conformance` is, so nothing walks the trace again. Never in
+    /// [`report_json`](Self::report_json).
     pub replayed: Option<ReplayViews>,
     /// Chaos-plane counters; `Some` only when the run had an active
     /// `chaos:` section, so chaos-free reports are byte-identical to
@@ -824,10 +825,9 @@ fn reconstruct(
 
 /// Stage 5: the oracles a run grades itself with. Every traced run gets
 /// the one RC replay — the conformance verdict and its views — which every
-/// report and campaign then reads; chaos-injected runs the recovery verdict
-/// too (the whole point of injecting chaos is proving the stack recovers).
-/// [`crate::report::RunReport`] runs only the counter analyzer, which reads
-/// no trace.
+/// report, campaign and oracle then reads; chaos-injected runs the recovery
+/// verdict too (the whole point of injecting chaos is proving the stack
+/// recovers), off the replay's recovery view. Nothing else walks the trace.
 fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
     if let Some(trace) = &results.trace {
         let opts = ConformanceOpts::from_results(results);
@@ -860,7 +860,7 @@ fn analyze(results: &mut TestResults, qp_end_states: &[QpEndState]) {
         destroyed,
     };
     results.recovery = Some(recovery::analyze(
-        results.trace.as_ref(),
+        results.replayed.as_ref().and_then(|r| r.recovery.as_ref()),
         &flows,
         qp_end_states,
         &opts,

@@ -203,7 +203,7 @@ fn scenario_seed(seed: u64, preset: u64, scenario: u64) -> u64 {
 /// Windows land in the first 30% of the horizon and stay short (≤ 2%),
 /// leaving the stack ample room to recover before end-of-run: a soak
 /// failure then means a real wedge, not a schedule that ate the horizon.
-fn gen_schedule(rng: &mut SimRng, horizon_us: u64, chaos_seed: u64) -> ChaosSection {
+pub(crate) fn gen_schedule(rng: &mut SimRng, horizon_us: u64, chaos_seed: u64) -> ChaosSection {
     let h = horizon_us.max(1_000);
     let start_lo = h / 20;
     let start_hi = (h * 3 / 10).max(start_lo + 1);

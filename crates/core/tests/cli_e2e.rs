@@ -168,6 +168,73 @@ fn hostile_window_arithmetic_is_a_config_error() {
             "trace:\n  enabled: false\ntraffic:".to_string(),
             "trace: unknown field `enabled`".to_string(),
         ),
+        // Every `traffic:` rejection names its section, as `network:`'s do.
+        (
+            "listing2",
+            "num-connections: 2",
+            "num-connections: 0".to_string(),
+            "traffic: num-connections must be ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "mtu: 1024",
+            "mtu: 8192".to_string(),
+            "traffic: mtu 8192 out of range".to_string(),
+        ),
+        (
+            "listing2",
+            "rdma-verb: write",
+            "rdma-verb: scribble".to_string(),
+            "traffic: unknown rdma-verb \"scribble\"".to_string(),
+        ),
+        (
+            "listing2",
+            "min-retransmit-timeout: 14",
+            "min-retransmit-timeout: 32".to_string(),
+            "traffic: min-retransmit-timeout must be a 5-bit code".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 3, psn: 0, type: ecn, iter: 0}".to_string(),
+            "traffic: event 0: qpn 3 out of range".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 3, psn: 0, type: ecn, iter: 0}".to_string(),
+            "traffic: event 0: psn 0 out of range".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 3, psn: 0, type: ecn, iter: 0}".to_string(),
+            "traffic: event 0: iter must be ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 1, psn: 4, type: smudge, iter: 1}".to_string(),
+            "traffic: event 0: unknown type \"smudge\"".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 1, psn: 4, type: delay, iter: 1}".to_string(),
+            "traffic: event 0: delay requires delay-us ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "{qpn: 1, psn: 4, type: ecn, iter: 1}",
+            "{qpn: 1, psn: 4, type: reorder, reorder-by: 0, iter: 1}".to_string(),
+            "traffic: event 0: reorder-by must be ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "tx-depth: 1",
+            "tx-depth: 1\n  qp-traffic-class: [0, 7]".to_string(),
+            "traffic: qp 1: traffic class 7 out of range".to_string(),
+        ),
     ] {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
         let yaml = std::fs::read_to_string(format!("{dir}/{preset}.yaml")).unwrap();

@@ -83,6 +83,8 @@ fn grind_analyzers(trace: &lumina_dumper::Trace, degraded: bool) {
             rx_icrc_errors: icrc,
             degraded,
             external_loss: false,
+            // The recovery oracle's view reads the same hostile trace.
+            recovery: np,
         };
         let rep = conformance::analyze(trace, &conns, &opts);
         assert!(rep.violations.len() <= 64, "violation cap breached");

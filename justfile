@@ -34,7 +34,9 @@ check:
 # pcap`) — because it inlines the walk into `recover_entry` and the reader
 # into `ingest_reader` — and the byte pins of the one RC replay (`--lib
 # routed_tests`, `--test analyzer_teeth`), because it inlines the
-# Go-back-N view into the oracle's per-packet steps — and the event log's
+# Go-back-N view into the oracle's per-packet steps — and the chaos soak
+# suite (`--test chaos_soak`), because it inlines the recovery oracle's
+# view into the replay's per-packet step too — and the event log's
 # byte pins and ring tests, because it inlines the recording sites.
 # Speed is not gated here: a claim is made with `just bench-pairs`.
 ci:
@@ -55,9 +57,11 @@ doc:
 
 # The release-profile pass of the byte-level suites (see `ci`). Then the
 # byte pins of the one RC replay: both public reports over every preset,
-# quirked fuzz children and colliding traces, and the trace-mutation teeth
-# of the oracle and its Go-back-N view. The last two are the run's one event
-# log: `event_log_pins` holds what its journal and hop views rendered while
+# quirked fuzz children and colliding traces, the counter and recovery
+# views against the walks they replaced, and the trace-mutation teeth
+# of the oracle and its Go-back-N view; and the chaos soak suite, whose
+# hostile traces reach the recovery oracle through the replay's view. Then
+# the run's one event log: `event_log_pins` holds what its journal and hop views rendered while
 # they were two rings (every preset untraced at seeds 1-2, the ten presets
 # whose hops fit the trace ring traced at seed 1, an overflowing journal)
 # and the `telemetry` documents the registry rendered while it stored JSON
@@ -84,6 +88,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-sim --lib pcap
     cargo test --release --offline -q -p lumina-core --lib routed_tests
     cargo test --release --offline -q -p lumina-core --test analyzer_teeth
+    cargo test --release --offline -q -p lumina-repro --test chaos_soak
     cargo test --release --offline -q -p lumina-repro --test event_log_pins
     cargo test --release --offline -q -p lumina-telemetry --lib
     cargo test --release --offline -q -p lumina-telemetry --test alloc_free

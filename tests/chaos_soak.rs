@@ -16,12 +16,13 @@
 //! 3. **The oracle proves wedges and survives garbage.** The shipped
 //!    `chaos_demo.yaml` preset must keep producing its typed
 //!    `unaccounted` liveness violation, and `recovery::analyze` must be
-//!    panic-free on arbitrary hostile accounting + degraded traces.
+//!    panic-free on arbitrary hostile accounting + degraded traces, fed
+//!    through the RC replay's recovery view as stage 5 feeds them.
 
 use lumina_core::analyzers::recovery::{
     self, FlowAccount, LivenessViolation, QpEndState, RecoveryOpts,
 };
-use lumina_core::analyzers::{conformance, ConformanceOpts};
+use lumina_core::analyzers::{conformance, ConformanceOpts, ConformanceStream};
 use lumina_core::config::TestConfig;
 use lumina_core::orchestrator::run_test;
 use lumina_dumper::{reconstruct_lossy, CapturedPacket};
@@ -343,9 +344,17 @@ proptest! {
             }
         }
         let (trace, _) = reconstruct_lossy(&[caps]);
-        let trace = with_trace.then_some(&trace);
+        let armed = ConformanceOpts {
+            recovery: true,
+            ..ConformanceOpts::default()
+        };
+        let wire = with_trace.then(|| {
+            let mut stream = ConformanceStream::discovering(&armed);
+            stream.observe_trace(&trace);
+            stream.finish_views().1.recovery
+        });
 
-        let rep = recovery::analyze(trace, &flows, &qps, &opts);
+        let rep = recovery::analyze(wire.flatten().as_ref(), &flows, &qps, &opts);
         prop_assert_eq!(rep.windows.len(), opts.windows.len());
         prop_assert!(rep.amplification_limit.is_finite() && rep.amplification_limit > 0.0);
         prop_assert_eq!(rep.live, rep.violations.is_empty());

@@ -6,7 +6,7 @@
 
 use lumina_core::config::{FaultsSection, FreezeSpec, StallSpec, TestConfig};
 use lumina_core::orchestrator::run_test;
-use lumina_core::TestResults;
+use lumina_core::{RunReport, TestResults};
 
 fn fig11_with(faults: FaultsSection) -> TestConfig {
     let path = concat!(
@@ -51,6 +51,13 @@ fn mirror_loss_degrades_the_trace_deterministically() {
     assert!(deg.analyzable_fraction > 0.5 && deg.analyzable_fraction < 1.0);
     assert!(deg.missing > 0 && !deg.gaps.is_empty());
     assert!(res.traffic_completed(), "faults hit the mirror path only");
+    // Every analyzer that counts on the damaged trace says so, the counter
+    // analyzer included: its CNPs, re-reads and corrupt events come from it.
+    let run = RunReport::of(&res).to_json().unwrap();
+    let confidence = &run["analyzer_confidence"];
+    for analyzer in ["gbn_fsm", "retransmissions", "cnp", "counter"] {
+        assert_eq!(confidence[analyzer], "degraded", "{analyzer}: {confidence}");
+    }
 }
 
 #[test]
