@@ -30,7 +30,7 @@ mod txsched;
 
 use crate::counters::Counters;
 use crate::dcqcn::{DcqcnParams, NotificationPoint, ReactionPoint};
-use crate::ets::{EtsConfig, EtsScheduler, TxCandidate};
+use crate::ets::{EtsConfig, EtsScheduler};
 use crate::profile::DeviceProfile;
 use crate::qp::{Qp, QpConfig, QpState};
 use crate::qp_table::QpTable;
@@ -118,11 +118,6 @@ pub struct Rnic {
     port_free: SimTime,
     tx_armed_at: Option<SimTime>,
     rr_cursor: usize,
-    /// Scratch refilled by [`Rnic::candidates`] on every scheduling
-    /// decision: what the ETS scheduler sees, and index-aligned with it
-    /// who each candidate is (`(qpn, is_read_resp)`).
-    tx_cands: Vec<TxCandidate>,
-    tx_owners: Vec<(u32, bool)>,
     /// The buffer the next `post_send` / `on_frame` / `on_timer` returns
     /// its actions in: empty, with whatever capacity the host handed back
     /// through [`Rnic::recycle`].
@@ -200,8 +195,6 @@ impl Rnic {
             port_free: SimTime::ZERO,
             tx_armed_at: None,
             rr_cursor: 0,
-            tx_cands: Vec::new(),
-            tx_owners: Vec::new(),
             spare_actions: Vec::new(),
             pending_recoveries: 0,
             recovery_slots: vec![SimTime::ZERO; contexts],
@@ -486,6 +479,7 @@ impl Rnic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ets::TxCandidate;
     use crate::qp::tests::test_cfg;
     use crate::qp::ReadRespJob;
     use crate::verbs::Verb;
@@ -579,10 +573,10 @@ mod tests {
         out
     }
 
-    /// The scheduling scratch as `(owner, candidate)` pairs.
-    fn scratch(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
-        let owners = rnic.tx_owners.iter().copied();
-        owners.zip(rnic.tx_cands.iter().copied()).collect()
+    /// The table's round-robin sequence at the device's cursor as
+    /// `(owner, candidate)` pairs.
+    fn table_candidates(rnic: &mut Rnic) -> Vec<((u32, bool), TxCandidate)> {
+        rnic.qps.candidates(rnic.rr_cursor).map(|(c, owner)| (owner, c)).collect()
     }
 
     #[test]
@@ -591,8 +585,7 @@ mod tests {
             let mut rnic = mixed_rnic(n);
             for cursor in 0..2 * n + 1 {
                 rnic.rr_cursor = cursor;
-                rnic.candidates();
-                let got = scratch(&rnic);
+                let got = table_candidates(&mut rnic);
                 assert_eq!(got, reference_candidates(&rnic), "{n} QPs, cursor {cursor}");
                 // Two of every six QPs offer request work, two read
                 // responses (one of them both).
@@ -641,10 +634,9 @@ mod tests {
         let walks_like_the_reference = |rnic: &mut Rnic| {
             for cursor in [0, 1, 1000, N as usize - 1, N as usize, 5000] {
                 rnic.rr_cursor = cursor;
-                rnic.candidates();
-                assert_eq!(scratch(rnic), reference_candidates(rnic), "cursor {cursor}");
+                assert_eq!(table_candidates(rnic), reference_candidates(rnic), "cursor {cursor}");
             }
-            rnic.tx_owners.len()
+            table_candidates(rnic).len()
         };
         (0..N).step_by(3).for_each(|rank| post(&mut rnic, rank));
         assert_eq!(walks_like_the_reference(&mut rnic), N.div_ceil(3) as usize);
@@ -670,47 +662,6 @@ mod tests {
         rnic
     }
 
-    fn sorted_scratch(rnic: &Rnic) -> Vec<((u32, bool), TxCandidate)> {
-        let mut v = scratch(rnic);
-        v.sort_by_key(|&(owner, _)| owner);
-        v
-    }
-
-    #[test]
-    fn scratch_patched_by_tx_fire_equals_a_fresh_walk() {
-        for n in [1, 2, 7, 256] {
-            // About half the QPs are past their pacing instant.
-            let now = SimTime::from_nanos(n as u64 * 5);
-            let mut fired = 0;
-            for cursor in 0..2 * n + 1 {
-                let mut rnic = paced_rnic(n, cursor);
-                let mut actions = Vec::new();
-                rnic.tx_fire(now, &mut actions);
-                fired += usize::from(matches!(actions.first(), Some(Action::Emit(_))));
-                let patched = sorted_scratch(&rnic);
-                let patched_next = rnic.ets.next_opportunity(now, &rnic.tx_cands);
-                rnic.candidates();
-                assert_eq!(patched, sorted_scratch(&rnic), "{n} QPs, cursor {cursor}");
-                assert_eq!(
-                    patched_next,
-                    rnic.ets.next_opportunity(now, &rnic.tx_cands),
-                    "{n} QPs, cursor {cursor}"
-                );
-            }
-            // Some QP is always past its pacing instant: every tick sent.
-            assert_eq!(fired, 2 * n + 1, "{n} QPs");
-        }
-        // The pick can also be a QP's read response, with its request
-        // entry *before* it (the request is too big for the tokens left).
-        let mut rnic = paced_rnic(7, 0);
-        rnic.candidates();
-        let fresh = sorted_scratch(&rnic);
-        let i = rnic.tx_owners.iter().position(|o| o.1 && rnic.tx_owners.contains(&(o.0, false)));
-        let i = i.expect("QP 2 offers both kinds");
-        rnic.reoffer(rnic.tx_owners[i].0, i);
-        assert_eq!(sorted_scratch(&rnic), fresh);
-    }
-
     #[test]
     fn gated_tx_kick_equals_the_ungated_computation() {
         let ns = SimTime::from_nanos;
@@ -727,7 +678,6 @@ mod tests {
                         let (mut gated, mut ungated) = (build(), build());
                         let (mut got, mut want) = (Vec::new(), Vec::new());
                         gated.tx_kick(ns(now), &mut got);
-                        ungated.candidates();
                         ungated.tx_arm(ns(now), &mut want);
                         let case = format!("{n} QPs, now {now}, port_free {port_free}, armed {armed:?}");
                         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{case}");
@@ -936,11 +886,11 @@ mod tests {
                 let cursor = rnic.rr_cursor;
                 for c in [0, 1, n - 1, n, 3 * n + 7] {
                     rnic.rr_cursor = c;
-                    rnic.candidates();
-                    assert_eq!(scratch(&rnic), reference_candidates(&rnic), "{case}, cursor {c}");
+                    let want = reference_candidates(&rnic);
+                    assert_eq!(table_candidates(&mut rnic), want, "{case}, cursor {c}");
                 }
                 rnic.rr_cursor = cursor;
-                ready_seen += rnic.tx_cands.len();
+                ready_seen += table_candidates(&mut rnic).len();
 
                 // Whatever arrived, every QP's sequence space is in order.
                 for qpn in rnic.qpns() {
@@ -961,7 +911,7 @@ mod tests {
                 // must arm where a full walk says.
                 let all: Vec<TxCandidate> =
                     reference_candidates(&rnic).into_iter().map(|(_, c)| c).collect();
-                let opp = rnic.ets.next_opportunity(now, &all);
+                let opp = rnic.ets.next_opportunity(now, all.iter().copied());
                 let want = opp.map(|t| t.max(rnic.port_free).max(now));
                 let armed = rnic.tx_armed_at.take();
                 let mut got = Vec::new();

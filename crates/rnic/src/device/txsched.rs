@@ -1,5 +1,5 @@
-//! Egress: the transmit wheel, the candidate scratch the ETS scheduler
-//! picks from, and the one data packet a tick puts on the wire.
+//! Egress: the transmit wheel, the ETS decision over the QP table's
+//! ready list, and the one data packet a tick puts on the wire.
 
 use super::{arm, token, Action, Rnic};
 use crate::qp::Qp;
@@ -16,14 +16,14 @@ impl Rnic {
         if self.tx_armed_at.is_some_and(|at| at <= floor) {
             return;
         }
-        self.candidates();
         self.tx_arm(now, actions);
     }
 
-    /// Arm the transmit wheel at the scratch's next opportunity unless a
+    /// Arm the transmit wheel at the candidates' next opportunity unless a
     /// tick is already pending at or before it.
     pub(super) fn tx_arm(&mut self, now: SimTime, actions: &mut Vec<Action>) {
-        let Some(opp) = self.ets.next_opportunity(now, &self.tx_cands) else {
+        let cands = self.qps.candidates(self.rr_cursor).map(|(c, _)| c);
+        let Some(opp) = self.ets.next_opportunity(now, cands) else {
             return;
         };
         let next = opp.max(self.port_free).max(now);
@@ -31,33 +31,6 @@ impl Rnic {
             self.tx_armed_at = Some(next);
             arm(actions, next, token::TX_WHEEL, 0, 0);
         }
-    }
-
-    /// Refill the scheduling scratch with every transmit candidate, in
-    /// round-robin order: QPs ascending by QPN, rotated to start at
-    /// `rr_cursor`; within a QP, request work before read-response work.
-    pub(super) fn candidates(&mut self) {
-        self.tx_cands.clear();
-        self.tx_owners.clear();
-        self.qps
-            .offer_all(self.rr_cursor, &mut self.tx_cands, &mut self.tx_owners);
-    }
-
-    /// Bring the scratch up to date after a transmit changed `qpn` and
-    /// nothing else: drop its candidates (adjacent, one of them at `i`)
-    /// and append its fresh ones. The round-robin order is lost, which
-    /// `next_opportunity` — a `min` — does not see.
-    pub(super) fn reoffer(&mut self, qpn: u32, i: usize) {
-        let owners = &self.tx_owners;
-        let lo = i - usize::from(i > 0 && owners[i - 1].0 == qpn);
-        let hi = i + usize::from(owners.get(i + 1).is_some_and(|o| o.0 == qpn));
-        for j in (lo..=hi).rev() {
-            self.tx_owners.swap_remove(j);
-            self.tx_cands.swap_remove(j);
-        }
-        let slot = self.qps.lookup(qpn).expect("scratch names an unknown QP");
-        self.qps
-            .offer_one(slot, &mut self.tx_cands, &mut self.tx_owners);
     }
 
     pub(crate) fn peek_req_size(qp: &Qp) -> usize {
@@ -83,23 +56,34 @@ impl Rnic {
             self.tx_kick(now, actions);
             return;
         }
-        self.candidates();
-        // An empty pick would still refill the scheduler's buckets.
-        if !self.tx_cands.is_empty() {
-            if let Some(picked) = self.ets.pick(now, &self.tx_cands) {
-                self.transmit(picked, now, actions);
-            }
+        let picked = {
+            let mut cands = self.qps.candidates(self.rr_cursor);
+            let pick = match cands.clone().next() {
+                // An empty pick would still refill the scheduler's buckets.
+                None => None,
+                Some(_) => self.ets.pick(now, cands.clone().map(|(c, _)| c)),
+            };
+            pick.and_then(|i| cands.nth(i))
+        };
+        if let Some((cand, (qpn, is_read_resp))) = picked {
+            self.transmit(qpn, is_read_resp, cand.size, now, actions);
         }
-        // The scratch is current — walked above, patched if a packet
-        // left — so re-arm from it rather than walking again.
+        // Re-arm from the table as the transmit left it: only the fired
+        // QP's offer is re-read.
         self.tx_arm(now, actions);
     }
 
-    /// Put the head packet of scratch candidate `picked` on the wire.
-    fn transmit(&mut self, picked: usize, now: SimTime, actions: &mut Vec<Action>) {
-        let (qpn, is_read_resp) = self.tx_owners[picked];
-        let cand = self.tx_cands[picked];
-        let i = self.qps.lookup(qpn).expect("scratch names an unknown QP");
+    /// Put the head packet (`size` bytes as offered) of `qpn`'s request or
+    /// read-response work on the wire.
+    fn transmit(
+        &mut self,
+        qpn: u32,
+        is_read_resp: bool,
+        size: usize,
+        now: SimTime,
+        actions: &mut Vec<Action>,
+    ) {
+        let i = self.qps.lookup(qpn).expect("the table names an unknown QP");
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         let mut frame = if is_read_resp {
             self.gen_read_resp_frame(i)
@@ -117,7 +101,7 @@ impl Rnic {
         let line = lumina_packet::frame::line_occupancy_of(frame.len());
         self.port_free = now + self.profile.port_bandwidth.serialization_time(line);
         self.counters.tx_packets += 1;
-        self.counters.tx_bytes += cand.size as u64;
+        self.counters.tx_bytes += size as u64;
         self.pace(i, line, now);
         actions.push(Action::Emit(frame));
         if let Some(g) = ghost {
@@ -125,6 +109,5 @@ impl Rnic {
             actions.push(Action::Emit(g));
         }
         self.arm_timeout_if_needed(i, now, actions);
-        self.reoffer(qpn, picked);
     }
 }

@@ -1,13 +1,16 @@
 //! The device's QPs, and what each currently offers the egress scheduler.
 //!
-//! A scheduling decision needs every QP that has data to send, in
-//! round-robin order. Asking all of them on every decision costs O(QPs)
-//! per event, most of it spent on QPs that were idle before and still
-//! are. Hardware does not poll either: a doorbell puts a QP on a ready
-//! list. Here the doorbell is the borrow — [`QpTable::get_mut`] is the only
-//! way to a `&mut Qp`, and it marks the slot *dirty*. A walk re-reads the
-//! dirty slots, moves them on or off the ready list as their answer
-//! changed, and then reads the ready list alone.
+//! A scheduling decision reads the QPs that have data to send, in
+//! round-robin order, as far as its answer. Asking every QP on every
+//! decision costs O(QPs) per event, most of it spent on QPs that were idle
+//! before and still are. Hardware does not poll either: a doorbell puts a
+//! QP on a ready list. Here the doorbell is the borrow —
+//! [`QpTable::get_mut`] is the only way to a `&mut Qp`, and it marks the
+//! slot *dirty*. [`QpTable::candidates`] first re-reads the dirty slots and
+//! moves them on or off the ready list as their answer changed, then hands
+//! out the ready list's candidates one at a time. Nothing is copied out:
+//! the ETS scheduler reads them in place and stops at its answer, which
+//! with many QPs all eligible is the first one.
 //!
 //! Dirty means "may have changed", nothing more: a slot whose QP was
 //! borrowed and left as it was costs one re-read at the next walk. The
@@ -191,48 +194,29 @@ impl QpTable {
         }
     }
 
-    /// Append every transmit candidate to the scratch, in round-robin
-    /// order: slots ascending, rotated to start at `cursor` (taken modulo
-    /// the QP count); within a QP, request work before read-response work.
-    /// Exactly what asking every QP in that order would append.
-    pub(crate) fn offer_all(
+    /// Every transmit candidate with its owner `(qpn, is_read_resp)`, in
+    /// round-robin order: slots ascending, rotated to start at `cursor`
+    /// (taken modulo the QP count); within a QP, request work before
+    /// read-response work. Exactly what asking every QP in that order
+    /// would give, read lazily off the (refreshed) ready list, so a
+    /// scheduler that stops at its answer reads no further.
+    pub(crate) fn candidates(
         &mut self,
         cursor: usize,
-        cands: &mut Vec<TxCandidate>,
-        owners: &mut Vec<(u32, bool)>,
-    ) {
+    ) -> impl Iterator<Item = (TxCandidate, (u32, bool))> + Clone + '_ {
         self.refresh();
         let start = cursor % self.qpns.len().max(1);
         let split = self.ready.partition_point(|&r| r < start);
         let (before, from) = self.ready.split_at(split);
-        for &i in from.iter().chain(before) {
-            self.push(i, cands, owners);
-        }
-    }
-
-    /// Append slot `i`'s candidates alone.
-    pub(crate) fn offer_one(
-        &mut self,
-        i: usize,
-        cands: &mut Vec<TxCandidate>,
-        owners: &mut Vec<(u32, bool)>,
-    ) {
-        self.refresh();
-        self.push(i, cands, owners);
-    }
-
-    fn push(&self, i: usize, cands: &mut Vec<TxCandidate>, owners: &mut Vec<(u32, bool)>) {
-        let offer = &self.offers[i];
-        let heads = [(false, offer.req), (true, offer.read_resp)];
-        for (is_read_resp, size) in heads {
-            if let Some(size) = size {
-                owners.push((self.qpns[i], is_read_resp));
-                cands.push(TxCandidate {
-                    tc: offer.tc,
-                    eligible_at: offer.eligible_at,
-                    size,
-                });
-            }
-        }
+        let (qpns, offers) = (&self.qpns, &self.offers);
+        from.iter().chain(before).flat_map(move |&i| {
+            let offer = &offers[i];
+            let heads = [(false, offer.req), (true, offer.read_resp)];
+            heads.into_iter().filter_map(move |(is_read_resp, size)| {
+                let (tc, eligible_at) = (offer.tc, offer.eligible_at);
+                let cand = TxCandidate { tc, eligible_at, size: size? };
+                Some((cand, (qpns[i], is_read_resp)))
+            })
+        })
     }
 }

@@ -137,11 +137,16 @@ impl Bandwidth {
     }
 
     /// Time to serialize `bytes` onto this link (rounded up to whole ns).
+    ///
+    /// Exact in `u64` while `bytes × 8 × 10⁹` fits (frames of up to
+    /// ≈ 2.3 GB); beyond that the same quotient in `u128`.
     pub fn serialization_time(self, bytes: usize) -> SimTime {
         debug_assert!(self.0 > 0, "zero bandwidth");
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        SimTime(ns as u64)
+        const BIT_NS: u64 = 8 * 1_000_000_000;
+        match (bytes as u64).checked_mul(BIT_NS) {
+            Some(bit_ns) => SimTime(bit_ns.div_ceil(self.0)),
+            None => SimTime((bytes as u128 * BIT_NS as u128).div_ceil(self.0 as u128) as u64),
+        }
     }
 }
 
@@ -197,6 +202,28 @@ mod tests {
         assert_eq!(
             Bandwidth::gbps(40).serialization_time(1000),
             SimTime::from_nanos(200)
+        );
+    }
+
+    #[test]
+    fn serialization_time_at_the_u64_overflow_boundary() {
+        // The quotient as it is defined: bits × 10⁹ / bps, rounded up, in
+        // `u128`, truncated to the `u64` nanoseconds a `SimTime` holds.
+        let wide = |bw: Bandwidth, bytes: usize| {
+            SimTime((bytes as u128 * 8 * 1_000_000_000).div_ceil(bw.0 as u128) as u64)
+        };
+        // 2 305 843 009 B × 8 × 10⁹ is the last product below 2⁶⁴.
+        let last_fit = (u64::MAX / 8_000_000_000) as usize;
+        assert_eq!(last_fit, 2_305_843_009);
+        let bws = [1, 3, 40_000_000_000, 100_000_000_000, u64::MAX].map(Bandwidth);
+        for bw in bws {
+            for bytes in [last_fit - 1, last_fit, last_fit + 1, last_fit * 2, usize::MAX] {
+                assert_eq!(bw.serialization_time(bytes), wide(bw, bytes), "{bw:?}, {bytes} B");
+            }
+        }
+        assert_eq!(
+            Bandwidth::gbps(100).serialization_time(last_fit + 1),
+            SimTime::from_nanos(184_467_441)
         );
     }
 

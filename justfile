@@ -28,7 +28,8 @@ check:
 # path into `Engine::run`, and the reconstruction properties, because it
 # is that build's sort that orders the trace, and the device's two
 # transcript pins (the random-operation harness and the loopback wire
-# transcripts), because it inlines `Rnic`'s handlers into `HostNode`, and
+# transcripts) with the ETS scheduler's early-exit differential, because
+# it inlines `Rnic`'s handlers and the scheduler into `HostNode`, and
 # the two ingest differentials — the header walk against the per-header
 # walk (`header_walk`) and the pcap reader under ragged reads (`--lib
 # pcap`) — because it inlines the walk into `recover_entry` and the reader
@@ -55,7 +56,9 @@ ci:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p lumina-packet -p lumina-sim -p lumina-telemetry -p lumina-rnic -p lumina-switch -p lumina-dumper -p lumina-gen -p lumina-core
 
-# The release-profile pass of the byte-level suites (see `ci`). Then the
+# The release-profile pass of the byte-level suites (see `ci`): the
+# device's random-operation harness (`table_candidates`) runs beside the
+# ETS scans held to their full-scan reference (`ets::tests`). Then the
 # byte pins of the one RC replay: both public reports over every preset,
 # quirked fuzz children and colliding traces, the counter and recovery
 # views against the walks they replaced, and the trace-mutation teeth
@@ -82,7 +85,7 @@ release-bytes:
     cargo test --release --offline -q -p lumina-sim --lib wheel::tests::differential
     cargo test --release --offline -q -p lumina-sim --lib engine::tests::ticks_replay_the_timer_path
     cargo test --release --offline -q -p lumina-dumper --test proptest_reconstruct
-    cargo test --release --offline -q -p lumina-rnic --lib table_candidates
+    cargo test --release --offline -q -p lumina-rnic --lib -- table_candidates ets::tests
     cargo test --release --offline -q -p lumina-rnic --test loopback
     cargo test --release --offline -q -p lumina-packet --test header_walk
     cargo test --release --offline -q -p lumina-sim --lib pcap
