@@ -6,6 +6,9 @@ use crate::error::Error;
 use lumina_rnic::{Quirk, QuirkKnobs, Verb};
 use lumina_sim::{SimTime, Window};
 use serde::{Deserialize, Map, Serialize, Value};
+use std::any::{Any, TypeId};
+use std::fmt;
+use std::iter::zip;
 
 /// NIC settings of one host (Listing 1's `nic` + `roce-parameters`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -690,27 +693,6 @@ fn latest_arrival_ns(horizon_ns: u64, propagation_ns: u64) -> Option<u64> {
         .checked_add(horizon_ns)
 }
 
-/// What is wrong with an injected delay of `delay_us`, if anything. The
-/// delay is added to an arrival time, so it must fit the clock past the
-/// latest one ([`latest_arrival_ns`], `None` when that does not fit
-/// either and is reported on its own).
-fn delay_problem(delay_us: u64, latest_arrival_ns: Option<u64>) -> Option<String> {
-    let max_us = (u64::MAX - latest_arrival_ns.unwrap_or(0)) / 1_000;
-    (delay_us > max_us).then(|| {
-        format!(
-            "{delay_us} does not fit the simulation clock once added to an arrival a round \
-             trip past horizon-ms (at most {max_us})"
-        )
-    })
-}
-
-/// True when `value`, counted in units of `unit_ns` nanoseconds, is a time
-/// [`SimTime`] can hold — the lowering into the sim layer multiplies
-/// unchecked.
-fn fits_clock(value: u64, unit_ns: u64) -> bool {
-    value.checked_mul(unit_ns).is_some()
-}
-
 /// The `[at-us, at-us + duration-us)` window a `faults:` or `chaos:` entry
 /// names — a freeze, a stall, a flap, a pause or a burst — in simulation
 /// time. Call it on a validated config: [`TestConfig::problems`] rejects a
@@ -722,16 +704,222 @@ pub fn window(at_us: u64, duration_us: u64) -> Window {
     }
 }
 
-/// What is wrong with a `[at-us, at-us + duration-us)` window, if anything:
-/// it must be non-empty and end at an instant that [`fits_clock`].
-fn window_problem(at_us: u64, duration_us: u64) -> Option<&'static str> {
-    if duration_us == 0 {
-        return Some("duration-us must be ≥ 1");
+/// A value a row of the config's field table reads or sets: an integer of
+/// any width, widened to `u64`, or a probability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Num {
+    /// An integer field's value.
+    Int(u64),
+    /// A probability field's value.
+    Prob(f64),
+}
+
+/// A type a row's field can have. Setting narrows to the field's width, so
+/// `u64::MAX` sets a field to its type's maximum; an optional field left
+/// out has nothing to check, and setting it makes it present.
+trait Numeric {
+    fn num(&self) -> Option<Num>;
+    fn set_num(&mut self, v: Num);
+}
+
+macro_rules! numeric {
+    ($($t:ty => $num:ident),*) => {$(impl Numeric for $t {
+        fn num(&self) -> Option<Num> { Some(Num::$num(*self as _)) }
+        fn set_num(&mut self, v: Num) { *self = match v { Num::Int(n) => n as _, Num::Prob(p) => p as _ } }
+    })*};
+}
+numeric!(u8 => Int, u32 => Int, u64 => Int, usize => Int, f64 => Prob);
+
+impl<T: Numeric + Default> Numeric for Option<T> {
+    fn num(&self) -> Option<Num> {
+        self.as_ref()?.num()
     }
-    match at_us.checked_add(duration_us) {
-        Some(end_us) if fits_clock(end_us, 1_000) => None,
-        _ => Some("at-us + duration-us does not fit the simulation clock"),
+    fn set_num(&mut self, v: Num) {
+        self.get_or_insert_with(T::default).set_num(v);
     }
+}
+
+/// The end of every message about a time the simulation clock cannot hold.
+const FITS: &str = "does not fit the simulation clock";
+
+/// How a row's field is bounded.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// At least 1.
+    Positive,
+    /// At most `.0`, for the reason `.1`; with no reason, the range `1..=.0`.
+    AtMost(u64, Option<&'static str>),
+    /// A time in units of `.0` ns that the clock holds: the lowering into
+    /// the sim layer multiplies unchecked.
+    Clock(u64),
+    /// Microseconds added to an arrival: they must fit the clock past the
+    /// latest one ([`latest_arrival_ns`]).
+    PastArrival,
+    /// A probability: the only bound of a [`Num::Prob`] field.
+    Probability,
+    /// A code of `.0` bits.
+    Code(u32),
+    /// An index, from `.1`, into the `.0` entries of another field, which
+    /// `.2` names in the message.
+    Below(fn(&TestConfig) -> u64, u64, Option<&'static str>),
+}
+
+impl Bound {
+    /// What is wrong with `v`, said after the field's name, if anything.
+    /// `latest` is the latest arrival in ns, `None` when that does not fit
+    /// the clock either (a problem reported on its own).
+    fn problem(self, v: Num, cfg: &TestConfig, latest: Option<u64>) -> Option<String> {
+        let n = match v {
+            Num::Prob(p) => return (!(0.0..=1.0).contains(&p)).then(|| format!("{p} not a probability")),
+            Num::Int(n) => n,
+        };
+        match self {
+            Bound::Positive => (n == 0).then(|| "must be ≥ 1".into()),
+            Bound::AtMost(max, Some(why)) => (n > max).then(|| format!("{n} exceeds {max} ({why})")),
+            Bound::AtMost(max, None) => (n == 0 || n > max).then(|| format!("{n} out of range (1..={max})")),
+            Bound::Clock(unit_ns) => n.checked_mul(unit_ns).is_none().then(|| format!("{n} {FITS}")),
+            Bound::PastArrival => {
+                let max = (u64::MAX - latest.unwrap_or(0)) / 1_000;
+                let past = "once added to an arrival a round trip past horizon-ms";
+                (n > max).then(|| format!("{n} {FITS} {past} (at most {max})"))
+            }
+            Bound::Probability => None,
+            Bound::Code(bits) => (n >> bits != 0).then(|| format!("must be a {bits}-bit code")),
+            Bound::Below(count, from, named) => {
+                let count = count(cfg);
+                (n < from || n - from >= count).then(|| match named {
+                    Some(field) => format!("{n} out of range ({field} {count})"),
+                    None => format!("{n} out of range"),
+                })
+            }
+        }
+    }
+}
+
+/// A row of [`FIELDS`]: a numeric field of entry type `ty`, its key as the
+/// messages spell it, and its bound. `get` reads the field of an entry of
+/// that type (`None`: an optional field left out) and `set` writes it, both
+/// through the one place [`field!`] names.
+struct Field {
+    ty: TypeId,
+    key: &'static str,
+    get: fn(&dyn Any) -> Option<Num>,
+    set: fn(&mut dyn Any, Num),
+    bound: Bound,
+}
+
+/// The row for field `$field` of entry type `$ty` (the entry itself when no
+/// field is named).
+macro_rules! field {
+    ($ty:ty $(, $field:ident)?: $key:literal, $bound:expr) => {
+        Field {
+            ty: TypeId::of::<$ty>(),
+            key: $key,
+            get: |e| e.downcast_ref::<$ty>()? $(.$field)?.num(),
+            set: |e, v| e.downcast_mut::<$ty>().into_iter().for_each(|e| e $(.$field)?.set_num(v)),
+            bound: $bound,
+        }
+    };
+}
+
+/// Every bounded numeric field of the schema, grouped by the entry type
+/// that holds it, in the order [`TestConfig::problems`] reports them. A key
+/// with two bounds has two rows. A quirk's knob is named by its quirk; the
+/// numbers of the `qp-traffic-class` list and the `hop-budget-us` map are
+/// entries of their own.
+#[rustfmt::skip]
+const FIELDS: &[Field] = {
+    use Bound::*;
+    let connections = "one UDP source port per connection from 49152";
+    let contexts = "the most connections a run carries, each in at most one recovery";
+    let dumpers = "the most dumper cores a run builds; each dumper has at least one";
+    &[
+        field!(HostConfig, min_time_between_cnps_us: "min-time-between-cnps-us", Clock(1_000)),
+        field!(HostConfig, override_recovery_contexts: "override-recovery-contexts", AtMost(MAX_CONNECTIONS as u64, Some(contexts))),
+        field!(TrafficConfig, num_connections: "num-connections", Positive),
+        field!(TrafficConfig, num_connections: "num-connections", AtMost(MAX_CONNECTIONS as u64, Some(connections))),
+        field!(TrafficConfig, mtu: "mtu", AtMost(4096, None)),
+        field!(TrafficConfig, num_msgs_per_qp: "num-msgs-per-qp", Positive),
+        field!(TrafficConfig, tx_depth: "tx-depth", Positive),
+        field!(TrafficConfig, min_retransmit_timeout: "min-retransmit-timeout", Code(5)),
+        field!(EventSpec, qpn: "qpn", Below(|c| c.traffic.num_connections.into(), 1, None)),
+        field!(EventSpec, iter: "iter", Positive),
+        field!(EventSpec, delay_us: "delay-us", PastArrival),
+        field!(usize: "traffic class", Below(|c| c.ets.queues.len() as u64, 0, None)),
+        field!(NetworkConfig, horizon_ms: "horizon-ms", Clock(1_000_000)),
+        field!(NetworkConfig, dumper_ring_capacity: "dumper-ring-capacity", Positive),
+        field!(NetworkConfig, dumper_cores: "dumper-cores", Positive),
+        field!(NetworkConfig, num_dumpers: "num-dumpers", Positive),
+        field!(NetworkConfig, num_dumpers: "num-dumpers", AtMost(MAX_DUMPER_CORES as u64, Some(dumpers))),
+        field!(NetworkConfig, dumper_core_rate_pps: "dumper-core-rate-pps", Positive),
+        field!(NetworkConfig, max_events: "max-events", Positive),
+        field!(FaultsSection, mirror_loss_prob: "mirror-loss-prob", Probability),
+        field!(FaultsSection, mirror_dup_prob: "mirror-dup-prob", Probability),
+        field!(FaultsSection, capture_bit_rot_prob: "capture-bit-rot-prob", Probability),
+        field!(StallSpec, at_us: "at-us", Clock(1_000)),
+        field!(StallSpec, duration_us: "duration-us", Positive),
+        field!(StallSpec, slowdown: "slowdown", Positive),
+        field!(StallSpec, index: "dumper index", Below(|c| c.network.num_dumpers as u64, 0, Some("num-dumpers"))),
+        field!(FreezeSpec, at_us: "at-us", Clock(1_000)),
+        field!(FreezeSpec, duration_us: "duration-us", Positive),
+        field!(f64: "", Probability),
+        field!(ChaosWindowSpec, at_us: "at-us", Clock(1_000)),
+        field!(ChaosWindowSpec, duration_us: "duration-us", Positive),
+        field!(ChaosBurstSpec, at_us: "at-us", Clock(1_000)),
+        field!(ChaosBurstSpec, duration_us: "duration-us", Positive),
+        field!(ChaosBurstSpec, loss_prob: "loss-prob", Probability),
+        field!(ChaosBurstSpec, corrupt_prob: "corrupt-prob", Probability),
+        field!(ChaosBurstSpec, reorder_prob: "reorder-prob", Probability),
+        field!(ChaosBurstSpec, reorder_delay_us: "reorder-delay-us", PastArrival),
+        field!(TraceSection, capacity: "capacity", Positive),
+        field!(u64: "hop-budget-us", Positive),
+    ]
+};
+
+/// Call `$f(site, key, entry)` on every entry of config `$c` whose fields
+/// the rows of [`FIELDS`] read — each section, list entry, quirk knob and
+/// hop budget — borrowed shared, or exclusive after a trailing `mut`. A
+/// field is named `{site}: {key}`, the key the row's unless `key` is given.
+macro_rules! entries {
+    ($c:expr, $f:ident $(, $m:tt)?) => {{
+        let c = $c;
+        $f(format_args!("requester"), None, & $($m)? c.requester);
+        $f(format_args!("responder"), None, & $($m)? c.responder);
+        $f(format_args!("traffic"), None, & $($m)? c.traffic);
+        let events = zip(0.., & $($m)? c.traffic.data_pkt_events);
+        events.for_each(|(i, e)| $f(format_args!("traffic: event {i}"), None, e));
+        let classes = zip(0.., & $($m)? c.traffic.qp_traffic_class);
+        classes.for_each(|(i, e)| $f(format_args!("traffic: qp {i}"), None, e));
+        $f(format_args!("network"), None, & $($m)? c.network);
+        if let Some(faults) = & $($m)? c.faults {
+            $f(format_args!("faults"), None, & $($m)? *faults);
+            let stalls = zip(0.., & $($m)? faults.dumper_stalls);
+            stalls.for_each(|(i, e)| $f(format_args!("faults: stall {i}"), None, e));
+            let freezes = zip(0.., & $($m)? faults.freezes);
+            freezes.for_each(|(i, e)| $f(format_args!("faults: freeze {i}"), None, e));
+        }
+        if let Some(quirks) = & $($m)? c.quirks {
+            for q in Quirk::ALL {
+                $f(format_args!("quirks"), Some(&q.config_key()), & $($m)? quirks.knobs[q]);
+            }
+        }
+        if let Some(chaos) = & $($m)? c.chaos {
+            for (i, link) in zip(0.., & $($m)? chaos.links) {
+                let flaps = zip(0.., & $($m)? link.flaps);
+                flaps.for_each(|(j, e)| $f(format_args!("chaos: link {i}: flap {j}"), None, e));
+                let pauses = zip(0.., & $($m)? link.pauses);
+                pauses.for_each(|(j, e)| $f(format_args!("chaos: link {i}: pause {j}"), None, e));
+                let bursts = zip(0.., & $($m)? link.bursts);
+                bursts.for_each(|(j, e)| $f(format_args!("chaos: link {i}: burst {j}"), None, e));
+            }
+        }
+        if let Some(trace) = & $($m)? c.trace {
+            $f(format_args!("trace"), None, & $($m)? *trace);
+            for (hop, e) in & $($m)? trace.hop_budget_us {
+                $f(format_args!("trace"), Some(&format_args!("hop-budget-us {hop:?}")), e);
+            }
+        }
+    }};
 }
 
 /// A complete test configuration.
@@ -784,18 +972,21 @@ impl TestConfig {
     /// The device query string selecting a role's NIC: the `device:`
     /// section override when present, the host's `nic-type` otherwise.
     pub fn device_query(&self, responder_side: bool) -> &str {
-        let section = self.device.as_ref().and_then(|d| {
-            if responder_side {
-                d.responder.as_deref()
-            } else {
-                d.requester.as_deref()
-            }
-        });
-        section.unwrap_or(if responder_side {
+        self.device_override(responder_side).unwrap_or(if responder_side {
             &self.responder.nic_type
         } else {
             &self.requester.nic_type
         })
+    }
+
+    /// The `device:` section's name for a role's NIC, if it gives one.
+    fn device_override(&self, responder_side: bool) -> Option<&str> {
+        let d = self.device.as_ref()?;
+        if responder_side {
+            d.responder.as_deref()
+        } else {
+            d.requester.as_deref()
+        }
     }
 
     /// Resolve a role's device through the registry (honoring the
@@ -823,97 +1014,69 @@ impl TestConfig {
         }
     }
 
+    /// Call `f(name, value, set)` on every bounded numeric field of this
+    /// config: its name as its messages give it (`chaos: link 0: burst 1:
+    /// loss-prob`), its value (`None`: an optional field left out), and a
+    /// setter that narrows to the field's width, so that `u64::MAX` is the
+    /// field's maximum, and makes an optional field present. A key with two
+    /// bounds is called twice.
+    pub fn numeric_fields(&mut self, mut f: impl FnMut(&str, Option<Num>, &mut dyn FnMut(Num))) {
+        let mut each = |site: fmt::Arguments<'_>, key: Option<&dyn fmt::Display>, entry: &mut dyn Any| {
+            let ty = (*entry).type_id();
+            for row in FIELDS.iter().filter(|r| r.ty == ty) {
+                let name = format!("{site}: {}", key.unwrap_or(&row.key));
+                f(&name, (row.get)(entry), &mut |v| (row.set)(entry, v));
+            }
+        };
+        entries!(self, each, mut);
+    }
+
     /// Basic sanity checks; returns a list of problems (empty = valid).
+    /// Each numeric field is held to its row of the field table, and a
+    /// window's end to the clock; then the rules that relate fields run.
     pub fn problems(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if self.traffic.num_connections == 0 {
-            problems.push("traffic: num-connections must be ≥ 1".into());
+        let (traffic, net) = (&self.traffic, &self.network);
+        let horizon_ns = net.horizon_ms.checked_mul(1_000_000);
+        let latest = horizon_ns.and_then(|h| latest_arrival_ns(h, net.propagation_delay_ns));
+        let mut check = |site: fmt::Arguments<'_>, key: Option<&dyn fmt::Display>, entry: &dyn Any| {
+            let ty = (*entry).type_id();
+            let rows = FIELDS.iter().filter(|r| r.ty == ty);
+            for row in rows.clone() {
+                let p = (row.get)(entry).and_then(|v| row.bound.problem(v, self, latest));
+                if let Some(p) = p {
+                    problems.push(format!("{site}: {} {p}", key.unwrap_or(&row.key)));
+                }
+            }
+            let read = |key| rows.clone().find(|r| r.key == key).and_then(|r| (r.get)(entry));
+            if let (Some(Num::Int(at)), Some(Num::Int(span))) = (read("at-us"), read("duration-us")) {
+                if at.checked_add(span).and_then(|end| end.checked_mul(1_000)).is_none() {
+                    problems.push(format!("{site}: at-us + duration-us {FITS}"));
+                }
+            }
+        };
+        entries!(self, check);
+
+        if traffic.verb().is_err() {
+            problems.push(format!("traffic: unknown rdma-verb {:?}", traffic.rdma_verb));
         }
-        if self.traffic.num_connections > MAX_CONNECTIONS {
-            problems.push(format!(
-                "traffic: num-connections {} exceeds {MAX_CONNECTIONS} (one UDP source port per connection from 49152)",
-                self.traffic.num_connections
-            ));
-        }
-        let (mtu, verb) = (self.traffic.mtu, &self.traffic.rdma_verb);
-        if mtu == 0 || mtu > 4096 {
-            problems.push(format!("traffic: mtu {mtu} out of range (1..=4096)"));
-        }
-        if self.traffic.verb().is_err() {
-            problems.push(format!("traffic: unknown rdma-verb {verb:?}"));
-        }
-        let total = self.traffic.pkts_per_qp();
+        let total = traffic.pkts_per_qp();
         if total.is_none() {
             problems.push(format!(
                 "traffic: num-msgs-per-qp {} × message-size {} / mtu {} data packets overflow u32",
-                self.traffic.num_msgs_per_qp, self.traffic.message_size, self.traffic.mtu
+                traffic.num_msgs_per_qp, traffic.message_size, traffic.mtu
             ));
         }
-        // Device resolution: the `device:` section override wins per role;
-        // either way an unresolvable name lists what the registry offers.
-        let registry = lumina_rnic::DeviceRegistry::builtin();
-        let available = registry.names().join(", ");
-        let hosts = [("requester", &self.requester), ("responder", &self.responder)];
-        for (responder_side, (role, host)) in [false, true].into_iter().zip(hosts) {
-            let query = self.device_query(responder_side);
-            if registry.get(query).is_none() {
-                problems.push(format!(
-                    "unknown {role} nic {query:?} (available: {available})"
-                ));
-            }
-            if !fits_clock(host.min_time_between_cnps_us, 1_000) {
-                problems.push(format!(
-                    "{role}: min-time-between-cnps-us {} does not fit the simulation clock",
-                    host.min_time_between_cnps_us
-                ));
-            }
-        }
-        if let Some(dev) = &self.device {
-            for (i, name) in dev.matrix.iter().enumerate() {
-                if registry.get(name).is_none() {
-                    problems.push(format!(
-                        "device: matrix entry {i}: unknown device {name:?} (available: {available})"
-                    ));
-                }
-            }
-        }
-        if !fits_clock(self.network.horizon_ms, 1_000_000) {
-            problems.push(format!(
-                "network: horizon-ms {} does not fit the simulation clock",
-                self.network.horizon_ms
-            ));
-        }
-        let net = &self.network;
-        let latest_arrival = net
-            .horizon_ms
-            .checked_mul(1_000_000)
-            .and_then(|h| latest_arrival_ns(h, net.propagation_delay_ns));
-        if self.traffic.min_retransmit_timeout >= 32 {
-            problems.push("traffic: min-retransmit-timeout must be a 5-bit code".into());
-        }
-        for (i, ev) in self.traffic.data_pkt_events.iter().enumerate() {
-            if ev.qpn == 0 || ev.qpn > self.traffic.num_connections {
-                problems.push(format!("traffic: event {i}: qpn {} out of range", ev.qpn));
-            }
+        for (i, ev) in traffic.data_pkt_events.iter().enumerate() {
             if ev.psn == 0 || (ev.every == 0 && total.is_some_and(|t| ev.psn > t)) {
                 problems.push(format!("traffic: event {i}: psn {} out of range", ev.psn));
             }
             if ev.psn.checked_add(ev.every).is_none() {
-                problems.push(format!(
-                    "traffic: event {i}: psn {} + every {} overflows u32",
-                    ev.psn, ev.every
-                ));
+                let (psn, every) = (ev.psn, ev.every);
+                problems.push(format!("traffic: event {i}: psn {psn} + every {every} overflows u32"));
             }
-            if let Some(p) = delay_problem(ev.delay_us, latest_arrival) {
-                problems.push(format!("traffic: event {i}: delay-us {p}"));
-            }
-            if ev.iter == 0 {
-                problems.push(format!("traffic: event {i}: iter must be ≥ 1"));
-            }
-            if !matches!(
-                ev.r#type.as_str(),
-                "drop" | "ecn" | "corrupt" | "set-mig-0" | "set-mig-1" | "delay" | "reorder"
-            ) {
+            let known = ["drop", "ecn", "corrupt", "set-mig-0", "set-mig-1", "delay", "reorder"];
+            if !known.contains(&ev.r#type.as_str()) {
                 problems.push(format!("traffic: event {i}: unknown type {:?}", ev.r#type));
             }
             if ev.r#type == "delay" && ev.delay_us == 0 {
@@ -923,151 +1086,65 @@ impl TestConfig {
                 problems.push(format!("traffic: event {i}: reorder-by must be ≥ 1"));
             }
         }
-        for (i, &tc) in self.traffic.qp_traffic_class.iter().enumerate() {
-            if tc >= self.ets.queues.len() {
-                problems.push(format!("traffic: qp {i}: traffic class {tc} out of range"));
+        if self.ets.queues.is_empty() {
+            problems.push("ets: queues must not be empty".into());
+        }
+        // Device resolution: the `device:` section override wins per role;
+        // either way an unresolvable name lists what the registry offers.
+        let registry = lumina_rnic::DeviceRegistry::builtin();
+        let available = || registry.names().join(", ");
+        for (responder_side, role) in [(false, "requester"), (true, "responder")] {
+            let query = self.device_query(responder_side);
+            let key = match self.device_override(responder_side) {
+                Some(_) => format_args!("device: {role}"),
+                None => format_args!("{role}: nic-type"),
+            };
+            if registry.get(query).is_none() {
+                let available = available();
+                problems.push(format!("{key}: unknown {role} nic {query:?} (available: {available})"));
             }
         }
-        if self.network.dumper_ring_capacity == 0 {
-            problems.push("network: dumper-ring-capacity must be ≥ 1".into());
+        for (i, name) in self.device.iter().flat_map(|d| d.matrix.iter().enumerate()) {
+            if registry.get(name).is_none() {
+                let available = available();
+                problems.push(format!("device: matrix entry {i}: unknown device {name:?} (available: {available})"));
+            }
         }
-        if self.network.dumper_cores == 0 {
-            problems.push("network: dumper-cores must be ≥ 1".into());
-        }
-        if net.num_dumpers == 0 {
-            problems.push("network: num-dumpers must be ≥ 1".into());
-        } else if net.num_dumpers > MAX_DUMPER_CORES {
-            problems.push(format!(
-                "network: num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds; each dumper has at least one)",
-                net.num_dumpers
-            ));
-        } else if net.dumper_cores.saturating_mul(net.num_dumpers) > MAX_DUMPER_CORES {
+        let cores = net.dumper_cores.saturating_mul(net.num_dumpers);
+        if (1..=MAX_DUMPER_CORES).contains(&net.num_dumpers) && cores > MAX_DUMPER_CORES {
             problems.push(format!(
                 "network: dumper-cores {} × num-dumpers {} exceeds {MAX_DUMPER_CORES} (the most dumper cores a run builds, each a receive ring and a counter)",
                 net.dumper_cores, net.num_dumpers
             ));
         }
-        if let Some(horizon_ns) = net.horizon_ms.checked_mul(1_000_000) {
-            let max = max_propagation_ns(horizon_ns);
-            if net.propagation_delay_ns > max {
-                problems.push(format!(
-                    "network: propagation-delay-ns {} exceeds {max} (a round trip, four crossings + 760 ns, past horizon-ms must fit the simulation clock)",
-                    net.propagation_delay_ns
-                ));
+        let max = horizon_ns.map_or(u64::MAX, max_propagation_ns);
+        if net.propagation_delay_ns > max {
+            problems.push(format!(
+                "network: propagation-delay-ns {} exceeds {max} (a round trip, four crossings + 760 ns, past horizon-ms must fit the simulation clock)",
+                net.propagation_delay_ns
+            ));
+        }
+        for (i, fz) in self.faults.iter().flat_map(|f| f.freezes.iter().enumerate()) {
+            match fz.node.as_str() {
+                "requester" | "responder" | "switch" => {}
+                "dumper" if fz.index < net.num_dumpers => {}
+                "dumper" => problems.push(format!(
+                    "faults: freeze {i}: dumper index {} out of range (num-dumpers {})",
+                    fz.index, net.num_dumpers
+                )),
+                other => problems.push(format!("faults: freeze {i}: unknown node {other:?}")),
             }
         }
-        if self.network.dumper_core_rate_pps == 0 {
-            problems.push("network: dumper-core-rate-pps must be ≥ 1".into());
-        }
-        if self.network.max_events == Some(0) {
-            problems.push("network: max-events must be ≥ 1".into());
-        }
-        if let Some(faults) = &self.faults {
-            let prob = |name: &str, p: f64, problems: &mut Vec<String>| {
-                if !(0.0..=1.0).contains(&p) {
-                    problems.push(format!("faults: {name} {p} not a probability"));
-                }
-            };
-            prob("mirror-loss-prob", faults.mirror_loss_prob, &mut problems);
-            prob("mirror-dup-prob", faults.mirror_dup_prob, &mut problems);
-            prob(
-                "capture-bit-rot-prob",
-                faults.capture_bit_rot_prob,
-                &mut problems,
-            );
-            for (i, s) in faults.dumper_stalls.iter().enumerate() {
-                if let Some(p) = window_problem(s.at_us, s.duration_us) {
-                    problems.push(format!("faults: stall {i}: {p}"));
-                }
-                if s.slowdown == 0 {
-                    problems.push(format!("faults: stall {i}: slowdown must be ≥ 1"));
-                }
-                if let Some(idx) = s.index {
-                    if idx >= self.network.num_dumpers {
-                        problems.push(format!(
-                            "faults: stall {i}: dumper index {idx} out of range (num-dumpers {})",
-                            self.network.num_dumpers
-                        ));
-                    }
-                }
+        for (i, l) in self.chaos.iter().flat_map(|c| c.links.iter().enumerate()) {
+            if !matches!(l.link.as_str(), "requester" | "responder") {
+                problems.push(format!("chaos: link {i}: unknown link {:?}", l.link));
             }
-            for (i, fz) in faults.freezes.iter().enumerate() {
-                if let Some(p) = window_problem(fz.at_us, fz.duration_us) {
-                    problems.push(format!("faults: freeze {i}: {p}"));
-                }
-                match fz.node.as_str() {
-                    "requester" | "responder" | "switch" => {}
-                    "dumper" => {
-                        if fz.index >= self.network.num_dumpers {
-                            problems.push(format!(
-                                "faults: freeze {i}: dumper index {} out of range (num-dumpers {})",
-                                fz.index, self.network.num_dumpers
-                            ));
-                        }
-                    }
-                    other => {
-                        problems.push(format!("faults: freeze {i}: unknown node {other:?}"));
-                    }
-                }
-            }
-        }
-        if let Some(quirks) = &self.quirks {
-            for q in Quirk::ALL {
-                let p = quirks.knobs[q];
-                if !(0.0..=1.0).contains(&p) {
-                    problems.push(format!("quirks: {} {p} not a probability", q.config_key()));
-                }
-            }
-        }
-        if let Some(chaos) = &self.chaos {
-            for (i, l) in chaos.links.iter().enumerate() {
-                if !matches!(l.link.as_str(), "requester" | "responder") {
-                    problems.push(format!("chaos: link {i}: unknown link {:?}", l.link));
-                }
-                for (kind, windows) in [("flap", &l.flaps), ("pause", &l.pauses)] {
-                    for (j, w) in windows.iter().enumerate() {
-                        if let Some(p) = window_problem(w.at_us, w.duration_us) {
-                            problems.push(format!("chaos: link {i}: {kind} {j}: {p}"));
-                        } else if kind == "pause" {
-                            // A paused frame leaves when the window ends: like
-                            // an injected delay, the end must fit the clock a
-                            // round trip past the latest arrival.
-                            let end_us = w.at_us + w.duration_us;
-                            if let Some(p) = delay_problem(end_us, latest_arrival) {
-                                problems.push(format!(
-                                    "chaos: link {i}: pause {j}: at-us + duration-us {p}"
-                                ));
-                            }
-                        }
-                    }
-                }
-                for (j, b) in l.bursts.iter().enumerate() {
-                    if let Some(p) = window_problem(b.at_us, b.duration_us) {
-                        problems.push(format!("chaos: link {i}: burst {j}: {p}"));
-                    }
-                    let prob = |name: &str, p: f64, problems: &mut Vec<String>| {
-                        if !(0.0..=1.0).contains(&p) {
-                            problems.push(format!(
-                                "chaos: link {i}: burst {j}: {name} {p} not a probability"
-                            ));
-                        }
-                    };
-                    prob("loss-prob", b.loss_prob, &mut problems);
-                    prob("corrupt-prob", b.corrupt_prob, &mut problems);
-                    prob("reorder-prob", b.reorder_prob, &mut problems);
-                    if let Some(p) = delay_problem(b.reorder_delay_us, latest_arrival) {
-                        problems.push(format!("chaos: link {i}: burst {j}: reorder-delay-us {p}"));
-                    }
-                }
-            }
-        }
-        if let Some(trace) = &self.trace {
-            if trace.capacity == 0 {
-                problems.push("trace: capacity must be ≥ 1".into());
-            }
-            for (hop, &budget) in &trace.hop_budget_us {
-                if budget == 0 {
-                    problems.push(format!("trace: hop-budget-us {hop:?} must be ≥ 1"));
+            // A paused frame leaves when its pause ends: like an injected
+            // delay, the end must fit the clock past the latest arrival.
+            for (j, w) in l.pauses.iter().enumerate() {
+                let end = w.at_us.checked_add(w.duration_us).filter(|e| e.checked_mul(1_000).is_some());
+                if let Some(p) = end.and_then(|e| Bound::PastArrival.problem(Num::Int(e), self, latest)) {
+                    problems.push(format!("chaos: link {i}: pause {j}: at-us + duration-us {p}"));
                 }
             }
         }
@@ -1334,22 +1411,35 @@ chaos:
         - {at-us: 18446744073709552, duration-us: 1, loss-prob: 0.1}
 "#;
         let cfg = TestConfig::from_yaml(yaml).unwrap();
-        let problems = cfg.problems();
-        let all = problems.join("\n");
-        for site in [
-            "faults: stall 0",
-            "faults: freeze 0",
-            "link 0: flap 1",
-            "link 0: burst 0",
-        ] {
-            let want = format!("{site}: at-us + duration-us does not fit the simulation clock");
-            assert!(all.contains(&want), "{site}: {all}");
-        }
-        assert_eq!(problems.len(), 4, "the in-range flap is fine: {all}");
+        // A start past the clock is also a problem of its own; the in-range
+        // flap is fine.
+        let start = |site: &str, at_us: u64| {
+            format!("{site}: at-us {at_us} does not fit the simulation clock")
+        };
+        let end = |site: &str| format!("{site}: at-us + duration-us does not fit the simulation clock");
+        let want = [
+            start("faults: stall 0", u64::MAX),
+            end("faults: stall 0"),
+            end("faults: freeze 0"),
+            end("chaos: link 0: flap 1"),
+            start("chaos: link 0: burst 0", 18_446_744_073_709_552),
+            end("chaos: link 0: burst 0"),
+        ];
+        assert_eq!(cfg.problems(), want);
         assert_eq!(cfg.validate().unwrap_err().exit_code(), 2);
         // The last representable microsecond is still a valid end.
-        assert_eq!(window_problem(18_446_744_073_709_550, 1), None);
-        assert!(window_problem(18_446_744_073_709_551, 1).is_some());
+        let mut cfg = TestConfig::from_yaml(LISTING2).unwrap();
+        let stall = |at_us| StallSpec {
+            index: None,
+            at_us,
+            duration_us: 1,
+            slowdown: 2,
+        };
+        let faults = cfg.faults.insert(FaultsSection::default());
+        faults.dumper_stalls.push(stall(18_446_744_073_709_550));
+        assert_eq!(cfg.problems(), Vec::<String>::new());
+        cfg.faults.as_mut().unwrap().dumper_stalls[0] = stall(18_446_744_073_709_551);
+        assert_eq!(cfg.problems(), [end("faults: stall 0")]);
     }
 
     #[test]

@@ -235,6 +235,47 @@ fn hostile_window_arithmetic_is_a_config_error() {
             "tx-depth: 1\n  qp-traffic-class: [0, 7]".to_string(),
             "traffic: qp 1: traffic class 7 out of range".to_string(),
         ),
+        // No ETS queue indexed out of bounds (exit 8).
+        (
+            "listing2",
+            "traffic:",
+            "ets: {queues: []}\ntraffic:".to_string(),
+            "ets: queues must not be empty".to_string(),
+        ),
+        // A recovery context per `u64` asked the allocator for 2^67 bytes
+        // (exit 8); a context per connection already never wedges.
+        (
+            "listing2",
+            "adaptive-retrans: false",
+            format!("adaptive-retrans: false\n  override-recovery-contexts: {max}"),
+            format!("requester: override-recovery-contexts {max} exceeds 16383"),
+        ),
+        // Nothing posted: the run idled to the horizon (exit 1).
+        (
+            "listing2",
+            "barrier-sync: true\n  tx-depth: 1",
+            "barrier-sync: false\n  tx-depth: 0".to_string(),
+            "traffic: tx-depth must be ≥ 1".to_string(),
+        ),
+        (
+            "listing2",
+            "num-msgs-per-qp: 10",
+            "num-msgs-per-qp: 0".to_string(),
+            "traffic: num-msgs-per-qp must be ≥ 1".to_string(),
+        ),
+        // An unknown NIC names the key that chose it.
+        (
+            "listing2",
+            "nic-type: cx4\n  dcqcn-rp-enable",
+            "nic-type: cx9\n  dcqcn-rp-enable".to_string(),
+            "requester: nic-type: unknown requester nic \"cx9\"".to_string(),
+        ),
+        (
+            "listing2",
+            "traffic:",
+            "device: {responder: cx9}\ntraffic:".to_string(),
+            "device: responder: unknown responder nic \"cx9\"".to_string(),
+        ),
     ] {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
         let yaml = std::fs::read_to_string(format!("{dir}/{preset}.yaml")).unwrap();

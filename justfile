@@ -76,7 +76,10 @@ doc:
 # stage 4's memory: the high-water mark of a packet-dense run against what
 # it leaves resident, on the shipped build's allocations. And the preset
 # corpus with its hostile numbers, which wrap silently only in this build
-# (the dev build panics on the overflow instead): each must be exit 2.
+# (the dev build panics on the overflow instead): each must be exit 2. The
+# extremes property runs there too: every row of the config's field table
+# on every preset at 0, 1, MAX - 1 and MAX, exit 2 naming the field or a
+# typed exit, never 8.
 release-bytes:
     cargo test --release --offline -q -p lumina-core --test cli_e2e
     cargo test --release --offline -q -p lumina-core --lib run_caught

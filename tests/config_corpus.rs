@@ -1,10 +1,9 @@
 //! Every shipped preset in `configs/` must parse, validate, and — except
 //! the deliberately heavy ones — run green end to end.
 
-use lumina_core::config::{ChaosWindowSpec, TestConfig};
+use lumina_core::config::{ChaosWindowSpec, Num, TestConfig};
 use lumina_core::orchestrator::{run_supervised, run_test, RetryPolicy};
-use lumina_core::{FaultsSection, QuirksSection, RunReport};
-use lumina_rnic::Quirk;
+use lumina_core::{Error, FaultsSection, QuirksSection, RunReport};
 
 fn corpus() -> Vec<(String, TestConfig)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/configs");
@@ -191,41 +190,64 @@ fn exit_of(cfg: &TestConfig) -> u8 {
     }
 }
 
-/// `[at-us, duration-us]` of the window `site` names.
-fn window_fields<'a>(cfg: &'a mut TestConfig, site: &str) -> [&'a mut u64; 2] {
-    let link = |cfg: &'a mut TestConfig| &mut cfg.chaos.as_mut().unwrap().links[0];
-    match site {
-        "chaos: link 0: flap 0" => {
-            let w = &mut link(cfg).flaps[0];
-            [&mut w.at_us, &mut w.duration_us]
+/// Every bounded numeric field of `cfg`, named as its messages name it,
+/// with its value (`None`: an optional field left out).
+fn fields(cfg: &TestConfig) -> Vec<(String, Option<Num>)> {
+    let mut out: Vec<(String, Option<Num>)> = Vec::new();
+    cfg.clone().numeric_fields(|name, v, _| out.push((name.into(), v)));
+    out.dedup_by(|a, b| a.0 == b.0);
+    out
+}
+
+/// `cfg` with the numeric field `field` — a name [`fields`] lists — set to
+/// `v`.
+fn with(cfg: &TestConfig, field: &str, v: Num) -> TestConfig {
+    let (mut cfg, mut found) = (cfg.clone(), false);
+    cfg.numeric_fields(|name, _, set| {
+        if name == field {
+            set(v);
+            found = true;
         }
-        "chaos: link 0: pause 0" => {
-            let w = &mut link(cfg).pauses[0];
-            [&mut w.at_us, &mut w.duration_us]
-        }
-        "chaos: link 0: burst 0" => {
-            let w = &mut link(cfg).bursts[0];
-            [&mut w.at_us, &mut w.duration_us]
-        }
-        "faults: freeze 0" => {
-            let w = &mut cfg.faults.as_mut().unwrap().freezes[0];
-            [&mut w.at_us, &mut w.duration_us]
-        }
-        "faults: stall 0" => {
-            let w = &mut cfg.faults.as_mut().unwrap().dumper_stalls[0];
-            [&mut w.at_us, &mut w.duration_us]
-        }
-        other => panic!("no window {other:?}"),
-    }
+    });
+    assert!(found, "no field {field:?}");
+    cfg
+}
+
+/// The section part of a field's name: `traffic: event 3` of
+/// `traffic: event 3: qpn`.
+fn section(field: &str) -> &str {
+    field.rsplit_once(": ").expect("section: key").0
+}
+
+/// True when a line of the error `e` names `field`'s section and key (a
+/// window's end names `at-us + duration-us` together).
+fn names(e: &str, field: &str) -> bool {
+    let (section, key) = field.rsplit_once(": ").expect("section: key");
+    e.lines().any(|l| l.contains(section) && l.contains(key))
+}
+
+/// The presets `light_presets_run_green` does not run: the property tests
+/// validate their cases but run none.
+fn heavy(name: &str) -> bool {
+    name == "fig11_noisy_neighbor.yaml" || name == "fig10_ets_bug.yaml"
+}
+
+/// `cfg` with a `faults:` and a `quirks:` section that inject nothing where
+/// it has none, so that [`fields`] lists theirs too. A section that
+/// injects nothing keeps the run on the pristine path.
+fn with_every_section(mut cfg: TestConfig) -> TestConfig {
+    cfg.faults.get_or_insert_with(FaultsSection::default);
+    cfg.quirks.get_or_insert_with(QuirksSection::default);
+    cfg
 }
 
 /// Every window field of `chaos:` and `faults:` — flaps, pauses, bursts,
 /// freezes and dumper stalls, on a chaos and a fault preset — set in turn
-/// to 0, 1 and the clock's last two microseconds, the other field as the
-/// preset has it. Each case ends in exit 2 naming its window and field, or
-/// in the typed exit pinned here: never 8, and the same exit on the
-/// release build (`just release-bytes`), where an overflow would wrap
-/// instead of panicking.
+/// through the field table to 0, 1 and the clock's last two microseconds,
+/// the other field as the preset has it. Each case ends in exit 2 naming
+/// its window and field, or in the typed exit pinned here: never 8, and
+/// the same exit on the release build (`just release-bytes`), where an
+/// overflow would wrap instead of panicking.
 #[test]
 fn window_fields_at_the_clock_edges_end_in_a_typed_exit() {
     let mut chaos = preset("chaos_demo.yaml");
@@ -257,17 +279,16 @@ fn window_fields_at_the_clock_edges_end_in_a_typed_exit() {
     let mut got = Vec::new();
     for (base, site, _) in &pinned {
         let mut exits = [[0u8; 4]; 2];
-        for (f, field) in ["at-us", "duration-us"].into_iter().enumerate() {
+        for (f, key) in ["at-us", "duration-us"].into_iter().enumerate() {
+            let field = format!("{site}: {key}");
             for (v, &value) in values.iter().enumerate() {
-                let mut cfg = (*base).clone();
-                *window_fields(&mut cfg, site)[f] = value;
+                let cfg = with(base, &field, Num::Int(value));
                 let exit = exit_of(&cfg);
                 if exit == 2 {
-                    let e = cfg.validate().expect_err(site).to_string();
-                    let named = e.lines().any(|l| l.contains(site) && l.contains(field));
-                    assert!(named, "{site} {field} {value}: {e}");
+                    let e = cfg.validate().expect_err(&field).to_string();
+                    assert!(names(&e, &field), "{field} {value}: {e}");
                 }
-                assert_ne!(exit, 8, "{site} {field} {value}");
+                assert_ne!(exit, 8, "{field} {value}");
                 exits[f][v] = exit;
             }
         }
@@ -277,109 +298,107 @@ fn window_fields_at_the_clock_edges_end_in_a_typed_exit() {
     assert_eq!(got, want);
 }
 
-/// One probability field: the section its message names, and the field.
-#[derive(Clone, Copy)]
-enum Probability {
-    Faults(&'static str),
-    Quirk(Quirk),
-    Burst(usize, usize, &'static str),
-}
-
-impl Probability {
-    /// Every probability field of `cfg`: the three of `faults:` and the nine
-    /// of `quirks:` (a section the preset lacks is added with the field
-    /// alone set), and the three of each chaos burst the preset has.
-    fn of(cfg: &TestConfig) -> Vec<Probability> {
-        let mut out: Vec<Probability> = [
-            "mirror-loss-prob",
-            "mirror-dup-prob",
-            "capture-bit-rot-prob",
-        ]
-        .map(Probability::Faults)
-        .into_iter()
-        .chain(Quirk::ALL.map(Probability::Quirk))
-        .collect();
-        for (i, link) in cfg.chaos.iter().flat_map(|c| c.links.iter().enumerate()) {
-            for j in 0..link.bursts.len() {
-                for field in ["loss-prob", "corrupt-prob", "reorder-prob"] {
-                    out.push(Probability::Burst(i, j, field));
-                }
-            }
-        }
-        out
-    }
-
-    /// `(section, field)` as a validation message names them.
-    fn name(self) -> (String, &'static str) {
-        match self {
-            Probability::Faults(field) => ("faults".into(), field),
-            Probability::Quirk(q) => ("quirks".into(), q.config_key()),
-            Probability::Burst(i, j, field) => (format!("chaos: link {i}: burst {j}"), field),
-        }
-    }
-
-    /// `cfg` with this field set to `p`.
-    fn set(self, cfg: &TestConfig, p: f64) -> TestConfig {
-        let mut cfg = cfg.clone();
-        match self {
-            Probability::Faults(field) => {
-                let f = cfg.faults.get_or_insert_with(FaultsSection::default);
-                *match field {
-                    "mirror-loss-prob" => &mut f.mirror_loss_prob,
-                    "mirror-dup-prob" => &mut f.mirror_dup_prob,
-                    _ => &mut f.capture_bit_rot_prob,
-                } = p;
-            }
-            Probability::Quirk(q) => {
-                cfg.quirks.get_or_insert_with(QuirksSection::default).knobs[q] = p;
-            }
-            Probability::Burst(i, j, field) => {
-                let b = &mut cfg.chaos.as_mut().unwrap().links[i].bursts[j];
-                *match field {
-                    "loss-prob" => &mut b.loss_prob,
-                    "corrupt-prob" => &mut b.corrupt_prob,
-                    _ => &mut b.reorder_prob,
-                } = p;
-            }
-        }
-        cfg
-    }
-}
-
 /// ROADMAP item 6's probability slice: every probability field of every
-/// preset set in turn to −0.0, −ε, NaN and 1 + ε. The last three are exit 2
-/// with a message naming section and field. −0.0 is a probability, and
-/// zero: the run ends in a typed exit (never 8, never a panic), the
-/// preset's own. The two heavy presets `light_presets_run_green` skips are
-/// validated here but not run: their 24 runs would take half a minute on
-/// the dev build.
+/// preset — the three of `faults:`, the nine of `quirks:` and the three of
+/// each chaos burst, as the field table lists them — set in turn to −0.0,
+/// −ε, NaN and 1 + ε. The last three are exit 2 with a message naming
+/// section and field. −0.0 is a probability, and zero: the run ends in a
+/// typed exit (never 8, never a panic), the preset's own. The two heavy
+/// presets are validated here but not run: their 24 runs would take half a
+/// minute on the dev build.
 #[test]
 fn probability_fields_off_the_unit_interval_end_in_a_typed_exit() {
     let values = [-0.0, -f64::EPSILON, f64::NAN, 1.0 + f64::EPSILON];
     let mut runs = 0;
     for (name, cfg) in corpus() {
-        let heavy = name == "fig11_noisy_neighbor.yaml" || name == "fig10_ets_bug.yaml";
-        let own = (!heavy).then(|| exit_of(&cfg));
-        for site in Probability::of(&cfg) {
-            let (section, field) = site.name();
+        let own = (!heavy(&name)).then(|| exit_of(&cfg));
+        let cfg = with_every_section(cfg);
+        for (field, value) in fields(&cfg) {
+            if !matches!(value, Some(Num::Prob(_))) {
+                continue;
+            }
             for p in values {
-                let case = site.set(&cfg, p);
+                let case = with(&cfg, &field, Num::Prob(p));
                 let Err(e) = case.validate() else {
-                    assert_eq!(p, 0.0, "{name} {section}: {field} {p} validated");
+                    assert_eq!(p, 0.0, "{name} {field} {p} validated");
                     if let Some(own) = own {
                         let exit = exit_of(&case);
-                        assert_ne!(exit, 8, "{name} {section}: {field} {p}");
-                        assert_eq!(exit, own, "{name} {section}: {field} {p}");
+                        assert_ne!(exit, 8, "{name} {field} {p}");
+                        assert_eq!(exit, own, "{name} {field} {p}");
                         runs += 1;
                     }
                     continue;
                 };
-                assert_eq!(e.exit_code(), 2, "{name} {section}: {field} {p}: {e}");
-                let e = e.to_string();
-                let named = e.lines().any(|l| l.contains(&section) && l.contains(field));
-                assert!(named, "{name} {section}: {field} {p}: {e}");
+                assert_eq!(e.exit_code(), 2, "{name} {field} {p}: {e}");
+                assert!(names(&e.to_string(), &field), "{name} {field} {p}: {e}");
             }
         }
     }
     assert!(runs >= 9 * 12, "sweep shrank: {runs} runs");
+}
+
+/// The event budget of each run of the extremes property: most light
+/// presets finish inside it, and a run that would send 2^32 messages ends
+/// in the watchdog's exit 7.
+const EXTREME_EVENTS: u64 = 5_000;
+
+/// ROADMAP item 6's numeric slice: every row of the field table at every
+/// entry of every preset (with `faults:` and `quirks:` sections that inject
+/// nothing) set in turn to 0, 1 and its type's `MAX − 1` and `MAX`. A case
+/// `validate()` rejects is exit 2, each of its messages opens with the
+/// section of an entry the config has, and one names the field — unless
+/// every message is an index that the value left out of range (a `qpn`
+/// past a lowered `num-connections`). A case it accepts runs at seeds 1–2
+/// under an event budget (its own on the `max-events` row) on two threads,
+/// and ends in a typed exit: never 8, which is also what a panic ends in. A
+/// case that leaves the preset as it was runs once, as the preset. The two
+/// heavy presets are validated only.
+#[test]
+fn numeric_fields_at_their_extremes_end_in_a_typed_exit() {
+    let mut runs = Vec::new();
+    for (name, cfg) in corpus() {
+        let base = with_every_section(cfg);
+        let fields = fields(&base);
+        let mut cases = vec![("preset".to_string(), 0, base.clone())];
+        for (field, _) in &fields {
+            for v in [0, 1, u64::MAX - 1, u64::MAX] {
+                let case = with(&base, field, Num::Int(v));
+                match case.validate() {
+                    Err(Error::Config { problems }) => {
+                        let at = |p: &String| fields.iter().any(|(f, _)| p.starts_with(section(f)));
+                        assert!(problems.iter().all(at), "{name} {field} {v}: {problems:?}");
+                        let own = problems.iter().any(|p| names(p, field));
+                        let counted = problems.iter().all(|p| p.contains(" out of range"));
+                        assert!(own || counted, "{name} {field} {v}: {problems:?}");
+                    }
+                    Err(e) => panic!("{name} {field} {v}: {e}"),
+                    Ok(()) if case.to_yaml() != base.to_yaml() => cases.push((field.clone(), v, case)),
+                    Ok(()) => {}
+                }
+            }
+        }
+        if !heavy(&name) {
+            for (field, v, mut case) in cases {
+                if field != "network: max-events" {
+                    case.network.max_events = Some(EXTREME_EVENTS);
+                }
+                for seed in [1, 2] {
+                    case.network.seed = seed;
+                    runs.push((format!("{name} {field} {v} seed {seed}"), case.clone()));
+                }
+            }
+        }
+    }
+    assert!(runs.len() >= 800, "sweep shrank: {} runs", runs.len());
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let claim = || next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                while let Some((case, cfg)) = runs.get(claim()) {
+                    assert_ne!(exit_of(cfg), 8, "{case}");
+                }
+            });
+        }
+    });
 }
